@@ -1,20 +1,18 @@
-"""Benchmark: expansion-kernel A/B -- scratch-buffer scalar and sibling batch.
+"""Benchmark: the production expansion kernel against the dense reference.
 
 The kernel layer (``repro.core.kernels``) exists for exactly one number:
 CPU-bound search time.  This benchmark runs the same workload over the same
-in-memory suffix tree under all three kernels and records the speedups:
+in-memory suffix tree under both kernels and records the speedup:
 
-* ``reference`` -- the original per-column implementation (per-column
-  ``np.empty_like``, double ``.max()`` reduction, unconditional mask
-  writes); the "current" path the ISSUE's >=1.3x target is measured
-  against.
-* ``scalar`` -- the same algorithm over preallocated scratch (the default).
-* ``batched`` -- sibling-batched first columns on top of the scalar loop.
+* ``reference`` -- the dense per-column implementation (all ``m + 1`` cells
+  of every column through a dozen NumPy calls); the oracle.
+* ``live`` -- the live-cell kernel (the default): only the cells that
+  survive pruning, as Python ints.
 
 Parity is asserted *always*, even in smoke mode: byte-identical hits and
-identical ``columns_expanded`` across kernels -- the speedup is only
-meaningful if the kernels did the same work.  The speedup floor is
-asserted only on real (non-smoke) runs on a quiet machine.
+identical work counters -- the speedup is only meaningful if both kernels
+did the same work.  The speedup floor is asserted only on real (non-smoke)
+runs on a quiet machine.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ import statistics
 import time
 
 from repro.core.engine import OasisEngine
+from repro.core.kernels import DEFAULT_KERNEL
 from repro.experiments.common import build_protein_dataset
 from repro.testing import smoke_mode
 
@@ -30,19 +29,23 @@ from repro.testing import smoke_mode
 QUERY_COUNT = 12
 #: Timed passes per kernel; the reported statistic is their median.
 REPEATS = 5
-#: The ISSUE's acceptance floor for batched vs the pre-kernel path.
-BATCHED_SPEEDUP_FLOOR = 1.3
+#: The ISSUE's acceptance floor for the production kernel vs the oracle.
+SPEEDUP_FLOOR = 2.0
 #: Below this the medians are timer noise, not signal; skip the asserts.
 MIN_COMPARABLE_SECONDS = 0.05
 
-KERNELS = ("reference", "scalar", "batched")
+KERNELS = ("reference", DEFAULT_KERNEL)
 
 
-def _hit_signature(result):
-    return [
+def _outcome(result):
+    counters = result.statistics.as_dict()
+    for unstable in ("elapsed_seconds", "kernel"):
+        del counters[unstable]
+    hits = [
         (hit.sequence_index, hit.sequence_identifier, hit.score, hit.evalue)
         for hit in result
     ]
+    return hits, counters
 
 
 def _time_workload(engine, queries, evalue) -> float:
@@ -61,7 +64,7 @@ def test_bench_expand_kernel_ab(config, bench_record):
     evalue = config.effective_evalue(dataset.database_symbols)
     base = dataset.engine
 
-    # Three engines over ONE shared tree: the A/B isolates the kernel, not
+    # Two engines over ONE shared tree: the A/B isolates the kernel, not
     # index construction or cache state.
     engines = {
         name: OasisEngine(
@@ -75,69 +78,52 @@ def test_bench_expand_kernel_ab(config, bench_record):
     }
 
     # Parity first (always, smoke included): byte-identical hits and
-    # identical DP work under every kernel.
-    signatures = {}
-    columns = {}
+    # identical work counters under both kernels.
+    outcomes = {}
     for name, engine in engines.items():
-        signatures[name] = []
-        columns[name] = 0
+        outcomes[name] = []
         for query in queries:
             result = engine.search(query, evalue=evalue)
-            signatures[name].append(_hit_signature(result))
-            columns[name] += result.statistics.columns_expanded
             assert result.statistics.kernel == name
-    for name in ("scalar", "batched"):
-        assert signatures[name] == signatures["reference"], (
-            f"kernel {name} diverged from the reference hits"
-        )
-        assert columns[name] == columns["reference"], (
-            f"kernel {name} expanded {columns[name]} columns vs the "
-            f"reference's {columns['reference']}"
-        )
+            outcomes[name].append(_outcome(result))
+    assert outcomes[DEFAULT_KERNEL] == outcomes["reference"], (
+        f"kernel {DEFAULT_KERNEL} diverged from the reference hits or counters"
+    )
+    columns = sum(counters["columns_expanded"] for _, counters in outcomes["reference"])
 
     # The parity pass doubles as warm-up; now the timed passes.
     seconds = {
         name: _time_workload(engine, queries, evalue)
         for name, engine in engines.items()
     }
-    speedups = {
-        name: (seconds["reference"] / seconds[name] if seconds[name] else 1.0)
-        for name in ("scalar", "batched")
-    }
+    speedup = (
+        seconds["reference"] / seconds[DEFAULT_KERNEL] if seconds[DEFAULT_KERNEL] else 1.0
+    )
 
     print()
     print(f"{'kernel':12s} {'median_s':>10s} {'vs reference':>14s}")
     for name in KERNELS:
         ratio = seconds["reference"] / seconds[name] if seconds[name] else 1.0
         print(f"{name:12s} {seconds[name]:10.3f} {ratio:13.2f}x")
-    print(
-        f"({QUERY_COUNT} queries x {REPEATS} passes, "
-        f"{columns['reference']} DP columns per pass)"
-    )
+    print(f"({QUERY_COUNT} queries x {REPEATS} passes, {columns} DP columns per pass)")
 
     bench_record(
         "expand_kernel",
         {
             "queries": len(queries),
             "repeats": REPEATS,
-            "columns_expanded": columns["reference"],
+            "columns_expanded": columns,
             "hits_identical": True,
             "reference_seconds": seconds["reference"],
-            "scalar_seconds": seconds["scalar"],
-            "batched_seconds": seconds["batched"],
+            f"{DEFAULT_KERNEL}_seconds": seconds[DEFAULT_KERNEL],
             # Tracked by the regression sentry (higher is better).
-            "scalar_speedup": speedups["scalar"],
-            "batched_speedup": speedups["batched"],
+            f"{DEFAULT_KERNEL}_speedup": speedup,
         },
     )
 
     if smoke_mode() or seconds["reference"] < MIN_COMPARABLE_SECONDS:
         return
-    assert speedups["batched"] >= BATCHED_SPEEDUP_FLOOR, (
-        f"batched kernel speedup x{speedups['batched']:.2f} is below the "
-        f"x{BATCHED_SPEEDUP_FLOOR} floor vs the reference path"
-    )
-    assert speedups["scalar"] > 1.0, (
-        f"scratch-buffer scalar kernel (x{speedups['scalar']:.2f}) should "
-        "never be slower than the allocating reference path"
+    assert speedup >= SPEEDUP_FLOOR, (
+        f"{DEFAULT_KERNEL} kernel speedup x{speedup:.2f} is below the "
+        f"x{SPEEDUP_FLOOR} floor vs the reference path"
     )

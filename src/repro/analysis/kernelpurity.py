@@ -1,63 +1,48 @@
-"""Kernel-purity rule: the DP hot loops neither allocate nor emit telemetry.
+"""Kernel-purity rule: the DP hot loops call no NumPy and emit no telemetry.
 
-The expansion kernels in ``repro.core.kernels`` exist to strip per-column
-interpreter overhead out of the hottest loop in every search.  Two easy ways
-to quietly reintroduce it are (1) allocating a NumPy array per iteration
-(``np.empty_like`` alone accounted for 307k calls in the pre-kernel
-profile) and (2) calling into the tracer/metrics machinery from inside the
-column loop (the telemetry contract everywhere else is "nothing in the
-per-node loop").  Scratch comes from the
-:class:`~repro.core.expand.ExpansionContext`, which owns one preallocated
-set of buffers per query; telemetry stays at the driver level.
+The production expansion kernel in ``repro.core.kernels`` is fast because a
+column is two or three live cells handled as plain Python ints against
+per-query lists; the dense form it replaced spent its time in the call
+overhead of a dozen NumPy operations on a 15-element array.  Two easy ways
+to quietly give that back are (1) reaching for NumPy inside a column loop --
+any ``np.``/``numpy.`` call there costs more than the whole live-cell step --
+and (2) calling into the tracer/metrics machinery from inside the loop (the
+telemetry contract everywhere else is "nothing in the per-node loop").  The
+list forms come from the :class:`~repro.core.expand.ExpansionContext`,
+built once per query; telemetry stays at the driver level.
 
 This rule makes both properties mechanical: inside any ``for``/``while``
-loop of a function in ``repro.core.kernels``, array-allocating NumPy calls
-(``np.empty``/``np.zeros``/``np.ones``/``np.full`` and their ``*_like``
-forms, plus ``np.arange``/``np.array``/``np.copy`` and the ``.copy()``
-method) and ``tracer``/``metrics`` attribute access are violations.
-Outside loops they are fine -- a VIABLE child's surviving column is copied
-out exactly once after its arc finishes, and that is the design, not a
-leak.
+loop of a function in ``repro.core.kernels``, a call rooted at ``np`` or
+``numpy`` (``np.add``, ``np.maximum.accumulate``, ``numpy.empty_like``, ...)
+and ``tracer``/``metrics``/``flight`` attribute access are violations.
+Outside loops NumPy is fine -- the dense root column is converted to live
+cells once, before the sibling loop.  The dense reference form lives in
+``repro.core.expand`` and is not held to this rule.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.analysis.framework import ModuleInfo, Rule, Violation
 
 #: Modules whose functions are held to the purity contract.
 KERNEL_MODULES: Tuple[str, ...] = ("repro.core.kernels",)
 
-#: NumPy callables that allocate a fresh array.
-ALLOCATORS: Tuple[str, ...] = (
-    "empty",
-    "zeros",
-    "ones",
-    "full",
-    "empty_like",
-    "zeros_like",
-    "ones_like",
-    "full_like",
-    "arange",
-    "array",
-    "copy",
-)
-
 #: Attribute names whose presence inside a kernel loop means telemetry.
 TELEMETRY_ATTRIBUTES: Tuple[str, ...] = ("tracer", "metrics", "flight")
 
 
 class KernelPurityRule(Rule):
-    """Kernel column loops must not allocate arrays or touch telemetry."""
+    """Kernel column loops must not call NumPy or touch telemetry."""
 
     rule_id = "kernel-purity"
     description = (
-        "expansion-kernel loops (repro.core.kernels) must not allocate "
-        "arrays (np.empty/zeros/*_like/.copy) or touch tracer/metrics -- "
-        "scratch comes preallocated from ExpansionContext, telemetry stays "
-        "in the driver"
+        "expansion-kernel loops (repro.core.kernels) must not call NumPy "
+        "(any np./numpy. call) or touch tracer/metrics -- live cells are "
+        "plain ints against per-query lists from ExpansionContext, "
+        "telemetry stays in the driver"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Violation]:
@@ -82,14 +67,14 @@ class KernelPurityRule(Rule):
     def _check_loop(self, module: ModuleInfo, loop: ast.AST) -> Iterator[Violation]:
         for node in ast.walk(loop):
             if isinstance(node, ast.Call):
-                allocator = self._allocator_name(node.func)
-                if allocator is not None:
+                call = self._numpy_call(node.func)
+                if call is not None:
                     yield self.violation(
                         module,
                         node,
-                        f"{allocator} allocates inside a kernel loop; use a "
-                        "preallocated ExpansionContext scratch buffer "
-                        "(out= ufunc forms) instead",
+                        f"{call}() inside a kernel loop; the live-cell step is "
+                        "plain Python ints and lists -- convert outside the "
+                        "loop or read a list form from the ExpansionContext",
                     )
             if isinstance(node, ast.Attribute) and node.attr in TELEMETRY_ATTRIBUTES:
                 yield self.violation(
@@ -100,16 +85,12 @@ class KernelPurityRule(Rule):
                 )
 
     @staticmethod
-    def _allocator_name(func: ast.expr) -> Optional[str]:
-        if isinstance(func, ast.Attribute):
-            if (
-                isinstance(func.value, ast.Name)
-                and func.value.id in ("np", "numpy")
-                and func.attr in ALLOCATORS
-            ):
-                return f"{func.value.id}.{func.attr}()"
-            if func.attr == "copy":
-                # Any `.copy()` method call: arrays are the only thing kernels
-                # hold, and copying one allocates.
-                return ".copy()"
+    def _numpy_call(func: ast.expr) -> Optional[str]:
+        """The dotted name of a call rooted at ``np``/``numpy``, else ``None``."""
+        parts: List[str] = []
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if parts and isinstance(func, ast.Name) and func.id in ("np", "numpy"):
+            return ".".join([func.id] + parts[::-1])
         return None

@@ -125,9 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kernel",
         default=None,
         metavar="NAME",
-        help="expansion kernel: scalar (default), batched or reference; "
-        "kernels are parity-gated (identical hits), the choice only trades "
-        "speed (also via OASIS_KERNEL)",
+        help="expansion kernel: live (default, the live-cell kernel) or "
+        "reference (the dense oracle it is parity-gated against: identical "
+        "hits and counters, only slower); also via OASIS_KERNEL",
     )
     search.add_argument(
         "--trace",

@@ -22,30 +22,20 @@ Smith-Waterman:
    (``f > max_score``) and whether it could still reach ``min_score``; if not,
    the node is finished immediately and tagged ACCEPTED or UNVIABLE.
 
-The column update itself is vectorised: the horizontal and diagonal terms are
-straight NumPy expressions and the vertical (insertion) dependency
-``column[i] = max(candidate[i], column[i-1] + gap)`` is resolved with a
-running-maximum transform, so the per-cell work stays out of the Python
-interpreter.
-
-Two implementations live side by side:
-
-* :func:`expand_arc_reference` -- the original, allocation-per-column form,
-  kept verbatim as the parity oracle every kernel is gated against;
-* :func:`expand_arc` -- the public entry point, which now runs the
-  scratch-buffer scalar kernel from :mod:`repro.core.kernels`: the same
-  algorithm over preallocated per-query scratch arrays (no per-column
-  allocation, fused prune mask, no reductions or ``PRUNED`` writes whose
-  result is about to be discarded).
-
-The :class:`ExpansionContext` owns the scratch arrays because it already owns
-everything else that is per-query: kernels themselves are forbidden from
-allocating inside their column loops (the ``kernel-purity`` analysis rule).
+This module holds the per-query :class:`ExpansionContext` and the *dense*
+form of the algorithm, :func:`expand_arc_reference`: one NumPy column of
+``m + 1`` cells per arc symbol, the vertical (insertion) dependency
+``column[i] = max(candidate[i], column[i-1] + gap)`` resolved with a
+running-maximum transform.  It is the oracle the production kernel in
+:mod:`repro.core.kernels` is gated against cell for cell, and the path that
+runs whenever a pruning rule is switched off or per-rule counts are tracked
+(columns are dense by construction then).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import cached_property
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -53,11 +43,14 @@ from repro.core.search_node import NodeState, PRUNED, SearchNode
 
 
 class ExpansionContext:
-    """Query-specific constants shared by every expansion of one search.
+    """Query-specific constants and counters shared by every expansion of one search.
 
-    Holding them in one object (rather than passing half a dozen arrays
-    through every call) keeps :func:`expand_arc` signatures readable and lets
-    the statistics counters live in one place.
+    One context belongs to one :class:`~repro.core.oasis.QueryExecution`:
+    kernels are stateless and shared between concurrent executions, so
+    everything a kernel reads or counts per query lives here.  Construction
+    stores its arguments and nothing else; the array and list forms the two
+    kernels read are derived on first use, so a query that never expands a
+    node (or a shard that holds nothing for it) pays for none of them.
     """
 
     def __init__(
@@ -79,16 +72,11 @@ class ExpansionContext:
         self.query_codes = np.asarray(query_codes)
         self.score_lookup = score_lookup
         self.gap_penalty = int(gap_penalty)
+        #: ``h`` of Section 3.1: non-increasing, ``h[m] == 0`` (see
+        #: :func:`~repro.core.heuristic.compute_heuristic_vector`).
         self.heuristic = np.asarray(heuristic, dtype=np.int64)
         self.min_score = int(min_score)
         self.query_length = len(self.query_codes)
-        # Offsets used by the running-maximum resolution of the vertical
-        # dependency; precomputed once per query.
-        self._offsets = self.gap_penalty * np.arange(self.query_length + 1, dtype=np.int64)
-        # Per-symbol substitution profile: profile[t][i-1] = S(q_i, t).
-        # Precomputing it once per query turns the per-column score lookup
-        # into a plain row read.
-        self.profile = np.ascontiguousarray(score_lookup[self.query_codes, :].T.astype(np.int64))
         #: Rule switches (all on by default; the ablation benchmark turns
         #: individual rules off to measure their contribution).  Disabling a
         #: rule never changes the result set, only the amount of work.
@@ -97,53 +85,67 @@ class ExpansionContext:
         self.prune_threshold = prune_threshold
         #: When True, per-rule cell counts are accumulated (slightly slower).
         self.track_pruning = track_pruning
+        #: Whether columns are sparse: with every rule on and nothing to
+        #: tally per rule, a column is just its few surviving cells and the
+        #: live-cell kernel applies; otherwise the dense reference form runs.
+        self.live_cells = (
+            prune_non_positive and prune_dominated and prune_threshold and not track_pruning
+        )
         #: Number of matrix columns expanded (the Figure 4 metric).
         self.columns_expanded = 0
+        #: Children that came out UNVIABLE and were dropped by the kernel
+        #: instead of being handed back to the driver (``nodes_pruned``).
+        self.nodes_dropped = 0
         #: Number of individual cells pruned by each rule (only meaningful
         #: when ``track_pruning`` is enabled).
         self.pruned_non_positive = 0
         self.pruned_dominated = 0
         self.pruned_threshold = 0
-        # ------------------------------------------------------------------
-        # Kernel scratch.  The expansion kernels (repro.core.kernels) never
-        # allocate inside their column loops -- the kernel-purity analysis
-        # rule enforces it -- so every transient array they need is
-        # preallocated here, once per query.
-        length = self.query_length + 1
-        symbol_count = self.profile.shape[0]
-        #: Ping-pong column buffers for the scalar kernel: one is read while
-        #: the other is written, so a parent's column is never mutated.
-        self.scratch_col_a = np.empty(length, dtype=np.int64)
-        self.scratch_col_b = np.empty(length, dtype=np.int64)
-        #: Horizontal (deletion) term of the candidate column.
-        self.scratch_row = np.empty(length, dtype=np.int64)
-        #: Optimistic scores (``column + heuristic``).
-        self.scratch_bound = np.empty(length, dtype=np.int64)
-        #: Boolean planes for the pruning-rule masks and their combinations.
-        self.scratch_flags = np.empty((5, length), dtype=bool)
-        #: Fused prune limit for the all-rules fast path:
-        #: ``max(0, cutoff - heuristic)`` elementwise, valid while the cutoff
-        #: (``max(path max_score, min_score - 1)``) equals ``fast_cutoff``.
-        #: One comparison against it is exactly the reference's three-way
-        #: non-positive|dominated|hopeless mask, and the cutoff only changes
-        #: when a path's ``max_score`` rises, so the recompute amortises away.
-        self.scratch_limit = np.empty(length, dtype=np.int64)
-        self.fast_cutoff: Optional[int] = None
-        #: Sibling-batch scratch: a node's children all have distinct first
-        #: arc symbols, so the fan-out is bounded by the symbol count and the
-        #: batched kernel can run every child's first DP column as one 2-D
-        #: update over these buffers.
-        self.batch_symbols = np.empty(symbol_count, dtype=np.intp)
-        self.batch_profile = np.empty((symbol_count, self.query_length), dtype=np.int64)
-        self.batch_columns = np.empty((symbol_count, length), dtype=np.int64)
-        self.batch_bound = np.empty((symbol_count, length), dtype=np.int64)
-        self.batch_flags = np.empty((5, symbol_count, length), dtype=bool)
-        self.batch_best = np.empty(symbol_count, dtype=np.int64)
-        self.batch_max = np.empty(symbol_count, dtype=np.int64)
-        self.batch_limit = np.empty(symbol_count, dtype=np.int64)
-        self.batch_done = np.empty(symbol_count, dtype=bool)
+        self._limits: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------ #
+    # Derived forms, built on first use
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def profile(self) -> np.ndarray:
+        """Per-symbol substitution profile: ``profile[t][i-1] = S(q_i, t)``.
+
+        Precomputing it once per query turns the per-column score lookup
+        into a plain row read.
+        """
+        return np.ascontiguousarray(self.score_lookup[self.query_codes, :].T.astype(np.int64))
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """``gap * i`` per row: the running-maximum resolution of the
+        vertical dependency in the dense form."""
+        return self.gap_penalty * np.arange(self.query_length + 1, dtype=np.int64)
+
+    @cached_property
+    def profile_rows(self) -> List[List[int]]:
+        """:attr:`profile` as lists of Python ints (the live-cell kernel)."""
+        return self.profile.tolist()
+
+    @cached_property
+    def heuristic_list(self) -> List[int]:
+        """:attr:`heuristic` as a list of Python ints (the live-cell kernel)."""
+        return self.heuristic.tolist()
+
+    def limit_for(self, cutoff: int) -> List[int]:
+        """The fused prune limit ``max(0, cutoff - h)`` per row, cached per cutoff.
+
+        A cell survives all three rules exactly when it exceeds this limit
+        (``cutoff = max(path max_score, min_score - 1)``); a path's cutoff
+        only ever rises, and only through the few scores a query can reach,
+        so a query builds a handful of these.
+        """
+        limit = self._limits.get(cutoff)
+        if limit is None:
+            limit = self._limits[cutoff] = [
+                cutoff - bound if bound < cutoff else 0 for bound in self.heuristic_list
+            ]
+        return limit
+
     def make_root_column(self) -> np.ndarray:
         """The seed column of Algorithm 2: zeros, pruned where hopeless."""
         column = np.zeros(self.query_length + 1, dtype=np.int64)
@@ -162,11 +164,10 @@ def expand_arc_reference(
     """Algorithm 3, reference form: expand one suffix-tree arc below ``parent``.
 
     This is the original per-column implementation, kept verbatim as the
-    parity oracle for the kernels in :mod:`repro.core.kernels` (run it via
-    ``OASIS_KERNEL=reference`` or ``kernel="reference"``).  It allocates one
-    candidate array per column and scans each column twice
-    (``new_column.max()`` then ``optimistic.max()``); the scalar kernel does
-    neither, and is gated byte-identical against this function.
+    parity oracle for the live-cell kernel in :mod:`repro.core.kernels` (run
+    it via ``OASIS_KERNEL=reference`` or ``kernel="reference"``).  It computes
+    all ``m + 1`` cells of every column, pruned or not, and supports every
+    combination of rule switches and per-rule counting.
 
     Parameters
     ----------
@@ -191,7 +192,7 @@ def expand_arc_reference(
     heuristic = context.heuristic
     min_score = context.min_score
     profile = context.profile
-    offsets = context._offsets
+    offsets = context.offsets
     all_rules = (
         context.prune_non_positive and context.prune_dominated and context.prune_threshold
     )
@@ -304,30 +305,3 @@ def expand_arc_reference(
         state=NodeState.VIABLE,
         depth=depth,
     )
-
-
-_SCALAR_KERNEL = None
-
-
-def expand_arc(
-    parent: SearchNode,
-    tree_node,
-    arc_symbols: np.ndarray,
-    is_leaf: bool,
-    context: ExpansionContext,
-) -> SearchNode:
-    """Algorithm 3: expand one suffix-tree arc below ``parent``.
-
-    The module-level entry point now runs the scratch-buffer scalar kernel
-    (see :mod:`repro.core.kernels`): same results as
-    :func:`expand_arc_reference` -- the kernels are parity-gated against it
-    cell for cell -- with no per-column allocation and no reductions whose
-    result is about to be discarded.  The import is deferred and cached
-    because :mod:`repro.core.kernels` imports this module.
-    """
-    global _SCALAR_KERNEL
-    if _SCALAR_KERNEL is None:
-        from repro.core.kernels import ScalarKernel
-
-        _SCALAR_KERNEL = ScalarKernel()
-    return _SCALAR_KERNEL.expand_arc(parent, tree_node, arc_symbols, is_leaf, context)

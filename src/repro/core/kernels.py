@@ -1,91 +1,90 @@
-"""Arc-expansion kernels: the DP hot path, batched and allocation-free.
+"""Arc-expansion kernels: Algorithm 3 over the cells that survive pruning.
 
-``core/expand.py``'s per-arc dynamic program is the single hottest loop in
-every search (``BENCH_profile_expand.json`` put it at ~60% of serial
-own-time), and most of that cost is interpreter dispatch around tiny NumPy
-calls: a fresh candidate array per column, two full reductions over the same
-data, mask writes into arrays that are about to be discarded.  This module
-rebuilds the hot path as pluggable *kernels* that share one contract:
+Alignment pruning (Section 3.2) leaves a frontier column almost empty: on
+the benchmark's inputs the column that seeds an arc holds about two live
+cells out of 15 (protein motifs) or 40-120 (DNA) rows, and two arcs in three
+end after a single column.  The dense form in :mod:`repro.core.expand` still
+pays a dozen NumPy calls per column for all of them.  The production kernel
+here never materialises the dead ones:
 
-:class:`ScalarKernel` (the default)
-    The reference algorithm over preallocated per-query scratch arrays (the
-    :class:`~repro.core.expand.ExpansionContext` owns them): ``out=`` ufunc
-    forms throughout, ping-pong column buffers so a parent's column is never
-    mutated, and -- on the all-rules fast path -- a *fused-limit* prune mask:
-    the three rules ``new <= 0``, ``new + h <= max_score`` and
-    ``new + h < min_score`` are, elementwise, exactly
-    ``new <= max(0, cutoff - h)`` with ``cutoff = max(max_score,
-    min_score - 1)``, so one comparison against a cached limit vector
-    (recomputed only when the path's ``max_score`` rises) replaces the
-    per-column bound array and both of its comparisons.  The
-    early-termination test likewise collapses to "did every cell prune?",
-    because any survivor has ``bound > cutoff >= max_score`` and
-    ``bound >= min_score``, so neither termination branch can fire -- the
-    reference path's second full ``optimistic.max()`` reduction disappears.
+:class:`LiveCellKernel` (``live``, the default)
+    A column is the ascending list of ``(row, score)`` cells that survived
+    pruning.  One DP step visits each live cell once, emits its horizontal
+    (``+gap``, same row) and diagonal (``+S(q, t)``, next row) successors,
+    and follows the vertical ``+gap`` chain below each *surviving* successor
+    for as long as it stays alive -- all in plain Python ints against
+    per-query lists held by the :class:`~repro.core.expand.ExpansionContext`.
 
-:class:`BatchedKernel`
-    Sibling-batched expansion: a node's children all start with distinct arc
-    symbols, so when a VIABLE node is expanded the first DP column of *every*
-    child arc is computed as one 2-D vectorised update (one ufunc fan
-    replaces the per-child fan of calls).  Most arcs die within their first
-    column, so the common case finishes inside the batch; survivors fall
-    through to the scalar kernel for the rest of their arc.
+    It is exact, not approximate.  With every rule on, the reference's three
+    tests ``new <= 0``, ``new + h <= max_score`` and ``new + h < min_score``
+    are, per cell, ``new <= limit[i]`` with ``limit[i] = max(0, cutoff -
+    h[i])`` and ``cutoff = max(max_score, min_score - 1)``.  ``h`` is
+    non-increasing, so ``limit`` is non-decreasing down a column: a ``+gap``
+    chain that has fallen to its limit can never rise above a later one, a
+    cell derived from a pruned cell (the ``PRUNED`` sentinel plus a small
+    score) sits below every limit, and neither can be a column's maximum.
+    So the survivor set and its scores, ``max_score``, ``f``, ``b``, node
+    states, ``columns_expanded`` and every ``nodes_*`` counter equal the
+    reference's.  Any survivor has ``score + h > cutoff``, hence ``f >
+    max_score`` and ``f >= min_score``: early termination is exactly "no
+    cell survived".  ``h[m] == 0`` makes the last row's limit the cutoff
+    itself, which no score exceeds, so live rows stay below ``m`` and no
+    index runs off a list.
 
-:class:`ReferenceKernel`
-    The original implementation, verbatim
-    (:func:`~repro.core.expand.expand_arc_reference`).  Slowest; exists so
-    parity is checkable against unmodified code forever.
+:class:`ReferenceKernel` (``reference``)
+    The dense implementation, verbatim
+    (:func:`~repro.core.expand.expand_arc_reference`): the parity oracle.
+    The live-cell kernel also hands over to it when a pruning rule is off or
+    per-rule counts are tracked (``context.live_cells`` is false) -- columns
+    are dense by construction then.
 
-Every kernel is parity-gated: byte-identical hits, node states and
-``columns_expanded``/per-rule pruning counters versus the reference path
-(``tests/test_kernel_parity.py``, plus the engine parity suites under
-``OASIS_KERNEL=batched`` in CI).
+A kernel's ``expand_children`` returns only the children the driver should
+enqueue, in child order (the enqueue counter, and with it the heap
+tie-break, depends on that); four in five children come out UNVIABLE and
+are counted in ``context.nodes_dropped`` without ever becoming a
+:class:`SearchNode`.  Kernels hold no per-query state -- one instance
+serves concurrent executions -- and never call the cursor.
 
-Kernel selection goes through :func:`get_kernel`: an explicit ``kernel=``
-argument (``OasisSearch`` / the engines / the CLI all thread one through)
-wins, otherwise the ``OASIS_KERNEL`` environment variable, otherwise
-``scalar``.
+Selection goes through :func:`get_kernel`: an explicit ``kernel=`` argument
+(``OasisSearch`` / the engines / the CLI all thread one through) wins,
+otherwise the ``OASIS_KERNEL`` environment variable, otherwise ``live``.
 
-Purity contract: kernels never allocate arrays and never touch
-tracer/metrics inside their column loops -- scratch comes from the
-:class:`~repro.core.expand.ExpansionContext` -- enforced by the
-``kernel-purity`` analysis rule over this file.
+Purity contract, enforced by the ``kernel-purity`` analysis rule over this
+file: no NumPy call and no tracer/metrics access inside a kernel loop.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Type, Union
 
 import numpy as np
 
 from repro.core.expand import ExpansionContext, expand_arc_reference
-from repro.core.search_node import (
-    NodeState,
-    PRUNED,
-    SearchNode,
-    make_terminal_node,
-)
+from repro.core.search_node import NodeState, PRUNED, SearchNode, make_terminal_node
 
 #: One child of a VIABLE node, as the search driver hands it to a kernel:
 #: ``(tree node handle, arc symbol codes, is-leaf flag)``.
 Sibling = Tuple[object, np.ndarray, bool]
 
-#: Environment variable selecting the default kernel (``scalar`` otherwise).
+#: Environment variable selecting the default kernel (``live`` otherwise).
 KERNEL_ENVIRONMENT_VARIABLE = "OASIS_KERNEL"
 
-DEFAULT_KERNEL = "scalar"
+DEFAULT_KERNEL = "live"
+
+_UNVIABLE = NodeState.UNVIABLE
+_VIABLE = NodeState.VIABLE
 
 
 class ExpansionKernel:
     """One strategy for running Algorithm 3 over a node's children.
 
-    ``expand_arc`` expands a single arc; ``expand_children`` receives the
-    whole sibling set of a VIABLE node at once (lazily iterable, so
-    non-batching kernels preserve the child-by-child cursor access pattern)
-    and returns one :class:`SearchNode` per child, *in child order* -- the
-    driver's enqueue counter, and with it the heap tie-break order, depends
-    on that.
+    ``expand_arc`` expands a single arc into its :class:`SearchNode`,
+    whatever its state.  ``expand_children`` receives the whole sibling set
+    of a VIABLE node (lazily iterable: consuming it child by child preserves
+    the interleaved cursor access pattern) and returns the children to
+    enqueue, *in child order*; UNVIABLE children are dropped and counted in
+    ``context.nodes_dropped``.
     """
 
     name = ""
@@ -106,408 +105,21 @@ class ExpansionKernel:
         siblings: Iterable[Sibling],
         context: ExpansionContext,
     ) -> List[SearchNode]:
-        return [
-            self.expand_arc(parent, tree_node, arc_symbols, is_leaf, context)
-            for tree_node, arc_symbols, is_leaf in siblings
-        ]
+        kept: List[SearchNode] = []
+        for tree_node, arc_symbols, is_leaf in siblings:
+            child = self.expand_arc(parent, tree_node, arc_symbols, is_leaf, context)
+            if child.state is _UNVIABLE:
+                context.nodes_dropped += 1
+            else:
+                kept.append(child)
+        return kept
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def _scalar_expand(
-    tree_node,
-    column: np.ndarray,
-    arc_symbols: np.ndarray,
-    start: int,
-    is_leaf: bool,
-    max_score: int,
-    best_ending_here: int,
-    depth: int,
-    context: ExpansionContext,
-) -> SearchNode:
-    """The scratch-buffer column loop, from ``arc_symbols[start:]``.
-
-    ``column`` seeds the DP and is strictly read-only here: it may be the
-    parent node's column (scalar kernel, ``start=0``) or a row of the batch
-    scratch holding an already-computed-and-masked first column (batched
-    kernel survivors, ``start=1``).  All writes go to the context's
-    ping-pong column scratch, and the surviving column is copied out exactly
-    once, on a VIABLE return.
-    """
-    gap = context.gap_penalty
-    heuristic = context.heuristic
-    min_score = context.min_score
-    profile = context.profile
-    offsets = context._offsets
-    bound = context.scratch_bound
-    flags = context.scratch_flags
-    limit = context.scratch_limit
-    row = context.scratch_row
-    fast = (
-        context.prune_non_positive
-        and context.prune_dominated
-        and context.prune_threshold
-        and not context.track_pruning
-    )
-
-    read = column
-    write = context.scratch_col_a
-    other = context.scratch_col_b
-    for index in range(start, len(arc_symbols)):
-        symbol = arc_symbols[index]
-        depth += 1
-        substitution = profile[symbol]
-
-        # Candidate column, straight into the write buffer: diagonal
-        # (substitution) vs horizontal (deletion) terms, then row 0, where
-        # only a deletion from the previous row-0 entry is possible -- no
-        # reset to zero.
-        np.add(read, gap, out=row)
-        np.add(read[:-1], substitution, out=write[1:])
-        np.maximum(write[1:], row[1:], out=write[1:])
-        write[0] = row[0]
-        # Vertical (insertion) dependency, in place:
-        #   new[i] = max(candidate[i], new[i-1] + gap)
-        #          = max_{k <= i} (candidate[k] + gap * (i - k))
-        np.subtract(write, offsets, out=write)
-        np.maximum.accumulate(write, out=write)
-        np.add(write, offsets, out=write)
-        context.columns_expanded += 1
-
-        column_best = int(np.maximum.reduce(write))
-        if column_best > max_score:
-            max_score = column_best
-        if column_best > best_ending_here:
-            best_ending_here = column_best
-
-        # --- Alignment pruning (Section 3.2) --------------------------- #
-        if fast:
-            # Fused mask: non-positive | dominated | hopeless collapses to
-            # one comparison against ``max(0, cutoff - heuristic)`` (exactly
-            # the reference's three rules: new <= 0, new + h <= max_score,
-            # new + h < min_score), a vector that only changes when the
-            # path's max_score rises -- so the per-column bound array and
-            # its two comparisons disappear.  The early-termination test
-            # collapses to "did everything prune?": any survivor has
-            # bound > cutoff >= max_score and bound >= min_score, so neither
-            # termination branch can fire and the bound's numeric value is
-            # never needed; no survivor terminates with f = max_score.  The
-            # second per-column reduction of the reference path, and its
-            # PRUNED writes into a column about to be discarded, disappear
-            # with it.
-            cutoff = max_score if max_score >= min_score - 1 else min_score - 1
-            if cutoff != context.fast_cutoff:
-                np.subtract(cutoff, heuristic, out=limit)
-                np.maximum(limit, 0, out=limit)
-                context.fast_cutoff = cutoff
-            mask = flags[0]
-            np.less_equal(write, limit, out=mask)
-            if np.logical_and.reduce(mask):
-                return make_terminal_node(tree_node, max_score, min_score, depth)
-            write[mask] = PRUNED
-        else:
-            np.add(write, heuristic, out=bound)
-            non_positive = flags[0]
-            dominated = flags[1]
-            hopeless = flags[2]
-            survivors = flags[3]
-            scratch = flags[4]
-            np.less_equal(write, 0, out=non_positive)
-            np.less_equal(bound, max_score, out=dominated)
-            np.less(bound, min_score, out=hopeless)
-            if context.track_pruning:
-                context.pruned_non_positive += int(non_positive.sum())
-                np.logical_not(non_positive, out=survivors)
-                np.logical_and(survivors, dominated, out=scratch)
-                context.pruned_dominated += int(scratch.sum())
-                np.logical_not(dominated, out=scratch)
-                np.logical_and(survivors, scratch, out=survivors)
-                np.logical_and(survivors, hopeless, out=survivors)
-                context.pruned_threshold += int(survivors.sum())
-            mask = None
-            if context.prune_non_positive:
-                mask = non_positive
-            if context.prune_dominated:
-                mask = dominated if mask is None else np.logical_or(mask, dominated, out=mask)
-            if context.prune_threshold:
-                mask = hopeless if mask is None else np.logical_or(mask, hopeless, out=mask)
-            if mask is not None:
-                write[mask] = PRUNED
-                bound[mask] = PRUNED
-            # --- Early termination checks (general form) --------------- #
-            f_bound = int(bound.max())
-            if f_bound <= max_score:
-                return make_terminal_node(tree_node, max_score, min_score, depth)
-            if f_bound < min_score:
-                return SearchNode(
-                    tree_node=tree_node,
-                    column=None,
-                    max_score=max_score,
-                    f=f_bound,
-                    b=best_ending_here,
-                    state=NodeState.UNVIABLE,
-                    depth=depth,
-                )
-
-        read = write
-        write = other if write is context.scratch_col_a else context.scratch_col_a
-
-    # All arc symbols processed and the node is still promising.
-    if is_leaf:
-        # No further expansion is possible below a leaf: the strongest
-        # alignment along this path is whatever has been found already.
-        return make_terminal_node(tree_node, max_score, min_score, depth)
-    np.add(read, heuristic, out=bound)
-    return SearchNode(
-        tree_node=tree_node,
-        column=read.copy(),
-        max_score=max_score,
-        f=int(bound.max()),
-        b=best_ending_here,
-        state=NodeState.VIABLE,
-        depth=depth,
-    )
-
-
-class ScalarKernel(ExpansionKernel):
-    """The reference algorithm over preallocated scratch (the default)."""
-
-    name = "scalar"
-
-    def expand_arc(
-        self,
-        parent: SearchNode,
-        tree_node,
-        arc_symbols: np.ndarray,
-        is_leaf: bool,
-        context: ExpansionContext,
-    ) -> SearchNode:
-        column = parent.column
-        if column is None:
-            raise ValueError("cannot expand below a node whose column was discarded")
-        return _scalar_expand(
-            tree_node,
-            column,
-            arc_symbols,
-            0,
-            is_leaf,
-            parent.max_score,
-            PRUNED,
-            parent.depth,
-            context,
-        )
-
-
-class BatchedKernel(ExpansionKernel):
-    """Sibling-batched expansion: one 2-D update for every child's first column.
-
-    Children of one suffix-tree node start with pairwise distinct symbols, so
-    the sibling set stacks into at most ``symbol_count`` rows, every row
-    seeded by the *same* parent column -- the whole first-column fan is one
-    broadcasted candidate computation, one ``axis=1`` running-maximum, one
-    2-D prune mask.  Children whose first column prunes out entirely (the
-    common case: most arcs die immediately) are finished without ever
-    leaving the batch; survivors continue through the scalar loop for
-    ``arc_symbols[1:]``.
-    """
-
-    name = "batched"
-
-    def expand_arc(
-        self,
-        parent: SearchNode,
-        tree_node,
-        arc_symbols: np.ndarray,
-        is_leaf: bool,
-        context: ExpansionContext,
-    ) -> SearchNode:
-        # A single arc has nothing to batch; run the scalar loop directly.
-        return ScalarKernel.expand_arc(self, parent, tree_node, arc_symbols, is_leaf, context)
-
-    def expand_children(
-        self,
-        parent: SearchNode,
-        siblings: Iterable[Sibling],
-        context: ExpansionContext,
-    ) -> List[SearchNode]:
-        children = list(siblings)
-        count = len(children)
-        if count < 2 or count > context.batch_symbols.shape[0]:
-            # Nothing to batch (or a cursor with duplicate first symbols
-            # overflowing the scratch -- impossible for real suffix trees,
-            # but fall back rather than corrupt).
-            return [
-                self.expand_arc(parent, tree_node, arc_symbols, is_leaf, context)
-                for tree_node, arc_symbols, is_leaf in children
-            ]
-        column = parent.column
-        if column is None:
-            raise ValueError("cannot expand below a node whose column was discarded")
-
-        gap = context.gap_penalty
-        heuristic = context.heuristic
-        min_score = context.min_score
-        offsets = context._offsets
-        depth = parent.depth + 1
-
-        symbols = context.batch_symbols[:count]
-        for index, (tree_node, arc_symbols, is_leaf) in enumerate(children):
-            symbols[index] = arc_symbols[0]
-        substitution = context.batch_profile[:count]
-        np.take(context.profile, symbols, axis=0, out=substitution)
-
-        # First DP column of every child arc, one 2-D update: each row is
-        # the reference candidate/running-maximum computation, broadcast
-        # against the shared parent column.
-        new = context.batch_columns[:count]
-        row = context.scratch_row
-        np.add(column, gap, out=row)
-        np.add(substitution, column[:-1], out=new[:, 1:])
-        np.maximum(new[:, 1:], row[1:], out=new[:, 1:])
-        new[:, 0] = row[0]
-        np.subtract(new, offsets, out=new)
-        np.maximum.accumulate(new, axis=1, out=new)
-        np.add(new, offsets, out=new)
-        context.columns_expanded += count
-
-        best = context.batch_best[:count]
-        np.maximum.reduce(new, axis=1, out=best)
-        peak = context.batch_max[:count]
-        np.maximum(best, parent.max_score, out=peak)
-
-        flags = context.batch_flags
-        fast = (
-            context.prune_non_positive
-            and context.prune_dominated
-            and context.prune_threshold
-            and not context.track_pruning
-        )
-        nodes: List[SearchNode] = []
-        if fast:
-            # Per-row fused mask against the per-row cutoff (see the scalar
-            # kernel: the bound's value is only needed for rows that
-            # survive, and those continue below).  When no row beat the
-            # parent's running maximum -- the common case by far -- every
-            # row's cutoff *is* the parent cutoff, so the scalar kernel's
-            # cached 1-D limit vector broadcasts over the whole batch and
-            # the per-row threshold matrix is never materialised.
-            mask = flags[0, :count]
-            if int(np.maximum.reduce(best)) <= parent.max_score:
-                cutoff = (
-                    parent.max_score
-                    if parent.max_score >= min_score - 1
-                    else min_score - 1
-                )
-                limit = context.scratch_limit
-                if cutoff != context.fast_cutoff:
-                    np.subtract(cutoff, heuristic, out=limit)
-                    np.maximum(limit, 0, out=limit)
-                    context.fast_cutoff = cutoff
-                np.less_equal(new, limit, out=mask)
-            else:
-                cutoffs = context.batch_limit[:count]
-                np.maximum(peak, min_score - 1, out=cutoffs)
-                thresh = context.batch_bound[:count]
-                np.subtract(cutoffs[:, None], heuristic, out=thresh)
-                np.maximum(thresh, 0, out=thresh)
-                np.less_equal(new, thresh, out=mask)
-            done = context.batch_done[:count]
-            np.logical_and.reduce(mask, axis=1, out=done)
-            for index, (tree_node, arc_symbols, is_leaf) in enumerate(children):
-                if done[index]:
-                    nodes.append(
-                        make_terminal_node(tree_node, int(peak[index]), min_score, depth)
-                    )
-                    continue
-                survivor = new[index]
-                survivor[mask[index]] = PRUNED
-                nodes.append(
-                    _scalar_expand(
-                        tree_node,
-                        survivor,
-                        arc_symbols,
-                        1,
-                        is_leaf,
-                        int(peak[index]),
-                        int(best[index]),
-                        depth,
-                        context,
-                    )
-                )
-            return nodes
-
-        bound = context.batch_bound[:count]
-        np.add(new, heuristic, out=bound)
-        non_positive = flags[0, :count]
-        dominated = flags[1, :count]
-        hopeless = flags[2, :count]
-        survivors = flags[3, :count]
-        scratch = flags[4, :count]
-        np.less_equal(new, 0, out=non_positive)
-        np.less_equal(bound, peak[:, None], out=dominated)
-        np.less(bound, min_score, out=hopeless)
-        if context.track_pruning:
-            # Every child's first column is computed unconditionally on the
-            # scalar path too, so summing over all rows at once accumulates
-            # exactly the per-column counts the reference path would.
-            context.pruned_non_positive += int(non_positive.sum())
-            np.logical_not(non_positive, out=survivors)
-            np.logical_and(survivors, dominated, out=scratch)
-            context.pruned_dominated += int(scratch.sum())
-            np.logical_not(dominated, out=scratch)
-            np.logical_and(survivors, scratch, out=survivors)
-            np.logical_and(survivors, hopeless, out=survivors)
-            context.pruned_threshold += int(survivors.sum())
-        mask = None
-        if context.prune_non_positive:
-            mask = non_positive
-        if context.prune_dominated:
-            mask = dominated if mask is None else np.logical_or(mask, dominated, out=mask)
-        if context.prune_threshold:
-            mask = hopeless if mask is None else np.logical_or(mask, hopeless, out=mask)
-        if mask is not None:
-            new[mask] = PRUNED
-            bound[mask] = PRUNED
-        limit = context.batch_limit[:count]
-        np.maximum.reduce(bound, axis=1, out=limit)
-        for index, (tree_node, arc_symbols, is_leaf) in enumerate(children):
-            f_bound = int(limit[index])
-            path_best = int(peak[index])
-            if f_bound <= path_best:
-                nodes.append(make_terminal_node(tree_node, path_best, min_score, depth))
-                continue
-            if f_bound < min_score:
-                nodes.append(
-                    SearchNode(
-                        tree_node=tree_node,
-                        column=None,
-                        max_score=path_best,
-                        f=f_bound,
-                        b=int(best[index]),
-                        state=NodeState.UNVIABLE,
-                        depth=depth,
-                    )
-                )
-                continue
-            nodes.append(
-                _scalar_expand(
-                    tree_node,
-                    new[index],
-                    arc_symbols,
-                    1,
-                    is_leaf,
-                    path_best,
-                    int(best[index]),
-                    depth,
-                    context,
-                )
-            )
-        return nodes
-
-
 class ReferenceKernel(ExpansionKernel):
-    """The original per-column implementation, unmodified (the parity oracle)."""
+    """The dense per-column implementation, unmodified (the parity oracle)."""
 
     name = "reference"
 
@@ -522,20 +134,168 @@ class ReferenceKernel(ExpansionKernel):
         return expand_arc_reference(parent, tree_node, arc_symbols, is_leaf, context)
 
 
-# --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
-_REGISTRY: Dict[str, Callable[[], ExpansionKernel]] = {}
+def _expand_live(
+    parent: SearchNode,
+    siblings: Iterable[Sibling],
+    context: ExpansionContext,
+    keep_unviable: bool,
+) -> List[SearchNode]:
+    """Live-cell Algorithm 3 below ``parent``, one arc per sibling.
+
+    Returns the ACCEPTED and VIABLE children in sibling order; an UNVIABLE
+    child is counted in ``context.nodes_dropped`` unless ``keep_unviable``
+    asks for its node as well.
+    """
+    seed = parent.column
+    if seed is None:
+        raise ValueError("cannot expand below a node whose column was discarded")
+    if not isinstance(seed, list):
+        # The dense root column of ``make_root_column()``: convert it once.
+        seed = [(row, score) for row, score in enumerate(seed.tolist()) if score != PRUNED]
+    gap = context.gap_penalty
+    min_score = context.min_score
+    profile = context.profile_rows
+    heuristic = context.heuristic_list
+    limit_for = context.limit_for
+    parent_max = parent.max_score
+    parent_depth = parent.depth
+    parent_limit = limit_for(parent_max if parent_max >= min_score else min_score - 1)
+
+    kept: List[SearchNode] = []
+    columns = 0
+    for tree_node, arc_symbols, is_leaf in siblings:
+        column = seed
+        max_score = parent_max
+        limit = parent_limit
+        best_ending_here = PRUNED
+        depth = parent_depth
+        for symbol in arc_symbols:
+            depth += 1
+            scores = profile[symbol]
+            # Candidates: each live cell's horizontal successor (same row)
+            # and diagonal successor (next row), merged where the diagonal
+            # of one cell and the horizontal of the next share a row.
+            rows: List[int] = []
+            values: List[int] = []
+            below = -1
+            for row, score in column:
+                value = score + gap
+                if row == below:
+                    if value > values[-1]:
+                        values[-1] = value
+                else:
+                    rows.append(row)
+                    values.append(value)
+                below = row + 1
+                rows.append(below)
+                values.append(score + scores[row])
+            columns += 1
+
+            column_best = max(values)
+            if column_best > best_ending_here:
+                best_ending_here = column_best
+                if column_best > max_score:
+                    max_score = column_best
+                    if column_best >= min_score:
+                        limit = limit_for(column_best)
+
+            # Survivors: a candidate above its limit, raised to the vertical
+            # chain arriving from the survivor above it where that is
+            # higher, plus the chain's own cells between candidates.
+            column = []
+            chain_row = -1
+            chain = 0
+            for row, value in zip(rows, values):
+                if chain_row >= 0:
+                    while chain_row < row and chain > limit[chain_row]:
+                        column.append((chain_row, chain))
+                        chain += gap
+                        chain_row += 1
+                    if chain_row == row and chain > value:
+                        value = chain
+                if value > limit[row]:
+                    column.append((row, value))
+                    chain = value + gap
+                    chain_row = row + 1
+                else:
+                    chain_row = -1
+            if chain_row >= 0:
+                while chain > limit[chain_row]:
+                    column.append((chain_row, chain))
+                    chain += gap
+                    chain_row += 1
+            if not column:
+                break
+        else:
+            # The arc is spelled out and cells are still alive.
+            if not is_leaf:
+                kept.append(
+                    SearchNode(
+                        tree_node,
+                        column,
+                        max_score,
+                        max([score + heuristic[row] for row, score in column]),
+                        best_ending_here,
+                        _VIABLE,
+                        depth,
+                    )
+                )
+                continue
+        # Finished: every cell pruned (nothing below can beat the path's
+        # best) or a leaf (nothing below at all).
+        if keep_unviable or max_score >= min_score:
+            kept.append(make_terminal_node(tree_node, max_score, min_score, depth))
+        else:
+            context.nodes_dropped += 1
+    context.columns_expanded += columns
+    return kept
 
 
-def register_kernel(name: str, factory: Callable[[], ExpansionKernel]) -> None:
-    """Register a kernel factory under a selection name."""
-    _REGISTRY[name] = factory
+class LiveCellKernel(ExpansionKernel):
+    """Algorithm 3 over the live cells of each column only (the default).
+
+    Applies when all three pruning rules are on and nothing is tallied per
+    rule (``context.live_cells``); otherwise columns are dense and the
+    reference form runs.
+    """
+
+    name = "live"
+
+    def expand_arc(
+        self,
+        parent: SearchNode,
+        tree_node,
+        arc_symbols: np.ndarray,
+        is_leaf: bool,
+        context: ExpansionContext,
+    ) -> SearchNode:
+        if not context.live_cells:
+            return expand_arc_reference(parent, tree_node, arc_symbols, is_leaf, context)
+        return _expand_live(parent, ((tree_node, arc_symbols, is_leaf),), context, True)[0]
+
+    def expand_children(
+        self,
+        parent: SearchNode,
+        siblings: Iterable[Sibling],
+        context: ExpansionContext,
+    ) -> List[SearchNode]:
+        if not context.live_cells:
+            return super().expand_children(parent, siblings, context)
+        return _expand_live(parent, siblings, context, False)
+
+
+# --------------------------------------------------------------------- #
+# Selection
+# --------------------------------------------------------------------- #
+_KERNELS: Dict[str, Type[ExpansionKernel]] = {
+    ReferenceKernel.name: ReferenceKernel,
+    LiveCellKernel.name: LiveCellKernel,
+}
 
 
 def available_kernels() -> Tuple[str, ...]:
-    """The registered kernel names, sorted (CLI choices, error messages)."""
-    return tuple(sorted(_REGISTRY))
+    """The kernel names: the oracle, then the production kernel."""
+    return tuple(_KERNELS)
 
 
 def get_kernel(
@@ -545,22 +305,16 @@ def get_kernel(
 
     Precedence: an explicit instance is used as-is, an explicit name is
     looked up, ``None`` falls back to the ``OASIS_KERNEL`` environment
-    variable and finally to the ``scalar`` default.
+    variable and finally to :data:`DEFAULT_KERNEL`.
     """
     if isinstance(kernel, ExpansionKernel):
         return kernel
     if kernel is None:
         kernel = os.environ.get(KERNEL_ENVIRONMENT_VARIABLE) or DEFAULT_KERNEL
     try:
-        factory = _REGISTRY[kernel]
+        return _KERNELS[kernel]()
     except KeyError:
         raise ValueError(
             f"unknown expansion kernel {kernel!r}; "
             f"available: {', '.join(available_kernels())}"
         ) from None
-    return factory()
-
-
-register_kernel("scalar", ScalarKernel)
-register_kernel("batched", BatchedKernel)
-register_kernel("reference", ReferenceKernel)

@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Set, Union
 
 from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
-from repro.core.kernels import ExpansionKernel, get_kernel
+from repro.core.kernels import DEFAULT_KERNEL, ExpansionKernel, get_kernel
 from repro.core.results import (
     Alignment,
     OnlineResultLog,
@@ -71,10 +71,9 @@ class OasisSearchStatistics:
     buffer_hits: int = 0
     buffer_misses: int = 0
     buffer_evictions: int = 0
-    #: Which expansion kernel ran the DP (``scalar``/``batched``/``reference``)
-    #: -- every kernel is parity-gated, so this never changes the hits, only
-    #: how the work counters were spent.
-    kernel: str = "scalar"
+    #: Which expansion kernel ran the DP (``live``/``reference``) -- the two
+    #: are parity-gated, so this never changes the hits or the counters.
+    kernel: str = DEFAULT_KERNEL
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -270,6 +269,7 @@ class QueryExecution:
         finalised even then.
         """
         cursor = self.search.cursor
+        children, arc_symbols, is_leaf = cursor.children, cursor.arc_symbols, cursor.is_leaf
         database = cursor.database
         context = self.context
         kernel = self.search.kernel
@@ -397,24 +397,21 @@ class QueryExecution:
                     continue
 
                 # VIABLE node: hand the whole sibling set to the expansion
-                # kernel at once (a batching kernel vectorises across it; the
-                # scalar kernels consume the generator child by child, which
-                # preserves the interleaved cursor access pattern).  Kernels
-                # return one child node per sibling, in child order -- the
-                # enqueue counter, and with it the heap tie-break, depends
-                # on that.
+                # kernel, which consumes the generator child by child (so
+                # cursor reads stay interleaved with the DP) and returns only
+                # the children to enqueue, in child order -- the enqueue
+                # counter, and with it the heap tie-break, depends on that.
+                # UNVIABLE children never leave the kernel; it counts them
+                # in ``context.nodes_dropped``.
                 statistics.nodes_expanded += 1
                 siblings = (
-                    (child, cursor.arc_symbols(child), cursor.is_leaf(child))
-                    for child in cursor.children(node.tree_node)
+                    (child, arc_symbols(child), is_leaf(child))
+                    for child in children(node.tree_node)
                 )
                 for child_node in kernel.expand_children(node, siblings, context):
-                    if child_node.is_unviable:
-                        statistics.nodes_pruned += 1
-                        continue
                     counter += 1
-                    statistics.nodes_enqueued += 1
                     heapq.heappush(queue, make_queue_entry(child_node, counter))
+                statistics.nodes_enqueued = counter
 
             # Exhausted queue or full coverage: whatever is buffered is final.
             yield from drain()
@@ -435,6 +432,7 @@ class QueryExecution:
         context = self.context
         statistics = self.statistics
         statistics.columns_expanded = context.columns_expanded
+        statistics.nodes_pruned = context.nodes_dropped
         statistics.pruned_non_positive = context.pruned_non_positive
         statistics.pruned_dominated = context.pruned_dominated
         statistics.pruned_threshold = context.pruned_threshold
@@ -559,11 +557,10 @@ class OasisSearch:
     gap_model:
         Gap model; the search implements the paper's fixed (linear) gap model.
     kernel:
-        Expansion-kernel selection: a registered name (``scalar`` /
-        ``batched`` / ``reference``), an :class:`ExpansionKernel` instance,
-        or ``None`` to fall back to the ``OASIS_KERNEL`` environment
-        variable and then the default.  Kernels are parity-gated -- the
-        choice changes speed, never results.
+        Expansion-kernel selection: a name (``live`` / ``reference``), an
+        :class:`ExpansionKernel` instance, or ``None`` to fall back to the
+        ``OASIS_KERNEL`` environment variable and then the default.  The
+        two are parity-gated -- the choice changes speed, never results.
     """
 
     def __init__(

@@ -5,9 +5,11 @@ partial alignments between the query and the portion of the database spelled
 by the path to that tree node.  The fields mirror the paper exactly:
 
 * ``tree_node`` -- the corresponding suffix tree node (``sn`` in the paper);
-* ``column`` -- the ``C`` vector: one Smith-Waterman column, ``column[i]``
-  holding the best score of an alignment ending at query position ``i`` and at
-  the end of the path (pruned entries hold a large negative sentinel);
+* ``column`` -- the ``C`` vector: one Smith-Waterman column, the best score of
+  an alignment ending at query position ``i`` and at the end of the path.  The
+  live-cell kernel stores it as the ascending list of ``(i, score)`` cells that
+  survived pruning; the dense reference form as an array of ``m + 1`` entries,
+  pruned ones holding a large negative sentinel;
 * ``max_score`` -- the strongest alignment found anywhere along the path;
 * ``f`` -- the optimistic bound on what further expansion can achieve (the
   priority-queue key);
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +44,7 @@ class SearchNode:
     """One entry of the OASIS priority queue."""
 
     tree_node: Any
-    column: Optional[np.ndarray]
+    column: Union[List[Tuple[int, int]], np.ndarray, None]
     max_score: int
     f: int
     b: int

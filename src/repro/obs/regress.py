@@ -266,6 +266,10 @@ class RegressionReport:
     new_series: List[RunKey]
     #: Baseline record count consulted per series.
     baselines: Dict[RunKey, Dict[str, object]]
+    #: Directional metrics the current record has and its baseline lacks (a
+    #: renamed or added metric): the start of a new series, not a comparison
+    #: -- and the old name's absence from the current record is not a failure.
+    new_metrics: Sequence[Tuple[RunKey, str]] = ()
 
     @property
     def regressions(self) -> List[MetricDelta]:
@@ -293,6 +297,7 @@ def build_report(
             baselines[run_key(record)] = record
     deltas: List[MetricDelta] = []
     new_series: List[RunKey] = []
+    new_metrics: List[Tuple[RunKey, str]] = []
     consulted: Dict[RunKey, Dict[str, object]] = {}
     for record in current_records:
         key = run_key(record)
@@ -302,7 +307,15 @@ def build_report(
             continue
         consulted[key] = baseline
         deltas.extend(compare_records(record, baseline, threshold=threshold))
-    return RegressionReport(deltas=deltas, new_series=new_series, baselines=consulted)
+        known = extract_metrics(baseline)
+        new_metrics.extend(
+            (key, metric)
+            for metric in sorted(extract_metrics(record))
+            if metric not in known and metric_direction(metric) is not None
+        )
+    return RegressionReport(
+        deltas=deltas, new_series=new_series, baselines=consulted, new_metrics=new_metrics
+    )
 
 
 def _format_key(key: RunKey) -> str:
@@ -361,11 +374,13 @@ def render_markdown(report: RegressionReport, threshold: float) -> str:
                 f"| {delta.metric} | {delta.baseline:.6g} | {delta.current:.6g} "
                 f"| {change:+.1f}% | {_status(delta)} |"
             )
-    if report.new_series:
+    if report.new_series or report.new_metrics:
         out.append("")
         out.append("## New series (no baseline yet)")
         for key in sorted(report.new_series):
             out.append(f"- {_format_key(key)}")
+        for key, metric in report.new_metrics:
+            out.append(f"- {_format_key(key)}: {metric}")
     return "\n".join(out)
 
 

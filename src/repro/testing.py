@@ -122,6 +122,25 @@ def brute_force_local_score(
     return best
 
 
+def dense(column, length: int):
+    """A frontier column as the dense array the reference kernel would hold.
+
+    The live-cell kernel keeps a column as its ascending ``(row, score)``
+    survivors; tests compare the two kernels (and index worked examples by
+    row) through this one form.  Dense columns pass through unchanged.
+    """
+    import numpy as np
+
+    from repro.core.search_node import PRUNED
+
+    if not isinstance(column, list):
+        return column
+    filled = np.full(length, PRUNED, dtype=np.int64)
+    for row, score in column:
+        filled[row] = score
+    return filled
+
+
 def bench_config(**overrides) -> "ExperimentConfig":
     """The experiment configuration the benchmarks run with.
 

@@ -795,19 +795,24 @@ class TestKernelPurityRule:
         )
         assert rule_ids(report) == ["kernel-purity"]
 
-    def test_copy_method_in_kernel_loop_is_flagged(self, tmp_path):
+    def test_any_numpy_call_in_kernel_loop_is_flagged(self, tmp_path):
+        # Not only allocators: out= ufunc forms and ufunc methods cost a
+        # live-cell step each, whichever way NumPy is imported.
         report = violations_for(
             tmp_path,
             "core/kernels.py",
             """
-            def expand(arcs, column):
-                results = []
+            import numpy
+            import numpy as np
+
+            def expand(arcs, read, write):
                 while arcs:
-                    results.append(column.copy())
-                return results
+                    np.add(read, arcs.pop(), out=write)
+                    np.maximum.accumulate(write, out=write)
+                    numpy.subtract(write, 1, out=write)
             """,
         )
-        assert rule_ids(report) == ["kernel-purity"]
+        assert [violation.rule_id for violation in report.violations] == ["kernel-purity"] * 3
 
     def test_telemetry_in_kernel_loop_is_flagged(self, tmp_path):
         report = violations_for(
@@ -822,20 +827,20 @@ class TestKernelPurityRule:
         )
         assert rule_ids(report) == ["kernel-purity"]
 
-    def test_scratch_buffer_loop_passes(self, tmp_path):
+    def test_live_cell_loop_passes(self, tmp_path):
         report = violations_for(
             tmp_path,
             "core/kernels.py",
             """
             import numpy as np
 
-            def expand(arcs, read, context):
-                write = context.scratch_col_a
+            def expand(arcs, seed, context):
+                column = [(row, score) for row, score in enumerate(seed.tolist())]
+                profile = context.profile_rows
                 for symbol in arcs:
-                    np.add(read, context.profile[symbol], out=write)
-                    np.maximum.accumulate(write, out=write)
-                    read = write
-                return read.copy()
+                    scores = profile[symbol]
+                    column = [(row + 1, score + scores[row]) for row, score in column]
+                return np.asarray(column)
             """,
         )
         assert report.ok

@@ -1,5 +1,7 @@
 """Tests for the repro-oasis command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -73,6 +75,24 @@ class TestSearch:
         fasta, _ = generated_files
         with pytest.raises(SystemExit):
             main(["search", "--database", str(fasta), "--min-score", "20"])
+
+    def test_kernel_flag_changes_no_output(self, generated_files, capsys):
+        fasta, queries = generated_files
+        query = queries.read_text().splitlines()[0]
+        outputs = []
+        for kernel in ([], ["--kernel", "live"], ["--kernel", "reference"]):
+            arguments = ["search", "--database", str(fasta), "--query", query, "--min-score", "20"]
+            assert main(arguments + kernel) == 0
+            # The footer carries the wall time; everything else is exact.
+            outputs.append(re.sub(r"in [0-9.]+s", "in Xs", capsys.readouterr().out))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "DP columns expanded" in outputs[0]
+
+    def test_unknown_kernel_lists_the_two_that_exist(self, generated_files):
+        fasta, _ = generated_files
+        with pytest.raises(SystemExit) as raised:
+            main(["search", "--database", str(fasta), "--query", "MKV", "--kernel", "batched"])
+        assert "available: reference, live" in str(raised.value)
 
 
 class TestBatchSearch:

@@ -1,15 +1,27 @@
-"""Unit tests for the arc expansion (Algorithm 3) and its pruning rules."""
+"""Unit tests for the arc expansion (Algorithm 3) and its pruning rules.
+
+Every case runs under both kernels: the live-cell production kernel and the
+dense reference (with a rule off or per-rule counting on, both take the dense
+path, chosen from the context).
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.expand import ExpansionContext, expand_arc
+from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
+from repro.core.kernels import available_kernels, get_kernel
 from repro.core.search_node import NodeState, PRUNED, SearchNode
 from repro.scoring.data import unit_matrix
 from repro.sequences.alphabet import DNA_ALPHABET
+from repro.testing import dense
 
 MATRIX = unit_matrix(DNA_ALPHABET)
+
+
+@pytest.fixture(params=available_kernels())
+def expand_arc(request):
+    return get_kernel(request.param).expand_arc
 
 
 def make_context(query_text, min_score=1, **kwargs):
@@ -59,22 +71,20 @@ class TestExpansionContext:
 class TestExpandArc:
     """Columns are checked against the worked example of Section 3.3."""
 
-    def test_expanding_node_1n(self):
+    def test_expanding_node_1n(self, expand_arc):
         # Node 1N: arc "A" from the root, query TACG, minScore 1.
         context = make_context("TACG", min_score=1)
         root = make_root(context)
         node = expand_arc(root, "1N", DNA_ALPHABET.encode("A"), is_leaf=False, context=context)
         assert node.state is NodeState.VIABLE
         # Column from the paper: [-1 pruned, -1 pruned, 1, 0 pruned, -1 pruned]
-        assert node.column[2] == 1
-        assert node.column[0] == PRUNED and node.column[1] == PRUNED
-        assert node.column[3] == PRUNED and node.column[4] == PRUNED
+        assert dense(node.column, 5).tolist() == [PRUNED, PRUNED, 1, PRUNED, PRUNED]
         assert node.f == 3  # paper: f = 3 for node 1N
         assert node.b == 1
         assert node.max_score == 1
         assert node.depth == 1
 
-    def test_expanding_node_4n(self):
+    def test_expanding_node_4n(self, expand_arc):
         # Node 4N: arc "TA", paper reports f = 4, best alignment so far 2.
         context = make_context("TACG", min_score=1)
         root = make_root(context)
@@ -82,15 +92,15 @@ class TestExpandArc:
         assert node.state is NodeState.VIABLE
         assert node.f == 4
         assert node.max_score == 2
-        assert node.column[2] == 2  # alignment TA <-> TA
+        assert dense(node.column, 5)[2] == 2  # alignment TA <-> TA
 
-    def test_columns_expanded_counted(self):
+    def test_columns_expanded_counted(self, expand_arc):
         context = make_context("TACG")
         root = make_root(context)
         expand_arc(root, None, DNA_ALPHABET.encode("TA"), is_leaf=False, context=context)
         assert context.columns_expanded == 2
 
-    def test_leaf_arc_returns_accepted_when_above_threshold(self):
+    def test_leaf_arc_returns_accepted_when_above_threshold(self, expand_arc):
         context = make_context("TACG", min_score=1)
         root = make_root(context)
         # Simulate leaf 2L: the arc continues ACGCCTAG$ after path TA.
@@ -103,14 +113,14 @@ class TestExpandArc:
         assert leaf.f == 4
         assert leaf.column is None  # accepted nodes drop their column
 
-    def test_unviable_when_threshold_unreachable(self):
+    def test_unviable_when_threshold_unreachable(self, expand_arc):
         context = make_context("TACG", min_score=4)
         root = make_root(context)
         # A path of mismatching symbols can never reach a score of 4.
         node = expand_arc(root, None, DNA_ALPHABET.encode("GGGGG"), is_leaf=False, context=context)
         assert node.state is NodeState.UNVIABLE
 
-    def test_early_termination_stops_column_expansion(self):
+    def test_early_termination_stops_column_expansion(self, expand_arc):
         context = make_context("TACG", min_score=1)
         root = make_root(context)
         # After the query is fully matched, further symbols cannot improve the
@@ -119,13 +129,13 @@ class TestExpandArc:
         expand_arc(root, None, long_arc, is_leaf=False, context=context)
         assert context.columns_expanded < 20
 
-    def test_expanding_accepted_node_column_is_error(self):
+    def test_expanding_accepted_node_column_is_error(self, expand_arc):
         context = make_context("TACG")
         accepted = SearchNode(None, None, 4, 4, 4, NodeState.ACCEPTED, depth=3)
         with pytest.raises(ValueError):
             expand_arc(accepted, None, DNA_ALPHABET.encode("A"), is_leaf=False, context=context)
 
-    def test_terminal_symbol_kills_alignments(self):
+    def test_terminal_symbol_kills_alignments(self, expand_arc):
         context = make_context("TACG", min_score=1)
         root = make_root(context)
         node = expand_arc(
@@ -136,7 +146,7 @@ class TestExpandArc:
 
 
 class TestPruningRules:
-    def test_rule_counters_track_each_rule(self):
+    def test_rule_counters_track_each_rule(self, expand_arc):
         context = make_context("TACG", min_score=2, track_pruning=True)
         root = make_root(context)
         expand_arc(root, None, DNA_ALPHABET.encode("TAGG"), is_leaf=False, context=context)
@@ -145,7 +155,7 @@ class TestPruningRules:
         assert context.pruned_threshold >= 0
         assert context.pruned_dominated >= 0
 
-    def test_disabling_rules_never_changes_scores(self):
+    def test_disabling_rules_never_changes_scores(self, expand_arc):
         # With pruning rules individually disabled, the max_score reached on a
         # fully-expanded path must be identical.
         arc = DNA_ALPHABET.encode("TAACG")
@@ -162,7 +172,7 @@ class TestPruningRules:
             results.append(node.max_score)
         assert len(set(results)) == 1
 
-    def test_disabled_pruning_expands_at_least_as_many_columns(self):
+    def test_disabled_pruning_expands_at_least_as_many_columns(self, expand_arc):
         arc = DNA_ALPHABET.encode("TAACGGTTACCAGT")
         full = make_context("TACG", min_score=3)
         expand_arc(make_root(full), None, arc, is_leaf=False, context=full)

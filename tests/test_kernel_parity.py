@@ -1,44 +1,53 @@
-"""Kernel parity: every expansion kernel is an exact drop-in for the reference.
+"""Kernel parity: the production kernel is an exact drop-in for the oracle.
 
-The kernel layer's whole contract is "speed only": the scratch-buffer
-scalar kernel and the sibling-batched kernel must produce byte-identical
-hits, identical node states, and identical work/pruning counters versus
-the unmodified reference implementation -- across randomized databases and
-workloads (``repro.datagen``), every pruning-rule ablation, and the
-mem/disk/sharded engine configurations.  These are property tests over
-seeds, not worked examples: a kernel that diverges on *any* searched node
-fails here.
+The live-cell kernel's whole contract is "speed only": byte-identical hits,
+identical node states and columns, and identical work counters versus the
+dense reference implementation -- across randomized protein and DNA
+databases (``repro.datagen``), cheap and expensive gaps, and the
+mem/disk/sharded engine configurations.  Cheap gaps matter: with PAM30 and a
+gap of -8 the vertical ``+gap`` chain below a survivor is rarely alive, so
+the -1/-2 cases are the ones that run the chain logic on most columns.  On
+top of our own oracle, a hypothesis-driven case checks the production path
+against exhaustive Smith-Waterman (``repro.baselines``): hit set, scores and
+order.
 """
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.baselines.smith_waterman import SmithWatermanAligner
 from repro.core.engine import OasisEngine
 from repro.core.expand import ExpansionContext
 from repro.core.kernels import (
-    BatchedKernel,
-    ExpansionKernel,
+    DEFAULT_KERNEL,
+    LiveCellKernel,
     ReferenceKernel,
-    ScalarKernel,
     available_kernels,
     get_kernel,
 )
 from repro.core.oasis import OasisSearch
 from repro.core.search_node import NodeState, SearchNode
-from repro.datagen import MotifWorkloadGenerator, SwissProtLikeGenerator
-from repro.scoring.data import pam30
+from repro.datagen import GenomeGenerator, MotifWorkloadGenerator, SwissProtLikeGenerator
+from repro.scoring.data import nucleotide_matrix, pam30, unit_matrix
 from repro.scoring.gaps import FixedGapModel
+from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
+from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine
 from repro.suffixtree.generalized import GeneralizedSuffixTree
+from repro.testing import dense
 
-KERNELS = ["scalar", "batched"]
 SEEDS = [3, 11, 29]
 
 
-def small_dataset(seed):
-    """A randomized database + workload pair, deterministic per seed."""
+def protein_dataset(seed):
+    """A randomized protein database + motif workload, deterministic per seed."""
     generator = SwissProtLikeGenerator(
         seed=seed,
         family_count=4,
@@ -54,165 +63,220 @@ def small_dataset(seed):
     return database, [query.text for query in workload]
 
 
-def run_searches(database, queries, kernel, min_score=35, **switches):
-    """All hits + merged statistics for one kernel over a shared tree."""
-    tree = GeneralizedSuffixTree.build(database)
-    search = OasisSearch(
-        tree, pam30(), FixedGapModel(-8), kernel=kernel, **switches
-    )
-    signatures = []
-    counters = []
+def dna_dataset(seed):
+    """A small repeat-rich genome + mutated windows of it as queries."""
+    database = GenomeGenerator(
+        seed=seed,
+        contig_count=3,
+        contig_length=(300, 500),
+        repeat_family_count=3,
+        repeat_length=(30, 60),
+        repeat_density=0.3,
+    ).generate()
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(4):
+        text = database[rng.randrange(len(database))].text
+        length = rng.randint(20, 40)
+        start = rng.randrange(len(text) - length)
+        window = [
+            rng.choice("ACGT") if rng.random() < 0.08 else base
+            for base in text[start : start + length]
+        ]
+        queries.append("".join(window))
+    return database, queries
+
+
+#: (label, dataset, matrix, gap penalty, min_score): PAM30/-8 is the paper's
+#: configuration; the cheap gaps keep vertical chains alive.
+CONFIGURATIONS = [
+    ("protein-gap8", protein_dataset, pam30, -8, 35),
+    ("protein-gap2", protein_dataset, pam30, -2, 40),
+    ("protein-gap1", protein_dataset, pam30, -1, 45),
+    ("dna-gap4", dna_dataset, lambda: nucleotide_matrix(1, -3), -4, 14),
+    ("dna-gap2", dna_dataset, lambda: nucleotide_matrix(1, -3), -2, 16),
+    ("dna-unit-gap1", dna_dataset, lambda: unit_matrix(DNA_ALPHABET), -1, 14),
+]
+CONFIGURATION_IDS = [configuration[0] for configuration in CONFIGURATIONS]
+
+
+def run_searches(tree, queries, matrix, gap, kernel, min_score, **switches):
+    """Hit signatures + every work counter for one kernel over a shared tree."""
+    search = OasisSearch(tree, matrix, FixedGapModel(gap), kernel=kernel, **switches)
+    outcomes = []
     for query in queries:
         result = search.search(query, min_score=min_score)
-        signatures.append(
-            [(hit.sequence_index, hit.sequence_identifier, hit.score) for hit in result]
+        counters = result.statistics.as_dict()
+        for unstable in ("elapsed_seconds", "kernel"):
+            del counters[unstable]
+        outcomes.append(
+            (
+                [(hit.sequence_index, hit.sequence_identifier, hit.score) for hit in result],
+                counters,
+            )
         )
-        statistics = result.statistics
-        counters.append(
-            {
-                "columns_expanded": statistics.columns_expanded,
-                "nodes_expanded": statistics.nodes_expanded,
-                "nodes_enqueued": statistics.nodes_enqueued,
-                "nodes_accepted": statistics.nodes_accepted,
-                "nodes_pruned": statistics.nodes_pruned,
-                "max_queue_size": statistics.max_queue_size,
-                "pruned_non_positive": statistics.pruned_non_positive,
-                "pruned_dominated": statistics.pruned_dominated,
-                "pruned_threshold": statistics.pruned_threshold,
-            }
-        )
-    return signatures, counters
+    return outcomes
 
 
 class TestFuzzedSearchParity:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_hits_and_tracked_counters_match_reference(self, seed, kernel):
-        database, queries = small_dataset(seed)
-        expected = run_searches(database, queries, "reference", track_pruning=True)
-        actual = run_searches(database, queries, kernel, track_pruning=True)
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS, ids=CONFIGURATION_IDS)
+    def test_hits_and_counters_match_reference(self, seed, configuration):
+        _, dataset, matrix, gap, min_score = configuration
+        database, queries = dataset(seed)
+        tree = GeneralizedSuffixTree.build(database)
+        expected = run_searches(tree, queries, matrix(), gap, "reference", min_score)
+        actual = run_searches(tree, queries, matrix(), gap, DEFAULT_KERNEL, min_score)
         assert actual == expected
+        assert any(hits for hits, _ in expected)
+        assert all(counters["nodes_pruned"] > 0 for _, counters in expected)
 
     @pytest.mark.parametrize(
         "switches",
         [
+            {"track_pruning": True},
             {"prune_non_positive": False},
             {"prune_dominated": False},
             {"prune_threshold": False},
-            {"prune_dominated": False, "prune_threshold": False},
-            {
-                "prune_non_positive": False,
-                "prune_dominated": False,
-                "prune_threshold": False,
-            },
+            {"prune_non_positive": False, "prune_dominated": False, "prune_threshold": False},
         ],
+        ids=lambda switches: "+".join(switches),
     )
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_rule_ablations_match_reference(self, kernel, switches):
-        database, queries = small_dataset(7)
-        expected = run_searches(database, queries, "reference", **switches)
-        actual = run_searches(database, queries, kernel, **switches)
+    def test_dense_configurations_take_the_reference_path(self, switches):
+        # A rule off, or per-rule counting on: columns are dense, and the
+        # production kernel hands over to the reference form by itself.
+        database, queries = protein_dataset(7)
+        tree = GeneralizedSuffixTree.build(database)
+        expected = run_searches(tree, queries, pam30(), -8, "reference", 35, **switches)
+        actual = run_searches(tree, queries, pam30(), -8, DEFAULT_KERNEL, 35, **switches)
         assert actual == expected
+        if switches.get("track_pruning"):
+            assert all(counters["pruned_non_positive"] > 0 for _, counters in actual)
 
 
-def node_signature(node: SearchNode):
+def node_signature(node: SearchNode, length: int):
     return (
         node.state,
         node.f,
         node.b,
         node.max_score,
         node.depth,
-        None if node.column is None else node.column.tolist(),
+        None if node.column is None else dense(node.column, length).tolist(),
     )
 
 
 class TestNodeLevelParity:
-    """BFS over the tree comparing every expanded node, kernel vs reference.
+    """BFS over the tree comparing every expansion, production vs reference.
 
     Stronger than hit parity: the search only ever *visits* nodes the
     frontier reaches, while this walks the expansion of every VIABLE node
-    encountered breadth-first, so a divergence in any field of any child --
-    including UNVIABLE ones the driver would immediately drop -- fails.
+    encountered breadth-first.  Each kernel expands its own nodes (the
+    live-cell kernel its sparse columns, the reference its dense ones);
+    compared are the children handed back for enqueueing, the count of
+    dropped ones, and -- through ``expand_arc`` -- every field of every
+    child, UNVIABLE ones included.
     """
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("track", [False, True])
-    def test_expand_children_matches_reference(self, seed, kernel, track):
-        database, queries = small_dataset(seed)
+    @pytest.mark.parametrize(
+        "configuration", CONFIGURATIONS[::2], ids=CONFIGURATION_IDS[::2]
+    )
+    def test_expand_children_matches_reference(self, seed, configuration):
+        _, dataset, matrix, gap, min_score = configuration
+        database, queries = dataset(seed)
         cursor = GeneralizedSuffixTree.build(database)
-        matrix = pam30()
-        gap_model = FixedGapModel(-8)
         query = queries[0]
-        reference_search = OasisSearch(
-            cursor, matrix, gap_model, kernel="reference", track_pruning=track
-        )
-        subject_search = OasisSearch(
-            cursor, matrix, gap_model, kernel=kernel, track_pruning=track
-        )
-        reference_exec = reference_search.execute(query, min_score=30)
-        subject_exec = subject_search.execute(query, min_score=30)
-        reference_kernel = reference_search.kernel
-        subject_kernel = subject_search.kernel
+        length = len(query) + 1
+        reference = ReferenceKernel()
+        live = LiveCellKernel()
+        contexts = []
+        for kernel in (reference, live):
+            search = OasisSearch(cursor, matrix(), FixedGapModel(gap), kernel=kernel)
+            contexts.append(search.execute(query, min_score=min_score - 5).context)
+        reference_context, live_context = contexts
 
-        root = SearchNode(
-            tree_node=cursor.root,
-            column=reference_exec.context.make_root_column(),
-            max_score=0,
-            f=int(reference_exec.heuristic.max()),
-            b=0,
-            state=NodeState.VIABLE,
-            depth=0,
-        )
-        frontier = [root]
+        def root(context):
+            return SearchNode(
+                tree_node=cursor.root,
+                column=context.make_root_column(),
+                max_score=0,
+                f=int(context.heuristic.max()),
+                b=0,
+                state=NodeState.VIABLE,
+                depth=0,
+            )
+
+        frontier = [(root(reference_context), root(live_context))]
         expanded = 0
+        multi_cell_columns = 0
         while frontier and expanded < 200:
-            node = frontier.pop(0)
+            reference_node, live_node = frontier.pop(0)
             siblings = [
                 (child, cursor.arc_symbols(child), cursor.is_leaf(child))
-                for child in cursor.children(node.tree_node)
+                for child in cursor.children(reference_node.tree_node)
             ]
-            expected = reference_kernel.expand_children(
-                node, iter(siblings), reference_exec.context
-            )
-            actual = subject_kernel.expand_children(
-                node, iter(siblings), subject_exec.context
-            )
-            assert [node_signature(child) for child in actual] == [
-                node_signature(child) for child in expected
+            for sibling in siblings:
+                expected = reference.expand_arc(reference_node, *sibling, reference_context)
+                actual = live.expand_arc(live_node, *sibling, live_context)
+                assert node_signature(actual, length) == node_signature(expected, length)
+            expected = reference.expand_children(reference_node, iter(siblings), reference_context)
+            actual = live.expand_children(live_node, iter(siblings), live_context)
+            assert [node_signature(child, length) for child in actual] == [
+                node_signature(child, length) for child in expected
             ]
+            assert all(not child.is_unviable for child in actual)
+            assert live_context.nodes_dropped == reference_context.nodes_dropped
+            assert live_context.columns_expanded == reference_context.columns_expanded
             expanded += 1
-            frontier.extend(child for child in expected if child.is_viable)
+            for reference_child, live_child in zip(expected, actual):
+                if reference_child.is_viable:
+                    assert isinstance(live_child.column, list)
+                    multi_cell_columns += len(live_child.column) > 1
+                    frontier.append((reference_child, live_child))
         assert expanded > 1  # the walk actually exercised expansions
-        # The per-column work and tracked pruning tallies agree exactly.
-        assert (
-            subject_exec.context.columns_expanded
-            == reference_exec.context.columns_expanded
-        )
-        for field in ("pruned_non_positive", "pruned_dominated", "pruned_threshold"):
-            assert getattr(subject_exec.context, field) == getattr(
-                reference_exec.context, field
+        assert reference_context.nodes_dropped > 0
+        assert multi_cell_columns > 0
+
+    def test_a_dense_parent_column_is_converted(self):
+        # The root column arrives dense; so may any column a reference-built
+        # node carries.  The live-cell kernel converts what it is given.
+        database, queries = protein_dataset(5)
+        cursor = GeneralizedSuffixTree.build(database)
+        search = OasisSearch(cursor, pam30(), FixedGapModel(-8), kernel="reference")
+        context = search.execute(queries[0], min_score=30).context
+        root = SearchNode(cursor.root, context.make_root_column(), 0, 99, 0, NodeState.VIABLE)
+        viable = [
+            child
+            for child in ReferenceKernel().expand_children(
+                root,
+                [(c, cursor.arc_symbols(c), cursor.is_leaf(c)) for c in cursor.children(cursor.root)],
+                context,
             )
+            if child.is_viable
+        ]
+        assert viable and isinstance(viable[0].column, np.ndarray)
+        length = len(queries[0]) + 1
+        for parent in viable:
+            for child in cursor.children(parent.tree_node):
+                sibling = (child, cursor.arc_symbols(child), cursor.is_leaf(child))
+                expected = ReferenceKernel().expand_arc(parent, *sibling, context)
+                actual = LiveCellKernel().expand_arc(parent, *sibling, context)
+                assert node_signature(actual, length) == node_signature(expected, length)
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_disk_and_sharded_engines_match_memory(self, tmp_path, kernel):
-        database, queries = small_dataset(17)
+    def test_disk_and_sharded_engines_match_memory(self, tmp_path):
+        database, queries = protein_dataset(17)
         matrix = pam30()
         gap_model = FixedGapModel(-8)
         memory = OasisEngine.build(
             database, matrix=matrix, gap_model=gap_model, kernel="reference"
         )
         disk = OasisEngine.build_on_disk(
-            database,
-            matrix,
-            tmp_path / "image.oasis",
-            gap_model=gap_model,
-            kernel=kernel,
+            database, matrix, tmp_path / "image.oasis", gap_model=gap_model, kernel=DEFAULT_KERNEL
         )
         sharded = ShardedEngine.build(
-            database, matrix, gap_model, shard_count=3, kernel=kernel
+            database, matrix, gap_model, shard_count=3, kernel=DEFAULT_KERNEL
         )
         try:
             for query in queries[:3]:
@@ -226,46 +290,160 @@ class TestEngineParity:
                         (hit.sequence_index, hit.score, hit.evalue) for hit in result
                     ]
                     assert actual == expected
-                    assert result.statistics.kernel == kernel
+                    assert result.statistics.kernel == DEFAULT_KERNEL
         finally:
             disk.cursor.close()
             sharded.close()
 
 
-class TestKernelSelection:
-    def test_available_kernels(self):
-        assert set(available_kernels()) >= {"scalar", "batched", "reference"}
+dna_text = st.text(alphabet="ACGT", min_size=1, max_size=40)
+protein_text = st.text(alphabet="ARNDCQEGHILKMFPSTWYV", min_size=1, max_size=30)
+differential = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 
-    def test_default_is_scalar(self, monkeypatch):
+
+def hit_list(result):
+    return [(hit.sequence_index, hit.score) for hit in result]
+
+
+class TestDifferentialAgainstSmithWaterman:
+    """The production path against an implementation that shares none of it.
+
+    Fewer than ten sequences, so ``seq0..seq5`` sort alike by identifier and
+    by index and the two engines' tie-break orders coincide.
+    """
+
+    @differential
+    @given(
+        texts=st.lists(protein_text, min_size=1, max_size=6),
+        query=protein_text,
+        gap=st.sampled_from([-1, -2, -8]),
+        min_score=st.integers(min_value=1, max_value=40),
+    )
+    def test_protein_hits_scores_and_order(self, texts, query, gap, min_score):
+        database = SequenceDatabase.from_texts(texts, alphabet=PROTEIN_ALPHABET)
+        gap_model = FixedGapModel(gap)
+        engine = OasisEngine.build(database, matrix=pam30(), gap_model=gap_model)
+        expected = SmithWatermanAligner(pam30(), gap_model).search(
+            database, query, min_score=min_score
+        )
+        assert hit_list(engine.search(query, min_score=min_score)) == hit_list(expected)
+
+    @differential
+    @given(
+        texts=st.lists(dna_text, min_size=1, max_size=6),
+        query=dna_text,
+        scoring=st.sampled_from([(1, -1, -1), (1, -3, -2), (2, -3, -4), (5, -4, -1)]),
+        min_score=st.integers(min_value=1, max_value=12),
+    )
+    def test_dna_hits_scores_and_order(self, texts, query, scoring, min_score):
+        match, mismatch, gap = scoring
+        database = SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET)
+        matrix = nucleotide_matrix(match, mismatch)
+        gap_model = FixedGapModel(gap)
+        engine = OasisEngine.build(database, matrix=matrix, gap_model=gap_model)
+        expected = SmithWatermanAligner(matrix, gap_model).search(
+            database, query, min_score=min_score
+        )
+        assert hit_list(engine.search(query, min_score=min_score)) == hit_list(expected)
+
+
+class TestSharedKernelInstance:
+    def test_threads_sharing_one_kernel_match_private_kernels(self):
+        # Kernels keep no per-query state: one instance serving concurrent
+        # executions must give what private instances give.  More threads
+        # than cores and a short switch interval force interleaving inside
+        # the column loops.
+        database, queries = protein_dataset(23)
+        tree = GeneralizedSuffixTree.build(database)
+        matrix = pam30()
+        workers = 4
+
+        def outcomes(searches):
+            results = [None] * workers
+            errors = []
+
+            def work(index):
+                try:
+                    results[index] = [
+                        (
+                            [(hit.sequence_index, hit.score) for hit in result],
+                            result.statistics.columns_expanded,
+                            result.statistics.nodes_pruned,
+                        )
+                        for result in (
+                            searches[index].search(query, min_score=35)
+                            for query in queries[index % 2 :] + queries[: index % 2]
+                        )
+                    ]
+                except Exception as error:  # surfaced below, in the main thread
+                    errors.append(error)
+
+            threads = [threading.Thread(target=work, args=(index,)) for index in range(workers)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not errors, errors
+            assert not any(thread.is_alive() for thread in threads)
+            return results
+
+        shared_kernel = LiveCellKernel()
+        shared = outcomes(
+            [OasisSearch(tree, matrix, FixedGapModel(-8), kernel=shared_kernel)] * workers
+        )
+        private = outcomes(
+            [
+                OasisSearch(tree, matrix, FixedGapModel(-8), kernel=LiveCellKernel())
+                for _ in range(workers)
+            ]
+        )
+        assert shared == private
+        assert all(columns > 0 for _, columns, _ in shared[0])
+
+
+class TestKernelSelection:
+    def test_one_oracle_and_one_production_kernel(self):
+        assert available_kernels() == ("reference", DEFAULT_KERNEL)
+
+    def test_default_is_the_live_cell_kernel(self, monkeypatch):
         monkeypatch.delenv("OASIS_KERNEL", raising=False)
-        assert isinstance(get_kernel(), ScalarKernel)
+        assert isinstance(get_kernel(), LiveCellKernel)
+        assert get_kernel().name == DEFAULT_KERNEL
 
     def test_environment_selects_the_kernel(self, monkeypatch):
-        monkeypatch.setenv("OASIS_KERNEL", "batched")
-        assert isinstance(get_kernel(), BatchedKernel)
+        monkeypatch.setenv("OASIS_KERNEL", "reference")
+        assert isinstance(get_kernel(), ReferenceKernel)
 
     def test_explicit_name_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("OASIS_KERNEL", "batched")
-        assert isinstance(get_kernel("reference"), ReferenceKernel)
+        monkeypatch.setenv("OASIS_KERNEL", "reference")
+        assert isinstance(get_kernel(DEFAULT_KERNEL), LiveCellKernel)
 
     def test_instance_passes_through(self):
-        kernel = BatchedKernel()
+        kernel = ReferenceKernel()
         assert get_kernel(kernel) is kernel
 
-    def test_unknown_name_is_rejected(self):
+    @pytest.mark.parametrize("name", ["simd", "scalar", "batched"])
+    def test_unknown_and_retired_names_are_rejected(self, name):
         with pytest.raises(ValueError, match="unknown expansion kernel"):
-            get_kernel("simd")
+            get_kernel(name)
 
     def test_statistics_record_the_kernel(self):
-        database, queries = small_dataset(5)
-        engine = OasisEngine.build(database, matrix=pam30(), kernel="batched")
+        database, queries = protein_dataset(5)
+        engine = OasisEngine.build(database, matrix=pam30(), kernel="reference")
         result = engine.search(queries[0], evalue=1_000.0)
-        assert engine.kernel == "batched"
-        assert result.statistics.kernel == "batched"
-        assert result.statistics.as_dict()["kernel"] == "batched"
+        assert engine.kernel == "reference"
+        assert result.statistics.kernel == "reference"
+        assert result.statistics.as_dict()["kernel"] == "reference"
 
     def test_expanding_a_discarded_column_is_rejected(self):
-        database, _ = small_dataset(5)
+        database, _ = protein_dataset(5)
         cursor = GeneralizedSuffixTree.build(database)
         context = ExpansionContext(
             query_codes=np.array([0, 1, 2], dtype=np.int64),
@@ -285,6 +463,6 @@ class TestKernelSelection:
         )
         child = next(iter(cursor.children(cursor.root)))
         arc = cursor.arc_symbols(child)
-        for kernel in (ScalarKernel(), BatchedKernel()):
+        for kernel in (LiveCellKernel(), ReferenceKernel()):
             with pytest.raises(ValueError, match="discarded"):
                 kernel.expand_arc(dead, child, arc, cursor.is_leaf(child), context)

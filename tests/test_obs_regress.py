@@ -200,6 +200,21 @@ class TestBuildReport:
         assert report.new_series == [("fresh", "small", "serial")]
         assert report.deltas == []
 
+    def test_renamed_metric_starts_a_new_series(self):
+        # The kernel A/B renamed its speedup when the kernel it measured was
+        # replaced: the new name has no baseline (new), the old name has no
+        # current value (not a regression), shared metrics still compare.
+        history = [bench(results={"batched_speedup": 1.68, "reference_seconds": 8.0})]
+        current = [bench(sha="now", results={"live_speedup": 4.0, "reference_seconds": 8.1})]
+        report = build_report(current, history)
+        assert report.regressions == []
+        assert [delta.metric for delta in report.deltas] == ["reference_seconds"]
+        assert report.new_metrics == [(("batch", "small", "serial"), "live_speedup")]
+        assert report.new_series == []
+        text = render_markdown(report, DEFAULT_THRESHOLD)
+        assert "## New series (no baseline yet)" in text
+        assert "batch (scale=small, backend=serial): live_speedup" in text
+
     def test_hard_regressions_exclude_smoke_currents(self):
         history = [bench(results={"total_seconds": 1.0})]
         current = [bench(smoke=True, results={"total_seconds": 9.0})]
