@@ -19,10 +19,9 @@ backend's lazily created pool).  Two rules keep that concurrency auditable:
     stall (and ``.result()`` under a lock is one lock-ordering edge away
     from deadlock).  The buffer pool's design comment says it outright:
     "the physical read happens *outside* the lock"; this rule makes the
-    comment enforceable.  The one deliberate exception -- the dedicated
-    ``_io_lock`` that serialises seek+read pairs on the shared file
-    handle, held for nothing else -- carries a counted
-    ``# repro: allow[lock-io]``.
+    comment enforceable.  The tree has no exception to it: block reads are
+    positional (``os.pread``), so not even the file handle needs a lock
+    around its read.
 """
 
 from __future__ import annotations

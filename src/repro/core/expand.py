@@ -157,7 +157,7 @@ class ExpansionContext:
 def expand_arc_reference(
     parent: SearchNode,
     tree_node,
-    arc_symbols: np.ndarray,
+    arc_symbols: bytes,
     is_leaf: bool,
     context: ExpansionContext,
 ) -> SearchNode:
@@ -176,7 +176,7 @@ def expand_arc_reference(
     tree_node:
         The suffix-tree handle of the child node (stored on the result).
     arc_symbols:
-        Integer codes labelling the child's incoming arc.
+        Codes labelling the child's incoming arc (``bytes``, one per symbol).
     is_leaf:
         Whether the child is a leaf (no further expansion is possible below
         it, so a viable outcome is impossible).

@@ -58,14 +58,14 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Tuple, Type, Union
 
-import numpy as np
-
 from repro.core.expand import ExpansionContext, expand_arc_reference
 from repro.core.search_node import NodeState, PRUNED, SearchNode, make_terminal_node
 
 #: One child of a VIABLE node, as the search driver hands it to a kernel:
-#: ``(tree node handle, arc symbol codes, is-leaf flag)``.
-Sibling = Tuple[object, np.ndarray, bool]
+#: ``(tree node handle, arc symbol codes, is-leaf flag)``.  The codes are
+#: what ``SuffixTreeCursor.arc_symbols`` returns: ``bytes``, one code per
+#: byte, so a kernel loop iterates plain Python ints.
+Sibling = Tuple[object, bytes, bool]
 
 #: Environment variable selecting the default kernel (``live`` otherwise).
 KERNEL_ENVIRONMENT_VARIABLE = "OASIS_KERNEL"
@@ -93,7 +93,7 @@ class ExpansionKernel:
         self,
         parent: SearchNode,
         tree_node,
-        arc_symbols: np.ndarray,
+        arc_symbols: bytes,
         is_leaf: bool,
         context: ExpansionContext,
     ) -> SearchNode:
@@ -127,7 +127,7 @@ class ReferenceKernel(ExpansionKernel):
         self,
         parent: SearchNode,
         tree_node,
-        arc_symbols: np.ndarray,
+        arc_symbols: bytes,
         is_leaf: bool,
         context: ExpansionContext,
     ) -> SearchNode:
@@ -265,7 +265,7 @@ class LiveCellKernel(ExpansionKernel):
         self,
         parent: SearchNode,
         tree_node,
-        arc_symbols: np.ndarray,
+        arc_symbols: bytes,
         is_leaf: bool,
         context: ExpansionContext,
     ) -> SearchNode:

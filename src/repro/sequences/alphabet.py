@@ -63,6 +63,11 @@ class Alphabet:
                 raise ValueError(f"alphabet symbols must be single characters, got {symbol!r}")
         if wildcard is not None and wildcard not in symbols:
             raise ValueError(f"wildcard {wildcard!r} is not a member of the alphabet")
+        if len(symbols) + 1 > 256:
+            # Suffix-tree arcs and the disk image store one code per byte.
+            raise ValueError(
+                f"an alphabet holds at most 255 symbols plus the terminal, got {len(symbols)}"
+            )
 
         self.name = name
         self.symbols: Tuple[str, ...] = tuple(symbols)

@@ -9,7 +9,14 @@ module reproduces that component:
   regions (symbols, internal nodes, leaves) share one pool but their hit
   ratios can be reported separately, exactly as in Figure 8;
 * replacement is the classic clock algorithm: a reference bit per frame, a
-  rotating hand, victims are frames whose bit is clear;
+  rotating hand, victims are frames whose bit is clear.  Frames are created
+  as pages arrive -- a pool larger than its file never holds more frames
+  than the file has blocks -- in the order the hand would walk an empty
+  pool, so the eviction sequence is that of a preallocated pool;
+* a *request* is one :meth:`BufferPool.get_page` call, and the disk cursor
+  makes one per page a cursor call touches, however many records it decodes
+  from it: ``hits`` (and the Figure 8 hit ratios) count page requests, not
+  records, while ``misses`` and ``evictions`` do not depend on batching;
 * an optional *simulated miss latency* lets experiments charge a fixed cost
   per physical read, so the 2003-era disk behaviour is visible even though a
   modern OS page cache hides real read latency.
@@ -96,10 +103,10 @@ class _Frame:
 
     __slots__ = ("key", "data", "referenced")
 
-    def __init__(self) -> None:
-        self.key: Optional[Tuple[Region, int]] = None
-        self.data: bytes = b""
-        self.referenced: bool = False
+    def __init__(self, key: Tuple[Region, int], data: bytes) -> None:
+        self.key = key
+        self.data = data
+        self.referenced = True
 
 
 class BufferPool:
@@ -110,8 +117,9 @@ class BufferPool:
     block_file:
         The backing device.
     capacity_bytes:
-        Total pool size in bytes; the number of frames is
-        ``capacity_bytes // block_size`` (at least one frame).
+        Total pool size in bytes; the pool holds at most
+        ``capacity_bytes // block_size`` frames (at least one), created on
+        demand.
     region_offsets:
         Maps each :class:`Region` to the block number at which it starts in
         the file; page requests are addressed as (region, block-within-region)
@@ -145,8 +153,9 @@ class BufferPool:
         self.simulated_miss_latency = simulated_miss_latency
         self.sleep_on_miss = sleep_on_miss
 
-        self._frames: List[_Frame] = [_Frame() for _ in range(self.frame_count)]
-        self._page_table: Dict[Tuple[Region, int], int] = {}
+        # Frames in clock order, appended until frame_count is reached.
+        self._frames: List[_Frame] = []
+        self._page_table: Dict[Tuple[Region, int], _Frame] = {}
         self._clock_hand = 0
         self.statistics = BufferPoolStatistics()
         # Telemetry is attached (not constructed here) so the pool stays
@@ -157,10 +166,9 @@ class BufferPool:
         self._metric_evictions: Optional["Counter"] = None
         # The pool is shared by every concurrent query execution: the table
         # and frame metadata are guarded by one lock, while the physical read
-        # (and in particular the simulated miss latency) happens *outside* it
-        # so that concurrent misses overlap the way real disk reads would.
+        # (a positional pread, and the simulated miss latency) happens
+        # *outside* it, so concurrent misses overlap as real disk reads would.
         self._lock = threading.RLock()
-        self._io_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Telemetry
@@ -193,19 +201,19 @@ class BufferPool:
         """Return one page of ``region``, reading it on a miss (thread-safe)."""
         key = (region, block_in_region)
         with self._lock:
-            frame_index = self._page_table.get(key)
-            if frame_index is not None:
-                frame = self._frames[frame_index]
+            statistics = self.statistics
+            frame = self._page_table.get(key)
+            if frame is not None:
                 frame.referenced = True
-                self.statistics.hits += 1
-                self.statistics.per_region_hits[region] += 1
+                statistics.hits += 1
+                statistics.per_region_hits[region] += 1
                 if self._metric_hits is not None:
                     self._metric_hits.inc()
                 return frame.data
-            self.statistics.misses += 1
-            self.statistics.per_region_misses[region] += 1
+            statistics.misses += 1
+            statistics.per_region_misses[region] += 1
             if self.simulated_miss_latency:
-                self.statistics.simulated_io_seconds += self.simulated_miss_latency
+                statistics.simulated_io_seconds += self.simulated_miss_latency
         if self._metric_misses is not None:
             self._metric_misses.inc()
 
@@ -224,19 +232,6 @@ class BufferPool:
             self._install(key, data)
         return data
 
-    def read_bytes(self, region: Region, byte_offset: int, length: int) -> bytes:
-        """Read an arbitrary byte range of a region through the pool."""
-        if length <= 0:
-            return b""
-        first_block = byte_offset // self.block_size
-        last_block = (byte_offset + length - 1) // self.block_size
-        chunks: List[bytes] = []
-        for block in range(first_block, last_block + 1):
-            chunks.append(self.get_page(region, block))
-        merged = b"".join(chunks)
-        start = byte_offset - first_block * self.block_size
-        return merged[start : start + length]
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
@@ -245,12 +240,7 @@ class BufferPool:
             # Sleeping releases the GIL, so concurrent misses stall in
             # parallel -- the behaviour a real multi-client disk system shows.
             time.sleep(self.simulated_miss_latency)
-        absolute_block = self._region_offsets[region] + block_in_region
-        with self._io_lock:
-            # The one sanctioned read-under-lock: _io_lock exists *only* to
-            # serialise the seek+read pair on the shared file handle and is
-            # never held with _lock or anything else.
-            return self._file.read_block(absolute_block)  # repro: allow[lock-io]
+        return self._file.read_block(self._region_offsets[region] + block_in_region)
 
     def _install(self, key: Tuple[Region, int], data: bytes) -> None:
         """Place a page in a frame chosen by the clock algorithm.
@@ -258,33 +248,35 @@ class BufferPool:
         Callers hold ``self._lock``.  A page already installed by a racing
         reader is refreshed in place instead of being duplicated.
         """
-        existing = self._page_table.get(key)
-        if existing is not None:
-            frame = self._frames[existing]
+        table = self._page_table
+        frame = table.get(key)
+        if frame is not None:
             frame.data = data
             frame.referenced = True
             return
-        while True:
-            frame = self._frames[self._clock_hand]
-            if frame.key is None:
-                break
-            if not frame.referenced:
-                break
-            # Second chance: clear the bit and advance the hand.
-            frame.referenced = False
-            self._clock_hand = (self._clock_hand + 1) % self.frame_count
-
-        victim = self._frames[self._clock_hand]
-        if victim.key is not None:
-            del self._page_table[victim.key]
+        frames = self._frames
+        if len(frames) < self.frame_count:
+            # Still filling: the next frame is where the hand would stand.
+            frame = _Frame(key, data)
+            frames.append(frame)
+            self._clock_hand = len(frames) % self.frame_count
+        else:
+            hand = self._clock_hand
+            frame = frames[hand]
+            while frame.referenced:
+                # Second chance: clear the bit and advance the hand.
+                frame.referenced = False
+                hand = (hand + 1) % self.frame_count
+                frame = frames[hand]
+            del table[frame.key]
             self.statistics.evictions += 1
             if self._metric_evictions is not None:
                 self._metric_evictions.inc()
-        victim.key = key
-        victim.data = data
-        victim.referenced = True
-        self._page_table[key] = self._clock_hand
-        self._clock_hand = (self._clock_hand + 1) % self.frame_count
+            frame.key = key
+            frame.data = data
+            frame.referenced = True
+            self._clock_hand = (hand + 1) % self.frame_count
+        table[key] = frame
 
     def resource_sample(self) -> Dict[str, float]:
         """Point-in-time occupancy/hit-ratio state for the resource sampler.
@@ -316,10 +308,7 @@ class BufferPool:
     def clear(self) -> None:
         """Drop every cached page (statistics are left untouched)."""
         with self._lock:
-            for frame in self._frames:
-                frame.key = None
-                frame.data = b""
-                frame.referenced = False
+            self._frames = []
             self._page_table.clear()
             self._clock_hand = 0
 

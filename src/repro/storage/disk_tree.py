@@ -1,11 +1,21 @@
 """DiskSuffixTree: cursor-style traversal of the on-disk image.
 
 Every node, arc-symbol and leaf access goes through the buffer pool, so the
-access pattern of a search (and therefore the hit ratios of Figure 8 and the
-degradation of Figure 7) is observable by the experiments.  The class
-implements the same :class:`~repro.suffixtree.cursor.SuffixTreeCursor`
-interface as the in-memory tree, which is what lets the OASIS engine run on
-either representation unchanged.
+access pattern of a search (the hit ratios of Figure 8, the degradation of
+Figure 7) is observable.  The class implements the same
+:class:`~repro.suffixtree.cursor.SuffixTreeCursor` interface as the in-memory
+tree, so the OASIS engine runs on either representation unchanged.
+
+The unit of work is a *page*, not a record.  A cursor call asks the pool once
+for each page it touches, in the order a record-at-a-time reader would first
+reach it, and decodes what it needs in place: ``children()`` the parent
+record, the whole contiguous internal-sibling run (re-fetching only where it
+crosses a block) and the leaf chain (a page per hop unless the next leaf is
+on the page just read); ``arc_symbols()`` a ``bytes`` slice of the symbol
+page, joined eagerly when the arc crosses pages.  So a pool *request*
+(``hits + misses``) is one page touched by one cursor call, not one record,
+while misses and evictions are exactly those of reading record by record: a
+repeated request for the page just requested changes nothing in a clock pool.
 
 Node handles are small immutable tuples::
 
@@ -21,20 +31,23 @@ suffix's sequence.
 from __future__ import annotations
 
 import os
-from typing import Iterator, List, Optional, Tuple, Union
-
-import numpy as np
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
 from repro.sequences.database import SequenceDatabase
 from repro.storage.blocks import BlockFile
 from repro.storage.buffer_pool import BufferPool, BufferPoolStatistics, Region
 from repro.storage.layout import (
     DiskLayout,
-    InternalNodeRecord,
-    LeafNodeRecord,
+    FLAG_LAST_SIBLING,
+    INTERNAL_STRUCT,
+    LEAF_STRUCT,
     NO_POINTER,
 )
 from repro.suffixtree.cursor import SuffixTreeCursor
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only (storage sits below obs)
+    from repro.obs.trace import Tracer
 
 PathLike = Union[str, os.PathLike]
 
@@ -70,7 +83,7 @@ class DiskSuffixTree(SuffixTreeCursor):
         buffer_pool_bytes: int = DEFAULT_BUFFER_POOL_BYTES,
         simulated_miss_latency: float = 0.0,
         sleep_on_miss: bool = False,
-    ):
+    ) -> None:
         database.freeze()
         self._database = database
         self._file = BlockFile(path, create=False)
@@ -80,11 +93,11 @@ class DiskSuffixTree(SuffixTreeCursor):
             # Re-open with the image's real block size.
             self._file.close()
             self._file = BlockFile(path, block_size=self.layout.block_size, create=False)
-        if self.layout.symbol_count != database.total_symbols_with_terminals:
+        total = database.total_symbols_with_terminals
+        if self.layout.symbol_count != total:
             raise ValueError(
                 "disk image does not match the database: "
-                f"{self.layout.symbol_count} symbols on disk vs "
-                f"{database.total_symbols_with_terminals} in the database"
+                f"{self.layout.symbol_count} symbols on disk vs {total} in the database"
             )
         self.pool = BufferPool(
             self._file,
@@ -93,34 +106,8 @@ class DiskSuffixTree(SuffixTreeCursor):
             simulated_miss_latency=simulated_miss_latency,
             sleep_on_miss=sleep_on_miss,
         )
-        # Pre-compute per-sequence suffix ends (no disk access involved).
-        self._suffix_end = self._build_suffix_end_table()
-
-    def _build_suffix_end_table(self) -> np.ndarray:
-        ends = np.empty(self._database.total_symbols_with_terminals, dtype=np.int64)
-        for index, start in enumerate(self._database.sequence_starts):
-            terminal = start + len(self._database[index])
-            ends[start : terminal + 1] = terminal + 1
-        return ends
-
-    # ------------------------------------------------------------------ #
-    # Record access through the buffer pool
-    # ------------------------------------------------------------------ #
-    def _read_internal_record(self, index: int) -> InternalNodeRecord:
-        block, offset = self.layout.internal_page(index)
-        page = self.pool.get_page(Region.INTERNAL_NODES, block)
-        return InternalNodeRecord.unpack(page[offset : offset + InternalNodeRecord.SIZE])
-
-    def _read_leaf_record(self, index: int) -> LeafNodeRecord:
-        block, offset = self.layout.leaf_page(index)
-        page = self.pool.get_page(Region.LEAF_NODES, block)
-        return LeafNodeRecord.unpack(page[offset : offset + LeafNodeRecord.SIZE])
-
-    def _read_symbols(self, start: int, length: int) -> np.ndarray:
-        if length <= 0:
-            return np.empty(0, dtype=np.int16)
-        raw = self.pool.read_bytes(Region.SYMBOLS, start, length)
-        return np.frombuffer(raw, dtype=np.uint8).astype(np.int16)
+        # One past each terminal, ascending: suffix p ends at the first entry > p.
+        self._sequence_ends = database.sequence_starts[1:] + [total]
 
     # ------------------------------------------------------------------ #
     # Cursor interface
@@ -139,37 +126,66 @@ class DiskSuffixTree(SuffixTreeCursor):
     def children(self, node: NodeHandle) -> List[NodeHandle]:
         if node[0] != "I":
             return []
-        _, index, _, _, depth = node
-        record = self._read_internal_record(index)
+        depth = node[4]
+        get_page = self.pool.get_page
+        unpack_internal = INTERNAL_STRUCT.unpack_from
+        record_size = INTERNAL_STRUCT.size
+        per_block = self.layout.block_size // record_size
+        block, slot = divmod(node[1], per_block)
+        page = get_page(Region.INTERNAL_NODES, block)
+        _, _, child_index, leaf_index, _ = unpack_internal(page, slot * record_size)
         handles: List[NodeHandle] = []
 
-        # Internal children: contiguous records starting at first_internal_child.
-        child_index = record.first_internal_child
+        # Internal children: one contiguous run of records, decoded page by page.
         if child_index != NO_POINTER:
-            while True:
-                child = self._read_internal_record(child_index)
-                arc_length = child.depth - depth
-                handles.append(("I", child_index, child.symbol_ptr, arc_length, child.depth))
-                if child.is_last_sibling:
-                    break
+            flags = 0
+            while not flags & FLAG_LAST_SIBLING:
+                child_block, slot = divmod(child_index, per_block)
+                if child_block != block:
+                    block = child_block
+                    page = get_page(Region.INTERNAL_NODES, block)
+                child_depth, symbol_ptr, _, _, flags = unpack_internal(page, slot * record_size)
+                handles.append(("I", child_index, symbol_ptr, child_depth - depth, child_depth))
                 child_index += 1
 
         # Leaf children: a chain through explicit sibling pointers.
-        leaf_index = record.first_leaf_child
-        while leaf_index != NO_POINTER:
-            suffix_end = int(self._suffix_end[leaf_index])
-            arc_start = leaf_index + depth
-            arc_length = suffix_end - arc_start
-            handles.append(("L", leaf_index, arc_start, arc_length, suffix_end - leaf_index))
-            leaf_index = self._read_leaf_record(leaf_index).next_sibling
+        if leaf_index != NO_POINTER:
+            unpack_leaf = LEAF_STRUCT.unpack_from
+            leaf_size = LEAF_STRUCT.size
+            per_block = self.layout.block_size // leaf_size
+            ends = self._sequence_ends
+            block = -1
+            while leaf_index != NO_POINTER:
+                length = ends[bisect_right(ends, leaf_index)] - leaf_index
+                handles.append(("L", leaf_index, leaf_index + depth, length - depth, length))
+                leaf_block, slot = divmod(leaf_index, per_block)
+                if leaf_block != block:
+                    block = leaf_block
+                    page = get_page(Region.LEAF_NODES, block)
+                (leaf_index,) = unpack_leaf(page, slot * leaf_size)
 
         return handles
 
     def arc(self, node: NodeHandle) -> Tuple[int, int]:
         return node[2], node[3]
 
-    def arc_symbols(self, node: NodeHandle) -> np.ndarray:
-        return self._read_symbols(node[2], node[3])
+    def arc_symbols(self, node: NodeHandle) -> bytes:
+        length = node[3]
+        if length <= 0:
+            return b""
+        block_size = self.layout.block_size
+        block, offset = divmod(node[2], block_size)
+        end = offset + length
+        page = self.pool.get_page(Region.SYMBOLS, block)
+        if end <= block_size:
+            return page[offset:end]
+        # The arc crosses a page: join the pages it covers, eagerly.
+        chunks = [page[offset:]]
+        while end > block_size:
+            block += 1
+            end -= block_size
+            chunks.append(self.pool.get_page(Region.SYMBOLS, block)[:end])
+        return b"".join(chunks)
 
     def string_depth(self, node: NodeHandle) -> int:
         return node[4]
@@ -189,21 +205,8 @@ class DiskSuffixTree(SuffixTreeCursor):
                 stack.extend(reversed(self.children(current)))
 
     # ------------------------------------------------------------------ #
-    # Convenience API mirroring the in-memory tree
+    # Statistics and lifecycle
     # ------------------------------------------------------------------ #
-    def contains(self, query: str) -> bool:
-        """Exact substring membership, evaluated entirely through the pool."""
-        codes = self._database.alphabet.encode(query.upper())
-        return self.find_exact(codes) is not None
-
-    def find_occurrences(self, query: str) -> List[Tuple[int, int]]:
-        """All ``(sequence index, local offset)`` occurrences of ``query``."""
-        codes = self._database.alphabet.encode(query.upper())
-        node = self.find_exact(codes)
-        if node is None:
-            return []
-        return sorted(self.occurrences_below(node))
-
     @property
     def statistics(self) -> BufferPoolStatistics:
         """Buffer pool statistics (hits, misses, per-region ratios)."""
@@ -222,7 +225,7 @@ class DiskSuffixTree(SuffixTreeCursor):
     def reset_statistics(self) -> None:
         self.pool.reset_statistics()
 
-    def instrument(self, tracer) -> None:
+    def instrument(self, tracer: Optional["Tracer"]) -> None:
         """Attach a tracer to the buffer pool (see :meth:`BufferPool.instrument`)."""
         self.pool.instrument(tracer)
 
@@ -232,7 +235,7 @@ class DiskSuffixTree(SuffixTreeCursor):
     def __enter__(self) -> "DiskSuffixTree":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
 
     def __repr__(self) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict
+from typing import ClassVar, Dict, Tuple
 
 from repro.storage.buffer_pool import Region
 
@@ -34,6 +34,12 @@ NO_POINTER = 0xFFFFFFFF
 
 #: Flag bit: this internal node is the last internal child of its parent.
 FLAG_LAST_SIBLING = 0x01
+
+#: Wire formats of an internal-node record (depth, symbol pointer, first
+#: internal child, first leaf child, flags) and of a leaf record (next
+#: sibling); the disk cursor decodes pages with ``unpack_from`` on these.
+INTERNAL_STRUCT = struct.Struct("<IIIIB")
+LEAF_STRUCT = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -52,11 +58,10 @@ class InternalNodeRecord:
     first_leaf_child: int
     flags: int
 
-    _STRUCT = struct.Struct("<IIIIB")
-    SIZE = _STRUCT.size  # 17 bytes
+    SIZE: ClassVar[int] = INTERNAL_STRUCT.size  # 17 bytes
 
     def pack(self) -> bytes:
-        return self._STRUCT.pack(
+        return INTERNAL_STRUCT.pack(
             self.depth,
             self.symbol_ptr,
             self.first_internal_child,
@@ -66,10 +71,7 @@ class InternalNodeRecord:
 
     @classmethod
     def unpack(cls, data: bytes) -> "InternalNodeRecord":
-        depth, symbol_ptr, first_internal, first_leaf, flags = cls._STRUCT.unpack(
-            data[: cls.SIZE]
-        )
-        return cls(depth, symbol_ptr, first_internal, first_leaf, flags)
+        return cls(*INTERNAL_STRUCT.unpack(data[: cls.SIZE]))
 
     @property
     def is_last_sibling(self) -> bool:
@@ -88,16 +90,14 @@ class LeafNodeRecord:
 
     next_sibling: int
 
-    _STRUCT = struct.Struct("<I")
-    SIZE = _STRUCT.size  # 4 bytes
+    SIZE: ClassVar[int] = LEAF_STRUCT.size  # 4 bytes
 
     def pack(self) -> bytes:
-        return self._STRUCT.pack(self.next_sibling)
+        return LEAF_STRUCT.pack(self.next_sibling)
 
     @classmethod
     def unpack(cls, data: bytes) -> "LeafNodeRecord":
-        (next_sibling,) = cls._STRUCT.unpack(data[: cls.SIZE])
-        return cls(next_sibling)
+        return cls(*LEAF_STRUCT.unpack(data[: cls.SIZE]))
 
 
 _HEADER_MAGIC = b"OASISIDX"
@@ -139,15 +139,15 @@ class DiskLayout:
     def leaf_records_per_block(self) -> int:
         return self.block_size // LeafNodeRecord.SIZE
 
-    def symbol_page(self, position: int) -> (int, int):
+    def symbol_page(self, position: int) -> Tuple[int, int]:
         """``(block within region, offset within block)`` of a symbol."""
         return position // self.symbols_per_block, position % self.symbols_per_block
 
-    def internal_page(self, index: int) -> (int, int):
+    def internal_page(self, index: int) -> Tuple[int, int]:
         per_block = self.internal_records_per_block
         return index // per_block, (index % per_block) * InternalNodeRecord.SIZE
 
-    def leaf_page(self, index: int) -> (int, int):
+    def leaf_page(self, index: int) -> Tuple[int, int]:
         per_block = self.leaf_records_per_block
         return index // per_block, (index % per_block) * LeafNodeRecord.SIZE
 

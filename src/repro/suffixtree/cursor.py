@@ -19,8 +19,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.sequences.database import SequenceDatabase
 
 #: Opaque node handle.  In-memory cursors use node objects; the disk cursor
@@ -54,8 +52,16 @@ class SuffixTreeCursor(ABC):
         """``(start, length)`` of the incoming arc label in the symbol array."""
 
     @abstractmethod
-    def arc_symbols(self, node: NodeHandle) -> np.ndarray:
-        """The integer codes labelling the incoming arc."""
+    def arc_symbols(self, node: NodeHandle) -> bytes:
+        """The codes labelling the incoming arc, as ``bytes``: one code per byte.
+
+        This is the one arc contract of every cursor and kernel: iterating
+        the result yields plain Python ints, slices compare with ``==``, and
+        the value is complete when the call returns (an arc that crosses a
+        disk page is joined eagerly), so the expansion kernels never call
+        back into the cursor.  On the disk cursor the call is one buffer-pool
+        request per symbol page the arc touches.
+        """
 
     @abstractmethod
     def string_depth(self, node: NodeHandle) -> int:
@@ -91,13 +97,24 @@ class SuffixTreeCursor(ABC):
         """Human-readable label of the incoming arc (debugging and examples)."""
         return self.database.alphabet.decode(self.arc_symbols(node))
 
+    def contains(self, query: str) -> bool:
+        """Exact substring membership (Section 2.3.1)."""
+        return self.find_exact(self.database.alphabet.encode(query)) is not None
+
+    def find_occurrences(self, query: str) -> List[Tuple[int, int]]:
+        """All ``(sequence index, local offset)`` occurrences of ``query``."""
+        node = self.find_exact(self.database.alphabet.encode(query))
+        if node is None:
+            return []
+        return sorted(self.occurrences_below(node))
+
     def find_exact(self, query_codes: Sequence[int]) -> NodeHandle | None:
         """Locate the node whose path spells ``query_codes`` (Section 2.3.1).
 
         Returns the handle of the shallowest node at or below the end of the
         match, or ``None`` when the query does not occur in the database.
         """
-        query = np.asarray(query_codes)
+        query = bytes(map(int, query_codes))
         node = self.root
         matched = 0
         while matched < len(query):
@@ -107,7 +124,7 @@ class SuffixTreeCursor(ABC):
                 if len(symbols) == 0 or symbols[0] != query[matched]:
                     continue
                 compare = min(len(symbols), len(query) - matched)
-                if not np.array_equal(symbols[:compare], query[matched : matched + compare]):
+                if symbols[:compare] != query[matched : matched + compare]:
                     return None
                 matched += compare
                 node = child

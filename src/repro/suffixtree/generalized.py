@@ -42,6 +42,9 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         self._database = database
         self._root = root
         self._codes = database.concatenated_codes
+        # Arc labels are handed out as bytes, one code per byte (the form the
+        # disk image stores); Alphabet guarantees every code fits.
+        self._code_bytes = self._codes.astype(np.uint8).tobytes()
         self._counts = count_nodes(root)
 
     # ------------------------------------------------------------------ #
@@ -127,8 +130,8 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
     def arc(self, node: SuffixTreeNode) -> Tuple[int, int]:
         return node.edge_start, node.edge_length
 
-    def arc_symbols(self, node: SuffixTreeNode) -> np.ndarray:
-        return self._codes[node.edge_start : node.edge_end]
+    def arc_symbols(self, node: SuffixTreeNode) -> bytes:
+        return self._code_bytes[node.edge_start : node.edge_end]
 
     def string_depth(self, node: SuffixTreeNode) -> int:
         if isinstance(node, InternalNode):
@@ -148,19 +151,6 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def contains(self, query: str) -> bool:
-        """Exact substring membership (Section 2.3.1)."""
-        codes = self._database.alphabet.encode(query.upper())
-        return self.find_exact(codes) is not None
-
-    def find_occurrences(self, query: str) -> List[Tuple[int, int]]:
-        """All ``(sequence index, local offset)`` occurrences of ``query``."""
-        codes = self._database.alphabet.encode(query.upper())
-        node = self.find_exact(codes)
-        if node is None:
-            return []
-        return sorted(self.occurrences_below(node))
-
     def path_label(self, node: SuffixTreeNode) -> str:
         """The full path label from the root down to ``node``."""
         parts: List[str] = []

@@ -232,7 +232,7 @@ def instrument_lock_order(monitor, *objects, names=None):
     """Swap every private lock on ``objects`` for a monitored wrapper.
 
     ``monitor`` is a :class:`repro.analysis.lockorder.LockOrderMonitor`; each
-    object's known lock attributes (``_lock``/``_io_lock`` on a
+    object's known lock attributes (``_lock`` on a
     :class:`~repro.storage.buffer_pool.BufferPool`, ``_pool_lock`` on a
     pooled backend -- any attribute ending in ``lock`` holding an
     acquire/release object) are replaced in place by

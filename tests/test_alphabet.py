@@ -38,6 +38,14 @@ class TestAlphabetConstruction:
         with pytest.raises(ValueError):
             Alphabet("bad", "ACGT", wildcard="N")
 
+    def test_codes_must_fit_one_byte(self):
+        # Arcs and the disk image carry one code per byte, terminal included.
+        symbols = [chr(0x100 + index) for index in range(256)]
+        largest = Alphabet("wide", symbols[:255])
+        assert largest.terminal_code == 255
+        with pytest.raises(ValueError, match="255 symbols"):
+            Alphabet("too-wide", symbols)
+
     def test_equality_and_hash(self):
         a = Alphabet("x", "ACGT")
         b = Alphabet("x", "ACGT")

@@ -171,8 +171,9 @@ class TestEngineIntegration:
         )
         try:
             installed = instrument_lock_order(monitor, engine.cursor.pool)
-            assert any(name.endswith("._lock") for name in installed)
-            assert any(name.endswith("._io_lock") for name in installed)
+            # The pool has exactly one lock: reads are positional (pread),
+            # so there is no file-offset lock beside it.
+            assert installed == ["BufferPool[0]._lock"]
             hits = engine.search(QUERY, evalue=EVALUE).hits
         finally:
             engine.cursor.close()
@@ -201,28 +202,18 @@ class TestEngineIntegration:
         assert monitor.acquisition_count > 0
         monitor.assert_acyclic()
 
-    def test_deliberate_abba_on_real_pool_locks_is_reported(
-        self, lockorder_database, pam30_matrix, gap8, tmp_path
-    ):
+    def test_deliberate_abba_on_real_pool_locks_is_reported(self, sharded_directory):
         monitor = LockOrderMonitor()
-        engine = OasisEngine.build_on_disk(
-            lockorder_database,
-            pam30_matrix,
-            str(tmp_path / "abba.oasis"),
-            gap_model=gap8,
-            block_size=BLOCK_SIZE,
-        )
-        try:
-            pool = engine.cursor.pool
-            instrument_lock_order(monitor, pool)
-            with pool._lock:
-                with pool._io_lock:
+        with ShardedEngine.open(sharded_directory, backend="processes:2") as engine:
+            backend = engine._backend
+            pool = engine.shards[0].cursor.pool
+            instrument_lock_order(monitor, backend, pool)
+            with backend._pool_lock:
+                with pool._lock:
                     pass
             with pytest.raises(LockOrderError) as caught:
-                with pool._io_lock:
-                    with pool._lock:
+                with pool._lock:
+                    with backend._pool_lock:
                         pass
-            assert "_io_lock" in str(caught.value)
-            assert "_lock" in str(caught.value)
-        finally:
-            engine.cursor.close()
+        assert "._pool_lock" in str(caught.value)
+        assert "BufferPool[1]._lock" in str(caught.value)

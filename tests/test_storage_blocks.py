@@ -98,18 +98,28 @@ class TestBufferPool:
         assert pool.resident_pages == 2
 
     def test_clock_gives_second_chance(self, block_file):
-        pool = make_pool(block_file, 2)
-        pool.get_page(Region.SYMBOLS, 0)
+        pool = make_pool(block_file, 3)
+        for block in range(3):
+            pool.get_page(Region.SYMBOLS, block)
+        # Every bit is set, so the first replacement sweeps the whole clock,
+        # clears all three bits and takes the frame it started from (page 0).
+        pool.get_page(Region.SYMBOLS, 3)
+        assert not pool.contains(Region.SYMBOLS, 0)
+        assert pool.statistics.evictions == 1
+        # Pages 1 and 2 now have clear bits and the hand stands on page 1.
+        # A hit sets page 1's bit again: the next sweep must pass over it
+        # (second chance) and evict page 2, where FIFO would evict page 1.
         pool.get_page(Region.SYMBOLS, 1)
-        # Arrange the frames so that page 0 has its reference bit set and
-        # page 1 does not, with the hand pointing at page 0's frame: the
-        # clock sweep must skip page 0 (second chance) and evict page 1.
-        pool._frames[pool._page_table[(Region.SYMBOLS, 0)]].referenced = True
-        pool._frames[pool._page_table[(Region.SYMBOLS, 1)]].referenced = False
-        pool._clock_hand = pool._page_table[(Region.SYMBOLS, 0)]
-        pool.get_page(Region.SYMBOLS, 2)
-        assert pool.contains(Region.SYMBOLS, 0)
+        pool.get_page(Region.SYMBOLS, 4)
+        assert pool.contains(Region.SYMBOLS, 1)
+        assert not pool.contains(Region.SYMBOLS, 2)
+        assert pool.statistics.evictions == 2
+        # The chance is spent: page 1's bit was cleared by that sweep, so it
+        # is the victim of the next one (page 3's set bit is passed over).
+        pool.get_page(Region.SYMBOLS, 5)
         assert not pool.contains(Region.SYMBOLS, 1)
+        assert pool.contains(Region.SYMBOLS, 3)
+        assert pool.statistics.evictions == 3
 
     def test_working_set_fits_no_more_misses(self, block_file):
         pool = make_pool(block_file, 4)
@@ -118,15 +128,6 @@ class TestBufferPool:
                 pool.get_page(Region.SYMBOLS, block)
         assert pool.statistics.misses == 3
         assert pool.statistics.hits == 12
-
-    def test_read_bytes_spanning_blocks(self, block_file):
-        pool = make_pool(block_file, 4)
-        data = pool.read_bytes(Region.SYMBOLS, 60, 8)
-        assert data == bytes([0]) * 4 + bytes([1]) * 4
-
-    def test_read_bytes_empty(self, block_file):
-        pool = make_pool(block_file, 4)
-        assert pool.read_bytes(Region.SYMBOLS, 0, 0) == b""
 
     def test_simulated_latency_accumulates(self, block_file):
         pool = make_pool(block_file, 2, simulated_miss_latency=0.25)
@@ -141,6 +142,34 @@ class TestBufferPool:
         pool.clear()
         assert pool.resident_pages == 0
         assert pool.statistics.misses == 1
+
+    def test_clear_restarts_the_clock(self, block_file):
+        pool = make_pool(block_file, 2)
+        for block in range(3):
+            pool.get_page(Region.SYMBOLS, block)
+        pool.clear()
+        # Refilling after clear() behaves like a fresh pool: two pages fit
+        # without an eviction, the third evicts the first one installed.
+        evictions = pool.statistics.evictions
+        pool.get_page(Region.SYMBOLS, 5)
+        pool.get_page(Region.SYMBOLS, 6)
+        assert pool.statistics.evictions == evictions
+        pool.get_page(Region.SYMBOLS, 7)
+        assert not pool.contains(Region.SYMBOLS, 5)
+        assert pool.contains(Region.SYMBOLS, 6)
+
+    def test_frames_created_on_demand(self, block_file):
+        # A pool far larger than its file (the 256 MB default over a small
+        # image) holds one frame per page it was asked for, never more than
+        # the file has blocks.
+        pool = make_pool(block_file, 1 << 20)
+        assert pool.frame_count == 1 << 20
+        assert pool.resident_pages == 0
+        for _ in range(2):
+            for block in range(4):
+                pool.get_page(Region.SYMBOLS, block)
+        assert pool.resident_pages == 4 <= block_file.block_count
+        assert pool.statistics.evictions == 0
 
     def test_reset_statistics(self, block_file):
         pool = make_pool(block_file, 4)

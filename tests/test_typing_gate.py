@@ -41,7 +41,12 @@ GATE_FILES = (
     "repro/obs/trace.py",
     "repro/obs/validate.py",
     "repro/sharding/remote.py",
+    "repro/storage/__init__.py",
+    "repro/storage/blocks.py",
     "repro/storage/buffer_pool.py",
+    "repro/storage/builder.py",
+    "repro/storage/disk_tree.py",
+    "repro/storage/layout.py",
     "repro/analysis/framework.py",
     "repro/analysis/kernelpurity.py",
     "repro/analysis/lockorder.py",
@@ -63,7 +68,7 @@ def test_pyproject_pins_the_gate_modules():
         "repro.exec.*",
         "repro.obs.*",
         "repro.sharding.remote",
-        "repro.storage.buffer_pool",
+        "repro.storage.*",
         "repro.analysis.*",
     ):
         assert module_glob in pyproject, f"{module_glob} fell out of the typing gate"
