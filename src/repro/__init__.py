@@ -21,28 +21,61 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
 reproduction of every table and figure in the paper's evaluation section.
 """
 
-from repro.core.engine import OasisEngine
-from repro.core.oasis import OasisSearchStatistics, QueryExecution
-from repro.core.results import Alignment, SearchHit, SearchResult
-from repro.exec import (
-    BackendSpec,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
-from repro.obs import (
-    JsonLinesExporter,
-    MetricsRegistry,
-    Tracer,
-    configure_logging,
-    get_logger,
-    profile_search,
-)
-from repro.parallel import BatchSearchExecutor, BatchSearchReport
-from repro.sequences.database import SequenceDatabase
-from repro.sequences.sequence import Sequence, SequenceRecord
-from repro.sharding import ShardCatalog, ShardedEngine, ShardedIndexBuilder
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.engine import OasisEngine
+    from repro.core.oasis import OasisSearchStatistics, QueryExecution
+    from repro.core.results import Alignment, SearchHit, SearchResult
+    from repro.exec import (
+        BackendSpec,
+        ExecutionBackend,
+        ProcessBackend,
+        SerialBackend,
+        ThreadBackend,
+    )
+    from repro.obs import (
+        JsonLinesExporter,
+        MetricsRegistry,
+        Tracer,
+        configure_logging,
+        get_logger,
+        profile_search,
+    )
+    from repro.parallel import BatchSearchExecutor, BatchSearchReport
+    from repro.sequences.database import SequenceDatabase
+    from repro.sequences.sequence import Sequence, SequenceRecord
+    from repro.sharding import ShardCatalog, ShardedEngine, ShardedIndexBuilder
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.core.engine": ("OasisEngine",),
+            "repro.core.oasis": ("OasisSearchStatistics", "QueryExecution"),
+            "repro.core.results": ("Alignment", "SearchHit", "SearchResult"),
+            "repro.exec": (
+                "BackendSpec",
+                "ExecutionBackend",
+                "ProcessBackend",
+                "SerialBackend",
+                "ThreadBackend",
+            ),
+            "repro.obs": (
+                "JsonLinesExporter",
+                "MetricsRegistry",
+                "Tracer",
+                "configure_logging",
+                "get_logger",
+                "profile_search",
+            ),
+            "repro.parallel": ("BatchSearchExecutor", "BatchSearchReport"),
+            "repro.sequences.database": ("SequenceDatabase",),
+            "repro.sequences.sequence": ("Sequence", "SequenceRecord"),
+            "repro.sharding": ("ShardCatalog", "ShardedEngine", "ShardedIndexBuilder"),
+        },
+    )
 
 __version__ = "1.4.0"
 

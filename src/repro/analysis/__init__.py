@@ -10,17 +10,39 @@ The package also hosts the *runtime* lock-order detector
 into the static pass.
 """
 
-from repro.analysis.framework import (
-    AnalysisReport,
-    ModuleInfo,
-    Rule,
-    Violation,
-    analyze_paths,
-    iter_python_files,
-    load_module,
-    module_name_for,
-)
-from repro.analysis.registry import all_rules, rule_catalog
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.framework import (
+        AnalysisReport,
+        ModuleInfo,
+        Rule,
+        Violation,
+        analyze_paths,
+        iter_python_files,
+        load_module,
+        module_name_for,
+    )
+    from repro.analysis.registry import all_rules, rule_catalog
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.analysis.framework": (
+                "AnalysisReport",
+                "ModuleInfo",
+                "Rule",
+                "Violation",
+                "analyze_paths",
+                "iter_python_files",
+                "load_module",
+                "module_name_for",
+            ),
+            "repro.analysis.registry": ("all_rules", "rule_catalog"),
+        },
+    )
 
 __all__ = [
     "AnalysisReport",

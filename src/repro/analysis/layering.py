@@ -25,6 +25,14 @@ Two escape hatches are deliberate, and both are visible in the source:
   method).  They execute only when called, long after import time, so the
   module graph stays a DAG.
 
+Package ``__init__`` files use the first hatch wholesale: their re-exports
+live under ``if TYPE_CHECKING:`` and are resolved on first use through
+:func:`repro._lazy.lazy_exports`, so no ``__init__`` executes an import of
+its own submodules, let alone of another layer, and ``import repro.core.x``
+loads what ``x`` names and nothing a sibling package re-exports.
+(``tests/test_import_budget.py`` holds the *run-time* import graph to the
+same DAG: which modules a cold ``search`` may have loaded when it exits.)
+
 Everything else -- a module-scope ``import repro.<upper layer>`` -- is a
 violation, because it is exactly how layering erodes: one convenience
 import and the core suddenly cannot load without the observability stack.

@@ -10,9 +10,23 @@
   completeness and used by the test-suite as an independent scoring check.
 """
 
-from repro.baselines.smith_waterman import SmithWatermanAligner
-from repro.baselines.blast import BlastLikeSearch, BlastParameters
-from repro.baselines.needleman_wunsch import NeedlemanWunschAligner
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.baselines.smith_waterman import SmithWatermanAligner
+    from repro.baselines.blast import BlastLikeSearch, BlastParameters
+    from repro.baselines.needleman_wunsch import NeedlemanWunschAligner
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.baselines.smith_waterman": ("SmithWatermanAligner",),
+            "repro.baselines.blast": ("BlastLikeSearch", "BlastParameters"),
+            "repro.baselines.needleman_wunsch": ("NeedlemanWunschAligner",),
+        },
+    )
 
 __all__ = [
     "SmithWatermanAligner",

@@ -45,8 +45,6 @@ import sys
 from typing import List, Optional
 
 from repro.core.engine import OasisEngine
-from repro.datagen.motifs import MotifWorkloadGenerator
-from repro.datagen.protein import SwissProtLikeGenerator
 from repro.scoring.data import available_matrices, load_matrix
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.fasta import read_fasta, write_fasta
@@ -243,6 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
+    from repro.datagen.motifs import MotifWorkloadGenerator
+    from repro.datagen.protein import SwissProtLikeGenerator
+
     generator = SwissProtLikeGenerator(
         seed=args.seed, family_count=args.families, singleton_count=args.singletons
     )
@@ -329,12 +330,16 @@ def _parse_kernel_arg(name: Optional[str]) -> Optional[str]:
 
 
 def _build_search_engine(args: argparse.Namespace):
-    """Resolve --index / --shards / --database into a ready-to-search engine."""
-    from repro.sharding import CatalogError, ShardedEngine
+    """Resolve --index / --shards / --database into a ready-to-search engine.
 
+    The sharding layer is imported on the branches that build a sharded
+    engine; a plain ``--database`` search never loads it.
+    """
     backend = _parse_backend_arg(args.backend)
     kernel = _parse_kernel_arg(args.kernel)
     if args.index is not None:
+        from repro.sharding import CatalogError, ShardedEngine
+
         # A persistent catalog is authoritative for its own configuration:
         # only an *explicit* --matrix/--gap is checked against it, and the
         # bundled FASTA replaces --database unless one is supplied.
@@ -370,6 +375,8 @@ def _build_search_engine(args: argparse.Namespace):
     # parity-tested layout), so the flag never dead-ends on a shard count
     # the user explicitly supplied.
     if args.shards is not None and (args.shards > 1 or backend is not None):
+        from repro.sharding import ShardedEngine
+
         try:
             return ShardedEngine.build(
                 database,

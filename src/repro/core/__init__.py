@@ -8,12 +8,34 @@ heuristic vector, search nodes, column expansion, priority-queue driver -- are
 available for inspection and ablation.
 """
 
-from repro.core.results import Alignment, SearchHit, SearchResult, OnlineResultLog
-from repro.core.heuristic import compute_heuristic_vector
-from repro.core.search_node import NodeState, SearchNode
-from repro.core.oasis import OasisSearch, OasisSearchStatistics
-from repro.core.engine import OasisEngine
-from repro.core.evalue import SelectivityConverter
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.results import Alignment, SearchHit, SearchResult, OnlineResultLog
+    from repro.core.heuristic import compute_heuristic_vector
+    from repro.core.search_node import NodeState, SearchNode
+    from repro.core.oasis import OasisSearch, OasisSearchStatistics
+    from repro.core.engine import OasisEngine
+    from repro.core.evalue import SelectivityConverter
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.core.results": (
+                "Alignment",
+                "SearchHit",
+                "SearchResult",
+                "OnlineResultLog",
+            ),
+            "repro.core.heuristic": ("compute_heuristic_vector",),
+            "repro.core.search_node": ("NodeState", "SearchNode"),
+            "repro.core.oasis": ("OasisSearch", "OasisSearchStatistics"),
+            "repro.core.engine": ("OasisEngine",),
+            "repro.core.evalue": ("SelectivityConverter",),
+        },
+    )
 
 __all__ = [
     "Alignment",

@@ -32,11 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 from repro.scoring.gaps import FixedGapModel, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
-from repro.storage.builder import build_disk_image
-from repro.storage.disk_tree import DEFAULT_BUFFER_POOL_BYTES, DiskSuffixTree
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.suffixtree.partitioned import PartitionedTreeBuilder
 
 PathLike = Union[str, os.PathLike]
 
@@ -89,6 +86,8 @@ class OasisEngine:
             partitioned,
         )
         if partitioned:
+            from repro.suffixtree.partitioned import PartitionedTreeBuilder
+
             tree: SuffixTreeCursor = PartitionedTreeBuilder(
                 max_partition_size=max_partition_size
             ).build(database)
@@ -104,7 +103,7 @@ class OasisEngine:
         image_path: PathLike,
         gap_model: GapModel = FixedGapModel(-1),
         block_size: int = 2048,
-        buffer_pool_bytes: int = DEFAULT_BUFFER_POOL_BYTES,
+        buffer_pool_bytes: Optional[int] = None,
         simulated_miss_latency: float = 0.0,
         kernel=None,
     ) -> "OasisEngine":
@@ -112,8 +111,16 @@ class OasisEngine:
 
         This is the configuration the paper's buffer-pool experiments
         (Figures 7-8) use: every node and symbol access during the search goes
-        through the buffer pool of the returned engine's cursor.
+        through the buffer pool of the returned engine's cursor
+        (``buffer_pool_bytes=None`` takes
+        :data:`repro.storage.disk_tree.DEFAULT_BUFFER_POOL_BYTES`).  The
+        storage layer is imported here, so an in-memory engine never loads it.
         """
+        from repro.storage.builder import build_disk_image
+        from repro.storage.disk_tree import DEFAULT_BUFFER_POOL_BYTES, DiskSuffixTree
+
+        if buffer_pool_bytes is None:
+            buffer_pool_bytes = DEFAULT_BUFFER_POOL_BYTES
         logger.info(
             "building disk image at %s (block_size=%d, pool=%d bytes)",
             image_path,

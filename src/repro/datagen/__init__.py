@@ -19,10 +19,29 @@ Every generator is deterministic given its ``seed``, so experiments and tests
 are reproducible.
 """
 
-from repro.datagen.random_source import AMINO_ACID_FREQUENCIES, RandomSource
-from repro.datagen.protein import SwissProtLikeGenerator
-from repro.datagen.nucleotide import GenomeGenerator
-from repro.datagen.motifs import MotifQuery, MotifWorkload, MotifWorkloadGenerator
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.datagen.random_source import AMINO_ACID_FREQUENCIES, RandomSource
+    from repro.datagen.protein import SwissProtLikeGenerator
+    from repro.datagen.nucleotide import GenomeGenerator
+    from repro.datagen.motifs import MotifQuery, MotifWorkload, MotifWorkloadGenerator
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.datagen.random_source": ("AMINO_ACID_FREQUENCIES", "RandomSource"),
+            "repro.datagen.protein": ("SwissProtLikeGenerator",),
+            "repro.datagen.nucleotide": ("GenomeGenerator",),
+            "repro.datagen.motifs": (
+                "MotifQuery",
+                "MotifWorkload",
+                "MotifWorkloadGenerator",
+            ),
+        },
+    )
 
 __all__ = [
     "AMINO_ACID_FREQUENCIES",

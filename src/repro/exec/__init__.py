@@ -18,15 +18,35 @@ resource profile:
 facades and the benchmarks all speak the same dialect.
 """
 
-from repro.exec.backend import (
-    BACKEND_KINDS,
-    BackendSpec,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    resolve_backend,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.exec.backend import (
+        BACKEND_KINDS,
+        BackendSpec,
+        ExecutionBackend,
+        ProcessBackend,
+        SerialBackend,
+        ThreadBackend,
+        resolve_backend,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.exec.backend": (
+                "BACKEND_KINDS",
+                "BackendSpec",
+                "ExecutionBackend",
+                "ProcessBackend",
+                "SerialBackend",
+                "ThreadBackend",
+                "resolve_backend",
+            ),
+        },
+    )
 
 __all__ = [
     "BACKEND_KINDS",

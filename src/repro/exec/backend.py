@@ -23,18 +23,11 @@ Semantics shared by all backends:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import Executor, Future, as_completed
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -48,6 +41,8 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (same layer as obs)
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
     from repro.obs.metrics import Gauge, Histogram
     from repro.obs.trace import Tracer
 
@@ -300,6 +295,8 @@ class ThreadBackend(_PooledBackend):
     kind = "threads"
 
     def _create_pool(self) -> ThreadPoolExecutor:
+        from concurrent.futures import ThreadPoolExecutor
+
         return ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="oasis-exec"
         )
@@ -326,6 +323,11 @@ class ProcessBackend(_PooledBackend):
     kind = "processes"
 
     def _create_pool(self) -> ProcessPoolExecutor:
+        # Imported here, not at module scope: a serial or threaded search
+        # must not pay for multiprocessing (sockets, subprocess, tempfile).
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         self._export_package_path()
         return ProcessPoolExecutor(
             max_workers=self.workers,

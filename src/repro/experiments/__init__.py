@@ -11,13 +11,31 @@ any figure is::
 See EXPERIMENTS.md for the paper-vs-measured comparison of every experiment.
 """
 
-from repro.experiments.common import (
-    ExperimentConfig,
-    ProteinDataset,
-    available_scales,
-    build_protein_dataset,
-    default_config,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.common import (
+        ExperimentConfig,
+        ProteinDataset,
+        available_scales,
+        build_protein_dataset,
+        default_config,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.experiments.common": (
+                "ExperimentConfig",
+                "ProteinDataset",
+                "available_scales",
+                "build_protein_dataset",
+                "default_config",
+            ),
+        },
+    )
 
 __all__ = [
     "ExperimentConfig",

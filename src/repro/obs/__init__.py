@@ -56,44 +56,97 @@ switches the whole stack on.  ``None`` costs one identity check.
 hierarchy (``get_logger``/``configure_logging``) alongside.
 """
 
-from repro.obs.analyze import (
-    NameStats,
-    PhaseSlice,
-    TraceAnalysis,
-    analyze,
-    phase_breakdown,
-    span_phase,
-)
-from repro.obs.exporters import (
-    InMemorySink,
-    JsonLinesExporter,
-    read_jsonl,
-    render_span_tree,
-    validate_trace,
-)
-from repro.obs.logsetup import configure_logging, get_logger
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.profile import (
-    HotFunction,
-    ProfileReport,
-    profile_call,
-    profile_search,
-    profile_workload,
-)
-from repro.obs.promexport import MetricsServer, parse_exposition, render_prometheus
-# repro.obs.report / repro.obs.regress / repro.obs.validate / repro.obs.flight
-# are deliberately NOT imported here: they are `python -m` entry points, and
-# importing them from the package would shadow runpy's module execution
-# (double-import warning).  Import them directly when embedding.
-from repro.obs.sampler import ResourceSample, ResourceSampler, read_rss_bytes
-from repro.obs.stackprof import StackProfiler, validate_speedscope
-from repro.obs.trace import Span, SpanRecord, TraceContext, Tracer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.analyze import (
+        NameStats,
+        PhaseSlice,
+        TraceAnalysis,
+        analyze,
+        phase_breakdown,
+        span_phase,
+    )
+    from repro.obs.exporters import (
+        InMemorySink,
+        JsonLinesExporter,
+        read_jsonl,
+        render_span_tree,
+        validate_trace,
+    )
+    from repro.obs.logsetup import configure_logging, get_logger
+    from repro.obs.metrics import (
+        DEFAULT_LATENCY_BUCKETS,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+    )
+    from repro.obs.profile import (
+        HotFunction,
+        ProfileReport,
+        profile_call,
+        profile_search,
+        profile_workload,
+    )
+    from repro.obs.promexport import MetricsServer, parse_exposition, render_prometheus
+    # repro.obs.report / repro.obs.regress / repro.obs.validate / repro.obs.flight
+    # are deliberately NOT re-exported: they are `python -m` entry points, and
+    # a package that had imported them would shadow runpy's module execution
+    # (double-import warning).  Import them directly when embedding.
+    from repro.obs.sampler import ResourceSample, ResourceSampler, read_rss_bytes
+    from repro.obs.stackprof import StackProfiler, validate_speedscope
+    from repro.obs.trace import Span, SpanRecord, TraceContext, Tracer
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.obs.analyze": (
+                "NameStats",
+                "PhaseSlice",
+                "TraceAnalysis",
+                "analyze",
+                "phase_breakdown",
+                "span_phase",
+            ),
+            "repro.obs.exporters": (
+                "InMemorySink",
+                "JsonLinesExporter",
+                "read_jsonl",
+                "render_span_tree",
+                "validate_trace",
+            ),
+            "repro.obs.logsetup": ("configure_logging", "get_logger"),
+            "repro.obs.metrics": (
+                "DEFAULT_LATENCY_BUCKETS",
+                "Counter",
+                "Gauge",
+                "Histogram",
+                "MetricsRegistry",
+            ),
+            "repro.obs.profile": (
+                "HotFunction",
+                "ProfileReport",
+                "profile_call",
+                "profile_search",
+                "profile_workload",
+            ),
+            "repro.obs.promexport": (
+                "MetricsServer",
+                "parse_exposition",
+                "render_prometheus",
+            ),
+            "repro.obs.sampler": (
+                "ResourceSample",
+                "ResourceSampler",
+                "read_rss_bytes",
+            ),
+            "repro.obs.stackprof": ("StackProfiler", "validate_speedscope"),
+            "repro.obs.trace": ("Span", "SpanRecord", "TraceContext", "Tracer"),
+        },
+    )
 
 __all__ = [
     "Counter",

@@ -8,14 +8,33 @@ complete, aggregates per-query statistics into a :class:`BatchSearchReport`,
 and supports per-query timeouts and early abort.
 """
 
-from repro.parallel.executor import (
-    DEFAULT_WORKERS,
-    BatchQueryOutcome,
-    BatchSearchExecutor,
-    BatchSearchReport,
-    BatchStatistics,
-    ShardAggregate,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.parallel.executor import (
+        DEFAULT_WORKERS,
+        BatchQueryOutcome,
+        BatchSearchExecutor,
+        BatchSearchReport,
+        BatchStatistics,
+        ShardAggregate,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.parallel.executor": (
+                "DEFAULT_WORKERS",
+                "BatchQueryOutcome",
+                "BatchSearchExecutor",
+                "BatchSearchReport",
+                "BatchStatistics",
+                "ShardAggregate",
+            ),
+        },
+    )
 
 __all__ = [
     "DEFAULT_WORKERS",

@@ -45,6 +45,9 @@ class SequenceDatabase:
         self.name = name
         self._records: List[SequenceRecord] = []
         self._by_identifier: Dict[str, int] = {}
+        #: Running residue count, kept by :meth:`add`: ``total_symbols`` is
+        #: read once per query (E-value conversion), so it must not re-sum.
+        self._total_symbols = 0
         self._concatenated: Optional[np.ndarray] = None
         self._starts: Optional[List[int]] = None
         if records is not None:
@@ -76,6 +79,7 @@ class SequenceDatabase:
             raise ValueError(f"record {record.identifier!r} is empty")
         self._by_identifier[record.identifier] = len(self._records)
         self._records.append(record)
+        self._total_symbols += len(record)
 
     def add_sequence(
         self,
@@ -147,7 +151,7 @@ class SequenceDatabase:
     @property
     def total_symbols(self) -> int:
         """Total number of residues/bases across all sequences (no terminals)."""
-        return sum(len(r) for r in self._records)
+        return self._total_symbols
 
     @property
     def total_symbols_with_terminals(self) -> int:

@@ -16,23 +16,51 @@ The pieces, bottom-up:
   :class:`~repro.core.engine.OasisEngine` over the same database.
 """
 
-from repro.sharding.builder import ShardedIndexBuilder, build_sharded_index
-from repro.sharding.catalog import (
-    CATALOG_FILENAME,
-    CatalogError,
-    CatalogMismatchError,
-    ShardCatalog,
-    ShardEntry,
-    config_fingerprint,
-    database_digest,
-)
-from repro.sharding.engine import (
-    ShardedEngine,
-    ShardedQueryExecution,
-    shard_pool_budgets,
-)
-from repro.sharding.planner import ShardPlan, ShardPlanner, ShardSpec
-from repro.sharding.remote import ShardBuildTask, ShardSearchTask
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sharding.builder import ShardedIndexBuilder, build_sharded_index
+    from repro.sharding.catalog import (
+        CATALOG_FILENAME,
+        CatalogError,
+        CatalogMismatchError,
+        ShardCatalog,
+        ShardEntry,
+        config_fingerprint,
+        database_digest,
+    )
+    from repro.sharding.engine import (
+        ShardedEngine,
+        ShardedQueryExecution,
+        shard_pool_budgets,
+    )
+    from repro.sharding.planner import ShardPlan, ShardPlanner, ShardSpec
+    from repro.sharding.remote import ShardBuildTask, ShardSearchTask
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.sharding.builder": ("ShardedIndexBuilder", "build_sharded_index"),
+            "repro.sharding.catalog": (
+                "CATALOG_FILENAME",
+                "CatalogError",
+                "CatalogMismatchError",
+                "ShardCatalog",
+                "ShardEntry",
+                "config_fingerprint",
+                "database_digest",
+            ),
+            "repro.sharding.engine": (
+                "ShardedEngine",
+                "ShardedQueryExecution",
+                "shard_pool_budgets",
+            ),
+            "repro.sharding.planner": ("ShardPlan", "ShardPlanner", "ShardSpec"),
+            "repro.sharding.remote": ("ShardBuildTask", "ShardSearchTask"),
+        },
+    )
 
 __all__ = [
     "CATALOG_FILENAME",

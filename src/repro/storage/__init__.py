@@ -17,11 +17,35 @@ Figures 7 and 8) and can charge a configurable latency per miss so that the
 would otherwise hide it.
 """
 
-from repro.storage.blocks import BlockFile, BLOCK_SIZE_DEFAULT
-from repro.storage.buffer_pool import BufferPool, BufferPoolStatistics, Region
-from repro.storage.layout import DiskLayout, InternalNodeRecord, LeafNodeRecord
-from repro.storage.builder import build_disk_image
-from repro.storage.disk_tree import DiskSuffixTree
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.storage.blocks import BlockFile, BLOCK_SIZE_DEFAULT
+    from repro.storage.buffer_pool import BufferPool, BufferPoolStatistics, Region
+    from repro.storage.layout import DiskLayout, InternalNodeRecord, LeafNodeRecord
+    from repro.storage.builder import build_disk_image
+    from repro.storage.disk_tree import DiskSuffixTree
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.storage.blocks": ("BlockFile", "BLOCK_SIZE_DEFAULT"),
+            "repro.storage.buffer_pool": (
+                "BufferPool",
+                "BufferPoolStatistics",
+                "Region",
+            ),
+            "repro.storage.layout": (
+                "DiskLayout",
+                "InternalNodeRecord",
+                "LeafNodeRecord",
+            ),
+            "repro.storage.builder": ("build_disk_image",),
+            "repro.storage.disk_tree": ("DiskSuffixTree",),
+        },
+    )
 
 __all__ = [
     "BlockFile",

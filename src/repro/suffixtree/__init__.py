@@ -15,11 +15,27 @@ database (Section 2.3 of the paper).  This package provides:
   construction the paper uses for bigger-than-memory databases.
 """
 
-from repro.suffixtree.nodes import InternalNode, LeafNode, SuffixTreeNode
-from repro.suffixtree.suffix_array import build_suffix_array, build_lcp_array
-from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.suffixtree.ukkonen import UkkonenSuffixTree
-from repro.suffixtree.partitioned import PartitionedTreeBuilder
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.suffixtree.nodes import InternalNode, LeafNode, SuffixTreeNode
+    from repro.suffixtree.suffix_array import build_suffix_array, build_lcp_array
+    from repro.suffixtree.generalized import GeneralizedSuffixTree
+    from repro.suffixtree.ukkonen import UkkonenSuffixTree
+    from repro.suffixtree.partitioned import PartitionedTreeBuilder
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.suffixtree.nodes": ("InternalNode", "LeafNode", "SuffixTreeNode"),
+            "repro.suffixtree.suffix_array": ("build_suffix_array", "build_lcp_array"),
+            "repro.suffixtree.generalized": ("GeneralizedSuffixTree",),
+            "repro.suffixtree.ukkonen": ("UkkonenSuffixTree",),
+            "repro.suffixtree.partitioned": ("PartitionedTreeBuilder",),
+        },
+    )
 
 __all__ = [
     "SuffixTreeNode",

@@ -8,18 +8,41 @@ module in :mod:`repro.experiments` only has to describe what is different
 about its figure.
 """
 
-from repro.workloads.engines import (
-    BlastAdapter,
-    EngineAdapter,
-    OasisAdapter,
-    SmithWatermanAdapter,
-)
-from repro.workloads.runner import (
-    LengthAggregate,
-    QueryMeasurement,
-    WorkloadRunner,
-    aggregate_by_length,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workloads.engines import (
+        BlastAdapter,
+        EngineAdapter,
+        OasisAdapter,
+        SmithWatermanAdapter,
+    )
+    from repro.workloads.runner import (
+        LengthAggregate,
+        QueryMeasurement,
+        WorkloadRunner,
+        aggregate_by_length,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.workloads.engines": (
+                "BlastAdapter",
+                "EngineAdapter",
+                "OasisAdapter",
+                "SmithWatermanAdapter",
+            ),
+            "repro.workloads.runner": (
+                "LengthAggregate",
+                "QueryMeasurement",
+                "WorkloadRunner",
+                "aggregate_by_length",
+            ),
+        },
+    )
 
 __all__ = [
     "EngineAdapter",

@@ -58,6 +58,34 @@ class TestStatistics:
         assert db.total_symbols == 7
         assert db.total_symbols_with_terminals == 9
 
+    def test_total_symbols_follows_adds_made_after_a_read(self):
+        """The count is kept, not re-summed per read -- so a read must not
+        pin it: both ``add`` routes move it, and the E-value threshold that
+        is computed from it moves with it."""
+        from repro.core.engine import OasisEngine
+        from repro.core.evalue import SelectivityConverter
+        from repro.scoring.data import nucleotide_matrix
+        from repro.scoring.gaps import FixedGapModel
+
+        matrix = nucleotide_matrix()
+        db = SequenceDatabase.from_texts(["ACGTACGT", "TTGACCA"], alphabet=DNA_ALPHABET)
+        converter = SelectivityConverter(matrix, db)
+        assert (db.total_symbols, db.total_symbols_with_terminals) == (15, 17)
+        before = converter.min_score_for_evalue(1e-3, 12)
+
+        db.add_sequence("long", "ACGT" * 5000)
+        assert (db.total_symbols, db.total_symbols_with_terminals) == (20015, 20018)
+        db.add(SequenceRecord("extra", Sequence("GGCA", DNA_ALPHABET)))
+        assert (db.total_symbols, db.total_symbols_with_terminals) == (20019, 20023)
+        assert db.total_symbols == sum(len(record) for record in db)
+        assert converter.database_size == 20019
+        assert converter.min_score_for_evalue(1e-3, 12) > before
+
+        engine = OasisEngine.build(db, matrix, FixedGapModel(-2))
+        assert engine.min_score_for("ACGTACGTACGT", 1e-3) == engine.converter.parameters.min_score(
+            1e-3, 12, 20019
+        )
+
     def test_length_histogram(self):
         db = SequenceDatabase.from_texts(["A" * 5, "A" * 150], alphabet=DNA_ALPHABET)
         histogram = db.length_histogram(bin_size=100)

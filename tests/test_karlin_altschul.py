@@ -64,6 +64,16 @@ class TestEstimation:
         with pytest.raises(ValueError):
             estimate_karlin_altschul(blosum62(), frequencies={"A": 0.0})
 
+    def test_score_granularity_is_the_gcd_of_the_nonzero_magnitudes(self):
+        import numpy as np
+
+        from repro.scoring.karlin_altschul import _score_granularity
+
+        assert _score_granularity(np.array([[6.0, -9.0], [0.0, 3.0]])) == 3.0
+        assert _score_granularity(np.array([[4.0, -6.0], [-6.0, 4.0]])) == 2.0
+        assert _score_granularity(pam30().lookup[:20, :20].astype(float)) == 1.0
+        assert _score_granularity(np.zeros((2, 2))) == 1.0
+
 
 class TestEvalueConversions:
     @pytest.fixture(scope="class")
