@@ -15,9 +15,9 @@ This rule makes both properties mechanical: inside any ``for``/``while``
 loop of a function in ``repro.core.kernels``, a call rooted at ``np`` or
 ``numpy`` (``np.add``, ``np.maximum.accumulate``, ``numpy.empty_like``, ...)
 and ``tracer``/``metrics``/``flight`` attribute access are violations.
-Outside loops NumPy is fine -- the dense root column is converted to live
-cells once, before the sibling loop.  The dense reference form lives in
-``repro.core.expand`` and is not held to this rule.
+Outside loops NumPy is fine -- ``expand_arc`` turns the dense column of a
+reference-built node into live cells once, before the walk.  The dense
+reference form lives in ``repro.core.expand`` and is not held to this rule.
 """
 
 from __future__ import annotations

@@ -309,8 +309,11 @@ class OasisEngine:
         """Run a batch of queries concurrently over the shared index.
 
         Fans the queries out on an execution backend (``backend`` spec, or
-        ``workers`` threads by default -- threads, not processes: expansion
-        is NumPy-bound and the index is shared) and returns a
+        ``workers`` threads by default -- threads, not processes, because
+        the index and the buffer pool are shared and the per-query runner
+        closes over live engine state.  Expansion is plain Python under the
+        interpreter lock, so threads overlap queries that wait on a disk
+        read, not queries that compute) and returns a
         :class:`~repro.parallel.BatchSearchReport` with per-query results in
         input order plus aggregated statistics.  ``timeout`` is a per-query
         wall-clock budget in seconds; a query exceeding it stops early with

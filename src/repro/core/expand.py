@@ -35,11 +35,14 @@ runs whenever a pruning rule is switched off or per-rule counts are tracked
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.search_node import NodeState, PRUNED, SearchNode
+
+#: Closes every limit list: one row past the last, above any score.
+_NO_SCORE_ABOVE = -PRUNED
 
 
 class ExpansionContext:
@@ -93,6 +96,10 @@ class ExpansionContext:
         )
         #: Number of matrix columns expanded (the Figure 4 metric).
         self.columns_expanded = 0
+        #: Children handed back to the driver so far (``nodes_enqueued``).
+        #: A kernel numbers each frontier entry it builds from here, in child
+        #: order; the number is the heap's last tie-break.
+        self.nodes_enqueued = 0
         #: Children that came out UNVIABLE and were dropped by the kernel
         #: instead of being handed back to the driver (``nodes_pruned``).
         self.nodes_dropped = 0
@@ -137,21 +144,34 @@ class ExpansionContext:
         A cell survives all three rules exactly when it exceeds this limit
         (``cutoff = max(path max_score, min_score - 1)``); a path's cutoff
         only ever rises, and only through the few scores a query can reach,
-        so a query builds a handful of these.
+        so a query builds a handful of these.  The list has ``m + 2`` entries:
+        the last is a sentinel no score exceeds, where a vertical chain that
+        starts in row ``m`` stops (see :mod:`repro.core.kernels`).
         """
         limit = self._limits.get(cutoff)
         if limit is None:
             limit = self._limits[cutoff] = [
                 cutoff - bound if bound < cutoff else 0 for bound in self.heuristic_list
             ]
+            limit.append(_NO_SCORE_ABOVE)
         return limit
 
-    def make_root_column(self) -> np.ndarray:
-        """The seed column of Algorithm 2: zeros, pruned where hopeless."""
-        column = np.zeros(self.query_length + 1, dtype=np.int64)
-        hopeless = self.heuristic < self.min_score
-        column[hopeless] = PRUNED
+    def make_root_cells(self) -> List[Tuple[int, int]]:
+        """The seed column of Algorithm 2, live cells only: a zero in every
+        row from which the threshold is still within reach."""
+        min_score = self.min_score
+        return [(row, 0) for row, bound in enumerate(self.heuristic_list) if bound >= min_score]
+
+    def dense_column(self, cells: List[Tuple[int, int]]) -> np.ndarray:
+        """Live cells as the ``m + 1`` array of the dense form, the rest pruned."""
+        column = np.full(self.query_length + 1, PRUNED, dtype=np.int64)
+        for row, score in cells:
+            column[row] = score
         return column
+
+    def make_root_column(self) -> np.ndarray:
+        """:meth:`make_root_cells` in the dense form: zeros, pruned where hopeless."""
+        return self.dense_column(self.make_root_cells())
 
 
 def expand_arc_reference(

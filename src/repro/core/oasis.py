@@ -38,7 +38,7 @@ from repro.core.results import (
     SearchResult,
     hit_order_key,
 )
-from repro.core.search_node import NodeState, SearchNode, make_queue_entry
+from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER
 from repro.scoring.gaps import FixedGapModel, GapModel
 from repro.scoring.karlin_altschul import KarlinAltschulParameters
 from repro.scoring.matrix import SubstitutionMatrix
@@ -303,23 +303,14 @@ class QueryExecution:
 
         try:
             # Algorithm 2: seed the queue with the root of the suffix tree.
-            root_column = context.make_root_column()
             root_bound = int(self.heuristic.max())
-            root_node = SearchNode(
-                tree_node=cursor.root,
-                column=root_column,
-                max_score=0,
-                f=root_bound,
-                b=0,
-                state=NodeState.VIABLE if root_bound >= min_score else NodeState.UNVIABLE,
-                depth=0,
-            )
-            if root_node.is_unviable:
+            if root_bound < min_score:
                 # Even a perfect match cannot reach the threshold.
                 return
 
-            counter = 0
-            queue = [make_queue_entry(root_node, counter)]
+            # A frontier entry is the flat tuple described in
+            # ``repro.core.search_node``; the root is entry number 0.
+            queue = [(-root_bound, VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)]
             reported: Set[int] = set()
             emitted = 0
             sequence_count = len(database)
@@ -355,18 +346,20 @@ class QueryExecution:
                     return
                 if len(queue) > statistics.max_queue_size:
                     statistics.max_queue_size = len(queue)
-                node = heapq.heappop(queue)[-1]
+                entry = heapq.heappop(queue)
 
-                if pending and node.f < pending[0].score:
+                if pending and -entry[0] < pending[0].score:
                     # The frontier can no longer produce a hit at the buffered
                     # score: the equal-score run is complete, emit it.
                     yield from drain()
                     if budget_spent():
                         return
 
-                if node.is_accepted:
+                tree_node = entry[3]
+                if entry[1] == ACCEPTED_FIRST:
                     statistics.nodes_accepted += 1
-                    for sequence_index in cursor.sequences_below(node.tree_node):
+                    score = entry[5]
+                    for sequence_index in cursor.sequences_below(tree_node):
                         if sequence_index in reported:
                             continue
                         reported.add(sequence_index)
@@ -379,13 +372,13 @@ class QueryExecution:
                         evalue = None
                         if self.statistics_model is not None:
                             evalue = self.statistics_model.evalue(
-                                node.max_score, len(query_codes), self.database_size
+                                score, len(query_codes), self.database_size
                             )
                         pending.append(
                             SearchHit(
                                 sequence_index=sequence_index,
                                 sequence_identifier=record.identifier,
-                                score=node.max_score,
+                                score=score,
                                 evalue=evalue,
                                 alignment=alignment,
                             )
@@ -396,22 +389,20 @@ class QueryExecution:
                         break
                     continue
 
-                # VIABLE node: hand the whole sibling set to the expansion
-                # kernel, which consumes the generator child by child (so
-                # cursor reads stay interleaved with the DP) and returns only
-                # the children to enqueue, in child order -- the enqueue
-                # counter, and with it the heap tie-break, depends on that.
-                # UNVIABLE children never leave the kernel; it counts them
-                # in ``context.nodes_dropped``.
+                # VIABLE node: read its whole sibling list (the kernel never
+                # calls the cursor) and hand it to the expansion kernel with
+                # the entry itself as the parent.  The kernel returns the
+                # entries of the children to enqueue, already numbered in
+                # child order -- the heap tie-break depends on that -- and
+                # they are pushed as they are.  UNVIABLE children never leave
+                # the kernel; it counts them in ``context.nodes_dropped``.
                 statistics.nodes_expanded += 1
-                siblings = (
+                siblings = [
                     (child, arc_symbols(child), is_leaf(child))
-                    for child in children(node.tree_node)
-                )
-                for child_node in kernel.expand_children(node, siblings, context):
-                    counter += 1
-                    heapq.heappush(queue, make_queue_entry(child_node, counter))
-                statistics.nodes_enqueued = counter
+                    for child in children(tree_node)
+                ]
+                for child_entry in kernel.expand_children(entry, siblings, context):
+                    heapq.heappush(queue, child_entry)
 
             # Exhausted queue or full coverage: whatever is buffered is final.
             yield from drain()
@@ -432,6 +423,7 @@ class QueryExecution:
         context = self.context
         statistics = self.statistics
         statistics.columns_expanded = context.columns_expanded
+        statistics.nodes_enqueued = context.nodes_enqueued
         statistics.nodes_pruned = context.nodes_dropped
         statistics.pruned_non_positive = context.pruned_non_positive
         statistics.pruned_dominated = context.pruned_dominated

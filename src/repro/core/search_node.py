@@ -2,7 +2,7 @@
 
 Each search node corresponds to one suffix-tree node and represents the
 partial alignments between the query and the portion of the database spelled
-by the path to that tree node.  The fields mirror the paper exactly:
+by the path to that tree node.  The paper's fields are
 
 * ``tree_node`` -- the corresponding suffix tree node (``sn`` in the paper);
 * ``column`` -- the ``C`` vector: one Smith-Waterman column, the best score of
@@ -15,6 +15,31 @@ by the path to that tree node.  The fields mirror the paper exactly:
   priority-queue key);
 * ``b`` -- the best score ending exactly at this node;
 * ``state`` -- VIABLE / ACCEPTED / UNVIABLE.
+
+They exist in two forms.
+
+The **frontier entry** is what the search runs on: one flat tuple per node,
+
+    ``(-f, accepted-first flag, counter, tree_node, column, max_score, depth)``
+
+built and numbered by the expansion kernel, pushed onto the heap by the
+driver exactly as received, read by index when it is popped and handed back
+to the kernel as the parent of the next expansion.  ``heapq`` is a min-heap,
+hence ``-f``.  The flag is 0 for an ACCEPTED node and 1 for a VIABLE one, so
+that among equal ``f`` a result that is already provably optimal is emitted
+before more speculative work is done -- this matches the behaviour described
+in the paper's example (Section 3.3) and keeps the online stream as early as
+possible.  The counter is the node's enqueue number, unique within a query
+and assigned in child order; it breaks all remaining ties, so a comparison
+never goes past the third slot.  UNVIABLE nodes are never enqueued, and an
+entry carries no ``b``: the driver has no use for it.
+
+:class:`SearchNode` is the same node with every field named, ``b`` and the
+state included.  It is what a kernel's ``expand_arc`` takes and returns --
+the view of the parity oracle and of the tests, which compare the two
+kernels field by field, UNVIABLE children included.  :func:`frontier_entry`
+and :func:`node_view` convert between the forms; a default search builds no
+:class:`SearchNode` at all.
 """
 
 from __future__ import annotations
@@ -30,6 +55,17 @@ import numpy as np
 #: heuristic bounds cannot overflow int64.
 PRUNED = -(10**15)
 
+#: One DP column: sparse ``(row, score)`` survivors, dense array, or
+#: ``None`` once the node is finished and the column discarded.
+Column = Union[List[Tuple[int, int]], np.ndarray, None]
+
+#: ``(-f, accepted-first flag, counter, tree_node, column, max_score, depth)``.
+FrontierEntry = Tuple[int, int, int, Any, Column, int, int]
+
+#: The flag slot of a :data:`FrontierEntry`.
+ACCEPTED_FIRST = 0
+VIABLE_AFTER = 1
+
 
 class NodeState(enum.Enum):
     """The status tags of Section 3 (``viable`` / ``accepted`` / ``unviable``)."""
@@ -41,10 +77,10 @@ class NodeState(enum.Enum):
 
 @dataclass
 class SearchNode:
-    """One entry of the OASIS priority queue."""
+    """One search node with every field of the paper named."""
 
     tree_node: Any
-    column: Union[List[Tuple[int, int]], np.ndarray, None]
+    column: Column
     max_score: int
     f: int
     b: int
@@ -72,37 +108,34 @@ class SearchNode:
         )
 
 
-def make_terminal_node(tree_node: Any, max_score: int, min_score: int, depth: int) -> SearchNode:
-    """A finished node: no further expansion below it can improve the path.
-
-    Both the early-termination check (``f <= max_score``) and the leaf case
-    of Algorithm 3 end here: the strongest alignment along the path is
-    ``max_score``, so ``f`` and ``b`` collapse to it, the column is
-    discarded, and the node is ACCEPTED when the path reached the threshold
-    (its sequences are reported when it surfaces from the queue) and
-    UNVIABLE otherwise.  Shared by every expansion kernel.
-    """
-    state = NodeState.ACCEPTED if max_score >= min_score else NodeState.UNVIABLE
-    return SearchNode(
-        tree_node=tree_node,
-        column=None,
-        max_score=max_score,
-        f=max_score,
-        b=max_score,
-        state=state,
-        depth=depth,
+def frontier_entry(node: SearchNode, counter: int) -> FrontierEntry:
+    """The frontier entry of an ACCEPTED or VIABLE node, numbered ``counter``."""
+    return (
+        -node.f,
+        ACCEPTED_FIRST if node.state is NodeState.ACCEPTED else VIABLE_AFTER,
+        counter,
+        node.tree_node,
+        node.column,
+        node.max_score,
+        node.depth,
     )
 
 
-def make_queue_entry(node: SearchNode, counter: int) -> tuple:
-    """Build a heap entry for ``heapq`` (a min-heap, hence the negations).
+def node_view(entry: FrontierEntry, min_score: int, b: Optional[int] = None) -> SearchNode:
+    """A frontier entry as a :class:`SearchNode`.
 
-    The entry is a plain tuple ``(-f, accepted-first flag, counter, node)``:
-    accepted nodes sort before viable nodes of equal ``f`` so that a result
-    that is already provably optimal is emitted before more speculative work
-    is done -- this matches the behaviour described in the paper's example
-    (Section 3.3) and keeps the online stream as early as possible.  The
-    unique counter breaks all remaining ties, so the node itself is never
-    compared.
+    An entry without a column is finished: ACCEPTED when its path reached
+    ``min_score``, UNVIABLE otherwise (a kernel's ``expand_arc`` keeps those
+    too), and its ``b`` has collapsed to ``max_score``.  The ``b`` of a
+    VIABLE node is not part of its entry; the caller supplies it when it
+    knows it, and ``max_score``, its upper bound, stands in otherwise.
     """
-    return (-node.f, 0 if node.is_accepted else 1, counter, node)
+    negated_f, _, _, tree_node, column, max_score, depth = entry
+    if column is None:
+        state = NodeState.ACCEPTED if max_score >= min_score else NodeState.UNVIABLE
+        b = max_score
+    else:
+        state = NodeState.VIABLE
+        if b is None:
+            b = max_score
+    return SearchNode(tree_node, column, max_score, -negated_f, b, state, depth)

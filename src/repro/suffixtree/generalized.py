@@ -148,6 +148,11 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         for leaf in iter_leaves(node):
             yield leaf.suffix_start
 
+    def sequences_below(self, node: SuffixTreeNode) -> List[int]:
+        # Every leaf records its own sequence: same first-seen order as the
+        # base implementation, without locating each leaf's position.
+        return list(dict.fromkeys(leaf.sequence_index for leaf in iter_leaves(node)))
+
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #

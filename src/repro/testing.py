@@ -141,6 +141,22 @@ def dense(column, length: int):
     return filled
 
 
+def node_signature(node, length: int):
+    """Every field of a ``SearchNode`` but its tree handle, the column dense.
+
+    What the kernel-parity tests compare between the production kernel and
+    the reference, child by child.
+    """
+    return (
+        node.state,
+        node.f,
+        node.b,
+        node.max_score,
+        node.depth,
+        None if node.column is None else dense(node.column, length).tolist(),
+    )
+
+
 def bench_config(**overrides) -> "ExperimentConfig":
     """The experiment configuration the benchmarks run with.
 

@@ -33,7 +33,7 @@ from repro.core.kernels import (
     get_kernel,
 )
 from repro.core.oasis import OasisSearch
-from repro.core.search_node import NodeState, SearchNode
+from repro.core.search_node import NodeState, SearchNode, VIABLE_AFTER, node_view
 from repro.datagen import GenomeGenerator, MotifWorkloadGenerator, SwissProtLikeGenerator
 from repro.scoring.data import nucleotide_matrix, pam30, unit_matrix
 from repro.scoring.gaps import FixedGapModel
@@ -41,7 +41,7 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.testing import dense
+from repro.testing import dense, node_signature
 
 SEEDS = [3, 11, 29]
 
@@ -154,15 +154,26 @@ class TestFuzzedSearchParity:
             assert all(counters["pruned_non_positive"] > 0 for _, counters in actual)
 
 
-def node_signature(node: SearchNode, length: int):
+def entry_signature(entry, length: int):
+    """Every slot of a frontier entry, the column in its dense form."""
+    negated_f, flag, counter, tree_node, column, max_score, depth = entry
     return (
-        node.state,
-        node.f,
-        node.b,
-        node.max_score,
-        node.depth,
-        None if node.column is None else dense(node.column, length).tolist(),
+        negated_f,
+        flag,
+        counter,
+        tree_node,
+        None if column is None else dense(column, length).tolist(),
+        max_score,
+        depth,
     )
+
+
+def dense_view(entry, context) -> SearchNode:
+    """An entry as the node ``expand_arc_reference`` takes: dense column."""
+    node = node_view(entry, context.min_score)
+    if isinstance(node.column, list):
+        node.column = context.dense_column(node.column)
+    return node
 
 
 class TestNodeLevelParity:
@@ -170,11 +181,12 @@ class TestNodeLevelParity:
 
     Stronger than hit parity: the search only ever *visits* nodes the
     frontier reaches, while this walks the expansion of every VIABLE node
-    encountered breadth-first.  Each kernel expands its own nodes (the
+    encountered breadth-first.  Each kernel expands its own entries (the
     live-cell kernel its sparse columns, the reference its dense ones);
-    compared are the children handed back for enqueueing, the count of
-    dropped ones, and -- through ``expand_arc`` -- every field of every
-    child, UNVIABLE ones included.
+    compared are every slot of the entries handed back for enqueueing (the
+    enqueue number included), the count of dropped children, and -- through
+    ``expand_arc`` on a :class:`SearchNode` view of the parent entry -- every
+    field of every child, ``b`` and UNVIABLE ones included.
     """
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -196,63 +208,63 @@ class TestNodeLevelParity:
         reference_context, live_context = contexts
 
         def root(context):
-            return SearchNode(
-                tree_node=cursor.root,
-                column=context.make_root_column(),
-                max_score=0,
-                f=int(context.heuristic.max()),
-                b=0,
-                state=NodeState.VIABLE,
-                depth=0,
-            )
+            bound = int(context.heuristic.max())
+            return (-bound, VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)
 
         frontier = [(root(reference_context), root(live_context))]
         expanded = 0
         multi_cell_columns = 0
         while frontier and expanded < 200:
-            reference_node, live_node = frontier.pop(0)
+            reference_entry, live_entry = frontier.pop(0)
             siblings = [
                 (child, cursor.arc_symbols(child), cursor.is_leaf(child))
-                for child in cursor.children(reference_node.tree_node)
+                for child in cursor.children(reference_entry[3])
             ]
+            reference_node = dense_view(reference_entry, reference_context)
+            live_node = node_view(live_entry, live_context.min_score)
             for sibling in siblings:
                 expected = reference.expand_arc(reference_node, *sibling, reference_context)
                 actual = live.expand_arc(live_node, *sibling, live_context)
                 assert node_signature(actual, length) == node_signature(expected, length)
-            expected = reference.expand_children(reference_node, iter(siblings), reference_context)
-            actual = live.expand_children(live_node, iter(siblings), live_context)
-            assert [node_signature(child, length) for child in actual] == [
-                node_signature(child, length) for child in expected
+            assert live_context.nodes_enqueued == reference_context.nodes_enqueued
+            expected = reference.expand_children(reference_entry, siblings, reference_context)
+            actual = live.expand_children(live_entry, siblings, live_context)
+            assert [entry_signature(child, length) for child in actual] == [
+                entry_signature(child, length) for child in expected
             ]
-            assert all(not child.is_unviable for child in actual)
+            assert all(
+                child[4] is not None or child[5] >= live_context.min_score for child in actual
+            )
+            assert live_context.nodes_enqueued == reference_context.nodes_enqueued
             assert live_context.nodes_dropped == reference_context.nodes_dropped
             assert live_context.columns_expanded == reference_context.columns_expanded
             expanded += 1
             for reference_child, live_child in zip(expected, actual):
-                if reference_child.is_viable:
-                    assert isinstance(live_child.column, list)
-                    multi_cell_columns += len(live_child.column) > 1
+                if reference_child[1] == VIABLE_AFTER:
+                    assert isinstance(live_child[4], list)
+                    multi_cell_columns += len(live_child[4]) > 1
                     frontier.append((reference_child, live_child))
         assert expanded > 1  # the walk actually exercised expansions
         assert reference_context.nodes_dropped > 0
+        assert reference_context.nodes_enqueued > 0
         assert multi_cell_columns > 0
 
     def test_a_dense_parent_column_is_converted(self):
-        # The root column arrives dense; so may any column a reference-built
-        # node carries.  The live-cell kernel converts what it is given.
+        # ``expand_arc`` takes whatever column a node carries: the live-cell
+        # kernel converts the dense one of a reference-built node.
         database, queries = protein_dataset(5)
         cursor = GeneralizedSuffixTree.build(database)
         search = OasisSearch(cursor, pam30(), FixedGapModel(-8), kernel="reference")
         context = search.execute(queries[0], min_score=30).context
-        root = SearchNode(cursor.root, context.make_root_column(), 0, 99, 0, NodeState.VIABLE)
+        root = (-99, VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)
         viable = [
-            child
+            node_view(child, context.min_score)
             for child in ReferenceKernel().expand_children(
                 root,
                 [(c, cursor.arc_symbols(c), cursor.is_leaf(c)) for c in cursor.children(cursor.root)],
                 context,
             )
-            if child.is_viable
+            if child[1] == VIABLE_AFTER
         ]
         assert viable and isinstance(viable[0].column, np.ndarray)
         length = len(queries[0]) + 1

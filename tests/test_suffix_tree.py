@@ -6,11 +6,14 @@ import pytest
 
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
+from repro.storage.builder import build_disk_image
+from repro.storage.disk_tree import DiskSuffixTree
 from repro.suffixtree.construction import rightmost_path, validate_tree
+from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 from repro.suffixtree.nodes import InternalNode, LeafNode, count_nodes, iter_leaves
 
-from repro.testing import PAPER_TARGET, random_dna
+from repro.testing import PAPER_TARGET, random_dna, random_protein
 
 
 def brute_force_occurrences(texts, query):
@@ -134,6 +137,44 @@ class TestCursorInterface:
     def test_sequences_below_root(self, small_dna_database):
         tree = GeneralizedSuffixTree.build(small_dna_database)
         assert sorted(tree.sequences_below(tree.root)) == list(range(len(small_dna_database)))
+
+    @pytest.mark.parametrize("which", ["paper", "protein"])
+    def test_sequences_below_matches_base_and_disk(self, which, paper_database, tmp_path):
+        # The in-memory tree reads each leaf's own sequence index; the base
+        # class locates each leaf position, and so does the disk cursor.
+        # Below every internal node: the base's list in the base's first-seen
+        # order, and the disk cursor's sequences (it lists internal children
+        # before leaves, so its order is its own).
+        if which == "paper":
+            database = paper_database
+        else:
+            rng = random.Random(19)
+            database = SequenceDatabase.from_texts(
+                [random_protein(rng, rng.randint(5, 40)) for _ in range(12)],
+                alphabet=PROTEIN_ALPHABET,
+            )
+        tree = GeneralizedSuffixTree.build(database)
+        path = tmp_path / "tree.oasis"
+        build_disk_image(tree, path, block_size=512)
+        internal = 0
+        with DiskSuffixTree(path, database) as disk:
+            pairs = [(tree.root, disk.root)]
+            while pairs:
+                node, handle = pairs.pop()
+                internal += 1
+                below = tree.sequences_below(node)
+                assert below == SuffixTreeCursor.sequences_below(tree, node)
+                assert sorted(below) == sorted(disk.sequences_below(handle))
+                # An internal child is identified by its arc's first symbol.
+                on_disk = {
+                    disk.arc_symbols(child)[0]: child
+                    for child in disk.children(handle)
+                    if not disk.is_leaf(child)
+                }
+                in_memory = [child for child in tree.children(node) if not child.is_leaf]
+                assert len(in_memory) == len(on_disk)
+                pairs.extend((child, on_disk[tree.arc_symbols(child)[0]]) for child in in_memory)
+        assert internal == tree.internal_node_count
 
     def test_find_exact_returns_none_for_missing(self, paper_tree):
         assert paper_tree.find_exact(DNA_ALPHABET.encode("AGTT")) is None
