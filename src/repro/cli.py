@@ -429,9 +429,7 @@ def _command_search(args: argparse.Namespace) -> int:
 
     engine = _build_search_engine(args)
     if tracer is not None:
-        instrument = getattr(engine, "instrument", None)
-        if instrument is not None:
-            instrument(tracer)
+        engine.instrument(tracer)
 
     if args.sample is not None:
         from repro.obs import ResourceSampler
@@ -496,9 +494,7 @@ def _command_search(args: argparse.Namespace) -> int:
         if flight is not None:
             flight.uninstall_signal_handler()
             flight.detach()
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()
 
     if flight is not None:
         statistics = report.statistics

@@ -12,8 +12,10 @@ Typical use::
 
 The engine owns the suffix-tree index (in-memory by default; a disk-resident
 index built through :mod:`repro.storage` can be attached instead), the scoring
-configuration and the E-value conversion, and exposes both the batch
-(:meth:`search`) and the online/streaming (:meth:`search_online`) interfaces.
+configuration and the E-value conversion.  It defines ``execute``; the batch
+(``search``), online (``search_online``) and concurrent (``search_many``)
+interfaces are the shared :class:`~repro.core.surface.SearchSurface` over it,
+and ``close()`` / ``with`` release a disk-resident index.
 """
 
 from __future__ import annotations
@@ -21,14 +23,11 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import Optional, Union
 
 from repro.core.evalue import SelectivityConverter
 from repro.core.oasis import OasisSearch, OasisSearchStatistics, QueryExecution
-from repro.core.results import SearchHit, SearchResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from repro.parallel.executor import BatchSearchReport
+from repro.core.surface import SearchSurface
 from repro.scoring.gaps import FixedGapModel, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
@@ -43,7 +42,7 @@ PathLike = Union[str, os.PathLike]
 logger = logging.getLogger(__name__)
 
 
-class OasisEngine:
+class OasisEngine(SearchSurface):
     """An OASIS local-alignment search engine over one sequence database."""
 
     def __init__(
@@ -137,46 +136,6 @@ class OasisEngine:
         )
         return cls(disk, matrix, gap_model, kernel=kernel)
 
-    @staticmethod
-    def build_sharded(
-        database: SequenceDatabase,
-        matrix: SubstitutionMatrix,
-        gap_model: GapModel = FixedGapModel(-1),
-        shard_count: int = 2,
-        backend=None,
-        **kwargs,
-    ):
-        """Facade over :meth:`repro.sharding.ShardedEngine.build`.
-
-        Splits the database into ``shard_count`` balanced shards, indexes each
-        independently, and returns a :class:`~repro.sharding.ShardedEngine`
-        whose results are hit-for-hit identical to this engine's.
-        ``backend`` selects the scatter strategy (``"serial"`` /
-        ``"threads:N"``; process scatter needs a persistent index, see
-        :meth:`open_sharded`).
-        """
-        from repro.sharding.engine import ShardedEngine
-
-        return ShardedEngine.build(
-            database,
-            matrix,
-            gap_model,
-            shard_count=shard_count,
-            backend=backend,
-            **kwargs,
-        )
-
-    @staticmethod
-    def open_sharded(directory: PathLike, backend=None, **kwargs):
-        """Facade over :meth:`repro.sharding.ShardedEngine.open`: reopen a
-        persistent sharded index directory from its catalog.  ``backend``
-        selects the scatter strategy -- ``"serial"``, ``"threads:N"`` or
-        ``"processes:N"`` (worker processes open shard images from this
-        catalog and escape the GIL for CPU-bound search)."""
-        from repro.sharding.engine import ShardedEngine
-
-        return ShardedEngine.open(directory, backend=backend, **kwargs)
-
     # ------------------------------------------------------------------ #
     # Searching
     # ------------------------------------------------------------------ #
@@ -205,19 +164,6 @@ class OasisEngine:
         """The ``min_score`` equivalent to an E-value cutoff for this query."""
         return self.converter.min_score_for_evalue(evalue, len(query))
 
-    def instrument(self, tracer) -> None:
-        """Attach a tracer to the index's buffer pool, if it has one.
-
-        Monolithic disk-backed engines route every page request through one
-        pool; instrumenting it records pool hit/miss/eviction counters into
-        ``tracer.metrics`` (see :meth:`repro.storage.BufferPool.instrument`).
-        In-memory cursors have no pool and this is a no-op.  ``None``
-        detaches.
-        """
-        instrument = getattr(self.cursor, "instrument", None)
-        if instrument is not None:
-            instrument(tracer)
-
     def execute(
         self,
         query: str,
@@ -231,7 +177,9 @@ class OasisEngine:
     ) -> QueryExecution:
         """Create a self-contained, reentrant execution for one query.
 
-        The execution owns its queue, statistics and timing; any number of
+        Exactly one of ``min_score`` / ``evalue`` must be given (the paper's
+        experiments specify E-values; Equation 3 converts them).  The
+        execution owns its queue, statistics and timing; any number of
         them can run concurrently (interleaved on one thread or spread over a
         thread pool) against this engine's shared read-only index.  Iterate it
         for the online stream or call ``.result()`` for the batch result.
@@ -250,92 +198,6 @@ class OasisEngine:
             cancel_event=cancel_event,
             tracer=tracer,
         )
-
-    def search(
-        self,
-        query: str,
-        min_score: Optional[int] = None,
-        evalue: Optional[float] = None,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-        tracer=None,
-    ) -> SearchResult:
-        """Find the strongest alignment per sequence scoring above a threshold.
-
-        Exactly one of ``min_score`` / ``evalue`` must be given (the paper's
-        experiments specify E-values; Equation 3 converts them).  Results are
-        ordered by decreasing score and annotated with E-values.
-        """
-        return self.execute(
-            query,
-            min_score=min_score,
-            evalue=evalue,
-            max_results=max_results,
-            compute_alignments=compute_alignments,
-            tracer=tracer,
-        ).result()
-
-    def search_online(
-        self,
-        query: str,
-        min_score: Optional[int] = None,
-        evalue: Optional[float] = None,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-    ) -> Iterator[SearchHit]:
-        """Stream hits in decreasing score order (abort whenever satisfied)."""
-        return iter(
-            self.execute(
-                query,
-                min_score=min_score,
-                evalue=evalue,
-                max_results=max_results,
-                compute_alignments=compute_alignments,
-            )
-        )
-
-    def search_many(
-        self,
-        queries: Iterable[str],
-        workers: int = 4,
-        min_score: Optional[int] = None,
-        evalue: Optional[float] = None,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-        timeout: Optional[float] = None,
-        backend=None,
-        tracer=None,
-    ) -> "BatchSearchReport":
-        """Run a batch of queries concurrently over the shared index.
-
-        Fans the queries out on an execution backend (``backend`` spec, or
-        ``workers`` threads by default -- threads, not processes, because
-        the index and the buffer pool are shared and the per-query runner
-        closes over live engine state.  Expansion is plain Python under the
-        interpreter lock, so threads overlap queries that wait on a disk
-        read, not queries that compute) and returns a
-        :class:`~repro.parallel.BatchSearchReport` with per-query results in
-        input order plus aggregated statistics.  ``timeout`` is a per-query
-        wall-clock budget in seconds; a query exceeding it stops early with
-        the hits found so far and is flagged ``timed_out``.
-
-        For streaming consumption (results as they complete), use
-        :class:`repro.parallel.BatchSearchExecutor` directly.
-        """
-        from repro.parallel.executor import BatchSearchExecutor
-
-        executor = BatchSearchExecutor.for_engine(
-            self,
-            workers=workers,
-            timeout=timeout,
-            backend=backend,
-            min_score=min_score,
-            evalue=evalue,
-            max_results=max_results,
-            compute_alignments=compute_alignments,
-            tracer=tracer,
-        )
-        return executor.run(queries)
 
     def _resolve_threshold(
         self, query: str, min_score: Optional[int], evalue: Optional[float]

@@ -12,8 +12,9 @@ Each execution is a *self-contained* object owning its own priority queue,
 :class:`~repro.core.expand.ExpansionContext`, statistics and timing, so any
 number of executions can run concurrently (interleaved generators on one
 thread, or threads of a batch executor) over the same shared read-only
-cursor.  :class:`OasisSearch` is the per-configuration factory: ``run`` and
-``search`` are thin wrappers that create one execution per call.
+cursor.  :class:`OasisSearch` is the per-configuration factory; ``search`` /
+``search_online`` / ``search_many`` come from the shared
+:class:`~repro.core.surface.SearchSurface` over its ``execute``.
 
 Results follow the paper's reporting convention: the single strongest
 alignment per database sequence, for every sequence whose best score reaches
@@ -25,7 +26,7 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterator, List, Optional, Set, Union
 
 from repro.core.expand import ExpansionContext
@@ -39,6 +40,7 @@ from repro.core.results import (
     hit_order_key,
 )
 from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER
+from repro.core.surface import SearchSurface
 from repro.scoring.gaps import FixedGapModel, GapModel
 from repro.scoring.karlin_altschul import KarlinAltschulParameters
 from repro.scoring.matrix import SubstitutionMatrix
@@ -76,22 +78,44 @@ class OasisSearchStatistics:
     kernel: str = DEFAULT_KERNEL
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "columns_expanded": self.columns_expanded,
-            "nodes_expanded": self.nodes_expanded,
-            "nodes_enqueued": self.nodes_enqueued,
-            "nodes_accepted": self.nodes_accepted,
-            "nodes_pruned": self.nodes_pruned,
-            "max_queue_size": self.max_queue_size,
-            "pruned_non_positive": self.pruned_non_positive,
-            "pruned_dominated": self.pruned_dominated,
-            "pruned_threshold": self.pruned_threshold,
-            "elapsed_seconds": self.elapsed_seconds,
-            "buffer_hits": self.buffer_hits,
-            "buffer_misses": self.buffer_misses,
-            "buffer_evictions": self.buffer_evictions,
-            "kernel": self.kernel,
-        }
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    @classmethod
+    def merged(
+        cls, parts: List["OasisSearchStatistics"], elapsed_seconds: float
+    ) -> "OasisSearchStatistics":
+        """One query's counters over several executions (a scatter's shards).
+
+        Every integer counter is summed, the queue peak is the largest
+        shard's, ``kernel`` is the first shard's (they all run the same one)
+        and ``elapsed_seconds`` is the caller's wall clock -- the shards ran
+        side by side, so their own times do not add up to it.
+        """
+        merged = cls(elapsed_seconds=elapsed_seconds)
+        if parts:
+            merged.kernel = parts[0].kernel
+            merged.max_queue_size = max(part.max_queue_size for part in parts)
+        for field in fields(cls):
+            if isinstance(field.default, int) and field.name != "max_queue_size":
+                setattr(merged, field.name, sum(getattr(part, field.name) for part in parts))
+        return merged
+
+
+def open_span(tracer, name: str, parent_id: Optional[str], attributes: Dict[str, object]):
+    """Open a span as the calling thread's innermost one (``None`` untraced).
+
+    ``parent_id=None`` nests it under whatever span that thread has open;
+    an id stitches work running on a pool thread (or in a worker process)
+    under its logical parent instead.
+    """
+    if tracer is None:
+        return None
+    if parent_id is not None:
+        span = tracer.span(name, parent_id=parent_id, **attributes)
+    else:
+        span = tracer.span(name, **attributes)
+    tracer._push(span)
+    return span
 
 
 class QueryExecution:
@@ -282,20 +306,10 @@ class QueryExecution:
         if self._deadline is None and self.time_budget is not None:
             self._deadline = start_time + self.time_budget
 
-        span = None
-        tracer = self.tracer
-        if tracer is not None:
-            if self.trace_parent is not None:
-                span = tracer.span(
-                    self.trace_name,
-                    parent_id=self.trace_parent,
-                    **self.trace_attributes,
-                )
-            else:
-                span = tracer.span(self.trace_name, **self.trace_attributes)
+        span = open_span(self.tracer, self.trace_name, self.trace_parent, self.trace_attributes)
+        if span is not None:
             span.set_attribute("query_length", len(query_codes))
             span.set_attribute("min_score", min_score)
-            tracer._push(span)
         pool = getattr(cursor, "pool", None)
         if pool is not None:
             pool_stats = pool.statistics
@@ -531,7 +545,7 @@ class QueryExecution:
         )
 
 
-class OasisSearch:
+class OasisSearch(SearchSurface):
     """Best-first local-alignment search over a suffix tree.
 
     Holds the per-database configuration (cursor, scoring, pruning switches)
@@ -617,48 +631,6 @@ class OasisSearch:
         )
         self.statistics = execution.statistics
         return execution
-
-    # ------------------------------------------------------------------ #
-    # Streaming (online) interface
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        query: str,
-        min_score: int,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-        statistics_model: Optional[KarlinAltschulParameters] = None,
-    ) -> Iterator[SearchHit]:
-        """Yield hits online, strongest first (Algorithm 1)."""
-        return iter(
-            self.execute(
-                query,
-                min_score=min_score,
-                max_results=max_results,
-                compute_alignments=compute_alignments,
-                statistics_model=statistics_model,
-            )
-        )
-
-    # ------------------------------------------------------------------ #
-    # Batch interface
-    # ------------------------------------------------------------------ #
-    def search(
-        self,
-        query: str,
-        min_score: int,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-        statistics_model: Optional[KarlinAltschulParameters] = None,
-    ) -> SearchResult:
-        """Run the full search and collect the hits into a SearchResult."""
-        return self.execute(
-            query,
-            min_score=min_score,
-            max_results=max_results,
-            compute_alignments=compute_alignments,
-            statistics_model=statistics_model,
-        ).result()
 
     # ------------------------------------------------------------------ #
     # Alignment reconstruction

@@ -2,16 +2,16 @@
 
 The paper's premise is *online* search -- clients watch hits stream in and
 abort early -- and a production deployment serves many such clients at once
-over a single index.  This module supplies the serving layer: a thread-pool
-executor that fans a workload of queries out over the shared read-only
-suffix-tree cursor, yields ``(query, SearchResult)`` pairs as they complete,
+over a single index.  This module supplies the serving layer: an executor
+that fans a workload of queries out over the shared read-only suffix-tree
+cursor, yields ``(query, SearchResult)`` pairs as they complete,
 aggregates per-query statistics into a batch report, and supports per-query
 timeouts and early abort.
 
 The per-query fan-out runs on the pluggable execution-backend layer
-(:mod:`repro.exec`): ``serial`` for clean single-threaded timings,
-``threads:N`` (the default) for concurrent serving.  In-process backends
-only: the per-query runner closes over live engine state and the
+(:mod:`repro.exec`): ``serial`` for clean single-threaded timings (and for
+any batch of width one), ``threads:N`` for concurrent serving.  In-process
+backends only: the per-query runner closes over live engine state and the
 batch-wide cancellation event, neither of which crosses a process
 boundary, so a ``processes`` backend is rejected loudly here -- process
 parallelism lives one layer down, in the sharded engine's per-shard
@@ -46,9 +46,13 @@ logger = get_logger(__name__)
 DEFAULT_WORKERS = 4
 
 #: Signature of the per-query callable the executor drives: it receives the
-#: query text, an optional wall-clock budget in seconds and an optional
-#: cancellation event, and returns the finished result.
-QueryRunner = Callable[[str, Optional[float], Optional[threading.Event]], SearchResult]
+#: query text, an optional wall-clock budget in seconds, an optional
+#: cancellation event and the id of the batch span to parent the query's
+#: span under (``None`` when the batch is not traced), and returns the
+#: finished result.
+QueryRunner = Callable[
+    [str, Optional[float], Optional[threading.Event], Optional[str]], SearchResult
+]
 
 
 @dataclass
@@ -286,11 +290,11 @@ class BatchSearchExecutor:
     Parameters
     ----------
     run_query:
-        ``(query, time_budget, cancel_event) -> SearchResult``.  The budget
-        and event implement per-query timeouts and batch-wide abort; runners
-        that cannot honour them may ignore them (they then stop only between
-        queries).  Use :meth:`for_engine` / :meth:`for_adapter` instead of
-        building this callable by hand.
+        ``(query, time_budget, cancel_event, trace_parent) -> SearchResult``.
+        The budget and event implement per-query timeouts and batch-wide
+        abort; runners that cannot honour them may ignore them (they then
+        stop only between queries).  Use :meth:`for_engine` /
+        :meth:`for_adapter` instead of building this callable by hand.
     workers:
         Fan-out width when ``backend`` does not name one.
     timeout:
@@ -301,8 +305,8 @@ class BatchSearchExecutor:
         (``"serial"`` / ``"threads:N"``), a :class:`~repro.exec.BackendSpec`,
         or a live :class:`~repro.exec.ExecutionBackend` (then shared across
         runs and caller-owned).  Spec-described backends are created fresh
-        per run and closed afterwards, mirroring the historical
-        pool-per-run behaviour.  Defaults to ``threads:workers``.
+        per run and closed afterwards.  Defaults to ``threads:workers``, or
+        to ``serial`` for one worker (a pool of one thread is a loop).
         In-process kinds only -- the runner closes over engine state and
         the cancel event, which cannot cross processes; for process
         parallelism use the sharded engine's scatter backend instead.
@@ -325,7 +329,7 @@ class BatchSearchExecutor:
         #: Telemetry: each run is wrapped in a ``batch`` span, the fan-out
         #: backend records task latency / queue depth, and runners built by
         #: :meth:`for_engine` parent their per-query spans under the batch
-        #: span (see ``accepts_trace_parent``).
+        #: span, whose id every runner receives as its fourth argument.
         self.tracer = tracer
         self._batch_parent: Optional[str] = None
         self._shared_backend: Optional[ExecutionBackend] = None
@@ -334,8 +338,9 @@ class BatchSearchExecutor:
             self._backend_spec = BackendSpec(backend.kind, backend.workers)
         else:
             if backend is None:
-                backend = BackendSpec("threads", int(workers))
-            elif isinstance(backend, str):
+                # A pool of one thread is a loop: run it as one.
+                backend = "serial" if workers == 1 else f"threads:{int(workers)}"
+            if isinstance(backend, str):
                 backend = BackendSpec.parse(backend)
             self._backend_spec = backend
         if self._backend_spec.kind == "processes":
@@ -394,7 +399,7 @@ class BatchSearchExecutor:
             query: str,
             time_budget: Optional[float],
             cancel_event: Optional[threading.Event],
-            trace_parent: Optional[str] = None,
+            trace_parent: Optional[str],
         ) -> SearchResult:
             execution = engine.execute(
                 query,
@@ -403,13 +408,11 @@ class BatchSearchExecutor:
                 tracer=tracer,
                 **search_kwargs,
             )
-            if trace_parent is not None:
-                # The query runs on a pool thread; parent its span under the
-                # batch span by explicit id rather than thread-local nesting.
-                execution.trace_parent = trace_parent
+            # The query may run on a pool thread; parent its span under the
+            # batch span by explicit id rather than thread-local nesting.
+            execution.trace_parent = trace_parent
             return execution.result()
 
-        run_query.accepts_trace_parent = True  # type: ignore[attr-defined]
         return cls(
             run_query, workers=workers, timeout=timeout, backend=backend, tracer=tracer
         )
@@ -434,6 +437,7 @@ class BatchSearchExecutor:
             query: str,
             time_budget: Optional[float],
             cancel_event: Optional[threading.Event],
+            trace_parent: Optional[str],
         ) -> SearchResult:
             return adapter.run_with_budget(
                 query, time_budget=time_budget, cancel_event=cancel_event
@@ -551,14 +555,7 @@ class BatchSearchExecutor:
             flight.event("query_admitted", index=index, query=query[:32])
         start = time.perf_counter()
         try:
-            if self._batch_parent is not None and getattr(
-                self._run_query, "accepts_trace_parent", False
-            ):
-                result = self._run_query(
-                    query, self.timeout, self._cancel, trace_parent=self._batch_parent
-                )
-            else:
-                result = self._run_query(query, self.timeout, self._cancel)
+            result = self._run_query(query, self.timeout, self._cancel, self._batch_parent)
         except Exception as error:  # noqa: BLE001 - captured per query
             if flight is not None:
                 flight.event(

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.sharding.builder import ShardedIndexBuilder, build_sharded_index
+    from repro.sharding.builder import ShardedIndexBuilder
     from repro.sharding.catalog import (
         CATALOG_FILENAME,
         CatalogError,
@@ -42,7 +42,7 @@ else:
     __getattr__, __dir__ = lazy_exports(
         __name__,
         {
-            "repro.sharding.builder": ("ShardedIndexBuilder", "build_sharded_index"),
+            "repro.sharding.builder": ("ShardedIndexBuilder",),
             "repro.sharding.catalog": (
                 "CATALOG_FILENAME",
                 "CatalogError",
@@ -76,7 +76,6 @@ __all__ = [
     "ShardedEngine",
     "ShardedIndexBuilder",
     "ShardedQueryExecution",
-    "build_sharded_index",
     "config_fingerprint",
     "database_digest",
     "shard_pool_budgets",

@@ -13,7 +13,7 @@ corrupted.
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from typing import Union
 
 from repro.exec import BackendSpec, ExecutionBackend, resolve_backend
 from repro.obs.logsetup import get_logger
@@ -204,28 +204,3 @@ class ShardedIndexBuilder:
             write_fasta(database, os.path.join(directory, DATABASE_FILENAME))
         catalog.save(directory)
         return catalog
-
-
-def build_sharded_index(
-    database: SequenceDatabase,
-    directory: PathLike,
-    matrix: SubstitutionMatrix,
-    gap_model: GapModel = FixedGapModel(-1),
-    shard_count: int = 1,
-    by: str = "residues",
-    block_size: int = BLOCK_SIZE_DEFAULT,
-    max_partition_size: Optional[int] = None,
-    backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
-    tracer=None,
-) -> ShardCatalog:
-    """Functional one-shot wrapper around :class:`ShardedIndexBuilder`."""
-    builder = ShardedIndexBuilder(
-        matrix,
-        gap_model,
-        shard_count=shard_count,
-        by=by,
-        block_size=block_size,
-        backend=backend,
-        **({"max_partition_size": max_partition_size} if max_partition_size else {}),
-    )
-    return builder.build(database, directory, tracer=tracer)

@@ -3,14 +3,17 @@
 Each shard is a full :class:`~repro.core.engine.OasisEngine` over its slice
 of the database (in-memory trees for :meth:`ShardedEngine.build`, disk images
 behind buffer pools for :meth:`ShardedEngine.open`).  A query is fanned out
-across the shards on a shared thread pool and the per-shard results are
-merged into one globally ordered :class:`~repro.core.results.SearchResult`.
+across the shards on the engine's scatter backend and the per-shard
+:class:`~repro.core.results.SearchResult` objects -- the same shape whether a
+shard ran on this thread, on a pool thread or in a worker process -- are
+merged into one globally ordered result.
 
 Correctness of the merge rests on three invariants:
 
 * every shard prunes against the **global** E-value threshold: all shards
   share one :class:`~repro.core.evalue.SelectivityConverter` built from the
-  whole database, so Equation 3 yields the same ``min_score`` everywhere and
+  whole database (a process worker gets its model and database size in the
+  task), so Equation 3 yields the same ``min_score`` everywhere and
   Equation 2 annotates every hit with the E-value the monolithic engine would
   have computed;
 * a sequence lives in exactly one shard, so the union of per-shard hit sets
@@ -33,12 +36,13 @@ import time
 from bisect import bisect_right
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import wait as futures_wait
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
-from repro.core.oasis import OasisSearchStatistics, QueryExecution
+from repro.core.oasis import OasisSearchStatistics, QueryExecution, open_span
 from repro.core.results import SearchHit, SearchResult, hit_order_key
+from repro.core.surface import SearchSurface
 from repro.exec import BackendSpec, ExecutionBackend, resolve_backend
 from repro.obs.logsetup import get_logger
 from repro.scoring.gaps import FixedGapModel, GapModel
@@ -48,16 +52,14 @@ from repro.sharding.builder import ShardedIndexBuilder
 from repro.sharding.catalog import ShardCatalog, config_fingerprint
 from repro.sharding.planner import ShardPlanner, ShardSpec, slice_shard
 from repro.sharding.remote import (
+    ShardOutcome,
     ShardSearchTask,
+    label_shard_execution,
     run_shard_search,
-    unpack_alignment,
 )
 from repro.storage.blocks import BLOCK_SIZE_DEFAULT
 from repro.storage.disk_tree import DEFAULT_BUFFER_POOL_BYTES, DiskSuffixTree
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.executor import BatchSearchReport
 
 PathLike = Union[str, os.PathLike]
 
@@ -112,32 +114,23 @@ class ShardedQueryExecution:
     @property
     def statistics(self) -> OasisSearchStatistics:
         """Work counters summed over all shards (queue peak is the max)."""
-        merged = OasisSearchStatistics()
-        if self.executions:
-            merged.kernel = self.executions[0].statistics.kernel
-        for execution in self.executions:
-            shard = execution.statistics
-            merged.columns_expanded += shard.columns_expanded
-            merged.nodes_expanded += shard.nodes_expanded
-            merged.nodes_enqueued += shard.nodes_enqueued
-            merged.nodes_accepted += shard.nodes_accepted
-            merged.nodes_pruned += shard.nodes_pruned
-            merged.pruned_non_positive += shard.pruned_non_positive
-            merged.pruned_dominated += shard.pruned_dominated
-            merged.pruned_threshold += shard.pruned_threshold
-            merged.max_queue_size = max(merged.max_queue_size, shard.max_queue_size)
-            merged.buffer_hits += shard.buffer_hits
-            merged.buffer_misses += shard.buffer_misses
-            merged.buffer_evictions += shard.buffer_evictions
-        merged.elapsed_seconds = self._wall_seconds
-        return merged
+        return OasisSearchStatistics.merged(
+            [execution.statistics for execution in self.executions], self._wall_seconds
+        )
 
-    def _label_shard_executions(self, parent_id: Optional[str]) -> None:
-        """Re-label each shard execution's span before any of them starts."""
-        for shard, execution in enumerate(self.executions):
-            execution.trace_name = "shard"
-            execution.trace_parent = parent_id
-            execution.trace_attributes = {"shard": shard, "phase": "shard"}
+    def _open_query_span(self, **attributes):
+        """Open the ``query`` span (if traced) and parent the shard spans under it.
+
+        Shard executions may run on pool threads or in worker processes, so
+        their spans find the query span by explicit id, not by thread-local
+        nesting; they are labelled here, before any of them starts.
+        """
+        attributes.update(shards=len(self.executions), phase="scatter")
+        span = open_span(self.tracer, "query", self.trace_parent, attributes)
+        if span is not None:
+            for shard, execution in enumerate(self.executions):
+                label_shard_execution(execution, shard, span.span_id)
+        return span
 
     def abort(self) -> None:
         for execution in self.executions:
@@ -184,22 +177,7 @@ class ShardedQueryExecution:
         """
         self._start_time = time.perf_counter()
         self._pin_deadline()
-        span = None
-        if self.tracer is not None:
-            if self.trace_parent is not None:
-                span = self.tracer.span(
-                    "query",
-                    parent_id=self.trace_parent,
-                    shards=len(self.executions),
-                    streaming=True,
-                    phase="scatter",
-                )
-            else:
-                span = self.tracer.span(
-                    "query", shards=len(self.executions), streaming=True, phase="scatter"
-                )
-            self.tracer._push(span)
-            self._label_shard_executions(span.span_id)
+        span = self._open_query_span(streaming=True)
         streams = [
             self._shard_stream(shard, execution)
             for shard, execution in enumerate(self.executions)
@@ -265,25 +243,8 @@ class ShardedQueryExecution:
                 pass
             hits = list(self._collected)
         else:
-            span = None
             tracer = self.tracer
-            if tracer is not None:
-                if self.trace_parent is not None:
-                    span = tracer.span(
-                        "query",
-                        parent_id=self.trace_parent,
-                        shards=len(self.executions),
-                        phase="scatter",
-                    )
-                else:
-                    span = tracer.span(
-                        "query", shards=len(self.executions), phase="scatter"
-                    )
-                tracer._push(span)
-                # Shard executions may run on pool threads (or in worker
-                # processes); their spans parent under the query span by
-                # explicit id, not by thread-local nesting.
-                self._label_shard_executions(span.span_id)
+            span = self._open_query_span()
             try:
                 self._pin_deadline()
                 shard_results = self.engine._scatter(self.executions)
@@ -404,30 +365,31 @@ def shard_pool_budgets(
     ]
 
 
-class ShardedEngine:
+class ShardedEngine(SearchSurface):
     """Scatter-gather OASIS search over N per-shard indexes.
 
     Use :meth:`build` for an in-memory sharded engine, or
     :meth:`ShardedIndexBuilder.build` + :meth:`open` for the persistent form.
-    The engine mirrors :class:`~repro.core.engine.OasisEngine`'s searching
-    surface (``search`` / ``search_online`` / ``search_many`` / ``execute``),
-    so every consumer of an engine -- the batch executor, the workload
-    adapters, the CLI -- can run sharded without changes.
+    The engine defines ``execute`` and inherits the searching surface
+    (``search`` / ``search_online`` / ``search_many``) that
+    :class:`~repro.core.engine.OasisEngine` inherits, so every consumer of
+    an engine -- the batch executor, the workload adapters, the CLI -- can
+    run sharded without changes.
 
-    ``backend`` selects the scatter strategy for :meth:`search` /
+    ``backend`` selects the scatter strategy for ``search`` /
     :meth:`ShardedQueryExecution.result`: a spec string (``"serial"``,
     ``"threads:N"``, ``"processes:N"``), a
     :class:`~repro.exec.BackendSpec`, or a live
     :class:`~repro.exec.ExecutionBackend` (then caller-owned).  The default
-    is a thread pool of ``workers`` threads -- right for disk-resident
+    is a thread pool of one thread per shard -- right for disk-resident
     shards, whose miss stalls overlap.  A process backend escapes the GIL
-    for CPU-bound (fully cached / in-memory regime) scatter: workers are
-    shipped only ``(catalog directory, shard id, query, parameters)``, each
+    for CPU-bound (fully cached / in-memory regime) scatter: each task
+    carries only ``(catalog directory, shard id, query, parameters)``, the
     worker process lazily opens its shard image read-only from the catalog,
-    and raw hit tuples travel back for the parent to remap to global
-    E-values and sequence indices.  It therefore requires a persistent
-    index (a catalog directory); the streaming path
-    (:meth:`search_online`) always runs in-process regardless of backend.
+    and the shard's :class:`~repro.core.results.SearchResult` travels back
+    for the same merge the in-process shards go through.  It therefore
+    requires a persistent index (a catalog directory); the streaming path
+    (``search_online``) always runs in-process regardless of backend.
     """
 
     def __init__(
@@ -439,7 +401,6 @@ class ShardedEngine:
         converter: Optional[SelectivityConverter] = None,
         catalog: Optional[ShardCatalog] = None,
         directory: Optional[str] = None,
-        workers: Optional[int] = None,
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         shard_buffer_bytes: Optional[List[int]] = None,
         simulated_miss_latency: float = 0.0,
@@ -454,11 +415,10 @@ class ShardedEngine:
         self.converter = converter or SelectivityConverter(matrix, database)
         self.catalog = catalog
         self.directory = directory
-        self.workers = int(workers) if workers is not None else len(self.shards)
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        # One thread per shard unless told otherwise (also the width of a
+        # bare "threads" / "processes" spec).
         self._backend, self._backend_owned = resolve_backend(
-            backend, default=f"threads:{self.workers}", default_workers=self.workers
+            backend, f"threads:{len(self.shards)}", len(self.shards)
         )
         if self._backend.kind == "processes" and self.directory is None:
             if self._backend_owned:
@@ -497,7 +457,6 @@ class ShardedEngine:
         gap_model: GapModel = FixedGapModel(-1),
         shard_count: int = 2,
         by: str = "residues",
-        workers: Optional[int] = None,
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         kernel=None,
     ) -> "ShardedEngine":
@@ -530,15 +489,7 @@ class ShardedEngine:
             )
             for sub_database in plan.sub_databases(database)
         ]
-        return cls(
-            shards,
-            database,
-            matrix,
-            gap_model,
-            converter=converter,
-            workers=workers,
-            backend=backend,
-        )
+        return cls(shards, database, matrix, gap_model, converter=converter, backend=backend)
 
     @classmethod
     def build_on_disk(
@@ -550,7 +501,6 @@ class ShardedEngine:
         shard_count: int = 2,
         by: str = "residues",
         block_size: int = BLOCK_SIZE_DEFAULT,
-        workers: Optional[int] = None,
         build_backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         **open_kwargs,
     ) -> "ShardedEngine":
@@ -569,12 +519,7 @@ class ShardedEngine:
             backend=build_backend,
         ).build(database, directory)
         return cls.open(
-            directory,
-            database=database,
-            matrix=matrix,
-            gap_model=gap_model,
-            workers=workers,
-            **open_kwargs,
+            directory, database=database, matrix=matrix, gap_model=gap_model, **open_kwargs
         )
 
     @classmethod
@@ -587,7 +532,6 @@ class ShardedEngine:
         buffer_pool_bytes: int = DEFAULT_BUFFER_POOL_BYTES,
         simulated_miss_latency: float = 0.0,
         sleep_on_miss: bool = False,
-        workers: Optional[int] = None,
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         kernel=None,
     ) -> "ShardedEngine":
@@ -685,7 +629,6 @@ class ShardedEngine:
                 converter=converter,
                 catalog=catalog,
                 directory=directory,
-                workers=workers,
                 backend=backend,
                 shard_buffer_bytes=shard_budgets,
                 simulated_miss_latency=simulated_miss_latency,
@@ -693,7 +636,7 @@ class ShardedEngine:
             )
         except Exception:
             for shard in shards:
-                shard.cursor.close()  # type: ignore[attr-defined]
+                shard.close()
             raise
         return engine
 
@@ -758,68 +701,6 @@ class ShardedEngine:
             self, executions, query, max_results, time_budget=time_budget, tracer=tracer
         )
 
-    def search(
-        self,
-        query: str,
-        min_score: Optional[int] = None,
-        evalue: Optional[float] = None,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-        tracer=None,
-    ) -> SearchResult:
-        """Scatter the query across all shards, gather one merged result."""
-        return self.execute(
-            query,
-            min_score=min_score,
-            evalue=evalue,
-            max_results=max_results,
-            compute_alignments=compute_alignments,
-            tracer=tracer,
-        ).result()
-
-    def search_online(
-        self,
-        query: str,
-        min_score: Optional[int] = None,
-        evalue: Optional[float] = None,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-        tracer=None,
-        sample_interval: Optional[float] = None,
-    ) -> Iterator[SearchHit]:
-        """Stream merged hits in globally decreasing canonical order.
-
-        With a ``tracer`` and a ``sample_interval``, a background
-        :class:`~repro.obs.sampler.ResourceSampler` records RSS / pool /
-        queue-depth gauges for exactly the life of the stream -- started
-        when iteration starts, stopped when the stream is exhausted *or*
-        abandoned (``close()``/GC raises ``GeneratorExit`` into the
-        wrapper), so an early-terminated online search never leaks a
-        sampling thread.  The gauges ride the tracer's ordinary metrics
-        registry, mergeable like every other instrument.
-        """
-        execution = self.execute(
-            query,
-            min_score=min_score,
-            evalue=evalue,
-            max_results=max_results,
-            compute_alignments=compute_alignments,
-            tracer=tracer,
-        )
-        if tracer is None or sample_interval is None:
-            return iter(execution)
-        return self._stream_sampled(execution, tracer, sample_interval)
-
-    def _stream_sampled(
-        self, execution: "ShardedQueryExecution", tracer, sample_interval: float
-    ) -> Iterator[SearchHit]:
-        from repro.obs.sampler import ResourceSampler
-
-        sampler = ResourceSampler.for_engine(tracer, self, interval=sample_interval)
-        with sampler:
-            for hit in execution:
-                yield hit
-
     def instrument(self, tracer) -> None:
         """Attach a tracer to every shard's buffer pool (``None`` detaches).
 
@@ -829,38 +710,6 @@ class ShardedEngine:
         """
         for shard in self.shards:
             shard.instrument(tracer)
-
-    def search_many(
-        self,
-        queries: Iterable[str],
-        workers: int = 4,
-        min_score: Optional[int] = None,
-        evalue: Optional[float] = None,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-        timeout: Optional[float] = None,
-        backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
-        tracer=None,
-    ) -> "BatchSearchReport":
-        """Concurrent batch search: queries fan out over the batch backend
-        (``backend`` spec, or ``workers`` threads by default) and each query
-        in turn scatters across the shards on the engine's own scatter
-        backend.  The report carries per-shard aggregates
-        (``report.statistics.shards``)."""
-        from repro.parallel.executor import BatchSearchExecutor
-
-        executor = BatchSearchExecutor.for_engine(
-            self,
-            workers=workers,
-            timeout=timeout,
-            backend=backend,
-            min_score=min_score,
-            evalue=evalue,
-            max_results=max_results,
-            compute_alignments=compute_alignments,
-            tracer=tracer,
-        )
-        return executor.run(queries)
 
     # ------------------------------------------------------------------ #
     # Scatter backend
@@ -902,11 +751,12 @@ class ShardedEngine:
         """Ship each shard's share of the query to a worker process.
 
         Workers receive only ``(catalog directory, shard id, query,
-        parameters)`` and return plain hit tuples; the parent adopts each
-        payload into the local :class:`QueryExecution` it already created
-        (statistics, flags) and rebuilds hits with global E-values, so the
-        merge in :meth:`ShardedQueryExecution.result` is oblivious to how
-        the shard results were produced.
+        parameters)`` -- the parameters including the global E-value model
+        and database size -- and return the shard's :class:`SearchResult`;
+        the parent takes its statistics and flags over into the local
+        :class:`QueryExecution` it already created, so the merge in
+        :meth:`ShardedQueryExecution.result` is oblivious to how the shard
+        results were produced.
 
         The query's pinned monotonic deadline is translated into one
         absolute wall-clock (``time.time()``) deadline shared by every
@@ -960,6 +810,8 @@ class ShardedEngine:
                 ),
                 trace=trace_context,
                 kernel=self.shards[shard_index].kernel,
+                statistics_model=first.statistics_model,
+                database_size=first.database_size,
             )
             for shard_index in range(len(executions))
         ]
@@ -989,9 +841,7 @@ class ShardedEngine:
                         )
                     )
                 else:
-                    results.append(
-                        self._adopt_remote_payload(execution, future.result())
-                    )
+                    results.append(self._adopt(execution, future.result()))
         except BrokenExecutor:
             # A dead worker breaks the whole pool: replace it before
             # propagating, so one crash fails one query (a per-query error
@@ -1002,56 +852,26 @@ class ShardedEngine:
             raise
         return results
 
-    def _adopt_remote_payload(
-        self, execution: QueryExecution, payload: dict
-    ) -> SearchResult:
-        """Fold a worker's plain-data payload into the local execution.
+    @staticmethod
+    def _adopt(execution: QueryExecution, outcome: ShardOutcome) -> SearchResult:
+        """Take a worker's outcome over into the local (never run) execution.
 
-        The worker searched with a bare threshold and no converter; the
-        parent owns the global E-value model, so every raw score is
-        annotated here exactly as the in-process path would have
-        (same statistics model, same query length, same global database
-        size -- bit-identical floats on the same machine).
+        The hits need nothing: the worker annotated them with the global
+        E-values (same statistics model, query length and database size as
+        the in-process path -- bit-identical floats on the same machine).
         """
-        statistics = execution.statistics
-        for field, value in payload["statistics"].items():
-            setattr(statistics, field, value)
-        execution.timed_out = bool(payload["timed_out"])
-        execution.aborted = bool(payload["aborted"])
+        result, spans, metrics_snapshot = outcome
+        if isinstance(result.statistics, OasisSearchStatistics):
+            # (A task that expired before it searched has no counters.)
+            execution.statistics = result.statistics
+        execution.timed_out = bool(result.parameters.get("timed_out"))
+        execution.aborted = bool(result.parameters.get("aborted"))
         if execution.tracer is not None:
             # Stitch the worker's spans into the parent's trace and fold its
             # metric counters (search.*, pool.*) into the parent's registry.
-            spans = payload.get("spans")
-            if spans:
-                execution.tracer.adopt(spans)
-            metrics_snapshot = payload.get("metrics")
-            if metrics_snapshot:
-                execution.tracer.metrics.merge_snapshot(metrics_snapshot)
-        query_length = len(execution.query_sequence.codes)
-        hits = []
-        for local_index, identifier, score, packed_alignment in payload["hits"]:
-            evalue = None
-            if execution.statistics_model is not None:
-                evalue = execution.statistics_model.evalue(
-                    score, query_length, execution.database_size
-                )
-            hits.append(
-                SearchHit(
-                    sequence_index=local_index,
-                    sequence_identifier=identifier,
-                    score=score,
-                    evalue=evalue,
-                    alignment=unpack_alignment(packed_alignment),
-                )
-            )
-        return SearchResult(
-            query=execution.query.upper(),
-            engine="oasis",
-            hits=hits,
-            elapsed_seconds=statistics.elapsed_seconds,
-            columns_expanded=statistics.columns_expanded,
-            statistics=statistics,
-        )
+            execution.tracer.adopt(spans)
+            execution.tracer.metrics.merge_snapshot(metrics_snapshot)
+        return result
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -1068,15 +888,7 @@ class ShardedEngine:
         if self._backend_owned:
             self._backend.close()
         for shard in self.shards:
-            close = getattr(shard.cursor, "close", None)
-            if close is not None:
-                close()
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+            shard.close()
 
     def __repr__(self) -> str:
         source = f", directory={self.directory!r}" if self.directory else ""

@@ -9,11 +9,11 @@ processes, so the ground rules are strict:
   catalog, and caches the open engine for the life of the process (the
   expensive part -- catalog + FASTA parse + cursor open -- is paid once per
   (worker, shard), not once per query);
-* results travel back as plain tuples of primitives.  Workers do **not**
-  compute E-values: a shard knows only its slice of the database, and the
-  parent holds the global :class:`~repro.core.evalue.SelectivityConverter`,
-  so the parent remaps raw scores to global E-values and shard-local
-  sequence indices to global ones.
+* a search travels back as the :class:`~repro.core.results.SearchResult`
+  the worker's execution built -- the shape an in-process shard hands the
+  merge -- with *global* E-values: a shard knows only its slice of the
+  database, so the task carries the parent's statistics model and the global
+  database size.  Sequence indices stay shard-local; the merge remaps them.
 """
 
 from __future__ import annotations
@@ -21,22 +21,32 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.results import Alignment
+from repro.core.results import SearchResult
 from repro.obs.trace import TraceContext
+from repro.scoring.karlin_altschul import KarlinAltschulParameters
 
-#: Serialized hit: (shard-local sequence index, identifier, score, alignment).
-HitTuple = Tuple[int, str, int, Optional[tuple]]
+if TYPE_CHECKING:  # pragma: no cover - annotation only; workers import lazily
+    from repro.core.oasis import OasisSearch, QueryExecution
+    from repro.sharding.catalog import ShardCatalog
+
+#: What one shard search sends back: the result, plus the worker's span
+#: records and metrics snapshot (both empty unless the task was traced).
+ShardOutcome = Tuple[SearchResult, List[Dict[str, object]], Dict[str, Dict[str, object]]]
 
 
 @dataclass(frozen=True)
 class ShardSearchTask:
     """One shard's share of one query, shipped to a worker process.
 
-    ``min_score`` is the already-resolved *global* threshold (the parent
-    converts an E-value cutoff through the global converter; Equation 3
-    must see the whole database, which the worker does not).
+    The picklable form of the query options: ``min_score`` is the
+    already-resolved *global* threshold (the parent converts an E-value
+    cutoff through the global converter; Equation 3 must see the whole
+    database, which the worker does not), and ``statistics_model`` /
+    ``database_size`` are what Equation 2 needs to annotate each hit with
+    the E-value the monolithic engine would have computed -- the same two
+    values the parent hands an in-process shard execution.
     ``deadline_epoch`` is the query's absolute deadline as ``time.time()``
     seconds: the wall clock is shared by every process on the machine
     (unlike the monotonic clock, whose origin is undefined across
@@ -67,14 +77,18 @@ class ShardSearchTask:
     database_digest: str = ""
     #: Telemetry seed: when set, the worker builds its own tracer continuing
     #: the parent's trace, records its shard span (parented under the
-    #: parent's query span) plus buffer-pool metrics, and returns both in the
-    #: payload for the parent to adopt/merge -- one coherent span tree per
-    #: query regardless of which processes produced its pieces.
+    #: parent's query span) plus buffer-pool metrics, and returns both next
+    #: to the result for the parent to adopt/merge -- one coherent span tree
+    #: per query regardless of which processes produced its pieces.
     trace: Optional[TraceContext] = None
     #: Expansion-kernel name the parent engine runs under; the worker's
     #: cached :class:`OasisSearch` uses the same one (parity-gated, so this
     #: affects speed and statistics attribution only, never the hits).
     kernel: Optional[str] = None
+    #: Equation 2's inputs for the hits' E-values: the parent's model (none:
+    #: hits carry no E-value) and the *global* database size.
+    statistics_model: Optional[KarlinAltschulParameters] = None
+    database_size: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -99,7 +113,7 @@ class ShardBuildTask:
 #: directory -> (catalog, database, matrix, gap_model); shared by all shards.
 _DIRECTORY_CACHE: Dict[str, tuple] = {}
 #: (directory, shard, pool bytes, latency, sleep) -> OasisSearch over the shard.
-_SHARD_CACHE: Dict[tuple, object] = {}
+_SHARD_CACHE: Dict[tuple, "OasisSearch"] = {}
 
 
 def _catalog_mismatch(catalog: "ShardCatalog", task: ShardSearchTask) -> Optional[str]:
@@ -115,10 +129,7 @@ def _evict_directory(directory: str) -> None:
     """Drop everything this worker cached for one index directory."""
     _DIRECTORY_CACHE.pop(directory, None)
     for key in [key for key in _SHARD_CACHE if key[0] == directory]:
-        search = _SHARD_CACHE.pop(key)
-        close = getattr(search.cursor, "close", None)
-        if close is not None:
-            close()
+        _SHARD_CACHE.pop(key).close()
 
 
 def _open_directory(directory: str) -> tuple:
@@ -198,8 +209,7 @@ def _open_shard_search(task: ShardSearchTask) -> "OasisSearch":
         sleep_on_miss=task.sleep_on_miss,
     )
     # A bare OasisSearch, no SelectivityConverter: the threshold arrives
-    # pre-resolved and E-values are the parent's job (they need the global
-    # database size).
+    # pre-resolved and the task carries the global E-value inputs.
     search = OasisSearch(cursor, matrix, gap_model, kernel=task.kernel)
     _SHARD_CACHE[key] = search
     return search
@@ -211,48 +221,37 @@ def _expired(task: ShardSearchTask) -> bool:
     return task.deadline_epoch is not None and task.deadline_epoch <= time.time()  # repro: allow[monotonic-time]
 
 
-def _timed_out_payload() -> dict:
-    """The payload of a shard task whose deadline passed before it searched."""
-    return {
-        "hits": [],
-        "statistics": {},
-        "timed_out": True,
-        "aborted": False,
-        "spans": [],
-        "metrics": {},
-    }
+def label_shard_execution(
+    execution: "QueryExecution", shard: int, parent_id: Optional[str]
+) -> None:
+    """Make an execution's span the ``shard`` child of a query span.
+
+    Called before the execution starts, by whoever runs it: the sharded
+    engine for its in-process shards, the worker for its own.  The parent is
+    named by id because a shard runs on a pool thread or in another process,
+    where thread-local nesting cannot find it.
+    """
+    execution.trace_name = "shard"
+    execution.trace_parent = parent_id
+    execution.trace_attributes = {"shard": shard, "phase": "shard"}
 
 
-def _pack_alignment(alignment: Optional[Alignment]) -> Optional[tuple]:
-    if alignment is None:
-        return None
-    return (
-        alignment.score,
-        alignment.query_start,
-        alignment.query_end,
-        alignment.target_start,
-        alignment.target_end,
-        alignment.aligned_query,
-        alignment.aligned_target,
+def _timed_out(task: ShardSearchTask) -> ShardOutcome:
+    """The outcome of a shard task whose deadline passed before it searched."""
+    result = SearchResult(
+        query=task.query.upper(), engine="oasis", parameters={"timed_out": True}
     )
+    return result, [], {}
 
 
-def unpack_alignment(packed: Optional[tuple]) -> Optional[Alignment]:
-    """Parent-side inverse of the worker's alignment packing."""
-    if packed is None:
-        return None
-    return Alignment(*packed)
+def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
+    """Worker entry point: run one query over one shard.
 
-
-def run_shard_search(task: ShardSearchTask) -> dict:
-    """Worker entry point: run one query over one shard, return plain data.
-
-    The payload mirrors what the in-process path reads off a finished
-    :class:`~repro.core.oasis.QueryExecution`: hit tuples (shard-local
-    indices, raw scores), the full statistics counters, and the
-    timed-out/aborted flags, so the parent can adopt it into the execution
-    object it already created and every downstream consumer (shard stats,
-    batch aggregates, merged flags) works unchanged.
+    Returns what the in-process path gets from ``execution.result()`` -- the
+    :class:`SearchResult` with its statistics and ``timed_out`` / ``aborted``
+    parameters -- so the parent takes those over into the execution object
+    it already created and every downstream consumer (merge, shard stats,
+    batch aggregates) is oblivious to where the shard ran.
     """
     # The deadline is re-derived twice: before the lazy shard open (skip
     # the expensive open when the task already expired in the pool queue)
@@ -260,60 +259,40 @@ def run_shard_search(task: ShardSearchTask) -> dict:
     # charged against the query's budget, not granted on top of it --
     # QueryExecution counts its budget from when the search starts).
     if _expired(task):
-        return _timed_out_payload()
+        return _timed_out(task)
     search = _open_shard_search(task)
     time_budget: Optional[float] = None
     if task.deadline_epoch is not None:
         # Back from the epoch deadline to a relative budget (worker side).
         time_budget = task.deadline_epoch - time.time()  # repro: allow[monotonic-time]
         if time_budget <= 0:
-            return _timed_out_payload()
-    tracer = None
-    if task.trace is not None:
-        tracer = task.trace.tracer()
-        instrument = getattr(search.cursor, "instrument", None)
-        if instrument is not None:
-            instrument(tracer)
+            return _timed_out(task)
+    tracer = task.trace.tracer() if task.trace is not None else None
+    if tracer is not None:
+        search.instrument(tracer)
     try:
         execution = search.execute(
             task.query,
             min_score=task.min_score,
             max_results=task.max_results,
             compute_alignments=task.compute_alignments,
+            statistics_model=task.statistics_model,
+            database_size=task.database_size,
             time_budget=time_budget,
             tracer=tracer,
         )
-        if tracer is not None:
-            # The shard span slots under the parent's query span: the ids it
-            # was born with (pid-prefixed) stay valid when the parent adopts.
-            execution.trace_name = "shard"
-            execution.trace_parent = task.trace.parent_id
-            execution.trace_attributes = {"shard": task.shard_index, "phase": "shard"}
+        if task.trace is not None:
+            # The ids the shard span is born with (pid-prefixed) stay valid
+            # when the parent adopts it.
+            label_shard_execution(execution, task.shard_index, task.trace.parent_id)
         result = execution.result()
     finally:
         if tracer is not None:
-            instrument = getattr(search.cursor, "instrument", None)
-            if instrument is not None:
-                instrument(None)
-    hits: List[HitTuple] = [
-        (
-            hit.sequence_index,
-            hit.sequence_identifier,
-            hit.score,
-            _pack_alignment(hit.alignment),
-        )
-        for hit in result.hits
-    ]
-    payload = {
-        "hits": hits,
-        "statistics": execution.statistics.as_dict(),
-        "timed_out": execution.timed_out,
-        "aborted": execution.aborted,
-    }
-    if tracer is not None:
-        payload["spans"] = [record.to_dict() for record in tracer.records()]
-        payload["metrics"] = tracer.metrics.snapshot()
-    return payload
+            search.instrument(None)
+    if tracer is None:
+        return result, [], {}
+    spans = [record.to_dict() for record in tracer.records()]
+    return result, spans, tracer.metrics.snapshot()
 
 
 def run_shard_build(task: ShardBuildTask) -> str:

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
+from repro.obs import Tracer
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
+from repro.sharding import ShardedEngine
 from repro.storage.disk_tree import DiskSuffixTree
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 from repro.suffixtree.partitioned import PartitionedTreeBuilder
@@ -53,6 +55,64 @@ class TestEngineConstruction:
         )
         assert engine.cursor.statistics.requests > 0
         engine.cursor.close()
+
+
+def hit_rows(hits):
+    return [
+        (hit.sequence_index, hit.sequence_identifier, hit.score, hit.evalue, hit.alignment)
+        for hit in hits
+    ]
+
+
+class TestOneSearchSurface:
+    """Every engine answers every way of searching, with the same keywords."""
+
+    QUERY = "WKDDGNGYISAAE"
+    OPTIONS = dict(min_score=20, max_results=5, compute_alignments=True)
+
+    @pytest.fixture(params=["memory", "disk", "sharded-build", "sharded-open"])
+    def engine(self, request, tmp_path, small_protein_database, pam30_matrix, gap8):
+        database = small_protein_database
+        if request.param == "memory":
+            return OasisEngine.build(database, matrix=pam30_matrix, gap_model=gap8)
+        if request.param == "disk":
+            return OasisEngine.build_on_disk(
+                database, pam30_matrix, tmp_path / "index.oasis", gap_model=gap8, block_size=512
+            )
+        if request.param == "sharded-build":
+            return ShardedEngine.build(database, pam30_matrix, gap8, shard_count=2)
+        ShardedEngine.build_on_disk(
+            database, tmp_path / "index", pam30_matrix, gap8, shard_count=2, block_size=512
+        ).close()
+        return ShardedEngine.open(tmp_path / "index")
+
+    def test_every_entry_point_returns_the_same_hits(
+        self, engine, small_protein_database, pam30_matrix, gap8
+    ):
+        reference = OasisEngine.build(
+            small_protein_database, matrix=pam30_matrix, gap_model=gap8
+        )
+        expected = hit_rows(reference.execute(self.QUERY, **self.OPTIONS).result().hits)
+        assert len(expected) == 5 and all(row[4] is not None for row in expected)
+
+        tracer = Tracer()
+        with engine:
+            assert hit_rows(engine.search(self.QUERY, **self.OPTIONS)) == expected
+            assert hit_rows(engine.execute(self.QUERY, **self.OPTIONS).result()) == expected
+            assert hit_rows(engine.execute(self.QUERY, **self.OPTIONS)) == expected
+            streamed = engine.search_online(self.QUERY, tracer=tracer, **self.OPTIONS)
+            assert hit_rows(streamed) == expected
+            report = engine.search_many([self.QUERY] * 2, workers=2, **self.OPTIONS)
+            assert [hit_rows(result) for result in report.results()] == [expected] * 2
+        assert [record.name for record in tracer.records()].count("query") == 1
+
+        engine.close()  # a second close is a no-op
+        cursors = [shard.cursor for shard in getattr(engine, "shards", [engine])]
+        for cursor in cursors:
+            if isinstance(cursor, DiskSuffixTree):
+                cursor.pool.clear()  # nothing cached: the next read needs the file
+                with pytest.raises(ValueError):
+                    cursor.children(cursor.root)
 
 
 class TestThresholdResolution:

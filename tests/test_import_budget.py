@@ -121,8 +121,19 @@ def test_database_search_stays_inside_core(corpus, numpy_alone):
     loaded = loaded_after(CLI_SEARCH, ["--database", fasta, "--query", query, "--evalue", "10"])
     loaded -= numpy_alone
     # numpy.ma: np.unique and friends import it on first call (~10 ms).
+    # concurrent.futures.thread / queue: one query (or --workers 1) is a
+    # loop on the serial backend, not a pool of one thread.
     found = offenders(
-        loaded, ["repro.sharding", "multiprocessing", "socket", "hashlib", "numpy.ma"]
+        loaded,
+        [
+            "repro.sharding",
+            "multiprocessing",
+            "socket",
+            "hashlib",
+            "numpy.ma",
+            "concurrent.futures.thread",
+            "queue",
+        ],
     )
     found += sorted(
         m for m in loaded if m.startswith("repro.obs.") and m != "repro.obs.logsetup"

@@ -7,7 +7,8 @@ Covers the guarantees the serving layer depends on:
 * an early-aborted generator still reports the work it actually did;
 * ``search_many`` returns results identical to the serial loop, on both the
   in-memory and the disk-resident index;
-* per-query timeouts and batch-wide abort stop work cooperatively.
+* per-query timeouts and batch-wide abort stop work cooperatively -- also
+  when a batch of width one runs as the plain serial loop.
 """
 
 import threading
@@ -234,6 +235,64 @@ class TestSearchMany:
         assert report.statistics.timed_out == 4
         # Timed-out queries still return (partial, possibly empty) results.
         assert report.statistics.succeeded == 4
+
+    def test_one_worker_is_the_serial_loop(self, engine, small_protein_database):
+        """No pool for a batch of width one: same answers, backend ``serial``."""
+        queries = standard_workload(small_protein_database, count=12)
+        loop = [hit_tuples(engine.search(q, min_score=8)) for q in queries]
+        one = engine.search_many(queries, workers=1, min_score=8)
+        two = engine.search_many(queries, workers=2, min_score=8)
+        assert one.statistics.backend == "serial" and one.statistics.workers == 1
+        assert two.statistics.backend == "threads:2"
+        assert [hit_tuples(r) for r in one.results()] == loop
+        assert [hit_tuples(r) for r in two.results()] == loop
+        # An explicit backend still wins over the width.
+        pooled = engine.search_many(queries[:2], workers=1, backend="threads:1", min_score=8)
+        assert pooled.statistics.backend == "threads:1"
+
+    def test_serial_loop_honours_the_timeout(self, engine, small_protein_database):
+        queries = standard_workload(small_protein_database, count=4)
+        report = engine.search_many(queries, workers=1, min_score=1, timeout=1e-9)
+        assert report.statistics.backend == "serial"
+        assert report.statistics.timed_out == 4
+        assert report.statistics.succeeded == 4  # partial hit lists, not errors
+        full = [len(engine.search(q, min_score=1)) for q in queries]
+        assert all(len(r) <= n for r, n in zip(report.results(), full))
+        assert all(r.parameters["timed_out"] for r in report.results())
+
+    def test_serial_loop_is_aborted_from_another_thread(self, engine, small_protein_database):
+        """abort() mid-batch: the in-flight query stops at its next queue pop
+        (it keeps what it has), the queries behind it never start."""
+        queries = standard_workload(small_protein_database, count=5)
+        executor = BatchSearchExecutor.for_engine(engine, workers=1, min_score=1)
+        assert executor.backend_spec == "serial"
+        original = executor._run_query
+        in_flight, abort_issued = threading.Event(), threading.Event()
+
+        def held_in_flight(query, budget, cancel, trace_parent):
+            in_flight.set()
+            assert abort_issued.wait(timeout=30)
+            return original(query, budget, cancel, trace_parent)
+
+        def abort_once_running():
+            assert in_flight.wait(timeout=30)
+            executor.abort()
+            abort_issued.set()
+
+        executor._run_query = held_in_flight
+        aborter = threading.Thread(target=abort_once_running)
+        aborter.start()
+        report = executor.run(queries)
+        aborter.join(timeout=30)
+        assert not aborter.is_alive()
+
+        first, rest = report.outcomes[0], report.outcomes[1:]
+        assert first.aborted and first.result is not None
+        assert first.result.parameters["aborted"] is True
+        assert len(first.result) < len(engine.search(queries[0], min_score=1))
+        assert first.result.statistics.nodes_expanded == 0  # stopped at the first pop
+        assert all(outcome.aborted and outcome.result is None for outcome in rest)
+        assert report.statistics.aborted == 5
 
     def test_streaming_map_yields_all_pairs(self, engine, small_protein_database):
         queries = standard_workload(small_protein_database, count=8)

@@ -272,14 +272,6 @@ class TestShardedParityInMemory:
         with pytest.raises(RuntimeError, match="closed"):
             execution.result()
 
-    def test_engine_facade(self, shard_database, pam30_matrix, gap8):
-        sharded = OasisEngine.build_sharded(
-            shard_database, pam30_matrix, gap8, shard_count=2
-        )
-        with sharded:
-            assert sharded.shard_count == 2
-            assert len(sharded.search(QUERIES[0], evalue=EVALUE)) > 0
-
 
 class TestShardedParityOnDisk:
     @pytest.mark.parametrize("shard_count", [1, 2, 4])

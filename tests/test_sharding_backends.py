@@ -15,6 +15,7 @@ import glob
 import hashlib
 import os
 import random
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.parallel import BatchSearchExecutor
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder, shard_pool_budgets
+from repro.sharding.remote import ShardSearchTask, run_shard_search
 from repro.testing import random_protein
 
 QUERIES = ["WKDDGNGYISAAE", "MKVLAADT", "DKDGDGCITTKEL"]
@@ -148,6 +150,34 @@ class TestScatterBackendParity:
         assert [hit.alignment for hit in got.hits] == [
             hit.alignment for hit in expected.hits
         ]
+
+    def test_worker_outcome_equals_the_in_process_shard_result(self, index_directories):
+        """What a worker sends back is what ``execution.result()`` builds here.
+
+        Same shard, same query, same (cold) pool budget: the hits, the global
+        E-values (the task carries the model, so the floats are bit-identical),
+        the alignments and every work counter agree -- only the clock differs.
+        """
+        query = QUERIES[0]
+        options = dict(evalue=EVALUE, compute_alignments=True)
+        with ShardedEngine.open(index_directories[2], backend="processes:2") as sharded:
+            scattered = sharded.execute(query, **options)
+            remote = sharded._scatter(scattered.executions)
+            local = [shard.execute(query, **options).result() for shard in sharded.shards]
+        assert sum(len(result) for result in remote) > 0
+        for shard, (got, expected) in enumerate(zip(remote, local)):
+            assert hit_signature(got.hits) == hit_signature(expected.hits)
+            assert all(isinstance(hit.evalue, float) for hit in got.hits)
+            assert [hit.alignment for hit in got.hits] == [
+                hit.alignment for hit in expected.hits
+            ]
+            assert all(hit.alignment is not None for hit in got.hits)
+            assert got.parameters["min_score"] == expected.parameters["min_score"]
+            counters, reference = got.statistics.as_dict(), expected.statistics.as_dict()
+            assert counters.pop("elapsed_seconds") > 0 and reference.pop("elapsed_seconds") > 0
+            assert counters == reference, f"shard {shard}"
+            # The parent's execution took the worker's counters over.
+            assert scattered.executions[shard].statistics is got.statistics
 
     def test_process_scatter_reports_per_shard_statistics(self, index_directories):
         with ShardedEngine.open(index_directories[4], backend="processes:2") as sharded:
@@ -290,6 +320,29 @@ class TestProcessBackendFailurePaths:
                 QUERIES[0], evalue=EVALUE, time_budget=1e-9
             ).result()
             assert result.parameters.get("timed_out") is True
+
+    def test_expired_task_answers_without_opening_the_shard(self, tmp_path):
+        """A task that outwaited its deadline in the pool queue costs nothing.
+
+        The directory does not exist: had the worker tried to open the
+        catalog, this would raise instead of returning.
+        """
+        task = ShardSearchTask(
+            directory=str(tmp_path / "never-built"),
+            shard_index=0,
+            query="wkddgngyisaae",
+            min_score=20,
+            max_results=None,
+            compute_alignments=False,
+            deadline_epoch=time.time() - 1.0,
+            buffer_pool_bytes=1 << 16,
+            simulated_miss_latency=0.0,
+            sleep_on_miss=False,
+        )
+        result, spans, metrics = run_shard_search(task)
+        assert result.hits == [] and result.query == "WKDDGNGYISAAE"
+        assert result.parameters == {"timed_out": True}
+        assert result.statistics is None and spans == [] and metrics == {}
 
     def test_batch_timeout_flag_survives_process_scatter(self, index_directories):
         with ShardedEngine.open(index_directories[2], backend="processes:2") as sharded:

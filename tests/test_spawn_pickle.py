@@ -1,11 +1,13 @@
-"""Spawn-boundary round trips for the three designated payload classes.
+"""Spawn-boundary round trips for the designated payload classes and the outcome.
 
 ``ProcessBackend`` starts workers with the ``spawn`` context: a fresh
 interpreter re-imports every task class by qualified name and unpickles its
 fields.  These tests ship each payload class through a real spawn worker
 (``repro.testing.proc_roundtrip``) and compare what comes back -- the
 strongest possible form of "this class is spawn-safe", and the runtime
-complement of the static ``pickle-safety`` rule.
+complement of the static ``pickle-safety`` rule.  What a shard search sends
+*back* is a plain :class:`~repro.core.results.SearchResult`; its round trip
+is held here too.
 
 One shared ProcessBackend for the module: spawn startup is the expensive
 part, and reusing the worker also proves the payloads coexist in one
@@ -19,8 +21,12 @@ import pickle
 
 import pytest
 
+from repro.core.engine import OasisEngine
+from repro.core.oasis import OasisSearchStatistics
+from repro.core.results import Alignment, OnlineResultLog, SearchResult
 from repro.exec import ProcessBackend
 from repro.obs.trace import TraceContext
+from repro.scoring.karlin_altschul import KarlinAltschulParameters
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding.remote import ShardBuildTask, ShardSearchTask
@@ -51,6 +57,8 @@ def make_search_task(**overrides):
         sleep_on_miss=False,
         fingerprint={"matrix": "pam30", "gap": -8},
         database_digest="abc123",
+        statistics_model=KarlinAltschulParameters(lambda_=0.34, k=0.28, h=2.3),
+        database_size=1_226,
     )
     base.update(overrides)
     return ShardSearchTask(**base)
@@ -110,6 +118,34 @@ class TestTraceContext:
         _, returned = roundtrip(spawn_backend, context)
         tracer = returned.tracer()
         assert tracer.trace_id == "t-42"
+
+
+class TestSearchResultOutcome:
+    """The worker's answer: the SearchResult its execution built, as it is."""
+
+    def test_spawn_roundtrip_is_equal_field_by_field(
+        self, spawn_backend, small_protein_database, pam30_matrix, gap8
+    ):
+        engine = OasisEngine.build(small_protein_database, matrix=pam30_matrix, gap_model=gap8)
+        result = engine.search("WKDDGNGYISAAE", min_score=20, compute_alignments=True)
+        assert len(result) >= 2
+
+        qualname, returned = roundtrip(spawn_backend, result)
+        assert qualname == "repro.core.results.SearchResult"
+        for field in dataclasses.fields(SearchResult):
+            assert getattr(returned, field.name) == getattr(result, field.name), field.name
+        for sent, got in zip(result.hits, returned.hits):
+            assert isinstance(got.alignment, Alignment)
+            assert got.alignment == sent.alignment
+            assert got.evalue == sent.evalue and isinstance(got.evalue, float)
+            assert got.emitted_at == sent.emitted_at
+        log = returned.parameters["online_log"]
+        assert isinstance(log, OnlineResultLog)
+        assert log.events == result.parameters["online_log"].events
+        assert len(log) == len(result)
+        assert isinstance(returned.statistics, OasisSearchStatistics)
+        assert returned.statistics.as_dict() == result.statistics.as_dict()
+        assert returned.statistics.nodes_expanded > 0
 
 
 class TestPayloadShape:

@@ -11,11 +11,13 @@ flagged in the per-shard rows on every backend.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.core.engine import OasisEngine
+from repro.core.oasis import OasisSearchStatistics
 from repro.obs import Tracer, validate_trace
 from repro.parallel import BatchSearchExecutor
 from repro.scoring.data import pam30
@@ -95,6 +97,42 @@ def test_metrics_agree_with_statistics(index_dir, backend):
     assert sum(row["nodes_expanded"] for row in rows) == statistics.nodes_expanded
     assert sum(row["hits"] for row in rows) == len(result)
     assert not any(row["timed_out"] or row["aborted"] for row in rows)
+
+
+def test_every_statistics_field_is_reported_and_merged():
+    """A counter added to the dataclass cannot be forgotten downstream.
+
+    ``as_dict`` and the sharded merge are derived from the dataclass fields;
+    a new field that is neither an integer counter (summed) nor one of the
+    three named exceptions has no merge rule and must fail here, not vanish
+    from every sharded result.
+    """
+    names = [field.name for field in dataclasses.fields(OasisSearchStatistics)]
+    parts = []
+    for offset in (1, 100):
+        part = OasisSearchStatistics(kernel=f"kernel-{offset}")
+        for position, name in enumerate(names):
+            if name != "kernel":
+                value = offset + position
+                setattr(part, name, value / 8 if name == "elapsed_seconds" else value)
+        parts.append(part)
+
+    for part in parts:
+        assert part.as_dict() == {name: getattr(part, name) for name in names}
+
+    merged = OasisSearchStatistics.merged(parts, elapsed_seconds=0.75)
+    special = {
+        "max_queue_size": max(part.max_queue_size for part in parts),
+        "elapsed_seconds": 0.75,
+        "kernel": "kernel-1",
+    }
+    for name in names:
+        if name in special:
+            expected = special[name]
+        else:
+            expected = sum(getattr(part, name) for part in parts)
+        assert getattr(merged, name) == expected, f"{name} is not merged"
+    assert OasisSearchStatistics.merged([], 0.0) == OasisSearchStatistics()
 
 
 def test_work_counters_identical_across_backends(index_dir):
