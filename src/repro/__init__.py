@@ -37,12 +37,10 @@ if TYPE_CHECKING:
         ThreadBackend,
     )
     from repro.obs import (
-        JsonLinesExporter,
         MetricsRegistry,
         Tracer,
         configure_logging,
         get_logger,
-        profile_search,
     )
     from repro.parallel import BatchSearchExecutor, BatchSearchReport
     from repro.sequences.database import SequenceDatabase
@@ -63,12 +61,10 @@ else:
                 "ThreadBackend",
             ),
             "repro.obs": (
-                "JsonLinesExporter",
                 "MetricsRegistry",
                 "Tracer",
                 "configure_logging",
                 "get_logger",
-                "profile_search",
             ),
             "repro.parallel": ("BatchSearchExecutor", "BatchSearchReport"),
             "repro.sequences.database": ("SequenceDatabase",),
@@ -82,8 +78,6 @@ __version__ = "1.4.0"
 __all__ = [
     "Tracer",
     "MetricsRegistry",
-    "JsonLinesExporter",
-    "profile_search",
     "configure_logging",
     "get_logger",
     "OasisEngine",

@@ -2,7 +2,7 @@
 
 ``python -m repro.analysis src/`` parses every source file and runs the
 registered invariant rules (import layering, spawn safety, lock
-discipline, determinism).  Exit codes mirror ``repro.obs.validate``:
+discipline, determinism).  Exit codes mirror ``python -m repro.obs``:
 0 clean, 1 violations or parse errors, 2 usage error.
 
 The package also hosts the *runtime* lock-order detector

@@ -1,6 +1,6 @@
 """CLI entry point: ``python -m repro.analysis [paths...]``.
 
-Exit codes (same contract as ``repro.obs.validate``):
+Exit codes (same contract as ``python -m repro.obs``):
 
 * ``0`` -- every rule passed on every file (suppressions may have fired;
   they are listed, not hidden);

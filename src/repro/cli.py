@@ -131,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="FILE",
         help="record a span trace of the run and write it to FILE as "
-        "JSON lines (one span per line; validate with "
-        "`python -m repro.obs.validate FILE`)",
+        "JSON lines (a header, then one span per line; check with "
+        "`python -m repro.obs validate FILE`)",
     )
     search.add_argument(
         "--metrics",
@@ -165,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="attach the flight recorder: ring-buffer recent spans, events "
         "and metric deltas, and dump a JSON-lines black box to FILE "
         "(default flight.jsonl) on query timeout/abort/error and on "
-        "SIGUSR1 (replay with `python -m repro.obs.flight FILE`)",
+        "SIGUSR1 (replay with `python -m repro.obs report FILE`)",
     )
     search.add_argument(
         "--stackprof",
@@ -587,15 +587,15 @@ def _emit_telemetry(args: argparse.Namespace, tracer) -> None:
     if args.slow_log is not None:
         _emit_slow_log(args.slow_log, tracer)
     if args.trace:
-        from repro.obs import JsonLinesExporter
+        from repro.obs.recording import Recording, write
 
-        # "w", not the exporter's append default: rerunning with the same
-        # --trace FILE must not interleave two traces in one file.
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            tracer.export(JsonLinesExporter(handle))
-        print(
-            f"wrote {len(tracer.records())} spans to {args.trace}", file=sys.stderr
+        # The run is over, so the span set is a closed tree: partial=False.
+        records = tracer.records()
+        write(
+            args.trace,
+            Recording.of(records, partial=False, reason="trace", trace_id=tracer.trace_id),
         )
+        print(f"wrote {len(records)} spans to {args.trace}", file=sys.stderr)
     if args.metrics:
         rendered = tracer.metrics.render()
         if rendered:

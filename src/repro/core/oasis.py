@@ -27,7 +27,7 @@ import heapq
 import threading
 import time
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
@@ -99,6 +99,29 @@ class OasisSearchStatistics:
             if isinstance(field.default, int) and field.name != "max_queue_size":
                 setattr(merged, field.name, sum(getattr(part, field.name) for part in parts))
         return merged
+
+
+#: ``(metric name, OasisSearchStatistics field, description)``: the ``search.*``
+#: instrument a finished execution feeds each field into
+#: (:meth:`QueryExecution._close_span` walks this; so does
+#: ``tests/test_stats_consistency.py``, where a field without a row fails).
+#: Counters all, except the two fields :meth:`OasisSearchStatistics.merged`
+#: does not sum either: the queue peak is a gauge, the latency a histogram.
+#: The ``buffer_*`` fields have no row: the pool counts ``pool.hits`` /
+#: ``pool.misses`` / ``pool.evictions`` itself, exactly once per page, where
+#: the per-query deltas overlap when queries share a pool.
+STATISTICS_METRICS: Tuple[Tuple[str, str, str], ...] = (
+    ("search.columns_expanded", "columns_expanded", "DP columns computed"),
+    ("search.nodes_expanded", "nodes_expanded", "suffix-tree nodes expanded"),
+    ("search.nodes_enqueued", "nodes_enqueued", "children pushed on the frontier"),
+    ("search.nodes_accepted", "nodes_accepted", "accepted nodes popped off the frontier"),
+    ("search.pruning_cutoffs", "nodes_pruned", "frontier nodes cut by the pruning rules"),
+    ("search.queue_peak", "max_queue_size", "peak priority-queue size"),
+    ("search.pruned_non_positive", "pruned_non_positive", "cells cut by the non-positive rule"),
+    ("search.pruned_dominated", "pruned_dominated", "cells cut by the domination rule"),
+    ("search.pruned_threshold", "pruned_threshold", "cells cut by the threshold rule"),
+    ("search.seconds", "elapsed_seconds", "per-query latency"),
+)
 
 
 def open_span(tracer, name: str, parent_id: Optional[str], attributes: Dict[str, object]):
@@ -476,28 +499,19 @@ class QueryExecution:
         metrics = tracer.metrics
         metrics.counter("search.queries", "queries executed").inc()
         metrics.counter("search.hits", "hits emitted").inc(len(self._hits))
-        metrics.counter("search.nodes_expanded", "suffix-tree nodes expanded").inc(
-            statistics.nodes_expanded
-        )
-        metrics.counter("search.columns_expanded", "DP columns computed").inc(
-            statistics.columns_expanded
-        )
         # One DP column holds query_length + 1 cells.
         metrics.counter("search.dp_cells", "DP cells computed").inc(
             statistics.columns_expanded * (len(self.query_sequence.codes) + 1)
         )
-        metrics.counter(
-            "search.pruning_cutoffs", "frontier nodes cut by the pruning rules"
-        ).inc(statistics.nodes_pruned)
-        metrics.gauge("search.queue_peak", "peak priority-queue size").set(
-            max(
-                metrics.gauge("search.queue_peak").value,
-                statistics.max_queue_size,
-            )
-        )
-        metrics.histogram("search.seconds", description="per-query latency").observe(
-            statistics.elapsed_seconds
-        )
+        for name, field_name, description in STATISTICS_METRICS:
+            value = getattr(statistics, field_name)
+            if field_name == "max_queue_size":
+                peak = metrics.gauge(name, description)
+                peak.set(max(peak.value, value))
+            elif field_name == "elapsed_seconds":
+                metrics.histogram(name, description=description).observe(value)
+            else:
+                metrics.counter(name, description).inc(value)
         if self.timed_out:
             metrics.counter("search.timeouts", "queries that hit their budget").inc()
         if self.aborted:

@@ -1,0 +1,131 @@
+"""The telemetry tools' one entry point: ``python -m repro.obs <subcommand>``.
+
+* ``validate [--tree] FILE`` -- load a recording (what ``search --trace``
+  or ``search --flight`` wrote) and check it structurally; ``--tree`` prints
+  the span tree first.
+* ``report [--markdown] [--top N] FILE`` -- validate, then replay it:
+  header, events, metric deltas, span tree, span analysis.
+* ``regress [...]`` -- the benchmark-regression sentry
+  (:mod:`repro.obs.regress`).
+
+Exit codes, all subcommands: 0 ok; 1 the file is unreadable, invalid or
+empty (``regress``: a metric regressed), one problem per stderr line; 2
+usage error (``regress``: or no benchmark records found).
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from typing import Optional, Sequence
+
+from repro.obs.recording import Recording, load, render, span_tree, validate
+from repro.obs.regress import DEFAULT_THRESHOLD, run
+
+
+def _load_valid(path: str) -> Optional[Recording]:
+    """The recording at ``path``, or ``None`` with the problems on stderr."""
+    try:
+        recording = load(path)
+    except (OSError, ValueError) as error:
+        print(f"unreadable recording {path}: {error}", file=sys.stderr)
+        return None
+    problems = validate(recording)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return None if problems else recording
+
+
+def _validate(args: argparse.Namespace) -> int:
+    recording = _load_valid(args.file)
+    if recording is None:
+        return 1
+    if args.tree:
+        print(span_tree(recording.spans))
+    header = recording.header
+    print(
+        f"ok: {len(recording.spans)} spans, {len(recording.events)} events, "
+        f"{len(recording.metric_deltas)} metric deltas "
+        f"({'partial' if header['partial'] else 'complete'}, reason={header['reason']}, "
+        f"trace {header.get('trace_id')})"
+    )
+    return 0
+
+
+def _report(args: argparse.Namespace) -> int:
+    recording = _load_valid(args.file)
+    if recording is None:
+        return 1
+    print(render(recording, markdown=args.markdown, title=args.file, top=args.top))
+    return 0
+
+
+def _regress(args: argparse.Namespace) -> int:
+    return run(
+        directory=args.dir,
+        history_path=args.history,
+        threshold=args.threshold,
+        markdown_path=args.markdown,
+        tolerate_smoke=args.tolerate_smoke,
+        update_history=args.update_history,
+    )
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.obs", description="Read what the telemetry stack wrote."
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    validate_cmd = commands.add_parser("validate", help="check a --trace/--flight file")
+    validate_cmd.add_argument("file", metavar="FILE")
+    validate_cmd.add_argument("--tree", action="store_true", help="print the span tree first")
+    validate_cmd.set_defaults(handler=_validate)
+
+    report_cmd = commands.add_parser("report", help="replay a --trace/--flight file")
+    report_cmd.add_argument("file", metavar="FILE")
+    report_cmd.add_argument("--markdown", action="store_true", help="markdown tables")
+    report_cmd.add_argument(
+        "--top", type=int, default=5, metavar="N", help="length of the slowest-query list"
+    )
+    report_cmd.set_defaults(handler=_report)
+
+    regress_cmd = commands.add_parser(
+        "regress", help="compare BENCH_*.json records with BENCH_history.jsonl"
+    )
+    regress_cmd.add_argument("--dir", default=".", help="directory holding the records")
+    regress_cmd.add_argument("--history", metavar="FILE", help="history file (default: in --dir)")
+    regress_cmd.add_argument(
+        "--threshold",
+        type=float,
+        default=DEFAULT_THRESHOLD,
+        metavar="FRACTION",
+        help="relative change tolerated before a metric counts as regressed",
+    )
+    regress_cmd.add_argument("--markdown", metavar="FILE", help="also write the report here")
+    regress_cmd.add_argument(
+        "--tolerate-smoke",
+        action="store_true",
+        help="regressions on smoke-stamped current records only warn",
+    )
+    regress_cmd.add_argument(
+        "--update-history", action="store_true", help="append the current records to the history"
+    )
+    regress_cmd.set_defaults(handler=_regress)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exit_request:
+        # argparse exits 2 on usage errors already; normalise --help to 0.
+        return int(exit_request.code or 0)
+    try:
+        return int(args.handler(args))
+    except BrokenPipeError:  # reader (e.g. `| head`) closed the pipe early
+        return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,8 @@
 """Trace analytics: where did the time of a recorded trace actually go?
 
-PR 4 made every search emit spans; this module turns a span list (usually a
-JSON-lines trace read back with :func:`~repro.obs.exporters.read_jsonl`)
-into answers:
+PR 4 made every search emit spans; this module turns a span list (usually
+the spans of a file read back with :func:`repro.obs.recording.load`) into
+answers:
 
 * the **critical path** -- the chain of spans, root to leaf, that bounded
   the run's wall clock (at each level, the child that finished last);
@@ -18,10 +18,10 @@ into answers:
 * per-span-name aggregates and the N **slowest queries**.
 
 Phases come from the ``phase`` span attribute the engine stamps at every
-span site; traces recorded before the attribute existed fall back to a
-name-based mapping.  Everything here is pure computation over records --
-deterministic for a given trace, no clocks, no I/O -- so reports diff
-cleanly.  Rendering lives in :mod:`repro.obs.report`.
+span site; a foreign span without one is reported as ``other``.  Everything
+here is pure computation over records -- deterministic for a given trace,
+no clocks, no I/O -- so reports diff cleanly.  Rendering lives in
+:mod:`repro.obs.report`.
 """
 
 from __future__ import annotations
@@ -34,18 +34,8 @@ from repro.obs.trace import SpanRecord
 #: Span attribute carrying the phase label (stamped by the engine layers).
 PHASE_ATTRIBUTE = "phase"
 
-#: Fallback phase per span name, for traces recorded before the ``phase``
-#: attribute existed.  A bare ``query`` span is DP expansion (the monolithic
-#: engine); the sharded engine stamps its query spans ``scatter`` explicitly.
-DEFAULT_PHASES: Dict[str, str] = {
-    "batch": "batch",
-    "query": "expand",
-    "shard": "shard",
-    "merge": "merge",
-    "pool.miss": "pool_io",
-}
-
-#: Phase reported for spans with no attribute and no name mapping.
+#: Phase reported for spans that carry no ``phase`` attribute (foreign spans:
+#: every engine span site stamps one).
 OTHER_PHASE = "other"
 
 #: Stable report order for the known phases (unknown ones sort after).
@@ -57,7 +47,7 @@ def span_phase(record: SpanRecord) -> str:
     phase = record.attributes.get(PHASE_ATTRIBUTE)
     if isinstance(phase, str) and phase:
         return phase
-    return DEFAULT_PHASES.get(record.name, OTHER_PHASE)
+    return OTHER_PHASE
 
 
 @dataclass

@@ -18,12 +18,10 @@ and keeps three bounded ring buffers:
   the dump shows counter *rates* around the incident, not lifetime totals.
 
 Everything is in memory and bounded, so the recorder can stay attached for
-the life of a process.  :meth:`dump` writes a self-describing JSON-lines
-black box -- one ``kind``-tagged object per line (``flight`` header, then
-``span`` / ``event`` / ``metrics`` records) -- which
-``python -m repro.obs.validate`` checks and ``python -m repro.obs.flight
-DUMP.jsonl`` replays through the :mod:`repro.obs.analyze` /
-:mod:`repro.obs.report` machinery.
+the life of a process.  :meth:`dump` writes the black box as a
+:mod:`repro.obs.recording` whose header says ``partial: true`` -- the same
+file format ``search --trace`` writes, so ``python -m repro.obs validate``
+checks it and ``python -m repro.obs report`` replays it.
 
 Dump triggers, wired through the CLI's ``search --flight [FILE]``:
 
@@ -42,24 +40,18 @@ telemetry contract.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
-import sys
 import threading
 import time
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
-from repro.obs.exporters import SPAN_SCHEMA, render_span_tree
+from repro.obs.recording import Recording, write
 from repro.obs.trace import SpanRecord
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.obs.trace import Tracer
-
-#: Format tag + version written into every dump header.
-DUMP_FORMAT = "oasis-flight"
-DUMP_VERSION = 1
 
 #: Default ring capacities: enough context around an incident without ever
 #: mattering for memory (a span record is a few hundred bytes).
@@ -247,32 +239,20 @@ class FlightRecorder:
             deltas = list(self._metric_deltas)
             self.dumps_written += 1
             self.last_dump_reason = reason
-        header = {
-            "kind": "flight",
-            "format": DUMP_FORMAT,
-            "version": DUMP_VERSION,
-            "reason": reason,
-            "pid": os.getpid(),
-            "trace_id": tracer.trace_id,
-            # Epoch stamp so dumps from different processes line up.
-            "epoch": time.time(),  # repro: allow[monotonic-time]
-            "elapsed_seconds": time.perf_counter() - self._start_wall,
-            "spans": len(spans),
-            "events": len(events),
-            "metric_deltas": len(deltas),
-            "span_capacity": self._spans.maxlen,
-            "event_capacity": self._events.maxlen,
-        }
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for record in spans:
-                payload = record.to_dict()
-                payload["kind"] = "span"
-                handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            for event in events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
-            for delta in deltas:
-                handle.write(json.dumps(delta, sort_keys=True) + "\n")
+        write(
+            target,
+            Recording.of(
+                spans,
+                partial=True,
+                reason=reason,
+                trace_id=tracer.trace_id,
+                events=events,
+                metric_deltas=deltas,
+                elapsed_seconds=time.perf_counter() - self._start_wall,
+                span_capacity=self._spans.maxlen,
+                event_capacity=self._events.maxlen,
+            ),
+        )
         return str(target)
 
     # ------------------------------------------------------------------ #
@@ -396,219 +376,3 @@ def _instrument_delta(
             "sum_delta": now_sum - then_sum,
         }
     return dict(state)
-
-
-# ---------------------------------------------------------------------- #
-# Dump loading, validation, replay
-# ---------------------------------------------------------------------- #
-class FlightDump:
-    """A parsed dump: header dict, span records, events, metric deltas."""
-
-    def __init__(
-        self,
-        header: Dict[str, object],
-        spans: List[SpanRecord],
-        events: List[Dict[str, object]],
-        metric_deltas: List[Dict[str, object]],
-    ) -> None:
-        self.header = header
-        self.spans = spans
-        self.events = events
-        self.metric_deltas = metric_deltas
-
-
-def load_dump(path: str) -> FlightDump:
-    """Parse a flight dump file (raises ``ValueError`` on malformed lines)."""
-    header: Optional[Dict[str, object]] = None
-    spans: List[SpanRecord] = []
-    events: List[Dict[str, object]] = []
-    deltas: List[Dict[str, object]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"{path}:{number}: invalid JSON: {error}") from error
-            if not isinstance(payload, dict):
-                raise ValueError(f"{path}:{number}: expected a JSON object")
-            kind = payload.get("kind")
-            if kind == "flight":
-                if header is not None:
-                    raise ValueError(f"{path}:{number}: duplicate flight header")
-                header = payload
-            elif kind == "span":
-                payload = dict(payload)
-                payload.pop("kind", None)
-                spans.append(SpanRecord.from_dict(payload))
-            elif kind == "event":
-                events.append(payload)
-            elif kind == "metrics":
-                deltas.append(payload)
-            else:
-                raise ValueError(f"{path}:{number}: unknown record kind {kind!r}")
-    if header is None:
-        raise ValueError(f"{path}: not a flight dump (no flight header line)")
-    return FlightDump(header, spans, events, deltas)
-
-
-def validate_dump(dump: FlightDump) -> List[str]:
-    """Structural check of a parsed dump; returns problems (empty = ok).
-
-    Span records must be schema-valid individually, but -- unlike a full
-    trace -- the set may be *partial*: the ring evicts old spans and the
-    root query span may still be open at dump time, so unresolved parents
-    and a missing root are legal here (the replay promotes orphans to
-    roots, exactly as :func:`~repro.obs.exporters.render_span_tree` does).
-    """
-    problems: List[str] = []
-    header = dump.header
-    if header.get("format") != DUMP_FORMAT:
-        problems.append(f"header format is {header.get('format')!r}, expected {DUMP_FORMAT!r}")
-    if not isinstance(header.get("version"), int):
-        problems.append("header has no integer version")
-    if not isinstance(header.get("reason"), str) or not header.get("reason"):
-        problems.append("header has no dump reason")
-    for count_field in ("spans", "events", "metric_deltas"):
-        declared = header.get(count_field)
-        actual = len(getattr(dump, count_field))
-        if declared != actual:
-            problems.append(
-                f"header declares {declared!r} {count_field}, file has {actual}"
-            )
-    seen_ids: Dict[str, int] = {}
-    for index, record in enumerate(dump.spans):
-        data = record.to_dict()
-        for fieldname, expected in SPAN_SCHEMA.items():
-            value = data.get(fieldname)
-            if not isinstance(value, expected):  # type: ignore[arg-type]
-                problems.append(
-                    f"span {index} ({record.name!r}): field {fieldname!r} "
-                    f"has {type(value).__name__}, expected {expected}"
-                )
-        if record.wall_seconds < 0:
-            problems.append(f"span {index} ({record.name!r}): negative wall time")
-        if record.span_id in seen_ids:
-            problems.append(f"duplicate span id {record.span_id!r}")
-        seen_ids[record.span_id] = index
-    for index, event in enumerate(dump.events):
-        if not isinstance(event.get("event"), str) or not event.get("event"):
-            problems.append(f"event {index}: missing event name")
-        if not isinstance(event.get("elapsed_seconds"), (int, float)):
-            problems.append(f"event {index}: missing elapsed_seconds")
-        if not isinstance(event.get("fields"), dict):
-            problems.append(f"event {index}: fields must be an object")
-    for index, delta in enumerate(dump.metric_deltas):
-        if not isinstance(delta.get("changed"), dict):
-            problems.append(f"metric delta {index}: changed must be an object")
-    return problems
-
-
-def _rooted_spans(spans: List[SpanRecord]) -> List[SpanRecord]:
-    """Copy spans with unresolved parents promoted to roots (ring is partial)."""
-    known = {record.span_id for record in spans}
-    rooted: List[SpanRecord] = []
-    for record in spans:
-        if record.parent_id is not None and record.parent_id not in known:
-            data = record.to_dict()
-            data["parent_id"] = None
-            record = SpanRecord.from_dict(data)
-        rooted.append(record)
-    return rooted
-
-
-def render_dump(dump: FlightDump, markdown: bool = False, title: str = "flight dump") -> str:
-    """The replay: header summary, events, metric deltas, span analysis."""
-    from repro.obs.analyze import analyze
-    from repro.obs.report import render_report
-
-    header = dump.header
-    out: List[str] = []
-    heading = "# " if markdown else ""
-    section = "## " if markdown else "-- "
-    out.append(f"{heading}{title}")
-    out.append(
-        f"reason={header.get('reason')} pid={header.get('pid')} "
-        f"trace={header.get('trace_id')} after {float(header.get('elapsed_seconds', 0.0)):.3f}s: "
-        f"{len(dump.spans)} spans, {len(dump.events)} events, "
-        f"{len(dump.metric_deltas)} metric deltas"
-    )
-    if dump.events:
-        out.append("")
-        out.append(f"{section}events")
-        for event in dump.events:
-            fields = event.get("fields") or {}
-            rendered = ", ".join(
-                f"{key}={value}" for key, value in sorted(fields.items())  # type: ignore[union-attr]
-            )
-            suffix = f" [{rendered}]" if rendered else ""
-            out.append(
-                f"  +{float(event.get('elapsed_seconds', 0.0)):9.3f}s "
-                f"{event.get('event')}{suffix}"
-            )
-    if dump.metric_deltas:
-        out.append("")
-        out.append(f"{section}metric deltas")
-        for delta in dump.metric_deltas:
-            changed = delta.get("changed") or {}
-            moved = ", ".join(
-                _render_metric_delta(name, state)  # type: ignore[arg-type]
-                for name, state in sorted(changed.items())  # type: ignore[union-attr]
-            )
-            out.append(
-                f"  +{float(delta.get('elapsed_seconds', 0.0)):9.3f}s {moved or '(baseline)'}"
-            )
-    if dump.spans:
-        rooted = _rooted_spans(dump.spans)
-        out.append("")
-        out.append(f"{section}span tree (ring contents; orphans shown as roots)")
-        out.append(render_span_tree(rooted))
-        out.append("")
-        out.append(render_report(analyze(rooted), markdown=markdown, title="span analysis"))
-    return "\n".join(out)
-
-
-def _render_metric_delta(name: str, state: Dict[str, object]) -> str:
-    kind = state.get("type")
-    if kind == "counter":
-        return f"{name}+{state.get('delta')}"
-    if kind == "gauge":
-        return f"{name}={state.get('value')}"
-    if kind == "histogram":
-        return f"{name}+{state.get('delta')}obs"
-    return f"{name}?"
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.obs.flight [--markdown] DUMP.jsonl`` -- replay a dump."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    markdown = "--markdown" in argv
-    argv = [arg for arg in argv if arg != "--markdown"]
-    paths = [arg for arg in argv if not arg.startswith("--")]
-    if len(paths) != 1 or len(paths) != len(argv):
-        print(
-            "usage: python -m repro.obs.flight [--markdown] DUMP.jsonl",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        dump = load_dump(paths[0])
-    except (OSError, ValueError, KeyError) as error:
-        print(f"unreadable flight dump {paths[0]}: {error}", file=sys.stderr)
-        return 1
-    problems = validate_dump(dump)
-    if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        return 1
-    try:
-        print(render_dump(dump, markdown=markdown, title=paths[0]))
-    except BrokenPipeError:  # reader (e.g. `| head`) closed the pipe early
-        return 0
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in CI
-    sys.exit(main())

@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Default latency buckets in seconds: ~exponential from 1 ms to ~16 s.
 DEFAULT_LATENCY_BUCKETS = (
@@ -243,23 +243,27 @@ class MetricsRegistry:
         self._instruments: Dict[str, object] = {}
         self._lock = threading.Lock()
 
-    def _get_or_create(self, name: str, factory: Callable[[], Any], kind: type) -> Any:
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = self._instruments[name] = factory()
-            elif not isinstance(instrument, kind):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(instrument).__name__}, not {kind.__name__}"
-                )
-            return instrument
+    def _get_or_create(self, kind: type, name: str, *arguments: object) -> Any:
+        # Instruments are never removed, so a hit needs no lock -- the common
+        # case by far: instrumented code looks its counters up per event.
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = self._instruments.get(name)
+                if instrument is None:
+                    instrument = self._instruments[name] = kind(name, *arguments)
+        if not isinstance(instrument, kind):
+            raise TypeError(
+                f"metric {name!r} already registered as "
+                f"{type(instrument).__name__}, not {kind.__name__}"
+            )
+        return instrument
 
     def counter(self, name: str, description: str = "") -> Counter:
-        return self._get_or_create(name, lambda: Counter(name, description), Counter)
+        return self._get_or_create(Counter, name, description)
 
     def gauge(self, name: str, description: str = "") -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name, description), Gauge)
+        return self._get_or_create(Gauge, name, description)
 
     def histogram(
         self,
@@ -267,9 +271,7 @@ class MetricsRegistry:
         boundaries: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
         description: str = "",
     ) -> Histogram:
-        return self._get_or_create(
-            name, lambda: Histogram(name, boundaries, description), Histogram
-        )
+        return self._get_or_create(Histogram, name, boundaries, description)
 
     # ------------------------------------------------------------------ #
     # Introspection, snapshotting, merging

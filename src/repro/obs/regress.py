@@ -1,4 +1,4 @@
-"""Benchmark-regression sentry: ``python -m repro.obs.regress``.
+"""Benchmark-regression sentry: ``python -m repro.obs regress``.
 
 The benchmarks persist one ``BENCH_<name>.json`` record per run (see
 :func:`repro.testing.persist_bench`) and the repo commits them, building a
@@ -384,53 +384,15 @@ def render_markdown(report: RegressionReport, threshold: float) -> str:
     return "\n".join(out)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    directory = "."
-    history_path: Optional[str] = None
-    threshold = DEFAULT_THRESHOLD
-    markdown_path: Optional[str] = None
-    tolerate_smoke = False
-    update_history = False
-
-    def take_value(flag: str) -> Optional[str]:
-        if flag not in argv:
-            return None
-        index = argv.index(flag)
-        if index + 1 >= len(argv):
-            raise SystemExit(2)
-        value = argv[index + 1]
-        del argv[index : index + 2]
-        return value
-
-    try:
-        value = take_value("--dir")
-        if value is not None:
-            directory = value
-        value = take_value("--history")
-        if value is not None:
-            history_path = value
-        value = take_value("--threshold")
-        if value is not None:
-            threshold = float(value)
-        markdown_path = take_value("--markdown")
-    except (SystemExit, ValueError):
-        print(
-            "usage: python -m repro.obs.regress [--dir DIR] [--history FILE] "
-            "[--threshold FRACTION] [--markdown FILE] [--tolerate-smoke] "
-            "[--update-history]",
-            file=sys.stderr,
-        )
-        return 2
-    if "--tolerate-smoke" in argv:
-        tolerate_smoke = True
-        argv.remove("--tolerate-smoke")
-    if "--update-history" in argv:
-        update_history = True
-        argv.remove("--update-history")
-    if argv:
-        print(f"unrecognised arguments: {' '.join(argv)}", file=sys.stderr)
-        return 2
+def run(
+    directory: str = ".",
+    history_path: Optional[str] = None,
+    threshold: float = DEFAULT_THRESHOLD,
+    markdown_path: Optional[str] = None,
+    tolerate_smoke: bool = False,
+    update_history: bool = False,
+) -> int:
+    """Compare ``directory``'s records with the history; returns the exit code."""
     if threshold <= 0:
         print("--threshold must be positive", file=sys.stderr)
         return 2
@@ -474,7 +436,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in CI
-    sys.exit(main())

@@ -1,24 +1,17 @@
-"""Render a trace analysis: ``python -m repro.obs.report TRACE.jsonl``.
+"""Render a :class:`~repro.obs.analyze.TraceAnalysis` as a deterministic report.
 
-Loads a JSON-lines trace (the ``search --trace FILE`` output), runs
-:func:`repro.obs.analyze.analyze` over it and prints a deterministic
-report: critical path, per-phase wall/CPU table (whose wall column sums to
-the root span -- the timeline sweep partitions the root interval), per-pid
-attribution for process backends, per-span-name aggregates and the N
-slowest queries.  ``--markdown`` renders the tables as GitHub-flavoured
-markdown instead of aligned text; ``--top N`` widens the slow-query list.
-
-Exit codes: 0 on success, 1 when the trace is unreadable or empty,
-2 on usage errors -- the same contract as :mod:`repro.obs.validate`.
+The span-analysis section of ``python -m repro.obs report FILE``: critical
+path, per-phase wall/CPU table (whose wall column sums to the root span --
+the timeline sweep partitions the root interval), per-pid attribution for
+process backends, per-span-name aggregates and the N slowest queries, as
+aligned text or GitHub-flavoured markdown.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.obs.analyze import TraceAnalysis, analyze, span_phase
-from repro.obs.exporters import read_jsonl
+from repro.obs.analyze import TraceAnalysis, span_phase
 from repro.obs.trace import SpanRecord
 
 
@@ -161,42 +154,3 @@ def render_report(
         ]
         out.extend(_table(["query", "wall", "cpu", "pid", "status"], rows, markdown))
     return "\n".join(out)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    markdown = "--markdown" in argv
-    argv = [arg for arg in argv if arg != "--markdown"]
-    top = 5
-    if "--top" in argv:
-        index = argv.index("--top")
-        try:
-            top = int(argv[index + 1])
-        except (IndexError, ValueError):
-            print("--top needs an integer argument", file=sys.stderr)
-            return 2
-        del argv[index : index + 2]
-    paths = [arg for arg in argv if not arg.startswith("--")]
-    if len(paths) != 1 or len(paths) != len(argv):
-        print(
-            "usage: python -m repro.obs.report [--markdown] [--top N] TRACE.jsonl",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        records = read_jsonl(paths[0])
-    except (OSError, ValueError, KeyError) as error:
-        print(f"unreadable trace {paths[0]}: {error}", file=sys.stderr)
-        return 1
-    if not records:
-        print(f"empty trace {paths[0]}", file=sys.stderr)
-        return 1
-    try:
-        print(render_report(analyze(records, top=top), markdown=markdown, title=paths[0]))
-    except BrokenPipeError:  # reader (e.g. `| head`) closed the pipe early
-        return 0
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in CI
-    sys.exit(main())

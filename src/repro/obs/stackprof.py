@@ -1,10 +1,10 @@
 """Sampling wall-clock profiler with span-phase attribution.
 
-``cProfile`` instruments every call, which distorts exactly the code it is
-most needed for here: the tight pure-Python DP loop in ``core/expand.py``
-makes millions of cheap calls, and per-call bookkeeping inflates their
-apparent share.  :class:`StackProfiler` takes the opposite trade -- a
-background thread wakes every few milliseconds, walks
+The repo's one profiler.  A deterministic profiler instruments every call,
+which distorts exactly the code it is most needed for here: the tight
+pure-Python DP loop in ``core/kernels.py`` makes millions of cheap calls,
+and per-call bookkeeping inflates their apparent share.
+:class:`StackProfiler` takes the opposite trade -- a background thread wakes every few milliseconds, walks
 ``sys._current_frames()``, and counts collapsed stacks.  Wall-clock, not
 CPU: a thread blocked on pool I/O or an executor queue is *sampled where it
 blocks*, which is what latency debugging needs.
@@ -22,8 +22,8 @@ Exports:
 * :meth:`StackProfiler.speedscope` -- a speedscope-format JSON document
   (https://www.speedscope.app), one ``sampled`` profile per run;
 * :meth:`StackProfiler.share_of` -- leaf-frame (own-time) share of samples
-  whose innermost frame matches a substring, directly comparable to the
-  cProfile own-time share published in ``BENCH_profile_expand.json``.
+  whose innermost frame matches a substring (``BENCH_stackprof.json``
+  records it for ``core/kernels``).
 
 Zero-dependency, and the usual inert contract: the profiler only costs
 anything between :meth:`start` and :meth:`stop`, and a ``tracer=None``
@@ -43,9 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.obs.trace import Tracer
 
 #: Default sampling interval in seconds.  ~5 ms keeps the sampler's own
-#: GIL time (one frame walk per tick) well under the 10% overhead budget
-#: asserted by ``benchmarks/test_bench_stackprof.py`` while still landing
-#: hundreds of samples on a benchmark-sized search.
+#: GIL time (one frame walk per tick) under 10% of the workload
+#: (``profiled_ratio``, recorded by ``benchmarks/test_bench_stackprof.py``)
+#: while still landing hundreds of samples on a benchmark-sized search.
 DEFAULT_INTERVAL = 0.005
 
 #: Phase label for samples with no phase-carrying open span.
@@ -196,10 +196,8 @@ class StackProfiler:
     def share_of(self, substring: str, phase: Optional[str] = None) -> float:
         """Leaf-frame (own-time) sample share of frames matching ``substring``.
 
-        Matches the innermost frame only -- the same own-time semantics as
-        ``ProfileReport.share_of`` under cProfile, so the two numbers for
-        ``core/expand.py`` are directly comparable.  Restrict to one phase
-        by passing ``phase``.
+        Matches the innermost frame only (own time, not cumulative).
+        Restrict to one phase by passing ``phase``.
         """
         with self._lock:
             total = 0

@@ -2,9 +2,8 @@
 
 A :class:`Tracer` hands out :class:`Span` context managers.  Each finished
 span becomes an immutable :class:`SpanRecord` -- name, ids, parent link,
-wall/CPU timing and free-form attributes -- collected on the tracer and
-exportable through :mod:`repro.obs.exporters` (human-readable tree,
-JSON-lines file, in-memory sink).
+wall/CPU timing and free-form attributes -- collected on the tracer
+(:meth:`Tracer.records`) and written to disk by :mod:`repro.obs.recording`.
 
 Two properties matter for this codebase:
 
@@ -20,8 +19,9 @@ Two properties matter for this codebase:
 
 * **Zero cost when disabled.**  Every instrumented call site takes
   ``tracer=None`` (the default) and guards with one ``is None`` check; no
-  object is allocated, no clock is read.  The overhead budget (<= 2% on a
-  full search workload) is asserted by ``benchmarks/test_bench_telemetry.py``.
+  object is allocated, no clock is read: ``tests/test_obs_disabled.py``
+  counts zero calls into ``repro/obs/`` during an uninstrumented search
+  (``benchmarks/test_bench_telemetry.py`` keeps the wall ratios on record).
 
 Two live-introspection hooks ride on the tracer (both free when unused):
 
@@ -43,18 +43,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only, avoids a module cycle
     from repro.obs.flight import FlightRecorder
     from repro.obs.metrics import MetricsRegistry
-
-
-class SpanExporter(Protocol):
-    """Anything that can sink a batch of finished spans."""
-
-    def write(self, records: Sequence["SpanRecord"]) -> None:
-        ...
 
 #: Attribute value types that survive a JSON round trip unchanged.
 AttributeValue = object
@@ -339,7 +332,7 @@ class Tracer:
         records keep the ids they were born with -- a worker built from a
         :class:`TraceContext` already carries this trace's ``trace_id`` and
         a parent id that resolves locally, so adopted spans slot straight
-        into the tree.
+        into the tree (and reach the span sinks like locally finished ones).
         """
         converted = [
             record if isinstance(record, SpanRecord) else SpanRecord.from_dict(record)
@@ -347,18 +340,14 @@ class Tracer:
         ]
         with self._lock:
             self.finished.extend(converted)
+        for sink in self._sinks:
+            for record in converted:
+                sink(record)
 
-    # ------------------------------------------------------------------ #
-    # Export
-    # ------------------------------------------------------------------ #
     def records(self) -> List[SpanRecord]:
         """A snapshot of every finished span, in completion order."""
         with self._lock:
             return list(self.finished)
-
-    def export(self, exporter: "SpanExporter") -> None:
-        """Hand every finished span to an exporter (``write(records)``)."""
-        exporter.write(self.records())
 
     def clear(self) -> None:
         with self._lock:

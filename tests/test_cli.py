@@ -484,7 +484,7 @@ class TestTelemetryFlags:
         return directory
 
     def test_trace_writes_a_valid_jsonl_file(self, index_dir, generated_files, tmp_path, capsys):
-        from repro.obs import read_jsonl, validate_trace
+        from repro.obs.recording import load, validate
 
         _, queries = generated_files
         trace = tmp_path / "trace.jsonl"
@@ -505,12 +505,13 @@ class TestTelemetryFlags:
         )
         assert code == 0
         assert "spans to" in capsys.readouterr().err
-        records = read_jsonl(trace)
-        assert validate_trace(records) == []
-        assert {record.name for record in records} >= {"batch", "query", "shard", "merge"}
+        recording = load(trace)
+        assert recording.header["partial"] is False
+        assert validate(recording) == []
+        assert {record.name for record in recording.spans} >= {"batch", "query", "shard", "merge"}
 
     def test_trace_file_is_overwritten_not_appended(self, generated_files, tmp_path):
-        from repro.obs import read_jsonl, validate_trace
+        from repro.obs.recording import load, validate
 
         fasta, queries = generated_files
         trace = tmp_path / "trace.jsonl"
@@ -526,12 +527,12 @@ class TestTelemetryFlags:
             str(trace),
         ]
         assert main(args) == 0
-        first = read_jsonl(trace)
+        first = load(trace)
         assert main(args) == 0
-        second = read_jsonl(trace)
+        second = load(trace)
         # A rerun replaces the file: one run, one coherent trace.
-        assert len(second) == len(first)
-        assert validate_trace(second) == []
+        assert len(second.spans) == len(first.spans)
+        assert validate(second) == []
 
     def test_metrics_flag_prints_registry(self, generated_files, capsys):
         fasta, queries = generated_files
@@ -726,18 +727,19 @@ class TestLiveIntrospectionFlags:
     def test_flight_defaults_to_conventional_filename(
         self, generated_files, tmp_path, monkeypatch, capsys
     ):
-        from repro.obs.flight import load_dump, validate_dump
+        from repro.obs.recording import load, validate
 
         fasta, queries = generated_files
         monkeypatch.chdir(tmp_path)
         code = main(self._search(fasta, queries, "--flight"))
         assert code == 0
         capsys.readouterr()
-        dump = load_dump(str(tmp_path / "flight.jsonl"))
-        assert validate_dump(dump) == []
+        dump = load(tmp_path / "flight.jsonl")
+        assert dump.header["partial"] is True
+        assert validate(dump) == []
 
     def test_introspection_flags_compose(self, generated_files, tmp_path, capsys):
-        from repro.obs.flight import load_dump, validate_dump
+        from repro.obs.recording import load, validate
 
         fasta, queries = generated_files
         flight = tmp_path / "box.jsonl"
@@ -760,5 +762,5 @@ class TestLiveIntrospectionFlags:
         assert "serving metrics on" in err
         assert "stack samples" in err
         assert "--- metrics ---" in err
-        assert validate_dump(load_dump(str(flight))) == []
+        assert validate(load(flight)) == []
         assert profile.exists()

@@ -104,7 +104,6 @@ def test_import_cli_loads_no_optional_layer(numpy_alone):
             "concurrent.futures.process",
             "subprocess",
             "repro.obs.promexport",
-            "repro.obs.profile",
             "repro.obs.analyze",
             "repro.obs.stackprof",
             "repro.experiments",
@@ -157,12 +156,31 @@ def test_index_search_loads_no_pool_and_no_telemetry(corpus, numpy_alone):
 
 
 def test_trace_flag_still_loads_obs_and_writes_a_valid_trace(corpus, tmp_path):
-    from repro.obs import validate
-
     fasta, _, query = corpus
     trace = str(tmp_path / "trace.jsonl")
     loaded = loaded_after(
         CLI_SEARCH, ["--database", fasta, "--query", query, "--evalue", "10", "--trace", trace]
     )
-    assert {"repro.obs.trace", "repro.obs.exporters"} <= loaded
-    assert validate.main([trace]) == 0
+    assert {"repro.obs.trace", "repro.obs.recording"} <= loaded
+
+    # The reader is a tool of its own: checking the file loads no engine
+    # layer, no NumPy and none of the live instruments.
+    tool = (
+        "import sys\n"
+        "from repro.obs.__main__ import main\n"
+        "assert main(['validate', sys.argv[1]]) == 0\n"
+    )
+    found = offenders(
+        loaded_after(tool, [trace]),
+        [
+            "numpy",
+            "http.server",
+            "cProfile",
+            "repro.core",
+            "repro.obs.flight",
+            "repro.obs.promexport",
+            "repro.obs.stackprof",
+            "repro.obs.sampler",
+        ],
+    )
+    assert not found, f"`python -m repro.obs validate` loaded {found}"

@@ -1,36 +1,36 @@
-"""Unit tests for the telemetry layer: spans, metrics, exporters, profiling.
+"""Unit tests for the telemetry layer: spans, metrics, logging.
 
 Integration with the search stack (sharded traces across processes, stats
 consistency under timeout/abort) lives in ``test_obs_integration.py`` and
-``test_stats_consistency.py``; this module pins the primitives.
+``test_stats_consistency.py``, the on-disk format in
+``test_obs_recording.py``; this module pins the primitives.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import logging
 import threading
 
 import pytest
 
-from repro.core.engine import OasisEngine
 from repro.obs import (
-    InMemorySink,
-    JsonLinesExporter,
     MetricsRegistry,
+    Recording,
     SpanRecord,
     TraceContext,
     Tracer,
     configure_logging,
     get_logger,
-    profile_search,
-    read_jsonl,
-    render_span_tree,
-    validate_trace,
 )
+from repro.obs.__main__ import main as obs_main
 from repro.obs.logsetup import verbosity_level
-from repro.obs.validate import main as validate_main
+from repro.obs.recording import load, span_tree, validate, write
+
+
+def validate_trace(records):
+    """Problems of ``records`` taken as one finished run's complete trace."""
+    return validate(Recording.of(records, partial=False, reason="test"))
 
 
 # --------------------------------------------------------------------- #
@@ -228,34 +228,17 @@ def _sample_tracer() -> Tracer:
 
 
 class TestExporters:
-    def test_in_memory_sink(self):
-        tracer = _sample_tracer()
-        sink = InMemorySink()
-        tracer.export(sink)
-        assert len(sink) == 3
-        sink.clear()
-        assert len(sink) == 0
-
     def test_jsonl_round_trip_via_path(self, tmp_path):
         tracer = _sample_tracer()
         path = tmp_path / "trace.jsonl"
-        with JsonLinesExporter(path) as exporter:
-            tracer.export(exporter)
-        records = read_jsonl(path)
-        assert records == tracer.records()
-        assert validate_trace(records) == []
-
-    def test_jsonl_accepts_file_like_target(self):
-        tracer = _sample_tracer()
-        buffer = io.StringIO()
-        tracer.export(JsonLinesExporter(buffer))
-        lines = [json.loads(line) for line in buffer.getvalue().splitlines()]
-        assert len(lines) == 3
-        assert {line["name"] for line in lines} == {"query", "shard", "merge"}
+        write(path, Recording.of(tracer.records(), partial=False, reason="test"))
+        recording = load(path)
+        assert recording.spans == tracer.records()
+        assert validate(recording) == []
 
     def test_validate_catches_structural_problems(self):
         records = _sample_tracer().records()
-        assert validate_trace([]) == ["trace is empty"]
+        assert any("no root span" in p for p in validate_trace([]))
 
         duplicated = records + [records[0]]
         assert any("duplicate span id" in p for p in validate_trace(duplicated))
@@ -270,71 +253,8 @@ class TestExporters:
         foreign.trace_id = "other-trace"
         assert any("trace ids" in p for p in validate_trace(records + [foreign]))
 
-    def test_jsonl_concurrent_writers_never_tear_lines(self, tmp_path):
-        """N threads exporting batches concurrently: every line stays whole.
-
-        The exporter serialises outside its lock and writes each batch as
-        one string under it, so interleaved ``write`` calls must never
-        produce torn or merged JSON lines.
-        """
-        threads_count, spans_per_thread = 8, 50
-        path = tmp_path / "concurrent.jsonl"
-        tracers = []
-        for index in range(threads_count):
-            tracer = Tracer()
-            for span_index in range(spans_per_thread):
-                with tracer.span(
-                    "query", writer=index, seq=span_index, phase="expand"
-                ):
-                    pass
-            tracers.append(tracer)
-
-        barrier = threading.Barrier(threads_count)
-
-        with JsonLinesExporter(path) as exporter:
-
-            def emit(tracer: Tracer) -> None:
-                barrier.wait()
-                # One-record batches maximise interleaving pressure.
-                for record in tracer.records():
-                    exporter.write([record])
-
-            workers = [
-                threading.Thread(target=emit, args=(tracer,)) for tracer in tracers
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
-
-        # Every line parses on its own -- no torn or concatenated writes.
-        lines = path.read_text().splitlines()
-        assert len(lines) == threads_count * spans_per_thread
-        parsed = [json.loads(line) for line in lines]
-        seen = {
-            (record["attributes"]["writer"], record["attributes"]["seq"])
-            for record in parsed
-        }
-        assert len(seen) == threads_count * spans_per_thread
-
-        # The reader and validator accept the file per-trace.
-        records = read_jsonl(path)
-        by_trace = {}
-        for record in records:
-            by_trace.setdefault(record.trace_id, []).append(record)
-        assert len(by_trace) == threads_count
-        for trace_records in by_trace.values():
-            assert validate_trace(trace_records) == []
-
-    def test_jsonl_close_is_thread_safe_and_idempotent(self, tmp_path):
-        path = tmp_path / "closed.jsonl"
-        exporter = JsonLinesExporter(path)
-        exporter.write(_sample_tracer().records())
-        exporter.close()
-        exporter.close()
-
     def test_render_span_tree_indents_children(self):
-        rendered = render_span_tree(_sample_tracer().records())
+        rendered = span_tree(_sample_tracer().records())
         lines = rendered.splitlines()
         assert lines[0].startswith("query")
         assert lines[1].startswith("  shard")
@@ -342,44 +262,25 @@ class TestExporters:
         assert "shard=0" in lines[1]
 
     def test_validate_cli(self, tmp_path, capsys):
-        tracer = _sample_tracer()
         path = tmp_path / "trace.jsonl"
-        with JsonLinesExporter(path) as exporter:
-            tracer.export(exporter)
+        write(path, Recording.of(_sample_tracer().records(), partial=False, reason="test"))
 
-        assert validate_main([str(path), "--tree"]) == 0
+        assert obs_main(["validate", str(path), "--tree"]) == 0
         out = capsys.readouterr().out
         assert "ok: 3 spans" in out
         assert "query" in out
 
         bad = tmp_path / "bad.jsonl"
         bad.write_text("")
-        assert validate_main([str(bad)]) == 1
-        assert validate_main([]) == 2
-        assert validate_main([str(tmp_path / "absent.jsonl")]) == 1
+        assert obs_main(["validate", str(bad)]) == 1
+        assert obs_main(["validate"]) == 2
+        assert obs_main(["validate", str(tmp_path / "absent.jsonl")]) == 1
 
 
 # --------------------------------------------------------------------- #
-# Profiling and logging
+# Logging
 # --------------------------------------------------------------------- #
 class TestProfileAndLogging:
-    def test_profile_search_reports_hot_functions(self, small_protein_database, pam30_matrix, gap8):
-        engine = OasisEngine.build(
-            small_protein_database, matrix=pam30_matrix, gap_model=gap8
-        )
-        report = profile_search(engine, "WKDDGNGYISAAE", min_score=40)
-        assert len(report.result) >= 1
-        assert report.functions, "profiler recorded no functions"
-        assert report.wall_seconds > 0.0
-        # The expansion kernel must be visible and attributable.
-        assert report.seconds_in("core/expand") >= 0.0
-        assert 0.0 <= report.share_of("core/expand") <= 1.0
-        table = report.format_table(limit=5)
-        assert "tottime" in table
-        payload = report.as_dict(limit=5)
-        assert len(payload["hot_functions"]) <= 5
-        json.dumps(payload)  # plain data, JSON-safe
-
     def test_get_logger_lives_under_repro(self):
         assert get_logger("sharding.engine").name == "repro.sharding.engine"
         assert get_logger("repro.core").name == "repro.core"
@@ -448,21 +349,23 @@ class TestHistogramQuantileEdges:
 
 
 class TestReaderDiagnostics:
-    def test_read_jsonl_skips_blank_lines(self, tmp_path):
-        records = _sample_tracer().records()
+    def _lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        body = "\n\n".join(json.dumps(record.to_dict()) for record in records)
-        path.write_text(body + "\n\n")
-        assert read_jsonl(path) == records
+        records = _sample_tracer().records()
+        write(path, Recording.of(records, partial=False, reason="test"))
+        return path, records, path.read_text().splitlines()
+
+    def test_read_jsonl_skips_blank_lines(self, tmp_path):
+        path, records, lines = self._lines(tmp_path)
+        path.write_text("\n\n".join(lines) + "\n\n")
+        assert load(path).spans == records
 
     def test_read_jsonl_reports_the_offending_line(self, tmp_path):
-        records = _sample_tracer().records()
-        path = tmp_path / "trace.jsonl"
-        lines = [json.dumps(record.to_dict()) for record in records]
+        path, _records, lines = self._lines(tmp_path)
         lines.insert(2, "{broken")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as excinfo:
-            read_jsonl(path)
+            load(path)
         message = str(excinfo.value)
         assert str(path) in message
         assert ":3:" in message
@@ -490,7 +393,7 @@ class TestRenderOrdering:
             record("early", "a-2", "a-1", 101.0),
             record("middle", "a-3", "a-1", 102.0),
         ]
-        lines = render_span_tree(records).splitlines()
+        lines = span_tree(records).splitlines()
         assert [line.split()[0] for line in lines] == [
             "query",
             "early",
@@ -498,4 +401,4 @@ class TestRenderOrdering:
             "late",
         ]
         # Deterministic: a shuffled copy renders identically.
-        assert render_span_tree(list(reversed(records))) == render_span_tree(records)
+        assert span_tree(list(reversed(records))) == span_tree(records)

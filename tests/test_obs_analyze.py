@@ -9,12 +9,10 @@ tests.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
+from repro.obs.__main__ import main as obs_main
 from repro.obs.analyze import (
-    DEFAULT_PHASES,
     OTHER_PHASE,
     PHASE_ORDER,
     analyze,
@@ -25,8 +23,13 @@ from repro.obs.analyze import (
     sort_phases,
     span_phase,
 )
-from repro.obs.report import main as report_main, render_report
+from repro.obs.recording import Recording, write
+from repro.obs.report import render_report
 from repro.obs.trace import SpanRecord
+
+
+def report_main(argv):
+    return obs_main(["report", *argv])
 
 
 def rec(
@@ -76,12 +79,10 @@ class TestSpanPhase:
         record = rec("query", "x-1", None, 0, 1, phase="scatter")
         assert span_phase(record) == "scatter"
 
-    def test_name_fallback_for_old_traces(self):
-        for name, phase in DEFAULT_PHASES.items():
-            assert span_phase(rec(name, "x-1", None, 0, 1)) == phase
-
     def test_unknown_name_is_other(self):
-        assert span_phase(rec("mystery", "x-1", None, 0, 1)) == OTHER_PHASE
+        # No name-based guess: a span that carries no phase is foreign.
+        for name in ("mystery", "query", "shard"):
+            assert span_phase(rec(name, "x-1", None, 0, 1)) == OTHER_PHASE
 
 
 class TestBuildTree:
@@ -277,9 +278,7 @@ class TestRenderReport:
 class TestReportCli:
     def write_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in sharded_trace():
-                handle.write(json.dumps(record.to_dict()) + "\n")
+        write(path, Recording.of(sharded_trace(), partial=False, reason="test"))
         return str(path)
 
     def test_ok(self, tmp_path, capsys):

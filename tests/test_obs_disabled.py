@@ -1,0 +1,101 @@
+"""Telemetry that is off runs nothing, and nothing stays attached after it was on.
+
+The count behind the "disabled telemetry is free" claim: a search with no
+tracer, watched by ``sys.setprofile``, makes **zero** calls into any frame
+under ``repro/obs/`` (``logsetup``, the stdlib-logging shim, aside) -- before
+an engine was ever instrumented, and again after an instrumented search
+followed by ``instrument(None)``.  A pool or backend attachment left behind
+shows up here as a counter increment, not as a wall-clock ratio lost in noise
+(``benchmarks/test_bench_telemetry.py`` keeps the ratios on record).
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from typing import List
+
+import pytest
+
+from repro.core.engine import OasisEngine
+from repro.exec import SerialBackend
+from repro.obs import Tracer
+from repro.sharding import ShardedEngine
+
+QUERY = "WKDDGNGYISAAE"
+OBS = os.sep + os.path.join("repro", "obs") + os.sep
+
+
+def obs_calls(action) -> List[str]:
+    """``file:function`` of every Python call into ``repro/obs/`` during ``action``."""
+    seen: List[str] = []
+
+    def probe(frame, event, _arg):
+        filename = frame.f_code.co_filename
+        if event == "call" and OBS in filename and not filename.endswith("logsetup.py"):
+            seen.append(f"{os.path.basename(filename)}:{frame.f_code.co_name}")
+
+    sys.setprofile(probe)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def _memory(database, matrix, gap, _directory):
+    return OasisEngine.build(database, matrix=matrix, gap_model=gap)
+
+
+def _disk(database, matrix, gap, directory):
+    return OasisEngine.build_on_disk(
+        database,
+        matrix,
+        str(directory / "image.oasis"),
+        gap_model=gap,
+        block_size=512,
+        buffer_pool_bytes=16384,
+    )
+
+
+def _sharded(database, matrix, gap, directory):
+    return ShardedEngine.build_on_disk(
+        database, directory / "index", matrix, gap, shard_count=2, backend="serial"
+    )
+
+
+@pytest.mark.parametrize("build", [_memory, _disk, _sharded], ids=["memory", "disk", "shard2"])
+def test_an_untraced_search_never_enters_obs(
+    build, small_protein_database, pam30_matrix, gap8, tmp_path
+):
+    # A backend the batches share outlives each of them, so an instrument
+    # the executor attached and did not detach would still be on it.
+    shared = SerialBackend()
+    with build(small_protein_database, pam30_matrix, gap8, tmp_path) as engine:
+
+        def untraced():
+            assert len(engine.search(QUERY, min_score=40)) >= 1
+            report = engine.search_many([QUERY], min_score=40, backend=shared)
+            assert not report.statistics.failed
+
+        assert obs_calls(untraced) == []
+
+        tracer = Tracer()
+        engine.instrument(tracer)
+
+        def traced():
+            engine.search(QUERY, min_score=40, tracer=tracer)
+            engine.search_many([QUERY], min_score=40, backend=shared, tracer=tracer)
+
+        # The probe does see the telemetry when it is on ...
+        assert "trace.py:span" in obs_calls(traced)
+        engine.instrument(None)
+        # ... and nothing of it once it is off again.
+        assert obs_calls(untraced) == []
+
+        pools = [getattr(part.cursor, "pool", None) for part in getattr(engine, "shards", [engine])]
+        for pool in filter(None, pools):
+            # A leaked attachment is what this test exists to catch.
+            pool.instrument(tracer)
+            assert "metrics.py:inc" in obs_calls(untraced)
+            pool.instrument(None)

@@ -2,7 +2,7 @@
 
 The acceptance scenarios from the live-introspection work: a deliberate
 query timeout and a ``SIGUSR1`` each produce a dump that
-``repro.obs.validate`` accepts and ``python -m repro.obs.flight`` replays,
+``python -m repro.obs validate`` accepts and ``report`` replays,
 with the instrumented call sites (batch executor, shard scatter, deadline
 check) feeding structured events into the black box.
 """
@@ -19,16 +19,10 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.obs import Tracer
-from repro.obs.flight import (
-    DUMP_FORMAT,
-    EVICTION_BURST_THRESHOLD,
-    FlightRecorder,
-    load_dump,
-    main as flight_main,
-    render_dump,
-    validate_dump,
-)
-from repro.obs.validate import main as validate_main
+from repro.obs.__main__ import main as obs_main
+from repro.obs.flight import EVICTION_BURST_THRESHOLD, FlightRecorder
+from repro.obs.recording import FORMAT, load as load_dump, render as render_dump
+from repro.obs.recording import validate as validate_dump
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import PROTEIN_ALPHABET
@@ -167,7 +161,7 @@ class TestDumpRoundTrip:
         assert recorder.dump("test") == path
         dump = load_dump(path)
         assert validate_dump(dump) == []
-        assert dump.header["format"] == DUMP_FORMAT
+        assert dump.header["format"] == FORMAT
         assert dump.header["reason"] == "test"
         assert len(dump.spans) == 2
         assert [event["event"] for event in dump.events][:2] == [
@@ -178,7 +172,7 @@ class TestDumpRoundTrip:
         assert "query_admitted" in rendered
         assert "span analysis" in rendered
         # The -m replay entry point agrees.
-        assert flight_main([path]) == 0
+        assert obs_main(["report", path]) == 0
         out = capsys.readouterr().out
         assert "reason=test" in out
 
@@ -209,9 +203,9 @@ class TestDumpRoundTrip:
     def test_validate_cli_accepts_flight_dumps(self, tmp_path, capsys):
         _tracer, recorder, path = self._recorded(tmp_path)
         recorder.dump("signal")
-        assert validate_main([path]) == 0
-        assert "flight dump" in capsys.readouterr().out
-        assert validate_main(["--tree", path]) == 0
+        assert obs_main(["validate", path]) == 0
+        assert "partial, reason=signal" in capsys.readouterr().out
+        assert obs_main(["validate", "--tree", path]) == 0
         assert "batch" in capsys.readouterr().out
 
     def test_validate_cli_rejects_corrupt_dump(self, tmp_path, capsys):
@@ -219,7 +213,7 @@ class TestDumpRoundTrip:
         recorder.dump("ok")
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps({"kind": "mystery"}) + "\n")
-        assert validate_main([path]) == 1
+        assert obs_main(["validate", path]) == 1
         assert "mystery" in capsys.readouterr().err
 
     def test_header_count_mismatch_is_reported(self, tmp_path):
@@ -237,12 +231,14 @@ class TestDumpRoundTrip:
     def test_load_rejects_headerless_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text(json.dumps({"kind": "event", "event": "x"}) + "\n")
-        with pytest.raises(ValueError, match="no flight header"):
+        with pytest.raises(ValueError, match="expected the header first"):
             load_dump(str(path))
 
     def test_flight_main_usage_errors(self, tmp_path, capsys):
-        assert flight_main([]) == 2
-        assert flight_main([str(tmp_path / "missing.jsonl")]) == 1
+        # A dump is replayed by `report`; `flight` is not a subcommand.
+        assert obs_main(["flight", str(tmp_path / "dump.jsonl")]) == 2
+        assert obs_main(["report"]) == 2
+        assert obs_main(["report", str(tmp_path / "missing.jsonl")]) == 1
         capsys.readouterr()
 
 
@@ -318,8 +314,8 @@ class TestSignalDump:
         assert any(
             event["event"] == "signal_dump_requested" for event in dump.events
         )
-        assert validate_main([path]) == 0
-        assert flight_main([path]) == 0
+        assert obs_main(["validate", path]) == 0
+        assert obs_main(["report", path]) == 0
 
     def test_uninstall_restores_previous_handler(self):
         recorder = FlightRecorder(Tracer())
@@ -405,6 +401,6 @@ class TestCliFlight:
         assert any(
             event["event"] == "deadline_expired" for event in dump.events
         )
-        assert validate_main([str(flight)]) == 0
-        assert flight_main([str(flight)]) == 0
+        assert obs_main(["validate", str(flight)]) == 0
+        assert obs_main(["report", str(flight)]) == 0
         capsys.readouterr()

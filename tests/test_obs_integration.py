@@ -15,19 +15,21 @@ import random
 
 import pytest
 
-from repro.obs import (
-    JsonLinesExporter,
-    Tracer,
-    read_jsonl,
-    render_span_tree,
-    validate_trace,
-)
+from repro.obs import Recording, Tracer, analyze
+from repro.obs.analyze import OTHER_PHASE
+from repro.obs.recording import load, span_tree, validate, write
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder
 from repro.testing import AMINO_ACIDS, random_protein
+
+
+def validate_trace(records):
+    """Problems of ``records`` taken as one finished run's complete trace."""
+    return validate(Recording.of(records, partial=False, reason="test"))
+
 
 SHARDS = 4
 QUERY = "WKDDGNGYISAAE"
@@ -83,9 +85,8 @@ def test_process_scatter_emits_one_coherent_tree(index_dir, tmp_path):
 
     # Round trip through the JSON-lines file the CLI would write.
     path = tmp_path / "trace.jsonl"
-    with JsonLinesExporter(path) as exporter:
-        tracer.export(exporter)
-    records = read_jsonl(path)
+    write(path, Recording.of(tracer.records(), partial=False, reason="test"))
+    records = load(path).spans
     assert records == tracer.records()
     assert validate_trace(records) == []
 
@@ -108,7 +109,7 @@ def test_process_scatter_emits_one_coherent_tree(index_dir, tmp_path):
     )
     assert metrics.counter("pool.misses").value > 0
 
-    rendered = render_span_tree(records)
+    rendered = span_tree(records)
     assert rendered.splitlines()[0].startswith("query")
     assert rendered.count("  shard") == SHARDS
 
@@ -168,3 +169,19 @@ def test_batch_spans_nest_queries_under_batch(index_dir):
     # The fan-out backend's parent-side instrumentation saw both tasks.
     latency = tracer.metrics.get("exec.task_seconds[threads:2]")
     assert latency is not None and latency.count == 2
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads:2", "processes:2"])
+def test_every_span_of_a_traced_search_carries_its_phase(index_dir, backend):
+    """The report has no name-based fallback: a span site that forgot to
+    stamp ``phase`` would show up as an ``other`` row."""
+    tracer = Tracer(io_spans=True)
+    with ShardedEngine.open(index_dir, backend=backend) as engine:
+        engine.instrument(tracer)
+        report = engine.search_many([QUERY], min_score=MIN_SCORE, tracer=tracer)
+    assert not report.statistics.failed
+    records = tracer.records()
+    assert {record.name for record in records} >= {"batch", "query", "shard", "merge", "pool.miss"}
+    missing = [record.name for record in records if not record.attributes.get("phase")]
+    assert not missing, f"spans without a phase attribute: {missing}"
+    assert OTHER_PHASE not in {entry.phase for entry in analyze(records).phases}

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro.obs.__main__ import main as obs_main
 from repro.obs.regress import (
     DEFAULT_THRESHOLD,
     HISTORY_FILENAME,
@@ -18,11 +19,14 @@ from repro.obs.regress import (
     is_smoke,
     load_bench_records,
     load_history,
-    main as regress_main,
     metric_direction,
     render_markdown,
     run_key,
 )
+
+
+def regress_main(argv):
+    return obs_main(["regress", *argv])
 
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import pickle
 import re
@@ -183,15 +184,26 @@ def test_an_export_outranks_the_submodule_of_the_same_name():
     assert finished.returncode == 0, finished.stderr
 
 
-@pytest.mark.parametrize("entry_point", ["report", "validate", "flight", "regress"])
+@pytest.mark.parametrize("entry_point", ["report", "validate", "regress"])
 def test_obs_entry_points_start_without_a_double_import_warning(entry_point, tmp_path):
-    """runpy warns when ``python -m pkg.mod`` finds ``pkg.mod`` already loaded by
+    """runpy warns when ``python -m pkg`` finds ``pkg.__main__`` already loaded by
     its package; the lazy ``repro.obs`` loads nothing, so nothing can shadow."""
     finished = run_python(
-        "-W", "error::RuntimeWarning", "-m", f"repro.obs.{entry_point}", cwd=str(tmp_path)
+        "-W", "error::RuntimeWarning", "-m", "repro.obs", entry_point, cwd=str(tmp_path)
     )
     assert "RuntimeWarning" not in finished.stderr, finished.stderr
     assert "Traceback" not in finished.stderr, finished.stderr
+
+
+def test_the_old_per_tool_entry_points_are_gone(tmp_path):
+    """``repro.obs.validate`` no longer exists; the modules that stay are
+    libraries -- no ``main``, no ``__main__`` block -- behind ``-m repro.obs``."""
+    finished = run_python("-m", "repro.obs.validate", cwd=str(tmp_path))
+    assert finished.returncode != 0 and "No module named" in finished.stderr
+    for module in ("report", "flight", "regress", "recording"):
+        loaded = importlib.import_module(f"repro.obs.{module}")
+        assert not hasattr(loaded, "main"), module
+        assert "__main__" not in inspect.getsource(loaded), module
 
 
 def test_the_version_has_one_source():

@@ -17,8 +17,9 @@ import random
 import pytest
 
 from repro.core.engine import OasisEngine
-from repro.core.oasis import OasisSearchStatistics
-from repro.obs import Tracer, validate_trace
+from repro.core.oasis import STATISTICS_METRICS, OasisSearchStatistics
+from repro.obs import Recording, Tracer
+from repro.obs.recording import validate
 from repro.parallel import BatchSearchExecutor
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
@@ -26,6 +27,13 @@ from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder
 from repro.testing import random_protein
+
+
+
+def validate_trace(records):
+    """Problems of ``records`` taken as one finished run's complete trace."""
+    return validate(Recording.of(records, partial=False, reason="test"))
+
 
 SHARDS = 4
 BACKENDS = ("serial", "threads:2", "processes:2")
@@ -70,13 +78,33 @@ def test_metrics_agree_with_statistics(index_dir, backend):
     statistics = result.statistics
     metrics = tracer.metrics
 
-    # One count per shard execution, regardless of where it ran.
+    # One count per shard execution, regardless of where it ran; every
+    # statistics field has a row in the table, so a new one cannot lack a metric.
     assert metrics.counter("search.queries").value == SHARDS
-    assert metrics.counter("search.nodes_expanded").value == statistics.nodes_expanded
-    assert (
-        metrics.counter("search.columns_expanded").value
-        == statistics.columns_expanded
-    )
+    numeric = {
+        field.name
+        for field in dataclasses.fields(OasisSearchStatistics)
+        if isinstance(field.default, (int, float))
+    }
+    # The pool feeds its own three counters (one query per shard pool here,
+    # so the per-query deltas are exact).
+    pool_fed = {
+        "buffer_hits": "pool.hits",
+        "buffer_misses": "pool.misses",
+        "buffer_evictions": "pool.evictions",
+    }
+    assert {row[1] for row in STATISTICS_METRICS} | set(pool_fed) == numeric
+    for field_name, name in pool_fed.items():
+        assert metrics.counter(name).value == getattr(statistics, field_name), name
+    for name, field_name, _description in STATISTICS_METRICS:
+        expected = getattr(statistics, field_name)
+        if field_name == "max_queue_size":
+            # The high-water mark: a worker snapshot merges its level last-wins.
+            assert metrics.gauge(name).max_value == expected
+        elif field_name == "elapsed_seconds":
+            assert metrics.histogram(name).count == SHARDS
+        else:
+            assert metrics.counter(name).value == expected, name
     # Without max_results every emitted hit survives the merge.
     assert metrics.counter("search.hits").value == len(result)
     assert metrics.counter("search.timeouts").value == 0

@@ -27,19 +27,18 @@ GATE_FILES = (
     "repro/exec/__init__.py",
     "repro/exec/backend.py",
     "repro/obs/__init__.py",
+    "repro/obs/__main__.py",
     "repro/obs/analyze.py",
-    "repro/obs/exporters.py",
     "repro/obs/flight.py",
     "repro/obs/logsetup.py",
     "repro/obs/metrics.py",
-    "repro/obs/profile.py",
     "repro/obs/promexport.py",
+    "repro/obs/recording.py",
     "repro/obs/regress.py",
     "repro/obs/report.py",
     "repro/obs/sampler.py",
     "repro/obs/stackprof.py",
     "repro/obs/trace.py",
-    "repro/obs/validate.py",
     "repro/sharding/remote.py",
     "repro/storage/__init__.py",
     "repro/storage/blocks.py",
