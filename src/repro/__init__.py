@@ -28,6 +28,7 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.core.engine import OasisEngine
     from repro.core.oasis import OasisSearchStatistics, QueryExecution
+    from repro.core.request import SearchRequest
     from repro.core.results import Alignment, SearchHit, SearchResult
     from repro.exec import (
         BackendSpec,
@@ -52,6 +53,7 @@ else:
         {
             "repro.core.engine": ("OasisEngine",),
             "repro.core.oasis": ("OasisSearchStatistics", "QueryExecution"),
+            "repro.core.request": ("SearchRequest",),
             "repro.core.results": ("Alignment", "SearchHit", "SearchResult"),
             "repro.exec": (
                 "BackendSpec",
@@ -83,6 +85,7 @@ __all__ = [
     "OasisEngine",
     "OasisSearchStatistics",
     "QueryExecution",
+    "SearchRequest",
     "Alignment",
     "SearchHit",
     "SearchResult",

@@ -42,6 +42,7 @@ SPAWN_PAYLOAD_MODULES: Set[str] = {"repro.sharding.remote"}
 
 #: Individually designated spawn-payload classes elsewhere.
 SPAWN_PAYLOAD_CLASSES: Dict[str, Set[str]] = {
+    "repro.core.request": {"SearchRequest"},
     "repro.obs.trace": {"TraceContext"},
 }
 

@@ -8,8 +8,9 @@ Sub-commands
 ``search``
     Run OASIS searches against a FASTA database and print the hits in
     decreasing score order.  ``--query`` searches one sequence; ``--queries``
-    runs a whole file of them, fanned out over ``--workers`` threads through
-    the concurrent batch executor (optionally with a per-query ``--timeout``).
+    runs a whole file of them through the batch executor -- the plain serial
+    loop for one worker, ``--workers N`` threads otherwise -- optionally with
+    a per-query ``--timeout``.
     ``--shards N`` splits the database into N independently indexed shards
     searched scatter-gather; ``--index DIR`` reuses a persistent sharded
     index built earlier instead of rebuilding anything; ``--backend`` picks
@@ -45,12 +46,21 @@ import sys
 from typing import List, Optional
 
 from repro.core.engine import OasisEngine
+from repro.core.request import SearchRequest
 from repro.scoring.data import available_matrices, load_matrix
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.fasta import read_fasta, write_fasta
 
 DEFAULT_MATRIX = "PAM30"
 DEFAULT_GAP = -8
+
+#: ``search`` flag (argparse dest) -> the :class:`SearchRequest` field it sets.
+REQUEST_OPTIONS = {
+    "evalue": "evalue",
+    "min_score": "min_score",
+    "max_results": "max_results",
+    "timeout": "time_budget",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,14 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "write a speedscope-format profile to FILE (plus collapsed "
         "stacks to FILE.collapsed); samples are attributed to span "
         "phases (expand/scatter/merge/pool_io)",
-    )
-    search.add_argument(
-        "--serve-metrics",
-        type=int,
-        metavar="PORT",
-        help="serve Prometheus /metrics and /healthz on 127.0.0.1:PORT for "
-        "the duration of the run (0 binds an ephemeral port, printed to "
-        "stderr)",
     )
 
     index = subparsers.add_parser("index", help="manage persistent sharded indexes")
@@ -406,6 +408,15 @@ def _command_search(args: argparse.Namespace) -> int:
     # Validate the workload before opening any index: a bad --queries path
     # must not leak opened shard cursors.
     queries = [args.query] if args.query is not None else _read_query_file(args.queries)
+    # One request for the run (each query of a batch is this value with its
+    # own text); an option it rejects is a usage error, not a traceback.
+    try:
+        template = SearchRequest(
+            queries[0], **{name: getattr(args, flag) for flag, name in REQUEST_OPTIONS.items()}
+        )
+    except ValueError as error:
+        print(f"repro-oasis search: error: {error}", file=sys.stderr)
+        return 2
 
     tracer = None
     if (
@@ -415,7 +426,6 @@ def _command_search(args: argparse.Namespace) -> int:
         or args.sample is not None
         or args.flight is not None
         or args.stackprof is not None
-        or args.serve_metrics is not None
     ):
         from repro.obs import Tracer
 
@@ -424,8 +434,6 @@ def _command_search(args: argparse.Namespace) -> int:
         raise SystemExit("--slow-log must be non-negative")
     if args.sample is not None and args.sample <= 0:
         raise SystemExit("--sample must be positive")
-    if args.serve_metrics is not None and args.serve_metrics < 0:
-        raise SystemExit("--serve-metrics must be a port number (0 for ephemeral)")
 
     engine = _build_search_engine(args)
     if tracer is not None:
@@ -453,13 +461,6 @@ def _command_search(args: argparse.Namespace) -> int:
 
         profiler = StackProfiler(tracer)
 
-    server = None
-    if args.serve_metrics is not None:
-        from repro.obs import MetricsServer
-
-        server = MetricsServer(tracer, port=args.serve_metrics).start()
-        print(f"serving metrics on {server.url}/metrics", file=sys.stderr)
-
     # Single and batch mode both run through the concurrent executor; a lone
     # query is simply a batch of one.
     try:
@@ -468,13 +469,7 @@ def _command_search(args: argparse.Namespace) -> int:
         if profiler is not None:
             profiler.start()
         report = engine.search_many(
-            queries,
-            workers=args.workers,
-            evalue=args.evalue,
-            min_score=args.min_score,
-            max_results=args.max_results,
-            timeout=args.timeout,
-            tracer=tracer,
+            queries, workers=args.workers, tracer=tracer, template=template
         )
     except BaseException:
         # The black box earns its keep exactly here: dump what the rings
@@ -489,8 +484,6 @@ def _command_search(args: argparse.Namespace) -> int:
             profiler.stop()
         if sampler is not None:
             sampler.stop()
-        if server is not None:
-            server.stop()
         if flight is not None:
             flight.uninstall_signal_handler()
             flight.detach()

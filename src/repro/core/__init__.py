@@ -17,6 +17,7 @@ if TYPE_CHECKING:
     from repro.core.heuristic import compute_heuristic_vector
     from repro.core.search_node import NodeState, SearchNode
     from repro.core.oasis import OasisSearch, OasisSearchStatistics
+    from repro.core.request import SearchRequest
     from repro.core.engine import OasisEngine
     from repro.core.evalue import SelectivityConverter
 else:
@@ -32,6 +33,7 @@ else:
             "repro.core.heuristic": ("compute_heuristic_vector",),
             "repro.core.search_node": ("NodeState", "SearchNode"),
             "repro.core.oasis": ("OasisSearch", "OasisSearchStatistics"),
+            "repro.core.request": ("SearchRequest",),
             "repro.core.engine": ("OasisEngine",),
             "repro.core.evalue": ("SelectivityConverter",),
         },
@@ -47,6 +49,7 @@ __all__ = [
     "SearchNode",
     "OasisSearch",
     "OasisSearchStatistics",
+    "SearchRequest",
     "OasisEngine",
     "SelectivityConverter",
 ]

@@ -12,10 +12,12 @@ Typical use::
 
 The engine owns the suffix-tree index (in-memory by default; a disk-resident
 index built through :mod:`repro.storage` can be attached instead), the scoring
-configuration and the E-value conversion.  It defines ``execute``; the batch
-(``search``), online (``search_online``) and concurrent (``search_many``)
-interfaces are the shared :class:`~repro.core.surface.SearchSurface` over it,
-and ``close()`` / ``with`` release a disk-resident index.
+configuration and the E-value conversion.  It defines ``execute_request``
+(resolve the request's E-value once, then run it); the keyword ``execute``,
+batch (``search``), online (``search_online``) and concurrent
+(``search_many``) interfaces are the shared
+:class:`~repro.core.surface.SearchSurface` over it, and ``close()`` / ``with``
+release a disk-resident index.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import threading
 from typing import Optional, Union
 
 from repro.core.evalue import SelectivityConverter
-from repro.core.oasis import OasisSearch, OasisSearchStatistics, QueryExecution
+from repro.core.oasis import OasisSearch, QueryExecution
+from repro.core.request import SearchRequest
 from repro.core.surface import SearchSurface
 from repro.scoring.gaps import FixedGapModel, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
@@ -148,68 +151,25 @@ class OasisEngine(SearchSurface):
         """The expansion kernel name this engine's searches run under."""
         return self._search.kernel.name
 
-    @property
-    def statistics(self) -> OasisSearchStatistics:
-        """Work counters of the most recently *started* query.
-
-        Serial callers can keep reading this after each search; concurrent
-        callers must use the per-execution object instead -- every
-        :class:`~repro.core.oasis.QueryExecution` owns its own statistics and
-        every :class:`~repro.core.results.SearchResult` carries the statistics
-        of exactly the execution that produced it (``result.statistics``).
-        """
-        return self._search.statistics
-
     def min_score_for(self, query: str, evalue: float) -> int:
         """The ``min_score`` equivalent to an E-value cutoff for this query."""
         return self.converter.min_score_for_evalue(evalue, len(query))
 
-    def execute(
+    def execute_request(
         self,
-        query: str,
-        min_score: Optional[int] = None,
-        evalue: Optional[float] = None,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-        time_budget: Optional[float] = None,
+        request: SearchRequest,
         cancel_event: Optional[threading.Event] = None,
         tracer=None,
     ) -> QueryExecution:
-        """Create a self-contained, reentrant execution for one query.
+        """Resolve the request against this engine's database and create its execution.
 
-        Exactly one of ``min_score`` / ``evalue`` must be given (the paper's
-        experiments specify E-values; Equation 3 converts them).  The
-        execution owns its queue, statistics and timing; any number of
-        them can run concurrently (interleaved on one thread or spread over a
-        thread pool) against this engine's shared read-only index.  Iterate it
-        for the online stream or call ``.result()`` for the batch result.
-        Pass a :class:`~repro.obs.Tracer` to wrap the run in a span and
-        record the search metrics.
+        The paper's experiments specify E-values; Equation 3 converts one to
+        the ``min_score`` the search prunes against, here and only here (a
+        request a sharded engine already resolved globally passes through).
         """
-        threshold = self._resolve_threshold(query, min_score, evalue)
-        return self._search.execute(
-            query,
-            min_score=threshold,
-            max_results=max_results,
-            compute_alignments=compute_alignments,
-            statistics_model=self.converter.parameters,
-            database_size=self.converter.database_size,
-            time_budget=time_budget,
-            cancel_event=cancel_event,
-            tracer=tracer,
+        return self._search.execute_request(
+            request.resolved(self.converter), cancel_event=cancel_event, tracer=tracer
         )
-
-    def _resolve_threshold(
-        self, query: str, min_score: Optional[int], evalue: Optional[float]
-    ) -> int:
-        if (min_score is None) == (evalue is None):
-            raise ValueError("specify exactly one of min_score or evalue")
-        if min_score is not None:
-            if min_score < 1:
-                raise ValueError("min_score must be at least 1")
-            return min_score
-        assert evalue is not None
-        return self.min_score_for(query, evalue)
 
     def __repr__(self) -> str:
         return (

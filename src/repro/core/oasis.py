@@ -32,6 +32,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
 from repro.core.kernels import DEFAULT_KERNEL, ExpansionKernel, get_kernel
+from repro.core.request import SearchRequest
 from repro.core.results import (
     Alignment,
     OnlineResultLog,
@@ -42,7 +43,6 @@ from repro.core.results import (
 from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER
 from repro.core.surface import SearchSurface
 from repro.scoring.gaps import FixedGapModel, GapModel
-from repro.scoring.karlin_altschul import KarlinAltschulParameters
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.sequence import Sequence
 from repro.suffixtree.cursor import SuffixTreeCursor
@@ -152,9 +152,15 @@ class QueryExecution:
     :attr:`statistics` still reports the work actually done, because the
     bookkeeping runs in a ``finally`` block when the generator is closed.
 
+    ``request`` is the resolved :class:`~repro.core.request.SearchRequest`
+    (a ``min_score``, not an E-value); its ``database_size`` -- ``n`` of
+    Equation 2 for the hits' E-values -- defaults to the cursor's own
+    database, and a sharded engine fills in the *global* size so a hit gets
+    the same E-value regardless of which shard held it.
+
     Cooperative interruption:
 
-    ``time_budget``
+    ``request.time_budget``
         Optional wall-clock budget in seconds; once exceeded, the execution
         stops emitting and marks itself :attr:`timed_out`.  Hits already
         emitted stand (they are still correct and complete down to the score
@@ -180,36 +186,18 @@ class QueryExecution:
     def __init__(
         self,
         search: "OasisSearch",
-        query: str,
-        min_score: int,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-        statistics_model: Optional[KarlinAltschulParameters] = None,
-        database_size: Optional[int] = None,
-        time_budget: Optional[float] = None,
+        request: SearchRequest,
         cancel_event: Optional[threading.Event] = None,
         tracer=None,
     ):
-        if time_budget is not None and time_budget <= 0:
-            raise ValueError("time_budget must be positive")
-        database = search.cursor.database
-        self.query_sequence = Sequence(query, database.alphabet)
-        if len(self.query_sequence.codes) == 0:
-            raise ValueError("the query must not be empty")
-
+        if request.min_score is None:
+            raise ValueError(
+                "a bare OasisSearch runs a min_score request; an E-value "
+                "needs an engine, whose converter resolves it (Equation 3)"
+            )
         self.search = search
-        self.query = query
-        self.min_score = int(min_score)
-        self.max_results = max_results
-        self.compute_alignments = compute_alignments
-        self.statistics_model = statistics_model
-        #: ``n`` of Equation 2 used to annotate E-values.  Defaults to the
-        #: cursor's own database; a sharded engine passes the *global* size so
-        #: a hit gets the same E-value regardless of which shard held it.
-        self.database_size = (
-            int(database_size) if database_size is not None else database.total_symbols
-        )
-        self.time_budget = time_budget
+        self.request = request
+        self.query_sequence = Sequence(request.query, search.cursor.database.alphabet)
         self.statistics = OasisSearchStatistics(kernel=search.kernel.name)
         self.timed_out = False
         self.aborted = False
@@ -239,7 +227,7 @@ class QueryExecution:
             score_lookup=search.matrix.lookup,
             gap_penalty=search.gap_model.per_symbol,
             heuristic=self.heuristic,
-            min_score=self.min_score,
+            min_score=request.min_score,
             prune_non_positive=search.prune_non_positive,
             prune_dominated=search.prune_dominated,
             prune_threshold=search.prune_threshold,
@@ -284,7 +272,7 @@ class QueryExecution:
                 if tracer is not None and tracer.flight is not None:
                     tracer.flight.event(
                         "deadline_expired",
-                        query=self.query[:32],
+                        query=self.request.query[:32],
                         hits=len(self._hits),
                         nodes_expanded=self.statistics.nodes_expanded,
                     )
@@ -303,9 +291,12 @@ class QueryExecution:
         return next(iter(self))
 
     def close(self) -> None:
-        """Abandon the stream early (statistics still reflect the work done)."""
-        if self._iterator is not None:
-            self._iterator.close()
+        """Abandon the stream early (statistics still reflect the work done).
+
+        A stream that never started is closed too, so a later :meth:`result`
+        collects what was emitted instead of starting the search.
+        """
+        iter(self).close()
 
     def _generate(self) -> Iterator[SearchHit]:
         """Yield hits online, strongest first (Algorithm 1).
@@ -321,13 +312,19 @@ class QueryExecution:
         context = self.context
         kernel = self.search.kernel
         statistics = self.statistics
-        min_score = self.min_score
+        request = self.request
+        min_score = request.min_score
+        max_results = request.max_results
+        statistics_model = request.statistics_model
+        database_size = request.database_size
+        if database_size is None:
+            database_size = database.total_symbols
         query_codes = self.query_sequence.codes
 
         start_time = time.perf_counter()
         self._start_time = start_time
-        if self._deadline is None and self.time_budget is not None:
-            self._deadline = start_time + self.time_budget
+        if self._deadline is None and request.time_budget is not None:
+            self._deadline = start_time + request.time_budget
 
         span = open_span(self.tracer, self.trace_name, self.trace_parent, self.trace_attributes)
         if span is not None:
@@ -369,11 +366,11 @@ class QueryExecution:
                     self._hits.append(hit)
                     self._online_log.record(hit.emitted_at)
                     yield hit
-                    if self.max_results is not None and emitted >= self.max_results:
+                    if max_results is not None and emitted >= max_results:
                         return
 
             def budget_spent() -> bool:
-                return self.max_results is not None and emitted >= self.max_results
+                return max_results is not None and emitted >= max_results
 
             while queue:
                 if self._should_stop():
@@ -402,14 +399,14 @@ class QueryExecution:
                         reported.add(sequence_index)
                         record = database[sequence_index]
                         alignment: Optional[Alignment] = None
-                        if self.compute_alignments:
+                        if request.compute_alignments:
                             alignment = self.search._trace_alignment(
                                 self.query_sequence.text, record.text
                             )
                         evalue = None
-                        if self.statistics_model is not None:
-                            evalue = self.statistics_model.evalue(
-                                score, len(query_codes), self.database_size
+                        if statistics_model is not None:
+                            evalue = statistics_model.evalue(
+                                score, len(query_codes), database_size
                             )
                         pending.append(
                             SearchHit(
@@ -532,16 +529,16 @@ class QueryExecution:
         for _ in self:
             pass
         result = SearchResult(
-            query=self.query.upper(),
+            query=self.request.query.upper(),
             engine="oasis",
             hits=sorted(self._hits, key=hit_order_key),
             elapsed_seconds=self.statistics.elapsed_seconds,
             columns_expanded=self.statistics.columns_expanded,
             parameters={
-                "min_score": self.min_score,
+                "min_score": self.request.min_score,
                 "matrix": self.search.matrix.name,
                 "gap": self.search.gap_model.per_symbol,
-                "max_results": self.max_results,
+                "max_results": self.request.max_results,
             },
             statistics=self.statistics,
         )
@@ -554,7 +551,7 @@ class QueryExecution:
 
     def __repr__(self) -> str:
         return (
-            f"QueryExecution(query={self.query!r}, min_score={self.min_score}, "
+            f"QueryExecution(query={self.request.query!r}, min_score={self.request.min_score}, "
             f"emitted={len(self._hits)})"
         )
 
@@ -610,41 +607,15 @@ class OasisSearch(SearchSurface):
         self.prune_threshold = prune_threshold
         self.track_pruning = track_pruning
         self.kernel: ExpansionKernel = get_kernel(kernel)
-        #: Statistics of the most recently *created* execution.  Kept for
-        #: backward compatibility with serial callers; concurrent callers
-        #: should read ``execution.statistics`` / ``result.statistics``.
-        self.statistics = OasisSearchStatistics()
 
-    # ------------------------------------------------------------------ #
-    # Execution factory
-    # ------------------------------------------------------------------ #
-    def execute(
+    def execute_request(
         self,
-        query: str,
-        min_score: int,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-        statistics_model: Optional[KarlinAltschulParameters] = None,
-        database_size: Optional[int] = None,
-        time_budget: Optional[float] = None,
+        request: SearchRequest,
         cancel_event: Optional[threading.Event] = None,
         tracer=None,
     ) -> QueryExecution:
-        """Create a self-contained execution for one query."""
-        execution = QueryExecution(
-            self,
-            query,
-            min_score=min_score,
-            max_results=max_results,
-            compute_alignments=compute_alignments,
-            statistics_model=statistics_model,
-            database_size=database_size,
-            time_budget=time_budget,
-            cancel_event=cancel_event,
-            tracer=tracer,
-        )
-        self.statistics = execution.statistics
-        return execution
+        """Create a self-contained execution for one (resolved) request."""
+        return QueryExecution(self, request, cancel_event=cancel_event, tracer=tracer)
 
     # ------------------------------------------------------------------ #
     # Alignment reconstruction

@@ -2,16 +2,19 @@
 
 The paper's contract is one call -- a query and a threshold in, the strongest
 alignment per sequence out, online, in score order -- and the in-memory, disk
-and sharded engines are all that call.  Each of them defines ``execute`` (the
-one place an engine spells the query options it consumes) and inherits
-``search`` / ``search_online`` / ``search_many`` / ``close`` from here, so a
-call made against one engine means the same against the others.
+and sharded engines are all that call.  What it can say is one value, a
+:class:`~repro.core.request.SearchRequest`; the keyword form
+(``engine.search(query, evalue=10, max_results=5)``) is spelled here, once,
+and builds it.  Each engine defines ``execute_request`` -- what it does with
+a request, plus the run-time wiring that is not part of one -- and inherits
+the rest, so a call made against one engine means the same against the others.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, TypeVar, Union
 
+from repro.core.request import SearchRequest
 from repro.core.results import SearchHit, SearchResult
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (parallel is a layer up)
@@ -19,22 +22,40 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only (parallel is a layer up)
 
 _Engine = TypeVar("_Engine", bound="SearchSurface")
 
+Query = Union[str, SearchRequest]
+
 
 class SearchSurface:
-    """``search`` / ``search_online`` / ``search_many`` / ``close`` over ``execute``.
+    """``execute`` / ``search`` / ``search_online`` / ``search_many`` / ``close``.
 
     Inherited by :class:`~repro.core.oasis.OasisSearch`,
     :class:`~repro.core.engine.OasisEngine` and
-    :class:`~repro.sharding.ShardedEngine`.  ``options`` below are the
-    inheriting engine's ``execute`` keywords (``min_score`` / ``evalue``,
-    ``max_results``, ``compute_alignments``, ...).
+    :class:`~repro.sharding.ShardedEngine`.  ``query`` below is the query
+    text, with the :class:`SearchRequest` fields as keyword ``options``
+    (``min_score`` / ``evalue``, ``max_results``, ``compute_alignments``,
+    ``time_budget``), or a ready request.
     """
 
-    #: Each engine's own factory for the (unstarted) execution of one query:
-    #: iterate the execution for the online stream, ``.result()`` collects it.
-    execute: Callable[..., Any]
+    #: Each engine's own factory for the (unstarted) execution of one request:
+    #: ``execute_request(request, cancel_event=None, tracer=None)``.
+    execute_request: Callable[..., Any]
 
-    def search(self, query: str, **options) -> SearchResult:
+    def execute(self, query: Query, cancel_event=None, tracer=None, **options):
+        """Create the self-contained, reentrant execution of one query.
+
+        Iterate it for the online stream or call ``.result()`` for the batch
+        result; any number can run concurrently against the engine's shared
+        read-only index.  ``cancel_event`` (a :class:`threading.Event`) stops
+        it at the next queue pop; ``tracer`` (a :class:`~repro.obs.Tracer`)
+        wraps the run in a span and records the search metrics.
+        """
+        if not isinstance(query, SearchRequest):
+            query = SearchRequest(query, **options)
+        elif options:
+            raise TypeError("options belong inside the SearchRequest, not beside it")
+        return self.execute_request(query, cancel_event=cancel_event, tracer=tracer)
+
+    def search(self, query: Query, **options) -> SearchResult:
         """Find the strongest alignment per sequence scoring above a threshold.
 
         Results are ordered by decreasing score and, when the engine has a
@@ -43,7 +64,7 @@ class SearchSurface:
         return self.execute(query, **options).result()
 
     def search_online(
-        self, query: str, tracer=None, sample_interval: Optional[float] = None, **options
+        self, query: Query, tracer=None, sample_interval: Optional[float] = None, **options
     ) -> Iterator[SearchHit]:
         """Stream hits in decreasing score order (abort whenever satisfied).
 
@@ -84,8 +105,11 @@ class SearchSurface:
         overlap queries that wait on a disk read, not queries that compute.
         ``timeout`` is a per-query wall-clock budget in seconds; a query
         exceeding it stops early with the hits found so far and is flagged
-        ``timed_out``.  On a sharded engine each query in turn scatters on
-        the engine's own backend and the report carries per-shard aggregates.
+        ``timed_out``.  ``options`` are the request fields every query of the
+        batch shares (or ``template=`` a ready request, whose ``time_budget``
+        is then the timeout).  On a sharded engine each query in turn
+        scatters on the engine's own backend and the report carries
+        per-shard aggregates.
 
         For streaming consumption (results as they complete), use
         :class:`repro.parallel.BatchSearchExecutor` directly.

@@ -95,7 +95,7 @@ def run(
             min_score = dataset.converter.min_score_for_evalue(evalue, len(query))
             search_result = search.search(query, min_score=min_score)
             columns += search_result.columns_expanded
-            nodes += search.statistics.nodes_expanded
+            nodes += search_result.statistics.nodes_expanded
             collected.append(search_result.scores_by_sequence())
         elapsed = time.perf_counter() - started
 

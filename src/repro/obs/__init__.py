@@ -43,10 +43,6 @@ post-hoc trace:
   wall-clock :class:`StackProfiler` sampling ``sys._current_frames()`` and
   joining samples against open spans for per-phase attribution;
   collapsed-stack and speedscope exports (CLI ``search --stackprof``).
-* **Prometheus exposition** (:mod:`repro.obs.promexport`):
-  :func:`render_prometheus` over the registry and an opt-in
-  :class:`MetricsServer` serving ``/metrics`` + ``/healthz`` (CLI
-  ``search --serve-metrics``).
 
 Every instrumented call site takes ``tracer=None``; passing a
 :class:`Tracer` (which owns a :class:`MetricsRegistry` as ``tracer.metrics``)
@@ -76,7 +72,6 @@ if TYPE_CHECKING:
         Histogram,
         MetricsRegistry,
     )
-    from repro.obs.promexport import MetricsServer, parse_exposition, render_prometheus
     from repro.obs.recording import Recording
     from repro.obs.sampler import ResourceSample, ResourceSampler, read_rss_bytes
     from repro.obs.stackprof import StackProfiler, validate_speedscope
@@ -101,11 +96,6 @@ else:
                 "Histogram",
                 "MetricsRegistry",
             ),
-            "repro.obs.promexport": (
-                "MetricsServer",
-                "parse_exposition",
-                "render_prometheus",
-            ),
             "repro.obs.recording": ("Recording",),
             "repro.obs.sampler": (
                 "ResourceSample",
@@ -123,7 +113,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsServer",
     "NameStats",
     "PhaseSlice",
     "Recording",
@@ -138,10 +127,8 @@ __all__ = [
     "analyze",
     "configure_logging",
     "get_logger",
-    "parse_exposition",
     "phase_breakdown",
     "read_rss_bytes",
-    "render_prometheus",
     "span_phase",
     "validate_speedscope",
 ]

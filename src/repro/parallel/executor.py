@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.oasis import OasisSearchStatistics
+from repro.core.request import SearchRequest
 from repro.core.results import SearchResult
 from repro.exec import BackendSpec, ExecutionBackend, resolve_backend
 from repro.obs.logsetup import get_logger
@@ -387,13 +388,21 @@ class BatchSearchExecutor:
         timeout: Optional[float] = None,
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         tracer=None,
-        **search_kwargs,
+        template: Optional[SearchRequest] = None,
+        **options,
     ) -> "BatchSearchExecutor":
-        """Executor over an :class:`~repro.core.engine.OasisEngine`.
+        """Executor over an engine (anything with the searching surface).
 
-        ``search_kwargs`` are forwarded to ``engine.execute`` (one of
-        ``min_score`` / ``evalue``, plus ``max_results`` etc.).
+        ``options`` are :class:`~repro.core.request.SearchRequest` fields
+        (one of ``min_score`` / ``evalue``, plus ``max_results`` etc.),
+        checked here, once; ``timeout`` is the request's ``time_budget``.
+        A ready request passed as ``template`` stands in for both.  Every
+        query of a run is that template with its own ``query``.
         """
+        if template is None:
+            template = SearchRequest.template(time_budget=timeout, **options)
+        elif options or timeout is not None:
+            raise TypeError("options and timeout belong inside the template request")
 
         def run_query(
             query: str,
@@ -402,11 +411,7 @@ class BatchSearchExecutor:
             trace_parent: Optional[str],
         ) -> SearchResult:
             execution = engine.execute(
-                query,
-                time_budget=time_budget,
-                cancel_event=cancel_event,
-                tracer=tracer,
-                **search_kwargs,
+                replace(template, query=query), cancel_event=cancel_event, tracer=tracer
             )
             # The query may run on a pool thread; parent its span under the
             # batch span by explicit id rather than thread-local nesting.
@@ -414,7 +419,11 @@ class BatchSearchExecutor:
             return execution.result()
 
         return cls(
-            run_query, workers=workers, timeout=timeout, backend=backend, tracer=tracer
+            run_query,
+            workers=workers,
+            timeout=template.time_budget,
+            backend=backend,
+            tracer=tracer,
         )
 
     @classmethod

@@ -12,8 +12,8 @@ Correctness of the merge rests on three invariants:
 
 * every shard prunes against the **global** E-value threshold: all shards
   share one :class:`~repro.core.evalue.SelectivityConverter` built from the
-  whole database (a process worker gets its model and database size in the
-  task), so Equation 3 yields the same ``min_score`` everywhere and
+  whole database, through which the request is resolved once (a process
+  worker gets the model and database size inside it), so Equation 3 yields the same ``min_score`` everywhere and
   Equation 2 annotates every hit with the E-value the monolithic engine would
   have computed;
 * a sequence lives in exactly one shard, so the union of per-shard hit sets
@@ -41,6 +41,7 @@ from typing import Iterator, List, Optional, Union
 from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
 from repro.core.oasis import OasisSearchStatistics, QueryExecution, open_span
+from repro.core.request import SearchRequest
 from repro.core.results import SearchHit, SearchResult, hit_order_key
 from repro.core.surface import SearchSurface
 from repro.exec import BackendSpec, ExecutionBackend, resolve_backend
@@ -52,10 +53,10 @@ from repro.sharding.builder import ShardedIndexBuilder
 from repro.sharding.catalog import ShardCatalog, config_fingerprint
 from repro.sharding.planner import ShardPlanner, ShardSpec, slice_shard
 from repro.sharding.remote import (
-    ShardOutcome,
     ShardSearchTask,
     label_shard_execution,
     run_shard_search,
+    unsearched,
 )
 from repro.storage.blocks import BLOCK_SIZE_DEFAULT
 from repro.storage.disk_tree import DEFAULT_BUFFER_POOL_BYTES, DiskSuffixTree
@@ -73,30 +74,38 @@ class ShardedQueryExecution:
     executor relies on: iterate it for the online stream (a lazy k-way merge
     of the per-shard streams, globally ordered because each shard emits in
     canonical order) or call :meth:`result` to run all shards concurrently on
-    the engine's shard pool and collect the merged batch result.
+    the engine's scatter backend and collect the merged batch result.  Either
+    way the query ends in :attr:`shard_results` -- one
+    :class:`~repro.core.results.SearchResult` per shard, the same shape
+    whether the shard ran on this thread, on a pool thread or in a worker
+    process -- and the statistics, the ``timed_out`` / ``aborted`` flags and
+    the per-shard rows are read from those.
     """
 
     def __init__(
         self,
         engine: "ShardedEngine",
-        executions: List[QueryExecution],
-        query: str,
-        max_results: Optional[int],
-        time_budget: Optional[float] = None,
+        request: SearchRequest,
+        cancel_event: Optional[threading.Event] = None,
         tracer=None,
     ):
         self.engine = engine
-        self.executions = executions
-        self.query = query
-        self.max_results = max_results
-        self.time_budget = time_budget
+        #: Resolved against the global database: every shard runs this value.
+        self.request = request
+        self.cancel_event = cancel_event
         self.tracer = tracer
         #: Explicit parent for the query span (a batch executor sets it so
         #: queries running on pool threads still nest under the batch span).
         self.trace_parent: Optional[str] = None
+        #: The shard executions of this process, built when the query starts
+        #: to run here (a process scatter builds none).
+        self.executions: List[QueryExecution] = []
+        self.shard_results: List[SearchResult] = []
+        #: The query's one absolute deadline (``time.perf_counter`` timebase).
+        self.deadline: Optional[float] = None
+        self._abort_requested = False
         self._iterator: Optional[Iterator[SearchHit]] = None
         self._collected: List[SearchHit] = []
-        self._start_time: Optional[float] = None
         self._wall_seconds = 0.0
         self._result: Optional[SearchResult] = None
 
@@ -105,50 +114,64 @@ class ShardedQueryExecution:
     # ------------------------------------------------------------------ #
     @property
     def timed_out(self) -> bool:
-        return any(execution.timed_out for execution in self.executions)
+        return any(result.parameters.get("timed_out") for result in self.shard_results)
 
     @property
     def aborted(self) -> bool:
-        return any(execution.aborted for execution in self.executions)
+        return any(result.parameters.get("aborted") for result in self.shard_results)
+
+    def _shard_statistics(self) -> List[OasisSearchStatistics]:
+        # (A task that expired or was cancelled before it searched has no counters.)
+        return [
+            result.statistics or OasisSearchStatistics(kernel=shard.kernel)
+            for shard, result in zip(self.engine.shards, self.shard_results)
+        ]
 
     @property
     def statistics(self) -> OasisSearchStatistics:
         """Work counters summed over all shards (queue peak is the max)."""
-        return OasisSearchStatistics.merged(
-            [execution.statistics for execution in self.executions], self._wall_seconds
-        )
+        return OasisSearchStatistics.merged(self._shard_statistics(), self._wall_seconds)
 
     def _open_query_span(self, **attributes):
-        """Open the ``query`` span (if traced) and parent the shard spans under it.
-
-        Shard executions may run on pool threads or in worker processes, so
-        their spans find the query span by explicit id, not by thread-local
-        nesting; they are labelled here, before any of them starts.
-        """
-        attributes.update(shards=len(self.executions), phase="scatter")
-        span = open_span(self.tracer, "query", self.trace_parent, attributes)
-        if span is not None:
-            for shard, execution in enumerate(self.executions):
-                label_shard_execution(execution, shard, span.span_id)
-        return span
+        """Open the ``query`` span (``None`` untraced); shard spans name it by id."""
+        attributes.update(shards=self.engine.shard_count, phase="scatter")
+        return open_span(self.tracer, "query", self.trace_parent, attributes)
 
     def abort(self) -> None:
+        """Stop this process's shard executions at their next queue pop."""
+        self._abort_requested = True
         for execution in self.executions:
             execution.abort()
 
     def _pin_deadline(self) -> None:
-        """Share one absolute deadline across all shard executions.
+        """Fix one absolute deadline for all shards of the query.
 
         A per-execution relative budget would restart whenever a shard task
         leaves the pool queue, granting a loaded batch up to
         ``shard_count x budget`` per query; pinning ``now + budget`` before
         anything is submitted keeps the budget a true per-query wall clock.
         """
-        if self.time_budget is None:
-            return
-        deadline = time.perf_counter() + self.time_budget
-        for execution in self.executions:
-            execution.set_deadline(deadline)
+        if self.request.time_budget is not None:
+            self.deadline = time.perf_counter() + self.request.time_budget
+
+    def start_shards(self, span) -> List[QueryExecution]:
+        """Build this process's shard executions, ready to run.
+
+        They share the pinned deadline, and -- since they may run on pool
+        threads -- find the query span by explicit id, not by thread-local
+        nesting.
+        """
+        for shard_index, shard in enumerate(self.engine.shards):
+            execution = shard.execute_request(
+                self.request, cancel_event=self.cancel_event, tracer=self.tracer
+            )
+            execution.set_deadline(self.deadline)
+            if span is not None:
+                label_shard_execution(execution, shard_index, span.span_id)
+            if self._abort_requested:
+                execution.abort()
+            self.executions.append(execution)
+        return self.executions
 
     # ------------------------------------------------------------------ #
     # Streaming (online) interface
@@ -171,27 +194,26 @@ class ShardedQueryExecution:
         """Lazy k-way merge of the shard streams, globally strongest-first.
 
         The shard executions run interleaved on the calling thread (the
-        paper's online consumption model); only :meth:`result` uses the shard
-        pool.  Each shard stream is sorted by the canonical hit order, so the
-        merge is too.
+        paper's online consumption model); only :meth:`result` uses the
+        scatter backend.  Each shard stream is sorted by the canonical hit
+        order, so the merge is too.
         """
-        self._start_time = time.perf_counter()
+        start = time.perf_counter()
         self._pin_deadline()
         span = self._open_query_span(streaming=True)
         streams = [
             self._shard_stream(shard, execution)
-            for shard, execution in enumerate(self.executions)
+            for shard, execution in enumerate(self.start_shards(span))
         ]
+        max_results = self.request.max_results
         try:
-            emitted = 0
             for hit in heapq.merge(*streams, key=hit_order_key):
                 self._collected.append(hit)
                 yield hit
-                emitted += 1
-                if self.max_results is not None and emitted >= self.max_results:
+                if max_results is not None and len(self._collected) >= max_results:
                     return
         finally:
-            self._wall_seconds = time.perf_counter() - self._start_time
+            self._wall_seconds = time.perf_counter() - start
             for stream in streams:
                 stream.close()
             # Closing the wrappers does not close the shard executions
@@ -199,6 +221,7 @@ class ShardedQueryExecution:
             # and an abandoned merge cannot silently resume work later.
             for execution in self.executions:
                 execution.close()
+            self.shard_results = [execution.result() for execution in self.executions]
             if span is not None:
                 span.set_attribute("hits", len(self._collected))
                 self.tracer._pop(span)
@@ -209,18 +232,18 @@ class ShardedQueryExecution:
         if self._iterator is not None:
             self._iterator.close()
 
-    def _merge_hits(self, shard_results: List[SearchResult]) -> List[SearchHit]:
+    def _merge_hits(self) -> List[SearchHit]:
         """Remap shard-local hits to global indices and order canonically."""
         hits: List[SearchHit] = []
-        for shard, result in enumerate(shard_results):
+        for shard, result in enumerate(self.shard_results):
             offset = self.engine.sequence_offset(shard)
             for hit in result.hits:
                 hit.sequence_index += offset
                 hits.append(hit)
         hits.sort(key=hit_order_key)
-        if self.max_results is not None:
-            hits = hits[: self.max_results]
-        return hits
+        # Each shard kept at most the global top-k: a hit outside a shard's
+        # own top-k can never be in the merged top-k.
+        return hits[: self.request.max_results]
 
     # ------------------------------------------------------------------ #
     # Batch interface
@@ -228,9 +251,9 @@ class ShardedQueryExecution:
     def result(self) -> SearchResult:
         """Run every shard (concurrently, unless already streaming) and merge.
 
-        Memoised: the remap mutates the shard executions' hit objects in
-        place, so the merge must run exactly once -- repeated calls return
-        the same object, as :meth:`QueryExecution.result` effectively does.
+        Memoised: the remap mutates the shard results' hit objects in place,
+        so the merge must run exactly once -- repeated calls return the same
+        object, as :meth:`QueryExecution.result` effectively does.
         """
         if self._result is not None:
             return self._result
@@ -247,15 +270,15 @@ class ShardedQueryExecution:
             span = self._open_query_span()
             try:
                 self._pin_deadline()
-                shard_results = self.engine._scatter(self.executions)
+                self.shard_results = self.engine._scatter(self, span)
                 self._wall_seconds = time.perf_counter() - start
                 if span is None:
-                    hits = self._merge_hits(shard_results)
+                    hits = self._merge_hits()
                 else:
                     with tracer.span(
                         "merge", parent_id=span.span_id, phase="merge"
                     ) as merge_span:
-                        hits = self._merge_hits(shard_results)
+                        hits = self._merge_hits()
                         merge_span.set_attribute("hits", len(hits))
             finally:
                 if span is not None:
@@ -267,41 +290,42 @@ class ShardedQueryExecution:
         # Per-shard hit counts reflect the *merged* result: with max_results,
         # a shard's emitted top-k may exceed what survives the global
         # truncation, and the per-shard rows must sum to len(hits).
-        survived = [0] * len(self.executions)
+        survived = [0] * self.engine.shard_count
         offsets = self.engine._offsets
         for hit in hits:
             survived[bisect_right(offsets, hit.sequence_index) - 1] += 1
 
+        shard_statistics = self._shard_statistics()
         shard_stats = [
             {
                 "shard": shard,
                 "hits": survived[shard],
-                "columns_expanded": execution.statistics.columns_expanded,
-                "nodes_expanded": execution.statistics.nodes_expanded,
-                "elapsed_seconds": execution.statistics.elapsed_seconds,
-                "timed_out": execution.timed_out,
-                "aborted": execution.aborted,
+                "columns_expanded": statistics.columns_expanded,
+                "nodes_expanded": statistics.nodes_expanded,
+                "elapsed_seconds": statistics.elapsed_seconds,
+                "timed_out": bool(result.parameters.get("timed_out")),
+                "aborted": bool(result.parameters.get("aborted")),
             }
-            for shard, execution in enumerate(self.executions)
+            for shard, (result, statistics) in enumerate(
+                zip(self.shard_results, shard_statistics)
+            )
         ]
 
         merged = SearchResult(
-            query=self.query.upper(),
+            query=self.request.query.upper(),
             engine="oasis-sharded",
             hits=hits,
             elapsed_seconds=self._wall_seconds,
-            columns_expanded=sum(
-                execution.statistics.columns_expanded for execution in self.executions
-            ),
+            columns_expanded=sum(row["columns_expanded"] for row in shard_stats),
             parameters={
-                "min_score": self.executions[0].min_score,
+                "min_score": self.request.min_score,
                 "matrix": self.engine.matrix.name,
                 "gap": self.engine.gap_model.per_symbol,
-                "max_results": self.max_results,
-                "shards": len(self.executions),
+                "max_results": self.request.max_results,
+                "shards": self.engine.shard_count,
                 "shard_stats": shard_stats,
             },
-            statistics=self.statistics,
+            statistics=OasisSearchStatistics.merged(shard_statistics, self._wall_seconds),
         )
         if self.timed_out:
             merged.parameters["timed_out"] = True
@@ -312,8 +336,8 @@ class ShardedQueryExecution:
 
     def __repr__(self) -> str:
         return (
-            f"ShardedQueryExecution(query={self.query!r}, "
-            f"shards={len(self.executions)})"
+            f"ShardedQueryExecution(query={self.request.query!r}, "
+            f"shards={self.engine.shard_count})"
         )
 
 
@@ -370,8 +394,8 @@ class ShardedEngine(SearchSurface):
 
     Use :meth:`build` for an in-memory sharded engine, or
     :meth:`ShardedIndexBuilder.build` + :meth:`open` for the persistent form.
-    The engine defines ``execute`` and inherits the searching surface
-    (``search`` / ``search_online`` / ``search_many``) that
+    The engine defines ``execute_request`` and inherits the searching surface
+    (``execute`` / ``search`` / ``search_online`` / ``search_many``) that
     :class:`~repro.core.engine.OasisEngine` inherits, so every consumer of
     an engine -- the batch executor, the workload adapters, the CLI -- can
     run sharded without changes.
@@ -384,7 +408,7 @@ class ShardedEngine(SearchSurface):
     is a thread pool of one thread per shard -- right for disk-resident
     shards, whose miss stalls overlap.  A process backend escapes the GIL
     for CPU-bound (fully cached / in-memory regime) scatter: each task
-    carries only ``(catalog directory, shard id, query, parameters)``, the
+    carries only the catalog directory, a shard id and the request, the
     worker process lazily opens its shard image read-only from the catalog,
     and the shard's :class:`~repro.core.results.SearchResult` travels back
     for the same merge the in-process shards go through.  It therefore
@@ -663,42 +687,22 @@ class ShardedEngine(SearchSurface):
     # ------------------------------------------------------------------ #
     # Searching
     # ------------------------------------------------------------------ #
-    def execute(
+    def execute_request(
         self,
-        query: str,
-        min_score: Optional[int] = None,
-        evalue: Optional[float] = None,
-        max_results: Optional[int] = None,
-        compute_alignments: bool = False,
-        time_budget: Optional[float] = None,
+        request: SearchRequest,
         cancel_event: Optional[threading.Event] = None,
         tracer=None,
     ) -> ShardedQueryExecution:
-        """Create one (unstarted) per-shard execution per shard.
+        """Resolve the request once, globally, and create its (unstarted) scatter.
 
-        Every shard resolves the same selectivity: they share the global
-        converter, so an ``evalue`` maps to one global ``min_score`` and each
-        shard prunes against the global threshold, not its own size.
+        Every shard runs the same resolved request: the converter spans the
+        whole database, so an ``evalue`` maps to one global ``min_score`` and
+        each shard prunes against the global threshold, not its own size.
         """
         if self._closed:
             raise RuntimeError("ShardedEngine is closed")
-        executions = [
-            shard.execute(
-                query,
-                min_score=min_score,
-                evalue=evalue,
-                # Each shard keeps at most the global top-k: a hit outside a
-                # shard's own top-k can never be in the merged top-k.
-                max_results=max_results,
-                compute_alignments=compute_alignments,
-                time_budget=time_budget,
-                cancel_event=cancel_event,
-                tracer=tracer,
-            )
-            for shard in self.shards
-        ]
         return ShardedQueryExecution(
-            self, executions, query, max_results, time_budget=time_budget, tracer=tracer
+            self, request.resolved(self.converter), cancel_event=cancel_event, tracer=tracer
         )
 
     def instrument(self, tracer) -> None:
@@ -719,27 +723,27 @@ class ShardedEngine(SearchSurface):
         """Declarative spec of the scatter backend (``"threads:4"`` etc.)."""
         return self._backend.spec
 
-    def _scatter(self, executions: List[QueryExecution]) -> List[SearchResult]:
-        """Run per-shard executions concurrently on the scatter backend."""
+    def _scatter(self, scattered: ShardedQueryExecution, span) -> List[SearchResult]:
+        """Run one query's shards on the scatter backend: a result per shard."""
         if self._closed:
             # A closed engine must not run searches over closed shard
             # cursors (or silently resurrect a backend it already shut).
             raise RuntimeError("ShardedEngine is closed")
-        tracer = executions[0].tracer if executions else None
+        tracer = scattered.tracer
         if tracer is not None and tracer.flight is not None:
-            flight = tracer.flight
-            for shard_index, execution in enumerate(executions):
-                flight.event(
+            for shard_index in range(len(self.shards)):
+                tracer.flight.event(
                     "shard_dispatched",
                     shard=shard_index,
-                    query=execution.query[:32],
+                    query=scattered.request.query[:32],
                     backend=self.backend_spec,
                 )
         if self._backend.kind == "processes":
             # Always take the remote path, even for one shard, so a process
             # engine exercises exactly one code path (and its parity is
             # testable at every shard count).
-            return self._scatter_processes(executions)
+            return self._scatter_processes(scattered, span)
+        executions = scattered.start_shards(span)
         if len(executions) == 1:
             return [executions[0].result()]
         futures = [
@@ -747,16 +751,14 @@ class ShardedEngine(SearchSurface):
         ]
         return [future.result() for future in futures]
 
-    def _scatter_processes(self, executions: List[QueryExecution]) -> List[SearchResult]:
+    def _scatter_processes(self, scattered: ShardedQueryExecution, span) -> List[SearchResult]:
         """Ship each shard's share of the query to a worker process.
 
-        Workers receive only ``(catalog directory, shard id, query,
-        parameters)`` -- the parameters including the global E-value model
-        and database size -- and return the shard's :class:`SearchResult`;
-        the parent takes its statistics and flags over into the local
-        :class:`QueryExecution` it already created, so the merge in
-        :meth:`ShardedQueryExecution.result` is oblivious to how the shard
-        results were produced.
+        Workers receive only the catalog directory, a shard id and the
+        resolved request -- which carries the global E-value model and
+        database size -- and return the shard's :class:`SearchResult`, the
+        shape an in-process shard execution hands the merge; no execution is
+        built in this process.
 
         The query's pinned monotonic deadline is translated into one
         absolute wall-clock (``time.time()``) deadline shared by every
@@ -768,32 +770,29 @@ class ShardedEngine(SearchSurface):
         search cannot be interrupted cooperatively and runs to completion
         (bound it with a time budget).
         """
-        first = executions[0]
+        request, tracer = scattered.request, scattered.tracer
         deadline_epoch: Optional[float] = None
-        if first._deadline is not None:
+        if scattered.deadline is not None:
             # Epoch translation for cross-process deadlines, not a duration.
             deadline_epoch = time.time() + (  # repro: allow[monotonic-time]
-                first._deadline - time.perf_counter()
+                scattered.deadline - time.perf_counter()
             )
         trace_context = None
-        if first.tracer is not None:
+        if tracer is not None:
             # Workers continue the parent's trace: same trace_id, shard spans
             # parented under the parent's query span.
-            trace_context = first.tracer.context(parent_id=first.trace_parent)
+            trace_context = tracer.context(parent_id=span.span_id)
         logger.debug(
             "scattering query %r across %d shards via %s",
-            first.query,
-            len(executions),
+            request.query,
+            len(self.shards),
             self.backend_spec,
         )
         tasks = [
             ShardSearchTask(
                 directory=str(self.directory),
                 shard_index=shard_index,
-                query=first.query,
-                min_score=first.min_score,
-                max_results=first.max_results,
-                compute_alignments=first.compute_alignments,
+                request=request,
                 deadline_epoch=deadline_epoch,
                 buffer_pool_bytes=(
                     self.shard_buffer_bytes[shard_index]
@@ -809,14 +808,12 @@ class ShardedEngine(SearchSurface):
                     self.catalog.database_digest if self.catalog is not None else ""
                 ),
                 trace=trace_context,
-                kernel=self.shards[shard_index].kernel,
-                statistics_model=first.statistics_model,
-                database_size=first.database_size,
+                kernel=shard.kernel,
             )
-            for shard_index in range(len(executions))
+            for shard_index, shard in enumerate(self.shards)
         ]
         futures = [self._backend.submit(run_shard_search, task) for task in tasks]
-        cancel = first._cancel_event
+        cancel = scattered.cancel_event
         if cancel is not None:
             # Poll instead of blocking outright, so a batch abort can still
             # cancel the shard tasks the pool has not started yet.
@@ -829,19 +826,22 @@ class ShardedEngine(SearchSurface):
                     break
         results = []
         try:
-            for execution, future in zip(executions, futures):
+            for future in futures:
                 if future.cancelled():
-                    execution.aborted = True
-                    results.append(
-                        SearchResult(
-                            query=execution.query.upper(),
-                            engine="oasis",
-                            hits=[],
-                            statistics=execution.statistics,
-                        )
-                    )
-                else:
-                    results.append(self._adopt(execution, future.result()))
+                    results.append(unsearched(request, "aborted"))
+                    continue
+                # The hits need nothing: the worker annotated them with the
+                # global E-values (same statistics model, query length and
+                # database size as the in-process path -- bit-identical
+                # floats on the same machine).
+                result, spans, metrics_snapshot = future.result()
+                if tracer is not None:
+                    # Stitch the worker's spans into the parent's trace and
+                    # fold its metric counters (search.*, pool.*) into the
+                    # parent's registry.
+                    tracer.adopt(spans)
+                    tracer.metrics.merge_snapshot(metrics_snapshot)
+                results.append(result)
         except BrokenExecutor:
             # A dead worker breaks the whole pool: replace it before
             # propagating, so one crash fails one query (a per-query error
@@ -851,27 +851,6 @@ class ShardedEngine(SearchSurface):
                 reset()
             raise
         return results
-
-    @staticmethod
-    def _adopt(execution: QueryExecution, outcome: ShardOutcome) -> SearchResult:
-        """Take a worker's outcome over into the local (never run) execution.
-
-        The hits need nothing: the worker annotated them with the global
-        E-values (same statistics model, query length and database size as
-        the in-process path -- bit-identical floats on the same machine).
-        """
-        result, spans, metrics_snapshot = outcome
-        if isinstance(result.statistics, OasisSearchStatistics):
-            # (A task that expired before it searched has no counters.)
-            execution.statistics = result.statistics
-        execution.timed_out = bool(result.parameters.get("timed_out"))
-        execution.aborted = bool(result.parameters.get("aborted"))
-        if execution.tracer is not None:
-            # Stitch the worker's spans into the parent's trace and fold its
-            # metric counters (search.*, pool.*) into the parent's registry.
-            execution.tracer.adopt(spans)
-            execution.tracer.metrics.merge_snapshot(metrics_snapshot)
-        return result
 
     # ------------------------------------------------------------------ #
     # Lifecycle

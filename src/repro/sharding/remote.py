@@ -3,8 +3,9 @@
 Everything in this module runs (also) inside ``ProcessBackend`` worker
 processes, so the ground rules are strict:
 
-* tasks are plain picklable descriptions -- ``(catalog directory, shard id,
-  query, parameters)`` -- never live engine objects;
+* tasks are plain picklable descriptions -- the catalog directory, a shard
+  id and the query's :class:`~repro.core.request.SearchRequest` -- never
+  live engine objects;
 * each worker process opens its shard image lazily, read-only, from the
   catalog, and caches the open engine for the life of the process (the
   expensive part -- catalog + FASTA parse + cursor open -- is paid once per
@@ -12,20 +13,21 @@ processes, so the ground rules are strict:
 * a search travels back as the :class:`~repro.core.results.SearchResult`
   the worker's execution built -- the shape an in-process shard hands the
   merge -- with *global* E-values: a shard knows only its slice of the
-  database, so the task carries the parent's statistics model and the global
-  database size.  Sequence indices stay shard-local; the merge remaps them.
+  database, so the request arrives resolved, carrying the parent's
+  statistics model and the global database size.  Sequence indices stay
+  shard-local; the merge remaps them.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.core.request import SearchRequest
 from repro.core.results import SearchResult
 from repro.obs.trace import TraceContext
-from repro.scoring.karlin_altschul import KarlinAltschulParameters
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only; workers import lazily
     from repro.core.oasis import OasisSearch, QueryExecution
@@ -40,14 +42,12 @@ ShardOutcome = Tuple[SearchResult, List[Dict[str, object]], Dict[str, Dict[str, 
 class ShardSearchTask:
     """One shard's share of one query, shipped to a worker process.
 
-    The picklable form of the query options: ``min_score`` is the
-    already-resolved *global* threshold (the parent converts an E-value
-    cutoff through the global converter; Equation 3 must see the whole
-    database, which the worker does not), and ``statistics_model`` /
-    ``database_size`` are what Equation 2 needs to annotate each hit with
-    the E-value the monolithic engine would have computed -- the same two
-    values the parent hands an in-process shard execution.
-    ``deadline_epoch`` is the query's absolute deadline as ``time.time()``
+    ``request`` is the query's own :class:`SearchRequest`, resolved by the
+    parent (Equation 3 must see the whole database, which the worker does
+    not) -- the same object the parent hands an in-process shard, so the
+    worker prunes against the global threshold and annotates each hit with
+    the E-value the monolithic engine would have computed.  Its
+    ``time_budget`` does not cross the process boundary: ``deadline_epoch`` is the query's absolute deadline as ``time.time()``
     seconds: the wall clock is shared by every process on the machine
     (unlike the monotonic clock, whose origin is undefined across
     processes), so a task that waited in the pool queue sees only the time
@@ -65,10 +65,7 @@ class ShardSearchTask:
 
     directory: str
     shard_index: int
-    query: str
-    min_score: int
-    max_results: Optional[int]
-    compute_alignments: bool
+    request: SearchRequest
     deadline_epoch: Optional[float]
     buffer_pool_bytes: int
     simulated_miss_latency: float
@@ -85,10 +82,6 @@ class ShardSearchTask:
     #: cached :class:`OasisSearch` uses the same one (parity-gated, so this
     #: affects speed and statistics attribution only, never the hits).
     kernel: Optional[str] = None
-    #: Equation 2's inputs for the hits' E-values: the parent's model (none:
-    #: hits carry no E-value) and the *global* database size.
-    statistics_model: Optional[KarlinAltschulParameters] = None
-    database_size: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -208,8 +201,8 @@ def _open_shard_search(task: ShardSearchTask) -> "OasisSearch":
         simulated_miss_latency=task.simulated_miss_latency,
         sleep_on_miss=task.sleep_on_miss,
     )
-    # A bare OasisSearch, no SelectivityConverter: the threshold arrives
-    # pre-resolved and the task carries the global E-value inputs.
+    # A bare OasisSearch, no SelectivityConverter: the request arrives
+    # resolved, carrying the threshold and the global E-value inputs.
     search = OasisSearch(cursor, matrix, gap_model, kernel=task.kernel)
     _SHARD_CACHE[key] = search
     return search
@@ -236,12 +229,9 @@ def label_shard_execution(
     execution.trace_attributes = {"shard": shard, "phase": "shard"}
 
 
-def _timed_out(task: ShardSearchTask) -> ShardOutcome:
-    """The outcome of a shard task whose deadline passed before it searched."""
-    result = SearchResult(
-        query=task.query.upper(), engine="oasis", parameters={"timed_out": True}
-    )
-    return result, [], {}
+def unsearched(request: SearchRequest, flag: str) -> SearchResult:
+    """A shard's (empty) result when its task ``timed_out`` / was ``aborted`` unsearched."""
+    return SearchResult(query=request.query.upper(), engine="oasis", parameters={flag: True})
 
 
 def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
@@ -249,9 +239,8 @@ def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
 
     Returns what the in-process path gets from ``execution.result()`` -- the
     :class:`SearchResult` with its statistics and ``timed_out`` / ``aborted``
-    parameters -- so the parent takes those over into the execution object
-    it already created and every downstream consumer (merge, shard stats,
-    batch aggregates) is oblivious to where the shard ran.
+    parameters -- so every downstream consumer (merge, shard stats, batch
+    aggregates) is oblivious to where the shard ran.
     """
     # The deadline is re-derived twice: before the lazy shard open (skip
     # the expensive open when the task already expired in the pool queue)
@@ -259,28 +248,20 @@ def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
     # charged against the query's budget, not granted on top of it --
     # QueryExecution counts its budget from when the search starts).
     if _expired(task):
-        return _timed_out(task)
+        return unsearched(task.request, "timed_out"), [], {}
     search = _open_shard_search(task)
-    time_budget: Optional[float] = None
+    request = task.request
     if task.deadline_epoch is not None:
         # Back from the epoch deadline to a relative budget (worker side).
         time_budget = task.deadline_epoch - time.time()  # repro: allow[monotonic-time]
         if time_budget <= 0:
-            return _timed_out(task)
+            return unsearched(task.request, "timed_out"), [], {}
+        request = replace(request, time_budget=time_budget)
     tracer = task.trace.tracer() if task.trace is not None else None
     if tracer is not None:
         search.instrument(tracer)
     try:
-        execution = search.execute(
-            task.query,
-            min_score=task.min_score,
-            max_results=task.max_results,
-            compute_alignments=task.compute_alignments,
-            statistics_model=task.statistics_model,
-            database_size=task.database_size,
-            time_budget=time_budget,
-            tracer=tracer,
-        )
+        execution = search.execute_request(request, tracer=tracer)
         if task.trace is not None:
             # The ids the shard span is born with (pid-prefixed) stay valid
             # when the parent adopts it.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -21,6 +22,7 @@ from repro.baselines.blast import BlastLikeSearch, BlastParameters
 from repro.baselines.smith_waterman import SmithWatermanAligner
 from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
+from repro.core.request import SearchRequest
 from repro.core.results import SearchResult
 from repro.scoring.gaps import FixedGapModel, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
@@ -67,19 +69,14 @@ class OasisAdapter(EngineAdapter):
     """
 
     def __init__(
-        self,
-        engine: "Union[OasisEngine, ShardedEngine]",
-        evalue: Optional[float] = 20_000.0,
-        min_score: Optional[int] = None,
-        max_results: Optional[int] = None,
-        name: str = "OASIS",
+        self, engine: "Union[OasisEngine, ShardedEngine]", name: str = "OASIS", **options
     ):
-        if (evalue is None) == (min_score is None):
-            raise ValueError("specify exactly one of evalue or min_score")
+        # ``options`` are SearchRequest fields; the paper's default selectivity
+        # applies unless the caller named a threshold of either kind.
+        if "min_score" not in options:
+            options.setdefault("evalue", 20_000.0)
         self.engine = engine
-        self.evalue = evalue
-        self.min_score = min_score
-        self.max_results = max_results
+        self.template = SearchRequest.template(**options)
         self.name = name
 
     def run(self, query: str) -> SearchResult:
@@ -93,17 +90,14 @@ class OasisAdapter(EngineAdapter):
     ) -> SearchResult:
         # OASIS is the online engine: each query runs as its own reentrant
         # execution, so budgets and batch-wide cancellation stop it mid-query.
-        return self.engine.execute(
-            query,
-            evalue=self.evalue,
-            min_score=self.min_score,
-            max_results=self.max_results,
-            time_budget=time_budget,
-            cancel_event=cancel_event,
-        ).result()
+        request = replace(self.template, query=query, time_budget=time_budget)
+        return self.engine.execute(request, cancel_event=cancel_event).result()
 
     def describe(self) -> str:
-        threshold = f"E={self.evalue}" if self.evalue is not None else f"minScore={self.min_score}"
+        options = self.template
+        threshold = (
+            f"E={options.evalue}" if options.evalue is not None else f"minScore={options.min_score}"
+        )
         return f"{self.name} ({threshold}, index={type(self.engine.cursor).__name__})"
 
 

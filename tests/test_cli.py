@@ -95,6 +95,33 @@ class TestSearch:
         assert "available: reference, live" in str(raised.value)
 
 
+class TestOptionValuesAreUsageErrors:
+    """A value the request rejects exits 2 in one line, before any index work."""
+
+    @pytest.mark.parametrize("shards", [[], ["--shards", "3"]], ids=["monolithic", "shards3"])
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--timeout", "0"],
+            ["--timeout", "-2"],
+            ["--evalue", "-1"],
+            ["--min-score", "0"],
+            ["--max-results", "0"],
+            ["--max-results", "-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_value_exits_2_without_a_traceback(self, tmp_path, capsys, option, shards):
+        # The database does not exist: reaching it would fail differently.
+        arguments = ["search", "--database", str(tmp_path / "never-read.fasta")]
+        code = main(arguments + ["--query", "MKVLAADTGLAV"] + option + shards)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-oasis search: error: ")
+        assert "Traceback" not in captured.err
+
+
 class TestBatchSearch:
     def test_batch_search_through_executor(self, generated_files, capsys):
         fasta, queries = generated_files
@@ -711,19 +738,6 @@ class TestLiveIntrospectionFlags:
         collapsed = tmp_path / "search.speedscope.json.collapsed"
         assert collapsed.exists()
 
-    def test_serve_metrics_announces_endpoint(self, generated_files, capsys):
-        fasta, queries = generated_files
-        code = main(self._search(fasta, queries, "--serve-metrics", "0"))
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "serving metrics on http://127.0.0.1:" in err
-        assert "/metrics" in err
-
-    def test_negative_port_rejected(self, generated_files):
-        fasta, queries = generated_files
-        with pytest.raises(SystemExit):
-            main(self._search(fasta, queries, "--serve-metrics", "-1"))
-
     def test_flight_defaults_to_conventional_filename(
         self, generated_files, tmp_path, monkeypatch, capsys
     ):
@@ -752,14 +766,11 @@ class TestLiveIntrospectionFlags:
                 str(flight),
                 "--stackprof",
                 str(profile),
-                "--serve-metrics",
-                "0",
                 "--metrics",
             )
         )
         assert code == 0
         err = capsys.readouterr().err
-        assert "serving metrics on" in err
         assert "stack samples" in err
         assert "--- metrics ---" in err
         assert validate(load(flight)) == []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
+from repro.core.request import SearchRequest
 from repro.obs import Tracer
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
@@ -104,6 +105,13 @@ class TestOneSearchSurface:
             assert hit_rows(streamed) == expected
             report = engine.search_many([self.QUERY] * 2, workers=2, **self.OPTIONS)
             assert [hit_rows(result) for result in report.results()] == [expected] * 2
+            # The request form: the same value, built by the caller.
+            request = SearchRequest(self.QUERY, **self.OPTIONS)
+            assert hit_rows(engine.execute(request).result()) == expected
+            assert hit_rows(engine.search(request)) == expected
+            assert hit_rows(engine.search_online(request)) == expected
+            report = engine.search_many(["MKV", self.QUERY], workers=2, template=request)
+            assert hit_rows(report.results()[1]) == expected
         assert [record.name for record in tracer.records()].count("query") == 1
 
         engine.close()  # a second close is a no-op
@@ -145,8 +153,8 @@ class TestThresholdResolution:
         assert all(hit.evalue <= 10.0 + 1e-9 for hit in result)
 
     def test_statistics_exposed(self, engine):
-        engine.search("WKDDGNGYISAAE", min_score=20)
-        assert engine.statistics.columns_expanded > 0
+        result = engine.search("WKDDGNGYISAAE", min_score=20)
+        assert result.statistics.columns_expanded > 0
 
     def test_repr_mentions_index_type(self, engine):
         assert "GeneralizedSuffixTree" in repr(engine)

@@ -33,8 +33,7 @@ class TestPaperExample:
         assert 0 < result.columns_expanded < len(PAPER_TARGET)
 
     def test_statistics_populated(self, search):
-        search.search(PAPER_QUERY, min_score=1)
-        stats = search.statistics
+        stats = search.search(PAPER_QUERY, min_score=1).statistics
         assert stats.nodes_expanded > 0
         assert stats.nodes_accepted >= 1
         assert stats.columns_expanded > 0
@@ -47,7 +46,7 @@ class TestPaperExample:
     def test_impossible_threshold_short_circuits(self, search):
         result = search.search(PAPER_QUERY, min_score=100)
         assert len(result) == 0
-        assert search.statistics.nodes_expanded == 0
+        assert result.statistics.nodes_expanded == 0
 
     def test_empty_query_rejected(self, search):
         with pytest.raises(ValueError):

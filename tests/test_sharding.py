@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
+from repro.core.oasis import QueryExecution
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import (
@@ -241,16 +242,27 @@ class TestShardedParityInMemory:
             rows = result.parameters["shard_stats"]
             assert sum(row["hits"] for row in rows) == len(result) == 3
 
-    def test_time_budget_is_shared_across_shards(self, shard_database, pam30_matrix, gap8):
+    def test_time_budget_is_shared_across_shards(
+        self, shard_database, pam30_matrix, gap8, monkeypatch
+    ):
         """One absolute deadline is pinned on every shard before any runs."""
+        pinned = []
+        set_deadline = QueryExecution.set_deadline
+
+        def recording(shard_execution, deadline):
+            pinned.append(deadline)
+            set_deadline(shard_execution, deadline)
+
+        monkeypatch.setattr(QueryExecution, "set_deadline", recording)
         with ShardedEngine.build(
             shard_database, pam30_matrix, gap8, shard_count=3
         ) as sharded:
             execution = sharded.execute(QUERIES[0], evalue=EVALUE, time_budget=60.0)
-            execution._pin_deadline()
-            deadlines = {shard._deadline for shard in execution.executions}
-            assert len(deadlines) == 1
-            assert None not in deadlines
+            assert execution.executions == [] and pinned == []
+            next(iter(execution))
+            execution.close()
+            assert len(execution.executions) == len(pinned) == 3
+            assert set(pinned) == {execution.deadline} and execution.deadline is not None
 
     def test_expired_budget_flags_timed_out(self, shard_database, pam30_matrix, gap8):
         with ShardedEngine.build(

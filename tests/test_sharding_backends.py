@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.core.engine import OasisEngine
+from repro.core.request import SearchRequest
 from repro.exec import ProcessBackend, ThreadBackend
 from repro.parallel import BatchSearchExecutor
 from repro.sequences.alphabet import PROTEIN_ALPHABET
@@ -162,7 +163,7 @@ class TestScatterBackendParity:
         options = dict(evalue=EVALUE, compute_alignments=True)
         with ShardedEngine.open(index_directories[2], backend="processes:2") as sharded:
             scattered = sharded.execute(query, **options)
-            remote = sharded._scatter(scattered.executions)
+            remote = sharded._scatter(scattered, None)
             local = [shard.execute(query, **options).result() for shard in sharded.shards]
         assert sum(len(result) for result in remote) > 0
         for shard, (got, expected) in enumerate(zip(remote, local)):
@@ -176,8 +177,8 @@ class TestScatterBackendParity:
             counters, reference = got.statistics.as_dict(), expected.statistics.as_dict()
             assert counters.pop("elapsed_seconds") > 0 and reference.pop("elapsed_seconds") > 0
             assert counters == reference, f"shard {shard}"
-            # The parent's execution took the worker's counters over.
-            assert scattered.executions[shard].statistics is got.statistics
+        # The worker's results are the shard results: nothing was built here.
+        assert scattered.executions == []
 
     def test_process_scatter_reports_per_shard_statistics(self, index_directories):
         with ShardedEngine.open(index_directories[4], backend="processes:2") as sharded:
@@ -330,10 +331,7 @@ class TestProcessBackendFailurePaths:
         task = ShardSearchTask(
             directory=str(tmp_path / "never-built"),
             shard_index=0,
-            query="wkddgngyisaae",
-            min_score=20,
-            max_results=None,
-            compute_alignments=False,
+            request=SearchRequest("wkddgngyisaae", min_score=20),
             deadline_epoch=time.time() - 1.0,
             buffer_pool_bytes=1 << 16,
             simulated_miss_latency=0.0,

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.engine import OasisEngine
 from repro.core.oasis import OasisSearchStatistics
+from repro.core.request import SearchRequest
 from repro.core.results import Alignment, OnlineResultLog, SearchResult
 from repro.exec import ProcessBackend
 from repro.obs.trace import TraceContext
@@ -43,25 +44,55 @@ def roundtrip(backend, payload):
     return backend.submit(proc_roundtrip, payload).result()
 
 
+#: What a caller writes, and what a coordinator makes of it for its shards.
+UNRESOLVED = SearchRequest(
+    "TACG", evalue=10.0, max_results=50, compute_alignments=True, time_budget=2.5
+)
+RESOLVED = dataclasses.replace(
+    UNRESOLVED,
+    min_score=17,
+    evalue=None,
+    statistics_model=KarlinAltschulParameters(lambda_=0.34, k=0.28, h=2.3),
+    database_size=1_226,
+)
+
+
 def make_search_task(**overrides):
     base = dict(
         directory="/tmp/index",
         shard_index=1,
-        query="TACG",
-        min_score=17,
-        max_results=50,
-        compute_alignments=True,
+        request=RESOLVED,
         deadline_epoch=1_234.5,
         buffer_pool_bytes=1 << 16,
         simulated_miss_latency=0.01,
         sleep_on_miss=False,
         fingerprint={"matrix": "pam30", "gap": -8},
         database_digest="abc123",
-        statistics_model=KarlinAltschulParameters(lambda_=0.34, k=0.28, h=2.3),
-        database_size=1_226,
     )
     base.update(overrides)
     return ShardSearchTask(**base)
+
+
+def assert_equal_field_by_field(returned, sent):
+    assert type(returned) is type(sent)
+    for field in dataclasses.fields(sent):
+        assert getattr(returned, field.name) == getattr(sent, field.name), field.name
+
+
+class TestSearchRequest:
+    @pytest.mark.parametrize("request_", [UNRESOLVED, RESOLVED], ids=["unresolved", "resolved"])
+    def test_spawn_roundtrip_preserves_every_field(self, spawn_backend, request_):
+        qualname, returned = roundtrip(spawn_backend, request_)
+        assert qualname == "repro.core.request.SearchRequest"
+        assert_equal_field_by_field(returned, request_)
+        assert returned == request_ and hash(returned) == hash(request_)
+
+    def test_the_model_arrives_as_the_dataclass_it_left_as(self, spawn_backend):
+        _, returned = roundtrip(spawn_backend, RESOLVED)
+        assert isinstance(returned.statistics_model, KarlinAltschulParameters)
+        assert returned.statistics_model.evalue(17, 4, 1_226) == (
+            RESOLVED.statistics_model.evalue(17, 4, 1_226)
+        )
 
 
 class TestShardSearchTask:
@@ -69,7 +100,8 @@ class TestShardSearchTask:
         task = make_search_task()
         qualname, returned = roundtrip(spawn_backend, task)
         assert qualname == "repro.sharding.remote.ShardSearchTask"
-        assert returned == task
+        assert_equal_field_by_field(returned, task)
+        assert_equal_field_by_field(returned.request, RESOLVED)
 
     def test_trace_context_field_survives_embedded(self, spawn_backend):
         task = make_search_task(
@@ -152,14 +184,14 @@ class TestPayloadShape:
     """The structural half: what makes these classes spawn-safe stays true."""
 
     @pytest.mark.parametrize(
-        "payload_class", [ShardSearchTask, ShardBuildTask, TraceContext]
+        "payload_class", [SearchRequest, ShardSearchTask, ShardBuildTask, TraceContext]
     )
     def test_payloads_are_frozen_dataclasses(self, payload_class):
         assert dataclasses.is_dataclass(payload_class)
         assert payload_class.__dataclass_params__.frozen
 
     @pytest.mark.parametrize(
-        "payload_class", [ShardSearchTask, ShardBuildTask, TraceContext]
+        "payload_class", [SearchRequest, ShardSearchTask, ShardBuildTask, TraceContext]
     )
     def test_payloads_are_module_level(self, payload_class):
         # Spawn workers import by qualified name; a nested class has a
@@ -170,6 +202,7 @@ class TestPayloadShape:
         # The cheap in-process check, for completeness: protocol-default
         # pickle must already work before any process is involved.
         for payload in (
+            UNRESOLVED,
             make_search_task(),
             TraceContext(trace_id="t", parent_id=None),
         ):

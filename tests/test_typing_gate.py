@@ -32,7 +32,6 @@ GATE_FILES = (
     "repro/obs/flight.py",
     "repro/obs/logsetup.py",
     "repro/obs/metrics.py",
-    "repro/obs/promexport.py",
     "repro/obs/recording.py",
     "repro/obs/regress.py",
     "repro/obs/report.py",
