@@ -44,6 +44,7 @@ _BLOCKING_METHODS: Set[str] = {
     "flush",
     "seek",
     "read_block",
+    "pread",
     "write_block",
     "readinto",
     "recv",

@@ -305,6 +305,12 @@ def _print_single_result(result) -> None:
         print("warning: time budget exhausted -- the hit list is partial")
 
 
+def _fail(command: str, error: Exception) -> int:
+    """One ``repro-oasis COMMAND: error: ...`` line on stderr; the exit code."""
+    print(f"repro-oasis {command}: error: {error}", file=sys.stderr)
+    return 2
+
+
 def _parse_backend_arg(spec: Optional[str]):
     """Validate a --backend spec early, with an argparse-friendly error."""
     if spec is None:
@@ -340,7 +346,7 @@ def _build_search_engine(args: argparse.Namespace):
     backend = _parse_backend_arg(args.backend)
     kernel = _parse_kernel_arg(args.kernel)
     if args.index is not None:
-        from repro.sharding import CatalogError, ShardedEngine
+        from repro.sharding import CatalogError, CatalogFormatError, ShardedEngine
 
         # A persistent catalog is authoritative for its own configuration:
         # only an *explicit* --matrix/--gap is checked against it, and the
@@ -357,6 +363,8 @@ def _build_search_engine(args: argparse.Namespace):
                 backend=backend,
                 kernel=kernel,
             )
+        except CatalogFormatError:
+            raise  # a stale index, like a stale image: _command_search's one-line exit 2
         except CatalogError as error:
             raise SystemExit(str(error))
         if args.shards is not None and args.shards != engine.shard_count:
@@ -415,8 +423,7 @@ def _command_search(args: argparse.Namespace) -> int:
             queries[0], **{name: getattr(args, flag) for flag, name in REQUEST_OPTIONS.items()}
         )
     except ValueError as error:
-        print(f"repro-oasis search: error: {error}", file=sys.stderr)
-        return 2
+        return _fail("search", error)
 
     tracer = None
     if (
@@ -435,7 +442,12 @@ def _command_search(args: argparse.Namespace) -> int:
     if args.sample is not None and args.sample <= 0:
         raise SystemExit("--sample must be positive")
 
-    engine = _build_search_engine(args)
+    try:
+        engine = _build_search_engine(args)
+    except ValueError as error:
+        # An index this code cannot serve (written in another format, or not
+        # the image of its database) fails defined: never wrong hits.
+        return _fail("search", error)
     if tracer is not None:
         engine.instrument(tracer)
 
@@ -632,10 +644,17 @@ def _command_index_build(args: argparse.Namespace) -> int:
 
 
 def _command_index_info(args: argparse.Namespace) -> int:
-    from repro.sharding import CatalogError, ShardCatalog
+    from repro.sharding import CatalogError, CatalogFormatError, ShardCatalog
+    from repro.storage import DiskLayout, ImageFormatError
 
     try:
         catalog = ShardCatalog.load(args.directory)
+        for entry in catalog.shards:
+            image_path = catalog.shard_image_path(args.directory, entry)
+            if os.path.exists(image_path):
+                DiskLayout.read_header(image_path)
+    except (CatalogFormatError, ImageFormatError) as error:
+        return _fail("index info", error)
     except CatalogError as error:
         raise SystemExit(str(error))
     print(f"sharded index: {args.directory}")

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from repro.experiments.common import ExperimentConfig, build_protein_dataset, default_config
 from repro.experiments.report import format_table
 from repro.storage.builder import build_disk_image
-from repro.storage.layout import InternalNodeRecord, LeafNodeRecord
+from repro.storage.layout import FORMAT_VERSION, INTERNAL_STRUCT, LEAF_STRUCT
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 
 #: The paper's reported space utilisation, for side-by-side display.
@@ -61,7 +61,8 @@ class SpaceResult:
             for row in self.rows
         ]
         summary = (
-            f"record sizes: internal={InternalNodeRecord.SIZE} B, leaf={LeafNodeRecord.SIZE} B, "
+            f"record sizes (image format v{FORMAT_VERSION}): internal={INTERNAL_STRUCT.size} B, "
+            f"leaf={LEAF_STRUCT.size} B per leaf (the paper: per symbol position), "
             f"symbols=1 B   paper: {PAPER_BYTES_PER_SYMBOL} bytes/symbol"
         )
         return (

@@ -25,6 +25,7 @@ if TYPE_CHECKING:
     from repro.sharding.catalog import (
         CATALOG_FILENAME,
         CatalogError,
+        CatalogFormatError,
         CatalogMismatchError,
         ShardCatalog,
         ShardEntry,
@@ -46,6 +47,7 @@ else:
             "repro.sharding.catalog": (
                 "CATALOG_FILENAME",
                 "CatalogError",
+                "CatalogFormatError",
                 "CatalogMismatchError",
                 "ShardCatalog",
                 "ShardEntry",
@@ -65,6 +67,7 @@ else:
 __all__ = [
     "CATALOG_FILENAME",
     "CatalogError",
+    "CatalogFormatError",
     "CatalogMismatchError",
     "ShardBuildTask",
     "ShardCatalog",

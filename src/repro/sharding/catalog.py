@@ -31,8 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 PathLike = Union[str, os.PathLike]
 
-#: Bumped whenever the catalog schema or the image layout changes shape.
-CATALOG_FORMAT_VERSION = 1
+#: Bumped whenever the catalog schema or the image layout changes shape
+#: (2: the shard images are Section-3.4 format v2).  A catalog of any other
+#: version is refused on load: its images would be misread, not rejected.
+CATALOG_FORMAT_VERSION = 2
 
 #: File names inside a sharded index directory.
 CATALOG_FILENAME = "catalog.json"
@@ -41,6 +43,10 @@ DATABASE_FILENAME = "database.fasta"
 
 class CatalogError(ValueError):
     """Raised when a catalog is missing, unreadable or malformed."""
+
+
+class CatalogFormatError(CatalogError):
+    """Raised when a catalog was written in a format this code does not read."""
 
 
 class CatalogMismatchError(CatalogError):
@@ -225,6 +231,12 @@ class ShardCatalog:
             )
         except (KeyError, TypeError) as error:
             raise CatalogError(f"catalog is missing required fields: {error}") from error
+        version = catalog.fingerprint.get("format_version")
+        if version != CATALOG_FORMAT_VERSION:
+            raise CatalogFormatError(
+                f"sharded index is format v{version}, this code reads only "
+                f"v{CATALOG_FORMAT_VERSION}: rebuild the index"
+            )
         catalog.validate()
         return catalog
 

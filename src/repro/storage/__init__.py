@@ -10,7 +10,10 @@ that OASIS stays efficient when the index does not fit in memory:
 * leaf nodes addressed by suffix start position, with explicit sibling links;
 * all reads go through a buffer pool with a clock replacement policy.
 
-This package reproduces that design.  The on-disk image is a real file; the
+This package reproduces that design with one departure (image format v2, see
+:mod:`repro.storage.layout`): the leaf array holds one record per leaf in
+parent order, so a node's leaf children are contiguous like its internal
+children and the sibling chain is gone.  The on-disk image is a real file; the
 buffer pool tracks hits and misses per region (the quantities plotted in
 Figures 7 and 8) and can charge a configurable latency per miss so that the
 2003-era disk behaviour can be simulated on a machine whose OS page cache
@@ -24,7 +27,7 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.storage.blocks import BlockFile, BLOCK_SIZE_DEFAULT
     from repro.storage.buffer_pool import BufferPool, BufferPoolStatistics, Region
-    from repro.storage.layout import DiskLayout, InternalNodeRecord, LeafNodeRecord
+    from repro.storage.layout import DiskLayout, ImageFormatError
     from repro.storage.builder import build_disk_image
     from repro.storage.disk_tree import DiskSuffixTree
 else:
@@ -39,8 +42,7 @@ else:
             ),
             "repro.storage.layout": (
                 "DiskLayout",
-                "InternalNodeRecord",
-                "LeafNodeRecord",
+                "ImageFormatError",
             ),
             "repro.storage.builder": ("build_disk_image",),
             "repro.storage.disk_tree": ("DiskSuffixTree",),
@@ -54,8 +56,7 @@ __all__ = [
     "BufferPoolStatistics",
     "Region",
     "DiskLayout",
-    "InternalNodeRecord",
-    "LeafNodeRecord",
+    "ImageFormatError",
     "build_disk_image",
     "DiskSuffixTree",
 ]

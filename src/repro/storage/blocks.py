@@ -9,7 +9,7 @@ the experiments of Figures 7-8) can observe the physical access pattern.
 from __future__ import annotations
 
 import os
-from typing import Union
+from typing import Optional, Union
 
 PathLike = Union[str, os.PathLike]
 
@@ -42,7 +42,9 @@ class BlockFile:
         self.writes = 0
         self._writable = create
         self._handle = open(self.path, "w+b" if create else "rb")
-        self._closed = False
+        #: The open file's descriptor, ``None`` once closed: the buffer pool
+        #: preads through it directly, one system call per miss.
+        self.descriptor: Optional[int] = self._handle.fileno()
 
     # ------------------------------------------------------------------ #
     # Block access
@@ -58,8 +60,9 @@ class BlockFile:
         """Read one block; short blocks at the end of file are zero-padded.
 
         One positional ``os.pread``: there is no shared file offset, so
-        concurrent readers need no lock.  (``reads`` is exact for one reader;
-        under concurrency the pool's ``misses`` is the exact count.)
+        concurrent readers need no lock.  (``reads`` counts calls of this
+        method; the buffer pool preads through :attr:`descriptor` itself
+        and counts its own ``misses``.)
         """
         if block_number < 0:
             raise ValueError("block_number must be non-negative")
@@ -101,9 +104,9 @@ class BlockFile:
         self._handle.flush()
 
     def close(self) -> None:
-        if not self._closed:
+        if self.descriptor is not None:
             self._handle.close()
-            self._closed = True
+            self.descriptor = None
 
     def __enter__(self) -> "BlockFile":
         return self

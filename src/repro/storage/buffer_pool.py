@@ -25,6 +25,7 @@ module reproduces that component:
 from __future__ import annotations
 
 import enum
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -145,11 +146,16 @@ class BufferPool:
             raise ValueError("capacity_bytes must be positive")
         if simulated_miss_latency < 0:
             raise ValueError("simulated_miss_latency must be non-negative")
-        self._file = block_file
         self.block_size = block_file.block_size
         self.frame_count = max(1, capacity_bytes // self.block_size)
         self.capacity_bytes = self.frame_count * self.block_size
-        self._region_offsets = dict(region_offsets)
+        # A miss is one positional read through the file's descriptor, at a
+        # byte offset resolved here; blocks written so far are made visible.
+        block_file.flush()
+        self._file = block_file
+        self._region_bytes = {
+            region: start * self.block_size for region, start in region_offsets.items()
+        }
         self.simulated_miss_latency = simulated_miss_latency
         self.sleep_on_miss = sleep_on_miss
 
@@ -240,7 +246,13 @@ class BufferPool:
             # Sleeping releases the GIL, so concurrent misses stall in
             # parallel -- the behaviour a real multi-client disk system shows.
             time.sleep(self.simulated_miss_latency)
-        return self._file.read_block(self._region_offsets[region] + block_in_region)
+        descriptor = self._file.descriptor
+        if descriptor is None:
+            raise ValueError("read from a closed block file")
+        size = self.block_size
+        data = os.pread(descriptor, size, self._region_bytes[region] + block_in_region * size)
+        # A short block at the end of the file reads as zero-padded.
+        return data if len(data) == size else data.ljust(size, b"\x00")
 
     def _install(self, key: Tuple[Region, int], data: bytes) -> None:
         """Place a page in a frame chosen by the clock algorithm.

@@ -3,23 +3,27 @@
 The paper constructs the tree with the partitioned technique and then
 "reorganizes the disk-representation" into the layout of Section 3.4.  This
 module is that reorganization step: it takes an in-memory tree (built by
-either builder) and writes the three-region block image, assigning internal
-node identifiers in level order so that siblings end up contiguous on disk.
+either builder) and writes the three-region block image (format v2, see
+:mod:`repro.storage.layout`): one level-order walk numbers the internal nodes
+and lays out the leaf records, so that the internal children of a node and
+its leaf children each end up as one contiguous run on disk.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from typing import Dict, List, Union
+from typing import List, Union
+
+import numpy as np
 
 from repro.storage.blocks import BLOCK_SIZE_DEFAULT, BlockFile
 from repro.storage.layout import (
     DiskLayout,
-    FLAG_LAST_SIBLING,
-    InternalNodeRecord,
-    LeafNodeRecord,
+    INTERNAL_STRUCT,
+    LAST_SIBLING_BIT,
+    LEAF_STRUCT,
     NO_POINTER,
+    VALUE_MASK,
 )
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 from repro.suffixtree.nodes import InternalNode, LeafNode
@@ -32,7 +36,7 @@ def build_disk_image(
     path: PathLike,
     block_size: int = BLOCK_SIZE_DEFAULT,
 ) -> DiskLayout:
-    """Write ``tree`` to ``path`` in the Section 3.4 disk layout.
+    """Write ``tree`` to ``path`` in the Section 3.4 disk layout (format v2).
 
     Returns the :class:`DiskLayout` header describing the image (the same
     header is stored in block 0 of the file, so the image is self-describing
@@ -41,75 +45,46 @@ def build_disk_image(
     database = tree.database
     codes = database.concatenated_codes
     symbol_count = len(codes)
+    if symbol_count > VALUE_MASK:
+        raise ValueError(f"{symbol_count} symbols do not fit the image's 31-bit pointers")
 
     # ------------------------------------------------------------------ #
-    # 1. Assign level-order identifiers to the internal nodes.
+    # 1. One level-order walk emits both record arrays.  A node's internal
+    #    children take the next identifiers as they are appended to the walk
+    #    and its leaf children the next leaf records, so both are contiguous
+    #    runs; the last record of each run carries the last-sibling bit.
     # ------------------------------------------------------------------ #
-    internal_nodes: List[InternalNode] = []
-    queue = deque([tree.root])
-    while queue:
-        node = queue.popleft()
-        node.node_id = len(internal_nodes)
-        internal_nodes.append(node)
+    nodes: List[InternalNode] = [tree.root]
+    run_ends: List[int] = [0]
+    internal_words: List[int] = []
+    leaf_words: List[int] = []
+    for node in nodes:  # grows while it is walked
+        first_internal, first_leaf = len(nodes), len(leaf_words)
         for child in node.children:
             if isinstance(child, InternalNode):
-                queue.append(child)
+                nodes.append(child)
+            elif isinstance(child, LeafNode):
+                leaf_words.append(child.suffix_start)
+        if len(nodes) == first_internal:
+            first_internal = NO_POINTER
+        else:
+            run_ends.append(len(nodes) - 1)
+        if len(leaf_words) == first_leaf:
+            first_leaf = NO_POINTER
+        else:
+            leaf_words[-1] |= LAST_SIBLING_BIT
+        internal_words += (node.depth, node.edge_start, first_internal, first_leaf)
+    internal_records = np.array(internal_words, dtype="<u4").reshape(-1, 4)
+    internal_records[run_ends, 0] |= LAST_SIBLING_BIT
 
     # ------------------------------------------------------------------ #
-    # 2. Build the internal-node and leaf records.
-    # ------------------------------------------------------------------ #
-    internal_records: List[InternalNodeRecord] = []
-    leaf_next_sibling: Dict[int, int] = {}
-
-    for node in internal_nodes:
-        internal_children = [c for c in node.children if isinstance(c, InternalNode)]
-        leaf_children = [c for c in node.children if isinstance(c, LeafNode)]
-
-        first_internal = internal_children[0].node_id if internal_children else NO_POINTER
-        first_leaf = leaf_children[0].suffix_start if leaf_children else NO_POINTER
-
-        # Chain the leaf children through their explicit sibling pointers.
-        for current, following in zip(leaf_children, leaf_children[1:]):
-            leaf_next_sibling[current.suffix_start] = following.suffix_start
-        if leaf_children:
-            leaf_next_sibling[leaf_children[-1].suffix_start] = NO_POINTER
-
-        internal_records.append(
-            InternalNodeRecord(
-                depth=node.depth,
-                symbol_ptr=node.edge_start,
-                first_internal_child=first_internal,
-                first_leaf_child=first_leaf,
-                flags=0,
-            )
-        )
-
-    # Mark last-sibling flags: for every parent, its last internal child
-    # terminates the contiguous sibling run.  (Level-order numbering makes
-    # internal children of one parent consecutive.)
-    flagged: List[InternalNodeRecord] = list(internal_records)
-    for node in internal_nodes:
-        internal_children = [c for c in node.children if isinstance(c, InternalNode)]
-        if internal_children:
-            last = internal_children[-1].node_id
-            record = flagged[last]
-            flagged[last] = InternalNodeRecord(
-                depth=record.depth,
-                symbol_ptr=record.symbol_ptr,
-                first_internal_child=record.first_internal_child,
-                first_leaf_child=record.first_leaf_child,
-                flags=record.flags | FLAG_LAST_SIBLING,
-            )
-    internal_records = flagged
-
-    # ------------------------------------------------------------------ #
-    # 3. Encode the three regions block by block.
+    # 2. Encode the three regions block by block.
     # ------------------------------------------------------------------ #
     layout = DiskLayout(
         block_size=block_size,
         symbol_count=symbol_count,
-        internal_count=len(internal_records),
-        leaf_slots=symbol_count,
+        internal_count=len(nodes),
+        leaf_slots=len(leaf_words),
         sequence_count=len(database),
         symbols_start_block=1,
         internal_start_block=0,  # filled in below
@@ -120,36 +95,23 @@ def build_disk_image(
 
     with BlockFile(path, block_size=block_size, create=True) as block_file:
         block_file.write_block(0, layout.pack_header())
-
-        # Symbols: one byte per symbol, block_size symbols per block.
-        symbol_bytes = codes.astype("uint8").tobytes()
-        _write_region(block_file, layout.symbols_start_block, symbol_bytes, block_size, block_size)
-
-        # Internal nodes: whole records per block.
-        per_block = layout.internal_records_per_block
-        internal_bytes = b"".join(record.pack() for record in internal_records)
-        _write_region(
-            block_file,
-            layout.internal_start_block,
-            internal_bytes,
-            block_size,
-            per_block * InternalNodeRecord.SIZE,
+        regions = (
+            # Symbols: one byte per symbol, block_size symbols per block.
+            (layout.symbols_start_block, codes.astype("uint8").tobytes(), block_size),
+            # Internal nodes and leaves: whole records per block.
+            (
+                layout.internal_start_block,
+                internal_records.tobytes(),
+                layout.internal_records_per_block * INTERNAL_STRUCT.size,
+            ),
+            (
+                layout.leaves_start_block,
+                np.array(leaf_words, dtype="<u4").tobytes(),
+                layout.leaf_records_per_block * LEAF_STRUCT.size,
+            ),
         )
-
-        # Leaves: one slot per symbol position (slots at terminal positions or
-        # for suffixes without an explicit sibling stay NO_POINTER).
-        leaf_records = bytearray()
-        for position in range(symbol_count):
-            sibling = leaf_next_sibling.get(position, NO_POINTER)
-            leaf_records += LeafNodeRecord(sibling).pack()
-        per_block_leaves = layout.leaf_records_per_block
-        _write_region(
-            block_file,
-            layout.leaves_start_block,
-            bytes(leaf_records),
-            block_size,
-            per_block_leaves * LeafNodeRecord.SIZE,
-        )
+        for start_block, data, payload_per_block in regions:
+            _write_region(block_file, start_block, data, payload_per_block)
         block_file.flush()
 
     return layout
@@ -159,7 +121,6 @@ def _write_region(
     block_file: BlockFile,
     start_block: int,
     data: bytes,
-    block_size: int,
     payload_per_block: int,
 ) -> None:
     """Write a region, packing ``payload_per_block`` bytes into each block.

@@ -9,10 +9,11 @@ tree, so the OASIS engine runs on either representation unchanged.
 The unit of work is a *page*, not a record.  A cursor call asks the pool once
 for each page it touches, in the order a record-at-a-time reader would first
 reach it, and decodes what it needs in place: ``children()`` the parent
-record, the whole contiguous internal-sibling run (re-fetching only where it
-crosses a block) and the leaf chain (a page per hop unless the next leaf is
-on the page just read); ``arc_symbols()`` a ``bytes`` slice of the symbol
-page, joined eagerly when the arc crosses pages.  So a pool *request*
+record, the contiguous internal-sibling run and the contiguous leaf-sibling
+run of image format v2 (each re-fetching only where it crosses a block -- the
+paper's leaf chain, one page per leaf, is gone: see
+:mod:`repro.storage.layout`); ``arc_symbols()`` a ``bytes`` slice of the
+symbol page, joined eagerly when the arc crosses pages.  So a pool *request*
 (``hits + misses``) is one page touched by one cursor call, not one record,
 while misses and evictions are exactly those of reading record by record: a
 repeated request for the page just requested changes nothing in a clock pool.
@@ -39,10 +40,11 @@ from repro.storage.blocks import BlockFile
 from repro.storage.buffer_pool import BufferPool, BufferPoolStatistics, Region
 from repro.storage.layout import (
     DiskLayout,
-    FLAG_LAST_SIBLING,
     INTERNAL_STRUCT,
+    LAST_SIBLING_BIT,
     LEAF_STRUCT,
     NO_POINTER,
+    VALUE_MASK,
 )
 from repro.suffixtree.cursor import SuffixTreeCursor
 
@@ -86,13 +88,8 @@ class DiskSuffixTree(SuffixTreeCursor):
     ) -> None:
         database.freeze()
         self._database = database
-        self._file = BlockFile(path, create=False)
-        header = self._file.read_block(0)
-        self.layout = DiskLayout.unpack_header(header)
-        if self.layout.block_size != self._file.block_size:
-            # Re-open with the image's real block size.
-            self._file.close()
-            self._file = BlockFile(path, block_size=self.layout.block_size, create=False)
+        self.layout = DiskLayout.read_header(path)
+        self._file = BlockFile(path, block_size=self.layout.block_size)
         total = database.total_symbols_with_terminals
         if self.layout.symbol_count != total:
             raise ValueError(
@@ -108,6 +105,9 @@ class DiskSuffixTree(SuffixTreeCursor):
         )
         # One past each terminal, ascending: suffix p ends at the first entry > p.
         self._sequence_ends = database.sequence_starts[1:] + [total]
+        # Payload bytes of a record page (whole records; the rest is padding).
+        self._internal_page_bytes = self.layout.internal_records_per_block * INTERNAL_STRUCT.size
+        self._leaf_page_bytes = self.layout.leaf_records_per_block * LEAF_STRUCT.size
 
     # ------------------------------------------------------------------ #
     # Cursor interface
@@ -130,39 +130,52 @@ class DiskSuffixTree(SuffixTreeCursor):
         get_page = self.pool.get_page
         unpack_internal = INTERNAL_STRUCT.unpack_from
         record_size = INTERNAL_STRUCT.size
-        per_block = self.layout.block_size // record_size
-        block, slot = divmod(node[1], per_block)
+        page_bytes = self._internal_page_bytes
+        block, offset = divmod(node[1] * record_size, page_bytes)
         page = get_page(Region.INTERNAL_NODES, block)
-        _, _, child_index, leaf_index, _ = unpack_internal(page, slot * record_size)
+        _, _, child_index, leaf_index = unpack_internal(page, offset)
         handles: List[NodeHandle] = []
 
-        # Internal children: one contiguous run of records, decoded page by page.
+        # Internal children: one contiguous run of records, decoded page by
+        # page up to the record that carries the last-sibling bit.
         if child_index != NO_POINTER:
-            flags = 0
-            while not flags & FLAG_LAST_SIBLING:
-                child_block, slot = divmod(child_index, per_block)
-                if child_block != block:
-                    block = child_block
-                    page = get_page(Region.INTERNAL_NODES, block)
-                child_depth, symbol_ptr, _, _, flags = unpack_internal(page, slot * record_size)
+            child_block, offset = divmod(child_index * record_size, page_bytes)
+            if child_block != block:
+                block = child_block
+                page = get_page(Region.INTERNAL_NODES, block)
+            while True:
+                word, symbol_ptr, _, _ = unpack_internal(page, offset)
+                child_depth = word & VALUE_MASK
                 handles.append(("I", child_index, symbol_ptr, child_depth - depth, child_depth))
+                if word & LAST_SIBLING_BIT:
+                    break
                 child_index += 1
+                offset += record_size
+                if offset == page_bytes:
+                    block += 1
+                    offset = 0
+                    page = get_page(Region.INTERNAL_NODES, block)
 
-        # Leaf children: a chain through explicit sibling pointers.
+        # Leaf children: one contiguous run of suffix starts, the same way.
         if leaf_index != NO_POINTER:
             unpack_leaf = LEAF_STRUCT.unpack_from
-            leaf_size = LEAF_STRUCT.size
-            per_block = self.layout.block_size // leaf_size
+            record_size = LEAF_STRUCT.size
+            page_bytes = self._leaf_page_bytes
             ends = self._sequence_ends
-            block = -1
-            while leaf_index != NO_POINTER:
-                length = ends[bisect_right(ends, leaf_index)] - leaf_index
-                handles.append(("L", leaf_index, leaf_index + depth, length - depth, length))
-                leaf_block, slot = divmod(leaf_index, per_block)
-                if leaf_block != block:
-                    block = leaf_block
+            block, offset = divmod(leaf_index * record_size, page_bytes)
+            page = get_page(Region.LEAF_NODES, block)
+            while True:
+                (word,) = unpack_leaf(page, offset)
+                start = word & VALUE_MASK
+                length = ends[bisect_right(ends, start)] - start
+                handles.append(("L", start, start + depth, length - depth, length))
+                if word & LAST_SIBLING_BIT:
+                    break
+                offset += record_size
+                if offset == page_bytes:
+                    block += 1
+                    offset = 0
                     page = get_page(Region.LEAF_NODES, block)
-                (leaf_index,) = unpack_leaf(page, slot * leaf_size)
 
         return handles
 

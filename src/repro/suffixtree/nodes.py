@@ -41,7 +41,7 @@ class SuffixTreeNode:
 class InternalNode(SuffixTreeNode):
     """A branching node (or the root, which has an empty incoming arc)."""
 
-    __slots__ = ("children", "depth", "node_id")
+    __slots__ = ("children", "depth")
 
     def __init__(
         self,
@@ -56,8 +56,6 @@ class InternalNode(SuffixTreeNode):
         #: Children ordered by their first arc symbol (insertion order from the
         #: suffix-array construction is already sorted).
         self.children: List[SuffixTreeNode] = []
-        #: Assigned during disk serialization (level order); -1 until then.
-        self.node_id = -1
 
     @property
     def is_leaf(self) -> bool:

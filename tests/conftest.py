@@ -7,10 +7,12 @@ use the "tiny" experiment scale.
 
 from __future__ import annotations
 
+import os
 import random
 from typing import Callable, List
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.scoring.data import pam30, unit_matrix
 from repro.scoring.gaps import FixedGapModel
@@ -25,6 +27,16 @@ from repro.testing import (
     random_dna,
     random_protein,
 )
+
+
+# Example budgets of the property tests that do not fix their own (the disk
+# differential, tests/test_disk_differential.py): bounded in tier-1, larger in
+# the CI step that sets HYPOTHESIS_PROFILE=ci.
+settings.register_profile(
+    "tier1", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+settings.register_profile("ci", settings.get_profile("tier1"), max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(scope="session")

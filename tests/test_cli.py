@@ -394,6 +394,51 @@ class TestIndexCommands:
         with pytest.raises(SystemExit, match="catalog.json"):
             main(["index", "info", str(tmp_path)])
 
+    @staticmethod
+    def make_stale(index_dir, what):
+        """Turn the index into one written before image format v2."""
+        if what == "catalog":
+            path = index_dir / "catalog.json"
+            path.write_text(
+                path.read_text().replace('"format_version": 2', '"format_version": 1')
+            )
+        else:  # the header's version field follows the 8-byte magic
+            with open(index_dir / "shard-0001.oasis", "r+b") as handle:
+                handle.seek(8)
+                handle.write((1).to_bytes(2, "little"))
+
+    @pytest.mark.parametrize("what", ["catalog", "image"])
+    def test_stale_index_is_a_typed_error_through_the_api(self, index_dir, what):
+        from repro.sharding import CatalogError, ShardCatalog, ShardedEngine
+        from repro.storage import ImageFormatError
+
+        self.make_stale(index_dir, what)
+        expected = CatalogError if what == "catalog" else ImageFormatError
+        with pytest.raises(expected, match="v1.*v2.*rebuild the index"):
+            ShardedEngine.open(index_dir)
+        if what == "catalog":
+            with pytest.raises(CatalogError, match="rebuild the index"):
+                ShardCatalog.load(index_dir)
+
+    @pytest.mark.parametrize("what", ["catalog", "image"])
+    @pytest.mark.parametrize(
+        "name, arguments",
+        [
+            ("search", ["search", "--query", "MKVLAADTGLAV", "--min-score", "15", "--index"]),
+            ("index info", ["index", "info"]),
+        ],
+        ids=["search", "info"],
+    )
+    def test_stale_index_exits_2_in_one_line(self, index_dir, capsys, name, arguments, what):
+        self.make_stale(index_dir, what)
+        capsys.readouterr()
+        code = main(arguments + [str(index_dir)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro-oasis {name}: error: ") and "rebuild the index" in line
+        assert "Traceback" not in captured.err
+
     def test_search_reuses_persisted_index(self, index_dir, generated_files, capsys):
         fasta, queries = generated_files
         main(["search", "--database", str(fasta), "--queries", str(queries), "--min-score", "15"])

@@ -201,3 +201,30 @@ class TestBufferPool:
         pool.get_page(Region.SYMBOLS, 0)
         pool.get_page(Region.SYMBOLS, 1)
         assert pool.resident_pages == 1
+
+
+class TestMissPath:
+    """A miss is one ``os.pread`` through the file's descriptor."""
+
+    def test_a_miss_does_not_go_through_read_block(self, block_file):
+        pool = make_pool(block_file, 2)
+        assert pool.get_page(Region.LEAF_NODES, 2) == bytes([9]) * 64
+        assert pool.get_page(Region.SYMBOLS, 40) == b"\x00" * 64  # past the end: zero-padded
+        assert pool.statistics.misses == 2
+        assert block_file.reads == 0
+
+    def test_pool_sees_blocks_written_before_it_was_built(self, tmp_path):
+        with BlockFile(tmp_path / "w.blk", block_size=32, create=True) as handle:
+            handle.write_block(1, b"abc")  # still in the file object's buffer
+            pool = make_pool(handle, 2)
+            assert pool.get_page(Region.SYMBOLS, 1) == b"abc" + b"\x00" * 29
+
+    def test_reading_a_closed_file_is_a_value_error(self, block_file):
+        pool = make_pool(block_file, 2)
+        pool.get_page(Region.SYMBOLS, 0)
+        block_file.close()
+        assert block_file.descriptor is None
+        assert pool.get_page(Region.SYMBOLS, 0) == bytes([0]) * 64  # cached: no read
+        with pytest.raises(ValueError, match="closed"):
+            pool.get_page(Region.SYMBOLS, 1)
+        block_file.close()  # a second close is a no-op

@@ -2,6 +2,7 @@
 
 import random
 import struct
+from collections import deque
 
 import pytest
 
@@ -9,42 +10,70 @@ from repro.core.engine import OasisEngine
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
+from repro.storage.blocks import BlockFile
 from repro.storage.builder import build_disk_image
-from repro.storage.buffer_pool import Region
+from repro.storage.buffer_pool import BufferPool, Region
 from repro.storage.disk_tree import DiskSuffixTree
 from repro.storage.layout import (
-    DiskLayout,
-    FLAG_LAST_SIBLING,
-    InternalNodeRecord,
-    LeafNodeRecord,
+    FORMAT_VERSION,
+    INTERNAL_STRUCT,
+    LAST_SIBLING_BIT,
+    LEAF_STRUCT,
     NO_POINTER,
+    VALUE_MASK,
+    DiskLayout,
+    ImageFormatError,
 )
+from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 
 from repro.testing import PAPER_TARGET, random_dna, random_protein
 
 
 class TestRecords:
-    def test_internal_record_roundtrip(self):
-        record = InternalNodeRecord(
-            depth=7, symbol_ptr=123, first_internal_child=5, first_leaf_child=NO_POINTER, flags=1
-        )
-        assert InternalNodeRecord.unpack(record.pack()) == record
+    """The two wire formats: four words per internal node, one per leaf."""
 
-    def test_internal_record_size(self):
-        assert InternalNodeRecord.SIZE == 17
-
-    def test_last_sibling_flag(self):
-        record = InternalNodeRecord(0, 0, 0, 0, FLAG_LAST_SIBLING)
-        assert record.is_last_sibling
-        assert not InternalNodeRecord(0, 0, 0, 0, 0).is_last_sibling
-
-    def test_leaf_record_roundtrip(self):
-        record = LeafNodeRecord(next_sibling=42)
-        assert LeafNodeRecord.unpack(record.pack()) == record
+    def test_internal_record_is_four_words(self):
+        assert INTERNAL_STRUCT.format == "<IIII"
+        assert INTERNAL_STRUCT.size == 16
+        assert 2048 % INTERNAL_STRUCT.size == 0  # a power-of-two block has no padding
 
     def test_leaf_record_size(self):
-        assert LeafNodeRecord.SIZE == 4
+        assert LEAF_STRUCT.format == "<I"
+        assert LEAF_STRUCT.size == 4
+
+    def test_last_sibling_flag_is_bit_31(self):
+        assert LAST_SIBLING_BIT == 1 << 31
+        assert VALUE_MASK == LAST_SIBLING_BIT - 1
+        assert NO_POINTER == LAST_SIBLING_BIT | VALUE_MASK
+
+    def test_internal_record_roundtrip(self, tmp_path, paper_database):
+        # What the builder writes, read back field by field: the paper's
+        # example tree has the root and its children A, C, G, TA in level
+        # order, then A's internal child AG (see Figure 2).
+        tree = GeneralizedSuffixTree.build(paper_database)
+        path = tmp_path / "records.oasis"
+        build_disk_image(tree, path, block_size=256)
+        walker = RecordWalker(path, paper_database, pool_bytes=256)
+        records = [walker.internal_record(index) for index in range(6)]
+        depths = [record[0] for record in records]
+        assert depths == [0, 1, 1, 1, 2, 2]
+        assert [record[4] for record in records] == [True, False, False, False, True, True]
+        assert [record[2] for record in records] == [1, 5] + [NO_POINTER] * 4
+        # Arc starts: symbol_ptr is where the incoming arc's label begins.
+        assert [PAPER_TARGET[record[1]] for record in records[1:5]] == list("ACGT")
+        # Only the root has no leaf child; the runs follow each other.
+        assert [record[3] for record in records] == [NO_POINTER, 0, 1, 4, 7, 9]
+
+    def test_leaf_record_roundtrip(self, tmp_path, paper_database):
+        tree = GeneralizedSuffixTree.build(paper_database)
+        path = tmp_path / "records.oasis"
+        build_disk_image(tree, path, block_size=256)
+        walker = RecordWalker(path, paper_database, pool_bytes=256)
+        leaves = [walker.leaf_record(index) for index in range(11)]
+        # A's one leaf (ACGCCTAG), then C's three, G's three, TA's two, AG's two.
+        assert [start for start, _ in leaves] == [3, 6, 4, 7, 5, 1, 10, 2, 8, 0, 9]
+        assert [index for index, (_, last) in enumerate(leaves) if last] == [0, 3, 6, 8, 10]
 
 
 class TestDiskLayout:
@@ -68,21 +97,29 @@ class TestDiskLayout:
         with pytest.raises(ValueError):
             DiskLayout.unpack_header(b"NOTANIDX" + b"\x00" * 64)
 
+    def test_header_of_another_format_version_is_a_typed_error(self):
+        assert FORMAT_VERSION == 2
+        stale = struct.pack("<8sHIQQQQQQQ", b"OASISIDX", 1, 512, 1000, 600, 1000, 10, 1, 3, 24)
+        with pytest.raises(ImageFormatError) as caught:
+            DiskLayout.unpack_header(stale)
+        message = str(caught.value)
+        assert "v1" in message and "v2" in message and "rebuild the index" in message
+        assert isinstance(caught.value, ValueError)
+
     def test_records_per_block(self):
         layout = self.make_layout()
-        assert layout.internal_records_per_block == 512 // 17
+        assert layout.internal_records_per_block == 32
         assert layout.leaf_records_per_block == 128
         assert layout.symbols_per_block == 512
 
-    def test_page_addressing_never_straddles_blocks(self):
+    def test_records_never_straddle_blocks(self):
+        # Whole records per block, padding after them: 72 bytes hold four
+        # 16-byte internal records, and 600 of them need 150 blocks.
         layout = self.make_layout()
-        per_block = layout.internal_records_per_block
-        block, offset = layout.internal_page(per_block)  # first record of block 1
-        assert block == 1
-        assert offset == 0
-        block, offset = layout.internal_page(per_block - 1)
-        assert block == 0
-        assert offset + InternalNodeRecord.SIZE <= 512
+        layout.block_size = 72
+        assert layout.internal_records_per_block * INTERNAL_STRUCT.size == 64
+        assert layout.internal_block_count == 150
+        assert layout.leaf_records_per_block * LEAF_STRUCT.size == 72
 
     def test_block_counts_and_size(self):
         layout = self.make_layout()
@@ -114,13 +151,35 @@ class TestDiskImageBuilder:
         _, layout, tree = paper_image
         assert layout.symbol_count == paper_database.total_symbols_with_terminals
         assert layout.internal_count == tree.internal_node_count
-        assert layout.leaf_slots == layout.symbol_count
+        assert layout.leaf_slots == tree.leaf_count == len(PAPER_TARGET)
         assert layout.sequence_count == 1
+
+    def test_leaf_array_has_one_record_per_leaf_and_no_empty_slots(self, tmp_path):
+        for database in walk_databases():
+            tree = GeneralizedSuffixTree.build(database)
+            path = tmp_path / f"{database.name}.oasis"
+            layout = build_disk_image(tree, path, block_size=256)
+            assert layout.leaf_slots == tree.leaf_count == database.total_symbols
+            assert layout.leaf_slots == layout.symbol_count - len(database)
+            walker = RecordWalker(path, database, pool_bytes=256)
+            starts = [walker.leaf_record(index)[0] for index in range(layout.leaf_slots)]
+            assert sorted(starts) == sorted(tree.leaf_positions(tree.root))
+
+    def test_image_is_smaller_than_format_v1_on_the_paper_example(self, tmp_path, paper_database):
+        # v1: 17-byte internal records and one 4-byte leaf slot per symbol
+        # position.  With 96-byte blocks the example's six internal records
+        # fill one block exactly in v2 and needed two in v1.
+        tree = GeneralizedSuffixTree.build(paper_database)
+        layout = build_disk_image(tree, tmp_path / "v2.oasis", block_size=96)
+        symbols = layout.symbol_count
+        v1_blocks = 1 + -(-symbols // 96) + -(-layout.internal_count // (96 // 17)) + -(-symbols // 24)
+        assert layout.total_blocks < v1_blocks
+        assert layout.bytes_per_symbol < v1_blocks * 96 / symbols
+        payload = symbols + 16 * layout.internal_count + 4 * layout.leaf_slots
+        assert payload < symbols + 17 * layout.internal_count + 4 * symbols
 
     def test_header_readable_from_file(self, paper_image):
         path, layout, _ = paper_image
-        from repro.storage.blocks import BlockFile
-
         with BlockFile(path, block_size=256) as handle:
             loaded = DiskLayout.unpack_header(handle.read_block(0))
         assert loaded == layout
@@ -143,6 +202,14 @@ class TestDiskSuffixTree:
         other = SequenceDatabase.from_texts(["ACGTACGT"], alphabet=DNA_ALPHABET)
         with pytest.raises(ValueError):
             DiskSuffixTree(path, other)
+
+    def test_rejects_an_image_of_another_format_version(self, paper_image, paper_database):
+        path, _, _ = paper_image
+        with open(path, "r+b") as handle:
+            handle.seek(8)  # the version field follows the 8-byte magic
+            handle.write((1).to_bytes(2, "little"))
+        with pytest.raises(ImageFormatError, match="rebuild the index"):
+            DiskSuffixTree(path, paper_database)
 
     def test_contains_and_occurrences_match_memory_tree(self, paper_image, paper_database):
         path, _, tree = paper_image
@@ -210,51 +277,99 @@ class TestDiskSuffixTree:
 # --------------------------------------------------------------------------- #
 # The page-at-a-time read path, held to a record-at-a-time reader
 # --------------------------------------------------------------------------- #
-class RecordWalker:
-    """An independent reader of an image: one record per ``struct.unpack``.
+class RecordWalker(SuffixTreeCursor):
+    """An independent reader of a v2 image: one record per ``struct.unpack``.
 
-    Shares nothing with ``DiskSuffixTree``: raw offsets into the file's
-    bytes, no pool, no ``layout`` helpers, a per-position suffix-end table.
+    Shares no decoding with ``DiskSuffixTree``: its own header parse, literal
+    formats and masks, no ``layout`` helpers, a per-position suffix-end table.
+    Every record and every symbol is one request to a pool of its own, so its
+    misses and evictions are what reading record by record costs -- the
+    numbers the page-at-a-time cursor must reproduce with fewer requests.
     """
 
-    def __init__(self, path, database):
+    def __init__(self, path, database, pool_bytes):
         with open(path, "rb") as handle:
-            self.image = handle.read()
-        header = struct.unpack("<8sHIQQQQQQQ", self.image[:70])
+            header = struct.unpack("<8sHIQQQQQQQ", handle.read(70))
+        assert header[1] == 2
         self.block_size = header[2]
-        self.symbols_start, self.internal_start, self.leaves_start = header[7:10]
+        self.pool = BufferPool(
+            BlockFile(path, block_size=self.block_size),
+            capacity_bytes=pool_bytes,
+            region_offsets=dict(zip(Region, header[7:10])),
+        )
+        self._database = database
         self.suffix_end = {}
         for index, start in enumerate(database.sequence_starts):
             end = start + len(database[index]) + 1
             for position in range(start, end):
                 self.suffix_end[position] = end
+        #: ``(first index, record count)`` of the leaf run of the last children() call.
+        self.last_leaf_run = None
 
-    def _record(self, region_start, index, fmt):
+    def _record(self, region, index, fmt):
         size = struct.calcsize(fmt)
         per_block = self.block_size // size
-        offset = (region_start + index // per_block) * self.block_size
-        offset += (index % per_block) * size
-        return struct.unpack(fmt, self.image[offset : offset + size])
+        page = self.pool.get_page(region, index // per_block)
+        return struct.unpack_from(fmt, page, (index % per_block) * size)
+
+    def internal_record(self, index):
+        word, symbol_ptr, child, leaf = self._record(Region.INTERNAL_NODES, index, "<IIII")
+        return word & 0x7FFFFFFF, symbol_ptr, child, leaf, bool(word >> 31)
+
+    def leaf_record(self, index):
+        (word,) = self._record(Region.LEAF_NODES, index, "<I")
+        return word & 0x7FFFFFFF, bool(word >> 31)
 
     def symbols(self, start, length):
-        first = self.symbols_start * self.block_size + start
-        return self.image[first : first + length]
+        size = self.block_size
+        return bytes(
+            self.pool.get_page(Region.SYMBOLS, position // size)[position % size]
+            for position in range(start, start + length)
+        )
 
     def children(self, handle):
         _, index, _, _, depth = handle
-        _, _, child, leaf, _ = self._record(self.internal_start, index, "<IIIIB")
+        _, _, child, leaf, _ = self.internal_record(index)
         handles = []
-        while child != NO_POINTER:
-            child_depth, symbol_ptr, _, _, flags = self._record(
-                self.internal_start, child, "<IIIIB"
-            )
+        last = child == 0xFFFFFFFF
+        while not last:
+            child_depth, symbol_ptr, _, _, last = self.internal_record(child)
             handles.append(("I", child, symbol_ptr, child_depth - depth, child_depth))
-            child = NO_POINTER if flags & FLAG_LAST_SIBLING else child + 1
-        while leaf != NO_POINTER:
-            end = self.suffix_end[leaf]
-            handles.append(("L", leaf, leaf + depth, end - leaf - depth, end - leaf))
-            (leaf,) = self._record(self.leaves_start, leaf, "<I")
+            child += 1
+        first_leaf, last = leaf, leaf == 0xFFFFFFFF
+        while not last:
+            start, last = self.leaf_record(leaf)
+            end = self.suffix_end[start]
+            handles.append(("L", start, start + depth, end - start - depth, end - start))
+            leaf += 1
+        self.last_leaf_run = (first_leaf, leaf - first_leaf) if leaf > first_leaf else None
         return handles
+
+    # The rest of the cursor interface, so an engine can search through it.
+    database = property(lambda self: self._database)
+    root = property(lambda self: ("I", 0, 0, 0, 0))
+
+    def is_leaf(self, node):
+        return node[0] == "L"
+
+    def arc(self, node):
+        return node[2], node[3]
+
+    def arc_symbols(self, node):
+        return self.symbols(node[2], node[3])
+
+    def string_depth(self, node):
+        return node[4]
+
+    def suffix_start(self, node):
+        return node[1]
+
+    def leaf_positions(self, node):
+        if node[0] == "L":
+            yield node[1]
+        else:
+            for child in self.children(node):
+                yield from self.leaf_positions(child)
 
 
 def lcg_text(symbols, length, state):
@@ -282,7 +397,8 @@ def walk_databases():
 
 
 #: 72 is the smallest useful block: the header needs 70 bytes.  It holds four
-#: internal records, so sibling runs straddle blocks all the time.
+#: internal records (and 8 bytes of padding) and 18 leaf records, so sibling
+#: runs of both kinds straddle blocks all the time.
 BLOCK_SIZES = (72, 256, 2048)
 
 
@@ -294,27 +410,73 @@ class TestPageAtATimeReadPath:
             tree = GeneralizedSuffixTree.build(database)
             path = tmp_path / f"{database.name}.oasis"
             layout = build_disk_image(tree, path, block_size=block_size)
-            walker = RecordWalker(path, database)
             pool_bytes = layout.index_size_bytes if pool_fits else 1
+            walker = RecordWalker(path, database, pool_bytes)
             with DiskSuffixTree(path, database, buffer_pool_bytes=pool_bytes) as disk:
                 assert disk.pool.frame_count == (layout.total_blocks if pool_fits else 1)
                 per_block = layout.internal_records_per_block
-                pending, internal_seen, straddled = [disk.root], 0, 0
+                leaves_per_block = layout.leaf_records_per_block
+                pending, internal_seen = deque([disk.root]), 0
+                straddled = leaf_straddled = one_leaf_runs = leaves_seen = 0
+                shapes = set()
                 while pending:
-                    node = pending.pop()
+                    node = pending.popleft()
                     internal_seen += 1
                     children = disk.children(node)
                     assert children == walker.children(node)
                     run = [child[1] for child in children if child[0] == "I"]
                     if run and run[0] // per_block != run[-1] // per_block:
                         straddled += 1
+                    shapes.add((bool(run), len(run) < len(children)))
+                    if walker.last_leaf_run is not None:
+                        first, count = walker.last_leaf_run
+                        assert count == len(children) - len(run)
+                        assert first == leaves_seen  # runs follow each other in level order
+                        leaves_seen += count
+                        one_leaf_runs += count == 1
+                        if first // leaves_per_block != (first + count - 1) // leaves_per_block:
+                            leaf_straddled += 1
+                    # A level-order walk on both sides, so the page requests line up.
                     for child in children:
                         assert disk.arc_symbols(child) == walker.symbols(child[2], child[3])
                         if not disk.is_leaf(child):
                             pending.append(child)
                 assert internal_seen == layout.internal_count
+                assert leaves_seen == layout.leaf_slots
+                # Only internal children, only leaf children, and both.
+                assert shapes == {(True, False), (False, True), (True, True)}
+                # A run of one leaf has the flag on its first record (the
+                # random protein tree is too shallow to have one).
+                assert one_leaf_runs > 0 or database.name == "protein"
                 if block_size == 72 and database.name != "paper":
                     assert straddled > 0
+                    assert leaf_straddled > 0
+                ours, theirs = disk.pool.statistics, walker.pool.statistics
+                assert (ours.misses, ours.evictions) == (theirs.misses, theirs.evictions)
+                assert ours.requests < theirs.requests
+                if pool_fits:
+                    assert ours.evictions == 0
+
+    def test_sixteen_byte_records_in_a_block_that_is_not_a_multiple_of_sixteen(
+        self, tmp_path, small_protein_database
+    ):
+        # 72 = 4 records + 8 bytes of padding: record 4 starts block 1.
+        tree = GeneralizedSuffixTree.build(small_protein_database)
+        path = tmp_path / "padded.oasis"
+        layout = build_disk_image(tree, path, block_size=72)
+        assert layout.internal_records_per_block == 4
+        assert layout.internal_block_count == -(-layout.internal_count // 4)
+        image = path.read_bytes()
+        walker = RecordWalker(path, small_protein_database, pool_bytes=72)
+        for block in range(layout.internal_block_count):
+            start = (layout.internal_start_block + block) * 72
+            assert image[start + 64 : start + 72] == b"\x00" * 8
+            word, symbol_ptr, child, leaf = struct.unpack_from("<IIII", image, start)
+            assert walker.internal_record(4 * block) == (
+                word & 0x7FFFFFFF, symbol_ptr, child, leaf, bool(word >> 31)
+            )
+        with DiskSuffixTree(path, small_protein_database, buffer_pool_bytes=72) as disk:
+            assert sorted(disk.leaf_positions(disk.root)) == sorted(tree.leaf_positions(tree.root))
 
     def test_arcs_match_memory_tree_across_pages(self, tmp_path, small_protein_database):
         database = small_protein_database
@@ -376,36 +538,45 @@ class TestPageAtATimeReadPath:
                 )
         assert found >= 40
 
-    #: ``(misses, evictions)`` of the search below, measured at the commit
-    #: before the page-at-a-time cursor (one pool request per record).  Fewer
-    #: requests must not mean different reads.
-    RECORD_AT_A_TIME_COUNTS = {1: (836, 835), 8: (513, 505)}
-
     @pytest.mark.parametrize("frames", [1, 8])
     def test_misses_and_evictions_are_those_of_the_record_reader(
         self, tmp_path, unit_dna_matrix, frames
     ):
+        # The same search through the page-at-a-time cursor and through the
+        # record-at-a-time reader, each on a pool of its own of the same
+        # size: fewer requests must not mean different reads.
         texts, state = [], 2003
         for length in (140, 90, 200, 60, 170):
             text, state = lcg_text("ACGT", length, state)
             texts.append(text)
         database = SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET, name="lcg")
         query = texts[2][40:58]
+        path = tmp_path / "counts.oasis"
         engine = OasisEngine.build_on_disk(
             database,
             unit_dna_matrix,
-            tmp_path / "counts.oasis",
+            path,
             gap_model=FixedGapModel(-1),
             block_size=128,
             buffer_pool_bytes=128 * frames,
         )
+        walker = RecordWalker(path, database, pool_bytes=128 * frames)
+        reference = OasisEngine(walker, unit_dna_matrix, FixedGapModel(-1))
         try:
             result = engine.search(query, min_score=10)
+            expected = reference.search(query, min_score=10)
             statistics = engine.cursor.pool.statistics
             assert result.hits
+            assert [(hit.sequence_index, hit.score) for hit in result] == [
+                (hit.sequence_index, hit.score) for hit in expected
+            ]
             assert result.statistics.buffer_misses == statistics.misses
-            assert (statistics.misses, statistics.evictions) == self.RECORD_AT_A_TIME_COUNTS[frames]
-            assert statistics.hits > 0
+            assert (statistics.misses, statistics.evictions) == (
+                walker.pool.statistics.misses,
+                walker.pool.statistics.evictions,
+            )
+            assert statistics.misses > 100
+            assert 0 < statistics.hits < walker.pool.statistics.hits
         finally:
             engine.cursor.close()
 
