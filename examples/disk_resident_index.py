@@ -19,7 +19,6 @@ from repro import OasisEngine
 from repro.datagen import GenomeGenerator, MotifWorkloadGenerator, SwissProtLikeGenerator
 from repro.scoring import FixedGapModel, nucleotide_matrix, pam30
 from repro.storage import DiskSuffixTree, Region, build_disk_image
-from repro.suffixtree import GeneralizedSuffixTree
 
 
 def protein_index_demo(image_path: str) -> None:
@@ -27,8 +26,7 @@ def protein_index_demo(image_path: str) -> None:
     database = generator.generate()
     queries = MotifWorkloadGenerator(generator, seed=4, query_count=5).generate().texts()
 
-    tree = GeneralizedSuffixTree.build(database)
-    layout = build_disk_image(tree, image_path, block_size=2048)
+    layout = build_disk_image(database, image_path, block_size=2048)
     print(f"database: {database.total_symbols} residues in {len(database)} sequences")
     print(f"index   : {layout.index_size_bytes / 1024:.0f} KiB on disk "
           f"({layout.bytes_per_symbol:.1f} bytes/symbol; the paper reports 12.5)\n")

@@ -72,7 +72,7 @@ class OasisEngine(SearchSurface):
         matrix: SubstitutionMatrix,
         gap_model: GapModel = FixedGapModel(-1),
         partitioned: bool = False,
-        max_partition_size: int = 50_000,
+        max_partition_size: Optional[int] = None,
         kernel=None,
     ) -> "OasisEngine":
         """Build an in-memory suffix-tree index and wrap it in an engine.
@@ -109,7 +109,7 @@ class OasisEngine(SearchSurface):
         simulated_miss_latency: float = 0.0,
         kernel=None,
     ) -> "OasisEngine":
-        """Build the index, write the Section-3.4 disk image, search through it.
+        """Write the Section-3.4 disk image of the database, search through it.
 
         This is the configuration the paper's buffer-pool experiments
         (Figures 7-8) use: every node and symbol access during the search goes
@@ -129,8 +129,7 @@ class OasisEngine(SearchSurface):
             block_size,
             buffer_pool_bytes,
         )
-        tree = GeneralizedSuffixTree.build(database)
-        build_disk_image(tree, image_path, block_size=block_size)
+        build_disk_image(database, image_path, block_size=block_size)
         disk = DiskSuffixTree(
             image_path,
             database,

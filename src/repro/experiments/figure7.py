@@ -26,7 +26,6 @@ from repro.experiments.common import ExperimentConfig, build_protein_dataset, de
 from repro.experiments.report import format_table
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
-from repro.suffixtree.generalized import GeneralizedSuffixTree
 
 #: Pool capacities examined, as fractions of the index size.
 DEFAULT_POOL_FRACTIONS = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0)
@@ -113,8 +112,7 @@ def run(
         image_path = handle.name
 
     try:
-        tree = GeneralizedSuffixTree.build(dataset.database)
-        layout = build_disk_image(tree, image_path, block_size=config.block_size)
+        layout = build_disk_image(dataset.database, image_path, block_size=config.block_size)
         result = Figure7Result(config=config, index_size_bytes=layout.index_size_bytes)
 
         for fraction in sorted(pool_fractions):

@@ -36,7 +36,6 @@ from repro.experiments.report import format_table
 from repro.storage.buffer_pool import Region
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
-from repro.suffixtree.generalized import GeneralizedSuffixTree
 
 #: Figure 7's pool sizes and one smaller: the symbol array alone outgrows it.
 DEFAULT_POOL_FRACTIONS = (0.03125,) + FIGURE7_POOL_FRACTIONS
@@ -111,8 +110,7 @@ def run(
         image_path = handle.name
 
     try:
-        tree = GeneralizedSuffixTree.build(dataset.database)
-        layout = build_disk_image(tree, image_path, block_size=config.block_size)
+        layout = build_disk_image(dataset.database, image_path, block_size=config.block_size)
         result = Figure8Result(config=config, index_size_bytes=layout.index_size_bytes)
 
         for fraction in sorted(pool_fractions):

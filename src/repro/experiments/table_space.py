@@ -19,7 +19,6 @@ from repro.experiments.common import ExperimentConfig, build_protein_dataset, de
 from repro.experiments.report import format_table
 from repro.storage.builder import build_disk_image
 from repro.storage.layout import FORMAT_VERSION, INTERNAL_STRUCT, LEAF_STRUCT
-from repro.suffixtree.generalized import GeneralizedSuffixTree
 
 #: The paper's reported space utilisation, for side-by-side display.
 PAPER_BYTES_PER_SYMBOL = 12.5
@@ -81,11 +80,12 @@ def run(
     result = SpaceResult(config=config)
     for current in [config, *extra_configs]:
         dataset = build_protein_dataset(current)
-        tree = GeneralizedSuffixTree.build(dataset.database)
         handle = tempfile.NamedTemporaryFile(suffix=".oasis", delete=False)
         handle.close()
         try:
-            layout = build_disk_image(tree, handle.name, block_size=current.block_size)
+            layout = build_disk_image(
+                dataset.database, handle.name, block_size=current.block_size
+            )
             result.rows.append(
                 SpaceRow(
                     database_name=f"{dataset.database.name} ({current.scale})",

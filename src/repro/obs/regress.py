@@ -46,7 +46,7 @@ HISTORY_FILENAME = "BENCH_history.jsonl"
 #: Keys that label the entries of a list in a results payload.  Lists whose
 #: entries carry none of them (e.g. profiler hot-function lists, whose
 #: membership changes run to run) are not flattened into metrics.
-_LIST_LABEL_KEYS = ("index", "name", "shard")
+_LIST_LABEL_KEYS = ("index", "name", "shard", "configuration")
 
 #: (key, record) pairs identifying one benchmark series.
 RunKey = Tuple[str, str, str]

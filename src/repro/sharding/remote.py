@@ -97,7 +97,7 @@ class ShardBuildTask:
     image_name: str
     sub_database: object  # SequenceDatabase; typed loosely to keep pickling honest
     block_size: int
-    max_partition_size: int
+    max_partition_size: Optional[int]
 
 
 # --------------------------------------------------------------------- #
@@ -284,14 +284,11 @@ def run_shard_build(task: ShardBuildTask) -> str:
     byte-identical images through exactly the same code path.
     """
     from repro.storage.builder import build_disk_image
-    from repro.suffixtree.partitioned import PartitionedTreeBuilder
 
-    tree = PartitionedTreeBuilder(
-        max_partition_size=task.max_partition_size
-    ).build(task.sub_database)
     build_disk_image(
-        tree,
+        task.sub_database,
         os.path.join(task.directory, task.image_name),
         block_size=task.block_size,
+        max_partition_size=task.max_partition_size,
     )
     return task.image_name

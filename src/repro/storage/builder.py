@@ -1,21 +1,39 @@
-"""Serializing an in-memory GeneralizedSuffixTree into the on-disk image.
+"""Building the on-disk image straight from sorted suffixes and their LCPs.
 
-The paper constructs the tree with the partitioned technique and then
-"reorganizes the disk-representation" into the layout of Section 3.4.  This
-module is that reorganization step: it takes an in-memory tree (built by
-either builder) and writes the three-region block image (format v2, see
-:mod:`repro.storage.layout`): one level-order walk numbers the internal nodes
-and lays out the leaf records, so that the internal children of a node and
-its leaf children each end up as one contiguous run on disk.
+The paper writes the Section 3.4 arrays with the memory-bounded construction
+of Section 3.4.1 (after Hunt et al.): sort one lexical partition, append it,
+free it.  :func:`build_disk_image` is that builder, and the only one: it is a
+function of the *database*, never of a tree of node objects.
+
+* :meth:`repro.suffixtree.PartitionedTreeBuilder.sorted_partitions` hands
+  over one partition at a time -- suffix positions and LCPs as flat arrays;
+* one rightmost-path stack pass over plain ints (the loop of
+  :mod:`repro.suffixtree.construction` without the objects) appends, per
+  internal node, its string depth, its leftmost leaf and its parent, and per
+  leaf its parent, to flat 4-byte arrays; the partition is then let go;
+* NumPy does the rest on those arrays: tree level from the parents, level
+  order as one ``lexsort``, leaf records as a stable sort by parent,
+  first-child pointers and last-sibling bits from the run boundaries -- so
+  that the internal children of a node and its leaf children each end up as
+  one contiguous run on disk (format v2, see :mod:`repro.storage.layout`).
+
+What is live while building is the text, one partition's sort transients and
+about 11 bytes per residue of flat arrays (4 per leaf for its position, 4 for
+its parent, 12 per internal node); the last step holds the record arrays and
+their sort permutations next to them.  ``tests/image_oracle.py`` keeps the
+walk over an object tree this replaced, and the test-suite holds the two to
+the same bytes.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Union
+from array import array
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.sequences.database import SequenceDatabase
 from repro.storage.blocks import BLOCK_SIZE_DEFAULT, BlockFile
 from repro.storage.layout import (
     DiskLayout,
@@ -25,66 +43,45 @@ from repro.storage.layout import (
     NO_POINTER,
     VALUE_MASK,
 )
-from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.suffixtree.nodes import InternalNode, LeafNode
+from repro.suffixtree.cursor import SuffixTreeCursor
+from repro.suffixtree.partitioned import PartitionedTreeBuilder
 
 PathLike = Union[str, os.PathLike]
 
 
 def build_disk_image(
-    tree: GeneralizedSuffixTree,
+    source: Union[SequenceDatabase, SuffixTreeCursor],
     path: PathLike,
     block_size: int = BLOCK_SIZE_DEFAULT,
+    max_partition_size: Optional[int] = None,
 ) -> DiskLayout:
-    """Write ``tree`` to ``path`` in the Section 3.4 disk layout (format v2).
+    """Write the suffix tree of a database to ``path`` in the Section 3.4 layout (format v2).
+
+    ``source`` is the database, or any cursor over it (its ``.database`` is
+    what is read; the image does not depend on how that cursor was built).
+    ``max_partition_size`` is the construction budget in suffixes per lexical
+    partition (``None``: :class:`~repro.suffixtree.PartitionedTreeBuilder`'s
+    default); it bounds the build's memory, never the bytes written.
 
     Returns the :class:`DiskLayout` header describing the image (the same
     header is stored in block 0 of the file, so the image is self-describing
     apart from the sequence database itself).
     """
-    database = tree.database
+    database: SequenceDatabase = getattr(source, "database", source)
     codes = database.concatenated_codes
     symbol_count = len(codes)
     if symbol_count > VALUE_MASK:
         raise ValueError(f"{symbol_count} symbols do not fit the image's 31-bit pointers")
 
-    # ------------------------------------------------------------------ #
-    # 1. One level-order walk emits both record arrays.  A node's internal
-    #    children take the next identifiers as they are appended to the walk
-    #    and its leaf children the next leaf records, so both are contiguous
-    #    runs; the last record of each run carries the last-sibling bit.
-    # ------------------------------------------------------------------ #
-    nodes: List[InternalNode] = [tree.root]
-    run_ends: List[int] = [0]
-    internal_words: List[int] = []
-    leaf_words: List[int] = []
-    for node in nodes:  # grows while it is walked
-        first_internal, first_leaf = len(nodes), len(leaf_words)
-        for child in node.children:
-            if isinstance(child, InternalNode):
-                nodes.append(child)
-            elif isinstance(child, LeafNode):
-                leaf_words.append(child.suffix_start)
-        if len(nodes) == first_internal:
-            first_internal = NO_POINTER
-        else:
-            run_ends.append(len(nodes) - 1)
-        if len(leaf_words) == first_leaf:
-            first_leaf = NO_POINTER
-        else:
-            leaf_words[-1] |= LAST_SIBLING_BIT
-        internal_words += (node.depth, node.edge_start, first_internal, first_leaf)
-    internal_records = np.array(internal_words, dtype="<u4").reshape(-1, 4)
-    internal_records[run_ends, 0] |= LAST_SIBLING_BIT
+    partitions = PartitionedTreeBuilder(max_partition_size).sorted_partitions(database)
+    sequence_ends = np.array(database.sequence_starts[1:] + [symbol_count])
+    internal_records, leaf_records = _level_order_records(*_flat_tree(partitions, sequence_ends))
 
-    # ------------------------------------------------------------------ #
-    # 2. Encode the three regions block by block.
-    # ------------------------------------------------------------------ #
     layout = DiskLayout(
         block_size=block_size,
         symbol_count=symbol_count,
-        internal_count=len(nodes),
-        leaf_slots=len(leaf_words),
+        internal_count=len(internal_records),
+        leaf_slots=len(leaf_records),
         sequence_count=len(database),
         symbols_start_block=1,
         internal_start_block=0,  # filled in below
@@ -106,7 +103,7 @@ def build_disk_image(
             ),
             (
                 layout.leaves_start_block,
-                np.array(leaf_words, dtype="<u4").tobytes(),
+                leaf_records.tobytes(),
                 layout.leaf_records_per_block * LEAF_STRUCT.size,
             ),
         )
@@ -115,6 +112,130 @@ def build_disk_image(
         block_file.flush()
 
     return layout
+
+
+def _flat_tree(
+    partitions: Iterable[Tuple[np.ndarray, np.ndarray]], sequence_ends: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The compact suffix tree of sorted suffixes, as five flat arrays.
+
+    ``partitions`` yields ``(positions, lcps)`` in lexical order, ``lcps[0]``
+    of each taken against the last suffix before it.  Returns ``(positions,
+    leaf_parent, node_depth, node_leftmost, node_parent)``: leaves are
+    numbered in sorted order, internal nodes in creation order (the root is
+    node 0, its own parent), and ``node_leftmost`` is the number of the
+    leftmost leaf below a node.
+
+    The stack is the rightmost path of the tree built so far and stays live
+    from one partition to the next.  A node's parent is final once the node
+    has left the path -- except that a later suffix may still split the arc
+    above the node popped last, which then hangs below the new node.
+    """
+    leaf_positions: List[np.ndarray] = []
+    leaf_parent = array("i")
+    node_depth, node_leftmost, node_parent = array("i", [0]), array("i", [0]), array("i", [0])
+    path_nodes, path_depths = [0], [0]
+
+    for positions, lcps in partitions:
+        lengths = sequence_ends[np.searchsorted(sequence_ends, positions, side="right")] - positions
+        if (lcps >= lengths).any():
+            raise ValueError(
+                "a suffix is a prefix of its predecessor; terminal symbols "
+                "must make all suffixes distinct"
+            )
+        if not leaf_parent and len(lcps) and lcps[0] != 0:
+            raise ValueError("the first suffix of all must have LCP 0")
+        leaf_positions.append(positions.astype(np.uint32))
+
+        for common in lcps.tolist():
+            popped = -1
+            while path_depths[-1] > common:
+                path_depths.pop()
+                popped = path_nodes.pop()
+            top = path_nodes[-1]
+            if path_depths[-1] < common:
+                # The split point falls inside the arc of what was popped last
+                # (the previous leaf when no node was): a new node takes over
+                # that child and its leftmost leaf.
+                new = len(node_depth)
+                node_depth.append(common)
+                node_parent.append(top)
+                if popped < 0:
+                    node_leftmost.append(len(leaf_parent) - 1)
+                    leaf_parent[-1] = new
+                else:
+                    node_leftmost.append(node_leftmost[popped])
+                    node_parent[popped] = new
+                path_nodes.append(new)
+                path_depths.append(common)
+                top = new
+            leaf_parent.append(top)
+
+    return (
+        np.concatenate(leaf_positions),
+        np.frombuffer(leaf_parent, dtype=np.intc),
+        np.frombuffer(node_depth, dtype=np.intc),
+        np.frombuffer(node_leftmost, dtype=np.intc),
+        np.frombuffer(node_parent, dtype=np.intc),
+    )
+
+
+def _level_order_records(
+    positions: np.ndarray,
+    leaf_parent: np.ndarray,
+    node_depth: np.ndarray,
+    node_leftmost: np.ndarray,
+    node_parent: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The image's internal and leaf record arrays from :func:`_flat_tree`'s arrays.
+
+    Internal nodes are renumbered in level order, left to right within a
+    level, so a node's internal children are consecutive and follow those of
+    the node before it; the leaf records are laid out in the order of their
+    parents' new numbers, each run in lexical order.
+    """
+    # Tree level by pointer jumping: ``level`` is the distance to ``hop``,
+    # which doubles every round (the root is its own parent at distance 0).
+    level = np.ones(len(node_parent), dtype=np.int32)
+    level[0] = 0
+    hop = node_parent
+    while hop.any():
+        level = level + level[hop]
+        hop = hop[hop]
+
+    # Two nodes with the same leftmost leaf are ancestor and descendant, so
+    # (level, leftmost leaf) is a total order: the level-order walk's.
+    order = np.lexsort((node_leftmost, level))
+    number = np.empty(len(order), dtype=np.uint32)
+    number[order] = np.arange(len(order), dtype=np.uint32)
+
+    internal = np.empty((len(order), 4), dtype="<u4")
+    internal[:, 0] = node_depth[order]
+    internal[:, 1] = positions[node_leftmost[order]] + node_depth[node_parent[order]]
+    internal[0, 1] = 0  # the root has no incoming arc
+    internal[:, 2:] = NO_POINTER
+    internal[0, 0] |= LAST_SIBLING_BIT
+    starts, ends, parents = _sibling_runs(number[node_parent[order[1:]]])
+    internal[parents, 2] = starts + 1
+    internal[ends + 1, 0] |= LAST_SIBLING_BIT
+
+    leaf_number = number[leaf_parent]
+    leaf_order = np.argsort(leaf_number, kind="stable")
+    leaves = positions[leaf_order].astype("<u4")
+    starts, ends, parents = _sibling_runs(leaf_number[leaf_order])
+    internal[parents, 3] = starts
+    leaves[ends] |= LAST_SIBLING_BIT
+    return internal, leaves
+
+
+def _sibling_runs(parents: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First index, last index and parent of each run of equal values in ``parents``."""
+    if not len(parents):
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, empty
+    starts = np.flatnonzero(np.concatenate(([True], parents[1:] != parents[:-1])))
+    ends = np.append(starts[1:] - 1, len(parents) - 1)
+    return starts, ends, parents[starts]
 
 
 def _write_region(

@@ -10,6 +10,11 @@ as a leaf.  The result is exactly the compact PATRICIA trie of Section 2.3.
 The construction is generic over which suffixes are inserted (the generalized
 tree skips suffixes that begin at a terminal symbol, and the partitioned
 builder inserts one lexical partition at a time).
+
+The node objects built here are what the *in-memory* engine searches.  The
+disk image is not written from them: :mod:`repro.storage.builder` runs this
+same rightmost-path loop over plain ints -- depth, leftmost leaf and parent
+per internal node, appended to flat arrays -- and never makes a node.
 """
 
 from __future__ import annotations

@@ -8,13 +8,14 @@ suffix gets its own leaf), which keeps the pure-Python overhead manageable for
 databases in the hundreds of thousands to millions of symbols.
 
 The class implements :class:`repro.suffixtree.cursor.SuffixTreeCursor`, so the
-OASIS search can run on it directly; it is also the input to the disk-image
-builder in :mod:`repro.storage`.
+OASIS search can run on it directly.  (The disk image in :mod:`repro.storage`
+is built from the database, not from this tree.)
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +24,31 @@ from repro.suffixtree.construction import build_tree_from_suffix_array, validate
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.nodes import InternalNode, LeafNode, SuffixTreeNode, count_nodes, iter_leaves
 from repro.suffixtree.suffix_array import build_lcp_array, build_suffix_array
+
+
+def construction_codes(database: SequenceDatabase) -> np.ndarray:
+    """The concatenated codes with each sequence's terminal replaced by a distinct code.
+
+    Terminal ``i`` becomes ``alphabet.size_with_terminal + i``: no suffix is a
+    prefix of another, terminals sort after every residue and among
+    themselves in sequence order.
+    """
+    codes = database.concatenated_codes.astype(np.int32)
+    terminal_positions = np.array(database.sequence_starts[1:] + [len(codes)]) - 1
+    codes[terminal_positions] = database.alphabet.size_with_terminal + np.arange(len(database))
+    return codes
+
+
+def position_arrays(database: SequenceDatabase) -> Tuple[np.ndarray, np.ndarray]:
+    """``(suffix_end, sequence_of)``, indexed by position in the concatenated text.
+
+    ``suffix_end[p]`` is one past the terminal of the sequence containing
+    ``p`` and ``sequence_of[p]`` is the index of that sequence.
+    """
+    starts = np.array(database.sequence_starts)
+    ends = np.append(starts[1:], database.total_symbols_with_terminals)
+    lengths = ends - starts
+    return np.repeat(ends, lengths), np.repeat(np.arange(len(database)), lengths)
 
 
 class GeneralizedSuffixTree(SuffixTreeCursor):
@@ -45,7 +71,6 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         # Arc labels are handed out as bytes, one code per byte (the form the
         # disk image stores); Alphabet guarantees every code fits.
         self._code_bytes = self._codes.astype(np.uint8).tobytes()
-        self._counts = count_nodes(root)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -54,21 +79,16 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
     def build(cls, database: SequenceDatabase) -> "GeneralizedSuffixTree":
         """Build the tree for every suffix of every sequence in ``database``."""
         database.freeze()
-        construction_codes, suffix_end, sequence_of = cls._construction_arrays(database)
-
-        suffix_array = build_suffix_array(construction_codes)
-        lcp = build_lcp_array(construction_codes, suffix_array)
+        text = construction_codes(database)
+        suffix_end, sequence_of = position_arrays(database)
 
         # Suffixes that begin at a terminal symbol carry no alignable content;
         # terminals sort after every real symbol, so they form a contiguous
         # tail of the suffix array that we simply drop.
-        terminal_base = database.alphabet.size_with_terminal
-        keep = construction_codes[suffix_array] < terminal_base
-        kept_positions = suffix_array[keep]
-        kept_lcp = lcp[keep]
-        if len(kept_lcp):
-            kept_lcp = kept_lcp.copy()
-            kept_lcp[0] = 0
+        suffix_array = build_suffix_array(text)
+        kept = database.total_symbols
+        kept_positions = suffix_array[:kept]
+        kept_lcp = build_lcp_array(text, suffix_array)[:kept]
 
         root = build_tree_from_suffix_array(
             kept_positions.tolist(),
@@ -77,34 +97,6 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
             sequence_index_of=lambda position: int(sequence_of[position]),
         )
         return cls(database, root)
-
-    @staticmethod
-    def _construction_arrays(
-        database: SequenceDatabase,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-position helper arrays used by the builders.
-
-        Returns ``(construction_codes, suffix_end, sequence_of)`` where
-        ``construction_codes`` replaces each sequence's terminal with a
-        distinct code (making all suffixes unique), ``suffix_end[p]`` is one
-        past the terminal of the sequence containing ``p``, and
-        ``sequence_of[p]`` is the index of that sequence.
-        """
-        codes = database.concatenated_codes
-        n = len(codes)
-        construction_codes = codes.astype(np.int64).copy()
-        suffix_end = np.empty(n, dtype=np.int64)
-        sequence_of = np.empty(n, dtype=np.int64)
-
-        terminal_base = database.alphabet.size_with_terminal
-        starts = database.sequence_starts
-        for index, start in enumerate(starts):
-            length = len(database[index])
-            terminal_position = start + length
-            construction_codes[terminal_position] = terminal_base + index
-            suffix_end[start : terminal_position + 1] = terminal_position + 1
-            sequence_of[start : terminal_position + 1] = index
-        return construction_codes, suffix_end, sequence_of
 
     # ------------------------------------------------------------------ #
     # Cursor interface
@@ -168,6 +160,12 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
     # ------------------------------------------------------------------ #
     # Statistics and validation
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _counts(self) -> Dict[str, int]:
+        # One walk over the whole tree, so only on first use: a search never
+        # asks, and the tree does not change once it is wrapped here.
+        return count_nodes(self._root)
+
     @property
     def internal_node_count(self) -> int:
         return self._counts["internal"]

@@ -11,31 +11,53 @@ partition fits in the memory budget.
 
 :class:`PartitionedTreeBuilder` reproduces that construction:
 
-* partitions are prefixes of adaptive length -- a prefix whose suffix count
-  exceeds ``max_partition_size`` is split by extending it one symbol;
-* each partition makes its own pass over the database, collects and sorts its
-  suffixes, and inserts them into the shared tree (the in-memory analogue of
-  appending a sub-tree to the disk image);
+* partitions are prefixes of adaptive length -- a prefix is extended by one
+  symbol only *while* its suffix count exceeds ``max_partition_size``, so a
+  database within the budget is a single partition, the whole text;
+* :meth:`PartitionedTreeBuilder.sorted_partitions` sorts one partition's
+  suffixes at a time and yields them -- positions and LCPs as flat arrays, in
+  lexical order -- and then lets them go: what is live at any time is the
+  text, the start positions of the partitions still to come (they shrink as
+  the build goes) and one partition's sort transients.  One sorter,
+  :func:`~repro.suffixtree.suffix_array.sort_suffixes`, serves every
+  partition size (at 10 k residues in one partition it is ahead of ranking
+  every suffix by prefix doubling, 2.9 ms against 6.6); its cost, like that
+  of the LCPs, is the sum of the LCPs, so long identical sequences are the
+  slow case (two copies of 10 k bases: 1.7 s);
+* both consumers read that iterator: the disk-image builder
+  (:func:`repro.storage.build_disk_image`), which appends each partition to
+  flat arrays and never builds a node, and :meth:`PartitionedTreeBuilder.build`,
+  which inserts each partition into one tree of node objects for the
+  in-memory engine (``OasisEngine.build(partitioned=True)``);
 * the builder records per-partition statistics so the memory-boundedness can
   be asserted in tests and reported in benchmarks.
 
-The final tree is *identical* to the one produced by
-:meth:`GeneralizedSuffixTree.build` (the test-suite checks this), which is the
-point: partitioning changes the construction footprint, not the result.
+The tree :meth:`~PartitionedTreeBuilder.build` returns is *identical* to the
+one produced by :meth:`GeneralizedSuffixTree.build`, and the image is the same
+bytes at every budget (the test-suite checks both), which is the point:
+partitioning changes the construction footprint, not the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.construction import build_tree_from_suffix_array
-from repro.suffixtree.generalized import GeneralizedSuffixTree
+from repro.suffixtree.generalized import (
+    GeneralizedSuffixTree,
+    construction_codes,
+    position_arrays,
+)
 from repro.suffixtree.nodes import InternalNode
-from repro.suffixtree.suffix_array import longest_common_prefix
+from repro.suffixtree.suffix_array import adjacent_lcps, sort_suffixes
+
+# The memory budget, in suffixes per lexical partition, that every builder's
+# ``max_partition_size=None`` stands for.
+DEFAULT_MAX_PARTITION_SIZE = 50_000
 
 
 @dataclass
@@ -44,7 +66,6 @@ class PartitionStatistics:
 
     prefix: str
     suffix_count: int
-    passes: int = 1
 
 
 @dataclass
@@ -63,20 +84,16 @@ class ConstructionReport:
     def largest_partition(self) -> int:
         return max((p.suffix_count for p in self.partitions), default=0)
 
-    @property
-    def database_passes(self) -> int:
-        """One pass over the sequence data per partition, as in Hunt et al."""
-        return len(self.partitions)
-
 
 class PartitionedTreeBuilder:
-    """Build a :class:`GeneralizedSuffixTree` one lexical partition at a time.
+    """Sort a database's suffixes -- or build its tree -- one lexical partition at a time.
 
     Parameters
     ----------
     max_partition_size:
         The memory budget, expressed as the maximum number of suffixes a
-        single partition may contain.  Prefixes are extended until every
+        single partition may contain (``None``:
+        :data:`DEFAULT_MAX_PARTITION_SIZE`).  Prefixes are extended until every
         partition respects the budget (or the prefix length reaches
         ``max_prefix_length``, which only matters for pathologically
         repetitive inputs).
@@ -84,7 +101,9 @@ class PartitionedTreeBuilder:
         Safety bound on the adaptive prefix extension.
     """
 
-    def __init__(self, max_partition_size: int = 50_000, max_prefix_length: int = 8):
+    def __init__(self, max_partition_size: Optional[int] = None, max_prefix_length: int = 8):
+        if max_partition_size is None:
+            max_partition_size = DEFAULT_MAX_PARTITION_SIZE
         if max_partition_size < 1:
             raise ValueError("max_partition_size must be at least 1")
         if max_prefix_length < 1:
@@ -96,162 +115,86 @@ class PartitionedTreeBuilder:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def build(self, database: SequenceDatabase) -> GeneralizedSuffixTree:
-        """Construct the generalized suffix tree for ``database``."""
-        database.freeze()
-        codes, suffix_end, sequence_of = GeneralizedSuffixTree._construction_arrays(database)
-        terminal_base = database.alphabet.size_with_terminal
+    def sorted_partitions(
+        self, database: SequenceDatabase
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Yield ``(positions, lcps)`` for each lexical partition, in lexical order.
 
-        # Every non-terminal position contributes one suffix.
-        all_positions = np.flatnonzero(codes < terminal_base)
+        ``positions`` are the start positions of the partition's suffixes,
+        sorted; ``lcps[k]`` is the longest common prefix of ``positions[k]``
+        and its predecessor, ``lcps[0]`` being taken against the last suffix
+        of the previous partition (0 for the first).  Concatenated, the
+        partitions are the suffix array and LCP array of the database without
+        the suffixes that begin at a terminal.
+        """
+        database.freeze()
+        text = construction_codes(database)
+        alphabet = database.alphabet
         self.report = ConstructionReport(
             max_partition_size=self.max_partition_size,
-            total_suffixes=int(len(all_positions)),
+            total_suffixes=database.total_symbols,
         )
+        symbol_count = alphabet.size_with_terminal + len(database)  # distinct terminals
+        previous_last_suffix = None
+        for prefix, members in self._lexical_partitions(text, alphabet.terminal_code):
+            ordered = sort_suffixes(text, members, symbol_count)
+            lcps = adjacent_lcps(text, ordered, previous_last_suffix)
+            previous_last_suffix = int(ordered[-1])
+            self.report.partitions.append(
+                PartitionStatistics(prefix=alphabet.decode(prefix), suffix_count=len(ordered))
+            )
+            yield ordered, lcps
 
-        partitions = self._choose_partitions(codes, all_positions, suffix_end)
-
+    def build(self, database: SequenceDatabase) -> GeneralizedSuffixTree:
+        """Construct the generalized suffix tree for ``database`` as node objects."""
+        suffix_end, sequence_of = position_arrays(database)
         root = InternalNode(depth=0)
-        previous_last_suffix: int | None = None
-        for prefix_codes in partitions:
-            positions = self._collect_partition(codes, all_positions, suffix_end, prefix_codes)
-            if len(positions) == 0:
-                continue
-            ordered = self._sort_suffixes(codes, suffix_end, positions)
-            lcp = self._adjacent_lcps(codes, suffix_end, ordered, previous_last_suffix)
+        for positions, lcps in self.sorted_partitions(database):
             build_tree_from_suffix_array(
-                ordered,
-                lcp,
+                positions.tolist(),
+                lcps.tolist(),
                 suffix_end_of=lambda position: int(suffix_end[position]),
                 sequence_index_of=lambda position: int(sequence_of[position]),
                 root=root,
-            )
-            previous_last_suffix = ordered[-1]
-            self.report.partitions.append(
-                PartitionStatistics(
-                    prefix=database.alphabet.decode(
-                        [c if c < terminal_base else database.alphabet.terminal_code for c in prefix_codes]
-                    ),
-                    suffix_count=len(ordered),
-                )
             )
         return GeneralizedSuffixTree(database, root)
 
     # ------------------------------------------------------------------ #
     # Partition selection
     # ------------------------------------------------------------------ #
-    def _choose_partitions(
-        self,
-        codes: np.ndarray,
-        positions: np.ndarray,
-        suffix_end: np.ndarray,
-    ) -> List[Tuple[int, ...]]:
-        """Choose lexical prefixes adaptively from the database contents.
+    def _lexical_partitions(
+        self, text: np.ndarray, terminal: int
+    ) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+        """Yield ``(prefix, member positions)`` of each partition, in lexical order.
 
-        Starts from single-symbol prefixes and extends any prefix whose
-        suffix count exceeds the memory budget, exactly in the spirit of the
-        paper's "select lexical ranges for each pass based on the contents of
-        the underlying database sequences".
+        Starts from the empty prefix (the whole text) and extends a prefix by
+        one symbol only while its suffix count exceeds the memory budget,
+        exactly in the spirit of the paper's "select lexical ranges for each
+        pass based on the contents of the underlying database sequences".  For
+        choosing ranges every terminal is the one symbol ``terminal`` (which
+        sorts after the residues, as the distinct terminals of ``text`` do).
+        Nothing follows a terminal, so a prefix that ends in one is not
+        extended: its suffixes are in order as they stand -- by sequence --
+        and are cut to the budget.
         """
-        pending: List[Tuple[Tuple[int, ...], np.ndarray]] = [((), positions)]
-        final: List[Tuple[int, ...]] = []
+        budget = self.max_partition_size
+        pending: List[Tuple[Tuple[int, ...], np.ndarray]] = [
+            ((), np.flatnonzero(text < terminal))
+        ]
         while pending:
             prefix, members = pending.pop()
-            if (
-                len(members) <= self.max_partition_size
-                or len(prefix) >= self.max_prefix_length
-            ) and prefix:
-                final.append(prefix)
-                continue
-            depth = len(prefix)
-            # Group members by their next symbol (suffixes too short to have
-            # one end inside the current prefix and form their own partition).
-            next_symbol = codes[members + depth]
-            exhausted = members[(members + depth) >= suffix_end[members]]
-            if len(exhausted):
-                final.append(prefix + (-1,))
-            for symbol in np.unique(next_symbol):
-                group = members[next_symbol == symbol]
-                group = group[(group + depth) < suffix_end[group]]
-                if len(group):
-                    pending.append((prefix + (int(symbol),), group))
-        # Lexicographic order over prefixes (with -1, the "ends here" marker,
-        # sorting first) guarantees partitions are inserted in sorted order.
-        return sorted(final)
-
-    def _collect_partition(
-        self,
-        codes: np.ndarray,
-        positions: np.ndarray,
-        suffix_end: np.ndarray,
-        prefix: Tuple[int, ...],
-    ) -> np.ndarray:
-        """One pass over the data: the suffixes whose prefix matches ``prefix``."""
-        if prefix and prefix[-1] == -1:
-            body = prefix[:-1]
-            members = self._match_prefix(codes, positions, suffix_end, body)
-            # Keep only suffixes that end exactly after the body.
-            return members[(members + len(body)) >= suffix_end[members]]
-        return self._match_prefix(codes, positions, suffix_end, prefix)
-
-    @staticmethod
-    def _match_prefix(
-        codes: np.ndarray,
-        positions: np.ndarray,
-        suffix_end: np.ndarray,
-        prefix: Tuple[int, ...],
-    ) -> np.ndarray:
-        members = positions
-        for offset, symbol in enumerate(prefix):
-            members = members[(members + offset) < suffix_end[members]]
-            members = members[codes[members + offset] == symbol]
-            if len(members) == 0:
-                break
-        return members
-
-    # ------------------------------------------------------------------ #
-    # Per-partition sorting and LCPs
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _sort_suffixes(
-        codes: np.ndarray, suffix_end: np.ndarray, positions: np.ndarray
-    ) -> List[int]:
-        """Sort a partition's suffixes lexicographically.
-
-        The suffixes are materialised as big-endian byte strings (so byte
-        order equals symbol order); their total size is what must fit in
-        memory, i.e. the quantity bounded by ``max_partition_size``.
-        """
-        encoded = codes.astype(">u4")
-
-        def key(position: int) -> bytes:
-            return encoded[position : suffix_end[position]].tobytes()
-
-        return sorted((int(p) for p in positions), key=key)
-
-    @staticmethod
-    def _adjacent_lcps(
-        codes: np.ndarray,
-        suffix_end: np.ndarray,
-        ordered: Sequence[int],
-        previous_last_suffix: int | None,
-    ) -> List[int]:
-        """LCPs of each suffix with its predecessor (across partitions too)."""
-        lcps: List[int] = []
-        for index, position in enumerate(ordered):
-            if index > 0:
-                predecessor = ordered[index - 1]
-            elif previous_last_suffix is not None:
-                predecessor = previous_last_suffix
+            if len(members) <= budget:
+                yield prefix, members
+            elif prefix[-1:] == (terminal,):
+                for start in range(0, len(members), budget):
+                    yield prefix, members[start : start + budget]
+            elif len(prefix) >= self.max_prefix_length:
+                yield prefix, members
             else:
-                lcps.append(0)
-                continue
-            limit = min(
-                int(suffix_end[position]) - position,
-                int(suffix_end[predecessor]) - predecessor,
-            )
-            lcps.append(longest_common_prefix(codes, position, predecessor, limit=limit))
-        return lcps
+                next_symbol = np.minimum(text[members + len(prefix)], terminal)
+                # Pushed in descending order, so popped in ascending order.
+                for symbol in np.unique(next_symbol)[::-1].tolist():
+                    pending.append((prefix + (symbol,), members[next_symbol == symbol]))
 
     def partition_summary(self) -> Dict[str, int]:
         """Headline statistics of the most recent construction."""
@@ -259,5 +202,4 @@ class PartitionedTreeBuilder:
             "partitions": self.report.partition_count,
             "largest_partition": self.report.largest_partition,
             "total_suffixes": self.report.total_suffixes,
-            "database_passes": self.report.database_passes,
         }

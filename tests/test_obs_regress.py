@@ -106,6 +106,23 @@ class TestMetricExtraction:
         assert metrics["rows[disk].speedup"] == 2.0
         assert metrics["rows[in-memory].serial_seconds"] == 1.0
 
+    def test_rows_labeled_by_configuration(self):
+        # The shape of BENCH_backend_scatter.json / BENCH_sharded.json, which
+        # the smoke benchmarks leave at the repo root.
+        record = bench(
+            results={
+                "queries": 4,
+                "rows": [
+                    {"configuration": "serial", "identical": True, "speedup": 1.0, "wall_seconds": 0.02},
+                    {"configuration": "threads:4", "identical": True, "speedup": 1.1, "wall_seconds": 0.018},
+                ],
+            }
+        )
+        metrics = extract_metrics(record)
+        assert metrics["rows[threads:4].speedup"] == 1.1
+        assert metric_direction("rows[threads:4].speedup") == "higher"
+        assert metric_direction("rows[serial].wall_seconds") == "lower"
+
     def test_unlabeled_lists_and_bools_are_skipped(self):
         record = bench(
             results={

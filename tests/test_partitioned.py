@@ -2,13 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
-from repro.suffixtree.generalized import GeneralizedSuffixTree
+from repro.suffixtree.generalized import GeneralizedSuffixTree, construction_codes
 from repro.suffixtree.nodes import iter_leaves
 from repro.suffixtree.partitioned import PartitionedTreeBuilder
+from repro.suffixtree.suffix_array import build_lcp_array, build_suffix_array
 
 from repro.testing import random_dna, random_protein
 
@@ -48,7 +50,37 @@ class TestPartitionedConstruction:
         assert summary["largest_partition"] <= 40
         assert summary["total_suffixes"] == database.total_symbols
         assert summary["partitions"] >= 2
-        assert summary["database_passes"] == summary["partitions"]
+
+    def test_a_terminal_group_over_budget_is_cut_in_sequence_order(self):
+        # Nine sequences end in "A": the "A$" group cannot be extended past its
+        # terminal, so it is sliced -- and still comes out in lexical order.
+        database = SequenceDatabase.from_texts(["CA"] * 9, alphabet=DNA_ALPHABET)
+        builder = PartitionedTreeBuilder(max_partition_size=4)
+        positions = np.concatenate([p for p, _ in builder.sorted_partitions(database)])
+        assert [p.prefix for p in builder.report.partitions][:3] == ["A$", "A$", "A$"]
+        assert builder.report.largest_partition <= 4
+        direct = GeneralizedSuffixTree.build(
+            SequenceDatabase.from_texts(["CA"] * 9, alphabet=DNA_ALPHABET)
+        )
+        assert positions.tolist() == list(direct.leaf_positions(direct.root))
+
+    @pytest.mark.parametrize("budget", [1, 5, 1000])
+    def test_sorted_partitions_concatenate_to_the_suffix_and_lcp_arrays(self, budget):
+        rng = random.Random(budget)
+        texts = [random_dna(rng, rng.randint(1, 40)) for _ in range(5)] + ["ACGT", "ACGT"]
+        database = SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET)
+        # The iterator the image builder reads: no tree is built from it here.
+        # (A budget of 1 needs prefixes as long as the longest repeat.)
+        builder = PartitionedTreeBuilder(max_partition_size=budget, max_prefix_length=64)
+        parts = list(builder.sorted_partitions(database))
+        assert max(len(p) for p, _ in parts) == builder.report.largest_partition <= budget
+        positions = np.concatenate([p for p, _ in parts])
+        lcps = np.concatenate([l for _, l in parts])
+        text = construction_codes(database)
+        suffix_array = build_suffix_array(text)
+        keep = slice(0, database.total_symbols)  # terminal suffixes are the tail
+        assert positions.tolist() == suffix_array[keep].tolist()
+        assert lcps.tolist() == build_lcp_array(text, suffix_array)[keep].tolist()
 
     def test_queries_agree_with_direct_tree(self):
         rng = random.Random(9)
@@ -68,8 +100,9 @@ class TestPartitionedConstruction:
         builder = PartitionedTreeBuilder(max_partition_size=1000)
         tree = builder.build(database)
         assert tree.validate() == []
-        # Partitions are still per-symbol prefixes even when everything fits.
-        assert builder.partition_summary()["partitions"] >= 2
+        # Prefixes are extended only while a partition exceeds the budget.
+        assert builder.partition_summary()["partitions"] == 1
+        assert [p.prefix for p in builder.report.partitions] == [""]
 
     def test_report_prefixes_recorded(self):
         database = SequenceDatabase.from_texts(["ACGTACGTAC"], alphabet=DNA_ALPHABET)

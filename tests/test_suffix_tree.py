@@ -185,6 +185,22 @@ class TestCursorInterface:
 
 
 class TestNodeHelpers:
+    def test_node_counts_are_taken_on_first_use(self, paper_database, monkeypatch):
+        import repro.suffixtree.generalized as generalized
+
+        calls = []
+
+        def counting(root):
+            calls.append(root)
+            return count_nodes(root)
+
+        monkeypatch.setattr(generalized, "count_nodes", counting)
+        tree = GeneralizedSuffixTree.build(paper_database)
+        assert tree.find_occurrences("TAC") and not calls  # searching never counts
+        assert tree.node_count == tree.internal_node_count + tree.leaf_count
+        assert "leaves=" in repr(tree) and tree.validate() == []
+        assert len(calls) == 1
+
     def test_count_nodes(self, paper_tree):
         counts = count_nodes(paper_tree.root)
         assert counts["leaves"] == paper_tree.leaf_count
