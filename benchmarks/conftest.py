@@ -1,11 +1,13 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-section (see EXPERIMENTS.md for the paper-vs-measured comparison).  The
-benchmarks run against the synthetic SWISS-PROT-like dataset at the scale
-selected by ``OASIS_BENCH_SCALE`` (default ``small``), with the workload size
-capped by ``OASIS_BENCH_QUERIES`` (default 24) so that the full suite finishes
-in a few minutes; raise either knob for sharper curves.
+section through its driver in :mod:`repro.experiments`, and asserts the
+shape the paper reports.  The benchmarks run against the synthetic
+SWISS-PROT-like dataset at the scale selected by ``OASIS_BENCH_SCALE``
+(default ``small``), with the workload size capped by ``OASIS_BENCH_QUERIES``
+(default 24) so that the full suite finishes in a few minutes; raise either
+knob for sharper curves.  Performance is not recorded here: ``bench_e2e/``
+is the repository's one performance record.
 
 The plain helpers (``bench_config``, ``emit``) live in :mod:`repro.testing`
 so benchmark modules can import them without relying on cross-directory
@@ -16,33 +18,12 @@ Run with ``pytest benchmarks/ -s`` to see the tables.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 import pytest
 
 from repro.experiments.common import ExperimentConfig
-from repro.testing import bench_config, persist_bench
+from repro.testing import bench_config
 
 
 @pytest.fixture(scope="session")
 def config() -> ExperimentConfig:
     return bench_config()
-
-
-@pytest.fixture
-def bench_record(capsys) -> Callable[[str, Dict], str]:
-    """Persist a benchmark's measurements as ``BENCH_<name>.json``.
-
-    Thin wrapper over :func:`repro.testing.persist_bench` that also announces
-    the written path (visible with ``-s``), so a local run tells the user
-    where the snapshot landed.  CI uploads the ``BENCH_*.json`` files as an
-    artifact, building a benchmark trajectory commit by commit.
-    """
-
-    def record(name: str, payload: Dict) -> str:
-        path = persist_bench(name, payload)
-        with capsys.disabled():
-            print(f"\n[bench] wrote {path}")
-        return path
-
-    return record

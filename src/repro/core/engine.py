@@ -71,31 +71,13 @@ class OasisEngine(SearchSurface):
         database: SequenceDatabase,
         matrix: SubstitutionMatrix,
         gap_model: GapModel = FixedGapModel(-1),
-        partitioned: bool = False,
-        max_partition_size: Optional[int] = None,
         kernel=None,
     ) -> "OasisEngine":
-        """Build an in-memory suffix-tree index and wrap it in an engine.
-
-        Set ``partitioned=True`` to use the memory-bounded Hunt-et-al.-style
-        construction (the result is identical; only the construction footprint
-        differs).
-        """
+        """Build an in-memory suffix-tree index and wrap it in an engine."""
         logger.info(
-            "building in-memory index for %s (%d sequences, partitioned=%s)",
-            database.name,
-            len(database),
-            partitioned,
+            "building in-memory index for %s (%d sequences)", database.name, len(database)
         )
-        if partitioned:
-            from repro.suffixtree.partitioned import PartitionedTreeBuilder
-
-            tree: SuffixTreeCursor = PartitionedTreeBuilder(
-                max_partition_size=max_partition_size
-            ).build(database)
-        else:
-            tree = GeneralizedSuffixTree.build(database)
-        return cls(tree, matrix, gap_model, kernel=kernel)
+        return cls(GeneralizedSuffixTree.build(database), matrix, gap_model, kernel=kernel)
 
     @classmethod
     def build_on_disk(

@@ -63,29 +63,9 @@ class SearchSurface:
         """
         return self.execute(query, **options).result()
 
-    def search_online(
-        self, query: Query, tracer=None, sample_interval: Optional[float] = None, **options
-    ) -> Iterator[SearchHit]:
-        """Stream hits in decreasing score order (abort whenever satisfied).
-
-        With a ``tracer`` and a ``sample_interval``, a background
-        :class:`~repro.obs.sampler.ResourceSampler` records RSS / pool /
-        queue-depth gauges for exactly the life of the stream -- started
-        when iteration starts, stopped when the stream is exhausted *or*
-        abandoned (``close()``/GC raises ``GeneratorExit`` into the
-        wrapper), so an early-terminated online search never leaks a
-        sampling thread.
-        """
-        execution = self.execute(query, tracer=tracer, **options)
-        if tracer is None or sample_interval is None:
-            return iter(execution)
-        from repro.obs.sampler import ResourceSampler
-
-        def sampled() -> Iterator[SearchHit]:
-            with ResourceSampler.for_engine(tracer, self, interval=sample_interval):
-                yield from execution
-
-        return sampled()
+    def search_online(self, query: Query, **options) -> Iterator[SearchHit]:
+        """Stream hits in decreasing score order (abort whenever satisfied)."""
+        return iter(self.execute(query, **options))
 
     def search_many(
         self,

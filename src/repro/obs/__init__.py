@@ -19,7 +19,7 @@ adding cost when unused:
   write -- with its one ``write``, ``load``, ``validate`` and ``render``.
 
 On top of the emitters sits the analysis stack, behind one entry point
-(``python -m repro.obs {validate,report,regress}``):
+(``python -m repro.obs {validate,report}``):
 
 * **Trace analytics** (:mod:`repro.obs.analyze` + ``python -m repro.obs
   report FILE``): critical path, per-phase wall/CPU breakdown
@@ -27,10 +27,8 @@ On top of the emitters sits the analysis stack, behind one entry point
   slowest-query lists over any recording.
 * **Resource sampling** (:mod:`repro.obs.sampler`): a background
   :class:`ResourceSampler` recording RSS, buffer-pool occupancy/hit-ratio,
-  backend queue depth and thread count into ``sampler.*`` gauges.
-* **Regression sentry** (:mod:`repro.obs.regress` + ``python -m
-  repro.obs regress``): compares committed ``BENCH_*.json`` records against
-  the ``BENCH_history.jsonl`` trajectory and fails CI on perf regressions.
+  backend queue depth and thread count into ``sampler.*`` gauges (CLI
+  ``search --sample``).
 
 And the live layer -- introspection of a *running* process, not just its
 post-hoc trace:

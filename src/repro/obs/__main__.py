@@ -5,12 +5,9 @@
   the span tree first.
 * ``report [--markdown] [--top N] FILE`` -- validate, then replay it:
   header, events, metric deltas, span tree, span analysis.
-* ``regress [...]`` -- the benchmark-regression sentry
-  (:mod:`repro.obs.regress`).
 
-Exit codes, all subcommands: 0 ok; 1 the file is unreadable, invalid or
-empty (``regress``: a metric regressed), one problem per stderr line; 2
-usage error (``regress``: or no benchmark records found).
+Exit codes, both subcommands: 0 ok; 1 the file is unreadable, invalid or
+empty, one problem per stderr line; 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro.obs.recording import Recording, load, render, span_tree, validate
-from repro.obs.regress import DEFAULT_THRESHOLD, run
 
 
 def _load_valid(path: str) -> Optional[Recording]:
@@ -60,17 +56,6 @@ def _report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _regress(args: argparse.Namespace) -> int:
-    return run(
-        directory=args.dir,
-        history_path=args.history,
-        threshold=args.threshold,
-        markdown_path=args.markdown,
-        tolerate_smoke=args.tolerate_smoke,
-        update_history=args.update_history,
-    )
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs", description="Read what the telemetry stack wrote."
@@ -89,29 +74,6 @@ def _parser() -> argparse.ArgumentParser:
         "--top", type=int, default=5, metavar="N", help="length of the slowest-query list"
     )
     report_cmd.set_defaults(handler=_report)
-
-    regress_cmd = commands.add_parser(
-        "regress", help="compare BENCH_*.json records with BENCH_history.jsonl"
-    )
-    regress_cmd.add_argument("--dir", default=".", help="directory holding the records")
-    regress_cmd.add_argument("--history", metavar="FILE", help="history file (default: in --dir)")
-    regress_cmd.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        metavar="FRACTION",
-        help="relative change tolerated before a metric counts as regressed",
-    )
-    regress_cmd.add_argument("--markdown", metavar="FILE", help="also write the report here")
-    regress_cmd.add_argument(
-        "--tolerate-smoke",
-        action="store_true",
-        help="regressions on smoke-stamped current records only warn",
-    )
-    regress_cmd.add_argument(
-        "--update-history", action="store_true", help="append the current records to the history"
-    )
-    regress_cmd.set_defaults(handler=_regress)
     return parser
 
 

@@ -14,7 +14,7 @@ thread (use it as a context manager) that periodically samples
 into an in-memory time series *and* a set of ``sampler.*`` gauges on the
 tracer's metrics registry.  Gauges carry a high-water ``max``, survive the
 existing snapshot/merge machinery, and show up in the CLI's ``--metrics``
-dump and the persisted bench records like every other instrument.
+dump like every other instrument.
 
 Guarded like all core telemetry: built with ``tracer=None`` the sampler is
 inert -- ``start``/``stop`` are no-ops, no thread is created, nothing is
@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only, avoids layer cycles
     from repro.obs.metrics import Counter, Gauge
@@ -252,21 +252,6 @@ class ResourceSampler:
         if self._counter_ticks is not None:
             self._counter_ticks.inc()
         return sample
-
-    def summary(self) -> Dict[str, object]:
-        """Peak/last values, convenient for bench records (JSON-safe)."""
-        if not self.samples:
-            return {"samples": 0}
-        rss_values = [s.rss_bytes for s in self.samples if s.rss_bytes is not None]
-        return {
-            "samples": len(self.samples),
-            "interval_seconds": self.interval,
-            "rss_peak_bytes": max(rss_values) if rss_values else None,
-            "pool_occupancy_peak": max(s.pool_occupancy for s in self.samples),
-            "pool_hit_ratio_last": self.samples[-1].pool_hit_ratio,
-            "queue_depth_peak": max(s.queue_depth for s in self.samples),
-            "thread_count_peak": max(s.thread_count for s in self.samples),
-        }
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"

@@ -22,8 +22,8 @@ Exports:
 * :meth:`StackProfiler.speedscope` -- a speedscope-format JSON document
   (https://www.speedscope.app), one ``sampled`` profile per run;
 * :meth:`StackProfiler.share_of` -- leaf-frame (own-time) share of samples
-  whose innermost frame matches a substring (``BENCH_stackprof.json``
-  records it for ``core/kernels``).
+  whose innermost frame matches a substring (``core/kernels`` is the DP
+  hot loop).
 
 Zero-dependency, and the usual inert contract: the profiler only costs
 anything between :meth:`start` and :meth:`stop`, and a ``tracer=None``
@@ -43,9 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.obs.trace import Tracer
 
 #: Default sampling interval in seconds.  ~5 ms keeps the sampler's own
-#: GIL time (one frame walk per tick) under 10% of the workload
-#: (``profiled_ratio``, recorded by ``benchmarks/test_bench_stackprof.py``)
-#: while still landing hundreds of samples on a benchmark-sized search.
+#: GIL time (one frame walk per tick) near a tenth of the workload while
+#: still landing hundreds of samples on a benchmark-sized search.
 DEFAULT_INTERVAL = 0.005
 
 #: Phase label for samples with no phase-carrying open span.

@@ -20,8 +20,7 @@ Two properties matter for this codebase:
 * **Zero cost when disabled.**  Every instrumented call site takes
   ``tracer=None`` (the default) and guards with one ``is None`` check; no
   object is allocated, no clock is read: ``tests/test_obs_disabled.py``
-  counts zero calls into ``repro/obs/`` during an uninstrumented search
-  (``benchmarks/test_bench_telemetry.py`` keeps the wall ratios on record).
+  counts zero calls into ``repro/obs/`` during an uninstrumented search.
 
 Two live-introspection hooks ride on the tracer (both free when unused):
 

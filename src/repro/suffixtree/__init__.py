@@ -11,8 +11,9 @@ database (Section 2.3 of the paper).  This package provides:
   single string (used to cross-validate the suffix-array construction);
 * :mod:`repro.suffixtree.generalized` -- the :class:`GeneralizedSuffixTree`
   facade over a :class:`~repro.sequences.SequenceDatabase`;
-* :mod:`repro.suffixtree.partitioned` -- the Hunt-et-al.-style partitioned
-  construction the paper uses for bigger-than-memory databases.
+* :mod:`repro.suffixtree.partitioned` -- the Hunt-et-al.-style lexical
+  partitions (sorted suffixes + LCPs, one partition at a time) the disk-image
+  builder reads for bigger-than-memory databases.
 """
 
 from typing import TYPE_CHECKING

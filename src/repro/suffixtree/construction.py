@@ -8,8 +8,7 @@ is split by a new internal node.  The new suffix then hangs off the stack top
 as a leaf.  The result is exactly the compact PATRICIA trie of Section 2.3.
 
 The construction is generic over which suffixes are inserted (the generalized
-tree skips suffixes that begin at a terminal symbol, and the partitioned
-builder inserts one lexical partition at a time).
+tree skips suffixes that begin at a terminal symbol).
 
 The node objects built here are what the *in-memory* engine searches.  The
 disk image is not written from them: :mod:`repro.storage.builder` runs this
@@ -31,9 +30,8 @@ def build_tree_from_suffix_array(
     lcp: Sequence[int],
     suffix_end_of: Callable[[int], int],
     sequence_index_of: Callable[[int], int],
-    root: InternalNode | None = None,
 ) -> InternalNode:
-    """Build (or extend) a suffix tree from sorted suffixes.
+    """Build a suffix tree from sorted suffixes.
 
     Parameters
     ----------
@@ -41,37 +39,28 @@ def build_tree_from_suffix_array(
         Start positions of the suffixes to insert, in lexicographic order.
     lcp:
         ``lcp[k]`` is the longest common prefix between ``suffix_positions[k]``
-        and ``suffix_positions[k - 1]``; ``lcp[0]`` must be 0 (or, when
-        extending an existing ``root``, the LCP with the previously inserted
-        suffix must still be 0 -- i.e. partitions must not share prefixes).
+        and ``suffix_positions[k - 1]``; ``lcp[0]`` must be 0.
     suffix_end_of:
         Maps a suffix start position to the exclusive end position of that
         suffix (one past its terminal symbol).
     sequence_index_of:
         Maps a suffix start position to the database sequence it belongs to.
-    root:
-        An existing root to extend (used by the partitioned builder); a fresh
-        root is created when omitted.  When extending, ``lcp[0]`` must be the
-        LCP between the first suffix of this batch and the *last suffix
-        previously inserted* into ``root`` (the partitioned builder computes
-        it directly), and all new suffixes must sort after the existing ones.
 
     Returns
     -------
     InternalNode
-        The root of the (possibly extended) tree.
+        The root of the tree.
     """
     if len(suffix_positions) != len(lcp):
         raise ValueError("suffix_positions and lcp must have the same length")
-    if root is None:
-        root = InternalNode(depth=0)
+    root = InternalNode(depth=0)
     if not suffix_positions:
         return root
-    if not root.children and lcp[0] != 0:
+    if lcp[0] != 0:
         raise ValueError("the first suffix inserted into an empty tree must have LCP 0")
 
     # The stack holds (node, string depth) pairs along the rightmost path.
-    stack: List[Tuple[SuffixTreeNode, int]] = rightmost_path(root)
+    stack: List[Tuple[SuffixTreeNode, int]] = [(root, 0)]
 
     for k, position in enumerate(suffix_positions):
         position = int(position)
@@ -123,27 +112,6 @@ def build_tree_from_suffix_array(
         stack.append((leaf, suffix_length))
 
     return root
-
-
-def rightmost_path(root: InternalNode) -> List[Tuple[SuffixTreeNode, int]]:
-    """The stack of ``(node, string depth)`` pairs along the rightmost path.
-
-    The suffix-array insertion order guarantees that the most recently
-    inserted suffix is the rightmost leaf, so following the last child from
-    the root reconstructs exactly the stack the insertion loop left behind.
-    """
-    stack: List[Tuple[SuffixTreeNode, int]] = [(root, 0)]
-    node: SuffixTreeNode = root
-    depth = 0
-    while isinstance(node, InternalNode) and node.children:
-        child = node.children[-1]
-        if isinstance(child, InternalNode):
-            depth = child.depth
-        else:
-            depth = depth + child.edge_length
-        stack.append((child, depth))
-        node = child
-    return stack
 
 
 def validate_tree(root: InternalNode, codes: np.ndarray) -> List[str]:

@@ -39,18 +39,6 @@ def construction_codes(database: SequenceDatabase) -> np.ndarray:
     return codes
 
 
-def position_arrays(database: SequenceDatabase) -> Tuple[np.ndarray, np.ndarray]:
-    """``(suffix_end, sequence_of)``, indexed by position in the concatenated text.
-
-    ``suffix_end[p]`` is one past the terminal of the sequence containing
-    ``p`` and ``sequence_of[p]`` is the index of that sequence.
-    """
-    starts = np.array(database.sequence_starts)
-    ends = np.append(starts[1:], database.total_symbols_with_terminals)
-    lengths = ends - starts
-    return np.repeat(ends, lengths), np.repeat(np.arange(len(database)), lengths)
-
-
 class GeneralizedSuffixTree(SuffixTreeCursor):
     """A generalized suffix tree over all sequences of a database.
 
@@ -80,7 +68,13 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         """Build the tree for every suffix of every sequence in ``database``."""
         database.freeze()
         text = construction_codes(database)
-        suffix_end, sequence_of = position_arrays(database)
+        # suffix_end[p]: one past the terminal of the sequence holding p;
+        # sequence_of[p]: that sequence's index.
+        starts = np.array(database.sequence_starts)
+        ends = np.append(starts[1:], database.total_symbols_with_terminals)
+        lengths = ends - starts
+        suffix_end = np.repeat(ends, lengths)
+        sequence_of = np.repeat(np.arange(len(database)), lengths)
 
         # Suffixes that begin at a terminal symbol carry no alignable content;
         # terminals sort after every real symbol, so they form a contiguous

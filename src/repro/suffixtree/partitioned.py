@@ -24,18 +24,13 @@ partition fits in the memory budget.
   every suffix by prefix doubling, 2.9 ms against 6.6); its cost, like that
   of the LCPs, is the sum of the LCPs, so long identical sequences are the
   slow case (two copies of 10 k bases: 1.7 s);
-* both consumers read that iterator: the disk-image builder
-  (:func:`repro.storage.build_disk_image`), which appends each partition to
-  flat arrays and never builds a node, and :meth:`PartitionedTreeBuilder.build`,
-  which inserts each partition into one tree of node objects for the
-  in-memory engine (``OasisEngine.build(partitioned=True)``);
+* the disk-image builder (:func:`repro.storage.build_disk_image`) reads that
+  iterator, appends each partition to flat arrays and never builds a node;
 * the builder records per-partition statistics so the memory-boundedness can
-  be asserted in tests and reported in benchmarks.
+  be asserted in tests.
 
-The tree :meth:`~PartitionedTreeBuilder.build` returns is *identical* to the
-one produced by :meth:`GeneralizedSuffixTree.build`, and the image is the same
-bytes at every budget (the test-suite checks both), which is the point:
-partitioning changes the construction footprint, not the result.
+The image is the same bytes at every budget (the test-suite checks it), which
+is the point: partitioning changes the construction footprint, not the result.
 """
 
 from __future__ import annotations
@@ -46,13 +41,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.sequences.database import SequenceDatabase
-from repro.suffixtree.construction import build_tree_from_suffix_array
-from repro.suffixtree.generalized import (
-    GeneralizedSuffixTree,
-    construction_codes,
-    position_arrays,
-)
-from repro.suffixtree.nodes import InternalNode
+from repro.suffixtree.generalized import construction_codes
 from repro.suffixtree.suffix_array import adjacent_lcps, sort_suffixes
 
 # The memory budget, in suffixes per lexical partition, that every builder's
@@ -86,7 +75,7 @@ class ConstructionReport:
 
 
 class PartitionedTreeBuilder:
-    """Sort a database's suffixes -- or build its tree -- one lexical partition at a time.
+    """Sort a database's suffixes one lexical partition at a time.
 
     Parameters
     ----------
@@ -144,20 +133,6 @@ class PartitionedTreeBuilder:
                 PartitionStatistics(prefix=alphabet.decode(prefix), suffix_count=len(ordered))
             )
             yield ordered, lcps
-
-    def build(self, database: SequenceDatabase) -> GeneralizedSuffixTree:
-        """Construct the generalized suffix tree for ``database`` as node objects."""
-        suffix_end, sequence_of = position_arrays(database)
-        root = InternalNode(depth=0)
-        for positions, lcps in self.sorted_partitions(database):
-            build_tree_from_suffix_array(
-                positions.tolist(),
-                lcps.tolist(),
-                suffix_end_of=lambda position: int(suffix_end[position]),
-                sequence_index_of=lambda position: int(sequence_of[position]),
-                root=root,
-            )
-        return GeneralizedSuffixTree(database, root)
 
     # ------------------------------------------------------------------ #
     # Partition selection

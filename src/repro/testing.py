@@ -35,25 +35,13 @@ def smoke_mode() -> bool:
 
     In smoke mode (``OASIS_BENCH_SMOKE=1``) every benchmark still *executes*
     -- that is the point: collection-only CI lets the benchmark bodies
-    bit-rot -- but performance assertions (speedup floors, timing ratios) are
+    bit-rot -- but wall-clock comparisons and curve-shape assertions are
     skipped, because a shared CI runner at the tiny scale proves nothing
-    about throughput.  Correctness assertions must stay unconditional.
+    about either.  Correctness assertions must stay unconditional.
     """
     import os
 
     return os.environ.get("OASIS_BENCH_SMOKE", "") == "1"
-
-
-def bench_backend(default: str) -> str:
-    """The scatter-backend spec the benchmarks run with.
-
-    ``OASIS_BACKEND`` overrides it (e.g. ``processes``, ``processes:2``,
-    ``serial``), which is how CI exercises the process-scatter path on every
-    push without duplicating benchmark code.
-    """
-    import os
-
-    return os.environ.get("OASIS_BACKEND", "").strip() or default
 
 
 # --------------------------------------------------------------------- #
@@ -177,68 +165,6 @@ def emit(result) -> None:
     """Print an experiment's table (shown with ``-s``; kept out of captures)."""
     print()
     print(result.format_table())
-
-
-def _git_sha() -> str:
-    """The current commit sha, or ``"unknown"`` outside a git checkout."""
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-        )
-    except OSError:
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
-
-
-def persist_bench(name: str, payload: dict) -> str:
-    """Persist one benchmark run as ``BENCH_<name>.json`` and return its path.
-
-    The file lands at the repository root (``OASIS_BENCH_DIR`` overrides the
-    directory), so committed snapshots build a benchmark trajectory the next
-    optimisation PR can diff against.  ``payload`` is the benchmark's own
-    measurements; this helper wraps it with the run context that makes a
-    number comparable later -- scale, backend, git sha, python version, and
-    whether the run was a CI smoke (smoke numbers are load-noise, never a
-    baseline).
-    """
-    import json
-    import os
-    import platform
-    import sys
-    import time
-
-    directory = os.environ.get("OASIS_BENCH_DIR", "").strip()
-    if not directory:
-        # testing.py lives at src/repro/, two levels below the repo root.
-        directory = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    record = {
-        "name": name,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "git_sha": _git_sha(),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "scale": os.environ.get("OASIS_BENCH_SCALE", "small"),
-        "backend": bench_backend("serial"),
-        "query_count": int(
-            os.environ.get("OASIS_BENCH_QUERIES", str(DEFAULT_BENCH_QUERIES))
-        ),
-        "smoke": smoke_mode(),
-        "results": payload,
-    }
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"BENCH_{name}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 # --------------------------------------------------------------------------- #

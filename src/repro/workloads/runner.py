@@ -77,9 +77,6 @@ class WorkloadRunSummary:
     #: The full batch report per engine (aggregate statistics, per-shard
     #: aggregates for sharded engines, timeout/abort flags).
     reports: Dict[str, BatchSearchReport] = field(default_factory=dict)
-    #: Per-engine resource-sampler summaries (tick count, RSS peak, pool
-    #: gauges) when the run was sampled; empty otherwise.
-    resource_samples: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     def for_engine(self, engine_name: str) -> List[QueryMeasurement]:
         return [m for m in self.measurements if m.engine == engine_name]
@@ -110,11 +107,7 @@ class WorkloadRunner:
     identical whichever way the workload runs; only wall-clock changes.
 
     ``tracer`` switches telemetry on (a batch span per engine, instrumented
-    fan-out backend); adding ``sample_interval`` additionally runs a
-    :class:`~repro.obs.sampler.ResourceSampler` around each engine's batch
-    -- tapping the adapter's underlying engine where it exposes one (the
-    OASIS adapters do) -- and records its summary on the run summary's
-    ``resource_samples``.
+    fan-out backend).
     """
 
     def __init__(
@@ -125,7 +118,6 @@ class WorkloadRunner:
         timeout: Optional[float] = None,
         backend=None,
         tracer=None,
-        sample_interval: Optional[float] = None,
     ):
         if not engines:
             raise ValueError("at least one engine adapter is required")
@@ -134,15 +126,12 @@ class WorkloadRunner:
             raise ValueError("engine adapters must have distinct names")
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if sample_interval is not None and sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
         self.engines = list(engines)
         self.keep_results = keep_results
         self.workers = int(workers)
         self.timeout = timeout
         self.backend = backend
         self.tracer = tracer
-        self.sample_interval = sample_interval
 
     def run(self, workload: Iterable) -> WorkloadRunSummary:
         """Execute every query of the workload on every engine."""
@@ -160,13 +149,7 @@ class WorkloadRunner:
                 backend=self.backend,
                 tracer=self.tracer,
             )
-            sampler = self._sampler_for(engine)
-            if sampler is not None:
-                with sampler:
-                    report = executor.run(texts)
-                summary.resource_samples[engine.name] = sampler.summary()
-            else:
-                report = executor.run(texts)
+            report = executor.run(texts)
             report.raise_first_error()
             reports[engine.name] = report
         # Measurements keep the historical query-major order regardless of
@@ -182,23 +165,6 @@ class WorkloadRunner:
                 )
         summary.total_seconds = time.perf_counter() - start
         return summary
-
-    def _sampler_for(self, adapter: EngineAdapter):
-        """A resource sampler tapping the adapter's engine, or ``None``.
-
-        Sampling rides the telemetry contract: no tracer or no interval
-        means no sampler and zero cost.  Adapters without an underlying
-        OASIS engine (the reference scans) still get RSS/thread sampling
-        -- ``for_engine`` degrades gracefully over any object.
-        """
-        if self.tracer is None or self.sample_interval is None:
-            return None
-        from repro.obs.sampler import ResourceSampler
-
-        target = getattr(adapter, "engine", adapter)
-        return ResourceSampler.for_engine(
-            self.tracer, target, interval=self.sample_interval
-        )
 
     def run_single(self, query: str) -> Dict[str, SearchResult]:
         """Run one query on every engine, returning the full results."""

@@ -9,9 +9,9 @@ from repro.obs import Tracer
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
 from repro.sharding import ShardedEngine
+from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.suffixtree.partitioned import PartitionedTreeBuilder
 
 
 class TestEngineConstruction:
@@ -20,20 +20,20 @@ class TestEngineConstruction:
         assert isinstance(engine.cursor, GeneralizedSuffixTree)
         assert engine.database is small_protein_database
 
-    def test_build_partitioned_gives_same_results(self, small_protein_database, pam30_matrix, gap8):
+    def test_build_partitioned_gives_same_results(
+        self, tmp_path, small_protein_database, pam30_matrix, gap8
+    ):
         direct = OasisEngine.build(small_protein_database, matrix=pam30_matrix, gap_model=gap8)
-        partitioned = OasisEngine.build(
-            small_protein_database,
-            matrix=pam30_matrix,
-            gap_model=gap8,
-            partitioned=True,
-            max_partition_size=25,
-        )
-        query = "WKDDGNGYISAAE"
-        assert (
-            direct.search(query, min_score=20).scores_by_sequence()
-            == partitioned.search(query, min_score=20).scores_by_sequence()
-        )
+        image = tmp_path / "partitioned.oasis"
+        build_disk_image(small_protein_database, image, block_size=512, max_partition_size=25)
+        with OasisEngine(
+            DiskSuffixTree(image, small_protein_database), pam30_matrix, gap8
+        ) as partitioned:
+            query = "WKDDGNGYISAAE"
+            assert (
+                direct.search(query, min_score=20).scores_by_sequence()
+                == partitioned.search(query, min_score=20).scores_by_sequence()
+            )
 
     def test_build_on_disk(self, tmp_path, small_protein_database, pam30_matrix, gap8):
         image = tmp_path / "index.oasis"

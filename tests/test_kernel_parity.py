@@ -307,6 +307,40 @@ class TestEngineParity:
             disk.cursor.close()
             sharded.close()
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("gap", [-8, -2, -1])
+    def test_engines_sharing_one_tree_agree_on_evalue_searches(self, seed, gap):
+        """Two engines over one tree and one converter: only the kernel differs."""
+        database, queries = protein_dataset(seed)
+        reference = OasisEngine.build(
+            database, pam30(), FixedGapModel(gap), kernel="reference"
+        )
+        live = OasisEngine(
+            reference.cursor,
+            reference.matrix,
+            reference.gap_model,
+            converter=reference.converter,
+            kernel=DEFAULT_KERNEL,
+        )
+
+        def outcome(result, kernel):
+            assert result.statistics.kernel == kernel
+            counters = result.statistics.as_dict()
+            for unstable in ("elapsed_seconds", "kernel"):
+                del counters[unstable]
+            hits = [
+                (hit.sequence_index, hit.sequence_identifier, hit.score, hit.evalue)
+                for hit in result
+            ]
+            return hits, counters
+
+        expected = [
+            outcome(reference.search(query, evalue=10.0), "reference") for query in queries
+        ]
+        actual = [outcome(live.search(query, evalue=10.0), DEFAULT_KERNEL) for query in queries]
+        assert actual == expected
+        assert any(hits for hits, _ in expected)
+
 
 dna_text = st.text(alphabet="ACGT", min_size=1, max_size=40)
 protein_text = st.text(alphabet="ARNDCQEGHILKMFPSTWYV", min_size=1, max_size=30)

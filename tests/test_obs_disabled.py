@@ -5,8 +5,7 @@ tracer, watched by ``sys.setprofile``, makes **zero** calls into any frame
 under ``repro/obs/`` (``logsetup``, the stdlib-logging shim, aside) -- before
 an engine was ever instrumented, and again after an instrumented search
 followed by ``instrument(None)``.  A pool or backend attachment left behind
-shows up here as a counter increment, not as a wall-clock ratio lost in noise
-(``benchmarks/test_bench_telemetry.py`` keeps the ratios on record).
+shows up here as a counter increment, not as a wall-clock ratio lost in noise.
 """
 
 from __future__ import annotations

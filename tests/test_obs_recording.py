@@ -160,8 +160,8 @@ def test_non_ascii_identifiers_round_trip_to_the_report(tmp_path, capsys):
 # --------------------------------------------------------------------- #
 # python -m repro.obs: 0 ok / 1 unreadable, invalid or empty / 2 usage.
 # Each subcommand's three codes are pinned next to what it reads:
-# test_obs.py::test_validate_cli, test_obs_analyze.py::TestReportCli,
-# test_obs_regress.py::TestCli.  Here: what argparse bought.
+# test_obs.py::test_validate_cli, test_obs_analyze.py::TestReportCli.
+# Here: what argparse bought.
 # --------------------------------------------------------------------- #
 @pytest.fixture
 def good(tmp_path) -> str:
@@ -172,12 +172,11 @@ def good(tmp_path) -> str:
 
 @pytest.mark.parametrize(
     "argv",
-    [["validate", "--treee"], ["report", "--markdwon"], ["regress", "--bogus"], ["flight"], []],
+    [["validate", "--treee"], ["report", "--markdwon"], ["flight"], []],
     ids=lambda argv: " ".join(argv) or "none",
 )
 def test_a_misspelled_option_is_a_usage_error_not_dropped(argv, good, capsys):
-    arguments = argv + [good] if argv and argv[0] != "regress" else argv
-    assert obs_main(arguments) == 2
+    assert obs_main(argv + [good] if argv else argv) == 2
     captured = capsys.readouterr()
     assert "usage:" in captured.err and "ok:" not in captured.out
 

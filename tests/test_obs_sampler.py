@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.obs import ResourceSampler, Tracer, read_rss_bytes
@@ -64,7 +66,6 @@ class TestLifecycle:
         assert sampler.sample_once() is None
         sampler.stop()
         assert sampler.samples == []
-        assert sampler.summary() == {"samples": 0}
 
     def test_context_manager_samples_and_sets_gauges(self):
         tracer = Tracer()
@@ -125,18 +126,6 @@ class TestSampling:
         assert sample.queue_depth == 0.0
         assert sample.thread_count >= 1
 
-    def test_summary_reports_peaks(self):
-        sampler = ResourceSampler(Tracer(), pools=[FakePool()], backends=[FakeBackend()])
-        sampler.sample_once()
-        sampler.pools[0].state["hit_ratio"] = 0.9
-        sampler.backends[0].depth = 11.0
-        sampler.sample_once()
-        summary = sampler.summary()
-        assert summary["samples"] == 2
-        assert summary["queue_depth_peak"] == 11.0
-        assert summary["pool_hit_ratio_last"] == pytest.approx(0.9)
-        assert summary["pool_occupancy_peak"] == pytest.approx(0.5)
-
     def test_samples_merge_through_snapshot_machinery(self):
         worker = Tracer()
         with ResourceSampler(worker, interval=0.005, backends=[FakeBackend(4.0)]):
@@ -176,9 +165,68 @@ class TestForEngine:
         # Still useful: process state samples fine with no taps.
         assert sampler.sample_once() is not None
 
+    def test_an_in_memory_engine_has_no_pool_tap(
+        self, small_protein_database, pam30_matrix, gap8
+    ):
+        from repro.core.engine import OasisEngine
+
+        engine = OasisEngine.build(small_protein_database, pam30_matrix, gap8)
+        sampler = ResourceSampler.for_engine(Tracer(), engine)
+        assert sampler.pools == [] and sampler.backends == []
+
+    def test_a_disk_engine_taps_its_buffer_pool(
+        self, tmp_path, small_protein_database, pam30_matrix, gap8
+    ):
+        from repro.core.engine import OasisEngine
+
+        with OasisEngine.build_on_disk(
+            small_protein_database,
+            pam30_matrix,
+            tmp_path / "index.oasis",
+            gap8,
+            block_size=512,
+            buffer_pool_bytes=4096,
+        ) as engine:
+            sampler = ResourceSampler.for_engine(Tracer(), engine)
+            assert sampler.pools == [engine.cursor.pool]
+            engine.search("WKDDGNGYISAAE", min_score=20)
+            sample = sampler.sample_once()
+        assert sample.pool_resident_pages > 0
+        assert 0.0 < sample.pool_occupancy <= 1.0
+        assert 0.0 <= sample.pool_hit_ratio <= 1.0
+
+    @pytest.mark.parametrize("shard_count", [1, 2, 4])
+    def test_an_opened_sharded_index_taps_every_shard_pool(
+        self, tmp_path, small_protein_database, pam30_matrix, gap8, shard_count
+    ):
+        from repro.sharding import ShardedEngine
+
+        with ShardedEngine.build_on_disk(
+            small_protein_database,
+            tmp_path / "index",
+            pam30_matrix,
+            gap8,
+            shard_count=shard_count,
+            block_size=512,
+        ) as engine:
+            sampler = ResourceSampler.for_engine(Tracer(), engine)
+            assert sampler.pools == [shard.cursor.pool for shard in engine.shards]
+            assert len(sampler.pools) == shard_count
+            assert len(sampler.backends) == 1
+            engine.search("WKDDGNGYISAAE", min_score=20)
+            sample = sampler.sample_once()
+        assert sample.pool_resident_pages > 0
+        assert sample.queue_depth == 0.0  # nothing in flight between searches
+
+
+def sampler_threads():
+    return [t for t in threading.enumerate() if t.name == "repro-resource-sampler"]
+
 
 class TestOnlineStreamSampling:
-    """`search_online(tracer=..., sample_interval=...)` samples the stream."""
+    """A sampler wrapped around a `search_online` stream, as `search --sample` does."""
+
+    QUERY = "WKDDGNGYISAAE"
 
     @pytest.fixture
     def engine(self, small_protein_database, pam30_matrix, gap8):
@@ -191,55 +239,38 @@ class TestOnlineStreamSampling:
 
     def test_stream_is_sampled_for_its_lifetime(self, engine):
         tracer = Tracer()
-        hits = list(
-            engine.search_online(
-                "WKDDGNGYISAAE",
-                min_score=40,
-                tracer=tracer,
-                sample_interval=0.001,
-            )
-        )
+        with ResourceSampler.for_engine(tracer, engine, interval=0.001) as sampler:
+            hits = list(engine.search_online(self.QUERY, min_score=40, tracer=tracer))
         assert hits
+        # The scatter backend is tapped; the start and stop samples bracket the stream.
+        assert len(sampler.backends) == 1
+        assert len(sampler.samples) >= 2
         snapshot = tracer.metrics.snapshot()
-        assert snapshot["sampler.ticks"]["value"] >= 1
+        assert snapshot["sampler.ticks"]["value"] == len(sampler.samples)
         assert "sampler.rss_bytes" in snapshot
 
     def test_abandoned_stream_stops_the_sampler(self, engine):
-        import threading
-
         tracer = Tracer()
-        stream = engine.search_online(
-            "WKDDGNGYISAAE", min_score=40, tracer=tracer, sample_interval=0.001
-        )
-        next(stream)
-        stream.close()
-        # The sampling thread wound down with the generator.
-        assert not [
-            t for t in threading.enumerate() if t.name == "repro-resource-sampler"
-        ]
+        with ResourceSampler.for_engine(tracer, engine, interval=0.001):
+            stream = engine.search_online(self.QUERY, min_score=40, tracer=tracer)
+            next(stream)
+            assert sampler_threads()
+            stream.close()
+        # The sampling thread wound down with the block around the stream.
+        assert not sampler_threads()
 
     def test_streaming_results_identical_with_and_without_sampling(self, engine):
         tracer = Tracer()
-        plain = list(engine.search_online("WKDDGNGYISAAE", min_score=40))
-        sampled = list(
-            engine.search_online(
-                "WKDDGNGYISAAE",
-                min_score=40,
-                tracer=tracer,
-                sample_interval=0.001,
-            )
-        )
+        plain = list(engine.search_online(self.QUERY, min_score=40))
+        with ResourceSampler.for_engine(tracer, engine, interval=0.001):
+            sampled = list(engine.search_online(self.QUERY, min_score=40, tracer=tracer))
         assert [(h.sequence_index, h.score) for h in plain] == [
             (h.sequence_index, h.score) for h in sampled
         ]
 
     def test_no_sampler_without_tracer(self, engine):
-        import threading
-
-        stream = engine.search_online(
-            "WKDDGNGYISAAE", min_score=40, sample_interval=0.001
-        )
-        list(stream)
-        assert not [
-            t for t in threading.enumerate() if t.name == "repro-resource-sampler"
-        ]
+        with ResourceSampler.for_engine(None, engine, interval=0.001) as sampler:
+            stream = engine.search_online(self.QUERY, min_score=40)
+            assert list(stream)
+            assert not sampler_threads()
+        assert sampler.samples == []

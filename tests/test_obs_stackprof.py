@@ -182,6 +182,26 @@ class TestExports:
         assert problems
         assert any("weights" in p or "index" in p for p in problems)
 
+    @pytest.mark.parametrize("shard_count", [2, 4])
+    @pytest.mark.parametrize("backend", ["serial", "threads:4"])
+    def test_a_sharded_search_profile_validates(
+        self, small_protein_database, pam30_matrix, gap8, backend, shard_count
+    ):
+        """A real run, not a busy loop: searches scattered over the shards."""
+        from repro.sharding import ShardedEngine
+
+        tracer = Tracer()
+        profiler = StackProfiler(tracer, interval=0.001)
+        with ShardedEngine.build(
+            small_protein_database, pam30_matrix, gap8, shard_count=shard_count, backend=backend
+        ) as engine:
+            with profiler:
+                deadline = time.perf_counter() + 0.05
+                while time.perf_counter() < deadline:
+                    engine.search("WKDDGNGYISAAE", min_score=20, tracer=tracer)
+        assert profiler.sample_count > 0 and profiler.elapsed_seconds > 0
+        assert validate_speedscope(profiler.speedscope("sharded search")) == []
+
     def test_empty_profiler_exports_empty_but_valid_collapsed(self):
         profiler = StackProfiler(interval=0.01)
         assert profiler.collapsed() == ""

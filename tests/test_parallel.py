@@ -17,6 +17,8 @@ import pytest
 
 from repro.core.engine import OasisEngine
 from repro.parallel import BatchSearchExecutor, BatchSearchReport
+from repro.storage.builder import build_disk_image
+from repro.storage.disk_tree import DiskSuffixTree
 from repro.workloads.engines import OasisAdapter, SmithWatermanAdapter
 from repro.workloads.runner import WorkloadRunner, workload_from_texts
 
@@ -196,6 +198,36 @@ class TestSearchMany:
             assert [hit_tuples(r) for r in parallel] == [hit_tuples(r) for r in serial]
         finally:
             disk_engine.cursor.close()
+
+    @pytest.mark.parametrize("buffer_pool_bytes", [512, 4096, 1 << 20])
+    @pytest.mark.parametrize("workers", [2, 3, 4, 8])
+    def test_disk_batch_matches_serial_loop_under_pool_pressure(
+        self, tmp_path, small_protein_database, pam30_matrix, gap8, workers, buffer_pool_bytes
+    ):
+        """E-value thresholds over one shared pool, from a single frame up.
+
+        Every miss sleeps, releasing the GIL, so the workers really do
+        interleave their page requests (and evictions) on the one pool.
+        """
+        image = tmp_path / "index.oasis"
+        build_disk_image(small_protein_database, image, block_size=512)
+        cursor = DiskSuffixTree(
+            image,
+            small_protein_database,
+            buffer_pool_bytes=buffer_pool_bytes,
+            simulated_miss_latency=1e-5,
+            sleep_on_miss=True,
+        )
+        with OasisEngine(cursor, pam30_matrix, gap8) as disk_engine:
+            queries = standard_workload(small_protein_database, count=12)
+            serial = [disk_engine.search(q, evalue=10.0) for q in queries]
+            report = disk_engine.search_many(queries, workers=workers, evalue=10.0)
+            assert report.statistics.backend == f"threads:{workers}"
+            assert [hit_tuples(r) for r in report.results()] == [
+                hit_tuples(r) for r in serial
+            ]
+            assert any(len(r) for r in serial)
+            assert cursor.statistics.misses > 0
 
     def test_report_aggregates_statistics(self, engine, small_protein_database):
         queries = standard_workload(small_protein_database, count=6)

@@ -1,4 +1,4 @@
-"""Unit tests for the partitioned (Hunt-et-al.-style) construction."""
+"""Unit tests for the partitioned (Hunt-et-al.-style) lexical partitions."""
 
 import random
 
@@ -7,19 +7,33 @@ import pytest
 
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
+from repro.storage.builder import build_disk_image
+from repro.storage.disk_tree import DiskSuffixTree
 from repro.suffixtree.generalized import GeneralizedSuffixTree, construction_codes
-from repro.suffixtree.nodes import iter_leaves
 from repro.suffixtree.partitioned import PartitionedTreeBuilder
 from repro.suffixtree.suffix_array import build_lcp_array, build_suffix_array
 
 from repro.testing import random_dna, random_protein
 
 
-def tree_shape(tree):
-    """A canonical description of the tree: sorted (path label, leaf position)."""
-    return sorted(
-        (tree.path_label(leaf), leaf.suffix_start) for leaf in iter_leaves(tree.root)
-    )
+def tree_shape(cursor):
+    """A canonical description of a tree: sorted (path label, leaf position)."""
+    shape = []
+    stack = [(cursor.root, b"")]
+    while stack:
+        node, label = stack.pop()
+        label += cursor.arc_symbols(node)
+        if cursor.is_leaf(node):
+            shape.append((label, cursor.suffix_start(node)))
+        else:
+            stack.extend((child, label) for child in cursor.children(node))
+    return sorted(shape)
+
+
+def partitioned_disk_tree(database, path, max_partition_size):
+    """The tree the disk build writes from budget-sized lexical partitions."""
+    build_disk_image(database, path, block_size=256, max_partition_size=max_partition_size)
+    return DiskSuffixTree(path, database)
 
 
 class TestPartitionedConstruction:
@@ -30,22 +44,21 @@ class TestPartitionedConstruction:
             PartitionedTreeBuilder(max_prefix_length=0)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_identical_to_direct_construction(self, seed):
+    def test_identical_to_direct_construction(self, seed, tmp_path):
         rng = random.Random(seed)
         texts = [random_dna(rng, rng.randint(5, 50)) for _ in range(rng.randint(1, 5))]
         database_a = SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET)
         database_b = SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET)
         direct = GeneralizedSuffixTree.build(database_a)
-        partitioned = PartitionedTreeBuilder(max_partition_size=9).build(database_b)
-        assert tree_shape(direct) == tree_shape(partitioned)
-        assert partitioned.validate() == []
+        with partitioned_disk_tree(database_b, tmp_path / "tree.oasis", 9) as partitioned:
+            assert tree_shape(partitioned) == tree_shape(direct)
 
     def test_partition_sizes_respect_budget(self):
         rng = random.Random(3)
         texts = [random_protein(rng, 80) for _ in range(6)]
         database = SequenceDatabase.from_texts(texts, alphabet=PROTEIN_ALPHABET)
         builder = PartitionedTreeBuilder(max_partition_size=40)
-        builder.build(database)
+        list(builder.sorted_partitions(database))
         summary = builder.partition_summary()
         assert summary["largest_partition"] <= 40
         assert summary["total_suffixes"] == database.total_symbols
@@ -82,24 +95,26 @@ class TestPartitionedConstruction:
         assert positions.tolist() == suffix_array[keep].tolist()
         assert lcps.tolist() == build_lcp_array(text, suffix_array)[keep].tolist()
 
-    def test_queries_agree_with_direct_tree(self):
+    def test_queries_agree_with_direct_tree(self, tmp_path):
         rng = random.Random(9)
         texts = [random_dna(rng, rng.randint(10, 60)) for _ in range(4)]
         direct = GeneralizedSuffixTree.build(
             SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET)
         )
-        partitioned = PartitionedTreeBuilder(max_partition_size=15).build(
-            SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET)
-        )
-        for _ in range(40):
-            query = random_dna(rng, rng.randint(1, 6))
-            assert partitioned.find_occurrences(query) == direct.find_occurrences(query)
+        with partitioned_disk_tree(
+            SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET),
+            tmp_path / "tree.oasis",
+            15,
+        ) as partitioned:
+            for _ in range(40):
+                query = random_dna(rng, rng.randint(1, 6))
+                assert partitioned.find_occurrences(query) == direct.find_occurrences(query)
 
     def test_single_partition_budget_larger_than_database(self):
         database = SequenceDatabase.from_texts(["ACGTACGT"], alphabet=DNA_ALPHABET)
         builder = PartitionedTreeBuilder(max_partition_size=1000)
-        tree = builder.build(database)
-        assert tree.validate() == []
+        [(positions, _lcps)] = builder.sorted_partitions(database)
+        assert len(positions) == database.total_symbols
         # Prefixes are extended only while a partition exceeds the budget.
         assert builder.partition_summary()["partitions"] == 1
         assert [p.prefix for p in builder.report.partitions] == [""]
@@ -107,7 +122,7 @@ class TestPartitionedConstruction:
     def test_report_prefixes_recorded(self):
         database = SequenceDatabase.from_texts(["ACGTACGTAC"], alphabet=DNA_ALPHABET)
         builder = PartitionedTreeBuilder(max_partition_size=3)
-        builder.build(database)
+        list(builder.sorted_partitions(database))
         prefixes = [p.prefix for p in builder.report.partitions]
         assert all(prefixes)
         assert len(prefixes) == len(set(prefixes))

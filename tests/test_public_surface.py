@@ -184,7 +184,7 @@ def test_an_export_outranks_the_submodule_of_the_same_name():
     assert finished.returncode == 0, finished.stderr
 
 
-@pytest.mark.parametrize("entry_point", ["report", "validate", "regress"])
+@pytest.mark.parametrize("entry_point", ["report", "validate"])
 def test_obs_entry_points_start_without_a_double_import_warning(entry_point, tmp_path):
     """runpy warns when ``python -m pkg`` finds ``pkg.__main__`` already loaded by
     its package; the lazy ``repro.obs`` loads nothing, so nothing can shadow."""
@@ -197,13 +197,19 @@ def test_obs_entry_points_start_without_a_double_import_warning(entry_point, tmp
 
 def test_the_old_per_tool_entry_points_are_gone(tmp_path):
     """``repro.obs.validate`` no longer exists; the modules that stay are
-    libraries -- no ``main``, no ``__main__`` block -- behind ``-m repro.obs``."""
+    libraries -- no ``main``, no ``__main__`` block -- behind ``-m repro.obs``.
+    ``regress`` (the benchmark-record sentry; ``bench_e2e/`` is the one
+    performance record) is an unknown subcommand: a usage error, no traceback."""
     finished = run_python("-m", "repro.obs.validate", cwd=str(tmp_path))
     assert finished.returncode != 0 and "No module named" in finished.stderr
-    for module in ("report", "flight", "regress", "recording"):
+    for module in ("report", "flight", "recording"):
         loaded = importlib.import_module(f"repro.obs.{module}")
         assert not hasattr(loaded, "main"), module
         assert "__main__" not in inspect.getsource(loaded), module
+    finished = run_python("-m", "repro.obs", "regress", cwd=str(tmp_path))
+    assert finished.returncode == 2
+    assert "invalid choice: 'regress'" in finished.stderr, finished.stderr
+    assert "Traceback" not in finished.stderr, finished.stderr
 
 
 def test_the_version_has_one_source():

@@ -134,6 +134,41 @@ class TestScatterBackendParity:
                 got = sharded.search(query, evalue=EVALUE)
                 assert hit_signature(got.hits) == expected_signatures[query]
 
+    @pytest.mark.parametrize("shard_count", [1, 2, 4])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_over_tight_pools_matches_monolithic(
+        self, index_directories, expected_signatures, backend, shard_count
+    ):
+        """One frame per shard and sleeping misses: every page is fought over."""
+        with ShardedEngine.open(
+            index_directories[shard_count],
+            buffer_pool_bytes=shard_count * BLOCK_SIZE,
+            simulated_miss_latency=1e-5,
+            sleep_on_miss=True,
+            backend=backend,
+        ) as sharded:
+            report = sharded.search_many(QUERIES * 2, workers=2, evalue=EVALUE)
+        assert report.statistics.failed == 0
+        for query, result in report:
+            assert hit_signature(result.hits) == expected_signatures[query], (
+                f"{backend} x{shard_count} diverged from monolithic on {query!r}"
+            )
+            assert result.statistics.buffer_misses > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_warm_second_pass_matches_the_first(
+        self, index_directories, expected_signatures, backend
+    ):
+        """Long-lived shard engines and warm pools carry nothing between queries."""
+        with ShardedEngine.open(index_directories[4], backend=backend) as sharded:
+            cold = sharded.search_many(QUERIES, workers=2, evalue=EVALUE)
+            warm = sharded.search_many(QUERIES, workers=1, evalue=EVALUE)
+        assert warm.statistics.backend == "serial"
+        for (query, first), (_, second) in zip(cold, warm):
+            assert hit_signature(first.hits) == expected_signatures[query]
+            assert hit_signature(second.hits) == expected_signatures[query]
+            assert second.columns_expanded == first.columns_expanded
+
     def test_process_scatter_max_results_is_global_top_k(
         self, index_directories, expected_signatures
     ):

@@ -271,3 +271,53 @@ def test_cooperative_abort_counts_the_interrupted_query_once(
     (record,) = tracer.records()
     assert record.name == "query"
     assert record.attributes.get("aborted") is True
+
+
+def test_repeated_traced_passes_count_every_search_once(
+    small_protein_database, pam30_matrix, gap8
+):
+    """One tracer over several passes: one span and one count per search."""
+    engine = OasisEngine.build(
+        small_protein_database, matrix=pam30_matrix, gap_model=gap8
+    )
+    queries = [QUERY, QUERY[:8], "MKVLAADTG"]
+    passes = 3
+    tracer = Tracer()
+    engine.instrument(tracer)
+    nodes_expanded = 0
+    for _ in range(passes):
+        for query in queries:
+            result = engine.search(query, min_score=20, tracer=tracer)
+            nodes_expanded += result.statistics.nodes_expanded
+    engine.instrument(None)
+
+    records = tracer.records()
+    assert [record.name for record in records] == ["query"] * (passes * len(queries))
+    assert validate_trace(records) == []
+    metrics = tracer.metrics
+    assert metrics.counter("search.queries").value == passes * len(queries)
+    assert metrics.counter("search.nodes_expanded").value == nodes_expanded
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_repeated_traced_sharded_passes_count_every_shard_search_once(index_dir, backend):
+    """Worker snapshots merge back once per search, however many passes run."""
+    queries = [QUERY, QUERY[:8], "MKVLAADTG"]
+    passes = 3
+    searches = passes * len(queries)
+    tracer = Tracer()
+    nodes_expanded = 0
+    with ShardedEngine.open(index_dir, backend=backend) as engine:
+        engine.instrument(tracer)
+        for _ in range(passes):
+            for query in queries:
+                result = engine.search(query, min_score=20, tracer=tracer)
+                nodes_expanded += result.statistics.nodes_expanded
+
+    records = tracer.records()
+    assert validate_trace(records) == []
+    assert sum(record.name == "query" for record in records) == searches
+    assert sum(record.name == "shard" for record in records) == searches * SHARDS
+    metrics = tracer.metrics
+    assert metrics.counter("search.queries").value == searches * SHARDS
+    assert metrics.counter("search.nodes_expanded").value == nodes_expanded

@@ -8,10 +8,10 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
-from repro.suffixtree.construction import rightmost_path, validate_tree
+from repro.suffixtree.construction import validate_tree
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.suffixtree.nodes import InternalNode, LeafNode, count_nodes, iter_leaves
+from repro.suffixtree.nodes import count_nodes, iter_leaves
 
 from repro.testing import PAPER_TARGET, random_dna, random_protein
 
@@ -206,13 +206,6 @@ class TestNodeHelpers:
         assert counts["leaves"] == paper_tree.leaf_count
         assert counts["internal"] == paper_tree.internal_node_count
         assert counts["total"] == counts["leaves"] + counts["internal"]
-
-    def test_rightmost_path_ends_at_last_leaf(self, paper_tree):
-        stack = rightmost_path(paper_tree.root)
-        assert stack[0][0] is paper_tree.root
-        last_node, last_depth = stack[-1]
-        assert isinstance(last_node, (InternalNode, LeafNode))
-        assert last_depth > 0
 
     def test_validate_tree_detects_bad_arc(self, paper_database):
         tree = GeneralizedSuffixTree.build(paper_database)

@@ -33,7 +33,6 @@ GATE_FILES = (
     "repro/obs/logsetup.py",
     "repro/obs/metrics.py",
     "repro/obs/recording.py",
-    "repro/obs/regress.py",
     "repro/obs/report.py",
     "repro/obs/sampler.py",
     "repro/obs/stackprof.py",

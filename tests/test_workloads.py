@@ -106,49 +106,3 @@ class TestAggregation:
         summary = WorkloadRunner(adapters[:1]).run(workload)
         row = aggregate_by_length(summary.measurements)[0].as_row()
         assert row[0] == 9 and row[1] == 1
-
-
-class TestSampledRuns:
-    def test_sampled_run_records_resource_summaries(self, adapters):
-        from repro.obs import Tracer
-
-        workload = workload_from_texts(["WKDDGNGYISAAE", "MKVLAADTG"])
-        tracer = Tracer()
-        runner = WorkloadRunner(
-            adapters[:1], tracer=tracer, sample_interval=0.001
-        )
-        summary = runner.run(workload)
-        assert set(summary.resource_samples) == {"OASIS"}
-        sampled = summary.resource_samples["OASIS"]
-        assert sampled["samples"] >= 1
-        assert sampled["interval_seconds"] == 0.001
-        # The gauges landed on the shared registry too.
-        assert "sampler.ticks" in tracer.metrics.snapshot()
-
-    def test_sampling_covers_every_engine(self, adapters):
-        from repro.obs import Tracer
-
-        workload = workload_from_texts(["WKDDGNGYISAAE"])
-        runner = WorkloadRunner(
-            adapters, tracer=Tracer(), sample_interval=0.001
-        )
-        summary = runner.run(workload)
-        assert set(summary.resource_samples) == {a.name for a in adapters}
-
-    def test_no_sampling_without_interval(self, adapters):
-        from repro.obs import Tracer
-
-        workload = workload_from_texts(["WKDDGNGYISAAE"])
-        summary = WorkloadRunner(adapters[:1], tracer=Tracer()).run(workload)
-        assert summary.resource_samples == {}
-
-    def test_no_sampling_without_tracer(self, adapters):
-        workload = workload_from_texts(["WKDDGNGYISAAE"])
-        summary = WorkloadRunner(adapters[:1], sample_interval=0.001).run(workload)
-        assert summary.resource_samples == {}
-
-    def test_interval_validation(self, adapters):
-        from repro.obs import Tracer
-
-        with pytest.raises(ValueError):
-            WorkloadRunner(adapters[:1], tracer=Tracer(), sample_interval=0.0)
