@@ -1,8 +1,7 @@
 """Ablation benchmark: the contribution of each pruning rule (Section 3.2).
 
-DESIGN.md calls this ablation out: the pruning rules are pure optimisations,
-so every rule subset must return identical results, and the full rule set must
-do the least work.
+The pruning rules are pure optimisations, so every rule subset must return
+identical results, and the full rule set must do the least work.
 """
 
 from repro.testing import emit

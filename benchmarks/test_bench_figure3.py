@@ -2,8 +2,8 @@
 
 Paper shape: OASIS is at least an order of magnitude faster than S-W on short
 queries and comparable to BLAST.  At the scaled-down database of this
-reproduction the wall-clock gap over S-W is compressed (see EXPERIMENTS.md and
-the scaling benchmark); the assertion here is therefore the directional one --
+reproduction the wall-clock gap over S-W is compressed (see the scaling
+benchmark); the assertion here is therefore the directional one --
 OASIS must not be slower than S-W overall -- while the full numbers are
 printed for the record.
 """

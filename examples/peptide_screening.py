@@ -37,8 +37,8 @@ def main() -> None:
     engine = OasisEngine.build(database, matrix=matrix, gap_model=gap_model)
     heuristic = BlastLikeSearch(database, matrix, gap_model, statistics=engine.converter.parameters)
 
-    # An E-value threshold appropriate for this database size (see the
-    # discussion of Equation 3 in EXPERIMENTS.md).
+    # An E-value threshold appropriate for this database size (Equation 3
+    # scales the expected count with the database size).
     evalue = 0.1
 
     print(f"screening {len(peptides)} peptides against {len(database)} proteins "

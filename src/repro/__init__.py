@@ -17,8 +17,8 @@ Quick start::
     for hit in engine.search("MKVLAADTG", evalue=20_000):
         print(hit.sequence_identifier, hit.score, hit.evalue)
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-reproduction of every table and figure in the paper's evaluation section.
+README.md's "Layout" table is the module inventory, and its "Tests and
+benchmarks" section says how to regenerate the paper's tables and figures.
 """
 
 from typing import TYPE_CHECKING

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.results import Alignment, SearchHit, SearchResult
-from repro.scoring.gaps import FixedGapModel, GapModel
+from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.karlin_altschul import KarlinAltschulParameters, estimate_karlin_altschul
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
@@ -84,7 +84,7 @@ class BlastLikeSearch:
         self,
         database: SequenceDatabase,
         matrix: SubstitutionMatrix,
-        gap_model: GapModel = FixedGapModel(-1),
+        gap_model: GapModel = DEFAULT_GAP_MODEL,
         parameters: BlastParameters = BlastParameters(),
         statistics: Optional[KarlinAltschulParameters] = None,
     ):

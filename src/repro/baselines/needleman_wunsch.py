@@ -14,7 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.results import Alignment
-from repro.scoring.gaps import FixedGapModel, GapModel
+from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.sequence import Sequence
 
@@ -22,7 +22,7 @@ from repro.sequences.sequence import Sequence
 class NeedlemanWunschAligner:
     """Global alignment with a linear gap model."""
 
-    def __init__(self, matrix: SubstitutionMatrix, gap_model: GapModel = FixedGapModel(-1)):
+    def __init__(self, matrix: SubstitutionMatrix, gap_model: GapModel = DEFAULT_GAP_MODEL):
         gap_model.validate()
         if gap_model.is_affine:
             raise NotImplementedError("the global aligner implements linear gaps only")

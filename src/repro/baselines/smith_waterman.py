@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.results import Alignment, SearchHit, SearchResult
-from repro.scoring.gaps import FixedGapModel, GapModel
+from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.karlin_altschul import KarlinAltschulParameters
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
@@ -55,7 +55,7 @@ class SmithWatermanAligner:
         either.
     """
 
-    def __init__(self, matrix: SubstitutionMatrix, gap_model: GapModel = FixedGapModel(-1)):
+    def __init__(self, matrix: SubstitutionMatrix, gap_model: GapModel = DEFAULT_GAP_MODEL):
         gap_model.validate()
         self.matrix = matrix
         self.gap_model = gap_model

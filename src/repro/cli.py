@@ -48,11 +48,11 @@ from typing import List, Optional
 from repro.core.engine import OasisEngine
 from repro.core.request import SearchRequest
 from repro.scoring.data import available_matrices, load_matrix
-from repro.scoring.gaps import FixedGapModel
+from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel
 from repro.sequences.fasta import read_fasta, write_fasta
 
 DEFAULT_MATRIX = "PAM30"
-DEFAULT_GAP = -8
+DEFAULT_GAP = DEFAULT_GAP_MODEL.per_symbol
 
 #: ``search`` flag (argparse dest) -> the :class:`SearchRequest` field it sets.
 REQUEST_OPTIONS = {

@@ -31,7 +31,7 @@ from repro.core.evalue import SelectivityConverter
 from repro.core.oasis import OasisSearch, QueryExecution
 from repro.core.request import SearchRequest
 from repro.core.surface import SearchSurface
-from repro.scoring.gaps import FixedGapModel, GapModel
+from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.cursor import SuffixTreeCursor
@@ -52,7 +52,7 @@ class OasisEngine(SearchSurface):
         self,
         cursor: SuffixTreeCursor,
         matrix: SubstitutionMatrix,
-        gap_model: GapModel = FixedGapModel(-1),
+        gap_model: GapModel = DEFAULT_GAP_MODEL,
         converter: Optional[SelectivityConverter] = None,
         kernel=None,
     ):
@@ -70,7 +70,7 @@ class OasisEngine(SearchSurface):
         cls,
         database: SequenceDatabase,
         matrix: SubstitutionMatrix,
-        gap_model: GapModel = FixedGapModel(-1),
+        gap_model: GapModel = DEFAULT_GAP_MODEL,
         kernel=None,
     ) -> "OasisEngine":
         """Build an in-memory suffix-tree index and wrap it in an engine."""
@@ -85,7 +85,7 @@ class OasisEngine(SearchSurface):
         database: SequenceDatabase,
         matrix: SubstitutionMatrix,
         image_path: PathLike,
-        gap_model: GapModel = FixedGapModel(-1),
+        gap_model: GapModel = DEFAULT_GAP_MODEL,
         block_size: int = 2048,
         buffer_pool_bytes: Optional[int] = None,
         simulated_miss_latency: float = 0.0,

@@ -42,7 +42,7 @@ from repro.core.results import (
 )
 from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER
 from repro.core.surface import SearchSurface
-from repro.scoring.gaps import FixedGapModel, GapModel
+from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.sequence import Sequence
 from repro.suffixtree.cursor import SuffixTreeCursor
@@ -584,7 +584,7 @@ class OasisSearch(SearchSurface):
         self,
         cursor: SuffixTreeCursor,
         matrix: SubstitutionMatrix,
-        gap_model: GapModel = FixedGapModel(-1),
+        gap_model: GapModel = DEFAULT_GAP_MODEL,
         prune_non_positive: bool = True,
         prune_dominated: bool = True,
         prune_threshold: bool = True,

@@ -3,8 +3,7 @@
 The paper evaluates OASIS on SWISS-PROT (~40 M residues), the Drosophila
 genome (~120 M nt) and a 100-query workload of short peptide motifs drawn from
 ProClass.  Those resources cannot be shipped with an offline reproduction, so
-this package generates statistically similar substitutes (see DESIGN.md,
-"Substitutions"):
+this package generates statistically similar substitutes:
 
 * :class:`SwissProtLikeGenerator` -- protein databases with family structure
   (homologous sequences derived from common ancestors) and realistic residue

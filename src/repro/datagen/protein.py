@@ -1,7 +1,7 @@
 """SWISS-PROT-like synthetic protein database generator.
 
 The experiments need a protein database with three properties of the real
-SWISS-PROT data set (see DESIGN.md):
+SWISS-PROT data set:
 
 1. realistic residue composition (so substitution-matrix statistics and
    E-values behave normally),
@@ -15,8 +15,8 @@ SWISS-PROT data set (see DESIGN.md):
 of an ancestral sequence (point substitutions plus occasional short indels)
 while keeping a designated *conserved core* nearly intact, and mixes in
 unrelated singleton sequences.  Sizes default to laptop-scale (the paper's
-40 M residues are far beyond a pure-Python suffix tree; see the repro notes in
-DESIGN.md) but every knob is exposed.
+40 M residues are far beyond a pure-Python suffix tree) but every knob is
+exposed.
 """
 
 from __future__ import annotations

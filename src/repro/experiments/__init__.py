@@ -7,8 +7,6 @@ the rows/series the corresponding figure plots, plus a ``format_table`` (or
 any figure is::
 
     pytest benchmarks/test_bench_figure3.py --benchmark-only -s
-
-See EXPERIMENTS.md for the paper-vs-measured comparison of every experiment.
 """
 
 from typing import TYPE_CHECKING

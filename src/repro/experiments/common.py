@@ -5,7 +5,7 @@ SWISS-PROT-like protein database, a ProClass-like short-query workload, PAM30
 scoring with a fixed gap penalty, and selectivity expressed as an E-value.
 This module owns that configuration, the scale presets (the paper's 40 M
 residues are far beyond what a pure-Python suffix tree can index in a
-benchmark run -- see DESIGN.md), and a small cache so that the per-figure
+benchmark run), and a small cache so that the per-figure
 benchmarks that share a configuration also share the constructed index.
 """
 

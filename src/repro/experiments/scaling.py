@@ -2,7 +2,7 @@
 
 The paper evaluates a 40 M-residue database; a pure-Python reproduction runs
 on databases two to three orders of magnitude smaller, which compresses the
-wall-clock gap between OASIS and S-W (see EXPERIMENTS.md).  This experiment
+wall-clock gap between OASIS and S-W.  This experiment
 makes the underlying scaling law visible: S-W's work is exactly one DP column
 per database symbol (linear), while the OASIS search frontier is governed by
 the number of *distinct* tree paths that keep a viable alignment alive and

@@ -82,6 +82,11 @@ class FixedGapModel(GapModel):
         return self.penalty * length
 
 
+#: The gap model of every engine, index builder and baseline that is not
+#: given one, and the CLI's ``--gap`` default.
+DEFAULT_GAP_MODEL = FixedGapModel(-8)
+
+
 @dataclass(frozen=True)
 class AffineGapModel(GapModel):
     """Affine gaps: ``open_penalty + length * extend_penalty``.

@@ -5,7 +5,8 @@ The pieces, bottom-up:
 * :class:`ShardPlanner` splits one :class:`~repro.sequences.SequenceDatabase`
   into N contiguous, balanced sub-databases (by residues or sequence count);
 * :class:`ShardedIndexBuilder` builds one Section-3.4 disk image per shard
-  (memory-bounded partitioned construction) and writes a self-describing
+  (straight from its sorted suffixes, on flat arrays) and writes a
+  self-describing
   ``catalog.json`` manifest next to them;
 * :class:`ShardCatalog` is that manifest: shard paths, sequence-id ranges,
   residue counts and the scoring-configuration fingerprint, with loud

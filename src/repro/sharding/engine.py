@@ -46,7 +46,7 @@ from repro.core.results import SearchHit, SearchResult, hit_order_key
 from repro.core.surface import SearchSurface
 from repro.exec import BackendSpec, ExecutionBackend, resolve_backend
 from repro.obs.logsetup import get_logger
-from repro.scoring.gaps import FixedGapModel, GapModel
+from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
 from repro.sharding.builder import ShardedIndexBuilder
@@ -421,7 +421,7 @@ class ShardedEngine(SearchSurface):
         shards: List[OasisEngine],
         database: SequenceDatabase,
         matrix: SubstitutionMatrix,
-        gap_model: GapModel = FixedGapModel(-1),
+        gap_model: GapModel = DEFAULT_GAP_MODEL,
         converter: Optional[SelectivityConverter] = None,
         catalog: Optional[ShardCatalog] = None,
         directory: Optional[str] = None,
@@ -478,7 +478,7 @@ class ShardedEngine(SearchSurface):
         cls,
         database: SequenceDatabase,
         matrix: SubstitutionMatrix,
-        gap_model: GapModel = FixedGapModel(-1),
+        gap_model: GapModel = DEFAULT_GAP_MODEL,
         shard_count: int = 2,
         by: str = "residues",
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
@@ -521,7 +521,7 @@ class ShardedEngine(SearchSurface):
         database: SequenceDatabase,
         directory: PathLike,
         matrix: SubstitutionMatrix,
-        gap_model: GapModel = FixedGapModel(-1),
+        gap_model: GapModel = DEFAULT_GAP_MODEL,
         shard_count: int = 2,
         by: str = "residues",
         block_size: int = BLOCK_SIZE_DEFAULT,

@@ -97,7 +97,6 @@ class ShardBuildTask:
     image_name: str
     sub_database: object  # SequenceDatabase; typed loosely to keep pickling honest
     block_size: int
-    max_partition_size: Optional[int]
 
 
 # --------------------------------------------------------------------- #
@@ -289,6 +288,5 @@ def run_shard_build(task: ShardBuildTask) -> str:
         task.sub_database,
         os.path.join(task.directory, task.image_name),
         block_size=task.block_size,
-        max_partition_size=task.max_partition_size,
     )
     return task.image_name

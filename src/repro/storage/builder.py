@@ -1,35 +1,36 @@
 """Building the on-disk image straight from sorted suffixes and their LCPs.
 
-The paper writes the Section 3.4 arrays with the memory-bounded construction
-of Section 3.4.1 (after Hunt et al.): sort one lexical partition, append it,
-free it.  :func:`build_disk_image` is that builder, and the only one: it is a
-function of the *database*, never of a tree of node objects.
+:func:`build_disk_image` writes the Section 3.4 arrays, and is the only disk
+builder: it is a function of the *database*, never of a tree of node objects.
 
-* :meth:`repro.suffixtree.PartitionedTreeBuilder.sorted_partitions` hands
-  over one partition at a time -- suffix positions and LCPs as flat arrays;
+* :func:`repro.suffixtree.generalized.sorted_suffixes` sorts every suffix at
+  once and hands over the suffix positions and their LCPs as two flat arrays
+  (the paper's Section 3.4.1 sorts one lexical partition at a time; why this
+  does not, :mod:`repro.suffixtree.suffix_array` says);
 * one rightmost-path stack pass over plain ints (the loop of
   :mod:`repro.suffixtree.construction` without the objects) appends, per
   internal node, its string depth, its leftmost leaf and its parent, and per
-  leaf its parent, to flat 4-byte arrays; the partition is then let go;
+  leaf its parent, to flat 4-byte arrays; the LCPs are then let go;
 * NumPy does the rest on those arrays: tree level from the parents, level
   order as one ``lexsort``, leaf records as a stable sort by parent,
   first-child pointers and last-sibling bits from the run boundaries -- so
   that the internal children of a node and its leaf children each end up as
   one contiguous run on disk (format v2, see :mod:`repro.storage.layout`).
 
-What is live while building is the text, one partition's sort transients and
-about 11 bytes per residue of flat arrays (4 per leaf for its position, 4 for
-its parent, 12 per internal node); the last step holds the record arrays and
-their sort permutations next to them.  ``tests/image_oracle.py`` keeps the
-walk over an object tree this replaced, and the test-suite holds the two to
-the same bytes.
+Counted with ``tracemalloc`` at 960 108 residues, the sort peaks at 44 bytes
+per residue (text included), the LCPs at 53, and the last step, which holds
+the record arrays and their sort permutations, at 58; in between, the flat
+arrays are about 13 bytes per residue (4 per leaf for its position, 4 for its
+parent, 12 per internal node).  ``tests/image_oracle.py`` keeps the walk over
+an object tree this replaced, and the test-suite holds the two to the same
+bytes.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from repro.storage.layout import (
     VALUE_MASK,
 )
 from repro.suffixtree.cursor import SuffixTreeCursor
-from repro.suffixtree.partitioned import PartitionedTreeBuilder
+from repro.suffixtree.generalized import sorted_suffixes
 
 PathLike = Union[str, os.PathLike]
 
@@ -53,15 +54,11 @@ def build_disk_image(
     source: Union[SequenceDatabase, SuffixTreeCursor],
     path: PathLike,
     block_size: int = BLOCK_SIZE_DEFAULT,
-    max_partition_size: Optional[int] = None,
 ) -> DiskLayout:
     """Write the suffix tree of a database to ``path`` in the Section 3.4 layout (format v2).
 
     ``source`` is the database, or any cursor over it (its ``.database`` is
     what is read; the image does not depend on how that cursor was built).
-    ``max_partition_size`` is the construction budget in suffixes per lexical
-    partition (``None``: :class:`~repro.suffixtree.PartitionedTreeBuilder`'s
-    default); it bounds the build's memory, never the bytes written.
 
     Returns the :class:`DiskLayout` header describing the image (the same
     header is stored in block 0 of the file, so the image is self-describing
@@ -73,9 +70,12 @@ def build_disk_image(
     if symbol_count > VALUE_MASK:
         raise ValueError(f"{symbol_count} symbols do not fit the image's 31-bit pointers")
 
-    partitions = PartitionedTreeBuilder(max_partition_size).sorted_partitions(database)
     sequence_ends = np.array(database.sequence_starts[1:] + [symbol_count])
-    internal_records, leaf_records = _level_order_records(*_flat_tree(partitions, sequence_ends))
+    # The sorted suffixes go straight into the call: their LCPs are let go
+    # before the record arrays are built.
+    internal_records, leaf_records = _level_order_records(
+        *_flat_tree(*sorted_suffixes(database), sequence_ends)
+    )
 
     layout = DiskLayout(
         block_size=block_size,
@@ -115,64 +115,61 @@ def build_disk_image(
 
 
 def _flat_tree(
-    partitions: Iterable[Tuple[np.ndarray, np.ndarray]], sequence_ends: np.ndarray
+    positions: np.ndarray, lcps: np.ndarray, sequence_ends: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The compact suffix tree of sorted suffixes, as five flat arrays.
 
-    ``partitions`` yields ``(positions, lcps)`` in lexical order, ``lcps[0]``
-    of each taken against the last suffix before it.  Returns ``(positions,
-    leaf_parent, node_depth, node_leftmost, node_parent)``: leaves are
-    numbered in sorted order, internal nodes in creation order (the root is
-    node 0, its own parent), and ``node_leftmost`` is the number of the
-    leftmost leaf below a node.
+    ``positions`` are the suffixes in lexical order and ``lcps[k]`` the
+    longest common prefix of ``positions[k]`` with the suffix before it.
+    Returns ``(positions, leaf_parent, node_depth, node_leftmost,
+    node_parent)``: leaves are numbered in sorted order, internal nodes in
+    creation order (the root is node 0, its own parent), and
+    ``node_leftmost`` is the number of the leftmost leaf below a node.
 
-    The stack is the rightmost path of the tree built so far and stays live
-    from one partition to the next.  A node's parent is final once the node
-    has left the path -- except that a later suffix may still split the arc
-    above the node popped last, which then hangs below the new node.
+    The stack is the rightmost path of the tree built so far.  A node's
+    parent is final once the node has left the path -- except that a later
+    suffix may still split the arc above the node popped last, which then
+    hangs below the new node.
     """
-    leaf_positions: List[np.ndarray] = []
+    lengths = sequence_ends[np.searchsorted(sequence_ends, positions, side="right")] - positions
+    if (lcps >= lengths).any():
+        raise ValueError(
+            "a suffix is a prefix of its predecessor; terminal symbols "
+            "must make all suffixes distinct"
+        )
+    del lengths
+    if len(lcps) and lcps[0] != 0:
+        raise ValueError("the first suffix of all must have LCP 0")
     leaf_parent = array("i")
     node_depth, node_leftmost, node_parent = array("i", [0]), array("i", [0]), array("i", [0])
     path_nodes, path_depths = [0], [0]
 
-    for positions, lcps in partitions:
-        lengths = sequence_ends[np.searchsorted(sequence_ends, positions, side="right")] - positions
-        if (lcps >= lengths).any():
-            raise ValueError(
-                "a suffix is a prefix of its predecessor; terminal symbols "
-                "must make all suffixes distinct"
-            )
-        if not leaf_parent and len(lcps) and lcps[0] != 0:
-            raise ValueError("the first suffix of all must have LCP 0")
-        leaf_positions.append(positions.astype(np.uint32))
-
-        for common in lcps.tolist():
-            popped = -1
-            while path_depths[-1] > common:
-                path_depths.pop()
-                popped = path_nodes.pop()
-            top = path_nodes[-1]
-            if path_depths[-1] < common:
-                # The split point falls inside the arc of what was popped last
-                # (the previous leaf when no node was): a new node takes over
-                # that child and its leftmost leaf.
-                new = len(node_depth)
-                node_depth.append(common)
-                node_parent.append(top)
-                if popped < 0:
-                    node_leftmost.append(len(leaf_parent) - 1)
-                    leaf_parent[-1] = new
-                else:
-                    node_leftmost.append(node_leftmost[popped])
-                    node_parent[popped] = new
-                path_nodes.append(new)
-                path_depths.append(common)
-                top = new
-            leaf_parent.append(top)
+    for common in lcps.tolist():
+        popped = -1
+        while path_depths[-1] > common:
+            path_depths.pop()
+            popped = path_nodes.pop()
+        top = path_nodes[-1]
+        if path_depths[-1] < common:
+            # The split point falls inside the arc of what was popped last
+            # (the previous leaf when no node was): a new node takes over
+            # that child and its leftmost leaf.
+            new = len(node_depth)
+            node_depth.append(common)
+            node_parent.append(top)
+            if popped < 0:
+                node_leftmost.append(len(leaf_parent) - 1)
+                leaf_parent[-1] = new
+            else:
+                node_leftmost.append(node_leftmost[popped])
+                node_parent[popped] = new
+            path_nodes.append(new)
+            path_depths.append(common)
+            top = new
+        leaf_parent.append(top)
 
     return (
-        np.concatenate(leaf_positions),
+        positions,
         np.frombuffer(leaf_parent, dtype=np.intc),
         np.frombuffer(node_depth, dtype=np.intc),
         np.frombuffer(node_leftmost, dtype=np.intc),

@@ -9,7 +9,7 @@ databases in the hundreds of thousands to millions of symbols.
 
 The class implements :class:`repro.suffixtree.cursor.SuffixTreeCursor`, so the
 OASIS search can run on it directly.  (The disk image in :mod:`repro.storage`
-is built from the database, not from this tree.)
+is built from the same :func:`sorted_suffixes`, not from this tree.)
 """
 
 from __future__ import annotations
@@ -39,6 +39,23 @@ def construction_codes(database: SequenceDatabase) -> np.ndarray:
     return codes
 
 
+def sorted_suffixes(database: SequenceDatabase) -> Tuple[np.ndarray, np.ndarray]:
+    """``(positions, lcps)``: the database's suffixes in lexical order and their LCPs.
+
+    ``lcps[k]`` is the longest common prefix of the suffixes at
+    ``positions[k]`` and ``positions[k - 1]`` (``lcps[0]`` is 0).  Suffixes
+    that begin at a terminal carry no alignable content; terminals sort after
+    every residue, so they are the tail of the suffix array, and are left out.
+    Both trees -- :class:`GeneralizedSuffixTree` and the disk image -- are
+    built from these two arrays.
+    """
+    database.freeze()
+    text = construction_codes(database)
+    suffix_array = build_suffix_array(text)
+    kept = database.total_symbols
+    return suffix_array[:kept], build_lcp_array(text, suffix_array)[:kept]
+
+
 class GeneralizedSuffixTree(SuffixTreeCursor):
     """A generalized suffix tree over all sequences of a database.
 
@@ -66,8 +83,7 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
     @classmethod
     def build(cls, database: SequenceDatabase) -> "GeneralizedSuffixTree":
         """Build the tree for every suffix of every sequence in ``database``."""
-        database.freeze()
-        text = construction_codes(database)
+        positions, lcps = sorted_suffixes(database)
         # suffix_end[p]: one past the terminal of the sequence holding p;
         # sequence_of[p]: that sequence's index.
         starts = np.array(database.sequence_starts)
@@ -76,17 +92,9 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         suffix_end = np.repeat(ends, lengths)
         sequence_of = np.repeat(np.arange(len(database)), lengths)
 
-        # Suffixes that begin at a terminal symbol carry no alignable content;
-        # terminals sort after every real symbol, so they form a contiguous
-        # tail of the suffix array that we simply drop.
-        suffix_array = build_suffix_array(text)
-        kept = database.total_symbols
-        kept_positions = suffix_array[:kept]
-        kept_lcp = build_lcp_array(text, suffix_array)[:kept]
-
         root = build_tree_from_suffix_array(
-            kept_positions.tolist(),
-            kept_lcp.tolist(),
+            positions.tolist(),
+            lcps.tolist(),
             suffix_end_of=lambda position: int(suffix_end[position]),
             sequence_index_of=lambda position: int(sequence_of[position]),
         )

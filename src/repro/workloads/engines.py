@@ -24,7 +24,7 @@ from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
 from repro.core.request import SearchRequest
 from repro.core.results import SearchResult
-from repro.scoring.gaps import FixedGapModel, GapModel
+from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
 
@@ -108,7 +108,7 @@ class SmithWatermanAdapter(EngineAdapter):
         self,
         database: SequenceDatabase,
         matrix: SubstitutionMatrix,
-        gap_model: GapModel = FixedGapModel(-8),
+        gap_model: GapModel = DEFAULT_GAP_MODEL,
         evalue: Optional[float] = 20_000.0,
         min_score: Optional[int] = None,
         converter: Optional[SelectivityConverter] = None,
@@ -148,7 +148,7 @@ class BlastAdapter(EngineAdapter):
         self,
         database: SequenceDatabase,
         matrix: SubstitutionMatrix,
-        gap_model: GapModel = FixedGapModel(-8),
+        gap_model: GapModel = DEFAULT_GAP_MODEL,
         evalue: float = 20_000.0,
         parameters: BlastParameters = BlastParameters(),
         converter: Optional[SelectivityConverter] = None,

@@ -5,6 +5,9 @@ Until the image was built straight from sorted suffixes and LCPs
 objects *was* the builder: one level-order walk numbers the internal nodes and
 lays out the leaf records.  It is kept here, unchanged, as the independent
 implementation the flat builder is compared against, byte for byte.
+
+Both builders share one suffix sorter, so that sorter is held to the naive
+sort and the direct LCP comparison below.
 """
 
 from __future__ import annotations
@@ -27,6 +30,30 @@ from repro.suffixtree.generalized import GeneralizedSuffixTree
 from repro.suffixtree.nodes import InternalNode, LeafNode
 
 PathLike = Union[str, os.PathLike]
+
+
+def naive_suffix_array(codes) -> List[int]:
+    """Start positions of the suffixes of ``codes``, sorted by comparing them whole."""
+    codes = np.asarray(codes).tolist()
+    return sorted(range(len(codes)), key=lambda position: codes[position:])
+
+
+def longest_common_prefix(codes, i: int, j: int, limit=None) -> int:
+    """Direct (non-amortised) LCP of the suffixes starting at ``i`` and ``j``: the reference."""
+    bound = len(codes) - max(i, j)
+    if limit is not None:
+        bound = min(bound, limit)
+    length = 0
+    while length < bound and codes[i + length] == codes[j + length]:
+        length += 1
+    return length
+
+
+def naive_lcp(codes, sa) -> List[int]:
+    """LCP of each suffix of ``sa`` with the one before it, one symbol at a time."""
+    codes = np.asarray(codes).tolist()
+    pairs = zip(sa[1:], sa[:-1])
+    return [0] + [longest_common_prefix(codes, int(i), int(j)) for i, j in pairs]
 
 
 def write_image_from_object_tree(

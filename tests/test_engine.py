@@ -20,19 +20,19 @@ class TestEngineConstruction:
         assert isinstance(engine.cursor, GeneralizedSuffixTree)
         assert engine.database is small_protein_database
 
-    def test_build_partitioned_gives_same_results(
+    def test_disk_image_gives_same_results(
         self, tmp_path, small_protein_database, pam30_matrix, gap8
     ):
         direct = OasisEngine.build(small_protein_database, matrix=pam30_matrix, gap_model=gap8)
-        image = tmp_path / "partitioned.oasis"
-        build_disk_image(small_protein_database, image, block_size=512, max_partition_size=25)
+        image = tmp_path / "index.oasis"
+        build_disk_image(small_protein_database, image, block_size=512)
         with OasisEngine(
             DiskSuffixTree(image, small_protein_database), pam30_matrix, gap8
-        ) as partitioned:
+        ) as on_disk:
             query = "WKDDGNGYISAAE"
             assert (
                 direct.search(query, min_score=20).scores_by_sequence()
-                == partitioned.search(query, min_score=20).scores_by_sequence()
+                == on_disk.search(query, min_score=20).scores_by_sequence()
             )
 
     def test_build_on_disk(self, tmp_path, small_protein_database, pam30_matrix, gap8):

@@ -2,9 +2,9 @@
 
 Each driver must run, produce rows, render a table, and exhibit the structural
 properties the paper's figures rely on (e.g. OASIS agreeing with S-W, hit
-ratios increasing with the pool size).  Absolute numbers are not asserted --
-the tiny scale exists to keep the test-suite fast, and EXPERIMENTS.md records
-the small/medium-scale results.
+ratios increasing with the pool size).  Absolute numbers are not asserted:
+the tiny scale exists to keep the test-suite fast, and ``benchmarks/`` prints
+the small/medium-scale results (README, "Tests and benchmarks").
 """
 
 import pytest

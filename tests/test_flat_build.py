@@ -87,12 +87,9 @@ class TestRefusals:
     def test_a_suffix_that_is_a_prefix_of_its_predecessor(self):
         # "AC$" after "ACG$" with an LCP of 3: only possible when the
         # terminals were not told apart, which the builder must not swallow.
-        partitions = [(np.array([0, 4]), np.array([0, 3]))]
         with pytest.raises(ValueError, match="prefix of its predecessor"):
-            builder_module._flat_tree(partitions, sequence_ends=np.array([4, 7]))
+            builder_module._flat_tree(np.array([0, 4]), np.array([0, 3]), np.array([4, 7]))
 
     def test_a_first_suffix_with_a_nonzero_lcp(self):
         with pytest.raises(ValueError, match="LCP 0"):
-            builder_module._flat_tree(
-                [(np.array([0]), np.array([1]))], sequence_ends=np.array([4])
-            )
+            builder_module._flat_tree(np.array([0]), np.array([1]), np.array([4]))

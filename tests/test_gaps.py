@@ -1,8 +1,10 @@
 """Unit tests for repro.scoring.gaps."""
 
+import inspect
+
 import pytest
 
-from repro.scoring.gaps import AffineGapModel, FixedGapModel
+from repro.scoring.gaps import DEFAULT_GAP_MODEL, AffineGapModel, FixedGapModel
 
 
 class TestFixedGapModel:
@@ -67,3 +69,45 @@ class TestAffineGapModel:
         assert affine.cost(10) > fixed.cost(10)
         # For a single-symbol gap the affine model costs more.
         assert affine.cost(1) < fixed.cost(1)
+
+
+def _callables_with_a_default_gap():
+    from repro.baselines.blast import BlastLikeSearch
+    from repro.baselines.needleman_wunsch import NeedlemanWunschAligner
+    from repro.baselines.smith_waterman import SmithWatermanAligner
+    from repro.core.engine import OasisEngine
+    from repro.core.oasis import OasisSearch
+    from repro.sharding.builder import ShardedIndexBuilder
+    from repro.sharding.engine import ShardedEngine
+    from repro.workloads.engines import BlastAdapter, SmithWatermanAdapter
+
+    return {
+        "OasisEngine": OasisEngine.__init__,
+        "OasisEngine.build": OasisEngine.build,
+        "OasisEngine.build_on_disk": OasisEngine.build_on_disk,
+        "OasisSearch": OasisSearch.__init__,
+        "ShardedIndexBuilder": ShardedIndexBuilder.__init__,
+        "ShardedEngine": ShardedEngine.__init__,
+        "ShardedEngine.build": ShardedEngine.build,
+        "ShardedEngine.build_on_disk": ShardedEngine.build_on_disk,
+        "SmithWatermanAligner": SmithWatermanAligner.__init__,
+        "NeedlemanWunschAligner": NeedlemanWunschAligner.__init__,
+        "BlastLikeSearch": BlastLikeSearch.__init__,
+        "SmithWatermanAdapter": SmithWatermanAdapter.__init__,
+        "BlastAdapter": BlastAdapter.__init__,
+    }
+
+
+class TestDefaultGapModel:
+    """One default gap: every signature that takes a gap model defaults to the same one."""
+
+    def test_is_the_cli_default(self):
+        from repro.cli import DEFAULT_GAP
+
+        assert DEFAULT_GAP_MODEL == FixedGapModel(-8)
+        assert DEFAULT_GAP == DEFAULT_GAP_MODEL.per_symbol
+
+    @pytest.mark.parametrize("name", sorted(_callables_with_a_default_gap()))
+    def test_every_signature_defaults_to_it(self, name):
+        signature = inspect.signature(_callables_with_a_default_gap()[name])
+        assert signature.parameters["gap_model"].default is DEFAULT_GAP_MODEL

@@ -4,9 +4,9 @@
 LCPs without ever making a node; ``tests/image_oracle.py`` is the builder it
 replaced, a level-order walk over ``InternalNode`` / ``LeafNode`` objects.
 The two share nothing past the suffix array, so every database here must come
-out as the *same file* from both -- at block sizes where runs straddle pages
-(72) and where they never do (2048), and at every construction budget: one
-suffix per partition, a handful, and the whole text at once.
+out as the *same file* from both, at block sizes where runs straddle pages
+(72) and where they never do (2048).  What they do share, ``sorted_suffixes``,
+is held to a naive sort of the construction codes on the same databases.
 
 The stack pass has few ways to go wrong and they all show on small inputs, so
 the shapes that reach them are spelled out next to the random databases: one
@@ -21,14 +21,17 @@ bounded in tier-1, ``HYPOTHESIS_PROFILE=ci`` for the larger CI run.
 import pytest
 from hypothesis import given, strategies as st
 
-from image_oracle import write_image_from_object_tree
+from image_oracle import naive_lcp, naive_suffix_array, write_image_from_object_tree
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
-from repro.suffixtree.generalized import GeneralizedSuffixTree
+from repro.suffixtree.generalized import (
+    GeneralizedSuffixTree,
+    construction_codes,
+    sorted_suffixes,
+)
 
 BLOCK_SIZES = (72, 256, 2048)
-BUDGETS = (1, 7, 50_000)
 
 protein_text = st.text(alphabet="ARNDCQEGHILKMFPSTWYV", min_size=1, max_size=60)
 dna_text = st.text(alphabet="ACGT", min_size=1, max_size=120)
@@ -81,16 +84,16 @@ def oracle(database, path, block_size):
 
 def check(directory, texts, alphabet, block_size):
     expected = image_bytes(oracle, texts, alphabet, directory / "oracle.oasis", block_size=block_size)
-    for budget in BUDGETS:
-        built = image_bytes(
-            build_disk_image,
-            texts,
-            alphabet,
-            directory / f"flat-{budget}.oasis",
-            block_size=block_size,
-            max_partition_size=budget,
-        )
-        assert built == expected, (texts, block_size, budget)
+    built = image_bytes(
+        build_disk_image, texts, alphabet, directory / "flat.oasis", block_size=block_size
+    )
+    assert built == expected, (texts, block_size)
+    database = SequenceDatabase.from_texts(texts, alphabet=alphabet)
+    positions, lcps = sorted_suffixes(database)
+    text = construction_codes(database)
+    naive = naive_suffix_array(text)[: database.total_symbols]
+    assert positions.tolist() == naive, texts
+    assert lcps.tolist() == naive_lcp(text, naive), texts
 
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)

@@ -482,7 +482,9 @@ class TestKernelSelection:
 
     def test_statistics_record_the_kernel(self):
         database, queries = protein_dataset(5)
-        engine = OasisEngine.build(database, matrix=pam30(), kernel="reference")
+        engine = OasisEngine.build(
+            database, matrix=pam30(), gap_model=FixedGapModel(-1), kernel="reference"
+        )
         result = engine.search(queries[0], evalue=1_000.0)
         assert engine.kernel == "reference"
         assert result.statistics.kernel == "reference"

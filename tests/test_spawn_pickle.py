@@ -122,14 +122,12 @@ class TestShardBuildTask:
             image_name="shard-000.oasis",
             sub_database=database,
             block_size=512,
-            max_partition_size=10_000,
         )
         qualname, returned = roundtrip(spawn_backend, task)
         assert qualname == "repro.sharding.remote.ShardBuildTask"
         assert returned.directory == task.directory
         assert returned.image_name == task.image_name
         assert returned.block_size == task.block_size
-        assert returned.max_partition_size == task.max_partition_size
         back = returned.sub_database
         assert back.name == "mini"
         assert len(back) == len(database)

@@ -1,38 +1,18 @@
-"""Unit tests for repro.suffixtree.suffix_array."""
+"""Unit tests for repro.suffixtree.suffix_array, the one suffix sorter."""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import repro.suffixtree.suffix_array as suffix_array_module
+from image_oracle import longest_common_prefix, naive_lcp, naive_suffix_array
 from repro.suffixtree.suffix_array import (
-    adjacent_lcps,
     build_lcp_array,
     build_suffix_array,
-    sort_suffixes,
     verify_suffix_array,
 )
-
-
-def naive_suffix_array(codes):
-    suffixes = [(tuple(codes[i:]), i) for i in range(len(codes))]
-    return [position for _, position in sorted(suffixes)]
-
-
-def longest_common_prefix(codes, i, j, limit=None):
-    """Direct (non-amortised) LCP of the suffixes starting at ``i`` and ``j``: the reference."""
-    bound = len(codes) - max(i, j)
-    if limit is not None:
-        bound = min(bound, limit)
-    length = 0
-    while length < bound and codes[i + length] == codes[j + length]:
-        length += 1
-    return length
-
-
-def naive_lcp(codes, sa):
-    pairs = zip(sa[1:], sa[:-1])
-    return [0] + [longest_common_prefix(codes, int(i), int(j)) for i, j in pairs]
 
 
 class TestSuffixArray:
@@ -73,6 +53,9 @@ class TestSuffixArray:
         too_long = np.broadcast_to(np.uint8(0), (last + 1,))
         with pytest.raises(ValueError, match="does not fit an int64"):
             build_suffix_array(too_long)
+
+    def test_positions_are_int32(self):
+        assert build_suffix_array(np.array([2, 0, 1])).dtype == np.int32
 
     def test_verify_rejects_wrong_order(self):
         codes = np.array([0, 1, 0, 1], dtype=np.int64)
@@ -122,62 +105,123 @@ class TestLcpArray:
         # Two copies of one sequence: copy 1's suffix i and copy 2's share
         # everything up to the terminal, and sit next to each other.
         rng = random.Random(11)
-        half = [rng.randint(0, 3) for _ in range(4_000)]
+        half = [rng.randint(0, 3) for _ in range(2_000)]
         codes = np.array(half + [4] + half + [5], dtype=np.int32)
         sa = build_suffix_array(codes)
+        assert verify_suffix_array(codes, sa)
         lcps = build_lcp_array(codes, sa)
-        assert sorted(lcps.tolist())[-3_900:] == list(range(101, 4_001))
-        assert lcps.tolist() == adjacent_lcps(codes, sa).tolist()
+        assert sorted(lcps.tolist())[-1_900:] == list(range(101, 2_001))
+        assert lcps.tolist() == naive_lcp(codes, sa)
 
 
-class TestSuffixSubsets:
-    """Sorting and LCPs of a subset of the suffixes (one lexical partition)."""
+# Inputs that stress the doubling rounds: long runs of ties, and splits that
+# come late.  Each text is a list of codes.
+homopolymers = st.builds(
+    lambda length, tail: [0] * length + tail,
+    st.integers(1, 300),
+    st.lists(st.integers(0, 2), max_size=3),
+)
+period_repeats = st.builds(
+    lambda period, copies, tail: period * copies + tail,
+    st.lists(st.integers(0, 3), min_size=1, max_size=6),
+    st.integers(1, 60),
+    st.lists(st.integers(0, 3), max_size=4),
+)
 
-    @staticmethod
-    def text(rng, alphabet_size):
-        # A unique last symbol makes every suffix distinct, as terminals do.
-        body = [rng.randint(0, alphabet_size - 1) for _ in range(rng.randint(1, 150))]
-        return np.array(body + [alphabet_size], dtype=np.int32)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_sort_suffixes_is_the_suffix_array_restricted(self, seed):
-        rng = random.Random(200 + seed)
-        codes = self.text(rng, rng.randint(1, 4))
-        chosen = sorted(rng.sample(range(len(codes)), rng.randint(1, len(codes))))
-        suffix_array = build_suffix_array(codes).tolist()
-        expected = [position for position in suffix_array if position in set(chosen)]
-        assert sort_suffixes(codes, np.array(chosen), int(codes.max()) + 1).tolist() == expected
+@st.composite
+def duplicated_sequences(draw):
+    """Sequences, some repeated outright, each ended by its own terminal code."""
+    sequence = st.lists(st.integers(0, 3), min_size=1, max_size=60)
+    sequences = draw(st.lists(sequence, min_size=1, max_size=5))
+    sequences += draw(st.lists(st.sampled_from(sequences), min_size=1, max_size=3))
+    codes = []
+    for terminal, sequence in enumerate(sequences, start=4):
+        codes += sequence + [terminal]
+    return codes
 
-    def test_sort_suffixes_many_symbols_per_key(self):
-        # A large symbol range leaves room for few symbols per packed key.
-        rng = random.Random(7)
-        codes = np.array([rng.choice([0, 1, 10**6]) for _ in range(80)] + [10**6 + 1])
-        positions = np.arange(len(codes))
-        ordered = sort_suffixes(codes, positions, 10**6 + 2)
-        assert ordered.tolist() == build_suffix_array(codes).tolist()
 
-    def test_sort_suffixes_refuses_identical_suffixes(self):
-        with pytest.raises(ValueError):
-            sort_suffixes(np.array([0, 0, 1]), np.array([0, 0]), 2)
+def check_against_naive(codes):
+    codes = np.array(codes, dtype=np.int64)
+    sa = build_suffix_array(codes)
+    assert sa.tolist() == naive_suffix_array(codes)
+    assert build_lcp_array(codes, sa).tolist() == naive_lcp(codes, sa)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_adjacent_lcps_with_and_without_a_predecessor(self, seed):
-        rng = random.Random(300 + seed)
-        codes = self.text(rng, 2)
-        chosen = np.array(sorted(rng.sample(range(len(codes)), 1 + len(codes) // 2)))
-        ordered = sort_suffixes(codes, chosen, 3)
-        expected = [0] + [
-            longest_common_prefix(codes, int(a), int(b)) for a, b in zip(ordered[1:], ordered[:-1])
-        ]
-        assert adjacent_lcps(codes, ordered).tolist() == expected
-        # Cut anywhere: the second piece's first LCP is taken across the cut.
-        cut = len(ordered) // 2
-        if cut:
-            tail = adjacent_lcps(codes, ordered[cut:], predecessor=int(ordered[cut - 1]))
-            assert tail.tolist() == expected[cut:]
 
-    def test_adjacent_lcps_of_nothing(self):
-        assert adjacent_lcps(np.array([0, 1]), np.array([], dtype=np.int64)).tolist() == []
+def fibonacci_word(length):
+    shorter, word = [0], [0, 1]
+    while len(word) < length:
+        shorter, word = word, word + shorter
+    return word[:length]
+
+
+def thue_morse(length):
+    return [bin(k).count("1") % 2 for k in range(length)]
+
+
+HAND_MADE_TEXTS = {
+    "one symbol": [3],
+    "two equal symbols": [1, 1],
+    "ascending": list(range(40)),
+    "descending": list(range(40, 0, -1)),
+    # Texts whose suffixes share long, overlapping repeats: the classic hard
+    # cases for a sort by prefixes.
+    "fibonacci word": fibonacci_word(300),
+    "thue-morse": thue_morse(256),
+    "run before a larger symbol": [0] * 100 + [1] + [0] * 99,
+    "tie only the last symbol breaks": [2, 0, 1] * 50 + [2, 0, 2],
+}
+
+
+class TestOneSorter:
+    """``build_suffix_array`` + ``build_lcp_array`` against the naive sort, on repeats."""
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE_TEXTS))
+    def test_hand_made_texts(self, case):
+        check_against_naive(HAND_MADE_TEXTS[case])
+
+    @given(codes=homopolymers)
+    def test_homopolymers(self, codes):
+        check_against_naive(codes)
+
+    @given(codes=period_repeats)
+    def test_period_repeats(self, codes):
+        check_against_naive(codes)
+
+    @given(codes=duplicated_sequences())
+    def test_duplicated_sequences_with_distinct_terminals(self, codes):
+        check_against_naive(codes)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @given(
+        codes=st.one_of(
+            st.lists(st.integers(0, 10**5), min_size=1, max_size=80),
+            period_repeats.map(lambda codes: [code * 10**4 for code in codes]),
+        )
+    )
+    def test_many_distinct_codes(self, width, codes):
+        # So many distinct codes that one int64 holds one or two of them: a
+        # text with that many (over two million) is too large for a unit
+        # test, so the width is forced.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(suffix_array_module, "_key_width", lambda base, n: min(width, n))
+            check_against_naive(codes)
+
+    @pytest.mark.parametrize(
+        "base, n, width",
+        [
+            (2, 10**6, 62),  # one symbol: 2 ** 62 < 2 ** 63 - 1 < 2 ** 63
+            (6, 10**6, 24),  # DNA and two terminals
+            (4_617, 10**6, 5),  # protein and about 4 600 terminals
+            (2**21 + 1, 10**6, 2),
+            (2**32, 10**6, 1),
+            (6, 7, 7),  # never wider than the text
+        ],
+    )
+    def test_key_width(self, base, n, width):
+        assert suffix_array_module._key_width(base, n) == width
+        assert base**width <= 2**63 - 1
+        assert width == n or base ** (width + 1) > 2**63 - 1
 
 
 class TestLongestCommonPrefix:
