@@ -241,7 +241,7 @@ class BlastLikeSearch:
     # ------------------------------------------------------------------ #
     # Seeding
     # ------------------------------------------------------------------ #
-    def _find_seeds(self, query_codes: np.ndarray) -> List[Tuple[int, int]]:
+    def _find_seeds(self, query_codes: bytes) -> List[Tuple[int, int]]:
         """All (query offset, database position) word hits."""
         w = self.parameters.word_size
         seeds: List[Tuple[int, int]] = []
@@ -254,9 +254,8 @@ class BlastLikeSearch:
                 positions = self._word_index.get(neighbor)
                 if positions is None and w != self.parameters.word_size:
                     # Single-symbol fallback: scan the concatenation directly.
-                    positions = np.flatnonzero(
-                        self.database.concatenated_codes == neighbor[0]
-                    )
+                    codes = np.frombuffer(self.database.concatenated_codes, dtype=np.uint8)
+                    positions = np.flatnonzero(codes == neighbor[0])
                 if positions is None:
                     continue
                 seeds.extend((query_offset, int(p)) for p in positions)
@@ -266,7 +265,7 @@ class BlastLikeSearch:
     # Extension
     # ------------------------------------------------------------------ #
     def _extend_seeds(
-        self, query_codes: np.ndarray, seeds: List[Tuple[int, int]]
+        self, query_codes: bytes, seeds: List[Tuple[int, int]]
     ) -> Dict[int, int]:
         """Ungapped then gapped extension; returns best score per sequence."""
         best: Dict[int, int] = {}
@@ -301,8 +300,8 @@ class BlastLikeSearch:
 
     def _ungapped_extension(
         self,
-        query_codes: np.ndarray,
-        target_codes: np.ndarray,
+        query_codes: bytes,
+        target_codes: bytes,
         query_offset: int,
         target_offset: int,
     ) -> Tuple[int, int]:
@@ -346,7 +345,7 @@ class BlastLikeSearch:
         return max(best, left_best), best_anchor
 
     def _gapped_extension(
-        self, query_codes: np.ndarray, target_codes: np.ndarray, anchor: int
+        self, query_codes: bytes, target_codes: bytes, anchor: int
     ) -> int:
         """Banded Smith-Waterman in a window around the seed anchor."""
         margin = self.parameters.window_margin
@@ -356,12 +355,13 @@ class BlastLikeSearch:
 
         gap = self.gap_model.per_symbol
         lookup = self.matrix.lookup
+        query = np.frombuffer(query_codes, dtype=np.uint8)
         m = len(query_codes)
         offsets = gap * np.arange(m + 1, dtype=np.int64)
         column = np.zeros(m + 1, dtype=np.int64)
         best = 0
         for symbol in window:
-            substitution = lookup[query_codes, int(symbol)].astype(np.int64)
+            substitution = lookup[query, symbol].astype(np.int64)
             candidate = np.maximum(column + gap, 0)
             candidate[1:] = np.maximum(candidate[1:], column[:-1] + substitution)
             column = np.maximum.accumulate(candidate - offsets) + offsets

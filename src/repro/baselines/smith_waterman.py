@@ -136,7 +136,8 @@ class SmithWatermanAligner:
         query_codes = query.codes
         m = len(query_codes)
         # Per-symbol substitution profile: profile[t][i-1] = S(q_i, t).
-        profile = np.ascontiguousarray(self.matrix.lookup[query_codes, :].T.astype(np.int64))
+        query_array = np.frombuffer(query_codes, dtype=np.uint8)
+        profile = np.ascontiguousarray(self.matrix.lookup[query_array, :].T.astype(np.int64))
         codes = database.concatenated_codes
         terminal = database.alphabet.terminal_code
 
@@ -216,8 +217,8 @@ class SmithWatermanAligner:
     # ------------------------------------------------------------------ #
     def _fill_matrix_fixed(
         self,
-        query_codes: np.ndarray,
-        target_codes: np.ndarray,
+        query_codes: bytes,
+        target_codes: bytes,
         keep_moves: bool = False,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         gap = self.gap_model.per_symbol
@@ -288,14 +289,14 @@ class SmithWatermanAligner:
     # Affine-gap internals (reference implementation; extension to the paper)
     # ------------------------------------------------------------------ #
     def _best_score_affine(
-        self, query_codes: np.ndarray, target_codes: np.ndarray
+        self, query_codes: bytes, target_codes: bytes
     ) -> Tuple[int, int]:
         h, _, _ = self._fill_matrices_affine(query_codes, target_codes)
         position = int(np.argmax(h))
         return int(h.flat[position]), position % (len(target_codes) + 1) - 1
 
     def _fill_matrices_affine(
-        self, query_codes: np.ndarray, target_codes: np.ndarray
+        self, query_codes: bytes, target_codes: bytes
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         open_penalty = self.gap_model.opening
         extend = self.gap_model.per_symbol

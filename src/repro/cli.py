@@ -45,7 +45,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.core.engine import OasisEngine
 from repro.core.request import SearchRequest
 from repro.scoring.data import available_matrices, load_matrix
 from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel
@@ -340,8 +339,10 @@ def _parse_kernel_arg(name: Optional[str]) -> Optional[str]:
 def _build_search_engine(args: argparse.Namespace):
     """Resolve --index / --shards / --database into a ready-to-search engine.
 
-    The sharding layer is imported on the branches that build a sharded
-    engine; a plain ``--database`` search never loads it.
+    Each branch imports the engine it builds: the sharding layer on the
+    sharded ones (a plain ``--database`` search never loads it), the
+    in-memory engine and its tree builder on ``--database`` only (an
+    ``--index`` search loads neither the builder nor NumPy).
     """
     backend = _parse_backend_arg(args.backend)
     kernel = _parse_kernel_arg(args.kernel)
@@ -403,6 +404,8 @@ def _build_search_engine(args: argparse.Namespace):
             "--backend selects the scatter strategy of a sharded engine; "
             "combine it with --shards N or --index DIR"
         )
+    from repro.core.engine import OasisEngine
+
     return OasisEngine.build(database, matrix=matrix, gap_model=gap_model, kernel=kernel)
 
 

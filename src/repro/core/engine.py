@@ -35,7 +35,6 @@ from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.cursor import SuffixTreeCursor
-from repro.suffixtree.generalized import GeneralizedSuffixTree
 
 PathLike = Union[str, os.PathLike]
 
@@ -73,7 +72,13 @@ class OasisEngine(SearchSurface):
         gap_model: GapModel = DEFAULT_GAP_MODEL,
         kernel=None,
     ) -> "OasisEngine":
-        """Build an in-memory suffix-tree index and wrap it in an engine."""
+        """Build an in-memory suffix-tree index and wrap it in an engine.
+
+        The tree builder is imported here, so opening a disk index never
+        loads it.
+        """
+        from repro.suffixtree.generalized import GeneralizedSuffixTree
+
         logger.info(
             "building in-memory index for %s (%d sequences)", database.name, len(database)
         )

@@ -29,17 +29,19 @@ form of the algorithm, :func:`expand_arc_reference`: one NumPy column of
 running-maximum transform.  It is the oracle the production kernel in
 :mod:`repro.core.kernels` is gated against cell for cell, and the path that
 runs whenever a pruning rule is switched off or per-rule counts are tracked
-(columns are dense by construction then).
+(columns are dense by construction then).  The dense forms import NumPy
+where they run, so a search on the live-cell kernel never loads it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.search_node import NodeState, PRUNED, SearchNode
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    import numpy as np
 
 #: Closes every limit list: one row past the last, above any score.
 _NO_SCORE_ABOVE = -PRUNED
@@ -51,17 +53,22 @@ class ExpansionContext:
     One context belongs to one :class:`~repro.core.oasis.QueryExecution`:
     kernels are stateless and shared between concurrent executions, so
     everything a kernel reads or counts per query lives here.  Construction
-    stores its arguments and nothing else; the array and list forms the two
+    stores its arguments and nothing else; the list and array forms the two
     kernels read are derived on first use, so a query that never expands a
     node (or a shard that holds nothing for it) pays for none of them.
+
+    ``query_codes`` are the query's symbol codes (``bytes`` or any sequence
+    of ints), ``score_rows`` the substitution table as one list of scores per
+    code (:attr:`SubstitutionMatrix.rows
+    <repro.scoring.matrix.SubstitutionMatrix.rows>`).
     """
 
     def __init__(
         self,
-        query_codes: np.ndarray,
-        score_lookup: np.ndarray,
+        query_codes: Sequence[int],
+        score_rows: Sequence[Sequence[int]],
         gap_penalty: int,
-        heuristic: np.ndarray,
+        heuristic: Sequence[int],
         min_score: int,
         prune_non_positive: bool = True,
         prune_dominated: bool = True,
@@ -72,12 +79,12 @@ class ExpansionContext:
             raise ValueError("min_score must be at least 1")
         if gap_penalty >= 0:
             raise ValueError("the gap penalty must be negative")
-        self.query_codes = np.asarray(query_codes)
-        self.score_lookup = score_lookup
+        self.query_codes = query_codes
+        self.score_rows = score_rows
         self.gap_penalty = int(gap_penalty)
-        #: ``h`` of Section 3.1: non-increasing, ``h[m] == 0`` (see
-        #: :func:`~repro.core.heuristic.compute_heuristic_vector`).
-        self.heuristic = np.asarray(heuristic, dtype=np.int64)
+        #: ``h`` of Section 3.1 as Python ints: non-increasing, ``h[m] == 0``
+        #: (see :func:`~repro.core.heuristic.compute_heuristic_vector`).
+        self.heuristic: List[int] = [int(bound) for bound in heuristic]
         self.min_score = int(min_score)
         self.query_length = len(self.query_codes)
         #: Rule switches (all on by default; the ablation benchmark turns
@@ -114,29 +121,36 @@ class ExpansionContext:
     # Derived forms, built on first use
     # ------------------------------------------------------------------ #
     @cached_property
-    def profile(self) -> np.ndarray:
-        """Per-symbol substitution profile: ``profile[t][i-1] = S(q_i, t)``.
+    def profile_rows(self) -> List[List[int]]:
+        """Per-symbol substitution profile: ``profile_rows[t][i-1] = S(q_i, t)``.
 
         Precomputing it once per query turns the per-column score lookup
         into a plain row read.
         """
-        return np.ascontiguousarray(self.score_lookup[self.query_codes, :].T.astype(np.int64))
+        query_rows = [self.score_rows[code] for code in self.query_codes]
+        return [[row[symbol] for row in query_rows] for symbol in range(len(self.score_rows))]
 
     @cached_property
-    def offsets(self) -> np.ndarray:
+    def profile(self) -> "np.ndarray":
+        """:attr:`profile_rows` as an ``int64`` array (the dense form)."""
+        import numpy as np
+
+        return np.array(self.profile_rows, dtype=np.int64).reshape(len(self.score_rows), -1)
+
+    @cached_property
+    def heuristic_array(self) -> "np.ndarray":
+        """:attr:`heuristic` as an ``int64`` array (the dense form)."""
+        import numpy as np
+
+        return np.array(self.heuristic, dtype=np.int64)
+
+    @cached_property
+    def offsets(self) -> "np.ndarray":
         """``gap * i`` per row: the running-maximum resolution of the
         vertical dependency in the dense form."""
+        import numpy as np
+
         return self.gap_penalty * np.arange(self.query_length + 1, dtype=np.int64)
-
-    @cached_property
-    def profile_rows(self) -> List[List[int]]:
-        """:attr:`profile` as lists of Python ints (the live-cell kernel)."""
-        return self.profile.tolist()
-
-    @cached_property
-    def heuristic_list(self) -> List[int]:
-        """:attr:`heuristic` as a list of Python ints (the live-cell kernel)."""
-        return self.heuristic.tolist()
 
     def limit_for(self, cutoff: int) -> List[int]:
         """The fused prune limit ``max(0, cutoff - h)`` per row, cached per cutoff.
@@ -151,7 +165,7 @@ class ExpansionContext:
         limit = self._limits.get(cutoff)
         if limit is None:
             limit = self._limits[cutoff] = [
-                cutoff - bound if bound < cutoff else 0 for bound in self.heuristic_list
+                cutoff - bound if bound < cutoff else 0 for bound in self.heuristic
             ]
             limit.append(_NO_SCORE_ABOVE)
         return limit
@@ -160,16 +174,18 @@ class ExpansionContext:
         """The seed column of Algorithm 2, live cells only: a zero in every
         row from which the threshold is still within reach."""
         min_score = self.min_score
-        return [(row, 0) for row, bound in enumerate(self.heuristic_list) if bound >= min_score]
+        return [(row, 0) for row, bound in enumerate(self.heuristic) if bound >= min_score]
 
-    def dense_column(self, cells: List[Tuple[int, int]]) -> np.ndarray:
+    def dense_column(self, cells: List[Tuple[int, int]]) -> "np.ndarray":
         """Live cells as the ``m + 1`` array of the dense form, the rest pruned."""
+        import numpy as np
+
         column = np.full(self.query_length + 1, PRUNED, dtype=np.int64)
         for row, score in cells:
             column[row] = score
         return column
 
-    def make_root_column(self) -> np.ndarray:
+    def make_root_column(self) -> "np.ndarray":
         """:meth:`make_root_cells` in the dense form: zeros, pruned where hopeless."""
         return self.dense_column(self.make_root_cells())
 
@@ -208,8 +224,10 @@ def expand_arc_reference(
     SearchNode
         A new search node tagged VIABLE, ACCEPTED or UNVIABLE.
     """
+    import numpy as np
+
     gap = context.gap_penalty
-    heuristic = context.heuristic
+    heuristic = context.heuristic_array
     min_score = context.min_score
     profile = context.profile
     offsets = context.offsets
@@ -224,7 +242,7 @@ def expand_arc_reference(
     depth = parent.depth
 
     best_ending_here = PRUNED
-    final_column: Optional[np.ndarray] = None
+    final_column: Optional["np.ndarray"] = None
 
     for symbol in arc_symbols:
         depth += 1

@@ -15,27 +15,26 @@ them), hence the clamp at zero.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate
+from typing import Iterable, List
 
 from repro.scoring.matrix import SubstitutionMatrix
 
 
-def compute_heuristic_vector(query_codes: np.ndarray, matrix: SubstitutionMatrix) -> np.ndarray:
+def compute_heuristic_vector(query_codes: Iterable[int], matrix: SubstitutionMatrix) -> List[int]:
     """Return ``h`` of length ``m + 1``: best achievable score after position i.
 
     ``h[m]`` is 0 (nothing of the query remains); ``h[0]`` bounds the score of
     any alignment of the full query.
     """
-    query_codes = np.asarray(query_codes)
-    m = len(query_codes)
-    best_per_symbol = matrix.max_row_scores()[query_codes]
-    gains = np.maximum(best_per_symbol, 0).astype(np.int64)
-    heuristic = np.zeros(m + 1, dtype=np.int64)
-    # h[i] = h[i + 1] + gain of q_{i+1}; a reversed cumulative sum.
-    heuristic[:m] = gains[::-1].cumsum()[::-1]
+    best_per_symbol = matrix.max_row_scores()
+    gains = [max(best_per_symbol[code], 0) for code in query_codes]
+    # h[i] = h[i + 1] + gain of q_{i+1}; a reversed running sum.
+    heuristic = list(accumulate(reversed(gains), initial=0))
+    heuristic.reverse()
     return heuristic
 
 
-def maximum_possible_score(query_codes: np.ndarray, matrix: SubstitutionMatrix) -> int:
+def maximum_possible_score(query_codes: Iterable[int], matrix: SubstitutionMatrix) -> int:
     """The largest score any alignment of this query can achieve (``h[0]``)."""
-    return int(compute_heuristic_vector(query_codes, matrix)[0])
+    return compute_heuristic_vector(query_codes, matrix)[0]

@@ -201,7 +201,7 @@ def _expand_live(
     gap = context.gap_penalty
     min_score = context.min_score
     profile = context.profile_rows
-    heuristic = context.heuristic_list
+    heuristic = context.heuristic
     limit_for = context.limit_for
     parent_max = parent[5]
     parent_depth = parent[6]

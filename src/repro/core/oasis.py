@@ -24,6 +24,7 @@ alignment per database sequence, for every sequence whose best score reaches
 from __future__ import annotations
 
 import heapq
+import logging
 import threading
 import time
 from dataclasses import dataclass, fields
@@ -46,6 +47,16 @@ from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.sequence import Sequence
 from repro.suffixtree.cursor import SuffixTreeCursor
+
+# Plain stdlib logging under the "repro." hierarchy (see core.engine).
+logger = logging.getLogger(__name__)
+
+#: A query that expands more DP columns than this many per database residue
+#: is logged as a warning (never refused): a Smith-Waterman scan computes one
+#: column per residue.  With PAM30 and the default gap of -8, the benchmark's
+#: queries reach about 2 columns per residue in one tree and 3 per shard of a
+#: 4-shard index; at gap -1 or -2 most of them pass 4, some 20-70.
+_WARN_COLUMNS_PER_RESIDUE = 4
 
 
 @dataclass
@@ -224,7 +235,7 @@ class QueryExecution:
         self.heuristic = compute_heuristic_vector(self.query_sequence.codes, search.matrix)
         self.context = ExpansionContext(
             query_codes=self.query_sequence.codes,
-            score_lookup=search.matrix.lookup,
+            score_rows=search.matrix.rows,
             gap_penalty=search.gap_model.per_symbol,
             heuristic=self.heuristic,
             min_score=request.min_score,
@@ -337,7 +348,7 @@ class QueryExecution:
 
         try:
             # Algorithm 2: seed the queue with the root of the suffix tree.
-            root_bound = int(self.heuristic.max())
+            root_bound = max(self.heuristic)
             if root_bound < min_score:
                 # Even a perfect match cannot reach the threshold.
                 return
@@ -464,6 +475,20 @@ class QueryExecution:
         statistics.pruned_threshold = context.pruned_threshold
         if self._start_time is not None:
             statistics.elapsed_seconds = time.perf_counter() - self._start_time
+        residues = self.search.cursor.database.total_symbols
+        if statistics.columns_expanded > _WARN_COLUMNS_PER_RESIDUE * residues:
+            logger.warning(
+                "query of length %d expanded %d DP columns, over %d times the %d a "
+                "Smith-Waterman scan of the database computes (min_score %d, gap %d): "
+                "the pruning did not pay; a stronger gap penalty or a higher "
+                "threshold prunes more",
+                len(self.query_sequence),
+                statistics.columns_expanded,
+                _WARN_COLUMNS_PER_RESIDUE,
+                residues,
+                self.request.min_score,
+                self.search.gap_model.per_symbol,
+            )
         if self._pool_start is not None:
             pool_stats = self.search.cursor.pool.statistics  # type: ignore[attr-defined]
             start_hits, start_misses, start_evictions = self._pool_start

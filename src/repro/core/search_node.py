@@ -46,9 +46,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Union
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    import numpy as np
 
 #: Sentinel used for pruned alignment entries.  Large enough in magnitude to
 #: dominate any real score, small enough that adding substitution scores and
@@ -57,7 +58,7 @@ PRUNED = -(10**15)
 
 #: One DP column: sparse ``(row, score)`` survivors, dense array, or
 #: ``None`` once the node is finished and the column discarded.
-Column = Union[List[Tuple[int, int]], np.ndarray, None]
+Column = Union[List[Tuple[int, int]], "np.ndarray", None]
 
 #: ``(-f, accepted-first flag, counter, tree_node, column, max_score, depth)``.
 FrontierEntry = Tuple[int, int, int, Any, Column, int, int]

@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
-
-import numpy as np
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.scoring.matrix import SubstitutionMatrix
 
@@ -85,20 +83,20 @@ class KarlinAltschulParameters:
 
 def _background_vector(
     matrix: SubstitutionMatrix, frequencies: Optional[Mapping[str, float]]
-) -> np.ndarray:
-    """Background frequencies as a vector aligned with the alphabet codes."""
+) -> List[float]:
+    """Background frequencies as a list aligned with the alphabet codes."""
     n = len(matrix.alphabet)
     if frequencies is None:
-        return np.full(n, 1.0 / n)
-    vector = np.zeros(n)
+        return [1.0 / n] * n
+    vector = [0.0] * n
     for symbol, value in frequencies.items():
         if value < 0:
             raise ValueError(f"negative background frequency for {symbol!r}")
         vector[matrix.alphabet.code(symbol)] = value
-    total = vector.sum()
+    total = math.fsum(vector)
     if total <= 0:
         raise ValueError("background frequencies must sum to a positive value")
-    return vector / total
+    return [value / total for value in vector]
 
 
 def estimate_karlin_altschul(
@@ -122,23 +120,32 @@ def estimate_karlin_altschul(
     """
     freq = _background_vector(matrix, frequencies)
     n = len(matrix.alphabet)
-    scores = matrix.lookup[:n, :n].astype(float)
-    pair_probability = np.outer(freq, freq)
+    # Every sum below runs over symbol pairs, and a pair enters only through
+    # its score: group the pair probabilities p_i * p_j by score value once,
+    # so each evaluation of the characteristic function takes one exp per
+    # distinct score (a few dozen) instead of one per pair.
+    by_score: Dict[int, List[float]] = {}
+    for i in range(n):
+        row = matrix.rows[i]
+        for j in range(n):
+            by_score.setdefault(row[j], []).append(freq[i] * freq[j])
+    weights = [(score, math.fsum(probabilities)) for score, probabilities in by_score.items()]
 
-    expected = float((pair_probability * scores).sum())
+    expected = math.fsum(probability * score for score, probability in weights)
     if expected >= 0:
         raise KarlinAltschulError(
             f"matrix {matrix.name!r} has non-negative expected score ({expected:.3f}); "
             "local alignment statistics are undefined"
         )
-    if scores.max() <= 0:
+    if max(by_score) <= 0:
         raise KarlinAltschulError(
             f"matrix {matrix.name!r} has no positive score; no alignment can ever "
             "exceed a positive threshold"
         )
 
     def characteristic(lam: float) -> float:
-        return float((pair_probability * np.exp(lam * scores)).sum()) - 1.0
+        terms = (probability * math.exp(lam * score) for score, probability in weights)
+        return math.fsum(terms) - 1.0
 
     # The characteristic function is -something at 0+ (negative expectation)
     # and grows without bound, so a positive root exists.  Bracket it.
@@ -160,26 +167,24 @@ def estimate_karlin_altschul(
 
     # Relative entropy H = lambda * sum q_ij * s_ij with q_ij the aligned-pair
     # distribution implied by lambda.
-    q = pair_probability * np.exp(lam * scores)
-    q = q / q.sum()
-    h = float(lam * (q * scores).sum())
+    tilted = [(score, probability * math.exp(lam * score)) for score, probability in weights]
+    total = math.fsum(q for _, q in tilted)
+    h = lam * math.fsum(q * score for score, q in tilted) / total
 
     # K approximation: the rigorous computation requires the full generating
     # function machinery; the standard practical approximation
     # K ~= H / lambda * exp(-lambda * delta) with delta the score granularity
     # is accurate to within a small constant factor, which is sufficient here
     # because K enters the benchmarks identically for every engine.
-    delta = _score_granularity(scores)
+    delta = _score_granularity(by_score)
     k = max(1e-4, (h / lam) * math.exp(-lam * delta))
 
     return KarlinAltschulParameters(lambda_=lam, k=k, h=h)
 
 
-def _score_granularity(scores: np.ndarray) -> float:
+def _score_granularity(scores: Iterable[int]) -> float:
     """Greatest common divisor of the score values (their lattice spacing)."""
-    # math.gcd over every entry (zeros are neutral) rather than np.unique
-    # first: np.unique imports numpy.ma, ~10 ms on the cold path of a search.
-    gcd = math.gcd(*np.abs(scores.astype(int)).ravel().tolist())
+    gcd = math.gcd(*(abs(int(score)) for score in scores))
     return float(gcd) if gcd else 1.0
 
 

@@ -13,11 +13,18 @@ the gap model as an independent parameter.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
-import numpy as np
+from repro.sequences.alphabet import Alphabet
 
-from repro.sequences.alphabet import Alphabet, PROTEIN_ALPHABET
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    import numpy as np
+
+#: Score of any pair involving the terminal symbol: aligning anything
+#: against it is never allowed, and a strongly negative score keeps it out of
+#: every optimal alignment (a quarter of the ``int16`` minimum).
+TERMINAL_SCORE = -8192
 
 
 class SubstitutionMatrix:
@@ -50,7 +57,7 @@ class SubstitutionMatrix:
         self.default_mismatch = int(default_mismatch)
 
         size = alphabet.size_with_terminal
-        table = np.full((size, size), self.default_mismatch, dtype=np.int32)
+        rows = [[self.default_mismatch] * size for _ in range(size)]
 
         seen: Dict[Tuple[int, int], int] = {}
         for (a, b), value in scores.items():
@@ -63,36 +70,45 @@ class SubstitutionMatrix:
                         f"{seen[key]} vs {value}"
                     )
                 seen[key] = value
-            table[ca, cb] = value
-            table[cb, ca] = value
+            rows[ca][cb] = value
+            rows[cb][ca] = value
 
-        # Aligning anything against the terminal symbol is never allowed;
-        # a strongly negative score keeps it out of every optimal alignment.
         terminal = alphabet.terminal_code
-        table[terminal, :] = np.iinfo(np.int16).min // 4
-        table[:, terminal] = np.iinfo(np.int16).min // 4
+        rows[terminal] = [TERMINAL_SCORE] * size
+        for row in rows:
+            row[terminal] = TERMINAL_SCORE
 
-        self._table = table
+        self._rows = rows
 
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #
     def score(self, a: str, b: str) -> int:
         """Score for substituting character ``a`` with character ``b``."""
-        return int(self._table[self.alphabet.code(a.upper()), self.alphabet.code(b.upper())])
+        return self._rows[self.alphabet.code(a.upper())][self.alphabet.code(b.upper())]
 
     def score_codes(self, code_a: int, code_b: int) -> int:
-        """Score lookup by integer codes (used by the DP kernels)."""
-        return int(self._table[code_a, code_b])
+        """Score lookup by integer codes."""
+        return self._rows[code_a][code_b]
 
     @property
-    def lookup(self) -> np.ndarray:
-        """The dense ``(size, size)`` int32 lookup table (do not mutate)."""
-        return self._table
+    def rows(self) -> List[List[int]]:
+        """The table as one list of ints per symbol code, terminal included
+        (``rows[a][b]`` scores code ``a`` against code ``b``; do not mutate)."""
+        return self._rows
 
-    def row(self, code: int) -> np.ndarray:
-        """The scoring row for one symbol code, as an int32 vector."""
-        return self._table[code]
+    @cached_property
+    def lookup(self) -> "np.ndarray":
+        """The dense ``(size, size)`` int32 lookup table, read-only.
+
+        Built on first use: the baselines and the dense reference expansion
+        read it; the search itself never does.
+        """
+        import numpy as np
+
+        table = np.array(self._rows, dtype=np.int32)
+        table.flags.writeable = False
+        return table
 
     # ------------------------------------------------------------------ #
     # Derived statistics
@@ -101,13 +117,13 @@ class SubstitutionMatrix:
     def max_score(self) -> int:
         """The largest score between two real (non-terminal) symbols."""
         n = len(self.alphabet)
-        return int(self._table[:n, :n].max())
+        return max(max(row[:n]) for row in self._rows[:n])
 
     @property
     def min_score(self) -> int:
         """The smallest score between two real (non-terminal) symbols."""
         n = len(self.alphabet)
-        return int(self._table[:n, :n].min())
+        return min(min(row[:n]) for row in self._rows[:n])
 
     def max_score_for(self, symbol: str) -> int:
         """Best score achievable when aligning ``symbol`` against anything.
@@ -118,11 +134,10 @@ class SubstitutionMatrix:
         code = self.alphabet.code(symbol.upper())
         return self.max_row_scores()[code]
 
-    def max_row_scores(self) -> np.ndarray:
-        """Vector of per-symbol maximum scores against any real symbol."""
+    def max_row_scores(self) -> List[int]:
+        """Per-symbol maximum score against any real symbol, terminal row included."""
         n = len(self.alphabet)
-        maxima = self._table[:, :n].max(axis=1)
-        return maxima
+        return [max(row[:n]) for row in self._rows]
 
     def expected_score(self, frequencies: Optional[Mapping[str, float]] = None) -> float:
         """Expected per-position score under background symbol frequencies.
@@ -134,22 +149,23 @@ class SubstitutionMatrix:
         """
         n = len(self.alphabet)
         if frequencies is None:
-            freq = np.full(n, 1.0 / n)
+            freq = [1.0 / n] * n
         else:
-            freq = np.zeros(n)
+            freq = [0.0] * n
             for symbol, value in frequencies.items():
                 freq[self.alphabet.code(symbol)] = value
-            total = freq.sum()
+            total = sum(freq)
             if total <= 0:
                 raise ValueError("background frequencies must sum to a positive value")
-            freq = freq / total
-        sub = self._table[:n, :n].astype(float)
-        return float(freq @ sub @ freq)
+            freq = [value / total for value in freq]
+        return sum(
+            freq[i] * self._rows[i][j] * freq[j] for i in range(n) for j in range(n)
+        )
 
     def is_symmetric(self) -> bool:
         """Whether the matrix is symmetric over real symbols (it always is)."""
         n = len(self.alphabet)
-        return bool(np.array_equal(self._table[:n, :n], self._table[:n, :n].T))
+        return all(self._rows[i][j] == self._rows[j][i] for i in range(n) for j in range(i))
 
     # ------------------------------------------------------------------ #
     # Presentation

@@ -19,9 +19,8 @@ Section 2.3 of the paper).
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterable, Sequence as TypingSequence, Tuple
-
-import numpy as np
 
 #: The terminal symbol appended to each database sequence inside the
 #: generalized suffix tree.  It never appears inside user-provided sequences.
@@ -76,6 +75,13 @@ class Alphabet:
         #: Integer code of the terminal symbol (one past the last real symbol).
         self.terminal_code = len(self.symbols)
         self._decode_table = self.symbols + (TERMINAL_SYMBOL,)
+        #: Symbol -> the character whose ordinal is its code: once a text is
+        #: known to be valid, ``translate`` + ``latin-1`` turn it into codes.
+        self._code_chars = {
+            ord(symbol): chr(code) for code, symbol in enumerate(self._decode_table)
+        }
+        #: Matches one character outside the alphabet (terminal included).
+        self._foreign = re.compile("[^" + re.escape("".join(self._decode_table)) + "]")
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -126,34 +132,37 @@ class Alphabet:
             return self._decode_table[code]
         raise AlphabetError(f"code {code} is out of range for the {self.name} alphabet")
 
-    def encode(self, text: str, strict: bool = True) -> np.ndarray:
-        """Encode a character string into an ``int16`` NumPy array.
+    def encode(self, text: str, strict: bool = True) -> bytes:
+        """Encode a character string into ``bytes``, one code per byte.
+
+        Two C-level passes, no per-character Python loop: one scan finds the
+        first character outside the alphabet, then a precomputed table
+        translates the text (every code, terminal included, fits a byte).
+        Non-ASCII text is foreign like any other unknown character.
 
         Parameters
         ----------
         text:
             The sequence text.  Lower-case characters are upper-cased first.
+            The terminal symbol ``$`` encodes to :attr:`terminal_code`.
         strict:
             When ``True`` (the default), unknown characters raise
-            :class:`AlphabetError`.  When ``False``, unknown characters are
+            :class:`AlphabetError` naming the first one and its position in
+            the upper-cased text.  When ``False``, unknown characters are
             replaced by the alphabet's wildcard (if one is defined) or
             rejected if no wildcard exists.
         """
-        codes = np.empty(len(text), dtype=np.int16)
         upper = text.upper()
-        for i, ch in enumerate(upper):
-            if ch in self._code_of:
-                codes[i] = self._code_of[ch]
-            elif ch == TERMINAL_SYMBOL:
-                codes[i] = self.terminal_code
-            elif not strict and self.wildcard is not None:
-                codes[i] = self._code_of[self.wildcard]
-            else:
+        foreign = self._foreign.search(upper)
+        if foreign is not None:
+            if strict or self.wildcard is None:
                 raise AlphabetError(
-                    f"symbol {ch!r} at position {i} is not part of the "
-                    f"{self.name} alphabet"
+                    f"symbol {foreign.group()!r} at position {foreign.start()} is not "
+                    f"part of the {self.name} alphabet"
                 )
-        return codes
+            wildcard = self.wildcard
+            upper = self._foreign.sub(lambda _: wildcard, upper)
+        return upper.translate(self._code_chars).encode("latin-1")
 
     def decode(self, codes: Iterable[int]) -> str:
         """Decode an iterable of integer codes back into a character string."""

@@ -13,9 +13,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence as TypingSequence, Tuple
 
-import numpy as np
-
-from repro.sequences.alphabet import Alphabet, PROTEIN_ALPHABET, TERMINAL_SYMBOL
+from repro.sequences.alphabet import Alphabet, PROTEIN_ALPHABET
 from repro.sequences.sequence import Sequence, SequenceRecord
 
 
@@ -48,7 +46,7 @@ class SequenceDatabase:
         #: Running residue count, kept by :meth:`add`: ``total_symbols`` is
         #: read once per query (E-value conversion), so it must not re-sum.
         self._total_symbols = 0
-        self._concatenated: Optional[np.ndarray] = None
+        self._concatenated: Optional[bytes] = None
         self._starts: Optional[List[int]] = None
         if records is not None:
             for record in records:
@@ -168,17 +166,12 @@ class SequenceDatabase:
 
     def residue_frequencies(self) -> Dict[str, float]:
         """Background frequency of each alphabet symbol across the database."""
-        counts = np.zeros(self.alphabet.size_with_terminal, dtype=np.int64)
-        for record in self._records:
-            counts += np.bincount(
-                record.codes, minlength=self.alphabet.size_with_terminal
-            )
-        total = counts[: len(self.alphabet)].sum()
+        codes = b"".join(record.codes for record in self._records)
+        counts = [codes.count(code) for code in range(len(self.alphabet))]
+        total = sum(counts)
         if total == 0:
             return {s: 0.0 for s in self.alphabet.symbols}
-        return {
-            symbol: counts[i] / total for i, symbol in enumerate(self.alphabet.symbols)
-        }
+        return {symbol: count / total for symbol, count in zip(self.alphabet.symbols, counts)}
 
     # ------------------------------------------------------------------ #
     # Concatenated (suffix-tree) view
@@ -189,16 +182,13 @@ class SequenceDatabase:
             return
         if not self._records:
             raise ValueError("cannot freeze an empty SequenceDatabase")
-        pieces: List[np.ndarray] = []
         starts: List[int] = []
         position = 0
-        terminal = np.array([self.alphabet.terminal_code], dtype=np.int16)
         for record in self._records:
             starts.append(position)
-            pieces.append(record.codes)
-            pieces.append(terminal)
             position += len(record) + 1
-        self._concatenated = np.concatenate(pieces)
+        terminal = bytes((self.alphabet.terminal_code,))
+        self._concatenated = terminal.join(record.codes for record in self._records) + terminal
         self._starts = starts
 
     @property
@@ -207,8 +197,8 @@ class SequenceDatabase:
         return self._concatenated is not None
 
     @property
-    def concatenated_codes(self) -> np.ndarray:
-        """The concatenation ``seq0 $ seq1 $ ... seqN $`` as integer codes."""
+    def concatenated_codes(self) -> bytes:
+        """The concatenation ``seq0 $ seq1 $ ... seqN $``, one code per byte."""
         self.freeze()
         assert self._concatenated is not None
         return self._concatenated

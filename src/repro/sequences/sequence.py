@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-import numpy as np
-
 from repro.sequences.alphabet import Alphabet, PROTEIN_ALPHABET
 
 
@@ -73,8 +71,8 @@ class Sequence:
     # Views
     # ------------------------------------------------------------------ #
     @property
-    def codes(self) -> np.ndarray:
-        """The encoded ``int16`` representation (do not mutate)."""
+    def codes(self) -> bytes:
+        """The encoded representation: ``bytes``, one code per byte."""
         return self._codes
 
     def reverse(self) -> "Sequence":
@@ -127,8 +125,8 @@ class SequenceRecord:
         return self.sequence.text
 
     @property
-    def codes(self) -> np.ndarray:
-        """The encoded integer representation of the sequence."""
+    def codes(self) -> bytes:
+        """The encoded representation of the sequence (one code per byte)."""
         return self.sequence.codes
 
     def __repr__(self) -> str:

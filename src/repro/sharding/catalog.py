@@ -26,8 +26,10 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Union
 
+from repro.sequences.database import SequenceDatabase
+
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.sequences.database import SequenceDatabase
+    from repro.sharding.planner import ShardSpec
 
 PathLike = Union[str, os.PathLike]
 
@@ -53,7 +55,7 @@ class CatalogMismatchError(CatalogError):
     """Raised when a catalog's configuration does not match the caller's."""
 
 
-def database_digest(database: "SequenceDatabase") -> str:
+def database_digest(database: SequenceDatabase) -> str:
     """Order-sensitive content digest of a database (identifiers + residues).
 
     The shard images encode sequence *content and order*; counts alone cannot
@@ -68,6 +70,25 @@ def database_digest(database: "SequenceDatabase") -> str:
         digest.update(record.text.encode("utf-8"))
         digest.update(b"\x01")
     return digest.hexdigest()
+
+
+def shard_identifier(index: int) -> str:
+    """Stable shard name used for file naming (``shard-0003``)."""
+    return f"shard-{index:04d}"
+
+
+def slice_shard(
+    database: SequenceDatabase, shard: Union["ShardEntry", "ShardSpec"]
+) -> SequenceDatabase:
+    """One shard's sub-database (records are shared, not copied): the single
+    place that owns the slice + name convention, shared by the builder (fresh
+    plans) and by :meth:`~repro.sharding.ShardedEngine.open` and the process
+    workers (catalog entries)."""
+    return SequenceDatabase(
+        records=database.records[shard.start_sequence : shard.stop_sequence],
+        alphabet=database.alphabet,
+        name=f"{database.name}/{shard_identifier(shard.index)}",
+    )
 
 
 def config_fingerprint(matrix_name: str, gap_penalty: int, block_size: int) -> Dict[str, object]:
@@ -175,7 +196,7 @@ class ShardCatalog:
                 "configuration recorded in its catalog"
             )
 
-    def check_database(self, database: "SequenceDatabase") -> None:
+    def check_database(self, database: SequenceDatabase) -> None:
         """Raise unless the supplied database matches the indexed one.
 
         Counts give a readable error for gross mismatches; the content digest

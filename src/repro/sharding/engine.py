@@ -49,9 +49,7 @@ from repro.obs.logsetup import get_logger
 from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
-from repro.sharding.builder import ShardedIndexBuilder
-from repro.sharding.catalog import ShardCatalog, config_fingerprint
-from repro.sharding.planner import ShardPlanner, ShardSpec, slice_shard
+from repro.sharding.catalog import ShardCatalog, config_fingerprint, slice_shard
 from repro.sharding.remote import (
     ShardSearchTask,
     label_shard_execution,
@@ -60,7 +58,6 @@ from repro.sharding.remote import (
 )
 from repro.storage.blocks import BLOCK_SIZE_DEFAULT
 from repro.storage.disk_tree import DEFAULT_BUFFER_POOL_BYTES, DiskSuffixTree
-from repro.suffixtree.generalized import GeneralizedSuffixTree
 
 PathLike = Union[str, os.PathLike]
 
@@ -488,8 +485,12 @@ class ShardedEngine(SearchSurface):
 
         ``backend`` only accepts in-process kinds here (``serial`` /
         ``threads``): process scatter needs a catalog directory for its
-        workers to open.
+        workers to open.  The planner and the tree builder are imported
+        here, so opening a persistent index never loads them.
         """
+        from repro.sharding.planner import ShardPlanner
+        from repro.suffixtree.generalized import GeneralizedSuffixTree
+
         if _backend_kind(backend) == "processes":
             # Reject before the expensive per-shard tree construction; the
             # engine constructor would raise the same error afterwards.
@@ -534,6 +535,8 @@ class ShardedEngine(SearchSurface):
         image is independent); ``backend`` in ``open_kwargs`` selects the
         scatter strategy of the returned engine.
         """
+        from repro.sharding.builder import ShardedIndexBuilder
+
         ShardedIndexBuilder(
             matrix,
             gap_model,
@@ -624,18 +627,9 @@ class ShardedEngine(SearchSurface):
         shards: List[OasisEngine] = []
         try:
             for entry, shard_budget in zip(catalog.shards, shard_budgets):
-                sub_database = slice_shard(
-                    database,
-                    ShardSpec(
-                        index=entry.index,
-                        start_sequence=entry.start_sequence,
-                        stop_sequence=entry.stop_sequence,
-                        residues=entry.residues,
-                    ),
-                )
                 cursor = DiskSuffixTree(
                     catalog.shard_image_path(directory, entry),
-                    sub_database,
+                    slice_shard(database, entry),
                     buffer_pool_bytes=shard_budget,
                     simulated_miss_latency=simulated_miss_latency,
                     sleep_on_miss=sleep_on_miss,

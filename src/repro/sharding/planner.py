@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.sequences.database import SequenceDatabase
+from repro.sharding.catalog import shard_identifier, slice_shard
 
 #: The two supported balancing criteria.
 BALANCE_BY = ("residues", "sequences")
@@ -39,7 +40,7 @@ class ShardSpec:
 
     def identifier(self) -> str:
         """Stable shard name used for file naming (``shard-0003``)."""
-        return f"shard-{self.index:04d}"
+        return shard_identifier(self.index)
 
 
 @dataclass
@@ -62,17 +63,6 @@ class ShardPlan:
 
     def sub_databases(self, database: SequenceDatabase) -> List[SequenceDatabase]:
         return [self.slice_database(database, spec) for spec in self.specs]
-
-
-def slice_shard(database: SequenceDatabase, spec: ShardSpec) -> SequenceDatabase:
-    """One shard's sub-database: the single place that owns the slice + name
-    convention, shared by the builder (fresh plans) and by
-    :meth:`~repro.sharding.ShardedEngine.open` (specs rebuilt from a catalog)."""
-    return SequenceDatabase(
-        records=database.records[spec.start_sequence : spec.stop_sequence],
-        alphabet=database.alphabet,
-        name=f"{database.name}/{spec.identifier()}",
-    )
 
 
 class ShardPlanner:

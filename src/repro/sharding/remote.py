@@ -27,10 +27,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.request import SearchRequest
 from repro.core.results import SearchResult
-from repro.obs.trace import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only; workers import lazily
     from repro.core.oasis import OasisSearch, QueryExecution
+    from repro.obs.trace import TraceContext
     from repro.sharding.catalog import ShardCatalog
 
 #: What one shard search sends back: the result, plus the worker's span
@@ -180,22 +180,13 @@ def _open_shard_search(task: ShardSearchTask) -> "OasisSearch":
     if cached is not None:
         return cached
     from repro.core.oasis import OasisSearch
-    from repro.sharding.planner import ShardSpec, slice_shard
+    from repro.sharding.catalog import slice_shard
     from repro.storage.disk_tree import DiskSuffixTree
 
     entry = catalog.shards[task.shard_index]
-    sub_database = slice_shard(
-        database,
-        ShardSpec(
-            index=entry.index,
-            start_sequence=entry.start_sequence,
-            stop_sequence=entry.stop_sequence,
-            residues=entry.residues,
-        ),
-    )
     cursor = DiskSuffixTree(
         catalog.shard_image_path(directory, entry),
-        sub_database,
+        slice_shard(database, entry),
         buffer_pool_bytes=task.buffer_pool_bytes,
         simulated_miss_latency=task.simulated_miss_latency,
         sleep_on_miss=task.sleep_on_miss,

@@ -94,7 +94,7 @@ def build_disk_image(
         block_file.write_block(0, layout.pack_header())
         regions = (
             # Symbols: one byte per symbol, block_size symbols per block.
-            (layout.symbols_start_block, codes.astype("uint8").tobytes(), block_size),
+            (layout.symbols_start_block, codes, block_size),
             # Internal nodes and leaves: whole records per block.
             (
                 layout.internal_start_block,

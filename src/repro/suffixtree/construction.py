@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.suffixtree.nodes import InternalNode, LeafNode, SuffixTreeNode
 
 
@@ -114,7 +112,7 @@ def build_tree_from_suffix_array(
     return root
 
 
-def validate_tree(root: InternalNode, codes: np.ndarray) -> List[str]:
+def validate_tree(root: InternalNode, codes: Sequence[int]) -> List[str]:
     """Structural validation of a suffix tree; returns a list of problems.
 
     Checks the compactness invariant (every non-root internal node has at

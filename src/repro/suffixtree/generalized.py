@@ -33,7 +33,7 @@ def construction_codes(database: SequenceDatabase) -> np.ndarray:
     prefix of another, terminals sort after every residue and among
     themselves in sequence order.
     """
-    codes = database.concatenated_codes.astype(np.int32)
+    codes = np.frombuffer(database.concatenated_codes, dtype=np.uint8).astype(np.int32)
     terminal_positions = np.array(database.sequence_starts[1:] + [len(codes)]) - 1
     codes[terminal_positions] = database.alphabet.size_with_terminal + np.arange(len(database))
     return codes
@@ -72,10 +72,9 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         database.freeze()
         self._database = database
         self._root = root
+        # Arc labels are slices of the concatenated codes: bytes, one code
+        # per byte (the form the disk image stores).
         self._codes = database.concatenated_codes
-        # Arc labels are handed out as bytes, one code per byte (the form the
-        # disk image stores); Alphabet guarantees every code fits.
-        self._code_bytes = self._codes.astype(np.uint8).tobytes()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -125,7 +124,7 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         return node.edge_start, node.edge_length
 
     def arc_symbols(self, node: SuffixTreeNode) -> bytes:
-        return self._code_bytes[node.edge_start : node.edge_end]
+        return self._codes[node.edge_start : node.edge_end]
 
     def string_depth(self, node: SuffixTreeNode) -> int:
         if isinstance(node, InternalNode):

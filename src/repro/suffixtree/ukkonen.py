@@ -52,7 +52,7 @@ class UkkonenSuffixTree:
     """
 
     def __init__(self, codes: Sequence[int]):
-        original = np.asarray(codes, dtype=np.int64)
+        original = np.asarray(list(codes), dtype=np.int64)
         if original.ndim != 1:
             raise ValueError("input must be one-dimensional")
         sentinel = int(original.max()) + 1 if len(original) else 0
@@ -151,11 +151,11 @@ class UkkonenSuffixTree:
 
     def contains(self, query: Sequence[int]) -> bool:
         """Whether ``query`` occurs as a substring of the original string."""
-        return self._locate(np.asarray(query, dtype=np.int64)) is not None
+        return self._locate(np.asarray(list(query), dtype=np.int64)) is not None
 
     def occurrences(self, query: Sequence[int]) -> List[int]:
         """Sorted start positions of every occurrence of ``query``."""
-        located = self._locate(np.asarray(query, dtype=np.int64))
+        located = self._locate(np.asarray(list(query), dtype=np.int64))
         if located is None:
             return []
         node, _ = located

@@ -122,7 +122,7 @@ def write_image_from_object_tree(
         block_file.write_block(0, layout.pack_header())
         regions = (
             # Symbols: one byte per symbol, block_size symbols per block.
-            (layout.symbols_start_block, codes.astype("uint8").tobytes(), block_size),
+            (layout.symbols_start_block, codes, block_size),
             # Internal nodes and leaves: whole records per block.
             (
                 layout.internal_start_block,

@@ -1,7 +1,7 @@
 """Unit tests for repro.sequences.alphabet."""
 
-import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sequences.alphabet import (
     Alphabet,
@@ -68,13 +68,13 @@ class TestEncodingDecoding:
         for symbol in PROTEIN_ALPHABET.symbols:
             assert PROTEIN_ALPHABET.char(PROTEIN_ALPHABET.code(symbol)) == symbol
 
-    def test_encode_returns_int16(self):
+    def test_encode_returns_bytes(self):
         codes = DNA_ALPHABET.encode("ACGT")
-        assert codes.dtype == np.int16
-        assert codes.tolist() == [0, 1, 2, 3]
+        assert isinstance(codes, bytes)
+        assert list(codes) == [0, 1, 2, 3]
 
     def test_encode_lowercase(self):
-        assert DNA_ALPHABET.encode("acgt").tolist() == DNA_ALPHABET.encode("ACGT").tolist()
+        assert DNA_ALPHABET.encode("acgt") == DNA_ALPHABET.encode("ACGT")
 
     def test_encode_unknown_strict_raises(self):
         with pytest.raises(AlphabetError):
@@ -109,3 +109,70 @@ class TestEncodingDecoding:
 
     def test_empty_string_encodes_to_empty_array(self):
         assert len(DNA_ALPHABET.encode("")) == 0
+
+
+def per_character_encode(alphabet, text, strict=True):
+    """The encoder as it was, one character at a time: the oracle."""
+    codes = []
+    for position, character in enumerate(text.upper()):
+        if character in alphabet:
+            codes.append(alphabet.code(character))
+        elif character == TERMINAL_SYMBOL:
+            codes.append(alphabet.terminal_code)
+        elif not strict and alphabet.wildcard is not None:
+            codes.append(alphabet.code(alphabet.wildcard))
+        else:
+            raise AlphabetError(
+                f"symbol {character!r} at position {position} is not part of the "
+                f"{alphabet.name} alphabet"
+            )
+    return bytes(codes)
+
+
+NO_WILDCARD = Alphabet("no-wildcard", "ACGT")
+#: Symbols a regular expression treats specially, and non-ASCII ones.
+AWKWARD = Alphabet("awkward", ["]", "^", "-", "\\", ".", "é", "Ж"], wildcard="-")
+
+
+def outcome(encode, *args, **kwargs):
+    try:
+        return encode(*args, **kwargs)
+    except AlphabetError as error:
+        return ("AlphabetError", str(error))
+
+
+class TestEncodeAgainstPerCharacterOracle:
+    @given(
+        alphabet=st.sampled_from([DNA_ALPHABET, PROTEIN_ALPHABET, NO_WILDCARD, AWKWARD]),
+        text=st.text(
+            alphabet=st.one_of(
+                st.sampled_from("ACGTNacgtnMKVLXxJjOo$éÉЖжß "),
+                st.sampled_from("]^-\\.[*"),
+                st.characters(),
+            ),
+            max_size=40,
+        ),
+        strict=st.booleans(),
+    )
+    def test_same_codes_or_same_error(self, alphabet, text, strict):
+        assert outcome(alphabet.encode, text, strict=strict) == outcome(
+            per_character_encode, alphabet, text, strict=strict
+        )
+
+    def test_error_names_the_first_foreign_symbol_and_its_position(self):
+        with pytest.raises(AlphabetError, match=r"symbol 'J' at position 3 "):
+            DNA_ALPHABET.encode("acgjoz")
+
+    def test_lowercase_terminal_and_wildcard(self):
+        assert DNA_ALPHABET.encode("ac$gt") == bytes([0, 1, 5, 2, 3])
+        assert DNA_ALPHABET.encode("aJc$", strict=False) == bytes([0, 4, 1, 5])
+        with pytest.raises(AlphabetError):
+            NO_WILDCARD.encode("AJC", strict=False)
+
+    @pytest.mark.parametrize("text", ["MKVÜL", "MKV\u00a0L", "MKV\U0001f9ecL", "MKV\udc80L"])
+    def test_non_ascii_text_is_an_alphabet_error(self, text):
+        with pytest.raises(AlphabetError, match="at position 3 "):
+            PROTEIN_ALPHABET.encode(text)
+
+    def test_non_ascii_text_maps_to_the_wildcard_when_lenient(self):
+        assert PROTEIN_ALPHABET.encode("MÜ", strict=False) == PROTEIN_ALPHABET.encode("MX")

@@ -394,6 +394,22 @@ class TestIndexCommands:
         with pytest.raises(SystemExit, match="catalog.json"):
             main(["index", "info", str(tmp_path)])
 
+    def test_non_ascii_identifier_survives_build_catalog_and_search(self, tmp_path, capsys):
+        from repro.sharding import ShardCatalog
+
+        fasta = tmp_path / "hostile.fasta"
+        fasta.write_bytes(
+            ">Müller-Lüdenscheidt Straße 7\nMKVLAADTGLAVWHHECRRQ\n>plain\nGGSSPPAANNDD\n".encode()
+        )
+        directory = tmp_path / "index"
+        assert main(["index", "build", "--database", str(fasta), "--output", str(directory)]) == 0
+        catalog = ShardCatalog.load(directory)
+        assert catalog.sequence_count == 2
+        capsys.readouterr()
+        arguments = ["--index", str(directory), "--query", "MKVLAADTGLAV", "--min-score", "15"]
+        assert main(["search", *arguments]) == 0
+        assert "Müller-Lüdenscheidt" in capsys.readouterr().out
+
     @staticmethod
     def make_stale(index_dir, what):
         """Turn the index into one written before image format v2."""

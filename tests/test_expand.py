@@ -28,7 +28,7 @@ def make_context(query_text, min_score=1, **kwargs):
     codes = DNA_ALPHABET.encode(query_text)
     return ExpansionContext(
         query_codes=codes,
-        score_lookup=MATRIX.lookup,
+        score_rows=MATRIX.rows,
         gap_penalty=-1,
         heuristic=compute_heuristic_vector(codes, MATRIX),
         min_score=min_score,
@@ -41,7 +41,7 @@ def make_root(context):
         tree_node=None,
         column=context.make_root_column(),
         max_score=0,
-        f=int(context.heuristic.max()),
+        f=max(context.heuristic),
         b=0,
         state=NodeState.VIABLE,
         depth=0,
@@ -65,7 +65,7 @@ class TestExpansionContext:
     def test_invalid_gap(self):
         codes = DNA_ALPHABET.encode("TA")
         with pytest.raises(ValueError):
-            ExpansionContext(codes, MATRIX.lookup, 0, compute_heuristic_vector(codes, MATRIX), 1)
+            ExpansionContext(codes, MATRIX.rows, 0, compute_heuristic_vector(codes, MATRIX), 1)
 
 
 class TestExpandArc:

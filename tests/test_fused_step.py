@@ -34,7 +34,7 @@ def make_context(alphabet, matrix, query, gap, min_score):
     codes = alphabet.encode(query)
     return ExpansionContext(
         query_codes=codes,
-        score_lookup=matrix.lookup,
+        score_rows=matrix.rows,
         gap_penalty=gap,
         heuristic=compute_heuristic_vector(codes, matrix),
         min_score=min_score,
@@ -130,7 +130,7 @@ class TestVerbatimQuery:
     ):
         database = SequenceDatabase.from_texts(texts, alphabet=alphabet)
         cursor = GeneralizedSuffixTree.build(database)
-        perfect = sum(int(matrix.lookup[code, code]) for code in alphabet.encode(query))
+        perfect = sum(matrix.rows[code][code] for code in alphabet.encode(query))
 
         # The case is the one meant: without the sentinel row the search
         # runs off the limit list.

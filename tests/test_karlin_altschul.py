@@ -65,14 +65,12 @@ class TestEstimation:
             estimate_karlin_altschul(blosum62(), frequencies={"A": 0.0})
 
     def test_score_granularity_is_the_gcd_of_the_nonzero_magnitudes(self):
-        import numpy as np
-
         from repro.scoring.karlin_altschul import _score_granularity
 
-        assert _score_granularity(np.array([[6.0, -9.0], [0.0, 3.0]])) == 3.0
-        assert _score_granularity(np.array([[4.0, -6.0], [-6.0, 4.0]])) == 2.0
-        assert _score_granularity(pam30().lookup[:20, :20].astype(float)) == 1.0
-        assert _score_granularity(np.zeros((2, 2))) == 1.0
+        assert _score_granularity([6, -9, 0, 3]) == 3.0
+        assert _score_granularity([4, -6, -6, 4]) == 2.0
+        assert _score_granularity(value for row in pam30().rows[:20] for value in row[:20]) == 1.0
+        assert _score_granularity([0, 0, 0, 0]) == 1.0
 
 
 class TestEvalueConversions:
@@ -122,3 +120,84 @@ class TestEvalueConversions:
 
     def test_bit_score_monotonic(self, params):
         assert params.bit_score(30) > params.bit_score(20)
+
+
+def numpy_reference(matrix, frequencies=None, tolerance=1e-9, max_iterations=200):
+    """(lambda, K, H) the way the estimator computed them over NumPy arrays:
+    the reference the pure-Python estimator is held to."""
+    import numpy as np
+
+    n = len(matrix.alphabet)
+    if frequencies is None:
+        freq = np.full(n, 1.0 / n)
+    else:
+        freq = np.zeros(n)
+        for symbol, value in frequencies.items():
+            freq[matrix.alphabet.code(symbol)] = value
+        freq = freq / freq.sum()
+    scores = matrix.lookup[:n, :n].astype(float)
+    pair_probability = np.outer(freq, freq)
+
+    def characteristic(lam):
+        return float((pair_probability * np.exp(lam * scores)).sum()) - 1.0
+
+    low, high = 1e-6, 0.5
+    while characteristic(high) < 0:
+        high *= 2.0
+    for _ in range(max_iterations):
+        mid = 0.5 * (low + high)
+        if characteristic(mid) < 0:
+            low = mid
+        else:
+            high = mid
+        if high - low < tolerance:
+            break
+    lam = 0.5 * (low + high)
+    q = pair_probability * np.exp(lam * scores)
+    q = q / q.sum()
+    h = float(lam * (q * scores).sum())
+    delta = float(math.gcd(*np.abs(scores.astype(int)).ravel().tolist()) or 1)
+    k = max(1e-4, (h / lam) * math.exp(-lam * delta))
+    return lam, k, h
+
+
+def parity_cases():
+    from repro.datagen.nucleotide import GenomeGenerator
+    from repro.datagen.protein import SwissProtLikeGenerator
+    from repro.scoring.data import nucleotide_matrix
+
+    proteins = SwissProtLikeGenerator(seed=7, family_count=20, singleton_count=20).generate()
+    genome = GenomeGenerator(seed=7, contig_count=3, contig_length=(500, 900)).generate()
+    for name, matrix, database in (
+        ("PAM30", pam30(), proteins),
+        ("BLOSUM62", blosum62(), proteins),
+        ("nucleotide(1,-3)", nucleotide_matrix(1, -3), genome),
+    ):
+        yield pytest.param(matrix, None, database.total_symbols, id=f"{name}-uniform")
+        yield pytest.param(
+            matrix, database.residue_frequencies(), database.total_symbols, id=f"{name}-database"
+        )
+
+
+class TestNumpyParity:
+    """The pure-Python estimator against the NumPy form it replaced."""
+
+    @pytest.mark.parametrize("matrix, frequencies, database_size", parity_cases())
+    def test_lambda_k_and_h_agree_to_1e12(self, matrix, frequencies, database_size):
+        params = estimate_karlin_altschul(matrix, frequencies=frequencies)
+        expected_values = numpy_reference(matrix, frequencies)
+        for value, expected in zip((params.lambda_, params.k, params.h), expected_values):
+            assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("matrix, frequencies, database_size", parity_cases())
+    def test_min_score_is_identical(self, matrix, frequencies, database_size):
+        from repro.scoring.karlin_altschul import KarlinAltschulParameters
+
+        params = estimate_karlin_altschul(matrix, frequencies=frequencies)
+        lam, k, h = numpy_reference(matrix, frequencies)
+        reference = KarlinAltschulParameters(lambda_=lam, k=k, h=h)
+        for evalue in (1e-3, 1.0, 10.0, 5.42, 2e4):
+            for length in range(6, 121):
+                assert params.min_score(evalue, length, database_size) == reference.min_score(
+                    evalue, length, database_size
+                ), (evalue, length)

@@ -208,7 +208,7 @@ class TestNodeLevelParity:
         reference_context, live_context = contexts
 
         def root(context):
-            bound = int(context.heuristic.max())
+            bound = max(context.heuristic)
             return (-bound, VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)
 
         frontier = [(root(reference_context), root(live_context))]
@@ -494,10 +494,10 @@ class TestKernelSelection:
         database, _ = protein_dataset(5)
         cursor = GeneralizedSuffixTree.build(database)
         context = ExpansionContext(
-            query_codes=np.array([0, 1, 2], dtype=np.int64),
-            score_lookup=pam30().lookup,
+            query_codes=bytes([0, 1, 2]),
+            score_rows=pam30().rows,
             gap_penalty=-8,
-            heuristic=np.zeros(4, dtype=np.int64),
+            heuristic=[0, 0, 0, 0],
             min_score=10,
         )
         dead = SearchNode(

@@ -165,3 +165,81 @@ class TestOnlineBehaviour:
         log = result.parameters["online_log"]
         assert len(log) == len(result)
         assert log.first_result_seconds <= log.last_result_seconds
+
+
+class TestMoreColumnsThanResiduesWarning:
+    """A query that expands several times more DP columns than the database
+    has residues did more work than a Smith-Waterman scan: it is logged, not
+    refused."""
+
+    LONG_QUERY = "GCGGTGTTAAGTGTCGAGCTACATCACTTCTCATGTAGCCAGAAGGCTGCAACTCATCGA"
+
+    @staticmethod
+    def database():
+        rng = random.Random(1)
+        texts = ["".join(rng.choice("ACGT") for _ in range(30)) for _ in range(4)]
+        return SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET)
+
+    @staticmethod
+    def warnings(caplog):
+        return [
+            r for r in caplog.records if r.name == "repro.core.oasis" and r.levelname == "WARNING"
+        ]
+
+    def test_fires_once_when_the_columns_pass_the_database_size(self, caplog):
+        from repro.scoring.data import nucleotide_matrix
+
+        database = self.database()
+        engine = OasisEngine.build(database, nucleotide_matrix(1, -1), FixedGapModel(-1))
+        with caplog.at_level("WARNING", logger="repro"):
+            result = engine.search(self.LONG_QUERY, min_score=6)
+        assert result.columns_expanded > 4 * database.total_symbols
+        assert len(result) > 0  # a warning, not a refusal
+        (record,) = self.warnings(caplog)
+        assert f"expanded {result.columns_expanded} DP columns" in record.getMessage()
+        assert f"over 4 times the {database.total_symbols} a Smith-Waterman" in record.getMessage()
+
+    def test_silent_when_the_pruning_pays(self, caplog):
+        from repro.scoring.data import nucleotide_matrix
+
+        database = self.database()
+        engine = OasisEngine.build(database, nucleotide_matrix(1, -1), FixedGapModel(-4))
+        with caplog.at_level("WARNING", logger="repro"):
+            result = engine.search("ACGTACGTACGTACGTACGTACGT", min_score=4)
+        assert result.columns_expanded <= 4 * database.total_symbols
+        assert not self.warnings(caplog)
+
+    def test_the_benchmark_queries_never_trigger_it(self, caplog):
+        import os
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        if root not in sys.path:
+            sys.path.insert(0, root)
+        from bench_e2e import data
+        from repro.scoring.data import nucleotide_matrix
+        from repro.sequences.fasta import parse_fasta_text
+        from repro.sharding import ShardedEngine
+
+        protein = data.protein_inputs(7)
+        dna = data.dna_inputs(7)
+        protein_db = parse_fasta_text(protein.fasta, alphabet=PROTEIN_ALPHABET)
+        dna_db = parse_fasta_text(dna.fasta, alphabet=DNA_ALPHABET)
+        evalue = 20_000.0 * protein.residues / 40_000_000
+        protein_gap, dna_gap = FixedGapModel(-8), FixedGapModel(-4)
+        sharded = ShardedEngine.build(
+            protein_db, pam30(), protein_gap, shard_count=4, backend="serial"
+        )
+        cases = [
+            (OasisEngine.build(protein_db, pam30(), protein_gap), protein.queries, None),
+            (sharded, protein.queries, None),
+            (OasisEngine.build(dna_db, nucleotide_matrix(1, -3), dna_gap), dna.queries, 0.45),
+        ]
+        with caplog.at_level("WARNING", logger="repro"):
+            for engine, queries, dna_fraction in cases:
+                for query in queries:
+                    if dna_fraction is None:
+                        engine.search(query, evalue=evalue)
+                    else:
+                        engine.search(query, min_score=max(16, int(dna_fraction * len(query))))
+        assert not self.warnings(caplog)

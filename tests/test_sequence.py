@@ -18,7 +18,7 @@ class TestSequence:
 
     def test_codes_match_alphabet(self):
         sequence = Sequence("ACGT", DNA_ALPHABET)
-        assert sequence.codes.tolist() == [0, 1, 2, 3]
+        assert list(sequence.codes) == [0, 1, 2, 3]
 
     def test_invalid_symbol_raises(self):
         with pytest.raises(AlphabetError):
@@ -73,7 +73,7 @@ class TestSequenceRecord:
 
     def test_codes_passthrough(self):
         record = SequenceRecord("x", Sequence("ACGT", DNA_ALPHABET))
-        assert record.codes.tolist() == [0, 1, 2, 3]
+        assert list(record.codes) == [0, 1, 2, 3]
 
     def test_metadata_defaults_to_empty_dict(self):
         record = SequenceRecord("x", Sequence("MK"))

@@ -96,7 +96,7 @@ class TestSortedSuffixes:
         database = SequenceDatabase.from_texts(["ACGT", "GA", "T"], alphabet=DNA_ALPHABET)
         positions, lcps = sorted_suffixes(database)
         assert len(positions) == len(lcps) == database.total_symbols
-        text = database.concatenated_codes
+        text = np.frombuffer(database.concatenated_codes, dtype=np.uint8)
         assert not (text[positions] == DNA_ALPHABET.terminal_code).any()
 
     def test_two_copies_of_a_long_sequence_build(self, tmp_path):

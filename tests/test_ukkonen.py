@@ -58,7 +58,7 @@ class TestCrossValidation:
         # The SA construction needs a unique final sentinel to mirror the tree.
         import numpy as np
 
-        with_sentinel = np.concatenate([codes.astype(np.int64), [100]])
+        with_sentinel = np.array([*codes, 100], dtype=np.int64)
         from_doubling = [p for p in build_suffix_array(with_sentinel).tolist() if p < len(codes)]
         assert from_tree == from_doubling
 
