@@ -19,9 +19,10 @@ This implementation follows the classic protein-BLAST pipeline:
 3. **Ungapped extension.**  Each hit is extended left and right without gaps
    until the running score drops ``x_drop_ungapped`` below the best seen.
 4. **Gapped extension.**  Seeds whose ungapped score reaches
-   ``gapped_trigger`` are re-scored with a banded Smith-Waterman restricted to
-   a window around the seed; the DP columns this fills are counted so the
-   filtering behaviour can be compared with OASIS and S-W.
+   ``gapped_trigger`` are re-scored with the Smith-Waterman scan
+   (``smith_waterman.best_local_scores``) restricted to a window around the
+   seed; the DP columns this fills are counted so the filtering behaviour can
+   be compared with OASIS and S-W.
 5. **E-value filtering.**  Per-sequence best scores are converted to E-values
    with the same Karlin-Altschul machinery used for OASIS (Equation 2) and
    reported when they pass the cutoff.
@@ -39,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.baselines.smith_waterman import SmithWatermanAligner, best_local_scores
 from repro.core.results import Alignment, SearchHit, SearchResult
 from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.karlin_altschul import KarlinAltschulParameters, estimate_karlin_altschul
@@ -347,31 +349,17 @@ class BlastLikeSearch:
     def _gapped_extension(
         self, query_codes: bytes, target_codes: bytes, anchor: int
     ) -> int:
-        """Banded Smith-Waterman in a window around the seed anchor."""
+        """Smith-Waterman over a window around the seed anchor."""
         margin = self.parameters.window_margin
         window_start = max(0, anchor - len(query_codes) - margin)
         window_end = min(len(target_codes), anchor + len(query_codes) + margin)
         window = target_codes[window_start:window_end]
-
-        gap = self.gap_model.per_symbol
-        lookup = self.matrix.lookup
-        query = np.frombuffer(query_codes, dtype=np.uint8)
-        m = len(query_codes)
-        offsets = gap * np.arange(m + 1, dtype=np.int64)
-        column = np.zeros(m + 1, dtype=np.int64)
-        best = 0
-        for symbol in window:
-            substitution = lookup[query, symbol].astype(np.int64)
-            candidate = np.maximum(column + gap, 0)
-            candidate[1:] = np.maximum(candidate[1:], column[:-1] + substitution)
-            column = np.maximum.accumulate(candidate - offsets) + offsets
-            self.columns_expanded += 1
-            best = max(best, int(column.max()))
-        return best
+        self.columns_expanded += len(window)
+        terminal = bytes((self.database.alphabet.terminal_code,))
+        scores = best_local_scores(query_codes, window + terminal, self.matrix, self.gap_model)
+        return int(scores[0])
 
     def _trace_alignment(self, query_text: str, target_text: str) -> Alignment:
-        from repro.baselines.smith_waterman import SmithWatermanAligner
-
         return SmithWatermanAligner(self.matrix, self.gap_model).align_pair(
             query_text, target_text
         )

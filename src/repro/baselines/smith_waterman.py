@@ -4,21 +4,24 @@ Section 2.2 of the paper.  The aligner fills the ``m x n`` matrix ``H`` with
 
     H[i][j] = max(0,
                   H[i-1][j-1] + S(q_i, t_j),   # replacement
-                  H[i-1][j]   + S(q_i, -),     # insertion (skip a query symbol)
-                  H[i][j-1]   + S(-, t_j))     # deletion  (skip a target symbol)
+                  F[i][j],                     # insertion (skip a query symbol)
+                  E[i][j])                     # deletion  (skip a target symbol)
 
-and the strongest local alignment score is the matrix maximum.
+where ``F`` and ``E`` are Gotoh's gap states for a gap of ``k`` symbols
+costing ``o + k*e``.  The paper's fixed gap model is the case ``o = 0``, where
+``F[i][j] = H[i-1][j] + e`` and ``E[i][j] = H[i][j-1] + e``.  The strongest
+local alignment score is the matrix maximum.
 
-Two implementations are provided:
+There is one scan and one per-cell DP:
 
-* a **vectorised scan** for the fixed (linear) gap model used by the paper's
-  experiments -- it processes the whole database concatenation column by
-  column, with each column computed by NumPy primitives (the vertical
-  insertion dependency is resolved with a running-maximum transform), which is
-  what makes whole-database S-W searches feasible in pure Python;
-* a **reference per-cell implementation** supporting both fixed and affine
-  gaps, used for pairwise alignment with traceback and as an independent
-  check in the test-suite.
+* :func:`best_local_scores` fills the matrix one *query row* at a time over
+  the whole database concatenation with NumPy primitives, and returns each
+  sequence's best score.  The horizontal dependency along the target is one
+  running maximum per row, which restarts at every terminal.  It serves
+  :meth:`SmithWatermanAligner.search` and the BLAST baseline's gapped
+  extension.
+* a **per-cell DP** in plain Python, with traceback, serves pairwise
+  alignment and is the test-suite's independent check of the scan.
 
 The aligner counts every matrix column it fills; this is the
 "columns expanded" metric that Figure 4 compares against OASIS.
@@ -27,19 +30,84 @@ The aligner counts every matrix column it fills; this is the
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.results import Alignment, SearchHit, SearchResult
+from repro.core.results import Alignment, SearchHit, SearchResult, hit_order_key
 from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.karlin_altschul import KarlinAltschulParameters
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
 from repro.sequences.sequence import Sequence
 
-#: Score assigned to pruned / impossible cells in the reference DP.
+#: Score of impossible gap states at the matrix border.
 _NEGATIVE_INFINITY = -(10**9)
+
+#: Added per sequence to the scan's running-maximum keys: every key of a later
+#: sequence exceeds every key of an earlier one, so the maximum restarts at
+#: each terminal.
+_SEQUENCE_STRIDE = 1 << 40
+
+
+def best_local_scores(
+    query_codes: bytes,
+    target_codes: bytes,
+    matrix: SubstitutionMatrix,
+    gap_model: GapModel,
+) -> np.ndarray:
+    """Best local alignment score of the query against each target sequence.
+
+    ``target_codes`` holds one or more sequences, each followed by the
+    terminal code (``SequenceDatabase.concatenated_codes`` is one).  Row ``i``
+    of the matrix is filled from row ``i - 1`` in a few whole-target passes:
+
+    * ``F = max(H_above + o + e, F_above + e)`` and
+      ``h = max(0, diagonal, F)``;
+    * ``E[j] = max_{k<j} (h[k] + o + e*(j-k))`` is one running maximum over
+      ``h - ramp``, with ``ramp = e*j - sequence*2**40``.  Taking ``h``
+      rather than ``H`` loses nothing: a gap opened after a gap is never
+      better than extending the first one, because ``o <= 0``;
+    * ``H = max(h, E)``, with the terminal columns forced to 0 so no
+      alignment crosses a sequence boundary.
+
+    The ``int64`` keys stay exact while the target holds fewer than 2**22
+    sequences and ``|e|*n`` plus the best score stays below 2**40.
+    """
+    opening, extension = gap_model.opening, gap_model.per_symbol
+    # Gathering with native-size indices is about twice as fast as with bytes.
+    target = np.frombuffer(target_codes, dtype=np.uint8).astype(np.intp)
+    n = len(target)
+    is_terminal = target == matrix.alphabet.terminal_code
+    terminals = np.flatnonzero(is_terminal)
+    starts = np.concatenate(([0], terminals[:-1] + 1))
+    sequence = np.cumsum(is_terminal) - is_terminal
+    ramp = extension * np.arange(n, dtype=np.int64) - sequence * _SEQUENCE_STRIDE
+    horizontal_ramp = ramp[1:] + opening
+    scores = matrix.lookup.astype(np.int64)
+
+    above = np.zeros(n, dtype=np.int64)
+    row = np.zeros(n, dtype=np.int64)
+    vertical = np.full(n, _NEGATIVE_INFINITY, dtype=np.int64)
+    running = np.empty(n, dtype=np.int64)
+    best = np.zeros(n, dtype=np.int64)
+    for code in query_codes:
+        substitution = scores[code][target]
+        vertical += extension
+        np.add(above, opening + extension, out=running)
+        np.maximum(vertical, running, out=vertical)
+        row[0] = substitution[0]
+        np.add(above[:-1], substitution[1:], out=row[1:])
+        np.maximum(row, vertical, out=row)
+        np.maximum(row, 0, out=row)
+        np.subtract(row, ramp, out=running)
+        np.maximum.accumulate(running, out=running)
+        running[:-1] += horizontal_ramp
+        np.maximum(row[1:], running[:-1], out=row[1:])
+        row[terminals] = 0
+        np.maximum(best, row, out=best)
+        above, row = row, above
+    return np.maximum.reduceat(best, starts)
 
 
 class SmithWatermanAligner:
@@ -50,9 +118,7 @@ class SmithWatermanAligner:
     matrix:
         Substitution matrix.
     gap_model:
-        Fixed or affine gap model; the vectorised database scan requires a
-        fixed model (the paper's configuration), the pairwise methods accept
-        either.
+        Fixed or affine gap model; every method accepts either.
     """
 
     def __init__(self, matrix: SubstitutionMatrix, gap_model: GapModel = DEFAULT_GAP_MODEL):
@@ -75,18 +141,18 @@ class SmithWatermanAligner:
     ) -> SearchResult:
         """Best local alignment of ``query`` against every database sequence.
 
-        Returns one hit per sequence whose best score is ``>= min_score``,
-        ordered by decreasing score -- the same reporting convention as OASIS.
+        Returns one hit per sequence whose best score is ``>= min_score``, in
+        the canonical order of every engine (``hit_order_key``).
         """
         if min_score < 1:
             raise ValueError("min_score must be at least 1 for a local alignment search")
         query_sequence = Sequence(query, database.alphabet)
         start_time = time.perf_counter()
 
-        if self.gap_model.is_affine:
-            scores, end_positions = self._scan_affine(database, query_sequence)
-        else:
-            scores, end_positions = self._scan_fixed(database, query_sequence)
+        scores = best_local_scores(
+            query_sequence.codes, database.concatenated_codes, self.matrix, self.gap_model
+        )
+        self.columns_expanded += database.total_symbols
 
         hits: List[SearchHit] = []
         for index, record in enumerate(database):
@@ -108,7 +174,7 @@ class SmithWatermanAligner:
                     alignment=alignment,
                 )
             )
-        hits.sort(key=lambda hit: (-hit.score, hit.sequence_index))
+        hits.sort(key=hit_order_key)
 
         elapsed = time.perf_counter() - start_time
         return SearchResult(
@@ -124,245 +190,103 @@ class SmithWatermanAligner:
             },
         )
 
-    def _scan_fixed(
-        self, database: SequenceDatabase, query: Sequence
-    ) -> Tuple[np.ndarray, Dict[int, int]]:
-        """Column-by-column scan of the concatenated database (fixed gaps).
-
-        Returns per-sequence best scores and the target end position of each
-        sequence's best-scoring column.
-        """
-        gap = self.gap_model.per_symbol
-        query_codes = query.codes
-        m = len(query_codes)
-        # Per-symbol substitution profile: profile[t][i-1] = S(q_i, t).
-        query_array = np.frombuffer(query_codes, dtype=np.uint8)
-        profile = np.ascontiguousarray(self.matrix.lookup[query_array, :].T.astype(np.int64))
-        codes = database.concatenated_codes
-        terminal = database.alphabet.terminal_code
-
-        best_scores = np.zeros(len(database), dtype=np.int64)
-        best_ends: Dict[int, int] = {}
-
-        offsets = gap * np.arange(1, m + 1, dtype=np.int64)
-        previous = np.zeros(m, dtype=np.int64)
-
-        sequence_index = 0
-        for position, symbol in enumerate(codes):
-            symbol = int(symbol)
-            if symbol == terminal:
-                # Sequence boundary: alignments never cross it; reset the column.
-                previous = np.zeros(m, dtype=np.int64)
-                sequence_index += 1
-                continue
-
-            substitution = profile[symbol]
-            candidate = np.maximum(previous + gap, 0)
-            candidate[1:] = np.maximum(candidate[1:], previous[:-1] + substitution[1:])
-            candidate[0] = max(candidate[0], substitution[0])
-            # Resolve the vertical (insertion) dependency:
-            #   column[i] = max(candidate[i], column[i-1] + gap)
-            # which equals max_k<=i (candidate[k] + gap * (i - k)).
-            column = np.maximum.accumulate(candidate - offsets) + offsets
-            previous = column
-            self.columns_expanded += 1
-
-            column_best = int(column.max())
-            if column_best > best_scores[sequence_index]:
-                best_scores[sequence_index] = column_best
-                best_ends[sequence_index] = position
-        return best_scores, best_ends
-
-    def _scan_affine(
-        self, database: SequenceDatabase, query: Sequence
-    ) -> Tuple[np.ndarray, Dict[int, int]]:
-        """Reference affine-gap scan (per-sequence, per-cell)."""
-        best_scores = np.zeros(len(database), dtype=np.int64)
-        best_ends: Dict[int, int] = {}
-        for index, record in enumerate(database):
-            score, end = self._best_score_affine(query.codes, record.codes)
-            best_scores[index] = score
-            best_ends[index] = end
-            self.columns_expanded += len(record)
-        return best_scores, best_ends
-
     # ------------------------------------------------------------------ #
-    # Pairwise alignment
+    # Pairwise alignment (the per-cell DP)
     # ------------------------------------------------------------------ #
     def best_score_pair(self, query: str, target: str) -> int:
         """The maximum local alignment score between two sequences."""
-        query_sequence = Sequence(query, self.matrix.alphabet)
-        target_sequence = Sequence(target, self.matrix.alphabet)
-        if self.gap_model.is_affine:
-            score, _ = self._best_score_affine(query_sequence.codes, target_sequence.codes)
-            return score
-        matrix, _ = self._fill_matrix_fixed(query_sequence.codes, target_sequence.codes)
-        self.columns_expanded += len(target_sequence)
-        return int(matrix.max())
+        h, _, _ = self._fill_matrices(
+            Sequence(query, self.matrix.alphabet).codes,
+            Sequence(target, self.matrix.alphabet).codes,
+        )
+        return max(max(row) for row in h)
 
     def align_pair(self, query: str, target: str) -> Alignment:
-        """Best local alignment with a full traceback (Figure 1 style output)."""
+        """Best local alignment with a full traceback (Figure 1 style output).
+
+        The alignment ends at the first cell of the matrix maximum in row
+        order; the traceback prefers a replacement, then an insertion, then a
+        deletion.
+        """
         query_sequence = Sequence(query, self.matrix.alphabet)
         target_sequence = Sequence(target, self.matrix.alphabet)
-        if self.gap_model.is_affine:
-            return self._align_pair_affine(query_sequence, target_sequence)
-        matrix, moves = self._fill_matrix_fixed(
-            query_sequence.codes, target_sequence.codes, keep_moves=True
-        )
-        self.columns_expanded += len(target_sequence)
-        return self._traceback(matrix, moves, query_sequence.text, target_sequence.text)
-
-    # ------------------------------------------------------------------ #
-    # Fixed-gap internals
-    # ------------------------------------------------------------------ #
-    def _fill_matrix_fixed(
-        self,
-        query_codes: bytes,
-        target_codes: bytes,
-        keep_moves: bool = False,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        gap = self.gap_model.per_symbol
-        m, n = len(query_codes), len(target_codes)
-        lookup = self.matrix.lookup
-        matrix = np.zeros((m + 1, n + 1), dtype=np.int64)
-        moves = np.zeros((m + 1, n + 1), dtype=np.int8) if keep_moves else None
-
-        for i in range(1, m + 1):
-            row_scores = lookup[int(query_codes[i - 1])]
-            for j in range(1, n + 1):
-                diagonal = matrix[i - 1, j - 1] + row_scores[int(target_codes[j - 1])]
-                insertion = matrix[i - 1, j] + gap
-                deletion = matrix[i, j - 1] + gap
-                best = max(0, diagonal, insertion, deletion)
-                matrix[i, j] = best
-                if moves is not None:
-                    if best == 0:
-                        moves[i, j] = 0
-                    elif best == diagonal:
-                        moves[i, j] = 1  # replacement
-                    elif best == insertion:
-                        moves[i, j] = 2  # skip a query symbol
-                    else:
-                        moves[i, j] = 3  # skip a target symbol
-        return matrix, moves
-
-    def _traceback(
-        self,
-        matrix: np.ndarray,
-        moves: np.ndarray,
-        query_text: str,
-        target_text: str,
-    ) -> Alignment:
-        i, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
-        score = int(matrix[i, j])
-        query_end, target_end = int(i), int(j)
+        query_codes, query_text = query_sequence.codes, query_sequence.text
+        target_codes, target_text = target_sequence.codes, target_sequence.text
+        h, insert, delete = self._fill_matrices(query_codes, target_codes)
+        score, i, j = 0, 0, 0
+        for row_index, row in enumerate(h):
+            row_best = max(row)
+            if row_best > score:
+                score, i, j = row_best, row_index, row.index(row_best)
+        query_end, target_end = i, j
+        rows = self.matrix.rows
+        open_and_extend = self.gap_model.opening + self.gap_model.per_symbol
         aligned_query: List[str] = []
         aligned_target: List[str] = []
-        while i > 0 and j > 0 and matrix[i, j] > 0:
-            move = moves[i, j]
-            if move == 1:
-                aligned_query.append(query_text[i - 1])
-                aligned_target.append(target_text[j - 1])
-                i -= 1
-                j -= 1
-            elif move == 2:
-                aligned_query.append(query_text[i - 1])
-                aligned_target.append("-")
-                i -= 1
-            elif move == 3:
-                aligned_query.append("-")
-                aligned_target.append(target_text[j - 1])
-                j -= 1
-            else:
-                break
-        return Alignment(
-            score=score,
-            query_start=int(i),
-            query_end=query_end,
-            target_start=int(j),
-            target_end=target_end,
-            aligned_query="".join(reversed(aligned_query)),
-            aligned_target="".join(reversed(aligned_target)),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Affine-gap internals (reference implementation; extension to the paper)
-    # ------------------------------------------------------------------ #
-    def _best_score_affine(
-        self, query_codes: bytes, target_codes: bytes
-    ) -> Tuple[int, int]:
-        h, _, _ = self._fill_matrices_affine(query_codes, target_codes)
-        position = int(np.argmax(h))
-        return int(h.flat[position]), position % (len(target_codes) + 1) - 1
-
-    def _fill_matrices_affine(
-        self, query_codes: bytes, target_codes: bytes
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        open_penalty = self.gap_model.opening
-        extend = self.gap_model.per_symbol
-        m, n = len(query_codes), len(target_codes)
-        lookup = self.matrix.lookup
-        h = np.zeros((m + 1, n + 1), dtype=np.int64)
-        insert = np.full((m + 1, n + 1), _NEGATIVE_INFINITY, dtype=np.int64)
-        delete = np.full((m + 1, n + 1), _NEGATIVE_INFINITY, dtype=np.int64)
-        for i in range(1, m + 1):
-            row_scores = lookup[int(query_codes[i - 1])]
-            for j in range(1, n + 1):
-                insert[i, j] = max(
-                    h[i - 1, j] + open_penalty + extend, insert[i - 1, j] + extend
-                )
-                delete[i, j] = max(
-                    h[i, j - 1] + open_penalty + extend, delete[i, j - 1] + extend
-                )
-                diagonal = h[i - 1, j - 1] + row_scores[int(target_codes[j - 1])]
-                h[i, j] = max(0, diagonal, insert[i, j], delete[i, j])
-        return h, insert, delete
-
-    def _align_pair_affine(self, query: Sequence, target: Sequence) -> Alignment:
-        h, insert, delete = self._fill_matrices_affine(query.codes, target.codes)
-        self.columns_expanded += len(target)
-        i, j = np.unravel_index(int(np.argmax(h)), h.shape)
-        score = int(h[i, j])
-        query_end, target_end = int(i), int(j)
-        aligned_query: List[str] = []
-        aligned_target: List[str] = []
-        lookup = self.matrix.lookup
         state = "H"
-        while i > 0 and j > 0 and not (state == "H" and h[i, j] == 0):
+        while i > 0 and j > 0 and not (state == "H" and h[i][j] == 0):
             if state == "H":
-                diagonal = h[i - 1, j - 1] + lookup[int(query.codes[i - 1]), int(target.codes[j - 1])]
-                if h[i, j] == diagonal:
-                    aligned_query.append(query.text[i - 1])
-                    aligned_target.append(target.text[j - 1])
+                substitution = rows[query_codes[i - 1]][target_codes[j - 1]]
+                if h[i][j] == h[i - 1][j - 1] + substitution:
+                    aligned_query.append(query_text[i - 1])
+                    aligned_target.append(target_text[j - 1])
                     i -= 1
                     j -= 1
-                elif h[i, j] == insert[i, j]:
+                elif h[i][j] == insert[i][j]:
                     state = "I"
                 else:
                     state = "D"
             elif state == "I":
-                aligned_query.append(query.text[i - 1])
+                aligned_query.append(query_text[i - 1])
                 aligned_target.append("-")
-                came_from_open = insert[i, j] == h[i - 1, j] + self.gap_model.opening + self.gap_model.per_symbol
-                i -= 1
-                if came_from_open:
+                if insert[i][j] == h[i - 1][j] + open_and_extend:
                     state = "H"
+                i -= 1
             else:  # state == "D"
                 aligned_query.append("-")
-                aligned_target.append(target.text[j - 1])
-                came_from_open = delete[i, j] == h[i, j - 1] + self.gap_model.opening + self.gap_model.per_symbol
-                j -= 1
-                if came_from_open:
+                aligned_target.append(target_text[j - 1])
+                if delete[i][j] == h[i][j - 1] + open_and_extend:
                     state = "H"
+                j -= 1
         return Alignment(
             score=score,
-            query_start=int(i),
+            query_start=i,
             query_end=query_end,
-            target_start=int(j),
+            target_start=j,
             target_end=target_end,
             aligned_query="".join(reversed(aligned_query)),
             aligned_target="".join(reversed(aligned_target)),
         )
+
+    def _fill_matrices(
+        self, query_codes: bytes, target_codes: bytes
+    ) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
+        """Gotoh's ``H``, insertion and deletion matrices, one cell at a time."""
+        extension = self.gap_model.per_symbol
+        open_and_extend = self.gap_model.opening + extension
+        n = len(target_codes)
+        h = [[0] * (n + 1)]
+        insert = [[_NEGATIVE_INFINITY] * (n + 1)]
+        delete = [[_NEGATIVE_INFINITY] * (n + 1)]
+        for query_code in query_codes:
+            scores = self.matrix.rows[query_code]
+            above, insert_above = h[-1], insert[-1]
+            row = [0] * (n + 1)
+            row_insert = [_NEGATIVE_INFINITY] * (n + 1)
+            row_delete = [_NEGATIVE_INFINITY] * (n + 1)
+            for j in range(1, n + 1):
+                vertical = max(above[j] + open_and_extend, insert_above[j] + extension)
+                horizontal = max(row[j - 1] + open_and_extend, row_delete[j - 1] + extension)
+                row_insert[j] = vertical
+                row_delete[j] = horizontal
+                row[j] = max(
+                    0, above[j - 1] + scores[target_codes[j - 1]], vertical, horizontal
+                )
+            h.append(row)
+            insert.append(row_insert)
+            delete.append(row_delete)
+        self.columns_expanded += n
+        return h, insert, delete
 
     def reset_counters(self) -> None:
         """Zero the cumulative column counter."""

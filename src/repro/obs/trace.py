@@ -163,7 +163,7 @@ class Span:
         self,
         exc_type: Optional[type],
         exc: Optional[BaseException],
-        _traceback: object,
+        _tb: object,
     ) -> None:
         if exc is not None:
             self.status = "error"

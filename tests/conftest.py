@@ -29,9 +29,10 @@ from repro.testing import (
 )
 
 
-# Example budgets of the property tests that do not fix their own (the disk
-# differential, tests/test_disk_differential.py): bounded in tier-1, larger in
-# the CI step that sets HYPOTHESIS_PROFILE=ci.
+# Example budgets of the property tests that do not fix their own (the
+# differentials against Smith-Waterman in tests/test_disk_differential.py and
+# tests/test_kernel_parity.py, the scan in tests/test_smith_waterman.py):
+# bounded in tier-1, larger in the CI steps that set HYPOTHESIS_PROFILE=ci.
 settings.register_profile(
     "tier1", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )

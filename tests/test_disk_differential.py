@@ -62,10 +62,10 @@ def check(tmp_path_factory, database, matrix, gap, query, min_score, block_size,
 
 
 class TestDiskImageAgainstSmithWaterman:
-    """Fewer than ten sequences: identifier order and index order coincide."""
+    """Up to 16 sequences: both engines break score ties by identifier."""
 
     @given(
-        texts=st.lists(protein_text, min_size=1, max_size=8),
+        texts=st.lists(protein_text, min_size=1, max_size=16),
         query=protein_text,
         scoring=st.sampled_from([(pam30, -8), (blosum62, -8)]),
         min_score=st.integers(min_value=1, max_value=40),
@@ -80,7 +80,7 @@ class TestDiskImageAgainstSmithWaterman:
         check(tmp_path_factory, database, matrix(), gap, query, min_score, block_size, pool_share)
 
     @given(
-        texts=st.lists(dna_text, min_size=1, max_size=8),
+        texts=st.lists(dna_text, min_size=1, max_size=16),
         query=dna_text,
         min_score=st.integers(min_value=1, max_value=14),
         block_size=block_sizes,

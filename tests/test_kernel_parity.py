@@ -20,7 +20,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.baselines.smith_waterman import SmithWatermanAligner
 from repro.core.engine import OasisEngine
@@ -344,9 +344,6 @@ class TestEngineParity:
 
 dna_text = st.text(alphabet="ACGT", min_size=1, max_size=40)
 protein_text = st.text(alphabet="ARNDCQEGHILKMFPSTWYV", min_size=1, max_size=30)
-differential = settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
 
 
 def hit_list(result):
@@ -356,13 +353,14 @@ def hit_list(result):
 class TestDifferentialAgainstSmithWaterman:
     """The production path against an implementation that shares none of it.
 
-    Fewer than ten sequences, so ``seq0..seq5`` sort alike by identifier and
-    by index and the two engines' tie-break orders coincide.
+    Up to 16 sequences: both engines break score ties by identifier
+    (``hit_order_key``), so ``seq10`` sorts before ``seq2`` on both sides.
+    The example budget comes from the hypothesis profile
+    (``tests/conftest.py``): bounded in tier-1, ``HYPOTHESIS_PROFILE=ci`` in CI.
     """
 
-    @differential
     @given(
-        texts=st.lists(protein_text, min_size=1, max_size=6),
+        texts=st.lists(protein_text, min_size=1, max_size=16),
         query=protein_text,
         gap=st.sampled_from([-1, -2, -8]),
         min_score=st.integers(min_value=1, max_value=40),
@@ -376,9 +374,8 @@ class TestDifferentialAgainstSmithWaterman:
         )
         assert hit_list(engine.search(query, min_score=min_score)) == hit_list(expected)
 
-    @differential
     @given(
-        texts=st.lists(dna_text, min_size=1, max_size=6),
+        texts=st.lists(dna_text, min_size=1, max_size=16),
         query=dna_text,
         scoring=st.sampled_from([(1, -1, -1), (1, -3, -2), (2, -3, -4), (5, -4, -1)]),
         min_score=st.integers(min_value=1, max_value=12),

@@ -3,15 +3,24 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.baselines.needleman_wunsch import NeedlemanWunschAligner
-from repro.baselines.smith_waterman import SmithWatermanAligner
+from repro.baselines.smith_waterman import SmithWatermanAligner, best_local_scores
+from repro.core.engine import OasisEngine
 from repro.scoring.data import blosum62, nucleotide_matrix, pam30, unit_matrix
 from repro.scoring.gaps import AffineGapModel, FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
+from repro.sequences.sequence import Sequence
 
-from repro.testing import PAPER_QUERY, PAPER_TARGET, random_protein
+from repro.testing import (
+    AMINO_ACIDS,
+    PAPER_QUERY,
+    PAPER_TARGET,
+    brute_force_local_score,
+    random_protein,
+)
 
 
 class TestPaperExample:
@@ -84,6 +93,108 @@ class TestDatabaseScan:
         aligner.search(small_protein_database, "WKDD", min_score=1)
         aligner.reset_counters()
         assert aligner.columns_expanded == 0
+
+    def test_equal_scores_in_canonical_hit_order(self, pam30_matrix, gap8):
+        # Twelve identical sequences tie on score: every engine then orders
+        # them by identifier, so seq10 and seq11 come before seq2.
+        database = SequenceDatabase.from_texts(["WKDDGNGYISAAE"] * 12, alphabet=PROTEIN_ALPHABET)
+        result = SmithWatermanAligner(pam30_matrix, gap8).search(
+            database, "WKDDGNGYISAAE", min_score=1
+        )
+        assert result.sequence_identifiers()[:4] == ["seq0", "seq1", "seq10", "seq11"]
+        oasis = OasisEngine.build(database, matrix=pam30_matrix, gap_model=gap8)
+        expected = oasis.search("WKDDGNGYISAAE", min_score=1)
+        assert [(hit.sequence_index, hit.score) for hit in result] == [
+            (hit.sequence_index, hit.score) for hit in expected
+        ]
+
+
+def scan_matches_pairwise(texts, query, alphabet, matrix, gap_model):
+    """The scan's per-sequence scores against one pairwise DP per sequence:
+    the plain-list brute force for fixed gaps, the per-cell Gotoh DP for
+    affine ones."""
+    database = SequenceDatabase.from_texts(texts, alphabet=alphabet)
+    scores = best_local_scores(
+        Sequence(query, alphabet).codes, database.concatenated_codes, matrix, gap_model
+    )
+    if gap_model.is_affine:
+        pairwise = SmithWatermanAligner(matrix, gap_model)
+        expected = [pairwise.best_score_pair(query, text) for text in texts]
+    else:
+        expected = [
+            brute_force_local_score(query, text, matrix, gap_model.per_symbol) for text in texts
+        ]
+    assert scores.tolist() == expected
+
+
+#: (alphabet, its letters, matrix) of the scan's random databases.
+SCORINGS = [
+    (PROTEIN_ALPHABET, AMINO_ACIDS, pam30()),
+    (PROTEIN_ALPHABET, AMINO_ACIDS, blosum62()),
+    (DNA_ALPHABET, "ACGT", nucleotide_matrix(1, -3)),
+    (DNA_ALPHABET, "ACGT", nucleotide_matrix(5, -4)),
+]
+gap_models = st.one_of(
+    st.builds(FixedGapModel, st.integers(min_value=-8, max_value=-1)),
+    st.builds(
+        AffineGapModel,
+        st.integers(min_value=-12, max_value=-1),
+        st.integers(min_value=-4, max_value=-1),
+    ),
+)
+TWELVE_PROTEINS = [random_protein(random.Random(index), 1 + index % 5) for index in range(12)]
+
+
+class TestOneScan:
+    """``best_local_scores`` over a whole database equals a pairwise DP per
+    sequence, on random protein and DNA databases of up to 16 sequences."""
+
+    @given(scoring=st.sampled_from(SCORINGS), gap_model=gap_models, data=st.data())
+    def test_random_databases(self, scoring, gap_model, data):
+        alphabet, letters, matrix = scoring
+        texts = data.draw(
+            st.lists(st.text(letters, min_size=1, max_size=12), min_size=1, max_size=16)
+        )
+        query = data.draw(st.text(letters, min_size=1, max_size=20))
+        scan_matches_pairwise(texts, query, alphabet, matrix, gap_model)
+
+    @pytest.mark.parametrize(
+        "texts, query, scoring, gap_model",
+        [
+            (["W", "K", "D"], "WKD", SCORINGS[0], FixedGapModel(-8)),
+            (["MKV", "LA"], "MKVLAADTGLAV", SCORINGS[1], AffineGapModel(-10, -1)),
+            (TWELVE_PROTEINS, "WKDDGNGYISAAE", SCORINGS[0], FixedGapModel(-2)),
+            (TWELVE_PROTEINS, "MKVLAAW", SCORINGS[0], AffineGapModel(-3, -1)),
+            (["A", "C", "G", "T"], "ACGTACGTACGTACG", SCORINGS[2], AffineGapModel(-2, -1)),
+            (["ACGTT"] * 11, "ACGTTTACGTT", SCORINGS[3], FixedGapModel(-1)),
+            (["ACGTACGCATGCAC"], "ACGTACGTTTTCATGCAC", SCORINGS[2], AffineGapModel(-2, -1)),
+            (["ACGTACGTTTTCATGCAC"], "ACGTACGCATGCAC", SCORINGS[2], AffineGapModel(-2, -1)),
+        ],
+        ids=[
+            "length-1",
+            "query-longer-than-all",
+            "twelve",
+            "twelve-affine",
+            "dna-length-1-affine",
+            "dna-eleven",
+            "affine-gap-in-target",
+            "affine-gap-in-query",
+        ],
+    )
+    def test_pinned_shapes(self, texts, query, scoring, gap_model):
+        # Length-1 sequences, queries longer than every sequence, ten or more
+        # sequences, and a 4-symbol gap on either side that only an extended
+        # (not a reopened) affine gap bridges.
+        alphabet, _, matrix = scoring
+        scan_matches_pairwise(texts, query, alphabet, matrix, gap_model)
+
+    def test_no_alignment_crosses_a_terminal(self):
+        # "WW" only occurs across the boundary of the two sequences.
+        database = SequenceDatabase.from_texts(["AAW", "WAA"], alphabet=PROTEIN_ALPHABET)
+        scores = best_local_scores(
+            PROTEIN_ALPHABET.encode("WW"), database.concatenated_codes, pam30(), FixedGapModel(-8)
+        )
+        assert scores.tolist() == [13, 13]
 
 
 class TestTraceback:
