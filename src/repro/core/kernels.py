@@ -97,11 +97,11 @@ from repro.core.search_node import (
     node_view,
 )
 
-#: One child of a VIABLE node, as the search driver hands it to a kernel:
-#: ``(tree node handle, arc symbol codes, is-leaf flag)``.  The codes are
-#: what ``SuffixTreeCursor.arc_symbols`` returns: ``bytes``, one code per
-#: byte, so a kernel loop iterates plain Python ints.
-Sibling = Tuple[object, bytes, bool]
+# One child of a VIABLE node as the driver hands it to a kernel, exactly what
+# ``SuffixTreeCursor.siblings`` returns: the arc is ``bytes``, so a kernel
+# loop iterates plain Python ints.
+from repro.suffixtree.cursor import Sibling
+
 
 #: Environment variable selecting the default kernel (``live`` otherwise).
 KERNEL_ENVIRONMENT_VARIABLE = "OASIS_KERNEL"

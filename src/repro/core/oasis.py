@@ -318,7 +318,7 @@ class QueryExecution:
         finalised even then.
         """
         cursor = self.search.cursor
-        children, arc_symbols, is_leaf = cursor.children, cursor.arc_symbols, cursor.is_leaf
+        siblings = cursor.siblings
         database = cursor.database
         context = self.context
         kernel = self.search.kernel
@@ -434,19 +434,16 @@ class QueryExecution:
                         break
                     continue
 
-                # VIABLE node: read its whole sibling list (the kernel never
-                # calls the cursor) and hand it to the expansion kernel with
-                # the entry itself as the parent.  The kernel returns the
-                # entries of the children to enqueue, already numbered in
-                # child order -- the heap tie-break depends on that -- and
-                # they are pushed as they are.  UNVIABLE children never leave
-                # the kernel; it counts them in ``context.nodes_dropped``.
+                # VIABLE node: read its whole sibling list in one cursor call
+                # (the kernel never calls the cursor) and hand it to the
+                # expansion kernel with the entry itself as the parent.  The
+                # kernel returns the entries of the children to enqueue,
+                # already numbered in child order -- the heap tie-break
+                # depends on that -- and they are pushed as they are.
+                # UNVIABLE children never leave the kernel; it counts them in
+                # ``context.nodes_dropped``.
                 statistics.nodes_expanded += 1
-                siblings = [
-                    (child, arc_symbols(child), is_leaf(child))
-                    for child in children(tree_node)
-                ]
-                for child_entry in kernel.expand_children(entry, siblings, context):
+                for child_entry in kernel.expand_children(entry, siblings(tree_node), context):
                     heapq.heappush(queue, child_entry)
 
             # Exhausted queue or full coverage: whatever is buffered is final.

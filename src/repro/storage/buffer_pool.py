@@ -5,18 +5,26 @@ uses a simple clock replacement policy" (Section 4.2), and Figures 7-8 study
 how the pool size affects query time and per-component hit ratios.  This
 module reproduces that component:
 
-* pages are keyed by ``(region, block number)`` so the three suffix-tree
-  regions (symbols, internal nodes, leaves) share one pool but their hit
+* pages are keyed by their absolute block number in the image; each frame
+  remembers which of the three suffix-tree regions (symbols, internal nodes,
+  leaves) its page belongs to, so the regions share one pool but their hit
   ratios can be reported separately, exactly as in Figure 8;
 * replacement is the classic clock algorithm: a reference bit per frame, a
   rotating hand, victims are frames whose bit is clear.  Frames are created
   as pages arrive -- a pool larger than its file never holds more frames
   than the file has blocks -- in the order the hand would walk an empty
   pool, so the eviction sequence is that of a preallocated pool;
-* a *request* is one :meth:`BufferPool.get_page` call, and the disk cursor
-  makes one per page a cursor call touches, however many records it decodes
-  from it: ``hits`` (and the Figure 8 hit ratios) count page requests, not
-  records, while ``misses`` and ``evictions`` do not depend on batching;
+* a *reader* is a generator that yields the block number of each page it
+  needs and is sent that page; :meth:`BufferPool.serve` runs one to the end
+  as one transaction.  It holds the pool lock across each run of resident
+  pages and leaves it only for a miss's ``os.pread``, installing the page in
+  the lock hold that resumes the run.  :meth:`BufferPool.get_page` is a
+  transaction of one request, so hit/miss accounting lives in one place;
+* a *request* is one page a reader yields: ``hits`` (and the Figure 8 hit
+  ratios) count page requests, not records, while ``misses`` and
+  ``evictions`` do not depend on how requests are grouped into readers;
+* a short read is an error: the builder writes whole blocks, so only a cut
+  file reads short, and a zero-padded page would decode as wrong records;
 * an optional *simulated miss latency* lets experiments charge a fixed cost
   per physical read, so the 2003-era disk behaviour is visible even though a
   modern OS page cache hides real read latency.
@@ -28,14 +36,21 @@ import enum
 import os
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (storage sits below obs)
     from repro.obs.metrics import Counter
     from repro.obs.trace import Tracer
 
 from repro.storage.blocks import BlockFile
+
+_Result = TypeVar("_Result")
+
+#: A page reader: yields the absolute block number of each page it needs, is
+#: sent that page's bytes, and returns its result (see :meth:`BufferPool.serve`).
+PageReader = Generator[int, bytes, _Result]
 
 
 class Region(enum.IntEnum):
@@ -46,19 +61,23 @@ class Region(enum.IntEnum):
     LEAF_NODES = 2
 
 
+def _per_region() -> List[int]:
+    return [0] * len(Region)
+
+
 @dataclass
 class BufferPoolStatistics:
-    """Hit/miss/eviction counters, overall and per region."""
+    """Hit/miss/eviction counters, overall and per region.
+
+    ``per_region_hits`` and ``per_region_misses`` are indexed by
+    :class:`Region`.
+    """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    per_region_hits: Dict[Region, int] = field(
-        default_factory=lambda: {region: 0 for region in Region}
-    )
-    per_region_misses: Dict[Region, int] = field(
-        default_factory=lambda: {region: 0 for region in Region}
-    )
+    per_region_hits: List[int] = field(default_factory=_per_region)
+    per_region_misses: List[int] = field(default_factory=_per_region)
     simulated_io_seconds: float = 0.0
 
     @property
@@ -80,9 +99,9 @@ class BufferPoolStatistics:
         self.misses = 0
         self.evictions = 0
         self.simulated_io_seconds = 0.0
-        for region in Region:
-            self.per_region_hits[region] = 0
-            self.per_region_misses[region] = 0
+        # In place: a running transaction holds these lists.
+        self.per_region_hits[:] = _per_region()
+        self.per_region_misses[:] = _per_region()
 
     def snapshot(self) -> Dict[str, float]:
         """A plain-dict summary convenient for reports."""
@@ -100,14 +119,19 @@ class BufferPoolStatistics:
 
 
 class _Frame:
-    """One buffer frame: a cached page plus its clock reference bit."""
+    """One buffer frame: a cached page, its region and its clock reference bit."""
 
-    __slots__ = ("key", "data", "referenced")
+    __slots__ = ("block", "region", "data", "referenced")
 
-    def __init__(self, key: Tuple[Region, int], data: bytes) -> None:
-        self.key = key
+    def __init__(self, block: int, region: Region, data: bytes) -> None:
+        self.block = block
+        self.region = region
         self.data = data
         self.referenced = True
+
+
+def _one_page(block: int) -> PageReader[bytes]:
+    return (yield block)
 
 
 class BufferPool:
@@ -123,8 +147,8 @@ class BufferPool:
         demand.
     region_offsets:
         Maps each :class:`Region` to the block number at which it starts in
-        the file; page requests are addressed as (region, block-within-region)
-        and translated here.
+        the file: :meth:`get_page` addresses a page as (region,
+        block-within-region), and a page's region is the one it falls in.
     simulated_miss_latency:
         Seconds charged (accumulated in the statistics, and optionally slept)
         for every physical read.  Defaults to 0.
@@ -149,19 +173,22 @@ class BufferPool:
         self.block_size = block_file.block_size
         self.frame_count = max(1, capacity_bytes // self.block_size)
         self.capacity_bytes = self.frame_count * self.block_size
-        # A miss is one positional read through the file's descriptor, at a
-        # byte offset resolved here; blocks written so far are made visible.
+        # A miss is one positional read through the file's descriptor;
+        # blocks written so far are made visible.
         block_file.flush()
         self._file = block_file
-        self._region_bytes = {
-            region: start * self.block_size for region, start in region_offsets.items()
-        }
+        self._region_starts = dict(region_offsets)
+        # By start block: a block belongs to the last region starting at or
+        # before it (the first region also takes any blocks before it).
+        by_start = sorted((start, region) for region, start in region_offsets.items())
+        self._sorted_starts = [0] + [start for start, _ in by_start[1:]]
+        self._sorted_regions = [region for _, region in by_start]
         self.simulated_miss_latency = simulated_miss_latency
         self.sleep_on_miss = sleep_on_miss
 
         # Frames in clock order, appended until frame_count is reached.
         self._frames: List[_Frame] = []
-        self._page_table: Dict[Tuple[Region, int], _Frame] = {}
+        self._page_table: Dict[int, _Frame] = {}
         self._clock_hand = 0
         self.statistics = BufferPoolStatistics()
         # Telemetry is attached (not constructed here) so the pool stays
@@ -183,11 +210,11 @@ class BufferPool:
         """Attach a :class:`~repro.obs.Tracer`; ``None`` detaches.
 
         Hit/miss/eviction counters are recorded into ``tracer.metrics``
-        (instruments resolved once here, so the page path pays one counter
-        increment, not a registry lookup).  When ``tracer.io_spans`` is set,
-        each physical read is additionally wrapped in a ``pool.miss`` span
-        -- useful for inspecting individual stalls, too voluminous to leave
-        on for whole workloads.
+        (instruments resolved once here, so a transaction pays one counter
+        increment per lock hold, not a registry lookup per page).  When
+        ``tracer.io_spans`` is set, each physical read is additionally
+        wrapped in a ``pool.miss`` span -- useful for inspecting individual
+        stalls, too voluminous to leave on for whole workloads.
         """
         self._tracer = tracer
         if tracer is None:
@@ -203,45 +230,72 @@ class BufferPool:
     # ------------------------------------------------------------------ #
     # Page access
     # ------------------------------------------------------------------ #
-    def get_page(self, region: Region, block_in_region: int) -> bytes:
-        """Return one page of ``region``, reading it on a miss (thread-safe)."""
-        key = (region, block_in_region)
-        with self._lock:
-            statistics = self.statistics
-            frame = self._page_table.get(key)
-            if frame is not None:
-                frame.referenced = True
-                statistics.hits += 1
-                statistics.per_region_hits[region] += 1
-                if self._metric_hits is not None:
-                    self._metric_hits.inc()
-                return frame.data
-            statistics.misses += 1
-            statistics.per_region_misses[region] += 1
-            if self.simulated_miss_latency:
-                statistics.simulated_io_seconds += self.simulated_miss_latency
-        if self._metric_misses is not None:
-            self._metric_misses.inc()
+    def serve(self, reader: PageReader[_Result]) -> _Result:
+        """Run ``reader`` to its end as one transaction and return its result.
 
-        # Two threads missing the same page may both read it; the second
-        # install is a harmless refresh.  Keeping the read outside the pool
-        # lock is what lets a thread pool overlap its miss stalls.
-        tracer = self._tracer
-        if tracer is not None and tracer.io_spans:
-            with tracer.span(
-                "pool.miss", region=int(region), block=block_in_region, phase="pool_io"
-            ):
-                data = self._read_physical(region, block_in_region)
-        else:
-            data = self._read_physical(region, block_in_region)
-        with self._lock:
-            self._install(key, data)
-        return data
+        Every block the reader yields is one request, answered in the order
+        asked.  The lock is held across each run of resident pages -- the
+        reader decodes between requests under it, which is CPU work on pages
+        already in memory -- and is left only to read a missing page; the
+        lock hold that resumes the run installs that page first.  Hits are
+        added to the counters once per hold.
+        """
+        resume = reader.send
+        table = self._page_table
+        statistics = self.statistics
+        region_hits = statistics.per_region_hits
+        block = 0
+        region = Region.SYMBOLS
+        page: Optional[bytes] = None  # sending None starts the reader
+        while True:
+            with self._lock:
+                hits = 0
+                try:
+                    if page is not None:
+                        self._install(block, region, page)
+                    block = resume(page)
+                    frame = table.get(block)
+                    while frame is not None:
+                        frame.referenced = True
+                        hits += 1
+                        region_hits[frame.region] += 1
+                        block = resume(frame.data)
+                        frame = table.get(block)
+                except StopIteration as finished:
+                    result: _Result = finished.value
+                    return result
+                finally:
+                    statistics.hits += hits
+                    if hits and self._metric_hits is not None:
+                        self._metric_hits.inc(hits)
+                region = self._region_of(block)
+                statistics.misses += 1
+                statistics.per_region_misses[region] += 1
+                if self.simulated_miss_latency:
+                    statistics.simulated_io_seconds += self.simulated_miss_latency
+            if self._metric_misses is not None:
+                self._metric_misses.inc()
+            # Two threads missing the same page may both read it; the second
+            # install is a harmless refresh.  Keeping the read outside the
+            # pool lock is what lets a thread pool overlap its miss stalls.
+            tracer = self._tracer
+            if tracer is not None and tracer.io_spans:
+                with tracer.span("pool.miss", region=int(region), block=block, phase="pool_io"):
+                    page = self._read_physical(block)
+            else:
+                page = self._read_physical(block)
+
+    def get_page(self, region: Region, block_in_region: int) -> bytes:
+        """Return one page of ``region``: a transaction of one request."""
+        return self.serve(_one_page(self._region_starts[region] + block_in_region))
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _read_physical(self, region: Region, block_in_region: int) -> bytes:
+    def _region_of(self, block: int) -> Region:
+        return self._sorted_regions[bisect_right(self._sorted_starts, block) - 1]
+
+    def _read_physical(self, block: int) -> bytes:
         if self.simulated_miss_latency and self.sleep_on_miss:
             # Sleeping releases the GIL, so concurrent misses stall in
             # parallel -- the behaviour a real multi-client disk system shows.
@@ -250,18 +304,22 @@ class BufferPool:
         if descriptor is None:
             raise ValueError("read from a closed block file")
         size = self.block_size
-        data = os.pread(descriptor, size, self._region_bytes[region] + block_in_region * size)
-        # A short block at the end of the file reads as zero-padded.
-        return data if len(data) == size else data.ljust(size, b"\x00")
+        data = os.pread(descriptor, size, block * size)
+        if len(data) != size:
+            raise ValueError(
+                f"{self._file.path}: block {block} reads {len(data)} of {size} bytes "
+                "-- the file is cut short"
+            )
+        return data
 
-    def _install(self, key: Tuple[Region, int], data: bytes) -> None:
+    def _install(self, block: int, region: Region, data: bytes) -> None:
         """Place a page in a frame chosen by the clock algorithm.
 
         Callers hold ``self._lock``.  A page already installed by a racing
         reader is refreshed in place instead of being duplicated.
         """
         table = self._page_table
-        frame = table.get(key)
+        frame = table.get(block)
         if frame is not None:
             frame.data = data
             frame.referenced = True
@@ -269,7 +327,7 @@ class BufferPool:
         frames = self._frames
         if len(frames) < self.frame_count:
             # Still filling: the next frame is where the hand would stand.
-            frame = _Frame(key, data)
+            frame = _Frame(block, region, data)
             frames.append(frame)
             self._clock_hand = len(frames) % self.frame_count
         else:
@@ -280,15 +338,16 @@ class BufferPool:
                 frame.referenced = False
                 hand = (hand + 1) % self.frame_count
                 frame = frames[hand]
-            del table[frame.key]
+            del table[frame.block]
             self.statistics.evictions += 1
             if self._metric_evictions is not None:
                 self._metric_evictions.inc()
-            frame.key = key
+            frame.block = block
+            frame.region = region
             frame.data = data
             frame.referenced = True
             self._clock_hand = (hand + 1) % self.frame_count
-        table[key] = frame
+        table[block] = frame
 
     def resource_sample(self) -> Dict[str, float]:
         """Point-in-time occupancy/hit-ratio state for the resource sampler.
@@ -315,7 +374,7 @@ class BufferPool:
 
     def contains(self, region: Region, block_in_region: int) -> bool:
         """Whether a page is currently resident (used by tests)."""
-        return (region, block_in_region) in self._page_table
+        return self._region_starts[region] + block_in_region in self._page_table
 
     def clear(self) -> None:
         """Drop every cached page (statistics are left untouched)."""

@@ -6,17 +6,29 @@ Figure 7) is observable.  The class implements the same
 :class:`~repro.suffixtree.cursor.SuffixTreeCursor` interface as the in-memory
 tree, so the OASIS engine runs on either representation unchanged.
 
-The unit of work is a *page*, not a record.  A cursor call asks the pool once
-for each page it touches, in the order a record-at-a-time reader would first
-reach it, and decodes what it needs in place: ``children()`` the parent
+The unit of work is a *page*, not a record.  Each cursor call runs a
+*reader* -- a generator that yields the blocks it needs and is sent their
+pages -- which the pool serves as one transaction (:meth:`BufferPool.serve`).
+A reader asks for each page it touches once, in the order a record-at-a-time
+reader would first reach it, and decodes in place.  There is one decoder per
+kind of data.  ``_children_reader`` decodes a node's sibling list: the parent
 record, the contiguous internal-sibling run and the contiguous leaf-sibling
-run of image format v2 (each re-fetching only where it crosses a block -- the
+run of image format v2, each re-fetching only where it crosses a block (the
 paper's leaf chain, one page per leaf, is gone: see
-:mod:`repro.storage.layout`); ``arc_symbols()`` a ``bytes`` slice of the
-symbol page, joined eagerly when the arc crosses pages.  So a pool *request*
-(``hits + misses``) is one page touched by one cursor call, not one record,
-while misses and evictions are exactly those of reading record by record: a
-repeated request for the page just requested changes nothing in a clock pool.
+:mod:`repro.storage.layout`).  ``_arcs_reader`` slices arcs as ``bytes``
+from the symbol pages, joined eagerly when an arc crosses pages.
+``children()`` runs the first, ``arc_symbols()`` the second for one node,
+and ``siblings()`` -- the search's one call per expanded node -- the first
+and then the second over every child.  So ``siblings()`` makes exactly the
+requests of ``children()`` followed by one ``arc_symbols()`` per child, in
+that order.  A pool *request* (``hits + misses``) is one page touched by one
+reader stage, not one record, while misses and evictions are exactly those
+of reading record by record: a repeated request for the page just requested
+changes nothing in a clock pool.
+
+An image shorter than its header says is refused at open
+(:class:`~repro.storage.layout.ImageFormatError`): the builder writes whole
+blocks, so only a cut file is short.
 
 Node handles are small immutable tuples::
 
@@ -33,20 +45,21 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.sequences.database import SequenceDatabase
 from repro.storage.blocks import BlockFile
-from repro.storage.buffer_pool import BufferPool, BufferPoolStatistics, Region
+from repro.storage.buffer_pool import BufferPool, BufferPoolStatistics, PageReader
 from repro.storage.layout import (
     DiskLayout,
+    ImageFormatError,
     INTERNAL_STRUCT,
     LAST_SIBLING_BIT,
     LEAF_STRUCT,
     NO_POINTER,
     VALUE_MASK,
 )
-from repro.suffixtree.cursor import SuffixTreeCursor
+from repro.suffixtree.cursor import Sibling, SuffixTreeCursor
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (storage sits below obs)
     from repro.obs.trace import Tracer
@@ -89,6 +102,13 @@ class DiskSuffixTree(SuffixTreeCursor):
         database.freeze()
         self._database = database
         self.layout = DiskLayout.read_header(path)
+        size = os.path.getsize(path)
+        if size < self.layout.index_size_bytes:
+            raise ImageFormatError(
+                f"suffix-tree image {os.fspath(path)} is {size} bytes, its header "
+                f"describes {self.layout.index_size_bytes}: the file is truncated; "
+                "rebuild the index"
+            )
         self._file = BlockFile(path, block_size=self.layout.block_size)
         total = database.total_symbols_with_terminals
         if self.layout.symbol_count != total:
@@ -108,6 +128,10 @@ class DiskSuffixTree(SuffixTreeCursor):
         # Payload bytes of a record page (whole records; the rest is padding).
         self._internal_page_bytes = self.layout.internal_records_per_block * INTERNAL_STRUCT.size
         self._leaf_page_bytes = self.layout.leaf_records_per_block * LEAF_STRUCT.size
+        # A reader yields absolute block numbers: region start + block in region.
+        self._symbols_start = self.layout.symbols_start_block
+        self._internal_start = self.layout.internal_start_block
+        self._leaves_start = self.layout.leaves_start_block
 
     # ------------------------------------------------------------------ #
     # Cursor interface
@@ -126,79 +150,20 @@ class DiskSuffixTree(SuffixTreeCursor):
     def children(self, node: NodeHandle) -> List[NodeHandle]:
         if node[0] != "I":
             return []
-        depth = node[4]
-        get_page = self.pool.get_page
-        unpack_internal = INTERNAL_STRUCT.unpack_from
-        record_size = INTERNAL_STRUCT.size
-        page_bytes = self._internal_page_bytes
-        block, offset = divmod(node[1] * record_size, page_bytes)
-        page = get_page(Region.INTERNAL_NODES, block)
-        _, _, child_index, leaf_index = unpack_internal(page, offset)
-        handles: List[NodeHandle] = []
+        return self.pool.serve(self._children_reader(node, with_arcs=False))
 
-        # Internal children: one contiguous run of records, decoded page by
-        # page up to the record that carries the last-sibling bit.
-        if child_index != NO_POINTER:
-            child_block, offset = divmod(child_index * record_size, page_bytes)
-            if child_block != block:
-                block = child_block
-                page = get_page(Region.INTERNAL_NODES, block)
-            while True:
-                word, symbol_ptr, _, _ = unpack_internal(page, offset)
-                child_depth = word & VALUE_MASK
-                handles.append(("I", child_index, symbol_ptr, child_depth - depth, child_depth))
-                if word & LAST_SIBLING_BIT:
-                    break
-                child_index += 1
-                offset += record_size
-                if offset == page_bytes:
-                    block += 1
-                    offset = 0
-                    page = get_page(Region.INTERNAL_NODES, block)
-
-        # Leaf children: one contiguous run of suffix starts, the same way.
-        if leaf_index != NO_POINTER:
-            unpack_leaf = LEAF_STRUCT.unpack_from
-            record_size = LEAF_STRUCT.size
-            page_bytes = self._leaf_page_bytes
-            ends = self._sequence_ends
-            block, offset = divmod(leaf_index * record_size, page_bytes)
-            page = get_page(Region.LEAF_NODES, block)
-            while True:
-                (word,) = unpack_leaf(page, offset)
-                start = word & VALUE_MASK
-                length = ends[bisect_right(ends, start)] - start
-                handles.append(("L", start, start + depth, length - depth, length))
-                if word & LAST_SIBLING_BIT:
-                    break
-                offset += record_size
-                if offset == page_bytes:
-                    block += 1
-                    offset = 0
-                    page = get_page(Region.LEAF_NODES, block)
-
-        return handles
+    def siblings(self, node: NodeHandle) -> List[Sibling]:
+        if node[0] != "I":
+            return []
+        return self.pool.serve(self._children_reader(node, with_arcs=True))
 
     def arc(self, node: NodeHandle) -> Tuple[int, int]:
         return node[2], node[3]
 
     def arc_symbols(self, node: NodeHandle) -> bytes:
-        length = node[3]
-        if length <= 0:
+        if node[3] <= 0:
             return b""
-        block_size = self.layout.block_size
-        block, offset = divmod(node[2], block_size)
-        end = offset + length
-        page = self.pool.get_page(Region.SYMBOLS, block)
-        if end <= block_size:
-            return page[offset:end]
-        # The arc crosses a page: join the pages it covers, eagerly.
-        chunks = [page[offset:]]
-        while end > block_size:
-            block += 1
-            end -= block_size
-            chunks.append(self.pool.get_page(Region.SYMBOLS, block)[:end])
-        return b"".join(chunks)
+        return self.pool.serve(self._arcs_reader((node,)))[0][1]
 
     def string_depth(self, node: NodeHandle) -> int:
         return node[4]
@@ -216,6 +181,97 @@ class DiskSuffixTree(SuffixTreeCursor):
                 yield current[1]
             else:
                 stack.extend(reversed(self.children(current)))
+
+    # ------------------------------------------------------------------ #
+    # Readers: what one cursor call asks of the pool, decoded page by page
+    # ------------------------------------------------------------------ #
+    def _children_reader(self, node: NodeHandle, with_arcs: bool) -> PageReader[List[Any]]:
+        """The children of internal ``node``: handles, or siblings ``with_arcs``.
+
+        Reads the parent record, then its internal run and its leaf run;
+        ``with_arcs``, the arc stage then runs over the children in order.
+        """
+        depth = node[4]
+        unpack_internal = INTERNAL_STRUCT.unpack_from
+        record_size = INTERNAL_STRUCT.size
+        page_bytes = self._internal_page_bytes
+        first_block = self._internal_start
+        block, offset = divmod(node[1] * record_size, page_bytes)
+        page = yield first_block + block
+        _, _, child_index, leaf_index = unpack_internal(page, offset)
+        handles: List[NodeHandle] = []
+
+        # Internal children: one contiguous run of records, decoded page by
+        # page up to the record that carries the last-sibling bit.
+        if child_index != NO_POINTER:
+            child_block, offset = divmod(child_index * record_size, page_bytes)
+            if child_block != block:
+                block = child_block
+                page = yield first_block + block
+            while True:
+                word, symbol_ptr, _, _ = unpack_internal(page, offset)
+                child_depth = word & VALUE_MASK
+                handles.append(("I", child_index, symbol_ptr, child_depth - depth, child_depth))
+                if word & LAST_SIBLING_BIT:
+                    break
+                child_index += 1
+                offset += record_size
+                if offset == page_bytes:
+                    block += 1
+                    offset = 0
+                    page = yield first_block + block
+
+        # Leaf children: one contiguous run of suffix starts, the same way.
+        if leaf_index != NO_POINTER:
+            unpack_leaf = LEAF_STRUCT.unpack_from
+            record_size = LEAF_STRUCT.size
+            page_bytes = self._leaf_page_bytes
+            first_block = self._leaves_start
+            ends = self._sequence_ends
+            block, offset = divmod(leaf_index * record_size, page_bytes)
+            page = yield first_block + block
+            while True:
+                (word,) = unpack_leaf(page, offset)
+                start = word & VALUE_MASK
+                length = ends[bisect_right(ends, start)] - start
+                handles.append(("L", start, start + depth, length - depth, length))
+                if word & LAST_SIBLING_BIT:
+                    break
+                offset += record_size
+                if offset == page_bytes:
+                    block += 1
+                    offset = 0
+                    page = yield first_block + block
+
+        if not with_arcs:
+            return handles
+        return (yield from self._arcs_reader(handles))
+
+    def _arcs_reader(self, handles: Iterable[NodeHandle]) -> PageReader[List[Sibling]]:
+        """``(handle, arc, is_leaf)`` per handle, each arc sliced from its symbol pages."""
+        block_size = self.layout.block_size
+        first_block = self._symbols_start
+        siblings: List[Sibling] = []
+        for handle in handles:
+            length = handle[3]
+            arc = b""
+            if length > 0:
+                block, offset = divmod(handle[2], block_size)
+                end = offset + length
+                page = yield first_block + block
+                if end <= block_size:
+                    arc = page[offset:end]
+                else:
+                    # The arc crosses a page: join the pages it covers, eagerly.
+                    chunks = [page[offset:]]
+                    while end > block_size:
+                        block += 1
+                        end -= block_size
+                        page = yield first_block + block
+                        chunks.append(page[:end])
+                    arc = b"".join(chunks)
+            siblings.append((handle, arc, handle[0] == "L"))
+        return siblings
 
     # ------------------------------------------------------------------ #
     # Statistics and lifecycle

@@ -1,9 +1,9 @@
 """The cursor interface that decouples OASIS from the tree representation.
 
 The OASIS search only ever needs a handful of operations on the suffix tree:
-get the root, enumerate a node's children, read the symbols on a node's
-incoming arc, and enumerate the suffix positions below a node.  Expressing
-those operations as an abstract *cursor* lets the same search code run against
+get the root, read a node's children with the symbols on their incoming arcs,
+and enumerate the suffix positions below a node.  Expressing those operations
+as an abstract *cursor* lets the same search code run against
 
 * the in-memory tree (:class:`repro.suffixtree.GeneralizedSuffixTree`), and
 * the disk-resident tree read through a buffer pool
@@ -25,9 +25,21 @@ from repro.sequences.database import SequenceDatabase
 #: uses small immutable tuples.
 NodeHandle = Any
 
+#: One child as :meth:`SuffixTreeCursor.siblings` returns it:
+#: ``(handle, arc symbols, is_leaf)``, the arc as ``arc_symbols`` returns it.
+Sibling = Tuple[NodeHandle, bytes, bool]
+
 
 class SuffixTreeCursor(ABC):
-    """Read-only traversal interface over a generalized suffix tree."""
+    """Read-only traversal interface over a generalized suffix tree.
+
+    :meth:`siblings` is the search path's one call: the OASIS driver makes it
+    once per expanded node.  The base class composes it from
+    :meth:`children`, :meth:`arc_symbols` and :meth:`is_leaf`, so a cursor
+    (or a proxy around one) that implements only those three works
+    unchanged; both trees override it with one pass.  The three stay for
+    tree walks, :meth:`find_exact` and proxies outside the search.
+    """
 
     @property
     @abstractmethod
@@ -46,6 +58,16 @@ class SuffixTreeCursor(ABC):
     @abstractmethod
     def children(self, node: NodeHandle) -> List[NodeHandle]:
         """Child handles of an internal node, in symbol order."""
+
+    def siblings(self, node: NodeHandle) -> List[Sibling]:
+        """``(handle, arc symbols, is_leaf)`` of each child of ``node``, in order.
+
+        Equal to composing :meth:`children`, :meth:`arc_symbols` and
+        :meth:`is_leaf`; on the disk cursor it also makes the same page
+        requests in the same order, as one buffer-pool transaction.
+        """
+        arc_symbols, is_leaf = self.arc_symbols, self.is_leaf
+        return [(child, arc_symbols(child), is_leaf(child)) for child in self.children(node)]
 
     @abstractmethod
     def arc(self, node: NodeHandle) -> Tuple[int, int]:

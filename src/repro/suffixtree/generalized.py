@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.construction import build_tree_from_suffix_array, validate_tree
-from repro.suffixtree.cursor import SuffixTreeCursor
+from repro.suffixtree.cursor import Sibling, SuffixTreeCursor
 from repro.suffixtree.nodes import InternalNode, LeafNode, SuffixTreeNode, count_nodes, iter_leaves
 from repro.suffixtree.suffix_array import build_lcp_array, build_suffix_array
 
@@ -118,6 +118,15 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
             # The caller must not mutate the returned list; avoiding a copy
             # matters because child enumeration is on the search's hot path.
             return node.children
+        return []
+
+    def siblings(self, node: SuffixTreeNode) -> List[Sibling]:
+        if isinstance(node, InternalNode):
+            codes = self._codes
+            return [
+                (child, codes[child.edge_start : child.edge_end], child.is_leaf)
+                for child in node.children
+            ]
         return []
 
     def arc(self, node: SuffixTreeNode) -> Tuple[int, int]:

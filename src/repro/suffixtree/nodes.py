@@ -9,13 +9,17 @@ the paper's disk representation (Section 3.4).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import ClassVar, Iterator, List, Optional
 
 
 class SuffixTreeNode:
     """Common behaviour of internal and leaf nodes."""
 
     __slots__ = ("edge_start", "edge_end", "parent")
+
+    #: A class attribute of each node class, not a property: the search reads
+    #: it once per child.
+    is_leaf: ClassVar[bool]
 
     def __init__(self, edge_start: int, edge_end: int, parent: Optional["InternalNode"]):
         #: Start offset (inclusive) of the incoming arc label in the symbol array.
@@ -30,10 +34,6 @@ class SuffixTreeNode:
         return self.edge_end - self.edge_start
 
     @property
-    def is_leaf(self) -> bool:
-        raise NotImplementedError
-
-    @property
     def is_root(self) -> bool:
         return self.parent is None
 
@@ -42,6 +42,8 @@ class InternalNode(SuffixTreeNode):
     """A branching node (or the root, which has an empty incoming arc)."""
 
     __slots__ = ("children", "depth")
+
+    is_leaf = False
 
     def __init__(
         self,
@@ -56,10 +58,6 @@ class InternalNode(SuffixTreeNode):
         #: Children ordered by their first arc symbol (insertion order from the
         #: suffix-array construction is already sorted).
         self.children: List[SuffixTreeNode] = []
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
 
     def add_child(self, child: SuffixTreeNode) -> None:
         """Attach a child (children must be added in sorted symbol order)."""
@@ -89,6 +87,8 @@ class LeafNode(SuffixTreeNode):
 
     __slots__ = ("suffix_start", "sequence_index")
 
+    is_leaf = True
+
     def __init__(
         self,
         suffix_start: int,
@@ -100,10 +100,6 @@ class LeafNode(SuffixTreeNode):
         super().__init__(edge_start, edge_end, parent)
         self.suffix_start = suffix_start
         self.sequence_index = sequence_index
-
-    @property
-    def is_leaf(self) -> bool:
-        return True
 
     def __repr__(self) -> str:
         return (

@@ -455,6 +455,22 @@ class TestIndexCommands:
         assert line.startswith(f"repro-oasis {name}: error: ") and "rebuild the index" in line
         assert "Traceback" not in captured.err
 
+    def test_truncated_image_exits_2_in_one_line(self, index_dir, capsys):
+        image = index_dir / "shard-0001.oasis"
+        size = image.stat().st_size
+        with open(image, "r+b") as handle:
+            handle.truncate(size - 2048)  # one default block
+        capsys.readouterr()
+        code = main(
+            ["search", "--query", "MKVLAADTGLAV", "--min-score", "15", "--index", str(index_dir)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-oasis search: error: ")
+        assert f"{size - 2048} bytes" in line and f"describes {size}" in line
+        assert "truncated" in line and "Traceback" not in captured.err
+
     def test_search_reuses_persisted_index(self, index_dir, generated_files, capsys):
         fasta, queries = generated_files
         main(["search", "--database", str(fasta), "--queries", str(queries), "--min-score", "15"])

@@ -10,12 +10,14 @@ Integration level: a full sharded ``processes:2`` search (plus the
 always-in-process streaming path) under instrumented ``BufferPool`` and
 backend locks must come back cycle-free, with the instrumentation proven
 live by the monitor's acquisition counter -- and a deliberate ABBA on those
-same real locks must be reported.
+same real locks must be reported.  A threaded batch over one two-frame disk
+pool must also stay cycle-free and keep its hits and its request count.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -180,6 +182,58 @@ class TestEngineIntegration:
         assert hits
         assert monitor.acquisition_count > 0
         monitor.assert_acyclic()
+
+    def test_threaded_batch_over_a_two_frame_pool(
+        self, lockorder_database, pam30_matrix, gap8, tmp_path
+    ):
+        """Four threads share one pool that holds two pages.
+
+        Each query's sibling lists are pool transactions that hold the lock
+        across resident pages and drop it for every read, so the threads
+        interleave inside one another's transactions.  The hits must not
+        move; the requests of each query are fixed, so only their split into
+        hits and misses may.
+        """
+        queries = [QUERY] + [
+            lockorder_database[index].text[5:17] for index in range(0, len(lockorder_database), 2)
+        ]
+        engine = OasisEngine.build_on_disk(
+            lockorder_database,
+            pam30_matrix,
+            str(tmp_path / "two-frame.oasis"),
+            gap_model=gap8,
+            block_size=BLOCK_SIZE,
+            buffer_pool_bytes=2 * BLOCK_SIZE,
+        )
+        try:
+            pool = engine.cursor.pool
+            assert pool.frame_count == 2
+            serial = engine.search_many(queries, workers=1, evalue=EVALUE).results()
+            serial_requests = pool.statistics.requests
+            pool.clear()
+            pool.reset_statistics()
+            monitor = LockOrderMonitor()
+            assert instrument_lock_order(monitor, pool) == ["BufferPool[0]._lock"]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # switch threads inside transactions too
+            try:
+                threaded = engine.search_many(
+                    queries, workers=4, timeout=60, evalue=EVALUE
+                ).results()
+            finally:
+                sys.setswitchinterval(interval)
+        finally:
+            engine.cursor.close()
+
+        def signature(results):
+            return [[(hit.sequence_index, hit.score) for hit in result] for result in results]
+
+        assert any(signature(serial))
+        assert signature(threaded) == signature(serial)
+        assert monitor.acquisition_count > 0
+        monitor.assert_acyclic()
+        assert pool.statistics.requests == serial_requests
+        assert pool.statistics.misses > 0
 
     def test_sharded_process_search_is_cycle_free(self, sharded_directory):
         """The headline scenario: processes:2 scatter + streaming, no cycles.

@@ -209,9 +209,12 @@ class TestMissPath:
     def test_a_miss_does_not_go_through_read_block(self, block_file):
         pool = make_pool(block_file, 2)
         assert pool.get_page(Region.LEAF_NODES, 2) == bytes([9]) * 64
-        assert pool.get_page(Region.SYMBOLS, 40) == b"\x00" * 64  # past the end: zero-padded
+        # Past the end of the file: a short read is an error, not a zero page.
+        with pytest.raises(ValueError, match="block 40 reads 0 of 64 bytes"):
+            pool.get_page(Region.SYMBOLS, 40)
         assert pool.statistics.misses == 2
         assert block_file.reads == 0
+        assert pool.resident_pages == 1
 
     def test_pool_sees_blocks_written_before_it_was_built(self, tmp_path):
         with BlockFile(tmp_path / "w.blk", block_size=32, create=True) as handle:

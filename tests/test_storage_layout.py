@@ -576,9 +576,23 @@ class TestPageAtATimeReadPath:
                 walker.pool.statistics.evictions,
             )
             assert statistics.misses > 100
-            assert 0 < statistics.hits < walker.pool.statistics.hits
+            # The exact page requests of the cursor before it read a node's
+            # sibling list in one pool transaction: the request sequence,
+            # not just the reads, is unchanged.
+            assert statistics.hits == {1: 36, 8: 425}[frames]
+            assert statistics.hits < walker.pool.statistics.hits
         finally:
             engine.cursor.close()
+
+    def test_a_truncated_image_is_refused_at_open(self, tmp_path, small_dna_database):
+        path = tmp_path / "cut.oasis"
+        layout = build_disk_image(small_dna_database, path, block_size=256)
+        assert path.stat().st_size == layout.index_size_bytes  # whole blocks only
+        with open(path, "r+b") as handle:
+            handle.truncate(layout.index_size_bytes - 256)
+        expected = f"{layout.index_size_bytes - 256} bytes.*describes {layout.index_size_bytes}"
+        with pytest.raises(ImageFormatError, match=expected):
+            DiskSuffixTree(path, small_dna_database)
 
     def test_default_pool_holds_no_more_frames_than_the_image_has_blocks(
         self, tmp_path, small_dna_database
@@ -596,3 +610,74 @@ class TestPageAtATimeReadPath:
             assert 0 < disk.pool.resident_pages <= layout.total_blocks - 1
             assert disk.pool.statistics.evictions == 0
             assert disk.pool.statistics.misses == disk.pool.resident_pages
+
+
+# --------------------------------------------------------------------------- #
+# siblings(): the search's one call, held to the three calls it replaces
+# --------------------------------------------------------------------------- #
+def composed_siblings(cursor, node):
+    """The base-class ``siblings``: ``children`` + ``arc_symbols`` + ``is_leaf``."""
+    return SuffixTreeCursor.siblings(cursor, node)
+
+
+def internal_nodes(cursor):
+    """Every internal node, level order, read through ``children`` alone."""
+    pending = deque([cursor.root])
+    while pending:
+        node = pending.popleft()
+        yield node
+        pending.extend(child for child in cursor.children(node) if not cursor.is_leaf(child))
+
+
+class TestSiblings:
+    def test_memory_tree_siblings_are_the_composition(self):
+        for database in walk_databases():
+            tree = GeneralizedSuffixTree.build(database)
+            count = 0
+            for node in internal_nodes(tree):
+                siblings = tree.siblings(node)
+                assert siblings == composed_siblings(tree, node)
+                assert all(type(is_leaf) is bool for _, _, is_leaf in siblings)
+                for child, _, is_leaf in siblings:
+                    if is_leaf:
+                        assert tree.siblings(child) == []
+                count += 1
+            assert count == tree.internal_node_count
+
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    @pytest.mark.parametrize("pool_fits", [False, True], ids=["one-frame", "fits"])
+    def test_disk_siblings_are_the_composition_request_for_request(
+        self, tmp_path, block_size, pool_fits
+    ):
+        for database in walk_databases():
+            path = tmp_path / f"{database.name}.oasis"
+            layout = build_disk_image(database, path, block_size=block_size)
+            pool_bytes = layout.index_size_bytes if pool_fits else 1
+            # Two cursors, each with a pool of the same size: one reads every
+            # sibling list in one call, the other through the three calls.
+            with DiskSuffixTree(path, database, buffer_pool_bytes=pool_bytes) as ours, \
+                    DiskSuffixTree(path, database, buffer_pool_bytes=pool_bytes) as theirs:
+                nodes = list(internal_nodes(ours))
+                assert len(nodes) == layout.internal_count
+                for node in nodes:
+                    siblings = ours.siblings(node)
+                    assert siblings == composed_siblings(theirs, node)
+                    assert all(ours.siblings(child) == [] for child, _, leaf in siblings if leaf)
+                # A full walk from fresh pools: the same requests, so the
+                # same hits, misses and evictions, region by region.
+                for cursor in (ours, theirs):
+                    cursor.pool.clear()
+                    cursor.reset_statistics()
+                for node in nodes:
+                    ours.siblings(node)
+                    composed_siblings(theirs, node)
+                mine, reference = ours.statistics, theirs.statistics
+                assert (mine.hits, mine.misses, mine.evictions) == (
+                    reference.hits,
+                    reference.misses,
+                    reference.evictions,
+                )
+                assert mine.per_region_hits == reference.per_region_hits
+                assert mine.per_region_misses == reference.per_region_misses
+                assert mine.misses > 0
+                assert (mine.evictions > 0) == (not pool_fits)
