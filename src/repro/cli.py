@@ -48,6 +48,7 @@ from typing import List, Optional
 from repro.core.request import SearchRequest
 from repro.scoring.data import available_matrices, load_matrix
 from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel
+from repro.sequences.alphabet import AlphabetError
 from repro.sequences.fasta import read_fasta, write_fasta
 
 DEFAULT_MATRIX = "PAM30"
@@ -537,7 +538,12 @@ def _command_search(args: argparse.Namespace) -> int:
         )
 
     if len(queries) == 1:
-        report.raise_first_error()
+        try:
+            report.raise_first_error()
+        except AlphabetError as error:
+            # A symbol outside the database's alphabet is a usage error, like
+            # an empty query; a batch reports it in the query's row instead.
+            return _fail("search", error)
         _print_single_result(report.outcomes[0].result)
         return 0
 

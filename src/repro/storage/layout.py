@@ -37,18 +37,14 @@ from typing import Dict, Union
 
 from repro.storage.buffer_pool import Region
 
+# The record words (last-sibling bit, value mask, "no such run"): the
+# in-memory tree decodes the same records, so they are defined below both.
+from repro.suffixtree.cursor import LAST_SIBLING_BIT, NO_POINTER, VALUE_MASK
+
 PathLike = Union[str, os.PathLike]
 
 #: The image format this code writes and reads; there is no second reader.
 FORMAT_VERSION = 2
-
-#: Sentinel for "no internal children" / "no leaf children".
-NO_POINTER = 0xFFFFFFFF
-
-#: Bit 31 of an internal record's ``depth`` word and of a leaf record: this
-#: record is the last of its parent's run.  The low 31 bits are the value.
-LAST_SIBLING_BIT = 0x80000000
-VALUE_MASK = 0x7FFFFFFF
 
 #: Wire formats of an internal-node record (depth | last-sibling bit, symbol
 #: pointer, first internal child, first leaf child) and of a leaf record

@@ -5,7 +5,8 @@ get the root, read a node's children with the symbols on their incoming arcs,
 and enumerate the suffix positions below a node.  Expressing those operations
 as an abstract *cursor* lets the same search code run against
 
-* the in-memory tree (:class:`repro.suffixtree.GeneralizedSuffixTree`), and
+* the in-memory tree (:class:`repro.suffixtree.GeneralizedSuffixTree`), which
+  holds the image's record arrays in memory, and
 * the disk-resident tree read through a buffer pool
   (:class:`repro.storage.DiskSuffixTree`),
 
@@ -21,9 +22,19 @@ from typing import Any, Iterator, List, Sequence, Tuple
 
 from repro.sequences.database import SequenceDatabase
 
-#: Opaque node handle.  In-memory cursors use node objects; the disk cursor
-#: uses small immutable tuples.
+#: Opaque node handle.  Both trees use the same small immutable tuples,
+#: ``("I", internal_index, arc_start, arc_length, depth)`` and
+#: ``("L", suffix_start, arc_start, arc_length, depth)``; proxies and test
+#: cursors may use anything.
 NodeHandle = Any
+
+#: The words of the Section 3.4 record arrays, which both trees decode (the
+#: layout is :mod:`repro.storage.layout`'s): bit 31 of an internal record's
+#: depth word and of a leaf record flags the last record of its parent's run,
+#: the low 31 bits are the value, and ``NO_POINTER`` is "no such run".
+LAST_SIBLING_BIT = 0x80000000
+VALUE_MASK = 0x7FFFFFFF
+NO_POINTER = 0xFFFFFFFF
 
 #: One child as :meth:`SuffixTreeCursor.siblings` returns it:
 #: ``(handle, arc symbols, is_leaf)``, the arc as ``arc_symbols`` returns it.

@@ -2,27 +2,54 @@
 
 This is the structure of Section 2.3: a compact suffix tree representing every
 suffix of every database sequence, with each sequence terminated by the ``$``
-symbol.  Construction goes through a suffix array (per-sequence distinct
-terminal codes guarantee that no suffix is a prefix of another, so every
-suffix gets its own leaf), which keeps the pure-Python overhead manageable for
-databases in the hundreds of thousands to millions of symbols.
+symbol.  It is held as the paper's Section 3.4 representation -- the same
+internal-node and leaf record arrays the disk image stores
+(:mod:`repro.storage.layout`), next to the database's symbol array -- built
+straight from sorted suffixes and their LCPs, never as node objects:
 
-The class implements :class:`repro.suffixtree.cursor.SuffixTreeCursor`, so the
-OASIS search can run on it directly.  (The disk image in :mod:`repro.storage`
-is built from the same :func:`sorted_suffixes`, not from this tree.)
+* :func:`sorted_suffixes` sorts every suffix at once and hands over the suffix
+  positions and their LCPs as two flat arrays (the paper's Section 3.4.1 sorts
+  one lexical partition at a time; why this does not,
+  :mod:`repro.suffixtree.suffix_array` says);
+* one rightmost-path stack pass over plain ints (:func:`_flat_tree`) appends,
+  per internal node, its string depth, its leftmost leaf and its parent, and
+  per leaf its parent, to flat 4-byte arrays; the LCPs are then let go;
+* NumPy does the rest on those arrays (:func:`_level_order_records`): tree
+  level from the parents, level order as one ``lexsort``, leaf records as a
+  stable sort by parent, first-child pointers and last-sibling bits from the
+  run boundaries -- so that the internal children of a node and its leaf
+  children each end up as one contiguous run.
+
+Counted with ``tracemalloc`` at 960 108 residues, the sort peaks at 44 bytes
+per residue (text included), the LCPs at 53, and the last step, which holds
+the record arrays and their sort permutations, at 58; in between, the flat
+arrays are about 13 bytes per residue (4 per leaf for its position, 4 for its
+parent, 12 per internal node).  ``tests/image_oracle.py`` keeps the object
+tree and the level-order walk over it that this replaced, and the test-suite
+holds the two to the same bytes.
+
+The class implements :class:`repro.suffixtree.cursor.SuffixTreeCursor` with
+the disk cursor's node handles, so the OASIS search runs on it directly, and
+:func:`repro.storage.build_disk_image` writes its arrays as they are.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_right
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.sequences.database import SequenceDatabase
-from repro.suffixtree.construction import build_tree_from_suffix_array, validate_tree
-from repro.suffixtree.cursor import Sibling, SuffixTreeCursor
-from repro.suffixtree.nodes import InternalNode, LeafNode, SuffixTreeNode, count_nodes, iter_leaves
+from repro.suffixtree.cursor import (
+    LAST_SIBLING_BIT,
+    NO_POINTER,
+    VALUE_MASK,
+    NodeHandle,
+    Sibling,
+    SuffixTreeCursor,
+)
 from repro.suffixtree.suffix_array import build_lcp_array, build_suffix_array
 
 
@@ -46,8 +73,6 @@ def sorted_suffixes(database: SequenceDatabase) -> Tuple[np.ndarray, np.ndarray]
     ``positions[k]`` and ``positions[k - 1]`` (``lcps[0]`` is 0).  Suffixes
     that begin at a terminal carry no alignable content; terminals sort after
     every residue, so they are the tail of the suffix array, and are left out.
-    Both trees -- :class:`GeneralizedSuffixTree` and the disk image -- are
-    built from these two arrays.
     """
     database.freeze()
     text = construction_codes(database)
@@ -66,38 +91,42 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
     >>> tree = GeneralizedSuffixTree.build(db)
     >>> tree.contains("TACG")
     True
+
+    ``children()`` decodes an internal node's run of internal children, then
+    its run of leaves, the first time the node is asked for, and keeps the
+    list: only nodes a search expanded are decoded, each once, whichever
+    query or thread asked first (two racing decodes store equal lists).
+    ``siblings()`` slices the arcs from the symbol array on every call.
     """
 
-    def __init__(self, database: SequenceDatabase, root: InternalNode):
+    def __init__(self, database: SequenceDatabase, internal_records: array, leaf_records: array):
         database.freeze()
         self._database = database
-        self._root = root
+        #: The image's internal records, four words each, in level order:
+        #: depth | last-sibling bit, arc start, first internal child, first leaf.
+        self.internal_records = internal_records
+        #: The image's leaf records in parent order: suffix start | last-sibling bit.
+        self.leaf_records = leaf_records
         # Arc labels are slices of the concatenated codes: bytes, one code
         # per byte (the form the disk image stores).
         self._codes = database.concatenated_codes
+        # One past each terminal, ascending: suffix p ends at the first entry > p.
+        self._sequence_ends = database.sequence_starts[1:] + [len(self._codes)]
+        self._children: Dict[int, List[NodeHandle]] = {}
 
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
     @classmethod
     def build(cls, database: SequenceDatabase) -> "GeneralizedSuffixTree":
         """Build the tree for every suffix of every sequence in ``database``."""
-        positions, lcps = sorted_suffixes(database)
-        # suffix_end[p]: one past the terminal of the sequence holding p;
-        # sequence_of[p]: that sequence's index.
-        starts = np.array(database.sequence_starts)
-        ends = np.append(starts[1:], database.total_symbols_with_terminals)
-        lengths = ends - starts
-        suffix_end = np.repeat(ends, lengths)
-        sequence_of = np.repeat(np.arange(len(database)), lengths)
-
-        root = build_tree_from_suffix_array(
-            positions.tolist(),
-            lcps.tolist(),
-            suffix_end_of=lambda position: int(suffix_end[position]),
-            sequence_index_of=lambda position: int(sequence_of[position]),
+        symbol_count = len(database.concatenated_codes)
+        if symbol_count > VALUE_MASK:
+            raise ValueError(f"{symbol_count} symbols do not fit the records' 31-bit pointers")
+        sequence_ends = np.array(database.sequence_starts[1:] + [symbol_count])
+        # The sorted suffixes go straight into the call: their LCPs are let go
+        # before the record arrays are built.
+        return cls(
+            database,
+            *_level_order_records(*_flat_tree(*sorted_suffixes(database), sequence_ends)),
         )
-        return cls(database, root)
 
     # ------------------------------------------------------------------ #
     # Cursor interface
@@ -107,100 +136,241 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         return self._database
 
     @property
-    def root(self) -> InternalNode:
-        return self._root
+    def root(self) -> NodeHandle:
+        return ("I", 0, 0, 0, 0)
 
-    def is_leaf(self, node: SuffixTreeNode) -> bool:
-        return node.is_leaf
+    def is_leaf(self, node: NodeHandle) -> bool:
+        return node[0] == "L"
 
-    def children(self, node: SuffixTreeNode) -> List[SuffixTreeNode]:
-        if isinstance(node, InternalNode):
-            # The caller must not mutate the returned list; avoiding a copy
-            # matters because child enumeration is on the search's hot path.
-            return node.children
-        return []
+    def children(self, node: NodeHandle) -> List[NodeHandle]:
+        # The caller must not mutate the returned list: it is the memo.
+        if node[0] != "I":
+            return []
+        handles = self._children.get(node[1])
+        if handles is None:
+            handles = self._children[node[1]] = self._decode(node)
+        return handles
 
-    def siblings(self, node: SuffixTreeNode) -> List[Sibling]:
-        if isinstance(node, InternalNode):
-            codes = self._codes
-            return [
-                (child, codes[child.edge_start : child.edge_end], child.is_leaf)
-                for child in node.children
-            ]
-        return []
+    def siblings(self, node: NodeHandle) -> List[Sibling]:
+        # children()'s memo lookup inlined: this is the search's one call per
+        # expanded node.
+        handles = self._children.get(node[1]) if node[0] == "I" else ()
+        if handles is None:
+            handles = self.children(node)
+        codes = self._codes
+        return [
+            (child, codes[child[2] : child[2] + child[3]], child[0] == "L")
+            for child in handles
+        ]
 
-    def arc(self, node: SuffixTreeNode) -> Tuple[int, int]:
-        return node.edge_start, node.edge_length
+    def arc(self, node: NodeHandle) -> Tuple[int, int]:
+        return node[2], node[3]
 
-    def arc_symbols(self, node: SuffixTreeNode) -> bytes:
-        return self._codes[node.edge_start : node.edge_end]
+    def arc_symbols(self, node: NodeHandle) -> bytes:
+        return self._codes[node[2] : node[2] + node[3]]
 
-    def string_depth(self, node: SuffixTreeNode) -> int:
-        if isinstance(node, InternalNode):
-            return node.depth
-        parent_depth = node.parent.depth if node.parent is not None else 0
-        return parent_depth + node.edge_length
+    def string_depth(self, node: NodeHandle) -> int:
+        return node[4]
 
-    def suffix_start(self, node: SuffixTreeNode) -> int:
-        if not isinstance(node, LeafNode):
+    def suffix_start(self, node: NodeHandle) -> int:
+        if node[0] != "L":
             raise TypeError("suffix_start is only defined for leaves")
-        return node.suffix_start
+        return node[1]
 
-    def leaf_positions(self, node: SuffixTreeNode) -> Iterator[int]:
-        for leaf in iter_leaves(node):
-            yield leaf.suffix_start
+    def leaf_positions(self, node: NodeHandle) -> Iterator[int]:
+        # Straight from the records, no handles and no memo: a hit below a
+        # shallow node must not keep its whole subtree.
+        if node[0] == "L":
+            yield node[1]
+            return
+        records, leaves = self.internal_records, self.leaf_records
+        stack = [node[1]]
+        while stack:
+            index = 4 * stack.pop()
+            child, leaf = records[index + 2], records[index + 3]
+            while leaf != NO_POINTER:
+                word = leaves[leaf]
+                yield word & VALUE_MASK
+                leaf = NO_POINTER if word & LAST_SIBLING_BIT else leaf + 1
+            while child != NO_POINTER:
+                stack.append(child)
+                child = NO_POINTER if records[4 * child] & LAST_SIBLING_BIT else child + 1
 
-    def sequences_below(self, node: SuffixTreeNode) -> List[int]:
-        # Every leaf records its own sequence: same first-seen order as the
-        # base implementation, without locating each leaf's position.
-        return list(dict.fromkeys(leaf.sequence_index for leaf in iter_leaves(node)))
+    def sequences_below(self, node: NodeHandle) -> List[int]:
+        # Sequence i ends at the i-th entry: no locate() per leaf.
+        ends = self._sequence_ends
+        return list(dict.fromkeys(bisect_right(ends, start) for start in self.leaf_positions(node)))
+
+    def _decode(self, node: NodeHandle) -> List[NodeHandle]:
+        """The child handles of internal ``node``: its internal run, then its leaf run."""
+        records, leaves, ends = self.internal_records, self.leaf_records, self._sequence_ends
+        depth = node[4]
+        child, leaf = records[4 * node[1] + 2], records[4 * node[1] + 3]
+        handles: List[NodeHandle] = []
+        while child != NO_POINTER:
+            word = records[4 * child]
+            child_depth = word & VALUE_MASK
+            handles.append(("I", child, records[4 * child + 1], child_depth - depth, child_depth))
+            child = NO_POINTER if word & LAST_SIBLING_BIT else child + 1
+        while leaf != NO_POINTER:
+            word = leaves[leaf]
+            start = word & VALUE_MASK
+            length = ends[bisect_right(ends, start)] - start
+            handles.append(("L", start, start + depth, length - depth, length))
+            leaf = NO_POINTER if word & LAST_SIBLING_BIT else leaf + 1
+        return handles
 
     # ------------------------------------------------------------------ #
-    # Queries
+    # Queries and statistics
     # ------------------------------------------------------------------ #
-    def path_label(self, node: SuffixTreeNode) -> str:
-        """The full path label from the root down to ``node``."""
-        parts: List[str] = []
-        current: Optional[SuffixTreeNode] = node
-        while current is not None and current.parent is not None:
-            parts.append(self._database.alphabet.decode(self.arc_symbols(current)))
-            current = current.parent
-        return "".join(reversed(parts))
+    def path_label(self, node: NodeHandle) -> str:
+        """The full path label from the root down to ``node``.
 
-    # ------------------------------------------------------------------ #
-    # Statistics and validation
-    # ------------------------------------------------------------------ #
-    @cached_property
-    def _counts(self) -> Dict[str, int]:
-        # One walk over the whole tree, so only on first use: a search never
-        # asks, and the tree does not change once it is wrapped here.
-        return count_nodes(self._root)
+        The arc of a node ends where its path does, ``depth`` symbols after
+        the path starts.
+        """
+        end = node[2] + node[3]
+        return self._database.alphabet.decode(self._codes[end - node[4] : end])
 
     @property
     def internal_node_count(self) -> int:
-        return self._counts["internal"]
+        return len(self.internal_records) // 4
 
     @property
     def leaf_count(self) -> int:
-        return self._counts["leaves"]
+        return len(self.leaf_records)
 
     @property
     def node_count(self) -> int:
-        return self._counts["total"]
-
-    def validate(self) -> List[str]:
-        """Structural validation; returns a list of problems (empty = OK)."""
-        problems = validate_tree(self._root, self._codes)
-        expected_leaves = self._database.total_symbols
-        if self.leaf_count != expected_leaves:
-            problems.append(
-                f"expected {expected_leaves} leaves (one per non-terminal suffix), "
-                f"found {self.leaf_count}"
-            )
-        return problems
+        return self.internal_node_count + self.leaf_count
 
     def __repr__(self) -> str:
         return (
             f"GeneralizedSuffixTree(database={self._database.name!r}, "
             f"internal={self.internal_node_count}, leaves={self.leaf_count})"
         )
+
+
+def _flat_tree(
+    positions: np.ndarray, lcps: np.ndarray, sequence_ends: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The compact suffix tree of sorted suffixes, as five flat arrays.
+
+    ``positions`` are the suffixes in lexical order and ``lcps[k]`` the
+    longest common prefix of ``positions[k]`` with the suffix before it.
+    Returns ``(positions, leaf_parent, node_depth, node_leftmost,
+    node_parent)``: leaves are numbered in sorted order, internal nodes in
+    creation order (the root is node 0, its own parent), and
+    ``node_leftmost`` is the number of the leftmost leaf below a node.
+
+    The stack is the rightmost path of the tree built so far.  A node's
+    parent is final once the node has left the path -- except that a later
+    suffix may still split the arc above the node popped last, which then
+    hangs below the new node.
+    """
+    lengths = sequence_ends[np.searchsorted(sequence_ends, positions, side="right")] - positions
+    if (lcps >= lengths).any():
+        raise ValueError(
+            "a suffix is a prefix of its predecessor; terminal symbols "
+            "must make all suffixes distinct"
+        )
+    del lengths
+    if len(lcps) and lcps[0] != 0:
+        raise ValueError("the first suffix of all must have LCP 0")
+    leaf_parent = array("i")
+    node_depth, node_leftmost, node_parent = array("i", [0]), array("i", [0]), array("i", [0])
+    path_nodes, path_depths = [0], [0]
+
+    for common in lcps.tolist():
+        popped = -1
+        while path_depths[-1] > common:
+            path_depths.pop()
+            popped = path_nodes.pop()
+        top = path_nodes[-1]
+        if path_depths[-1] < common:
+            # The split point falls inside the arc of what was popped last
+            # (the previous leaf when no node was): a new node takes over
+            # that child and its leftmost leaf.
+            new = len(node_depth)
+            node_depth.append(common)
+            node_parent.append(top)
+            if popped < 0:
+                node_leftmost.append(len(leaf_parent) - 1)
+                leaf_parent[-1] = new
+            else:
+                node_leftmost.append(node_leftmost[popped])
+                node_parent[popped] = new
+            path_nodes.append(new)
+            path_depths.append(common)
+            top = new
+        leaf_parent.append(top)
+
+    return (
+        positions,
+        np.frombuffer(leaf_parent, dtype=np.intc),
+        np.frombuffer(node_depth, dtype=np.intc),
+        np.frombuffer(node_leftmost, dtype=np.intc),
+        np.frombuffer(node_parent, dtype=np.intc),
+    )
+
+
+def _level_order_records(
+    positions: np.ndarray,
+    leaf_parent: np.ndarray,
+    node_depth: np.ndarray,
+    node_leftmost: np.ndarray,
+    node_parent: np.ndarray,
+) -> Tuple[array, array]:
+    """The internal and leaf record arrays from :func:`_flat_tree`'s arrays.
+
+    Internal nodes are renumbered in level order, left to right within a
+    level, so a node's internal children are consecutive and follow those of
+    the node before it; the leaf records are laid out in the order of their
+    parents' new numbers, each run in lexical order.  Both come back as
+    ``array('I')`` (native byte order), filled through NumPy views.
+    """
+    # Tree level by pointer jumping: ``level`` is the distance to ``hop``,
+    # which doubles every round (the root is its own parent at distance 0).
+    level = np.ones(len(node_parent), dtype=np.int32)
+    level[0] = 0
+    hop = node_parent
+    while hop.any():
+        level = level + level[hop]
+        hop = hop[hop]
+
+    # Two nodes with the same leftmost leaf are ancestor and descendant, so
+    # (level, leftmost leaf) is a total order: the level-order walk's.
+    order = np.lexsort((node_leftmost, level))
+    number = np.empty(len(order), dtype=np.uint32)
+    number[order] = np.arange(len(order), dtype=np.uint32)
+
+    internal_records = array("I", [0]) * (4 * len(order))
+    internal = np.frombuffer(internal_records, dtype=np.uint32).reshape(-1, 4)
+    internal[:, 0] = node_depth[order]
+    internal[:, 1] = positions[node_leftmost[order]] + node_depth[node_parent[order]]
+    internal[0, 1] = 0  # the root has no incoming arc
+    internal[:, 2:] = NO_POINTER
+    internal[0, 0] |= LAST_SIBLING_BIT
+    starts, ends, parents = _sibling_runs(number[node_parent[order[1:]]])
+    internal[parents, 2] = starts + 1
+    internal[ends + 1, 0] |= LAST_SIBLING_BIT
+
+    leaf_number = number[leaf_parent]
+    leaf_order = np.argsort(leaf_number, kind="stable")
+    leaf_records = array("I", [0]) * len(leaf_order)
+    leaves = np.frombuffer(leaf_records, dtype=np.uint32)
+    leaves[:] = positions[leaf_order]
+    starts, ends, parents = _sibling_runs(leaf_number[leaf_order])
+    internal[parents, 3] = starts
+    leaves[ends] |= LAST_SIBLING_BIT
+    return internal_records, leaf_records
+
+
+def _sibling_runs(parents: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First index, last index and parent of each run of equal values in ``parents``."""
+    if not len(parents):
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, empty
+    starts = np.flatnonzero(np.concatenate(([True], parents[1:] != parents[:-1])))
+    ends = np.append(starts[1:] - 1, len(parents) - 1)
+    return starts, ends, parents[starts]

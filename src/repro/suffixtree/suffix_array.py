@@ -1,11 +1,11 @@
 """Suffix array and LCP array construction: the one sorter of every build.
 
-Both trees -- the node objects of the in-memory engine and the flat records
-of the disk image -- are derived from the sorted order of all suffixes (the
-suffix array) and the longest-common-prefix lengths of neighbouring suffixes
-(the LCP array) by one rightmost-path stack pass;
-:func:`repro.suffixtree.generalized.sorted_suffixes` hands both builders the
-same two arrays.
+The tree -- the record arrays the in-memory engine searches and the disk
+image stores -- is derived from the sorted order of all suffixes (the suffix
+array) and the longest-common-prefix lengths of neighbouring suffixes (the
+LCP array) by one rightmost-path stack pass;
+:func:`repro.suffixtree.generalized.sorted_suffixes` hands the builder the
+two arrays.
 
 :func:`build_suffix_array` ranks every suffix once.  The codes are dense-ranked
 and as many symbols as fit one ``int64`` are packed into a first key, sorted

@@ -1,10 +1,12 @@
 """The object-tree image writer: the byte-identity oracle of ``build_disk_image``.
 
-Until the image was built straight from sorted suffixes and LCPs
-(:mod:`repro.storage.builder`), this walk over ``InternalNode`` / ``LeafNode``
-objects *was* the builder: one level-order walk numbers the internal nodes and
-lays out the leaf records.  It is kept here, unchanged, as the independent
-implementation the flat builder is compared against, byte for byte.
+Before the tree was built as flat record arrays straight from sorted suffixes
+and LCPs (:mod:`repro.suffixtree.generalized`), it was a tree of node objects,
+and a level-order walk over it *was* the image builder.  Both are kept here,
+as the independent implementation the record arrays are compared against,
+byte for byte: :func:`object_tree` is the classic stack-based conversion of a
+suffix array into node objects, and :func:`write_image_from_object_tree` the
+walk that numbers the internal nodes and lays out the leaf records.
 
 Both builders share one suffix sorter, so that sorter is held to the naive
 sort and the direct LCP comparison below.
@@ -13,10 +15,12 @@ sort and the direct LCP comparison below.
 from __future__ import annotations
 
 import os
-from typing import List, Union
+from bisect import bisect_right
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.sequences.database import SequenceDatabase
 from repro.storage.blocks import BLOCK_SIZE_DEFAULT, BlockFile
 from repro.storage.layout import (
     DiskLayout,
@@ -26,10 +30,91 @@ from repro.storage.layout import (
     NO_POINTER,
     VALUE_MASK,
 )
-from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.suffixtree.nodes import InternalNode, LeafNode
+from repro.suffixtree.generalized import sorted_suffixes
 
 PathLike = Union[str, os.PathLike]
+
+
+class InternalNode:
+    """A branching node (or the root): its arc ``[edge_start, edge_end)``, depth, children."""
+
+    def __init__(self, edge_start: int, edge_end: int, depth: int):
+        self.edge_start, self.edge_end, self.depth = edge_start, edge_end, depth
+        #: In lexical order of their arcs.
+        self.children: List[Union["InternalNode", "LeafNode"]] = []
+
+
+class LeafNode:
+    """One suffix: where it starts, and its arc ``[edge_start, edge_end)``."""
+
+    def __init__(self, suffix_start: int, edge_start: int, edge_end: int):
+        self.suffix_start, self.edge_start, self.edge_end = suffix_start, edge_start, edge_end
+
+
+def object_tree(database: SequenceDatabase) -> InternalNode:
+    """The root of ``database``'s suffix tree, built as node objects.
+
+    Suffixes are inserted in sorted order, and the stack always holds the
+    rightmost path of the tree built so far.  For each new suffix, nodes
+    deeper than its LCP with the previous suffix are popped; if the LCP falls
+    strictly inside the last popped node's arc, that arc is split by a new
+    internal node.  The new suffix then hangs off the stack top as a leaf.
+    """
+    positions, lcps = sorted_suffixes(database)
+    ends = database.sequence_starts[1:] + [database.total_symbols_with_terminals]
+    root = InternalNode(0, 0, 0)
+    stack: List[Tuple[Union[InternalNode, LeafNode], int]] = [(root, 0)]
+    for position, common in zip(positions.tolist(), lcps.tolist()):
+        suffix_end = ends[bisect_right(ends, position)]
+        assert common < suffix_end - position, "terminals make every suffix distinct"
+        popped: Optional[Union[InternalNode, LeafNode]] = None
+        while stack[-1][1] > common:
+            popped = stack.pop()[0]
+        top, top_depth = stack[-1]
+        assert isinstance(top, InternalNode)
+        if top_depth < common:
+            assert popped is not None
+            split = InternalNode(popped.edge_start, popped.edge_start + common - top_depth, common)
+            top.children[top.children.index(popped)] = split
+            popped.edge_start = split.edge_end
+            split.children.append(popped)
+            stack.append((split, common))
+            top, top_depth = split, common
+        top.children.append(LeafNode(position, position + top_depth, suffix_end))
+        stack.append((top.children[-1], suffix_end - position))
+    return root
+
+
+def object_tree_shape(database: SequenceDatabase) -> Tuple[List[Tuple[bytes, int]], int]:
+    """The object tree as :func:`tree_shape` describes a cursor's tree."""
+    codes = database.concatenated_codes
+    leaves, internal = [], 0
+    stack: List[Tuple[Union[InternalNode, LeafNode], bytes]] = [(object_tree(database), b"")]
+    while stack:
+        node, label = stack.pop()
+        label += codes[node.edge_start : node.edge_end]
+        if isinstance(node, LeafNode):
+            leaves.append((label, node.suffix_start))
+        else:
+            internal += 1
+            stack.extend((child, label) for child in node.children)
+    return sorted(leaves), internal
+
+
+def tree_shape(cursor) -> Tuple[List[Tuple[bytes, int]], int]:
+    """A canonical description of a tree: sorted (path label, suffix start) of
+    every leaf, and the number of internal nodes (which makes it compact)."""
+    leaves, internal = [], 0
+    stack = [(cursor.root, b"")]
+    while stack:
+        node, label = stack.pop()
+        label += cursor.arc_symbols(node)
+        if cursor.is_leaf(node):
+            leaves.append((label, cursor.suffix_start(node)))
+        else:
+            internal += 1
+            stack.extend((child, label) for child in cursor.children(node))
+    return sorted(leaves), internal
 
 
 def naive_suffix_array(codes) -> List[int]:
@@ -57,17 +142,16 @@ def naive_lcp(codes, sa) -> List[int]:
 
 
 def write_image_from_object_tree(
-    tree: GeneralizedSuffixTree,
+    database: SequenceDatabase,
     path: PathLike,
     block_size: int = BLOCK_SIZE_DEFAULT,
 ) -> DiskLayout:
-    """Write ``tree`` to ``path`` in the Section 3.4 disk layout (format v2).
+    """Write the object tree of ``database`` to ``path`` in the Section 3.4 disk layout (format v2).
 
     Returns the :class:`DiskLayout` header describing the image (the same
     header is stored in block 0 of the file, so the image is self-describing
     apart from the sequence database itself).
     """
-    database = tree.database
     codes = database.concatenated_codes
     symbol_count = len(codes)
     if symbol_count > VALUE_MASK:
@@ -79,7 +163,7 @@ def write_image_from_object_tree(
     #    and its leaf children the next leaf records, so both are contiguous
     #    runs; the last record of each run carries the last-sibling bit.
     # ------------------------------------------------------------------ #
-    nodes: List[InternalNode] = [tree.root]
+    nodes: List[InternalNode] = [object_tree(database)]
     run_ends: List[int] = [0]
     internal_words: List[int] = []
     leaf_words: List[int] = []

@@ -122,6 +122,33 @@ class TestOptionValuesAreUsageErrors:
         assert "Traceback" not in captured.err
 
 
+class TestForeignSymbolsAreUsageErrors:
+    """A query symbol outside the database's alphabet exits 2 in one line."""
+
+    @pytest.mark.parametrize("given_as", ["--query", "--queries"])
+    @pytest.mark.parametrize("source", ["--database", "--index"])
+    def test_foreign_symbol_exits_2_without_a_traceback(
+        self, tmp_path, generated_files, capsys, source, given_as
+    ):
+        fasta, _ = generated_files
+        target = fasta
+        if source == "--index":
+            target = tmp_path / "index"
+            assert main(["index", "build", "--database", str(fasta), "--output", str(target)]) == 0
+        query = "MK1Z"
+        if given_as == "--queries":
+            query = tmp_path / "one.txt"
+            query.write_text("MK1Z\n")
+        capsys.readouterr()
+        code = main(["search", source, str(target), given_as, str(query), "--min-score", "15"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == (
+            "repro-oasis search: error: symbol '1' at position 2 is not part of the protein alphabet"
+        )
+
+
 class TestBatchSearch:
     def test_batch_search_through_executor(self, generated_files, capsys):
         fasta, queries = generated_files

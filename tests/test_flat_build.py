@@ -1,10 +1,11 @@
-"""The disk build path: no node objects, bounded memory, the builder's refusals.
+"""The disk build path: one sort per image, bounded memory, the builder's refusals.
 
 Every way to a disk image -- ``ShardedIndexBuilder``, ``OasisEngine.build_on_disk``
-and the CLI's ``index build`` -- goes through ``build_disk_image``, which works
-on flat arrays only.  So with the node constructors made to raise, all three
-must still succeed; and the peak of what one build allocates is held to a
-number of bytes per residue (a count from ``tracemalloc``, no wall clock).
+and the CLI's ``index build`` -- goes through ``build_disk_image``, which
+writes the record arrays of ``GeneralizedSuffixTree.build``: the suffixes of
+each database are sorted once, and a tree handed in is written without
+sorting again.  The peak of what one build allocates is held to a number of
+bytes per residue (a count from ``tracemalloc``, no wall clock).
 """
 
 import tracemalloc
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.storage.builder as builder_module
+import repro.suffixtree.generalized as generalized_module
 from repro.cli import main
 from repro.core.engine import OasisEngine
 from repro.datagen import SwissProtLikeGenerator
@@ -25,40 +26,56 @@ from repro.sharding.builder import ShardedIndexBuilder
 from repro.sharding.engine import ShardedEngine
 from repro.storage.builder import build_disk_image
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.suffixtree.nodes import InternalNode, LeafNode
 
 
 @pytest.fixture
-def no_nodes(monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} built on the disk path")
+def sorts(monkeypatch):
+    """The databases ``sorted_suffixes`` was called on, in order."""
+    calls = []
+    sort = generalized_module.sorted_suffixes
 
-    monkeypatch.setattr(InternalNode, "__init__", refuse)
-    monkeypatch.setattr(LeafNode, "__init__", refuse)
-    with pytest.raises(AssertionError):  # the patch bites
-        GeneralizedSuffixTree.build(SequenceDatabase.from_texts(["ACGT"], alphabet=DNA_ALPHABET))
+    def counting(database):
+        calls.append(database)
+        return sort(database)
+
+    monkeypatch.setattr(generalized_module, "sorted_suffixes", counting)
+    return calls
 
 
 class TestNoNodeOnTheDiskPath:
-    def test_sharded_index_builder(self, no_nodes, small_protein_database, tmp_path):
+    # No node object is built anywhere any more; what is left to count is
+    # the sort, once per image.
+    def test_a_tree_is_written_without_sorting_again(self, sorts, tmp_path):
+        database = SequenceDatabase.from_texts(["ACGTAC", "GTA"], alphabet=DNA_ALPHABET)
+        tree = GeneralizedSuffixTree.build(database)
+        assert sorts == [database]
+        build_disk_image(tree, tmp_path / "from-tree.oasis", block_size=256)
+        assert sorts == [database]
+        build_disk_image(database, tmp_path / "from-database.oasis", block_size=256)
+        assert sorts == [database, database]
+
+    def test_sharded_index_builder(self, sorts, small_protein_database, tmp_path):
         matrix, gap_model = pam30(), FixedGapModel(-8)
         ShardedIndexBuilder(matrix, gap_model, shard_count=2, backend="serial").build(
             small_protein_database, tmp_path / "index"
         )
+        assert len(sorts) == 2
         with ShardedEngine.open(tmp_path / "index", backend="serial") as engine:
             assert len(engine.search("WKDDGNGYISAAE", min_score=20)) > 0
 
-    def test_build_on_disk(self, no_nodes, small_protein_database, tmp_path):
+    def test_build_on_disk(self, sorts, small_protein_database, tmp_path):
         with OasisEngine.build_on_disk(
             small_protein_database, pam30(), tmp_path / "image.oasis", gap_model=FixedGapModel(-8)
         ) as engine:
+            assert len(sorts) == 1
             assert len(engine.search("WKDDGNGYISAAE", min_score=20)) > 0
 
-    def test_cli_index_build(self, no_nodes, small_protein_database, tmp_path, capsys):
+    def test_cli_index_build(self, sorts, small_protein_database, tmp_path, capsys):
         fasta = tmp_path / "db.fasta"
         write_fasta(small_protein_database, fasta)
         arguments = ["--database", str(fasta), "--output", str(tmp_path / "index"), "--shards", "2"]
         assert main(["index", "build", *arguments]) == 0
+        assert len(sorts) == 2
         assert main(["index", "info", str(tmp_path / "index")]) == 0
         capsys.readouterr()
 
@@ -80,7 +97,7 @@ def test_build_memory_per_residue(tmp_path):
 
 class TestRefusals:
     def test_a_database_past_31_bit_pointers(self, monkeypatch, paper_database, tmp_path):
-        monkeypatch.setattr(builder_module, "VALUE_MASK", paper_database.total_symbols)
+        monkeypatch.setattr(generalized_module, "VALUE_MASK", paper_database.total_symbols)
         with pytest.raises(ValueError, match="31-bit"):
             build_disk_image(paper_database, tmp_path / "image.oasis")
 
@@ -88,8 +105,8 @@ class TestRefusals:
         # "AC$" after "ACG$" with an LCP of 3: only possible when the
         # terminals were not told apart, which the builder must not swallow.
         with pytest.raises(ValueError, match="prefix of its predecessor"):
-            builder_module._flat_tree(np.array([0, 4]), np.array([0, 3]), np.array([4, 7]))
+            generalized_module._flat_tree(np.array([0, 4]), np.array([0, 3]), np.array([4, 7]))
 
     def test_a_first_suffix_with_a_nonzero_lcp(self):
         with pytest.raises(ValueError, match="LCP 0"):
-            builder_module._flat_tree(np.array([0]), np.array([1]), np.array([4]))
+            generalized_module._flat_tree(np.array([0]), np.array([1]), np.array([4]))

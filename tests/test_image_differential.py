@@ -1,8 +1,9 @@
 """Differential on the image bytes: the flat builder writes the object-tree walk's image.
 
-``build_disk_image`` builds the Section 3.4 arrays from sorted suffixes and
-LCPs without ever making a node; ``tests/image_oracle.py`` is the builder it
-replaced, a level-order walk over ``InternalNode`` / ``LeafNode`` objects.
+``build_disk_image`` writes the Section 3.4 arrays that
+``GeneralizedSuffixTree.build`` makes from sorted suffixes and LCPs without
+ever making a node; ``tests/image_oracle.py`` is the builder it replaced, a
+level-order walk over node objects built by the classic stack conversion.
 The two share nothing past the suffix array, so every database here must come
 out as the *same file* from both, at block sizes where runs straddle pages
 (72) and where they never do (2048).  What they do share, ``sorted_suffixes``,
@@ -76,14 +77,10 @@ def image_bytes(build, texts, alphabet, path, **options):
     return path.read_bytes()
 
 
-def oracle(database, path, block_size):
-    return write_image_from_object_tree(
-        GeneralizedSuffixTree.build(database), path, block_size=block_size
-    )
-
-
 def check(directory, texts, alphabet, block_size):
-    expected = image_bytes(oracle, texts, alphabet, directory / "oracle.oasis", block_size=block_size)
+    expected = image_bytes(
+        write_image_from_object_tree, texts, alphabet, directory / "oracle.oasis", block_size=block_size
+    )
     built = image_bytes(
         build_disk_image, texts, alphabet, directory / "flat.oasis", block_size=block_size
     )
@@ -110,7 +107,8 @@ def test_random_databases(tmp_path_factory, database, block_size):
 
 
 def test_a_cursor_stands_for_its_database(tmp_path):
-    # bench_e2e and the benchmarks hand build_disk_image the in-memory tree.
+    # bench_e2e and the benchmarks hand build_disk_image the in-memory tree,
+    # whose record arrays are written as they are.
     texts, alphabet = HAND_MADE["nested repeats"]
     database = SequenceDatabase.from_texts(texts, alphabet=alphabet)
     tree = GeneralizedSuffixTree.build(database)

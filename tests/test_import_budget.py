@@ -150,8 +150,6 @@ BUILD_SIDE = [
     "numpy",
     "repro.suffixtree.suffix_array",
     "repro.suffixtree.generalized",
-    "repro.suffixtree.construction",
-    "repro.suffixtree.nodes",
     "repro.storage.builder",
     "repro.sharding.builder",
     "repro.sharding.planner",

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from image_oracle import naive_lcp, naive_suffix_array
+from image_oracle import naive_lcp, naive_suffix_array, object_tree_shape, tree_shape
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
@@ -17,20 +17,6 @@ from repro.suffixtree.generalized import (
 )
 
 from repro.testing import random_dna, random_protein
-
-
-def tree_shape(cursor):
-    """A canonical description of a tree: sorted (path label, leaf position)."""
-    shape = []
-    stack = [(cursor.root, b"")]
-    while stack:
-        node, label = stack.pop()
-        label += cursor.arc_symbols(node)
-        if cursor.is_leaf(node):
-            shape.append((label, cursor.suffix_start(node)))
-        else:
-            stack.extend((child, label) for child in cursor.children(node))
-    return sorted(shape)
 
 
 def disk_tree(database, path):
@@ -49,13 +35,16 @@ def naive_sorted_suffixes(database):
 class TestSortedSuffixes:
     @pytest.mark.parametrize("seed", range(5))
     def test_identical_to_direct_construction(self, seed, tmp_path):
+        # The record arrays, in memory and on disk, hold the tree the
+        # node-object conversion of the same sorted suffixes builds.
         rng = random.Random(seed)
         texts = [random_dna(rng, rng.randint(5, 50)) for _ in range(rng.randint(1, 5))]
         database_a = SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET)
         database_b = SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET)
-        direct = GeneralizedSuffixTree.build(database_a)
+        direct = object_tree_shape(database_a)
+        assert tree_shape(GeneralizedSuffixTree.build(database_a)) == direct
         with disk_tree(database_b, tmp_path / "tree.oasis") as on_disk:
-            assert tree_shape(on_disk) == tree_shape(direct)
+            assert tree_shape(on_disk) == direct
 
     def test_queries_agree_with_direct_tree(self, tmp_path):
         rng = random.Random(9)

@@ -4,16 +4,32 @@ import random
 
 import pytest
 
+from image_oracle import object_tree_shape, tree_shape
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
-from repro.suffixtree.construction import validate_tree
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.suffixtree.nodes import count_nodes, iter_leaves
 
 from repro.testing import PAPER_TARGET, random_dna, random_protein
+
+
+def leaves(cursor):
+    """Every leaf handle of the tree."""
+    stack = [cursor.root]
+    while stack:
+        current = stack.pop()
+        if cursor.is_leaf(current):
+            yield current
+        else:
+            stack.extend(cursor.children(current))
+
+
+def is_the_object_tree(tree):
+    """The leaves (path label, suffix start) and internal-node count of the
+    node-object tree of ``tests/image_oracle.py``, which is compact by construction."""
+    return tree_shape(tree) == object_tree_shape(tree.database)
 
 
 def brute_force_occurrences(texts, query):
@@ -46,10 +62,10 @@ class TestPaperExample:
         assert paper_tree.contains(PAPER_TARGET)
 
     def test_structure_is_valid(self, paper_tree):
-        assert paper_tree.validate() == []
+        assert is_the_object_tree(paper_tree)
 
     def test_path_labels_are_prefix_closed(self, paper_tree):
-        for leaf in iter_leaves(paper_tree.root):
+        for leaf in leaves(paper_tree):
             label = paper_tree.path_label(leaf)
             # Every leaf path is suffix + terminal.
             assert label.endswith("$")
@@ -67,17 +83,17 @@ class TestConstructionProperties:
 
     def test_every_leaf_maps_to_its_sequence(self, small_dna_database):
         tree = GeneralizedSuffixTree.build(small_dna_database)
-        for leaf in iter_leaves(tree.root):
-            sequence_index, offset = small_dna_database.locate(leaf.suffix_start)
-            assert leaf.sequence_index == sequence_index
+        for leaf in leaves(tree):
+            sequence_index, offset = small_dna_database.locate(tree.suffix_start(leaf))
+            assert tree.sequences_below(leaf) == [sequence_index]
             assert offset < len(small_dna_database[sequence_index])
 
     def test_validate_reports_no_problems(self, small_dna_database):
-        assert GeneralizedSuffixTree.build(small_dna_database).validate() == []
+        assert is_the_object_tree(GeneralizedSuffixTree.build(small_dna_database))
 
     def test_protein_database(self, small_protein_database):
         tree = GeneralizedSuffixTree.build(small_protein_database)
-        assert tree.validate() == []
+        assert is_the_object_tree(tree)
         core = "WKDDGNGYISAAE"
         assert tree.contains(core)
         # Planted in half of the family members verbatim.
@@ -97,7 +113,7 @@ class TestConstructionProperties:
     def test_repeated_identical_sequences(self):
         database = SequenceDatabase.from_texts(["ACGT", "ACGT", "ACGT"], alphabet=DNA_ALPHABET)
         tree = GeneralizedSuffixTree.build(database)
-        assert tree.validate() == []
+        assert is_the_object_tree(tree)
         assert tree.find_occurrences("ACG") == [(0, 0), (1, 0), (2, 0)]
 
     def test_single_symbol_sequence(self):
@@ -121,10 +137,10 @@ class TestCursorInterface:
             assert len(paper_tree.arc_symbols(child)) == length
 
     def test_string_depth_of_leaf(self, paper_tree):
-        for leaf in iter_leaves(paper_tree.root):
+        for leaf in leaves(paper_tree):
             depth = paper_tree.string_depth(leaf)
             # suffix length + terminal
-            assert depth == len(PAPER_TARGET) - leaf.suffix_start + 1
+            assert depth == len(PAPER_TARGET) - paper_tree.suffix_start(leaf) + 1
 
     def test_suffix_start_only_for_leaves(self, paper_tree):
         with pytest.raises(TypeError):
@@ -140,11 +156,11 @@ class TestCursorInterface:
 
     @pytest.mark.parametrize("which", ["paper", "protein"])
     def test_sequences_below_matches_base_and_disk(self, which, paper_database, tmp_path):
-        # The in-memory tree reads each leaf's own sequence index; the base
-        # class locates each leaf position, and so does the disk cursor.
+        # The in-memory tree finds each leaf's sequence by one bisection; the
+        # base class locates each leaf position, and so does the disk cursor.
         # Below every internal node: the base's list in the base's first-seen
-        # order, and the disk cursor's sequences (it lists internal children
-        # before leaves, so its order is its own).
+        # order, and the disk cursor's sequences (it walks its subtree in an
+        # order of its own).
         if which == "paper":
             database = paper_database
         else:
@@ -171,7 +187,7 @@ class TestCursorInterface:
                     for child in disk.children(handle)
                     if not disk.is_leaf(child)
                 }
-                in_memory = [child for child in tree.children(node) if not child.is_leaf]
+                in_memory = [child for child in tree.children(node) if not tree.is_leaf(child)]
                 assert len(in_memory) == len(on_disk)
                 pairs.extend((child, on_disk[tree.arc_symbols(child)[0]]) for child in in_memory)
         assert internal == tree.internal_node_count
@@ -185,32 +201,33 @@ class TestCursorInterface:
 
 
 class TestNodeHelpers:
-    def test_node_counts_are_taken_on_first_use(self, paper_database, monkeypatch):
-        import repro.suffixtree.generalized as generalized
-
-        calls = []
-
-        def counting(root):
-            calls.append(root)
-            return count_nodes(root)
-
-        monkeypatch.setattr(generalized, "count_nodes", counting)
-        tree = GeneralizedSuffixTree.build(paper_database)
-        assert tree.find_occurrences("TAC") and not calls  # searching never counts
-        assert tree.node_count == tree.internal_node_count + tree.leaf_count
-        assert "leaves=" in repr(tree) and tree.validate() == []
-        assert len(calls) == 1
-
     def test_count_nodes(self, paper_tree):
-        counts = count_nodes(paper_tree.root)
-        assert counts["leaves"] == paper_tree.leaf_count
-        assert counts["internal"] == paper_tree.internal_node_count
-        assert counts["total"] == counts["leaves"] + counts["internal"]
+        # The counts are the lengths of the record arrays; a walk agrees.
+        walked = list(leaves(paper_tree))
+        assert len(walked) == paper_tree.leaf_count == len(PAPER_TARGET)
+        assert paper_tree.internal_node_count == object_tree_shape(paper_tree.database)[1]
+        assert paper_tree.node_count == paper_tree.internal_node_count + paper_tree.leaf_count
+        assert "leaves=11" in repr(paper_tree)
 
     def test_validate_tree_detects_bad_arc(self, paper_database):
+        # An internal record whose depth is its parent's has an empty arc:
+        # the tree is no longer the compact one.
         tree = GeneralizedSuffixTree.build(paper_database)
-        # Corrupt one leaf arc on purpose.
-        leaf = next(iter_leaves(tree.root))
-        leaf.edge_end = leaf.edge_start  # empty arc
-        problems = validate_tree(tree.root, paper_database.concatenated_codes)
-        assert problems
+        assert is_the_object_tree(tree)
+        child = next(c for c in tree.children(tree.root) if not tree.is_leaf(c))
+        tree = GeneralizedSuffixTree(
+            paper_database, tree.internal_records[:], tree.leaf_records
+        )
+        tree.internal_records[4 * child[1]] -= child[3]
+        assert tree.arc(tree.children(tree.root)[0]) == (child[2], 0)
+        assert not is_the_object_tree(tree)
+
+    def test_children_are_decoded_once_and_kept(self, paper_tree):
+        first = paper_tree.children(paper_tree.root)
+        assert paper_tree.children(paper_tree.root) is first
+        leaf = next(leaves(paper_tree))
+        assert paper_tree.children(leaf) == [] and paper_tree.siblings(leaf) == []
+        # Walking leaves for a hit does not fill the memo.
+        before = len(paper_tree._children)
+        assert sorted(paper_tree.leaf_positions(paper_tree.root)) == list(range(len(PAPER_TARGET)))
+        assert len(paper_tree._children) == before
