@@ -6,8 +6,6 @@
 * :class:`BlastLikeSearch` -- a word-seeded, extend-and-score heuristic in the
   style of BLAST, used (as in the paper) purely as a speed/sensitivity
   baseline.
-* :class:`NeedlemanWunschAligner` -- global alignment, provided for
-  completeness and used by the test-suite as an independent scoring check.
 """
 
 from typing import TYPE_CHECKING
@@ -17,14 +15,12 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.baselines.smith_waterman import SmithWatermanAligner
     from repro.baselines.blast import BlastLikeSearch, BlastParameters
-    from repro.baselines.needleman_wunsch import NeedlemanWunschAligner
 else:
     __getattr__, __dir__ = lazy_exports(
         __name__,
         {
             "repro.baselines.smith_waterman": ("SmithWatermanAligner",),
             "repro.baselines.blast": ("BlastLikeSearch", "BlastParameters"),
-            "repro.baselines.needleman_wunsch": ("NeedlemanWunschAligner",),
         },
     )
 
@@ -32,5 +28,4 @@ __all__ = [
     "SmithWatermanAligner",
     "BlastLikeSearch",
     "BlastParameters",
-    "NeedlemanWunschAligner",
 ]

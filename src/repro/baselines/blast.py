@@ -61,15 +61,12 @@ class BlastParameters:
     neighborhood_threshold: int = 15
     x_drop_ungapped: int = 12
     gapped_trigger: int = 18
-    band_width: int = 12
     window_margin: int = 24
     max_neighborhood_per_position: int = 2000
 
     def validate(self) -> None:
         if self.word_size < 1:
             raise ValueError("word_size must be at least 1")
-        if self.band_width < 1:
-            raise ValueError("band_width must be at least 1")
         if self.window_margin < 0:
             raise ValueError("window_margin must be non-negative")
 

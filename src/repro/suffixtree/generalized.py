@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +51,15 @@ from repro.suffixtree.cursor import (
     SuffixTreeCursor,
 )
 from repro.suffixtree.suffix_array import build_lcp_array, build_suffix_array
+
+#: Internal nodes ``0 .. KEPT_NODES - 1`` keep their decoded children; every
+#: deeper node is decoded from the records on each call.  Records are in level
+#: order, so these are the top of the tree, which every query expands.  At
+#: 1 123 722 protein residues, 60 distinct queries grew RSS by +29 MB with this
+#: value (4096: +18, 2048: +12, no table: +4.5; a memo of every expanded node:
+#: +234); on the benchmark's trees, on a 2-core x86 host, 4096 cost 4 % of
+#: queries per second and no table 4.6-14 %.
+KEPT_NODES = 1 << 13
 
 
 def construction_codes(database: SequenceDatabase) -> np.ndarray:
@@ -93,10 +102,12 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
     True
 
     ``children()`` decodes an internal node's run of internal children, then
-    its run of leaves, the first time the node is asked for, and keeps the
-    list: only nodes a search expanded are decoded, each once, whichever
-    query or thread asked first (two racing decodes store equal lists).
-    ``siblings()`` slices the arcs from the symbol array on every call.
+    its run of leaves.  The first :data:`KEPT_NODES` nodes in level order keep
+    that list in a fixed table, filled by whichever query or thread asks
+    first (two racing decodes store equal lists); every other node is decoded
+    on each call, so what a tree holds is set when it is built, not by the
+    queries that ran.  ``siblings()`` slices the arcs from the symbol array on
+    every call.
     """
 
     def __init__(self, database: SequenceDatabase, internal_records: array, leaf_records: array):
@@ -112,7 +123,9 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         self._codes = database.concatenated_codes
         # One past each terminal, ascending: suffix p ends at the first entry > p.
         self._sequence_ends = database.sequence_starts[1:] + [len(self._codes)]
-        self._children: Dict[int, List[NodeHandle]] = {}
+        self._kept: List[Optional[List[NodeHandle]]] = [None] * min(
+            KEPT_NODES, self.internal_node_count
+        )
 
     @classmethod
     def build(cls, database: SequenceDatabase) -> "GeneralizedSuffixTree":
@@ -143,24 +156,22 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         return node[0] == "L"
 
     def children(self, node: NodeHandle) -> List[NodeHandle]:
-        # The caller must not mutate the returned list: it is the memo.
+        # The caller must not mutate the returned list: it may be the table's.
         if node[0] != "I":
             return []
-        handles = self._children.get(node[1])
+        kept, index = self._kept, node[1]
+        if index >= len(kept):
+            return self._decode(node)
+        handles = kept[index]
         if handles is None:
-            handles = self._children[node[1]] = self._decode(node)
+            handles = kept[index] = self._decode(node)
         return handles
 
     def siblings(self, node: NodeHandle) -> List[Sibling]:
-        # children()'s memo lookup inlined: this is the search's one call per
-        # expanded node.
-        handles = self._children.get(node[1]) if node[0] == "I" else ()
-        if handles is None:
-            handles = self.children(node)
         codes = self._codes
         return [
             (child, codes[child[2] : child[2] + child[3]], child[0] == "L")
-            for child in handles
+            for child in self.children(node)
         ]
 
     def arc(self, node: NodeHandle) -> Tuple[int, int]:
@@ -178,8 +189,8 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         return node[1]
 
     def leaf_positions(self, node: NodeHandle) -> Iterator[int]:
-        # Straight from the records, no handles and no memo: a hit below a
-        # shallow node must not keep its whole subtree.
+        # Straight from the records, no handles and no table: a hit below a
+        # shallow node must not decode its whole subtree.
         if node[0] == "L":
             yield node[1]
             return

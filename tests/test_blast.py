@@ -18,10 +18,6 @@ class TestParameters:
         with pytest.raises(ValueError):
             BlastParameters(word_size=0).validate()
 
-    def test_invalid_band_width(self):
-        with pytest.raises(ValueError):
-            BlastParameters(band_width=0).validate()
-
     def test_invalid_window_margin(self):
         with pytest.raises(ValueError):
             BlastParameters(window_margin=-1).validate()

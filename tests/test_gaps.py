@@ -73,7 +73,6 @@ class TestAffineGapModel:
 
 def _callables_with_a_default_gap():
     from repro.baselines.blast import BlastLikeSearch
-    from repro.baselines.needleman_wunsch import NeedlemanWunschAligner
     from repro.baselines.smith_waterman import SmithWatermanAligner
     from repro.core.engine import OasisEngine
     from repro.core.oasis import OasisSearch
@@ -91,7 +90,6 @@ def _callables_with_a_default_gap():
         "ShardedEngine.build": ShardedEngine.build,
         "ShardedEngine.build_on_disk": ShardedEngine.build_on_disk,
         "SmithWatermanAligner": SmithWatermanAligner.__init__,
-        "NeedlemanWunschAligner": NeedlemanWunschAligner.__init__,
         "BlastLikeSearch": BlastLikeSearch.__init__,
         "SmithWatermanAdapter": SmithWatermanAdapter.__init__,
         "BlastAdapter": BlastAdapter.__init__,

@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.baselines.needleman_wunsch import NeedlemanWunschAligner
 from repro.baselines.smith_waterman import SmithWatermanAligner, best_local_scores
 from repro.core.engine import OasisEngine
 from repro.scoring.data import blosum62, nucleotide_matrix, pam30, unit_matrix
@@ -251,27 +250,3 @@ class TestAffineExtension:
         result = aligner.search(database, "MKVLAADTG", min_score=10)
         assert result.hit_for("seq0") is not None
 
-
-class TestNeedlemanWunsch:
-    def test_global_score_never_exceeds_local(self, pam30_matrix, gap8):
-        local = SmithWatermanAligner(pam30_matrix, gap8)
-        global_aligner = NeedlemanWunschAligner(pam30_matrix, gap8)
-        pairs = [("MKVLA", "MKVLA"), ("MKVLA", "WWMKVLAWW"), ("AAA", "WWW")]
-        for query, target in pairs:
-            assert global_aligner.score(query, target) <= local.best_score_pair(query, target)
-
-    def test_identical_sequences_global_equals_local(self, pam30_matrix, gap8):
-        text = "WKDDGNGYISAAE"
-        local = SmithWatermanAligner(pam30_matrix, gap8)
-        global_aligner = NeedlemanWunschAligner(pam30_matrix, gap8)
-        assert global_aligner.score(text, text) == local.best_score_pair(text, text)
-
-    def test_global_alignment_spans_both_sequences(self, pam30_matrix, gap8):
-        aligner = NeedlemanWunschAligner(pam30_matrix, gap8)
-        alignment = aligner.align("MKV", "MKVLA")
-        assert alignment.aligned_query.replace("-", "") == "MKV"
-        assert alignment.aligned_target.replace("-", "") == "MKVLA"
-
-    def test_affine_not_supported(self, pam30_matrix):
-        with pytest.raises(NotImplementedError):
-            NeedlemanWunschAligner(pam30_matrix, AffineGapModel(-5, -1))

@@ -5,12 +5,16 @@ import random
 import pytest
 
 from image_oracle import object_tree_shape, tree_shape
+from repro.core.engine import OasisEngine
+from repro.datagen import MotifWorkloadGenerator, SwissProtLikeGenerator
+from repro.scoring.data import pam30
+from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 from repro.suffixtree.cursor import SuffixTreeCursor
-from repro.suffixtree.generalized import GeneralizedSuffixTree
+from repro.suffixtree.generalized import KEPT_NODES, GeneralizedSuffixTree
 
 from repro.testing import PAPER_TARGET, random_dna, random_protein
 
@@ -222,12 +226,44 @@ class TestNodeHelpers:
         assert tree.arc(tree.children(tree.root)[0]) == (child[2], 0)
         assert not is_the_object_tree(tree)
 
-    def test_children_are_decoded_once_and_kept(self, paper_tree):
-        first = paper_tree.children(paper_tree.root)
-        assert paper_tree.children(paper_tree.root) is first
+    def test_leaves_have_no_children(self, paper_tree):
         leaf = next(leaves(paper_tree))
         assert paper_tree.children(leaf) == [] and paper_tree.siblings(leaf) == []
-        # Walking leaves for a hit does not fill the memo.
-        before = len(paper_tree._children)
-        assert sorted(paper_tree.leaf_positions(paper_tree.root)) == list(range(len(PAPER_TARGET)))
-        assert len(paper_tree._children) == before
+
+    def test_only_the_top_nodes_keep_their_children(self):
+        # Distinct queries over a tree larger than the table expand nodes on
+        # both sides of the bound; only those below it keep a decoded list.
+        generator = SwissProtLikeGenerator(seed=5, family_count=20, singleton_count=20)
+        engine = OasisEngine.build(generator.generate(), pam30(), FixedGapModel(-8))
+        tree = engine.cursor
+        assert tree.internal_node_count > KEPT_NODES
+        decoded = {}
+        decode = tree._decode
+
+        def counting(node):
+            decoded[node[1]] = node
+            return decode(node)
+
+        tree._decode = counting
+        queries = [
+            query.text
+            for query in MotifWorkloadGenerator(generator, seed=6, query_count=24).generate()
+        ]
+        assert len(set(queries)) == len(queries)
+        report = engine.search_many(queries, min_score=18)
+        assert all(outcome.ok for outcome in report.outcomes)
+
+        expanded = dict(decoded)
+        assert len(expanded) > KEPT_NODES
+        assert sum(handles is not None for handles in tree._kept) <= KEPT_NODES
+        kept = {index for index, node in expanded.items() if tree.children(node) is tree.children(node)}
+        assert kept == {index for index in expanded if index < KEPT_NODES}
+        deep = next(node for index, node in expanded.items() if index >= KEPT_NODES)
+        first = tree.children(deep)
+        assert tree.children(deep) == first and tree.children(deep) is not first
+
+        # Walking leaves for a hit decodes and keeps nothing.
+        filled = sum(handles is not None for handles in tree._kept)
+        decoded.clear()
+        assert sum(1 for _ in tree.leaf_positions(tree.root)) == tree.leaf_count
+        assert not decoded and sum(handles is not None for handles in tree._kept) == filled

@@ -1,23 +1,27 @@
 """Differential on the in-memory tree: the disk cursor's siblings, Ukkonen's nodes, the image's bytes.
 
 The in-memory engine searches the record arrays ``build_disk_image`` writes,
-but decodes them with code of its own (array indexing, and a memo of each
-expanded node's children) where the disk cursor decodes pages.  So on random
-protein and DNA databases -- 1 to 16 sequences, length-1 sequences, repeated
-sequences -- every internal node must give the same ``siblings()`` from both,
-at block sizes where sibling runs straddle pages (72) and where they never do
-(2048); the node count must be that of Ukkonen's construction, which shares
-no code with either; and the image written from a built tree must be the
-image written from its database.
+but decodes them with code of its own (array indexing, and a table that keeps
+the decoded children of the top ``KEPT_NODES`` nodes) where the disk cursor
+decodes pages.  So on random protein and DNA databases -- 1 to 16 sequences,
+length-1 sequences, repeated sequences -- every internal node must give the
+same ``siblings()`` from both, at block sizes where sibling runs straddle
+pages (72) and where they never do (2048), once with the table as it is (it
+covers every node of these small trees) and once cut to two entries, so that
+both the kept and the decoded path are held to the disk cursor; the node
+count must be that of Ukkonen's construction, which shares no code with
+either; and the image written from a built tree must be the image written
+from its database.
 
-The memo is filled by whichever query expands a node first, with no lock:
-``TestColdMemo`` races threads over a freshly built tree.
+The table is filled by whichever query expands a node first, with no lock:
+``TestColdTable`` races threads over a freshly built tree.
 
 The example budget comes from the hypothesis profile (``tests/conftest.py``):
 bounded in tier-1, ``HYPOTHESIS_PROFILE=ci`` for the larger CI run.
 """
 
 import sys
+from unittest import mock
 
 from hypothesis import given, strategies as st
 
@@ -29,12 +33,25 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
+from repro.suffixtree import generalized
 from repro.suffixtree.generalized import GeneralizedSuffixTree, construction_codes
 from repro.suffixtree.ukkonen import UkkonenSuffixTree
 
 BLOCK_SIZES = (72, 256, 2048)
 
 PROTEIN_SYMBOLS = "ARNDCQEGHILKMFPSTWYV"
+
+
+def assert_siblings_match(tree, disk, context):
+    """Every internal node's ``siblings()`` from ``tree`` is the disk cursor's."""
+    pending, internal = [tree.root], 0
+    while pending:
+        node = pending.pop()
+        siblings = tree.siblings(node)
+        assert siblings == disk.siblings(node), (context, node)
+        pending.extend(child for child, _, is_leaf in siblings if not is_leaf)
+        internal += 1
+    assert internal == tree.internal_node_count
 
 
 def texts_of(symbols, max_size):
@@ -69,6 +86,8 @@ def test_memory_tree_is_the_image(tmp_path_factory, database):
     directory = tmp_path_factory.mktemp("tree")
     db = SequenceDatabase.from_texts(texts, alphabet=alphabet)
     tree = GeneralizedSuffixTree.build(db)
+    with mock.patch.object(generalized, "KEPT_NODES", 2):
+        cut = GeneralizedSuffixTree(db, tree.internal_records, tree.leaf_records)
 
     # Ukkonen over the construction codes (one distinct terminal per
     # sequence) has our nodes, plus a leaf per suffix that starts at a
@@ -86,30 +105,25 @@ def test_memory_tree_is_the_image(tmp_path_factory, database):
         )
         assert from_tree.read_bytes() == from_database.read_bytes(), (texts, block_size)
         with DiskSuffixTree(from_tree, db) as disk:
-            pending, internal = [tree.root], 0
-            while pending:
-                node = pending.pop()
-                siblings = tree.siblings(node)
-                assert siblings == disk.siblings(node), (texts, block_size, node)
-                pending.extend(child for child, _, is_leaf in siblings if not is_leaf)
-                internal += 1
-            assert internal == tree.internal_node_count
+            assert_siblings_match(tree, disk, (texts, block_size))
+            assert_siblings_match(cut, disk, (texts, block_size, "cut"))
 
 
-class TestColdMemo:
-    def test_threads_over_a_fresh_tree_match_the_serial_run(self):
+class TestColdTable:
+    """Threads racing to fill the child table of a tree no query has touched."""
+
+    def test_threads_over_a_fresh_table_match_the_serial_run(self):
         # Four workers expand the same nodes at once on a tree no query has
         # touched; a short switch interval makes them interleave inside the
         # decode.  Racing decodes store equal lists, so every hit and every
-        # counter must be the serial run's, and every node is decoded once
-        # into the memo whoever stored it last.
+        # counter must be the serial run's, whichever list the table kept.
         generator = SwissProtLikeGenerator(seed=31, family_count=5, singleton_count=8)
         database = generator.generate()
         queries = [
             query.text
             for query in MotifWorkloadGenerator(generator, seed=32, query_count=12).generate()
         ]
-        queries += queries  # the second half finds the memo warm
+        queries += queries  # the second half finds the table warm
 
         def run(workers):
             engine = OasisEngine.build(database, pam30(), FixedGapModel(-8))
