@@ -22,6 +22,11 @@ class TestParameters:
         with pytest.raises(ValueError):
             BlastParameters(window_margin=-1).validate()
 
+    def test_band_width_is_not_a_parameter(self):
+        # The gapped extension is a window around the seed, not a band.
+        with pytest.raises(TypeError):
+            BlastParameters(band_width=16)
+
 
 class TestProteinSearch:
     @pytest.fixture

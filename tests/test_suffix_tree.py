@@ -1,6 +1,7 @@
 """Unit tests for the generalized suffix tree (construction + queries)."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
+from repro.suffixtree import generalized
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import KEPT_NODES, GeneralizedSuffixTree
 
@@ -229,6 +231,45 @@ class TestNodeHelpers:
     def test_leaves_have_no_children(self, paper_tree):
         leaf = next(leaves(paper_tree))
         assert paper_tree.children(leaf) == [] and paper_tree.siblings(leaf) == []
+
+    def test_a_small_tree_has_a_slot_per_internal_node(self, paper_tree):
+        assert paper_tree.internal_node_count < KEPT_NODES
+        assert len(paper_tree._kept) == paper_tree.internal_node_count
+
+    @pytest.mark.parametrize("kept_nodes", [0, 1, 2, 64])
+    def test_hits_and_counters_do_not_depend_on_the_table_size(self, kept_nodes):
+        # The bound only decides which decoded lists are kept: a table cut to
+        # any size must give the full table's hits and every counter.
+        generator = SwissProtLikeGenerator(seed=41, family_count=4, singleton_count=6)
+        database = generator.generate()
+        queries = [
+            query.text
+            for query in MotifWorkloadGenerator(generator, seed=42, query_count=6).generate()
+        ]
+
+        def run():
+            engine = OasisEngine.build(database, pam30(), FixedGapModel(-8))
+            report = engine.search_many(queries, min_score=25)
+            assert all(outcome.ok for outcome in report.outcomes)
+            return engine.cursor, [
+                (
+                    [(hit.sequence_index, hit.score) for hit in result],
+                    {
+                        name: value
+                        for name, value in result.statistics.as_dict().items()
+                        if name != "elapsed_seconds"
+                    },
+                )
+                for result in report.results()
+            ]
+
+        full_tree, full = run()
+        with mock.patch.object(generalized, "KEPT_NODES", kept_nodes):
+            cut_tree, cut = run()
+        assert len(full_tree._kept) == full_tree.internal_node_count > 64
+        assert len(cut_tree._kept) == kept_nodes
+        assert cut == full
+        assert any(hits for hits, _ in full)
 
     def test_only_the_top_nodes_keep_their_children(self):
         # Distinct queries over a tree larger than the table expand nodes on
