@@ -14,7 +14,7 @@ built once per query; telemetry stays at the driver level.
 This rule makes both properties mechanical: inside any ``for``/``while``
 loop of a function in ``repro.core.kernels``, a call rooted at ``np`` or
 ``numpy`` (``np.add``, ``np.maximum.accumulate``, ``numpy.empty_like``, ...)
-and ``tracer``/``metrics``/``flight`` attribute access are violations.
+and ``tracer``/``metrics`` attribute access are violations.
 Outside loops NumPy is fine -- ``expand_arc`` turns the dense column of a
 reference-built node into live cells once, before the walk.  The dense
 reference form lives in ``repro.core.expand`` and is not held to this rule.
@@ -31,7 +31,7 @@ from repro.analysis.framework import ModuleInfo, Rule, Violation
 KERNEL_MODULES: Tuple[str, ...] = ("repro.core.kernels",)
 
 #: Attribute names whose presence inside a kernel loop means telemetry.
-TELEMETRY_ATTRIBUTES: Tuple[str, ...] = ("tracer", "metrics", "flight")
+TELEMETRY_ATTRIBUTES: Tuple[str, ...] = ("tracer", "metrics")
 
 
 class KernelPurityRule(Rule):

@@ -27,7 +27,6 @@ from repro.analysis.kernelpurity import KernelPurityRule
 from repro.analysis.layering import LayeringRule
 from repro.analysis.lockdiscipline import LockBlockingRule, LockScopeRule
 from repro.analysis.picklesafety import ProcessSubmitRule, SpawnTaskClassRule
-from repro.analysis.signalsafety import SignalSafetyRule
 from repro.analysis.timesource import WallClockRule
 
 
@@ -44,7 +43,6 @@ def all_rules() -> List[Rule]:
         MutableDefaultRule(),
         TracerGuardRule(),
         WallClockRule(),
-        SignalSafetyRule(),
         KernelPurityRule(),
     ]
 

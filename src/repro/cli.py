@@ -160,30 +160,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "(expand/scatter/shard/merge/pool I/O)",
     )
     search.add_argument(
-        "--sample",
-        type=float,
-        metavar="INTERVAL",
-        help="sample RSS, buffer-pool occupancy/hit-ratio, backend queue "
-        "depth and thread count every INTERVAL seconds during the run "
-        "(reported as sampler.* gauges; combine with --metrics)",
-    )
-    search.add_argument(
-        "--flight",
-        nargs="?",
-        const="flight.jsonl",
-        metavar="FILE",
-        help="attach the flight recorder: ring-buffer recent spans, events "
-        "and metric deltas, and dump a JSON-lines black box to FILE "
-        "(default flight.jsonl) on query timeout/abort/error and on "
-        "SIGUSR1 (replay with `python -m repro.obs report FILE`)",
-    )
-    search.add_argument(
         "--stackprof",
         metavar="FILE",
         help="run the sampling wall-clock profiler during the search and "
-        "write a speedscope-format profile to FILE (plus collapsed "
-        "stacks to FILE.collapsed); samples are attributed to span "
-        "phases (expand/scatter/merge/pool_io)",
+        "write its collapsed stacks to FILE (one `frame;frame;... count` "
+        "line per stack, the flamegraph input format); samples are "
+        "attributed to span phases (expand/scatter/merge/pool_io)",
     )
 
     index = subparsers.add_parser("index", help="manage persistent sharded indexes")
@@ -430,21 +412,12 @@ def _command_search(args: argparse.Namespace) -> int:
         return _fail("search", error)
 
     tracer = None
-    if (
-        args.trace
-        or args.metrics
-        or args.slow_log is not None
-        or args.sample is not None
-        or args.flight is not None
-        or args.stackprof is not None
-    ):
+    if args.trace or args.metrics or args.slow_log is not None or args.stackprof is not None:
         from repro.obs import Tracer
 
         tracer = Tracer()
     if args.slow_log is not None and args.slow_log < 0:
         raise SystemExit("--slow-log must be non-negative")
-    if args.sample is not None and args.sample <= 0:
-        raise SystemExit("--sample must be positive")
 
     try:
         engine = _build_search_engine(args)
@@ -455,22 +428,6 @@ def _command_search(args: argparse.Namespace) -> int:
     if tracer is not None:
         engine.instrument(tracer)
 
-    if args.sample is not None:
-        from repro.obs import ResourceSampler
-
-        sampler = ResourceSampler.for_engine(tracer, engine, interval=args.sample)
-    else:
-        sampler = None
-
-    flight = None
-    if args.flight is not None:
-        from repro.obs.flight import FlightRecorder
-
-        # Attach before anything runs, so the rings see the whole search;
-        # SIGUSR1 dumps the black box from a live process on demand.
-        flight = FlightRecorder(tracer, path=args.flight).attach()
-        flight.install_signal_handler()
-
     profiler = None
     if args.stackprof is not None:
         from repro.obs import StackProfiler
@@ -480,60 +437,28 @@ def _command_search(args: argparse.Namespace) -> int:
     # Single and batch mode both run through the concurrent executor; a lone
     # query is simply a batch of one.
     try:
-        if sampler is not None:
-            sampler.start()
         if profiler is not None:
             profiler.start()
         report = engine.search_many(
             queries, workers=args.workers, tracer=tracer, template=template
         )
-    except BaseException:
-        # The black box earns its keep exactly here: dump what the rings
-        # hold before the traceback unwinds the process.
-        if flight is not None:
-            dumped = flight.dump("exception")
-            if dumped is not None:
-                print(f"flight recorder dumped to {dumped}", file=sys.stderr)
-        raise
     finally:
         if profiler is not None:
             profiler.stop()
-        if sampler is not None:
-            sampler.stop()
-        if flight is not None:
-            flight.uninstall_signal_handler()
-            flight.detach()
         engine.close()
-
-    if flight is not None:
-        statistics = report.statistics
-        unhealthy = statistics.failed or statistics.timed_out or statistics.aborted
-        if unhealthy:
-            reason = (
-                "timeout"
-                if statistics.timed_out
-                else ("abort" if statistics.aborted else "error")
-            )
-            dumped = flight.dump(reason)
-            if dumped is not None:
-                print(f"flight recorder dumped to {dumped} ({reason})", file=sys.stderr)
-        elif flight.dumps_written == 0:
-            # A healthy run with no signal: leave the black box anyway --
-            # the file named on the command line should always exist.
-            flight.dump("complete")
-
-    if tracer is not None:
-        _emit_telemetry(args, tracer)
+        # Also on the way out of an interrupted run (Ctrl-C): every span
+        # closes as the exception unwinds, so the trace is still one tree.
+        if tracer is not None:
+            _emit_telemetry(args, tracer)
 
     if profiler is not None:
-        profiler.write_speedscope(args.stackprof)
-        profiler.write_collapsed(args.stackprof + ".collapsed")
+        profiler.write_collapsed(args.stackprof)
         shares = ", ".join(
             f"{phase}={share:.0%}" for phase, share in profiler.phase_shares().items()
         )
         print(
-            f"wrote {profiler.sample_count} stack samples to {args.stackprof} "
-            f"(+ .collapsed){' -- ' + shares if shares else ''}",
+            f"wrote {profiler.sample_count} stack samples to {args.stackprof}"
+            f"{' -- ' + shares if shares else ''}",
             file=sys.stderr,
         )
 
@@ -596,6 +521,18 @@ def _emit_slow_log(threshold: float, tracer) -> None:
             print(f"  {phase:8s} {seconds:8.3f}s {share:6.1%}", file=sys.stderr)
 
 
+def _peak_rss_bytes() -> Optional[int]:
+    """The process's peak resident set size (``VmHWM``), or ``None`` off Linux."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
 def _emit_telemetry(args: argparse.Namespace, tracer) -> None:
     """Write the trace file and/or print the metrics dump after a search."""
     if args.slow_log is not None:
@@ -603,14 +540,15 @@ def _emit_telemetry(args: argparse.Namespace, tracer) -> None:
     if args.trace:
         from repro.obs.recording import Recording, write
 
-        # The run is over, so the span set is a closed tree: partial=False.
         records = tracer.records()
-        write(
-            args.trace,
-            Recording.of(records, partial=False, reason="trace", trace_id=tracer.trace_id),
-        )
+        write(args.trace, Recording.of(records, reason="trace", trace_id=tracer.trace_id))
         print(f"wrote {len(records)} spans to {args.trace}", file=sys.stderr)
     if args.metrics:
+        peak = _peak_rss_bytes()
+        if peak is not None:
+            tracer.metrics.gauge(
+                "process.peak_rss_bytes", "peak resident set size of this process"
+            ).set(peak)
         rendered = tracer.metrics.render()
         if rendered:
             print("--- metrics ---", file=sys.stderr)

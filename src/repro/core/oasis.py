@@ -276,17 +276,7 @@ class QueryExecution:
             self.aborted = True
             return True
         if self._deadline is not None and time.perf_counter() >= self._deadline:
-            if not self.timed_out:
-                self.timed_out = True
-                # First crossing only: one flight event per expired deadline.
-                tracer = self.tracer
-                if tracer is not None and tracer.flight is not None:
-                    tracer.flight.event(
-                        "deadline_expired",
-                        query=self.request.query[:32],
-                        hits=len(self._hits),
-                        nodes_expanded=self.statistics.nodes_expanded,
-                    )
+            self.timed_out = True
             return True
         return False
 

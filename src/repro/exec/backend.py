@@ -111,16 +111,6 @@ class ExecutionBackend(ABC):
             description="tasks submitted but not yet finished",
         )
 
-    def queue_depth(self) -> float:
-        """Tasks submitted but not yet finished (0.0 when uninstrumented).
-
-        Reads the gauge :meth:`instrument` attached -- the resource sampler
-        polls this, and an uninstrumented backend answers without taking a
-        lock or touching a registry.
-        """
-        queue = self._metric_queue
-        return float(queue.value) if queue is not None else 0.0
-
     def _watch(self, future: "Future", submitted: Optional[float]) -> "Future":
         """Hook one submitted future into the latency/queue instruments."""
         latency = self._metric_latency

@@ -14,33 +14,20 @@ adding cost when unused:
   pruning cutoffs, buffer-pool hit rates, backend task latencies, queue
   depths -- snapshottable and mergeable across processes.
 * **Recordings** (:mod:`repro.obs.recording`): the one on-disk format --
-  a kind-tagged JSON-lines document (``header`` / ``span`` / ``event`` /
-  ``metrics`` records) that ``search --trace`` and ``search --flight`` both
-  write -- with its one ``write``, ``load``, ``validate`` and ``render``.
+  a kind-tagged JSON-lines document (a ``header``, then ``span`` records)
+  that ``search --trace`` writes when the run ends -- with its one
+  ``write``, ``load``, ``validate`` and ``render``.
 
-On top of the emitters sits the analysis stack, behind one entry point
-(``python -m repro.obs {validate,report}``):
+On top of the emitters sit two tools:
 
 * **Trace analytics** (:mod:`repro.obs.analyze` + ``python -m repro.obs
-  report FILE``): critical path, per-phase wall/CPU breakdown
+  {validate,report} FILE``): critical path, per-phase wall/CPU breakdown
   (expand / scatter / shard / merge / pool I/O), per-pid attribution and
   slowest-query lists over any recording.
-* **Resource sampling** (:mod:`repro.obs.sampler`): a background
-  :class:`ResourceSampler` recording RSS, buffer-pool occupancy/hit-ratio,
-  backend queue depth and thread count into ``sampler.*`` gauges (CLI
-  ``search --sample``).
-
-And the live layer -- introspection of a *running* process, not just its
-post-hoc trace:
-
-* **Flight recorder** (:mod:`repro.obs.flight`): bounded ring buffers of
-  recent spans, structured events and metric deltas, dumped as a partial
-  recording on timeout/abort/exception or ``SIGUSR1`` (CLI ``search
-  --flight``; replay with ``python -m repro.obs report``).
 * **Sampling profiler** (:mod:`repro.obs.stackprof`): the one profiler, a
   wall-clock :class:`StackProfiler` sampling ``sys._current_frames()`` and
   joining samples against open spans for per-phase attribution;
-  collapsed-stack and speedscope exports (CLI ``search --stackprof``).
+  collapsed-stack export (CLI ``search --stackprof``).
 
 Every instrumented call site takes ``tracer=None``; passing a
 :class:`Tracer` (which owns a :class:`MetricsRegistry` as ``tracer.metrics``)
@@ -71,8 +58,7 @@ if TYPE_CHECKING:
         MetricsRegistry,
     )
     from repro.obs.recording import Recording
-    from repro.obs.sampler import ResourceSample, ResourceSampler, read_rss_bytes
-    from repro.obs.stackprof import StackProfiler, validate_speedscope
+    from repro.obs.stackprof import StackProfiler
     from repro.obs.trace import Span, SpanRecord, TraceContext, Tracer
 else:
     __getattr__, __dir__ = lazy_exports(
@@ -95,12 +81,7 @@ else:
                 "MetricsRegistry",
             ),
             "repro.obs.recording": ("Recording",),
-            "repro.obs.sampler": (
-                "ResourceSample",
-                "ResourceSampler",
-                "read_rss_bytes",
-            ),
-            "repro.obs.stackprof": ("StackProfiler", "validate_speedscope"),
+            "repro.obs.stackprof": ("StackProfiler",),
             "repro.obs.trace": ("Span", "SpanRecord", "TraceContext", "Tracer"),
         },
     )
@@ -114,8 +95,6 @@ __all__ = [
     "NameStats",
     "PhaseSlice",
     "Recording",
-    "ResourceSample",
-    "ResourceSampler",
     "Span",
     "SpanRecord",
     "StackProfiler",
@@ -126,7 +105,5 @@ __all__ = [
     "configure_logging",
     "get_logger",
     "phase_breakdown",
-    "read_rss_bytes",
     "span_phase",
-    "validate_speedscope",
 ]

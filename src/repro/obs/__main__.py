@@ -1,10 +1,9 @@
 """The telemetry tools' one entry point: ``python -m repro.obs <subcommand>``.
 
 * ``validate [--tree] FILE`` -- load a recording (what ``search --trace``
-  or ``search --flight`` wrote) and check it structurally; ``--tree`` prints
-  the span tree first.
+  wrote) and check it structurally; ``--tree`` prints the span tree first.
 * ``report [--markdown] [--top N] FILE`` -- validate, then replay it:
-  header, events, metric deltas, span tree, span analysis.
+  header, span tree, span analysis.
 
 Exit codes, both subcommands: 0 ok; 1 the file is unreadable, invalid or
 empty, one problem per stderr line; 2 usage error.
@@ -40,10 +39,8 @@ def _validate(args: argparse.Namespace) -> int:
         print(span_tree(recording.spans))
     header = recording.header
     print(
-        f"ok: {len(recording.spans)} spans, {len(recording.events)} events, "
-        f"{len(recording.metric_deltas)} metric deltas "
-        f"({'partial' if header['partial'] else 'complete'}, reason={header['reason']}, "
-        f"trace {header.get('trace_id')})"
+        f"ok: {len(recording.spans)} spans "
+        f"(reason={header['reason']}, trace {header.get('trace_id')})"
     )
     return 0
 
@@ -62,12 +59,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    validate_cmd = commands.add_parser("validate", help="check a --trace/--flight file")
+    validate_cmd = commands.add_parser("validate", help="check a --trace file")
     validate_cmd.add_argument("file", metavar="FILE")
     validate_cmd.add_argument("--tree", action="store_true", help="print the span tree first")
     validate_cmd.set_defaults(handler=_validate)
 
-    report_cmd = commands.add_parser("report", help="replay a --trace/--flight file")
+    report_cmd = commands.add_parser("report", help="replay a --trace file")
     report_cmd.add_argument("file", metavar="FILE")
     report_cmd.add_argument("--markdown", action="store_true", help="markdown tables")
     report_cmd.add_argument(

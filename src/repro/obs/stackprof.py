@@ -18,9 +18,8 @@ carrying a ``phase`` attribute labels the sample (``expand`` / ``scatter``
 Exports:
 
 * :meth:`StackProfiler.collapsed` -- classic semicolon-collapsed stack
-  lines (``frame;frame;frame count``), flamegraph-tool food;
-* :meth:`StackProfiler.speedscope` -- a speedscope-format JSON document
-  (https://www.speedscope.app), one ``sampled`` profile per run;
+  lines (``frame;frame;frame count``), the one file format, which
+  flamegraph tools and browser profile viewers import;
 * :meth:`StackProfiler.share_of` -- leaf-frame (own-time) share of samples
   whose innermost frame matches a substring (``core/kernels`` is the DP
   hot loop).
@@ -32,7 +31,6 @@ profiler still works -- samples simply all land in the ``other`` phase.
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
@@ -226,53 +224,6 @@ class StackProfiler:
             lines.append(f"{';'.join(frames)} {count}")
         return "\n".join(lines)
 
-    def speedscope(self, name: str = "oasis search") -> Dict[str, object]:
-        """The profile as a speedscope-format document (``type: sampled``).
-
-        Weights are in seconds (``sample count * interval``); each distinct
-        collapsed stack contributes one sample entry with its aggregate
-        weight, which speedscope renders identically to the raw sequence.
-        """
-        with self._lock:
-            items = sorted(self._counts.items())
-        frame_index: Dict[str, int] = {}
-        frames: List[Dict[str, str]] = []
-        samples: List[List[int]] = []
-        weights: List[float] = []
-        for (phase, stack), count in items:
-            indices: List[int] = []
-            for frame_name in (f"phase:{phase}",) + stack:
-                index = frame_index.get(frame_name)
-                if index is None:
-                    index = frame_index[frame_name] = len(frames)
-                    frames.append({"name": frame_name})
-                indices.append(index)
-            samples.append(indices)
-            weights.append(count * self.interval)
-        total = sum(weights)
-        return {
-            "$schema": "https://www.speedscope.app/file-format-schema.json",
-            "name": name,
-            "activeProfileIndex": 0,
-            "shared": {"frames": frames},
-            "profiles": [
-                {
-                    "type": "sampled",
-                    "name": name,
-                    "unit": "seconds",
-                    "startValue": 0,
-                    "endValue": total,
-                    "samples": samples,
-                    "weights": weights,
-                }
-            ],
-        }
-
-    def write_speedscope(self, path: str, name: str = "oasis search") -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.speedscope(name), handle, sort_keys=True)
-            handle.write("\n")
-
     def write_collapsed(self, path: str, include_phase: bool = True) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.collapsed(include_phase))
@@ -285,45 +236,3 @@ class StackProfiler:
             f"samples={self.sample_count})"
         )
 
-
-def validate_speedscope(document: Dict[str, object]) -> List[str]:
-    """Structural check of a speedscope document; returns problems (empty = ok)."""
-    problems: List[str] = []
-    if document.get("$schema") != "https://www.speedscope.app/file-format-schema.json":
-        problems.append("missing speedscope $schema")
-    shared = document.get("shared")
-    if not isinstance(shared, dict) or not isinstance(shared.get("frames"), list):
-        problems.append("shared.frames must be a list")
-        return problems
-    frames = shared["frames"]
-    for index, frame in enumerate(frames):
-        if not isinstance(frame, dict) or not isinstance(frame.get("name"), str):
-            problems.append(f"frame {index} has no name")
-    profiles = document.get("profiles")
-    if not isinstance(profiles, list) or not profiles:
-        problems.append("profiles must be a non-empty list")
-        return problems
-    for pindex, profile in enumerate(profiles):
-        if not isinstance(profile, dict):
-            problems.append(f"profile {pindex} is not an object")
-            continue
-        if profile.get("type") != "sampled":
-            problems.append(f"profile {pindex}: type must be 'sampled'")
-            continue
-        samples = profile.get("samples")
-        weights = profile.get("weights")
-        if not isinstance(samples, list) or not isinstance(weights, list):
-            problems.append(f"profile {pindex}: samples/weights must be lists")
-            continue
-        if len(samples) != len(weights):
-            problems.append(
-                f"profile {pindex}: {len(samples)} samples vs {len(weights)} weights"
-            )
-        for sindex, sample in enumerate(samples):
-            if not isinstance(sample, list) or not all(
-                isinstance(index, int) and 0 <= index < len(frames) for index in sample
-            ):
-                problems.append(
-                    f"profile {pindex} sample {sindex}: frame indices out of range"
-                )
-    return problems

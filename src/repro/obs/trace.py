@@ -22,17 +22,12 @@ Two properties matter for this codebase:
   object is allocated, no clock is read: ``tests/test_obs_disabled.py``
   counts zero calls into ``repro/obs/`` during an uninstrumented search.
 
-Two live-introspection hooks ride on the tracer (both free when unused):
-
-* **Span sinks** (:meth:`Tracer.add_sink`): callables invoked with every
-  finished record as it lands -- the flight recorder's feed.  The no-sink
-  path costs one truthiness check on an empty tuple.
-* **A cross-thread view of the open-span stacks**
-  (:meth:`Tracer.active_spans`): ``_push``/``_pop`` maintain one shared
-  ``{thread id: [open spans]}`` map (each thread mutates only its own
-  entry; single dict/list ops, so the GIL keeps readers consistent), which
-  is how the sampling profiler attributes a foreign thread's stack sample
-  to the phase of the span it was inside.
+The tracer also keeps a cross-thread view of the open-span stacks
+(:meth:`Tracer.active_spans`): ``_push``/``_pop`` maintain one shared
+``{thread id: [open spans]}`` map (each thread mutates only its own entry;
+single dict/list ops, so the GIL keeps readers consistent), which is how
+the sampling profiler attributes a foreign thread's stack sample to the
+phase of the span it was inside.
 """
 
 from __future__ import annotations
@@ -42,10 +37,9 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only, avoids a module cycle
-    from repro.obs.flight import FlightRecorder
     from repro.obs.metrics import MetricsRegistry
 
 #: Attribute value types that survive a JSON round trip unchanged.
@@ -237,13 +231,6 @@ class Tracer:
         #: own entry (single dict/list operations, atomic under the GIL);
         #: :meth:`active_spans` snapshots the whole map from any thread.
         self._stacks: Dict[int, List[Span]] = {}
-        #: Finished-span sinks (flight recorder etc.); empty tuple when off,
-        #: so the hot record path pays one truthiness check.
-        self._sinks: Tuple[Callable[[SpanRecord], None], ...] = ()
-        #: The attached :class:`~repro.obs.flight.FlightRecorder`, if any --
-        #: instrumented call sites emit structured events through it with the
-        #: same one-``None``-check discipline as the tracer itself.
-        self.flight: Optional["FlightRecorder"] = None
 
     # ------------------------------------------------------------------ #
     # Span creation
@@ -297,21 +284,9 @@ class Tracer:
         """
         return {ident: list(stack) for ident, stack in list(self._stacks.items())}
 
-    def add_sink(self, sink: Callable[[SpanRecord], None]) -> None:
-        """Register a callable invoked with every finished span record."""
-        self._sinks = self._sinks + (sink,)
-
-    def remove_sink(self, sink: Callable[[SpanRecord], None]) -> None:
-        # Equality, not identity: each access of a bound method (the typical
-        # sink) builds a fresh object, so `is` would never match.
-        self._sinks = tuple(s for s in self._sinks if s != sink)
-
     def _record(self, record: SpanRecord) -> None:
         with self._lock:
             self.finished.append(record)
-        if self._sinks:
-            for sink in self._sinks:
-                sink(record)
 
     # ------------------------------------------------------------------ #
     # Cross-process stitching
@@ -331,7 +306,7 @@ class Tracer:
         records keep the ids they were born with -- a worker built from a
         :class:`TraceContext` already carries this trace's ``trace_id`` and
         a parent id that resolves locally, so adopted spans slot straight
-        into the tree (and reach the span sinks like locally finished ones).
+        into the tree.
         """
         converted = [
             record if isinstance(record, SpanRecord) else SpanRecord.from_dict(record)
@@ -339,9 +314,6 @@ class Tracer:
         ]
         with self._lock:
             self.finished.extend(converted)
-        for sink in self._sinks:
-            for record in converted:
-                sink(record)
 
     def records(self) -> List[SpanRecord]:
         """A snapshot of every finished span, in completion order."""

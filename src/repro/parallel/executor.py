@@ -559,36 +559,14 @@ class BatchSearchExecutor:
     def _execute_one(self, index: int, query: str) -> BatchQueryOutcome:
         if self._aborted or self._cancel.is_set():
             return BatchQueryOutcome(index=index, query=query, aborted=True)
-        flight = self.tracer.flight if self.tracer is not None else None
-        if flight is not None:
-            flight.event("query_admitted", index=index, query=query[:32])
         start = time.perf_counter()
         try:
             result = self._run_query(query, self.timeout, self._cancel, self._batch_parent)
         except Exception as error:  # noqa: BLE001 - captured per query
-            if flight is not None:
-                flight.event(
-                    "query_finished",
-                    index=index,
-                    status="error",
-                    error=f"{type(error).__name__}: {error}",
-                    elapsed_seconds=time.perf_counter() - start,
-                )
             return BatchQueryOutcome(
                 index=index,
                 query=query,
                 exception=error,
-                elapsed_seconds=time.perf_counter() - start,
-            )
-        timed_out = bool(result.parameters.get("timed_out", False))
-        aborted = bool(result.parameters.get("aborted", False))
-        if flight is not None:
-            status = "timeout" if timed_out else ("aborted" if aborted else "ok")
-            flight.event(
-                "query_finished",
-                index=index,
-                status=status,
-                hits=len(result.hits),
                 elapsed_seconds=time.perf_counter() - start,
             )
         return BatchQueryOutcome(
@@ -596,8 +574,8 @@ class BatchSearchExecutor:
             query=query,
             result=result,
             elapsed_seconds=time.perf_counter() - start,
-            timed_out=timed_out,
-            aborted=aborted,
+            timed_out=bool(result.parameters.get("timed_out", False)),
+            aborted=bool(result.parameters.get("aborted", False)),
         )
 
     def __repr__(self) -> str:

@@ -723,15 +723,6 @@ class ShardedEngine(SearchSurface):
             # A closed engine must not run searches over closed shard
             # cursors (or silently resurrect a backend it already shut).
             raise RuntimeError("ShardedEngine is closed")
-        tracer = scattered.tracer
-        if tracer is not None and tracer.flight is not None:
-            for shard_index in range(len(self.shards)):
-                tracer.flight.event(
-                    "shard_dispatched",
-                    shard=shard_index,
-                    query=scattered.request.query[:32],
-                    backend=self.backend_spec,
-                )
         if self._backend.kind == "processes":
             # Always take the remote path, even for one shard, so a process
             # engine exercises exactly one code path (and its parity is

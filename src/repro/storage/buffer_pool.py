@@ -349,21 +349,6 @@ class BufferPool:
             self._clock_hand = (hand + 1) % self.frame_count
         table[block] = frame
 
-    def resource_sample(self) -> Dict[str, float]:
-        """Point-in-time occupancy/hit-ratio state for the resource sampler.
-
-        One lock acquisition per call (the sampler ticks a few times per
-        second at most); the returned dict is a consistent snapshot.
-        """
-        with self._lock:
-            resident = float(len(self._page_table))
-            return {
-                "resident_pages": resident,
-                "frame_count": float(self.frame_count),
-                "occupancy": resident / self.frame_count,
-                "hit_ratio": self.statistics.hit_ratio,
-            }
-
     # ------------------------------------------------------------------ #
     # Management
     # ------------------------------------------------------------------ #

@@ -636,149 +636,6 @@ class TestWallClockRule:
         assert "monotonic-time" in rule_catalog()
 
 
-class TestSignalSafetyRule:
-    def test_handler_calling_into_the_world_is_flagged(self, tmp_path):
-        report = violations_for(
-            tmp_path,
-            "obs/sig.py",
-            """
-            import signal
-
-            def _handler(signum, frame):
-                print("caught", signum)
-
-            signal.signal(signal.SIGUSR1, _handler)
-            """,
-        )
-        assert rule_ids(report) == ["signal-safety"]
-        (violation,) = report.violations
-        assert "print" in violation.message
-        assert "self-pipe" in violation.message
-
-    def test_handler_taking_a_lock_is_flagged(self, tmp_path):
-        report = violations_for(
-            tmp_path,
-            "obs/sig.py",
-            """
-            import signal
-            import threading
-
-            _lock = threading.Lock()
-            _events = []
-
-            def _handler(signum, frame):
-                with _lock:
-                    _events.append(signum)
-
-            signal.signal(signal.SIGUSR1, _handler)
-            """,
-        )
-        assert rule_ids(report) == ["signal-safety"]
-        assert any("with-block" in v.message for v in report.violations)
-
-    def test_lambda_handler_is_resolved(self, tmp_path):
-        report = violations_for(
-            tmp_path,
-            "obs/sig.py",
-            """
-            import signal
-
-            signal.signal(signal.SIGUSR1, lambda s, f: print(s))
-            """,
-        )
-        assert rule_ids(report) == ["signal-safety"]
-
-    def test_from_import_registration_is_found(self, tmp_path):
-        report = violations_for(
-            tmp_path,
-            "obs/sig.py",
-            """
-            from signal import SIGUSR1, signal as register
-
-            def _handler(signum, frame):
-                open("/tmp/dump")
-
-            register(SIGUSR1, _handler)
-            """,
-        )
-        assert rule_ids(report) == ["signal-safety"]
-
-    def test_nested_self_pipe_handler_passes(self, tmp_path):
-        # The repo's sanctioned pattern: one os.write to a pre-opened fd,
-        # registered from inside a method (handler is a nested closure).
-        report = violations_for(
-            tmp_path,
-            "obs/sig.py",
-            """
-            import os
-            import signal
-
-            class Recorder:
-                def install(self, write_fd):
-                    def _handler(signum, frame):
-                        os.write(write_fd, b"f")
-
-                    signal.signal(signal.SIGUSR1, _handler)
-            """,
-        )
-        assert report.ok
-
-    def test_flag_setting_handler_passes(self, tmp_path):
-        report = violations_for(
-            tmp_path,
-            "obs/sig.py",
-            """
-            import signal
-
-            _requested = False
-
-            def _handler(signum, frame):
-                global _requested
-                _requested = True
-
-            signal.signal(signal.SIGUSR1, _handler)
-            """,
-        )
-        assert report.ok
-
-    def test_restoring_a_saved_handler_is_out_of_scope(self, tmp_path):
-        report = violations_for(
-            tmp_path,
-            "obs/sig.py",
-            """
-            import signal
-
-            def restore(previous):
-                signal.signal(signal.SIGUSR1, previous)
-
-            def defaults():
-                signal.signal(signal.SIGUSR1, signal.SIG_DFL)
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-            """,
-        )
-        assert report.ok
-
-    def test_suppression_waives_a_sanctioned_handler(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "obs/sig.py",
-            """
-            import signal
-
-            def _handler(signum, frame):
-                frame.f_locals.clear()  # repro: allow[signal-safety]
-
-            signal.signal(signal.SIGUSR1, _handler)
-            """,
-        )
-        report = analyze_paths([path])
-        assert report.ok
-        assert [entry.rule_id for entry in report.suppressed] == ["signal-safety"]
-
-    def test_catalog_lists_the_rule(self):
-        assert "signal-safety" in rule_catalog()
-
-
 class TestKernelPurityRule:
     def test_allocation_in_kernel_loop_is_flagged(self, tmp_path):
         report = violations_for(

@@ -191,10 +191,8 @@ def test_trace_flag_still_loads_obs_and_writes_a_valid_trace(corpus, tmp_path):
             "http.server",
             "cProfile",
             "repro.core",
-            "repro.obs.flight",
             "repro.obs.promexport",
             "repro.obs.stackprof",
-            "repro.obs.sampler",
         ],
     )
     assert not found, f"`python -m repro.obs validate` loaded {found}"

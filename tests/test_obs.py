@@ -30,7 +30,7 @@ from repro.obs.recording import load, span_tree, validate, write
 
 def validate_trace(records):
     """Problems of ``records`` taken as one finished run's complete trace."""
-    return validate(Recording.of(records, partial=False, reason="test"))
+    return validate(Recording.of(records, reason="test"))
 
 
 # --------------------------------------------------------------------- #
@@ -231,7 +231,7 @@ class TestExporters:
     def test_jsonl_round_trip_via_path(self, tmp_path):
         tracer = _sample_tracer()
         path = tmp_path / "trace.jsonl"
-        write(path, Recording.of(tracer.records(), partial=False, reason="test"))
+        write(path, Recording.of(tracer.records(), reason="test"))
         recording = load(path)
         assert recording.spans == tracer.records()
         assert validate(recording) == []
@@ -263,7 +263,7 @@ class TestExporters:
 
     def test_validate_cli(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
-        write(path, Recording.of(_sample_tracer().records(), partial=False, reason="test"))
+        write(path, Recording.of(_sample_tracer().records(), reason="test"))
 
         assert obs_main(["validate", str(path), "--tree"]) == 0
         out = capsys.readouterr().out
@@ -352,7 +352,7 @@ class TestReaderDiagnostics:
     def _lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         records = _sample_tracer().records()
-        write(path, Recording.of(records, partial=False, reason="test"))
+        write(path, Recording.of(records, reason="test"))
         return path, records, path.read_text().splitlines()
 
     def test_read_jsonl_skips_blank_lines(self, tmp_path):

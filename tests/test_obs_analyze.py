@@ -278,7 +278,7 @@ class TestRenderReport:
 class TestReportCli:
     def write_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        write(path, Recording.of(sharded_trace(), partial=False, reason="test"))
+        write(path, Recording.of(sharded_trace(), reason="test"))
         return str(path)
 
     def test_ok(self, tmp_path, capsys):

@@ -28,7 +28,7 @@ from repro.testing import AMINO_ACIDS, random_protein
 
 def validate_trace(records):
     """Problems of ``records`` taken as one finished run's complete trace."""
-    return validate(Recording.of(records, partial=False, reason="test"))
+    return validate(Recording.of(records, reason="test"))
 
 
 SHARDS = 4
@@ -85,7 +85,7 @@ def test_process_scatter_emits_one_coherent_tree(index_dir, tmp_path):
 
     # Round trip through the JSON-lines file the CLI would write.
     path = tmp_path / "trace.jsonl"
-    write(path, Recording.of(tracer.records(), partial=False, reason="test"))
+    write(path, Recording.of(tracer.records(), reason="test"))
     records = load(path).spans
     assert records == tracer.records()
     assert validate_trace(records) == []

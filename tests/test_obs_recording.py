@@ -1,9 +1,9 @@
 """The one on-disk telemetry format and its one reader (`repro.obs.recording`).
 
-``search --trace`` and ``search --flight`` write the same kind-tagged
-JSON-lines document; whether the tree checks apply is read from the file's
-header.  These tests pin that any file the tools write can be read by every
-tool, and the exit-code contract of ``python -m repro.obs``.
+``search --trace`` writes a kind-tagged JSON-lines document: a header, then
+the spans of one closed tree.  These tests pin that any file the tools write
+can be read by every tool, that a file an older writer left reads the same,
+and the exit-code contract of ``python -m repro.obs``.
 """
 
 from __future__ import annotations
@@ -16,16 +16,12 @@ import sys
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs import Recording, SpanRecord, Tracer
+from repro.obs import Recording, SpanRecord
 from repro.obs.__main__ import main as obs_main
-from repro.obs.flight import FlightRecorder
 from repro.obs.recording import load, render, validate, write
-from repro.scoring.data import pam30
-from repro.scoring.gaps import FixedGapModel
-from repro.sharding import ShardedEngine, ShardedIndexBuilder
 
-QUERY = "WKDDGNGYISAAE"
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def span(name, span_id, parent_id, start, trace_id="t-1", **attributes) -> SpanRecord:
@@ -46,38 +42,6 @@ def healthy():
     return [span("query", "a-1", None, 0), span("shard", "a-2", "a-1", 0.1, shard=0)]
 
 
-def analysis_section(rendered: str) -> str:
-    return rendered[rendered.index("span analysis") :]
-
-
-def test_a_trace_and_a_flight_dump_of_one_search_read_the_same(
-    small_protein_database, tmp_path
-):
-    """A real ``processes:2`` scatter: worker spans are adopted into the tracer
-    and reach the recorder's ring, so both files hold the same span list."""
-    index = tmp_path / "index"
-    ShardedIndexBuilder(pam30(), FixedGapModel(-8), shard_count=4).build(
-        small_protein_database, index
-    )
-    trace_path, dump_path = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
-    tracer = Tracer()
-    with FlightRecorder(tracer, path=str(dump_path)) as recorder:
-        with ShardedEngine.open(str(index), backend="processes:2") as engine:
-            engine.instrument(tracer)
-            report = engine.search_many([QUERY], min_score=40, tracer=tracer)
-        assert not report.statistics.failed
-        recorder.dump("complete")
-    write(trace_path, Recording.of(tracer.records(), partial=False, reason="trace"))
-
-    trace, dump = load(trace_path), load(dump_path)
-    assert trace.header["partial"] is False and dump.header["partial"] is True
-    assert validate(trace) == [] and validate(dump) == []
-    assert len({record.pid for record in trace.spans}) > 1  # workers took part
-    assert trace.spans == dump.spans == tracer.records()
-    assert analysis_section(render(trace)) == analysis_section(render(dump))
-    assert dump.events and not trace.events
-
-
 DEFECTS = {
     "orphan parent": (healthy() + [span("stray", "a-3", "gone-9", 0.2)], "unresolved"),
     "two trace ids": (healthy() + [span("other", "b-1", "a-1", 0.2, trace_id="t-2")], "trace ids"),
@@ -90,34 +54,65 @@ DEFECTS = {
 
 
 @pytest.mark.parametrize("defect", sorted(DEFECTS))
-def test_tree_checks_apply_exactly_when_the_header_says_complete(defect, tmp_path):
+def test_a_broken_tree_is_invalid_and_still_renders(defect, tmp_path):
     spans, expected = DEFECTS[defect]
     path = tmp_path / "r.jsonl"
-    write(path, Recording.of(spans, partial=False, reason="test"))
-    assert any(expected in problem for problem in validate(load(path)))
+    write(path, Recording.of(spans, reason="test"))
+    recording = load(path)
+    assert any(expected in problem for problem in validate(recording))
     assert obs_main(["validate", str(path)]) == 1
-
-    # The same spans as a ring's partial contents are legal; the replay
-    # promotes what it cannot parent to a root.
-    write(path, Recording.of(spans, partial=True, reason="test"))
-    partial = load(path)
-    assert validate(partial) == []
+    assert obs_main(["report", str(path)]) == 1
+    # The replay itself promotes what it cannot parent to a root.
     if defect != "cycle":  # a closed loop has no entry point to draw from
         for record in spans:
-            assert record.name in render(partial)
-    assert obs_main(["report", str(path)]) == 0
+            assert record.name in render(recording)
 
 
-def test_a_dump_cut_off_after_its_header_fails_on_the_declared_counts(tmp_path):
+def test_a_header_that_names_another_trace_is_invalid():
+    recording = Recording.of(healthy(), reason="test", trace_id="t-9")
+    assert validate(recording) == ["header and spans name 2 trace ids: ['t-1', 't-9']"]
+
+
+def test_a_file_cut_off_after_its_header_fails_on_the_declared_count(tmp_path):
     path = tmp_path / "cut.jsonl"
-    write(path, Recording.of(healthy(), partial=True, reason="signal"))
+    write(path, Recording.of(healthy(), reason="trace"))
     path.write_text(path.read_text().splitlines()[0] + "\n")
-    assert validate(load(path)) == ["header declares 2 spans, file has 0"]
+    assert validate(load(path))[0] == "header declares 2 spans, file has 0"
     assert obs_main(["validate", str(path)]) == 1
+
+
+def test_a_trace_written_before_the_flight_recorder_was_cut_still_reads(capsys):
+    """``trace_v1.jsonl`` is a 2-shard ``search --trace`` from the writer that
+    also put ``partial``, ``events`` and ``metric_deltas`` in the header."""
+    path = os.path.join(FIXTURES, "trace_v1.jsonl")
+    recording = load(path)
+    assert recording.header["partial"] is False  # an old key, ignored
+    assert validate(recording) == []
+    assert [record.name for record in recording.spans] == ["shard", "shard", "merge", "query", "batch"]
+    assert "span analysis" in render(recording)
+    assert obs_main(["report", path]) == 0
+    assert "critical path" in capsys.readouterr().out
+
+
+def test_an_old_flight_dump_is_one_unknown_kind_line():
+    """A ``search --flight`` dump holds ``event`` and ``metrics`` records,
+    which no writer produces any more: one error line, exit 1."""
+    path = os.path.join(FIXTURES, "flight_dump_v1.jsonl")
+    finished = subprocess.run(
+        [sys.executable, "-m", "repro.obs", "validate", path],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert finished.returncode == 1
+    (line,) = finished.stderr.splitlines()
+    assert "unknown record kind 'event'" in line
+    assert finished.stdout == ""
 
 
 def _header(**changes) -> str:
-    return json.dumps({**Recording.of([], partial=True, reason="test").header, **changes})
+    return json.dumps({**Recording.of([], reason="test").header, **changes})
 
 
 MALFORMED = {
@@ -149,10 +144,10 @@ def test_non_ascii_identifiers_round_trip_to_the_report(tmp_path, capsys):
     name = "Müller-Lüdenscheidt"
     spans = [span("query", "a-1", None, 0, author=name)]
     path = tmp_path / "umlaut.jsonl"
-    write(path, Recording.of(spans, partial=False, reason="test", note=name))
+    write(path, Recording.of(spans, reason=name))
     recording = load(path)
     assert recording.spans == spans
-    assert recording.header["note"] == name
+    assert recording.header["reason"] == name
     assert obs_main(["report", str(path)]) == 0
     assert f"author={name}" in capsys.readouterr().out
 
@@ -166,7 +161,7 @@ def test_non_ascii_identifiers_round_trip_to_the_report(tmp_path, capsys):
 @pytest.fixture
 def good(tmp_path) -> str:
     path = tmp_path / "good.jsonl"
-    write(path, Recording.of(healthy(), partial=False, reason="test"))
+    write(path, Recording.of(healthy(), reason="test"))
     return str(path)
 
 

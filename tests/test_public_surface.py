@@ -202,7 +202,7 @@ def test_the_old_per_tool_entry_points_are_gone(tmp_path):
     performance record) is an unknown subcommand: a usage error, no traceback."""
     finished = run_python("-m", "repro.obs.validate", cwd=str(tmp_path))
     assert finished.returncode != 0 and "No module named" in finished.stderr
-    for module in ("report", "flight", "recording"):
+    for module in ("report", "recording"):
         loaded = importlib.import_module(f"repro.obs.{module}")
         assert not hasattr(loaded, "main"), module
         assert "__main__" not in inspect.getsource(loaded), module

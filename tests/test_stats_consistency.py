@@ -32,7 +32,7 @@ from repro.testing import random_protein
 
 def validate_trace(records):
     """Problems of ``records`` taken as one finished run's complete trace."""
-    return validate(Recording.of(records, partial=False, reason="test"))
+    return validate(Recording.of(records, reason="test"))
 
 
 SHARDS = 4

@@ -29,12 +29,10 @@ GATE_FILES = (
     "repro/obs/__init__.py",
     "repro/obs/__main__.py",
     "repro/obs/analyze.py",
-    "repro/obs/flight.py",
     "repro/obs/logsetup.py",
     "repro/obs/metrics.py",
     "repro/obs/recording.py",
     "repro/obs/report.py",
-    "repro/obs/sampler.py",
     "repro/obs/stackprof.py",
     "repro/obs/trace.py",
     "repro/sharding/remote.py",
@@ -47,7 +45,6 @@ GATE_FILES = (
     "repro/analysis/framework.py",
     "repro/analysis/kernelpurity.py",
     "repro/analysis/lockorder.py",
-    "repro/analysis/signalsafety.py",
 )
 
 _HAS_MYPY = importlib.util.find_spec("mypy") is not None
