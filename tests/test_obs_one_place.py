@@ -1,0 +1,549 @@
+"""Every report of a search has one place: the ``--trace`` tree or ``--metrics``.
+
+There is no live instrument beside the two end-of-run outputs, so each thing
+an operator asks about a run is pinned here to where it is read:
+
+* each query, and its dispatch to each shard -> ``query`` / ``shard`` /
+  ``merge`` spans under one ``batch`` root;
+* timeouts, aborts and errors -> span attributes and statuses (and the
+  ``search.timeouts`` / ``search.aborts`` counters);
+* buffer-pool eviction bursts -> the ``pool.evictions`` counter;
+* queue-depth peaks -> the ``exec.queue_depth[<spec>]`` gauge's max;
+* peak RSS -> the ``process.peak_rss_bytes`` gauge that ``--metrics`` reads
+  from ``VmHWM`` when the run ends;
+* a wedged run -> Ctrl-C, which still writes all of them on the way out.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import os
+import random
+import sys
+import threading
+from collections import defaultdict
+
+import pytest
+
+from repro import cli
+from repro.cli import main as cli_main
+from repro.core.engine import OasisEngine
+from repro.obs import Recording, Tracer
+from repro.obs.recording import load, validate, write
+from repro.parallel import BatchSearchExecutor
+from repro.scoring.data import pam30
+from repro.scoring.gaps import FixedGapModel
+from repro.sequences.alphabet import PROTEIN_ALPHABET
+from repro.sequences.database import SequenceDatabase
+from repro.sharding import ShardedEngine
+from repro.testing import AMINO_ACIDS, random_protein
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+CORE = "WKDDGNGYISAAE"
+QUERIES = [CORE, "MKVLAADTGLAV", "WKDDGNGYLSAAE"]
+MIN_SCORE = 40
+
+
+def _database() -> SequenceDatabase:
+    rng = random.Random(11)
+    texts = []
+    for index in range(6):
+        planted = list(CORE)
+        if index % 2:
+            planted[rng.randrange(len(planted))] = rng.choice(AMINO_ACIDS)
+        texts.append(
+            random_protein(rng, rng.randint(10, 30))
+            + "".join(planted)
+            + random_protein(rng, rng.randint(10, 30))
+        )
+    texts.extend(random_protein(rng, rng.randint(20, 60)) for _ in range(3))
+    return SequenceDatabase.from_texts(texts, alphabet=PROTEIN_ALPHABET, name="one-place")
+
+
+def _valid_recording(tracer: Tracer) -> Recording:
+    """The tracer's spans as ``--trace`` writes them, checked to be one tree."""
+    recording = Recording.of(tracer.records(), reason="trace", trace_id=tracer.trace_id)
+    assert validate(recording) == []
+    return recording
+
+
+def _by_name(recording: Recording):
+    grouped = defaultdict(list)
+    for record in recording.spans:
+        grouped[record.name].append(record)
+    return grouped
+
+
+def _children(records, parent):
+    return [record for record in records if record.parent_id == parent.span_id]
+
+
+# --------------------------------------------------------------------- #
+# Query and shard dispatch: spans
+# --------------------------------------------------------------------- #
+class TestDispatchSpans:
+    def _assert_one_batch_of_scattered_queries(self, recording, shards, report):
+        spans = _by_name(recording)
+        (batch,) = spans["batch"]
+        assert batch.parent_id is None
+        assert batch.attributes["completed"] == len(QUERIES)
+        assert "abandoned" not in batch.attributes
+        queries = spans["query"]
+        assert len(queries) == len(QUERIES)
+        merged = []
+        for query in queries:
+            assert query.parent_id == batch.span_id
+            # One dispatch per shard, each shard exactly once, then one merge.
+            dispatched = _children(spans["shard"], query)
+            assert sorted(record.attributes["shard"] for record in dispatched) == list(range(shards))
+            (merge,) = _children(spans["merge"], query)
+            merged.append(merge.attributes["hits"])
+            assert query.attributes["timed_out"] is False
+            assert query.attributes["aborted"] is False
+        assert len(spans["shard"]) == shards * len(QUERIES)
+        assert {record.status for record in recording.spans} == {"ok"}
+        assert sorted(merged) == sorted(len(outcome.result) for outcome in report.outcomes)
+
+    @pytest.mark.parametrize("backend", ["serial", "threads:2"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_each_query_and_each_shard_dispatch_is_a_span(self, shards, workers, backend):
+        tracer = Tracer()
+        with ShardedEngine.build(
+            _database(), pam30(), FixedGapModel(-8), shard_count=shards, backend=backend
+        ) as engine:
+            report = engine.search_many(
+                QUERIES, workers=workers, min_score=MIN_SCORE, tracer=tracer
+            )
+        assert not report.statistics.failed
+        self._assert_one_batch_of_scattered_queries(_valid_recording(tracer), shards, report)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_process_scatter_dispatches_are_adopted_spans(self, shards, tmp_path):
+        """Shard spans recorded in worker processes come back into the tree."""
+        with ShardedEngine.build_on_disk(
+            _database(), tmp_path / "index", pam30(), FixedGapModel(-8), shard_count=shards
+        ):
+            pass
+        tracer = Tracer()
+        with ShardedEngine.open(tmp_path / "index", backend="processes:2") as engine:
+            report = engine.search_many(QUERIES, workers=1, min_score=MIN_SCORE, tracer=tracer)
+        assert not report.statistics.failed
+        recording = _valid_recording(tracer)
+        self._assert_one_batch_of_scattered_queries(recording, shards, report)
+        assert {record.pid for record in _by_name(recording)["shard"]} != {os.getpid()}
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_a_streamed_query_is_one_span_over_its_shards(self, shards):
+        tracer = Tracer()
+        with ShardedEngine.build(
+            _database(), pam30(), FixedGapModel(-8), shard_count=shards
+        ) as engine:
+            hits = list(engine.search_online(CORE, min_score=MIN_SCORE, tracer=tracer))
+        spans = _by_name(_valid_recording(tracer))
+        (query,) = spans["query"]
+        assert query.parent_id is None and query.attributes["streaming"] is True
+        assert query.attributes["hits"] == len(hits) > 0
+        assert sorted(record.attributes["shard"] for record in _children(spans["shard"], query)) == list(
+            range(shards)
+        )
+
+    @pytest.mark.parametrize("engine_kind", ["memory", "disk", "sharded"])
+    def test_a_recording_of_a_real_search_round_trips_through_its_file(self, engine_kind, tmp_path):
+        database = _database()
+        if engine_kind == "memory":
+            engine = OasisEngine.build(database, pam30(), FixedGapModel(-8))
+        elif engine_kind == "disk":
+            engine = OasisEngine.build_on_disk(
+                database, pam30(), tmp_path / "image.oasis", FixedGapModel(-8), block_size=512
+            )
+        else:
+            engine = ShardedEngine.build(database, pam30(), FixedGapModel(-8), shard_count=2)
+        tracer = Tracer()
+        with engine:
+            engine.instrument(tracer)
+            engine.search_many(QUERIES, workers=2, min_score=MIN_SCORE, tracer=tracer)
+        recording = _valid_recording(tracer)
+        path = tmp_path / "trace.jsonl"
+        write(path, recording)
+        loaded = load(path)
+        assert loaded.spans == recording.spans
+        assert loaded.header == recording.header
+        assert validate(loaded) == []
+
+
+# --------------------------------------------------------------------- #
+# Timeouts, aborts, errors: span attributes and statuses
+# --------------------------------------------------------------------- #
+class TestStopsAndFailures:
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_an_expired_deadline_marks_every_query_and_shard_span(self, shards):
+        tracer = Tracer()
+        with ShardedEngine.build(
+            _database(), pam30(), FixedGapModel(-8), shard_count=shards
+        ) as engine:
+            report = engine.search_many(
+                QUERIES, workers=1, min_score=MIN_SCORE, timeout=1e-7, tracer=tracer
+            )
+        assert report.statistics.timed_out == len(QUERIES)
+        spans = _by_name(_valid_recording(tracer))
+        assert [query.attributes["timed_out"] for query in spans["query"]] == [True] * len(QUERIES)
+        assert all(shard.attributes.get("timed_out") is True for shard in spans["shard"])
+        # Counted once per shard execution, like every search.* counter.
+        assert tracer.metrics.counter("search.timeouts").value == shards * len(QUERIES)
+        assert tracer.metrics.counter("search.queries").value == shards * len(QUERIES)
+
+    @pytest.mark.parametrize("engine_kind", ["memory", "disk"])
+    def test_an_expired_deadline_on_one_index_marks_the_query_span(self, engine_kind, tmp_path):
+        if engine_kind == "memory":
+            engine = OasisEngine.build(_database(), pam30(), FixedGapModel(-8))
+        else:
+            engine = OasisEngine.build_on_disk(
+                _database(), pam30(), tmp_path / "image.oasis", FixedGapModel(-8), block_size=512
+            )
+        tracer = Tracer()
+        with engine:
+            report = engine.search_many(
+                QUERIES, workers=2, min_score=MIN_SCORE, timeout=1e-7, tracer=tracer
+            )
+        assert report.statistics.timed_out == len(QUERIES)
+        queries = _by_name(_valid_recording(tracer))["query"]
+        assert [query.attributes.get("timed_out") for query in queries] == [True] * len(QUERIES)
+        assert tracer.metrics.counter("search.timeouts").value == len(QUERIES)
+
+    @pytest.mark.parametrize("engine_kind", ["memory", "sharded"])
+    def test_a_cancelled_query_span_says_aborted(self, engine_kind):
+        if engine_kind == "memory":
+            engine = OasisEngine.build(_database(), pam30(), FixedGapModel(-8))
+        else:
+            engine = ShardedEngine.build(_database(), pam30(), FixedGapModel(-8), shard_count=2)
+        cancel = threading.Event()
+        cancel.set()
+        tracer = Tracer()
+        with engine:
+            result = engine.execute(
+                CORE, cancel_event=cancel, tracer=tracer, min_score=MIN_SCORE
+            ).result()
+        assert len(result) == 0
+        (query,) = _by_name(_valid_recording(tracer))["query"]
+        assert query.attributes["aborted"] is True
+        assert tracer.metrics.counter("search.aborts").value >= 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_abandoned_batch_is_marked_on_its_span(self, workers):
+        tracer = Tracer()
+        with OasisEngine.build(_database(), pam30(), FixedGapModel(-8)) as engine:
+            executor = BatchSearchExecutor.for_engine(
+                engine, workers=workers, tracer=tracer, min_score=MIN_SCORE
+            )
+            stream = executor.map(QUERIES)
+            next(stream)
+            stream.close()
+        spans = _by_name(_valid_recording(tracer))
+        (batch,) = spans["batch"]
+        assert batch.attributes["completed"] == 1
+        assert batch.attributes["abandoned"] is True
+        assert 1 <= len(spans["query"]) <= len(QUERIES)
+        assert all(query.parent_id == batch.span_id for query in spans["query"])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_query_that_fails_mid_search_has_an_error_span(self, workers, monkeypatch):
+        def broken_siblings(_node):
+            raise RuntimeError("unreadable node")
+
+        tracer = Tracer()
+        with OasisEngine.build(_database(), pam30(), FixedGapModel(-8)) as engine:
+            monkeypatch.setattr(engine.cursor, "siblings", broken_siblings)
+            report = engine.search_many(
+                QUERIES, workers=workers, min_score=MIN_SCORE, tracer=tracer
+            )
+        assert report.statistics.failed == len(QUERIES)
+        spans = _by_name(_valid_recording(tracer))
+        assert spans["batch"][0].attributes["completed"] == len(QUERIES)
+        for query in spans["query"]:
+            assert query.status == "error"
+            assert query.attributes["error"] == "RuntimeError: unreadable node"
+        assert len(spans["query"]) == len(QUERIES)
+
+    def test_a_failing_shard_is_the_error_span_under_its_query(self, monkeypatch):
+        def broken_siblings(_node):
+            raise RuntimeError("unreadable node")
+
+        tracer = Tracer()
+        with ShardedEngine.build(
+            _database(), pam30(), FixedGapModel(-8), shard_count=3
+        ) as engine:
+            monkeypatch.setattr(engine.shards[1].cursor, "siblings", broken_siblings)
+            report = engine.search_many([CORE], workers=1, min_score=MIN_SCORE, tracer=tracer)
+        assert report.statistics.failed == 1
+        spans = _by_name(_valid_recording(tracer))
+        failed = [shard for shard in spans["shard"] if shard.status == "error"]
+        assert [shard.attributes["shard"] for shard in failed] == [1]
+        (query,) = spans["query"]
+        assert failed[0].parent_id == query.span_id
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_query_rejected_before_it_runs_leaves_the_tree_whole(self, workers):
+        """A symbol outside the alphabet fails the query before its span opens:
+        the batch counts it, the other queries' spans are there."""
+        tracer = Tracer()
+        with OasisEngine.build(_database(), pam30(), FixedGapModel(-8)) as engine:
+            report = engine.search_many(
+                [CORE, "MK1Z", QUERIES[1]], workers=workers, min_score=MIN_SCORE, tracer=tracer
+            )
+        assert report.statistics.failed == 1
+        spans = _by_name(_valid_recording(tracer))
+        assert spans["batch"][0].attributes["completed"] == 3
+        assert len(spans["query"]) == 2
+        assert {query.status for query in spans["query"]} == {"ok"}
+
+
+# --------------------------------------------------------------------- #
+# Eviction bursts: the pool.evictions counter
+# --------------------------------------------------------------------- #
+class TestEvictionCounter:
+    @pytest.mark.parametrize("frames", [1, 2, 8, None], ids=["1", "2", "8", "whole"])
+    def test_the_counter_is_every_eviction_of_a_clock_pool(self, frames, tmp_path):
+        block_size = 512
+        image = tmp_path / "image.oasis"
+        with OasisEngine.build_on_disk(
+            _database(), pam30(), image, FixedGapModel(-8), block_size=block_size
+        ):
+            pass
+        pool_bytes = (frames or os.path.getsize(image) // block_size + 1) * block_size
+        tracer = Tracer()
+        with OasisEngine.build_on_disk(
+            _database(),
+            pam30(),
+            tmp_path / "fresh.oasis",
+            FixedGapModel(-8),
+            block_size=block_size,
+            buffer_pool_bytes=pool_bytes,
+        ) as engine:
+            engine.instrument(tracer)
+            report = engine.search_many(QUERIES, workers=1, min_score=MIN_SCORE, tracer=tracer)
+            pool = engine.cursor.pool
+            statistics = pool.statistics
+            frame_count = pool.frame_count
+        evictions = tracer.metrics.counter("pool.evictions").value
+        misses = tracer.metrics.counter("pool.misses").value
+        assert (evictions, misses) == (statistics.evictions, statistics.misses)
+        # Frames fill on demand; once full, every miss evicts one.
+        assert evictions == max(0, misses - frame_count)
+        if frames is None:
+            assert evictions == 0
+        assert evictions == sum(outcome.result.statistics.buffer_evictions for outcome in report.outcomes)
+        # Each query span carries its own share of the pool traffic.
+        queries = _by_name(_valid_recording(tracer))["query"]
+        assert sum(query.attributes.get("buffer_misses", 0) for query in queries) == misses
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_a_sharded_index_counts_the_evictions_of_every_shard_pool(self, shards, tmp_path):
+        tracer = Tracer()
+        with ShardedEngine.build_on_disk(
+            _database(),
+            tmp_path / "index",
+            pam30(),
+            FixedGapModel(-8),
+            shard_count=shards,
+            block_size=512,
+            buffer_pool_bytes=2048,
+        ) as engine:
+            engine.instrument(tracer)
+            report = engine.search_many(QUERIES, workers=1, min_score=MIN_SCORE, tracer=tracer)
+            pools = [shard.cursor.pool for shard in engine.shards]
+        assert not report.statistics.failed
+        evictions = tracer.metrics.counter("pool.evictions").value
+        assert evictions == sum(pool.statistics.evictions for pool in pools) > 0
+        for pool in pools:
+            assert pool.statistics.evictions == max(0, pool.statistics.misses - pool.frame_count)
+
+
+# --------------------------------------------------------------------- #
+# Queue-depth peaks: the exec.queue_depth gauge
+# --------------------------------------------------------------------- #
+class TestQueueDepthGauge:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_the_gauge_peaks_within_the_batch_and_drains(self, workers):
+        spec = "serial" if workers == 1 else f"threads:{workers}"
+        batch = QUERIES * 2
+        tracer = Tracer()
+        with OasisEngine.build(_database(), pam30(), FixedGapModel(-8)) as engine:
+            engine.search_many(batch, workers=workers, min_score=MIN_SCORE, tracer=tracer)
+        depth = tracer.metrics.get(f"exec.queue_depth[{spec}]")
+        latency = tracer.metrics.get(f"exec.task_seconds[{spec}]")
+        assert depth is not None and latency is not None
+        assert depth.value == 0
+        if workers == 1:
+            # The serial loop submits one task at a time.
+            assert depth.max_value == 1
+        else:
+            assert 1 <= depth.max_value <= len(batch)
+        assert latency.count == len(batch)
+        assert _by_name(_valid_recording(tracer))["batch"][0].attributes["backend"] == spec
+
+
+# --------------------------------------------------------------------- #
+# Peak RSS: one gauge, read from VmHWM when the run ends
+# --------------------------------------------------------------------- #
+STATUS_FILES = {
+    "linux": ("Name:\tpython\nVmRSS:\t  2048 kB\nVmHWM:\t  4096 kB\n", 4096 * 1024),
+    "no VmHWM line": ("Name:\tpython\nVmRSS:\t  2048 kB\n", None),
+    "malformed value": ("VmHWM:\t  lots kB\n", None),
+    "truncated line": ("VmHWM:\n", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATUS_FILES))
+def test_peak_rss_is_read_from_vmhwm_or_absent(case, monkeypatch):
+    text, expected = STATUS_FILES[case]
+    opened = []
+
+    def fake_open(path, *args, **kwargs):
+        opened.append(path)
+        return io.StringIO(text)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    assert cli._peak_rss_bytes() == expected
+    assert opened == ["/proc/self/status"]
+
+
+def test_peak_rss_is_absent_without_procfs(monkeypatch):
+    def no_procfs(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(cli, "open", no_procfs, raising=False)
+    assert cli._peak_rss_bytes() is None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux procfs")
+def test_peak_rss_is_at_least_the_current_rss():
+    with open("/proc/self/status", encoding="ascii") as status:
+        (current,) = [int(line.split()[1]) * 1024 for line in status if line.startswith("VmRSS:")]
+    assert cli._peak_rss_bytes() >= current
+
+
+# --------------------------------------------------------------------- #
+# The CLI: the same reports, in the files and dumps a run leaves
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def workload(tmp_path_factory):
+    root = tmp_path_factory.mktemp("one-place")
+    fasta, queries, index = root / "db.fasta", root / "queries.txt", root / "index"
+    generate = ["generate", "--output", str(fasta), "--queries", str(queries)]
+    assert cli_main(generate + ["--families", "4", "--query-count", "3", "--seed", "3"]) == 0
+    build = ["index", "build", "--database", str(fasta), "--output", str(index)]
+    assert cli_main(build + ["--shards", "2"]) == 0
+    return fasta, queries, index
+
+
+def _search(workload, *extra):
+    fasta, queries, index = workload
+    source = ["--index", str(index)] if "--backend" in extra else ["--database", str(fasta)]
+    return ["search", *source, "--queries", str(queries), "--min-score", "15", *extra]
+
+
+CLI_RUNS = {
+    "database": ((), 1),
+    "database, 2 shards": (("--shards", "2"), 2),
+    "index, serial scatter": (("--backend", "serial"), 2),
+    "index, threads:2 scatter, 2 workers": (("--backend", "threads:2", "--workers", "2"), 2),
+}
+
+
+@pytest.mark.parametrize("run", sorted(CLI_RUNS))
+def test_a_cli_trace_holds_a_span_per_query_and_dispatch(run, workload, tmp_path, capsys):
+    extra, shards = CLI_RUNS[run]
+    trace = tmp_path / "trace.jsonl"
+    assert cli_main(_search(workload, *extra, "--trace", str(trace))) == 0
+    capsys.readouterr()
+    recording = load(trace)
+    assert validate(recording) == []
+    spans = _by_name(recording)
+    (batch,) = spans["batch"]
+    assert len(spans["query"]) == batch.attributes["completed"] == 3
+    if "--shards" in extra or "--backend" in extra:
+        assert len(spans["shard"]) == 3 * shards
+    else:
+        assert "shard" not in spans
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["database", "2 shards"])
+def test_a_cli_timeout_is_in_the_trace_and_the_metrics(sharded, workload, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    extra = ("--shards", "2") if sharded else ()
+    flags = ("--timeout", "0.0000001", "--trace", str(trace), "--metrics")
+    assert cli_main(_search(workload, *extra, *flags)) == 0
+    err = capsys.readouterr().err
+    recording = load(trace)
+    assert validate(recording) == []
+    queries = _by_name(recording)["query"]
+    assert [query.attributes["timed_out"] for query in queries] == [True] * 3
+    executions = 3 * (2 if sharded else 1)
+    assert f"search.timeouts = {executions}" in err.splitlines()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("interrupted", [1, 2, 3])
+def test_a_run_interrupted_at_any_query_leaves_its_reports(
+    interrupted, workers, workload, tmp_path, monkeypatch, capsys
+):
+    """Ctrl-C at the first, middle or last query of a batch: the trace is one
+    valid tree holding the queries that ran, and the metrics dump and the
+    slow log are printed on the way out."""
+    original = OasisEngine.execute
+    calls = []
+    lock = threading.Lock()
+
+    def interrupt_one(self, *args, **kwargs):
+        with lock:
+            calls.append(None)
+            number = len(calls)
+        if number == interrupted:
+            raise KeyboardInterrupt
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(OasisEngine, "execute", interrupt_one)
+    trace = tmp_path / "trace.jsonl"
+    flags = ("--workers", str(workers), "--trace", str(trace), "--metrics", "--slow-log", "0")
+    with pytest.raises(KeyboardInterrupt):
+        cli_main(_search(workload, *flags))
+    err = capsys.readouterr().err
+    assert "--- metrics ---" in err
+    if sys.platform.startswith("linux"):
+        assert "process.peak_rss_bytes = " in err
+    recording = load(trace)
+    assert validate(recording) == []
+    spans = _by_name(recording)
+    (batch,) = spans["batch"]
+    assert batch.attributes["abandoned"] is True
+    assert batch.attributes["completed"] < 3
+    assert len(spans["query"]) <= 3 - 1
+    if spans["query"]:
+        assert "slow queries" in err
+
+
+def test_no_module_installs_a_signal_handler():
+    """A one-shot CLI has nothing to poke while it runs.  A signal handler
+    added to ``src/`` must use the self-pipe pattern and bring a lint rule
+    that holds it to that (CONTRIBUTING)."""
+    offenders = []
+    for directory, _dirs, files in os.walk(os.path.join(SRC, "repro")):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in {"signal", "set_wakeup_fd", "setitimer"}
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "signal"
+                ):
+                    offenders.append(f"{os.path.relpath(path, SRC)}:{node.lineno}")
+    assert offenders == []
