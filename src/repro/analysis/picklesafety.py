@@ -24,10 +24,10 @@ Two rules enforce this:
     ``repro.exec``), the callable handed to ``.submit(...)`` /
     ``.map_unordered(...)`` must not be a ``lambda`` or a function defined
     in an enclosing function scope (a closure).  Bound methods and
-    module-level names are accepted: the in-process scatter path legally
-    submits ``execution.result``, and the linter cannot see backend kinds
-    through variables -- the rule targets the constructs that can *never*
-    cross a spawn boundary.
+    module-level names are accepted: a thread or serial backend may run a
+    bound method, and the linter cannot see backend kinds through
+    variables -- the rule targets the constructs that can *never* cross a
+    spawn boundary.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ Sub-commands
     ``--shards N`` splits the database into N independently indexed shards
     searched scatter-gather; ``--index DIR`` reuses a persistent sharded
     index built earlier instead of rebuilding anything; ``--backend`` picks
-    the scatter strategy (``serial`` / ``threads:N`` / ``processes:N`` --
+    the scatter strategy (``serial``, the default, or ``processes[:N]`` --
     processes escape the GIL for CPU-bound search over a persistent index).
 ``index``
     Manage persistent sharded indexes: ``index build`` writes one disk image
@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         metavar="SPEC",
-        help="scatter backend for sharded engines: serial, threads[:N] or "
+        help="scatter backend for sharded engines: serial (default) or "
         "processes[:N] (processes escape the GIL for CPU-bound search but "
         "need a persistent --index); requires --shards or --index",
     )
@@ -370,15 +370,14 @@ def _build_search_engine(args: argparse.Namespace):
     # the user explicitly supplied.
     if args.shards is not None and (args.shards > 1 or backend is not None):
         from repro.sharding import ShardedEngine
+        from repro.sharding.engine import check_scatter_backend
 
+        # An in-memory sharded engine scatters serially; anything else is a
+        # usage error (exit 2) before the trees are built.
+        check_scatter_backend(backend, persistent=False)
         try:
             return ShardedEngine.build(
-                database,
-                matrix,
-                gap_model,
-                shard_count=args.shards,
-                backend=backend,
-                kernel=kernel,
+                database, matrix, gap_model, shard_count=args.shards, kernel=kernel
             )
         except ValueError as error:
             raise SystemExit(str(error))

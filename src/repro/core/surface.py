@@ -72,17 +72,18 @@ class SearchSurface:
         queries: Iterable[str],
         workers: int = 4,
         timeout: Optional[float] = None,
-        backend=None,
         tracer=None,
         **options,
     ) -> "BatchSearchReport":
         """Run a batch of queries over the shared index, results in input order.
 
-        The queries fan out on an execution backend: ``backend`` when given,
-        else ``workers`` threads, or the plain serial loop for one worker.
-        Threads, not processes: the index and the buffer pool are shared and
-        expansion is plain Python under the interpreter lock, so threads
-        overlap queries that wait on a disk read, not queries that compute.
+        The queries fan out on ``workers`` threads, or run as the plain serial
+        loop for one worker.  Expansion is plain Python under the interpreter
+        lock and the buffer-pool misses of an index in the page cache are
+        short, so the threads do not overlap anything: on the benchmark's
+        protein inputs (60 queries, 2 cores) ``workers=2`` took 0.86 s to one
+        worker's 0.84 s in memory, and 3.33 s to 1.66 s on a 1-shard index
+        whose pool holds 1/8 of the image.
         ``timeout`` is a per-query wall-clock budget in seconds; a query
         exceeding it stops early with the hits found so far and is flagged
         ``timed_out``.  ``options`` are the request fields every query of the
@@ -97,7 +98,7 @@ class SearchSurface:
         from repro.parallel.executor import BatchSearchExecutor
 
         return BatchSearchExecutor.for_engine(
-            self, workers=workers, timeout=timeout, backend=backend, tracer=tracer, **options
+            self, workers=workers, timeout=timeout, tracer=tracer, **options
         ).run(queries)
 
     def instrument(self, tracer) -> None:

@@ -276,11 +276,16 @@ class _PooledBackend(ExecutionBackend):
 
 
 class ThreadBackend(_PooledBackend):
-    """Thread-pool fan-out: shared memory, overlapping I/O stalls.
+    """Thread-pool fan-out: shared memory, one interpreter lock.
 
-    The right default for disk-resident indexes (threads overlap each
-    other's buffer-pool miss stalls) and the only pooled option when tasks
-    must share in-process state; CPU-bound work is capped by the GIL.
+    The only pooled option when tasks must share in-process state: the batch
+    executor's ``workers=N`` and the sharded index build.  It overlaps only
+    what releases the GIL.  A search does not (its images sit in the page
+    cache, so a buffer-pool miss is a short ``pread``): on the benchmark's
+    protein inputs a 4-shard ``threads:4`` scatter took 2.33 s to the serial
+    loop's 1.79 s, and ``workers=2`` 3.33 s to 1.66 s on a 1-shard index with
+    a 1/8 pool.  An index build's NumPy sorts do: 0.18 s against 0.23 s for
+    4 shards of 191 262 residues.
     """
 
     kind = "threads"

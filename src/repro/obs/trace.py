@@ -9,9 +9,10 @@ Two properties matter for this codebase:
 
 * **Cross-thread and cross-process coherence.**  Parent links default to the
   calling thread's innermost open span, but a caller can pass an explicit
-  ``parent_id`` -- which is how a scatter-gather engine parents per-shard
-  spans (running on pool threads) under the query span (opened on the
-  caller's thread).  For process backends, a worker builds its *own* tracer
+  ``parent_id`` -- which is how a batch parents its query spans (running on
+  pool threads) under the batch span (opened on the caller's thread), and
+  a scatter-gather engine its shard spans under the query span.  For
+  process backends, a worker builds its *own* tracer
   from a :class:`TraceContext` shipped inside the task, records spans with
   the inherited ``trace_id``/parent id, and returns them as plain dicts; the
   parent :meth:`Tracer.adopt`\\ s them, so one query yields one coherent tree

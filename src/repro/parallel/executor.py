@@ -8,23 +8,23 @@ cursor, yields ``(query, SearchResult)`` pairs as they complete,
 aggregates per-query statistics into a batch report, and supports per-query
 timeouts and early abort.
 
-The per-query fan-out runs on the pluggable execution-backend layer
-(:mod:`repro.exec`): ``serial`` for clean single-threaded timings (and for
-any batch of width one), ``threads:N`` for concurrent serving.  In-process
-backends only: the per-query runner closes over live engine state and the
-batch-wide cancellation event, neither of which crosses a process
-boundary, so a ``processes`` backend is rejected loudly here -- process
-parallelism lives one layer down, in the sharded engine's per-shard
-scatter (``ShardedEngine.open(..., backend="processes:N")``), where work
-ships as plain picklable tasks.  Every query runs as its own
-self-contained :class:`~repro.core.oasis.QueryExecution`, so concurrent
-searches never touch each other's queues or statistics; cancellation and
-timeouts are cooperative (checked at every queue pop), which is what makes
-aborting a batch safe at any moment.  One nuance when the queries run on a
-process-scatter engine: shard tasks the worker pool has not started are
-cancelled on abort, but an in-flight remote shard search cannot be
-interrupted cooperatively and runs to completion -- bound it with
-``timeout`` if abort latency matters.
+The per-query fan-out is set by ``workers`` alone: one worker is the plain
+serial loop, ``workers=N`` a pool of ``N`` threads (:mod:`repro.exec`).  The
+pool buys no speed: expansion is plain Python under the interpreter lock, and
+on the benchmark's protein inputs (60 queries, 2 cores; medians of 10 pairs)
+``workers=2`` took 0.86 s to one worker's 0.84 s in memory, and 3.33 s to
+1.66 s on a 1-shard index whose buffer pool holds 1/8 of the image.  It stays
+while the benchmark reports ``parallel.threads2_speedup``.  Process
+parallelism lives one layer down, in the sharded engine's per-shard scatter
+(``ShardedEngine.open(..., backend="processes:N")``), where work ships as
+plain picklable tasks.  Every query runs as its own self-contained
+:class:`~repro.core.oasis.QueryExecution`, so concurrent searches never touch
+each other's queues or statistics; cancellation and timeouts are cooperative
+(checked at every queue pop), which is what makes aborting a batch safe at
+any moment.  One nuance when the queries run on a process-scatter engine:
+shard tasks the worker pool has not started are cancelled on abort, but an
+in-flight remote shard search cannot be interrupted cooperatively and runs to
+completion -- bound it with ``timeout`` if abort latency matters.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.oasis import OasisSearchStatistics
 from repro.core.request import SearchRequest
 from repro.core.results import SearchResult
-from repro.exec import BackendSpec, ExecutionBackend, resolve_backend
+from repro.exec import resolve_backend
 from repro.obs.logsetup import get_logger
 
 logger = get_logger(__name__)
@@ -54,6 +54,11 @@ DEFAULT_WORKERS = 4
 QueryRunner = Callable[
     [str, Optional[float], Optional[threading.Event], Optional[str]], SearchResult
 ]
+
+
+def _fan_out_spec(workers: int) -> str:
+    # A pool of one thread is a loop: it runs as one.
+    return "serial" if workers == 1 else f"threads:{workers}"
 
 
 @dataclass
@@ -128,10 +133,13 @@ class BatchStatistics:
     #: Wall-clock time of the whole batch.
     wall_seconds: float = 0.0
     workers: int = 1
-    #: Spec of the execution backend the batch ran on (``"threads:4"`` ...).
-    backend: str = ""
     #: Per-shard aggregates, keyed by shard index (sharded engines only).
     shards: Dict[int, ShardAggregate] = field(default_factory=dict)
+
+    @property
+    def backend(self) -> str:
+        """Spec of the fan-out the batch ran on: ``"serial"`` or ``"threads:N"``."""
+        return _fan_out_spec(self.workers)
 
     @property
     def throughput(self) -> float:
@@ -221,12 +229,9 @@ class BatchSearchReport:
         outcomes: List[BatchQueryOutcome],
         wall_seconds: float,
         workers: int,
-        backend: str = "",
     ) -> "BatchSearchReport":
         ordered = sorted(outcomes, key=lambda outcome: outcome.index)
-        statistics = BatchStatistics(
-            wall_seconds=wall_seconds, workers=workers, backend=backend
-        )
+        statistics = BatchStatistics(wall_seconds=wall_seconds, workers=workers)
         for outcome in ordered:
             statistics.queries += 1
             statistics.query_seconds += outcome.elapsed_seconds
@@ -263,10 +268,9 @@ class BatchSearchReport:
     def format_summary(self) -> str:
         """One-paragraph human-readable summary (used by the CLI)."""
         stats = self.statistics
-        backend = f", {stats.backend}" if stats.backend else ""
         parts = [
             f"{stats.queries} queries in {stats.wall_seconds:.3f}s "
-            f"({stats.throughput:.2f} q/s, {stats.workers} workers{backend})",
+            f"({stats.throughput:.2f} q/s, {stats.workers} workers, {stats.backend})",
             f"{stats.total_hits} hits, {stats.columns_expanded} DP columns expanded",
         ]
         if stats.shards:
@@ -286,31 +290,22 @@ class BatchSearchReport:
 
 
 class BatchSearchExecutor:
-    """Fan a batch of queries across an execution backend over one index.
+    """Fan a batch of queries across ``workers`` threads over one index.
 
     Parameters
     ----------
     run_query:
         ``(query, time_budget, cancel_event, trace_parent) -> SearchResult``.
         The budget and event implement per-query timeouts and batch-wide
-        abort; runners that cannot honour them may ignore them (they then
-        stop only between queries).  Use :meth:`for_engine` /
-        :meth:`for_adapter` instead of building this callable by hand.
+        abort.  Use :meth:`for_engine` instead of building this callable by
+        hand.
     workers:
-        Fan-out width when ``backend`` does not name one.
+        Fan-out width: one worker runs the plain serial loop (backend
+        ``serial``), ``N`` a pool of ``N`` threads (``threads:N``), created
+        fresh per run and closed afterwards.
     timeout:
         Optional per-query wall-clock budget in seconds, passed to every
         ``run_query`` call.
-    backend:
-        Execution backend for the per-query fan-out: a spec string
-        (``"serial"`` / ``"threads:N"``), a :class:`~repro.exec.BackendSpec`,
-        or a live :class:`~repro.exec.ExecutionBackend` (then shared across
-        runs and caller-owned).  Spec-described backends are created fresh
-        per run and closed afterwards.  Defaults to ``threads:workers``, or
-        to ``serial`` for one worker (a pool of one thread is a loop).
-        In-process kinds only -- the runner closes over engine state and
-        the cancel event, which cannot cross processes; for process
-        parallelism use the sharded engine's scatter backend instead.
     """
 
     def __init__(
@@ -318,7 +313,6 @@ class BatchSearchExecutor:
         run_query: QueryRunner,
         workers: int = DEFAULT_WORKERS,
         timeout: Optional[float] = None,
-        backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         tracer=None,
     ):
         if workers < 1:
@@ -333,49 +327,14 @@ class BatchSearchExecutor:
         #: span, whose id every runner receives as its fourth argument.
         self.tracer = tracer
         self._batch_parent: Optional[str] = None
-        self._shared_backend: Optional[ExecutionBackend] = None
-        if isinstance(backend, ExecutionBackend):
-            self._shared_backend = backend
-            self._backend_spec = BackendSpec(backend.kind, backend.workers)
-        else:
-            if backend is None:
-                # A pool of one thread is a loop: run it as one.
-                backend = "serial" if workers == 1 else f"threads:{int(workers)}"
-            if isinstance(backend, str):
-                backend = BackendSpec.parse(backend)
-            self._backend_spec = backend
-        if self._backend_spec.kind == "processes":
-            raise ValueError(
-                "BatchSearchExecutor cannot fan queries out over processes: "
-                "the per-query runner closes over in-process engine state "
-                "and the batch cancel event.  Use a process scatter backend "
-                "on the sharded engine instead "
-                "(ShardedEngine.open(..., backend='processes:N'))"
-            )
-        if self._backend_spec.kind == "serial":
-            self.workers = 1
-        else:
-            self.workers = int(self._backend_spec.workers or workers)
+        self.workers = int(workers)
         self._cancel = threading.Event()
         self._aborted = False
 
     @property
     def backend_spec(self) -> str:
         """Declarative spec of the fan-out backend (recorded in reports)."""
-        if self._shared_backend is not None:
-            return self._shared_backend.spec
-        if self._backend_spec.kind == "serial":
-            return "serial"
-        return f"{self._backend_spec.kind}:{self.workers}"
-
-    def _acquire_backend(self) -> Tuple[ExecutionBackend, bool]:
-        """The backend for one run plus whether this run must close it."""
-        if self._shared_backend is not None:
-            return self._shared_backend, False
-        backend, _ = resolve_backend(
-            self._backend_spec, default_workers=self.workers
-        )
-        return backend, True
+        return _fan_out_spec(self.workers)
 
     # ------------------------------------------------------------------ #
     # Factories
@@ -386,7 +345,6 @@ class BatchSearchExecutor:
         engine,
         workers: int = DEFAULT_WORKERS,
         timeout: Optional[float] = None,
-        backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         tracer=None,
         template: Optional[SearchRequest] = None,
         **options,
@@ -419,41 +377,7 @@ class BatchSearchExecutor:
             return execution.result()
 
         return cls(
-            run_query,
-            workers=workers,
-            timeout=template.time_budget,
-            backend=backend,
-            tracer=tracer,
-        )
-
-    @classmethod
-    def for_adapter(
-        cls,
-        adapter,
-        workers: int = DEFAULT_WORKERS,
-        timeout: Optional[float] = None,
-        backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
-        tracer=None,
-    ) -> "BatchSearchExecutor":
-        """Executor over a workload :class:`~repro.workloads.engines.EngineAdapter`.
-
-        ``tracer`` wraps the run in a batch span and instruments the fan-out
-        backend; per-query spans need the engine path (:meth:`for_engine`),
-        since adapters own their search invocation.
-        """
-
-        def run_query(
-            query: str,
-            time_budget: Optional[float],
-            cancel_event: Optional[threading.Event],
-            trace_parent: Optional[str],
-        ) -> SearchResult:
-            return adapter.run_with_budget(
-                query, time_budget=time_budget, cancel_event=cancel_event
-            )
-
-        return cls(
-            run_query, workers=workers, timeout=timeout, backend=backend, tracer=tracer
+            run_query, workers=workers, timeout=template.time_budget, tracer=tracer
         )
 
     # ------------------------------------------------------------------ #
@@ -500,7 +424,7 @@ class BatchSearchExecutor:
             )
             tracer._push(span)
             self._batch_parent = span.span_id
-        backend, owned = self._acquire_backend()
+        backend, _ = resolve_backend(self.backend_spec)
         if tracer is not None:
             backend.instrument(tracer)
         logger.debug(
@@ -519,11 +443,7 @@ class BatchSearchExecutor:
                 # own cleanup cancel tasks that never started.
                 self._cancel.set()
             stream.close()
-            if owned:
-                backend.close()
-            elif tracer is not None:
-                # A shared backend outlives this run; detach its instruments.
-                backend.instrument(None)
+            backend.close()
             if span is not None:
                 span.set_attribute("completed", completed)
                 if completed < len(query_list):
@@ -544,10 +464,7 @@ class BatchSearchExecutor:
         outcomes = list(self.run_iter(queries))
         wall_seconds = time.perf_counter() - start
         return BatchSearchReport.build(
-            outcomes,
-            wall_seconds=wall_seconds,
-            workers=self.workers,
-            backend=self.backend_spec,
+            outcomes, wall_seconds=wall_seconds, workers=self.workers
         )
 
     # ------------------------------------------------------------------ #

@@ -3,10 +3,11 @@
 Each shard is a full :class:`~repro.core.engine.OasisEngine` over its slice
 of the database (in-memory trees for :meth:`ShardedEngine.build`, disk images
 behind buffer pools for :meth:`ShardedEngine.open`).  A query is fanned out
-across the shards on the engine's scatter backend and the per-shard
+across the shards on the engine's scatter backend (``serial``, the default,
+or ``processes[:N]``) and the per-shard
 :class:`~repro.core.results.SearchResult` objects -- the same shape whether a
-shard ran on this thread, on a pool thread or in a worker process -- are
-merged into one globally ordered result.
+shard ran on this thread or in a worker process -- are merged into one
+globally ordered result.
 
 Correctness of the merge rests on three invariants:
 
@@ -70,13 +71,13 @@ class ShardedQueryExecution:
     Mirrors the :class:`~repro.core.oasis.QueryExecution` surface the batch
     executor relies on: iterate it for the online stream (a lazy k-way merge
     of the per-shard streams, globally ordered because each shard emits in
-    canonical order) or call :meth:`result` to run all shards concurrently on
-    the engine's scatter backend and collect the merged batch result.  Either
-    way the query ends in :attr:`shard_results` -- one
+    canonical order) or call :meth:`result` to run all shards on the engine's
+    scatter backend and collect the merged batch result.  Either way the
+    query ends in :attr:`shard_results` -- one
     :class:`~repro.core.results.SearchResult` per shard, the same shape
-    whether the shard ran on this thread, on a pool thread or in a worker
-    process -- and the statistics, the ``timed_out`` / ``aborted`` flags and
-    the per-shard rows are read from those.
+    whether the shard ran on this thread or in a worker process -- and the
+    statistics, the ``timed_out`` / ``aborted`` flags and the per-shard rows
+    are read from those.
     """
 
     def __init__(
@@ -143,10 +144,10 @@ class ShardedQueryExecution:
     def _pin_deadline(self) -> None:
         """Fix one absolute deadline for all shards of the query.
 
-        A per-execution relative budget would restart whenever a shard task
-        leaves the pool queue, granting a loaded batch up to
+        A per-execution relative budget would restart with every shard (or
+        whenever a shard task leaves a worker pool's queue), granting up to
         ``shard_count x budget`` per query; pinning ``now + budget`` before
-        anything is submitted keeps the budget a true per-query wall clock.
+        any shard runs keeps the budget a true per-query wall clock.
         """
         if self.request.time_budget is not None:
             self.deadline = time.perf_counter() + self.request.time_budget
@@ -154,9 +155,8 @@ class ShardedQueryExecution:
     def start_shards(self, span) -> List[QueryExecution]:
         """Build this process's shard executions, ready to run.
 
-        They share the pinned deadline, and -- since they may run on pool
-        threads -- find the query span by explicit id, not by thread-local
-        nesting.
+        They share the pinned deadline and find the query span by explicit
+        id, not by thread-local nesting.
         """
         for shard_index, shard in enumerate(self.engine.shards):
             execution = shard.execute_request(
@@ -246,7 +246,7 @@ class ShardedQueryExecution:
     # Batch interface
     # ------------------------------------------------------------------ #
     def result(self) -> SearchResult:
-        """Run every shard (concurrently, unless already streaming) and merge.
+        """Run every shard on the scatter backend (unless streaming) and merge.
 
         Memoised: the remap mutates the shard results' hit objects in place,
         so the merge must run exactly once -- repeated calls return the same
@@ -338,21 +338,33 @@ class ShardedQueryExecution:
         )
 
 
-#: Raised whenever a process scatter backend meets an engine with no catalog.
-_PROCESS_NEEDS_CATALOG = (
-    "a process scatter backend needs a persistent sharded index: "
-    "worker processes open shard images from the catalog, which "
-    "an in-memory engine does not have -- build one with "
-    "ShardedIndexBuilder / build_on_disk and use ShardedEngine.open"
-)
+def check_scatter_backend(
+    backend: "Union[str, BackendSpec, ExecutionBackend, None]", persistent: bool
+) -> str:
+    """The kind a scatter backend description names, without creating anything.
 
-
-def _backend_kind(backend: "Union[str, BackendSpec, ExecutionBackend, None]") -> Optional[str]:
-    """The kind a backend description resolves to, without creating anything."""
+    A scatter is ``serial`` (the default) or ``processes[:N]``; a thread
+    scatter lost to the serial loop on every index measured (the search holds
+    the interpreter lock), so it is refused.  A process scatter needs a
+    ``persistent`` index: its workers open the shard images from the catalog.
+    """
     if backend is None:
-        return None
+        return "serial"
     if isinstance(backend, str):
         backend = BackendSpec.parse(backend)
+    if backend.kind == "threads":
+        raise ValueError(
+            f"a shard scatter runs 'serial' or 'processes[:N]', not {str(backend)!r} "
+            "(threads ran slower than the serial loop: the search holds the "
+            "interpreter lock)"
+        )
+    if backend.kind == "processes" and not persistent:
+        raise ValueError(
+            "a process scatter backend needs a persistent sharded index: "
+            "worker processes open shard images from the catalog, which "
+            "an in-memory engine does not have -- build one with "
+            "ShardedIndexBuilder / build_on_disk and use ShardedEngine.open"
+        )
     return backend.kind
 
 
@@ -398,17 +410,21 @@ class ShardedEngine(SearchSurface):
     run sharded without changes.
 
     ``backend`` selects the scatter strategy for ``search`` /
-    :meth:`ShardedQueryExecution.result`: a spec string (``"serial"``,
-    ``"threads:N"``, ``"processes:N"``), a
-    :class:`~repro.exec.BackendSpec`, or a live
-    :class:`~repro.exec.ExecutionBackend` (then caller-owned).  The default
-    is a thread pool of one thread per shard -- right for disk-resident
-    shards, whose miss stalls overlap.  A process backend escapes the GIL
-    for CPU-bound (fully cached / in-memory regime) scatter: each task
-    carries only the catalog directory, a shard id and the request, the
-    worker process lazily opens its shard image read-only from the catalog,
-    and the shard's :class:`~repro.core.results.SearchResult` travels back
-    for the same merge the in-process shards go through.  It therefore
+    :meth:`ShardedQueryExecution.result`: ``"serial"`` (the default: the
+    shards run one after another on the calling thread) or
+    ``"processes[:N]"`` (one worker per shard unless ``N`` is given), as a
+    spec string, a :class:`~repro.exec.BackendSpec` or a live
+    :class:`~repro.exec.ProcessBackend` (then caller-owned).  There is no
+    thread scatter: with its images in the page cache the search is
+    CPU-bound under the interpreter lock, and on the benchmark's protein
+    inputs (4 shards, 60 queries, 2 cores; medians of 10 pairs) ``threads:4``
+    took 2.33 s to the serial loop's 1.79 s with a pool that fits, and 5.32 s
+    to 3.02 s with a pool of 1/8 of the image.  A process backend escapes
+    the GIL: each task carries only the catalog directory, a shard id and
+    the request, the worker process lazily opens its shard image read-only
+    from the catalog, and the shard's
+    :class:`~repro.core.results.SearchResult` travels back for the same
+    merge the in-process shards go through.  It therefore
     requires a persistent index (a catalog directory); the streaming path
     (``search_online``) always runs in-process regardless of backend.
     """
@@ -436,15 +452,11 @@ class ShardedEngine(SearchSurface):
         self.converter = converter or SelectivityConverter(matrix, database)
         self.catalog = catalog
         self.directory = directory
-        # One thread per shard unless told otherwise (also the width of a
-        # bare "threads" / "processes" spec).
+        check_scatter_backend(backend, persistent=directory is not None)
+        # A bare "processes" spec gets one worker per shard.
         self._backend, self._backend_owned = resolve_backend(
-            backend, f"threads:{len(self.shards)}", len(self.shards)
+            backend, default_workers=len(self.shards)
         )
-        if self._backend.kind == "processes" and self.directory is None:
-            if self._backend_owned:
-                self._backend.close()
-            raise ValueError(_PROCESS_NEEDS_CATALOG)
         #: Per-shard buffer-pool budgets in bytes (persistent engines only).
         #: Process workers open their shard with the same budget, latency
         #: and sleep flag the parent gave that shard, so worker-side pools
@@ -478,23 +490,17 @@ class ShardedEngine(SearchSurface):
         gap_model: GapModel = DEFAULT_GAP_MODEL,
         shard_count: int = 2,
         by: str = "residues",
-        backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         kernel=None,
     ) -> "ShardedEngine":
         """Split the database and build one in-memory index per shard.
 
-        ``backend`` only accepts in-process kinds here (``serial`` /
-        ``threads``): process scatter needs a catalog directory for its
-        workers to open.  The planner and the tree builder are imported
-        here, so opening a persistent index never loads them.
+        The engine scatters serially: a process scatter needs a catalog
+        directory for its workers to open.  The planner and the tree builder
+        are imported here, so opening a persistent index never loads them.
         """
         from repro.sharding.planner import ShardPlanner
         from repro.suffixtree.generalized import GeneralizedSuffixTree
 
-        if _backend_kind(backend) == "processes":
-            # Reject before the expensive per-shard tree construction; the
-            # engine constructor would raise the same error afterwards.
-            raise ValueError(_PROCESS_NEEDS_CATALOG)
         plan = ShardPlanner(shard_count, by=by).plan(database)
         logger.info(
             "building in-memory sharded engine for %s (%d shards)",
@@ -514,7 +520,7 @@ class ShardedEngine(SearchSurface):
             )
             for sub_database in plan.sub_databases(database)
         ]
-        return cls(shards, database, matrix, gap_model, converter=converter, backend=backend)
+        return cls(shards, database, matrix, gap_model, converter=converter)
 
     @classmethod
     def build_on_disk(
@@ -537,6 +543,8 @@ class ShardedEngine(SearchSurface):
         """
         from repro.sharding.builder import ShardedIndexBuilder
 
+        # Refuse a scatter backend before the build, not after it.
+        check_scatter_backend(open_kwargs.get("backend"), persistent=True)
         ShardedIndexBuilder(
             matrix,
             gap_model,
@@ -580,6 +588,7 @@ class ShardedEngine(SearchSurface):
         from repro.scoring.data import load_matrix
         from repro.sequences.fasta import read_fasta
 
+        scatter_kind = check_scatter_backend(backend, persistent=True)
         directory = str(directory)
         catalog = ShardCatalog.load(directory)
         logger.info(
@@ -602,7 +611,7 @@ class ShardedEngine(SearchSurface):
             database = read_fasta(database_path, name=catalog.database_name)
         catalog.check_database(database)
 
-        if _backend_kind(backend) == "processes" and not os.path.exists(
+        if scatter_kind == "processes" and not os.path.exists(
             catalog.database_path(directory)
         ):
             # Fail at open, not on every query: worker processes restore the
@@ -612,8 +621,8 @@ class ShardedEngine(SearchSurface):
                 "a process scatter backend needs a self-contained index "
                 "directory, but this one has no bundled database.fasta "
                 "(built with write_database=False) for the worker processes "
-                "to load -- rebuild with the FASTA included or open with an "
-                "in-process backend (serial / threads:N)"
+                "to load -- rebuild with the FASTA included or open with the "
+                "serial backend"
             )
 
         converter = SelectivityConverter(
@@ -714,7 +723,7 @@ class ShardedEngine(SearchSurface):
     # ------------------------------------------------------------------ #
     @property
     def backend_spec(self) -> str:
-        """Declarative spec of the scatter backend (``"threads:4"`` etc.)."""
+        """Declarative spec of the scatter backend (``"serial"`` / ``"processes:N"``)."""
         return self._backend.spec
 
     def _scatter(self, scattered: ShardedQueryExecution, span) -> List[SearchResult]:
@@ -728,13 +737,7 @@ class ShardedEngine(SearchSurface):
             # engine exercises exactly one code path (and its parity is
             # testable at every shard count).
             return self._scatter_processes(scattered, span)
-        executions = scattered.start_shards(span)
-        if len(executions) == 1:
-            return [executions[0].result()]
-        futures = [
-            self._backend.submit(execution.result) for execution in executions
-        ]
-        return [future.result() for future in futures]
+        return [execution.result() for execution in scattered.start_shards(span)]
 
     def _scatter_processes(self, scattered: ShardedQueryExecution, span) -> List[SearchResult]:
         """Ship each shard's share of the query to a worker process.

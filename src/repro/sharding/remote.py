@@ -211,8 +211,8 @@ def label_shard_execution(
 
     Called before the execution starts, by whoever runs it: the sharded
     engine for its in-process shards, the worker for its own.  The parent is
-    named by id because a shard runs on a pool thread or in another process,
-    where thread-local nesting cannot find it.
+    named by id because a shard may run in another process, where
+    thread-local nesting cannot find it.
     """
     execution.trace_name = "shard"
     execution.trace_parent = parent_id

@@ -10,7 +10,6 @@ through the shared :class:`~repro.core.evalue.SelectivityConverter`.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Union
@@ -39,21 +38,6 @@ class EngineAdapter(ABC):
     def run(self, query: str) -> SearchResult:
         """Execute one query and return its result."""
 
-    def run_with_budget(
-        self,
-        query: str,
-        time_budget: Optional[float] = None,
-        cancel_event: Optional[threading.Event] = None,
-    ) -> SearchResult:
-        """Execute one query under an optional cooperative time budget.
-
-        The default implementation ignores the budget and cancellation event
-        (baseline engines run each query to completion and can only stop
-        *between* queries); adapters over cooperative engines override this
-        to stop mid-query.  The batch executor always calls this entry point.
-        """
-        return self.run(query)
-
     def describe(self) -> str:
         """One-line description for experiment reports."""
         return self.name
@@ -80,18 +64,7 @@ class OasisAdapter(EngineAdapter):
         self.name = name
 
     def run(self, query: str) -> SearchResult:
-        return self.run_with_budget(query)
-
-    def run_with_budget(
-        self,
-        query: str,
-        time_budget: Optional[float] = None,
-        cancel_event: Optional[threading.Event] = None,
-    ) -> SearchResult:
-        # OASIS is the online engine: each query runs as its own reentrant
-        # execution, so budgets and batch-wide cancellation stop it mid-query.
-        request = replace(self.template, query=query, time_budget=time_budget)
-        return self.engine.execute(request, cancel_event=cancel_event).result()
+        return self.engine.search(replace(self.template, query=query))
 
     def describe(self) -> str:
         options = self.template

@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.results import SearchResult
 from repro.datagen.motifs import MotifQuery, MotifWorkload
-from repro.parallel.executor import BatchSearchExecutor, BatchSearchReport
 from repro.workloads.engines import EngineAdapter
 
 
@@ -74,9 +73,6 @@ class WorkloadRunSummary:
 
     measurements: List[QueryMeasurement] = field(default_factory=list)
     total_seconds: float = 0.0
-    #: The full batch report per engine (aggregate statistics, per-shard
-    #: aggregates for sharded engines, timeout/abort flags).
-    reports: Dict[str, BatchSearchReport] = field(default_factory=dict)
 
     def for_engine(self, engine_name: str) -> List[QueryMeasurement]:
         return [m for m in self.measurements if m.engine == engine_name]
@@ -98,77 +94,34 @@ class WorkloadRunSummary:
 class WorkloadRunner:
     """Run a workload of queries through a set of engine adapters.
 
-    All execution goes through the batch executor: ``workers=1`` (the
-    default, and what the paper's per-figure experiments need for clean
-    timings) runs the queries serially, larger values fan each engine's
-    queries out across a thread pool over its shared index.  ``backend``
-    overrides the fan-out strategy declaratively (``"serial"`` /
-    ``"threads:N"``; see :mod:`repro.exec`).  The per-query results are
-    identical whichever way the workload runs; only wall-clock changes.
-
-    ``tracer`` switches telemetry on (a batch span per engine, instrumented
-    fan-out backend).
+    A plain loop, one query at a time on the calling thread -- the clean
+    timings the paper's per-figure experiments need.  Measurements come out
+    query-major: every engine's row for the first query, then the second.
     """
 
-    def __init__(
-        self,
-        engines: Sequence[EngineAdapter],
-        keep_results: bool = False,
-        workers: int = 1,
-        timeout: Optional[float] = None,
-        backend=None,
-        tracer=None,
-    ):
+    def __init__(self, engines: Sequence[EngineAdapter], keep_results: bool = False):
         if not engines:
             raise ValueError("at least one engine adapter is required")
         names = [engine.name for engine in engines]
         if len(set(names)) != len(names):
             raise ValueError("engine adapters must have distinct names")
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         self.engines = list(engines)
         self.keep_results = keep_results
-        self.workers = int(workers)
-        self.timeout = timeout
-        self.backend = backend
-        self.tracer = tracer
 
     def run(self, workload: Iterable) -> WorkloadRunSummary:
         """Execute every query of the workload on every engine."""
-        texts = [
-            query.text if isinstance(query, MotifQuery) else str(query) for query in workload
-        ]
         summary = WorkloadRunSummary()
         start = time.perf_counter()
-        reports = summary.reports
-        for engine in self.engines:
-            executor = BatchSearchExecutor.for_adapter(
-                engine,
-                workers=self.workers,
-                timeout=self.timeout,
-                backend=self.backend,
-                tracer=self.tracer,
-            )
-            report = executor.run(texts)
-            report.raise_first_error()
-            reports[engine.name] = report
-        # Measurements keep the historical query-major order regardless of
-        # the (nondeterministic) completion order of a parallel run.
-        for index, text in enumerate(texts):
+        for query in workload:
+            text = query.text if isinstance(query, MotifQuery) else str(query)
             for engine in self.engines:
-                outcome = reports[engine.name].outcomes[index]
-                assert outcome.result is not None
                 summary.measurements.append(
                     QueryMeasurement.from_result(
-                        engine.name, text, outcome.result, self.keep_results
+                        engine.name, text, engine.run(text), self.keep_results
                     )
                 )
         summary.total_seconds = time.perf_counter() - start
         return summary
-
-    def run_single(self, query: str) -> Dict[str, SearchResult]:
-        """Run one query on every engine, returning the full results."""
-        return {engine.name: engine.run(query) for engine in self.engines}
 
 
 def aggregate_by_length(

@@ -237,7 +237,7 @@ class TestProcessSubmitRule:
         assert report.ok
 
     def test_bound_method_submit_passes(self, tmp_path):
-        # The in-process scatter path legally submits execution.result.
+        # A serial or thread backend may run a bound method.
         report = violations_for(
             tmp_path,
             "sharding/scatter.py",

@@ -284,25 +284,36 @@ class TestShardedSearch:
 
 
 class TestBackendFlag:
-    def test_sharded_search_accepts_thread_backend(self, generated_files, capsys):
-        fasta, queries = generated_files
-        code = main(
-            [
-                "search",
-                "--database",
-                str(fasta),
-                "--queries",
-                str(queries),
-                "--shards",
-                "2",
-                "--backend",
-                "threads:2",
-                "--min-score",
-                "15",
-            ]
-        )
-        assert code == 0
-        assert "queries in" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "source, backend",
+        [
+            ("--index", "threads:2"),
+            ("--index", "thread"),
+            ("--database", "threads"),
+            ("--database", "THREADS:4"),
+        ],
+        ids=["index", "index-thread", "database", "database-upper"],
+    )
+    def test_a_thread_scatter_exits_2_naming_the_two_forms(
+        self, tmp_path, generated_files, capsys, source, backend
+    ):
+        fasta, _ = generated_files
+        if source == "--index":
+            target = tmp_path / "index"
+            build = ["index", "build", "--database", str(fasta), "--output", str(target)]
+            assert main(build + ["--shards", "2"]) == 0
+            arguments = ["--index", str(target)]
+        else:
+            arguments = ["--database", str(fasta), "--shards", "2"]
+        capsys.readouterr()
+        search = ["search", *arguments, "--query", "MKVLAADTGLAV", "--evalue", "20"]
+        code = main(search + ["--backend", backend])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-oasis search: error: ")
+        assert "'serial'" in line and "'processes[:N]'" in line
+        assert "Traceback" not in captured.err
 
     def test_backend_with_single_shard_builds_sharded_engine(
         self, generated_files, capsys
@@ -362,24 +373,27 @@ class TestBackendFlag:
                 ]
             )
 
-    def test_process_backend_needs_persistent_index(self, generated_files):
+    def test_process_backend_needs_persistent_index(self, generated_files, capsys):
         fasta, _ = generated_files
-        with pytest.raises(SystemExit, match="persistent"):
-            main(
-                [
-                    "search",
-                    "--database",
-                    str(fasta),
-                    "--query",
-                    "MKV",
-                    "--shards",
-                    "2",
-                    "--backend",
-                    "processes:2",
-                    "--min-score",
-                    "15",
-                ]
-            )
+        code = main(
+            [
+                "search",
+                "--database",
+                str(fasta),
+                "--query",
+                "MKV",
+                "--shards",
+                "2",
+                "--backend",
+                "processes:2",
+                "--min-score",
+                "15",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-oasis search: error: ") and "persistent" in line
 
 
 class TestIndexCommands:
@@ -576,6 +590,12 @@ class TestIndexCommands:
             "shard-0000.oasis",
             "shard-0001.oasis",
         ]
+        # The thread build stays, and writes the serial build's bytes.
+        serial = tmp_path / "serial-index"
+        build = ["index", "build", "--database", str(fasta), "--shards", "2"]
+        assert main(build + ["--output", str(serial), "--backend", "serial"]) == 0
+        for name in ("shard-0000.oasis", "shard-0001.oasis"):
+            assert (directory / name).read_bytes() == (serial / name).read_bytes()
 
     def test_search_index_rejects_mismatched_config(self, index_dir, generated_files):
         _, queries = generated_files

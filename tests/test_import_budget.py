@@ -169,6 +169,30 @@ def test_index_search_loads_no_builder_no_pool_and_no_telemetry(corpus):
     assert "repro.storage.disk_tree" in loaded
 
 
+def test_a_sharded_index_search_starts_no_thread_pool(corpus, tmp_path):
+    """The default scatter is the serial loop: no pool, no thread but main."""
+    from repro.scoring.data import load_matrix
+    from repro.scoring.gaps import FixedGapModel
+    from repro.sequences.fasta import read_fasta
+    from repro.sharding.builder import ShardedIndexBuilder
+
+    fasta, _, query = corpus
+    index = str(tmp_path / "two.index")
+    ShardedIndexBuilder(load_matrix("PAM30"), FixedGapModel(-8), shard_count=2).build(
+        read_fasta(fasta), index
+    )
+    only_main = (
+        "import threading\n"
+        "names = [thread.name for thread in threading.enumerate()]\n"
+        "assert names == ['MainThread'], names\n"
+    )
+    loaded = loaded_after(
+        CLI_SEARCH + only_main, ["--index", index, "--query", query, "--evalue", "10"]
+    )
+    assert "repro.sharding.engine" in loaded
+    assert "concurrent.futures.thread" not in loaded
+
+
 def test_trace_flag_still_loads_obs_and_writes_a_valid_trace(corpus, tmp_path):
     fasta, _, query = corpus
     trace = str(tmp_path / "trace.jsonl")

@@ -227,9 +227,7 @@ class TestMoreColumnsThanResiduesWarning:
         dna_db = parse_fasta_text(dna.fasta, alphabet=DNA_ALPHABET)
         evalue = 20_000.0 * protein.residues / 40_000_000
         protein_gap, dna_gap = FixedGapModel(-8), FixedGapModel(-4)
-        sharded = ShardedEngine.build(
-            protein_db, pam30(), protein_gap, shard_count=4, backend="serial"
-        )
+        sharded = ShardedEngine.build(protein_db, pam30(), protein_gap, shard_count=4)
         cases = [
             (OasisEngine.build(protein_db, pam30(), protein_gap), protein.queries, None),
             (sharded, protein.queries, None),

@@ -17,7 +17,6 @@ from typing import List
 import pytest
 
 from repro.core.engine import OasisEngine
-from repro.exec import SerialBackend
 from repro.obs import Tracer
 from repro.sharding import ShardedEngine
 
@@ -59,7 +58,7 @@ def _disk(database, matrix, gap, directory):
 
 def _sharded(database, matrix, gap, directory):
     return ShardedEngine.build_on_disk(
-        database, directory / "index", matrix, gap, shard_count=2, backend="serial"
+        database, directory / "index", matrix, gap, shard_count=2
     )
 
 
@@ -67,14 +66,11 @@ def _sharded(database, matrix, gap, directory):
 def test_an_untraced_search_never_enters_obs(
     build, small_protein_database, pam30_matrix, gap8, tmp_path
 ):
-    # A backend the batches share outlives each of them, so an instrument
-    # the executor attached and did not detach would still be on it.
-    shared = SerialBackend()
     with build(small_protein_database, pam30_matrix, gap8, tmp_path) as engine:
 
         def untraced():
             assert len(engine.search(QUERY, min_score=40)) >= 1
-            report = engine.search_many([QUERY], min_score=40, backend=shared)
+            report = engine.search_many([QUERY], min_score=40, workers=1)
             assert not report.statistics.failed
 
         assert obs_calls(untraced) == []
@@ -84,7 +80,7 @@ def test_an_untraced_search_never_enters_obs(
 
         def traced():
             engine.search(QUERY, min_score=40, tracer=tracer)
-            engine.search_many([QUERY], min_score=40, backend=shared, tracer=tracer)
+            engine.search_many([QUERY], min_score=40, workers=1, tracer=tracer)
 
         # The probe does see the telemetry when it is on ...
         assert "trace.py:span" in obs_calls(traced)

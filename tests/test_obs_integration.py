@@ -114,10 +114,9 @@ def test_process_scatter_emits_one_coherent_tree(index_dir, tmp_path):
     assert rendered.count("  shard") == SHARDS
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads:2"])
-def test_in_process_scatter_same_tree_shape(index_dir, backend):
+def test_in_process_scatter_same_tree_shape(index_dir):
     tracer = Tracer()
-    with ShardedEngine.open(index_dir, backend=backend) as engine:
+    with ShardedEngine.open(index_dir) as engine:
         engine.instrument(tracer)
         result = engine.search(QUERY, min_score=MIN_SCORE, tracer=tracer)
     records = tracer.records()
@@ -171,7 +170,7 @@ def test_batch_spans_nest_queries_under_batch(index_dir):
     assert latency is not None and latency.count == 2
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads:2", "processes:2"])
+@pytest.mark.parametrize("backend", ["serial", "processes:2"])
 def test_every_span_of_a_traced_search_carries_its_phase(index_dir, backend):
     """The report has no name-based fallback: a span site that forgot to
     stamp ``phase`` would show up as an ``other`` row."""

@@ -106,13 +106,12 @@ class TestDispatchSpans:
         assert {record.status for record in recording.spans} == {"ok"}
         assert sorted(merged) == sorted(len(outcome.result) for outcome in report.outcomes)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads:2"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_each_query_and_each_shard_dispatch_is_a_span(self, shards, workers, backend):
+    def test_each_query_and_each_shard_dispatch_is_a_span(self, shards, workers):
         tracer = Tracer()
         with ShardedEngine.build(
-            _database(), pam30(), FixedGapModel(-8), shard_count=shards, backend=backend
+            _database(), pam30(), FixedGapModel(-8), shard_count=shards
         ) as engine:
             report = engine.search_many(
                 QUERIES, workers=workers, min_score=MIN_SCORE, tracer=tracer
@@ -440,8 +439,11 @@ def workload(tmp_path_factory):
 
 
 def _search(workload, *extra):
+    """A bare ``--index`` in ``extra`` (or a ``--backend``) searches the index."""
     fasta, queries, index = workload
-    source = ["--index", str(index)] if "--backend" in extra else ["--database", str(fasta)]
+    on_index = "--index" in extra or "--backend" in extra
+    source = ["--index", str(index)] if on_index else ["--database", str(fasta)]
+    extra = tuple(flag for flag in extra if flag != "--index")
     return ["search", *source, "--queries", str(queries), "--min-score", "15", *extra]
 
 
@@ -449,7 +451,7 @@ CLI_RUNS = {
     "database": ((), 1),
     "database, 2 shards": (("--shards", "2"), 2),
     "index, serial scatter": (("--backend", "serial"), 2),
-    "index, threads:2 scatter, 2 workers": (("--backend", "threads:2", "--workers", "2"), 2),
+    "index, default scatter, 2 workers": (("--index", "--workers", "2"), 2),
 }
 
 
@@ -464,7 +466,7 @@ def test_a_cli_trace_holds_a_span_per_query_and_dispatch(run, workload, tmp_path
     spans = _by_name(recording)
     (batch,) = spans["batch"]
     assert len(spans["query"]) == batch.attributes["completed"] == 3
-    if "--shards" in extra or "--backend" in extra:
+    if extra:
         assert len(spans["shard"]) == 3 * shards
     else:
         assert "shard" not in spans

@@ -158,9 +158,8 @@ class TestExports:
         assert sum(int(line.rpartition(" ")[2]) for line in lines) == profiler.sample_count
 
     @pytest.mark.parametrize("shard_count", [2, 4])
-    @pytest.mark.parametrize("backend", ["serial", "threads:4"])
     def test_a_sharded_search_profile_validates(
-        self, small_protein_database, pam30_matrix, gap8, backend, shard_count
+        self, small_protein_database, pam30_matrix, gap8, shard_count
     ):
         """A real run, not a busy loop: searches scattered over the shards."""
         from repro.sharding import ShardedEngine
@@ -168,7 +167,7 @@ class TestExports:
         tracer = Tracer()
         profiler = StackProfiler(tracer, interval=0.001)
         with ShardedEngine.build(
-            small_protein_database, pam30_matrix, gap8, shard_count=shard_count, backend=backend
+            small_protein_database, pam30_matrix, gap8, shard_count=shard_count
         ) as engine:
             with profiler:
                 deadline = time.perf_counter() + 0.05

@@ -19,8 +19,6 @@ from repro.core.engine import OasisEngine
 from repro.parallel import BatchSearchExecutor, BatchSearchReport
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
-from repro.workloads.engines import OasisAdapter, SmithWatermanAdapter
-from repro.workloads.runner import WorkloadRunner, workload_from_texts
 
 QUERY = "WKDDGNGYISAAE"
 
@@ -278,9 +276,15 @@ class TestSearchMany:
         assert two.statistics.backend == "threads:2"
         assert [hit_tuples(r) for r in one.results()] == loop
         assert [hit_tuples(r) for r in two.results()] == loop
-        # An explicit backend still wins over the width.
-        pooled = engine.search_many(queries[:2], workers=1, backend="threads:1", min_score=8)
-        assert pooled.statistics.backend == "threads:1"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_workers_alone_set_the_fan_out(self, engine, small_protein_database, workers):
+        spec = "serial" if workers == 1 else f"threads:{workers}"
+        executor = BatchSearchExecutor.for_engine(engine, workers=workers, min_score=8)
+        assert executor.backend_spec == spec
+        report = executor.run(standard_workload(small_protein_database, count=4))
+        assert report.statistics.backend == report.statistics.as_dict()["backend"] == spec
+        assert f"{workers} workers, {spec})" in report.format_summary()
 
     def test_serial_loop_honours_the_timeout(self, engine, small_protein_database):
         queries = standard_workload(small_protein_database, count=4)
@@ -359,39 +363,3 @@ class TestSearchMany:
             report.results()
         assert all("aborted" in outcome.error for outcome in report.outcomes)
 
-
-class TestWorkloadRunnerParallel:
-    def test_parallel_runner_matches_serial(
-        self, small_protein_database, pam30_matrix, gap8
-    ):
-        engine = OasisEngine.build(
-            small_protein_database, matrix=pam30_matrix, gap_model=gap8
-        )
-        adapters = lambda: [OasisAdapter(engine, evalue=1.0)]  # noqa: E731
-        workload = workload_from_texts(standard_workload(small_protein_database, count=12))
-        serial = WorkloadRunner(adapters(), keep_results=True).run(workload)
-        parallel = WorkloadRunner(adapters(), keep_results=True, workers=4).run(workload)
-        assert [
-            (m.query, m.hit_count, m.best_score, m.columns_expanded)
-            for m in serial.measurements
-        ] == [
-            (m.query, m.hit_count, m.best_score, m.columns_expanded)
-            for m in parallel.measurements
-        ]
-
-    def test_non_cooperative_adapters_still_run(
-        self, small_protein_database, pam30_matrix, gap8
-    ):
-        adapter = SmithWatermanAdapter(
-            small_protein_database, pam30_matrix, gap8, evalue=1.0
-        )
-        workload = workload_from_texts([QUERY, "MKVLAADTG"])
-        summary = WorkloadRunner([adapter], workers=2).run(workload)
-        assert len(summary.measurements) == 2
-
-    def test_rejects_bad_worker_count(self, small_protein_database, pam30_matrix, gap8):
-        engine = OasisEngine.build(
-            small_protein_database, matrix=pam30_matrix, gap_model=gap8
-        )
-        with pytest.raises(ValueError):
-            WorkloadRunner([OasisAdapter(engine, evalue=1.0)], workers=0)

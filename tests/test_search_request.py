@@ -133,9 +133,7 @@ def in_process_engines(tmp_path, small_protein_database, pam30_matrix, gap8):
             block_size=512,
             buffer_pool_bytes=512,
         ),
-        "shards3-serial": ShardedEngine.build(
-            database, pam30_matrix, gap8, shard_count=3, backend="serial"
-        ),
+        "shards3-serial": ShardedEngine.build(database, pam30_matrix, gap8, shard_count=3),
     }
     yield engines
     for engine in engines.values():
@@ -146,18 +144,12 @@ def in_process_engines(tmp_path, small_protein_database, pam30_matrix, gap8):
 def all_engines(in_process_engines, tmp_path, small_protein_database, pam30_matrix, gap8):
     directory = tmp_path / "index3"
     engines = dict(in_process_engines)
-    engines["shards3-threads"] = ShardedEngine.build_on_disk(
-        small_protein_database,
-        directory,
-        pam30_matrix,
-        gap8,
-        shard_count=3,
-        block_size=512,
-        backend="threads:3",
+    engines["shards3-disk"] = ShardedEngine.build_on_disk(
+        small_protein_database, directory, pam30_matrix, gap8, shard_count=3, block_size=512
     )
     engines["shards3-processes"] = ShardedEngine.open(directory, backend="processes:2")
     yield engines
-    engines["shards3-threads"].close()
+    engines["shards3-disk"].close()
     engines["shards3-processes"].close()
 
 
@@ -216,7 +208,7 @@ def test_any_option_set_gets_one_answer_from_every_engine(in_process_engines, qu
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "name, built",
-    [("shards3-serial", 3), ("shards3-threads", 3), ("shards3-processes", 0)],
+    [("shards3-serial", 3), ("shards3-disk", 3), ("shards3-processes", 0)],
 )
 def test_a_scatter_builds_only_the_executions_it_runs(all_engines, monkeypatch, name, built):
     constructed = []

@@ -1,12 +1,13 @@
 """Backend coverage for the sharded subsystem: scatter, builds, budgeting.
 
 The load-bearing property is backend *transparency*: for the same catalog
-and queries, ``serial``, ``threads:N`` and ``processes:N`` scatter backends
+and queries, the ``serial`` (default) and ``processes:N`` scatter backends
 must produce byte-identical ordered results (and identical to the
 monolithic engine), whichever backend built the index.  Alongside parity,
 this module covers the failure paths the process backend introduces
-(worker errors surface per query, deadlines hold across processes) and the
-proportional per-shard buffer budgeting.
+(worker errors surface per query, deadlines hold across processes), the
+refusal of a thread scatter, and the proportional per-shard buffer
+budgeting.
 """
 
 from __future__ import annotations
@@ -15,23 +16,25 @@ import glob
 import hashlib
 import os
 import random
+import threading
 import time
 
 import pytest
 
 from repro.core.engine import OasisEngine
+from repro.core.oasis import QueryExecution
 from repro.core.request import SearchRequest
-from repro.exec import ProcessBackend, ThreadBackend
-from repro.parallel import BatchSearchExecutor
+from repro.exec import BackendSpec, ProcessBackend, SerialBackend, ThreadBackend
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder, shard_pool_budgets
+from repro.sharding.engine import check_scatter_backend
 from repro.sharding.remote import ShardSearchTask, run_shard_search
 from repro.testing import random_protein
 
 QUERIES = ["WKDDGNGYISAAE", "MKVLAADT", "DKDGDGCITTKEL"]
 EVALUE = 1_000.0
-BACKENDS = ["serial", "threads:2", "processes:2"]
+BACKENDS = ["serial", "processes:2"]
 BLOCK_SIZE = 512
 
 
@@ -95,7 +98,7 @@ def index_directories(tmp_path_factory, backend_database, pam30_matrix, gap8):
 
 
 class TestScatterBackendParity:
-    """serial / threads / processes x 1/2/4 shards, all byte-identical."""
+    """serial / processes x 1/2/4 shards, all byte-identical."""
 
     @pytest.mark.parametrize("shard_count", [1, 2, 4])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -112,24 +115,14 @@ class TestScatterBackendParity:
                     f"{backend} x{shard_count} diverged from monolithic on {query!r}"
                 )
 
-    @pytest.mark.parametrize("backend", ["serial", "threads:2"])
     @pytest.mark.parametrize("shard_count", [1, 2, 4])
     def test_in_memory_scatter_matches_monolithic(
-        self,
-        backend_database,
-        pam30_matrix,
-        gap8,
-        expected_signatures,
-        backend,
-        shard_count,
+        self, backend_database, pam30_matrix, gap8, expected_signatures, shard_count
     ):
         with ShardedEngine.build(
-            backend_database,
-            pam30_matrix,
-            gap8,
-            shard_count=shard_count,
-            backend=backend,
+            backend_database, pam30_matrix, gap8, shard_count=shard_count
         ) as sharded:
+            assert sharded.backend_spec == "serial"
             for query in QUERIES:
                 got = sharded.search(query, evalue=EVALUE)
                 assert hit_signature(got.hits) == expected_signatures[query]
@@ -178,9 +171,9 @@ class TestScatterBackendParity:
             top3 = sharded.search(QUERIES[0], evalue=EVALUE, max_results=3)
             assert hit_signature(top3.hits) == expected_signatures[QUERIES[0]][:3]
 
-    def test_process_scatter_alignments_match_threads(self, index_directories):
-        with ShardedEngine.open(index_directories[2], backend="threads:2") as threaded:
-            expected = threaded.search(QUERIES[0], evalue=EVALUE, compute_alignments=True)
+    def test_process_scatter_alignments_match_serial(self, index_directories):
+        with ShardedEngine.open(index_directories[2]) as serial:
+            expected = serial.search(QUERIES[0], evalue=EVALUE, compute_alignments=True)
         with ShardedEngine.open(index_directories[2], backend="processes:2") as processed:
             got = processed.search(QUERIES[0], evalue=EVALUE, compute_alignments=True)
         assert [hit.alignment for hit in got.hits] == [
@@ -239,7 +232,7 @@ class TestScatterBackendParity:
     def test_shared_backend_instance_is_caller_owned(
         self, index_directories, expected_signatures
     ):
-        with ThreadBackend(2) as shared:
+        with SerialBackend() as shared:
             with ShardedEngine.open(index_directories[2], backend=shared) as sharded:
                 got = sharded.search(QUERIES[0], evalue=EVALUE)
                 assert hit_signature(got.hits) == expected_signatures[QUERIES[0]]
@@ -247,17 +240,130 @@ class TestScatterBackendParity:
             assert not shared.closed
             assert shared.submit(len, "abc").result() == 3
 
+    def test_the_default_scatter_is_serial(self, index_directories):
+        with ShardedEngine.open(index_directories[2]) as sharded:
+            assert sharded.backend_spec == "serial"
+            assert "serial" in repr(sharded)
+
+
+class TestSerialScatter:
+    """The default scatter is the plain loop: each shard on the calling thread, in order."""
+
+    @pytest.mark.parametrize("shard_count", [1, 2, 4])
+    @pytest.mark.parametrize("source", ["memory", "disk"])
+    def test_every_shard_runs_on_the_calling_thread_in_order(
+        self,
+        monkeypatch,
+        index_directories,
+        backend_database,
+        pam30_matrix,
+        gap8,
+        expected_signatures,
+        source,
+        shard_count,
+    ):
+        ran = []
+        result = QueryExecution.result
+
+        def recording(execution):
+            ran.append((threading.current_thread(), execution))
+            return result(execution)
+
+        monkeypatch.setattr(QueryExecution, "result", recording)
+        if source == "disk":
+            sharded = ShardedEngine.open(index_directories[shard_count])
+        else:
+            sharded = ShardedEngine.build(
+                backend_database, pam30_matrix, gap8, shard_count=shard_count
+            )
+        with sharded:
+            scattered = sharded.execute(QUERIES[0], evalue=EVALUE)
+            got = scattered.result()
+        assert hit_signature(got.hits) == expected_signatures[QUERIES[0]]
+        assert [thread for thread, _ in ran] == [threading.current_thread()] * shard_count
+        assert [execution for _, execution in ran] == scattered.executions
+
+
+#: A thread scatter's refusal names the two forms a scatter accepts.
+BOTH_FORMS = r"'serial' or 'processes\[:N\]'"
+
+
+class TestScatterBackendForms:
+    """A scatter is ``serial`` or ``processes[:N]``; threads ran slower than the loop."""
+
+    @pytest.mark.parametrize(
+        "backend, persistent, kind",
+        [
+            (None, False, "serial"),
+            ("serial", False, "serial"),
+            ("sync", True, "serial"),
+            (SerialBackend(), False, "serial"),
+            ("processes", True, "processes"),
+            ("procs:3", True, "processes"),
+            (BackendSpec("processes", 2), True, "processes"),
+        ],
+    )
+    def test_an_accepted_form_names_its_kind(self, backend, persistent, kind):
+        assert check_scatter_backend(backend, persistent) == kind
+
+    @pytest.mark.parametrize(
+        "backend, persistent, message",
+        [
+            ("threads", True, BOTH_FORMS),
+            (BackendSpec("threads", 2), False, BOTH_FORMS),
+            ("processes:2", False, "persistent"),
+            (ProcessBackend(2), False, "persistent"),
+        ],
+    )
+    def test_a_refused_form_is_a_value_error(self, backend, persistent, message):
+        with pytest.raises(ValueError, match=message):
+            check_scatter_backend(backend, persistent)
+
+    @pytest.mark.parametrize("shard_count", [1, 2, 4])
+    def test_a_bare_process_spec_gets_one_worker_per_shard(self, index_directories, shard_count):
+        with ShardedEngine.open(index_directories[shard_count], backend="processes") as sharded:
+            assert sharded.backend_spec == f"processes:{shard_count}"
+
+    @pytest.mark.parametrize("backend", ["threads", "threads:2", "thread:4", ThreadBackend(2)])
+    def test_open_refuses_threads_naming_the_two_forms(self, index_directories, backend):
+        with pytest.raises(ValueError, match=BOTH_FORMS):
+            ShardedEngine.open(index_directories[2], backend=backend)
+
+    def test_build_on_disk_refuses_threads_before_building(
+        self, tmp_path, backend_database, pam30_matrix, gap8
+    ):
+        directory = tmp_path / "never-built"
+        with pytest.raises(ValueError, match="processes"):
+            ShardedEngine.build_on_disk(
+                backend_database, directory, pam30_matrix, gap8, backend="threads:2"
+            )
+        assert not directory.exists()
+
+    def test_the_constructor_refuses_threads(self, index_directories, monolithic):
+        with ShardedEngine.open(index_directories[1]) as opened:
+            with pytest.raises(ValueError, match="serial"):
+                ShardedEngine(
+                    opened.shards,
+                    opened.database,
+                    opened.matrix,
+                    opened.gap_model,
+                    catalog=opened.catalog,
+                    directory=opened.directory,
+                    backend="threads:1",
+                )
+
 
 class TestProcessBackendFailurePaths:
     def test_requires_a_persistent_index(self, backend_database, pam30_matrix, gap8):
-        with pytest.raises(ValueError, match="persistent"):
-            ShardedEngine.build(
-                backend_database,
-                pam30_matrix,
-                gap8,
-                shard_count=2,
-                backend="processes:2",
-            )
+        with ShardedEngine.build(backend_database, pam30_matrix, gap8, shard_count=2) as memory:
+            with pytest.raises(ValueError, match="persistent"):
+                ShardedEngine(
+                    memory.shards,
+                    memory.database,
+                    memory.matrix,
+                    memory.gap_model,
+                    backend="processes:2",
+                )
 
     def test_process_backend_requires_bundled_fasta(
         self, tmp_path, backend_database, pam30_matrix, gap8
@@ -272,10 +378,8 @@ class TestProcessBackendFailurePaths:
             ShardedEngine.open(
                 directory, database=backend_database, backend="processes:2"
             )
-        # In-process backends keep working: the parent has the database.
-        with ShardedEngine.open(
-            directory, database=backend_database, backend="threads:2"
-        ) as sharded:
+        # The serial scatter keeps working: the parent has the database.
+        with ShardedEngine.open(directory, database=backend_database) as sharded:
             assert sharded.search(QUERIES[0], evalue=EVALUE) is not None
 
     def test_worker_failure_is_a_per_query_error_not_a_hang(
@@ -390,12 +494,6 @@ class TestProcessBackendFailurePaths:
         sharded.close()
         with pytest.raises(RuntimeError, match="closed"):
             execution.result()
-
-    def test_batch_executor_rejects_process_fanout(self, monolithic):
-        with pytest.raises(ValueError, match="processes"):
-            BatchSearchExecutor.for_engine(
-                monolithic, backend="processes:2", evalue=EVALUE
-            )
 
 
 class TestParallelShardBuilds:

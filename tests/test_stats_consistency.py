@@ -36,7 +36,7 @@ def validate_trace(records):
 
 
 SHARDS = 4
-BACKENDS = ("serial", "threads:2", "processes:2")
+BACKENDS = ("serial", "processes:2")
 QUERY = "WKDDGNGYISAAE"
 MIN_SCORE = 40
 
@@ -214,7 +214,7 @@ def test_batch_abort_skips_cleanly(index_dir, backend):
     with ShardedEngine.open(index_dir, backend=backend) as engine:
         engine.instrument(tracer)
         executor = BatchSearchExecutor.for_engine(
-            engine, backend="serial", min_score=MIN_SCORE, tracer=tracer
+            engine, workers=1, min_score=MIN_SCORE, tracer=tracer
         )
 
         original = executor._run_query

@@ -79,9 +79,20 @@ class TestWorkloadRunner:
         assert summary.mean_seconds("OASIS") > 0
         assert summary.mean_seconds("missing") == 0.0
 
-    def test_run_single(self, adapters):
-        results = WorkloadRunner(adapters).run_single("WKDDGNGYISAAE")
-        assert set(results) == {a.name for a in adapters}
+    def test_measurements_are_query_major(self, adapters):
+        texts = ["WKDDGNGYISAAE", "MKVLAADTG"]
+        summary = WorkloadRunner(adapters, keep_results=True).run(workload_from_texts(texts))
+        assert [(m.query, m.engine) for m in summary.measurements] == [
+            (text, adapter.name) for text in texts for adapter in adapters
+        ]
+        oasis = [m.result for m in summary.measurements if m.engine == "OASIS"]
+        assert [r.scores_by_sequence() for r in oasis] == [
+            adapters[0].run(text).scores_by_sequence() for text in texts
+        ]
+
+    def test_a_failing_query_raises(self, adapters):
+        with pytest.raises(ValueError):
+            WorkloadRunner(adapters[:1]).run(workload_from_texts(["WKDDGNGYISAAE", ""]))
 
 
 class TestAggregation:
