@@ -11,11 +11,10 @@ Sub-commands
     runs a whole file of them through the batch executor -- the plain serial
     loop for one worker, ``--workers N`` threads otherwise -- optionally with
     a per-query ``--timeout``.
-    ``--shards N`` splits the database into N independently indexed shards
-    searched scatter-gather; ``--index DIR`` reuses a persistent sharded
-    index built earlier instead of rebuilding anything; ``--backend`` picks
-    the scatter strategy (``serial``, the default, or ``processes[:N]`` --
-    processes escape the GIL for CPU-bound search over a persistent index).
+    ``--database F`` builds one in-memory index over F; ``--index DIR``
+    searches a persistent sharded index built earlier, scatter-gather over
+    its shards, and ``--backend`` picks its scatter strategy (``serial``,
+    the default, or ``processes[:N]`` -- processes escape the GIL).
 ``index``
     Manage persistent sharded indexes: ``index build`` writes one disk image
     per shard plus a self-describing catalog (``--backend threads:N`` /
@@ -64,6 +63,8 @@ REQUEST_OPTIONS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.scales import available_scales
+
     parser = argparse.ArgumentParser(
         prog="repro-oasis",
         description="OASIS (VLDB 2003) reproduction: accurate online local-alignment search.",
@@ -99,13 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--matrix", default=None, choices=available_matrices(), help="substitution matrix"
     )
     search.add_argument("--gap", type=int, default=None, help="fixed gap penalty (negative)")
-    search.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="split the database into this many shards searched scatter-gather "
-        "(with --index: must match the catalog)",
-    )
     selectivity = search.add_mutually_exclusive_group()
     selectivity.add_argument("--evalue", type=float, help="E-value cutoff (Equation 3)")
     selectivity.add_argument("--min-score", type=int, help="raw minimum alignment score")
@@ -125,9 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         metavar="SPEC",
-        help="scatter backend for sharded engines: serial (default) or "
-        "processes[:N] (processes escape the GIL for CPU-bound search but "
-        "need a persistent --index); requires --shards or --index",
+        help="scatter backend of the --index shards: serial (default) or "
+        "processes[:N] (processes escape the GIL for CPU-bound search); "
+        "requires --index",
     )
     search.add_argument(
         "--kernel",
@@ -220,7 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "space",
         ],
     )
-    experiment.add_argument("--scale", default=None, help="dataset scale (tiny/small/medium)")
+    experiment.add_argument(
+        "--scale", default=None, choices=available_scales(), help="dataset scale"
+    )
     return parser
 
 
@@ -228,9 +224,14 @@ def _command_generate(args: argparse.Namespace) -> int:
     from repro.datagen.motifs import MotifWorkloadGenerator
     from repro.datagen.protein import SwissProtLikeGenerator
 
-    generator = SwissProtLikeGenerator(
-        seed=args.seed, family_count=args.families, singleton_count=args.singletons
-    )
+    if args.query_count < 1:
+        return _fail("generate", "--query-count must be at least 1")
+    try:
+        generator = SwissProtLikeGenerator(
+            seed=args.seed, family_count=args.families, singleton_count=args.singletons
+        )
+    except ValueError as error:
+        return _fail("generate", error)
     database = generator.generate()
     write_fasta(database, args.output)
     print(
@@ -287,7 +288,7 @@ def _print_single_result(result) -> None:
         print("warning: time budget exhausted -- the hit list is partial")
 
 
-def _fail(command: str, error: Exception) -> int:
+def _fail(command: str, error: object) -> int:
     """One ``repro-oasis COMMAND: error: ...`` line on stderr; the exit code."""
     print(f"repro-oasis {command}: error: {error}", file=sys.stderr)
     return 2
@@ -320,12 +321,12 @@ def _parse_kernel_arg(name: Optional[str]) -> Optional[str]:
 
 
 def _build_search_engine(args: argparse.Namespace):
-    """Resolve --index / --shards / --database into a ready-to-search engine.
+    """Resolve --index / --database into a ready-to-search engine.
 
-    Each branch imports the engine it builds: the sharding layer on the
-    sharded ones (a plain ``--database`` search never loads it), the
-    in-memory engine and its tree builder on ``--database`` only (an
-    ``--index`` search loads neither the builder nor NumPy).
+    Each branch imports the engine it builds: the sharding layer on
+    ``--index`` (a ``--database`` search never loads it), the in-memory
+    engine and its tree builder on ``--database`` only (an ``--index``
+    search loads neither the builder nor NumPy).
     """
     backend = _parse_backend_arg(args.backend)
     kernel = _parse_kernel_arg(args.kernel)
@@ -351,41 +352,18 @@ def _build_search_engine(args: argparse.Namespace):
             raise  # a stale index, like a stale image: _command_search's one-line exit 2
         except CatalogError as error:
             raise SystemExit(str(error))
-        if args.shards is not None and args.shards != engine.shard_count:
-            engine.close()
-            raise SystemExit(
-                f"--shards {args.shards} conflicts with the catalog "
-                f"({engine.shard_count} shards); the persisted layout cannot "
-                "be changed at search time -- rebuild with `index build`"
-            )
         return engine
 
     if args.database is None:
         raise SystemExit("either --database or --index is required")
+    if backend is not None:
+        raise ValueError(
+            "--backend selects the scatter strategy of a sharded index; "
+            "it needs --index DIR"
+        )
     database = read_fasta(args.database)
     matrix = load_matrix(args.matrix if args.matrix is not None else DEFAULT_MATRIX)
     gap_model = FixedGapModel(args.gap if args.gap is not None else DEFAULT_GAP)
-    # --backend implies a sharded engine even at --shards 1 (a valid,
-    # parity-tested layout), so the flag never dead-ends on a shard count
-    # the user explicitly supplied.
-    if args.shards is not None and (args.shards > 1 or backend is not None):
-        from repro.sharding import ShardedEngine
-        from repro.sharding.engine import check_scatter_backend
-
-        # An in-memory sharded engine scatters serially; anything else is a
-        # usage error (exit 2) before the trees are built.
-        check_scatter_backend(backend, persistent=False)
-        try:
-            return ShardedEngine.build(
-                database, matrix, gap_model, shard_count=args.shards, kernel=kernel
-            )
-        except ValueError as error:
-            raise SystemExit(str(error))
-    if backend is not None:
-        raise SystemExit(
-            "--backend selects the scatter strategy of a sharded engine; "
-            "combine it with --shards N or --index DIR"
-        )
     from repro.core.engine import OasisEngine
 
     return OasisEngine.build(database, matrix=matrix, gap_model=gap_model, kernel=kernel)
@@ -396,11 +374,12 @@ def _command_search(args: argparse.Namespace) -> int:
         args.evalue = 10.0
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
-    if args.shards is not None and args.shards < 1:
-        raise SystemExit("--shards must be at least 1")
     # Validate the workload before opening any index: a bad --queries path
     # must not leak opened shard cursors.
-    queries = [args.query] if args.query is not None else _read_query_file(args.queries)
+    try:
+        queries = [args.query] if args.query is not None else _read_query_file(args.queries)
+    except OSError as error:
+        return _fail("search", error)
     # One request for the run (each query of a batch is this value with its
     # own text); an option it rejects is a usage error, not a traceback.
     try:
@@ -420,9 +399,10 @@ def _command_search(args: argparse.Namespace) -> int:
 
     try:
         engine = _build_search_engine(args)
-    except ValueError as error:
-        # An index this code cannot serve (written in another format, or not
-        # the image of its database) fails defined: never wrong hits.
+    except (OSError, ValueError) as error:
+        # An input that cannot be read, or an index this code cannot serve
+        # (written in another format, or not the image of its database),
+        # fails defined: never wrong hits.
         return _fail("search", error)
     if tracer is not None:
         engine.instrument(tracer)
@@ -564,15 +544,19 @@ def _command_index_build(args: argparse.Namespace) -> int:
 
     if args.shards < 1:
         raise SystemExit("--shards must be at least 1")
-    database = read_fasta(args.database)
-    builder = ShardedIndexBuilder(
-        load_matrix(args.matrix),
-        FixedGapModel(args.gap),
-        shard_count=args.shards,
-        by=args.by,
-        block_size=args.block_size,
-        backend=_parse_backend_arg(args.backend),
-    )
+    try:
+        # The builder refuses a block size before anything is written.
+        builder = ShardedIndexBuilder(
+            load_matrix(args.matrix),
+            FixedGapModel(args.gap),
+            shard_count=args.shards,
+            by=args.by,
+            block_size=args.block_size,
+            backend=_parse_backend_arg(args.backend),
+        )
+        database = read_fasta(args.database)
+    except (OSError, ValueError) as error:
+        return _fail("index build", error)
     try:
         catalog = builder.build(database, args.output)
     except ValueError as error:

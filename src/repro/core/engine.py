@@ -93,7 +93,6 @@ class OasisEngine(SearchSurface):
         gap_model: GapModel = DEFAULT_GAP_MODEL,
         block_size: int = 2048,
         buffer_pool_bytes: Optional[int] = None,
-        simulated_miss_latency: float = 0.0,
         kernel=None,
     ) -> "OasisEngine":
         """Write the Section-3.4 disk image of the database, search through it.
@@ -117,12 +116,7 @@ class OasisEngine(SearchSurface):
             buffer_pool_bytes,
         )
         build_disk_image(database, image_path, block_size=block_size)
-        disk = DiskSuffixTree(
-            image_path,
-            database,
-            buffer_pool_bytes=buffer_pool_bytes,
-            simulated_miss_latency=simulated_miss_latency,
-        )
+        disk = DiskSuffixTree(image_path, database, buffer_pool_bytes=buffer_pool_bytes)
         return cls(disk, matrix, gap_model, kernel=kernel)
 
     # ------------------------------------------------------------------ #

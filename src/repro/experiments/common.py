@@ -3,10 +3,11 @@
 Every experiment of Section 4 runs against the same kind of dataset: a
 SWISS-PROT-like protein database, a ProClass-like short-query workload, PAM30
 scoring with a fixed gap penalty, and selectivity expressed as an E-value.
-This module owns that configuration, the scale presets (the paper's 40 M
-residues are far beyond what a pure-Python suffix tree can index in a
-benchmark run), and a small cache so that the per-figure
-benchmarks that share a configuration also share the constructed index.
+This module owns that configuration, the datasets of the scale presets
+(:mod:`repro.experiments.scales`; the paper's 40 M residues are far beyond
+what a pure-Python suffix tree can index in a benchmark run), and a small
+cache so that the per-figure benchmarks that share a configuration also
+share the constructed index.
 """
 
 from __future__ import annotations
@@ -19,58 +20,11 @@ from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
 from repro.datagen.motifs import MotifWorkload, MotifWorkloadGenerator
 from repro.datagen.protein import SwissProtLikeGenerator
+from repro.experiments.scales import SCALE_ENVIRONMENT_VARIABLE, SCALE_PRESETS, available_scales
 from repro.scoring.data import load_matrix
 from repro.scoring.gaps import FixedGapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
-
-#: Environment variable selecting the benchmark scale ("tiny", "small", "medium").
-SCALE_ENVIRONMENT_VARIABLE = "OASIS_BENCH_SCALE"
-
-#: Per-scale dataset sizes.  "small" (the default) keeps the full benchmark
-#: suite in the tens of minutes on a laptop; "medium" takes noticeably longer
-#: but sharpens the OASIS-vs-S-W gap; "tiny" exists for smoke tests.
-_SCALE_PRESETS: Dict[str, Dict[str, int]] = {
-    "tiny": {
-        "family_count": 6,
-        "members_low": 2,
-        "members_high": 4,
-        "ancestor_low": 40,
-        "ancestor_high": 120,
-        "singleton_count": 8,
-        "singleton_low": 7,
-        "singleton_high": 150,
-        "query_count": 12,
-    },
-    "small": {
-        "family_count": 45,
-        "members_low": 4,
-        "members_high": 8,
-        "ancestor_low": 100,
-        "ancestor_high": 400,
-        "singleton_count": 60,
-        "singleton_low": 7,
-        "singleton_high": 500,
-        "query_count": 60,
-    },
-    "medium": {
-        "family_count": 120,
-        "members_low": 4,
-        "members_high": 9,
-        "ancestor_low": 100,
-        "ancestor_high": 600,
-        "singleton_count": 200,
-        "singleton_low": 7,
-        "singleton_high": 800,
-        "query_count": 100,
-    },
-}
-
-
-def available_scales() -> Tuple[str, ...]:
-    """The known scale presets."""
-    return tuple(sorted(_SCALE_PRESETS))
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -109,7 +63,7 @@ class ExperimentConfig:
 
     def preset(self) -> Dict[str, int]:
         try:
-            return _SCALE_PRESETS[self.scale]
+            return SCALE_PRESETS[self.scale]
         except KeyError:
             raise ValueError(
                 f"unknown scale {self.scale!r}; available: {', '.join(available_scales())}"

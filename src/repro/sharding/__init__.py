@@ -11,9 +11,9 @@ The pieces, bottom-up:
 * :class:`ShardCatalog` is that manifest: shard paths, sequence-id ranges,
   residue counts and the scoring-configuration fingerprint, with loud
   :class:`CatalogMismatchError` failures instead of silently wrong results;
-* :class:`ShardedEngine` opens a catalog (or builds in-memory shards) and
-  answers ``search`` / ``search_online`` / ``search_many`` by scatter-gather
-  over the shards, producing results hit-for-hit identical to a monolithic
+* :class:`ShardedEngine` opens a catalog and answers ``search`` /
+  ``search_online`` / ``search_many`` by scatter-gather over the shards,
+  producing results hit-for-hit identical to a monolithic
   :class:`~repro.core.engine.OasisEngine` over the same database.
 """
 

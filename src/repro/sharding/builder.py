@@ -35,6 +35,7 @@ from repro.sharding.catalog import (
 from repro.sharding.planner import ShardPlanner
 from repro.sharding.remote import ShardBuildTask, run_shard_build
 from repro.storage.blocks import BLOCK_SIZE_DEFAULT
+from repro.storage.layout import check_block_size
 
 PathLike = Union[str, os.PathLike]
 
@@ -54,7 +55,9 @@ class ShardedIndexBuilder:
     by:
         Shard balancing criterion (see :class:`~repro.sharding.ShardPlanner`).
     block_size:
-        Disk-image block size (every shard uses the same one).
+        Disk-image block size (every shard uses the same one); at least
+        :data:`~repro.storage.layout.MIN_BLOCK_SIZE`, checked here, before
+        anything is written.
     backend:
         Execution backend for the per-shard builds -- a spec string
         (``"serial"``, ``"threads:N"``, ``"processes:N"``), a
@@ -80,6 +83,7 @@ class ShardedIndexBuilder:
         self.gap_model = gap_model
         self.planner = ShardPlanner(shard_count, by=by)
         self.block_size = int(block_size)
+        check_block_size(self.block_size)
         self.backend = backend
 
     def build(

@@ -1,9 +1,9 @@
-"""ShardedEngine: scatter-gather search over a set of per-shard indexes.
+"""ShardedEngine: scatter-gather search over a persistent sharded index.
 
 Each shard is a full :class:`~repro.core.engine.OasisEngine` over its slice
-of the database (in-memory trees for :meth:`ShardedEngine.build`, disk images
-behind buffer pools for :meth:`ShardedEngine.open`).  A query is fanned out
-across the shards on the engine's scatter backend (``serial``, the default,
+of the database: a disk image behind its own buffer pool, opened from the
+index directory's catalog by :meth:`ShardedEngine.open`.  A query is fanned
+out across the shards on the engine's scatter backend (``serial``, the default,
 or ``processes[:N]``) and the per-shard
 :class:`~repro.core.results.SearchResult` objects -- the same shape whether a
 shard ran on this thread or in a worker process -- are merged into one
@@ -338,15 +338,12 @@ class ShardedQueryExecution:
         )
 
 
-def check_scatter_backend(
-    backend: "Union[str, BackendSpec, ExecutionBackend, None]", persistent: bool
-) -> str:
+def check_scatter_backend(backend: "Union[str, BackendSpec, ExecutionBackend, None]") -> str:
     """The kind a scatter backend description names, without creating anything.
 
     A scatter is ``serial`` (the default) or ``processes[:N]``; a thread
     scatter lost to the serial loop on every index measured (the search holds
-    the interpreter lock), so it is refused.  A process scatter needs a
-    ``persistent`` index: its workers open the shard images from the catalog.
+    the interpreter lock), so it is refused.
     """
     if backend is None:
         return "serial"
@@ -357,13 +354,6 @@ def check_scatter_backend(
             f"a shard scatter runs 'serial' or 'processes[:N]', not {str(backend)!r} "
             "(threads ran slower than the serial loop: the search holds the "
             "interpreter lock)"
-        )
-    if backend.kind == "processes" and not persistent:
-        raise ValueError(
-            "a process scatter backend needs a persistent sharded index: "
-            "worker processes open shard images from the catalog, which "
-            "an in-memory engine does not have -- build one with "
-            "ShardedIndexBuilder / build_on_disk and use ShardedEngine.open"
         )
     return backend.kind
 
@@ -399,12 +389,14 @@ def shard_pool_budgets(
 
 
 class ShardedEngine(SearchSurface):
-    """Scatter-gather OASIS search over N per-shard indexes.
+    """Scatter-gather OASIS search over the N shards of a catalog directory.
 
-    Use :meth:`build` for an in-memory sharded engine, or
-    :meth:`ShardedIndexBuilder.build` + :meth:`open` for the persistent form.
-    The engine defines ``execute_request`` and inherits the searching surface
-    (``execute`` / ``search`` / ``search_online`` / ``search_many``) that
+    Build the directory with :class:`~repro.sharding.ShardedIndexBuilder`
+    and :meth:`open` it (or do both with :meth:`build_on_disk`); the
+    constructor takes shard engines over that directory's images, its
+    catalog and the per-shard buffer budgets.  The engine defines
+    ``execute_request`` and inherits the searching surface (``execute`` /
+    ``search`` / ``search_online`` / ``search_many``) that
     :class:`~repro.core.engine.OasisEngine` inherits, so every consumer of
     an engine -- the batch executor, the workload adapters, the CLI -- can
     run sharded without changes.
@@ -424,8 +416,7 @@ class ShardedEngine(SearchSurface):
     the request, the worker process lazily opens its shard image read-only
     from the catalog, and the shard's
     :class:`~repro.core.results.SearchResult` travels back for the same
-    merge the in-process shards go through.  It therefore
-    requires a persistent index (a catalog directory); the streaming path
+    merge the in-process shards go through.  The streaming path
     (``search_online``) always runs in-process regardless of backend.
     """
 
@@ -436,12 +427,11 @@ class ShardedEngine(SearchSurface):
         matrix: SubstitutionMatrix,
         gap_model: GapModel = DEFAULT_GAP_MODEL,
         converter: Optional[SelectivityConverter] = None,
-        catalog: Optional[ShardCatalog] = None,
-        directory: Optional[str] = None,
+        *,
+        catalog: ShardCatalog,
+        directory: str,
+        shard_buffer_bytes: List[int],
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
-        shard_buffer_bytes: Optional[List[int]] = None,
-        simulated_miss_latency: float = 0.0,
-        sleep_on_miss: bool = False,
     ):
         if not shards:
             raise ValueError("a ShardedEngine needs at least one shard")
@@ -452,76 +442,21 @@ class ShardedEngine(SearchSurface):
         self.converter = converter or SelectivityConverter(matrix, database)
         self.catalog = catalog
         self.directory = directory
-        check_scatter_backend(backend, persistent=directory is not None)
+        check_scatter_backend(backend)
         # A bare "processes" spec gets one worker per shard.
         self._backend, self._backend_owned = resolve_backend(
             backend, default_workers=len(self.shards)
         )
-        #: Per-shard buffer-pool budgets in bytes (persistent engines only).
-        #: Process workers open their shard with the same budget, latency
-        #: and sleep flag the parent gave that shard, so worker-side pools
-        #: and I/O simulation match the parent's cursors.
-        self.shard_buffer_bytes = (
-            list(shard_buffer_bytes) if shard_buffer_bytes is not None else None
-        )
-        self.simulated_miss_latency = float(simulated_miss_latency)
-        self.sleep_on_miss = bool(sleep_on_miss)
+        #: Per-shard buffer-pool budgets in bytes: process workers open their
+        #: shard with the budget the parent gave that shard's cursor.
+        self.shard_buffer_bytes = list(shard_buffer_bytes)
         #: Global sequence index of each shard's first sequence.
-        self._offsets = self._compute_offsets()
+        self._offsets = [entry.start_sequence for entry in catalog.shards]
         self._closed = False
-
-    def _compute_offsets(self) -> List[int]:
-        if self.catalog is not None:
-            return [entry.start_sequence for entry in self.catalog.shards]
-        offsets, position = [], 0
-        for shard in self.shards:
-            offsets.append(position)
-            position += len(shard.database)
-        return offsets
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    @classmethod
-    def build(
-        cls,
-        database: SequenceDatabase,
-        matrix: SubstitutionMatrix,
-        gap_model: GapModel = DEFAULT_GAP_MODEL,
-        shard_count: int = 2,
-        by: str = "residues",
-        kernel=None,
-    ) -> "ShardedEngine":
-        """Split the database and build one in-memory index per shard.
-
-        The engine scatters serially: a process scatter needs a catalog
-        directory for its workers to open.  The planner and the tree builder
-        are imported here, so opening a persistent index never loads them.
-        """
-        from repro.sharding.planner import ShardPlanner
-        from repro.suffixtree.generalized import GeneralizedSuffixTree
-
-        plan = ShardPlanner(shard_count, by=by).plan(database)
-        logger.info(
-            "building in-memory sharded engine for %s (%d shards)",
-            database.name,
-            len(plan.specs),
-        )
-        converter = SelectivityConverter(
-            matrix, database, effective_database_size=database.total_symbols
-        )
-        shards = [
-            OasisEngine(
-                GeneralizedSuffixTree.build(sub_database),
-                matrix,
-                gap_model,
-                converter=converter,
-                kernel=kernel,
-            )
-            for sub_database in plan.sub_databases(database)
-        ]
-        return cls(shards, database, matrix, gap_model, converter=converter)
-
     @classmethod
     def build_on_disk(
         cls,
@@ -544,7 +479,7 @@ class ShardedEngine(SearchSurface):
         from repro.sharding.builder import ShardedIndexBuilder
 
         # Refuse a scatter backend before the build, not after it.
-        check_scatter_backend(open_kwargs.get("backend"), persistent=True)
+        check_scatter_backend(open_kwargs.get("backend"))
         ShardedIndexBuilder(
             matrix,
             gap_model,
@@ -565,8 +500,6 @@ class ShardedEngine(SearchSurface):
         matrix: Optional[SubstitutionMatrix] = None,
         gap_model: Optional[GapModel] = None,
         buffer_pool_bytes: int = DEFAULT_BUFFER_POOL_BYTES,
-        simulated_miss_latency: float = 0.0,
-        sleep_on_miss: bool = False,
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         kernel=None,
     ) -> "ShardedEngine":
@@ -588,7 +521,7 @@ class ShardedEngine(SearchSurface):
         from repro.scoring.data import load_matrix
         from repro.sequences.fasta import read_fasta
 
-        scatter_kind = check_scatter_backend(backend, persistent=True)
+        scatter_kind = check_scatter_backend(backend)
         directory = str(directory)
         catalog = ShardCatalog.load(directory)
         logger.info(
@@ -640,8 +573,6 @@ class ShardedEngine(SearchSurface):
                     catalog.shard_image_path(directory, entry),
                     slice_shard(database, entry),
                     buffer_pool_bytes=shard_budget,
-                    simulated_miss_latency=simulated_miss_latency,
-                    sleep_on_miss=sleep_on_miss,
                 )
                 shards.append(
                     OasisEngine(
@@ -656,10 +587,8 @@ class ShardedEngine(SearchSurface):
                 converter=converter,
                 catalog=catalog,
                 directory=directory,
-                backend=backend,
                 shard_buffer_bytes=shard_budgets,
-                simulated_miss_latency=simulated_miss_latency,
-                sleep_on_miss=sleep_on_miss,
+                backend=backend,
             )
         except Exception:
             for shard in shards:
@@ -778,23 +707,13 @@ class ShardedEngine(SearchSurface):
         )
         tasks = [
             ShardSearchTask(
-                directory=str(self.directory),
+                directory=self.directory,
                 shard_index=shard_index,
                 request=request,
                 deadline_epoch=deadline_epoch,
-                buffer_pool_bytes=(
-                    self.shard_buffer_bytes[shard_index]
-                    if self.shard_buffer_bytes is not None
-                    else DEFAULT_BUFFER_POOL_BYTES
-                ),
-                simulated_miss_latency=self.simulated_miss_latency,
-                sleep_on_miss=self.sleep_on_miss,
-                fingerprint=(
-                    self.catalog.fingerprint if self.catalog is not None else None
-                ),
-                database_digest=(
-                    self.catalog.database_digest if self.catalog is not None else ""
-                ),
+                buffer_pool_bytes=self.shard_buffer_bytes[shard_index],
+                fingerprint=self.catalog.fingerprint,
+                database_digest=self.catalog.database_digest,
                 trace=trace_context,
                 kernel=shard.kernel,
             )
@@ -858,8 +777,8 @@ class ShardedEngine(SearchSurface):
             shard.close()
 
     def __repr__(self) -> str:
-        source = f", directory={self.directory!r}" if self.directory else ""
         return (
             f"ShardedEngine(database={self._database.name!r}, "
-            f"shards={self.shard_count}, backend={self.backend_spec!r}{source})"
+            f"shards={self.shard_count}, backend={self.backend_spec!r}, "
+            f"directory={self.directory!r})"
         )

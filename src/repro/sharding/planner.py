@@ -61,9 +61,6 @@ class ShardPlan:
         """Materialise one shard's sub-database (records are shared, not copied)."""
         return slice_shard(database, spec)
 
-    def sub_databases(self, database: SequenceDatabase) -> List[SequenceDatabase]:
-        return [self.slice_database(database, spec) for spec in self.specs]
-
 
 class ShardPlanner:
     """Split a database into ``shard_count`` contiguous, balanced shards.

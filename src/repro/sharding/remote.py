@@ -68,10 +68,8 @@ class ShardSearchTask:
     request: SearchRequest
     deadline_epoch: Optional[float]
     buffer_pool_bytes: int
-    simulated_miss_latency: float
-    sleep_on_miss: bool
-    fingerprint: Optional[Dict[str, object]] = None
-    database_digest: str = ""
+    fingerprint: Dict[str, object]
+    database_digest: str
     #: Telemetry seed: when set, the worker builds its own tracer continuing
     #: the parent's trace, records its shard span (parented under the
     #: parent's query span) plus buffer-pool metrics, and returns both next
@@ -104,15 +102,15 @@ class ShardBuildTask:
 # --------------------------------------------------------------------- #
 #: directory -> (catalog, database, matrix, gap_model); shared by all shards.
 _DIRECTORY_CACHE: Dict[str, tuple] = {}
-#: (directory, shard, pool bytes, latency, sleep) -> OasisSearch over the shard.
+#: (directory, shard, pool bytes, kernel) -> OasisSearch over the shard.
 _SHARD_CACHE: Dict[tuple, "OasisSearch"] = {}
 
 
 def _catalog_mismatch(catalog: "ShardCatalog", task: ShardSearchTask) -> Optional[str]:
     """What (if anything) differs between the task's and the loaded catalog."""
-    if task.fingerprint is not None and catalog.fingerprint != task.fingerprint:
+    if catalog.fingerprint != task.fingerprint:
         return "configuration fingerprint"
-    if task.database_digest and catalog.database_digest != task.database_digest:
+    if catalog.database_digest != task.database_digest:
         return "database digest"
     return None
 
@@ -144,14 +142,7 @@ def _open_directory(directory: str) -> tuple:
 def _open_shard_search(task: ShardSearchTask) -> "OasisSearch":
     """The worker's lazily opened, cached search over one shard image."""
     directory = os.path.abspath(task.directory)
-    key = (
-        directory,
-        task.shard_index,
-        task.buffer_pool_bytes,
-        task.simulated_miss_latency,
-        task.sleep_on_miss,
-        task.kernel,
-    )
+    key = (directory, task.shard_index, task.buffer_pool_bytes, task.kernel)
     from repro.sharding.catalog import CatalogMismatchError
 
     # Checked on *every* task, not only on a cache miss: the comparison is a
@@ -188,8 +179,6 @@ def _open_shard_search(task: ShardSearchTask) -> "OasisSearch":
         catalog.shard_image_path(directory, entry),
         slice_shard(database, entry),
         buffer_pool_bytes=task.buffer_pool_bytes,
-        simulated_miss_latency=task.simulated_miss_latency,
-        sleep_on_miss=task.sleep_on_miss,
     )
     # A bare OasisSearch, no SelectivityConverter: the request arrives
     # resolved, carrying the threshold and the global E-value inputs.

@@ -15,9 +15,8 @@ This package reproduces that design with one departure (image format v2, see
 parent order, so a node's leaf children are contiguous like its internal
 children and the sibling chain is gone.  The on-disk image is a real file; the
 buffer pool tracks hits and misses per region (the quantities plotted in
-Figures 7 and 8) and can charge a configurable latency per miss so that the
-2003-era disk behaviour can be simulated on a machine whose OS page cache
-would otherwise hide it.
+Figures 7 and 8); the Figure 7 experiment charges a 2003-era disk latency per
+miss itself, since the OS page cache hides real read latency.
 """
 
 from typing import TYPE_CHECKING

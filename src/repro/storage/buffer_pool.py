@@ -24,10 +24,7 @@ module reproduces that component:
   ratios) count page requests, not records, while ``misses`` and
   ``evictions`` do not depend on how requests are grouped into readers;
 * a short read is an error: the builder writes whole blocks, so only a cut
-  file reads short, and a zero-padded page would decode as wrong records;
-* an optional *simulated miss latency* lets experiments charge a fixed cost
-  per physical read, so the 2003-era disk behaviour is visible even though a
-  modern OS page cache hides real read latency.
+  file reads short, and a zero-padded page would decode as wrong records.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from __future__ import annotations
 import enum
 import os
 import threading
-import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, TypeVar
@@ -78,7 +74,6 @@ class BufferPoolStatistics:
     evictions: int = 0
     per_region_hits: List[int] = field(default_factory=_per_region)
     per_region_misses: List[int] = field(default_factory=_per_region)
-    simulated_io_seconds: float = 0.0
 
     @property
     def requests(self) -> int:
@@ -98,7 +93,6 @@ class BufferPoolStatistics:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.simulated_io_seconds = 0.0
         # In place: a running transaction holds these lists.
         self.per_region_hits[:] = _per_region()
         self.per_region_misses[:] = _per_region()
@@ -114,7 +108,6 @@ class BufferPoolStatistics:
             "symbols_hit_ratio": self.region_hit_ratio(Region.SYMBOLS),
             "internal_hit_ratio": self.region_hit_ratio(Region.INTERNAL_NODES),
             "leaf_hit_ratio": self.region_hit_ratio(Region.LEAF_NODES),
-            "simulated_io_seconds": self.simulated_io_seconds,
         }
 
 
@@ -149,13 +142,6 @@ class BufferPool:
         Maps each :class:`Region` to the block number at which it starts in
         the file: :meth:`get_page` addresses a page as (region,
         block-within-region), and a page's region is the one it falls in.
-    simulated_miss_latency:
-        Seconds charged (accumulated in the statistics, and optionally slept)
-        for every physical read.  Defaults to 0.
-    sleep_on_miss:
-        When ``True`` the pool really sleeps for the simulated latency; by
-        default it only accounts for it, which keeps experiments fast while
-        still letting them report disk-bound timings.
     """
 
     def __init__(
@@ -163,13 +149,9 @@ class BufferPool:
         block_file: BlockFile,
         capacity_bytes: int,
         region_offsets: Dict[Region, int],
-        simulated_miss_latency: float = 0.0,
-        sleep_on_miss: bool = False,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        if simulated_miss_latency < 0:
-            raise ValueError("simulated_miss_latency must be non-negative")
         self.block_size = block_file.block_size
         self.frame_count = max(1, capacity_bytes // self.block_size)
         self.capacity_bytes = self.frame_count * self.block_size
@@ -183,8 +165,6 @@ class BufferPool:
         by_start = sorted((start, region) for region, start in region_offsets.items())
         self._sorted_starts = [0] + [start for start, _ in by_start[1:]]
         self._sorted_regions = [region for _, region in by_start]
-        self.simulated_miss_latency = simulated_miss_latency
-        self.sleep_on_miss = sleep_on_miss
 
         # Frames in clock order, appended until frame_count is reached.
         self._frames: List[_Frame] = []
@@ -199,8 +179,8 @@ class BufferPool:
         self._metric_evictions: Optional["Counter"] = None
         # The pool is shared by every concurrent query execution: the table
         # and frame metadata are guarded by one lock, while the physical read
-        # (a positional pread, and the simulated miss latency) happens
-        # *outside* it, so concurrent misses overlap as real disk reads would.
+        # (a positional pread) happens *outside* it, so concurrent misses
+        # overlap as real disk reads would.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -271,8 +251,6 @@ class BufferPool:
                 region = self._region_of(block)
                 statistics.misses += 1
                 statistics.per_region_misses[region] += 1
-                if self.simulated_miss_latency:
-                    statistics.simulated_io_seconds += self.simulated_miss_latency
             if self._metric_misses is not None:
                 self._metric_misses.inc()
             # Two threads missing the same page may both read it; the second
@@ -296,10 +274,6 @@ class BufferPool:
         return self._sorted_regions[bisect_right(self._sorted_starts, block) - 1]
 
     def _read_physical(self, block: int) -> bytes:
-        if self.simulated_miss_latency and self.sleep_on_miss:
-            # Sleeping releases the GIL, so concurrent misses stall in
-            # parallel -- the behaviour a real multi-client disk system shows.
-            time.sleep(self.simulated_miss_latency)
         descriptor = self._file.descriptor
         if descriptor is None:
             raise ValueError("read from a closed block file")

@@ -21,7 +21,7 @@ from typing import Union
 
 from repro.sequences.database import SequenceDatabase
 from repro.storage.blocks import BLOCK_SIZE_DEFAULT, BlockFile
-from repro.storage.layout import DiskLayout, INTERNAL_STRUCT, LEAF_STRUCT
+from repro.storage.layout import DiskLayout, INTERNAL_STRUCT, LEAF_STRUCT, check_block_size
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 
@@ -43,6 +43,7 @@ def build_disk_image(
     header is stored in block 0 of the file, so the image is self-describing
     apart from the sequence database itself).
     """
+    check_block_size(block_size)
     if isinstance(source, GeneralizedSuffixTree):
         tree = source
     else:

@@ -86,9 +86,6 @@ class DiskSuffixTree(SuffixTreeCursor):
     buffer_pool_bytes:
         Buffer pool capacity; the paper's experiments vary this from 32 MB to
         512 MB (Figure 7).
-    simulated_miss_latency:
-        Seconds charged per physical block read (see
-        :class:`repro.storage.BufferPool`).
     """
 
     def __init__(
@@ -96,8 +93,6 @@ class DiskSuffixTree(SuffixTreeCursor):
         path: PathLike,
         database: SequenceDatabase,
         buffer_pool_bytes: int = DEFAULT_BUFFER_POOL_BYTES,
-        simulated_miss_latency: float = 0.0,
-        sleep_on_miss: bool = False,
     ) -> None:
         database.freeze()
         self._database = database
@@ -120,8 +115,6 @@ class DiskSuffixTree(SuffixTreeCursor):
             self._file,
             capacity_bytes=buffer_pool_bytes,
             region_offsets=self.layout.region_offsets(),
-            simulated_miss_latency=simulated_miss_latency,
-            sleep_on_miss=sleep_on_miss,
         )
         # One past each terminal, ascending: suffix p ends at the first entry > p.
         self._sequence_ends = database.sequence_starts[1:] + [total]

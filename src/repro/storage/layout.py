@@ -61,6 +61,18 @@ class ImageFormatError(ValueError):
 _HEADER_MAGIC = b"OASISIDX"
 _HEADER_STRUCT = struct.Struct("<8sHIQQQQQQQ")
 
+#: The smallest block an image can have: block 0 holds the whole header.
+MIN_BLOCK_SIZE = _HEADER_STRUCT.size
+
+
+def check_block_size(block_size: int) -> None:
+    """Refuse (``ValueError``) a block too small to hold the image header."""
+    if block_size < MIN_BLOCK_SIZE:
+        raise ValueError(
+            f"block size {block_size} is below the minimum of {MIN_BLOCK_SIZE} bytes "
+            "(block 0 of an image holds its header)"
+        )
+
 
 @dataclass
 class DiskLayout:

@@ -99,7 +99,7 @@ class TestSearch:
 class TestOptionValuesAreUsageErrors:
     """A value the request rejects exits 2 in one line, before any index work."""
 
-    @pytest.mark.parametrize("shards", [[], ["--shards", "3"]], ids=["monolithic", "shards3"])
+    @pytest.mark.parametrize("source", ["--database", "--index"], ids=["monolithic", "index"])
     @pytest.mark.parametrize(
         "option",
         [
@@ -112,10 +112,10 @@ class TestOptionValuesAreUsageErrors:
         ],
         ids=" ".join,
     )
-    def test_bad_value_exits_2_without_a_traceback(self, tmp_path, capsys, option, shards):
-        # The database does not exist: reaching it would fail differently.
-        arguments = ["search", "--database", str(tmp_path / "never-read.fasta")]
-        code = main(arguments + ["--query", "MKVLAADTGLAV"] + option + shards)
+    def test_bad_value_exits_2_without_a_traceback(self, tmp_path, capsys, option, source):
+        # The input does not exist: reaching it would fail differently.
+        arguments = ["search", source, str(tmp_path / "never-read")]
+        code = main(arguments + ["--query", "MKVLAADTGLAV"] + option)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         (line,) = captured.err.splitlines()
@@ -237,76 +237,48 @@ class TestBatchSearch:
 
 
 class TestShardedSearch:
-    def test_search_with_in_memory_shards_matches_monolithic(
-        self, generated_files, capsys
-    ):
-        fasta, queries = generated_files
-        main(["search", "--database", str(fasta), "--queries", str(queries), "--min-score", "15"])
-        monolithic = capsys.readouterr().out.splitlines()
-        main(
-            [
-                "search",
-                "--database",
-                str(fasta),
-                "--queries",
-                str(queries),
-                "--shards",
-                "3",
-                "--min-score",
-                "15",
-            ]
-        )
-        sharded = capsys.readouterr().out.splitlines()
-        assert [line.split()[:3] for line in monolithic[1:6]] == [
-            line.split()[:3] for line in sharded[1:6]
-        ]
-
     def test_requires_database_or_index(self):
         with pytest.raises(SystemExit, match="--database or --index"):
             main(["search", "--query", "MKV", "--min-score", "15"])
 
-    def test_too_many_shards_is_a_clean_error(self, generated_files):
+    @pytest.mark.parametrize("source", ["--database", "--index"])
+    def test_search_takes_no_shards_flag(self, tmp_path, generated_files, capsys, source):
+        """Shards are laid out once, by ``index build``; a search only reads them."""
         fasta, _ = generated_files
+        target = fasta
+        if source == "--index":
+            target = tmp_path / "index"
+            assert main(["index", "build", "--database", str(fasta), "--output", str(target)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as raised:
+            main(["search", source, str(target), "--shards", "2", "--query", "MKVLAADTGLAV"])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --shards 2" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_too_many_shards_is_a_clean_error(self, tmp_path, generated_files):
+        fasta, _ = generated_files
+        build = ["index", "build", "--database", str(fasta), "--output", str(tmp_path / "i")]
         with pytest.raises(SystemExit, match="non-empty shards"):
-            main(
-                [
-                    "search",
-                    "--database",
-                    str(fasta),
-                    "--query",
-                    "MKV",
-                    "--shards",
-                    "5000",
-                    "--min-score",
-                    "15",
-                ]
-            )
+            main(build + ["--shards", "5000"])
 
 
 class TestBackendFlag:
     @pytest.mark.parametrize(
-        "source, backend",
-        [
-            ("--index", "threads:2"),
-            ("--index", "thread"),
-            ("--database", "threads"),
-            ("--database", "THREADS:4"),
-        ],
-        ids=["index", "index-thread", "database", "database-upper"],
+        "backend",
+        ["threads:2", "thread", "THREADS:4"],
+        ids=["index", "index-thread", "index-upper"],
     )
     def test_a_thread_scatter_exits_2_naming_the_two_forms(
-        self, tmp_path, generated_files, capsys, source, backend
+        self, tmp_path, generated_files, capsys, backend
     ):
         fasta, _ = generated_files
-        if source == "--index":
-            target = tmp_path / "index"
-            build = ["index", "build", "--database", str(fasta), "--output", str(target)]
-            assert main(build + ["--shards", "2"]) == 0
-            arguments = ["--index", str(target)]
-        else:
-            arguments = ["--database", str(fasta), "--shards", "2"]
+        target = tmp_path / "index"
+        build = ["index", "build", "--database", str(fasta), "--output", str(target)]
+        assert main(build + ["--shards", "2"]) == 0
         capsys.readouterr()
-        search = ["search", *arguments, "--query", "MKVLAADTGLAV", "--evalue", "20"]
+        search = ["search", "--index", str(target), "--query", "MKVLAADTGLAV", "--evalue", "20"]
         code = main(search + ["--backend", backend])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -315,44 +287,15 @@ class TestBackendFlag:
         assert "'serial'" in line and "'processes[:N]'" in line
         assert "Traceback" not in captured.err
 
-    def test_backend_with_single_shard_builds_sharded_engine(
-        self, generated_files, capsys
-    ):
-        fasta, queries = generated_files
-        code = main(
-            [
-                "search",
-                "--database",
-                str(fasta),
-                "--queries",
-                str(queries),
-                "--shards",
-                "1",
-                "--backend",
-                "serial",
-                "--min-score",
-                "15",
-            ]
-        )
-        assert code == 0
-        assert "1 shards" in capsys.readouterr().out
-
-    def test_backend_without_shards_is_a_clean_error(self, generated_files):
+    @pytest.mark.parametrize("backend", ["serial", "processes:2", "threads"])
+    def test_backend_without_index_exits_2_naming_index(self, generated_files, capsys, backend):
         fasta, _ = generated_files
-        with pytest.raises(SystemExit, match="--shards N or --index"):
-            main(
-                [
-                    "search",
-                    "--database",
-                    str(fasta),
-                    "--query",
-                    "MKV",
-                    "--backend",
-                    "threads:2",
-                    "--min-score",
-                    "15",
-                ]
-            )
+        search = ["search", "--database", str(fasta), "--query", "MKV", "--min-score", "15"]
+        code = main(search + ["--backend", backend])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-oasis search: error: ") and "--index" in line
 
     def test_unknown_backend_is_a_clean_error(self, generated_files):
         fasta, _ = generated_files
@@ -364,36 +307,12 @@ class TestBackendFlag:
                     str(fasta),
                     "--query",
                     "MKV",
-                    "--shards",
-                    "2",
                     "--backend",
                     "fibers:9",
                     "--min-score",
                     "15",
                 ]
             )
-
-    def test_process_backend_needs_persistent_index(self, generated_files, capsys):
-        fasta, _ = generated_files
-        code = main(
-            [
-                "search",
-                "--database",
-                str(fasta),
-                "--query",
-                "MKV",
-                "--shards",
-                "2",
-                "--backend",
-                "processes:2",
-                "--min-score",
-                "15",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("repro-oasis search: error: ") and "persistent" in line
 
 
 class TestIndexCommands:
@@ -526,23 +445,6 @@ class TestIndexCommands:
         assert [line.split()[:3] for line in monolithic[1:6]] == [
             line.split()[:3] for line in sharded[1:6]
         ]
-
-    def test_search_index_rejects_conflicting_shards(self, index_dir, generated_files):
-        _, queries = generated_files
-        with pytest.raises(SystemExit, match="conflicts with the catalog"):
-            main(
-                [
-                    "search",
-                    "--index",
-                    str(index_dir),
-                    "--queries",
-                    str(queries),
-                    "--shards",
-                    "2",
-                    "--min-score",
-                    "15",
-                ]
-            )
 
     def test_search_index_with_process_backend(self, index_dir, generated_files, capsys):
         fasta, queries = generated_files
@@ -715,8 +617,6 @@ class TestTelemetryFlags:
                 str(fasta),
                 "--queries",
                 str(queries),
-                "--shards",
-                "2",
                 "--min-score",
                 "15",
             ]
@@ -739,8 +639,6 @@ class TestTelemetryFlags:
                 str(fasta),
                 "--queries",
                 str(queries),
-                "--shards",
-                "2",
                 "--min-score",
                 "15",
             ]
@@ -756,6 +654,72 @@ class TestTelemetryFlags:
         assert "on disk:" in output
 
 
+class TestInputsAreUsageErrors:
+    """An input the command cannot use exits 2 in one line, creating nothing."""
+
+    @staticmethod
+    def one_error_line(capsys, command):
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro-oasis {command}: error: ")
+        return line
+
+    @pytest.mark.parametrize("block_size", ["0", "10", "64"])
+    def test_a_block_below_the_header_is_refused_before_any_directory(
+        self, tmp_path, generated_files, capsys, block_size
+    ):
+        fasta, _ = generated_files
+        output = tmp_path / "tiny-block.index"
+        build = ["index", "build", "--database", str(fasta), "--output", str(output)]
+        assert main(build + ["--block-size", block_size]) == 2
+        line = self.one_error_line(capsys, "index build")
+        assert f"block size {block_size} " in line and "minimum of 70 bytes" in line
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "command, arguments",
+        [
+            ("search", ["search", "--query", "MKV", "--database"]),
+            ("index build", ["index", "build", "--output", "{tmp}/index", "--database"]),
+            ("search", ["search", "--database", "{fasta}", "--queries"]),
+        ],
+        ids=["search-database", "index-build-database", "search-queries"],
+    )
+    def test_a_missing_input_file_is_named(
+        self, tmp_path, generated_files, capsys, command, arguments
+    ):
+        fasta, _ = generated_files
+        missing = tmp_path / "missing.txt"
+        arguments = [arg.format(tmp=tmp_path, fasta=fasta) for arg in arguments]
+        assert main(arguments + [str(missing)]) == 2
+        assert str(missing) in self.one_error_line(capsys, command)
+        assert not (tmp_path / "index").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--families", "-1", "non-negative"),
+            ("--singletons", "-2", "non-negative"),
+            ("--query-count", "0", "--query-count must be at least 1"),
+        ],
+    )
+    def test_a_bad_generate_count_is_one_line(self, tmp_path, capsys, flag, value, message):
+        output = tmp_path / "db.fasta"
+        queries = ["--queries", str(tmp_path / "q.txt")]
+        assert main(["generate", "--output", str(output), *queries, flag, value]) == 2
+        assert message in self.one_error_line(capsys, "generate")
+        assert not output.exists()
+
+    def test_an_unknown_scale_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["experiment", "space", "--scale", "gigantic"])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'gigantic'" in err and "'tiny'" in err
+        assert "Traceback" not in err
+
+
 class TestExperimentCommand:
     def test_runs_space_experiment(self, capsys):
         code = main(["experiment", "space", "--scale", "tiny"])
@@ -768,23 +732,30 @@ class TestExperimentCommand:
 
 
 class TestSlowLogAndMetrics:
-    def _search(self, fasta, queries, *extra):
+    @pytest.fixture
+    def sharded_files(self, tmp_path, generated_files):
+        """A 2-shard index and the queries: sharded runs have every phase."""
+        fasta, queries = generated_files
+        index = tmp_path / "index"
+        build = ["index", "build", "--database", str(fasta), "--output", str(index)]
+        assert main(build + ["--shards", "2"]) == 0
+        return index, queries
+
+    def _search(self, index, queries, *extra):
         return [
             "search",
-            "--database",
-            str(fasta),
+            "--index",
+            str(index),
             "--queries",
             str(queries),
-            "--shards",
-            "2",
             "--min-score",
             "15",
             *extra,
         ]
 
-    def test_slow_log_prints_phase_breakdown(self, generated_files, capsys):
-        fasta, queries = generated_files
-        code = main(self._search(fasta, queries, "--slow-log", "0"))
+    def test_slow_log_prints_phase_breakdown(self, sharded_files, capsys):
+        index, queries = sharded_files
+        code = main(self._search(index, queries, "--slow-log", "0"))
         assert code == 0
         err = capsys.readouterr().err
         assert "--- slow queries (>= 0s) ---" in err
@@ -793,29 +764,29 @@ class TestSlowLogAndMetrics:
         assert "shard" in err
         assert "scatter" in err
 
-    def test_unreachable_threshold_logs_nothing(self, generated_files, capsys):
-        fasta, queries = generated_files
-        code = main(self._search(fasta, queries, "--slow-log", "999"))
+    def test_unreachable_threshold_logs_nothing(self, sharded_files, capsys):
+        index, queries = sharded_files
+        code = main(self._search(index, queries, "--slow-log", "999"))
         assert code == 0
         assert "slow queries" not in capsys.readouterr().err
 
-    def test_negative_slow_log_rejected(self, generated_files):
-        fasta, queries = generated_files
+    def test_negative_slow_log_rejected(self, sharded_files):
+        index, queries = sharded_files
         with pytest.raises(SystemExit):
-            main(self._search(fasta, queries, "--slow-log", "-1"))
+            main(self._search(index, queries, "--slow-log", "-1"))
 
-    def test_metrics_dump_includes_histogram_quantiles(self, generated_files, capsys):
-        fasta, queries = generated_files
-        code = main(self._search(fasta, queries, "--workers", "2", "--metrics"))
+    def test_metrics_dump_includes_histogram_quantiles(self, sharded_files, capsys):
+        index, queries = sharded_files
+        code = main(self._search(index, queries, "--workers", "2", "--metrics"))
         assert code == 0
         err = capsys.readouterr().err
         assert "p50<=" in err
         assert "p99<=" in err
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux procfs")
-    def test_metrics_dump_includes_the_peak_rss(self, generated_files, capsys):
-        fasta, queries = generated_files
-        assert main(self._search(fasta, queries, "--metrics")) == 0
+    def test_metrics_dump_includes_the_peak_rss(self, sharded_files, capsys):
+        index, queries = sharded_files
+        assert main(self._search(index, queries, "--metrics")) == 0
         (line,) = [
             line
             for line in capsys.readouterr().err.splitlines()
@@ -864,10 +835,10 @@ class TestSlowLogAndMetrics:
         assert obs_main(["validate", str(trace)]) == 0
         assert "ok: " in capsys.readouterr().out
 
-    def test_stackprof_writes_collapsed_stacks(self, generated_files, tmp_path, capsys):
-        fasta, queries = generated_files
+    def test_stackprof_writes_collapsed_stacks(self, sharded_files, tmp_path, capsys):
+        index, queries = sharded_files
         profile = tmp_path / "search.collapsed"
-        code = main(self._search(fasta, queries, "--stackprof", str(profile), "--metrics"))
+        code = main(self._search(index, queries, "--stackprof", str(profile), "--metrics"))
         assert code == 0
         err = capsys.readouterr().err
         assert "stack samples" in err and "--- metrics ---" in err

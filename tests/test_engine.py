@@ -71,7 +71,7 @@ class TestOneSearchSurface:
     QUERY = "WKDDGNGYISAAE"
     OPTIONS = dict(min_score=20, max_results=5, compute_alignments=True)
 
-    @pytest.fixture(params=["memory", "disk", "sharded-build", "sharded-open"])
+    @pytest.fixture(params=["memory", "disk", "sharded-build-on-disk", "sharded-open"])
     def engine(self, request, tmp_path, small_protein_database, pam30_matrix, gap8):
         database = small_protein_database
         if request.param == "memory":
@@ -80,11 +80,12 @@ class TestOneSearchSurface:
             return OasisEngine.build_on_disk(
                 database, pam30_matrix, tmp_path / "index.oasis", gap_model=gap8, block_size=512
             )
-        if request.param == "sharded-build":
-            return ShardedEngine.build(database, pam30_matrix, gap8, shard_count=2)
-        ShardedEngine.build_on_disk(
+        built = ShardedEngine.build_on_disk(
             database, tmp_path / "index", pam30_matrix, gap8, shard_count=2, block_size=512
-        ).close()
+        )
+        if request.param == "sharded-build-on-disk":
+            return built
+        built.close()
         return ShardedEngine.open(tmp_path / "index")
 
     def test_every_entry_point_returns_the_same_hits(

@@ -87,7 +87,6 @@ def _callables_with_a_default_gap():
         "OasisSearch": OasisSearch.__init__,
         "ShardedIndexBuilder": ShardedIndexBuilder.__init__,
         "ShardedEngine": ShardedEngine.__init__,
-        "ShardedEngine.build": ShardedEngine.build,
         "ShardedEngine.build_on_disk": ShardedEngine.build_on_disk,
         "SmithWatermanAligner": SmithWatermanAligner.__init__,
         "BlastLikeSearch": BlastLikeSearch.__init__,

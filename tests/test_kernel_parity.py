@@ -287,8 +287,8 @@ class TestEngineParity:
         disk = OasisEngine.build_on_disk(
             database, matrix, tmp_path / "image.oasis", gap_model=gap_model, kernel=DEFAULT_KERNEL
         )
-        sharded = ShardedEngine.build(
-            database, matrix, gap_model, shard_count=3, kernel=DEFAULT_KERNEL
+        sharded = ShardedEngine.build_on_disk(
+            database, tmp_path / "index", matrix, gap_model, shard_count=3, kernel=DEFAULT_KERNEL
         )
         try:
             for query in queries[:3]:

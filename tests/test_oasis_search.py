@@ -209,7 +209,7 @@ class TestMoreColumnsThanResiduesWarning:
         assert result.columns_expanded <= 4 * database.total_symbols
         assert not self.warnings(caplog)
 
-    def test_the_benchmark_queries_never_trigger_it(self, caplog):
+    def test_the_benchmark_queries_never_trigger_it(self, caplog, tmp_path):
         import os
         import sys
 
@@ -227,7 +227,9 @@ class TestMoreColumnsThanResiduesWarning:
         dna_db = parse_fasta_text(dna.fasta, alphabet=DNA_ALPHABET)
         evalue = 20_000.0 * protein.residues / 40_000_000
         protein_gap, dna_gap = FixedGapModel(-8), FixedGapModel(-4)
-        sharded = ShardedEngine.build(protein_db, pam30(), protein_gap, shard_count=4)
+        sharded = ShardedEngine.build_on_disk(
+            protein_db, tmp_path / "index", pam30(), protein_gap, shard_count=4
+        )
         cases = [
             (OasisEngine.build(protein_db, pam30(), protein_gap), protein.queries, None),
             (sharded, protein.queries, None),
@@ -240,4 +242,5 @@ class TestMoreColumnsThanResiduesWarning:
                         engine.search(query, evalue=evalue)
                     else:
                         engine.search(query, min_score=max(16, int(dna_fraction * len(query))))
+        sharded.close()
         assert not self.warnings(caplog)

@@ -36,7 +36,7 @@ from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
-from repro.sharding import ShardedEngine
+from repro.sharding import ShardedEngine, ShardedIndexBuilder
 from repro.testing import AMINO_ACIDS, random_protein
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -60,6 +60,23 @@ def _database() -> SequenceDatabase:
         )
     texts.extend(random_protein(rng, rng.randint(20, 60)) for _ in range(3))
     return SequenceDatabase.from_texts(texts, alphabet=PROTEIN_ALPHABET, name="one-place")
+
+
+@pytest.fixture(scope="module")
+def open_sharded(tmp_path_factory):
+    """Open a sharded engine over ``_database()``; one index per shard count."""
+    root = tmp_path_factory.mktemp("one-place-indexes")
+    built = {}
+
+    def opened(shards: int) -> ShardedEngine:
+        if shards not in built:
+            built[shards] = root / f"index-{shards}"
+            ShardedIndexBuilder(pam30(), FixedGapModel(-8), shard_count=shards).build(
+                _database(), built[shards]
+            )
+        return ShardedEngine.open(built[shards])
+
+    return opened
 
 
 def _valid_recording(tracer: Tracer) -> Recording:
@@ -108,11 +125,9 @@ class TestDispatchSpans:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_each_query_and_each_shard_dispatch_is_a_span(self, shards, workers):
+    def test_each_query_and_each_shard_dispatch_is_a_span(self, open_sharded, shards, workers):
         tracer = Tracer()
-        with ShardedEngine.build(
-            _database(), pam30(), FixedGapModel(-8), shard_count=shards
-        ) as engine:
+        with open_sharded(shards) as engine:
             report = engine.search_many(
                 QUERIES, workers=workers, min_score=MIN_SCORE, tracer=tracer
             )
@@ -135,11 +150,9 @@ class TestDispatchSpans:
         assert {record.pid for record in _by_name(recording)["shard"]} != {os.getpid()}
 
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_a_streamed_query_is_one_span_over_its_shards(self, shards):
+    def test_a_streamed_query_is_one_span_over_its_shards(self, open_sharded, shards):
         tracer = Tracer()
-        with ShardedEngine.build(
-            _database(), pam30(), FixedGapModel(-8), shard_count=shards
-        ) as engine:
+        with open_sharded(shards) as engine:
             hits = list(engine.search_online(CORE, min_score=MIN_SCORE, tracer=tracer))
         spans = _by_name(_valid_recording(tracer))
         (query,) = spans["query"]
@@ -150,7 +163,9 @@ class TestDispatchSpans:
         )
 
     @pytest.mark.parametrize("engine_kind", ["memory", "disk", "sharded"])
-    def test_a_recording_of_a_real_search_round_trips_through_its_file(self, engine_kind, tmp_path):
+    def test_a_recording_of_a_real_search_round_trips_through_its_file(
+        self, open_sharded, engine_kind, tmp_path
+    ):
         database = _database()
         if engine_kind == "memory":
             engine = OasisEngine.build(database, pam30(), FixedGapModel(-8))
@@ -159,7 +174,7 @@ class TestDispatchSpans:
                 database, pam30(), tmp_path / "image.oasis", FixedGapModel(-8), block_size=512
             )
         else:
-            engine = ShardedEngine.build(database, pam30(), FixedGapModel(-8), shard_count=2)
+            engine = open_sharded(2)
         tracer = Tracer()
         with engine:
             engine.instrument(tracer)
@@ -178,11 +193,9 @@ class TestDispatchSpans:
 # --------------------------------------------------------------------- #
 class TestStopsAndFailures:
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_an_expired_deadline_marks_every_query_and_shard_span(self, shards):
+    def test_an_expired_deadline_marks_every_query_and_shard_span(self, open_sharded, shards):
         tracer = Tracer()
-        with ShardedEngine.build(
-            _database(), pam30(), FixedGapModel(-8), shard_count=shards
-        ) as engine:
+        with open_sharded(shards) as engine:
             report = engine.search_many(
                 QUERIES, workers=1, min_score=MIN_SCORE, timeout=1e-7, tracer=tracer
             )
@@ -213,11 +226,11 @@ class TestStopsAndFailures:
         assert tracer.metrics.counter("search.timeouts").value == len(QUERIES)
 
     @pytest.mark.parametrize("engine_kind", ["memory", "sharded"])
-    def test_a_cancelled_query_span_says_aborted(self, engine_kind):
+    def test_a_cancelled_query_span_says_aborted(self, open_sharded, engine_kind):
         if engine_kind == "memory":
             engine = OasisEngine.build(_database(), pam30(), FixedGapModel(-8))
         else:
-            engine = ShardedEngine.build(_database(), pam30(), FixedGapModel(-8), shard_count=2)
+            engine = open_sharded(2)
         cancel = threading.Event()
         cancel.set()
         tracer = Tracer()
@@ -266,14 +279,12 @@ class TestStopsAndFailures:
             assert query.attributes["error"] == "RuntimeError: unreadable node"
         assert len(spans["query"]) == len(QUERIES)
 
-    def test_a_failing_shard_is_the_error_span_under_its_query(self, monkeypatch):
+    def test_a_failing_shard_is_the_error_span_under_its_query(self, open_sharded, monkeypatch):
         def broken_siblings(_node):
             raise RuntimeError("unreadable node")
 
         tracer = Tracer()
-        with ShardedEngine.build(
-            _database(), pam30(), FixedGapModel(-8), shard_count=3
-        ) as engine:
+        with open_sharded(3) as engine:
             monkeypatch.setattr(engine.shards[1].cursor, "siblings", broken_siblings)
             report = engine.search_many([CORE], workers=1, min_score=MIN_SCORE, tracer=tracer)
         assert report.statistics.failed == 1
@@ -449,7 +460,6 @@ def _search(workload, *extra):
 
 CLI_RUNS = {
     "database": ((), 1),
-    "database, 2 shards": (("--shards", "2"), 2),
     "index, serial scatter": (("--backend", "serial"), 2),
     "index, default scatter, 2 workers": (("--index", "--workers", "2"), 2),
 }
@@ -475,7 +485,7 @@ def test_a_cli_trace_holds_a_span_per_query_and_dispatch(run, workload, tmp_path
 @pytest.mark.parametrize("sharded", [False, True], ids=["database", "2 shards"])
 def test_a_cli_timeout_is_in_the_trace_and_the_metrics(sharded, workload, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
-    extra = ("--shards", "2") if sharded else ()
+    extra = ("--index",) if sharded else ()
     flags = ("--timeout", "0.0000001", "--trace", str(trace), "--metrics")
     assert cli_main(_search(workload, *extra, *flags)) == 0
     err = capsys.readouterr().err

@@ -159,15 +159,15 @@ class TestExports:
 
     @pytest.mark.parametrize("shard_count", [2, 4])
     def test_a_sharded_search_profile_validates(
-        self, small_protein_database, pam30_matrix, gap8, shard_count
+        self, tmp_path, small_protein_database, pam30_matrix, gap8, shard_count
     ):
         """A real run, not a busy loop: searches scattered over the shards."""
         from repro.sharding import ShardedEngine
 
         tracer = Tracer()
         profiler = StackProfiler(tracer, interval=0.001)
-        with ShardedEngine.build(
-            small_protein_database, pam30_matrix, gap8, shard_count=shard_count
+        with ShardedEngine.build_on_disk(
+            small_protein_database, tmp_path / "index", pam30_matrix, gap8, shard_count=shard_count
         ) as engine:
             with profiler:
                 deadline = time.perf_counter() + 0.05

@@ -12,11 +12,13 @@ Covers the guarantees the serving layer depends on:
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.core.engine import OasisEngine
 from repro.parallel import BatchSearchExecutor, BatchSearchReport
+from repro.storage.buffer_pool import BufferPool
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 
@@ -200,22 +202,31 @@ class TestSearchMany:
     @pytest.mark.parametrize("buffer_pool_bytes", [512, 4096, 1 << 20])
     @pytest.mark.parametrize("workers", [2, 3, 4, 8])
     def test_disk_batch_matches_serial_loop_under_pool_pressure(
-        self, tmp_path, small_protein_database, pam30_matrix, gap8, workers, buffer_pool_bytes
+        self,
+        monkeypatch,
+        tmp_path,
+        small_protein_database,
+        pam30_matrix,
+        gap8,
+        workers,
+        buffer_pool_bytes,
     ):
         """E-value thresholds over one shared pool, from a single frame up.
 
-        Every miss sleeps, releasing the GIL, so the workers really do
-        interleave their page requests (and evictions) on the one pool.
+        Every miss sleeps before it reads (outside the pool lock, releasing
+        the GIL), so the workers really do interleave their page requests
+        (and evictions) on the one pool.
         """
+        read_physical = BufferPool._read_physical
+
+        def slow_read(pool, block):
+            time.sleep(1e-5)
+            return read_physical(pool, block)
+
+        monkeypatch.setattr(BufferPool, "_read_physical", slow_read)
         image = tmp_path / "index.oasis"
         build_disk_image(small_protein_database, image, block_size=512)
-        cursor = DiskSuffixTree(
-            image,
-            small_protein_database,
-            buffer_pool_bytes=buffer_pool_bytes,
-            simulated_miss_latency=1e-5,
-            sleep_on_miss=True,
-        )
+        cursor = DiskSuffixTree(image, small_protein_database, buffer_pool_bytes=buffer_pool_bytes)
         with OasisEngine(cursor, pam30_matrix, gap8) as disk_engine:
             queries = standard_workload(small_protein_database, count=12)
             serial = [disk_engine.search(q, evalue=10.0) for q in queries]

@@ -1,7 +1,7 @@
 """Tests for the sharded index subsystem (repro.sharding).
 
-The load-bearing property is *parity*: a ShardedEngine over any shard count,
-in-memory or disk-resident, must return exactly the hits -- identifiers,
+The load-bearing property is *parity*: a ShardedEngine over any shard count
+must return exactly the hits -- identifiers,
 scores, E-values and order -- of a monolithic OasisEngine over the same
 database.  Everything else (planner balance, catalog round-trips, fingerprint
 mismatches, per-shard statistics) supports that guarantee.
@@ -66,6 +66,20 @@ def monolithic(shard_database, pam30_matrix, gap8) -> OasisEngine:
     return OasisEngine.build(shard_database, matrix=pam30_matrix, gap_model=gap8)
 
 
+@pytest.fixture(scope="module")
+def index_directories(tmp_path_factory, shard_database, pam30_matrix, gap8):
+    """One persistent index per shard count, built once for the module."""
+    root = tmp_path_factory.mktemp("shard-indexes")
+    directories = {}
+    for shard_count in (1, 2, 4):
+        directory = root / f"index-{shard_count}"
+        ShardedIndexBuilder(pam30_matrix, gap8, shard_count=shard_count).build(
+            shard_database, directory
+        )
+        directories[shard_count] = str(directory)
+    return directories
+
+
 class TestShardPlanner:
     def test_contiguous_cover(self, shard_database):
         plan = ShardPlanner(4, by="residues").plan(shard_database)
@@ -95,9 +109,9 @@ class TestShardPlanner:
         plan = ShardPlanner(1).plan(shard_database)
         assert plan.specs[0].sequence_count == len(shard_database)
 
-    def test_sub_databases_share_records(self, shard_database):
+    def test_sliced_databases_share_records(self, shard_database):
         plan = ShardPlanner(2).plan(shard_database)
-        subs = plan.sub_databases(shard_database)
+        subs = [plan.slice_database(shard_database, spec) for spec in plan.specs]
         assert subs[0][0] is shard_database[0]
         assert subs[1][0] is shard_database[plan.specs[1].start_sequence]
 
@@ -110,53 +124,33 @@ class TestShardPlanner:
             ShardPlanner(2, by="vibes")
 
 
-class TestShardedParityInMemory:
-    @pytest.mark.parametrize("shard_count", [1, 2, 4])
-    def test_hits_identical_to_monolithic(
-        self, shard_database, monolithic, pam30_matrix, gap8, shard_count
-    ):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=shard_count
-        ) as sharded:
-            for query in QUERIES:
-                expected = monolithic.search(query, evalue=EVALUE)
-                got = sharded.search(query, evalue=EVALUE)
-                assert hit_signature(got.hits) == hit_signature(expected.hits)
+class TestShardedSearch:
+    """Merge, offsets and budgets of a sharded engine over the module's indexes."""
 
-    def test_min_score_parity(self, shard_database, monolithic, pam30_matrix, gap8):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=3
-        ) as sharded:
+    def test_min_score_parity(self, index_directories, monolithic):
+        with ShardedEngine.open(index_directories[4]) as sharded:
             expected = monolithic.search(QUERIES[0], min_score=20)
             got = sharded.search(QUERIES[0], min_score=20)
             assert hit_signature(got.hits) == hit_signature(expected.hits)
 
-    def test_threshold_uses_global_database_size(
-        self, shard_database, monolithic, pam30_matrix, gap8
-    ):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=4
-        ) as sharded:
+    def test_threshold_uses_global_database_size(self, index_directories, monolithic):
+        with ShardedEngine.open(index_directories[4]) as sharded:
             for shard in sharded.shards:
                 assert (
                     shard.min_score_for(QUERIES[0], EVALUE)
                     == monolithic.min_score_for(QUERIES[0], EVALUE)
                 )
 
-    def test_online_stream_matches_batch(self, shard_database, pam30_matrix, gap8):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=3
-        ) as sharded:
+    def test_online_stream_matches_batch(self, index_directories):
+        with ShardedEngine.open(index_directories[4]) as sharded:
             streamed = list(sharded.search_online(QUERIES[0], evalue=EVALUE))
             batch = sharded.search(QUERIES[0], evalue=EVALUE)
             assert hit_signature(streamed) == hit_signature(batch.hits)
             scores = [hit.score for hit in streamed]
             assert scores == sorted(scores, reverse=True)
 
-    def test_online_stream_can_be_abandoned(self, shard_database, pam30_matrix, gap8):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=3
-        ) as sharded:
+    def test_online_stream_can_be_abandoned(self, index_directories):
+        with ShardedEngine.open(index_directories[4]) as sharded:
             execution = sharded.execute(QUERIES[0], evalue=EVALUE)
             first = next(iter(execution))
             execution.close()
@@ -164,34 +158,25 @@ class TestShardedParityInMemory:
             # Statistics are finalised even for the abandoned shards.
             assert execution.statistics.columns_expanded > 0
 
-    def test_max_results_returns_global_top_k(
-        self, shard_database, monolithic, pam30_matrix, gap8
-    ):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=4
-        ) as sharded:
+    @pytest.mark.parametrize("shard_count", [1, 2, 4])
+    def test_max_results_returns_global_top_k(self, index_directories, monolithic, shard_count):
+        with ShardedEngine.open(index_directories[shard_count]) as sharded:
             full = monolithic.search(QUERIES[0], evalue=EVALUE)
             top3 = sharded.search(QUERIES[0], evalue=EVALUE, max_results=3)
             assert hit_signature(top3.hits) == hit_signature(full.hits)[:3]
 
-    def test_search_many_matches_serial(self, shard_database, monolithic, pam30_matrix, gap8):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=2
-        ) as sharded:
+    def test_search_many_matches_serial(self, index_directories, monolithic):
+        with ShardedEngine.open(index_directories[2]) as sharded:
             report = sharded.search_many(QUERIES, workers=2, evalue=EVALUE)
             for query, result in report:
                 expected = monolithic.search(query, evalue=EVALUE)
                 assert hit_signature(result.hits) == hit_signature(expected.hits)
 
-    def test_search_many_reports_per_shard_statistics(
-        self, shard_database, pam30_matrix, gap8
-    ):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=3
-        ) as sharded:
+    def test_search_many_reports_per_shard_statistics(self, index_directories):
+        with ShardedEngine.open(index_directories[4]) as sharded:
             report = sharded.search_many(QUERIES, workers=2, evalue=EVALUE)
             shards = report.statistics.shards
-            assert sorted(shards) == [0, 1, 2]
+            assert sorted(shards) == [0, 1, 2, 3]
             assert all(aggregate.queries == len(QUERIES) for aggregate in shards.values())
             assert sum(a.hits for a in shards.values()) == report.statistics.total_hits
             assert (
@@ -200,25 +185,19 @@ class TestShardedParityInMemory:
             )
             assert "shards" in report.format_summary()
 
-    def test_merged_result_carries_aggregated_statistics(
-        self, shard_database, pam30_matrix, gap8
-    ):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=3
-        ) as sharded:
+    def test_merged_result_carries_aggregated_statistics(self, index_directories):
+        with ShardedEngine.open(index_directories[4]) as sharded:
             result = sharded.search(QUERIES[0], evalue=EVALUE)
             rows = result.parameters["shard_stats"]
-            assert [row["shard"] for row in rows] == [0, 1, 2]
+            assert [row["shard"] for row in rows] == [0, 1, 2, 3]
             assert result.columns_expanded == sum(
                 row["columns_expanded"] for row in rows
             )
             assert result.statistics.columns_expanded == result.columns_expanded
             assert len(result) == sum(row["hits"] for row in rows)
 
-    def test_result_is_idempotent(self, shard_database, pam30_matrix, gap8):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=2
-        ) as sharded:
+    def test_result_is_idempotent(self, index_directories, shard_database):
+        with ShardedEngine.open(index_directories[2]) as sharded:
             execution = sharded.execute(QUERIES[0], evalue=EVALUE)
             first = execution.result()
             again = execution.result()
@@ -232,19 +211,13 @@ class TestShardedParityInMemory:
             ]
             assert identifiers == [hit.sequence_identifier for hit in first.hits]
 
-    def test_shard_stats_hits_reflect_merged_truncation(
-        self, shard_database, pam30_matrix, gap8
-    ):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=4
-        ) as sharded:
+    def test_shard_stats_hits_reflect_merged_truncation(self, index_directories):
+        with ShardedEngine.open(index_directories[4]) as sharded:
             result = sharded.search(QUERIES[0], evalue=EVALUE, max_results=3)
             rows = result.parameters["shard_stats"]
             assert sum(row["hits"] for row in rows) == len(result) == 3
 
-    def test_time_budget_is_shared_across_shards(
-        self, shard_database, pam30_matrix, gap8, monkeypatch
-    ):
+    def test_time_budget_is_shared_across_shards(self, index_directories, monkeypatch):
         """One absolute deadline is pinned on every shard before any runs."""
         pinned = []
         set_deadline = QueryExecution.set_deadline
@@ -254,31 +227,23 @@ class TestShardedParityInMemory:
             set_deadline(shard_execution, deadline)
 
         monkeypatch.setattr(QueryExecution, "set_deadline", recording)
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=3
-        ) as sharded:
+        with ShardedEngine.open(index_directories[4]) as sharded:
             execution = sharded.execute(QUERIES[0], evalue=EVALUE, time_budget=60.0)
             assert execution.executions == [] and pinned == []
             next(iter(execution))
             execution.close()
-            assert len(execution.executions) == len(pinned) == 3
+            assert len(execution.executions) == len(pinned) == 4
             assert set(pinned) == {execution.deadline} and execution.deadline is not None
 
-    def test_expired_budget_flags_timed_out(self, shard_database, pam30_matrix, gap8):
-        with ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=2
-        ) as sharded:
+    def test_expired_budget_flags_timed_out(self, index_directories):
+        with ShardedEngine.open(index_directories[2]) as sharded:
             result = sharded.execute(
                 QUERIES[0], evalue=EVALUE, time_budget=1e-9
             ).result()
             assert result.parameters.get("timed_out") is True
 
-    def test_result_after_close_raises_instead_of_leaking_a_pool(
-        self, shard_database, pam30_matrix, gap8
-    ):
-        sharded = ShardedEngine.build(
-            shard_database, pam30_matrix, gap8, shard_count=2
-        )
+    def test_result_after_close_raises_instead_of_leaking_a_pool(self, index_directories):
+        sharded = ShardedEngine.open(index_directories[2])
         execution = sharded.execute(QUERIES[0], evalue=EVALUE)
         sharded.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -460,7 +425,7 @@ class TestDeterministicTieOrdering:
         batch = engine.search("WKDDGNGYISAAE", min_score=20)
         assert hit_signature(streamed) == hit_signature(batch.hits)
 
-    def test_sharded_ties_merge_identically(self, pam30_matrix, gap8):
+    def test_sharded_ties_merge_identically(self, tmp_path, pam30_matrix, gap8):
         database = SequenceDatabase(alphabet=PROTEIN_ALPHABET, name="ties")
         body = "WKDDGNGYISAAEMKVLAADT"
         # Spread tied sequences across shards: contiguous split puts zulu and
@@ -468,8 +433,8 @@ class TestDeterministicTieOrdering:
         for identifier in ["zulu", "quebec", "alpha", "bravo"]:
             database.add_sequence(identifier, body)
         monolithic = OasisEngine.build(database, matrix=pam30_matrix, gap_model=gap8)
-        with ShardedEngine.build(
-            database, pam30_matrix, gap8, shard_count=2, by="sequences"
+        with ShardedEngine.build_on_disk(
+            database, tmp_path / "ties", pam30_matrix, gap8, shard_count=2, by="sequences"
         ) as sharded:
             expected = monolithic.search("WKDDGNGYISAAE", min_score=20)
             got = sharded.search("WKDDGNGYISAAE", min_score=20)

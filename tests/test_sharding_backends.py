@@ -30,6 +30,7 @@ from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder, shard_pool_budgets
 from repro.sharding.engine import check_scatter_backend
 from repro.sharding.remote import ShardSearchTask, run_shard_search
+from repro.storage.buffer_pool import BufferPool
 from repro.testing import random_protein
 
 QUERIES = ["WKDDGNGYISAAE", "MKVLAADT", "DKDGDGCITTKEL"]
@@ -116,28 +117,26 @@ class TestScatterBackendParity:
                 )
 
     @pytest.mark.parametrize("shard_count", [1, 2, 4])
-    def test_in_memory_scatter_matches_monolithic(
-        self, backend_database, pam30_matrix, gap8, expected_signatures, shard_count
-    ):
-        with ShardedEngine.build(
-            backend_database, pam30_matrix, gap8, shard_count=shard_count
-        ) as sharded:
-            assert sharded.backend_spec == "serial"
-            for query in QUERIES:
-                got = sharded.search(query, evalue=EVALUE)
-                assert hit_signature(got.hits) == expected_signatures[query]
-
-    @pytest.mark.parametrize("shard_count", [1, 2, 4])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_over_tight_pools_matches_monolithic(
-        self, index_directories, expected_signatures, backend, shard_count
+        self, monkeypatch, index_directories, expected_signatures, backend, shard_count
     ):
-        """One frame per shard and sleeping misses: every page is fought over."""
+        """One frame per shard and sleeping misses: every page is fought over.
+
+        The sleep (outside the pool lock, as a disk read would be) lets the
+        batch threads of this process interleave at every miss; worker
+        processes read without it.
+        """
+        read_physical = BufferPool._read_physical
+
+        def slow_read(pool, block):
+            time.sleep(1e-5)
+            return read_physical(pool, block)
+
+        monkeypatch.setattr(BufferPool, "_read_physical", slow_read)
         with ShardedEngine.open(
             index_directories[shard_count],
             buffer_pool_bytes=shard_count * BLOCK_SIZE,
-            simulated_miss_latency=1e-5,
-            sleep_on_miss=True,
             backend=backend,
         ) as sharded:
             report = sharded.search_many(QUERIES * 2, workers=2, evalue=EVALUE)
@@ -250,17 +249,8 @@ class TestSerialScatter:
     """The default scatter is the plain loop: each shard on the calling thread, in order."""
 
     @pytest.mark.parametrize("shard_count", [1, 2, 4])
-    @pytest.mark.parametrize("source", ["memory", "disk"])
     def test_every_shard_runs_on_the_calling_thread_in_order(
-        self,
-        monkeypatch,
-        index_directories,
-        backend_database,
-        pam30_matrix,
-        gap8,
-        expected_signatures,
-        source,
-        shard_count,
+        self, monkeypatch, index_directories, expected_signatures, shard_count
     ):
         ran = []
         result = QueryExecution.result
@@ -270,13 +260,7 @@ class TestSerialScatter:
             return result(execution)
 
         monkeypatch.setattr(QueryExecution, "result", recording)
-        if source == "disk":
-            sharded = ShardedEngine.open(index_directories[shard_count])
-        else:
-            sharded = ShardedEngine.build(
-                backend_database, pam30_matrix, gap8, shard_count=shard_count
-            )
-        with sharded:
+        with ShardedEngine.open(index_directories[shard_count]) as sharded:
             scattered = sharded.execute(QUERIES[0], evalue=EVALUE)
             got = scattered.result()
         assert hit_signature(got.hits) == expected_signatures[QUERIES[0]]
@@ -292,32 +276,24 @@ class TestScatterBackendForms:
     """A scatter is ``serial`` or ``processes[:N]``; threads ran slower than the loop."""
 
     @pytest.mark.parametrize(
-        "backend, persistent, kind",
+        "backend, kind",
         [
-            (None, False, "serial"),
-            ("serial", False, "serial"),
-            ("sync", True, "serial"),
-            (SerialBackend(), False, "serial"),
-            ("processes", True, "processes"),
-            ("procs:3", True, "processes"),
-            (BackendSpec("processes", 2), True, "processes"),
+            (None, "serial"),
+            ("serial", "serial"),
+            ("sync", "serial"),
+            (SerialBackend(), "serial"),
+            ("processes", "processes"),
+            ("procs:3", "processes"),
+            (BackendSpec("processes", 2), "processes"),
         ],
     )
-    def test_an_accepted_form_names_its_kind(self, backend, persistent, kind):
-        assert check_scatter_backend(backend, persistent) == kind
+    def test_an_accepted_form_names_its_kind(self, backend, kind):
+        assert check_scatter_backend(backend) == kind
 
-    @pytest.mark.parametrize(
-        "backend, persistent, message",
-        [
-            ("threads", True, BOTH_FORMS),
-            (BackendSpec("threads", 2), False, BOTH_FORMS),
-            ("processes:2", False, "persistent"),
-            (ProcessBackend(2), False, "persistent"),
-        ],
-    )
-    def test_a_refused_form_is_a_value_error(self, backend, persistent, message):
-        with pytest.raises(ValueError, match=message):
-            check_scatter_backend(backend, persistent)
+    @pytest.mark.parametrize("backend", ["threads", BackendSpec("threads", 2)])
+    def test_a_refused_form_is_a_value_error(self, backend):
+        with pytest.raises(ValueError, match=BOTH_FORMS):
+            check_scatter_backend(backend)
 
     @pytest.mark.parametrize("shard_count", [1, 2, 4])
     def test_a_bare_process_spec_gets_one_worker_per_shard(self, index_directories, shard_count):
@@ -349,22 +325,12 @@ class TestScatterBackendForms:
                     opened.gap_model,
                     catalog=opened.catalog,
                     directory=opened.directory,
+                    shard_buffer_bytes=opened.shard_buffer_bytes,
                     backend="threads:1",
                 )
 
 
 class TestProcessBackendFailurePaths:
-    def test_requires_a_persistent_index(self, backend_database, pam30_matrix, gap8):
-        with ShardedEngine.build(backend_database, pam30_matrix, gap8, shard_count=2) as memory:
-            with pytest.raises(ValueError, match="persistent"):
-                ShardedEngine(
-                    memory.shards,
-                    memory.database,
-                    memory.matrix,
-                    memory.gap_model,
-                    backend="processes:2",
-                )
-
     def test_process_backend_requires_bundled_fasta(
         self, tmp_path, backend_database, pam30_matrix, gap8
     ):
@@ -473,8 +439,8 @@ class TestProcessBackendFailurePaths:
             request=SearchRequest("wkddgngyisaae", min_score=20),
             deadline_epoch=time.time() - 1.0,
             buffer_pool_bytes=1 << 16,
-            simulated_miss_latency=0.0,
-            sleep_on_miss=False,
+            fingerprint={},
+            database_digest="",
         )
         result, spans, metrics = run_shard_search(task)
         assert result.hits == [] and result.query == "WKDDGNGYISAAE"
@@ -567,7 +533,7 @@ class TestBufferBudgeting:
         with ShardedEngine.open(
             index_directories[4], buffer_pool_bytes=2 * BLOCK_SIZE
         ) as sharded:
-            assert sharded.shard_buffer_bytes is not None
+            assert len(sharded.shard_buffer_bytes) == 4
             for shard, budget in zip(sharded.shards, sharded.shard_buffer_bytes):
                 assert budget >= BLOCK_SIZE
                 assert shard.cursor.pool.frame_count >= 1

@@ -64,8 +64,6 @@ def make_search_task(**overrides):
         request=RESOLVED,
         deadline_epoch=1_234.5,
         buffer_pool_bytes=1 << 16,
-        simulated_miss_latency=0.01,
-        sleep_on_miss=False,
         fingerprint={"matrix": "pam30", "gap": -8},
         database_digest="abc123",
     )

@@ -56,13 +56,12 @@ class TestBlockFile:
             assert handle.block_count == 4  # header + ceil(40/16)
 
 
-def make_pool(block_file, capacity_blocks, **kwargs):
+def make_pool(block_file, capacity_blocks):
     offsets = {Region.SYMBOLS: 0, Region.INTERNAL_NODES: 4, Region.LEAF_NODES: 7}
     return BufferPool(
         block_file,
         capacity_bytes=capacity_blocks * block_file.block_size,
         region_offsets=offsets,
-        **kwargs,
     )
 
 
@@ -129,13 +128,6 @@ class TestBufferPool:
         assert pool.statistics.misses == 3
         assert pool.statistics.hits == 12
 
-    def test_simulated_latency_accumulates(self, block_file):
-        pool = make_pool(block_file, 2, simulated_miss_latency=0.25)
-        pool.get_page(Region.SYMBOLS, 0)
-        pool.get_page(Region.SYMBOLS, 1)
-        pool.get_page(Region.SYMBOLS, 0)  # hit: no charge
-        assert pool.statistics.simulated_io_seconds == pytest.approx(0.5)
-
     def test_clear_drops_pages_keeps_statistics(self, block_file):
         pool = make_pool(block_file, 4)
         pool.get_page(Region.SYMBOLS, 0)
@@ -186,10 +178,6 @@ class TestBufferPool:
     def test_invalid_capacity(self, block_file):
         with pytest.raises(ValueError):
             make_pool(block_file, 0)
-
-    def test_invalid_latency(self, block_file):
-        with pytest.raises(ValueError):
-            make_pool(block_file, 2, simulated_miss_latency=-1.0)
 
     def test_minimum_one_frame(self, block_file):
         pool = BufferPool(
