@@ -7,8 +7,12 @@ the tiny scale exists to keep the test-suite fast, and ``benchmarks/`` prints
 the small/medium-scale results (README, "Tests and benchmarks").
 """
 
+import dataclasses
+import time
+
 import pytest
 
+from repro.core.engine import OasisEngine
 from repro.experiments import (
     available_scales,
     build_protein_dataset,
@@ -25,6 +29,7 @@ from repro.experiments import (
     table_space,
 )
 from repro.experiments.common import ExperimentConfig, clear_dataset_cache
+from repro.storage.disk_tree import DiskSuffixTree
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +169,44 @@ class TestFigure7And8:
 
     def test_index_size_recorded(self, figure7_result):
         assert figure7_result.index_size_bytes > 0
+
+    def test_simulated_io_is_misses_times_latency(self, tiny_config, tmp_path):
+        # Replay the sweep's searches on a fresh pool of each row's size and
+        # charge the misses by hand: the row must hold exactly that figure.
+        config = dataclasses.replace(tiny_config, simulated_miss_latency=0.25)
+        image = str(tmp_path / "figure7.oasis")
+        result = figure7.run(config, pool_fractions=(0.05, 1.0), query_limit=3, image_path=image)
+        dataset = build_protein_dataset(config)
+        queries = dataset.workload.texts()[:3]
+        evalue = config.effective_evalue(dataset.database_symbols)
+        for row in result.rows:
+            tree = DiskSuffixTree(image, dataset.database, buffer_pool_bytes=row.pool_bytes)
+            engine = OasisEngine(tree, dataset.matrix, dataset.gap_model, converter=dataset.converter)
+            for query in queries:
+                engine.search(query, evalue=evalue)
+            misses = tree.statistics.misses
+            tree.close()
+            assert misses > 0
+            assert row.mean_simulated_io_seconds == pytest.approx(misses * 0.25 / len(queries))
+
+    def test_the_simulated_io_is_charged_not_slept(self, tiny_config):
+        # An hour per miss: a sweep that slept would never finish.
+        config = dataclasses.replace(tiny_config, simulated_miss_latency=3600.0)
+        started = time.perf_counter()
+        result = figure7.run(config, pool_fractions=(0.05,), query_limit=2)
+        elapsed = time.perf_counter() - started
+        (row,) = result.rows
+        assert row.mean_simulated_io_seconds >= 3600.0 / 2
+        assert row.mean_total_seconds > elapsed
+        assert row.mean_compute_seconds < 3600.0
+
+    def test_no_latency_charges_no_io(self, tiny_config):
+        config = dataclasses.replace(tiny_config, simulated_miss_latency=0.0)
+        result = figure7.run(config, pool_fractions=(0.05,), query_limit=2)
+        (row,) = result.rows
+        assert row.mean_simulated_io_seconds == 0.0
+        assert row.mean_total_seconds == row.mean_compute_seconds
+        assert row.hit_ratio < 1.0
 
     def test_hit_ratios_increase_with_pool(self, figure8_result):
         small_pool, large_pool = figure8_result.rows

@@ -462,6 +462,7 @@ CLI_RUNS = {
     "database": ((), 1),
     "index, serial scatter": (("--backend", "serial"), 2),
     "index, default scatter, 2 workers": (("--index", "--workers", "2"), 2),
+    "index, process scatter": (("--backend", "processes:2"), 2),
 }
 
 

@@ -145,8 +145,11 @@ def in_process_engines(tmp_path, small_protein_database, pam30_matrix, gap8):
 @pytest.fixture
 def all_engines(in_process_engines, tmp_path):
     engines = dict(in_process_engines)
+    # The index reopened from its catalog alone, as ``search --index`` does.
+    engines["shards3-disk"] = ShardedEngine.open(tmp_path / "index3")
     engines["shards3-processes"] = ShardedEngine.open(tmp_path / "index3", backend="processes:2")
     yield engines
+    engines["shards3-disk"].close()
     engines["shards3-processes"].close()
 
 
@@ -205,7 +208,7 @@ def test_any_option_set_gets_one_answer_from_every_engine(in_process_engines, qu
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "name, built",
-    [("shards3-serial", 3), ("shards3-processes", 0)],
+    [("shards3-serial", 3), ("shards3-disk", 3), ("shards3-processes", 0)],
 )
 def test_a_scatter_builds_only_the_executions_it_runs(all_engines, monkeypatch, name, built):
     constructed = []

@@ -267,6 +267,25 @@ class TestSerialScatter:
         assert [thread for thread, _ in ran] == [threading.current_thread()] * shard_count
         assert [execution for _, execution in ran] == scattered.executions
 
+    def test_the_engine_build_on_disk_returns_scatters_serially(
+        self, monkeypatch, tmp_path, backend_database, pam30_matrix, gap8, expected_signatures
+    ):
+        ran = []
+        result = QueryExecution.result
+
+        def recording(execution):
+            ran.append(threading.current_thread())
+            return result(execution)
+
+        monkeypatch.setattr(QueryExecution, "result", recording)
+        with ShardedEngine.build_on_disk(
+            backend_database, tmp_path / "index", pam30_matrix, gap8, shard_count=2
+        ) as sharded:
+            assert sharded.backend_spec == "serial"
+            got = sharded.search(QUERIES[0], evalue=EVALUE)
+        assert hit_signature(got.hits) == expected_signatures[QUERIES[0]]
+        assert ran == [threading.current_thread()] * 2
+
 
 #: A thread scatter's refusal names the two forms a scatter accepts.
 BOTH_FORMS = r"'serial' or 'processes\[:N\]'"
@@ -290,7 +309,7 @@ class TestScatterBackendForms:
     def test_an_accepted_form_names_its_kind(self, backend, kind):
         assert check_scatter_backend(backend) == kind
 
-    @pytest.mark.parametrize("backend", ["threads", BackendSpec("threads", 2)])
+    @pytest.mark.parametrize("backend", ["threads", "threads:2", BackendSpec("threads", 2)])
     def test_a_refused_form_is_a_value_error(self, backend):
         with pytest.raises(ValueError, match=BOTH_FORMS):
             check_scatter_backend(backend)

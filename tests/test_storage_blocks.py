@@ -1,5 +1,7 @@
 """Unit tests for the block file and the clock buffer pool."""
 
+import time
+
 import pytest
 
 from repro.storage.blocks import BlockFile
@@ -174,6 +176,19 @@ class TestBufferPool:
         pool.get_page(Region.SYMBOLS, 0)
         snapshot = pool.statistics.snapshot()
         assert {"requests", "hits", "misses", "hit_ratio"} <= set(snapshot)
+
+    def test_a_miss_never_sleeps(self, block_file, monkeypatch):
+        # A miss is a read and a count: what it would cost on a 2003-era disk
+        # is the Figure 7 driver's to charge, never a sleep in the pool.
+        def no_sleep(seconds):
+            raise AssertionError(f"the pool slept {seconds} s on a miss")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        pool = make_pool(block_file, 2)
+        for block in (0, 1, 2, 0):
+            pool.get_page(Region.SYMBOLS, block)
+        assert pool.statistics.misses == 4
+        assert "simulated_io_seconds" not in pool.statistics.snapshot()
 
     def test_invalid_capacity(self, block_file):
         with pytest.raises(ValueError):
