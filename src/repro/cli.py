@@ -253,7 +253,7 @@ def _read_query_file(path: str) -> List[str]:
         queries = [line.strip() for line in handle]
     queries = [query for query in queries if query]
     if not queries:
-        raise SystemExit(f"no queries found in {path}")
+        raise ValueError(f"no queries found in {path}")
     return queries
 
 
@@ -294,26 +294,23 @@ def _fail(command: str, error: object) -> int:
     return 2
 
 
-def _parse_backend_arg(spec: Optional[str]):
-    """Validate a --backend spec early, with an argparse-friendly error."""
+def _parse_backend_arg(spec: Optional[str], expected: str):
+    """A --backend spec; a ``ValueError`` naming the ``expected`` forms if it is unknown."""
     if spec is None:
         return None
     from repro.exec import BackendSpec
 
-    try:
-        return BackendSpec.parse(spec)
-    except ValueError as error:
-        raise SystemExit(str(error))
+    return BackendSpec.parse(spec, expected=expected)
 
 
 def _parse_kernel_arg(name: Optional[str]) -> Optional[str]:
-    """Validate a --kernel name early, with an argparse-friendly error."""
+    """A --kernel name; a ``ValueError`` naming the kernels if it is unknown."""
     if name is None:
         return None
     from repro.core.kernels import available_kernels
 
     if name not in available_kernels():
-        raise SystemExit(
+        raise ValueError(
             f"unknown expansion kernel {name!r}; "
             f"available: {', '.join(available_kernels())}"
         )
@@ -328,10 +325,10 @@ def _build_search_engine(args: argparse.Namespace):
     engine and its tree builder on ``--database`` only (an ``--index``
     search loads neither the builder nor NumPy).
     """
-    backend = _parse_backend_arg(args.backend)
+    backend = _parse_backend_arg(args.backend, expected="'serial' or 'processes[:N]'")
     kernel = _parse_kernel_arg(args.kernel)
     if args.index is not None:
-        from repro.sharding import CatalogError, CatalogFormatError, ShardedEngine
+        from repro.sharding import ShardedEngine
 
         # A persistent catalog is authoritative for its own configuration:
         # only an *explicit* --matrix/--gap is checked against it, and the
@@ -339,23 +336,17 @@ def _build_search_engine(args: argparse.Namespace):
         matrix = load_matrix(args.matrix) if args.matrix is not None else None
         gap_model = FixedGapModel(args.gap) if args.gap is not None else None
         database = read_fasta(args.database) if args.database is not None else None
-        try:
-            engine = ShardedEngine.open(
-                args.index,
-                database=database,
-                matrix=matrix,
-                gap_model=gap_model,
-                backend=backend,
-                kernel=kernel,
-            )
-        except CatalogFormatError:
-            raise  # a stale index, like a stale image: _command_search's one-line exit 2
-        except CatalogError as error:
-            raise SystemExit(str(error))
-        return engine
+        return ShardedEngine.open(
+            args.index,
+            database=database,
+            matrix=matrix,
+            gap_model=gap_model,
+            backend=backend,
+            kernel=kernel,
+        )
 
     if args.database is None:
-        raise SystemExit("either --database or --index is required")
+        raise ValueError("either --database or --index is required")
     if backend is not None:
         raise ValueError(
             "--backend selects the scatter strategy of a sharded index; "
@@ -373,12 +364,14 @@ def _command_search(args: argparse.Namespace) -> int:
     if args.evalue is None and args.min_score is None:
         args.evalue = 10.0
     if args.workers < 1:
-        raise SystemExit("--workers must be at least 1")
+        return _fail("search", "--workers must be at least 1")
+    if args.slow_log is not None and args.slow_log < 0:
+        return _fail("search", "--slow-log must be non-negative")
     # Validate the workload before opening any index: a bad --queries path
     # must not leak opened shard cursors.
     try:
         queries = [args.query] if args.query is not None else _read_query_file(args.queries)
-    except OSError as error:
+    except (OSError, ValueError) as error:
         return _fail("search", error)
     # One request for the run (each query of a batch is this value with its
     # own text); an option it rejects is a usage error, not a traceback.
@@ -394,15 +387,13 @@ def _command_search(args: argparse.Namespace) -> int:
         from repro.obs import Tracer
 
         tracer = Tracer()
-    if args.slow_log is not None and args.slow_log < 0:
-        raise SystemExit("--slow-log must be non-negative")
 
     try:
         engine = _build_search_engine(args)
     except (OSError, ValueError) as error:
-        # An input that cannot be read, or an index this code cannot serve
-        # (written in another format, or not the image of its database),
-        # fails defined: never wrong hits.
+        # A bad option, an input that cannot be read, or an index this code
+        # cannot serve (no catalog, another configuration, another format,
+        # not the image of its database) fails defined: never wrong hits.
         return _fail("search", error)
     if tracer is not None:
         engine.instrument(tracer)
@@ -543,7 +534,7 @@ def _command_index_build(args: argparse.Namespace) -> int:
     from repro.sharding import ShardedIndexBuilder
 
     if args.shards < 1:
-        raise SystemExit("--shards must be at least 1")
+        return _fail("index build", "--shards must be at least 1")
     try:
         # The builder refuses a block size before anything is written.
         builder = ShardedIndexBuilder(
@@ -552,15 +543,14 @@ def _command_index_build(args: argparse.Namespace) -> int:
             shard_count=args.shards,
             by=args.by,
             block_size=args.block_size,
-            backend=_parse_backend_arg(args.backend),
+            backend=_parse_backend_arg(
+                args.backend, expected="'serial', 'threads[:N]' or 'processes[:N]'"
+            ),
         )
         database = read_fasta(args.database)
+        catalog = builder.build(database, args.output)
     except (OSError, ValueError) as error:
         return _fail("index build", error)
-    try:
-        catalog = builder.build(database, args.output)
-    except ValueError as error:
-        raise SystemExit(str(error))
     print(
         f"built {catalog.shard_count}-shard index for {len(database)} sequences "
         f"({database.total_symbols} residues) in {args.output}"
@@ -574,8 +564,8 @@ def _command_index_build(args: argparse.Namespace) -> int:
 
 
 def _command_index_info(args: argparse.Namespace) -> int:
-    from repro.sharding import CatalogError, CatalogFormatError, ShardCatalog
-    from repro.storage import DiskLayout, ImageFormatError
+    from repro.sharding import ShardCatalog
+    from repro.storage import DiskLayout
 
     try:
         catalog = ShardCatalog.load(args.directory)
@@ -583,10 +573,9 @@ def _command_index_info(args: argparse.Namespace) -> int:
             image_path = catalog.shard_image_path(args.directory, entry)
             if os.path.exists(image_path):
                 DiskLayout.read_header(image_path)
-    except (CatalogFormatError, ImageFormatError) as error:
+    except (OSError, ValueError) as error:
+        # No catalog, a stale format, an image that is not one: one line.
         return _fail("index info", error)
-    except CatalogError as error:
-        raise SystemExit(str(error))
     print(f"sharded index: {args.directory}")
     print(
         f"database: {catalog.database_name} ({catalog.sequence_count} sequences, "

@@ -97,15 +97,17 @@ class OasisEngine(SearchSurface):
     ) -> "OasisEngine":
         """Write the Section-3.4 disk image of the database, search through it.
 
-        This is the configuration the paper's buffer-pool experiments
-        (Figures 7-8) use: every node and symbol access during the search goes
-        through the buffer pool of the returned engine's cursor
-        (``buffer_pool_bytes=None`` takes
-        :data:`repro.storage.disk_tree.DEFAULT_BUFFER_POOL_BYTES`).  The
-        storage layer is imported here, so an in-memory engine never loads it.
+        The image is opened by the fit rule of
+        :func:`repro.storage.open_image` (``buffer_pool_bytes=None`` takes
+        :data:`repro.storage.image.DEFAULT_BUFFER_POOL_BYTES`): an image no
+        larger than the pool is read back into the in-memory tree, and only a
+        smaller pool puts every node and symbol access through the buffer
+        pool of a :class:`~repro.storage.DiskSuffixTree` -- the configuration
+        of the paper's buffer-pool experiments (Figures 7-8).  The storage
+        layer is imported here, so an in-memory engine never loads it.
         """
         from repro.storage.builder import build_disk_image
-        from repro.storage.disk_tree import DEFAULT_BUFFER_POOL_BYTES, DiskSuffixTree
+        from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES, open_image
 
         if buffer_pool_bytes is None:
             buffer_pool_bytes = DEFAULT_BUFFER_POOL_BYTES
@@ -116,8 +118,8 @@ class OasisEngine(SearchSurface):
             buffer_pool_bytes,
         )
         build_disk_image(database, image_path, block_size=block_size)
-        disk = DiskSuffixTree(image_path, database, buffer_pool_bytes=buffer_pool_bytes)
-        return cls(disk, matrix, gap_model, kernel=kernel)
+        cursor = open_image(image_path, database, buffer_pool_bytes)
+        return cls(cursor, matrix, gap_model, kernel=kernel)
 
     # ------------------------------------------------------------------ #
     # Searching

@@ -1,10 +1,11 @@
 """ShardedEngine: scatter-gather search over a persistent sharded index.
 
 Each shard is a full :class:`~repro.core.engine.OasisEngine` over its slice
-of the database: a disk image behind its own buffer pool, opened from the
-index directory's catalog by :meth:`ShardedEngine.open`.  A query is fanned
-out across the shards on the engine's scatter backend (``serial``, the default,
-or ``processes[:N]``) and the per-shard
+of the database: a disk image opened from the index directory's catalog by
+:meth:`ShardedEngine.open`, read into memory when it fits its share of the
+pool budget and searched through its own buffer pool when it does not.  A
+query is fanned out across the shards on the engine's scatter backend
+(``serial``, the default, or ``processes[:N]``) and the per-shard
 :class:`~repro.core.results.SearchResult` objects -- the same shape whether a
 shard ran on this thread or in a worker process -- are merged into one
 globally ordered result.
@@ -58,7 +59,7 @@ from repro.sharding.remote import (
     unsearched,
 )
 from repro.storage.blocks import BLOCK_SIZE_DEFAULT
-from repro.storage.disk_tree import DEFAULT_BUFFER_POOL_BYTES, DiskSuffixTree
+from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES, open_image
 
 PathLike = Union[str, os.PathLike]
 
@@ -516,7 +517,12 @@ class ShardedEngine(SearchSurface):
         count (a shard's index size and page working set both scale with its
         residues, so an even split starves big shards while small ones idle),
         with a floor of one frame (``block_size`` bytes) per shard so no pool
-        ever rounds down to zero frames.
+        ever rounds down to zero frames.  Each shard's image is opened by
+        :func:`repro.storage.open_image` with its share: an image that fits
+        is read into a :class:`~repro.suffixtree.GeneralizedSuffixTree`
+        (the default 256 MB does for any index this repository benchmarks),
+        and only a share smaller than its image gets a
+        :class:`~repro.storage.DiskSuffixTree` and a clock pool.
         """
         from repro.scoring.data import load_matrix
         from repro.sequences.fasta import read_fasta
@@ -569,10 +575,10 @@ class ShardedEngine(SearchSurface):
         shards: List[OasisEngine] = []
         try:
             for entry, shard_budget in zip(catalog.shards, shard_budgets):
-                cursor = DiskSuffixTree(
+                cursor = open_image(
                     catalog.shard_image_path(directory, entry),
                     slice_shard(database, entry),
-                    buffer_pool_bytes=shard_budget,
+                    shard_budget,
                 )
                 shards.append(
                     OasisEngine(

@@ -172,13 +172,15 @@ def _open_shard_search(task: ShardSearchTask) -> "OasisSearch":
         return cached
     from repro.core.oasis import OasisSearch
     from repro.sharding.catalog import slice_shard
-    from repro.storage.disk_tree import DiskSuffixTree
+    from repro.storage.image import open_image
 
     entry = catalog.shards[task.shard_index]
-    cursor = DiskSuffixTree(
+    # The parent's fit rule, with the parent's budget: a worker searches the
+    # same kind of tree as the in-process shard it stands in for.
+    cursor = open_image(
         catalog.shard_image_path(directory, entry),
         slice_shard(database, entry),
-        buffer_pool_bytes=task.buffer_pool_bytes,
+        task.buffer_pool_bytes,
     )
     # A bare OasisSearch, no SelectivityConverter: the request arrives
     # resolved, carrying the threshold and the global E-value inputs.

@@ -17,6 +17,12 @@ children and the sibling chain is gone.  The on-disk image is a real file; the
 buffer pool tracks hits and misses per region (the quantities plotted in
 Figures 7 and 8); the Figure 7 experiment charges a 2003-era disk latency per
 miss itself, since the OS page cache hides real read latency.
+
+The pool is only for an image that does not fit it.  :func:`open_image` is
+the one rule every engine opens an image by: an image no larger than its pool
+budget is read whole into the in-memory
+:class:`~repro.suffixtree.generalized.GeneralizedSuffixTree`, and only a
+smaller pool gets the :class:`DiskSuffixTree` and its clock pool.
 """
 
 from typing import TYPE_CHECKING
@@ -25,26 +31,21 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.storage.blocks import BlockFile, BLOCK_SIZE_DEFAULT
-    from repro.storage.buffer_pool import BufferPool, BufferPoolStatistics, Region
-    from repro.storage.layout import DiskLayout, ImageFormatError
+    from repro.storage.buffer_pool import BufferPool, BufferPoolStatistics
+    from repro.storage.layout import DiskLayout, ImageFormatError, Region
     from repro.storage.builder import build_disk_image
     from repro.storage.disk_tree import DiskSuffixTree
+    from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES, open_image
 else:
     __getattr__, __dir__ = lazy_exports(
         __name__,
         {
             "repro.storage.blocks": ("BlockFile", "BLOCK_SIZE_DEFAULT"),
-            "repro.storage.buffer_pool": (
-                "BufferPool",
-                "BufferPoolStatistics",
-                "Region",
-            ),
-            "repro.storage.layout": (
-                "DiskLayout",
-                "ImageFormatError",
-            ),
+            "repro.storage.buffer_pool": ("BufferPool", "BufferPoolStatistics"),
+            "repro.storage.layout": ("DiskLayout", "ImageFormatError", "Region"),
             "repro.storage.builder": ("build_disk_image",),
             "repro.storage.disk_tree": ("DiskSuffixTree",),
+            "repro.storage.image": ("DEFAULT_BUFFER_POOL_BYTES", "open_image"),
         },
     )
 
@@ -58,4 +59,6 @@ __all__ = [
     "ImageFormatError",
     "build_disk_image",
     "DiskSuffixTree",
+    "DEFAULT_BUFFER_POOL_BYTES",
+    "open_image",
 ]

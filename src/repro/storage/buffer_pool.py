@@ -29,7 +29,6 @@ module reproduces that component:
 
 from __future__ import annotations
 
-import enum
 import os
 import threading
 from bisect import bisect_right
@@ -41,20 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only (storage sits below obs)
     from repro.obs.trace import Tracer
 
 from repro.storage.blocks import BlockFile
+from repro.storage.layout import Region
 
 _Result = TypeVar("_Result")
 
 #: A page reader: yields the absolute block number of each page it needs, is
 #: sent that page's bytes, and returns its result (see :meth:`BufferPool.serve`).
 PageReader = Generator[int, bytes, _Result]
-
-
-class Region(enum.IntEnum):
-    """The three components of the suffix-tree disk image (Section 3.4)."""
-
-    SYMBOLS = 0
-    INTERNAL_NODES = 1
-    LEAF_NODES = 2
 
 
 def _per_region() -> List[int]:

@@ -26,9 +26,9 @@ reader stage, not one record, while misses and evictions are exactly those
 of reading record by record: a repeated request for the page just requested
 changes nothing in a clock pool.
 
-An image shorter than its header says is refused at open
-(:class:`~repro.storage.layout.ImageFormatError`): the builder writes whole
-blocks, so only a cut file is short.
+An image is refused at open by the checks the in-memory tree runs too
+(:func:`~repro.storage.layout.check_image`): another format, a cut file
+(:class:`~repro.storage.layout.ImageFormatError`) or another database.
 
 Node handles are small immutable tuples::
 
@@ -50,14 +50,14 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Tuple
 from repro.sequences.database import SequenceDatabase
 from repro.storage.blocks import BlockFile
 from repro.storage.buffer_pool import BufferPool, BufferPoolStatistics, PageReader
+from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES
 from repro.storage.layout import (
-    DiskLayout,
-    ImageFormatError,
     INTERNAL_STRUCT,
     LAST_SIBLING_BIT,
     LEAF_STRUCT,
     NO_POINTER,
     VALUE_MASK,
+    check_image,
 )
 from repro.suffixtree.cursor import Sibling, SuffixTreeCursor
 
@@ -66,14 +66,16 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only (storage sits below obs)
 
 PathLike = Union[str, os.PathLike]
 
-#: 256 MB: the paper's default buffer pool size (Section 4.2).
-DEFAULT_BUFFER_POOL_BYTES = 256 * 1024 * 1024
-
 NodeHandle = Tuple[str, int, int, int, int]
 
 
 class DiskSuffixTree(SuffixTreeCursor):
     """A read-only suffix tree backed by a Section-3.4 disk image.
+
+    The engines open one only for a pool smaller than its image
+    (:func:`repro.storage.open_image`); an image that fits its pool is read
+    into a :class:`~repro.suffixtree.generalized.GeneralizedSuffixTree`
+    instead.  Figures 7/8 construct it directly, to sweep the pool.
 
     Parameters
     ----------
@@ -96,28 +98,15 @@ class DiskSuffixTree(SuffixTreeCursor):
     ) -> None:
         database.freeze()
         self._database = database
-        self.layout = DiskLayout.read_header(path)
-        size = os.path.getsize(path)
-        if size < self.layout.index_size_bytes:
-            raise ImageFormatError(
-                f"suffix-tree image {os.fspath(path)} is {size} bytes, its header "
-                f"describes {self.layout.index_size_bytes}: the file is truncated; "
-                "rebuild the index"
-            )
+        self.layout = check_image(path, database)
         self._file = BlockFile(path, block_size=self.layout.block_size)
-        total = database.total_symbols_with_terminals
-        if self.layout.symbol_count != total:
-            raise ValueError(
-                "disk image does not match the database: "
-                f"{self.layout.symbol_count} symbols on disk vs {total} in the database"
-            )
         self.pool = BufferPool(
             self._file,
             capacity_bytes=buffer_pool_bytes,
             region_offsets=self.layout.region_offsets(),
         )
         # One past each terminal, ascending: suffix p ends at the first entry > p.
-        self._sequence_ends = database.sequence_starts[1:] + [total]
+        self._sequence_ends = database.sequence_starts[1:] + [self.layout.symbol_count]
         # Payload bytes of a record page (whole records; the rest is padding).
         self._internal_page_bytes = self.layout.internal_records_per_block * INTERNAL_STRUCT.size
         self._leaf_page_bytes = self.layout.leaf_records_per_block * LEAF_STRUCT.size

@@ -26,16 +26,23 @@ each the index of a run that ends at the record flagged "last sibling".  Its
 own flag is bit 31 of ``depth``, so a record is four 32-bit words: 16 bytes,
 128 to a 2 KB block with no padding.  Depths, symbol pointers and suffix
 starts are limited to 31 bits (:data:`VALUE_MASK`).
+
+Both trees open an image through :func:`check_image`, the one place an image
+is checked before it is searched; the in-memory tree then reads each record
+region whole (:meth:`DiskLayout.read_records`), the disk cursor page by page.
 """
 
 from __future__ import annotations
 
+import enum
 import os
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import BinaryIO, Dict, Union
 
-from repro.storage.buffer_pool import Region
+from repro.sequences.database import SequenceDatabase
 
 # The record words (last-sibling bit, value mask, "no such run"): the
 # in-memory tree decodes the same records, so they are defined below both.
@@ -52,6 +59,14 @@ FORMAT_VERSION = 2
 #: ``unpack_from`` on these.
 INTERNAL_STRUCT = struct.Struct("<IIII")
 LEAF_STRUCT = struct.Struct("<I")
+
+
+class Region(enum.IntEnum):
+    """The three components of the suffix-tree disk image (Section 3.4)."""
+
+    SYMBOLS = 0
+    INTERNAL_NODES = 1
+    LEAF_NODES = 2
 
 
 class ImageFormatError(ValueError):
@@ -146,6 +161,44 @@ class DiskLayout:
             Region.LEAF_NODES: self.leaves_start_block,
         }
 
+    def read_records(self, handle: BinaryIO, region: Region) -> array:
+        """A record region of the image open as ``handle``, as native ``array('I')`` words.
+
+        The inverse of :func:`repro.storage.build_disk_image`: whole records
+        per block, little-endian words.  When records fill their blocks (a
+        block size that is a multiple of the record size, 2048 by default)
+        the region is one ``fromfile``; otherwise it is one read, and each
+        block's padding is cut out.
+        """
+        start, count, record_size, per_block = {
+            Region.INTERNAL_NODES: (
+                self.internal_start_block,
+                self.internal_count,
+                INTERNAL_STRUCT.size,
+                self.internal_records_per_block,
+            ),
+            Region.LEAF_NODES: (
+                self.leaves_start_block,
+                self.leaf_slots,
+                LEAF_STRUCT.size,
+                self.leaf_records_per_block,
+            ),
+        }[region]
+        words = array("I")
+        payload = per_block * record_size
+        handle.seek(start * self.block_size)
+        if payload == self.block_size:
+            words.fromfile(handle, count * record_size // words.itemsize)
+        else:
+            data = handle.read(_ceil_div(count, per_block) * self.block_size)
+            blocks = range(0, len(data), self.block_size)
+            words.frombytes(
+                b"".join(data[offset : offset + payload] for offset in blocks)[: count * record_size]
+            )
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words
+
     # ------------------------------------------------------------------ #
     # Header serialization
     # ------------------------------------------------------------------ #
@@ -201,6 +254,32 @@ class DiskLayout:
             internal_start_block=internal_start,
             leaves_start_block=leaves_start,
         )
+
+
+def check_image(path: PathLike, database: SequenceDatabase) -> DiskLayout:
+    """The layout of the image at ``path``, once it is known to serve ``database``.
+
+    The one set of open checks both trees run on an image, whichever serves
+    it: the header's magic and format version, a file shorter than its header
+    says (:class:`ImageFormatError`, "truncated": the builder writes whole
+    blocks, so only a cut file is short) and a symbol count other than the
+    database's (``ValueError``).
+    """
+    layout = DiskLayout.read_header(path)
+    size = os.path.getsize(path)
+    if size < layout.index_size_bytes:
+        raise ImageFormatError(
+            f"suffix-tree image {os.fspath(path)} is {size} bytes, its header "
+            f"describes {layout.index_size_bytes}: the file is truncated; "
+            "rebuild the index"
+        )
+    total = database.total_symbols_with_terminals
+    if layout.symbol_count != total:
+        raise ValueError(
+            "disk image does not match the database: "
+            f"{layout.symbol_count} symbols on disk vs {total} in the database"
+        )
+    return layout
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:

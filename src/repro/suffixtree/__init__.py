@@ -8,10 +8,12 @@ database (Section 2.3 of the paper).  This package provides:
   array (vectorised rounds, then Kasai);
 * :mod:`repro.suffixtree.ukkonen` -- classic online Ukkonen construction for a
   single string (used to cross-validate the suffix-array construction);
+* :mod:`repro.suffixtree.build` -- ``sorted_suffixes`` and the record arrays
+  built from them, on NumPy (imported only to build a tree);
 * :mod:`repro.suffixtree.generalized` -- :class:`GeneralizedSuffixTree`, the
   tree of a :class:`~repro.sequences.SequenceDatabase` as the Section 3.4
-  record arrays (built from ``sorted_suffixes``), which the in-memory engine
-  searches and the disk image stores;
+  record arrays (built, or read back from a disk image), which the in-memory
+  engine searches and the disk image stores;
 * :mod:`repro.suffixtree.cursor` -- the cursor interface both trees implement.
 """
 

@@ -6,13 +6,17 @@ and enumerate the suffix positions below a node.  Expressing those operations
 as an abstract *cursor* lets the same search code run against
 
 * the in-memory tree (:class:`repro.suffixtree.GeneralizedSuffixTree`), which
-  holds the image's record arrays in memory, and
+  holds the image's record arrays in memory -- built from a database, or read
+  from a disk image whose pool budget it fits -- and
 * the disk-resident tree read through a buffer pool
-  (:class:`repro.storage.DiskSuffixTree`),
+  (:class:`repro.storage.DiskSuffixTree`), which serves only a pool smaller
+  than its image,
 
-which is exactly the split the paper's experiments need: algorithmic results
-use whichever is convenient, while the buffer-pool experiments (Figures 7-8)
-must go through the disk representation.
+which is the paper's Section 3.4 split: the record arrays are the index, and
+the pool is for when they do not fit.  :func:`repro.storage.open_image` picks
+between the two for every engine that opens an image; the buffer-pool
+experiments (Figures 7-8) construct the disk cursor themselves to sweep the
+pool.
 """
 
 from __future__ import annotations

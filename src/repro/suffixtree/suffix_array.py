@@ -4,7 +4,7 @@ The tree -- the record arrays the in-memory engine searches and the disk
 image stores -- is derived from the sorted order of all suffixes (the suffix
 array) and the longest-common-prefix lengths of neighbouring suffixes (the
 LCP array) by one rightmost-path stack pass;
-:func:`repro.suffixtree.generalized.sorted_suffixes` hands the builder the
+:func:`repro.suffixtree.build.sorted_suffixes` hands the builder the
 two arrays.
 
 :func:`build_suffix_array` ranks every suffix once.  The codes are dense-ranked

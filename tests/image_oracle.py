@@ -1,7 +1,7 @@
 """The object-tree image writer: the byte-identity oracle of ``build_disk_image``.
 
 Before the tree was built as flat record arrays straight from sorted suffixes
-and LCPs (:mod:`repro.suffixtree.generalized`), it was a tree of node objects,
+and LCPs (:mod:`repro.suffixtree.build`), it was a tree of node objects,
 and a level-order walk over it *was* the image builder.  Both are kept here,
 as the independent implementation the record arrays are compared against,
 byte for byte: :func:`object_tree` is the classic stack-based conversion of a
@@ -30,7 +30,7 @@ from repro.storage.layout import (
     NO_POINTER,
     VALUE_MASK,
 )
-from repro.suffixtree.generalized import sorted_suffixes
+from repro.suffixtree.build import sorted_suffixes
 
 PathLike = Union[str, os.PathLike]
 

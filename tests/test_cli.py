@@ -8,6 +8,15 @@ import pytest
 from repro.cli import main
 
 
+def one_error_line(capsys, command):
+    """The one ``repro-oasis COMMAND: error:`` line of a usage error, no traceback."""
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"repro-oasis {command}: error: ")
+    return line
+
+
 @pytest.fixture
 def generated_files(tmp_path):
     fasta = tmp_path / "proteins.fasta"
@@ -89,11 +98,16 @@ class TestSearch:
         assert outputs[0] == outputs[1] == outputs[2]
         assert "DP columns expanded" in outputs[0]
 
-    def test_unknown_kernel_lists_the_two_that_exist(self, generated_files):
+    def test_unknown_kernel_lists_the_two_that_exist(self, generated_files, capsys):
         fasta, _ = generated_files
-        with pytest.raises(SystemExit) as raised:
-            main(["search", "--database", str(fasta), "--query", "MKV", "--kernel", "batched"])
-        assert "available: reference, live" in str(raised.value)
+        search = ["search", "--database", str(fasta), "--query", "MKV", "--kernel", "batched"]
+        assert main(search) == 2
+        assert "available: reference, live" in one_error_line(capsys, "search")
+
+    def test_workers_below_one_is_one_line(self, generated_files, capsys):
+        fasta, _ = generated_files
+        assert main(["search", "--database", str(fasta), "--query", "MKV", "--workers", "0"]) == 2
+        assert "--workers must be at least 1" in one_error_line(capsys, "search")
 
 
 class TestOptionValuesAreUsageErrors:
@@ -195,12 +209,12 @@ class TestBatchSearch:
             line.split()[:3] for line in parallel[1:6]
         ]
 
-    def test_empty_query_file_rejected(self, tmp_path, generated_files):
+    def test_empty_query_file_rejected(self, tmp_path, generated_files, capsys):
         fasta, _ = generated_files
         empty = tmp_path / "empty.txt"
         empty.write_text("\n\n")
-        with pytest.raises(SystemExit):
-            main(["search", "--database", str(fasta), "--queries", str(empty)])
+        assert main(["search", "--database", str(fasta), "--queries", str(empty)]) == 2
+        assert f"no queries found in {empty}" in one_error_line(capsys, "search")
 
     def test_bad_query_reported_per_row_not_fatal(self, tmp_path, generated_files, capsys):
         fasta, queries = generated_files
@@ -237,9 +251,14 @@ class TestBatchSearch:
 
 
 class TestShardedSearch:
-    def test_requires_database_or_index(self):
-        with pytest.raises(SystemExit, match="--database or --index"):
-            main(["search", "--query", "MKV", "--min-score", "15"])
+    def test_requires_database_or_index(self, capsys):
+        assert main(["search", "--query", "MKV", "--min-score", "15"]) == 2
+        assert "--database or --index" in one_error_line(capsys, "search")
+
+    def test_an_index_that_does_not_exist_is_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "no-such.index"
+        assert main(["search", "--index", str(missing), "--query", "MKV"]) == 2
+        assert "no catalog.json" in one_error_line(capsys, "search")
 
     @pytest.mark.parametrize("source", ["--database", "--index"])
     def test_search_takes_no_shards_flag(self, tmp_path, generated_files, capsys, source):
@@ -257,11 +276,18 @@ class TestShardedSearch:
         assert "unrecognized arguments: --shards 2" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_too_many_shards_is_a_clean_error(self, tmp_path, generated_files):
+    def test_too_many_shards_is_a_clean_error(self, tmp_path, generated_files, capsys):
         fasta, _ = generated_files
         build = ["index", "build", "--database", str(fasta), "--output", str(tmp_path / "i")]
-        with pytest.raises(SystemExit, match="non-empty shards"):
-            main(build + ["--shards", "5000"])
+        assert main(build + ["--shards", "5000"]) == 2
+        assert "non-empty shards" in one_error_line(capsys, "index build")
+
+    def test_no_shards_is_a_clean_error(self, tmp_path, generated_files, capsys):
+        fasta, _ = generated_files
+        build = ["index", "build", "--database", str(fasta), "--output", str(tmp_path / "i")]
+        assert main(build + ["--shards", "0"]) == 2
+        assert "--shards must be at least 1" in one_error_line(capsys, "index build")
+        assert not (tmp_path / "i").exists()
 
 
 class TestBackendFlag:
@@ -297,22 +323,21 @@ class TestBackendFlag:
         (line,) = captured.err.splitlines()
         assert line.startswith("repro-oasis search: error: ") and "--index" in line
 
-    def test_unknown_backend_is_a_clean_error(self, generated_files):
+    def test_unknown_backend_is_a_clean_error(self, generated_files, capsys):
         fasta, _ = generated_files
-        with pytest.raises(SystemExit, match="unknown backend"):
-            main(
-                [
-                    "search",
-                    "--database",
-                    str(fasta),
-                    "--query",
-                    "MKV",
-                    "--backend",
-                    "fibers:9",
-                    "--min-score",
-                    "15",
-                ]
-            )
+        search = ["search", "--database", str(fasta), "--query", "MKV", "--min-score", "15"]
+        assert main(search + ["--backend", "fibers:9"]) == 2
+        line = one_error_line(capsys, "search")
+        # A scatter takes no threads, so the search names only its two forms.
+        assert "unknown backend 'fibers:9': expected 'serial' or 'processes[:N]'" in line
+        assert "threads" not in line
+
+    def test_unknown_build_backend_is_a_clean_error(self, tmp_path, generated_files, capsys):
+        fasta, _ = generated_files
+        build = ["index", "build", "--database", str(fasta), "--output", str(tmp_path / "i")]
+        assert main(build + ["--backend", "fibers:9"]) == 2
+        line = one_error_line(capsys, "index build")
+        assert "expected 'serial', 'threads[:N]' or 'processes[:N]'" in line
 
 
 class TestIndexCommands:
@@ -351,9 +376,9 @@ class TestIndexCommands:
         assert "shard-0002.oasis" in output
         assert "matrix=PAM30" in output
 
-    def test_info_rejects_non_index_directory(self, tmp_path):
-        with pytest.raises(SystemExit, match="catalog.json"):
-            main(["index", "info", str(tmp_path)])
+    def test_info_rejects_non_index_directory(self, tmp_path, capsys):
+        assert main(["index", "info", str(tmp_path)]) == 2
+        assert "catalog.json" in one_error_line(capsys, "index info")
 
     def test_non_ascii_identifier_survives_build_catalog_and_search(self, tmp_path, capsys):
         from repro.sharding import ShardCatalog
@@ -384,15 +409,19 @@ class TestIndexCommands:
                 handle.seek(8)
                 handle.write((1).to_bytes(2, "little"))
 
+    @pytest.mark.parametrize("pool_bytes", [None, 2048], ids=["fits", "tight"])
     @pytest.mark.parametrize("what", ["catalog", "image"])
-    def test_stale_index_is_a_typed_error_through_the_api(self, index_dir, what):
+    def test_stale_index_is_a_typed_error_through_the_api(self, index_dir, what, pool_bytes):
         from repro.sharding import CatalogError, ShardCatalog, ShardedEngine
         from repro.storage import ImageFormatError
 
         self.make_stale(index_dir, what)
         expected = CatalogError if what == "catalog" else ImageFormatError
+        # The default pool fits every image (read into memory); 2048 bytes
+        # is one block, below each (searched through the clock pool).
+        pool = {} if pool_bytes is None else {"buffer_pool_bytes": pool_bytes}
         with pytest.raises(expected, match="v1.*v2.*rebuild the index"):
-            ShardedEngine.open(index_dir)
+            ShardedEngine.open(index_dir, **pool)
         if what == "catalog":
             with pytest.raises(CatalogError, match="rebuild the index"):
                 ShardCatalog.load(index_dir)
@@ -415,6 +444,19 @@ class TestIndexCommands:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"repro-oasis {name}: error: ") and "rebuild the index" in line
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("pool_bytes", [None, 2048], ids=["fits", "tight"])
+    def test_truncated_image_is_a_typed_error_through_the_api(self, index_dir, pool_bytes):
+        from repro.sharding import ShardedEngine
+        from repro.storage import ImageFormatError
+
+        image = index_dir / "shard-0001.oasis"
+        size = image.stat().st_size
+        with open(image, "r+b") as handle:
+            handle.truncate(size - 2048)
+        pool = {} if pool_bytes is None else {"buffer_pool_bytes": pool_bytes}
+        with pytest.raises(ImageFormatError, match=f"{size - 2048} bytes.*describes {size}"):
+            ShardedEngine.open(index_dir, **pool)
 
     def test_truncated_image_exits_2_in_one_line(self, index_dir, capsys):
         image = index_dir / "shard-0001.oasis"
@@ -499,22 +541,15 @@ class TestIndexCommands:
         for name in ("shard-0000.oasis", "shard-0001.oasis"):
             assert (directory / name).read_bytes() == (serial / name).read_bytes()
 
-    def test_search_index_rejects_mismatched_config(self, index_dir, generated_files):
+    @pytest.mark.parametrize("option", [["--gap", "-4"], ["--matrix", "BLOSUM62"]])
+    def test_search_index_rejects_mismatched_config(
+        self, index_dir, generated_files, capsys, option
+    ):
         _, queries = generated_files
-        with pytest.raises(SystemExit, match="different configuration"):
-            main(
-                [
-                    "search",
-                    "--index",
-                    str(index_dir),
-                    "--queries",
-                    str(queries),
-                    "--gap",
-                    "-4",
-                    "--min-score",
-                    "15",
-                ]
-            )
+        capsys.readouterr()
+        search = ["search", "--index", str(index_dir), "--queries", str(queries)]
+        assert main(search + ["--min-score", "15", *option]) == 2
+        assert "different configuration" in one_error_line(capsys, "search")
 
 
 class TestTelemetryFlags:
@@ -657,14 +692,6 @@ class TestTelemetryFlags:
 class TestInputsAreUsageErrors:
     """An input the command cannot use exits 2 in one line, creating nothing."""
 
-    @staticmethod
-    def one_error_line(capsys, command):
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        (line,) = captured.err.splitlines()
-        assert line.startswith(f"repro-oasis {command}: error: ")
-        return line
-
     @pytest.mark.parametrize("block_size", ["0", "10", "64"])
     def test_a_block_below_the_header_is_refused_before_any_directory(
         self, tmp_path, generated_files, capsys, block_size
@@ -673,7 +700,7 @@ class TestInputsAreUsageErrors:
         output = tmp_path / "tiny-block.index"
         build = ["index", "build", "--database", str(fasta), "--output", str(output)]
         assert main(build + ["--block-size", block_size]) == 2
-        line = self.one_error_line(capsys, "index build")
+        line = one_error_line(capsys, "index build")
         assert f"block size {block_size} " in line and "minimum of 70 bytes" in line
         assert not output.exists()
 
@@ -693,7 +720,7 @@ class TestInputsAreUsageErrors:
         missing = tmp_path / "missing.txt"
         arguments = [arg.format(tmp=tmp_path, fasta=fasta) for arg in arguments]
         assert main(arguments + [str(missing)]) == 2
-        assert str(missing) in self.one_error_line(capsys, command)
+        assert str(missing) in one_error_line(capsys, command)
         assert not (tmp_path / "index").exists()
 
     @pytest.mark.parametrize(
@@ -708,7 +735,7 @@ class TestInputsAreUsageErrors:
         output = tmp_path / "db.fasta"
         queries = ["--queries", str(tmp_path / "q.txt")]
         assert main(["generate", "--output", str(output), *queries, flag, value]) == 2
-        assert message in self.one_error_line(capsys, "generate")
+        assert message in one_error_line(capsys, "generate")
         assert not output.exists()
 
     def test_an_unknown_scale_is_an_invalid_choice(self, capsys):
@@ -770,10 +797,11 @@ class TestSlowLogAndMetrics:
         assert code == 0
         assert "slow queries" not in capsys.readouterr().err
 
-    def test_negative_slow_log_rejected(self, sharded_files):
+    def test_negative_slow_log_rejected(self, sharded_files, capsys):
         index, queries = sharded_files
-        with pytest.raises(SystemExit):
-            main(self._search(index, queries, "--slow-log", "-1"))
+        capsys.readouterr()
+        assert main(self._search(index, queries, "--slow-log", "-1")) == 2
+        assert "--slow-log must be non-negative" in one_error_line(capsys, "search")
 
     def test_metrics_dump_includes_histogram_quantiles(self, sharded_files, capsys):
         index, queries = sharded_files

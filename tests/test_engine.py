@@ -43,7 +43,8 @@ class TestEngineConstruction:
             image_path=image,
             gap_model=gap8,
             block_size=512,
-            buffer_pool_bytes=8192,
+            # Below the image (11 blocks): the engine searches through the pool.
+            buffer_pool_bytes=2048,
         )
         assert isinstance(engine.cursor, DiskSuffixTree)
         memory_engine = OasisEngine.build(

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.suffixtree.generalized as generalized_module
+import repro.suffixtree.build as build_module
 from repro.cli import main
 from repro.core.engine import OasisEngine
 from repro.datagen import SwissProtLikeGenerator
@@ -32,13 +32,13 @@ from repro.suffixtree.generalized import GeneralizedSuffixTree
 def sorts(monkeypatch):
     """The databases ``sorted_suffixes`` was called on, in order."""
     calls = []
-    sort = generalized_module.sorted_suffixes
+    sort = build_module.sorted_suffixes
 
     def counting(database):
         calls.append(database)
         return sort(database)
 
-    monkeypatch.setattr(generalized_module, "sorted_suffixes", counting)
+    monkeypatch.setattr(build_module, "sorted_suffixes", counting)
     return calls
 
 
@@ -97,7 +97,7 @@ def test_build_memory_per_residue(tmp_path):
 
 class TestRefusals:
     def test_a_database_past_31_bit_pointers(self, monkeypatch, paper_database, tmp_path):
-        monkeypatch.setattr(generalized_module, "VALUE_MASK", paper_database.total_symbols)
+        monkeypatch.setattr(build_module, "VALUE_MASK", paper_database.total_symbols)
         with pytest.raises(ValueError, match="31-bit"):
             build_disk_image(paper_database, tmp_path / "image.oasis")
 
@@ -105,8 +105,8 @@ class TestRefusals:
         # "AC$" after "ACG$" with an LCP of 3: only possible when the
         # terminals were not told apart, which the builder must not swallow.
         with pytest.raises(ValueError, match="prefix of its predecessor"):
-            generalized_module._flat_tree(np.array([0, 4]), np.array([0, 3]), np.array([4, 7]))
+            build_module._flat_tree(np.array([0, 4]), np.array([0, 3]), np.array([4, 7]))
 
     def test_a_first_suffix_with_a_nonzero_lcp(self):
         with pytest.raises(ValueError, match="LCP 0"):
-            generalized_module._flat_tree(np.array([0]), np.array([1]), np.array([4]))
+            build_module._flat_tree(np.array([0]), np.array([1]), np.array([4]))

@@ -26,11 +26,8 @@ from image_oracle import naive_lcp, naive_suffix_array, write_image_from_object_
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
-from repro.suffixtree.generalized import (
-    GeneralizedSuffixTree,
-    construction_codes,
-    sorted_suffixes,
-)
+from repro.suffixtree.build import construction_codes, sorted_suffixes
+from repro.suffixtree.generalized import GeneralizedSuffixTree
 
 BLOCK_SIZES = (72, 256, 2048)
 

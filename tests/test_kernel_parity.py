@@ -304,7 +304,7 @@ class TestEngineParity:
                     assert actual == expected
                     assert result.statistics.kernel == DEFAULT_KERNEL
         finally:
-            disk.cursor.close()
+            disk.close()
             sharded.close()
 
     @pytest.mark.parametrize("seed", SEEDS)

@@ -32,6 +32,9 @@ from repro.testing import instrument_lock_order, random_protein
 QUERY = "WKDDGNGYISAAE"
 EVALUE = 1_000.0
 BLOCK_SIZE = 512
+#: Below every image here, so each engine searches through a clock pool and
+#: its lock: an image that fits its pool is read into memory, without one.
+TIGHT_POOL_BYTES = 2 * BLOCK_SIZE
 
 
 def make_locks(monitor, *names):
@@ -170,6 +173,7 @@ class TestEngineIntegration:
             str(tmp_path / "mono.oasis"),
             gap_model=gap8,
             block_size=BLOCK_SIZE,
+            buffer_pool_bytes=TIGHT_POOL_BYTES,
         )
         try:
             installed = instrument_lock_order(monitor, engine.cursor.pool)
@@ -245,7 +249,9 @@ class TestEngineIntegration:
         traffic from both paths.
         """
         monitor = LockOrderMonitor()
-        with ShardedEngine.open(sharded_directory, backend="processes:2") as engine:
+        with ShardedEngine.open(
+            sharded_directory, buffer_pool_bytes=TIGHT_POOL_BYTES, backend="processes:2"
+        ) as engine:
             pools = [shard.cursor.pool for shard in engine.shards]
             installed = instrument_lock_order(monitor, engine._backend, *pools)
             assert any("_pool_lock" in name for name in installed)
@@ -258,7 +264,9 @@ class TestEngineIntegration:
 
     def test_deliberate_abba_on_real_pool_locks_is_reported(self, sharded_directory):
         monitor = LockOrderMonitor()
-        with ShardedEngine.open(sharded_directory, backend="processes:2") as engine:
+        with ShardedEngine.open(
+            sharded_directory, buffer_pool_bytes=TIGHT_POOL_BYTES, backend="processes:2"
+        ) as engine:
             backend = engine._backend
             pool = engine.shards[0].cursor.pool
             instrument_lock_order(monitor, backend, pool)

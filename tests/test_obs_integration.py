@@ -35,6 +35,9 @@ SHARDS = 4
 QUERY = "WKDDGNGYISAAE"
 SECOND_QUERY = "MKVLAADTGLAV"
 MIN_SCORE = 40
+#: A budget below every shard image: each shard searches through its own
+#: clock pool (an image that fits is read into memory and has no pool).
+TIGHT_POOL_BYTES = 2048
 
 
 def _database() -> SequenceDatabase:
@@ -78,7 +81,9 @@ def _tree_parts(records):
 
 def test_process_scatter_emits_one_coherent_tree(index_dir, tmp_path):
     tracer = Tracer()
-    with ShardedEngine.open(index_dir, backend="processes:2") as engine:
+    with ShardedEngine.open(
+        index_dir, buffer_pool_bytes=TIGHT_POOL_BYTES, backend="processes:2"
+    ) as engine:
         engine.instrument(tracer)
         result = engine.search(QUERY, min_score=MIN_SCORE, tracer=tracer)
     assert len(result) >= 1
@@ -175,7 +180,9 @@ def test_every_span_of_a_traced_search_carries_its_phase(index_dir, backend):
     """The report has no name-based fallback: a span site that forgot to
     stamp ``phase`` would show up as an ``other`` row."""
     tracer = Tracer(io_spans=True)
-    with ShardedEngine.open(index_dir, backend=backend) as engine:
+    with ShardedEngine.open(
+        index_dir, buffer_pool_bytes=TIGHT_POOL_BYTES, backend=backend
+    ) as engine:
         engine.instrument(tracer)
         report = engine.search_many([QUERY], min_score=MIN_SCORE, tracer=tracer)
     assert not report.statistics.failed

@@ -37,6 +37,7 @@ from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder
+from repro.storage.disk_tree import DiskSuffixTree
 from repro.testing import AMINO_ACIDS, random_protein
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -318,20 +319,17 @@ class TestEvictionCounter:
     def test_the_counter_is_every_eviction_of_a_clock_pool(self, frames, tmp_path):
         block_size = 512
         image = tmp_path / "image.oasis"
+        database = _database()
         with OasisEngine.build_on_disk(
-            _database(), pam30(), image, FixedGapModel(-8), block_size=block_size
+            database, pam30(), image, FixedGapModel(-8), block_size=block_size
         ):
             pass
         pool_bytes = (frames or os.path.getsize(image) // block_size + 1) * block_size
         tracer = Tracer()
-        with OasisEngine.build_on_disk(
-            _database(),
-            pam30(),
-            tmp_path / "fresh.oasis",
-            FixedGapModel(-8),
-            block_size=block_size,
-            buffer_pool_bytes=pool_bytes,
-        ) as engine:
+        # The pool itself, at every size: an engine reads an image that fits
+        # its pool ("whole") into memory instead.
+        disk = DiskSuffixTree(image, database, buffer_pool_bytes=pool_bytes)
+        with OasisEngine(disk, pam30(), FixedGapModel(-8)) as engine:
             engine.instrument(tracer)
             report = engine.search_many(QUERIES, workers=1, min_score=MIN_SCORE, tracer=tracer)
             pool = engine.cursor.pool

@@ -10,11 +10,8 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
-from repro.suffixtree.generalized import (
-    GeneralizedSuffixTree,
-    construction_codes,
-    sorted_suffixes,
-)
+from repro.suffixtree.build import construction_codes, sorted_suffixes
+from repro.suffixtree.generalized import GeneralizedSuffixTree
 
 from repro.testing import random_dna, random_protein
 

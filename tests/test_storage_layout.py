@@ -14,6 +14,7 @@ from repro.storage.blocks import BlockFile
 from repro.storage.builder import build_disk_image
 from repro.storage.buffer_pool import BufferPool, Region
 from repro.storage.disk_tree import DiskSuffixTree
+from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES, open_image
 from repro.storage.layout import (
     FORMAT_VERSION,
     INTERNAL_STRUCT,
@@ -196,20 +197,45 @@ class TestDiskImageBuilder:
         assert 8.0 <= layout.bytes_per_symbol <= 30.0
 
 
-class TestDiskSuffixTree:
-    def test_rejects_mismatched_database(self, paper_image):
+#: Both trees that can serve an image: the pool of ``tight`` is one 256-byte
+#: block, below every image here; the default pool fits all of them.
+POOLS = {"fits": DEFAULT_BUFFER_POOL_BYTES, "tight": 256}
+
+
+class TestBrokenImages:
+    """A broken image is refused with the same error whichever tree would serve it."""
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_rejects_mismatched_database(self, paper_image, pool):
         path, _, _ = paper_image
         other = SequenceDatabase.from_texts(["ACGTACGT"], alphabet=DNA_ALPHABET)
-        with pytest.raises(ValueError):
-            DiskSuffixTree(path, other)
+        with pytest.raises(ValueError, match="does not match the database"):
+            open_image(path, other, POOLS[pool])
 
-    def test_rejects_an_image_of_another_format_version(self, paper_image, paper_database):
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_rejects_an_image_of_another_format_version(
+        self, paper_image, paper_database, pool
+    ):
         path, _, _ = paper_image
         with open(path, "r+b") as handle:
             handle.seek(8)  # the version field follows the 8-byte magic
             handle.write((1).to_bytes(2, "little"))
         with pytest.raises(ImageFormatError, match="rebuild the index"):
-            DiskSuffixTree(path, paper_database)
+            open_image(path, paper_database, POOLS[pool])
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_a_truncated_image_is_refused_at_open(self, tmp_path, small_dna_database, pool):
+        path = tmp_path / "cut.oasis"
+        layout = build_disk_image(small_dna_database, path, block_size=256)
+        assert path.stat().st_size == layout.index_size_bytes  # whole blocks only
+        with open(path, "r+b") as handle:
+            handle.truncate(layout.index_size_bytes - 256)
+        expected = f"{layout.index_size_bytes - 256} bytes.*describes {layout.index_size_bytes}"
+        with pytest.raises(ImageFormatError, match=expected):
+            open_image(path, small_dna_database, POOLS[pool])
+
+
+class TestDiskSuffixTree:
 
     def test_contains_and_occurrences_match_memory_tree(self, paper_image, paper_database):
         path, _, tree = paper_image
@@ -583,16 +609,6 @@ class TestPageAtATimeReadPath:
             assert statistics.hits < walker.pool.statistics.hits
         finally:
             engine.cursor.close()
-
-    def test_a_truncated_image_is_refused_at_open(self, tmp_path, small_dna_database):
-        path = tmp_path / "cut.oasis"
-        layout = build_disk_image(small_dna_database, path, block_size=256)
-        assert path.stat().st_size == layout.index_size_bytes  # whole blocks only
-        with open(path, "r+b") as handle:
-            handle.truncate(layout.index_size_bytes - 256)
-        expected = f"{layout.index_size_bytes - 256} bytes.*describes {layout.index_size_bytes}"
-        with pytest.raises(ImageFormatError, match=expected):
-            DiskSuffixTree(path, small_dna_database)
 
     def test_default_pool_holds_no_more_frames_than_the_image_has_blocks(
         self, tmp_path, small_dna_database

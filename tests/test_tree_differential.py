@@ -34,7 +34,8 @@ from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 from repro.suffixtree import generalized
-from repro.suffixtree.generalized import GeneralizedSuffixTree, construction_codes
+from repro.suffixtree.build import construction_codes
+from repro.suffixtree.generalized import GeneralizedSuffixTree
 from repro.suffixtree.ukkonen import UkkonenSuffixTree
 
 BLOCK_SIZES = (72, 256, 2048)
