@@ -294,15 +294,6 @@ def _fail(command: str, error: object) -> int:
     return 2
 
 
-def _parse_backend_arg(spec: Optional[str], expected: str):
-    """A --backend spec; a ``ValueError`` naming the ``expected`` forms if it is unknown."""
-    if spec is None:
-        return None
-    from repro.exec import BackendSpec
-
-    return BackendSpec.parse(spec, expected=expected)
-
-
 def _parse_kernel_arg(name: Optional[str]) -> Optional[str]:
     """A --kernel name; a ``ValueError`` naming the kernels if it is unknown."""
     if name is None:
@@ -325,7 +316,6 @@ def _build_search_engine(args: argparse.Namespace):
     engine and its tree builder on ``--database`` only (an ``--index``
     search loads neither the builder nor NumPy).
     """
-    backend = _parse_backend_arg(args.backend, expected="'serial' or 'processes[:N]'")
     kernel = _parse_kernel_arg(args.kernel)
     if args.index is not None:
         from repro.sharding import ShardedEngine
@@ -341,13 +331,14 @@ def _build_search_engine(args: argparse.Namespace):
             database=database,
             matrix=matrix,
             gap_model=gap_model,
-            backend=backend,
+            # Refused by the engine's own scatter check, as from the library.
+            backend=args.backend,
             kernel=kernel,
         )
 
     if args.database is None:
         raise ValueError("either --database or --index is required")
-    if backend is not None:
+    if args.backend is not None:
         raise ValueError(
             "--backend selects the scatter strategy of a sharded index; "
             "it needs --index DIR"
@@ -531,21 +522,20 @@ def _command_index(args: argparse.Namespace) -> int:
 
 
 def _command_index_build(args: argparse.Namespace) -> int:
+    from repro.exec import BackendSpec
     from repro.sharding import ShardedIndexBuilder
 
     if args.shards < 1:
         return _fail("index build", "--shards must be at least 1")
     try:
-        # The builder refuses a block size before anything is written.
+        # A bad block size or backend is refused before anything is written.
         builder = ShardedIndexBuilder(
             load_matrix(args.matrix),
             FixedGapModel(args.gap),
             shard_count=args.shards,
             by=args.by,
             block_size=args.block_size,
-            backend=_parse_backend_arg(
-                args.backend, expected="'serial', 'threads[:N]' or 'processes[:N]'"
-            ),
+            backend=BackendSpec.parse(args.backend) if args.backend is not None else None,
         )
         database = read_fasta(args.database)
         catalog = builder.build(database, args.output)

@@ -382,19 +382,16 @@ class BackendSpec:
             raise ValueError("the serial backend has exactly one worker")
 
     @classmethod
-    def parse(
-        cls, text: str, expected: str = "'serial', 'threads[:N]' or 'processes[:N]'"
-    ) -> "BackendSpec":
-        """Parse a spec string; an unknown kind is a ``ValueError`` naming ``expected``.
-
-        ``expected`` lets a caller that takes fewer kinds (a shard scatter
-        takes no threads) name only the forms it accepts.
-        """
+    def parse(cls, text: str) -> "BackendSpec":
+        """Parse a spec string; raises ``ValueError`` with the valid forms."""
         raw = str(text).strip().lower()
         kind_part, sep, workers_part = raw.partition(":")
         kind = _KIND_ALIASES.get(kind_part)
         if kind is None:
-            raise ValueError(f"unknown backend {text!r}: expected {expected}")
+            raise ValueError(
+                f"unknown backend {text!r}: expected 'serial', 'threads[:N]' "
+                "or 'processes[:N]'"
+            )
         workers: Optional[int] = None
         if sep:
             try:

@@ -344,11 +344,20 @@ def check_scatter_backend(backend: "Union[str, BackendSpec, ExecutionBackend, No
 
     A scatter is ``serial`` (the default) or ``processes[:N]``; a thread
     scatter lost to the serial loop on every index measured (the search holds
-    the interpreter lock), so it is refused.
+    the interpreter lock), so it is refused.  An unknown kind is refused
+    naming the two scatter forms; a bad worker count keeps the spec's own
+    message.
     """
     if backend is None:
         return "serial"
     if isinstance(backend, str):
+        try:
+            BackendSpec.parse(backend.partition(":")[0])
+        except ValueError:
+            raise ValueError(
+                f"unknown backend {backend!r}: a shard scatter runs "
+                "'serial' or 'processes[:N]'"
+            ) from None
         backend = BackendSpec.parse(backend)
     if backend.kind == "threads":
         raise ValueError(
@@ -522,7 +531,9 @@ class ShardedEngine(SearchSurface):
         is read into a :class:`~repro.suffixtree.GeneralizedSuffixTree`
         (the default 256 MB does for any index this repository benchmarks),
         and only a share smaller than its image gets a
-        :class:`~repro.storage.DiskSuffixTree` and a clock pool.
+        :class:`~repro.storage.DiskSuffixTree` and a clock pool.  A read
+        tree reads its records on first search, so on a ``processes``
+        scatter, whose workers search, this process reads none.
         """
         from repro.scoring.data import load_matrix
         from repro.sequences.fasta import read_fasta

@@ -21,8 +21,8 @@ miss itself, since the OS page cache hides real read latency.
 The pool is only for an image that does not fit it.  :func:`open_image` is
 the one rule every engine opens an image by: an image no larger than its pool
 budget is read whole into the in-memory
-:class:`~repro.suffixtree.generalized.GeneralizedSuffixTree`, and only a
-smaller pool gets the :class:`DiskSuffixTree` and its clock pool.
+:class:`~repro.suffixtree.generalized.GeneralizedSuffixTree` by the first
+search that needs it, and only a smaller pool gets the :class:`DiskSuffixTree` and its clock pool.
 """
 
 from typing import TYPE_CHECKING

@@ -4,7 +4,7 @@ Section 3.4 makes the three record arrays the index and puts a buffer pool in
 front of them only for when they do not fit in memory.  So an image that fits
 its pool budget is read whole into a
 :class:`~repro.suffixtree.generalized.GeneralizedSuffixTree` (no pool, no
-page decoding), and only a pool smaller than its image gets the clock pool
+page decoding) when a search first needs it, and only a pool smaller than its image gets the clock pool
 and the :class:`~repro.storage.disk_tree.DiskSuffixTree` in front of it.
 The disk cursor's module is imported only then.
 """

@@ -11,8 +11,9 @@ node objects.  The arrays come from one of two places:
   them into records (:mod:`repro.suffixtree.build`, on NumPy, imported only
   then);
 * :meth:`GeneralizedSuffixTree.from_image` reads them back from a disk image,
-  one read per region: what ``search --index`` does for every image that fits
-  its pool budget (:func:`repro.storage.open_image`).  This module loads
+  one read per region, when a search first needs them: what ``search
+  --index`` does for every image that fits its pool budget
+  (:func:`repro.storage.open_image`).  This module loads
   neither NumPy nor the suffix sorter.
 
 The class implements :class:`repro.suffixtree.cursor.SuffixTreeCursor` with
@@ -25,6 +26,7 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_right
+from functools import cached_property
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.sequences.database import SequenceDatabase
@@ -72,21 +74,21 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
     """
 
     def __init__(self, database: SequenceDatabase, internal_records: array, leaf_records: array):
+        self._attach(database)
+        self.internal_records = internal_records
+        self.leaf_records = leaf_records
+        self._kept: List[Optional[List[NodeHandle]]] = [None] * min(
+            KEPT_NODES, self.internal_node_count
+        )
+
+    def _attach(self, database: SequenceDatabase) -> None:
         database.freeze()
         self._database = database
-        #: The image's internal records, four words each, in level order:
-        #: depth | last-sibling bit, arc start, first internal child, first leaf.
-        self.internal_records = internal_records
-        #: The image's leaf records in parent order: suffix start | last-sibling bit.
-        self.leaf_records = leaf_records
         # Arc labels are slices of the concatenated codes: bytes, one code
         # per byte (the form the disk image stores).
         self._codes = database.concatenated_codes
         # One past each terminal, ascending: suffix p ends at the first entry > p.
         self._sequence_ends = database.sequence_starts[1:] + [len(self._codes)]
-        self._kept: List[Optional[List[NodeHandle]]] = [None] * min(
-            KEPT_NODES, self.internal_node_count
-        )
 
     @classmethod
     def build(cls, database: SequenceDatabase) -> "GeneralizedSuffixTree":
@@ -97,25 +99,51 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
 
     @classmethod
     def from_image(cls, path: PathLike, database: SequenceDatabase) -> "GeneralizedSuffixTree":
-        """The tree stored in the disk image at ``path``, read whole into memory.
+        """The tree stored in the disk image at ``path``, read whole on first use.
 
-        The image is refused as the disk cursor refuses it
+        The image is refused here as the disk cursor refuses it
         (:func:`repro.storage.layout.check_image`: another format, a cut
-        file, another database's symbol count), then its internal and leaf
-        regions are read into ``array('I')``, one read each.  Unlike a built
-        tree, a read tree keeps no decoded-children table: its memory is the
-        record arrays, which the pool budget of
-        :func:`repro.storage.open_image` bounds.
+        file, another database's symbol count).  Its internal and leaf
+        regions are read into ``array('I')``, one read each, when a search
+        first needs them, after the same checks again.  So an engine whose
+        shards search in worker processes holds no records of its own: only
+        the workers read them.  Unlike a built tree, a read tree keeps no
+        decoded-children table: its memory is the record arrays, which the
+        pool budget of :func:`repro.storage.open_image` bounds.
         """
-        from repro.storage.layout import Region, check_image
+        from repro.storage.layout import check_image
 
-        layout = check_image(path, database)
-        with open(path, "rb") as handle:
-            internal_records = layout.read_records(handle, Region.INTERNAL_NODES)
-            leaf_records = layout.read_records(handle, Region.LEAF_NODES)
-        tree = cls(database, internal_records, leaf_records)
+        check_image(path, database)
+        tree = cls.__new__(cls)
+        tree._attach(database)
+        tree._image = os.fspath(path)
         tree._kept = []
         return tree
+
+    @cached_property
+    def internal_records(self) -> array:
+        """The internal records, four words each, in level order.
+
+        Depth | last-sibling bit, arc start, first internal child, first
+        leaf.  A built tree sets them; a tree from an image reads them here.
+        """
+        from repro.storage.layout import Region
+
+        return self._read_region(Region.INTERNAL_NODES)
+
+    @cached_property
+    def leaf_records(self) -> array:
+        """The leaf records in parent order: suffix start | last-sibling bit."""
+        from repro.storage.layout import Region
+
+        return self._read_region(Region.LEAF_NODES)
+
+    def _read_region(self, region) -> array:
+        from repro.storage.layout import check_image
+
+        layout = check_image(self._image, self._database)
+        with open(self._image, "rb") as handle:
+            return layout.read_records(handle, region)
 
     # ------------------------------------------------------------------ #
     # Cursor interface

@@ -323,13 +323,18 @@ class TestBackendFlag:
         (line,) = captured.err.splitlines()
         assert line.startswith("repro-oasis search: error: ") and "--index" in line
 
-    def test_unknown_backend_is_a_clean_error(self, generated_files, capsys):
+    def test_unknown_backend_is_a_clean_error(self, tmp_path, generated_files, capsys):
         fasta, _ = generated_files
-        search = ["search", "--database", str(fasta), "--query", "MKV", "--min-score", "15"]
+        target = tmp_path / "index"
+        build = ["index", "build", "--database", str(fasta), "--output", str(target)]
+        assert main(build + ["--shards", "2"]) == 0
+        capsys.readouterr()
+        search = ["search", "--index", str(target), "--query", "MKV", "--min-score", "15"]
         assert main(search + ["--backend", "fibers:9"]) == 2
         line = one_error_line(capsys, "search")
-        # A scatter takes no threads, so the search names only its two forms.
-        assert "unknown backend 'fibers:9': expected 'serial' or 'processes[:N]'" in line
+        # The engine's scatter check refuses it, naming only the two scatter forms.
+        assert "unknown backend 'fibers:9'" in line
+        assert "a shard scatter runs 'serial' or 'processes[:N]'" in line
         assert "threads" not in line
 
     def test_unknown_build_backend_is_a_clean_error(self, tmp_path, generated_files, capsys):

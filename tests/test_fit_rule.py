@@ -6,7 +6,11 @@ share of the budget, a process worker's ``_open_shard_search`` with the share
 the parent sent, and ``OasisEngine.build_on_disk``.  A pool of exactly the
 image's size reads the tree; one byte less searches through the clock pool.
 The read tree must be the built tree, record for record, at block sizes with
-and without padding, and must keep no decoded-children table.
+and without padding, and must keep no decoded-children table.  It reads its
+records when a search first needs them, so an engine whose shards search in
+worker processes holds none; and an engine rebuilt around the cursors
+``ShardedEngine.open`` opened (as a timing proxy rebuilds it) returns the
+same hits and counters as the engine itself.
 """
 
 import os
@@ -17,6 +21,7 @@ import pytest
 
 import repro.sharding.remote as remote
 from repro.core.engine import OasisEngine
+from repro.core.evalue import SelectivityConverter
 from repro.core.request import SearchRequest
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
@@ -24,7 +29,8 @@ from repro.sharding import ShardedEngine, ShardedIndexBuilder, ShardSearchTask
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 from repro.storage.image import open_image
-from repro.storage.layout import Region
+from repro.storage.layout import ImageFormatError, Region
+from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 from repro.testing import random_dna, random_protein
 
@@ -174,3 +180,121 @@ def test_serial_and_process_scatters_agree(shard_index, pool_bytes):
             results.append((hit_list(result), result.statistics.columns_expanded))
     assert results[0] == results[1]
     assert results[0][0]
+
+
+class TestReadOnFirstUse:
+    def test_the_first_search_reads_the_records(self, tmp_path, small_protein_database):
+        built = GeneralizedSuffixTree.build(small_protein_database)
+        path = tmp_path / "image.oasis"
+        build_disk_image(built, path)
+        read = GeneralizedSuffixTree.from_image(path, small_protein_database)
+        assert "internal_records" not in vars(read) and "leaf_records" not in vars(read)
+        assert read.siblings(read.root) == built.siblings(built.root)
+        assert vars(read)["internal_records"] == built.internal_records
+        assert vars(read)["leaf_records"] == built.leaf_records
+
+    def test_a_file_cut_after_the_open_is_refused_at_first_use(
+        self, tmp_path, small_protein_database
+    ):
+        path = tmp_path / "image.oasis"
+        build_disk_image(small_protein_database, path, block_size=512)
+        read = GeneralizedSuffixTree.from_image(path, small_protein_database)
+        os.truncate(path, os.path.getsize(path) - 512)
+        with pytest.raises(ImageFormatError, match="truncated"):
+            read.siblings(read.root)
+
+    def test_a_process_scatter_reads_no_records_in_this_process(self, shard_index):
+        directory, _, _ = shard_index
+        with ShardedEngine.open(directory, backend="processes:2") as engine:
+            assert len(engine.search(QUERY, evalue=1_000.0)) > 0
+            for shard in engine.shards:
+                assert type(shard.cursor) is GeneralizedSuffixTree
+                assert "internal_records" not in vars(shard.cursor)
+            # The streaming path searches this process's shards: they read then.
+            assert list(engine.search_online(QUERY, evalue=1_000.0))
+            assert all("internal_records" in vars(shard.cursor) for shard in engine.shards)
+
+
+class Delegating(SuffixTreeCursor):
+    """A cursor that only forwards, the shape of a timing proxy."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def database(self):
+        return self.inner.database
+
+    @property
+    def root(self):
+        return self.inner.root
+
+    @property
+    def pool(self):
+        return getattr(self.inner, "pool", None)
+
+    def is_leaf(self, node):
+        return self.inner.is_leaf(node)
+
+    def children(self, node):
+        return self.inner.children(node)
+
+    def arc_symbols(self, node):
+        return self.inner.arc_symbols(node)
+
+    def sequences_below(self, node):
+        return self.inner.sequences_below(node)
+
+    def arc(self, node):
+        return self.inner.arc(node)
+
+    def string_depth(self, node):
+        return self.inner.string_depth(node)
+
+    def suffix_start(self, node):
+        return self.inner.suffix_start(node)
+
+    def leaf_positions(self, node):
+        return self.inner.leaf_positions(node)
+
+
+@pytest.mark.parametrize("pool_bytes", [None, 512], ids=["fits", "tight"])
+def test_an_engine_rebuilt_around_the_opened_cursors_counts_the_same(shard_index, pool_bytes):
+    """Hits and every counter, buffer-pool counters included, as the engine's own."""
+    directory, catalog, _ = shard_index
+    pool = {} if pool_bytes is None else {"buffer_pool_bytes": pool_bytes}
+
+    def outcome(engine):
+        result = engine.execute(QUERY, evalue=1_000.0).result()
+        counters = result.statistics.as_dict()
+        del counters["elapsed_seconds"]
+        return hit_list(result), counters
+
+    with ShardedEngine.open(directory, **pool) as plain:
+        converter = SelectivityConverter(
+            plain.matrix, plain.database, effective_database_size=plain.database.total_symbols
+        )
+        rebuilt = ShardedEngine(
+            [
+                OasisEngine(
+                    Delegating(shard.cursor), plain.matrix, plain.gap_model, converter=converter
+                )
+                for shard in plain.shards
+            ],
+            plain.database,
+            plain.matrix,
+            plain.gap_model,
+            converter=converter,
+            catalog=catalog,
+            directory=str(directory),
+            shard_buffer_bytes=plain.shard_buffer_bytes,
+        )
+        # Each engine runs the query twice on the same cursors: the second
+        # pass of each sees the same warm state.
+        outcome(plain)
+        expected = outcome(plain)
+        assert outcome(rebuilt) == expected
+        assert expected[0]
+        assert (expected[1]["buffer_misses"] + expected[1]["buffer_hits"] > 0) == (
+            pool_bytes is not None
+        )

@@ -314,6 +314,17 @@ class TestScatterBackendForms:
         with pytest.raises(ValueError, match=BOTH_FORMS):
             check_scatter_backend(backend)
 
+    @pytest.mark.parametrize("backend", ["bogus", "fibers:9"])
+    def test_an_unknown_kind_names_only_the_scatter_forms(self, index_directories, backend):
+        with pytest.raises(ValueError, match=BOTH_FORMS) as refused:
+            ShardedEngine.open(index_directories[2], backend=backend)
+        assert "unknown backend" in str(refused.value)
+        assert "threads" not in str(refused.value)
+
+    def test_a_bad_worker_count_keeps_its_own_message(self):
+        with pytest.raises(ValueError, match="bad worker count"):
+            check_scatter_backend("processes:x")
+
     @pytest.mark.parametrize("shard_count", [1, 2, 4])
     def test_a_bare_process_spec_gets_one_worker_per_shard(self, index_directories, shard_count):
         with ShardedEngine.open(index_directories[shard_count], backend="processes") as sharded:
