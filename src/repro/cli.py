@@ -12,14 +12,15 @@ Sub-commands
     loop for one worker, ``--workers N`` threads otherwise -- optionally with
     a per-query ``--timeout``.
     ``--database F`` builds one in-memory index over F; ``--index DIR``
-    searches a persistent sharded index built earlier, scatter-gather over
-    its shards, and ``--backend`` picks its scatter strategy (``serial``,
-    the default, or ``processes[:N]`` -- processes escape the GIL).
+    searches a persistent index built earlier, and ``--backend`` picks its
+    scatter strategy (``serial``, the default: one search of the whole tree,
+    or ``processes[:N]``: one task per root partition -- processes escape
+    the GIL).
 ``index``
-    Manage persistent sharded indexes: ``index build`` writes one disk image
-    per shard plus a self-describing catalog (``--backend threads:N`` /
-    ``processes:N`` fans the independent shard builds out), ``index info``
-    prints a catalog's layout.
+    Manage persistent indexes: ``index build`` writes one disk image of the
+    database plus a self-describing catalog that records ``--shards``, the
+    number of root partitions a process scatter searches side by side;
+    ``index info`` prints a catalog's layout.
 ``experiment``
     Run one of the paper's experiments (figure3 .. figure9, space) and print
     its table.
@@ -170,12 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     index_build.add_argument("--database", required=True, help="FASTA file to index")
     index_build.add_argument("--output", required=True, help="index directory to create")
-    index_build.add_argument("--shards", type=int, default=1, help="number of shards")
     index_build.add_argument(
-        "--by",
-        default="residues",
-        choices=("residues", "sequences"),
-        help="shard balancing criterion",
+        "--shards",
+        type=int,
+        default=1,
+        help="number of partitions of the tree's root children that a "
+        "process scatter searches side by side (the image is the same)",
     )
     index_build.add_argument(
         "--matrix",
@@ -188,13 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     index_build.add_argument(
         "--block-size", type=int, default=2048, help="disk-image block size in bytes"
-    )
-    index_build.add_argument(
-        "--backend",
-        default=None,
-        metavar="SPEC",
-        help="construction backend: serial (default), threads[:N] or "
-        "processes[:N] -- shard images are independent, so builds fan out",
     )
 
     index_info = index_commands.add_parser("info", help="describe a sharded index")
@@ -522,34 +516,26 @@ def _command_index(args: argparse.Namespace) -> int:
 
 
 def _command_index_build(args: argparse.Namespace) -> int:
-    from repro.exec import BackendSpec
     from repro.sharding import ShardedIndexBuilder
 
     if args.shards < 1:
         return _fail("index build", "--shards must be at least 1")
     try:
-        # A bad block size or backend is refused before anything is written.
+        # A bad block size or partition count is refused before anything is written.
         builder = ShardedIndexBuilder(
             load_matrix(args.matrix),
             FixedGapModel(args.gap),
             shard_count=args.shards,
-            by=args.by,
             block_size=args.block_size,
-            backend=BackendSpec.parse(args.backend) if args.backend is not None else None,
         )
         database = read_fasta(args.database)
         catalog = builder.build(database, args.output)
     except (OSError, ValueError) as error:
         return _fail("index build", error)
     print(
-        f"built {catalog.shard_count}-shard index for {len(database)} sequences "
-        f"({database.total_symbols} residues) in {args.output}"
+        f"built index of {len(database)} sequences ({database.total_symbols} "
+        f"residues, {catalog.partitions} partitions) in {args.output}"
     )
-    for entry in catalog.shards:
-        print(
-            f"  {entry.path}: sequences [{entry.start_sequence}, "
-            f"{entry.stop_sequence}), {entry.residues} residues"
-        )
     return 0
 
 
@@ -559,10 +545,9 @@ def _command_index_info(args: argparse.Namespace) -> int:
 
     try:
         catalog = ShardCatalog.load(args.directory)
-        for entry in catalog.shards:
-            image_path = catalog.shard_image_path(args.directory, entry)
-            if os.path.exists(image_path):
-                DiskLayout.read_header(image_path)
+        image_path = catalog.image_path(args.directory)
+        if os.path.exists(image_path):
+            DiskLayout.read_header(image_path)
     except (OSError, ValueError) as error:
         # No catalog, a stale format, an image that is not one: one line.
         return _fail("index info", error)
@@ -573,25 +558,19 @@ def _command_index_info(args: argparse.Namespace) -> int:
     )
     print(
         f"configuration: matrix={catalog.matrix_name}, gap={catalog.gap_penalty}, "
-        f"block_size={catalog.block_size}, balanced_by={catalog.balanced_by}"
+        f"block_size={catalog.block_size}"
     )
-    print(f"{'shard':20s} {'sequences':>18s} {'residues':>10s} {'size':>12s}")
-    total_bytes = 0
-    for entry in catalog.shards:
-        span = f"[{entry.start_sequence}, {entry.stop_sequence})"
-        image_path = catalog.shard_image_path(args.directory, entry)
-        try:
-            image_bytes = os.path.getsize(image_path)
-            total_bytes += image_bytes
-            size = f"{image_bytes:,d} B"
-        except OSError:
-            size = "missing"
-        print(f"{entry.path:20s} {span:>18s} {entry.residues:10d} {size:>12s}")
-    if total_bytes and catalog.total_residues:
-        print(
-            f"on disk: {total_bytes:,d} bytes total "
-            f"({total_bytes / catalog.total_residues:.1f} bytes/residue)"
-        )
+    print(f"partitions: {catalog.partitions}")
+    print(f"image: {catalog.shards[0].path}")
+    try:
+        image_bytes = os.path.getsize(image_path)
+    except OSError:
+        print("on disk: missing")
+        return 0
+    print(
+        f"on disk: {image_bytes:,d} bytes "
+        f"({image_bytes / max(catalog.total_residues, 1):.1f} bytes/residue)"
+    )
     return 0
 
 

@@ -54,8 +54,8 @@ logger = logging.getLogger(__name__)
 #: A query that expands more DP columns than this many per database residue
 #: is logged as a warning (never refused): a Smith-Waterman scan computes one
 #: column per residue.  With PAM30 and the default gap of -8, the benchmark's
-#: queries reach about 2 columns per residue in one tree and 3 per shard of a
-#: 4-shard index; at gap -1 or -2 most of them pass 4, some 20-70.
+#: queries reach about 2 columns per residue; at gap -1 or -2 most of them
+#: pass 4, some 20-70.
 _WARN_COLUMNS_PER_RESIDUE = 4
 
 
@@ -222,6 +222,10 @@ class QueryExecution:
         #: ``phase`` feeds the per-phase breakdown in ``repro.obs.analyze``:
         #: a standalone execution is pure DP expansion; coordinators relabel.
         self.trace_attributes: Dict[str, object] = {"phase": "expand"}
+        #: A partition of the tree (one task of a sharded process scatter):
+        #: the first symbols of the root children this execution searches,
+        #: ``None`` for all of them.  Set before iteration starts.
+        self.root_symbols: Optional[bytes] = None
         self._pool_start: Optional[tuple] = None
 
         self._cancel_event = cancel_event
@@ -346,6 +350,17 @@ class QueryExecution:
             # A frontier entry is the flat tuple described in
             # ``repro.core.search_node``; the root is entry number 0.
             queue = [(-root_bound, VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)]
+            if self.root_symbols is not None:
+                # A partition pops and expands the root here, over the
+                # children whose first symbol it owns, so that no node below
+                # the root pays for the filter.
+                if self._should_stop():
+                    return
+                statistics.max_queue_size = statistics.nodes_expanded = 1
+                symbols = self.root_symbols
+                owned = [child for child in siblings(cursor.root) if child[1][0] in symbols]
+                queue = kernel.expand_children(queue.pop(), owned, context)
+                heapq.heapify(queue)
             reported: Set[int] = set()
             emitted = 0
             sequence_count = len(database)

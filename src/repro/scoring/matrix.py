@@ -80,6 +80,27 @@ class SubstitutionMatrix:
 
         self._rows = rows
 
+    def __eq__(self, other: object) -> bool:
+        """Same name, alphabet and scores: a process worker's copy equals its original."""
+        if not isinstance(other, SubstitutionMatrix):
+            return NotImplemented
+        return (self.name, self.alphabet, self.default_mismatch, self._rows) == (
+            other.name,
+            other.alphabet,
+            other.default_mismatch,
+            other._rows,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.alphabet))
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A pickled matrix (a process task's) carries the rows, not the NumPy
+        # view: the worker rebuilds that on first use, if ever.
+        state = dict(vars(self))
+        state.pop("lookup", None)
+        return state
+
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #

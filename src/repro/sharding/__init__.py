@@ -1,20 +1,25 @@
-"""Sharded index subsystem: persistent multi-shard disk indexes.
+"""Sharded index subsystem: one persistent suffix tree, searched by root partitions.
 
-The pieces, bottom-up:
+The paper (Section 3.4.1) partitions *one* suffix tree by its root's
+children; so does this package.  A shard is a set of the root's children of
+one tree.  The pieces, bottom-up:
 
-* :class:`ShardPlanner` splits one :class:`~repro.sequences.SequenceDatabase`
-  into N contiguous, balanced sub-databases (by residues or sequence count);
-* :class:`ShardedIndexBuilder` builds one Section-3.4 disk image per shard
-  (straight from its sorted suffixes, on flat arrays) and writes a
-  self-describing
-  ``catalog.json`` manifest next to them;
-* :class:`ShardCatalog` is that manifest: shard paths, sequence-id ranges,
-  residue counts and the scoring-configuration fingerprint, with loud
-  :class:`CatalogMismatchError` failures instead of silently wrong results;
+* :class:`ShardedIndexBuilder` writes one Section-3.4 disk image of the
+  whole database (straight from its sorted suffixes, on flat arrays) and a
+  self-describing ``catalog.json`` next to it that records how many
+  partitions a process scatter splits the root into;
+* :class:`ShardCatalog` is that manifest: the image, the partition count,
+  the sequence and residue counts and the scoring-configuration fingerprint,
+  with loud :class:`CatalogMismatchError` / :class:`CatalogFormatError`
+  failures instead of silently wrong results;
 * :class:`ShardedEngine` opens a catalog and answers ``search`` /
-  ``search_online`` / ``search_many`` by scatter-gather over the shards,
-  producing results hit-for-hit identical to a monolithic
-  :class:`~repro.core.engine.OasisEngine` over the same database.
+  ``search_online`` / ``search_many`` with one search of the whole tree
+  (``serial``) or one task per partition (``processes[:N]``), hit-for-hit
+  identical to a monolithic :class:`~repro.core.engine.OasisEngine` over the
+  same database.
+
+:class:`ShardSpec` and :func:`shard_pool_budgets` stay until ROADMAP item 1
+moves ``bench_e2e``'s ``traced_engine`` onto the engine's own cursors.
 """
 
 from typing import TYPE_CHECKING
@@ -36,10 +41,11 @@ if TYPE_CHECKING:
     from repro.sharding.engine import (
         ShardedEngine,
         ShardedQueryExecution,
+        root_partitions,
         shard_pool_budgets,
     )
-    from repro.sharding.planner import ShardPlan, ShardPlanner, ShardSpec
-    from repro.sharding.remote import ShardBuildTask, ShardSearchTask
+    from repro.sharding.planner import ShardSpec
+    from repro.sharding.remote import ShardSearchTask
 else:
     __getattr__, __dir__ = lazy_exports(
         __name__,
@@ -58,10 +64,11 @@ else:
             "repro.sharding.engine": (
                 "ShardedEngine",
                 "ShardedQueryExecution",
+                "root_partitions",
                 "shard_pool_budgets",
             ),
-            "repro.sharding.planner": ("ShardPlan", "ShardPlanner", "ShardSpec"),
-            "repro.sharding.remote": ("ShardBuildTask", "ShardSearchTask"),
+            "repro.sharding.planner": ("ShardSpec",),
+            "repro.sharding.remote": ("ShardSearchTask",),
         },
     )
 
@@ -70,11 +77,8 @@ __all__ = [
     "CatalogError",
     "CatalogFormatError",
     "CatalogMismatchError",
-    "ShardBuildTask",
     "ShardCatalog",
     "ShardEntry",
-    "ShardPlan",
-    "ShardPlanner",
     "ShardSearchTask",
     "ShardSpec",
     "ShardedEngine",
@@ -82,5 +86,6 @@ __all__ = [
     "ShardedQueryExecution",
     "config_fingerprint",
     "database_digest",
+    "root_partitions",
     "shard_pool_budgets",
 ]

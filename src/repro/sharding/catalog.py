@@ -4,18 +4,16 @@ A sharded index lives in one directory::
 
     index-dir/
         catalog.json        <- this manifest
-        database.fasta      <- the indexed sequences (the images only store
-                               structure; sequence text travels with them)
-        shard-0000.oasis    <- Section-3.4 disk image of shard 0
-        shard-0001.oasis
-        ...
+        database.fasta      <- the indexed sequences (the image only stores
+                               structure; sequence text travels with it)
+        tree.oasis          <- Section-3.4 disk image of the one suffix tree
 
 ``catalog.json`` is what makes the directory self-describing: it records the
-shard layout (sequence-id ranges, residue counts), the block size and the
-scoring configuration the images were built with, so that a later process can
-reopen the index without rebuilding anything -- and refuses, loudly, to serve
-it with a different configuration (a search pruned with the wrong matrix or
-gap penalty would be silently wrong).
+image, the number of partitions a process scatter splits the tree's root
+into, the block size and the scoring configuration the image was built with,
+so that a later process can reopen the index without rebuilding anything --
+and refuses, loudly, to serve it with a different configuration (a search
+pruned with the wrong matrix or gap penalty would be silently wrong).
 """
 
 from __future__ import annotations
@@ -34,13 +32,19 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 PathLike = Union[str, os.PathLike]
 
 #: Bumped whenever the catalog schema or the image layout changes shape
-#: (2: the shard images are Section-3.4 format v2).  A catalog of any other
-#: version is refused on load: its images would be misread, not rejected.
-CATALOG_FORMAT_VERSION = 2
+#: (2: the images are Section-3.4 format v2; 3: one image of the whole
+#: database, split into root partitions at search time).  A catalog of any
+#: other version is refused on load: its images would be misread, not rejected.
+CATALOG_FORMAT_VERSION = 3
+
+#: A tree's root has at most one child per alphabet code (255 symbols plus
+#: the terminal), so more partitions than this could only be empty.
+MAX_PARTITIONS = 256
 
 #: File names inside a sharded index directory.
 CATALOG_FILENAME = "catalog.json"
 DATABASE_FILENAME = "database.fasta"
+IMAGE_FILENAME = "tree.oasis"
 
 
 class CatalogError(ValueError):
@@ -55,10 +59,20 @@ class CatalogMismatchError(CatalogError):
     """Raised when a catalog's configuration does not match the caller's."""
 
 
+def check_partitions(partitions: int) -> int:
+    """``partitions`` as an int, or a :class:`ValueError` outside 1..256."""
+    if not 1 <= partitions <= MAX_PARTITIONS:
+        raise ValueError(
+            f"the partition count must be between 1 and {MAX_PARTITIONS} (one "
+            f"per child of the tree's root at most), got {partitions}"
+        )
+    return int(partitions)
+
+
 def database_digest(database: SequenceDatabase) -> str:
     """Order-sensitive content digest of a database (identifiers + residues).
 
-    The shard images encode sequence *content and order*; counts alone cannot
+    The image encodes sequence *content and order*; counts alone cannot
     tell two same-size databases apart, and serving an index against the
     wrong (or reordered) FASTA silently mislabels every hit.  The digest is
     recorded at build time and re-checked on open.
@@ -72,29 +86,25 @@ def database_digest(database: SequenceDatabase) -> str:
     return digest.hexdigest()
 
 
-def shard_identifier(index: int) -> str:
-    """Stable shard name used for file naming (``shard-0003``)."""
-    return f"shard-{index:04d}"
-
-
 def slice_shard(
     database: SequenceDatabase, shard: Union["ShardEntry", "ShardSpec"]
 ) -> SequenceDatabase:
-    """One shard's sub-database (records are shared, not copied): the single
-    place that owns the slice + name convention, shared by the builder (fresh
-    plans) and by :meth:`~repro.sharding.ShardedEngine.open` and the process
-    workers (catalog entries)."""
+    """A catalog entry's sequences (records are shared, not copied).
+
+    Stays until ROADMAP item 1 moves ``bench_e2e``'s ``traced_engine`` onto
+    the engine's own cursors: the index's one entry spans the database.
+    """
     return SequenceDatabase(
         records=database.records[shard.start_sequence : shard.stop_sequence],
         alphabet=database.alphabet,
-        name=f"{database.name}/{shard_identifier(shard.index)}",
+        name=f"{database.name}/shard-{shard.index:04d}",
     )
 
 
 def config_fingerprint(matrix_name: str, gap_penalty: int, block_size: int) -> Dict[str, object]:
-    """The scoring/layout configuration a set of shard images was built with.
+    """The scoring/layout configuration an image was built with.
 
-    Everything that changes either the bytes of the images or the meaning of
+    Everything that changes either the bytes of the image or the meaning of
     a score threshold belongs here; opening a catalog with a different
     fingerprint raises :class:`CatalogMismatchError`.
     """
@@ -108,16 +118,21 @@ def config_fingerprint(matrix_name: str, gap_penalty: int, block_size: int) -> D
 
 @dataclass(frozen=True)
 class ShardEntry:
-    """Catalog row for one shard."""
+    """Catalog row for the index's one image.
+
+    A list of rows (:attr:`ShardCatalog.shards`) with sequence ranges stays
+    until ROADMAP item 1 moves ``bench_e2e``'s ``traced_engine`` onto the
+    engine's own cursors; the one row spans the whole database.
+    """
 
     index: int
     #: Image file name, relative to the catalog's directory.
     path: str
-    #: Global index of the shard's first sequence.
+    #: Global index of the image's first sequence (0).
     start_sequence: int
-    #: Number of sequences in the shard.
+    #: Number of sequences in the image (all of them).
     sequence_count: int
-    #: Total residues (no terminals) in the shard.
+    #: Total residues (no terminals) in the image.
     residues: int
 
     @property
@@ -132,15 +147,13 @@ class ShardCatalog:
     database_name: str
     sequence_count: int
     total_residues: int
-    balanced_by: str
     fingerprint: Dict[str, object]
     #: :func:`database_digest` of the indexed database at build time.
     database_digest: str = ""
+    #: How many sets of root children a process scatter searches side by side.
+    partitions: int = 1
+    #: The one image (a list until ROADMAP item 1; see :class:`ShardEntry`).
     shards: List[ShardEntry] = field(default_factory=list)
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
 
     @property
     def block_size(self) -> int:
@@ -158,24 +171,13 @@ class ShardCatalog:
     # Validation
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        """Check internal consistency (shard ranges tile the database)."""
-        if not self.shards:
-            raise CatalogError("catalog lists no shards")
-        expected_start = 0
-        for entry in sorted(self.shards, key=lambda e: e.index):
-            if entry.start_sequence != expected_start:
-                raise CatalogError(
-                    f"shard {entry.index} starts at sequence {entry.start_sequence}, "
-                    f"expected {expected_start}: shard ranges must tile the database"
-                )
-            if entry.sequence_count < 1:
-                raise CatalogError(f"shard {entry.index} is empty")
-            expected_start = entry.stop_sequence
-        if expected_start != self.sequence_count:
-            raise CatalogError(
-                f"shard ranges cover {expected_start} sequences, "
-                f"catalog declares {self.sequence_count}"
-            )
+        """Check internal consistency: one image, a partition count in range."""
+        if len(self.shards) != 1:
+            raise CatalogError(f"catalog lists {len(self.shards)} images, not one")
+        try:
+            check_partitions(self.partitions)
+        except ValueError as error:
+            raise CatalogError(str(error)) from None
 
     def check_fingerprint(self, expected: Dict[str, object]) -> None:
         """Raise :class:`CatalogMismatchError` unless configurations agree."""
@@ -227,9 +229,9 @@ class ShardCatalog:
             "database_name": self.database_name,
             "sequence_count": self.sequence_count,
             "total_residues": self.total_residues,
-            "balanced_by": self.balanced_by,
             "fingerprint": self.fingerprint,
             "database_digest": self.database_digest,
+            "partitions": self.partitions,
             "shards": [asdict(entry) for entry in self.shards],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -240,24 +242,29 @@ class ShardCatalog:
             payload = json.loads(text)
         except json.JSONDecodeError as error:
             raise CatalogError(f"catalog is not valid JSON: {error}") from error
+        # The version first: an older layout lacks fields this one requires.
+        try:
+            version = dict(payload["fingerprint"]).get("format_version")
+        except (KeyError, TypeError, ValueError) as error:
+            raise CatalogError(f"catalog is missing required fields: {error}") from error
+        if version != CATALOG_FORMAT_VERSION:
+            raise CatalogFormatError(
+                f"sharded index is format v{version}, this code reads only "
+                f"v{CATALOG_FORMAT_VERSION}: rebuild the index with "
+                "`repro-oasis index build`"
+            )
         try:
             catalog = cls(
                 database_name=payload["database_name"],
                 sequence_count=int(payload["sequence_count"]),
                 total_residues=int(payload["total_residues"]),
-                balanced_by=payload.get("balanced_by", "residues"),
                 fingerprint=dict(payload["fingerprint"]),
                 database_digest=str(payload.get("database_digest", "")),
+                partitions=int(payload["partitions"]),
                 shards=[ShardEntry(**entry) for entry in payload["shards"]],
             )
         except (KeyError, TypeError) as error:
             raise CatalogError(f"catalog is missing required fields: {error}") from error
-        version = catalog.fingerprint.get("format_version")
-        if version != CATALOG_FORMAT_VERSION:
-            raise CatalogFormatError(
-                f"sharded index is format v{version}, this code reads only "
-                f"v{CATALOG_FORMAT_VERSION}: rebuild the index"
-            )
         catalog.validate()
         return catalog
 
@@ -281,7 +288,13 @@ class ShardCatalog:
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
 
+    def image_path(self, directory: PathLike) -> str:
+        """Path of the index's one image."""
+        return self.shard_image_path(directory, self.shards[0])
+
     def shard_image_path(self, directory: PathLike, entry: ShardEntry) -> str:
+        """Stays until ROADMAP item 1 moves ``bench_e2e``'s ``traced_engine``
+        onto the engine's own cursors; :meth:`image_path` is the one image."""
         return os.path.join(str(directory), entry.path)
 
     def database_path(self, directory: PathLike) -> str:

@@ -1,44 +1,44 @@
-"""ShardedEngine: scatter-gather search over a persistent sharded index.
+"""ShardedEngine: one suffix tree of the whole database, searched whole or by root partitions.
 
-Each shard is a full :class:`~repro.core.engine.OasisEngine` over its slice
-of the database: a disk image opened from the index directory's catalog by
-:meth:`ShardedEngine.open`, read into memory when it fits its share of the
-pool budget and searched through its own buffer pool when it does not.  A
-query is fanned out across the shards on the engine's scatter backend
-(``serial``, the default, or ``processes[:N]``) and the per-shard
-:class:`~repro.core.results.SearchResult` objects -- the same shape whether a
-shard ran on this thread or in a worker process -- are merged into one
-globally ordered result.
+An index (built by :class:`~repro.sharding.ShardedIndexBuilder`) holds one
+disk image of the whole database; :meth:`ShardedEngine.open` reads it into
+memory when it fits the pool budget and searches it through a buffer pool
+when it does not.  The engine's scatter backend decides how a query runs:
 
-Correctness of the merge rests on three invariants:
+* ``serial`` (the default), and every streaming search (iterating an
+  execution, ``search_online``), run one execution over the whole tree --
+  exactly what a monolithic :class:`~repro.core.engine.OasisEngine` over the
+  same database runs, hit for hit and column for column;
+* ``processes[:N]`` splits the tree as the paper's Section 3.4.1 does: a
+  *shard* is a set of the root's children (:func:`root_partitions`, one per
+  partition the catalog records).  Each worker searches the whole image, but
+  only below the root children whose first symbol its partition owns, and
+  returns its :class:`~repro.core.results.SearchResult`.
 
-* every shard prunes against the **global** E-value threshold: all shards
-  share one :class:`~repro.core.evalue.SelectivityConverter` built from the
-  whole database, through which the request is resolved once (a process
-  worker gets the model and database size inside it), so Equation 3 yields the same ``min_score`` everywhere and
-  Equation 2 annotates every hit with the E-value the monolithic engine would
-  have computed;
-* a sequence lives in exactly one shard, so the union of per-shard hit sets
-  *is* the monolithic hit set (per-sequence best scores are a property of the
-  sequence, not of the index layout), with shard-local sequence indices
-  remapped to global ones through the catalog's contiguous ranges;
-* every engine orders hits canonically
-  (:func:`~repro.core.results.hit_order_key`), so the merged, re-sorted hit
-  list is byte-for-byte identical to the monolithic one.
+Correctness of the process merge rests on two facts:
 
-The parity test in ``tests/test_sharding.py`` checks all three at once.
+* every partition prunes against the same threshold and annotates hits with
+  the same E-values: the request is resolved once, in this process, against
+  the whole database;
+* a sequence may score in several partitions, each reporting its best
+  alignment below the root children it owns; the sequence's best score
+  overall is the best of those.  The merge keeps each sequence's first hit
+  in the canonical order (:func:`~repro.core.results.hit_order_key`), which
+  is its best, then cuts at ``max_results``.  The union of the partitions'
+  top-k holds the global top-k: a sequence that beats another in the latter's
+  best partition beats it there, too.
+
+The parity tests in ``tests/test_sharding.py`` check both.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import threading
 import time
-from bisect import bisect_right
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import wait as futures_wait
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
@@ -51,7 +51,7 @@ from repro.obs.logsetup import get_logger
 from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
-from repro.sharding.catalog import ShardCatalog, config_fingerprint, slice_shard
+from repro.sharding.catalog import ShardCatalog, config_fingerprint
 from repro.sharding.remote import (
     ShardSearchTask,
     label_shard_execution,
@@ -66,19 +66,43 @@ PathLike = Union[str, os.PathLike]
 logger = get_logger(__name__)
 
 
+def root_partitions(database: SequenceDatabase, count: int) -> List[bytes]:
+    """The first symbols of the root children each of ``count`` partitions owns.
+
+    Root child *c* has one leaf below it per residue *c* in the database, so
+    the symbol counts balance the partitions without touching the tree: the
+    symbols, most frequent first (ties by code), each go to the partition
+    with the smallest total so far (ties to the lowest index).  Partition 0
+    also owns the terminal-only root children.  A partition may own nothing
+    (more partitions than symbols); it is not searched.
+    """
+    codes = database.concatenated_codes
+    alphabet = database.alphabet
+    counts = [codes.count(code) for code in range(len(alphabet))]
+    owned: List[List[int]] = [[] for _ in range(count)]
+    owned[0].append(alphabet.terminal_code)
+    totals = [0] * count
+    for code in sorted(range(len(alphabet)), key=lambda code: (-counts[code], code)):
+        if counts[code] == 0:
+            break
+        target = min(range(count), key=lambda index: (totals[index], index))
+        owned[target].append(code)
+        totals[target] += counts[code]
+    return [bytes(sorted(symbols)) for symbols in owned]
+
+
 class ShardedQueryExecution:
-    """One query scattered across every shard, gathered into one result.
+    """One query over the index's tree: whole, or scattered by root partition.
 
     Mirrors the :class:`~repro.core.oasis.QueryExecution` surface the batch
-    executor relies on: iterate it for the online stream (a lazy k-way merge
-    of the per-shard streams, globally ordered because each shard emits in
-    canonical order) or call :meth:`result` to run all shards on the engine's
-    scatter backend and collect the merged batch result.  Either way the
-    query ends in :attr:`shard_results` -- one
-    :class:`~repro.core.results.SearchResult` per shard, the same shape
-    whether the shard ran on this thread or in a worker process -- and the
-    statistics, the ``timed_out`` / ``aborted`` flags and the per-shard rows
-    are read from those.
+    executor relies on: iterate it for the online stream (the one execution
+    over the whole tree, on the calling thread) or call :meth:`result` to
+    run the query on the engine's scatter backend and collect the result.
+    Either way the query ends in :attr:`shard_results` -- one
+    :class:`~repro.core.results.SearchResult` for the serial search, or one
+    per partition of a process scatter -- and the statistics, the
+    ``timed_out`` / ``aborted`` flags and the per-shard rows are read from
+    those.
     """
 
     def __init__(
@@ -89,22 +113,21 @@ class ShardedQueryExecution:
         tracer=None,
     ):
         self.engine = engine
-        #: Resolved against the global database: every shard runs this value.
+        #: Resolved against the whole database.
         self.request = request
         self.cancel_event = cancel_event
         self.tracer = tracer
         #: Explicit parent for the query span (a batch executor sets it so
         #: queries running on pool threads still nest under the batch span).
         self.trace_parent: Optional[str] = None
-        #: The shard executions of this process, built when the query starts
-        #: to run here (a process scatter builds none).
+        #: The execution of this process, built when the query starts to run
+        #: here (a process scatter builds none).
         self.executions: List[QueryExecution] = []
         self.shard_results: List[SearchResult] = []
         #: The query's one absolute deadline (``time.perf_counter`` timebase).
         self.deadline: Optional[float] = None
         self._abort_requested = False
         self._iterator: Optional[Iterator[SearchHit]] = None
-        self._collected: List[SearchHit] = []
         self._wall_seconds = 0.0
         self._result: Optional[SearchResult] = None
 
@@ -120,15 +143,16 @@ class ShardedQueryExecution:
         return any(result.parameters.get("aborted") for result in self.shard_results)
 
     def _shard_statistics(self) -> List[OasisSearchStatistics]:
-        # (A task that expired or was cancelled before it searched has no counters.)
+        # (A task that expired, was cancelled or owned no root child has no counters.)
+        kernel = self.engine.tree_engine.kernel
         return [
-            result.statistics or OasisSearchStatistics(kernel=shard.kernel)
-            for shard, result in zip(self.engine.shards, self.shard_results)
+            result.statistics or OasisSearchStatistics(kernel=kernel)
+            for result in self.shard_results
         ]
 
     @property
     def statistics(self) -> OasisSearchStatistics:
-        """Work counters summed over all shards (queue peak is the max)."""
+        """Work counters summed over the shard results (queue peak is the max)."""
         return OasisSearchStatistics.merged(self._shard_statistics(), self._wall_seconds)
 
     def _open_query_span(self, **attributes):
@@ -137,39 +161,38 @@ class ShardedQueryExecution:
         return open_span(self.tracer, "query", self.trace_parent, attributes)
 
     def abort(self) -> None:
-        """Stop this process's shard executions at their next queue pop."""
+        """Stop this process's execution at its next queue pop."""
         self._abort_requested = True
         for execution in self.executions:
             execution.abort()
 
     def _pin_deadline(self) -> None:
-        """Fix one absolute deadline for all shards of the query.
+        """Fix one absolute deadline for the whole query.
 
-        A per-execution relative budget would restart with every shard (or
-        whenever a shard task leaves a worker pool's queue), granting up to
-        ``shard_count x budget`` per query; pinning ``now + budget`` before
-        any shard runs keeps the budget a true per-query wall clock.
+        A relative budget would restart whenever a partition's task leaves a
+        worker pool's queue, granting up to ``partitions x budget`` per
+        query; pinning ``now + budget`` before anything runs keeps the budget
+        a true per-query wall clock.
         """
         if self.request.time_budget is not None:
             self.deadline = time.perf_counter() + self.request.time_budget
 
-    def start_shards(self, span) -> List[QueryExecution]:
-        """Build this process's shard executions, ready to run.
+    def start(self, span) -> QueryExecution:
+        """Build this process's execution over the whole tree, ready to run.
 
-        They share the pinned deadline and find the query span by explicit
-        id, not by thread-local nesting.
+        It gets the pinned deadline and finds the query span by explicit id,
+        not by thread-local nesting.
         """
-        for shard_index, shard in enumerate(self.engine.shards):
-            execution = shard.execute_request(
-                self.request, cancel_event=self.cancel_event, tracer=self.tracer
-            )
-            execution.set_deadline(self.deadline)
-            if span is not None:
-                label_shard_execution(execution, shard_index, span.span_id)
-            if self._abort_requested:
-                execution.abort()
-            self.executions.append(execution)
-        return self.executions
+        execution = self.engine.tree_engine.execute_request(
+            self.request, cancel_event=self.cancel_event, tracer=self.tracer
+        )
+        execution.set_deadline(self.deadline)
+        if span is not None:
+            label_shard_execution(execution, 0, span.span_id)
+        if self._abort_requested:
+            execution.abort()
+        self.executions.append(execution)
+        return execution
 
     # ------------------------------------------------------------------ #
     # Streaming (online) interface
@@ -182,87 +205,77 @@ class ShardedQueryExecution:
     def __next__(self) -> SearchHit:
         return next(iter(self))
 
-    def _shard_stream(self, shard: int, execution: QueryExecution) -> Iterator[SearchHit]:
-        offset = self.engine.sequence_offset(shard)
-        for hit in execution:
-            hit.sequence_index += offset
-            yield hit
-
     def _generate(self) -> Iterator[SearchHit]:
-        """Lazy k-way merge of the shard streams, globally strongest-first.
+        """The whole tree's stream, strongest first, on the calling thread.
 
-        The shard executions run interleaved on the calling thread (the
-        paper's online consumption model); only :meth:`result` uses the
-        scatter backend.  Each shard stream is sorted by the canonical hit
-        order, so the merge is too.
+        Only :meth:`result` uses the scatter backend: the paper's online
+        consumption model is one search emitting as it proves each hit.
         """
         start = time.perf_counter()
         self._pin_deadline()
         span = self._open_query_span(streaming=True)
-        streams = [
-            self._shard_stream(shard, execution)
-            for shard, execution in enumerate(self.start_shards(span))
-        ]
-        max_results = self.request.max_results
+        execution = self.start(span)
         try:
-            for hit in heapq.merge(*streams, key=hit_order_key):
-                self._collected.append(hit)
-                yield hit
-                if max_results is not None and len(self._collected) >= max_results:
-                    return
+            yield from execution
         finally:
             self._wall_seconds = time.perf_counter() - start
-            for stream in streams:
-                stream.close()
-            # Closing the wrappers does not close the shard executions
-            # themselves; do it explicitly so their statistics are finalised
-            # and an abandoned merge cannot silently resume work later.
-            for execution in self.executions:
-                execution.close()
-            self.shard_results = [execution.result() for execution in self.executions]
+            # Finalise the statistics, and make sure an abandoned stream
+            # cannot silently resume work later.
+            execution.close()
+            self.shard_results = [execution.result()]
             if span is not None:
-                span.set_attribute("hits", len(self._collected))
+                span.set_attribute("hits", execution.hit_count)
                 self.tracer._pop(span)
                 span.finish()
 
     def close(self) -> None:
-        """Abandon the merged stream (and with it every shard stream)."""
+        """Abandon the stream."""
         if self._iterator is not None:
             self._iterator.close()
 
-    def _merge_hits(self) -> List[SearchHit]:
-        """Remap shard-local hits to global indices and order canonically."""
+    def _merge_hits(self) -> Tuple[List[SearchHit], List[int]]:
+        """Each sequence once, at its best score, in canonical order, cut at
+        ``max_results``; and how many of those hits each shard result gave."""
+        candidates = sorted(
+            (
+                (hit, shard)
+                for shard, result in enumerate(self.shard_results)
+                for hit in result.hits
+            ),
+            key=lambda pair: hit_order_key(pair[0]),
+        )
+        limit = self.request.max_results
         hits: List[SearchHit] = []
-        for shard, result in enumerate(self.shard_results):
-            offset = self.engine.sequence_offset(shard)
-            for hit in result.hits:
-                hit.sequence_index += offset
-                hits.append(hit)
-        hits.sort(key=hit_order_key)
-        # Each shard kept at most the global top-k: a hit outside a shard's
-        # own top-k can never be in the merged top-k.
-        return hits[: self.request.max_results]
+        survived = [0] * len(self.shard_results)
+        seen = set()
+        for hit, shard in candidates:
+            if hit.sequence_index in seen:
+                continue
+            seen.add(hit.sequence_index)
+            hits.append(hit)
+            survived[shard] += 1
+            if len(hits) == limit:
+                break
+        return hits, survived
 
     # ------------------------------------------------------------------ #
     # Batch interface
     # ------------------------------------------------------------------ #
     def result(self) -> SearchResult:
-        """Run every shard on the scatter backend (unless streaming) and merge.
+        """Run the query on the scatter backend (unless streaming) and merge.
 
-        Memoised: the remap mutates the shard results' hit objects in place,
-        so the merge must run exactly once -- repeated calls return the same
-        object, as :meth:`QueryExecution.result` effectively does.
+        Memoised: repeated calls return the same object, as
+        :meth:`QueryExecution.result` effectively does.
         """
         if self._result is not None:
             return self._result
         start = time.perf_counter()
         if self._iterator is not None:
             # The consumer started streaming: finish draining that stream
-            # (hits were collected as they were emitted) rather than
-            # re-running the shards.
+            # rather than running the query again.
             for _ in self._iterator:
                 pass
-            hits = list(self._collected)
+            hits, survived = self._merge_hits()
         else:
             tracer = self.tracer
             span = self._open_query_span()
@@ -271,12 +284,12 @@ class ShardedQueryExecution:
                 self.shard_results = self.engine._scatter(self, span)
                 self._wall_seconds = time.perf_counter() - start
                 if span is None:
-                    hits = self._merge_hits()
+                    hits, survived = self._merge_hits()
                 else:
                     with tracer.span(
                         "merge", parent_id=span.span_id, phase="merge"
                     ) as merge_span:
-                        hits = self._merge_hits()
+                        hits, survived = self._merge_hits()
                         merge_span.set_attribute("hits", len(hits))
             finally:
                 if span is not None:
@@ -285,15 +298,9 @@ class ShardedQueryExecution:
                     tracer._pop(span)
                     span.finish()
 
-        # Per-shard hit counts reflect the *merged* result: with max_results,
-        # a shard's emitted top-k may exceed what survives the global
-        # truncation, and the per-shard rows must sum to len(hits).
-        survived = [0] * self.engine.shard_count
-        offsets = self.engine._offsets
-        for hit in hits:
-            survived[bisect_right(offsets, hit.sequence_index) - 1] += 1
-
         shard_statistics = self._shard_statistics()
+        # A row's hits are those that survived the merge, so the rows sum to
+        # len(hits).
         shard_stats = [
             {
                 "shard": shard,
@@ -320,7 +327,7 @@ class ShardedQueryExecution:
                 "matrix": self.engine.matrix.name,
                 "gap": self.engine.gap_model.per_symbol,
                 "max_results": self.request.max_results,
-                "shards": self.engine.shard_count,
+                "shards": len(shard_stats),
                 "shard_stats": shard_stats,
             },
             statistics=OasisSearchStatistics.merged(shard_statistics, self._wall_seconds),
@@ -371,16 +378,13 @@ def check_scatter_backend(backend: "Union[str, BackendSpec, ExecutionBackend, No
 def shard_pool_budgets(
     total_bytes: int, shard_residues: List[int], block_size: int
 ) -> List[int]:
-    """Split one buffer-pool budget across shards, proportionally to size.
+    """Split one buffer-pool budget across images, proportionally to size.
 
-    Each shard gets a share of ``total_bytes`` proportional to its residue
-    count (the catalog records them): index bytes and page working sets both
-    scale with residues, so proportional shares keep every shard's hit ratio
-    in the same regime where an even split would starve the big shards.
-    Every shard is floored at one frame (``block_size`` bytes) -- a pool
-    smaller than one block cannot hold a single page, so with a tiny total
-    budget the floor deliberately oversubscribes rather than handing any
-    shard a zero-frame pool.
+    Stays until ROADMAP item 1 moves ``bench_e2e``'s ``traced_engine`` onto
+    the engine's own cursors: an index now holds one image, whose pool gets
+    the whole budget.  Each image gets a share of ``total_bytes``
+    proportional to its residue count, floored at one frame (``block_size``
+    bytes) -- a pool smaller than one block cannot hold a single page.
     """
     if block_size < 1:
         raise ValueError("block_size must be positive")
@@ -399,35 +403,36 @@ def shard_pool_budgets(
 
 
 class ShardedEngine(SearchSurface):
-    """Scatter-gather OASIS search over the N shards of a catalog directory.
+    """OASIS search over the one tree of a catalog directory.
 
     Build the directory with :class:`~repro.sharding.ShardedIndexBuilder`
-    and :meth:`open` it (or do both with :meth:`build_on_disk`); the
-    constructor takes shard engines over that directory's images, its
-    catalog and the per-shard buffer budgets.  The engine defines
-    ``execute_request`` and inherits the searching surface (``execute`` /
-    ``search`` / ``search_online`` / ``search_many``) that
+    and :meth:`open` it (or do both with :meth:`build_on_disk`).  The engine
+    defines ``execute_request`` and inherits the searching surface
+    (``execute`` / ``search`` / ``search_online`` / ``search_many``) that
     :class:`~repro.core.engine.OasisEngine` inherits, so every consumer of
     an engine -- the batch executor, the workload adapters, the CLI -- can
-    run sharded without changes.
+    run on an index without changes.
 
-    ``backend`` selects the scatter strategy for ``search`` /
-    :meth:`ShardedQueryExecution.result`: ``"serial"`` (the default: the
-    shards run one after another on the calling thread) or
-    ``"processes[:N]"`` (one worker per shard unless ``N`` is given), as a
-    spec string, a :class:`~repro.exec.BackendSpec` or a live
+    ``backend`` selects how ``search`` /
+    :meth:`ShardedQueryExecution.result` run a query: ``"serial"`` (the
+    default: one search of the whole tree on the calling thread) or
+    ``"processes[:N]"`` (one task per root partition the catalog records,
+    on ``N`` workers -- by default one per partition that owns a root
+    child), as a spec string, a :class:`~repro.exec.BackendSpec` or a live
     :class:`~repro.exec.ProcessBackend` (then caller-owned).  There is no
-    thread scatter: with its images in the page cache the search is
-    CPU-bound under the interpreter lock, and on the benchmark's protein
-    inputs (4 shards, 60 queries, 2 cores; medians of 10 pairs) ``threads:4``
-    took 2.33 s to the serial loop's 1.79 s with a pool that fits, and 5.32 s
-    to 3.02 s with a pool of 1/8 of the image.  A process backend escapes
-    the GIL: each task carries only the catalog directory, a shard id and
-    the request, the worker process lazily opens its shard image read-only
-    from the catalog, and the shard's
-    :class:`~repro.core.results.SearchResult` travels back for the same
-    merge the in-process shards go through.  The streaming path
-    (``search_online``) always runs in-process regardless of backend.
+    thread scatter: with its image in the page cache the search is CPU-bound
+    under the interpreter lock, and on the benchmark's protein inputs
+    ``threads:4`` over four sequence shards took 2.33 s to the serial loop's
+    1.79 s (2 cores, medians of 10 pairs).  A process task carries only the
+    catalog directory, the partition and the request; each worker opens the
+    image once, read-only, with the same pool budget as this process, and
+    serves every partition from it.  The streaming path (``search_online``)
+    always runs the serial search, whatever the backend.
+
+    The constructor takes a list of exactly one engine over the index's
+    image, and ``shard_buffer_bytes`` a list of its one pool budget: both
+    lists stay until ROADMAP item 1 moves ``bench_e2e``'s ``traced_engine``
+    onto the engine's own cursors.
     """
 
     def __init__(
@@ -443,9 +448,12 @@ class ShardedEngine(SearchSurface):
         shard_buffer_bytes: List[int],
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
     ):
-        if not shards:
-            raise ValueError("a ShardedEngine needs at least one shard")
-        self.shards = list(shards)
+        if len(shards) != 1:
+            raise ValueError(
+                f"a ShardedEngine searches one tree: pass one engine, not {len(shards)}"
+            )
+        #: The engine over the index's one image.
+        self.tree_engine = shards[0]
         self._database = database
         self.matrix = matrix
         self.gap_model = gap_model
@@ -453,15 +461,14 @@ class ShardedEngine(SearchSurface):
         self.catalog = catalog
         self.directory = directory
         check_scatter_backend(backend)
-        # A bare "processes" spec gets one worker per shard.
+        #: The root children (first symbols) each partition owns.
+        self.partitions = root_partitions(database, catalog.partitions)
+        # A bare "processes" spec gets one worker per partition that searches.
         self._backend, self._backend_owned = resolve_backend(
-            backend, default_workers=len(self.shards)
+            backend, default_workers=sum(1 for symbols in self.partitions if symbols)
         )
-        #: Per-shard buffer-pool budgets in bytes: process workers open their
-        #: shard with the budget the parent gave that shard's cursor.
-        self.shard_buffer_bytes = list(shard_buffer_bytes)
-        #: Global sequence index of each shard's first sequence.
-        self._offsets = [entry.start_sequence for entry in catalog.shards]
+        #: The pool budget in bytes: process workers open the image with it.
+        self.buffer_pool_bytes = shard_buffer_bytes[0]
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -475,28 +482,20 @@ class ShardedEngine(SearchSurface):
         matrix: SubstitutionMatrix,
         gap_model: GapModel = DEFAULT_GAP_MODEL,
         shard_count: int = 2,
-        by: str = "residues",
         block_size: int = BLOCK_SIZE_DEFAULT,
-        build_backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         **open_kwargs,
     ) -> "ShardedEngine":
-        """Build a persistent sharded index directory and open it.
+        """Build a persistent index directory of ``shard_count`` partitions and open it.
 
-        ``build_backend`` fans the per-shard construction out (each shard
-        image is independent); ``backend`` in ``open_kwargs`` selects the
-        scatter strategy of the returned engine.
+        ``backend`` in ``open_kwargs`` selects the scatter strategy of the
+        returned engine.
         """
         from repro.sharding.builder import ShardedIndexBuilder
 
         # Refuse a scatter backend before the build, not after it.
         check_scatter_backend(open_kwargs.get("backend"))
         ShardedIndexBuilder(
-            matrix,
-            gap_model,
-            shard_count=shard_count,
-            by=by,
-            block_size=block_size,
-            backend=build_backend,
+            matrix, gap_model, shard_count=shard_count, block_size=block_size
         ).build(database, directory)
         return cls.open(
             directory, database=database, matrix=matrix, gap_model=gap_model, **open_kwargs
@@ -513,7 +512,7 @@ class ShardedEngine(SearchSurface):
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         kernel=None,
     ) -> "ShardedEngine":
-        """Open a persistent sharded index from its catalog.
+        """Open a persistent index from its catalog.
 
         The catalog makes the directory self-contained: when ``matrix`` /
         ``gap_model`` / ``database`` are omitted they are restored from the
@@ -521,19 +520,14 @@ class ShardedEngine(SearchSurface):
         they must match what the index was built with --
         :class:`~repro.sharding.catalog.CatalogMismatchError` otherwise.
 
-        ``buffer_pool_bytes`` is the total budget, divided across the shard
-        buffer pools proportionally to each shard's catalog-recorded residue
-        count (a shard's index size and page working set both scale with its
-        residues, so an even split starves big shards while small ones idle),
-        with a floor of one frame (``block_size`` bytes) per shard so no pool
-        ever rounds down to zero frames.  Each shard's image is opened by
-        :func:`repro.storage.open_image` with its share: an image that fits
-        is read into a :class:`~repro.suffixtree.GeneralizedSuffixTree`
-        (the default 256 MB does for any index this repository benchmarks),
-        and only a share smaller than its image gets a
-        :class:`~repro.storage.DiskSuffixTree` and a clock pool.  A read
-        tree reads its records on first search, so on a ``processes``
-        scatter, whose workers search, this process reads none.
+        The image is opened by :func:`repro.storage.open_image` with
+        ``buffer_pool_bytes`` (at least one block): an image that fits is
+        read into a :class:`~repro.suffixtree.GeneralizedSuffixTree` (the
+        default 256 MB does for any index this repository benchmarks), and
+        only a smaller budget gets a :class:`~repro.storage.DiskSuffixTree`
+        and a clock pool.  A read tree reads its records on first search, so
+        on a ``processes`` scatter, whose workers search, this process reads
+        none.
         """
         from repro.scoring.data import load_matrix
         from repro.sequences.fasta import read_fasta
@@ -542,9 +536,9 @@ class ShardedEngine(SearchSurface):
         directory = str(directory)
         catalog = ShardCatalog.load(directory)
         logger.info(
-            "opening sharded index at %s (%d shards, pool budget %d bytes)",
+            "opening sharded index at %s (%d partitions, pool budget %d bytes)",
             directory,
-            len(catalog.shards),
+            catalog.partitions,
             buffer_pool_bytes,
         )
 
@@ -558,7 +552,9 @@ class ShardedEngine(SearchSurface):
 
         if database is None:
             database_path = catalog.database_path(directory)
-            database = read_fasta(database_path, name=catalog.database_name)
+            database = read_fasta(
+                database_path, alphabet=matrix.alphabet, name=catalog.database_name
+            )
         catalog.check_database(database)
 
         if scatter_kind == "processes" and not os.path.exists(
@@ -578,59 +574,52 @@ class ShardedEngine(SearchSurface):
         converter = SelectivityConverter(
             matrix, database, effective_database_size=database.total_symbols
         )
-        shard_budgets = shard_pool_budgets(
-            buffer_pool_bytes,
-            [entry.residues for entry in catalog.shards],
-            catalog.block_size,
+        pool_bytes = max(catalog.block_size, buffer_pool_bytes)
+        tree = OasisEngine(
+            open_image(catalog.image_path(directory), database, pool_bytes),
+            matrix,
+            gap_model,
+            converter=converter,
+            kernel=kernel,
         )
-        shards: List[OasisEngine] = []
         try:
-            for entry, shard_budget in zip(catalog.shards, shard_budgets):
-                cursor = open_image(
-                    catalog.shard_image_path(directory, entry),
-                    slice_shard(database, entry),
-                    shard_budget,
-                )
-                shards.append(
-                    OasisEngine(
-                        cursor, matrix, gap_model, converter=converter, kernel=kernel
-                    )
-                )
-            engine = cls(
-                shards,
+            return cls(
+                [tree],
                 database,
                 matrix,
                 gap_model,
                 converter=converter,
                 catalog=catalog,
                 directory=directory,
-                shard_buffer_bytes=shard_budgets,
+                shard_buffer_bytes=[pool_bytes],
                 backend=backend,
             )
         except Exception:
-            for shard in shards:
-                shard.close()
+            tree.close()
             raise
-        return engine
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     @property
     def database(self) -> SequenceDatabase:
-        """The full (global) database the shards jointly index."""
+        """The database the index's tree holds."""
         return self._database
 
     @property
-    def shard_count(self) -> int:
-        return len(self.shards)
+    def shards(self) -> List[OasisEngine]:
+        """``[tree_engine]``: stays until ROADMAP item 1 moves ``bench_e2e``'s
+        ``traced_engine`` onto the engine's own cursors."""
+        return [self.tree_engine]
 
-    def sequence_offset(self, shard: int) -> int:
-        """Global index of the shard's first sequence (for hit remapping)."""
-        return self._offsets[shard]
+    @property
+    def shard_count(self) -> int:
+        """How many shard results a query's ``result()`` gathers: 1 on the
+        serial scatter, one per partition on a process scatter."""
+        return len(self.partitions) if self._backend.kind == "processes" else 1
 
     def min_score_for(self, query: str, evalue: float) -> int:
-        """Equation 3 against the *global* database size."""
+        """Equation 3 against the whole database."""
         return self.converter.min_score_for_evalue(evalue, len(query))
 
     # ------------------------------------------------------------------ #
@@ -642,11 +631,11 @@ class ShardedEngine(SearchSurface):
         cancel_event: Optional[threading.Event] = None,
         tracer=None,
     ) -> ShardedQueryExecution:
-        """Resolve the request once, globally, and create its (unstarted) scatter.
+        """Resolve the request once, here, and create its (unstarted) execution.
 
-        Every shard runs the same resolved request: the converter spans the
-        whole database, so an ``evalue`` maps to one global ``min_score`` and
-        each shard prunes against the global threshold, not its own size.
+        Every partition runs the same resolved request, so an ``evalue``
+        maps to one ``min_score`` and every hit gets the E-value the
+        monolithic engine gives it.
         """
         if self._closed:
             raise RuntimeError("ShardedEngine is closed")
@@ -655,14 +644,13 @@ class ShardedEngine(SearchSurface):
         )
 
     def instrument(self, tracer) -> None:
-        """Attach a tracer to every shard's buffer pool (``None`` detaches).
+        """Attach a tracer to the tree's buffer pool (``None`` detaches).
 
-        Only this engine's own cursors are instrumented; process-backend
+        Only this engine's own cursor is instrumented; process-backend
         workers hold their own cursors and instrument them per task from the
         :class:`~repro.obs.TraceContext` shipped inside it.
         """
-        for shard in self.shards:
-            shard.instrument(tracer)
+        self.tree_engine.instrument(tracer)
 
     # ------------------------------------------------------------------ #
     # Scatter backend
@@ -673,36 +661,35 @@ class ShardedEngine(SearchSurface):
         return self._backend.spec
 
     def _scatter(self, scattered: ShardedQueryExecution, span) -> List[SearchResult]:
-        """Run one query's shards on the scatter backend: a result per shard."""
+        """Run one query on the scatter backend: its shard results."""
         if self._closed:
-            # A closed engine must not run searches over closed shard
-            # cursors (or silently resurrect a backend it already shut).
+            # A closed engine must not search a closed cursor (or silently
+            # resurrect a backend it already shut).
             raise RuntimeError("ShardedEngine is closed")
         if self._backend.kind == "processes":
-            # Always take the remote path, even for one shard, so a process
-            # engine exercises exactly one code path (and its parity is
-            # testable at every shard count).
+            # Always take the remote path, even for one partition, so a
+            # process engine exercises exactly one code path (and its parity
+            # is testable at every partition count).
             return self._scatter_processes(scattered, span)
-        return [execution.result() for execution in scattered.start_shards(span)]
+        return [scattered.start(span).result()]
 
     def _scatter_processes(self, scattered: ShardedQueryExecution, span) -> List[SearchResult]:
-        """Ship each shard's share of the query to a worker process.
+        """Ship each partition's share of the query to a worker process.
 
-        Workers receive only the catalog directory, a shard id and the
-        resolved request -- which carries the global E-value model and
-        database size -- and return the shard's :class:`SearchResult`, the
-        shape an in-process shard execution hands the merge; no execution is
-        built in this process.
+        Workers receive only the catalog directory, the partition and the
+        resolved request, and return the partition's :class:`SearchResult`;
+        no execution is built in this process.  A partition that owns no
+        root child gets an empty result without a task.
 
         The query's pinned monotonic deadline is translated into one
-        absolute wall-clock (``time.time()``) deadline shared by every
-        shard task: the wall clock crosses process boundaries, so a task
-        that queued behind others sees only the time actually left -- the
-        budget stays a true per-query wall clock, exactly as on the
-        in-process paths.  Cancellation (batch abort, abandoned stream) is
-        honoured for shard tasks that have not started; an in-flight remote
-        search cannot be interrupted cooperatively and runs to completion
-        (bound it with a time budget).
+        absolute wall-clock (``time.time()``) deadline shared by every task:
+        the wall clock crosses process boundaries, so a task that queued
+        behind others sees only the time actually left -- the budget stays
+        a true per-query wall clock, exactly as on the in-process path.
+        Cancellation (batch abort, abandoned stream) is honoured for tasks
+        that have not started; an in-flight remote search cannot be
+        interrupted cooperatively and runs to completion (bound it with a
+        time budget).
         """
         request, tracer = scattered.request, scattered.tracer
         deadline_epoch: Optional[float] = None
@@ -717,31 +704,37 @@ class ShardedEngine(SearchSurface):
             # parented under the parent's query span.
             trace_context = tracer.context(parent_id=span.span_id)
         logger.debug(
-            "scattering query %r across %d shards via %s",
+            "scattering query %r across %d partitions via %s",
             request.query,
-            len(self.shards),
+            len(self.partitions),
             self.backend_spec,
         )
-        tasks = [
-            ShardSearchTask(
-                directory=self.directory,
-                shard_index=shard_index,
-                request=request,
-                deadline_epoch=deadline_epoch,
-                buffer_pool_bytes=self.shard_buffer_bytes[shard_index],
-                fingerprint=self.catalog.fingerprint,
-                database_digest=self.catalog.database_digest,
-                trace=trace_context,
-                kernel=shard.kernel,
+        futures = [
+            self._backend.submit(
+                run_shard_search,
+                ShardSearchTask(
+                    directory=self.directory,
+                    shard=shard,
+                    root_symbols=symbols,
+                    request=request,
+                    matrix=self.matrix,
+                    deadline_epoch=deadline_epoch,
+                    buffer_pool_bytes=self.buffer_pool_bytes,
+                    fingerprint=self.catalog.fingerprint,
+                    database_digest=self.catalog.database_digest,
+                    trace=trace_context,
+                    kernel=self.tree_engine.kernel,
+                ),
             )
-            for shard_index, shard in enumerate(self.shards)
+            if symbols
+            else None
+            for shard, symbols in enumerate(self.partitions)
         ]
-        futures = [self._backend.submit(run_shard_search, task) for task in tasks]
         cancel = scattered.cancel_event
         if cancel is not None:
             # Poll instead of blocking outright, so a batch abort can still
-            # cancel the shard tasks the pool has not started yet.
-            pending = set(futures)
+            # cancel the tasks the pool has not started yet.
+            pending = {future for future in futures if future is not None}
             while pending:
                 done, pending = futures_wait(pending, timeout=0.05)
                 if pending and cancel.is_set():
@@ -751,13 +744,12 @@ class ShardedEngine(SearchSurface):
         results = []
         try:
             for future in futures:
+                if future is None:
+                    results.append(unsearched(request))
+                    continue
                 if future.cancelled():
                     results.append(unsearched(request, "aborted"))
                     continue
-                # The hits need nothing: the worker annotated them with the
-                # global E-values (same statistics model, query length and
-                # database size as the in-process path -- bit-identical
-                # floats on the same machine).
                 result, spans, metrics_snapshot = future.result()
                 if tracer is not None:
                     # Stitch the worker's spans into the parent's trace and
@@ -780,7 +772,7 @@ class ShardedEngine(SearchSurface):
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut the scatter backend down and close disk-resident cursors.
+        """Shut the scatter backend down and close the tree's cursor.
 
         Backends the engine created from a spec are closed here; a live
         backend passed in by the caller is left running (they own it).
@@ -790,12 +782,11 @@ class ShardedEngine(SearchSurface):
         self._closed = True
         if self._backend_owned:
             self._backend.close()
-        for shard in self.shards:
-            shard.close()
+        self.tree_engine.close()
 
     def __repr__(self) -> str:
         return (
             f"ShardedEngine(database={self._database.name!r}, "
-            f"shards={self.shard_count}, backend={self.backend_spec!r}, "
+            f"partitions={self.catalog.partitions}, backend={self.backend_spec!r}, "
             f"directory={self.directory!r})"
         )

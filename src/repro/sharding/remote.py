@@ -1,21 +1,20 @@
-"""Process-pool worker side of the sharded engine and builder.
+"""Process-pool worker side of the sharded engine.
 
 Everything in this module runs (also) inside ``ProcessBackend`` worker
 processes, so the ground rules are strict:
 
-* tasks are plain picklable descriptions -- the catalog directory, a shard
-  id and the query's :class:`~repro.core.request.SearchRequest` -- never
-  live engine objects;
-* each worker process opens its shard image lazily, read-only, from the
-  catalog, and caches the open engine for the life of the process (the
+* tasks are plain picklable descriptions -- the catalog directory, a
+  partition (its number and the first symbols of the root children it owns),
+  the matrix and the query's :class:`~repro.core.request.SearchRequest` --
+  never live engine objects;
+* each worker process opens the index's one image lazily, read-only, from
+  the catalog, and caches the open search for the life of the process (the
   expensive part -- catalog + FASTA parse + cursor open -- is paid once per
-  (worker, shard), not once per query);
+  worker, and serves every partition);
 * a search travels back as the :class:`~repro.core.results.SearchResult`
-  the worker's execution built -- the shape an in-process shard hands the
-  merge -- with *global* E-values: a shard knows only its slice of the
-  database, so the request arrives resolved, carrying the parent's
-  statistics model and the global database size.  Sequence indices stay
-  shard-local; the merge remaps them.
+  the worker's execution built -- the shape the in-process search hands the
+  merge -- with global sequence indices and E-values: the worker searches
+  the whole tree, only below the root children its partition owns.
 """
 
 from __future__ import annotations
@@ -27,32 +26,33 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.request import SearchRequest
 from repro.core.results import SearchResult
+from repro.scoring.matrix import SubstitutionMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only; workers import lazily
     from repro.core.oasis import OasisSearch, QueryExecution
     from repro.obs.trace import TraceContext
     from repro.sharding.catalog import ShardCatalog
 
-#: What one shard search sends back: the result, plus the worker's span
+#: What one partition's search sends back: the result, plus the worker's span
 #: records and metrics snapshot (both empty unless the task was traced).
 ShardOutcome = Tuple[SearchResult, List[Dict[str, object]], Dict[str, Dict[str, object]]]
 
 
 @dataclass(frozen=True)
 class ShardSearchTask:
-    """One shard's share of one query, shipped to a worker process.
+    """One partition's share of one query, shipped to a worker process.
 
-    ``request`` is the query's own :class:`SearchRequest`, resolved by the
-    parent (Equation 3 must see the whole database, which the worker does
-    not) -- the same object the parent hands an in-process shard, so the
-    worker prunes against the global threshold and annotates each hit with
-    the E-value the monolithic engine would have computed.  Its
-    ``time_budget`` does not cross the process boundary: ``deadline_epoch`` is the query's absolute deadline as ``time.time()``
-    seconds: the wall clock is shared by every process on the machine
-    (unlike the monotonic clock, whose origin is undefined across
-    processes), so a task that waited in the pool queue sees only the time
-    actually remaining instead of restarting a full budget -- the same
-    no-over-grant guarantee the in-process path gets from its pinned
+    ``shard`` numbers the partition (it labels the span and the result
+    row); ``root_symbols`` are the first symbols of the root children it
+    searches.  ``request`` is the query's own :class:`SearchRequest`,
+    resolved by the parent, so the worker prunes against the threshold the
+    parent computed.  Its ``time_budget`` does not cross the process
+    boundary: ``deadline_epoch`` is the query's absolute deadline as
+    ``time.time()`` seconds: the wall clock is shared by every process on
+    the machine (unlike the monotonic clock, whose origin is undefined
+    across processes), so a task that waited in the pool queue sees only
+    the time actually remaining instead of restarting a full budget -- the
+    same no-over-grant guarantee the in-process path gets from its pinned
     monotonic deadline.
 
     ``fingerprint`` / ``database_digest`` are the parent's view of the
@@ -64,8 +64,12 @@ class ShardSearchTask:
     """
 
     directory: str
-    shard_index: int
+    shard: int
+    root_symbols: bytes
     request: SearchRequest
+    #: The parent's matrix: its alphabet reads the bundled FASTA, so an
+    #: index of any alphabet searches as the parent's engine does.
+    matrix: SubstitutionMatrix
     deadline_epoch: Optional[float]
     buffer_pool_bytes: int
     fingerprint: Dict[str, object]
@@ -82,28 +86,13 @@ class ShardSearchTask:
     kernel: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ShardBuildTask:
-    """One shard's construction job (used by every backend kind).
-
-    The sub-database is embedded: building happens before any FASTA exists
-    on disk, and pickling a database slice is what lets the same task type
-    drive serial, thread and process builds alike.
-    """
-
-    directory: str
-    image_name: str
-    sub_database: object  # SequenceDatabase; typed loosely to keep pickling honest
-    block_size: int
-
-
 # --------------------------------------------------------------------- #
 # Per-process caches
 # --------------------------------------------------------------------- #
-#: directory -> (catalog, database, matrix, gap_model); shared by all shards.
+#: directory -> (catalog, database, gap_model).
 _DIRECTORY_CACHE: Dict[str, tuple] = {}
-#: (directory, shard, pool bytes, kernel) -> OasisSearch over the shard.
-_SHARD_CACHE: Dict[tuple, "OasisSearch"] = {}
+#: (directory, pool bytes, kernel) -> OasisSearch over the index's image.
+_SEARCH_CACHE: Dict[tuple, "OasisSearch"] = {}
 
 
 def _catalog_mismatch(catalog: "ShardCatalog", task: ShardSearchTask) -> Optional[str]:
@@ -118,31 +107,30 @@ def _catalog_mismatch(catalog: "ShardCatalog", task: ShardSearchTask) -> Optiona
 def _evict_directory(directory: str) -> None:
     """Drop everything this worker cached for one index directory."""
     _DIRECTORY_CACHE.pop(directory, None)
-    for key in [key for key in _SHARD_CACHE if key[0] == directory]:
-        _SHARD_CACHE.pop(key).close()
+    for key in [key for key in _SEARCH_CACHE if key[0] == directory]:
+        _SEARCH_CACHE.pop(key).close()
 
 
-def _open_directory(directory: str) -> tuple:
+def _open_directory(directory: str, matrix: SubstitutionMatrix) -> tuple:
     cached = _DIRECTORY_CACHE.get(directory)
     if cached is not None:
         return cached
-    from repro.scoring.data import load_matrix
     from repro.scoring.gaps import FixedGapModel
     from repro.sequences.fasta import read_fasta
     from repro.sharding.catalog import ShardCatalog
 
     catalog = ShardCatalog.load(directory)
-    matrix = load_matrix(catalog.matrix_name)
-    gap_model = FixedGapModel(catalog.gap_penalty)
-    database = read_fasta(catalog.database_path(directory), name=catalog.database_name)
-    _DIRECTORY_CACHE[directory] = (catalog, database, matrix, gap_model)
+    database = read_fasta(
+        catalog.database_path(directory), alphabet=matrix.alphabet, name=catalog.database_name
+    )
+    _DIRECTORY_CACHE[directory] = (catalog, database, FixedGapModel(catalog.gap_penalty))
     return _DIRECTORY_CACHE[directory]
 
 
-def _open_shard_search(task: ShardSearchTask) -> "OasisSearch":
-    """The worker's lazily opened, cached search over one shard image."""
+def _open_tree_search(task: ShardSearchTask) -> "OasisSearch":
+    """The worker's lazily opened, cached search over the index's one image."""
     directory = os.path.abspath(task.directory)
-    key = (directory, task.shard_index, task.buffer_pool_bytes, task.kernel)
+    key = (directory, task.buffer_pool_bytes, task.kernel)
     from repro.sharding.catalog import CatalogMismatchError
 
     # Checked on *every* task, not only on a cache miss: the comparison is a
@@ -153,12 +141,12 @@ def _open_shard_search(task: ShardSearchTask) -> "OasisSearch":
     # stuck comparing fresh tasks against a stale cached catalog forever.
     # (What none of this can guard is an image file overwritten in place
     # under an engine's open cursors -- that hazard is identical for the
-    # in-process paths and for the monolithic engine.)
-    catalog, database, matrix, gap_model = _open_directory(directory)
+    # in-process path and for the monolithic engine.)
+    catalog, database, gap_model = _open_directory(directory, task.matrix)
     mismatch = _catalog_mismatch(catalog, task)
     if mismatch is not None:
         _evict_directory(directory)
-        catalog, database, matrix, gap_model = _open_directory(directory)
+        catalog, database, gap_model = _open_directory(directory, task.matrix)
         mismatch = _catalog_mismatch(catalog, task)
         if mismatch is not None:
             raise CatalogMismatchError(
@@ -167,25 +155,19 @@ def _open_shard_search(task: ShardSearchTask) -> "OasisSearch":
                 "that issued this query -- the index was rebuilt in place "
                 "under a live engine; reopen the engine"
             )
-    cached = _SHARD_CACHE.get(key)
+    cached = _SEARCH_CACHE.get(key)
     if cached is not None:
         return cached
     from repro.core.oasis import OasisSearch
-    from repro.sharding.catalog import slice_shard
     from repro.storage.image import open_image
 
-    entry = catalog.shards[task.shard_index]
     # The parent's fit rule, with the parent's budget: a worker searches the
-    # same kind of tree as the in-process shard it stands in for.
-    cursor = open_image(
-        catalog.shard_image_path(directory, entry),
-        slice_shard(database, entry),
-        task.buffer_pool_bytes,
-    )
+    # same kind of tree as the parent's own engine.
+    cursor = open_image(catalog.image_path(directory), database, task.buffer_pool_bytes)
     # A bare OasisSearch, no SelectivityConverter: the request arrives
-    # resolved, carrying the threshold and the global E-value inputs.
-    search = OasisSearch(cursor, matrix, gap_model, kernel=task.kernel)
-    _SHARD_CACHE[key] = search
+    # resolved, carrying the threshold and the E-value inputs.
+    search = OasisSearch(cursor, task.matrix, gap_model, kernel=task.kernel)
+    _SEARCH_CACHE[key] = search
     return search
 
 
@@ -201,7 +183,7 @@ def label_shard_execution(
     """Make an execution's span the ``shard`` child of a query span.
 
     Called before the execution starts, by whoever runs it: the sharded
-    engine for its in-process shards, the worker for its own.  The parent is
+    engine for its in-process search, the worker for its own.  The parent is
     named by id because a shard may run in another process, where
     thread-local nesting cannot find it.
     """
@@ -210,27 +192,29 @@ def label_shard_execution(
     execution.trace_attributes = {"shard": shard, "phase": "shard"}
 
 
-def unsearched(request: SearchRequest, flag: str) -> SearchResult:
-    """A shard's (empty) result when its task ``timed_out`` / was ``aborted`` unsearched."""
-    return SearchResult(query=request.query.upper(), engine="oasis", parameters={flag: True})
+def unsearched(request: SearchRequest, flag: Optional[str] = None) -> SearchResult:
+    """A shard's (empty) result when its task ``timed_out`` / was ``aborted``
+    unsearched, or (no flag) when its partition owns no root child."""
+    parameters = {} if flag is None else {flag: True}
+    return SearchResult(query=request.query.upper(), engine="oasis", parameters=parameters)
 
 
 def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
-    """Worker entry point: run one query over one shard.
+    """Worker entry point: run one query over one partition of the tree.
 
     Returns what the in-process path gets from ``execution.result()`` -- the
     :class:`SearchResult` with its statistics and ``timed_out`` / ``aborted``
     parameters -- so every downstream consumer (merge, shard stats, batch
-    aggregates) is oblivious to where the shard ran.
+    aggregates) is oblivious to where the search ran.
     """
-    # The deadline is re-derived twice: before the lazy shard open (skip
+    # The deadline is re-derived twice: before the lazy image open (skip
     # the expensive open when the task already expired in the pool queue)
     # and again after it (a cold worker's catalog/FASTA/cursor open must be
     # charged against the query's budget, not granted on top of it --
     # QueryExecution counts its budget from when the search starts).
     if _expired(task):
         return unsearched(task.request, "timed_out"), [], {}
-    search = _open_shard_search(task)
+    search = _open_tree_search(task)
     request = task.request
     if task.deadline_epoch is not None:
         # Back from the epoch deadline to a relative budget (worker side).
@@ -243,10 +227,11 @@ def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
         search.instrument(tracer)
     try:
         execution = search.execute_request(request, tracer=tracer)
+        execution.root_symbols = task.root_symbols
         if task.trace is not None:
             # The ids the shard span is born with (pid-prefixed) stay valid
             # when the parent adopts it.
-            label_shard_execution(execution, task.shard_index, task.trace.parent_id)
+            label_shard_execution(execution, task.shard, task.trace.parent_id)
         result = execution.result()
     finally:
         if tracer is not None:
@@ -255,20 +240,3 @@ def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
         return result, [], {}
     spans = [record.to_dict() for record in tracer.records()]
     return result, spans, tracer.metrics.snapshot()
-
-
-def run_shard_build(task: ShardBuildTask) -> str:
-    """Worker entry point: build one shard's disk image; returns its name.
-
-    Also the single implementation used by the serial and thread backends
-    (the task is then executed in-process), so every backend builds
-    byte-identical images through exactly the same code path.
-    """
-    from repro.storage.builder import build_disk_image
-
-    build_disk_image(
-        task.sub_database,
-        os.path.join(task.directory, task.image_name),
-        block_size=task.block_size,
-    )
-    return task.image_name

@@ -188,7 +188,18 @@ class DiskLayout:
         payload = per_block * record_size
         handle.seek(start * self.block_size)
         if payload == self.block_size:
-            words.fromfile(handle, count * record_size // words.itemsize)
+            # Straight into the array: ``fromfile`` would hold the region a
+            # second time, as ``bytes``, while it copies it in.
+            words = array("I", [0]) * (count * record_size // words.itemsize)
+            view = memoryview(words).cast("B")
+            read = handle.readinto(view)
+            view.release()
+            if read != count * record_size:
+                raise ImageFormatError(
+                    f"suffix-tree image {handle.name} reads {read} of "
+                    f"{count * record_size} bytes of its {region.name.lower()} "
+                    "region: the file is truncated; rebuild the index"
+                )
         else:
             data = handle.read(_ceil_div(count, per_block) * self.block_size)
             blocks = range(0, len(data), self.block_size)

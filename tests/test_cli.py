@@ -1,5 +1,6 @@
 """Tests for the repro-oasis command-line interface."""
 
+import json
 import re
 import sys
 
@@ -280,7 +281,8 @@ class TestShardedSearch:
         fasta, _ = generated_files
         build = ["index", "build", "--database", str(fasta), "--output", str(tmp_path / "i")]
         assert main(build + ["--shards", "5000"]) == 2
-        assert "non-empty shards" in one_error_line(capsys, "index build")
+        assert "between 1 and 256" in one_error_line(capsys, "index build")
+        assert not (tmp_path / "i").exists()
 
     def test_no_shards_is_a_clean_error(self, tmp_path, generated_files, capsys):
         fasta, _ = generated_files
@@ -337,12 +339,15 @@ class TestBackendFlag:
         assert "a shard scatter runs 'serial' or 'processes[:N]'" in line
         assert "threads" not in line
 
-    def test_unknown_build_backend_is_a_clean_error(self, tmp_path, generated_files, capsys):
+    @pytest.mark.parametrize("flag", [["--backend", "threads:2"], ["--by", "sequences"]])
+    def test_index_build_takes_no_backend_or_by(self, tmp_path, generated_files, capsys, flag):
+        """One image: nothing to fan out, nothing to balance."""
         fasta, _ = generated_files
         build = ["index", "build", "--database", str(fasta), "--output", str(tmp_path / "i")]
-        assert main(build + ["--backend", "fibers:9"]) == 2
-        line = one_error_line(capsys, "index build")
-        assert "expected 'serial', 'threads[:N]' or 'processes[:N]'" in line
+        with pytest.raises(SystemExit) as raised:
+            main(build + flag)
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestIndexCommands:
@@ -368,17 +373,14 @@ class TestIndexCommands:
     def test_build_writes_catalog_and_images(self, index_dir):
         assert (index_dir / "catalog.json").exists()
         assert (index_dir / "database.fasta").exists()
-        assert sorted(p.name for p in index_dir.glob("*.oasis")) == [
-            "shard-0000.oasis",
-            "shard-0001.oasis",
-            "shard-0002.oasis",
-        ]
+        assert sorted(p.name for p in index_dir.glob("*.oasis")) == ["tree.oasis"]
 
     def test_info_prints_layout(self, index_dir, capsys):
         code = main(["index", "info", str(index_dir)])
         assert code == 0
         output = capsys.readouterr().out
-        assert "shard-0002.oasis" in output
+        assert "image: tree.oasis\n" in output and output.count(".oasis") == 1
+        assert "partitions: 3" in output
         assert "matrix=PAM30" in output
 
     def test_info_rejects_non_index_directory(self, tmp_path, capsys):
@@ -403,14 +405,15 @@ class TestIndexCommands:
 
     @staticmethod
     def make_stale(index_dir, what):
-        """Turn the index into one written before image format v2."""
+        """Turn the index into one written in an older format: a catalog
+        before one image per index, or an image before format v2."""
         if what == "catalog":
             path = index_dir / "catalog.json"
             path.write_text(
-                path.read_text().replace('"format_version": 2', '"format_version": 1')
+                path.read_text().replace('"format_version": 3', '"format_version": 2')
             )
         else:  # the header's version field follows the 8-byte magic
-            with open(index_dir / "shard-0001.oasis", "r+b") as handle:
+            with open(index_dir / "tree.oasis", "r+b") as handle:
                 handle.seek(8)
                 handle.write((1).to_bytes(2, "little"))
 
@@ -425,7 +428,8 @@ class TestIndexCommands:
         # The default pool fits every image (read into memory); 2048 bytes
         # is one block, below each (searched through the clock pool).
         pool = {} if pool_bytes is None else {"buffer_pool_bytes": pool_bytes}
-        with pytest.raises(expected, match="v1.*v2.*rebuild the index"):
+        versions = "v2.*v3" if what == "catalog" else "v1.*v2"
+        with pytest.raises(expected, match=f"{versions}.*rebuild the index"):
             ShardedEngine.open(index_dir, **pool)
         if what == "catalog":
             with pytest.raises(CatalogError, match="rebuild the index"):
@@ -450,12 +454,56 @@ class TestIndexCommands:
         assert line.startswith(f"repro-oasis {name}: error: ") and "rebuild the index" in line
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "name, arguments",
+        [
+            ("search", ["search", "--query", "MKVLAADTGLAV", "--min-score", "15", "--index"]),
+            ("index info", ["index", "info"]),
+        ],
+        ids=["search", "info"],
+    )
+    def test_an_index_of_sequence_range_images_exits_2_naming_the_rebuild(
+        self, tmp_path, capsys, name, arguments
+    ):
+        """A catalog as the sequence-range layout wrote it: format v2, two images."""
+        directory = tmp_path / "old.index"
+        directory.mkdir()
+        shard = {"residues": 50, "sequence_count": 2}
+        (directory / "catalog.json").write_text(
+            json.dumps(
+                {
+                    "balanced_by": "residues",
+                    "database_digest": "",
+                    "database_name": "old.fasta",
+                    "fingerprint": {
+                        "block_size": 2048,
+                        "format_version": 2,
+                        "gap_penalty": -8,
+                        "matrix": "PAM30",
+                    },
+                    "sequence_count": 4,
+                    "shards": [
+                        dict(shard, index=0, path="shard-0000.oasis", start_sequence=0),
+                        dict(shard, index=1, path="shard-0001.oasis", start_sequence=2),
+                    ],
+                    "total_residues": 100,
+                }
+            )
+        )
+        code = main(arguments + [str(directory)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro-oasis {name}: error: ")
+        assert "v2" in line and "`repro-oasis index build`" in line
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("pool_bytes", [None, 2048], ids=["fits", "tight"])
     def test_truncated_image_is_a_typed_error_through_the_api(self, index_dir, pool_bytes):
         from repro.sharding import ShardedEngine
         from repro.storage import ImageFormatError
 
-        image = index_dir / "shard-0001.oasis"
+        image = index_dir / "tree.oasis"
         size = image.stat().st_size
         with open(image, "r+b") as handle:
             handle.truncate(size - 2048)
@@ -464,7 +512,7 @@ class TestIndexCommands:
             ShardedEngine.open(index_dir, **pool)
 
     def test_truncated_image_exits_2_in_one_line(self, index_dir, capsys):
-        image = index_dir / "shard-0001.oasis"
+        image = index_dir / "tree.oasis"
         size = image.stat().st_size
         with open(image, "r+b") as handle:
             handle.truncate(size - 2048)  # one default block
@@ -515,36 +563,6 @@ class TestIndexCommands:
         assert [line.split()[:3] for line in monolithic[1:6]] == [
             line.split()[:3] for line in sharded[1:6]
         ]
-
-    def test_index_build_with_parallel_backend(self, tmp_path, generated_files, capsys):
-        fasta, _ = generated_files
-        directory = tmp_path / "parallel-index"
-        code = main(
-            [
-                "index",
-                "build",
-                "--database",
-                str(fasta),
-                "--output",
-                str(directory),
-                "--shards",
-                "2",
-                "--backend",
-                "threads:2",
-            ]
-        )
-        assert code == 0
-        assert "built 2-shard index" in capsys.readouterr().out
-        assert sorted(p.name for p in directory.glob("*.oasis")) == [
-            "shard-0000.oasis",
-            "shard-0001.oasis",
-        ]
-        # The thread build stays, and writes the serial build's bytes.
-        serial = tmp_path / "serial-index"
-        build = ["index", "build", "--database", str(fasta), "--shards", "2"]
-        assert main(build + ["--output", str(serial), "--backend", "serial"]) == 0
-        for name in ("shard-0000.oasis", "shard-0001.oasis"):
-            assert (directory / name).read_bytes() == (serial / name).read_bytes()
 
     @pytest.mark.parametrize("option", [["--gap", "-4"], ["--matrix", "BLOSUM62"]])
     def test_search_index_rejects_mismatched_config(

@@ -1,14 +1,14 @@
 """The fit rule: an image that fits its pool budget is read into the in-memory tree.
 
 ``repro.storage.open_image`` is the one place the choice is made, and every
-engine opens its images through it: ``ShardedEngine.open`` with each shard's
-share of the budget, a process worker's ``_open_shard_search`` with the share
-the parent sent, and ``OasisEngine.build_on_disk``.  A pool of exactly the
+engine opens its images through it: ``ShardedEngine.open`` with the whole
+budget, a process worker's ``_open_tree_search`` with the budget the parent
+sent, and ``OasisEngine.build_on_disk``.  A pool of exactly the
 image's size reads the tree; one byte less searches through the clock pool.
 The read tree must be the built tree, record for record, at block sizes with
 and without padding, and must keep no decoded-children table.  It reads its
-records when a search first needs them, so an engine whose shards search in
-worker processes holds none; and an engine rebuilt around the cursors
+records when a search first needs them, so an engine whose partitions search
+in worker processes holds none; and an engine rebuilt around the cursor
 ``ShardedEngine.open`` opened (as a timing proxy rebuilds it) returns the
 same hits and counters as the engine itself.
 """
@@ -25,6 +25,7 @@ from repro.core.evalue import SelectivityConverter
 from repro.core.request import SearchRequest
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
+from repro.scoring.data import pam30
 from repro.sharding import ShardedEngine, ShardedIndexBuilder, ShardSearchTask
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
@@ -52,13 +53,12 @@ def hit_list(result):
 
 @pytest.fixture
 def shard_index(tmp_path, small_protein_database, pam30_matrix, gap8):
-    """A 2-shard index at 512-byte blocks, and the byte size of each image."""
+    """A 2-partition index at 512-byte blocks, and the byte size of its image."""
     directory = tmp_path / "index"
     catalog = ShardedIndexBuilder(pam30_matrix, gap8, shard_count=2, block_size=512).build(
         small_protein_database, directory
     )
-    images = [catalog.shard_image_path(directory, entry) for entry in catalog.shards]
-    return directory, catalog, [os.path.getsize(image) for image in images]
+    return directory, catalog, os.path.getsize(catalog.image_path(directory))
 
 
 class TestTheBoundary:
@@ -89,37 +89,31 @@ class TestTheBoundary:
                 assert type(engine.cursor) is expected
                 assert len(engine.search(QUERY, min_score=20)) > 0
 
-    def test_sharded_engine_open_uses_each_shards_share(self, shard_index):
-        directory, catalog, sizes = shard_index
-        residues = [entry.residues for entry in catalog.shards]
-        total = sum(residues)
-        # The least total budget whose share for shard 0 covers its image.
-        exact = -(-sizes[0] * total // residues[0])
-        for budget in (exact, exact - 1):
+    def test_sharded_engine_open_gives_the_image_the_whole_budget(self, shard_index):
+        directory, _, size = shard_index
+        for budget, expected in ((size, GeneralizedSuffixTree), (size - 1, DiskSuffixTree)):
             with ShardedEngine.open(directory, buffer_pool_bytes=budget) as engine:
-                shares = engine.shard_buffer_bytes
-                for shard, share, size in zip(engine.shards, shares, sizes):
-                    expected = GeneralizedSuffixTree if size <= share else DiskSuffixTree
-                    assert type(shard.cursor) is expected
-                fits = type(engine.shards[0].cursor) is GeneralizedSuffixTree
-                assert fits == (budget == exact)
+                assert engine.buffer_pool_bytes == budget
+                assert type(engine.tree_engine.cursor) is expected
 
     def test_the_worker_opens_what_the_parent_opens(self, shard_index):
-        directory, catalog, sizes = shard_index
+        directory, catalog, size = shard_index
         request = SearchRequest(QUERY, min_score=20)
         try:
-            for pool_bytes in (sizes[1], sizes[1] - 1):
-                expected = GeneralizedSuffixTree if pool_bytes == sizes[1] else DiskSuffixTree
+            for pool_bytes in (size, size - 1):
+                expected = GeneralizedSuffixTree if pool_bytes == size else DiskSuffixTree
                 task = ShardSearchTask(
                     directory=str(directory),
-                    shard_index=1,
+                    shard=1,
+                    root_symbols=b"\x00",
                     request=request,
+                    matrix=pam30(),
                     deadline_epoch=None,
                     buffer_pool_bytes=pool_bytes,
                     fingerprint=catalog.fingerprint,
                     database_digest=catalog.database_digest,
                 )
-                assert type(remote._open_shard_search(task).cursor) is expected
+                assert type(remote._open_tree_search(task).cursor) is expected
         finally:
             remote._evict_directory(os.path.abspath(directory))
 
@@ -174,8 +168,8 @@ def test_serial_and_process_scatters_agree(shard_index, pool_bytes):
     results = []
     for backend in ("serial", "processes:2"):
         with ShardedEngine.open(directory, backend=backend, **pool) as engine:
-            kinds = {type(shard.cursor) for shard in engine.shards}
-            assert kinds == {GeneralizedSuffixTree if pool_bytes is None else DiskSuffixTree}
+            kind = type(engine.tree_engine.cursor)
+            assert kind is (GeneralizedSuffixTree if pool_bytes is None else DiskSuffixTree)
             result = engine.search(QUERY, evalue=1_000.0)
             results.append((hit_list(result), result.statistics.columns_expanded))
     assert results[0] == results[1]
@@ -203,16 +197,25 @@ class TestReadOnFirstUse:
         with pytest.raises(ImageFormatError, match="truncated"):
             read.siblings(read.root)
 
+    def test_a_region_read_short_is_refused_not_zero_filled(self, tmp_path, small_protein_database):
+        """A file cut between the open checks and the read: the read raises."""
+        path = tmp_path / "image.oasis"
+        layout = build_disk_image(small_protein_database, path, block_size=512)
+        os.truncate(path, os.path.getsize(path) - 512)
+        with open(path, "rb") as handle:
+            with pytest.raises(ImageFormatError, match="leaf_nodes region: the file is truncated"):
+                layout.read_records(handle, Region.LEAF_NODES)
+
     def test_a_process_scatter_reads_no_records_in_this_process(self, shard_index):
         directory, _, _ = shard_index
         with ShardedEngine.open(directory, backend="processes:2") as engine:
             assert len(engine.search(QUERY, evalue=1_000.0)) > 0
-            for shard in engine.shards:
-                assert type(shard.cursor) is GeneralizedSuffixTree
-                assert "internal_records" not in vars(shard.cursor)
-            # The streaming path searches this process's shards: they read then.
+            cursor = engine.tree_engine.cursor
+            assert type(cursor) is GeneralizedSuffixTree
+            assert "internal_records" not in vars(cursor)
+            # The streaming path searches this process's tree: it reads then.
             assert list(engine.search_online(QUERY, evalue=1_000.0))
-            assert all("internal_records" in vars(shard.cursor) for shard in engine.shards)
+            assert "internal_records" in vars(cursor)
 
 
 class Delegating(SuffixTreeCursor):
@@ -277,9 +280,11 @@ def test_an_engine_rebuilt_around_the_opened_cursors_counts_the_same(shard_index
         rebuilt = ShardedEngine(
             [
                 OasisEngine(
-                    Delegating(shard.cursor), plain.matrix, plain.gap_model, converter=converter
+                    Delegating(plain.tree_engine.cursor),
+                    plain.matrix,
+                    plain.gap_model,
+                    converter=converter,
                 )
-                for shard in plain.shards
             ],
             plain.database,
             plain.matrix,
@@ -287,9 +292,9 @@ def test_an_engine_rebuilt_around_the_opened_cursors_counts_the_same(shard_index
             converter=converter,
             catalog=catalog,
             directory=str(directory),
-            shard_buffer_bytes=plain.shard_buffer_bytes,
+            shard_buffer_bytes=[plain.buffer_pool_bytes],
         )
-        # Each engine runs the query twice on the same cursors: the second
+        # Each engine runs the query twice on the same cursor: the second
         # pass of each sees the same warm state.
         outcome(plain)
         expected = outcome(plain)

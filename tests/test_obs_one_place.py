@@ -133,7 +133,8 @@ class TestDispatchSpans:
                 QUERIES, workers=workers, min_score=MIN_SCORE, tracer=tracer
             )
         assert not report.statistics.failed
-        self._assert_one_batch_of_scattered_queries(_valid_recording(tracer), shards, report)
+        # The serial scatter searches the whole tree once, whatever the partitions.
+        self._assert_one_batch_of_scattered_queries(_valid_recording(tracer), 1, report)
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_a_process_scatter_dispatches_are_adopted_spans(self, shards, tmp_path):
@@ -159,9 +160,7 @@ class TestDispatchSpans:
         (query,) = spans["query"]
         assert query.parent_id is None and query.attributes["streaming"] is True
         assert query.attributes["hits"] == len(hits) > 0
-        assert sorted(record.attributes["shard"] for record in _children(spans["shard"], query)) == list(
-            range(shards)
-        )
+        assert [record.attributes["shard"] for record in _children(spans["shard"], query)] == [0]
 
     @pytest.mark.parametrize("engine_kind", ["memory", "disk", "sharded"])
     def test_a_recording_of_a_real_search_round_trips_through_its_file(
@@ -204,9 +203,10 @@ class TestStopsAndFailures:
         spans = _by_name(_valid_recording(tracer))
         assert [query.attributes["timed_out"] for query in spans["query"]] == [True] * len(QUERIES)
         assert all(shard.attributes.get("timed_out") is True for shard in spans["shard"])
-        # Counted once per shard execution, like every search.* counter.
-        assert tracer.metrics.counter("search.timeouts").value == shards * len(QUERIES)
-        assert tracer.metrics.counter("search.queries").value == shards * len(QUERIES)
+        # Counted once per execution (one per query on the serial scatter),
+        # like every search.* counter.
+        assert tracer.metrics.counter("search.timeouts").value == len(QUERIES)
+        assert tracer.metrics.counter("search.queries").value == len(QUERIES)
 
     @pytest.mark.parametrize("engine_kind", ["memory", "disk"])
     def test_an_expired_deadline_on_one_index_marks_the_query_span(self, engine_kind, tmp_path):
@@ -286,12 +286,12 @@ class TestStopsAndFailures:
 
         tracer = Tracer()
         with open_sharded(3) as engine:
-            monkeypatch.setattr(engine.shards[1].cursor, "siblings", broken_siblings)
+            monkeypatch.setattr(engine.tree_engine.cursor, "siblings", broken_siblings)
             report = engine.search_many([CORE], workers=1, min_score=MIN_SCORE, tracer=tracer)
         assert report.statistics.failed == 1
         spans = _by_name(_valid_recording(tracer))
         failed = [shard for shard in spans["shard"] if shard.status == "error"]
-        assert [shard.attributes["shard"] for shard in failed] == [1]
+        assert [shard.attributes["shard"] for shard in failed] == [0]
         (query,) = spans["query"]
         assert failed[0].parent_id == query.span_id
 
@@ -456,10 +456,12 @@ def _search(workload, *extra):
     return ["search", *source, "--queries", str(queries), "--min-score", "15", *extra]
 
 
+#: run -> (extra flags, shard spans per query): the serial scatter searches
+#: the whole tree once, a process scatter each of the index's 2 partitions.
 CLI_RUNS = {
     "database": ((), 1),
-    "index, serial scatter": (("--backend", "serial"), 2),
-    "index, default scatter, 2 workers": (("--index", "--workers", "2"), 2),
+    "index, serial scatter": (("--backend", "serial"), 1),
+    "index, default scatter, 2 workers": (("--index", "--workers", "2"), 1),
     "index, process scatter": (("--backend", "processes:2"), 2),
 }
 
@@ -492,8 +494,8 @@ def test_a_cli_timeout_is_in_the_trace_and_the_metrics(sharded, workload, tmp_pa
     assert validate(recording) == []
     queries = _by_name(recording)["query"]
     assert [query.attributes["timed_out"] for query in queries] == [True] * 3
-    executions = 3 * (2 if sharded else 1)
-    assert f"search.timeouts = {executions}" in err.splitlines()
+    # One execution per query either way: the index runs the serial scatter.
+    assert "search.timeouts = 3" in err.splitlines()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,14 +1,15 @@
 """Tests for the sharded index subsystem (repro.sharding).
 
-The load-bearing property is *parity*: a ShardedEngine over any shard count
-must return exactly the hits -- identifiers,
+The load-bearing property is *parity*: a ShardedEngine over any partition
+count, on either scatter, must return exactly the hits -- identifiers,
 scores, E-values and order -- of a monolithic OasisEngine over the same
-database.  Everything else (planner balance, catalog round-trips, fingerprint
-mismatches, per-shard statistics) supports that guarantee.
+database.  Everything else (root partitions, the per-sequence merge, catalog
+round-trips and refusals, per-shard statistics) supports that guarantee.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -18,15 +19,20 @@ from repro.core.evalue import SelectivityConverter
 from repro.core.oasis import QueryExecution
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
+from repro.exec import ProcessBackend
+from repro.scoring.data import nucleotide_matrix, pam30
+from repro.scoring.gaps import FixedGapModel
+from repro.sequences.alphabet import DNA_ALPHABET
 from repro.sharding import (
     CatalogError,
+    CatalogFormatError,
     CatalogMismatchError,
     ShardCatalog,
     ShardedEngine,
     ShardedIndexBuilder,
-    ShardPlanner,
+    root_partitions,
 )
-from repro.testing import random_protein
+from repro.testing import random_dna, random_protein
 
 QUERIES = ["WKDDGNGYISAAE", "MKVLAADT", "DKDGDGCITTKEL"]
 EVALUE = 1_000.0
@@ -80,52 +86,8 @@ def index_directories(tmp_path_factory, shard_database, pam30_matrix, gap8):
     return directories
 
 
-class TestShardPlanner:
-    def test_contiguous_cover(self, shard_database):
-        plan = ShardPlanner(4, by="residues").plan(shard_database)
-        assert plan.shard_count == 4
-        position = 0
-        for spec in plan.specs:
-            assert spec.start_sequence == position
-            assert spec.sequence_count >= 1
-            position = spec.stop_sequence
-        assert position == len(shard_database)
-        assert sum(spec.residues for spec in plan.specs) == shard_database.total_symbols
-
-    def test_by_sequences_balances_counts(self, shard_database):
-        plan = ShardPlanner(4, by="sequences").plan(shard_database)
-        counts = [spec.sequence_count for spec in plan.specs]
-        assert max(counts) - min(counts) <= 1
-
-    def test_by_residues_balances_weight(self, shard_database):
-        plan = ShardPlanner(3, by="residues").plan(shard_database)
-        weights = [spec.residues for spec in plan.specs]
-        # Contiguous splitting cannot be perfect, but no shard should hog the
-        # database: each stays within 2x of the fair share.
-        fair = shard_database.total_symbols / 3
-        assert all(weight < 2 * fair for weight in weights)
-
-    def test_single_shard_is_identity(self, shard_database):
-        plan = ShardPlanner(1).plan(shard_database)
-        assert plan.specs[0].sequence_count == len(shard_database)
-
-    def test_sliced_databases_share_records(self, shard_database):
-        plan = ShardPlanner(2).plan(shard_database)
-        subs = [plan.slice_database(shard_database, spec) for spec in plan.specs]
-        assert subs[0][0] is shard_database[0]
-        assert subs[1][0] is shard_database[plan.specs[1].start_sequence]
-
-    def test_rejects_bad_shard_counts(self, shard_database):
-        with pytest.raises(ValueError):
-            ShardPlanner(0)
-        with pytest.raises(ValueError):
-            ShardPlanner(len(shard_database) + 1).plan(shard_database)
-        with pytest.raises(ValueError):
-            ShardPlanner(2, by="vibes")
-
-
 class TestShardedSearch:
-    """Merge, offsets and budgets of a sharded engine over the module's indexes."""
+    """Results, rows and budgets of a sharded engine over the module's indexes."""
 
     def test_min_score_parity(self, index_directories, monolithic):
         with ShardedEngine.open(index_directories[4]) as sharded:
@@ -175,8 +137,9 @@ class TestShardedSearch:
     def test_search_many_reports_per_shard_statistics(self, index_directories):
         with ShardedEngine.open(index_directories[4]) as sharded:
             report = sharded.search_many(QUERIES, workers=2, evalue=EVALUE)
+            # The serial scatter is one search of the whole tree: one row.
             shards = report.statistics.shards
-            assert sorted(shards) == [0, 1, 2, 3]
+            assert sorted(shards) == [0]
             assert all(aggregate.queries == len(QUERIES) for aggregate in shards.values())
             assert sum(a.hits for a in shards.values()) == report.statistics.total_hits
             assert (
@@ -189,7 +152,7 @@ class TestShardedSearch:
         with ShardedEngine.open(index_directories[4]) as sharded:
             result = sharded.search(QUERIES[0], evalue=EVALUE)
             rows = result.parameters["shard_stats"]
-            assert [row["shard"] for row in rows] == [0, 1, 2, 3]
+            assert [row["shard"] for row in rows] == [0]
             assert result.columns_expanded == sum(
                 row["columns_expanded"] for row in rows
             )
@@ -202,7 +165,6 @@ class TestShardedSearch:
             first = execution.result()
             again = execution.result()
             assert again is first
-            # Global indices were remapped exactly once.
             assert all(
                 hit.sequence_index < len(shard_database) for hit in first.hits
             )
@@ -217,8 +179,8 @@ class TestShardedSearch:
             rows = result.parameters["shard_stats"]
             assert sum(row["hits"] for row in rows) == len(result) == 3
 
-    def test_time_budget_is_shared_across_shards(self, index_directories, monkeypatch):
-        """One absolute deadline is pinned on every shard before any runs."""
+    def test_time_budget_is_pinned_before_the_search_runs(self, index_directories, monkeypatch):
+        """One absolute deadline is pinned on the execution before it runs."""
         pinned = []
         set_deadline = QueryExecution.set_deadline
 
@@ -232,7 +194,7 @@ class TestShardedSearch:
             assert execution.executions == [] and pinned == []
             next(iter(execution))
             execution.close()
-            assert len(execution.executions) == len(pinned) == 4
+            assert len(execution.executions) == len(pinned) == 1
             assert set(pinned) == {execution.deadline} and execution.deadline is not None
 
     def test_expired_budget_flags_timed_out(self, index_directories):
@@ -275,7 +237,7 @@ class TestShardedParityOnDisk:
         ).build(shard_database, directory)
 
         reloaded = ShardCatalog.load(directory)
-        assert reloaded.shard_count == built.shard_count == 3
+        assert reloaded.partitions == built.partitions == 3
         assert reloaded.fingerprint == built.fingerprint
         assert [entry.path for entry in reloaded.shards] == [
             entry.path for entry in built.shards
@@ -284,8 +246,7 @@ class TestShardedParityOnDisk:
         # Reopen purely from the directory: database, matrix and gap model
         # are all restored from the catalog + bundled FASTA.
         with ShardedEngine.open(directory) as sharded:
-            assert sharded.shard_count == 3
-            assert sharded.catalog is not None
+            assert sharded.catalog.partitions == 3 and len(sharded.partitions) == 3
             for query in QUERIES:
                 expected = monolithic.search(query, evalue=EVALUE)
                 got = sharded.search(query, evalue=EVALUE)
@@ -425,16 +386,17 @@ class TestDeterministicTieOrdering:
         batch = engine.search("WKDDGNGYISAAE", min_score=20)
         assert hit_signature(streamed) == hit_signature(batch.hits)
 
-    def test_sharded_ties_merge_identically(self, tmp_path, pam30_matrix, gap8):
+    @pytest.mark.parametrize("backend", ["serial", "processes:2"])
+    def test_sharded_ties_merge_identically(self, tmp_path, pam30_matrix, gap8, backend):
         database = SequenceDatabase(alphabet=PROTEIN_ALPHABET, name="ties")
         body = "WKDDGNGYISAAEMKVLAADT"
-        # Spread tied sequences across shards: contiguous split puts zulu and
-        # alpha in different shards, so the merge must interleave them.
+        # Every tied sequence scores in every partition: the merge must keep
+        # each once and order them by identifier.
         for identifier in ["zulu", "quebec", "alpha", "bravo"]:
             database.add_sequence(identifier, body)
         monolithic = OasisEngine.build(database, matrix=pam30_matrix, gap_model=gap8)
         with ShardedEngine.build_on_disk(
-            database, tmp_path / "ties", pam30_matrix, gap8, shard_count=2, by="sequences"
+            database, tmp_path / "ties", pam30_matrix, gap8, shard_count=2, backend=backend
         ) as sharded:
             expected = monolithic.search("WKDDGNGYISAAE", min_score=20)
             got = sharded.search("WKDDGNGYISAAE", min_score=20)
@@ -445,3 +407,255 @@ class TestDeterministicTieOrdering:
                 "quebec",
                 "zulu",
             ]
+
+
+# --------------------------------------------------------------------- #
+# One tree, split by the root's children
+# --------------------------------------------------------------------- #
+class TestRootPartitions:
+    def test_partitions_split_the_present_symbols_and_balance_their_counts(self, shard_database):
+        partitions = root_partitions(shard_database, 3)
+        codes = shard_database.concatenated_codes
+        terminal = shard_database.alphabet.terminal_code
+        owned = [code for symbols in partitions for code in symbols]
+        present = {code for code in codes if code != terminal}
+        assert sorted(owned) == sorted(present | {terminal})
+        assert terminal in partitions[0]
+        totals = [
+            sum(codes.count(code) for code in symbols if code != terminal)
+            for symbols in partitions
+        ]
+        # Greedy by decreasing count: no partition exceeds another by more
+        # than the count of its smallest symbol.
+        assert max(totals) - min(totals) <= max(codes.count(code) for code in present)
+
+    def test_the_most_frequent_symbols_go_first_ties_by_code(self):
+        database = SequenceDatabase.from_texts(["WWWCCCAAG"], alphabet=PROTEIN_ALPHABET)
+        encode = PROTEIN_ALPHABET.encode
+        w, c, a, g = (encode(symbol)[0] for symbol in "WCAG")
+        terminal = PROTEIN_ALPHABET.terminal_code
+        # W and C tie at 3: the lower code goes first, to partition 0; A (2)
+        # then meets a tie of totals and takes the lower index, G the other.
+        first, second = sorted((w, c))
+        assert root_partitions(database, 2) == [
+            bytes(sorted((first, a, terminal))),
+            bytes(sorted((second, g))),
+        ]
+
+    def test_more_partitions_than_symbols_leaves_some_empty(self):
+        database = SequenceDatabase.from_texts(["ACGTACGGT", "TTGCA"], alphabet=DNA_ALPHABET)
+        partitions = root_partitions(database, 8)
+        assert [len(symbols) for symbols in partitions] == [2, 1, 1, 1, 0, 0, 0, 0]
+
+    def test_one_partition_owns_every_root_child(self, shard_database):
+        (only,) = root_partitions(shard_database, 1)
+        assert set(only) == set(shard_database.concatenated_codes)
+
+
+PARITY_PARTITIONS = [1, 2, 3, 4, 8]
+PARITY_BACKENDS = ["serial", "processes:2"]
+#: What the monolithic engine and a serial scatter count identically.
+TREE_COUNTERS = (
+    "columns_expanded",
+    "nodes_expanded",
+    "nodes_enqueued",
+    "nodes_accepted",
+    "nodes_pruned",
+)
+
+
+def _planted(rng, random_text, motif, flank, count):
+    """``count`` sequences holding ``motif`` between random flanks."""
+    return [
+        random_text(rng, rng.randint(*flank)) + motif + random_text(rng, rng.randint(*flank))
+        for _ in range(count)
+    ]
+
+
+def _parity_case(alphabet):
+    """A database where some sequences hold a query's motif and some do not,
+    with its scoring, its queries and one cutoff of each kind."""
+    rng = random.Random(31)
+    if alphabet == "protein":
+        core, other = "WKDDGNGYISAAE", "MKVLAADTGLAV"
+        texts = _planted(rng, random_protein, core, (8, 30), 6)
+        texts += _planted(rng, random_protein, other, (8, 30), 3)
+        texts += [random_protein(rng, rng.randint(12, 50)) for _ in range(7)]
+        database = SequenceDatabase.from_texts(texts, alphabet=PROTEIN_ALPHABET)
+        scoring = (pam30(), FixedGapModel(-8))
+        cutoffs = [{"min_score": 20}, {"evalue": 1.0}]
+    else:
+        core, other = "ACGTTGCAACGTAGGCTAAC", "GGATCCTTAAGGCC"
+        texts = _planted(rng, random_dna, core, (20, 60), 5)
+        texts += _planted(rng, random_dna, other, (20, 60), 3)
+        texts += [random_dna(rng, rng.randint(40, 90)) for _ in range(6)]
+        database = SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET)
+        scoring = (nucleotide_matrix(1, -3), FixedGapModel(-4))
+        cutoffs = [{"min_score": 12}, {"evalue": 1.0}]
+    return database, scoring, [core, other], cutoffs
+
+
+@pytest.fixture(scope="module")
+def process_pool():
+    """One worker pool for every process scatter of the module (caller-owned)."""
+    with ProcessBackend(2) as backend:
+        yield backend
+
+
+@pytest.fixture(scope="module")
+def parity_indexes(tmp_path_factory):
+    """Per alphabet: the case, its monolithic engine and one index per partition count."""
+    cases = {}
+    for alphabet in ("protein", "dna"):
+        database, scoring, queries, cutoffs = _parity_case(alphabet)
+        root = tmp_path_factory.mktemp(f"parity-{alphabet}")
+        directories = {}
+        for partitions in PARITY_PARTITIONS:
+            directories[partitions] = root / f"index-{partitions}"
+            builder = ShardedIndexBuilder(*scoring, shard_count=partitions, block_size=512)
+            builder.build(database, directories[partitions])
+        monolithic = OasisEngine.build(database, *scoring)
+        cases[alphabet] = (scoring, queries, cutoffs, monolithic, directories)
+    return cases
+
+
+class TestPartitionParity:
+    """1/2/3/4/8 partitions x serial/processes x protein/DNA: the monolithic hits."""
+
+    @pytest.mark.parametrize("alphabet", ["protein", "dna"])
+    @pytest.mark.parametrize("backend", PARITY_BACKENDS)
+    @pytest.mark.parametrize("partitions", PARITY_PARTITIONS)
+    def test_streamed_and_collected_hits_equal_the_monolithic_engine(
+        self, parity_indexes, process_pool, alphabet, backend, partitions
+    ):
+        (matrix, gap_model), queries, cutoffs, monolithic, directories = parity_indexes[alphabet]
+        scatter = process_pool if backend == "processes:2" else backend
+        rows = 1 if backend == "serial" else partitions
+        options = [
+            dict(cutoff, max_results=max_results)
+            for cutoff in cutoffs
+            for max_results in (None, 1, 5)
+        ]
+        with ShardedEngine.open(
+            directories[partitions], matrix=matrix, gap_model=gap_model, backend=scatter
+        ) as sharded:
+            for query in queries:
+                for option in options:
+                    case = (query, option)
+                    expected = monolithic.execute(query, **option).result()
+                    assert expected.hits, case
+                    streamed = list(sharded.execute(query, **option))
+                    collected = sharded.execute(query, **option).result()
+                    assert hit_signature(streamed) == hit_signature(expected.hits), case
+                    assert hit_signature(collected.hits) == hit_signature(expected.hits), case
+                    assert len(collected.parameters["shard_stats"]) == rows
+                    got, reference = collected.statistics, expected.statistics
+                    if backend == "serial":
+                        for name in TREE_COUNTERS:
+                            assert getattr(got, name) == getattr(reference, name), (case, name)
+                    elif option["max_results"] is None:
+                        # Each partition searches its own root children:
+                        # together, the columns of the whole tree.
+                        assert got.columns_expanded == reference.columns_expanded, case
+
+    def test_a_partition_that_owns_no_root_child_is_not_searched(
+        self, parity_indexes, process_pool
+    ):
+        (matrix, gap_model), queries, cutoffs, _, directories = parity_indexes["dna"]
+        with ShardedEngine.open(
+            directories[8], matrix=matrix, gap_model=gap_model, backend=process_pool
+        ) as sharded:
+            assert [bool(symbols) for symbols in sharded.partitions] == [True] * 4 + [False] * 4
+            result = sharded.execute(queries[0], **cutoffs[0]).result()
+        rows = result.parameters["shard_stats"]
+        assert [row["columns_expanded"] for row in rows[4:]] == [0] * 4
+        assert all(row["columns_expanded"] > 0 for row in rows[:4])
+
+
+class TestPerSequenceMerge:
+    """A sequence that scores in two partitions appears once, at its best score."""
+
+    @pytest.fixture
+    def two_motif_index(self, tmp_path, pam30_matrix, gap8):
+        # W and C are the two most frequent symbols: 2 partitions put them apart.
+        database = SequenceDatabase.from_texts(
+            ["WWWWWGGGCCCCC", "WWWWWWW", "CCCCCC", "KLMNPQ"],
+            alphabet=PROTEIN_ALPHABET,
+            name="two-motifs",
+        )
+        ShardedIndexBuilder(pam30_matrix, gap8, shard_count=2).build(database, tmp_path / "index")
+        return database, tmp_path / "index"
+
+    def test_the_best_partition_wins_and_the_sequence_is_kept_once(
+        self, two_motif_index, pam30_matrix, gap8, process_pool
+    ):
+        database, directory = two_motif_index
+        w, c = (PROTEIN_ALPHABET.encode(symbol)[0] for symbol in "WC")
+        first, second = root_partitions(database, 2)
+        assert w in first and c in second
+        query = "WWWWWCCCCC"
+        expected = OasisEngine.build(database, pam30_matrix, gap8).search(query, min_score=30)
+        with ShardedEngine.open(directory, backend=process_pool) as sharded:
+            execution = sharded.execute(query, min_score=30)
+            merged = execution.result()
+            both = [
+                [hit.score for hit in result.hits if hit.sequence_index == 0]
+                for result in execution.shard_results
+            ]
+        # The first sequence scored below its W run and below its C run.
+        assert len(both[0]) == len(both[1]) == 1 and both[0] != both[1]
+        assert [hit.sequence_index for hit in merged.hits].count(0) == 1
+        assert hit_signature(merged.hits) == hit_signature(expected.hits)
+        assert merged.hits[0].sequence_index == 0 and merged.hits[0].score == max(both)[0]
+        assert sum(row["hits"] for row in merged.parameters["shard_stats"]) == len(merged)
+
+
+class TestOlderIndexRefused:
+    """A catalog of the sequence-range layout (format v2) is refused, typed."""
+
+    @staticmethod
+    def write_old_catalog(directory):
+        """Two sequence-range images, as the older layout wrote them."""
+        directory.mkdir()
+        entry = {"residues": 50, "sequence_count": 2}
+        payload = {
+            "balanced_by": "residues",
+            "database_digest": "",
+            "database_name": "old",
+            "fingerprint": {
+                "block_size": 2048,
+                "format_version": 2,
+                "gap_penalty": -8,
+                "matrix": "PAM30",
+            },
+            "sequence_count": 4,
+            "shards": [
+                dict(entry, index=0, path="shard-0000.oasis", start_sequence=0),
+                dict(entry, index=1, path="shard-0001.oasis", start_sequence=2),
+            ],
+            "total_residues": 100,
+        }
+        (directory / "catalog.json").write_text(json.dumps(payload))
+
+    def test_loading_it_is_a_format_error_naming_the_rebuild(self, tmp_path):
+        self.write_old_catalog(tmp_path / "old")
+        message = r"v2, this code reads only v3: .*`repro-oasis index build`"
+        with pytest.raises(CatalogFormatError, match=message):
+            ShardCatalog.load(tmp_path / "old")
+        with pytest.raises(CatalogFormatError):
+            ShardedEngine.open(tmp_path / "old")
+
+    def test_a_current_catalog_must_list_exactly_one_image(
+        self, tmp_path, shard_database, pam30_matrix, gap8
+    ):
+        directory = tmp_path / "index"
+        catalog = ShardedIndexBuilder(pam30_matrix, gap8).build(shard_database, directory)
+        catalog.shards.append(catalog.shards[0])
+        catalog.save(directory)
+        with pytest.raises(CatalogError, match="2 images, not one"):
+            ShardCatalog.load(directory)
+
+    @pytest.mark.parametrize("partitions", [0, 257])
+    def test_a_partition_count_outside_the_root_is_refused(self, pam30_matrix, gap8, partitions):
+        with pytest.raises(ValueError, match="between 1 and 256"):
+            ShardedIndexBuilder(pam30_matrix, gap8, shard_count=partitions)

@@ -1,20 +1,19 @@
-"""Backend coverage for the sharded subsystem: scatter, builds, budgeting.
+"""Backend coverage for the sharded subsystem: scatter, images, budgeting.
 
 The load-bearing property is backend *transparency*: for the same catalog
 and queries, the ``serial`` (default) and ``processes:N`` scatter backends
 must produce byte-identical ordered results (and identical to the
-monolithic engine), whichever backend built the index.  Alongside parity,
-this module covers the failure paths the process backend introduces
-(worker errors surface per query, deadlines hold across processes), the
-refusal of a thread scatter, and the proportional per-shard buffer
-budgeting.
+monolithic engine).  Alongside parity, this module covers the failure paths
+the process backend introduces (worker errors surface per query, deadlines
+hold across processes), the refusal of a thread scatter, one image whatever
+the partition count, and the image's buffer budget.
 """
 
 from __future__ import annotations
 
 import glob
-import hashlib
 import os
+import pathlib
 import random
 import threading
 import time
@@ -25,6 +24,7 @@ from repro.core.engine import OasisEngine
 from repro.core.oasis import QueryExecution
 from repro.core.request import SearchRequest
 from repro.exec import BackendSpec, ProcessBackend, SerialBackend, ThreadBackend
+from repro.scoring.data import pam30
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder, shard_pool_budgets
@@ -179,19 +179,23 @@ class TestScatterBackendParity:
             hit.alignment for hit in expected.hits
         ]
 
-    def test_worker_outcome_equals_the_in_process_shard_result(self, index_directories):
+    def test_worker_outcome_equals_the_in_process_partition_result(self, index_directories):
         """What a worker sends back is what ``execution.result()`` builds here.
 
-        Same shard, same query, same (cold) pool budget: the hits, the global
-        E-values (the task carries the model, so the floats are bit-identical),
-        the alignments and every work counter agree -- only the clock differs.
+        Same image, same query, same root children, same (cold) pool budget:
+        the hits, the E-values (bit-identical floats), the alignments and
+        every work counter agree -- only the clock differs.
         """
         query = QUERIES[0]
         options = dict(evalue=EVALUE, compute_alignments=True)
         with ShardedEngine.open(index_directories[2], backend="processes:2") as sharded:
             scattered = sharded.execute(query, **options)
             remote = sharded._scatter(scattered, None)
-            local = [shard.execute(query, **options).result() for shard in sharded.shards]
+            local = []
+            for symbols in sharded.partitions:
+                execution = sharded.tree_engine.execute(query, **options)
+                execution.root_symbols = symbols
+                local.append(execution.result())
         assert sum(len(result) for result in remote) > 0
         for shard, (got, expected) in enumerate(zip(remote, local)):
             assert hit_signature(got.hits) == hit_signature(expected.hits)
@@ -203,7 +207,7 @@ class TestScatterBackendParity:
             assert got.parameters["min_score"] == expected.parameters["min_score"]
             counters, reference = got.statistics.as_dict(), expected.statistics.as_dict()
             assert counters.pop("elapsed_seconds") > 0 and reference.pop("elapsed_seconds") > 0
-            assert counters == reference, f"shard {shard}"
+            assert counters == reference, f"partition {shard}"
         # The worker's results are the shard results: nothing was built here.
         assert scattered.executions == []
 
@@ -246,10 +250,10 @@ class TestScatterBackendParity:
 
 
 class TestSerialScatter:
-    """The default scatter is the plain loop: each shard on the calling thread, in order."""
+    """The default scatter is one search of the whole tree, on the calling thread."""
 
     @pytest.mark.parametrize("shard_count", [1, 2, 4])
-    def test_every_shard_runs_on_the_calling_thread_in_order(
+    def test_one_search_of_the_whole_tree_runs_on_the_calling_thread(
         self, monkeypatch, index_directories, expected_signatures, shard_count
     ):
         ran = []
@@ -264,8 +268,9 @@ class TestSerialScatter:
             scattered = sharded.execute(QUERIES[0], evalue=EVALUE)
             got = scattered.result()
         assert hit_signature(got.hits) == expected_signatures[QUERIES[0]]
-        assert [thread for thread, _ in ran] == [threading.current_thread()] * shard_count
+        assert [thread for thread, _ in ran] == [threading.current_thread()]
         assert [execution for _, execution in ran] == scattered.executions
+        assert scattered.executions[0].root_symbols is None
 
     def test_the_engine_build_on_disk_returns_scatters_serially(
         self, monkeypatch, tmp_path, backend_database, pam30_matrix, gap8, expected_signatures
@@ -284,7 +289,7 @@ class TestSerialScatter:
             assert sharded.backend_spec == "serial"
             got = sharded.search(QUERIES[0], evalue=EVALUE)
         assert hit_signature(got.hits) == expected_signatures[QUERIES[0]]
-        assert ran == [threading.current_thread()] * 2
+        assert ran == [threading.current_thread()]
 
 
 #: A thread scatter's refusal names the two forms a scatter accepts.
@@ -355,8 +360,21 @@ class TestScatterBackendForms:
                     opened.gap_model,
                     catalog=opened.catalog,
                     directory=opened.directory,
-                    shard_buffer_bytes=opened.shard_buffer_bytes,
+                    shard_buffer_bytes=[opened.buffer_pool_bytes],
                     backend="threads:1",
+                )
+
+    def test_the_constructor_takes_exactly_one_engine(self, index_directories):
+        with ShardedEngine.open(index_directories[1]) as opened:
+            with pytest.raises(ValueError, match="one tree: pass one engine, not 2"):
+                ShardedEngine(
+                    opened.shards * 2,
+                    opened.database,
+                    opened.matrix,
+                    opened.gap_model,
+                    catalog=opened.catalog,
+                    directory=opened.directory,
+                    shard_buffer_bytes=[opened.buffer_pool_bytes],
                 )
 
 
@@ -465,8 +483,10 @@ class TestProcessBackendFailurePaths:
         """
         task = ShardSearchTask(
             directory=str(tmp_path / "never-built"),
-            shard_index=0,
+            shard=0,
+            root_symbols=b"\x00",
             request=SearchRequest("wkddgngyisaae", min_score=20),
+            matrix=pam30(),
             deadline_epoch=time.time() - 1.0,
             buffer_pool_bytes=1 << 16,
             fingerprint={},
@@ -492,45 +512,28 @@ class TestProcessBackendFailurePaths:
             execution.result()
 
 
-class TestParallelShardBuilds:
-    @pytest.mark.parametrize("backend", ["threads:2", "processes:2"])
-    def test_backend_builds_identical_images(
-        self, tmp_path, backend_database, pam30_matrix, gap8, backend
+class TestOneImage:
+    def test_the_image_is_the_same_whatever_the_partition_count(
+        self, index_directories, backend_database
     ):
-        """Whatever builds the shards, the bytes on disk are the same."""
+        images = {
+            shard_count: glob.glob(os.path.join(directory, "*.oasis"))
+            for shard_count, directory in index_directories.items()
+        }
+        assert all(len(paths) == 1 for paths in images.values())
+        contents = {pathlib.Path(paths[0]).read_bytes() for paths in images.values()}
+        assert len(contents) == 1
 
-        def digest_directory(directory):
-            digests = {}
-            for path in sorted(glob.glob(os.path.join(str(directory), "*"))):
-                with open(path, "rb") as handle:
-                    digests[os.path.basename(path)] = hashlib.sha256(
-                        handle.read()
-                    ).hexdigest()
-            return digests
-
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / backend.replace(":", "-")
-        ShardedIndexBuilder(pam30_matrix, gap8, shard_count=3).build(
-            backend_database, serial_dir
-        )
-        ShardedIndexBuilder(
-            pam30_matrix, gap8, shard_count=3, backend=backend
-        ).build(backend_database, parallel_dir)
-        assert digest_directory(serial_dir) == digest_directory(parallel_dir)
-
-    def test_parallel_build_opens_and_searches(
-        self, tmp_path, backend_database, pam30_matrix, gap8, expected_signatures
+    def test_the_catalog_records_the_partitions_and_one_entry_spanning_the_database(
+        self, index_directories, backend_database
     ):
-        with ShardedEngine.build_on_disk(
-            backend_database,
-            tmp_path / "built-parallel",
-            pam30_matrix,
-            gap8,
-            shard_count=4,
-            build_backend="threads:4",
-        ) as sharded:
-            got = sharded.search(QUERIES[0], evalue=EVALUE)
-            assert hit_signature(got.hits) == expected_signatures[QUERIES[0]]
+        from repro.sharding import ShardCatalog
+
+        catalog = ShardCatalog.load(index_directories[4])
+        assert catalog.partitions == 4
+        (entry,) = catalog.shards
+        assert (entry.start_sequence, entry.stop_sequence) == (0, len(backend_database))
+        assert entry.residues == backend_database.total_symbols
 
 
 class TestBufferBudgeting:
@@ -555,28 +558,13 @@ class TestBufferBudgeting:
         with pytest.raises(ValueError):
             shard_pool_budgets(1000, [1, 2], block_size=0)
 
-    def test_open_assigns_proportional_pools_with_floor(
-        self, index_directories, backend_database
+    @pytest.mark.parametrize(
+        "budget, expected", [(2 * BLOCK_SIZE, 2 * BLOCK_SIZE), (64, BLOCK_SIZE)]
+    )
+    def test_open_gives_the_image_the_whole_budget_at_least_one_frame(
+        self, index_directories, budget, expected
     ):
-        # A budget below shard_count * block_size: every pool must still get
-        # one frame, and the search must still answer correctly.
-        with ShardedEngine.open(
-            index_directories[4], buffer_pool_bytes=2 * BLOCK_SIZE
-        ) as sharded:
-            assert len(sharded.shard_buffer_bytes) == 4
-            for shard, budget in zip(sharded.shards, sharded.shard_buffer_bytes):
-                assert budget >= BLOCK_SIZE
-                assert shard.cursor.pool.frame_count >= 1
+        with ShardedEngine.open(index_directories[4], buffer_pool_bytes=budget) as sharded:
+            assert sharded.buffer_pool_bytes == expected
+            assert sharded.tree_engine.cursor.pool.frame_count == expected // BLOCK_SIZE
             assert len(sharded.search(QUERIES[0], evalue=EVALUE)) > 0
-
-    def test_open_budgets_follow_catalog_residues(self, index_directories):
-        with ShardedEngine.open(
-            index_directories[2], buffer_pool_bytes=1_000_000
-        ) as sharded:
-            entries = sharded.catalog.shards
-            budgets = sharded.shard_buffer_bytes
-            total = sum(entry.residues for entry in entries)
-            for entry, budget in zip(entries, budgets):
-                assert budget == max(
-                    BLOCK_SIZE, 1_000_000 * entry.residues // total
-                )

@@ -28,9 +28,8 @@ from repro.core.results import Alignment, OnlineResultLog, SearchResult
 from repro.exec import ProcessBackend
 from repro.obs.trace import TraceContext
 from repro.scoring.karlin_altschul import KarlinAltschulParameters
-from repro.sequences.alphabet import PROTEIN_ALPHABET
-from repro.sequences.database import SequenceDatabase
-from repro.sharding.remote import ShardBuildTask, ShardSearchTask
+from repro.scoring.data import nucleotide_matrix
+from repro.sharding.remote import ShardSearchTask
 from repro.testing import proc_roundtrip
 
 
@@ -60,8 +59,10 @@ RESOLVED = dataclasses.replace(
 def make_search_task(**overrides):
     base = dict(
         directory="/tmp/index",
-        shard_index=1,
+        shard=1,
+        root_symbols=b"\x00\x03",
         request=RESOLVED,
+        matrix=nucleotide_matrix(1, -3),
         deadline_epoch=1_234.5,
         buffer_pool_bytes=1 << 16,
         fingerprint={"matrix": "pam30", "gap": -8},
@@ -100,6 +101,14 @@ class TestShardSearchTask:
         assert qualname == "repro.sharding.remote.ShardSearchTask"
         assert_equal_field_by_field(returned, task)
         assert_equal_field_by_field(returned.request, RESOLVED)
+        assert returned.matrix.rows == task.matrix.rows
+        assert returned.matrix.alphabet.name == "dna"
+
+    def test_the_matrix_travels_without_its_numpy_view(self):
+        matrix = nucleotide_matrix(1, -3)
+        assert matrix.lookup.shape == (6, 6)
+        copy = pickle.loads(pickle.dumps(matrix))
+        assert "lookup" not in vars(copy) and copy == matrix
 
     def test_trace_context_field_survives_embedded(self, spawn_backend):
         task = make_search_task(
@@ -108,30 +117,6 @@ class TestShardSearchTask:
         _, returned = roundtrip(spawn_backend, task)
         assert returned.trace == task.trace
         assert returned.trace.parent_id == "s-9"
-
-
-class TestShardBuildTask:
-    def test_spawn_roundtrip_preserves_the_embedded_database(self, spawn_backend):
-        database = SequenceDatabase.from_texts(
-            ["WKDDGNGYISAAE", "MKVLAADT"], alphabet=PROTEIN_ALPHABET, name="mini"
-        )
-        task = ShardBuildTask(
-            directory="/tmp/index",
-            image_name="shard-000.oasis",
-            sub_database=database,
-            block_size=512,
-        )
-        qualname, returned = roundtrip(spawn_backend, task)
-        assert qualname == "repro.sharding.remote.ShardBuildTask"
-        assert returned.directory == task.directory
-        assert returned.image_name == task.image_name
-        assert returned.block_size == task.block_size
-        back = returned.sub_database
-        assert back.name == "mini"
-        assert len(back) == len(database)
-        assert [record.identifier for record in back] == [
-            record.identifier for record in database
-        ]
 
 
 class TestTraceContext:
@@ -180,14 +165,14 @@ class TestPayloadShape:
     """The structural half: what makes these classes spawn-safe stays true."""
 
     @pytest.mark.parametrize(
-        "payload_class", [SearchRequest, ShardSearchTask, ShardBuildTask, TraceContext]
+        "payload_class", [SearchRequest, ShardSearchTask, TraceContext]
     )
     def test_payloads_are_frozen_dataclasses(self, payload_class):
         assert dataclasses.is_dataclass(payload_class)
         assert payload_class.__dataclass_params__.frozen
 
     @pytest.mark.parametrize(
-        "payload_class", [SearchRequest, ShardSearchTask, ShardBuildTask, TraceContext]
+        "payload_class", [SearchRequest, ShardSearchTask, TraceContext]
     )
     def test_payloads_are_module_level(self, payload_class):
         # Spawn workers import by qualified name; a nested class has a
