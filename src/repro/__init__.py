@@ -30,13 +30,6 @@ if TYPE_CHECKING:
     from repro.core.oasis import OasisSearchStatistics, QueryExecution
     from repro.core.request import SearchRequest
     from repro.core.results import Alignment, SearchHit, SearchResult
-    from repro.exec import (
-        BackendSpec,
-        ExecutionBackend,
-        ProcessBackend,
-        SerialBackend,
-        ThreadBackend,
-    )
     from repro.obs import (
         MetricsRegistry,
         Tracer,
@@ -55,13 +48,6 @@ else:
             "repro.core.oasis": ("OasisSearchStatistics", "QueryExecution"),
             "repro.core.request": ("SearchRequest",),
             "repro.core.results": ("Alignment", "SearchHit", "SearchResult"),
-            "repro.exec": (
-                "BackendSpec",
-                "ExecutionBackend",
-                "ProcessBackend",
-                "SerialBackend",
-                "ThreadBackend",
-            ),
             "repro.obs": (
                 "MetricsRegistry",
                 "Tracer",
@@ -89,11 +75,6 @@ __all__ = [
     "Alignment",
     "SearchHit",
     "SearchResult",
-    "BackendSpec",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
     "BatchSearchExecutor",
     "BatchSearchReport",
     "SequenceDatabase",

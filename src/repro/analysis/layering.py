@@ -8,7 +8,7 @@ dependency on the machinery stacked on top of it::
             -> suffixtree
                 -> storage
                     -> core
-                        -> exec, obs
+                        -> obs
                             -> sharding, parallel
                                 -> workloads, experiments, baselines,
                                    cli, testing, analysis
@@ -54,7 +54,7 @@ LAYERS: List[List[str]] = [
     ["suffixtree"],
     ["storage"],
     ["core"],
-    ["exec", "obs"],
+    ["obs"],
     ["sharding", "parallel"],
     ["workloads", "experiments", "baselines", "cli", "testing", "analysis"],
 ]
@@ -136,7 +136,7 @@ class LayeringRule(Rule):
     description = (
         "module-scope imports must respect the layering DAG "
         "(sequences -> scoring/datagen -> suffixtree -> storage -> core -> "
-        "exec/obs -> sharding/parallel -> top); defer upward imports into "
+        "obs -> sharding/parallel -> top); defer upward imports into "
         "functions or TYPE_CHECKING blocks"
     )
 

@@ -1,8 +1,8 @@
 """Lock-discipline rules: scoped acquisition, no blocking work under a lock.
 
-The storage and execution layers are the two places where every search
-thread meets shared mutable state (the buffer pool's page table, a
-backend's lazily created pool).  Two rules keep that concurrency auditable:
+The storage and sharding layers are the two places where every search
+thread meets shared mutable state (the buffer pool's page table, the
+sharded engine's lazily created process pool).  Two rules keep that concurrency auditable:
 
 :class:`LockScopeRule`
     Every lock acquisition must be ``with``-scoped.  A bare ``.acquire()``
@@ -12,7 +12,7 @@ backend's lazily created pool).  Two rules keep that concurrency auditable:
     codebase.
 
 :class:`LockBlockingRule`
-    Inside a ``with <lock>:`` block in ``storage/`` and ``exec/``, no
+    Inside a ``with <lock>:`` block in ``storage/`` and ``sharding/``, no
     I/O-ish or future-blocking call may run: a physical read, a sleep, a
     ``Future.result()`` or a pool ``shutdown(wait=True)`` executed while
     holding the pool lock serialises every concurrent reader behind one
@@ -32,7 +32,7 @@ from typing import Iterator, Optional, Set
 from repro.analysis.framework import ModuleInfo, Rule, Violation
 
 #: Packages in which blocking-under-lock is checked.
-LOCK_SENSITIVE_PACKAGES: Set[str] = {"storage", "exec"}
+LOCK_SENSITIVE_PACKAGES: Set[str] = {"storage", "sharding"}
 
 #: Attribute names that look like a lock object.
 _LOCKISH_NAMES = ("lock", "mutex", "condition", "cond")
@@ -102,11 +102,11 @@ class LockScopeRule(Rule):
 
 
 class LockBlockingRule(Rule):
-    """No blocking call while a lock is held in storage/ and exec/."""
+    """No blocking call while a lock is held in storage/ and sharding/."""
 
     rule_id = "lock-io"
     description = (
-        "in storage/ and exec/, no I/O, sleep, Future.result() or pool "
+        "in storage/ and sharding/, no I/O, sleep, Future.result() or pool "
         "shutdown may run inside a `with <lock>:` block -- a stall under "
         "the lock serialises every concurrent reader behind it"
     )

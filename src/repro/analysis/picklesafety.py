@@ -1,6 +1,7 @@
 """Spawn-safety rules: what may cross the process-backend boundary.
 
-``ProcessBackend`` starts workers with the ``spawn`` context: a worker is a
+The sharded engine's process pool (``repro.sharding.remote.spawn_pool``)
+starts workers with the ``spawn`` context: a worker is a
 fresh interpreter that re-imports every task by qualified name and
 unpickles its arguments.  That only works when
 
@@ -20,14 +21,12 @@ Two rules enforce this:
     (``threading.*`` primitives, open handles, engines, lambdas).
 
 :class:`ProcessSubmitRule`
-    In the process-capable fan-out layers (``repro.sharding``,
-    ``repro.exec``), the callable handed to ``.submit(...)`` /
-    ``.map_unordered(...)`` must not be a ``lambda`` or a function defined
-    in an enclosing function scope (a closure).  Bound methods and
-    module-level names are accepted: a thread or serial backend may run a
-    bound method, and the linter cannot see backend kinds through
-    variables -- the rule targets the constructs that can *never* cross a
-    spawn boundary.
+    In the process-capable fan-out layer (``repro.sharding``), the callable
+    handed to ``.submit(...)`` / ``.map_unordered(...)`` must not be a
+    ``lambda`` or a function defined in an enclosing function scope (a
+    closure).  Bound methods and module-level names are accepted: the linter
+    cannot see pool kinds through variables -- the rule targets the
+    constructs that can *never* cross a spawn boundary.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ SPAWN_PAYLOAD_CLASSES: Dict[str, Set[str]] = {
 }
 
 #: Packages whose submit sites may feed a process pool.
-PROCESS_CAPABLE_PACKAGES: Set[str] = {"sharding", "exec"}
+PROCESS_CAPABLE_PACKAGES: Set[str] = {"sharding"}
 
 #: Annotation / default-value name fragments that signal live state a
 #: spawn payload must never carry.
@@ -102,7 +101,7 @@ class SpawnTaskClassRule(Rule):
 
     rule_id = "pickle-safety"
     description = (
-        "classes shipped through ProcessBackend (sharding.remote tasks, "
+        "classes shipped to spawned workers (sharding.remote tasks, "
         "TraceContext) must be module-level dataclass/slots plain data with "
         "no lock/handle/engine-typed fields and no callable defaults"
     )
@@ -171,7 +170,7 @@ class ProcessSubmitRule(Rule):
 
     rule_id = "spawn-submit"
     description = (
-        "in process-capable layers (sharding, exec), the callable passed to "
+        "in the process-capable layer (sharding), the callable passed to "
         ".submit()/.map_unordered() must not be a lambda or a closure -- "
         "spawned workers import tasks by qualified name"
     )

@@ -9,7 +9,7 @@ aggregates per-query statistics into a batch report, and supports per-query
 timeouts and early abort.
 
 The per-query fan-out is set by ``workers`` alone: one worker is the plain
-serial loop, ``workers=N`` a pool of ``N`` threads (:mod:`repro.exec`).  The
+serial loop, ``workers=N`` a pool of ``N`` threads made for each run.  The
 pool buys no speed: expansion is plain Python under the interpreter lock, and
 on the benchmark's protein inputs (60 queries, 2 cores; medians of 10 pairs)
 ``workers=2`` took 0.86 s to one worker's 0.84 s in memory, and 3.33 s to
@@ -32,13 +32,18 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.oasis import OasisSearchStatistics
 from repro.core.request import SearchRequest
 from repro.core.results import SearchResult
-from repro.exec import resolve_backend
 from repro.obs.logsetup import get_logger
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from concurrent.futures import Future
+
+    from repro.obs.metrics import Gauge, Histogram
 
 logger = get_logger(__name__)
 
@@ -59,6 +64,16 @@ QueryRunner = Callable[
 def _fan_out_spec(workers: int) -> str:
     # A pool of one thread is a loop: it runs as one.
     return "serial" if workers == 1 else f"threads:{workers}"
+
+
+def _finished(
+    meters: Tuple["Histogram", "Gauge"], submitted: float, future: "Future"
+) -> None:
+    """A pooled task's done callback: it leaves the queue, and its latency
+    is observed unless it was cancelled before it ran."""
+    meters[1].dec()
+    if not future.cancelled():
+        meters[0].observe(time.perf_counter() - submitted)
 
 
 @dataclass
@@ -424,13 +439,30 @@ class BatchSearchExecutor:
             )
             tracer._push(span)
             self._batch_parent = span.span_id
-        backend, _ = resolve_backend(self.backend_spec)
+        tasks = list(enumerate(query_list))
+        # Parent-side instruments, so a task stays a bare call:
+        # ``exec.task_seconds[<spec>]`` observes submit-to-completion time
+        # (queue wait included), ``exec.queue_depth[<spec>]`` counts tasks in
+        # flight, the peak in its ``max_value``.
+        meters: Optional[Tuple["Histogram", "Gauge"]] = None
         if tracer is not None:
-            backend.instrument(tracer)
+            meters = (
+                tracer.metrics.histogram(
+                    f"exec.task_seconds[{self.backend_spec}]",
+                    description="task submit-to-completion latency",
+                ),
+                tracer.metrics.gauge(
+                    f"exec.queue_depth[{self.backend_spec}]",
+                    description="tasks submitted but not yet finished",
+                ),
+            )
         logger.debug(
             "batch of %d queries on %s", len(query_list), self.backend_spec
         )
-        stream = backend.map_unordered(self._execute_task, list(enumerate(query_list)))
+        if self.workers == 1:
+            stream = self._loop(tasks, meters)
+        else:
+            stream = self._pooled(tasks, meters)
         completed = 0
         try:
             for outcome in stream:
@@ -443,7 +475,6 @@ class BatchSearchExecutor:
                 # own cleanup cancel tasks that never started.
                 self._cancel.set()
             stream.close()
-            backend.close()
             if span is not None:
                 span.set_attribute("completed", completed)
                 if completed < len(query_list):
@@ -470,8 +501,48 @@ class BatchSearchExecutor:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _execute_task(self, task: Tuple[int, str]) -> BatchQueryOutcome:
-        return self._execute_one(*task)
+    def _loop(
+        self, tasks: List[Tuple[int, str]], meters: Optional[Tuple["Histogram", "Gauge"]]
+    ) -> Iterator[BatchQueryOutcome]:
+        """One query at a time on the calling thread, one per pull: an
+        abandoned stream does no further work."""
+        for task in tasks:
+            submitted = time.perf_counter()
+            if meters is not None:
+                meters[1].inc()
+            outcome = self._execute_one(*task)
+            if meters is not None:
+                meters[1].dec()
+                meters[0].observe(time.perf_counter() - submitted)
+            yield outcome
+
+    def _pooled(
+        self, tasks: List[Tuple[int, str]], meters: Optional[Tuple["Histogram", "Gauge"]]
+    ) -> Iterator[BatchQueryOutcome]:
+        """Every query on a pool of ``workers`` threads, in completion order.
+
+        Closing the stream cancels the queries that have not started and
+        waits for the running ones (the caller has set the cancel event, so
+        they stop at their next queue pop).
+        """
+        # Imported here: a one-worker batch loads no thread pool.
+        from concurrent.futures import ThreadPoolExecutor, as_completed
+
+        pool = ThreadPoolExecutor(max_workers=self.workers, thread_name_prefix="oasis-batch")
+        try:
+            futures = []
+            for task in tasks:
+                submitted = time.perf_counter()
+                if meters is not None:
+                    meters[1].inc()
+                future = pool.submit(self._execute_one, *task)
+                if meters is not None:
+                    future.add_done_callback(partial(_finished, meters, submitted))
+                futures.append(future)
+            for future in as_completed(futures):
+                yield future.result()
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def _execute_one(self, index: int, query: str) -> BatchQueryOutcome:
         if self._aborted or self._cancel.is_set():

@@ -38,7 +38,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import wait as futures_wait
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
 from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
@@ -46,7 +46,6 @@ from repro.core.oasis import OasisSearchStatistics, QueryExecution, open_span
 from repro.core.request import SearchRequest
 from repro.core.results import SearchHit, SearchResult, hit_order_key
 from repro.core.surface import SearchSurface
-from repro.exec import BackendSpec, ExecutionBackend, resolve_backend
 from repro.obs.logsetup import get_logger
 from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
@@ -56,10 +55,14 @@ from repro.sharding.remote import (
     ShardSearchTask,
     label_shard_execution,
     run_shard_search,
+    spawn_pool,
     unsearched,
 )
 from repro.storage.blocks import BLOCK_SIZE_DEFAULT
 from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES, open_image
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only; made on first scatter
+    from concurrent.futures import ProcessPoolExecutor
 
 PathLike = Union[str, os.PathLike]
 
@@ -346,33 +349,38 @@ class ShardedQueryExecution:
         )
 
 
-def check_scatter_backend(backend: "Union[str, BackendSpec, ExecutionBackend, None]") -> str:
-    """The kind a scatter backend description names, without creating anything.
+def check_scatter_backend(backend: Optional[str]) -> Tuple[str, Optional[int]]:
+    """The scatter a backend spec names: ``(kind, workers)``, creating nothing.
 
-    A scatter is ``serial`` (the default) or ``processes[:N]``; a thread
-    scatter lost to the serial loop on every index measured (the search holds
-    the interpreter lock), so it is refused.  An unknown kind is refused
-    naming the two scatter forms; a bad worker count keeps the spec's own
-    message.
+    A scatter is ``"serial"`` (the default; ``workers`` is ``None``) or
+    ``"processes[:N]"`` (``workers`` is ``N``, or ``None`` for a bare
+    ``"processes"``).  A thread scatter lost to the serial loop on every
+    index measured (the search holds the interpreter lock), so it is refused;
+    so is any other spelling, naming the two scatter forms.
     """
-    if backend is None:
-        return "serial"
-    if isinstance(backend, str):
-        try:
-            BackendSpec.parse(backend.partition(":")[0])
-        except ValueError:
-            raise ValueError(
-                f"unknown backend {backend!r}: a shard scatter runs "
-                "'serial' or 'processes[:N]'"
-            ) from None
-        backend = BackendSpec.parse(backend)
-    if backend.kind == "threads":
+    text = "serial" if backend is None else str(backend)
+    kind, sep, count = text.strip().lower().partition(":")
+    if kind == "threads":
         raise ValueError(
-            f"a shard scatter runs 'serial' or 'processes[:N]', not {str(backend)!r} "
+            f"a shard scatter runs 'serial' or 'processes[:N]', not {text!r} "
             "(threads ran slower than the serial loop: the search holds the "
             "interpreter lock)"
         )
-    return backend.kind
+    if kind not in ("serial", "processes") or (kind == "serial" and sep):
+        raise ValueError(
+            f"unknown backend {text!r}: a shard scatter runs 'serial' or 'processes[:N]'"
+        )
+    if not sep:
+        return kind, None
+    try:
+        workers = int(count)
+    except ValueError:
+        raise ValueError(
+            f"bad worker count in backend spec {text!r}: {count!r} is not an integer"
+        ) from None
+    if workers < 1:
+        raise ValueError("backend workers must be at least 1")
+    return kind, workers
 
 
 def shard_pool_budgets(
@@ -417,16 +425,16 @@ class ShardedEngine(SearchSurface):
     :meth:`ShardedQueryExecution.result` run a query: ``"serial"`` (the
     default: one search of the whole tree on the calling thread) or
     ``"processes[:N]"`` (one task per root partition the catalog records,
-    on ``N`` workers -- by default one per partition that owns a root
-    child), as a spec string, a :class:`~repro.exec.BackendSpec` or a live
-    :class:`~repro.exec.ProcessBackend` (then caller-owned).  There is no
-    thread scatter: with its image in the page cache the search is CPU-bound
-    under the interpreter lock, and on the benchmark's protein inputs
-    ``threads:4`` over four sequence shards took 2.33 s to the serial loop's
-    1.79 s (2 cores, medians of 10 pairs).  A process task carries only the
-    catalog directory, the partition and the request; each worker opens the
-    image once, read-only, with the same pool budget as this process, and
-    serves every partition from it.  The streaming path (``search_online``)
+    on a pool of ``N`` spawned worker processes -- by default one per
+    partition that owns a root child).  The engine owns that pool: it is
+    made on the first scatter, replaced when a worker dies, and shut by
+    :meth:`close`.  There is no thread scatter: with its image in the page
+    cache the search is CPU-bound under the interpreter lock, and on the
+    benchmark's protein inputs ``threads:4`` over four sequence shards took
+    2.33 s to the serial loop's 1.79 s (2 cores, medians of 10 pairs).  A
+    process task carries only the catalog directory, the partition and the
+    request; each worker opens the image once, read-only, with the same pool
+    budget as this process, and serves every partition from it.  The streaming path (``search_online``)
     always runs the serial search, whatever the backend.
 
     The constructor takes a list of exactly one engine over the index's
@@ -446,7 +454,7 @@ class ShardedEngine(SearchSurface):
         catalog: ShardCatalog,
         directory: str,
         shard_buffer_bytes: List[int],
-        backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
+        backend: Optional[str] = None,
     ):
         if len(shards) != 1:
             raise ValueError(
@@ -460,16 +468,22 @@ class ShardedEngine(SearchSurface):
         self.converter = converter or SelectivityConverter(matrix, database)
         self.catalog = catalog
         self.directory = directory
-        check_scatter_backend(backend)
+        kind, workers = check_scatter_backend(backend)
         #: The root children (first symbols) each partition owns.
         self.partitions = root_partitions(database, catalog.partitions)
-        # A bare "processes" spec gets one worker per partition that searches.
-        self._backend, self._backend_owned = resolve_backend(
-            backend, default_workers=sum(1 for symbols in self.partitions if symbols)
-        )
+        # Worker processes of a process scatter (None: serial).  A bare
+        # "processes" spec gets one per partition that searches.
+        self._workers: Optional[int] = None
+        if kind == "processes":
+            self._workers = workers or sum(1 for symbols in self.partitions if symbols)
         #: The pool budget in bytes: process workers open the image with it.
         self.buffer_pool_bytes = shard_buffer_bytes[0]
         self._closed = False
+        # The process pool, made on first use.  A ``workers=N`` batch
+        # scatters from N threads, so making, replacing and shutting it
+        # happen under one lock.
+        self._pool: Optional["ProcessPoolExecutor"] = None
+        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -509,7 +523,7 @@ class ShardedEngine(SearchSurface):
         matrix: Optional[SubstitutionMatrix] = None,
         gap_model: Optional[GapModel] = None,
         buffer_pool_bytes: int = DEFAULT_BUFFER_POOL_BYTES,
-        backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
+        backend: Optional[str] = None,
         kernel=None,
     ) -> "ShardedEngine":
         """Open a persistent index from its catalog.
@@ -532,7 +546,7 @@ class ShardedEngine(SearchSurface):
         from repro.scoring.data import load_matrix
         from repro.sequences.fasta import read_fasta
 
-        scatter_kind = check_scatter_backend(backend)
+        scatter_kind, _ = check_scatter_backend(backend)
         directory = str(directory)
         catalog = ShardCatalog.load(directory)
         logger.info(
@@ -616,7 +630,7 @@ class ShardedEngine(SearchSurface):
     def shard_count(self) -> int:
         """How many shard results a query's ``result()`` gathers: 1 on the
         serial scatter, one per partition on a process scatter."""
-        return len(self.partitions) if self._backend.kind == "processes" else 1
+        return 1 if self._workers is None else len(self.partitions)
 
     def min_score_for(self, query: str, evalue: float) -> int:
         """Equation 3 against the whole database."""
@@ -658,15 +672,15 @@ class ShardedEngine(SearchSurface):
     @property
     def backend_spec(self) -> str:
         """Declarative spec of the scatter backend (``"serial"`` / ``"processes:N"``)."""
-        return self._backend.spec
+        return "serial" if self._workers is None else f"processes:{self._workers}"
 
     def _scatter(self, scattered: ShardedQueryExecution, span) -> List[SearchResult]:
         """Run one query on the scatter backend: its shard results."""
         if self._closed:
             # A closed engine must not search a closed cursor (or silently
-            # resurrect a backend it already shut).
+            # resurrect a pool it already shut).
             raise RuntimeError("ShardedEngine is closed")
-        if self._backend.kind == "processes":
+        if self._workers is not None:
             # Always take the remote path, even for one partition, so a
             # process engine exercises exactly one code path (and its parity
             # is testable at every partition count).
@@ -709,40 +723,41 @@ class ShardedEngine(SearchSurface):
             len(self.partitions),
             self.backend_spec,
         )
-        futures = [
-            self._backend.submit(
-                run_shard_search,
-                ShardSearchTask(
-                    directory=self.directory,
-                    shard=shard,
-                    root_symbols=symbols,
-                    request=request,
-                    matrix=self.matrix,
-                    deadline_epoch=deadline_epoch,
-                    buffer_pool_bytes=self.buffer_pool_bytes,
-                    fingerprint=self.catalog.fingerprint,
-                    database_digest=self.catalog.database_digest,
-                    trace=trace_context,
-                    kernel=self.tree_engine.kernel,
-                ),
-            )
-            if symbols
-            else None
-            for shard, symbols in enumerate(self.partitions)
-        ]
-        cancel = scattered.cancel_event
-        if cancel is not None:
-            # Poll instead of blocking outright, so a batch abort can still
-            # cancel the tasks the pool has not started yet.
-            pending = {future for future in futures if future is not None}
-            while pending:
-                done, pending = futures_wait(pending, timeout=0.05)
-                if pending and cancel.is_set():
-                    for future in pending:
-                        future.cancel()
-                    break
-        results = []
+        pool = self._process_pool()
         try:
+            futures = [
+                pool.submit(
+                    run_shard_search,
+                    ShardSearchTask(
+                        directory=self.directory,
+                        shard=shard,
+                        root_symbols=symbols,
+                        request=request,
+                        matrix=self.matrix,
+                        deadline_epoch=deadline_epoch,
+                        buffer_pool_bytes=self.buffer_pool_bytes,
+                        fingerprint=self.catalog.fingerprint,
+                        database_digest=self.catalog.database_digest,
+                        trace=trace_context,
+                        kernel=self.tree_engine.kernel,
+                    ),
+                )
+                if symbols
+                else None
+                for shard, symbols in enumerate(self.partitions)
+            ]
+            cancel = scattered.cancel_event
+            if cancel is not None:
+                # Poll instead of blocking outright, so a batch abort can
+                # still cancel the tasks the pool has not started yet.
+                pending = {future for future in futures if future is not None}
+                while pending:
+                    done, pending = futures_wait(pending, timeout=0.05)
+                    if pending and cancel.is_set():
+                        for future in pending:
+                            future.cancel()
+                        break
+            results = []
             for future in futures:
                 if future is None:
                     results.append(unsearched(request))
@@ -762,26 +777,46 @@ class ShardedEngine(SearchSurface):
             # A dead worker breaks the whole pool: replace it before
             # propagating, so one crash fails one query (a per-query error
             # in a batch report), not every query for the engine's life.
-            reset = getattr(self._backend, "reset", None)
-            if reset is not None:
-                reset()
+            self._discard_pool(pool)
             raise
         return results
+
+    def _process_pool(self) -> "ProcessPoolExecutor":
+        """The engine's worker pool, made on first use; never after close."""
+        with self._pool_lock:
+            if self._closed:
+                raise RuntimeError("ShardedEngine is closed")
+            if self._pool is None:
+                self._pool = spawn_pool(self._workers or 1)
+            return self._pool
+
+    def _discard_pool(self, broken: "ProcessPoolExecutor") -> None:
+        """Drop a broken pool; the next scatter makes a fresh one.
+
+        Only if it is still the current pool: the other threads of a batch
+        that saw the same crash must not discard the replacement.
+        """
+        with self._pool_lock:
+            if self._pool is not broken:
+                return
+            self._pool = None
+        # Outside the lock, and without waiting: a broken pool makes no
+        # progress, and a stall here must not hold up the other scatters.
+        broken.shutdown(wait=False)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut the scatter backend down and close the tree's cursor.
-
-        Backends the engine created from a spec are closed here; a live
-        backend passed in by the caller is left running (they own it).
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._backend_owned:
-            self._backend.close()
+        """Shut the worker pool down and close the tree's cursor."""
+        with self._pool_lock:
+            if self._closed:
+                return
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            # Joins every worker: far too slow to hold the lock across.
+            pool.shutdown(wait=True)
         self.tree_engine.close()
 
     def __repr__(self) -> str:

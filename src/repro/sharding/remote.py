@@ -1,7 +1,7 @@
 """Process-pool worker side of the sharded engine.
 
-Everything in this module runs (also) inside ``ProcessBackend`` worker
-processes, so the ground rules are strict:
+Everything in this module but :func:`spawn_pool` runs (also) inside the
+engine's worker processes, so the ground rules are strict:
 
 * tasks are plain picklable descriptions -- the catalog directory, a
   partition (its number and the first symbols of the root children it owns),
@@ -29,6 +29,8 @@ from repro.core.results import SearchResult
 from repro.scoring.matrix import SubstitutionMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only; workers import lazily
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.core.oasis import OasisSearch, QueryExecution
     from repro.obs.trace import TraceContext
     from repro.sharding.catalog import ShardCatalog
@@ -86,6 +88,42 @@ class ShardSearchTask:
     kernel: Optional[str] = None
 
 
+def spawn_pool(workers: int) -> "ProcessPoolExecutor":
+    """A pool of ``workers`` processes started with the ``spawn`` context.
+
+    Never ``fork``: the pool is created lazily, often from a batch's pool
+    thread, and forking a multithreaded process can snapshot another thread
+    mid-lock -- a deadlocked child, where a crash must be an error, not a
+    hang.  Spawned workers re-import their tasks by qualified name, which the
+    plain-picklable task discipline above already guarantees.
+
+    A spawned child rebuilds ``sys.path`` from ``PYTHONPATH``, so a parent
+    that found this package through in-process path manipulation only (e.g.
+    pytest's ``pythonpath`` setting) would hatch workers that cannot unpickle
+    any task.  This function therefore (idempotently) appends the package's
+    own root to the parent's ``PYTHONPATH``: workers start lazily, one per
+    submit, so the variable must hold for the pool's whole life, not just
+    around its creation -- and an initializer cannot do the job, because it
+    would itself have to be importable from the worker.  *Appended*, so in
+    any unrelated subprocess the host application spawns later, that
+    subprocess's own entries still win.
+    """
+    # Imported here, not at module scope: a serial search must not pay for
+    # multiprocessing (sockets, subprocess, tempfile).
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    package_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    existing = os.environ.get("PYTHONPATH", "")
+    if package_root not in existing.split(os.pathsep):
+        os.environ["PYTHONPATH"] = (
+            existing + os.pathsep + package_root if existing else package_root
+        )
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+    )
+
+
 # --------------------------------------------------------------------- #
 # Per-process caches
 # --------------------------------------------------------------------- #
@@ -102,13 +140,6 @@ def _catalog_mismatch(catalog: "ShardCatalog", task: ShardSearchTask) -> Optiona
     if catalog.database_digest != task.database_digest:
         return "database digest"
     return None
-
-
-def _evict_directory(directory: str) -> None:
-    """Drop everything this worker cached for one index directory."""
-    _DIRECTORY_CACHE.pop(directory, None)
-    for key in [key for key in _SEARCH_CACHE if key[0] == directory]:
-        _SEARCH_CACHE.pop(key).close()
 
 
 def _open_directory(directory: str, matrix: SubstitutionMatrix) -> tuple:
@@ -135,26 +166,20 @@ def _open_tree_search(task: ShardSearchTask) -> "OasisSearch":
 
     # Checked on *every* task, not only on a cache miss: the comparison is a
     # dict/string equality, and it guarantees each answer was produced
-    # against the catalog the parent opened.  A mismatch first evicts the
-    # worker's caches and reloads once -- a long-lived worker serving a
-    # *reopened* engine (shared caller-owned backend) would otherwise be
-    # stuck comparing fresh tasks against a stale cached catalog forever.
-    # (What none of this can guard is an image file overwritten in place
-    # under an engine's open cursors -- that hazard is identical for the
-    # in-process path and for the monolithic engine.)
+    # against the catalog the parent opened.  A worker lives and dies with
+    # one engine's pool, so a mismatch can only mean the index was rebuilt
+    # under that engine.  (What none of this can guard is an image file
+    # overwritten in place under an engine's open cursors -- that hazard is
+    # identical for the in-process path and for the monolithic engine.)
     catalog, database, gap_model = _open_directory(directory, task.matrix)
     mismatch = _catalog_mismatch(catalog, task)
     if mismatch is not None:
-        _evict_directory(directory)
-        catalog, database, gap_model = _open_directory(directory, task.matrix)
-        mismatch = _catalog_mismatch(catalog, task)
-        if mismatch is not None:
-            raise CatalogMismatchError(
-                f"sharded index at {directory} changed on disk: the worker "
-                f"loaded a catalog whose {mismatch} differs from the engine "
-                "that issued this query -- the index was rebuilt in place "
-                "under a live engine; reopen the engine"
-            )
+        raise CatalogMismatchError(
+            f"sharded index at {directory} changed on disk: the worker "
+            f"loaded a catalog whose {mismatch} differs from the engine "
+            "that issued this query -- the index was rebuilt in place "
+            "under a live engine; reopen the engine"
+        )
     cached = _SEARCH_CACHE.get(key)
     if cached is not None:
         return cached

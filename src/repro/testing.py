@@ -45,19 +45,11 @@ def smoke_mode() -> bool:
 
 
 # --------------------------------------------------------------------- #
-# Picklable task functions for exercising the process execution backend.
+# Picklable task functions for exercising the sharded engine's process pool.
 # They live here (not in a test module) because spawned worker processes
 # re-import tasks by qualified name, and only installed/PYTHONPATH modules
 # are importable from a worker -- test modules are not.
 # --------------------------------------------------------------------- #
-def proc_square(value):
-    return value * value
-
-
-def proc_raise_value_error(value):
-    raise ValueError(f"boom {value}")
-
-
 def proc_roundtrip(payload):
     """Spawn-worker identity: ships ``payload`` out and back through pickle.
 
@@ -176,8 +168,8 @@ def instrument_lock_order(monitor, *objects, names=None):
     ``monitor`` is a :class:`repro.analysis.lockorder.LockOrderMonitor`; each
     object's known lock attributes (``_lock`` on a
     :class:`~repro.storage.buffer_pool.BufferPool`, ``_pool_lock`` on a
-    pooled backend -- any attribute ending in ``lock`` holding an
-    acquire/release object) are replaced in place by
+    :class:`~repro.sharding.ShardedEngine` -- any attribute ending in
+    ``lock`` holding an acquire/release object) are replaced in place by
     :class:`~repro.analysis.lockorder.OrderedLock` wrappers that report to
     the monitor.  Lock names default to ``ClassName[i].attr`` so two pools'
     locks stay distinguishable in a cycle report; pass ``names`` (one per

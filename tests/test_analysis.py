@@ -74,7 +74,8 @@ class TestLayeringRule:
             "sharding/good.py",
             """
             from repro.core.engine import OasisEngine
-            from repro.exec import resolve_backend
+            from repro.obs.trace import Tracer
+            from repro.parallel.executor import BatchSearchExecutor
             from repro.sharding.catalog import ShardCatalog
             """,
         )
@@ -248,14 +249,15 @@ class TestProcessSubmitRule:
         )
         assert report.ok
 
-    def test_rule_is_scoped_to_process_capable_layers(self, tmp_path):
-        # parallel/ only drives thread backends; its submits are exempt.
+    @pytest.mark.parametrize("module", ["parallel/fanout.py", "storage/fanout.py"])
+    def test_rule_is_scoped_to_the_process_capable_layer(self, tmp_path, module):
+        # Only sharding/ feeds a process pool; a thread pool may run a lambda.
         report = violations_for(
             tmp_path,
-            "parallel/fanout.py",
+            module,
             """
-            def scatter(backend, tasks):
-                return [backend.submit(lambda: task) for task in tasks]
+            def scatter(pool, tasks):
+                return [pool.submit(lambda: task) for task in tasks]
             """,
         )
         assert report.ok
@@ -310,15 +312,42 @@ class TestLockBlockingRule:
     def test_future_result_under_lock_is_flagged(self, tmp_path):
         report = violations_for(
             tmp_path,
-            "exec/pooled.py",
+            "sharding/pooled.py",
             """
-            class Backend:
+            class Engine:
                 def drain(self, future):
                     with self._pool_lock:
                         return future.result()
             """,
         )
         assert rule_ids(report) == ["lock-io"]
+
+    def test_pool_shutdown_under_lock_is_flagged(self, tmp_path):
+        report = violations_for(
+            tmp_path,
+            "sharding/engine.py",
+            """
+            class Engine:
+                def close(self):
+                    with self._pool_lock:
+                        self._pool.shutdown(wait=True)
+            """,
+        )
+        assert rule_ids(report) == ["lock-io"]
+
+    def test_pool_shutdown_after_the_lock_passes(self, tmp_path):
+        report = violations_for(
+            tmp_path,
+            "sharding/engine.py",
+            """
+            class Engine:
+                def close(self):
+                    with self._pool_lock:
+                        pool, self._pool = self._pool, None
+                    pool.shutdown(wait=True)
+            """,
+        )
+        assert report.ok
 
     def test_read_outside_lock_passes(self, tmp_path):
         report = violations_for(
@@ -339,7 +368,24 @@ class TestLockBlockingRule:
         )
         assert report.ok
 
-    def test_rule_is_scoped_to_storage_and_exec(self, tmp_path):
+    @pytest.mark.parametrize(
+        "call",
+        ["self._file.read(4)", "time.sleep(0.1)", "future.result()", "self._done.wait()"],
+    )
+    def test_a_blocking_call_under_the_engine_pool_lock_is_flagged(self, tmp_path, call):
+        report = violations_for(
+            tmp_path,
+            "sharding/engine.py",
+            f"""
+            class Engine:
+                def scatter(self, future):
+                    with self._pool_lock:
+                        return {call}
+            """,
+        )
+        assert rule_ids(report) == ["lock-io"]
+
+    def test_rule_is_scoped_to_storage_and_sharding(self, tmp_path):
         report = violations_for(
             tmp_path,
             "workloads/adapter.py",

@@ -325,17 +325,19 @@ class TestBackendFlag:
         (line,) = captured.err.splitlines()
         assert line.startswith("repro-oasis search: error: ") and "--index" in line
 
-    def test_unknown_backend_is_a_clean_error(self, tmp_path, generated_files, capsys):
+    @pytest.mark.parametrize("backend", ["fibers:9", "procs:2", "sync", "process:2"])
+    def test_unknown_backend_is_a_clean_error(self, tmp_path, generated_files, capsys, backend):
+        """Also the retired aliases of the two scatter forms."""
         fasta, _ = generated_files
         target = tmp_path / "index"
         build = ["index", "build", "--database", str(fasta), "--output", str(target)]
         assert main(build + ["--shards", "2"]) == 0
         capsys.readouterr()
         search = ["search", "--index", str(target), "--query", "MKV", "--min-score", "15"]
-        assert main(search + ["--backend", "fibers:9"]) == 2
+        assert main(search + ["--backend", backend]) == 2
         line = one_error_line(capsys, "search")
         # The engine's scatter check refuses it, naming only the two scatter forms.
-        assert "unknown backend 'fibers:9'" in line
+        assert f"unknown backend {backend!r}" in line
         assert "a shard scatter runs 'serial' or 'processes[:N]'" in line
         assert "threads" not in line
 

@@ -115,7 +115,11 @@ class TestTheBoundary:
                 )
                 assert type(remote._open_tree_search(task).cursor) is expected
         finally:
-            remote._evict_directory(os.path.abspath(directory))
+            # This process is not a worker: drop what the calls cached here.
+            directory = os.path.abspath(directory)
+            remote._DIRECTORY_CACHE.pop(directory)
+            for key in [key for key in remote._SEARCH_CACHE if key[0] == directory]:
+                remote._SEARCH_CACHE.pop(key).close()
 
 
 class TestTheReadTree:

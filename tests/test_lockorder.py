@@ -243,7 +243,7 @@ class TestEngineIntegration:
         """The headline scenario: processes:2 scatter + streaming, no cycles.
 
         Process scatter itself runs in worker processes, but the parent
-        still owns the backend's pool lock, and the streaming path
+        still owns the engine's pool lock, and the streaming path
         (``search_online``) always executes in-process against the parent's
         per-shard buffer pools -- so the instrumented locks see real
         traffic from both paths.
@@ -253,7 +253,7 @@ class TestEngineIntegration:
             sharded_directory, buffer_pool_bytes=TIGHT_POOL_BYTES, backend="processes:2"
         ) as engine:
             pools = [shard.cursor.pool for shard in engine.shards]
-            installed = instrument_lock_order(monitor, engine._backend, *pools)
+            installed = instrument_lock_order(monitor, engine, *pools)
             assert any("_pool_lock" in name for name in installed)
             scattered = engine.search(QUERY, evalue=EVALUE).hits
             streamed = list(engine.search_online(QUERY, evalue=EVALUE))
@@ -267,15 +267,14 @@ class TestEngineIntegration:
         with ShardedEngine.open(
             sharded_directory, buffer_pool_bytes=TIGHT_POOL_BYTES, backend="processes:2"
         ) as engine:
-            backend = engine._backend
             pool = engine.shards[0].cursor.pool
-            instrument_lock_order(monitor, backend, pool)
-            with backend._pool_lock:
+            instrument_lock_order(monitor, engine, pool)
+            with engine._pool_lock:
                 with pool._lock:
                     pass
             with pytest.raises(LockOrderError) as caught:
                 with pool._lock:
-                    with backend._pool_lock:
+                    with engine._pool_lock:
                         pass
         assert "._pool_lock" in str(caught.value)
         assert "BufferPool[1]._lock" in str(caught.value)

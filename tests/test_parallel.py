@@ -374,3 +374,129 @@ class TestSearchMany:
             report.results()
         assert all("aborted" in outcome.error for outcome in report.outcomes)
 
+
+
+def pool_threads():
+    return [thread for thread in threading.enumerate() if thread.name.startswith("oasis-batch")]
+
+
+def fake_result(query):
+    from repro.core.results import SearchResult
+
+    return SearchResult(query=query, engine="fake")
+
+
+class TestTheBatchPool:
+    """The executor owns its thread pool: one per run, gone when the run ends."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 8])
+    def test_a_run_leaves_no_pool_thread_behind(self, engine, small_protein_database, workers):
+        queries = standard_workload(small_protein_database, count=6)
+        report = engine.search_many(queries, workers=workers, min_score=8)
+        assert report.statistics.succeeded == len(queries)
+        assert pool_threads() == []
+
+    def test_one_worker_runs_every_query_on_the_calling_thread(self):
+        ran = []
+
+        def run_query(query, budget, cancel, trace_parent):
+            ran.append(threading.current_thread())
+            return fake_result(query)
+
+        report = BatchSearchExecutor(run_query, workers=1).run(["A", "C", "D"])
+        assert report.statistics.succeeded == 3
+        assert ran == [threading.current_thread()] * 3
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_queries_run_on_at_most_workers_pool_threads(self, workers):
+        names = []
+
+        def run_query(query, budget, cancel, trace_parent):
+            names.append(threading.current_thread().name)
+            time.sleep(0.001)
+            return fake_result(query)
+
+        report = BatchSearchExecutor(run_query, workers=workers).run(["A"] * 12)
+        assert report.statistics.succeeded == 12
+        assert all(name.startswith("oasis-batch") for name in names)
+        assert 1 <= len(set(names)) <= workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nothing_runs_until_the_stream_is_pulled(self, workers):
+        ran = []
+
+        def run_query(query, budget, cancel, trace_parent):
+            ran.append(query)
+            return fake_result(query)
+
+        stream = BatchSearchExecutor(run_query, workers=workers).run_iter(["A", "C"])
+        assert ran == [] and pool_threads() == []
+        assert len(list(stream)) == 2
+        assert sorted(ran) == ["A", "C"]
+
+    def test_the_loop_runs_one_query_per_pull(self):
+        ran = []
+
+        def run_query(query, budget, cancel, trace_parent):
+            ran.append(query)
+            return fake_result(query)
+
+        stream = BatchSearchExecutor(run_query, workers=1).run_iter(list("ACDEF"))
+        next(stream), next(stream)
+        stream.close()
+        assert ran == ["A", "C"]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_abandoning_a_pooled_stream_cancels_the_unstarted_queries(self, workers):
+        release = threading.Event()
+        started = []
+
+        def run_query(query, budget, cancel, trace_parent):
+            started.append(query)
+            if len(started) > 1:
+                # Held until the stream is abandoned: its cancel event is set.
+                assert cancel.wait(10)
+                release.set()
+            return fake_result(query)
+
+        queries = [f"Q{index}" for index in range(40)]
+        stream = BatchSearchExecutor(run_query, workers=workers).run_iter(queries)
+        next(stream)
+        stream.close()
+        assert release.is_set()
+        assert len(started) <= 2 * workers < len(queries)
+        assert pool_threads() == []
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_an_abandoned_pooled_stream_drains_the_queue_gauge(self, workers):
+        from repro.obs.trace import Tracer
+
+        def run_query(query, budget, cancel, trace_parent):
+            if query != "Q0":
+                cancel.wait(10)
+            return fake_result(query)
+
+        tracer = Tracer()
+        queries = [f"Q{index}" for index in range(30)]
+        stream = BatchSearchExecutor(run_query, workers=workers, tracer=tracer).run_iter(queries)
+        next(stream)
+        stream.close()
+        spec = f"threads:{workers}"
+        depth = tracer.metrics.get(f"exec.queue_depth[{spec}]")
+        latency = tracer.metrics.get(f"exec.task_seconds[{spec}]")
+        # Every query but the fast first one was in flight at the peak.
+        assert depth.value == 0 and depth.max_value >= len(queries) - 1
+        # Only the queries that ran are timed; the cancelled ones are not.
+        assert 1 <= latency.count < len(queries)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_a_query_that_raises_is_one_failed_outcome(self, workers):
+        def run_query(query, budget, cancel, trace_parent):
+            if query == "BAD":
+                raise ValueError("bad query")
+            return fake_result(query)
+
+        report = BatchSearchExecutor(run_query, workers=workers).run(["A", "BAD", "C", "D"])
+        assert report.statistics.failed == 1 and report.statistics.succeeded == 3
+        assert report.outcomes[1].error == "ValueError: bad query"
+        assert pool_threads() == []

@@ -32,7 +32,6 @@ PACKAGES = (
     "repro.baselines",
     "repro.core",
     "repro.datagen",
-    "repro.exec",
     "repro.experiments",
     "repro.obs",
     "repro.parallel",

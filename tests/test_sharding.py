@@ -19,7 +19,6 @@ from repro.core.evalue import SelectivityConverter
 from repro.core.oasis import QueryExecution
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
-from repro.exec import ProcessBackend
 from repro.scoring.data import nucleotide_matrix, pam30
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET
@@ -497,9 +496,9 @@ def _parity_case(alphabet):
 
 @pytest.fixture(scope="module")
 def process_pool():
-    """One worker pool for every process scatter of the module (caller-owned)."""
-    with ProcessBackend(2) as backend:
-        yield backend
+    """The process scatter every process case of the module opens with (each
+    engine owns its pool of two workers)."""
+    return "processes:2"
 
 
 @pytest.fixture(scope="module")

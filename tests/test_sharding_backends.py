@@ -4,9 +4,9 @@ The load-bearing property is backend *transparency*: for the same catalog
 and queries, the ``serial`` (default) and ``processes:N`` scatter backends
 must produce byte-identical ordered results (and identical to the
 monolithic engine).  Alongside parity, this module covers the failure paths
-the process backend introduces (worker errors surface per query, deadlines
-hold across processes), the refusal of a thread scatter, one image whatever
-the partition count, and the image's buffer budget.
+the process backend introduces (worker errors and crashes surface per query,
+deadlines hold across processes), the refusal of a thread scatter, one image
+whatever the partition count, and the image's buffer budget.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import glob
 import os
 import pathlib
 import random
+import sys
 import threading
 import time
 
@@ -23,15 +24,15 @@ import pytest
 from repro.core.engine import OasisEngine
 from repro.core.oasis import QueryExecution
 from repro.core.request import SearchRequest
-from repro.exec import BackendSpec, ProcessBackend, SerialBackend, ThreadBackend
 from repro.scoring.data import pam30
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder, shard_pool_budgets
+from repro.sharding import engine as engine_module
 from repro.sharding.engine import check_scatter_backend
-from repro.sharding.remote import ShardSearchTask, run_shard_search
+from repro.sharding.remote import ShardSearchTask, run_shard_search, spawn_pool
 from repro.storage.buffer_pool import BufferPool
-from repro.testing import random_protein
+from repro.testing import proc_kill_worker, random_protein
 
 QUERIES = ["WKDDGNGYISAAE", "MKVLAADT", "DKDGDGCITTKEL"]
 EVALUE = 1_000.0
@@ -232,17 +233,6 @@ class TestScatterBackendParity:
             for query, result in report:
                 assert hit_signature(result.hits) == expected_signatures[query]
 
-    def test_shared_backend_instance_is_caller_owned(
-        self, index_directories, expected_signatures
-    ):
-        with SerialBackend() as shared:
-            with ShardedEngine.open(index_directories[2], backend=shared) as sharded:
-                got = sharded.search(QUERIES[0], evalue=EVALUE)
-                assert hit_signature(got.hits) == expected_signatures[QUERIES[0]]
-            # The engine closed, but the caller's backend must survive.
-            assert not shared.closed
-            assert shared.submit(len, "abc").result() == 3
-
     def test_the_default_scatter_is_serial(self, index_directories):
         with ShardedEngine.open(index_directories[2]) as sharded:
             assert sharded.backend_spec == "serial"
@@ -300,21 +290,22 @@ class TestScatterBackendForms:
     """A scatter is ``serial`` or ``processes[:N]``; threads ran slower than the loop."""
 
     @pytest.mark.parametrize(
-        "backend, kind",
+        "backend, scatter",
         [
-            (None, "serial"),
-            ("serial", "serial"),
-            ("sync", "serial"),
-            (SerialBackend(), "serial"),
-            ("processes", "processes"),
-            ("procs:3", "processes"),
-            (BackendSpec("processes", 2), "processes"),
+            (None, ("serial", None)),
+            ("serial", ("serial", None)),
+            ("processes", ("processes", None)),
+            ("processes:3", ("processes", 3)),
+            (" Processes:2 ", ("processes", 2)),
         ],
     )
-    def test_an_accepted_form_names_its_kind(self, backend, kind):
-        assert check_scatter_backend(backend) == kind
+    def test_an_accepted_form_names_its_kind_and_workers(self, backend, scatter):
+        assert check_scatter_backend(backend) == scatter
 
-    @pytest.mark.parametrize("backend", ["threads", "threads:2", BackendSpec("threads", 2)])
+    @pytest.mark.parametrize(
+        "backend",
+        ["threads", "threads:2", "thread:4", "sync", "serial:1", "process", "procs:2"],
+    )
     def test_a_refused_form_is_a_value_error(self, backend):
         with pytest.raises(ValueError, match=BOTH_FORMS):
             check_scatter_backend(backend)
@@ -326,16 +317,25 @@ class TestScatterBackendForms:
         assert "unknown backend" in str(refused.value)
         assert "threads" not in str(refused.value)
 
-    def test_a_bad_worker_count_keeps_its_own_message(self):
-        with pytest.raises(ValueError, match="bad worker count"):
-            check_scatter_backend("processes:x")
+    @pytest.mark.parametrize(
+        "backend, message",
+        [
+            ("processes:x", "bad worker count"),
+            ("processes:", "bad worker count"),
+            ("processes:0", "at least 1"),
+            ("processes:-2", "at least 1"),
+        ],
+    )
+    def test_a_bad_worker_count_keeps_its_own_message(self, backend, message):
+        with pytest.raises(ValueError, match=message):
+            check_scatter_backend(backend)
 
     @pytest.mark.parametrize("shard_count", [1, 2, 4])
     def test_a_bare_process_spec_gets_one_worker_per_shard(self, index_directories, shard_count):
         with ShardedEngine.open(index_directories[shard_count], backend="processes") as sharded:
             assert sharded.backend_spec == f"processes:{shard_count}"
 
-    @pytest.mark.parametrize("backend", ["threads", "threads:2", "thread:4", ThreadBackend(2)])
+    @pytest.mark.parametrize("backend", ["threads", "threads:2", "thread:4"])
     def test_open_refuses_threads_naming_the_two_forms(self, index_directories, backend):
         with pytest.raises(ValueError, match=BOTH_FORMS):
             ShardedEngine.open(index_directories[2], backend=backend)
@@ -441,32 +441,44 @@ class TestProcessBackendFailurePaths:
             assert report.statistics.failed == 1
             assert "changed on disk" in report.outcomes[0].error
 
-    def test_reopened_engine_recovers_long_lived_workers(
+    def test_reopened_engine_searches_the_rebuilt_index(
         self, tmp_path, backend_database, pam30_matrix, gap8, monolithic
     ):
-        """Workers of a shared backend must not pin a stale catalog forever.
-
-        With a caller-owned ProcessBackend the workers outlive the engine;
-        after a rebuild + reopen, their first mismatch evicts the cached
-        catalog and reloads, so the *new* engine's queries succeed instead
-        of failing CatalogMismatchError until the backend is recycled.
-        """
+        """An engine's workers die with it: the reopened engine's own workers
+        load the rebuilt catalog, so its queries succeed."""
         from repro.scoring.gaps import FixedGapModel
 
         directory = tmp_path / "recycled"
         ShardedIndexBuilder(
             pam30_matrix, FixedGapModel(-4), shard_count=2
         ).build(backend_database, directory)
-        with ProcessBackend(2) as shared:
-            with ShardedEngine.open(directory, backend=shared) as first:
-                assert len(first.search(QUERIES[0], min_score=20)) >= 0
-            ShardedIndexBuilder(pam30_matrix, gap8, shard_count=2).build(
-                backend_database, directory
-            )
-            with ShardedEngine.open(directory, backend=shared) as second:
-                got = second.search(QUERIES[0], evalue=EVALUE)
-                expected = monolithic.search(QUERIES[0], evalue=EVALUE)
-                assert hit_signature(got.hits) == hit_signature(expected.hits)
+        with ShardedEngine.open(directory, backend="processes:2") as first:
+            assert len(first.search(QUERIES[0], min_score=20)) >= 0
+        ShardedIndexBuilder(pam30_matrix, gap8, shard_count=2).build(
+            backend_database, directory
+        )
+        with ShardedEngine.open(directory, backend="processes:2") as second:
+            got = second.search(QUERIES[0], evalue=EVALUE)
+            expected = monolithic.search(QUERIES[0], evalue=EVALUE)
+            assert hit_signature(got.hits) == hit_signature(expected.hits)
+
+    def test_a_killed_worker_fails_one_query_and_the_next_runs_on_fresh_workers(
+        self, monkeypatch, index_directories, expected_signatures
+    ):
+        """A worker that dies outright breaks the pool: the query in flight is
+        one failed outcome, and the engine replaces the pool for the next,
+        which answers as ``OasisEngine.build`` does."""
+        with ShardedEngine.open(index_directories[4], backend="processes:2") as sharded:
+            # Spawned workers import the task function by name: this one
+            # exits the worker process without a word.
+            monkeypatch.setattr(engine_module, "run_shard_search", proc_kill_worker)
+            report = sharded.search_many(QUERIES[:1], workers=1, evalue=EVALUE)
+            monkeypatch.undo()
+            (outcome,) = report.outcomes
+            assert report.statistics.failed == 1
+            assert "BrokenProcessPool" in outcome.error
+            got = sharded.search(QUERIES[0], evalue=EVALUE)
+        assert hit_signature(got.hits) == expected_signatures[QUERIES[0]]
 
     def test_timeout_honoured_across_processes(self, index_directories):
         with ShardedEngine.open(index_directories[2], backend="processes:2") as sharded:
@@ -510,6 +522,131 @@ class TestProcessBackendFailurePaths:
         sharded.close()
         with pytest.raises(RuntimeError, match="closed"):
             execution.result()
+
+    def test_search_after_close_raises(self, index_directories):
+        sharded = ShardedEngine.open(index_directories[2], backend="processes:2")
+        assert len(sharded.search(QUERIES[0], evalue=EVALUE)) > 0
+        sharded.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            sharded.search(QUERIES[0], evalue=EVALUE)
+
+
+class FakePool:
+    """Stands in for a process pool: records how it was shut down."""
+
+    def __init__(self):
+        self.shutdowns = []
+
+    def shutdown(self, wait=True, **kwargs):
+        self.shutdowns.append(wait)
+
+
+class TestTheEnginesPool:
+    """A process engine owns one pool: made on first scatter, shut at close."""
+
+    @pytest.mark.parametrize("shard_count", [1, 2, 4])
+    def test_a_serial_engine_makes_no_pool(self, index_directories, shard_count):
+        with ShardedEngine.open(index_directories[shard_count]) as sharded:
+            sharded.search(QUERIES[0], evalue=EVALUE)
+            sharded.search_many(QUERIES, workers=2, evalue=EVALUE)
+            assert sharded._pool is None
+
+    def test_streaming_on_a_process_engine_makes_no_pool(
+        self, index_directories, expected_signatures
+    ):
+        with ShardedEngine.open(index_directories[2], backend="processes:2") as sharded:
+            streamed = list(sharded.search_online(QUERIES[0], evalue=EVALUE))
+            assert hit_signature(streamed) == expected_signatures[QUERIES[0]]
+            assert sharded._pool is None
+
+    def test_the_pool_is_made_on_the_first_scatter_and_kept(self, index_directories):
+        with ShardedEngine.open(index_directories[2], backend="processes:2") as sharded:
+            assert sharded._pool is None
+            sharded.search(QUERIES[0], evalue=EVALUE)
+            pool = sharded._pool
+            assert pool is not None
+            sharded.search(QUERIES[1], evalue=EVALUE)
+            assert sharded._pool is pool
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_the_spec_sizes_the_pool(self, index_directories, workers):
+        with ShardedEngine.open(
+            index_directories[4], backend=f"processes:{workers}"
+        ) as sharded:
+            sharded.search(QUERIES[0], evalue=EVALUE)
+            assert sharded._pool._max_workers == workers
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_a_threaded_batch_scatters_through_one_pool(
+        self, monkeypatch, index_directories, expected_signatures, workers
+    ):
+        made = []
+
+        def counting_spawn_pool(count):
+            made.append(count)
+            return spawn_pool(count)
+
+        monkeypatch.setattr(engine_module, "spawn_pool", counting_spawn_pool)
+        interval = sys.getswitchinterval()
+        # More batch threads than cores, switching often: a check-then-make
+        # race on the pool would make a second one.
+        sys.setswitchinterval(1e-6)
+        try:
+            with ShardedEngine.open(index_directories[4], backend="processes:2") as sharded:
+                report = sharded.search_many(QUERIES * 2, workers=workers, evalue=EVALUE)
+        finally:
+            sys.setswitchinterval(interval)
+        assert made == [2]
+        assert report.statistics.failed == 0
+        for query, result in report:
+            assert hit_signature(result.hits) == expected_signatures[query]
+
+    def test_close_shuts_the_workers_down_and_is_idempotent(self, index_directories):
+        sharded = ShardedEngine.open(index_directories[2], backend="processes:2")
+        sharded.search(QUERIES[0], evalue=EVALUE)
+        workers = list(sharded._pool._processes.values())
+        assert workers and all(worker.is_alive() for worker in workers)
+        sharded.close()
+        assert sharded._pool is None
+        assert not any(worker.is_alive() for worker in workers)
+        sharded.close()
+
+    def test_a_closed_engine_makes_no_pool(self, index_directories):
+        sharded = ShardedEngine.open(index_directories[2], backend="processes:2")
+        sharded.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            sharded._process_pool()
+        assert sharded._pool is None
+
+    def test_discarding_the_current_pool_shuts_it_without_waiting(self, index_directories):
+        with ShardedEngine.open(index_directories[2], backend="processes:2") as sharded:
+            broken = sharded._pool = FakePool()
+            sharded._discard_pool(broken)
+            assert sharded._pool is None
+            assert broken.shutdowns == [False]
+
+    def test_a_stale_broken_pool_does_not_discard_its_replacement(self, index_directories):
+        with ShardedEngine.open(index_directories[2], backend="processes:2") as sharded:
+            stale, replacement = FakePool(), FakePool()
+            sharded._pool = replacement
+            sharded._discard_pool(stale)
+            assert sharded._pool is replacement
+            assert stale.shutdowns == [] and replacement.shutdowns == []
+            sharded._pool = None
+
+    def test_a_crash_under_a_threaded_batch_fails_its_queries_not_the_engine(
+        self, monkeypatch, index_directories, expected_signatures
+    ):
+        with ShardedEngine.open(index_directories[4], backend="processes:2") as sharded:
+            monkeypatch.setattr(engine_module, "run_shard_search", proc_kill_worker)
+            report = sharded.search_many(QUERIES, workers=3, evalue=EVALUE)
+            monkeypatch.undo()
+            assert report.statistics.failed == len(QUERIES)
+            assert all("BrokenProcessPool" in outcome.error for outcome in report.outcomes)
+            again = sharded.search_many(QUERIES, workers=3, evalue=EVALUE)
+        assert again.statistics.failed == 0
+        for query, result in again:
+            assert hit_signature(result.hits) == expected_signatures[query]
 
 
 class TestOneImage:

@@ -1,6 +1,7 @@
 """Spawn-boundary round trips for the designated payload classes and the outcome.
 
-``ProcessBackend`` starts workers with the ``spawn`` context: a fresh
+The sharded engine's pool (``repro.sharding.remote.spawn_pool``) starts
+workers with the ``spawn`` context: a fresh
 interpreter re-imports every task class by qualified name and unpickles its
 fields.  These tests ship each payload class through a real spawn worker
 (``repro.testing.proc_roundtrip``) and compare what comes back -- the
@@ -9,7 +10,7 @@ complement of the static ``pickle-safety`` rule.  What a shard search sends
 *back* is a plain :class:`~repro.core.results.SearchResult`; its round trip
 is held here too.
 
-One shared ProcessBackend for the module: spawn startup is the expensive
+One shared spawn pool for the module: spawn startup is the expensive
 part, and reusing the worker also proves the payloads coexist in one
 interpreter.
 """
@@ -17,26 +18,28 @@ interpreter.
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
 
 import pytest
+
+import repro
 
 from repro.core.engine import OasisEngine
 from repro.core.oasis import OasisSearchStatistics
 from repro.core.request import SearchRequest
 from repro.core.results import Alignment, OnlineResultLog, SearchResult
-from repro.exec import ProcessBackend
 from repro.obs.trace import TraceContext
 from repro.scoring.karlin_altschul import KarlinAltschulParameters
 from repro.scoring.data import nucleotide_matrix
-from repro.sharding.remote import ShardSearchTask
+from repro.sharding.remote import ShardSearchTask, spawn_pool
 from repro.testing import proc_roundtrip
 
 
 @pytest.fixture(scope="module")
 def spawn_backend():
-    with ProcessBackend(workers=1) as backend:
-        yield backend
+    with spawn_pool(1) as pool:
+        yield pool
 
 
 def roundtrip(backend, payload):
@@ -188,3 +191,40 @@ class TestPayloadShape:
             TraceContext(trace_id="t", parent_id=None),
         ):
             assert pickle.loads(pickle.dumps(payload)) == payload
+
+
+#: The directory ``spawn_pool`` exports: the one holding the ``repro`` package.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+class TestSpawnPool:
+    """``sharding.remote.spawn_pool``: the one way this package starts workers."""
+
+    def test_workers_are_spawned_never_forked(self):
+        with spawn_pool(1) as pool:
+            assert pool._mp_context.get_start_method() == "spawn"
+            assert pool._max_workers == 1
+
+    def test_a_worker_inherits_the_exported_package_root(self, spawn_backend):
+        exported = spawn_backend.submit(os.getenv, "PYTHONPATH").result()
+        assert PACKAGE_ROOT in exported.split(os.pathsep)
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            (None, [PACKAGE_ROOT]),
+            ("/elsewhere", ["/elsewhere", PACKAGE_ROOT]),
+            (PACKAGE_ROOT, [PACKAGE_ROOT]),
+            (os.pathsep.join(["/first", PACKAGE_ROOT]), ["/first", PACKAGE_ROOT]),
+        ],
+        ids=["unset", "appended-after-others", "already-first", "already-later"],
+    )
+    def test_the_package_root_is_appended_once(self, monkeypatch, before, after):
+        if before is None:
+            monkeypatch.delenv("PYTHONPATH", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONPATH", before)
+        for _ in range(2):
+            # No worker starts until a task is submitted: making a pool is cheap.
+            spawn_pool(1).shutdown()
+        assert os.environ["PYTHONPATH"].split(os.pathsep) == after

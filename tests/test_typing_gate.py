@@ -24,8 +24,6 @@ SRC = os.path.join(REPO_ROOT, "src")
 
 #: Module globs held to the strict flag block in pyproject.toml.
 GATE_FILES = (
-    "repro/exec/__init__.py",
-    "repro/exec/backend.py",
     "repro/obs/__init__.py",
     "repro/obs/__main__.py",
     "repro/obs/analyze.py",
@@ -59,7 +57,6 @@ def test_pyproject_pins_the_gate_modules():
         pyproject = handle.read()
     assert "[tool.mypy]" in pyproject
     for module_glob in (
-        "repro.exec.*",
         "repro.obs.*",
         "repro.sharding.remote",
         "repro.storage.*",
