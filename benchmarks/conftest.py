@@ -9,9 +9,10 @@ SWISS-PROT-like dataset at the scale selected by ``OASIS_BENCH_SCALE``
 knob for sharper curves.  Performance is not recorded here: ``bench_e2e/``
 is the repository's one performance record.
 
-The plain helpers (``bench_config``, ``emit``) live in :mod:`repro.testing`
-so benchmark modules can import them without relying on cross-directory
-``conftest`` module resolution; only the fixtures live here.
+The plain helpers (``bench_config``, ``emit``, ``smoke_mode``) live in
+``benchmarks/bench_support.py`` so benchmark modules can import them without
+relying on cross-directory ``conftest`` module resolution; only the fixtures
+live here.
 
 Run with ``pytest benchmarks/ -s`` to see the tables.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import ExperimentConfig
-from repro.testing import bench_config
+from bench_support import bench_config
 
 
 @pytest.fixture(scope="session")

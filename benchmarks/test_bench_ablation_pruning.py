@@ -4,7 +4,7 @@ The pruning rules are pure optimisations, so every rule subset must return
 identical results, and the full rule set must do the least work.
 """
 
-from repro.testing import emit
+from bench_support import emit
 
 from repro.experiments import ablation_pruning
 

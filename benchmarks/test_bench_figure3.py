@@ -9,7 +9,7 @@ machine-independent claim is Figure 4's column count
 (``test_bench_figure4.py``).
 """
 
-from repro.testing import emit
+from bench_support import emit
 
 from repro.experiments import figure3
 

@@ -8,7 +8,7 @@ so the assertions check the directional properties: OASIS always expands fewer
 columns than S-W, and markedly fewer on the shortest queries.
 """
 
-from repro.testing import emit
+from bench_support import emit
 
 from repro.experiments import figure4
 

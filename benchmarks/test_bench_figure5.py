@@ -7,7 +7,7 @@ that cannot legitimately vary: BLAST never finds a sequence OASIS misses, and
 OASIS finds at least as many matches for every query length.
 """
 
-from repro.testing import emit
+from bench_support import emit
 
 from repro.experiments import figure5
 

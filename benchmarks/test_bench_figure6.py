@@ -5,7 +5,7 @@ one (E=20 000) for the shortest queries -- where it behaves almost like exact
 suffix-tree lookup -- and the difference shrinks as queries get longer.
 """
 
-from repro.testing import emit
+from bench_support import emit
 
 from repro.experiments import figure6
 

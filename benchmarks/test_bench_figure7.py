@@ -6,7 +6,7 @@ structure fits.  The reported per-query time is compute time plus the
 simulated I/O charged per physical block read (5 ms, a 2003-era disk seek).
 """
 
-from repro.testing import emit
+from bench_support import emit
 
 from repro.experiments import figure7
 

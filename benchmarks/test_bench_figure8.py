@@ -9,7 +9,7 @@ are what degrades first once the pool is smaller than the symbol array
 (about 1/11 of the image): the sweep starts at 1/32 of the index.
 """
 
-from repro.testing import emit, smoke_mode
+from bench_support import emit, smoke_mode
 
 from repro.experiments import figure8
 

@@ -9,7 +9,7 @@ one machine, so it is printed, not asserted; what is asserted is the shape of
 OASIS's own emission timeline.
 """
 
-from repro.testing import emit
+from bench_support import emit
 
 from repro.experiments import figure9
 

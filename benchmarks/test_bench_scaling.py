@@ -5,7 +5,7 @@ order-of-magnitude claims: as the database grows, S-W's work grows linearly
 while the OASIS frontier grows sub-linearly, so the work fraction falls.
 """
 
-from repro.testing import emit
+from bench_support import emit
 
 from repro.experiments import scaling
 

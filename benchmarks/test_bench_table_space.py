@@ -7,7 +7,7 @@ the same regime; the exact figure depends on the internal-node density of the
 data set and is printed for the record.
 """
 
-from repro.testing import emit
+from bench_support import emit
 
 from repro.experiments import table_space
 

@@ -391,6 +391,7 @@ def _command_search(args: argparse.Namespace) -> int:
 
     # Single and batch mode both run through the concurrent executor; a lone
     # query is simply a batch of one.
+    status = 0
     try:
         if profiler is not None:
             profiler.start()
@@ -404,10 +405,15 @@ def _command_search(args: argparse.Namespace) -> int:
         # Also on the way out of an interrupted run (Ctrl-C): every span
         # closes as the exception unwinds, so the trace is still one tree.
         if tracer is not None:
-            _emit_telemetry(args, tracer)
+            status = _emit_telemetry(args, tracer)
+    if status:
+        return status
 
     if profiler is not None:
-        profiler.write_collapsed(args.stackprof)
+        try:
+            profiler.write_collapsed(args.stackprof)
+        except OSError as error:
+            return _fail("search", f"cannot write the --stackprof file: {error}")
         shares = ", ".join(
             f"{phase}={share:.0%}" for phase, share in profiler.phase_shares().items()
         )
@@ -488,15 +494,22 @@ def _peak_rss_bytes() -> Optional[int]:
     return None
 
 
-def _emit_telemetry(args: argparse.Namespace, tracer) -> None:
-    """Write the trace file and/or print the metrics dump after a search."""
+def _emit_telemetry(args: argparse.Namespace, tracer) -> int:
+    """Write the trace file and/or print the metrics dump after a search.
+
+    Returns 0, or the exit code of the one error line printed when the trace
+    file cannot be written (its directory does not exist, say).
+    """
     if args.slow_log is not None:
         _emit_slow_log(args.slow_log, tracer)
     if args.trace:
         from repro.obs.recording import Recording, write
 
         records = tracer.records()
-        write(args.trace, Recording.of(records, reason="trace", trace_id=tracer.trace_id))
+        try:
+            write(args.trace, Recording.of(records, reason="trace", trace_id=tracer.trace_id))
+        except OSError as error:
+            return _fail("search", f"cannot write the --trace file: {error}")
         print(f"wrote {len(records)} spans to {args.trace}", file=sys.stderr)
     if args.metrics:
         peak = _peak_rss_bytes()
@@ -508,6 +521,7 @@ def _emit_telemetry(args: argparse.Namespace, tracer) -> None:
         if rendered:
             print("--- metrics ---", file=sys.stderr)
             print(rendered, file=sys.stderr)
+    return 0
 
 
 def _command_index(args: argparse.Namespace) -> int:

@@ -90,18 +90,6 @@ class SearchNode:
     #: the path spells); useful for reporting and debugging.
     depth: int = 0
 
-    @property
-    def is_accepted(self) -> bool:
-        return self.state is NodeState.ACCEPTED
-
-    @property
-    def is_viable(self) -> bool:
-        return self.state is NodeState.VIABLE
-
-    @property
-    def is_unviable(self) -> bool:
-        return self.state is NodeState.UNVIABLE
-
     def __repr__(self) -> str:
         return (
             f"SearchNode(state={self.state.value}, f={self.f}, "

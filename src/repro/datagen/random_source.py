@@ -61,12 +61,6 @@ class RandomSource:
     # ------------------------------------------------------------------ #
     # Weighted symbols
     # ------------------------------------------------------------------ #
-    def weighted_symbol(self, frequencies: Dict[str, float]) -> str:
-        """Draw one symbol according to a frequency table."""
-        return self._random.choices(
-            list(frequencies.keys()), weights=list(frequencies.values()), k=1
-        )[0]
-
     def weighted_sequence(self, frequencies: Dict[str, float], length: int) -> str:
         """Draw a sequence of ``length`` symbols according to a frequency table."""
         return "".join(

@@ -50,15 +50,12 @@ class ExperimentConfig:
     #: scaled-down synthetic database would make the threshold vacuous;
     #: scaling E by ``our size / paper size`` keeps the *score threshold*
     #: (Equation 3) -- and therefore the selectivity the paper configured --
-    #: unchanged.  Set ``scale_evalue_to_database`` to False to disable.
+    #: unchanged.
     paper_database_size: int = 40_000_000
-    scale_evalue_to_database: bool = True
 
     def effective_evalue(self, database_symbols: int, evalue: Optional[float] = None) -> float:
         """Translate a paper E-value into one appropriate for our database size."""
         nominal = self.evalue if evalue is None else evalue
-        if not self.scale_evalue_to_database:
-            return nominal
         return nominal * database_symbols / self.paper_database_size
 
     def preset(self) -> Dict[str, int]:

@@ -49,12 +49,6 @@ class Figure3Row:
             return 0.0
         return self.smith_waterman_seconds / self.oasis_seconds
 
-    @property
-    def ratio_to_blast(self) -> float:
-        if self.blast_seconds == 0:
-            return 0.0
-        return self.oasis_seconds / self.blast_seconds
-
 
 @dataclass
 class Figure3Result:

@@ -38,15 +38,6 @@ class Figure6Result:
     evalues: Sequence[float] = DEFAULT_EVALUES
     rows: List[Figure6Row] = field(default_factory=list)
 
-    def speedup_for_length(self, query_length: int) -> float:
-        """How much faster the selective (lowest-E) search is at one length."""
-        for row in self.rows:
-            if row.query_length == query_length:
-                selective = row.seconds.get(min(self.evalues), 0.0)
-                relaxed = row.seconds.get(max(self.evalues), 0.0)
-                return relaxed / selective if selective else 0.0
-        return 0.0
-
     def format_table(self) -> str:
         low, high = min(self.evalues), max(self.evalues)
         header = [

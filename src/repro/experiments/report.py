@@ -48,10 +48,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Cell]], title: 
     for row in rendered_rows:
         lines.append(render_line(row))
     return "\n".join(lines)
-
-
-def format_ratio(numerator: float, denominator: float) -> str:
-    """Render a speed-up/shrink factor such as ``12.3x`` (or ``-`` if undefined)."""
-    if denominator == 0 or numerator == 0:
-        return "-"
-    return f"{numerator / denominator:.1f}x"

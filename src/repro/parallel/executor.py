@@ -214,12 +214,6 @@ class BatchSearchReport:
         self.raise_first_error()
         return [outcome.result for outcome in self.outcomes]  # type: ignore[misc]
 
-    def result_for(self, query: str) -> Optional[SearchResult]:
-        for outcome in self.outcomes:
-            if outcome.query == query:
-                return outcome.result
-        return None
-
     def failures(self) -> List[BatchQueryOutcome]:
         return [outcome for outcome in self.outcomes if not outcome.ok]
 

@@ -214,10 +214,3 @@ def score_from_evalue(
 def bit_score(score: float, parameters: KarlinAltschulParameters) -> float:
     """Normalised bit score of a raw score."""
     return parameters.bit_score(score)
-
-
-def parameters_for_database(
-    matrix: SubstitutionMatrix, residue_frequencies: Dict[str, float]
-) -> KarlinAltschulParameters:
-    """Estimate statistics using a database's measured residue frequencies."""
-    return estimate_karlin_altschul(matrix, frequencies=residue_frequencies)

@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Union
 
 from repro.sequences.database import SequenceDatabase
 
@@ -67,6 +67,14 @@ def check_partitions(partitions: int) -> int:
             f"per child of the tree's root at most), got {partitions}"
         )
     return int(partitions)
+
+
+def _integer(value: Any, name: str) -> int:
+    """``value`` as an int, or a :class:`CatalogError` naming its catalog field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise CatalogError(f"catalog field {name!r} is not an integer: {value!r}") from None
 
 
 def database_digest(database: SequenceDatabase) -> str:
@@ -171,9 +179,12 @@ class ShardCatalog:
     # Validation
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        """Check internal consistency: one image, a partition count in range."""
+        """Check internal consistency: one image, a partition count in range,
+        an integer gap penalty and block size."""
         if len(self.shards) != 1:
             raise CatalogError(f"catalog lists {len(self.shards)} images, not one")
+        for name in ("gap_penalty", "block_size"):
+            _integer(self.fingerprint.get(name), f"fingerprint.{name}")
         try:
             check_partitions(self.partitions)
         except ValueError as error:
@@ -256,11 +267,11 @@ class ShardCatalog:
         try:
             catalog = cls(
                 database_name=payload["database_name"],
-                sequence_count=int(payload["sequence_count"]),
-                total_residues=int(payload["total_residues"]),
+                sequence_count=_integer(payload["sequence_count"], "sequence_count"),
+                total_residues=_integer(payload["total_residues"], "total_residues"),
                 fingerprint=dict(payload["fingerprint"]),
                 database_digest=str(payload.get("database_digest", "")),
-                partitions=int(payload["partitions"]),
+                partitions=_integer(payload["partitions"], "partitions"),
                 shards=[ShardEntry(**entry) for entry in payload["shards"]],
             )
         except (KeyError, TypeError) as error:

@@ -50,7 +50,7 @@ from repro.obs.logsetup import get_logger
 from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
-from repro.sharding.catalog import ShardCatalog, config_fingerprint
+from repro.sharding.catalog import CatalogError, ShardCatalog, config_fingerprint
 from repro.sharding.remote import (
     ShardSearchTask,
     label_shard_execution,
@@ -557,7 +557,10 @@ class ShardedEngine(SearchSurface):
         )
 
         if matrix is None:
-            matrix = load_matrix(catalog.matrix_name)
+            try:
+                matrix = load_matrix(catalog.matrix_name)
+            except KeyError as error:
+                raise CatalogError(f"catalog field 'fingerprint.matrix': {error.args[0]}") from None
         if gap_model is None:
             gap_model = FixedGapModel(catalog.gap_penalty)
         catalog.check_fingerprint(

@@ -323,10 +323,6 @@ class BufferPool:
         """Number of pages currently cached."""
         return len(self._page_table)
 
-    def contains(self, region: Region, block_in_region: int) -> bool:
-        """Whether a page is currently resident (used by tests)."""
-        return self._region_starts[region] + block_in_region in self._page_table
-
     def clear(self) -> None:
         """Drop every cached page (statistics are left untouched)."""
         with self._lock:

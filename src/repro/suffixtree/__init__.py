@@ -6,8 +6,6 @@ database (Section 2.3 of the paper).  This package provides:
 * :mod:`repro.suffixtree.suffix_array` -- the one suffix sorter (prefix
   doubling over the still-tied groups, O(n log n) on any input) and the LCP
   array (vectorised rounds, then Kasai);
-* :mod:`repro.suffixtree.ukkonen` -- classic online Ukkonen construction for a
-  single string (used to cross-validate the suffix-array construction);
 * :mod:`repro.suffixtree.build` -- ``sorted_suffixes`` and the record arrays
   built from them, on NumPy (imported only to build a tree);
 * :mod:`repro.suffixtree.generalized` -- :class:`GeneralizedSuffixTree`, the
@@ -24,14 +22,12 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.suffixtree.suffix_array import build_suffix_array, build_lcp_array
     from repro.suffixtree.generalized import GeneralizedSuffixTree
-    from repro.suffixtree.ukkonen import UkkonenSuffixTree
 else:
     __getattr__, __dir__ = lazy_exports(
         __name__,
         {
             "repro.suffixtree.suffix_array": ("build_suffix_array", "build_lcp_array"),
             "repro.suffixtree.generalized": ("GeneralizedSuffixTree",),
-            "repro.suffixtree.ukkonen": ("UkkonenSuffixTree",),
         },
     )
 
@@ -39,5 +35,4 @@ __all__ = [
     "build_suffix_array",
     "build_lcp_array",
     "GeneralizedSuffixTree",
-    "UkkonenSuffixTree",
 ]

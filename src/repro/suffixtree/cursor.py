@@ -22,7 +22,7 @@ pool.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterator, List, Sequence, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from repro.sequences.database import SequenceDatabase
 
@@ -53,7 +53,7 @@ class SuffixTreeCursor(ABC):
     :meth:`children`, :meth:`arc_symbols` and :meth:`is_leaf`, so a cursor
     (or a proxy around one) that implements only those three works
     unchanged; both trees override it with one pass.  The three stay for
-    tree walks, :meth:`find_exact` and proxies outside the search.
+    tree walks and proxies outside the search.
     """
 
     @property
@@ -113,7 +113,7 @@ class SuffixTreeCursor(ABC):
         """Suffix start positions of every leaf in the subtree under ``node``."""
 
     # ------------------------------------------------------------------ #
-    # Derived helpers shared by all implementations
+    # Derived from leaf_positions (the in-memory tree overrides it)
     # ------------------------------------------------------------------ #
     def sequences_below(self, node: NodeHandle) -> List[int]:
         """Distinct database sequence indices among the leaves under ``node``."""
@@ -125,50 +125,3 @@ class SuffixTreeCursor(ABC):
                 seen_set.add(sequence_index)
                 seen.append(sequence_index)
         return seen
-
-    def occurrences_below(self, node: NodeHandle) -> List[Tuple[int, int]]:
-        """``(sequence index, local offset)`` of every leaf under ``node``."""
-        return [self.database.locate(position) for position in self.leaf_positions(node)]
-
-    def arc_label(self, node: NodeHandle) -> str:
-        """Human-readable label of the incoming arc (debugging and examples)."""
-        return self.database.alphabet.decode(self.arc_symbols(node))
-
-    def contains(self, query: str) -> bool:
-        """Exact substring membership (Section 2.3.1)."""
-        return self.find_exact(self.database.alphabet.encode(query)) is not None
-
-    def find_occurrences(self, query: str) -> List[Tuple[int, int]]:
-        """All ``(sequence index, local offset)`` occurrences of ``query``."""
-        node = self.find_exact(self.database.alphabet.encode(query))
-        if node is None:
-            return []
-        return sorted(self.occurrences_below(node))
-
-    def find_exact(self, query_codes: Sequence[int]) -> NodeHandle | None:
-        """Locate the node whose path spells ``query_codes`` (Section 2.3.1).
-
-        Returns the handle of the shallowest node at or below the end of the
-        match, or ``None`` when the query does not occur in the database.
-        """
-        query = bytes(map(int, query_codes))
-        node = self.root
-        matched = 0
-        while matched < len(query):
-            advanced = False
-            for child in self.children(node):
-                symbols = self.arc_symbols(child)
-                if len(symbols) == 0 or symbols[0] != query[matched]:
-                    continue
-                compare = min(len(symbols), len(query) - matched)
-                if symbols[:compare] != query[matched : matched + compare]:
-                    return None
-                matched += compare
-                node = child
-                advanced = True
-                break
-            if not advanced:
-                return None
-            if self.is_leaf(node) and matched < len(query):
-                return None
-        return node

@@ -60,8 +60,8 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
     >>> from repro.sequences import SequenceDatabase, DNA_ALPHABET
     >>> db = SequenceDatabase.from_texts(["AGTACGCCTAG"], alphabet=DNA_ALPHABET)
     >>> tree = GeneralizedSuffixTree.build(db)
-    >>> tree.contains("TACG")
-    True
+    >>> tree.leaf_count
+    11
 
     ``children()`` decodes an internal node's run of internal children, then
     its run of leaves.  In a built tree the first :data:`KEPT_NODES` nodes in
@@ -236,17 +236,8 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         return handles
 
     # ------------------------------------------------------------------ #
-    # Queries and statistics
+    # Statistics
     # ------------------------------------------------------------------ #
-    def path_label(self, node: NodeHandle) -> str:
-        """The full path label from the root down to ``node``.
-
-        The arc of a node ends where its path does, ``depth`` symbols after
-        the path starts.
-        """
-        end = node[2] + node[3]
-        return self._database.alphabet.decode(self._codes[end - node[4] : end])
-
     @property
     def internal_node_count(self) -> int:
         return len(self.internal_records) // 4

@@ -217,40 +217,3 @@ def build_lcp_array(codes: np.ndarray, suffix_array: np.ndarray) -> np.ndarray:
     lcps[slots[in_text_order]] = long_lcps
     return lcps
 
-
-def verify_suffix_array(codes: np.ndarray, suffix_array: np.ndarray) -> bool:
-    """Check that ``suffix_array`` really is the sorted order of all suffixes.
-
-    Used by the test-suite (and available to callers who build indexes from
-    untrusted serialized data).  Runs in O(n) by checking adjacent pairs with
-    the rank trick rather than comparing full suffixes.
-    """
-    codes = np.asarray(codes)
-    suffix_array = np.asarray(suffix_array)
-    n = len(codes)
-    if sorted(suffix_array.tolist()) != list(range(n)):
-        return False
-    if n <= 1:
-        return True
-    rank = np.empty(n, dtype=np.int64)
-    rank[suffix_array] = np.arange(n)
-    for k in range(1, n):
-        i, j = int(suffix_array[k - 1]), int(suffix_array[k])
-        # Compare suffix i < suffix j by first symbol, then by rank of the
-        # remainders (valid because the remainders are themselves suffixes).
-        while True:
-            if i == n:
-                break  # suffix i is empty -> smaller: OK
-            if j == n:
-                return False
-            if codes[i] != codes[j]:
-                if codes[i] > codes[j]:
-                    return False
-                break
-            i += 1
-            j += 1
-            if i < n and j < n:
-                if rank[i] > rank[j]:
-                    return False
-                break
-    return True

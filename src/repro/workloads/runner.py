@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.results import SearchResult
-from repro.datagen.motifs import MotifQuery, MotifWorkload
+from repro.datagen.motifs import MotifQuery
 from repro.workloads.engines import EngineAdapter
 
 
@@ -28,12 +28,9 @@ class QueryMeasurement:
     columns_expanded: int
     hit_count: int
     best_score: int
-    result: Optional[SearchResult] = None
 
     @classmethod
-    def from_result(
-        cls, engine_name: str, query: str, result: SearchResult, keep_result: bool
-    ) -> "QueryMeasurement":
+    def from_result(cls, engine_name: str, query: str, result: SearchResult) -> "QueryMeasurement":
         return cls(
             engine=engine_name,
             query=query,
@@ -42,7 +39,6 @@ class QueryMeasurement:
             columns_expanded=result.columns_expanded,
             hit_count=len(result),
             best_score=result.best_score,
-            result=result if keep_result else None,
         )
 
 
@@ -99,14 +95,13 @@ class WorkloadRunner:
     query-major: every engine's row for the first query, then the second.
     """
 
-    def __init__(self, engines: Sequence[EngineAdapter], keep_results: bool = False):
+    def __init__(self, engines: Sequence[EngineAdapter]):
         if not engines:
             raise ValueError("at least one engine adapter is required")
         names = [engine.name for engine in engines]
         if len(set(names)) != len(names):
             raise ValueError("engine adapters must have distinct names")
         self.engines = list(engines)
-        self.keep_results = keep_results
 
     def run(self, workload: Iterable) -> WorkloadRunSummary:
         """Execute every query of the workload on every engine."""
@@ -116,9 +111,7 @@ class WorkloadRunner:
             text = query.text if isinstance(query, MotifQuery) else str(query)
             for engine in self.engines:
                 summary.measurements.append(
-                    QueryMeasurement.from_result(
-                        engine.name, text, engine.run(text), self.keep_results
-                    )
+                    QueryMeasurement.from_result(engine.name, text, engine.run(text))
                 )
         summary.total_seconds = time.perf_counter() - start
         return summary
@@ -147,8 +140,3 @@ def aggregate_by_length(
             )
         )
     return aggregates
-
-
-def workload_from_texts(texts: Sequence[str], name: str = "adhoc") -> MotifWorkload:
-    """Wrap plain query strings into a workload object."""
-    return MotifWorkload(queries=[MotifQuery(text=t) for t in texts], name=name)

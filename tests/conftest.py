@@ -20,7 +20,7 @@ from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.testing import (
+from support import (
     AMINO_ACIDS,
     PAPER_TARGET,
     brute_force_local_score,

@@ -9,7 +9,8 @@ suffix array into node objects, and :func:`write_image_from_object_tree` the
 walk that numbers the internal nodes and lays out the leaf records.
 
 Both builders share one suffix sorter, so that sorter is held to the naive
-sort and the direct LCP comparison below.
+sort, the direct LCP comparison and the rank check of
+:func:`verify_suffix_array` below.
 """
 
 from __future__ import annotations
@@ -139,6 +140,44 @@ def naive_lcp(codes, sa) -> List[int]:
     codes = np.asarray(codes).tolist()
     pairs = zip(sa[1:], sa[:-1])
     return [0] + [longest_common_prefix(codes, int(i), int(j)) for i, j in pairs]
+
+
+def verify_suffix_array(codes: np.ndarray, suffix_array: np.ndarray) -> bool:
+    """Check that ``suffix_array`` really is the sorted order of all suffixes.
+
+    Runs in O(n) by checking adjacent pairs with the rank trick rather than
+    comparing full suffixes, so it is an independent check of the sorter
+    alongside :func:`naive_suffix_array`.
+    """
+    codes = np.asarray(codes)
+    suffix_array = np.asarray(suffix_array)
+    n = len(codes)
+    if sorted(suffix_array.tolist()) != list(range(n)):
+        return False
+    if n <= 1:
+        return True
+    rank = np.empty(n, dtype=np.int64)
+    rank[suffix_array] = np.arange(n)
+    for k in range(1, n):
+        i, j = int(suffix_array[k - 1]), int(suffix_array[k])
+        # Compare suffix i < suffix j by first symbol, then by rank of the
+        # remainders (valid because the remainders are themselves suffixes).
+        while True:
+            if i == n:
+                break  # suffix i is empty -> smaller: OK
+            if j == n:
+                return False
+            if codes[i] != codes[j]:
+                if codes[i] > codes[j]:
+                    return False
+                break
+            i += 1
+            j += 1
+            if i < n and j < n:
+                if rank[i] > rank[j]:
+                    return False
+                break
+    return True
 
 
 def write_image_from_object_tree(

@@ -457,6 +457,36 @@ class TestIndexCommands:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("fingerprint.matrix", "NO-SUCH-MATRIX", "unknown matrix 'NO-SUCH-MATRIX'"),
+            ("partitions", "abc", "is not an integer: 'abc'"),
+            ("fingerprint.gap_penalty", "abc", "is not an integer: 'abc'"),
+        ],
+        ids=["unknown-matrix", "partitions", "gap-penalty"],
+    )
+    def test_hostile_catalog_field_exits_2_naming_it(
+        self, index_dir, capsys, field, value, message
+    ):
+        from repro.sharding import CatalogError, ShardedEngine
+
+        path = index_dir / "catalog.json"
+        catalog = json.loads(path.read_text())
+        *parents, name = field.split(".")
+        target = catalog
+        for parent in parents:
+            target = target[parent]
+        target[name] = value
+        path.write_text(json.dumps(catalog))
+        with pytest.raises(CatalogError, match=re.escape(f"catalog field '{field}'")):
+            ShardedEngine.open(index_dir)
+        capsys.readouterr()
+        arguments = ["--query", "MKVLAADTGLAV", "--min-score", "15", "--index", str(index_dir)]
+        assert main(["search", *arguments]) == 2
+        line = one_error_line(capsys, "search")
+        assert f"'{field}'" in line and message in line
+
+    @pytest.mark.parametrize(
         "name, arguments",
         [
             ("search", ["search", "--query", "MKVLAADTGLAV", "--min-score", "15", "--index"]),
@@ -622,6 +652,29 @@ class TestTelemetryFlags:
         recording = load(trace)
         assert validate(recording) == []
         assert {record.name for record in recording.spans} >= {"batch", "query", "shard", "merge"}
+
+    @pytest.mark.parametrize("flag", ["--trace", "--stackprof"])
+    def test_output_into_a_missing_directory_exits_2_in_one_line(
+        self, index_dir, tmp_path, capsys, flag
+    ):
+        missing = tmp_path / "no-such-directory" / "out"
+        code = main(
+            [
+                "search",
+                "--index",
+                str(index_dir),
+                "--query",
+                "MKVLAADTGLAV",
+                "--min-score",
+                "15",
+                flag,
+                str(missing),
+            ]
+        )
+        assert code == 2
+        line = one_error_line(capsys, "search")
+        assert f"cannot write the {flag} file" in line and str(missing) in line
+        assert not missing.parent.exists()
 
     def test_trace_file_is_overwritten_not_appended(self, generated_files, tmp_path):
         from repro.obs.recording import load, validate

@@ -14,7 +14,7 @@ from repro.core.kernels import available_kernels, get_kernel
 from repro.core.search_node import NodeState, PRUNED, SearchNode
 from repro.scoring.data import unit_matrix
 from repro.sequences.alphabet import DNA_ALPHABET
-from repro.testing import dense
+from support import dense
 
 MATRIX = unit_matrix(DNA_ALPHABET)
 

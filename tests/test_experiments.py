@@ -54,10 +54,6 @@ class TestConfig:
         scaled = tiny_config.effective_evalue(40_000)
         assert scaled == pytest.approx(tiny_config.evalue * 40_000 / tiny_config.paper_database_size)
 
-    def test_effective_evalue_can_be_disabled(self):
-        config = default_config("tiny", scale_evalue_to_database=False)
-        assert config.effective_evalue(123) == config.evalue
-
     def test_environment_variable_selects_scale(self, monkeypatch):
         monkeypatch.setenv("OASIS_BENCH_SCALE", "tiny")
         assert default_config().scale == "tiny"

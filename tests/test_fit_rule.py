@@ -33,7 +33,7 @@ from repro.storage.image import open_image
 from repro.storage.layout import ImageFormatError, Region
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.testing import random_dna, random_protein
+from support import random_dna, random_protein
 
 QUERY = "WKDDGNGYISAAE"
 

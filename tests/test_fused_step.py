@@ -24,7 +24,7 @@ from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.testing import AMINO_ACIDS, node_signature
+from support import AMINO_ACIDS, node_signature
 
 LIVE = LiveCellKernel()
 REFERENCE = ReferenceKernel()

@@ -41,7 +41,7 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.testing import dense, node_signature
+from support import dense, node_signature
 
 SEEDS = [3, 11, 29]
 

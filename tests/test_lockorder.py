@@ -27,7 +27,8 @@ from repro.core.engine import OasisEngine
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder
-from repro.testing import instrument_lock_order, random_protein
+from repro.testing import instrument_lock_order
+from support import random_protein
 
 QUERY = "WKDDGNGYISAAE"
 EVALUE = 1_000.0

@@ -13,7 +13,7 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 
-from repro.testing import PAPER_QUERY, PAPER_TARGET, random_protein
+from support import PAPER_QUERY, PAPER_TARGET, random_protein
 
 
 class TestPaperExample:

@@ -23,7 +23,7 @@ from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder
-from repro.testing import AMINO_ACIDS, random_protein
+from support import AMINO_ACIDS, random_protein
 
 
 def validate_trace(records):

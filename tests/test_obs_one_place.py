@@ -38,7 +38,7 @@ from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder
 from repro.storage.disk_tree import DiskSuffixTree
-from repro.testing import AMINO_ACIDS, random_protein
+from support import AMINO_ACIDS, random_protein
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

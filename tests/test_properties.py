@@ -10,6 +10,7 @@ their own properties.
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cursor_lookups import contains, find_occurrences
 from image_oracle import object_tree_shape, tree_shape
 from repro.baselines.smith_waterman import SmithWatermanAligner
 from repro.core.engine import OasisEngine
@@ -22,7 +23,7 @@ from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 from repro.suffixtree.suffix_array import build_lcp_array, build_suffix_array
 
-from repro.testing import brute_force_local_score
+from support import brute_force_local_score
 
 # Text strategies over the two alphabets (real symbols only).
 dna_text = st.text(alphabet="ACGT", min_size=1, max_size=40)
@@ -42,7 +43,7 @@ class TestSuffixTreeProperties:
         database = SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET)
         tree = GeneralizedSuffixTree.build(database)
         expected = any(query in text for text in texts)
-        assert tree.contains(query) == expected
+        assert contains(tree, query) == expected
 
     @relaxed
     @given(texts=st.lists(dna_text, min_size=1, max_size=4))
@@ -65,7 +66,7 @@ class TestSuffixTreeProperties:
                 for j in range(len(text) - len(query) + 1)
                 if text[j : j + len(query)] == query
             ]
-            assert tree.find_occurrences(query) == expected
+            assert find_occurrences(tree, query) == expected
 
 
 class TestSuffixArrayProperties:

@@ -31,7 +31,7 @@ from repro.sharding import (
     ShardedIndexBuilder,
     root_partitions,
 )
-from repro.testing import random_dna, random_protein
+from support import random_dna, random_protein
 
 QUERIES = ["WKDDGNGYISAAE", "MKVLAADT", "DKDGDGCITTKEL"]
 EVALUE = 1_000.0

@@ -32,7 +32,8 @@ from repro.sharding import engine as engine_module
 from repro.sharding.engine import check_scatter_backend
 from repro.sharding.remote import ShardSearchTask, run_shard_search, spawn_pool
 from repro.storage.buffer_pool import BufferPool
-from repro.testing import proc_kill_worker, random_protein
+from repro.testing import proc_kill_worker
+from support import random_protein
 
 QUERIES = ["WKDDGNGYISAAE", "MKVLAADT", "DKDGDGCITTKEL"]
 EVALUE = 1_000.0

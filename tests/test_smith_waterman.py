@@ -13,7 +13,7 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sequences.sequence import Sequence
 
-from repro.testing import (
+from support import (
     AMINO_ACIDS,
     PAPER_QUERY,
     PAPER_TARGET,

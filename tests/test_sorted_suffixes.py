@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from cursor_lookups import find_occurrences
 from image_oracle import naive_lcp, naive_suffix_array, object_tree_shape, tree_shape
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
@@ -13,7 +14,7 @@ from repro.storage.disk_tree import DiskSuffixTree
 from repro.suffixtree.build import construction_codes, sorted_suffixes
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 
-from repro.testing import random_dna, random_protein
+from support import random_dna, random_protein
 
 
 def disk_tree(database, path):
@@ -54,7 +55,7 @@ class TestSortedSuffixes:
         ) as on_disk:
             for _ in range(40):
                 query = random_dna(rng, rng.randint(1, 6))
-                assert on_disk.find_occurrences(query) == direct.find_occurrences(query)
+                assert find_occurrences(on_disk, query) == find_occurrences(direct, query)
 
     @pytest.mark.parametrize(
         "alphabet, random_text",
@@ -94,4 +95,4 @@ class TestSortedSuffixes:
         positions, lcps = sorted_suffixes(database)
         assert np.sort(lcps)[-19_000:].tolist() == list(range(1_001, 20_001))
         with disk_tree(database, tmp_path / "twins.oasis") as on_disk:
-            assert on_disk.find_occurrences(half[-30:]) == [(0, 19_970), (1, 19_970)]
+            assert find_occurrences(on_disk, half[-30:]) == [(0, 19_970), (1, 19_970)]

@@ -26,7 +26,7 @@ from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder
-from repro.testing import random_protein
+from support import random_protein
 
 
 

@@ -8,6 +8,11 @@ from repro.storage.blocks import BlockFile
 from repro.storage.buffer_pool import BufferPool, Region
 
 
+def resident(pool, region, block_in_region):
+    """Whether the page is in one of the pool's frames (no request, no statistics)."""
+    return pool._region_starts[region] + block_in_region in pool._page_table
+
+
 @pytest.fixture
 def block_file(tmp_path):
     path = tmp_path / "data.blk"
@@ -105,21 +110,21 @@ class TestBufferPool:
         # Every bit is set, so the first replacement sweeps the whole clock,
         # clears all three bits and takes the frame it started from (page 0).
         pool.get_page(Region.SYMBOLS, 3)
-        assert not pool.contains(Region.SYMBOLS, 0)
+        assert not resident(pool, Region.SYMBOLS, 0)
         assert pool.statistics.evictions == 1
         # Pages 1 and 2 now have clear bits and the hand stands on page 1.
         # A hit sets page 1's bit again: the next sweep must pass over it
         # (second chance) and evict page 2, where FIFO would evict page 1.
         pool.get_page(Region.SYMBOLS, 1)
         pool.get_page(Region.SYMBOLS, 4)
-        assert pool.contains(Region.SYMBOLS, 1)
-        assert not pool.contains(Region.SYMBOLS, 2)
+        assert resident(pool, Region.SYMBOLS, 1)
+        assert not resident(pool, Region.SYMBOLS, 2)
         assert pool.statistics.evictions == 2
         # The chance is spent: page 1's bit was cleared by that sweep, so it
         # is the victim of the next one (page 3's set bit is passed over).
         pool.get_page(Region.SYMBOLS, 5)
-        assert not pool.contains(Region.SYMBOLS, 1)
-        assert pool.contains(Region.SYMBOLS, 3)
+        assert not resident(pool, Region.SYMBOLS, 1)
+        assert resident(pool, Region.SYMBOLS, 3)
         assert pool.statistics.evictions == 3
 
     def test_working_set_fits_no_more_misses(self, block_file):
@@ -149,8 +154,8 @@ class TestBufferPool:
         pool.get_page(Region.SYMBOLS, 6)
         assert pool.statistics.evictions == evictions
         pool.get_page(Region.SYMBOLS, 7)
-        assert not pool.contains(Region.SYMBOLS, 5)
-        assert pool.contains(Region.SYMBOLS, 6)
+        assert not resident(pool, Region.SYMBOLS, 5)
+        assert resident(pool, Region.SYMBOLS, 6)
 
     def test_frames_created_on_demand(self, block_file):
         # A pool far larger than its file (the 256 MB default over a small

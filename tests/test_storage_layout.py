@@ -6,6 +6,14 @@ from collections import deque
 
 import pytest
 
+from cursor_lookups import (
+    arc_label,
+    contains,
+    find_exact,
+    find_occurrences,
+    occurrences_below,
+    path_label,
+)
 from repro.core.engine import OasisEngine
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
@@ -28,7 +36,7 @@ from repro.storage.layout import (
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 
-from repro.testing import PAPER_TARGET, random_dna, random_protein
+from support import PAPER_TARGET, random_dna, random_protein
 
 
 class TestRecords:
@@ -240,14 +248,14 @@ class TestDiskSuffixTree:
     def test_contains_and_occurrences_match_memory_tree(self, paper_image, paper_database):
         path, _, tree = paper_image
         with DiskSuffixTree(path, paper_database, buffer_pool_bytes=1024) as disk:
-            assert disk.contains("TACG")
-            assert disk.find_occurrences("TACG") == tree.find_occurrences("TACG")
-            assert not disk.contains("GGG")
+            assert contains(disk, "TACG")
+            assert find_occurrences(disk, "TACG") == find_occurrences(tree, "TACG")
+            assert not contains(disk, "GGG")
 
     def test_statistics_accumulate(self, paper_image, paper_database):
         path, _, _ = paper_image
         with DiskSuffixTree(path, paper_database, buffer_pool_bytes=1024) as disk:
-            disk.find_occurrences("TACG")
+            find_occurrences(disk, "TACG")
             assert disk.statistics.requests > 0
             disk.reset_statistics()
             assert disk.statistics.requests == 0
@@ -290,13 +298,13 @@ class TestDiskSuffixTree:
         with DiskSuffixTree(path, database, buffer_pool_bytes=2048) as disk:
             for _ in range(60):
                 query = random_dna(rng, rng.randint(1, 7))
-                assert disk.find_occurrences(query) == tree.find_occurrences(query)
+                assert find_occurrences(disk, query) == find_occurrences(tree, query)
 
     def test_tiny_buffer_pool_still_correct(self, paper_image, paper_database):
         path, _, tree = paper_image
         with DiskSuffixTree(path, paper_database, buffer_pool_bytes=256) as disk:
             assert disk.pool.frame_count == 1
-            assert disk.find_occurrences("TAG") == tree.find_occurrences("TAG")
+            assert find_occurrences(disk, "TAG") == find_occurrences(tree, "TAG")
             assert disk.statistics.hit_ratio < 1.0
 
 
@@ -523,7 +531,7 @@ class TestPageAtATimeReadPath:
                     symbols = disk.arc_symbols(child)
                     assert isinstance(symbols, bytes)
                     assert symbols == tree.arc_symbols(twin)
-                    assert disk.arc_label(child) == tree.arc_label(twin)
+                    assert arc_label(disk, child) == arc_label(tree, twin)
                     crossing += start // 72 != (start + length - 1) // 72
                     if not disk.is_leaf(child):
                         pending.append((twin, child))
@@ -545,22 +553,22 @@ class TestPageAtATimeReadPath:
                     text = rng.choice(texts)
                     start = rng.randrange(len(text) - 12)
                     query = text[start : start + rng.randint(4, 12)]
-                assert disk.contains(query) == tree.contains(query)
+                assert contains(disk, query) == contains(tree, query)
                 codes = database.alphabet.encode(query)
-                memory_node = tree.find_exact(codes)
-                disk_node = disk.find_exact(codes)
+                memory_node = find_exact(tree, codes)
+                disk_node = find_exact(disk, codes)
                 assert (memory_node is None) == (disk_node is None)
                 if memory_node is None:
                     continue
                 found += 1
                 assert disk.arc(disk_node) == tree.arc(memory_node)
-                assert disk.arc_label(disk_node) == tree.arc_label(memory_node)
-                label = tree.path_label(memory_node)
+                assert arc_label(disk, disk_node) == arc_label(tree, memory_node)
+                label = path_label(tree, memory_node)
                 assert label.startswith(query)
-                assert label.endswith(disk.arc_label(disk_node))
+                assert label.endswith(arc_label(disk, disk_node))
                 assert len(label) == disk.string_depth(disk_node)
-                assert sorted(disk.occurrences_below(disk_node)) == sorted(
-                    tree.occurrences_below(memory_node)
+                assert sorted(occurrences_below(disk, disk_node)) == sorted(
+                    occurrences_below(tree, memory_node)
                 )
         assert found >= 40
 

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import repro.suffixtree.suffix_array as suffix_array_module
-from image_oracle import longest_common_prefix, naive_lcp, naive_suffix_array
-from repro.suffixtree.suffix_array import (
-    build_lcp_array,
-    build_suffix_array,
+from image_oracle import (
+    longest_common_prefix,
+    naive_lcp,
+    naive_suffix_array,
     verify_suffix_array,
 )
+from repro.suffixtree.suffix_array import build_lcp_array, build_suffix_array
 
 
 class TestSuffixArray:

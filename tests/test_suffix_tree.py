@@ -5,6 +5,7 @@ from unittest import mock
 
 import pytest
 
+from cursor_lookups import arc_label, contains, find_exact, find_occurrences, path_label
 from image_oracle import object_tree_shape, tree_shape
 from repro.core.engine import OasisEngine
 from repro.datagen import MotifWorkloadGenerator, SwissProtLikeGenerator
@@ -18,7 +19,7 @@ from repro.suffixtree import generalized
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import KEPT_NODES, GeneralizedSuffixTree
 
-from repro.testing import PAPER_TARGET, random_dna, random_protein
+from support import PAPER_TARGET, random_dna, random_protein
 
 
 def leaves(cursor):
@@ -54,25 +55,25 @@ class TestPaperExample:
         assert paper_tree.leaf_count == len(PAPER_TARGET)
 
     def test_contains_tacg(self, paper_tree):
-        assert paper_tree.contains("TACG")
+        assert contains(paper_tree, "TACG")
 
     def test_tacg_occurrence_position(self, paper_tree):
         # The paper: "this substring is present ... beginning at position 2".
-        assert paper_tree.find_occurrences("TACG") == [(0, 2)]
+        assert find_occurrences(paper_tree, "TACG") == [(0, 2)]
 
     def test_absent_substring(self, paper_tree):
-        assert not paper_tree.contains("GGG")
-        assert paper_tree.find_occurrences("GGG") == []
+        assert not contains(paper_tree, "GGG")
+        assert find_occurrences(paper_tree, "GGG") == []
 
     def test_full_sequence_is_a_path(self, paper_tree):
-        assert paper_tree.contains(PAPER_TARGET)
+        assert contains(paper_tree, PAPER_TARGET)
 
     def test_structure_is_valid(self, paper_tree):
         assert is_the_object_tree(paper_tree)
 
     def test_path_labels_are_prefix_closed(self, paper_tree):
         for leaf in leaves(paper_tree):
-            label = paper_tree.path_label(leaf)
+            label = path_label(paper_tree, leaf)
             # Every leaf path is suffix + terminal.
             assert label.endswith("$")
             assert PAPER_TARGET.endswith(label[:-1]) or label[:-1] in PAPER_TARGET
@@ -101,9 +102,9 @@ class TestConstructionProperties:
         tree = GeneralizedSuffixTree.build(small_protein_database)
         assert is_the_object_tree(tree)
         core = "WKDDGNGYISAAE"
-        assert tree.contains(core)
+        assert contains(tree, core)
         # Planted in half of the family members verbatim.
-        assert len(tree.find_occurrences(core)) >= 3
+        assert len(find_occurrences(tree, core)) >= 3
 
     @pytest.mark.parametrize("seed", range(6))
     def test_occurrences_match_brute_force(self, seed):
@@ -114,20 +115,20 @@ class TestConstructionProperties:
         for _ in range(25):
             length = rng.randint(1, 7)
             query = random_dna(rng, length)
-            assert tree.find_occurrences(query) == brute_force_occurrences(texts, query)
+            assert find_occurrences(tree, query) == brute_force_occurrences(texts, query)
 
     def test_repeated_identical_sequences(self):
         database = SequenceDatabase.from_texts(["ACGT", "ACGT", "ACGT"], alphabet=DNA_ALPHABET)
         tree = GeneralizedSuffixTree.build(database)
         assert is_the_object_tree(tree)
-        assert tree.find_occurrences("ACG") == [(0, 0), (1, 0), (2, 0)]
+        assert find_occurrences(tree, "ACG") == [(0, 0), (1, 0), (2, 0)]
 
     def test_single_symbol_sequence(self):
         database = SequenceDatabase.from_texts(["A"], alphabet=DNA_ALPHABET)
         tree = GeneralizedSuffixTree.build(database)
         assert tree.leaf_count == 1
-        assert tree.contains("A")
-        assert not tree.contains("C")
+        assert contains(tree, "A")
+        assert not contains(tree, "C")
 
 
 class TestCursorInterface:
@@ -199,10 +200,10 @@ class TestCursorInterface:
         assert internal == tree.internal_node_count
 
     def test_find_exact_returns_none_for_missing(self, paper_tree):
-        assert paper_tree.find_exact(DNA_ALPHABET.encode("AGTT")) is None
+        assert find_exact(paper_tree, DNA_ALPHABET.encode("AGTT")) is None
 
     def test_arc_label(self, paper_tree):
-        labels = {paper_tree.arc_label(c)[0] for c in paper_tree.children(paper_tree.root)}
+        labels = {arc_label(paper_tree, c)[0] for c in paper_tree.children(paper_tree.root)}
         assert labels <= set("ACGT$")
 
 

@@ -36,7 +36,7 @@ from repro.storage.disk_tree import DiskSuffixTree
 from repro.suffixtree import generalized
 from repro.suffixtree.build import construction_codes
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from repro.suffixtree.ukkonen import UkkonenSuffixTree
+from ukkonen_oracle import UkkonenSuffixTree
 
 BLOCK_SIZES = (72, 256, 2048)
 

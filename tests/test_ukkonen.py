@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from cursor_lookups import find_occurrences
 from repro.sequences.alphabet import DNA_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 from repro.suffixtree.suffix_array import build_suffix_array
-from repro.suffixtree.ukkonen import UkkonenSuffixTree
 
-from repro.testing import PAPER_TARGET, random_dna
+from support import PAPER_TARGET, random_dna
+from ukkonen_oracle import UkkonenSuffixTree
 
 
 def encode(text):
@@ -72,5 +73,5 @@ class TestCrossValidation:
         )
         for _ in range(20):
             query = random_dna(rng, rng.randint(1, 6))
-            expected = [offset for _, offset in generalized.find_occurrences(query)]
+            expected = [offset for _, offset in find_occurrences(generalized, query)]
             assert ukkonen.occurrences(encode(query)) == expected

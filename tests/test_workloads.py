@@ -4,11 +4,8 @@ import pytest
 
 from repro.core.engine import OasisEngine
 from repro.workloads.engines import BlastAdapter, OasisAdapter, SmithWatermanAdapter
-from repro.workloads.runner import (
-    WorkloadRunner,
-    aggregate_by_length,
-    workload_from_texts,
-)
+from repro.workloads.runner import WorkloadRunner, aggregate_by_length
+from support import workload_from_texts
 
 
 @pytest.fixture
@@ -67,11 +64,11 @@ class TestWorkloadRunner:
 
     def test_measurements_capture_metrics(self, adapters):
         workload = workload_from_texts(["WKDDGNGYISAAE"])
-        summary = WorkloadRunner(adapters, keep_results=True).run(workload)
+        summary = WorkloadRunner(adapters).run(workload)
         for measurement in summary.measurements:
             assert measurement.query_length == 13
             assert measurement.elapsed_seconds >= 0
-            assert measurement.result is not None
+            assert measurement.columns_expanded >= 0
 
     def test_mean_seconds(self, adapters):
         workload = workload_from_texts(["WKDDGNGYISAAE", "MKVLAADTG"])
@@ -81,13 +78,14 @@ class TestWorkloadRunner:
 
     def test_measurements_are_query_major(self, adapters):
         texts = ["WKDDGNGYISAAE", "MKVLAADTG"]
-        summary = WorkloadRunner(adapters, keep_results=True).run(workload_from_texts(texts))
+        summary = WorkloadRunner(adapters).run(workload_from_texts(texts))
         assert [(m.query, m.engine) for m in summary.measurements] == [
             (text, adapter.name) for text in texts for adapter in adapters
         ]
-        oasis = [m.result for m in summary.measurements if m.engine == "OASIS"]
-        assert [r.scores_by_sequence() for r in oasis] == [
-            adapters[0].run(text).scores_by_sequence() for text in texts
+        oasis = [m for m in summary.measurements if m.engine == "OASIS"]
+        expected = [adapters[0].run(text) for text in texts]
+        assert [(m.hit_count, m.best_score) for m in oasis] == [
+            (len(result), result.best_score) for result in expected
         ]
 
     def test_a_failing_query_raises(self, adapters):

@@ -1,10 +1,10 @@
-"""Ukkonen's online suffix tree construction for a single string.
+"""Ukkonen's online suffix tree construction for a single string: a test oracle.
 
 The paper cites Ukkonen/McCreight as the classic in-memory construction
 algorithms (Section 3.4.1) before adopting the partitioned approach of Hunt et
-al. for disk-scale data.  We implement Ukkonen's algorithm both for
-completeness and because it gives the test-suite an *independent* construction
-to cross-validate the suffix-array-based builder against: the two are written
+al. for disk-scale data.  No product path builds a tree this way; it is here
+because it gives the test-suite an *independent* construction to
+cross-validate the suffix-array-based builder against: the two are written
 in completely different styles, so agreeing on substring membership and
 occurrence sets for random inputs is strong evidence that both are correct.
 
