@@ -10,8 +10,8 @@ dependency on the machinery stacked on top of it::
                     -> core
                         -> obs
                             -> sharding, parallel
-                                -> workloads, experiments, baselines,
-                                   cli, testing, analysis
+                                -> experiments, baselines, cli,
+                                   testing, analysis
 
 A module may import (at module scope) only from its own layer or below.
 Two escape hatches are deliberate, and both are visible in the source:
@@ -47,7 +47,7 @@ from repro.analysis.framework import ModuleInfo, Rule, Violation
 
 #: The layering DAG, bottom-up.  Packages in one group share a layer and may
 #: import each other at module scope (the group is cycle-free by review;
-#: today no same-layer module-scope imports exist at all).
+#: today the one such import is ``experiments`` importing ``baselines``).
 LAYERS: List[List[str]] = [
     ["sequences"],
     ["scoring", "datagen"],
@@ -56,7 +56,7 @@ LAYERS: List[List[str]] = [
     ["core"],
     ["obs"],
     ["sharding", "parallel"],
-    ["workloads", "experiments", "baselines", "cli", "testing", "analysis"],
+    ["experiments", "baselines", "cli", "testing", "analysis"],
 ]
 
 #: package -> layer index.

@@ -41,6 +41,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from typing import List, Optional
@@ -60,6 +61,18 @@ REQUEST_OPTIONS = {
     "min_score": "min_score",
     "max_results": "max_results",
     "timeout": "time_budget",
+}
+
+#: ``experiment`` name -> its driver module under :mod:`repro.experiments`.
+EXPERIMENTS = {
+    "figure3": "figure3",
+    "figure4": "figure4",
+    "figure5": "figure5",
+    "figure6": "figure6",
+    "figure7": "figure7",
+    "figure8": "figure8",
+    "figure9": "figure9",
+    "space": "table_space",
 }
 
 
@@ -195,19 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     index_info.add_argument("directory", help="index directory (with catalog.json)")
 
     experiment = subparsers.add_parser("experiment", help="run one of the paper's experiments")
-    experiment.add_argument(
-        "name",
-        choices=[
-            "figure3",
-            "figure4",
-            "figure5",
-            "figure6",
-            "figure7",
-            "figure8",
-            "figure9",
-            "space",
-        ],
-    )
+    experiment.add_argument("name", choices=list(EXPERIMENTS))
     experiment.add_argument(
         "--scale", default=None, choices=available_scales(), help="dataset scale"
     )
@@ -220,6 +221,10 @@ def _command_generate(args: argparse.Namespace) -> int:
 
     if args.query_count < 1:
         return _fail("generate", "--query-count must be at least 1")
+    for path in filter(None, (args.output, args.queries)):
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            return _fail("generate", f"cannot write {path}: no directory {directory}")
     try:
         generator = SwissProtLikeGenerator(
             seed=args.seed, family_count=args.families, singleton_count=args.singletons
@@ -590,30 +595,13 @@ def _command_index_info(args: argparse.Namespace) -> int:
 
 def _command_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import default_config
-    from repro.experiments import (  # noqa: WPS235 - intentional registry import
-        figure3,
-        figure4,
-        figure5,
-        figure6,
-        figure7,
-        figure8,
-        figure9,
-        table_space,
-    )
 
-    modules = {
-        "figure3": figure3,
-        "figure4": figure4,
-        "figure5": figure5,
-        "figure6": figure6,
-        "figure7": figure7,
-        "figure8": figure8,
-        "figure9": figure9,
-        "space": table_space,
-    }
-    config = default_config(args.scale)
-    result = modules[args.name].run(config)
-    print(result.format_table())
+    try:
+        config = default_config(args.scale)
+    except ValueError as error:  # an unknown OASIS_BENCH_SCALE
+        return _fail("experiment", error)
+    module = importlib.import_module(f"repro.experiments.{EXPERIMENTS[args.name]}")
+    print(module.run(config).format_table())
     return 0
 
 

@@ -15,11 +15,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.oasis import OasisSearch
-from repro.experiments.common import ExperimentConfig, build_protein_dataset, default_config
+from repro.experiments.common import (
+    ExperimentConfig,
+    build_protein_dataset,
+    default_config,
+    effective_evalue,
+)
 from repro.experiments.report import format_table
 
 #: The rule subsets examined (name -> OasisSearch keyword arguments).
-DEFAULT_VARIANTS: Dict[str, Dict[str, bool]] = {
+VARIANTS: Dict[str, Dict[str, bool]] = {
     "all rules (paper)": {},
     "no dominated-pruning": {"prune_dominated": False},
     "no threshold-pruning": {"prune_threshold": False},
@@ -74,18 +79,17 @@ class AblationResult:
 
 def run(
     config: Optional[ExperimentConfig] = None,
-    variants: Dict[str, Dict[str, bool]] = DEFAULT_VARIANTS,
     query_limit: int = DEFAULT_QUERY_LIMIT,
 ) -> AblationResult:
     """Run the pruning-rule ablation on a slice of the workload."""
     config = config or default_config()
     dataset = build_protein_dataset(config)
     queries: Sequence[str] = dataset.workload.texts()[:query_limit]
-    evalue = config.effective_evalue(dataset.database_symbols)
+    evalue = effective_evalue(dataset.database_symbols)
 
     result = AblationResult(config=config)
     reference_scores = None
-    for variant_name, flags in variants.items():
+    for variant_name, flags in VARIANTS.items():
         search = OasisSearch(dataset.engine.cursor, dataset.matrix, dataset.gap_model, **flags)
         columns = 0
         nodes = 0
@@ -113,7 +117,3 @@ def run(
             )
         )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run().format_table())

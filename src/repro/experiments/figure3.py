@@ -27,10 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.common import ExperimentConfig, build_protein_dataset, default_config
+from repro.core.results import SearchResult
+from repro.experiments.common import (
+    ExperimentConfig,
+    build_protein_dataset,
+    default_config,
+    effective_evalue,
+    means_by_length,
+    searches,
+)
 from repro.experiments.report import format_table
-from repro.workloads.engines import BlastAdapter, OasisAdapter, SmithWatermanAdapter
-from repro.workloads.runner import WorkloadRunner, aggregate_by_length
 
 
 @dataclass
@@ -101,54 +107,26 @@ def run(config: Optional[ExperimentConfig] = None) -> Figure3Result:
     """Reproduce Figure 3 on the synthetic dataset."""
     config = config or default_config()
     dataset = build_protein_dataset(config)
-    evalue = config.effective_evalue(dataset.database_symbols)
+    engines = searches(dataset, effective_evalue(dataset.database_symbols))
 
-    adapters = [
-        OasisAdapter(dataset.engine, evalue=evalue),
-        BlastAdapter(
-            dataset.database,
-            dataset.matrix,
-            dataset.gap_model,
-            evalue=evalue,
-            converter=dataset.converter,
-        ),
-        SmithWatermanAdapter(
-            dataset.database,
-            dataset.matrix,
-            dataset.gap_model,
-            evalue=evalue,
-            converter=dataset.converter,
-        ),
-    ]
-    summary = WorkloadRunner(adapters).run(dataset.workload)
-
-    per_engine = {
-        adapter.name: {
-            aggregate.query_length: aggregate
-            for aggregate in aggregate_by_length(summary.measurements, adapter.name)
-        }
-        for adapter in adapters
-    }
-    lengths = sorted(per_engine["OASIS"].keys())
+    # Query-major: every engine answers one query before the next query.
+    results: Dict[str, List[SearchResult]] = {name: [] for name in engines}
+    for query in dataset.workload.texts():
+        for name, search in engines.items():
+            results[name].append(search(query))
+    means = {name: means_by_length(rows) for name, rows in results.items()}
 
     result = Figure3Result(config=config)
-    for length in lengths:
-        oasis = per_engine["OASIS"][length]
-        blast = per_engine["BLAST"].get(length)
-        smith_waterman = per_engine["S-W"].get(length)
+    for length, oasis in means["OASIS"].items():
         result.rows.append(
             Figure3Row(
                 query_length=length,
                 query_count=oasis.query_count,
-                oasis_seconds=oasis.mean_seconds,
-                blast_seconds=blast.mean_seconds if blast else 0.0,
-                smith_waterman_seconds=smith_waterman.mean_seconds if smith_waterman else 0.0,
+                oasis_seconds=oasis.seconds,
+                blast_seconds=means["BLAST"][length].seconds,
+                smith_waterman_seconds=means["S-W"][length].seconds,
             )
         )
-    for adapter in adapters:
-        result.mean_seconds[adapter.name] = summary.mean_seconds(adapter.name)
+    for name, rows in results.items():
+        result.mean_seconds[name] = sum(row.elapsed_seconds for row in rows) / len(rows)
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run().format_table())

@@ -15,9 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.common import ExperimentConfig, build_protein_dataset, default_config
+from repro.experiments.common import (
+    ExperimentConfig,
+    build_protein_dataset,
+    default_config,
+    effective_evalue,
+    searches,
+)
 from repro.experiments.report import format_table
-from repro.workloads.engines import BlastAdapter, OasisAdapter
 
 
 @dataclass
@@ -65,24 +70,16 @@ def run(config: Optional[ExperimentConfig] = None) -> Figure5Result:
     """Reproduce Figure 5 on the synthetic dataset."""
     config = config or default_config()
     dataset = build_protein_dataset(config)
-    evalue = config.effective_evalue(dataset.database_symbols)
-
-    oasis = OasisAdapter(dataset.engine, evalue=evalue)
-    blast = BlastAdapter(
-        dataset.database,
-        dataset.matrix,
-        dataset.gap_model,
-        evalue=evalue,
-        converter=dataset.converter,
-    )
+    engines = searches(dataset, effective_evalue(dataset.database_symbols))
+    oasis, blast = engines["OASIS"], engines["BLAST"]
 
     per_length: Dict[int, List[Dict[str, float]]] = {}
     blast_only = 0
     additional_percentages: List[float] = []
 
     for query in dataset.workload:
-        oasis_result = oasis.run(query.text)
-        blast_result = blast.run(query.text)
+        oasis_result = oasis(query.text)
+        blast_result = blast(query.text)
 
         oasis_sequences = set(oasis_result.sequence_identifiers())
         blast_sequences = set(blast_result.sequence_identifiers())
@@ -121,6 +118,3 @@ def run(config: Optional[ExperimentConfig] = None) -> Figure5Result:
         result.mean_additional_percent = sum(additional_percentages) / len(additional_percentages)
     return result
 
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run().format_table())

@@ -13,13 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.common import ExperimentConfig, build_protein_dataset, default_config
+from repro.experiments.common import (
+    ExperimentConfig,
+    build_protein_dataset,
+    default_config,
+    effective_evalue,
+    means_by_length,
+    searches,
+)
 from repro.experiments.report import format_table
-from repro.workloads.engines import OasisAdapter
-from repro.workloads.runner import WorkloadRunner, aggregate_by_length
 
 #: The two extremes the paper plots.
-DEFAULT_EVALUES = (1.0, 20_000.0)
+EVALUES = (1.0, 20_000.0)
 
 
 @dataclass
@@ -35,7 +40,7 @@ class Figure6Row:
 @dataclass
 class Figure6Result:
     config: ExperimentConfig
-    evalues: Sequence[float] = DEFAULT_EVALUES
+    evalues: Sequence[float] = EVALUES
     rows: List[Figure6Row] = field(default_factory=list)
 
     def format_table(self) -> str:
@@ -69,41 +74,23 @@ class Figure6Result:
         )
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    evalues: Sequence[float] = DEFAULT_EVALUES,
-) -> Figure6Result:
+def run(config: Optional[ExperimentConfig] = None) -> Figure6Result:
     """Reproduce Figure 6 on the synthetic dataset."""
     config = config or default_config()
     dataset = build_protein_dataset(config)
+    texts = dataset.workload.texts()
 
-    result = Figure6Result(config=config, evalues=tuple(evalues))
-    per_evalue_aggregates = {}
-    for evalue in evalues:
-        effective = config.effective_evalue(dataset.database_symbols, evalue)
-        adapter = OasisAdapter(dataset.engine, evalue=effective, name=f"OASIS(E={evalue:g})")
-        summary = WorkloadRunner([adapter]).run(dataset.workload)
-        per_evalue_aggregates[evalue] = {
-            aggregate.query_length: aggregate
-            for aggregate in aggregate_by_length(summary.measurements, adapter.name)
-        }
+    means = {}
+    for evalue in EVALUES:
+        oasis = searches(dataset, effective_evalue(dataset.database_symbols, evalue))["OASIS"]
+        means[evalue] = means_by_length(oasis(query) for query in texts)
 
-    lengths = sorted(per_evalue_aggregates[evalues[0]].keys())
-    for length in lengths:
-        row = Figure6Row(
-            query_length=length,
-            query_count=per_evalue_aggregates[evalues[0]][length].query_count,
-        )
-        for evalue in evalues:
-            aggregate = per_evalue_aggregates[evalue].get(length)
-            if aggregate is None:
-                continue
-            row.seconds[evalue] = aggregate.mean_seconds
-            row.columns[evalue] = aggregate.mean_columns
-            row.hits[evalue] = aggregate.mean_hits
+    result = Figure6Result(config=config)
+    for length, first in means[EVALUES[0]].items():
+        row = Figure6Row(query_length=length, query_count=first.query_count)
+        for evalue in EVALUES:
+            row.seconds[evalue] = means[evalue][length].seconds
+            row.columns[evalue] = means[evalue][length].columns
+            row.hits[evalue] = means[evalue][length].hits
         result.rows.append(row)
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run().format_table())

@@ -13,6 +13,9 @@ measured compute time plus a simulated I/O time, charged apart from the CPU
 as EMBANKS does for its disk-resident search: the buffer pool's physical
 reads (``misses``) times ``config.simulated_miss_latency`` (5 ms by default
 -- a 2003-era disk seek).  Nothing sleeps.
+
+:func:`sweep` is the one pass over the pool sizes: Figure 8 reads its
+per-region hit ratios off the same pool statistics.
 """
 
 from __future__ import annotations
@@ -20,11 +23,18 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.engine import OasisEngine
-from repro.experiments.common import ExperimentConfig, build_protein_dataset, default_config
+from repro.experiments.common import (
+    BLOCK_SIZE,
+    ExperimentConfig,
+    build_protein_dataset,
+    default_config,
+    effective_evalue,
+)
 from repro.experiments.report import format_table
+from repro.storage.buffer_pool import BufferPoolStatistics
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 
@@ -34,6 +44,51 @@ DEFAULT_POOL_FRACTIONS = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0)
 #: How many workload queries the sweep uses (disk-cursor traversal is slower
 #: than the in-memory tree, and the shape emerges after a handful of queries).
 DEFAULT_QUERY_LIMIT = 15
+
+
+@dataclass
+class PoolPass:
+    """One pool size's pass over the sweep's queries."""
+
+    pool_bytes: int
+    pool_fraction_of_index: float
+    query_count: int
+    compute_seconds: float
+    statistics: BufferPoolStatistics
+
+
+def sweep(
+    config: ExperimentConfig, pool_fractions: Sequence[float], query_limit: int
+) -> Tuple[int, List[PoolPass]]:
+    """Run the first ``query_limit`` queries through each pool size, smallest first.
+
+    The image is built once, into a temporary directory; each pool size opens
+    its own :class:`DiskSuffixTree` on it, so every pass starts cold.  Returns
+    the index size in bytes and one pass per fraction.
+    """
+    dataset = build_protein_dataset(config)
+    queries = dataset.workload.texts()[:query_limit]
+    evalue = effective_evalue(dataset.database_symbols)
+    passes: List[PoolPass] = []
+    with tempfile.TemporaryDirectory() as directory:
+        image_path = os.path.join(directory, "tree.oasis")
+        layout = build_disk_image(dataset.database, image_path, block_size=BLOCK_SIZE)
+        for fraction in sorted(pool_fractions):
+            pool_bytes = max(BLOCK_SIZE, int(layout.index_size_bytes * fraction))
+            disk_tree = DiskSuffixTree(image_path, dataset.database, buffer_pool_bytes=pool_bytes)
+            engine = OasisEngine(
+                disk_tree, dataset.matrix, dataset.gap_model, converter=dataset.converter
+            )
+            try:
+                seconds = sum(
+                    engine.search(query, evalue=evalue).elapsed_seconds for query in queries
+                )
+            finally:
+                disk_tree.close()
+            passes.append(
+                PoolPass(pool_bytes, fraction, len(queries), seconds, disk_tree.statistics)
+            )
+    return layout.index_size_bytes, passes
 
 
 @dataclass
@@ -99,51 +154,20 @@ def run(
     config: Optional[ExperimentConfig] = None,
     pool_fractions: Sequence[float] = DEFAULT_POOL_FRACTIONS,
     query_limit: int = DEFAULT_QUERY_LIMIT,
-    image_path: Optional[str] = None,
 ) -> Figure7Result:
     """Reproduce Figure 7 on the synthetic dataset."""
     config = config or default_config()
-    dataset = build_protein_dataset(config)
-    queries = dataset.workload.texts()[:query_limit]
-
-    owns_image = image_path is None
-    if image_path is None:
-        handle = tempfile.NamedTemporaryFile(suffix=".oasis", delete=False)
-        handle.close()
-        image_path = handle.name
-
-    try:
-        layout = build_disk_image(dataset.database, image_path, block_size=config.block_size)
-        result = Figure7Result(config=config, index_size_bytes=layout.index_size_bytes)
-
-        for fraction in sorted(pool_fractions):
-            pool_bytes = max(config.block_size, int(layout.index_size_bytes * fraction))
-            disk_tree = DiskSuffixTree(image_path, dataset.database, buffer_pool_bytes=pool_bytes)
-            engine = OasisEngine(
-                disk_tree, dataset.matrix, dataset.gap_model, converter=dataset.converter
+    index_size_bytes, passes = sweep(config, pool_fractions, query_limit)
+    result = Figure7Result(config=config, index_size_bytes=index_size_bytes)
+    for pool_pass in passes:
+        simulated_io_seconds = pool_pass.statistics.misses * config.simulated_miss_latency
+        result.rows.append(
+            Figure7Row(
+                pool_bytes=pool_pass.pool_bytes,
+                pool_fraction_of_index=pool_pass.pool_fraction_of_index,
+                mean_compute_seconds=pool_pass.compute_seconds / pool_pass.query_count,
+                mean_simulated_io_seconds=simulated_io_seconds / pool_pass.query_count,
+                hit_ratio=pool_pass.statistics.hit_ratio,
             )
-            compute_seconds = 0.0
-            evalue = config.effective_evalue(dataset.database_symbols)
-            for query in queries:
-                search_result = engine.search(query, evalue=evalue)
-                compute_seconds += search_result.elapsed_seconds
-            statistics = disk_tree.statistics
-            simulated_io_seconds = statistics.misses * config.simulated_miss_latency
-            result.rows.append(
-                Figure7Row(
-                    pool_bytes=pool_bytes,
-                    pool_fraction_of_index=fraction,
-                    mean_compute_seconds=compute_seconds / len(queries),
-                    mean_simulated_io_seconds=simulated_io_seconds / len(queries),
-                    hit_ratio=statistics.hit_ratio,
-                )
-            )
-            disk_tree.close()
-        return result
-    finally:
-        if owns_image and os.path.exists(image_path):
-            os.unlink(image_path)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run().format_table())
+        )
+    return result

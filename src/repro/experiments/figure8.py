@@ -16,26 +16,23 @@ symbol array -- and are the least resilient once the pool is smaller than the
 part of the symbol array a workload touches.  The symbol array is only about
 1/11 of the image, so that happens below 1/16 of the index: this experiment
 therefore starts one step lower than Figure 7, at 1/32, and that ordering at
-the smallest pool is the shape it reproduces.
+the smallest pool is the shape it reproduces.  The passes are Figure 7's
+(:func:`repro.experiments.figure7.sweep`).
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.core.engine import OasisEngine
-from repro.experiments.common import ExperimentConfig, build_protein_dataset, default_config
+from repro.experiments.common import ExperimentConfig, default_config
 from repro.experiments.figure7 import (
     DEFAULT_POOL_FRACTIONS as FIGURE7_POOL_FRACTIONS,
     DEFAULT_QUERY_LIMIT,
+    sweep,
 )
 from repro.experiments.report import format_table
 from repro.storage.buffer_pool import Region
-from repro.storage.builder import build_disk_image
-from repro.storage.disk_tree import DiskSuffixTree
 
 #: Figure 7's pool sizes and one smaller: the symbol array alone outgrows it.
 DEFAULT_POOL_FRACTIONS = (0.03125,) + FIGURE7_POOL_FRACTIONS
@@ -96,51 +93,21 @@ def run(
     config: Optional[ExperimentConfig] = None,
     pool_fractions: Sequence[float] = DEFAULT_POOL_FRACTIONS,
     query_limit: int = DEFAULT_QUERY_LIMIT,
-    image_path: Optional[str] = None,
 ) -> Figure8Result:
     """Reproduce Figure 8 on the synthetic dataset."""
     config = config or default_config()
-    dataset = build_protein_dataset(config)
-    queries = dataset.workload.texts()[:query_limit]
-
-    owns_image = image_path is None
-    if image_path is None:
-        handle = tempfile.NamedTemporaryFile(suffix=".oasis", delete=False)
-        handle.close()
-        image_path = handle.name
-
-    try:
-        layout = build_disk_image(dataset.database, image_path, block_size=config.block_size)
-        result = Figure8Result(config=config, index_size_bytes=layout.index_size_bytes)
-
-        for fraction in sorted(pool_fractions):
-            pool_bytes = max(config.block_size, int(layout.index_size_bytes * fraction))
-            disk_tree = DiskSuffixTree(
-                image_path, dataset.database, buffer_pool_bytes=pool_bytes
+    index_size_bytes, passes = sweep(config, pool_fractions, query_limit)
+    result = Figure8Result(config=config, index_size_bytes=index_size_bytes)
+    for pool_pass in passes:
+        statistics = pool_pass.statistics
+        result.rows.append(
+            Figure8Row(
+                pool_bytes=pool_pass.pool_bytes,
+                pool_fraction_of_index=pool_pass.pool_fraction_of_index,
+                symbols_hit_ratio=statistics.region_hit_ratio(Region.SYMBOLS),
+                internal_hit_ratio=statistics.region_hit_ratio(Region.INTERNAL_NODES),
+                leaf_hit_ratio=statistics.region_hit_ratio(Region.LEAF_NODES),
+                overall_hit_ratio=statistics.hit_ratio,
             )
-            engine = OasisEngine(
-                disk_tree, dataset.matrix, dataset.gap_model, converter=dataset.converter
-            )
-            evalue = config.effective_evalue(dataset.database_symbols)
-            for query in queries:
-                engine.search(query, evalue=evalue)
-            statistics = disk_tree.statistics
-            result.rows.append(
-                Figure8Row(
-                    pool_bytes=pool_bytes,
-                    pool_fraction_of_index=fraction,
-                    symbols_hit_ratio=statistics.region_hit_ratio(Region.SYMBOLS),
-                    internal_hit_ratio=statistics.region_hit_ratio(Region.INTERNAL_NODES),
-                    leaf_hit_ratio=statistics.region_hit_ratio(Region.LEAF_NODES),
-                    overall_hit_ratio=statistics.hit_ratio,
-                )
-            )
-            disk_tree.close()
-        return result
-    finally:
-        if owns_image and os.path.exists(image_path):
-            os.unlink(image_path)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run().format_table())
+        )
+    return result

@@ -6,7 +6,7 @@ arrive within 4/100ths of a second, long before S-W or BLAST would have
 produced anything (both must finish the whole query first).
 
 The reproduction picks a representative motif from the synthetic workload
-(13 residues by default, the paper's query length), streams OASIS's results
+(the one closest to the paper's 13 residues), streams OASIS's results
 through the online interface and records the emission timeline; the total
 times of S-W and the BLAST-like baseline are reported alongside for the same
 comparison the paper makes.
@@ -17,12 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.experiments.common import ExperimentConfig, build_protein_dataset, default_config
+from repro.experiments.common import (
+    ExperimentConfig,
+    build_protein_dataset,
+    default_config,
+    effective_evalue,
+    searches,
+)
 from repro.experiments.report import format_table
-from repro.workloads.engines import BlastAdapter, SmithWatermanAdapter
 
 #: Cumulative-result checkpoints reported in the table.
 DEFAULT_CHECKPOINTS = (1, 5, 10, 20, 40, 100, 500)
+
+#: The length of the paper's query (DKDGDGCITTKEL).
+QUERY_LENGTH = 13
 
 
 @dataclass
@@ -65,25 +73,20 @@ class Figure9Result:
         )
 
 
-def select_query(dataset, target_length: int = 13) -> str:
+def select_query(dataset) -> str:
     """Pick the workload motif closest to the paper's 13-residue query."""
-    best = min(dataset.workload.queries, key=lambda q: abs(q.length - target_length))
+    best = min(dataset.workload.queries, key=lambda q: abs(q.length - QUERY_LENGTH))
     return best.text
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    query: Optional[str] = None,
-    query_length: int = 13,
-) -> Figure9Result:
+def run(config: Optional[ExperimentConfig] = None) -> Figure9Result:
     """Reproduce Figure 9 on the synthetic dataset."""
     config = config or default_config()
     dataset = build_protein_dataset(config)
-    if query is None:
-        query = select_query(dataset, target_length=query_length)
+    query = select_query(dataset)
 
     result = Figure9Result(config=config, query=query)
-    evalue = config.effective_evalue(dataset.database_symbols)
+    evalue = effective_evalue(dataset.database_symbols)
 
     # OASIS: stream hits and log their emission times.
     timeline: List[Tuple[float, int]] = []
@@ -96,25 +99,7 @@ def run(
     result.oasis_total_seconds = timeline[-1][0] if timeline else 0.0
 
     # The baselines can only answer after completing the whole query.
-    smith_waterman = SmithWatermanAdapter(
-        dataset.database,
-        dataset.matrix,
-        dataset.gap_model,
-        evalue=evalue,
-        converter=dataset.converter,
-    )
-    result.smith_waterman_total_seconds = smith_waterman.run(query).elapsed_seconds
-
-    blast = BlastAdapter(
-        dataset.database,
-        dataset.matrix,
-        dataset.gap_model,
-        evalue=evalue,
-        converter=dataset.converter,
-    )
-    result.blast_total_seconds = blast.run(query).elapsed_seconds
+    engines = searches(dataset, evalue)
+    result.smith_waterman_total_seconds = engines["S-W"](query).elapsed_seconds
+    result.blast_total_seconds = engines["BLAST"](query).elapsed_seconds
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run().format_table())

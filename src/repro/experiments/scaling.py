@@ -17,20 +17,27 @@ it exists to connect our scaled-down measurements to the paper's numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 from repro.core.engine import OasisEngine
 from repro.datagen.motifs import MotifWorkloadGenerator
 from repro.datagen.protein import SwissProtLikeGenerator
-from repro.experiments.common import ExperimentConfig, default_config
+from repro.experiments.common import (
+    GAP_PENALTY,
+    MATRIX_NAME,
+    SEED,
+    ExperimentConfig,
+    default_config,
+    effective_evalue,
+)
 from repro.experiments.report import format_table
 from repro.scoring.data import load_matrix
 from repro.scoring.gaps import FixedGapModel
 
 #: Number of protein families per sweep point (database size grows with it).
-DEFAULT_FAMILY_COUNTS = (8, 16, 32, 64)
-DEFAULT_QUERY_LIMIT = 8
+FAMILY_COUNTS = (8, 16, 32, 64)
+QUERY_LIMIT = 8
 
 
 @dataclass
@@ -83,39 +90,35 @@ class ScalingResult:
         )
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    family_counts: Sequence[int] = DEFAULT_FAMILY_COUNTS,
-    query_limit: int = DEFAULT_QUERY_LIMIT,
-) -> ScalingResult:
+def run(config: Optional[ExperimentConfig] = None) -> ScalingResult:
     """Sweep the database size and measure the OASIS work fraction."""
     config = config or default_config()
-    matrix = load_matrix(config.matrix_name)
-    gap_model = FixedGapModel(config.gap_penalty)
+    matrix = load_matrix(MATRIX_NAME)
+    gap_model = FixedGapModel(GAP_PENALTY)
     result = ScalingResult(config=config)
 
     # One fixed query workload drawn from the smallest database's families so
     # that every sweep point answers the same queries.
     base_generator = SwissProtLikeGenerator(
-        seed=config.seed, family_count=min(family_counts), singleton_count=10
+        seed=SEED, family_count=min(FAMILY_COUNTS), singleton_count=10
     )
     base_generator.generate()
     queries = [
         q.text
         for q in MotifWorkloadGenerator(
-            base_generator, seed=config.seed + 1, query_count=query_limit
+            base_generator, seed=SEED + 1, query_count=QUERY_LIMIT
         ).generate()
     ]
 
-    for family_count in family_counts:
+    for family_count in FAMILY_COUNTS:
         generator = SwissProtLikeGenerator(
-            seed=config.seed,
+            seed=SEED,
             family_count=family_count,
             singleton_count=10 + family_count,
         )
         database = generator.generate()
         engine = OasisEngine.build(database, matrix=matrix, gap_model=gap_model)
-        evalue = config.effective_evalue(database.total_symbols)
+        evalue = effective_evalue(database.total_symbols)
 
         total_columns = 0.0
         total_seconds = 0.0
@@ -134,7 +137,3 @@ def run(
             )
         )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run().format_table())

@@ -3,9 +3,8 @@
 The paper reports that the 40 M-symbol SWISS-PROT index occupies 500 MB,
 i.e. 12.5 bytes per symbol -- on par with the most compact suffix-tree
 representations known at the time (Kurtz).  This experiment builds the
-Section-3.4 disk image for the synthetic database (optionally at several
-scales) and reports the same columns: data set size, index size, and bytes per
-symbol.
+Section-3.4 disk image for the synthetic database and reports the same
+columns: data set size, index size, and bytes per symbol.
 """
 
 from __future__ import annotations
@@ -13,9 +12,14 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.experiments.common import ExperimentConfig, build_protein_dataset, default_config
+from repro.experiments.common import (
+    BLOCK_SIZE,
+    ExperimentConfig,
+    build_protein_dataset,
+    default_config,
+)
 from repro.experiments.report import format_table
 from repro.storage.builder import build_disk_image
 from repro.storage.layout import FORMAT_VERSION, INTERNAL_STRUCT, LEAF_STRUCT
@@ -71,35 +75,24 @@ class SpaceResult:
         )
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    extra_configs: Sequence[ExperimentConfig] = (),
-) -> SpaceResult:
-    """Measure the index space utilisation for one or more dataset scales."""
+def run(config: Optional[ExperimentConfig] = None) -> SpaceResult:
+    """Measure the index space utilisation at the configuration's scale."""
     config = config or default_config()
+    dataset = build_protein_dataset(config)
+    database = dataset.database
+    with tempfile.TemporaryDirectory() as directory:
+        layout = build_disk_image(
+            database, os.path.join(directory, "tree.oasis"), block_size=BLOCK_SIZE
+        )
     result = SpaceResult(config=config)
-    for current in [config, *extra_configs]:
-        dataset = build_protein_dataset(current)
-        handle = tempfile.NamedTemporaryFile(suffix=".oasis", delete=False)
-        handle.close()
-        try:
-            layout = build_disk_image(
-                dataset.database, handle.name, block_size=current.block_size
-            )
-            result.rows.append(
-                SpaceRow(
-                    database_name=f"{dataset.database.name} ({current.scale})",
-                    database_symbols=dataset.database.total_symbols,
-                    sequence_count=len(dataset.database),
-                    internal_nodes=layout.internal_count,
-                    index_size_bytes=layout.index_size_bytes,
-                    bytes_per_symbol=layout.index_size_bytes / dataset.database.total_symbols,
-                )
-            )
-        finally:
-            os.unlink(handle.name)
+    result.rows.append(
+        SpaceRow(
+            database_name=f"{database.name} ({config.scale})",
+            database_symbols=database.total_symbols,
+            sequence_count=len(database),
+            internal_nodes=layout.internal_count,
+            index_size_bytes=layout.index_size_bytes,
+            bytes_per_symbol=layout.index_size_bytes / database.total_symbols,
+        )
+    )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run().format_table())

@@ -388,7 +388,7 @@ class TestLockBlockingRule:
     def test_rule_is_scoped_to_storage_and_sharding(self, tmp_path):
         report = violations_for(
             tmp_path,
-            "workloads/adapter.py",
+            "experiments/adapter.py",
             """
             class Adapter:
                 def page(self, block):
@@ -439,7 +439,7 @@ class TestDeterminismRules:
     def test_bare_except_is_flagged(self, tmp_path):
         report = violations_for(
             tmp_path,
-            "workloads/runner.py",
+            "experiments/runner.py",
             """
             def run(fn):
                 try:
@@ -453,7 +453,7 @@ class TestDeterminismRules:
     def test_mutable_default_is_flagged(self, tmp_path):
         report = violations_for(
             tmp_path,
-            "workloads/runner.py",
+            "experiments/runner.py",
             """
             def collect(item, bucket=[]):
                 bucket.append(item)

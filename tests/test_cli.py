@@ -816,6 +816,22 @@ class TestInputsAreUsageErrors:
         assert message in one_error_line(capsys, "generate")
         assert not output.exists()
 
+    @pytest.mark.parametrize("flag", ["--output", "--queries"])
+    def test_generate_into_a_missing_directory_is_one_line(self, tmp_path, capsys, flag):
+        paths = {"--output": tmp_path / "db.fasta", "--queries": tmp_path / "q.txt"}
+        paths[flag] = tmp_path / "no-such-directory" / paths[flag].name
+        arguments = [part for pair in paths.items() for part in (pair[0], str(pair[1]))]
+        assert main(["generate", *arguments]) == 2
+        line = one_error_line(capsys, "generate")
+        assert str(paths[flag]) in line and "no directory" in line
+        assert not any(path.exists() for path in paths.values())
+
+    def test_an_unknown_scale_in_the_environment_is_one_line(self, monkeypatch, capsys):
+        monkeypatch.setenv("OASIS_BENCH_SCALE", "huge")
+        assert main(["experiment", "space"]) == 2
+        line = one_error_line(capsys, "experiment")
+        assert "unknown scale 'huge'" in line and "medium, small, tiny" in line
+
     def test_an_unknown_scale_is_an_invalid_choice(self, capsys):
         with pytest.raises(SystemExit) as raised:
             main(["experiment", "space", "--scale", "gigantic"])

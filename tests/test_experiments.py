@@ -12,7 +12,9 @@ import time
 
 import pytest
 
+from repro.baselines.smith_waterman import SmithWatermanAligner
 from repro.core.engine import OasisEngine
+from repro.core.results import SearchHit, SearchResult
 from repro.experiments import (
     available_scales,
     build_protein_dataset,
@@ -28,7 +30,17 @@ from repro.experiments import (
     figure9,
     table_space,
 )
-from repro.experiments.common import ExperimentConfig, clear_dataset_cache
+from repro.experiments.common import (
+    BLOCK_SIZE,
+    EVALUE,
+    PAPER_DATABASE_SIZE,
+    ExperimentConfig,
+    clear_dataset_cache,
+    effective_evalue,
+    means_by_length,
+    searches,
+)
+from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 
 
@@ -50,9 +62,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(scale="gigantic").preset()
 
-    def test_effective_evalue_scales_with_database(self, tiny_config):
-        scaled = tiny_config.effective_evalue(40_000)
-        assert scaled == pytest.approx(tiny_config.evalue * 40_000 / tiny_config.paper_database_size)
+    def test_effective_evalue_scales_with_database(self):
+        assert effective_evalue(40_000) == pytest.approx(EVALUE * 40_000 / PAPER_DATABASE_SIZE)
+        assert effective_evalue(40_000, 1.0) == pytest.approx(40_000 / PAPER_DATABASE_SIZE)
 
     def test_environment_variable_selects_scale(self, monkeypatch):
         monkeypatch.setenv("OASIS_BENCH_SCALE", "tiny")
@@ -73,6 +85,38 @@ class TestConfig:
         assert tiny_dataset.database_symbols > 0
         assert len(tiny_dataset.workload) == tiny_dataset.config.effective_query_count()
         assert tiny_dataset.matrix.name == "PAM30"
+
+
+class TestEngineCalls:
+    def test_searches_name_the_three_engines(self, tiny_dataset):
+        assert list(searches(tiny_dataset, 1.0)) == ["OASIS", "BLAST", "S-W"]
+
+    def test_oasis_and_smith_waterman_agree(self, tiny_dataset):
+        engines = searches(tiny_dataset, effective_evalue(tiny_dataset.database_symbols))
+        for query in tiny_dataset.workload.texts()[:4]:
+            oasis, smith_waterman = engines["OASIS"](query), engines["S-W"](query)
+            assert oasis.scores_by_sequence() == smith_waterman.scores_by_sequence()
+            assert smith_waterman.columns_expanded == tiny_dataset.database_symbols
+
+    def test_means_by_length_groups_counts_and_averages(self):
+        def result(query, seconds, columns, hits):
+            found = [SearchHit(index, f"s{index}", 10) for index in range(hits)]
+            return SearchResult(query, "x", found, seconds, columns)
+
+        means = means_by_length(
+            [
+                result("MKVLAADTGLAV", 0.5, 30, 1),
+                result("MKVLA", 1.0, 10, 2),
+                result("WKDDGNGYISA", 0.25, 50, 0),
+                result("MKVLC", 3.0, 20, 0),
+            ]
+        )
+        assert list(means) == [5, 11, 12]
+        five = means[5]
+        assert (five.query_length, five.query_count) == (5, 2)
+        assert (five.seconds, five.columns, five.hits) == (2.0, 15.0, 1.0)
+        assert means[11].query_count == means[12].query_count == 1
+        assert (means[12].seconds, means[12].columns, means[12].hits) == (0.5, 30.0, 1.0)
 
 
 class TestFigure3(object):
@@ -108,6 +152,13 @@ class TestFigure4:
 
     def test_format_table(self, result):
         assert "Figure 4" in result.format_table()
+
+    def test_runs_no_smith_waterman(self, tiny_config, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Figure 4 must not run S-W")
+
+        monkeypatch.setattr(SmithWatermanAligner, "search", refuse)
+        assert figure4.run(tiny_config).rows
 
 
 class TestFigure5:
@@ -167,14 +218,16 @@ class TestFigure7And8:
         assert figure7_result.index_size_bytes > 0
 
     def test_simulated_io_is_misses_times_latency(self, tiny_config, tmp_path):
-        # Replay the sweep's searches on a fresh pool of each row's size and
-        # charge the misses by hand: the row must hold exactly that figure.
+        # Replay the sweep's searches on a fresh pool of each row's size, over
+        # an image built the same way, and charge the misses by hand: the row
+        # must hold exactly that figure.
         config = dataclasses.replace(tiny_config, simulated_miss_latency=0.25)
-        image = str(tmp_path / "figure7.oasis")
-        result = figure7.run(config, pool_fractions=(0.05, 1.0), query_limit=3, image_path=image)
+        result = figure7.run(config, pool_fractions=(0.05, 1.0), query_limit=3)
         dataset = build_protein_dataset(config)
+        image = str(tmp_path / "figure7.oasis")
+        build_disk_image(dataset.database, image, block_size=BLOCK_SIZE)
         queries = dataset.workload.texts()[:3]
-        evalue = config.effective_evalue(dataset.database_symbols)
+        evalue = effective_evalue(dataset.database_symbols)
         for row in result.rows:
             tree = DiskSuffixTree(image, dataset.database, buffer_pool_bytes=row.pool_bytes)
             engine = OasisEngine(tree, dataset.matrix, dataset.gap_model, converter=dataset.converter)
@@ -203,6 +256,15 @@ class TestFigure7And8:
         assert row.mean_simulated_io_seconds == 0.0
         assert row.mean_total_seconds == row.mean_compute_seconds
         assert row.hit_ratio < 1.0
+
+    def test_figure7_and_figure8_read_one_sweep(self, figure7_result, figure8_result):
+        assert [row.pool_bytes for row in figure7_result.rows] == [
+            row.pool_bytes for row in figure8_result.rows
+        ]
+        assert [row.hit_ratio for row in figure7_result.rows] == [
+            row.overall_hit_ratio for row in figure8_result.rows
+        ]
+        assert figure7_result.index_size_bytes == figure8_result.index_size_bytes
 
     def test_hit_ratios_increase_with_pool(self, figure8_result):
         small_pool, large_pool = figure8_result.rows

@@ -78,7 +78,6 @@ def _callables_with_a_default_gap():
     from repro.core.oasis import OasisSearch
     from repro.sharding.builder import ShardedIndexBuilder
     from repro.sharding.engine import ShardedEngine
-    from repro.workloads.engines import BlastAdapter, SmithWatermanAdapter
 
     return {
         "OasisEngine": OasisEngine.__init__,
@@ -90,8 +89,6 @@ def _callables_with_a_default_gap():
         "ShardedEngine.build_on_disk": ShardedEngine.build_on_disk,
         "SmithWatermanAligner": SmithWatermanAligner.__init__,
         "BlastLikeSearch": BlastLikeSearch.__init__,
-        "SmithWatermanAdapter": SmithWatermanAdapter.__init__,
-        "BlastAdapter": BlastAdapter.__init__,
     }
 
 

@@ -40,7 +40,6 @@ PACKAGES = (
     "repro.sharding",
     "repro.storage",
     "repro.suffixtree",
-    "repro.workloads",
 )
 
 

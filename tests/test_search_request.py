@@ -230,10 +230,6 @@ def test_a_scatter_builds_only_the_executions_it_runs(all_engines, monkeypatch, 
 # --------------------------------------------------------------------- #
 # Spelled once, and kept so
 # --------------------------------------------------------------------- #
-#: Not OASIS engines: the baselines take their threshold the way they always did.
-BASELINE_ADAPTERS = {"SmithWatermanAdapter", "BlastAdapter"}
-
-
 def option_spellings(path):
     """(qualified function name, option fields among its parameters), per def."""
     with open(path, encoding="utf-8") as handle:
@@ -261,13 +257,13 @@ def option_spellings(path):
 
 def test_no_signature_under_the_engines_names_two_option_fields():
     offenders = []
-    for layer in ("core", "sharding", "parallel", "workloads"):
+    for layer in ("core", "sharding", "parallel"):
         directory = os.path.join(SRC, layer)
         for filename in sorted(os.listdir(directory)):
             if not filename.endswith(".py"):
                 continue
             for scope, spelled in option_spellings(os.path.join(directory, filename)):
-                if len(spelled) > 1 and scope[0] not in BASELINE_ADAPTERS:
+                if len(spelled) > 1:
                     offenders.append((f"{layer}/{filename}", ".".join(scope), sorted(spelled)))
     assert not offenders, (
         "search options travel as one SearchRequest; these signatures spell "
