@@ -1,12 +1,13 @@
 """Tests for the repro-oasis command-line interface."""
 
+import importlib
 import json
 import re
 import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXPERIMENTS, main
 
 
 def one_error_line(capsys, command):
@@ -850,6 +851,18 @@ class TestExperimentCommand:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_every_experiment_name_has_a_driver(self):
+        assert len(EXPERIMENTS) == 8
+        for module in EXPERIMENTS.values():
+            assert callable(importlib.import_module(f"repro.experiments.{module}").run)
+
+    def test_an_unknown_experiment_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["experiment", "figure10", "--scale", "tiny"])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'figure10'" in err and "'space'" in err
 
 
 class TestSlowLogAndMetrics:

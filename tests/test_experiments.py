@@ -118,6 +118,65 @@ class TestEngineCalls:
         assert means[11].query_count == means[12].query_count == 1
         assert (means[12].seconds, means[12].columns, means[12].hits) == (0.5, 30.0, 1.0)
 
+    @pytest.mark.parametrize("name", ["OASIS", "BLAST", "S-W"])
+    def test_results_carry_the_query_and_their_costs(self, tiny_dataset, name):
+        search = searches(tiny_dataset, effective_evalue(tiny_dataset.database_symbols))[name]
+        query = tiny_dataset.workload.texts()[0]
+        result = search(query)
+        assert result.query == query
+        assert result.elapsed_seconds > 0
+        assert result.columns_expanded > 0
+
+    @pytest.mark.parametrize("name", ["OASIS", "BLAST", "S-W"])
+    def test_an_empty_query_raises(self, tiny_dataset, name):
+        search = searches(tiny_dataset, effective_evalue(tiny_dataset.database_symbols))[name]
+        with pytest.raises(ValueError):
+            search("")
+
+    @pytest.mark.parametrize("name", ["OASIS", "BLAST", "S-W"])
+    def test_a_stricter_evalue_finds_no_more_hits(self, tiny_dataset, name):
+        evalue = effective_evalue(tiny_dataset.database_symbols)
+        loose = searches(tiny_dataset, evalue)[name]
+        strict = searches(tiny_dataset, evalue / 1e6)[name]
+        for query in tiny_dataset.workload.texts()[:4]:
+            assert len(strict(query)) <= len(loose(query))
+
+    def test_the_engines_answer_under_distinct_names(self, tiny_dataset):
+        query = tiny_dataset.workload.texts()[0]
+        engines = searches(tiny_dataset, 1.0).values()
+        assert len({search(query).engine for search in engines}) == 3
+
+    def test_oasis_is_the_datasets_engine(self, tiny_dataset):
+        evalue = effective_evalue(tiny_dataset.database_symbols)
+        oasis = searches(tiny_dataset, evalue)["OASIS"]
+        for query in tiny_dataset.workload.texts()[:4]:
+            expected = tiny_dataset.engine.search(query, evalue=evalue)
+            assert oasis(query).scores_by_sequence() == expected.scores_by_sequence()
+
+    def test_blast_is_the_datasets_baseline(self, tiny_dataset):
+        evalue = effective_evalue(tiny_dataset.database_symbols)
+        blast = searches(tiny_dataset, evalue)["BLAST"]
+        for query in tiny_dataset.workload.texts()[:4]:
+            expected = tiny_dataset.blast.search(query, evalue=evalue)
+            assert blast(query).scores_by_sequence() == expected.scores_by_sequence()
+
+    def test_smith_waterman_keeps_the_equation_3_score(self, tiny_dataset):
+        evalue = effective_evalue(tiny_dataset.database_symbols)
+        smith_waterman = searches(tiny_dataset, evalue)["S-W"]
+        for query in tiny_dataset.workload.texts()[:4]:
+            min_score = tiny_dataset.converter.min_score_for_evalue(evalue, len(query))
+            assert all(hit.score >= min_score for hit in smith_waterman(query))
+
+    def test_means_by_length_of_no_results_is_empty(self):
+        assert means_by_length([]) == {}
+
+    def test_means_by_length_counts_every_workload_query(self, tiny_dataset):
+        oasis = searches(tiny_dataset, effective_evalue(tiny_dataset.database_symbols))["OASIS"]
+        texts = tiny_dataset.workload.texts()
+        means = means_by_length(oasis(query) for query in texts)
+        assert list(means) == sorted({len(query) for query in texts})
+        assert sum(row.query_count for row in means.values()) == len(texts)
+
 
 class TestFigure3(object):
     @pytest.fixture(scope="class")
@@ -256,6 +315,21 @@ class TestFigure7And8:
         assert row.mean_simulated_io_seconds == 0.0
         assert row.mean_total_seconds == row.mean_compute_seconds
         assert row.hit_ratio < 1.0
+
+    def test_sweep_runs_the_smallest_pool_first(self, tiny_config):
+        index_size_bytes, passes = figure7.sweep(tiny_config, (2.0, 0.05, 1.0), 2)
+        assert [p.pool_fraction_of_index for p in passes] == [0.05, 1.0, 2.0]
+        assert [p.pool_bytes for p in passes] == sorted(p.pool_bytes for p in passes)
+        assert passes[1].pool_bytes == index_size_bytes
+        assert all(p.query_count == 2 and p.compute_seconds > 0 for p in passes)
+
+    def test_every_sweep_pass_starts_cold(self, tiny_config):
+        _, passes = figure7.sweep(tiny_config, (1.0, 2.0), 2)
+        assert all(p.statistics.misses > 0 for p in passes)
+
+    def test_the_sweep_pool_holds_at_least_one_block(self, tiny_config):
+        _, (only,) = figure7.sweep(tiny_config, (1e-9,), 1)
+        assert only.pool_bytes == BLOCK_SIZE
 
     def test_figure7_and_figure8_read_one_sweep(self, figure7_result, figure8_result):
         assert [row.pool_bytes for row in figure7_result.rows] == [
