@@ -82,7 +82,7 @@ class SearchSurface:
         lock and the buffer-pool misses of an index in the page cache are
         short, so the threads do not overlap anything: on the benchmark's
         protein inputs (60 queries, 2 cores) ``workers=2`` took 0.86 s to one
-        worker's 0.84 s in memory, and 3.33 s to 1.66 s on a 1-shard index
+        worker's 0.84 s in memory, and 1.28 s to 1.18 s on a 1-shard index
         whose pool holds 1/8 of the image.
         ``timeout`` is a per-query wall-clock budget in seconds; a query
         exceeding it stops early with the hits found so far and is flagged

@@ -12,8 +12,8 @@ The per-query fan-out is set by ``workers`` alone: one worker is the plain
 serial loop, ``workers=N`` a pool of ``N`` threads made for each run.  The
 pool buys no speed: expansion is plain Python under the interpreter lock, and
 on the benchmark's protein inputs (60 queries, 2 cores; medians of 10 pairs)
-``workers=2`` took 0.86 s to one worker's 0.84 s in memory, and 3.33 s to
-1.66 s on a 1-shard index whose buffer pool holds 1/8 of the image.  It stays
+``workers=2`` took 0.86 s to one worker's 0.84 s in memory, and 1.28 s to
+1.18 s on a 1-shard index whose buffer pool holds 1/8 of the image.  It stays
 while the benchmark reports ``parallel.threads2_speedup``.  Process
 parallelism lives one layer down, in the sharded engine's per-shard scatter
 (``ShardedEngine.open(..., backend="processes:N")``), where work ships as

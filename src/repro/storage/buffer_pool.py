@@ -5,24 +5,25 @@ uses a simple clock replacement policy" (Section 4.2), and Figures 7-8 study
 how the pool size affects query time and per-component hit ratios.  This
 module reproduces that component:
 
-* pages are keyed by their absolute block number in the image; each frame
-  remembers which of the three suffix-tree regions (symbols, internal nodes,
-  leaves) its page belongs to, so the regions share one pool but their hit
-  ratios can be reported separately, exactly as in Figure 8;
+* pages are keyed by their absolute block number in the image; hits and
+  misses are counted per suffix-tree region (symbols, internal nodes,
+  leaves), so the regions share one pool but their hit ratios can be
+  reported separately, exactly as in Figure 8;
 * replacement is the classic clock algorithm: a reference bit per frame, a
   rotating hand, victims are frames whose bit is clear.  Frames are created
   as pages arrive -- a pool larger than its file never holds more frames
   than the file has blocks -- in the order the hand would walk an empty
   pool, so the eviction sequence is that of a preallocated pool;
-* a *reader* is a generator that yields the block number of each page it
-  needs and is sent that page; :meth:`BufferPool.serve` runs one to the end
-  as one transaction.  It holds the pool lock across each run of resident
-  pages and leaves it only for a miss's ``os.pread``, installing the page in
-  the lock hold that resumes the run.  :meth:`BufferPool.get_page` is a
-  transaction of one request, so hit/miss accounting lives in one place;
-* a *request* is one page a reader yields: ``hits`` (and the Figure 8 hit
-  ratios) count page requests, not records, while ``misses`` and
-  ``evictions`` do not depend on how requests are grouped into readers;
+* a frame is never changed once installed, but for its reference bit: an
+  install puts a *new* frame in the victim's clock slot.  So a hit is a
+  lock-free ``table.get(block)`` -- a frame taken from the table holds its
+  own block's bytes even if it is evicted a moment later -- and the lock is
+  taken only to install a page after its ``os.pread`` (:meth:`BufferPool.miss`,
+  the read itself runs outside it) and to add one cursor call's hits
+  (:meth:`BufferPool.add_hits`);
+* a *request* is one page a cursor call asks for: ``hits`` (and the Figure 8
+  hit ratios) count page requests, not records, while ``misses`` and
+  ``evictions`` do not depend on how requests are grouped into calls;
 * a short read is an error: the builder writes whole blocks, so only a cut
   file reads short, and a zero-padded page would decode as wrong records.
 """
@@ -31,9 +32,8 @@ from __future__ import annotations
 
 import os
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (storage sits below obs)
     from repro.obs.metrics import Counter
@@ -42,11 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only (storage sits below obs)
 from repro.storage.blocks import BlockFile
 from repro.storage.layout import Region
 
-_Result = TypeVar("_Result")
 
-#: A page reader: yields the absolute block number of each page it needs, is
-#: sent that page's bytes, and returns its result (see :meth:`BufferPool.serve`).
-PageReader = Generator[int, bytes, _Result]
+#: The regions as plain ints, for the hot path: an ``IntEnum`` list index
+#: costs a call to its ``__index__``.
+REGION_SYMBOLS, REGION_INTERNAL, REGION_LEAVES = (int(region) for region in Region)
 
 
 def _per_region() -> List[int]:
@@ -85,7 +84,6 @@ class BufferPoolStatistics:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # In place: a running transaction holds these lists.
         self.per_region_hits[:] = _per_region()
         self.per_region_misses[:] = _per_region()
 
@@ -104,19 +102,14 @@ class BufferPoolStatistics:
 
 
 class _Frame:
-    """One buffer frame: a cached page, its region and its clock reference bit."""
+    """One installed page and its clock reference bit, the only field that changes."""
 
-    __slots__ = ("block", "region", "data", "referenced")
+    __slots__ = ("block", "data", "referenced")
 
-    def __init__(self, block: int, region: Region, data: bytes) -> None:
+    def __init__(self, block: int, data: bytes) -> None:
         self.block = block
-        self.region = region
         self.data = data
         self.referenced = True
-
-
-def _one_page(block: int) -> PageReader[bytes]:
-    return (yield block)
 
 
 class BufferPool:
@@ -133,7 +126,7 @@ class BufferPool:
     region_offsets:
         Maps each :class:`Region` to the block number at which it starts in
         the file: :meth:`get_page` addresses a page as (region,
-        block-within-region), and a page's region is the one it falls in.
+        block-within-region).
     """
 
     def __init__(
@@ -152,15 +145,11 @@ class BufferPool:
         block_file.flush()
         self._file = block_file
         self._region_starts = dict(region_offsets)
-        # By start block: a block belongs to the last region starting at or
-        # before it (the first region also takes any blocks before it).
-        by_start = sorted((start, region) for region, start in region_offsets.items())
-        self._sorted_starts = [0] + [start for start, _ in by_start[1:]]
-        self._sorted_regions = [region for _, region in by_start]
-
         # Frames in clock order, appended until frame_count is reached.
         self._frames: List[_Frame] = []
-        self._page_table: Dict[int, _Frame] = {}
+        #: Resident frames by absolute block.  Read without the lock: a hit
+        #: is ``table.get(block)``, then ``frame.referenced = True``.
+        self.table: Dict[int, _Frame] = {}
         self._clock_hand = 0
         self.statistics = BufferPoolStatistics()
         # Telemetry is attached (not constructed here) so the pool stays
@@ -169,11 +158,10 @@ class BufferPool:
         self._metric_hits: Optional["Counter"] = None
         self._metric_misses: Optional["Counter"] = None
         self._metric_evictions: Optional["Counter"] = None
-        # The pool is shared by every concurrent query execution: the table
-        # and frame metadata are guarded by one lock, while the physical read
-        # (a positional pread) happens *outside* it, so concurrent misses
-        # overlap as real disk reads would.
-        self._lock = threading.RLock()
+        # Guards the clock, the table's writes and the counters against the
+        # one other thread: a ``search_many(workers=N)`` batch thread on a
+        # disk engine.  Never held across a read; nothing re-enters it.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Telemetry
@@ -182,8 +170,8 @@ class BufferPool:
         """Attach a :class:`~repro.obs.Tracer`; ``None`` detaches.
 
         Hit/miss/eviction counters are recorded into ``tracer.metrics``
-        (instruments resolved once here, so a transaction pays one counter
-        increment per lock hold, not a registry lookup per page).  When
+        (instruments resolved once here, so a cursor call pays one hit
+        counter increment, not a registry lookup per page).  When
         ``tracer.io_spans`` is set, each physical read is additionally
         wrapped in a ``pool.miss`` span -- useful for inspecting individual
         stalls, too voluminous to leave on for whole workloads.
@@ -202,69 +190,64 @@ class BufferPool:
     # ------------------------------------------------------------------ #
     # Page access
     # ------------------------------------------------------------------ #
-    def serve(self, reader: PageReader[_Result]) -> _Result:
-        """Run ``reader`` to its end as one transaction and return its result.
+    def miss(self, block: int, region: int) -> _Frame:
+        """Read absolute ``block`` of ``region`` and install it: one miss.
 
-        Every block the reader yields is one request, answered in the order
-        asked.  The lock is held across each run of resident pages -- the
-        reader decodes between requests under it, which is CPU work on pages
-        already in memory -- and is left only to read a missing page; the
-        lock hold that resumes the run installs that page first.  Hits are
-        added to the counters once per hold.
+        The ``os.pread`` runs outside the lock.  The lock hold after it
+        counts the miss (a failed read's too) and installs the page in a new
+        frame; if another thread installed the block meanwhile, that frame
+        is referenced and returned instead.
         """
-        resume = reader.send
-        table = self._page_table
-        statistics = self.statistics
-        region_hits = statistics.per_region_hits
-        block = 0
-        region = Region.SYMBOLS
-        page: Optional[bytes] = None  # sending None starts the reader
-        while True:
-            with self._lock:
-                hits = 0
-                try:
-                    if page is not None:
-                        self._install(block, region, page)
-                    block = resume(page)
-                    frame = table.get(block)
-                    while frame is not None:
-                        frame.referenced = True
-                        hits += 1
-                        region_hits[frame.region] += 1
-                        block = resume(frame.data)
-                        frame = table.get(block)
-                except StopIteration as finished:
-                    result: _Result = finished.value
-                    return result
-                finally:
-                    statistics.hits += hits
-                    if hits and self._metric_hits is not None:
-                        self._metric_hits.inc(hits)
-                region = self._region_of(block)
-                statistics.misses += 1
-                statistics.per_region_misses[region] += 1
-            if self._metric_misses is not None:
-                self._metric_misses.inc()
-            # Two threads missing the same page may both read it; the second
-            # install is a harmless refresh.  Keeping the read outside the
-            # pool lock is what lets a thread pool overlap its miss stalls.
+        if self._metric_misses is not None:
+            self._metric_misses.inc()
+        data: Optional[bytes] = None
+        try:
             tracer = self._tracer
             if tracer is not None and tracer.io_spans:
                 with tracer.span("pool.miss", region=int(region), block=block, phase="pool_io"):
-                    page = self._read_physical(block)
+                    data = self._read_physical(block)
             else:
-                page = self._read_physical(block)
+                data = self._read_physical(block)
+        finally:
+            with self._lock:
+                statistics = self.statistics
+                statistics.misses += 1
+                statistics.per_region_misses[region] += 1
+                if data is not None:
+                    frame = self.table.get(block) or self._install(block, data)
+                    frame.referenced = True
+        return frame
+
+    def add_hits(self, symbols: int, internal: int, leaves: int) -> None:
+        """Add one cursor call's hits, per region, to the counters."""
+        total = symbols + internal + leaves
+        if not total:
+            return
+        with self._lock:
+            statistics = self.statistics
+            statistics.hits += total
+            region_hits = statistics.per_region_hits
+            region_hits[REGION_SYMBOLS] += symbols
+            region_hits[REGION_INTERNAL] += internal
+            region_hits[REGION_LEAVES] += leaves
+        if self._metric_hits is not None:
+            self._metric_hits.inc(total)
 
     def get_page(self, region: Region, block_in_region: int) -> bytes:
-        """Return one page of ``region``: a transaction of one request."""
-        return self.serve(_one_page(self._region_starts[region] + block_in_region))
+        """Return one page of ``region``: a call of one request."""
+        block = self._region_starts[region] + block_in_region
+        frame = self.table.get(block)
+        if frame is None:
+            return self.miss(block, region).data
+        frame.referenced = True
+        hits = _per_region()
+        hits[region] = 1
+        self.add_hits(*hits)
+        return frame.data
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _region_of(self, block: int) -> Region:
-        return self._sorted_regions[bisect_right(self._sorted_starts, block) - 1]
-
     def _read_physical(self, block: int) -> bytes:
         descriptor = self._file.descriptor
         if descriptor is None:
@@ -278,42 +261,30 @@ class BufferPool:
             )
         return data
 
-    def _install(self, block: int, region: Region, data: bytes) -> None:
-        """Place a page in a frame chosen by the clock algorithm.
-
-        Callers hold ``self._lock``.  A page already installed by a racing
-        reader is refreshed in place instead of being duplicated.
-        """
-        table = self._page_table
-        frame = table.get(block)
-        if frame is not None:
-            frame.data = data
-            frame.referenced = True
-            return
+    def _install(self, block: int, data: bytes) -> _Frame:
+        """Put a new frame for ``block`` in the slot the clock picks; the caller holds the lock."""
+        frame = _Frame(block, data)
         frames = self._frames
         if len(frames) < self.frame_count:
             # Still filling: the next frame is where the hand would stand.
-            frame = _Frame(block, region, data)
             frames.append(frame)
             self._clock_hand = len(frames) % self.frame_count
         else:
             hand = self._clock_hand
-            frame = frames[hand]
-            while frame.referenced:
+            victim = frames[hand]
+            while victim.referenced:
                 # Second chance: clear the bit and advance the hand.
-                frame.referenced = False
+                victim.referenced = False
                 hand = (hand + 1) % self.frame_count
-                frame = frames[hand]
-            del table[frame.block]
+                victim = frames[hand]
+            del self.table[victim.block]
             self.statistics.evictions += 1
             if self._metric_evictions is not None:
                 self._metric_evictions.inc()
-            frame.block = block
-            frame.region = region
-            frame.data = data
-            frame.referenced = True
+            frames[hand] = frame
             self._clock_hand = (hand + 1) % self.frame_count
-        table[block] = frame
+        self.table[block] = frame
+        return frame
 
     # ------------------------------------------------------------------ #
     # Management
@@ -321,13 +292,13 @@ class BufferPool:
     @property
     def resident_pages(self) -> int:
         """Number of pages currently cached."""
-        return len(self._page_table)
+        return len(self.table)
 
     def clear(self) -> None:
         """Drop every cached page (statistics are left untouched)."""
         with self._lock:
             self._frames = []
-            self._page_table.clear()
+            self.table.clear()
             self._clock_hand = 0
 
     def reset_statistics(self) -> None:

@@ -6,25 +6,22 @@ Figure 7) is observable.  The class implements the same
 :class:`~repro.suffixtree.cursor.SuffixTreeCursor` interface as the in-memory
 tree, so the OASIS engine runs on either representation unchanged.
 
-The unit of work is a *page*, not a record.  Each cursor call runs a
-*reader* -- a generator that yields the blocks it needs and is sent their
-pages -- which the pool serves as one transaction (:meth:`BufferPool.serve`).
-A reader asks for each page it touches once, in the order a record-at-a-time
-reader would first reach it, and decodes in place.  There is one decoder per
-kind of data.  ``_children_reader`` decodes a node's sibling list: the parent
-record, the contiguous internal-sibling run and the contiguous leaf-sibling
-run of image format v2, each re-fetching only where it crosses a block (the
-paper's leaf chain, one page per leaf, is gone: see
-:mod:`repro.storage.layout`).  ``_arcs_reader`` slices arcs as ``bytes``
-from the symbol pages, joined eagerly when an arc crosses pages.
-``children()`` runs the first, ``arc_symbols()`` the second for one node,
-and ``siblings()`` -- the search's one call per expanded node -- the first
-and then the second over every child.  So ``siblings()`` makes exactly the
-requests of ``children()`` followed by one ``arc_symbols()`` per child, in
-that order.  A pool *request* (``hits + misses``) is one page touched by one
-reader stage, not one record, while misses and evictions are exactly those
-of reading record by record: a repeated request for the page just requested
-changes nothing in a clock pool.
+The unit of work is a *page*, not a record.  One straight-line decoder,
+``_read``, serves ``children()``, ``siblings()`` and ``arc_symbols()`` (and,
+through ``children()``, ``leaf_positions()`` and ``sequences_below()``).  It
+asks for each page it touches once, in the order a record-at-a-time reader
+would first reach it, and decodes in place: the parent record, the
+contiguous internal- and leaf-sibling runs of image format v2 (re-fetching
+only where a run crosses a block; the paper's leaf chain is gone, see
+:mod:`repro.storage.layout`), then each arc, sliced as ``bytes`` from its
+symbol pages.  So ``siblings()`` -- the search's one call per expanded node
+-- makes exactly the requests of ``children()`` followed by one
+``arc_symbols()`` per child.  A request (``hits + misses``) is one page
+touched by one decoder stage, not one record, while misses and evictions are
+exactly those of reading record by record: a repeated request for the page
+just requested changes nothing in a clock pool.  ``close()`` drops the
+frames, so every call on a closed cursor raises the ``ValueError`` of a read
+from a closed file.
 
 An image is refused at open by the checks the in-memory tree runs too
 (:func:`~repro.storage.layout.check_image`): another format, a cut file
@@ -45,11 +42,17 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple, Union
 
 from repro.sequences.database import SequenceDatabase
 from repro.storage.blocks import BlockFile
-from repro.storage.buffer_pool import BufferPool, BufferPoolStatistics, PageReader
+from repro.storage.buffer_pool import (
+    REGION_INTERNAL,
+    REGION_LEAVES,
+    REGION_SYMBOLS,
+    BufferPool,
+    BufferPoolStatistics,
+)
 from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES
 from repro.storage.layout import (
     INTERNAL_STRUCT,
@@ -67,6 +70,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only (storage sits below obs)
 PathLike = Union[str, os.PathLike]
 
 NodeHandle = Tuple[str, int, int, int, int]
+
+_unpack_internal = INTERNAL_STRUCT.unpack_from
+_unpack_leaf = LEAF_STRUCT.unpack_from
+_INTERNAL_SIZE = INTERNAL_STRUCT.size
+_LEAF_SIZE = LEAF_STRUCT.size
 
 
 class DiskSuffixTree(SuffixTreeCursor):
@@ -110,7 +118,7 @@ class DiskSuffixTree(SuffixTreeCursor):
         # Payload bytes of a record page (whole records; the rest is padding).
         self._internal_page_bytes = self.layout.internal_records_per_block * INTERNAL_STRUCT.size
         self._leaf_page_bytes = self.layout.leaf_records_per_block * LEAF_STRUCT.size
-        # A reader yields absolute block numbers: region start + block in region.
+        # The pool's table is keyed by absolute block: region start + block in region.
         self._symbols_start = self.layout.symbols_start_block
         self._internal_start = self.layout.internal_start_block
         self._leaves_start = self.layout.leaves_start_block
@@ -130,22 +138,16 @@ class DiskSuffixTree(SuffixTreeCursor):
         return node[0] == "L"
 
     def children(self, node: NodeHandle) -> List[NodeHandle]:
-        if node[0] != "I":
-            return []
-        return self.pool.serve(self._children_reader(node, with_arcs=False))
+        return self._read(node if node[0] == "I" else None, [], False)
 
     def siblings(self, node: NodeHandle) -> List[Sibling]:
-        if node[0] != "I":
-            return []
-        return self.pool.serve(self._children_reader(node, with_arcs=True))
+        return self._read(node if node[0] == "I" else None, [], True)
 
     def arc(self, node: NodeHandle) -> Tuple[int, int]:
         return node[2], node[3]
 
     def arc_symbols(self, node: NodeHandle) -> bytes:
-        if node[3] <= 0:
-            return b""
-        return self.pool.serve(self._arcs_reader((node,)))[0][1]
+        return self._read(None, [node], True)[0][1]
 
     def string_depth(self, node: NodeHandle) -> int:
         return node[4]
@@ -165,95 +167,120 @@ class DiskSuffixTree(SuffixTreeCursor):
                 stack.extend(reversed(self.children(current)))
 
     # ------------------------------------------------------------------ #
-    # Readers: what one cursor call asks of the pool, decoded page by page
+    # The decoder: what one cursor call asks of the pool, page by page
     # ------------------------------------------------------------------ #
-    def _children_reader(self, node: NodeHandle, with_arcs: bool) -> PageReader[List[Any]]:
-        """The children of internal ``node``: handles, or siblings ``with_arcs``.
+    def _read(self, node: Optional[NodeHandle], handles: List[NodeHandle], with_arcs: bool) -> List[Any]:
+        """Internal ``node``'s children appended to ``handles``; ``with_arcs``, as siblings.
 
-        Reads the parent record, then its internal run and its leaf run;
-        ``with_arcs``, the arc stage then runs over the children in order.
+        Reads the parent record, then its internal run and its leaf run, then
+        the arcs of ``handles`` in order; a closed cursor raises before any
+        request, whether the page is resident or not.  A page request is
+        ``table.get(block)`` -- a hit sets the frame's reference bit and is
+        counted here -- or :meth:`BufferPool.miss`; the call's hits are added
+        to the pool's counters once, at its end.
         """
-        depth = node[4]
-        unpack_internal = INTERNAL_STRUCT.unpack_from
-        record_size = INTERNAL_STRUCT.size
-        page_bytes = self._internal_page_bytes
-        first_block = self._internal_start
-        block, offset = divmod(node[1] * record_size, page_bytes)
-        page = yield first_block + block
-        _, _, child_index, leaf_index = unpack_internal(page, offset)
-        handles: List[NodeHandle] = []
-
-        # Internal children: one contiguous run of records, decoded page by
-        # page up to the record that carries the last-sibling bit.
-        if child_index != NO_POINTER:
-            child_block, offset = divmod(child_index * record_size, page_bytes)
-            if child_block != block:
-                block = child_block
-                page = yield first_block + block
-            while True:
-                word, symbol_ptr, _, _ = unpack_internal(page, offset)
-                child_depth = word & VALUE_MASK
-                handles.append(("I", child_index, symbol_ptr, child_depth - depth, child_depth))
-                if word & LAST_SIBLING_BIT:
-                    break
-                child_index += 1
-                offset += record_size
-                if offset == page_bytes:
-                    block += 1
-                    offset = 0
-                    page = yield first_block + block
-
-        # Leaf children: one contiguous run of suffix starts, the same way.
-        if leaf_index != NO_POINTER:
-            unpack_leaf = LEAF_STRUCT.unpack_from
-            record_size = LEAF_STRUCT.size
-            page_bytes = self._leaf_page_bytes
-            first_block = self._leaves_start
-            ends = self._sequence_ends
-            block, offset = divmod(leaf_index * record_size, page_bytes)
-            page = yield first_block + block
-            while True:
-                (word,) = unpack_leaf(page, offset)
-                start = word & VALUE_MASK
-                length = ends[bisect_right(ends, start)] - start
-                handles.append(("L", start, start + depth, length - depth, length))
-                if word & LAST_SIBLING_BIT:
-                    break
-                offset += record_size
-                if offset == page_bytes:
-                    block += 1
-                    offset = 0
-                    page = yield first_block + block
-
-        if not with_arcs:
-            return handles
-        return (yield from self._arcs_reader(handles))
-
-    def _arcs_reader(self, handles: Iterable[NodeHandle]) -> PageReader[List[Sibling]]:
-        """``(handle, arc, is_leaf)`` per handle, each arc sliced from its symbol pages."""
-        block_size = self.layout.block_size
-        first_block = self._symbols_start
-        siblings: List[Sibling] = []
-        for handle in handles:
-            length = handle[3]
-            arc = b""
-            if length > 0:
-                block, offset = divmod(handle[2], block_size)
-                end = offset + length
-                page = yield first_block + block
-                if end <= block_size:
-                    arc = page[offset:end]
+        if self._file.descriptor is None:
+            raise ValueError("read from a closed block file")
+        pool = self.pool
+        get = pool.table.get
+        miss = pool.miss
+        symbol_hits = internal_hits = leaf_hits = 0
+        try:
+            if node is not None:
+                depth = node[4]
+                page_bytes = self._internal_page_bytes
+                first_block = self._internal_start
+                block, offset = divmod(node[1] * _INTERNAL_SIZE, page_bytes)
+                frame = get(first_block + block)
+                if frame is None:
+                    frame = miss(first_block + block, REGION_INTERNAL)
                 else:
-                    # The arc crosses a page: join the pages it covers, eagerly.
-                    chunks = [page[offset:]]
-                    while end > block_size:
-                        block += 1
-                        end -= block_size
-                        page = yield first_block + block
-                        chunks.append(page[:end])
-                    arc = b"".join(chunks)
-            siblings.append((handle, arc, handle[0] == "L"))
-        return siblings
+                    frame.referenced = True
+                    internal_hits += 1
+                page: Optional[bytes] = frame.data
+                _, _, child_index, leaf_index = _unpack_internal(page, offset)
+
+                # Internal children: one contiguous run of records, decoded page
+                # by page up to the record that carries the last-sibling bit.
+                # ``page`` is None where the run needs its next page.
+                if child_index != NO_POINTER:
+                    child_block, offset = divmod(child_index * _INTERNAL_SIZE, page_bytes)
+                    if child_block != block:
+                        block, page = child_block, None
+                    while True:
+                        if page is None:
+                            frame = get(first_block + block)
+                            if frame is None:
+                                frame = miss(first_block + block, REGION_INTERNAL)
+                            else:
+                                frame.referenced = True
+                                internal_hits += 1
+                            page = frame.data
+                        word, symbol_ptr, _, _ = _unpack_internal(page, offset)
+                        child_depth = word & VALUE_MASK
+                        handles.append(("I", child_index, symbol_ptr, child_depth - depth, child_depth))
+                        if word & LAST_SIBLING_BIT:
+                            break
+                        child_index += 1
+                        offset += _INTERNAL_SIZE
+                        if offset == page_bytes:
+                            block, offset, page = block + 1, 0, None
+
+                # Leaf children: one contiguous run of suffix starts, the same way.
+                if leaf_index != NO_POINTER:
+                    page_bytes = self._leaf_page_bytes
+                    first_block = self._leaves_start
+                    ends = self._sequence_ends
+                    block, offset = divmod(leaf_index * _LEAF_SIZE, page_bytes)
+                    page = None
+                    while True:
+                        if page is None:
+                            frame = get(first_block + block)
+                            if frame is None:
+                                frame = miss(first_block + block, REGION_LEAVES)
+                            else:
+                                frame.referenced = True
+                                leaf_hits += 1
+                            page = frame.data
+                        (word,) = _unpack_leaf(page, offset)
+                        start = word & VALUE_MASK
+                        length = ends[bisect_right(ends, start)] - start
+                        handles.append(("L", start, start + depth, length - depth, length))
+                        if word & LAST_SIBLING_BIT:
+                            break
+                        offset += _LEAF_SIZE
+                        if offset == page_bytes:
+                            block, offset, page = block + 1, 0, None
+            if not with_arcs:
+                return handles
+
+            # Arcs: each sliced as ``bytes`` from the symbol pages it covers.
+            block_size = self.layout.block_size
+            first_block = self._symbols_start
+            siblings: List[Sibling] = []
+            for handle in handles:
+                arc = b""
+                if handle[3] > 0:
+                    block, offset = divmod(handle[2], block_size)
+                    block += first_block
+                    end = offset + handle[3]
+                    while True:
+                        frame = get(block)
+                        if frame is None:
+                            frame = miss(block, REGION_SYMBOLS)
+                        else:
+                            frame.referenced = True
+                            symbol_hits += 1
+                        if end <= block_size:
+                            break
+                        arc += frame.data[offset:]
+                        block, offset, end = block + 1, 0, end - block_size
+                    # Most arcs lie in one page: they are one slice, not a concatenation.
+                    arc = arc + frame.data[offset:end] if arc else frame.data[offset:end]
+                siblings.append((handle, arc, handle[0] == "L"))
+            return siblings
+        finally:
+            pool.add_hits(symbol_hits, internal_hits, leaf_hits)
 
     # ------------------------------------------------------------------ #
     # Statistics and lifecycle
@@ -282,6 +309,7 @@ class DiskSuffixTree(SuffixTreeCursor):
 
     def close(self) -> None:
         self._file.close()
+        self.pool.clear()
 
     def __enter__(self) -> "DiskSuffixTree":
         return self

@@ -79,7 +79,7 @@ class SuffixTreeCursor(ABC):
 
         Equal to composing :meth:`children`, :meth:`arc_symbols` and
         :meth:`is_leaf`; on the disk cursor it also makes the same page
-        requests in the same order, as one buffer-pool transaction.
+        requests in the same order, in one call of its decoder.
         """
         arc_symbols, is_leaf = self.arc_symbols, self.is_leaf
         return [(child, arc_symbols(child), is_leaf(child)) for child in self.children(node)]

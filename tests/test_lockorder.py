@@ -10,12 +10,14 @@ Integration level: a full sharded ``processes:2`` search (plus the
 always-in-process streaming path) under instrumented ``BufferPool`` and
 backend locks must come back cycle-free, with the instrumentation proven
 live by the monitor's acquisition counter -- and a deliberate ABBA on those
-same real locks must be reported.  A threaded batch over one two-frame disk
-pool must also stay cycle-free and keep its hits and its request count.
+same real locks must be reported.  A threaded batch over one disk pool of
+two frames, and of one, must also stay cycle-free, keep its hits and its
+request count, and never read a page while it holds the pool lock.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 import threading
@@ -189,38 +191,64 @@ class TestEngineIntegration:
         monitor.assert_acyclic()
 
     def test_threaded_batch_over_a_two_frame_pool(
-        self, lockorder_database, pam30_matrix, gap8, tmp_path
+        self, monkeypatch, lockorder_database, pam30_matrix, gap8, tmp_path
     ):
         """Four threads share one pool that holds two pages.
 
-        Each query's sibling lists are pool transactions that hold the lock
-        across resident pages and drop it for every read, so the threads
-        interleave inside one another's transactions.  The hits must not
+        A hit takes no lock and a miss reads outside it, so the threads
+        interleave inside one another's cursor calls.  The hits must not
         move; the requests of each query are fixed, so only their split into
         hits and misses may.
         """
+        self.check_threaded_batch(
+            monkeypatch, lockorder_database, pam30_matrix, gap8, tmp_path, frames=2
+        )
+
+    def test_threaded_batch_over_a_one_frame_pool(
+        self, monkeypatch, lockorder_database, pam30_matrix, gap8, tmp_path
+    ):
+        """The same with one frame: every install evicts the page another
+        thread may be reading, which it must still read whole."""
+        self.check_threaded_batch(
+            monkeypatch, lockorder_database, pam30_matrix, gap8, tmp_path, frames=1
+        )
+
+    @staticmethod
+    def check_threaded_batch(monkeypatch, database, matrix, gap_model, tmp_path, frames):
         queries = [QUERY] + [
-            lockorder_database[index].text[5:17] for index in range(0, len(lockorder_database), 2)
+            database[index].text[5:17] for index in range(0, len(database), 2)
         ]
         engine = OasisEngine.build_on_disk(
-            lockorder_database,
-            pam30_matrix,
-            str(tmp_path / "two-frame.oasis"),
-            gap_model=gap8,
+            database,
+            matrix,
+            str(tmp_path / f"{frames}-frame.oasis"),
+            gap_model=gap_model,
             block_size=BLOCK_SIZE,
-            buffer_pool_bytes=2 * BLOCK_SIZE,
+            buffer_pool_bytes=frames * BLOCK_SIZE,
         )
+        monitor = LockOrderMonitor()
+        reads, locked_reads = [], []
+        pread = os.pread
+
+        def checked_pread(*args):
+            # No read while this thread holds the pool lock: the monitor keeps
+            # a stack of the instrumented locks each thread holds.
+            reads.append(1)
+            if "BufferPool[0]._lock" in monitor._stack():
+                locked_reads.append(args)
+            return pread(*args)
+
         try:
             pool = engine.cursor.pool
-            assert pool.frame_count == 2
+            assert pool.frame_count == frames
             serial = engine.search_many(queries, workers=1, evalue=EVALUE).results()
             serial_requests = pool.statistics.requests
             pool.clear()
             pool.reset_statistics()
-            monitor = LockOrderMonitor()
             assert instrument_lock_order(monitor, pool) == ["BufferPool[0]._lock"]
+            monkeypatch.setattr(os, "pread", checked_pread)
             interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)  # switch threads inside transactions too
+            sys.setswitchinterval(1e-5)  # switch threads inside cursor calls too
             try:
                 threaded = engine.search_many(
                     queries, workers=4, timeout=60, evalue=EVALUE
@@ -239,6 +267,8 @@ class TestEngineIntegration:
         monitor.assert_acyclic()
         assert pool.statistics.requests == serial_requests
         assert pool.statistics.misses > 0
+        assert len(reads) == pool.statistics.misses
+        assert locked_reads == []
 
     def test_sharded_process_search_is_cycle_free(self, sharded_directory):
         """The headline scenario: processes:2 scatter + streaming, no cycles.

@@ -10,7 +10,7 @@ from repro.storage.buffer_pool import BufferPool, Region
 
 def resident(pool, region, block_in_region):
     """Whether the page is in one of the pool's frames (no request, no statistics)."""
-    return pool._region_starts[region] + block_in_region in pool._page_table
+    return pool._region_starts[region] + block_in_region in pool.table
 
 
 @pytest.fixture
@@ -134,6 +134,20 @@ class TestBufferPool:
                 pool.get_page(Region.SYMBOLS, block)
         assert pool.statistics.misses == 3
         assert pool.statistics.hits == 12
+
+    def test_a_frame_keeps_its_page_after_eviction(self, block_file):
+        # A hit reads a frame taken from the table without the lock: the
+        # install that evicts it must put a new frame in its clock slot, not
+        # write another block's bytes into it.
+        pool = make_pool(block_file, 1)
+        pool.get_page(Region.SYMBOLS, 0)
+        frame = pool.table[0]
+        pool.get_page(Region.SYMBOLS, 1)
+        assert not resident(pool, Region.SYMBOLS, 0)
+        assert pool.statistics.evictions == 1
+        assert (frame.block, frame.data) == (0, bytes([0]) * 64)
+        assert pool.table[1] is not frame
+        block_file.close()
 
     def test_clear_drops_pages_keeps_statistics(self, block_file):
         pool = make_pool(block_file, 4)

@@ -287,6 +287,30 @@ class TestDiskSuffixTree:
             assert disk.bytes_per_symbol > 0
             assert disk.internal_node_count > 0
 
+    def test_a_closed_cursor_answers_no_call(self, tmp_path, small_protein_database):
+        # Whether a page is still resident must not decide whether a call on
+        # a closed cursor succeeds: close() drops the frames, and every call
+        # raises, on a node whose page was read and on one whose was not.
+        path = tmp_path / "closed.oasis"
+        layout = build_disk_image(small_protein_database, path, block_size=72)
+        disk = DiskSuffixTree(path, small_protein_database, buffer_pool_bytes=72 * 16)
+        deep = list(internal_nodes(disk))[-1]
+        leaf = next(child for child in disk.children(deep) if disk.is_leaf(child))
+        disk.pool.clear()
+        disk.children(disk.root)
+        per_block = layout.internal_records_per_block
+        assert layout.internal_start_block in disk.pool.table  # the root's record
+        assert layout.internal_start_block + deep[1] // per_block not in disk.pool.table
+        disk.close()
+        assert disk.pool.resident_pages == 0
+        for node in (disk.root, deep, leaf):
+            for call in (disk.children, disk.siblings, disk.arc_symbols):
+                with pytest.raises(ValueError, match="read from a closed block file"):
+                    call(node)
+        with pytest.raises(ValueError, match="read from a closed block file"):
+            disk.sequences_below(disk.root)
+        disk.close()  # a second close is a no-op
+
     @pytest.mark.parametrize("seed", range(3))
     def test_random_roundtrip_matches_memory_tree(self, tmp_path, seed):
         rng = random.Random(seed)
