@@ -141,9 +141,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kernel",
         default=None,
         metavar="NAME",
-        help="expansion kernel: live (default, the live-cell kernel) or "
-        "reference (the dense oracle it is parity-gated against: identical "
-        "hits and counters, only slower); also via OASIS_KERNEL",
+        help="expansion kernel: compiled (default where gcc builds it: the "
+        "live-cell kernel's column step in C), live (the same step in "
+        "Python, the default elsewhere) or reference (the dense oracle both "
+        "are parity-gated against: identical hits and counters, only "
+        "slower); also via OASIS_KERNEL",
     )
     search.add_argument(
         "--trace",
@@ -294,17 +296,12 @@ def _fail(command: str, error: object) -> int:
 
 
 def _parse_kernel_arg(name: Optional[str]) -> Optional[str]:
-    """A --kernel name; a ``ValueError`` naming the kernels if it is unknown."""
+    """A --kernel name; a ``ValueError`` if it is unknown or cannot run here."""
     if name is None:
         return None
-    from repro.core.kernels import available_kernels
+    from repro.core.kernels import get_kernel
 
-    if name not in available_kernels():
-        raise ValueError(
-            f"unknown expansion kernel {name!r}; "
-            f"available: {', '.join(available_kernels())}"
-        )
-    return name
+    return get_kernel(name).name
 
 
 def _build_search_engine(args: argparse.Namespace):

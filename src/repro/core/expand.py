@@ -35,6 +35,7 @@ where they run, so a search on the live-cell kernel never loads it.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -53,9 +54,10 @@ class ExpansionContext:
     One context belongs to one :class:`~repro.core.oasis.QueryExecution`:
     kernels are stateless and shared between concurrent executions, so
     everything a kernel reads or counts per query lives here.  Construction
-    stores its arguments and nothing else; the list and array forms the two
-    kernels read are derived on first use, so a query that never expands a
-    node (or a shard that holds nothing for it) pays for none of them.
+    stores its arguments and nothing else; the list, packed and array forms
+    the kernels read are derived on first use, so a query that never
+    expands a node (or a shard that holds nothing for it) pays for none of
+    them.
 
     ``query_codes`` are the query's symbol codes (``bytes`` or any sequence
     of ints), ``score_rows`` the substitution table as one list of scores per
@@ -129,6 +131,17 @@ class ExpansionContext:
         """
         query_rows = [self.score_rows[code] for code in self.query_codes]
         return [[row[symbol] for row in query_rows] for symbol in range(len(self.score_rows))]
+
+    @cached_property
+    def packed_heuristic(self) -> bytes:
+        """:attr:`heuristic` as native ``int64`` bytes (the compiled step)."""
+        return array("q", self.heuristic).tobytes()
+
+    @cached_property
+    def packed_profile(self) -> bytes:
+        """:attr:`profile_rows`, one row after another, as native ``int64``
+        bytes (the compiled step)."""
+        return array("q", [score for row in self.profile_rows for score in row]).tobytes()
 
     @cached_property
     def profile(self) -> "np.ndarray":

@@ -8,7 +8,7 @@ and as many leave with none.  The dense form in :mod:`repro.core.expand`
 still pays a dozen NumPy calls per column for all of them.  The production
 kernel here never materialises the dead ones:
 
-:class:`LiveCellKernel` (``live``, the default)
+:class:`LiveCellKernel` (``live``, the default where ``compiled`` cannot build)
     A column is the ascending list of ``(row, score)`` cells that survived
     pruning.  One DP step is one walk down that list: each live cell emits
     its horizontal (``+gap``, same row) and diagonal (``+S(q, t)``, next
@@ -17,9 +17,10 @@ kernel here never materialises the dead ones:
     vertical ``+gap`` chain below each *surviving* successor for as long as
     it stays alive, and appends survivors as it meets them -- all in plain
     Python ints against per-query lists held by the
-    :class:`~repro.core.expand.ExpansionContext`.  The column's strongest
-    cell is tracked on the way: it is the strongest diagonal or horizontal
-    successor, because a chain never exceeds the cell it starts from.
+    :class:`~repro.core.expand.ExpansionContext` (:func:`_expand_live`).
+    The column's strongest cell is tracked on the way: it is the strongest
+    diagonal or horizontal successor, because a chain never exceeds the cell
+    it starts from.
 
     It is exact, not approximate.  With every rule on, the reference's three
     tests ``new <= 0``, ``new + h <= max_score`` and ``new + h < min_score``
@@ -51,6 +52,32 @@ kernel here never materialises the dead ones:
     the walk and start a chain towards row ``m + 1``, which is why every
     limit list ends in a sentinel row that stops it.
 
+:class:`CompiledKernel` (``compiled``, the default where it builds)
+    The same walk in C (``_column_step.c``, next to this file), written
+    against the CPython C API: one call takes the parent entry, the whole
+    sibling list and the context; it reads the seed column and the arcs as
+    the Python objects they are and the heuristic and profile as the
+    context's packed ``int64`` copies, computes each limit as
+    ``limit_for`` lists it, keeps the columns inside an arc in C arrays
+    scratch to that call, and builds the same entries, numbered the same
+    way, with the same counter updates -- the ``expand_arc`` view included.
+    ``live`` stays as the form of the step that runs everywhere, and the
+    one the C source is read against.
+
+    The C source is compiled on first use, once per user and machine: ``gcc
+    -O2 -shared -fPIC -I<sysconfig include>`` into ``$XDG_CACHE_HOME/
+    repro-oasis`` (``~/.cache/repro-oasis``), a directory created with mode
+    0o700 and never loaded from when another user owns it or group or
+    others can write it.  The library's name is the sha256 of the source,
+    the interpreter's ``EXT_SUFFIX`` and the compile command; the compiler
+    writes a temporary file that ``os.replace`` puts in place, so processes
+    that start together are safe.  A failed compile leaves a ``.failed``
+    marker under the same name, so later processes fall back at once
+    instead of paying the compiler again.  No ``gcc``, no ``Python.h``, a
+    cache directory that cannot be written or may not be trusted, a failed
+    compile or a failed load: the default is then ``live``, and ``compiled``
+    asked for by name is a :class:`KernelUnavailable` naming the reason.
+
 :class:`ReferenceKernel` (``reference``)
     The dense implementation, verbatim
     (:func:`~repro.core.expand.expand_arc_reference`): the parity oracle.
@@ -73,17 +100,27 @@ executions -- and never call the cursor.
 
 Selection goes through :func:`get_kernel`: an explicit ``kernel=`` argument
 (``OasisSearch`` / the engines / the CLI all thread one through) wins,
-otherwise the ``OASIS_KERNEL`` environment variable, otherwise ``live``.
+otherwise the ``OASIS_KERNEL`` environment variable, otherwise ``compiled``
+where it builds and ``live`` where it does not.  The choice is made when
+the engine is built, so ``statistics.kernel`` names the kernel that ran.
 
 Purity contract, enforced by the ``kernel-purity`` analysis rule over this
-file: no NumPy call and no tracer/metrics access inside a kernel loop.
+file: no NumPy call and no tracer/metrics access inside a kernel loop.  The
+C step keeps the Python walk's rules: no buffer shared between calls, every
+conversion and allocation checked, a symbol or row out of range an
+``IndexError``, and an argument of the wrong shape a ``TypeError``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import importlib
 import os
+import shutil
+import stat
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.expand import ExpansionContext, expand_arc_reference
 from repro.core.search_node import (
@@ -103,10 +140,14 @@ from repro.core.search_node import (
 from repro.suffixtree.cursor import Sibling
 
 
-#: Environment variable selecting the default kernel (``live`` otherwise).
+#: Environment variable selecting the default kernel.
 KERNEL_ENVIRONMENT_VARIABLE = "OASIS_KERNEL"
 
-DEFAULT_KERNEL = "live"
+#: The default where the compiled step builds; ``live`` everywhere else.
+DEFAULT_KERNEL = "compiled"
+
+#: Seconds the one-time compile of the compiled step may take.
+_COMPILE_TIMEOUT_S = 120
 
 _UNVIABLE = NodeState.UNVIABLE
 
@@ -329,7 +370,7 @@ def _expand_live(
 
 
 class LiveCellKernel(ExpansionKernel):
-    """Algorithm 3 over the live cells of each column only (the default).
+    """Algorithm 3 over the live cells of each column only, in Python.
 
     Applies when all three pruning rules are on and nothing is tallied per
     rule (``context.live_cells``); otherwise columns are dense and the
@@ -337,6 +378,11 @@ class LiveCellKernel(ExpansionKernel):
     """
 
     name = "live"
+
+    def __init__(self) -> None:
+        #: The column step over one sibling list: :func:`_expand_live`, or
+        #: its compiled form in :class:`CompiledKernel`.
+        self.step: Callable[..., List[FrontierEntry]] = _expand_live
 
     def expand_arc(
         self,
@@ -354,7 +400,7 @@ class LiveCellKernel(ExpansionKernel):
             cells = [(row, score) for row, score in enumerate(column.tolist()) if score != PRUNED]
             parent = replace(parent, column=cells)
         arc_bests: List[int] = []
-        (child,) = _expand_live(
+        (child,) = self.step(
             frontier_entry(parent, 0), ((tree_node, arc_symbols, is_leaf),), context, arc_bests
         )
         return node_view(child, context.min_score, arc_bests[0])
@@ -367,7 +413,184 @@ class LiveCellKernel(ExpansionKernel):
     ) -> List[FrontierEntry]:
         if not context.live_cells:
             return super().expand_children(parent, siblings, context)
-        return _expand_live(parent, siblings, context)
+        return self.step(parent, siblings, context)
+
+
+class KernelUnavailable(ValueError):
+    """The compiled step cannot be built or loaded on this host."""
+
+
+class CompiledKernel(LiveCellKernel):
+    """The live-cell kernel with its column step in C (the default where it builds).
+
+    ``_column_step.c`` is :func:`_expand_live` against the CPython C API:
+    the same walk, entries, numbering and counter updates, the ``arc_bests``
+    view included, so ``expand_arc`` and ``expand_children`` both run it.
+    Constructing one builds the step on first use (:func:`_compiled_step`)
+    and raises :class:`KernelUnavailable` where it cannot.
+    """
+
+    name = "compiled"
+
+    def __init__(self) -> None:
+        step = _compiled_step()
+        if isinstance(step, str):
+            raise KernelUnavailable(f"expansion kernel 'compiled' is unavailable: {step}")
+        self.step = step
+
+
+# --------------------------------------------------------------------- #
+# The compiled step: built on first use, cached per user
+# --------------------------------------------------------------------- #
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_column_step.c")
+_MODULE = "repro.core._column_step"
+
+
+def _compiler() -> Optional[str]:
+    return shutil.which("gcc")
+
+
+def _include_directory() -> str:
+    import sysconfig
+
+    return sysconfig.get_path("include")
+
+
+def _cache_directory() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "repro-oasis")
+
+
+def _sha256(data: bytes):
+    """``hashlib.sha256`` without loading OpenSSL, which would cost every
+    cold search about 5 ms and 3.7 MB of RSS: the interpreter's own module
+    (``_sha2`` from Python 3.12, ``_sha256`` before), ``hashlib`` if neither."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256(data)
+        except ImportError:
+            pass
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
+def _private_directory(path: str) -> Optional[str]:
+    """Create ``path`` (mode 0o700) if missing; why it may not hold a library, if so.
+
+    A directory that another user owns, or that group or others can
+    write, could hold a library someone else put there: never load from it.
+    """
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        status = os.stat(path)
+    except OSError as error:
+        return f"cannot create the cache directory {path}: {error}"
+    if not stat.S_ISDIR(status.st_mode):
+        return f"the cache directory {path} is not a directory"
+    if status.st_uid != os.getuid() or status.st_mode & 0o022:
+        return f"the cache directory {path} is not private to this user"
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled_step() -> Union[Callable[..., List[FrontierEntry]], str]:
+    """The compiled ``expand``, or why it cannot run here.
+
+    The library is built once per source, interpreter ABI and compile
+    command: ``gcc -O2 -shared -fPIC -I<Python include>`` into the user's
+    cache directory, named by the sha256 of the three.  A failed compile
+    leaves a ``.failed`` marker under the same key, so later processes fall
+    back at once instead of paying the compiler again.  The outcome is
+    cached for the life of the process.
+    """
+    compiler = _compiler()
+    if compiler is None:
+        return "no gcc on PATH"
+    include = _include_directory()
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        return f"no Python.h in {include}"
+    directory = _cache_directory()
+    refusal = _private_directory(directory)
+    if refusal is not None:
+        return refusal
+
+    import sysconfig
+
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    command = [compiler, "-O2", "-shared", "-fPIC", f"-I{include}"]
+    try:
+        with open(_SOURCE, "rb") as source:
+            digest = _sha256(source.read())
+    except OSError as error:
+        return f"cannot read {_SOURCE}: {error}"
+    digest.update(suffix.encode())
+    digest.update("\0".join(command).encode())
+    stem = os.path.join(directory, f"_column_step-{digest.hexdigest()}")
+    library = stem + suffix
+    marker = stem + ".failed"
+    if os.path.exists(marker):
+        return f"an earlier build failed (see {marker})"
+    if not os.path.exists(library):
+        failure = _build(command, library, marker, directory, suffix)
+        if failure is not None:
+            return failure
+
+    from importlib.machinery import ExtensionFileLoader, ModuleSpec
+    from importlib.util import module_from_spec
+
+    loader = ExtensionFileLoader(_MODULE, library)
+    try:
+        module = module_from_spec(ModuleSpec(_MODULE, loader, origin=library))
+        loader.exec_module(module)
+    except (ImportError, OSError) as error:
+        return f"cannot load {library}: {error}"
+    return module.expand
+
+
+def _build(
+    command: List[str], library: str, marker: str, directory: str, suffix: str
+) -> Optional[str]:
+    """Compile :data:`_SOURCE` into ``library``; why not, if it fails.
+
+    The compiler writes a temporary file that is renamed into place, so a
+    process starting at the same moment finds the whole library or none.
+    """
+    import subprocess
+    import tempfile
+
+    try:
+        descriptor, temporary = tempfile.mkstemp(suffix=suffix, dir=directory)
+        os.close(descriptor)
+    except OSError as error:
+        return f"cannot write to the cache directory {directory}: {error}"
+    try:
+        try:
+            completed = subprocess.run(
+                command + [_SOURCE, "-o", temporary],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                timeout=_COMPILE_TIMEOUT_S,
+            )
+        except (OSError, subprocess.TimeoutExpired) as error:
+            log = str(error)
+        else:
+            if completed.returncode == 0:
+                try:
+                    os.replace(temporary, library)
+                except OSError as error:
+                    return f"cannot write to the cache directory {directory}: {error}"
+                return None
+            log = completed.stdout.decode(errors="replace")
+    finally:
+        with contextlib.suppress(OSError):  # renamed into place, or gone
+            os.unlink(temporary)
+    try:
+        with open(marker, "w") as failed:
+            failed.write(log)
+    except OSError:
+        pass  # no marker: the next process tries once more
+    return f"the compile failed (see {marker})"
 
 
 # --------------------------------------------------------------------- #
@@ -376,11 +599,15 @@ class LiveCellKernel(ExpansionKernel):
 _KERNELS: Dict[str, Type[ExpansionKernel]] = {
     ReferenceKernel.name: ReferenceKernel,
     LiveCellKernel.name: LiveCellKernel,
+    CompiledKernel.name: CompiledKernel,
 }
 
 
 def available_kernels() -> Tuple[str, ...]:
-    """The kernel names: the oracle, then the production kernel."""
+    """The kernels that run on this host: the oracle, the Python production
+    kernel, then the compiled one where it builds (which this may trigger)."""
+    if isinstance(_compiled_step(), str):
+        return tuple(name for name in _KERNELS if name != CompiledKernel.name)
     return tuple(_KERNELS)
 
 
@@ -391,16 +618,24 @@ def get_kernel(
 
     Precedence: an explicit instance is used as-is, an explicit name is
     looked up, ``None`` falls back to the ``OASIS_KERNEL`` environment
-    variable and finally to :data:`DEFAULT_KERNEL`.
+    variable and finally to :data:`DEFAULT_KERNEL` -- the compiled kernel,
+    or ``live`` where it cannot build.  A name that cannot run here is a
+    ``ValueError`` (:class:`KernelUnavailable` for ``compiled``).
     """
     if isinstance(kernel, ExpansionKernel):
         return kernel
     if kernel is None:
-        kernel = os.environ.get(KERNEL_ENVIRONMENT_VARIABLE) or DEFAULT_KERNEL
+        kernel = os.environ.get(KERNEL_ENVIRONMENT_VARIABLE)
+        if not kernel:
+            try:
+                return CompiledKernel()
+            except KernelUnavailable:
+                return LiveCellKernel()
     try:
-        return _KERNELS[kernel]()
+        factory = _KERNELS[kernel]
     except KeyError:
         raise ValueError(
             f"unknown expansion kernel {kernel!r}; "
             f"available: {', '.join(available_kernels())}"
         ) from None
+    return factory()

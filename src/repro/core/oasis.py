@@ -84,8 +84,8 @@ class OasisSearchStatistics:
     buffer_hits: int = 0
     buffer_misses: int = 0
     buffer_evictions: int = 0
-    #: Which expansion kernel ran the DP (``live``/``reference``) -- the two
-    #: are parity-gated, so this never changes the hits or the counters.
+    #: Which expansion kernel ran the DP (``compiled``/``live``/``reference``)
+    #: -- all are parity-gated, so this never changes the hits or counters.
     kernel: str = DEFAULT_KERNEL
 
     def as_dict(self) -> Dict[str, object]:
@@ -601,10 +601,11 @@ class OasisSearch(SearchSurface):
     gap_model:
         Gap model; the search implements the paper's fixed (linear) gap model.
     kernel:
-        Expansion-kernel selection: a name (``live`` / ``reference``), an
-        :class:`ExpansionKernel` instance, or ``None`` to fall back to the
-        ``OASIS_KERNEL`` environment variable and then the default.  The
-        two are parity-gated -- the choice changes speed, never results.
+        Expansion-kernel selection: a name (``compiled`` / ``live`` /
+        ``reference``), an :class:`ExpansionKernel` instance, or ``None`` to
+        fall back to the ``OASIS_KERNEL`` environment variable and then the
+        default (``compiled`` where it builds, ``live`` elsewhere).  All are
+        parity-gated -- the choice changes speed, never results.
     """
 
     def __init__(

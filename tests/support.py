@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from repro.core.kernels import available_kernels
 from repro.datagen.motifs import MotifQuery, MotifWorkload
 from repro.scoring.matrix import SubstitutionMatrix
 
@@ -19,6 +20,10 @@ from repro.scoring.matrix import SubstitutionMatrix
 PAPER_TARGET = "AGTACGCCTAG"
 #: The query of the paper's worked example (Table 2, Section 3.3).
 PAPER_QUERY = "TACG"
+
+#: The production kernels that run here, each held to the ``reference``
+#: oracle: ``live``, and ``compiled`` where its C step builds.
+PRODUCTION_KERNELS = tuple(name for name in available_kernels() if name != "reference")
 
 AMINO_ACIDS = "ARNDCQEGHILKMFPSTWYV"
 BASES = "ACGT"

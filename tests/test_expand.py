@@ -1,11 +1,11 @@
 """Unit tests for the arc expansion (Algorithm 3) and its pruning rules.
 
-Every case runs under both kernels: the live-cell production kernel and the
-dense reference (with a rule off or per-rule counting on, both take the dense
-path, chosen from the context).
+Every case runs under every kernel that runs here: the live-cell production
+kernel (in Python, and compiled where it builds) and the dense reference
+(with a rule off or per-rule counting on, all take the dense path, chosen
+from the context).
 """
 
-import numpy as np
 import pytest
 
 from repro.core.expand import ExpansionContext
@@ -139,7 +139,7 @@ class TestExpandArc:
         context = make_context("TACG", min_score=1)
         root = make_root(context)
         node = expand_arc(
-            root, None, np.array([DNA_ALPHABET.terminal_code]), is_leaf=True, context=context
+            root, None, bytes([DNA_ALPHABET.terminal_code]), is_leaf=True, context=context
         )
         # Nothing can align across a terminal; no alignment was found.
         assert node.state is NodeState.UNVIABLE

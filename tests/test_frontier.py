@@ -15,7 +15,7 @@ import heapq
 
 import pytest
 
-from repro.core.kernels import DEFAULT_KERNEL, ExpansionKernel, available_kernels, get_kernel
+from repro.core.kernels import ExpansionKernel, available_kernels, get_kernel
 from repro.core.oasis import OasisSearch
 from repro.core.results import hit_order_key
 from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER, SearchNode
@@ -127,7 +127,7 @@ class TestFlatFrontier:
         assert [entry[2] for entry in watch.pushed] == list(range(1, len(watch.pushed) + 1))
         assert all(type(entry) is tuple and len(entry) == 7 for entry in watch.pushed)
         assert statistics.nodes_expanded + statistics.nodes_accepted == len(watch.popped)
-        if kernel == DEFAULT_KERNEL:
+        if kernel != "reference":
             assert built == []
         else:
             # The dense form expands ``SearchNode`` views, one arc at a time.
@@ -177,4 +177,4 @@ def test_both_kernels_pop_the_same_sequence(cursor, monkeypatch):
         # Every slot but the column, which each kernel keeps in its own form.
         sequences.append([(entry[:4], entry[5:]) for entry in watch.popped])
         watch.popped.clear()
-    assert sequences[0] == sequences[1] != []
+    assert sequences[0] != [] and all(sequence == sequences[0] for sequence in sequences)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
-from repro.core.kernels import LiveCellKernel, ReferenceKernel
+from repro.core.kernels import LiveCellKernel, ReferenceKernel, get_kernel
 from repro.core.oasis import OasisSearch
 from repro.core.search_node import NodeState, SearchNode
 from repro.scoring.data import nucleotide_matrix, pam30, unit_matrix
@@ -24,10 +24,16 @@ from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from support import AMINO_ACIDS, node_signature
+from support import AMINO_ACIDS, PRODUCTION_KERNELS, node_signature
 
 LIVE = LiveCellKernel()
 REFERENCE = ReferenceKernel()
+
+
+@pytest.fixture(params=PRODUCTION_KERNELS, scope="module")
+def kernel(request):
+    """Each production kernel that runs here, held to the reference."""
+    return get_kernel(request.param)
 
 
 def make_context(alphabet, matrix, query, gap, min_score):
@@ -46,9 +52,9 @@ def viable(context, cells, max_score, column):
     return SearchNode(None, column, max_score, bound, max_score, NodeState.VIABLE, depth=4)
 
 
-def both_steps(context, cells, max_score, arc, is_leaf=False):
+def both_steps(kernel, context, cells, max_score, arc, is_leaf=False):
     """``arc`` below the same node, by the fused walk and by the dense form."""
-    live = LIVE.expand_arc(viable(context, cells, max_score, list(cells)), "child", arc, is_leaf, context)
+    live = kernel.expand_arc(viable(context, cells, max_score, list(cells)), "child", arc, is_leaf, context)
     columns = context.columns_expanded
     reference = REFERENCE.expand_arc(
         viable(context, cells, max_score, context.dense_column(cells)), "child", arc, is_leaf, context
@@ -65,7 +71,7 @@ class TestCutoffRisesMidColumn:
     def context(self):
         return make_context(DNA_ALPHABET, nucleotide_matrix(5, -4), "ACGTACGT", -1, 10)
 
-    def test_first_pass_survivors_fall_under_the_new_limit(self):
+    def test_first_pass_survivors_fall_under_the_new_limit(self, kernel):
         # Path maximum 30, target symbol T.  Under the limit for cutoff 30 the
         # walk admits (2, 3), (5, 24), (6, 23) -- the chain from row 5 beats
         # the diagonal 21 --, (7, 29) and the diagonal of (7, 30): (8, 35), a
@@ -82,24 +88,29 @@ class TestCutoffRisesMidColumn:
         ]
         assert len(first_pass) == 5
 
-        live, reference = both_steps(context, self.CELLS, 30, DNA_ALPHABET.encode("T"))
+        live, reference = both_steps(kernel, context, self.CELLS, 30, DNA_ALPHABET.encode("T"))
         assert live.column == [(5, 24)]
         assert (live.state, live.max_score, live.f, live.b) == (NodeState.VIABLE, 35, 39, 35)
         assert node_signature(live, 9) == node_signature(reference, 9)
-        assert requested == [30, 35]
+        if kernel.name == "live":
+            # The compiled step computes the same limits from the packed
+            # heuristic instead of asking for the lists.
+            assert requested == [30, 35]
 
     def test_the_walk_needs_the_sentinel_row(self):
         # (8, 35) is admitted under the earlier limit and its chain looks at
-        # row 9: the limit lists close with a row that stops it.
+        # row 9: the limit lists close with a row that stops it.  (The
+        # compiled step has the same row, computed, not listed.)
         context = self.context()
         limit_for = context.limit_for
         assert len(limit_for(30)) == 8 + 2
         context.limit_for = lambda cutoff: limit_for(cutoff)[:-1]
         with pytest.raises(IndexError):
-            both_steps(context, self.CELLS, 30, DNA_ALPHABET.encode("T"))
+            both_steps(LIVE, context, self.CELLS, 30, DNA_ALPHABET.encode("T"))
 
-    def test_a_leaf_ends_accepted_either_way(self):
+    def test_a_leaf_ends_accepted_either_way(self, kernel):
         live, reference = both_steps(
+            kernel,
             self.context(), self.CELLS, 30, DNA_ALPHABET.encode("T"), is_leaf=True
         )
         assert live.state is NodeState.ACCEPTED and live.column is None
@@ -126,7 +137,7 @@ class TestVerbatimQuery:
         ids=["paper", "dna", "protein"],
     )
     def test_every_node_equals_the_reference(
-        self, alphabet, matrix, gap, texts, query, monkeypatch
+        self, alphabet, matrix, gap, texts, query, monkeypatch, kernel
     ):
         database = SequenceDatabase.from_texts(texts, alphabet=alphabet)
         cursor = GeneralizedSuffixTree.build(database)
@@ -145,15 +156,15 @@ class TestVerbatimQuery:
                 )
 
         results = {}
-        for kernel in (LIVE, REFERENCE):
-            result = OasisSearch(cursor, matrix, FixedGapModel(gap), kernel=kernel).search(
+        for each in (kernel, REFERENCE):
+            result = OasisSearch(cursor, matrix, FixedGapModel(gap), kernel=each).search(
                 query, min_score=max(1, perfect // 2)
             )
             counters = result.statistics.as_dict()
             del counters["elapsed_seconds"], counters["kernel"]
-            results[kernel.name] = ([(hit.sequence_index, hit.score) for hit in result], counters)
-        assert results["live"] == results["reference"]
-        assert results["live"][0][0][1] == perfect
+            results[each.name] = ([(hit.sequence_index, hit.score) for hit in result], counters)
+        assert results[kernel.name] == results["reference"]
+        assert results[kernel.name][0][0][1] == perfect
 
         # Node by node down the path the query spells: the child in which
         # the match completes is finished, with the perfect score.
@@ -171,7 +182,7 @@ class TestVerbatimQuery:
                 if cursor.arc_symbols(c)[0] == remaining[0]
             ]
             sibling = (child, cursor.arc_symbols(child), cursor.is_leaf(child))
-            live_node = LIVE.expand_arc(live_node, *sibling, context)
+            live_node = kernel.expand_arc(live_node, *sibling, context)
             reference_node = REFERENCE.expand_arc(reference_node, *sibling, context)
             assert node_signature(live_node, length) == node_signature(reference_node, length)
             remaining = remaining[len(sibling[1]):]
@@ -191,7 +202,7 @@ class TestFusedStepProperty:
         data=st.data(),
     )
     def test_one_walk_equals_one_dense_column(
-        self, query, arc, gap, min_score, max_score, is_leaf, data
+        self, kernel, query, arc, gap, min_score, max_score, is_leaf, data
     ):
         # Any column a path can hold: cells in rows below m (a finished
         # column has none in row m), no score above the path's maximum.
@@ -207,7 +218,7 @@ class TestFusedStepProperty:
         ]
         context = make_context(PROTEIN_ALPHABET, pam30(), query, gap, min_score)
         live, reference = both_steps(
-            context, cells, max_score, PROTEIN_ALPHABET.encode(arc), is_leaf
+            kernel, context, cells, max_score, PROTEIN_ALPHABET.encode(arc), is_leaf
         )
         assert node_signature(live, len(query) + 1) == node_signature(reference, len(query) + 1)
         if live.column is not None:

@@ -26,7 +26,7 @@ from repro.baselines.smith_waterman import SmithWatermanAligner
 from repro.core.engine import OasisEngine
 from repro.core.expand import ExpansionContext
 from repro.core.kernels import (
-    DEFAULT_KERNEL,
+    CompiledKernel,
     LiveCellKernel,
     ReferenceKernel,
     available_kernels,
@@ -41,7 +41,7 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from support import dense, node_signature
+from support import PRODUCTION_KERNELS, dense, node_signature
 
 SEEDS = [3, 11, 29]
 
@@ -118,15 +118,16 @@ def run_searches(tree, queries, matrix, gap, kernel, min_score, **switches):
     return outcomes
 
 
+@pytest.mark.parametrize("kernel", PRODUCTION_KERNELS)
 class TestFuzzedSearchParity:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("configuration", CONFIGURATIONS, ids=CONFIGURATION_IDS)
-    def test_hits_and_counters_match_reference(self, seed, configuration):
+    def test_hits_and_counters_match_reference(self, seed, configuration, kernel):
         _, dataset, matrix, gap, min_score = configuration
         database, queries = dataset(seed)
         tree = GeneralizedSuffixTree.build(database)
         expected = run_searches(tree, queries, matrix(), gap, "reference", min_score)
-        actual = run_searches(tree, queries, matrix(), gap, DEFAULT_KERNEL, min_score)
+        actual = run_searches(tree, queries, matrix(), gap, kernel, min_score)
         assert actual == expected
         assert any(hits for hits, _ in expected)
         assert all(counters["nodes_pruned"] > 0 for _, counters in expected)
@@ -142,13 +143,13 @@ class TestFuzzedSearchParity:
         ],
         ids=lambda switches: "+".join(switches),
     )
-    def test_dense_configurations_take_the_reference_path(self, switches):
+    def test_dense_configurations_take_the_reference_path(self, switches, kernel):
         # A rule off, or per-rule counting on: columns are dense, and the
         # production kernel hands over to the reference form by itself.
         database, queries = protein_dataset(7)
         tree = GeneralizedSuffixTree.build(database)
         expected = run_searches(tree, queries, pam30(), -8, "reference", 35, **switches)
-        actual = run_searches(tree, queries, pam30(), -8, DEFAULT_KERNEL, 35, **switches)
+        actual = run_searches(tree, queries, pam30(), -8, kernel, 35, **switches)
         assert actual == expected
         if switches.get("track_pruning"):
             assert all(counters["pruned_non_positive"] > 0 for _, counters in actual)
@@ -176,6 +177,7 @@ def dense_view(entry, context) -> SearchNode:
     return node
 
 
+@pytest.mark.parametrize("kernel", PRODUCTION_KERNELS)
 class TestNodeLevelParity:
     """BFS over the tree comparing every expansion, production vs reference.
 
@@ -193,14 +195,14 @@ class TestNodeLevelParity:
     @pytest.mark.parametrize(
         "configuration", CONFIGURATIONS[::2], ids=CONFIGURATION_IDS[::2]
     )
-    def test_expand_children_matches_reference(self, seed, configuration):
+    def test_expand_children_matches_reference(self, seed, configuration, kernel):
         _, dataset, matrix, gap, min_score = configuration
         database, queries = dataset(seed)
         cursor = GeneralizedSuffixTree.build(database)
         query = queries[0]
         length = len(query) + 1
         reference = ReferenceKernel()
-        live = LiveCellKernel()
+        live = get_kernel(kernel)
         contexts = []
         for kernel in (reference, live):
             search = OasisSearch(cursor, matrix(), FixedGapModel(gap), kernel=kernel)
@@ -249,7 +251,7 @@ class TestNodeLevelParity:
         assert reference_context.nodes_enqueued > 0
         assert multi_cell_columns > 0
 
-    def test_a_dense_parent_column_is_converted(self):
+    def test_a_dense_parent_column_is_converted(self, kernel):
         # ``expand_arc`` takes whatever column a node carries: the live-cell
         # kernel converts the dense one of a reference-built node.
         database, queries = protein_dataset(5)
@@ -272,7 +274,7 @@ class TestNodeLevelParity:
             for child in cursor.children(parent.tree_node):
                 sibling = (child, cursor.arc_symbols(child), cursor.is_leaf(child))
                 expected = ReferenceKernel().expand_arc(parent, *sibling, context)
-                actual = LiveCellKernel().expand_arc(parent, *sibling, context)
+                actual = get_kernel(kernel).expand_arc(parent, *sibling, context)
                 assert node_signature(actual, length) == node_signature(expected, length)
 
 
@@ -285,10 +287,10 @@ class TestEngineParity:
             database, matrix=matrix, gap_model=gap_model, kernel="reference"
         )
         disk = OasisEngine.build_on_disk(
-            database, matrix, tmp_path / "image.oasis", gap_model=gap_model, kernel=DEFAULT_KERNEL
+            database, matrix, tmp_path / "image.oasis", gap_model=gap_model
         )
         sharded = ShardedEngine.build_on_disk(
-            database, tmp_path / "index", matrix, gap_model, shard_count=3, kernel=DEFAULT_KERNEL
+            database, tmp_path / "index", matrix, gap_model, shard_count=3
         )
         try:
             for query in queries[:3]:
@@ -302,14 +304,15 @@ class TestEngineParity:
                         (hit.sequence_index, hit.score, hit.evalue) for hit in result
                     ]
                     assert actual == expected
-                    assert result.statistics.kernel == DEFAULT_KERNEL
+                    assert result.statistics.kernel == get_kernel().name
         finally:
             disk.close()
             sharded.close()
 
+    @pytest.mark.parametrize("kernel", PRODUCTION_KERNELS)
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("gap", [-8, -2, -1])
-    def test_engines_sharing_one_tree_agree_on_evalue_searches(self, seed, gap):
+    def test_engines_sharing_one_tree_agree_on_evalue_searches(self, seed, gap, kernel):
         """Two engines over one tree and one converter: only the kernel differs."""
         database, queries = protein_dataset(seed)
         reference = OasisEngine.build(
@@ -320,7 +323,7 @@ class TestEngineParity:
             reference.matrix,
             reference.gap_model,
             converter=reference.converter,
-            kernel=DEFAULT_KERNEL,
+            kernel=kernel,
         )
 
         def outcome(result, kernel):
@@ -337,7 +340,7 @@ class TestEngineParity:
         expected = [
             outcome(reference.search(query, evalue=10.0), "reference") for query in queries
         ]
-        actual = [outcome(live.search(query, evalue=10.0), DEFAULT_KERNEL) for query in queries]
+        actual = [outcome(live.search(query, evalue=10.0), kernel) for query in queries]
         assert actual == expected
         assert any(hits for hits, _ in expected)
 
@@ -393,7 +396,8 @@ class TestDifferentialAgainstSmithWaterman:
 
 
 class TestSharedKernelInstance:
-    def test_threads_sharing_one_kernel_match_private_kernels(self):
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_threads_sharing_one_kernel_match_private_kernels(self, kernel):
         # Kernels keep no per-query state: one instance serving concurrent
         # executions must give what private instances give.  More threads
         # than cores and a short switch interval force interleaving inside
@@ -437,13 +441,13 @@ class TestSharedKernelInstance:
             assert not any(thread.is_alive() for thread in threads)
             return results
 
-        shared_kernel = LiveCellKernel()
+        shared_kernel = get_kernel(kernel)
         shared = outcomes(
             [OasisSearch(tree, matrix, FixedGapModel(-8), kernel=shared_kernel)] * workers
         )
         private = outcomes(
             [
-                OasisSearch(tree, matrix, FixedGapModel(-8), kernel=LiveCellKernel())
+                OasisSearch(tree, matrix, FixedGapModel(-8), kernel=get_kernel(kernel))
                 for _ in range(workers)
             ]
         )
@@ -453,12 +457,15 @@ class TestSharedKernelInstance:
 
 class TestKernelSelection:
     def test_one_oracle_and_one_production_kernel(self):
-        assert available_kernels() == ("reference", DEFAULT_KERNEL)
+        # The production kernel in its two forms: the Python walk, and the
+        # same walk compiled where it builds.
+        assert available_kernels() == ("reference",) + PRODUCTION_KERNELS
+        assert PRODUCTION_KERNELS in (("live",), ("live", "compiled"))
 
-    def test_default_is_the_live_cell_kernel(self, monkeypatch):
+    def test_default_is_the_compiled_kernel_where_it_builds(self, monkeypatch):
         monkeypatch.delenv("OASIS_KERNEL", raising=False)
         assert isinstance(get_kernel(), LiveCellKernel)
-        assert get_kernel().name == DEFAULT_KERNEL
+        assert get_kernel().name == PRODUCTION_KERNELS[-1]
 
     def test_environment_selects_the_kernel(self, monkeypatch):
         monkeypatch.setenv("OASIS_KERNEL", "reference")
@@ -466,7 +473,7 @@ class TestKernelSelection:
 
     def test_explicit_name_beats_environment(self, monkeypatch):
         monkeypatch.setenv("OASIS_KERNEL", "reference")
-        assert isinstance(get_kernel(DEFAULT_KERNEL), LiveCellKernel)
+        assert type(get_kernel("live")) is LiveCellKernel
 
     def test_instance_passes_through(self):
         kernel = ReferenceKernel()
@@ -487,7 +494,8 @@ class TestKernelSelection:
         assert result.statistics.kernel == "reference"
         assert result.statistics.as_dict()["kernel"] == "reference"
 
-    def test_expanding_a_discarded_column_is_rejected(self):
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_expanding_a_discarded_column_is_rejected(self, kernel):
         database, _ = protein_dataset(5)
         cursor = GeneralizedSuffixTree.build(database)
         context = ExpansionContext(
@@ -508,6 +516,5 @@ class TestKernelSelection:
         )
         child = next(iter(cursor.children(cursor.root)))
         arc = cursor.arc_symbols(child)
-        for kernel in (LiveCellKernel(), ReferenceKernel()):
-            with pytest.raises(ValueError, match="discarded"):
-                kernel.expand_arc(dead, child, arc, cursor.is_leaf(child), context)
+        with pytest.raises(ValueError, match="discarded"):
+            get_kernel(kernel).expand_arc(dead, child, arc, cursor.is_leaf(child), context)
