@@ -36,7 +36,7 @@ if TYPE_CHECKING:
         configure_logging,
         get_logger,
     )
-    from repro.parallel import BatchSearchExecutor, BatchSearchReport
+    from repro.parallel import BatchSearchReport
     from repro.sequences.database import SequenceDatabase
     from repro.sequences.sequence import Sequence, SequenceRecord
     from repro.sharding import ShardCatalog, ShardedEngine, ShardedIndexBuilder
@@ -54,7 +54,7 @@ else:
                 "configure_logging",
                 "get_logger",
             ),
-            "repro.parallel": ("BatchSearchExecutor", "BatchSearchReport"),
+            "repro.parallel": ("BatchSearchReport",),
             "repro.sequences.database": ("SequenceDatabase",),
             "repro.sequences.sequence": ("Sequence", "SequenceRecord"),
             "repro.sharding": ("ShardCatalog", "ShardedEngine", "ShardedIndexBuilder"),
@@ -75,7 +75,6 @@ __all__ = [
     "Alignment",
     "SearchHit",
     "SearchResult",
-    "BatchSearchExecutor",
     "BatchSearchReport",
     "SequenceDatabase",
     "Sequence",

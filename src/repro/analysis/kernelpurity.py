@@ -1,9 +1,11 @@
 """Kernel-purity rule: the DP hot loops call no NumPy and emit no telemetry.
 
-The production expansion kernel in ``repro.core.kernels`` is fast because a
-column is two or three live cells handled as plain Python ints against
-per-query lists; the dense form it replaced spent its time in the call
-overhead of a dozen NumPy operations on a 15-element array.  Two easy ways
+The rule guards the ``live`` walk in ``repro.core.kernels``: the fallback
+kernel where the compiled column step cannot build, and the form that step
+(``_column_step.c``, the same walk in the C API) is read against.  The walk
+is fast because a column is two or three live cells handled as plain Python
+ints against per-query lists; the dense form it replaced spent its time in
+the call overhead of a dozen NumPy operations on a 15-element array.  Two easy ways
 to quietly give that back are (1) reaching for NumPy inside a column loop --
 any ``np.``/``numpy.`` call there costs more than the whole live-cell step --
 and (2) calling into the tracer/metrics machinery from inside the loop (the

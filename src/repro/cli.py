@@ -8,7 +8,7 @@ Sub-commands
 ``search``
     Run OASIS searches against a FASTA database and print the hits in
     decreasing score order.  ``--query`` searches one sequence; ``--queries``
-    runs a whole file of them through the batch executor -- the plain serial
+    runs a whole file of them through ``search_many`` -- the plain serial
     loop for one worker, ``--workers N`` threads otherwise -- optionally with
     a per-query ``--timeout``.
     ``--database F`` builds one in-memory index over F; ``--index DIR``
@@ -391,8 +391,8 @@ def _command_search(args: argparse.Namespace) -> int:
 
         profiler = StackProfiler(tracer)
 
-    # Single and batch mode both run through the concurrent executor; a lone
-    # query is simply a batch of one.
+    # Single and batch mode both run through search_many; a lone query is
+    # simply a batch of one.
     status = 0
     try:
         if profiler is not None:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
 from typing import Optional, Union
 
 from repro.core.evalue import SelectivityConverter
@@ -137,21 +136,14 @@ class OasisEngine(SearchSurface):
         """The ``min_score`` equivalent to an E-value cutoff for this query."""
         return self.converter.min_score_for_evalue(evalue, len(query))
 
-    def execute_request(
-        self,
-        request: SearchRequest,
-        cancel_event: Optional[threading.Event] = None,
-        tracer=None,
-    ) -> QueryExecution:
+    def execute_request(self, request: SearchRequest, tracer=None) -> QueryExecution:
         """Resolve the request against this engine's database and create its execution.
 
         The paper's experiments specify E-values; Equation 3 converts one to
         the ``min_score`` the search prunes against, here and only here (a
         request a sharded engine already resolved globally passes through).
         """
-        return self._search.execute_request(
-            request.resolved(self.converter), cancel_event=cancel_event, tracer=tracer
-        )
+        return self._search.execute_request(request.resolved(self.converter), tracer=tracer)
 
     def __repr__(self) -> str:
         return (

@@ -457,7 +457,11 @@ def _include_directory() -> str:
 
 
 def _cache_directory() -> str:
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    # The XDG Base Directory spec makes a relative XDG_CACHE_HOME invalid:
+    # honouring it would build a cache in every working directory.
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "repro-oasis")
 
 

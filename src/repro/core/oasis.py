@@ -11,8 +11,8 @@ order, without ever missing an alignment above the threshold.
 Each execution is a *self-contained* object owning its own priority queue,
 :class:`~repro.core.expand.ExpansionContext`, statistics and timing, so any
 number of executions can run concurrently (interleaved generators on one
-thread, or threads of a batch executor) over the same shared read-only
-cursor.  :class:`OasisSearch` is the per-configuration factory; ``search`` /
+thread, or the threads of a batch) over the same shared read-only cursor.
+:class:`OasisSearch` is the per-configuration factory; ``search`` /
 ``search_online`` / ``search_many`` come from the shared
 :class:`~repro.core.surface.SearchSurface` over its ``execute``.
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import threading
 import time
 from dataclasses import dataclass, fields
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
@@ -176,11 +175,10 @@ class QueryExecution:
         stops emitting and marks itself :attr:`timed_out`.  Hits already
         emitted stand (they are still correct and complete down to the score
         reached).
-    ``cancel_event``
-        Optional :class:`threading.Event` shared with a batch executor; when
-        set, the execution stops at the next queue pop.
     ``abort()``
-        Per-execution flag with the same effect as the cancel event.
+        Thread-safe flag: the execution stops at the next queue pop and
+        marks itself :attr:`aborted` (a batch left early aborts its
+        executions in flight this way).
 
     Telemetry (all optional, all off by default):
 
@@ -198,7 +196,6 @@ class QueryExecution:
         self,
         search: "OasisSearch",
         request: SearchRequest,
-        cancel_event: Optional[threading.Event] = None,
         tracer=None,
     ):
         if request.min_score is None:
@@ -214,7 +211,7 @@ class QueryExecution:
         self.aborted = False
 
         #: Telemetry: the span name/parent/attributes are plain fields so a
-        #: coordinator (sharded engine, batch executor, process worker) can
+        #: coordinator (sharded engine, batch, process worker) can
         #: re-label its shard executions before iteration starts.
         self.tracer = tracer
         self.trace_name = "query"
@@ -228,7 +225,6 @@ class QueryExecution:
         self.root_symbols: Optional[bytes] = None
         self._pool_start: Optional[tuple] = None
 
-        self._cancel_event = cancel_event
         self._abort_requested = False
         self._deadline: Optional[float] = None
         self._start_time: Optional[float] = None
@@ -274,9 +270,7 @@ class QueryExecution:
         self._deadline = deadline
 
     def _should_stop(self) -> bool:
-        if self._abort_requested or (
-            self._cancel_event is not None and self._cancel_event.is_set()
-        ):
+        if self._abort_requested:
             self.aborted = True
             return True
         if self._deadline is not None and time.perf_counter() >= self._deadline:
@@ -636,14 +630,9 @@ class OasisSearch(SearchSurface):
         self.track_pruning = track_pruning
         self.kernel: ExpansionKernel = get_kernel(kernel)
 
-    def execute_request(
-        self,
-        request: SearchRequest,
-        cancel_event: Optional[threading.Event] = None,
-        tracer=None,
-    ) -> QueryExecution:
+    def execute_request(self, request: SearchRequest, tracer=None) -> QueryExecution:
         """Create a self-contained execution for one (resolved) request."""
-        return QueryExecution(self, request, cancel_event=cancel_event, tracer=tracer)
+        return QueryExecution(self, request, tracer=tracer)
 
     # ------------------------------------------------------------------ #
     # Alignment reconstruction

@@ -3,8 +3,8 @@
 Everything a caller can say about a search is a field here, ``__post_init__``
 is the only place the values are checked, and the same object travels from
 the CLI through the engines into a worker process.  The run-time wiring of
-one execution (``cancel_event``, ``tracer``) is not part of it: those are
-live objects of the process that runs the search.
+one execution (its ``tracer``, and ``abort()`` on the execution itself) is
+not part of it: those are live objects of the process that runs the search.
 """
 
 from __future__ import annotations

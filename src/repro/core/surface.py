@@ -37,23 +37,23 @@ class SearchSurface:
     """
 
     #: Each engine's own factory for the (unstarted) execution of one request:
-    #: ``execute_request(request, cancel_event=None, tracer=None)``.
+    #: ``execute_request(request, tracer=None)``.
     execute_request: Callable[..., Any]
 
-    def execute(self, query: Query, cancel_event=None, tracer=None, **options):
+    def execute(self, query: Query, tracer=None, **options):
         """Create the self-contained, reentrant execution of one query.
 
         Iterate it for the online stream or call ``.result()`` for the batch
         result; any number can run concurrently against the engine's shared
-        read-only index.  ``cancel_event`` (a :class:`threading.Event`) stops
-        it at the next queue pop; ``tracer`` (a :class:`~repro.obs.Tracer`)
-        wraps the run in a span and records the search metrics.
+        read-only index.  ``.abort()`` stops it at the next queue pop;
+        ``tracer`` (a :class:`~repro.obs.Tracer`) wraps the run in a span and
+        records the search metrics.
         """
         if not isinstance(query, SearchRequest):
             query = SearchRequest(query, **options)
         elif options:
             raise TypeError("options belong inside the SearchRequest, not beside it")
-        return self.execute_request(query, cancel_event=cancel_event, tracer=tracer)
+        return self.execute_request(query, tracer=tracer)
 
     def search(self, query: Query, **options) -> SearchResult:
         """Find the strongest alignment per sequence scoring above a threshold.
@@ -70,20 +70,18 @@ class SearchSurface:
     def search_many(
         self,
         queries: Iterable[str],
-        workers: int = 4,
+        workers: int = 1,
         timeout: Optional[float] = None,
         tracer=None,
         **options,
     ) -> "BatchSearchReport":
         """Run a batch of queries over the shared index, results in input order.
 
-        The queries fan out on ``workers`` threads, or run as the plain serial
-        loop for one worker.  Expansion is plain Python under the interpreter
-        lock and the buffer-pool misses of an index in the page cache are
-        short, so the threads do not overlap anything: on the benchmark's
-        protein inputs (60 queries, 2 cores) ``workers=2`` took 0.86 s to one
-        worker's 0.84 s in memory, and 1.28 s to 1.18 s on a 1-shard index
-        whose pool holds 1/8 of the image.
+        A batch is a loop of :meth:`execute` ``.result()`` calls
+        (:func:`repro.parallel.executor.search_many`): on the calling thread
+        for one worker, on a pool of ``workers`` threads otherwise.  The
+        column step holds the interpreter lock, so the threads overlap
+        nothing and one worker is the fastest.
         ``timeout`` is a per-query wall-clock budget in seconds; a query
         exceeding it stops early with the hits found so far and is flagged
         ``timed_out``.  ``options`` are the request fields every query of the
@@ -91,15 +89,12 @@ class SearchSurface:
         is then the timeout).  On a sharded engine each query in turn
         scatters on the engine's own backend and the report carries
         per-shard aggregates.
-
-        For streaming consumption (results as they complete), use
-        :class:`repro.parallel.BatchSearchExecutor` directly.
         """
-        from repro.parallel.executor import BatchSearchExecutor
+        from repro.parallel.executor import search_many
 
-        return BatchSearchExecutor.for_engine(
-            self, workers=workers, timeout=timeout, tracer=tracer, **options
-        ).run(queries)
+        return search_many(
+            self, queries, workers=workers, timeout=timeout, tracer=tracer, **options
+        )
 
     def instrument(self, tracer) -> None:
         """Attach a tracer to the index's buffer pool (``None`` detaches).

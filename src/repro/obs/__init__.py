@@ -1,7 +1,7 @@
 """repro.obs: zero-dependency telemetry for the OASIS engine.
 
 Three pieces, designed to thread through every execution layer (monolithic
-engine, sharded scatter-gather, batch executor, process workers) without
+engine, sharded scatter-gather, batches, process workers) without
 adding cost when unused:
 
 * **Trace spans** (:mod:`repro.obs.trace`): hierarchical

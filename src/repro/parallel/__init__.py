@@ -1,11 +1,11 @@
-"""Concurrent batch search over a shared suffix-tree index.
+"""Batch search over a shared suffix-tree index.
 
 The engine's query layer is reentrant -- every search runs as its own
-:class:`~repro.core.oasis.QueryExecution` -- and this package supplies the
-serving layer on top: :class:`BatchSearchExecutor` fans a workload out across
-a thread pool over the shared read-only cursor, yields results as they
-complete, aggregates per-query statistics into a :class:`BatchSearchReport`,
-and supports per-query timeouts and early abort.
+:class:`~repro.core.oasis.QueryExecution` -- and a batch is a loop over
+those executions: :func:`search_many` (what every engine's ``search_many``
+calls) runs the queries on the calling thread or a pool of threads,
+captures per-query failures and timeouts, and aggregates the per-query
+statistics into a :class:`BatchSearchReport`.
 """
 
 from typing import TYPE_CHECKING
@@ -14,33 +14,30 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.parallel.executor import (
-        DEFAULT_WORKERS,
         BatchQueryOutcome,
-        BatchSearchExecutor,
         BatchSearchReport,
         BatchStatistics,
         ShardAggregate,
+        search_many,
     )
 else:
     __getattr__, __dir__ = lazy_exports(
         __name__,
         {
             "repro.parallel.executor": (
-                "DEFAULT_WORKERS",
                 "BatchQueryOutcome",
-                "BatchSearchExecutor",
                 "BatchSearchReport",
                 "BatchStatistics",
                 "ShardAggregate",
+                "search_many",
             ),
         },
     )
 
 __all__ = [
-    "DEFAULT_WORKERS",
     "BatchQueryOutcome",
-    "BatchSearchExecutor",
     "BatchSearchReport",
     "BatchStatistics",
     "ShardAggregate",
+    "search_many",
 ]

@@ -97,8 +97,8 @@ def root_partitions(database: SequenceDatabase, count: int) -> List[bytes]:
 class ShardedQueryExecution:
     """One query over the index's tree: whole, or scattered by root partition.
 
-    Mirrors the :class:`~repro.core.oasis.QueryExecution` surface the batch
-    executor relies on: iterate it for the online stream (the one execution
+    Mirrors the :class:`~repro.core.oasis.QueryExecution` surface a batch
+    relies on: iterate it for the online stream (the one execution
     over the whole tree, on the calling thread) or call :meth:`result` to
     run the query on the engine's scatter backend and collect the result.
     Either way the query ends in :attr:`shard_results` -- one
@@ -108,19 +108,12 @@ class ShardedQueryExecution:
     those.
     """
 
-    def __init__(
-        self,
-        engine: "ShardedEngine",
-        request: SearchRequest,
-        cancel_event: Optional[threading.Event] = None,
-        tracer=None,
-    ):
+    def __init__(self, engine: "ShardedEngine", request: SearchRequest, tracer=None):
         self.engine = engine
         #: Resolved against the whole database.
         self.request = request
-        self.cancel_event = cancel_event
         self.tracer = tracer
-        #: Explicit parent for the query span (a batch executor sets it so
+        #: Explicit parent for the query span (``search_many`` sets it so
         #: queries running on pool threads still nest under the batch span).
         self.trace_parent: Optional[str] = None
         #: The execution of this process, built when the query starts to run
@@ -186,9 +179,7 @@ class ShardedQueryExecution:
         It gets the pinned deadline and finds the query span by explicit id,
         not by thread-local nesting.
         """
-        execution = self.engine.tree_engine.execute_request(
-            self.request, cancel_event=self.cancel_event, tracer=self.tracer
-        )
+        execution = self.engine.tree_engine.execute_request(self.request, tracer=self.tracer)
         execution.set_deadline(self.deadline)
         if span is not None:
             label_shard_execution(execution, 0, span.span_id)
@@ -418,7 +409,7 @@ class ShardedEngine(SearchSurface):
     defines ``execute_request`` and inherits the searching surface
     (``execute`` / ``search`` / ``search_online`` / ``search_many``) that
     :class:`~repro.core.engine.OasisEngine` inherits, so every consumer of
-    an engine -- the batch executor, the workload adapters, the CLI -- can
+    an engine -- ``search_many``, the workload adapters, the CLI -- can
     run on an index without changes.
 
     ``backend`` selects how ``search`` /
@@ -642,12 +633,7 @@ class ShardedEngine(SearchSurface):
     # ------------------------------------------------------------------ #
     # Searching
     # ------------------------------------------------------------------ #
-    def execute_request(
-        self,
-        request: SearchRequest,
-        cancel_event: Optional[threading.Event] = None,
-        tracer=None,
-    ) -> ShardedQueryExecution:
+    def execute_request(self, request: SearchRequest, tracer=None) -> ShardedQueryExecution:
         """Resolve the request once, here, and create its (unstarted) execution.
 
         Every partition runs the same resolved request, so an ``evalue``
@@ -656,9 +642,7 @@ class ShardedEngine(SearchSurface):
         """
         if self._closed:
             raise RuntimeError("ShardedEngine is closed")
-        return ShardedQueryExecution(
-            self, request.resolved(self.converter), cancel_event=cancel_event, tracer=tracer
-        )
+        return ShardedQueryExecution(self, request.resolved(self.converter), tracer=tracer)
 
     def instrument(self, tracer) -> None:
         """Attach a tracer to the tree's buffer pool (``None`` detaches).
@@ -703,10 +687,10 @@ class ShardedEngine(SearchSurface):
         the wall clock crosses process boundaries, so a task that queued
         behind others sees only the time actually left -- the budget stays
         a true per-query wall clock, exactly as on the in-process path.
-        Cancellation (batch abort, abandoned stream) is honoured for tasks
-        that have not started; an in-flight remote search cannot be
-        interrupted cooperatively and runs to completion (bound it with a
-        time budget).
+        An :meth:`~ShardedQueryExecution.abort` cancels the tasks that have
+        not started (the flag is polled while the tasks run); an in-flight
+        remote search cannot be interrupted cooperatively and runs to
+        completion (bound it with a time budget).
         """
         request, tracer = scattered.request, scattered.tracer
         deadline_epoch: Optional[float] = None
@@ -749,17 +733,15 @@ class ShardedEngine(SearchSurface):
                 else None
                 for shard, symbols in enumerate(self.partitions)
             ]
-            cancel = scattered.cancel_event
-            if cancel is not None:
-                # Poll instead of blocking outright, so a batch abort can
-                # still cancel the tasks the pool has not started yet.
-                pending = {future for future in futures if future is not None}
-                while pending:
-                    done, pending = futures_wait(pending, timeout=0.05)
-                    if pending and cancel.is_set():
-                        for future in pending:
-                            future.cancel()
-                        break
+            # Poll instead of blocking outright, so an abort of the query
+            # can still cancel the tasks the pool has not started yet.
+            pending = {future for future in futures if future is not None}
+            while pending:
+                done, pending = futures_wait(pending, timeout=0.05)
+                if pending and scattered._abort_requested:
+                    for future in pending:
+                        future.cancel()
+                    break
             results = []
             for future in futures:
                 if future is None:

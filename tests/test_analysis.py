@@ -75,7 +75,7 @@ class TestLayeringRule:
             """
             from repro.core.engine import OasisEngine
             from repro.obs.trace import Tracer
-            from repro.parallel.executor import BatchSearchExecutor
+            from repro.parallel.executor import search_many
             from repro.sharding.catalog import ShardCatalog
             """,
         )

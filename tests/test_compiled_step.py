@@ -198,6 +198,23 @@ def runs(directory):
     return len(path.read_text().splitlines()) if path.exists() else 0
 
 
+class TestCacheDirectory:
+    def test_an_absolute_xdg_cache_home_holds_the_cache(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert kernels._cache_directory() == str(tmp_path / "repro-oasis")
+
+    @pytest.mark.parametrize("value", ["", "relcache", "./cache", "~/cache"])
+    def test_an_unset_or_relative_xdg_cache_home_means_the_home_cache(
+        self, monkeypatch, tmp_path, value
+    ):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+        expected = str(tmp_path / ".cache" / "repro-oasis")
+        assert kernels._cache_directory() == expected
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        assert kernels._cache_directory() == expected
+
+
 class TestFallback:
     def test_no_gcc_means_live(self, fresh_build, monkeypatch):
         monkeypatch.setattr(kernels, "_compiler", lambda: None)

@@ -171,9 +171,8 @@ def test_batch_spans_nest_queries_under_batch(index_dir):
         query.span_id for query in queries
     }
 
-    # The fan-out backend's parent-side instrumentation saw both tasks.
-    latency = tracer.metrics.get("exec.task_seconds[threads:2]")
-    assert latency is not None and latency.count == 2
+    # Each query ran once and was counted once, on whichever pool thread.
+    assert tracer.metrics.counter("search.queries").value == 2
 
 
 @pytest.mark.parametrize("backend", ["serial", "processes:2"])

@@ -8,7 +8,8 @@ an operator asks about a run is pinned here to where it is read:
 * timeouts, aborts and errors -> span attributes and statuses (and the
   ``search.timeouts`` / ``search.aborts`` counters);
 * buffer-pool eviction bursts -> the ``pool.evictions`` counter;
-* queue-depth peaks -> the ``exec.queue_depth[<spec>]`` gauge's max;
+* a batch's fan-out and size -> the ``batch`` span's ``backend`` and
+  ``queries`` attributes (its queue never holds more than the batch);
 * peak RSS -> the ``process.peak_rss_bytes`` gauge that ``--metrics`` reads
   from ``VmHWM`` when the run ends;
 * a wedged run -> Ctrl-C, which still writes all of them on the way out.
@@ -31,7 +32,6 @@ from repro.cli import main as cli_main
 from repro.core.engine import OasisEngine
 from repro.obs import Recording, Tracer
 from repro.obs.recording import load, validate, write
-from repro.parallel import BatchSearchExecutor
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import PROTEIN_ALPHABET
@@ -232,30 +232,36 @@ class TestStopsAndFailures:
             engine = OasisEngine.build(_database(), pam30(), FixedGapModel(-8))
         else:
             engine = open_sharded(2)
-        cancel = threading.Event()
-        cancel.set()
         tracer = Tracer()
         with engine:
-            result = engine.execute(
-                CORE, cancel_event=cancel, tracer=tracer, min_score=MIN_SCORE
-            ).result()
+            execution = engine.execute(CORE, tracer=tracer, min_score=MIN_SCORE)
+            execution.abort()
+            result = execution.result()
         assert len(result) == 0
         (query,) = _by_name(_valid_recording(tracer))["query"]
         assert query.attributes["aborted"] is True
         assert tracer.metrics.counter("search.aborts").value >= 1
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_an_abandoned_batch_is_marked_on_its_span(self, workers):
+    def test_an_abandoned_batch_is_marked_on_its_span(self, workers, monkeypatch):
+        """Ctrl-C during the second query: the batch span still closes,
+        saying how far it got."""
         tracer = Tracer()
         with OasisEngine.build(_database(), pam30(), FixedGapModel(-8)) as engine:
-            executor = BatchSearchExecutor.for_engine(
-                engine, workers=workers, tracer=tracer, min_score=MIN_SCORE
-            )
-            stream = executor.map(QUERIES)
-            next(stream)
-            stream.close()
+            execute = engine.execute
+
+            def interrupt_the_second(request, tracer=None):
+                if request.query == QUERIES[1]:
+                    raise KeyboardInterrupt
+                return execute(request, tracer=tracer)
+
+            monkeypatch.setattr(engine, "execute", interrupt_the_second)
+            with pytest.raises(KeyboardInterrupt):
+                engine.search_many(QUERIES, workers=workers, tracer=tracer, min_score=MIN_SCORE)
         spans = _by_name(_valid_recording(tracer))
         (batch,) = spans["batch"]
+        assert batch.attributes["backend"] == ("serial" if workers == 1 else "threads:2")
+        assert batch.attributes["queries"] == len(QUERIES)
         assert batch.attributes["completed"] == 1
         assert batch.attributes["abandoned"] is True
         assert 1 <= len(spans["query"]) <= len(QUERIES)
@@ -367,30 +373,6 @@ class TestEvictionCounter:
         assert evictions == sum(pool.statistics.evictions for pool in pools) > 0
         for pool in pools:
             assert pool.statistics.evictions == max(0, pool.statistics.misses - pool.frame_count)
-
-
-# --------------------------------------------------------------------- #
-# Queue-depth peaks: the exec.queue_depth gauge
-# --------------------------------------------------------------------- #
-class TestQueueDepthGauge:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_the_gauge_peaks_within_the_batch_and_drains(self, workers):
-        spec = "serial" if workers == 1 else f"threads:{workers}"
-        batch = QUERIES * 2
-        tracer = Tracer()
-        with OasisEngine.build(_database(), pam30(), FixedGapModel(-8)) as engine:
-            engine.search_many(batch, workers=workers, min_score=MIN_SCORE, tracer=tracer)
-        depth = tracer.metrics.get(f"exec.queue_depth[{spec}]")
-        latency = tracer.metrics.get(f"exec.task_seconds[{spec}]")
-        assert depth is not None and latency is not None
-        assert depth.value == 0
-        if workers == 1:
-            # The serial loop submits one task at a time.
-            assert depth.max_value == 1
-        else:
-            assert 1 <= depth.max_value <= len(batch)
-        assert latency.count == len(batch)
-        assert _by_name(_valid_recording(tracer))["batch"][0].attributes["backend"] == spec
 
 
 # --------------------------------------------------------------------- #

@@ -7,8 +7,9 @@ Covers the guarantees the serving layer depends on:
 * an early-aborted generator still reports the work it actually did;
 * ``search_many`` returns results identical to the serial loop, on both the
   in-memory and the disk-resident index;
-* per-query timeouts and batch-wide abort stop work cooperatively -- also
-  when a batch of width one runs as the plain serial loop.
+* per-query timeouts stop work cooperatively -- also when a batch of width
+  one runs as the plain serial loop -- and a batch the calling thread
+  leaves early aborts its queries in flight and leaves no thread behind.
 """
 
 import threading
@@ -17,7 +18,8 @@ import time
 import pytest
 
 from repro.core.engine import OasisEngine
-from repro.parallel import BatchSearchExecutor, BatchSearchReport
+from repro.core.request import SearchRequest
+from repro.parallel import BatchSearchReport
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
@@ -291,11 +293,14 @@ class TestSearchMany:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_workers_alone_set_the_fan_out(self, engine, small_protein_database, workers):
         spec = "serial" if workers == 1 else f"threads:{workers}"
-        executor = BatchSearchExecutor.for_engine(engine, workers=workers, min_score=8)
-        assert executor.backend_spec == spec
-        report = executor.run(standard_workload(small_protein_database, count=4))
+        queries = standard_workload(small_protein_database, count=4)
+        report = engine.search_many(queries, workers=workers, min_score=8)
         assert report.statistics.backend == report.statistics.as_dict()["backend"] == spec
         assert f"{workers} workers, {spec})" in report.format_summary()
+
+    def test_the_default_is_one_worker(self, engine, small_protein_database):
+        report = engine.search_many(standard_workload(small_protein_database, count=3), min_score=8)
+        assert report.statistics.workers == 1 and report.statistics.backend == "serial"
 
     def test_serial_loop_honours_the_timeout(self, engine, small_protein_database):
         queries = standard_workload(small_protein_database, count=4)
@@ -307,73 +312,45 @@ class TestSearchMany:
         assert all(len(r) <= n for r, n in zip(report.results(), full))
         assert all(r.parameters["timed_out"] for r in report.results())
 
-    def test_serial_loop_is_aborted_from_another_thread(self, engine, small_protein_database):
-        """abort() mid-batch: the in-flight query stops at its next queue pop
-        (it keeps what it has), the queries behind it never start."""
-        queries = standard_workload(small_protein_database, count=5)
-        executor = BatchSearchExecutor.for_engine(engine, workers=1, min_score=1)
-        assert executor.backend_spec == "serial"
-        original = executor._run_query
-        in_flight, abort_issued = threading.Event(), threading.Event()
-
-        def held_in_flight(query, budget, cancel, trace_parent):
-            in_flight.set()
-            assert abort_issued.wait(timeout=30)
-            return original(query, budget, cancel, trace_parent)
-
-        def abort_once_running():
-            assert in_flight.wait(timeout=30)
-            executor.abort()
-            abort_issued.set()
-
-        executor._run_query = held_in_flight
-        aborter = threading.Thread(target=abort_once_running)
-        aborter.start()
-        report = executor.run(queries)
-        aborter.join(timeout=30)
-        assert not aborter.is_alive()
-
-        first, rest = report.outcomes[0], report.outcomes[1:]
-        assert first.aborted and first.result is not None
-        assert first.result.parameters["aborted"] is True
-        assert len(first.result) < len(engine.search(queries[0], min_score=1))
-        assert first.result.statistics.nodes_expanded == 0  # stopped at the first pop
-        assert all(outcome.aborted and outcome.result is None for outcome in rest)
-        assert report.statistics.aborted == 5
-
-    def test_streaming_map_yields_all_pairs(self, engine, small_protein_database):
-        queries = standard_workload(small_protein_database, count=8)
-        executor = BatchSearchExecutor.for_engine(engine, workers=4, min_score=8)
-        pairs = dict(executor.map(queries))
-        assert set(pairs) == set(queries)
-        for query, result in pairs.items():
-            assert hit_tuples(result) == hit_tuples(engine.search(query, min_score=8))
-
-    def test_abandoning_the_stream_aborts_the_batch(self, engine, small_protein_database):
-        queries = standard_workload(small_protein_database, count=16)
-        executor = BatchSearchExecutor.for_engine(engine, workers=2, min_score=8)
-        stream = executor.map(queries)
-        next(stream)
-        stream.close()  # must not deadlock or run the remaining 15 to completion
-
     def test_rejects_invalid_parameters(self, engine):
         with pytest.raises(ValueError):
-            BatchSearchExecutor.for_engine(engine, workers=0, min_score=8)
+            engine.search_many([QUERY], workers=0, min_score=8)
         with pytest.raises(ValueError):
-            BatchSearchExecutor.for_engine(engine, workers=2, timeout=0, min_score=8)
+            engine.search_many([QUERY], workers=2, timeout=0, min_score=8)
+        with pytest.raises(TypeError):
+            engine.search_many([QUERY], template=SearchRequest(QUERY, min_score=8), min_score=8)
+        assert pool_threads() == []
 
-    def test_abort_before_run_skips_every_query(self, engine, small_protein_database):
-        queries = standard_workload(small_protein_database, count=6)
-        executor = BatchSearchExecutor.for_engine(engine, workers=2, min_score=8)
-        executor.abort()
-        report = executor.run(queries)
-        assert report.statistics.aborted == 6
-        assert all(outcome.result is None for outcome in report.outcomes)
-        # Skipped queries must surface as errors, never as None holes.
-        with pytest.raises(RuntimeError):
-            report.results()
-        assert all("aborted" in outcome.error for outcome in report.outcomes)
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("engine_kind", ["memory", "disk-eighth-pool", "processes:2"])
+    def test_every_fan_out_matches_the_serial_search_loop(
+        self, tmp_path, small_protein_database, pam30_matrix, gap8, engine_kind, workers
+    ):
+        """The hits of a batch are the hits of ``search()`` one query at a time,
+        whatever the fan-out and whatever the engine under it."""
+        if engine_kind == "memory":
+            engine = OasisEngine.build(small_protein_database, pam30_matrix, gap8)
+        elif engine_kind == "disk-eighth-pool":
+            image = tmp_path / "index.oasis"
+            build_disk_image(small_protein_database, image, block_size=512)
+            pool_bytes = max(512, image.stat().st_size // 8)
+            cursor = DiskSuffixTree(image, small_protein_database, buffer_pool_bytes=pool_bytes)
+            engine = OasisEngine(cursor, pam30_matrix, gap8)
+        else:
+            from repro.sharding import ShardedEngine, ShardedIndexBuilder
+
+            ShardedIndexBuilder(pam30_matrix, gap8, shard_count=2, block_size=512).build(
+                small_protein_database, tmp_path / "index"
+            )
+            engine = ShardedEngine.open(tmp_path / "index", backend=engine_kind)
+        queries = standard_workload(small_protein_database, count=10)
+        with engine:
+            loop = [hit_tuples(engine.search(q, evalue=10.0)) for q in queries]
+            report = engine.search_many(queries, workers=workers, evalue=10.0)
+        assert any(loop)
+        assert [hit_tuples(r) for r in report.results()] == loop
+        assert pool_threads() == []
 
 
 def pool_threads():
@@ -386,8 +363,38 @@ def fake_result(query):
     return SearchResult(query=query, engine="fake")
 
 
+class FakeEngine:
+    """An engine whose executions run ``run(query)`` instead of a search."""
+
+    def __init__(self, run):
+        self.run = run
+        self.executed = []
+
+    def search_many(self, queries, **options):
+        from repro.parallel import search_many
+
+        return search_many(self, queries, **options)
+
+    def execute(self, request, tracer=None):
+        self.executed.append(request)
+        return FakeExecution(self.run, request.query)
+
+
+class FakeExecution:
+    def __init__(self, run, query):
+        self.run, self.query = run, query
+        self.trace_parent = None
+        self.aborted = False
+
+    def abort(self):
+        self.aborted = True
+
+    def result(self):
+        return self.run(self.query)
+
+
 class TestTheBatchPool:
-    """The executor owns its thread pool: one per run, gone when the run ends."""
+    """A batch owns its thread pool: one per run, gone when the run ends."""
 
     @pytest.mark.parametrize("workers", [2, 3, 4, 8])
     def test_a_run_leaves_no_pool_thread_behind(self, engine, small_protein_database, workers):
@@ -399,11 +406,11 @@ class TestTheBatchPool:
     def test_one_worker_runs_every_query_on_the_calling_thread(self):
         ran = []
 
-        def run_query(query, budget, cancel, trace_parent):
+        def run(query):
             ran.append(threading.current_thread())
             return fake_result(query)
 
-        report = BatchSearchExecutor(run_query, workers=1).run(["A", "C", "D"])
+        report = FakeEngine(run).search_many(["A", "C", "D"], workers=1, min_score=1)
         assert report.statistics.succeeded == 3
         assert ran == [threading.current_thread()] * 3
 
@@ -411,92 +418,117 @@ class TestTheBatchPool:
     def test_pooled_queries_run_on_at_most_workers_pool_threads(self, workers):
         names = []
 
-        def run_query(query, budget, cancel, trace_parent):
+        def run(query):
             names.append(threading.current_thread().name)
             time.sleep(0.001)
             return fake_result(query)
 
-        report = BatchSearchExecutor(run_query, workers=workers).run(["A"] * 12)
+        report = FakeEngine(run).search_many(["A"] * 12, workers=workers, min_score=1)
         assert report.statistics.succeeded == 12
         assert all(name.startswith("oasis-batch") for name in names)
         assert 1 <= len(set(names)) <= workers
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_nothing_runs_until_the_stream_is_pulled(self, workers):
-        ran = []
-
-        def run_query(query, budget, cancel, trace_parent):
-            ran.append(query)
-            return fake_result(query)
-
-        stream = BatchSearchExecutor(run_query, workers=workers).run_iter(["A", "C"])
-        assert ran == [] and pool_threads() == []
-        assert len(list(stream)) == 2
-        assert sorted(ran) == ["A", "C"]
-
-    def test_the_loop_runs_one_query_per_pull(self):
-        ran = []
-
-        def run_query(query, budget, cancel, trace_parent):
-            ran.append(query)
-            return fake_result(query)
-
-        stream = BatchSearchExecutor(run_query, workers=1).run_iter(list("ACDEF"))
-        next(stream), next(stream)
-        stream.close()
-        assert ran == ["A", "C"]
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_abandoning_a_pooled_stream_cancels_the_unstarted_queries(self, workers):
-        release = threading.Event()
-        started = []
-
-        def run_query(query, budget, cancel, trace_parent):
-            started.append(query)
-            if len(started) > 1:
-                # Held until the stream is abandoned: its cancel event is set.
-                assert cancel.wait(10)
-                release.set()
-            return fake_result(query)
-
-        queries = [f"Q{index}" for index in range(40)]
-        stream = BatchSearchExecutor(run_query, workers=workers).run_iter(queries)
-        next(stream)
-        stream.close()
-        assert release.is_set()
-        assert len(started) <= 2 * workers < len(queries)
-        assert pool_threads() == []
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_an_abandoned_pooled_stream_drains_the_queue_gauge(self, workers):
-        from repro.obs.trace import Tracer
-
-        def run_query(query, budget, cancel, trace_parent):
-            if query != "Q0":
-                cancel.wait(10)
-            return fake_result(query)
-
-        tracer = Tracer()
-        queries = [f"Q{index}" for index in range(30)]
-        stream = BatchSearchExecutor(run_query, workers=workers, tracer=tracer).run_iter(queries)
-        next(stream)
-        stream.close()
-        spec = f"threads:{workers}"
-        depth = tracer.metrics.get(f"exec.queue_depth[{spec}]")
-        latency = tracer.metrics.get(f"exec.task_seconds[{spec}]")
-        # Every query but the fast first one was in flight at the peak.
-        assert depth.value == 0 and depth.max_value >= len(queries) - 1
-        # Only the queries that ran are timed; the cancelled ones are not.
-        assert 1 <= latency.count < len(queries)
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_every_query_is_one_request_off_the_template(self, workers):
+        fake = FakeEngine(fake_result)
+        queries = [f"Q{index}" for index in range(9)]
+        report = fake.search_many(queries, workers=workers, evalue=5.0, max_results=3, timeout=2.0)
+        assert [outcome.query for outcome in report.outcomes] == queries
+        assert sorted(request.query for request in fake.executed) == queries
+        assert {
+            (request.evalue, request.max_results, request.time_budget)
+            for request in fake.executed
+        } == {(5.0, 3, 2.0)}
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_a_query_that_raises_is_one_failed_outcome(self, workers):
-        def run_query(query, budget, cancel, trace_parent):
+        def run(query):
             if query == "BAD":
                 raise ValueError("bad query")
             return fake_result(query)
 
-        report = BatchSearchExecutor(run_query, workers=workers).run(["A", "BAD", "C", "D"])
+        report = FakeEngine(run).search_many(["A", "BAD", "C", "D"], workers=workers, min_score=1)
         assert report.statistics.failed == 1 and report.statistics.succeeded == 3
+        assert [outcome.query for outcome in report.outcomes] == ["A", "BAD", "C", "D"]
         assert report.outcomes[1].error == "ValueError: bad query"
+        assert report.outcomes[1].result is None and not report.outcomes[1].ok
+        with pytest.raises(ValueError, match="bad query"):
+            report.results()
         assert pool_threads() == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_a_run_that_finishes_aborts_nothing(self, workers):
+        fake = FakeEngine(fake_result)
+        executions = []
+        execute = fake.execute
+
+        def recording_execute(request, tracer=None):
+            executions.append(execute(request, tracer=tracer))
+            return executions[-1]
+
+        fake.execute = recording_execute
+        report = fake.search_many(list("ACDEFG"), workers=workers, min_score=1)
+        assert report.statistics.succeeded == 6
+        assert len(executions) == 6 and not any(e.aborted for e in executions)
+
+
+class TestAnInterruptedBatch:
+    """The calling thread leaves early: in-flight queries abort, and the batch
+    leaves no pool thread and no open span behind."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_an_interrupt_aborts_in_flight_queries_and_closes_every_span(
+        self, engine, monkeypatch, small_protein_database, workers
+    ):
+        from repro.obs import Recording, Tracer
+        from repro.obs.recording import validate
+
+        boom = "WKDDG"
+        # The queries after the first: each holds a pool thread in its first
+        # cursor call until the batch aborts it.
+        queries = [boom] + standard_workload(small_protein_database, count=2 * workers)
+        in_flight, released = threading.Event(), threading.Event()
+        siblings = engine.cursor.siblings
+
+        def held_siblings(node):
+            in_flight.set()
+            if not released.wait(30):
+                released.set()  # no abort came: let the batch finish (and fail below)
+            return siblings(node)
+
+        monkeypatch.setattr(engine.cursor, "siblings", held_siblings)
+        execute = engine.execute
+        aborted = []
+
+        def interrupting_execute(request, tracer=None):
+            if request.query == boom:
+                assert in_flight.wait(30)
+                raise KeyboardInterrupt
+            execution = execute(request, tracer=tracer)
+            abort = execution.abort
+
+            def abort_and_release():
+                aborted.append(execution)
+                abort()
+                released.set()
+
+            execution.abort = abort_and_release
+            return execution
+
+        monkeypatch.setattr(engine, "execute", interrupting_execute)
+        tracer = Tracer()
+        with pytest.raises(KeyboardInterrupt):
+            engine.search_many(queries, workers=workers, min_score=1, tracer=tracer)
+
+        assert pool_threads() == []
+        assert tracer.active_spans() == {}
+        records = tracer.records()
+        assert validate(Recording.of(records, reason="test")) == []
+        (batch,) = [record for record in records if record.name == "batch"]
+        assert batch.attributes["abandoned"] is True
+        assert batch.attributes["completed"] == 0
+        queries_run = [record for record in records if record.name == "query"]
+        assert 1 <= len(aborted) == len(queries_run)
+        assert all(query.parent_id == batch.span_id for query in queries_run)
+        assert all(query.attributes.get("aborted") is True for query in queries_run)
+        assert all(execution.aborted for execution in aborted)

@@ -517,6 +517,18 @@ class TestProcessBackendFailurePaths:
             )
             assert report.statistics.timed_out == len(QUERIES)
 
+    def test_an_abort_cancels_the_partition_tasks_not_yet_started(self, index_directories):
+        """One worker, four partitions: the tasks still queued when the
+        scatter polls the execution's abort flag never run."""
+        with ShardedEngine.open(index_directories[4], backend="processes:1") as sharded:
+            execution = sharded.execute(QUERIES[0], evalue=EVALUE)
+            execution.abort()
+            result = execution.result()
+        rows = result.parameters["shard_stats"]
+        assert len(rows) == 4
+        assert result.parameters["aborted"] is True and execution.aborted
+        assert 1 <= sum(row["aborted"] for row in rows) < 4
+
     def test_result_after_close_raises(self, index_directories):
         sharded = ShardedEngine.open(index_directories[2], backend="processes:2")
         execution = sharded.execute(QUERIES[0], evalue=EVALUE)

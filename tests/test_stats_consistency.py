@@ -5,7 +5,7 @@ thread or process scatter), every shard-level execution that actually ran
 is counted exactly once -- the merged ``SearchResult.statistics``, the
 tracer's metric counters, and the recorded shard spans must all agree, with
 no double counting when worker snapshots merge back and no phantom counts
-from queries an abort skipped.  Timed-out and aborted shards must be
+from queries an interrupted batch skipped.  Timed-out and aborted shards must be
 flagged in the per-shard rows on every backend.
 """
 
@@ -20,7 +20,6 @@ from repro.core.engine import OasisEngine
 from repro.core.oasis import STATISTICS_METRICS, OasisSearchStatistics
 from repro.obs import Recording, Tracer
 from repro.obs.recording import validate
-from repro.parallel import BatchSearchExecutor
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import PROTEIN_ALPHABET
@@ -219,33 +218,25 @@ def test_timeout_flags_shards_without_double_counts(index_dir, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_abort_skips_cleanly(index_dir, backend):
-    """Aborting after the first query: the rest are skipped, never counted."""
+def test_batch_abort_skips_cleanly(index_dir, backend, monkeypatch):
+    """A batch interrupted after its first query: the rest never run, never count."""
     tracer = Tracer()
     with ShardedEngine.open(index_dir, backend=backend) as engine:
         engine.instrument(tracer)
-        executor = BatchSearchExecutor.for_engine(
-            engine, workers=1, min_score=MIN_SCORE, tracer=tracer
-        )
+        execute = engine.execute
+        calls = []
 
-        original = executor._run_query
+        def interrupt_after_first(request, tracer=None):
+            calls.append(request.query)
+            if len(calls) > 1:
+                raise KeyboardInterrupt
+            return execute(request, tracer=tracer)
 
-        def abort_after_first(query, budget, cancel, trace_parent=None):
-            result = original(query, budget, cancel, trace_parent=trace_parent)
-            executor.abort()
-            return result
+        monkeypatch.setattr(engine, "execute", interrupt_after_first)
+        with pytest.raises(KeyboardInterrupt):
+            engine.search_many([QUERY, QUERY, QUERY], workers=1, min_score=MIN_SCORE, tracer=tracer)
 
-        abort_after_first.accepts_trace_parent = True
-        executor._run_query = abort_after_first
-        report = executor.run([QUERY, QUERY, QUERY])
-
-    assert report.statistics.succeeded == 1
-    assert report.statistics.aborted == 2
-    assert report.outcomes[0].ok
-    assert all(
-        outcome.aborted and outcome.result is None
-        for outcome in report.outcomes[1:]
-    )
+    assert len(calls) == 2
 
     # Only the query that ran left any trace: one query span, one span and
     # one count per execution, nothing from the two skipped queries.
@@ -256,7 +247,8 @@ def test_batch_abort_skips_cleanly(index_dir, backend):
     assert validate_trace(records) == []
     assert len([r for r in records if r.name == "query"]) == 1
     assert len([r for r in records if r.name == "shard"]) == EXECUTIONS[backend]
-    assert len([r for r in records if r.name == "batch"]) == 1
+    (batch,) = [r for r in records if r.name == "batch"]
+    assert batch.attributes["completed"] == 1 and batch.attributes["abandoned"] is True
 
 
 def test_cooperative_abort_counts_the_interrupted_query_once(
