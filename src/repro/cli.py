@@ -49,7 +49,6 @@ from typing import List, Optional
 from repro.core.request import SearchRequest
 from repro.scoring.data import available_matrices, load_matrix
 from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel
-from repro.sequences.alphabet import AlphabetError
 from repro.sequences.fasta import read_fasta, write_fasta
 
 DEFAULT_MATRIX = "PAM30"
@@ -352,8 +351,8 @@ def _command_search(args: argparse.Namespace) -> int:
         args.evalue = 10.0
     if args.workers < 1:
         return _fail("search", "--workers must be at least 1")
-    if args.slow_log is not None and args.slow_log < 0:
-        return _fail("search", "--slow-log must be non-negative")
+    if args.slow_log is not None and not args.slow_log >= 0:
+        return _fail("search", f"--slow-log must be non-negative, not {args.slow_log}")
     # Validate the workload before opening any index: a bad --queries path
     # must not leak opened shard cursors.
     try:
@@ -428,9 +427,10 @@ def _command_search(args: argparse.Namespace) -> int:
     if len(queries) == 1:
         try:
             report.raise_first_error()
-        except AlphabetError as error:
-            # A symbol outside the database's alphabet is a usage error, like
-            # an empty query; a batch reports it in the query's row instead.
+        except ValueError as error:
+            # A symbol outside the database's alphabet, or an E-value that
+            # Equation 3 cannot turn into a score, is a usage error, like an
+            # empty query; a batch reports it in the query's row instead.
             return _fail("search", error)
         _print_single_result(report.outcomes[0].result)
         return 0

@@ -16,7 +16,7 @@ if TYPE_CHECKING:
     from repro.core.results import Alignment, SearchHit, SearchResult, OnlineResultLog
     from repro.core.heuristic import compute_heuristic_vector
     from repro.core.search_node import NodeState, SearchNode
-    from repro.core.oasis import OasisSearch, OasisSearchStatistics
+    from repro.core.oasis import OasisSearchStatistics
     from repro.core.request import SearchRequest
     from repro.core.engine import OasisEngine
     from repro.core.evalue import SelectivityConverter
@@ -32,7 +32,7 @@ else:
             ),
             "repro.core.heuristic": ("compute_heuristic_vector",),
             "repro.core.search_node": ("NodeState", "SearchNode"),
-            "repro.core.oasis": ("OasisSearch", "OasisSearchStatistics"),
+            "repro.core.oasis": ("OasisSearchStatistics",),
             "repro.core.request": ("SearchRequest",),
             "repro.core.engine": ("OasisEngine",),
             "repro.core.evalue": ("SelectivityConverter",),
@@ -47,7 +47,6 @@ __all__ = [
     "compute_heuristic_vector",
     "NodeState",
     "SearchNode",
-    "OasisSearch",
     "OasisSearchStatistics",
     "SearchRequest",
     "OasisEngine",

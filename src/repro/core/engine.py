@@ -1,4 +1,4 @@
-"""OasisEngine: the user-facing facade over index construction and search.
+"""OasisEngine: the one OASIS search over one suffix tree.
 
 Typical use::
 
@@ -10,30 +10,35 @@ Typical use::
     for hit in result:
         print(hit.sequence_identifier, hit.score, hit.evalue)
 
-The engine owns the suffix-tree index (in-memory by default; a disk-resident
-index built through :mod:`repro.storage` can be attached instead), the scoring
-configuration and the E-value conversion.  It defines ``execute_request``
-(resolve the request's E-value once, then run it); the keyword ``execute``,
-batch (``search``), online (``search_online``) and concurrent
-(``search_many``) interfaces are the shared
-:class:`~repro.core.surface.SearchSurface` over it, and ``close()`` / ``with``
-release a disk-resident index.
+The engine owns the suffix-tree cursor, the scoring configuration, the
+expansion kernel, the pruning switches and the E-value conversion.  It is
+built in memory (:meth:`OasisEngine.build`), written to an image and
+searched there (:meth:`OasisEngine.build_on_disk`), or opened from an index
+directory (:meth:`OasisEngine.open`, the one opener of one).  It defines
+``execute_request``; ``execute`` / ``search`` / ``search_online`` /
+``search_many`` are the shared :class:`~repro.core.surface.SearchSurface`
+over it, and ``close()`` / ``with`` release a disk-resident index.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.evalue import SelectivityConverter
-from repro.core.oasis import OasisSearch, QueryExecution
+from repro.core.kernels import ExpansionKernel, get_kernel
+from repro.core.oasis import QueryExecution
 from repro.core.request import SearchRequest
+from repro.core.results import Alignment
 from repro.core.surface import SearchSurface
-from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
+from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.cursor import SuffixTreeCursor
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only (sharding is a layer up)
+    from repro.sharding.catalog import ShardCatalog
 
 PathLike = Union[str, os.PathLike]
 
@@ -44,7 +49,33 @@ logger = logging.getLogger(__name__)
 
 
 class OasisEngine(SearchSurface):
-    """An OASIS local-alignment search engine over one sequence database."""
+    """Best-first local-alignment search over one suffix tree (Algorithms 1-2).
+
+    Creates one :class:`~repro.core.oasis.QueryExecution` per query and is
+    immutable while they run, so it serves any number of them at once.
+    ``cursor`` is any :class:`~repro.suffixtree.cursor.SuffixTreeCursor`;
+    the gap model must be the paper's fixed (linear) one; ``converter`` (the
+    E-value conversion, Equations 2-3) defaults to one over the cursor's
+    database.
+
+    Parameters
+    ----------
+    kernel:
+        Expansion-kernel selection: a name (``compiled`` / ``live`` /
+        ``reference``), an :class:`ExpansionKernel` instance, or ``None`` to
+        fall back to the ``OASIS_KERNEL`` environment variable and then the
+        default (``compiled`` where it builds, ``live`` elsewhere).  All are
+        parity-gated -- the choice changes speed, never results.
+    prune_non_positive, prune_dominated, prune_threshold, track_pruning:
+        The pruning-rule switches of Section 3.2: disabling a rule never
+        changes the result set, only the amount of work (the ablation
+        experiment relies on this); ``track_pruning`` counts the cells each
+        rule cuts.
+    """
+
+    #: The catalog of the index directory :meth:`open` read (``None`` for an
+    #: engine built here).
+    catalog: Optional["ShardCatalog"] = None
 
     def __init__(
         self,
@@ -52,13 +83,28 @@ class OasisEngine(SearchSurface):
         matrix: SubstitutionMatrix,
         gap_model: GapModel = DEFAULT_GAP_MODEL,
         converter: Optional[SelectivityConverter] = None,
-        kernel=None,
+        kernel: Union[str, ExpansionKernel, None] = None,
+        *,
+        prune_non_positive: bool = True,
+        prune_dominated: bool = True,
+        prune_threshold: bool = True,
+        track_pruning: bool = False,
     ):
+        gap_model.validate()
+        if gap_model.is_affine:
+            raise NotImplementedError(
+                "OASIS currently implements the paper's fixed gap model; "
+                "affine gaps are listed as future work (Section 6)"
+            )
         self.cursor = cursor
         self.matrix = matrix
         self.gap_model = gap_model
         self.converter = converter or SelectivityConverter(matrix, cursor.database)
-        self._search = OasisSearch(cursor, matrix, gap_model, kernel=kernel)
+        self.expansion_kernel: ExpansionKernel = get_kernel(kernel)
+        self.prune_non_positive = prune_non_positive
+        self.prune_dominated = prune_dominated
+        self.prune_threshold = prune_threshold
+        self.track_pruning = track_pruning
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -120,6 +166,62 @@ class OasisEngine(SearchSurface):
         cursor = open_image(image_path, database, buffer_pool_bytes)
         return cls(cursor, matrix, gap_model, kernel=kernel)
 
+    @classmethod
+    def open(
+        cls,
+        directory: PathLike,
+        database: Optional[SequenceDatabase] = None,
+        matrix: Optional[SubstitutionMatrix] = None,
+        gap_model: Optional[GapModel] = None,
+        buffer_pool_bytes: Optional[int] = None,
+        kernel=None,
+    ) -> "OasisEngine":
+        """Open an index directory from its catalog: the one opener of one.
+
+        ``matrix`` / ``gap_model`` / ``database`` default to the recorded
+        configuration and the bundled FASTA; given or restored, they must
+        match what the index was built with
+        (:class:`~repro.sharding.catalog.CatalogMismatchError` otherwise).
+        The image is opened by the fit rule of :func:`repro.storage.open_image`
+        with ``buffer_pool_bytes`` (``None`` for the 256 MB default; at least
+        one block).  The sharding and storage layers are imported here, so a
+        built engine never loads them.
+        """
+        from repro.scoring.data import load_matrix
+        from repro.sequences.fasta import read_fasta
+        from repro.sharding.catalog import CatalogError, ShardCatalog, config_fingerprint
+        from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES, open_image
+
+        kernel = get_kernel(kernel)  # an unknown kernel fails before any file opens
+        if buffer_pool_bytes is None:
+            buffer_pool_bytes = DEFAULT_BUFFER_POOL_BYTES
+        directory = str(directory)
+        catalog = ShardCatalog.load(directory)
+        pool_bytes = max(catalog.block_size, buffer_pool_bytes)
+        logger.info("opening index at %s (pool budget %d bytes)", directory, pool_bytes)
+        if matrix is None:
+            try:
+                matrix = load_matrix(catalog.matrix_name)
+            except KeyError as error:
+                raise CatalogError(f"catalog field 'fingerprint.matrix': {error.args[0]}") from None
+        if gap_model is None:
+            gap_model = FixedGapModel(catalog.gap_penalty)
+        catalog.check_fingerprint(
+            config_fingerprint(matrix.name, gap_model.per_symbol, catalog.block_size)
+        )
+        if database is None:
+            database = read_fasta(
+                catalog.database_path(directory),
+                alphabet=matrix.alphabet,
+                name=catalog.database_name,
+            )
+        catalog.check_database(database)
+
+        cursor = open_image(catalog.image_path(directory), database, pool_bytes)
+        engine = cls(cursor, matrix, gap_model, kernel=kernel)
+        engine.catalog = catalog
+        return engine
+
     # ------------------------------------------------------------------ #
     # Searching
     # ------------------------------------------------------------------ #
@@ -130,7 +232,7 @@ class OasisEngine(SearchSurface):
     @property
     def kernel(self) -> str:
         """The expansion kernel name this engine's searches run under."""
-        return self._search.kernel.name
+        return self.expansion_kernel.name
 
     def min_score_for(self, query: str, evalue: float) -> int:
         """The ``min_score`` equivalent to an E-value cutoff for this query."""
@@ -141,9 +243,44 @@ class OasisEngine(SearchSurface):
 
         The paper's experiments specify E-values; Equation 3 converts one to
         the ``min_score`` the search prunes against, here and only here (a
-        request a sharded engine already resolved globally passes through).
+        request a coordinator already resolved passes through).
         """
-        return self._search.execute_request(request.resolved(self.converter), tracer=tracer)
+        return QueryExecution(self, request.resolved(self.converter), tracer=tracer)
+
+    def _trace_alignment(self, query_text: str, target_text: str) -> Alignment:
+        """Recover the concrete best alignment for a reported sequence.
+
+        The search itself only tracks scores (storing full tracebacks for
+        every frontier column would defeat the memory frugality of keeping a
+        single column per node), so the operations are recovered with a
+        pairwise Smith-Waterman pass against the reported sequence -- the same
+        convention the paper uses when it "duplicates the behaviour of S-W".
+        """
+        from repro.baselines.smith_waterman import SmithWatermanAligner
+
+        aligner = SmithWatermanAligner(self.matrix, self.gap_model)
+        return aligner.align_pair(query_text, target_text)
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+    # ------------------------------------------------------------------ #
+    def instrument(self, tracer) -> None:
+        """Attach a tracer to the index's buffer pool (``None`` detaches).
+
+        A disk-backed cursor routes every page request through one pool;
+        instrumenting it records pool hit/miss/eviction counters into
+        ``tracer.metrics`` (see :meth:`repro.storage.BufferPool.instrument`).
+        In-memory cursors have no pool and this is a no-op.
+        """
+        instrument = getattr(self.cursor, "instrument", None)
+        if instrument is not None:
+            instrument(tracer)
+
+    def close(self) -> None:
+        """Close a disk-resident cursor's image file (a no-op in memory)."""
+        close = getattr(self.cursor, "close", None)
+        if close is not None:
+            close()
 
     def __repr__(self) -> str:
         return (

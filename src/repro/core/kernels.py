@@ -99,10 +99,11 @@ Kernels hold no per-query state -- one instance serves concurrent
 executions -- and never call the cursor.
 
 Selection goes through :func:`get_kernel`: an explicit ``kernel=`` argument
-(``OasisSearch`` / the engines / the CLI all thread one through) wins,
-otherwise the ``OASIS_KERNEL`` environment variable, otherwise ``compiled``
-where it builds and ``live`` where it does not.  The choice is made when
-the engine is built, so ``statistics.kernel`` names the kernel that ran.
+(``OasisEngine``, its ``build`` / ``open`` and the CLI all thread one
+through) wins, otherwise the ``OASIS_KERNEL`` environment variable,
+otherwise ``compiled`` where it builds and ``live`` where it does not.  The
+choice is made when the engine is built, so ``statistics.kernel`` names the
+kernel that ran.
 
 Purity contract, enforced by the ``kernel-purity`` analysis rule over this
 file: no NumPy call and no tracer/metrics access inside a kernel loop.  The

@@ -12,9 +12,10 @@ Each execution is a *self-contained* object owning its own priority queue,
 :class:`~repro.core.expand.ExpansionContext`, statistics and timing, so any
 number of executions can run concurrently (interleaved generators on one
 thread, or the threads of a batch) over the same shared read-only cursor.
-:class:`OasisSearch` is the per-configuration factory; ``search`` /
-``search_online`` / ``search_many`` come from the shared
-:class:`~repro.core.surface.SearchSurface` over its ``execute``.
+:class:`~repro.core.engine.OasisEngine` holds the per-database configuration
+and creates one execution per query; ``search`` / ``search_online`` /
+``search_many`` come from the shared :class:`~repro.core.surface.SearchSurface`
+over its ``execute``.
 
 Results follow the paper's reporting convention: the single strongest
 alignment per database sequence, for every sequence whose best score reaches
@@ -27,11 +28,11 @@ import heapq
 import logging
 import time
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
-from repro.core.kernels import DEFAULT_KERNEL, ExpansionKernel, get_kernel
+from repro.core.kernels import DEFAULT_KERNEL
 from repro.core.request import SearchRequest
 from repro.core.results import (
     Alignment,
@@ -41,11 +42,10 @@ from repro.core.results import (
     hit_order_key,
 )
 from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER
-from repro.core.surface import SearchSurface
-from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
-from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.sequence import Sequence
-from repro.suffixtree.cursor import SuffixTreeCursor
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only (the engine imports this module)
+    from repro.core.engine import OasisEngine
 
 # Plain stdlib logging under the "repro." hierarchy (see core.engine).
 logger = logging.getLogger(__name__)
@@ -162,11 +162,10 @@ class QueryExecution:
     :attr:`statistics` still reports the work actually done, because the
     bookkeeping runs in a ``finally`` block when the generator is closed.
 
-    ``request`` is the resolved :class:`~repro.core.request.SearchRequest`
-    (a ``min_score``, not an E-value); its ``database_size`` -- ``n`` of
-    Equation 2 for the hits' E-values -- defaults to the cursor's own
-    database, and a sharded engine fills in the *global* size so a hit gets
-    the same E-value regardless of which shard held it.
+    ``request`` is the :class:`~repro.core.request.SearchRequest` the engine
+    resolved: a ``min_score``, not an E-value, and Equation 2's inputs for
+    the hits' E-values, against the whole database wherever the execution
+    runs (a process worker receives it resolved by the parent).
 
     Cooperative interruption:
 
@@ -192,21 +191,11 @@ class QueryExecution:
         a single identity check per query -- nothing in the per-node loop.
     """
 
-    def __init__(
-        self,
-        search: "OasisSearch",
-        request: SearchRequest,
-        tracer=None,
-    ):
-        if request.min_score is None:
-            raise ValueError(
-                "a bare OasisSearch runs a min_score request; an E-value "
-                "needs an engine, whose converter resolves it (Equation 3)"
-            )
-        self.search = search
+    def __init__(self, engine: "OasisEngine", request: SearchRequest, tracer=None):
+        self.engine = engine
         self.request = request
-        self.query_sequence = Sequence(request.query, search.cursor.database.alphabet)
-        self.statistics = OasisSearchStatistics(kernel=search.kernel.name)
+        self.query_sequence = Sequence(request.query, engine.database.alphabet)
+        self.statistics = OasisSearchStatistics(kernel=engine.kernel)
         self.timed_out = False
         self.aborted = False
 
@@ -232,17 +221,17 @@ class QueryExecution:
         self._online_log = OnlineResultLog()
         self._iterator: Optional[Iterator[SearchHit]] = None
 
-        self.heuristic = compute_heuristic_vector(self.query_sequence.codes, search.matrix)
+        self.heuristic = compute_heuristic_vector(self.query_sequence.codes, engine.matrix)
         self.context = ExpansionContext(
             query_codes=self.query_sequence.codes,
-            score_rows=search.matrix.rows,
-            gap_penalty=search.gap_model.per_symbol,
+            score_rows=engine.matrix.rows,
+            gap_penalty=engine.gap_model.per_symbol,
             heuristic=self.heuristic,
             min_score=request.min_score,
-            prune_non_positive=search.prune_non_positive,
-            prune_dominated=search.prune_dominated,
-            prune_threshold=search.prune_threshold,
-            track_pruning=search.track_pruning,
+            prune_non_positive=engine.prune_non_positive,
+            prune_dominated=engine.prune_dominated,
+            prune_threshold=engine.prune_threshold,
+            track_pruning=engine.track_pruning,
         )
 
     # ------------------------------------------------------------------ #
@@ -305,11 +294,11 @@ class QueryExecution:
         stops iterating, and ``finally`` guarantees the statistics are
         finalised even then.
         """
-        cursor = self.search.cursor
+        cursor = self.engine.cursor
         siblings = cursor.siblings
         database = cursor.database
         context = self.context
-        kernel = self.search.kernel
+        kernel = self.engine.expansion_kernel
         statistics = self.statistics
         request = self.request
         min_score = request.min_score
@@ -410,7 +399,7 @@ class QueryExecution:
                         record = database[sequence_index]
                         alignment: Optional[Alignment] = None
                         if request.compute_alignments:
-                            alignment = self.search._trace_alignment(
+                            alignment = self.engine._trace_alignment(
                                 self.query_sequence.text, record.text
                             )
                         evalue = None
@@ -471,7 +460,7 @@ class QueryExecution:
         statistics.pruned_threshold = context.pruned_threshold
         if self._start_time is not None:
             statistics.elapsed_seconds = time.perf_counter() - self._start_time
-        residues = self.search.cursor.database.total_symbols
+        residues = self.engine.database.total_symbols
         if statistics.columns_expanded > _WARN_COLUMNS_PER_RESIDUE * residues:
             logger.warning(
                 "query of length %d expanded %d DP columns, over %d times the %d a "
@@ -483,10 +472,10 @@ class QueryExecution:
                 _WARN_COLUMNS_PER_RESIDUE,
                 residues,
                 self.request.min_score,
-                self.search.gap_model.per_symbol,
+                self.engine.gap_model.per_symbol,
             )
         if self._pool_start is not None:
-            pool_stats = self.search.cursor.pool.statistics  # type: ignore[attr-defined]
+            pool_stats = self.engine.cursor.pool.statistics  # type: ignore[attr-defined]
             start_hits, start_misses, start_evictions = self._pool_start
             statistics.buffer_hits = pool_stats.hits - start_hits
             statistics.buffer_misses = pool_stats.misses - start_misses
@@ -557,8 +546,8 @@ class QueryExecution:
             columns_expanded=self.statistics.columns_expanded,
             parameters={
                 "min_score": self.request.min_score,
-                "matrix": self.search.matrix.name,
-                "gap": self.search.gap_model.per_symbol,
+                "matrix": self.engine.matrix.name,
+                "gap": self.engine.gap_model.per_symbol,
                 "max_results": self.request.max_results,
             },
             statistics=self.statistics,
@@ -575,78 +564,3 @@ class QueryExecution:
             f"QueryExecution(query={self.request.query!r}, min_score={self.request.min_score}, "
             f"emitted={len(self._hits)})"
         )
-
-
-class OasisSearch(SearchSurface):
-    """Best-first local-alignment search over a suffix tree.
-
-    Holds the per-database configuration (cursor, scoring, pruning switches)
-    and creates one :class:`QueryExecution` per query.  The object itself is
-    immutable during searching, so one ``OasisSearch`` can serve any number of
-    concurrent executions.
-
-    Parameters
-    ----------
-    cursor:
-        Any :class:`~repro.suffixtree.cursor.SuffixTreeCursor` (in-memory or
-        disk-resident).
-    matrix:
-        Substitution matrix.
-    gap_model:
-        Gap model; the search implements the paper's fixed (linear) gap model.
-    kernel:
-        Expansion-kernel selection: a name (``compiled`` / ``live`` /
-        ``reference``), an :class:`ExpansionKernel` instance, or ``None`` to
-        fall back to the ``OASIS_KERNEL`` environment variable and then the
-        default (``compiled`` where it builds, ``live`` elsewhere).  All are
-        parity-gated -- the choice changes speed, never results.
-    """
-
-    def __init__(
-        self,
-        cursor: SuffixTreeCursor,
-        matrix: SubstitutionMatrix,
-        gap_model: GapModel = DEFAULT_GAP_MODEL,
-        prune_non_positive: bool = True,
-        prune_dominated: bool = True,
-        prune_threshold: bool = True,
-        track_pruning: bool = False,
-        kernel: Union[str, ExpansionKernel, None] = None,
-    ):
-        gap_model.validate()
-        if gap_model.is_affine:
-            raise NotImplementedError(
-                "OASIS currently implements the paper's fixed gap model; "
-                "affine gaps are listed as future work (Section 6)"
-            )
-        self.cursor = cursor
-        self.matrix = matrix
-        self.gap_model = gap_model
-        # Pruning-rule switches: disabling a rule never changes the result
-        # set, only the amount of work (the ablation benchmark relies on this).
-        self.prune_non_positive = prune_non_positive
-        self.prune_dominated = prune_dominated
-        self.prune_threshold = prune_threshold
-        self.track_pruning = track_pruning
-        self.kernel: ExpansionKernel = get_kernel(kernel)
-
-    def execute_request(self, request: SearchRequest, tracer=None) -> QueryExecution:
-        """Create a self-contained execution for one (resolved) request."""
-        return QueryExecution(self, request, tracer=tracer)
-
-    # ------------------------------------------------------------------ #
-    # Alignment reconstruction
-    # ------------------------------------------------------------------ #
-    def _trace_alignment(self, query_text: str, target_text: str) -> Alignment:
-        """Recover the concrete best alignment for a reported sequence.
-
-        The search itself only tracks scores (storing full tracebacks for
-        every frontier column would defeat the memory frugality of keeping a
-        single column per node), so the operations are recovered with a
-        pairwise Smith-Waterman pass against the reported sequence -- the same
-        convention the paper uses when it "duplicates the behaviour of S-W".
-        """
-        from repro.baselines.smith_waterman import SmithWatermanAligner
-
-        aligner = SmithWatermanAligner(self.matrix, self.gap_model)
-        return aligner.align_pair(query_text, target_text)

@@ -9,6 +9,7 @@ not part of it: those are live objects of the process that runs the search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
@@ -51,8 +52,8 @@ class SearchRequest:
             raise ValueError("specify exactly one of min_score or evalue")
         if self.min_score is not None and self.min_score < 1:
             raise ValueError("min_score must be at least 1")
-        if self.evalue is not None and not self.evalue > 0:
-            raise ValueError("evalue must be positive")
+        if self.evalue is not None and not 0 < self.evalue < math.inf:
+            raise ValueError(f"evalue must be positive and finite, not {self.evalue!r}")
         if self.max_results is not None and self.max_results < 1:
             raise ValueError("max_results must be at least 1")
         if self.time_budget is not None and not self.time_budget > 0:

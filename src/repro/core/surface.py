@@ -26,11 +26,11 @@ Query = Union[str, SearchRequest]
 
 
 class SearchSurface:
-    """``execute`` / ``search`` / ``search_online`` / ``search_many`` / ``close``.
+    """``execute`` / ``search`` / ``search_online`` / ``search_many`` / ``with``.
 
-    Inherited by :class:`~repro.core.oasis.OasisSearch`,
-    :class:`~repro.core.engine.OasisEngine` and
-    :class:`~repro.sharding.ShardedEngine`.  ``query`` below is the query
+    Inherited by :class:`~repro.core.engine.OasisEngine` (built, or opened
+    from an index directory by :meth:`~repro.core.engine.OasisEngine.open`)
+    and :class:`~repro.sharding.ShardedEngine`.  ``query`` below is the query
     text, with the :class:`SearchRequest` fields as keyword ``options``
     (``min_score`` / ``evalue``, ``max_results``, ``compute_alignments``,
     ``time_budget``), or a ready request.
@@ -39,6 +39,8 @@ class SearchSurface:
     #: Each engine's own factory for the (unstarted) execution of one request:
     #: ``execute_request(request, tracer=None)``.
     execute_request: Callable[..., Any]
+    #: Each engine's own release of its index (``with`` calls it on exit).
+    close: Callable[[], None]
 
     def execute(self, query: Query, tracer=None, **options):
         """Create the self-contained, reentrant execution of one query.
@@ -95,24 +97,6 @@ class SearchSurface:
         return search_many(
             self, queries, workers=workers, timeout=timeout, tracer=tracer, **options
         )
-
-    def instrument(self, tracer) -> None:
-        """Attach a tracer to the index's buffer pool (``None`` detaches).
-
-        A disk-backed cursor routes every page request through one pool;
-        instrumenting it records pool hit/miss/eviction counters into
-        ``tracer.metrics`` (see :meth:`repro.storage.BufferPool.instrument`).
-        In-memory cursors have no pool and this is a no-op.
-        """
-        instrument = getattr(self.cursor, "instrument", None)  # type: ignore[attr-defined]
-        if instrument is not None:
-            instrument(tracer)
-
-    def close(self) -> None:
-        """Close a disk-resident cursor's image file (a no-op in memory)."""
-        close = getattr(self.cursor, "close", None)  # type: ignore[attr-defined]
-        if close is not None:
-            close()
 
     def __enter__(self: _Engine) -> _Engine:
         return self

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.oasis import OasisSearch
+from repro.core.engine import OasisEngine
 from repro.experiments.common import (
     ExperimentConfig,
     build_protein_dataset,
@@ -23,7 +23,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table
 
-#: The rule subsets examined (name -> OasisSearch keyword arguments).
+#: The rule subsets examined (name -> OasisEngine pruning switches).
 VARIANTS: Dict[str, Dict[str, bool]] = {
     "all rules (paper)": {},
     "no dominated-pruning": {"prune_dominated": False},
@@ -90,14 +90,20 @@ def run(
     result = AblationResult(config=config)
     reference_scores = None
     for variant_name, flags in VARIANTS.items():
-        search = OasisSearch(dataset.engine.cursor, dataset.matrix, dataset.gap_model, **flags)
+        engine = OasisEngine(
+            dataset.engine.cursor,
+            dataset.matrix,
+            dataset.gap_model,
+            converter=dataset.converter,
+            **flags,
+        )
         columns = 0
         nodes = 0
         started = time.perf_counter()
         collected: List[Dict[str, int]] = []
         for query in queries:
             min_score = dataset.converter.min_score_for_evalue(evalue, len(query))
-            search_result = search.search(query, min_score=min_score)
+            search_result = engine.search(query, min_score=min_score)
             columns += search_result.columns_expanded
             nodes += search_result.statistics.nodes_expanded
             collected.append(search_result.scores_by_sequence())

@@ -71,10 +71,17 @@ class KarlinAltschulParameters:
             raise ValueError("the target E-value must be positive")
         if query_length <= 0 or database_size <= 0:
             raise ValueError("query length and database size must be positive")
-        raw = math.log(self.k * query_length * database_size / evalue) / self.lambda_
-        # Scores are integral; any score >= raw satisfies the E-value target.
-        minimum = math.ceil(raw)
-        return max(1, minimum)
+        ratio = self.k * query_length * database_size / evalue
+        if ratio == math.inf:
+            raise ValueError(
+                f"the E-value {evalue!r} is too small: Equation 3 gives no finite score"
+            )
+        if ratio <= 1.0:
+            # A score of 0 or less already meets the target (this also covers
+            # a ratio that underflowed to 0, whose logarithm is undefined).
+            return 1
+        # Scores are integral; any score >= the bound satisfies the E-value target.
+        return math.ceil(math.log(ratio) / self.lambda_)
 
     def bit_score(self, score: float) -> float:
         """Convert a raw score to a normalised bit score."""

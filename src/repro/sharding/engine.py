@@ -1,9 +1,9 @@
 """ShardedEngine: one suffix tree of the whole database, searched whole or by root partitions.
 
 An index (built by :class:`~repro.sharding.ShardedIndexBuilder`) holds one
-disk image of the whole database; :meth:`ShardedEngine.open` reads it into
-memory when it fits the pool budget and searches it through a buffer pool
-when it does not.  The engine's scatter backend decides how a query runs:
+disk image of the whole database, which :meth:`ShardedEngine.open` opens
+with :meth:`OasisEngine.open <repro.core.engine.OasisEngine.open>`.  The
+engine's scatter backend decides how a query runs:
 
 * ``serial`` (the default), and every streaming search (iterating an
   execution, ``search_online``), run one execution over the whole tree --
@@ -47,10 +47,10 @@ from repro.core.request import SearchRequest
 from repro.core.results import SearchHit, SearchResult, hit_order_key
 from repro.core.surface import SearchSurface
 from repro.obs.logsetup import get_logger
-from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel, GapModel
+from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
-from repro.sharding.catalog import CatalogError, ShardCatalog, config_fingerprint
+from repro.sharding.catalog import ShardCatalog
 from repro.sharding.remote import (
     ShardSearchTask,
     label_shard_execution,
@@ -59,7 +59,7 @@ from repro.sharding.remote import (
     unsearched,
 )
 from repro.storage.blocks import BLOCK_SIZE_DEFAULT
-from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES, open_image
+from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only; made on first scatter
     from concurrent.futures import ProcessPoolExecutor
@@ -402,15 +402,12 @@ def shard_pool_budgets(
 
 
 class ShardedEngine(SearchSurface):
-    """OASIS search over the one tree of a catalog directory.
+    """OASIS search over the one tree of a catalog directory, on a scatter backend.
 
-    Build the directory with :class:`~repro.sharding.ShardedIndexBuilder`
-    and :meth:`open` it (or do both with :meth:`build_on_disk`).  The engine
-    defines ``execute_request`` and inherits the searching surface
-    (``execute`` / ``search`` / ``search_online`` / ``search_many``) that
-    :class:`~repro.core.engine.OasisEngine` inherits, so every consumer of
-    an engine -- ``search_many``, the workload adapters, the CLI -- can
-    run on an index without changes.
+    :meth:`open` is :meth:`OasisEngine.open
+    <repro.core.engine.OasisEngine.open>` (its :attr:`tree_engine`) plus a
+    scatter; :meth:`build_on_disk` builds the directory first.  The engine
+    inherits the searching surface every engine shares.
 
     ``backend`` selects how ``search`` /
     :meth:`ShardedQueryExecution.result` run a query: ``"serial"`` (the
@@ -419,14 +416,12 @@ class ShardedEngine(SearchSurface):
     on a pool of ``N`` spawned worker processes -- by default one per
     partition that owns a root child).  The engine owns that pool: it is
     made on the first scatter, replaced when a worker dies, and shut by
-    :meth:`close`.  There is no thread scatter: with its image in the page
-    cache the search is CPU-bound under the interpreter lock, and on the
-    benchmark's protein inputs ``threads:4`` over four sequence shards took
-    2.33 s to the serial loop's 1.79 s (2 cores, medians of 10 pairs).  A
-    process task carries only the catalog directory, the partition and the
-    request; each worker opens the image once, read-only, with the same pool
-    budget as this process, and serves every partition from it.  The streaming path (``search_online``)
-    always runs the serial search, whatever the backend.
+    :meth:`close`.  There is no thread scatter: the search is CPU-bound
+    under the interpreter lock, and ``threads:4`` took 2.33 s to the serial
+    loop's 1.79 s (benchmark protein inputs, 2 cores, medians of 10 pairs).
+    Each worker opens the index once, with the same opener and pool budget
+    as this process, and serves every partition from it.  The streaming
+    path (``search_online``) always runs the serial search.
 
     The constructor takes a list of exactly one engine over the index's
     image, and ``shard_buffer_bytes`` a list of its one pool budget: both
@@ -453,7 +448,8 @@ class ShardedEngine(SearchSurface):
             )
         #: The engine over the index's one image.
         self.tree_engine = shards[0]
-        self._database = database
+        #: The database the index's tree holds.
+        self.database = database
         self.matrix = matrix
         self.gap_model = gap_model
         self.converter = converter or SelectivityConverter(matrix, database)
@@ -466,6 +462,16 @@ class ShardedEngine(SearchSurface):
         # "processes" spec gets one per partition that searches.
         self._workers: Optional[int] = None
         if kind == "processes":
+            if not os.path.exists(catalog.database_path(directory)):
+                # Fail here, not on every query: the workers read the
+                # sequences from the bundled FASTA.
+                raise ValueError(
+                    "a process scatter backend needs a self-contained index "
+                    "directory, but this one has no bundled database.fasta "
+                    "(built with write_database=False) for the worker processes "
+                    "to load -- rebuild with the FASTA included or open with the "
+                    "serial backend"
+                )
             self._workers = workers or sum(1 for symbols in self.partitions if symbols)
         #: The pool budget in bytes: process workers open the image with it.
         self.buffer_pool_bytes = shard_buffer_bytes[0]
@@ -517,89 +523,31 @@ class ShardedEngine(SearchSurface):
         backend: Optional[str] = None,
         kernel=None,
     ) -> "ShardedEngine":
-        """Open a persistent index from its catalog.
+        """Open a persistent index from its catalog, to search on ``backend``.
 
-        The catalog makes the directory self-contained: when ``matrix`` /
-        ``gap_model`` / ``database`` are omitted they are restored from the
-        recorded configuration and the bundled FASTA.  When they *are* given
-        they must match what the index was built with --
-        :class:`~repro.sharding.catalog.CatalogMismatchError` otherwise.
-
-        The image is opened by :func:`repro.storage.open_image` with
-        ``buffer_pool_bytes`` (at least one block): an image that fits is
-        read into a :class:`~repro.suffixtree.GeneralizedSuffixTree` (the
-        default 256 MB does for any index this repository benchmarks), and
-        only a smaller budget gets a :class:`~repro.storage.DiskSuffixTree`
-        and a clock pool.  A read tree reads its records on first search, so
-        on a ``processes`` scatter, whose workers search, this process reads
-        none.
+        :meth:`OasisEngine.open <repro.core.engine.OasisEngine.open>` opens
+        the directory, with the same arguments: the catalog and its checks,
+        the bundled FASTA, the image by the fit rule.  A read tree reads its
+        records on first search, so on a ``processes`` scatter, whose
+        workers search, this process reads none.
         """
-        from repro.scoring.data import load_matrix
-        from repro.sequences.fasta import read_fasta
-
-        scatter_kind, _ = check_scatter_backend(backend)
+        check_scatter_backend(backend)  # before any file is opened
         directory = str(directory)
-        catalog = ShardCatalog.load(directory)
-        logger.info(
-            "opening sharded index at %s (%d partitions, pool budget %d bytes)",
-            directory,
-            catalog.partitions,
-            buffer_pool_bytes,
+        tree = OasisEngine.open(
+            directory, database, matrix, gap_model, buffer_pool_bytes, kernel=kernel
         )
-
-        if matrix is None:
-            try:
-                matrix = load_matrix(catalog.matrix_name)
-            except KeyError as error:
-                raise CatalogError(f"catalog field 'fingerprint.matrix': {error.args[0]}") from None
-        if gap_model is None:
-            gap_model = FixedGapModel(catalog.gap_penalty)
-        catalog.check_fingerprint(
-            config_fingerprint(matrix.name, gap_model.per_symbol, catalog.block_size)
-        )
-
-        if database is None:
-            database_path = catalog.database_path(directory)
-            database = read_fasta(
-                database_path, alphabet=matrix.alphabet, name=catalog.database_name
-            )
-        catalog.check_database(database)
-
-        if scatter_kind == "processes" and not os.path.exists(
-            catalog.database_path(directory)
-        ):
-            # Fail at open, not on every query: worker processes restore the
-            # sequences from the bundled FASTA, which an index built with
-            # write_database=False does not carry.
-            raise ValueError(
-                "a process scatter backend needs a self-contained index "
-                "directory, but this one has no bundled database.fasta "
-                "(built with write_database=False) for the worker processes "
-                "to load -- rebuild with the FASTA included or open with the "
-                "serial backend"
-            )
-
-        converter = SelectivityConverter(
-            matrix, database, effective_database_size=database.total_symbols
-        )
-        pool_bytes = max(catalog.block_size, buffer_pool_bytes)
-        tree = OasisEngine(
-            open_image(catalog.image_path(directory), database, pool_bytes),
-            matrix,
-            gap_model,
-            converter=converter,
-            kernel=kernel,
-        )
+        catalog = tree.catalog
+        assert catalog is not None  # OasisEngine.open records the one it read
         try:
             return cls(
                 [tree],
-                database,
-                matrix,
-                gap_model,
-                converter=converter,
+                tree.database,
+                tree.matrix,
+                tree.gap_model,
+                converter=tree.converter,
                 catalog=catalog,
                 directory=directory,
-                shard_buffer_bytes=[pool_bytes],
+                shard_buffer_bytes=[max(catalog.block_size, buffer_pool_bytes)],
                 backend=backend,
             )
         except Exception:
@@ -609,11 +557,6 @@ class ShardedEngine(SearchSurface):
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def database(self) -> SequenceDatabase:
-        """The database the index's tree holds."""
-        return self._database
-
     @property
     def shards(self) -> List[OasisEngine]:
         """``[tree_engine]``: stays until ROADMAP item 1 moves ``bench_e2e``'s
@@ -806,7 +749,7 @@ class ShardedEngine(SearchSurface):
 
     def __repr__(self) -> str:
         return (
-            f"ShardedEngine(database={self._database.name!r}, "
+            f"ShardedEngine(database={self.database.name!r}, "
             f"partitions={self.catalog.partitions}, backend={self.backend_spec!r}, "
             f"directory={self.directory!r})"
         )

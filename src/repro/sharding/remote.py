@@ -7,10 +7,10 @@ engine's worker processes, so the ground rules are strict:
   partition (its number and the first symbols of the root children it owns),
   the matrix and the query's :class:`~repro.core.request.SearchRequest` --
   never live engine objects;
-* each worker process opens the index's one image lazily, read-only, from
-  the catalog, and caches the open search for the life of the process (the
-  expensive part -- catalog + FASTA parse + cursor open -- is paid once per
-  worker, and serves every partition);
+* each worker process opens the index lazily with the parent's opener,
+  :meth:`OasisEngine.open <repro.core.engine.OasisEngine.open>`, checks
+  and all, and caches the engine for its life (catalog + FASTA parse +
+  cursor open are paid once per worker, and serve every partition);
 * a search travels back as the :class:`~repro.core.results.SearchResult`
   the worker's execution built -- the shape the in-process search hands the
   merge -- with global sequence indices and E-values: the worker searches
@@ -31,9 +31,9 @@ from repro.scoring.matrix import SubstitutionMatrix
 if TYPE_CHECKING:  # pragma: no cover - annotation only; workers import lazily
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.core.oasis import OasisSearch, QueryExecution
+    from repro.core.engine import OasisEngine
+    from repro.core.oasis import QueryExecution
     from repro.obs.trace import TraceContext
-    from repro.sharding.catalog import ShardCatalog
 
 #: What one partition's search sends back: the result, plus the worker's span
 #: records and metrics snapshot (both empty unless the task was traced).
@@ -83,7 +83,7 @@ class ShardSearchTask:
     #: per query regardless of which processes produced its pieces.
     trace: Optional[TraceContext] = None
     #: Expansion-kernel name the parent engine runs under; the worker's
-    #: cached :class:`OasisSearch` uses the same one (parity-gated, so this
+    #: cached :class:`OasisEngine` uses the same one (parity-gated, so this
     #: affects speed and statistics attribution only, never the hits).
     kernel: Optional[str] = None
 
@@ -124,76 +124,45 @@ def spawn_pool(workers: int) -> "ProcessPoolExecutor":
     )
 
 
-# --------------------------------------------------------------------- #
-# Per-process caches
-# --------------------------------------------------------------------- #
-#: directory -> (catalog, database, gap_model).
-_DIRECTORY_CACHE: Dict[str, tuple] = {}
-#: (directory, pool bytes, kernel) -> OasisSearch over the index's image.
-_SEARCH_CACHE: Dict[tuple, "OasisSearch"] = {}
+#: (directory, pool bytes, kernel) -> the engine over the index, opened once.
+_ENGINES: Dict[tuple, "OasisEngine"] = {}
 
 
-def _catalog_mismatch(catalog: "ShardCatalog", task: ShardSearchTask) -> Optional[str]:
-    """What (if anything) differs between the task's and the loaded catalog."""
-    if catalog.fingerprint != task.fingerprint:
-        return "configuration fingerprint"
-    if catalog.database_digest != task.database_digest:
-        return "database digest"
-    return None
-
-
-def _open_directory(directory: str, matrix: SubstitutionMatrix) -> tuple:
-    cached = _DIRECTORY_CACHE.get(directory)
-    if cached is not None:
-        return cached
-    from repro.scoring.gaps import FixedGapModel
-    from repro.sequences.fasta import read_fasta
-    from repro.sharding.catalog import ShardCatalog
-
-    catalog = ShardCatalog.load(directory)
-    database = read_fasta(
-        catalog.database_path(directory), alphabet=matrix.alphabet, name=catalog.database_name
-    )
-    _DIRECTORY_CACHE[directory] = (catalog, database, FixedGapModel(catalog.gap_penalty))
-    return _DIRECTORY_CACHE[directory]
-
-
-def _open_tree_search(task: ShardSearchTask) -> "OasisSearch":
-    """The worker's lazily opened, cached search over the index's one image."""
-    directory = os.path.abspath(task.directory)
-    key = (directory, task.buffer_pool_bytes, task.kernel)
+def _open_engine(task: ShardSearchTask) -> "OasisEngine":
+    """The worker's cached engine: the parent's opener, matrix and pool budget."""
+    from repro.core.engine import OasisEngine
     from repro.sharding.catalog import CatalogMismatchError
 
-    # Checked on *every* task, not only on a cache miss: the comparison is a
-    # dict/string equality, and it guarantees each answer was produced
-    # against the catalog the parent opened.  A worker lives and dies with
-    # one engine's pool, so a mismatch can only mean the index was rebuilt
-    # under that engine.  (What none of this can guard is an image file
-    # overwritten in place under an engine's open cursors -- that hazard is
-    # identical for the in-process path and for the monolithic engine.)
-    catalog, database, gap_model = _open_directory(directory, task.matrix)
-    mismatch = _catalog_mismatch(catalog, task)
-    if mismatch is not None:
-        raise CatalogMismatchError(
-            f"sharded index at {directory} changed on disk: the worker "
-            f"loaded a catalog whose {mismatch} differs from the engine "
-            "that issued this query -- the index was rebuilt in place "
-            "under a live engine; reopen the engine"
+    directory = os.path.abspath(task.directory)
+    key = (directory, task.buffer_pool_bytes, task.kernel)
+    engine = _ENGINES.get(key)
+    if engine is None:
+        engine = OasisEngine.open(
+            directory,
+            matrix=task.matrix,
+            buffer_pool_bytes=task.buffer_pool_bytes,
+            kernel=task.kernel,
         )
-    cached = _SEARCH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    from repro.core.oasis import OasisSearch
-    from repro.storage.image import open_image
-
-    # The parent's fit rule, with the parent's budget: a worker searches the
-    # same kind of tree as the parent's own engine.
-    cursor = open_image(catalog.image_path(directory), database, task.buffer_pool_bytes)
-    # A bare OasisSearch, no SelectivityConverter: the request arrives
-    # resolved, carrying the threshold and the E-value inputs.
-    search = OasisSearch(cursor, task.matrix, gap_model, kernel=task.kernel)
-    _SEARCH_CACHE[key] = search
-    return search
+        _ENGINES[key] = engine
+    # Checked on *every* task, not only on a cache miss: a cheap equality
+    # that ties each answer to the catalog the parent opened.  A worker lives
+    # and dies with one engine's pool, so a mismatch can only mean the index
+    # was rebuilt under that engine.  (An image overwritten in place under
+    # open cursors is a hazard no engine guards against.)
+    catalog = engine.catalog
+    assert catalog is not None  # OasisEngine.open records the one it read
+    for what, loaded, sent in (
+        ("configuration fingerprint", catalog.fingerprint, task.fingerprint),
+        ("database digest", catalog.database_digest, task.database_digest),
+    ):
+        if loaded != sent:
+            raise CatalogMismatchError(
+                f"sharded index at {directory} changed on disk: the worker "
+                f"loaded a catalog whose {what} differs from the engine "
+                "that issued this query -- the index was rebuilt in place "
+                "under a live engine; reopen the engine"
+            )
+    return engine
 
 
 def _expired(task: ShardSearchTask) -> bool:
@@ -239,7 +208,7 @@ def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
     # QueryExecution counts its budget from when the search starts).
     if _expired(task):
         return unsearched(task.request, "timed_out"), [], {}
-    search = _open_tree_search(task)
+    engine = _open_engine(task)
     request = task.request
     if task.deadline_epoch is not None:
         # Back from the epoch deadline to a relative budget (worker side).
@@ -249,9 +218,9 @@ def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
         request = replace(request, time_budget=time_budget)
     tracer = task.trace.tracer() if task.trace is not None else None
     if tracer is not None:
-        search.instrument(tracer)
+        engine.instrument(tracer)
     try:
-        execution = search.execute_request(request, tracer=tracer)
+        execution = engine.execute_request(request, tracer=tracer)
         execution.root_symbols = task.root_symbols
         if task.trace is not None:
             # The ids the shard span is born with (pid-prefixed) stay valid
@@ -260,7 +229,7 @@ def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
         result = execution.result()
     finally:
         if tracer is not None:
-            search.instrument(None)
+            engine.instrument(None)
     if tracer is None:
         return result, [], {}
     spans = [record.to_dict() for record in tracer.records()]

@@ -78,14 +78,21 @@ _HEADER_STRUCT = struct.Struct("<8sHIQQQQQQQ")
 
 #: The smallest block an image can have: block 0 holds the whole header.
 MIN_BLOCK_SIZE = _HEADER_STRUCT.size
+#: The largest: the header records the block size in a u32 field.
+MAX_BLOCK_SIZE = 2**32 - 1
 
 
 def check_block_size(block_size: int) -> None:
-    """Refuse (``ValueError``) a block too small to hold the image header."""
+    """Refuse (``ValueError``) a block the image header cannot hold or record."""
     if block_size < MIN_BLOCK_SIZE:
         raise ValueError(
             f"block size {block_size} is below the minimum of {MIN_BLOCK_SIZE} bytes "
             "(block 0 of an image holds its header)"
+        )
+    if block_size > MAX_BLOCK_SIZE:
+        raise ValueError(
+            f"block size {block_size} is above the maximum of {MAX_BLOCK_SIZE} bytes "
+            "(the image header records it in 32 bits)"
         )
 
 

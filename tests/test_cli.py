@@ -125,6 +125,7 @@ class TestOptionValuesAreUsageErrors:
             ["--timeout", "0"],
             ["--timeout", "-2"],
             ["--evalue", "-1"],
+            ["--evalue", "inf"],
             ["--min-score", "0"],
             ["--max-results", "0"],
             ["--max-results", "-3"],
@@ -140,6 +141,32 @@ class TestOptionValuesAreUsageErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith("repro-oasis search: error: ")
         assert "Traceback" not in captured.err
+
+
+class TestAnEvalueWithoutAScoreIsAUsageError:
+    """An E-value Equation 3 cannot turn into a finite score exits 2 in one line."""
+
+    @pytest.mark.parametrize(
+        "evalue, message",
+        [
+            ("1e-320", "E-value 1e-320 is too small: Equation 3 gives no finite score"),
+            ("inf", "evalue must be positive and finite, not inf"),
+        ],
+        ids=["vanishing", "infinite"],
+    )
+    @pytest.mark.parametrize("source", ["--database", "--index"])
+    def test_exits_2_without_a_traceback(
+        self, tmp_path, generated_files, capsys, source, evalue, message
+    ):
+        fasta, _ = generated_files
+        target = fasta
+        if source == "--index":
+            target = tmp_path / "index"
+            assert main(["index", "build", "--database", str(fasta), "--output", str(target)]) == 0
+        capsys.readouterr()
+        arguments = ["search", source, str(target), "--query", "MKVLAADTGLAV"]
+        assert main(arguments + ["--evalue", evalue]) == 2
+        assert message in one_error_line(capsys, "search")
 
 
 class TestForeignSymbolsAreUsageErrors:
@@ -786,6 +813,17 @@ class TestInputsAreUsageErrors:
         assert f"block size {block_size} " in line and "minimum of 70 bytes" in line
         assert not output.exists()
 
+    def test_a_block_above_the_header_field_is_refused_before_any_directory(
+        self, tmp_path, generated_files, capsys
+    ):
+        fasta, _ = generated_files
+        output = tmp_path / "huge-block.index"
+        build = ["index", "build", "--database", str(fasta), "--output", str(output)]
+        assert main(build + ["--block-size", "99999999999"]) == 2
+        line = one_error_line(capsys, "index build")
+        assert "block size 99999999999 " in line and "maximum of 4294967295 bytes" in line
+        assert not output.exists()
+
     @pytest.mark.parametrize(
         "command, arguments",
         [
@@ -912,6 +950,12 @@ class TestSlowLogAndMetrics:
         capsys.readouterr()
         assert main(self._search(index, queries, "--slow-log", "-1")) == 2
         assert "--slow-log must be non-negative" in one_error_line(capsys, "search")
+
+    def test_nan_slow_log_rejected(self, sharded_files, capsys):
+        index, queries = sharded_files
+        capsys.readouterr()
+        assert main(self._search(index, queries, "--slow-log", "nan")) == 2
+        assert "--slow-log must be non-negative, not nan" in one_error_line(capsys, "search")
 
     def test_metrics_dump_includes_histogram_quantiles(self, sharded_files, capsys):
         index, queries = sharded_files

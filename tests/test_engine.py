@@ -1,5 +1,7 @@
 """Tests for the OasisEngine facade and the selectivity converter."""
 
+import os
+
 import pytest
 
 from repro.core.engine import OasisEngine
@@ -8,7 +10,7 @@ from repro.core.request import SearchRequest
 from repro.obs import Tracer
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
-from repro.sharding import ShardedEngine
+from repro.sharding import ShardedEngine, ShardedIndexBuilder
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 from repro.suffixtree.generalized import GeneralizedSuffixTree
@@ -72,7 +74,9 @@ class TestOneSearchSurface:
     QUERY = "WKDDGNGYISAAE"
     OPTIONS = dict(min_score=20, max_results=5, compute_alignments=True)
 
-    @pytest.fixture(params=["memory", "disk", "sharded-build-on-disk", "sharded-open"])
+    @pytest.fixture(
+        params=["memory", "disk", "index-open", "sharded-build-on-disk", "sharded-open"]
+    )
     def engine(self, request, tmp_path, small_protein_database, pam30_matrix, gap8):
         database = small_protein_database
         if request.param == "memory":
@@ -81,6 +85,12 @@ class TestOneSearchSurface:
             return OasisEngine.build_on_disk(
                 database, pam30_matrix, tmp_path / "index.oasis", gap_model=gap8, block_size=512
             )
+        if request.param == "index-open":
+            ShardedIndexBuilder(pam30_matrix, gap8, shard_count=2, block_size=512).build(
+                database, tmp_path / "index"
+            )
+            # A pool below the image (11 blocks): the search reads through it.
+            return OasisEngine.open(tmp_path / "index", buffer_pool_bytes=2048)
         built = ShardedEngine.build_on_disk(
             database, tmp_path / "index", pam30_matrix, gap8, shard_count=2, block_size=512
         )
@@ -123,6 +133,45 @@ class TestOneSearchSurface:
                 cursor.pool.clear()  # nothing cached: the next read needs the file
                 with pytest.raises(ValueError):
                     cursor.children(cursor.root)
+
+
+class TestTheOneOpener:
+    """``OasisEngine.open`` opens an index directory; ``ShardedEngine.open`` is
+    that opener plus the scatter, and its serial search is the same search."""
+
+    QUERIES = ("WKDDGNGYISAAE", "MKVLAADT")
+
+    @pytest.mark.parametrize("pool", ["default", "eighth"])
+    def test_the_two_openers_agree(
+        self, tmp_path, small_protein_database, pam30_matrix, gap8, pool
+    ):
+        directory = tmp_path / "index"
+        catalog = ShardedIndexBuilder(pam30_matrix, gap8, shard_count=2, block_size=512).build(
+            small_protein_database, directory
+        )
+        options = {}
+        if pool == "eighth":
+            options["buffer_pool_bytes"] = os.path.getsize(catalog.image_path(directory)) // 8
+
+        def outcomes(engine, cursor):
+            assert type(cursor) is (GeneralizedSuffixTree if pool == "default" else DiskSuffixTree)
+            rows = []
+            with engine:
+                for query in self.QUERIES:
+                    result = engine.search(query, evalue=1_000.0)
+                    counters = result.statistics.as_dict()
+                    del counters["elapsed_seconds"]
+                    rows.append((hit_rows(result), counters))
+            return rows
+
+        plain = OasisEngine.open(directory, **options)
+        sharded = ShardedEngine.open(directory, backend="serial", **options)
+        expected = outcomes(plain, plain.cursor)
+        assert outcomes(sharded, sharded.tree_engine.cursor) == expected
+        assert all(hits for hits, _ in expected)
+        assert all(
+            (counters["buffer_misses"] > 0) == (pool == "eighth") for _, counters in expected
+        )
 
 
 class TestThresholdResolution:

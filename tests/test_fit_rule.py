@@ -1,10 +1,11 @@
 """The fit rule: an image that fits its pool budget is read into the in-memory tree.
 
 ``repro.storage.open_image`` is the one place the choice is made, and every
-engine opens its images through it: ``ShardedEngine.open`` with the whole
-budget, a process worker's ``_open_tree_search`` with the budget the parent
-sent, and ``OasisEngine.build_on_disk``.  A pool of exactly the
-image's size reads the tree; one byte less searches through the clock pool.
+engine opens its images through it: ``OasisEngine.open`` (under
+``ShardedEngine.open`` with the whole budget, and in a process worker with
+the budget the parent sent) and ``OasisEngine.build_on_disk``.  A pool of
+exactly the image's size reads the tree; one byte less searches through the
+clock pool.
 The read tree must be the built tree, record for record, at block sizes with
 and without padding, and must keep no decoded-children table.  It reads its
 records when a search first needs them, so an engine whose partitions search
@@ -113,13 +114,12 @@ class TestTheBoundary:
                     fingerprint=catalog.fingerprint,
                     database_digest=catalog.database_digest,
                 )
-                assert type(remote._open_tree_search(task).cursor) is expected
+                assert type(remote._open_engine(task).cursor) is expected
         finally:
             # This process is not a worker: drop what the calls cached here.
             directory = os.path.abspath(directory)
-            remote._DIRECTORY_CACHE.pop(directory)
-            for key in [key for key in remote._SEARCH_CACHE if key[0] == directory]:
-                remote._SEARCH_CACHE.pop(key).close()
+            for key in [key for key in remote._ENGINES if key[0] == directory]:
+                remote._ENGINES.pop(key).close()
 
 
 class TestTheReadTree:

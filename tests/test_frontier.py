@@ -15,8 +15,8 @@ import heapq
 
 import pytest
 
+from repro.core.engine import OasisEngine
 from repro.core.kernels import ExpansionKernel, available_kernels, get_kernel
-from repro.core.oasis import OasisSearch
 from repro.core.results import hit_order_key
 from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER, SearchNode
 from repro.scoring.data import unit_matrix
@@ -114,7 +114,7 @@ def count_search_nodes(monkeypatch):
 @pytest.mark.parametrize("kernel", available_kernels())
 class TestFlatFrontier:
     def search(self, cursor, kernel):
-        return OasisSearch(cursor, unit_matrix(DNA_ALPHABET), FixedGapModel(-1), kernel=kernel)
+        return OasisEngine(cursor, unit_matrix(DNA_ALPHABET), FixedGapModel(-1), kernel=kernel)
 
     def test_pushes_what_the_kernel_numbered(self, cursor, kernel, monkeypatch):
         built = count_search_nodes(monkeypatch)
@@ -171,7 +171,7 @@ def test_both_kernels_pop_the_same_sequence(cursor, monkeypatch):
     watch = HeapWatch(monkeypatch)
     sequences = []
     for kernel in available_kernels():
-        OasisSearch(cursor, unit_matrix(DNA_ALPHABET), FixedGapModel(-1), kernel=kernel).search(
+        OasisEngine(cursor, unit_matrix(DNA_ALPHABET), FixedGapModel(-1), kernel=kernel).search(
             QUERY, min_score=MIN_SCORE
         )
         # Every slot but the column, which each kernel keeps in its own form.

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.engine import OasisEngine
 from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
 from repro.core.kernels import LiveCellKernel, ReferenceKernel, get_kernel
-from repro.core.oasis import OasisSearch
 from repro.core.search_node import NodeState, SearchNode
 from repro.scoring.data import nucleotide_matrix, pam30, unit_matrix
 from repro.scoring.gaps import FixedGapModel
@@ -151,13 +151,13 @@ class TestVerbatimQuery:
                 ExpansionContext, "limit_for", lambda self, cutoff: limit_for(self, cutoff)[:-1]
             )
             with pytest.raises(IndexError):
-                OasisSearch(cursor, matrix, FixedGapModel(gap), kernel=LIVE).search(
+                OasisEngine(cursor, matrix, FixedGapModel(gap), kernel=LIVE).search(
                     query, min_score=max(1, perfect // 2)
                 )
 
         results = {}
         for each in (kernel, REFERENCE):
-            result = OasisSearch(cursor, matrix, FixedGapModel(gap), kernel=each).search(
+            result = OasisEngine(cursor, matrix, FixedGapModel(gap), kernel=each).search(
                 query, min_score=max(1, perfect // 2)
             )
             counters = result.statistics.as_dict()

@@ -75,7 +75,6 @@ def _callables_with_a_default_gap():
     from repro.baselines.blast import BlastLikeSearch
     from repro.baselines.smith_waterman import SmithWatermanAligner
     from repro.core.engine import OasisEngine
-    from repro.core.oasis import OasisSearch
     from repro.sharding.builder import ShardedIndexBuilder
     from repro.sharding.engine import ShardedEngine
 
@@ -83,7 +82,6 @@ def _callables_with_a_default_gap():
         "OasisEngine": OasisEngine.__init__,
         "OasisEngine.build": OasisEngine.build,
         "OasisEngine.build_on_disk": OasisEngine.build_on_disk,
-        "OasisSearch": OasisSearch.__init__,
         "ShardedIndexBuilder": ShardedIndexBuilder.__init__,
         "ShardedEngine": ShardedEngine.__init__,
         "ShardedEngine.build_on_disk": ShardedEngine.build_on_disk,

@@ -100,6 +100,13 @@ class TestEvalueConversions:
     def test_min_score_at_least_one(self, params):
         assert params.min_score(1e12, 5, 100) >= 1
 
+    def test_an_evalue_beyond_float_range_is_a_value_error(self, params):
+        # K*m*n / E overflows: no finite score meets the target.
+        with pytest.raises(ValueError, match="no finite score"):
+            params.min_score(1e-320, 16, 1_000_000)
+        # K*m*n / E underflows to 0: every score meets it.
+        assert params.min_score(1e308, 1, 1) == 1
+
     def test_invalid_arguments(self, params):
         with pytest.raises(ValueError):
             params.evalue(10, 0, 100)

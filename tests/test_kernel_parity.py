@@ -32,7 +32,6 @@ from repro.core.kernels import (
     available_kernels,
     get_kernel,
 )
-from repro.core.oasis import OasisSearch
 from repro.core.search_node import NodeState, SearchNode, VIABLE_AFTER, node_view
 from repro.datagen import GenomeGenerator, MotifWorkloadGenerator, SwissProtLikeGenerator
 from repro.scoring.data import nucleotide_matrix, pam30, unit_matrix
@@ -102,7 +101,7 @@ CONFIGURATION_IDS = [configuration[0] for configuration in CONFIGURATIONS]
 
 def run_searches(tree, queries, matrix, gap, kernel, min_score, **switches):
     """Hit signatures + every work counter for one kernel over a shared tree."""
-    search = OasisSearch(tree, matrix, FixedGapModel(gap), kernel=kernel, **switches)
+    search = OasisEngine(tree, matrix, FixedGapModel(gap), kernel=kernel, **switches)
     outcomes = []
     for query in queries:
         result = search.search(query, min_score=min_score)
@@ -205,7 +204,7 @@ class TestNodeLevelParity:
         live = get_kernel(kernel)
         contexts = []
         for kernel in (reference, live):
-            search = OasisSearch(cursor, matrix(), FixedGapModel(gap), kernel=kernel)
+            search = OasisEngine(cursor, matrix(), FixedGapModel(gap), kernel=kernel)
             contexts.append(search.execute(query, min_score=min_score - 5).context)
         reference_context, live_context = contexts
 
@@ -256,7 +255,7 @@ class TestNodeLevelParity:
         # kernel converts the dense one of a reference-built node.
         database, queries = protein_dataset(5)
         cursor = GeneralizedSuffixTree.build(database)
-        search = OasisSearch(cursor, pam30(), FixedGapModel(-8), kernel="reference")
+        search = OasisEngine(cursor, pam30(), FixedGapModel(-8), kernel="reference")
         context = search.execute(queries[0], min_score=30).context
         root = (-99, VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)
         viable = [
@@ -443,11 +442,11 @@ class TestSharedKernelInstance:
 
         shared_kernel = get_kernel(kernel)
         shared = outcomes(
-            [OasisSearch(tree, matrix, FixedGapModel(-8), kernel=shared_kernel)] * workers
+            [OasisEngine(tree, matrix, FixedGapModel(-8), kernel=shared_kernel)] * workers
         )
         private = outcomes(
             [
-                OasisSearch(tree, matrix, FixedGapModel(-8), kernel=get_kernel(kernel))
+                OasisEngine(tree, matrix, FixedGapModel(-8), kernel=get_kernel(kernel))
                 for _ in range(workers)
             ]
         )

@@ -6,7 +6,6 @@ import pytest
 
 from repro.baselines.smith_waterman import SmithWatermanAligner
 from repro.core.engine import OasisEngine
-from repro.core.oasis import OasisSearch
 from repro.scoring.data import pam30, unit_matrix
 from repro.scoring.gaps import AffineGapModel, FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
@@ -21,7 +20,7 @@ class TestPaperExample:
 
     @pytest.fixture
     def search(self, paper_tree, unit_dna_matrix):
-        return OasisSearch(paper_tree, unit_dna_matrix, FixedGapModel(-1))
+        return OasisEngine(paper_tree, unit_dna_matrix, FixedGapModel(-1))
 
     def test_best_alignment_score_is_four(self, search):
         result = search.search(PAPER_QUERY, min_score=1)
@@ -54,7 +53,7 @@ class TestPaperExample:
 
     def test_affine_gaps_not_supported(self, paper_tree, unit_dna_matrix):
         with pytest.raises(NotImplementedError):
-            OasisSearch(paper_tree, unit_dna_matrix, AffineGapModel(-5, -1))
+            OasisEngine(paper_tree, unit_dna_matrix, AffineGapModel(-5, -1))
 
     def test_alignment_tracing(self, search):
         result = search.search(PAPER_QUERY, min_score=1, compute_alignments=True)
@@ -91,13 +90,13 @@ class TestExactness:
         query = texts[1][10:22]
         database = SequenceDatabase.from_texts(texts, alphabet=PROTEIN_ALPHABET)
         tree = GeneralizedSuffixTree.build(database)
-        reference = OasisSearch(tree, pam30_matrix, gap8).search(query, min_score=10)
+        reference = OasisEngine(tree, pam30_matrix, gap8).search(query, min_score=10)
         for flags in (
             {"prune_dominated": False},
             {"prune_threshold": False},
             {"prune_non_positive": True, "prune_dominated": False, "prune_threshold": False},
         ):
-            relaxed = OasisSearch(tree, pam30_matrix, gap8, **flags).search(query, min_score=10)
+            relaxed = OasisEngine(tree, pam30_matrix, gap8, **flags).search(query, min_score=10)
             assert relaxed.scores_by_sequence() == reference.scores_by_sequence()
 
     def test_exactness_on_dna_with_unit_matrix(self, small_dna_database, unit_dna_matrix):

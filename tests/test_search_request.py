@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.engine import OasisEngine
-from repro.core.oasis import OasisSearch, QueryExecution
+from repro.core.oasis import QueryExecution
 from repro.core.request import SearchRequest
 from repro.sharding import ShardedEngine
 
@@ -53,6 +53,7 @@ class TestChecks:
             dict(evalue=0.0),
             dict(evalue=-1.0),
             dict(evalue=float("nan")),
+            dict(evalue=float("inf")),
             dict(min_score=10, max_results=0),
             dict(min_score=10, max_results=-3),
             dict(min_score=10, time_budget=0),
@@ -90,12 +91,20 @@ class TestChecks:
         # A resolved request is what a shard runs: it is not resolved again.
         assert resolved.resolved(engine.converter) is resolved
 
-    def test_a_bare_search_needs_a_score(self, small_protein_database, pam30_matrix, gap8):
-        engine = OasisEngine.build(small_protein_database, matrix=pam30_matrix, gap_model=gap8)
-        search = OasisSearch(engine.cursor, pam30_matrix, gap8)
-        assert len(search.search(QUERY, min_score=20)) > 0
-        with pytest.raises(ValueError, match="min_score"):
-            search.search(QUERY, evalue=10.0)
+    def test_an_engine_over_a_cursor_resolves_an_evalue(
+        self, small_protein_database, pam30_matrix, gap8
+    ):
+        # There is no search without a converter: an engine made around a
+        # cursor resolves an E-value as the built engine does.
+        built = OasisEngine.build(small_protein_database, matrix=pam30_matrix, gap_model=gap8)
+        engine = OasisEngine(built.cursor, pam30_matrix, gap8)
+
+        def rows(result):
+            return [(hit.sequence_index, hit.score, hit.evalue) for hit in result]
+
+        expected = rows(built.search(QUERY, evalue=10.0))
+        assert expected
+        assert rows(engine.search(QUERY, evalue=10.0)) == expected
 
     def test_options_beside_a_ready_request_are_refused(
         self, small_protein_database, pam30_matrix, gap8

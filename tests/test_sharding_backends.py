@@ -27,7 +27,12 @@ from repro.core.request import SearchRequest
 from repro.scoring.data import pam30
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
-from repro.sharding import ShardedEngine, ShardedIndexBuilder, shard_pool_budgets
+from repro.sharding import (
+    CatalogMismatchError,
+    ShardedEngine,
+    ShardedIndexBuilder,
+    shard_pool_budgets,
+)
 from repro.sharding import engine as engine_module
 from repro.sharding.engine import check_scatter_backend
 from repro.sharding.remote import ShardSearchTask, run_shard_search, spawn_pool
@@ -441,6 +446,32 @@ class TestProcessBackendFailurePaths:
             report = sharded.search_many(QUERIES[:1], workers=1, evalue=EVALUE)
             assert report.statistics.failed == 1
             assert "changed on disk" in report.outcomes[0].error
+
+    def test_a_bundled_fasta_rewritten_under_the_engine_fails_in_the_workers(
+        self, tmp_path, backend_database, pam30_matrix, gap8
+    ):
+        """Workers open the index as the parent does, database check included.
+
+        The FASTA keeps every identifier and length but not its residues, so
+        only the content digest tells it from the indexed database: a worker
+        that skipped the check would search the image against the wrong
+        sequences and answer with nothing, silently.
+        """
+        directory = tmp_path / "rewritten"
+        ShardedIndexBuilder(pam30_matrix, gap8, shard_count=2).build(
+            backend_database, directory
+        )
+        with ShardedEngine.open(directory, backend="processes:2") as sharded:
+            fasta = directory / "database.fasta"
+            shifted = str.maketrans("ACDEFGHIKLMNPQRSTVWY", "CDEFGHIKLMNPQRSTVWYA")
+            fasta.write_text(
+                "".join(
+                    line if line.startswith(">") else line.translate(shifted)
+                    for line in fasta.read_text().splitlines(keepends=True)
+                )
+            )
+            with pytest.raises(CatalogMismatchError, match="database content"):
+                sharded.search(QUERIES[0], evalue=EVALUE)
 
     def test_reopened_engine_searches_the_rebuilt_index(
         self, tmp_path, backend_database, pam30_matrix, gap8, monolithic
