@@ -381,6 +381,16 @@ def _command_search(args: argparse.Namespace) -> int:
         # cannot serve (no catalog, another configuration, another format,
         # not the image of its database) fails defined: never wrong hits.
         return _fail("search", error)
+    if args.evalue is not None:
+        # Equation 3's ratio K*m*n/E grows with the query length m: an
+        # E-value that gives no finite score for the shortest query gives
+        # none for any, so it is one usage error for the run, not one failed
+        # row per query.
+        try:
+            engine.min_score_for(min(queries, key=len), args.evalue)
+        except ValueError as error:
+            engine.close()
+            return _fail("search", error)
     if tracer is not None:
         engine.instrument(tracer)
 

@@ -4,19 +4,35 @@
  * walk for walk: the same survivors, the same frontier entries numbered
  * from context.nodes_enqueued, the same nodes_enqueued / nodes_dropped /
  * columns_expanded updates, and with arc_bests (a list) the expand_arc
- * view that returns every child and appends its b.  kernels.py documents
- * the walk and why it is exact; the comments here cover only what C adds.
+ * view that returns every child and appends its b.
+ *
+ * expand_node(parent, records, context) is expand(parent,
+ * tree.siblings(parent[3]), context) on a GeneralizedSuffixTree, with no
+ * sibling list in between.  records is the tree's node_records,
+ * (internal_records, leaf_records, concatenated codes, sequence ends):
+ * the node's run of internal children, then its run of leaves, are decoded
+ * from them one child at a time as GeneralizedSuffixTree.children decodes
+ * them (a leaf's sequence end by bisection), each arc is walked where it
+ * lies in the codes, and a child's handle tuple is built only if the child
+ * is kept -- four children in five are dropped after a symbol or two.  A
+ * record that points past its array, an arc past the codes and a suffix
+ * past the last sequence end are IndexErrors.
+ *
+ * Both steps run one per-arc walk, walk_arc; kernels.py documents the walk
+ * and why it is exact, and the comments here cover only what C adds.
  *
  * The seed column, the siblings and the output entries are read and built
  * as Python objects directly.  The heuristic and the substitution profile
  * come packed, as the context's immutable int64 bytes (packed_heuristic,
- * packed_profile), and limit[row] is computed from them as limit_for
- * builds it: max(0, cutoff - h[row]), and the stop sentinel in row m + 1.
- * Only the columns inside one arc live in C arrays, scratch to one call
- * (one PyMem allocation, freed before it returns): an allocation can run a
- * finaliser that switches threads, and another call sharing the kernel
- * must never see them.  No pointer into a list is held across anything
- * that can run Python code.
+ * and packed_profile: S(q_row, symbol) at row * alphabet + symbol), and
+ * limit[row] is computed from them as limit_for builds it: max(0, cutoff -
+ * h[row]), and the stop sentinel in row m + 1.  Only the columns inside one
+ * arc live in C arrays, scratch to one call (one PyMem allocation, freed
+ * before it returns): an allocation can run a finaliser that switches
+ * threads, and another call sharing the kernel must never see them.  No
+ * pointer into a list is held across anything that can run Python code;
+ * the record arrays are held through the buffer protocol for the whole
+ * call, so they can be neither freed nor resized under it.
  *
  * Integers: ints read from Python must lie within +-2**62, and a sum that
  * leaves that range raises OverflowError where Python ints would grow.  A
@@ -25,6 +41,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdint.h>
 #include <string.h>
 
 typedef long long i64;
@@ -37,6 +54,11 @@ typedef long long i64;
 #define VIABLE_AFTER 1
 #define ACCEPTED_FIRST 0
 
+/* The record words of repro.suffixtree.cursor. */
+#define LAST_SIBLING_BIT 0x80000000u
+#define VALUE_MASK 0x7FFFFFFFu
+#define NO_POINTER 0xFFFFFFFFu
+
 typedef struct {
     PyObject *gap_penalty;
     PyObject *min_score;
@@ -45,6 +67,8 @@ typedef struct {
     PyObject *nodes_enqueued;
     PyObject *nodes_dropped;
     PyObject *columns_expanded;
+    PyObject *internal_kind; /* "I", the first item of an internal handle */
+    PyObject *leaf_kind;     /* "L" */
 } step_state;
 
 /* A list or tuple, or TypeError naming what it should have been. */
@@ -74,6 +98,13 @@ static int
 overflow(void)
 {
     PyErr_SetString(PyExc_OverflowError, "score outside +-2**62");
+    return -1;
+}
+
+static int
+out_of_range(const char *what)
+{
+    PyErr_SetString(PyExc_IndexError, what);
     return -1;
 }
 
@@ -160,6 +191,22 @@ packed(PyObject *context, PyObject *name, const char **values, Py_ssize_t *count
     return bytes;
 }
 
+/* A record array, an array('I'), held as a buffer until PyBuffer_Release. */
+static int
+words_of(PyObject *object, const char *what, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(object, view, PyBUF_FORMAT) < 0)
+        return -1;
+    if (view->itemsize != (Py_ssize_t)sizeof(uint32_t) || view->format == NULL
+        || strcmp(view->format, "I") != 0) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "%s must be an array('I'), not %.100s", what,
+                     Py_TYPE(object)->tp_name);
+        return -1;
+    }
+    return 0;
+}
+
 static inline i64
 load(const char *values, i64 index)
 {
@@ -181,7 +228,7 @@ add(i64 a, i64 b, i64 *out)
 /* One query's constants, as the walk reads them. */
 typedef struct {
     const char *heuristic; /* h[0..m] */
-    const char *profile;   /* S(q_row, symbol) at symbol * m + row */
+    const char *profile;   /* S(q_row, symbol) at row * alphabet + symbol */
     i64 m;
     i64 alphabet;
 } query_view;
@@ -205,8 +252,7 @@ limit_at(const query_view *query, i64 cutoff, i64 row, i64 *out)
         *out = NO_SCORE_ABOVE;
         return 0;
     }
-    PyErr_SetString(PyExc_IndexError, "limit index out of range");
-    return -1;
+    return out_of_range("limit index out of range");
 }
 
 /* (-f, flag, counter, tree_node, column, max_score, depth); steals column. */
@@ -237,6 +283,31 @@ frontier_entry(i64 f, int flag, i64 counter, PyObject *tree_node, PyObject *colu
         PyTuple_SET_ITEM(entry, slot, value);
     }
     return entry;
+}
+
+/* (kind, a, b, c, d): a node handle as GeneralizedSuffixTree.children
+ * builds it. */
+static PyObject *
+node_handle(PyObject *kind, i64 a, i64 b, i64 c, i64 d)
+{
+    PyObject *handle = PyTuple_New(5);
+    PyObject *value;
+    i64 numbers[4] = {a, b, c, d};
+    int slot;
+
+    if (handle == NULL)
+        return NULL;
+    Py_INCREF(kind);
+    PyTuple_SET_ITEM(handle, 0, kind);
+    for (slot = 0; slot < 4; slot++) {
+        value = PyLong_FromLongLong(numbers[slot]);
+        if (value == NULL) {
+            Py_DECREF(handle);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(handle, slot + 1, value);
+    }
+    return handle;
 }
 
 /* The (row, score) cells as a new list of 2-tuples. */
@@ -284,14 +355,121 @@ read_seed(PyObject *seed, i64 *rows, i64 *scores, Py_ssize_t count)
         }
         if (int_at(cell, 0, "cell", &rows[k]) < 0 || int_at(cell, 1, "cell", &scores[k]) < 0)
             return -1;
-        if (rows[k] < 0) {
-            PyErr_SetString(PyExc_IndexError, "a column row is negative");
-            return -1;
-        }
+        if (rows[k] < 0)
+            return out_of_range("a column row is negative");
         if (k > 0 && rows[k] <= rows[k - 1]) {
             PyErr_SetString(PyExc_ValueError, "a column's rows must ascend");
             return -1;
         }
+    }
+    return 0;
+}
+
+/* What one call reads before its first arc -- the parent entry, the
+ * query's constants, the seed column -- and the scratch its arcs' columns
+ * live in.  ``counter`` numbers the entries it builds. */
+typedef struct {
+    query_view query;
+    i64 gap, min_score, parent_max, parent_depth, parent_cutoff, floor, counter;
+    PyObject *seed, *heuristic, *profile; /* owned */
+    i64 *scratch;
+    i64 *seed_rows, *seed_scores, *rows_a, *scores_a, *rows_b, *scores_b;
+    Py_ssize_t seed_count, capacity;
+} expansion;
+
+/* Where one arc's walk ended: its last column's live cells, max_score, b
+ * and depth. */
+typedef struct {
+    const i64 *rows, *scores;
+    Py_ssize_t count;
+    i64 max_score, best, depth;
+} arc_end;
+
+/* What becomes of a child: enqueued VIABLE or ACCEPTED, returned UNVIABLE
+ * by the expand_arc view only, or else dropped. */
+enum fate { DROPPED, VIABLE, ACCEPTED, UNVIABLE };
+
+static void
+close_expansion(expansion *e)
+{
+    PyMem_Free(e->scratch);
+    Py_XDECREF(e->seed);
+    Py_XDECREF(e->heuristic);
+    Py_XDECREF(e->profile);
+}
+
+/* Read the parent entry and the context into ``e``; close_expansion
+ * releases what it holds, whether this succeeded or not. */
+static int
+open_expansion(step_state *state, PyObject *parent, PyObject *context, int view, expansion *e)
+{
+    PyObject *seed;
+    Py_ssize_t heuristic_count, profile_count, k;
+
+    memset(e, 0, sizeof(*e));
+    seed = item_at(parent, 4, "frontier entry");
+    if (seed == NULL)
+        return -1;
+    if (seed == Py_None) {
+        PyErr_SetString(PyExc_ValueError,
+                        "cannot expand below a node whose column was discarded");
+        return -1;
+    }
+    if (require_sequence(seed, "a column") < 0)
+        return -1;
+    Py_INCREF(seed);
+    e->seed = seed;
+    if (int_at(parent, 5, "frontier entry", &e->parent_max) < 0
+        || int_at(parent, 6, "frontier entry", &e->parent_depth) < 0
+        || attribute_score(context, state->gap_penalty, &e->gap) < 0
+        || attribute_score(context, state->min_score, &e->min_score) < 0
+        || attribute_score(context, state->nodes_enqueued, &e->counter) < 0)
+        return -1;
+    e->heuristic = packed(context, state->packed_heuristic, &e->query.heuristic, &heuristic_count);
+    if (e->heuristic == NULL)
+        return -1;
+    e->profile = packed(context, state->packed_profile, &e->query.profile, &profile_count);
+    if (e->profile == NULL)
+        return -1;
+    e->query.m = heuristic_count - 1;
+    e->query.alphabet = e->query.m > 0 ? profile_count / e->query.m : 0;
+    if (e->query.m < 0 || e->query.alphabet * e->query.m != profile_count) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the packed profile is not m rows of one score per symbol");
+        return -1;
+    }
+    e->parent_cutoff = e->parent_max >= e->min_score ? e->parent_max : e->min_score - 1;
+
+    /* Scratch: the seed, then two columns of at most one cell per limit row
+     * (rows 0 to m + 1). */
+    e->seed_count = Py_SIZE(seed);
+    e->capacity = (Py_ssize_t)e->query.m + 2;
+    e->scratch = PyMem_New(i64, 2 * e->seed_count + 4 * e->capacity);
+    if (e->scratch == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    e->seed_rows = e->scratch;
+    e->seed_scores = e->seed_rows + e->seed_count;
+    e->rows_a = e->seed_scores + e->seed_count;
+    e->scores_a = e->rows_a + e->capacity;
+    e->rows_b = e->scores_a + e->capacity;
+    e->scores_b = e->rows_b + e->capacity;
+    if (read_seed(seed, e->seed_rows, e->seed_scores, e->seed_count) < 0)
+        return -1;
+
+    e->floor = PRUNED;
+    if (view) {
+        if (e->seed_count == 0) {
+            PyErr_SetString(PyExc_ValueError, "max() arg is an empty sequence");
+            return -1;
+        }
+        e->floor = e->seed_scores[0];
+        for (k = 1; k < e->seed_count; k++)
+            if (e->seed_scores[k] > e->floor)
+                e->floor = e->seed_scores[k];
+        if (add(e->floor, e->gap, &e->floor) < 0)
+            return -1;
     }
     return 0;
 }
@@ -303,34 +481,260 @@ read_seed(PyObject *seed, i64 *rows, i64 *scores, Py_ssize_t count)
     } while (0)
 
 /* limit[row] under the cutoff in force, into ``out``. */
-#define LIMIT(row, out) FAIL_UNLESS(limit_at(&query, cutoff, (row), &(out)) == 0)
+#define LIMIT(row, out) FAIL_UNLESS(limit_at(&e->query, cutoff, (row), &(out)) == 0)
 
-#define KEEP(row, score)                                                  \
-    do {                                                                  \
-        if (kept_count == capacity) {                                     \
-            PyErr_SetString(PyExc_IndexError, "limit index out of range"); \
-            goto error;                                                   \
-        }                                                                 \
-        out_rows[kept_count] = (row);                                     \
-        out_scores[kept_count] = (score);                                 \
-        kept_count++;                                                     \
+#define KEEP(row, score)                                   \
+    do {                                                   \
+        if (kept_count == e->capacity) {                   \
+            out_of_range("limit index out of range");      \
+            goto error;                                    \
+        }                                                  \
+        out_rows[kept_count] = (row);                      \
+        out_scores[kept_count] = (score);                  \
+        kept_count++;                                      \
     } while (0)
+
+/* The live-cell walk down one arc of ``symbols`` codes from the seed: the
+ * one loop behind both steps.  It runs no Python code. */
+static int
+walk_arc(const expansion *e, const unsigned char *arc_codes, Py_ssize_t symbols, arc_end *end)
+{
+    const i64 gap = e->gap;
+    i64 *in_rows = e->seed_rows, *in_scores = e->seed_scores;
+    i64 *out_rows = e->seed_rows, *out_scores = e->seed_scores;
+    i64 max_score = e->parent_max, best = e->floor, depth = e->parent_depth;
+    i64 cutoff = e->parent_cutoff, limit_value;
+    Py_ssize_t in_count = e->seed_count, kept_count = e->seed_count, j, k;
+
+    for (j = 0; j < symbols; j++) {
+        i64 pending_row = -1, pending = 0, chain_row = -1, chain = 0;
+        i64 symbol = arc_codes[j];
+
+        depth++;
+        if (symbol >= e->query.alphabet)
+            return out_of_range("profile index out of range");
+        out_rows = in_rows == e->rows_a ? e->rows_b : e->rows_a;
+        out_scores = in_rows == e->rows_a ? e->scores_b : e->scores_a;
+        kept_count = 0;
+        for (k = 0; k < in_count; k++) {
+            i64 row = in_rows[k], score = in_scores[k], value;
+
+            FAIL_UNLESS(add(score, gap, &value) == 0);
+            if (pending_row == row) {
+                if (pending > value)
+                    value = pending;
+            }
+            else if (pending_row >= 0) {
+                if (chain_row >= 0) {
+                    while (chain_row < pending_row) {
+                        LIMIT(chain_row, limit_value);
+                        if (chain <= limit_value)
+                            break;
+                        KEEP(chain_row, chain);
+                        FAIL_UNLESS(add(chain, gap, &chain) == 0);
+                        chain_row++;
+                    }
+                    if (chain_row == pending_row && chain > pending)
+                        pending = chain;
+                }
+                LIMIT(pending_row, limit_value);
+                if (pending > limit_value) {
+                    KEEP(pending_row, pending);
+                    FAIL_UNLESS(add(pending, gap, &chain) == 0);
+                    chain_row = pending_row + 1;
+                }
+                else {
+                    chain_row = -1;
+                }
+            }
+            if (chain_row >= 0) {
+                while (chain_row < row) {
+                    LIMIT(chain_row, limit_value);
+                    if (chain <= limit_value)
+                        break;
+                    KEEP(chain_row, chain);
+                    FAIL_UNLESS(add(chain, gap, &chain) == 0);
+                    chain_row++;
+                }
+                if (chain_row == row && chain > value)
+                    value = chain;
+            }
+            LIMIT(row, limit_value);
+            if (value > limit_value) {
+                KEEP(row, value);
+                FAIL_UNLESS(add(value, gap, &chain) == 0);
+                chain_row = row + 1;
+            }
+            else {
+                chain_row = -1;
+            }
+            if (row >= e->query.m)
+                return out_of_range("profile row index out of range");
+            FAIL_UNLESS(add(score, load(e->query.profile, row * e->query.alphabet + symbol),
+                            &pending) == 0);
+            pending_row = row + 1;
+            if (pending > best)
+                best = pending;
+        }
+        if (chain_row >= 0) {
+            while (chain_row < pending_row) {
+                LIMIT(chain_row, limit_value);
+                if (chain <= limit_value)
+                    break;
+                KEEP(chain_row, chain);
+                FAIL_UNLESS(add(chain, gap, &chain) == 0);
+                chain_row++;
+            }
+            if (chain_row == pending_row && chain > pending)
+                pending = chain;
+        }
+        /* An empty seed leaves no pending cell (Python's limit[-1] is
+         * the sentinel, which 0 never exceeds). */
+        if (pending_row >= 0) {
+            LIMIT(pending_row, limit_value);
+            if (pending > limit_value) {
+                KEEP(pending_row, pending);
+                FAIL_UNLESS(add(pending, gap, &chain) == 0);
+                chain_row = pending_row + 1;
+                for (;;) {
+                    LIMIT(chain_row, limit_value);
+                    if (chain <= limit_value)
+                        break;
+                    KEEP(chain_row, chain);
+                    FAIL_UNLESS(add(chain, gap, &chain) == 0);
+                    chain_row++;
+                }
+            }
+        }
+
+        if (best > max_score) {
+            max_score = best;
+            if (best >= e->min_score) {
+                /* The cutoff rose: the survivors face the new limit. */
+                cutoff = best;
+                in_count = kept_count;
+                kept_count = 0;
+                for (k = 0; k < in_count; k++) {
+                    LIMIT(out_rows[k], limit_value);
+                    if (out_scores[k] > limit_value) {
+                        out_rows[kept_count] = out_rows[k];
+                        out_scores[kept_count] = out_scores[k];
+                        kept_count++;
+                    }
+                }
+            }
+        }
+        in_rows = out_rows;
+        in_scores = out_scores;
+        in_count = kept_count;
+        if (kept_count == 0)
+            break;
+    }
+    end->rows = out_rows;
+    end->scores = out_scores;
+    end->count = kept_count;
+    end->max_score = max_score;
+    end->best = best;
+    end->depth = depth;
+    return 0;
+
+error:
+    return -1;
+}
+
+#undef LIMIT
+#undef KEEP
+
+static enum fate
+fate_of(const expansion *e, const arc_end *end, int is_leaf, int view)
+{
+    if (end->count > 0 && !is_leaf)
+        return VIABLE; /* the arc is spelled out and cells are still alive */
+    if (end->max_score >= e->min_score)
+        return ACCEPTED;
+    return view ? UNVIABLE : DROPPED;
+}
+
+/* The entry of a child that is not dropped, numbered from e->counter. */
+static PyObject *
+child_entry(expansion *e, const arc_end *end, enum fate fate, Py_ssize_t symbols,
+            PyObject *tree_node)
+{
+    PyObject *column;
+    i64 bound = PRUNED, candidate;
+    Py_ssize_t k;
+
+    if (fate == VIABLE) {
+        for (k = 0; k < end->count; k++) {
+            if (end->rows[k] > e->query.m) {
+                out_of_range("heuristic index out of range");
+                return NULL;
+            }
+            if (add(end->scores[k], load(e->query.heuristic, end->rows[k]), &candidate) < 0)
+                return NULL;
+            if (k == 0 || candidate > bound)
+                bound = candidate;
+        }
+        if (symbols == 0) {
+            Py_INCREF(e->seed);
+            column = e->seed;
+        }
+        else {
+            column = column_list(end->rows, end->scores, end->count);
+            if (column == NULL)
+                return NULL;
+        }
+        e->counter++;
+        return frontier_entry(bound, VIABLE_AFTER, e->counter, tree_node, column,
+                              end->max_score, end->depth);
+    }
+    /* Finished: f collapses to max_score and the column is discarded.  An
+     * UNVIABLE child is never enqueued, so its number and flag mean
+     * nothing. */
+    if (fate == ACCEPTED)
+        e->counter++;
+    Py_INCREF(Py_None);
+    return frontier_entry(end->max_score, fate == ACCEPTED ? ACCEPTED_FIRST : VIABLE_AFTER,
+                          e->counter, tree_node, Py_None, end->max_score, end->depth);
+}
+
+/* The counters of a finished call, as the Python walk leaves them. */
+static int
+commit(step_state *state, PyObject *context, const expansion *e, i64 columns, i64 dropped,
+       int view)
+{
+    if (add_to_attribute(context, state->columns_expanded, columns) < 0)
+        return -1;
+    if (view)
+        return 0;
+    if (set_attribute(context, state->nodes_enqueued, e->counter) < 0)
+        return -1;
+    return add_to_attribute(context, state->nodes_dropped, dropped);
+}
+
+static int
+append_entry(PyObject *kept, PyObject *entry)
+{
+    int status;
+
+    if (entry == NULL)
+        return -1;
+    status = PyList_Append(kept, entry);
+    Py_DECREF(entry);
+    return status;
+}
 
 static PyObject *
 expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     step_state *state = PyModule_GetState(module);
-    PyObject *parent, *siblings, *context, *arc_bests = NULL;
-    PyObject *seed, *heuristic = NULL, *profile = NULL, *kept = NULL;
-    PyObject *sibling = NULL, *tree_node = NULL, *arc = NULL;
-    PyObject *column, *entry, *best_object;
-    query_view query;
-    Py_ssize_t heuristic_count, profile_count;
-    i64 gap, min_score, parent_max, parent_depth, parent_cutoff, counter;
-    i64 dropped = 0, columns = 0, floor, limit_value;
-    i64 *scratch = NULL, *seed_rows, *seed_scores, *rows_a, *scores_a, *rows_b, *scores_b;
-    i64 *in_rows, *in_scores, *out_rows, *out_scores;
-    Py_ssize_t seed_count, capacity, in_count, kept_count, index, k, j, symbols;
+    PyObject *siblings, *context, *arc_bests = NULL, *kept = NULL;
+    PyObject *sibling = NULL, *tree_node = NULL, *arc = NULL, *best_object;
+    expansion e;
+    arc_end end;
+    enum fate fate;
+    i64 columns = 0, dropped = 0;
+    Py_ssize_t index;
     int view, is_leaf, status;
 
     if (nargs != 3 && nargs != 4) {
@@ -338,7 +742,6 @@ expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         "expand(parent, siblings, context[, arc_bests]) takes 3 or 4 arguments");
         return NULL;
     }
-    parent = args[0];
     siblings = args[1];
     context = args[2];
     if (nargs == 4 && args[3] != Py_None)
@@ -348,74 +751,14 @@ expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "arc_bests must be a list");
         return NULL;
     }
-    if (require_sequence(parent, "a frontier entry") < 0
+    if (require_sequence(args[0], "a frontier entry") < 0
         || require_sequence(siblings, "the siblings") < 0)
         return NULL;
-    seed = item_at(parent, 4, "frontier entry");
-    if (seed == NULL)
-        return NULL;
-    if (seed == Py_None) {
-        PyErr_SetString(PyExc_ValueError,
-                        "cannot expand below a node whose column was discarded");
-        return NULL;
-    }
-    if (require_sequence(seed, "a column") < 0)
-        return NULL;
-    Py_INCREF(seed);
-    FAIL_UNLESS(int_at(parent, 5, "frontier entry", &parent_max) == 0
-                && int_at(parent, 6, "frontier entry", &parent_depth) == 0
-                && attribute_score(context, state->gap_penalty, &gap) == 0
-                && attribute_score(context, state->min_score, &min_score) == 0
-                && attribute_score(context, state->nodes_enqueued, &counter) == 0);
-    heuristic = packed(context, state->packed_heuristic, &query.heuristic, &heuristic_count);
-    FAIL_UNLESS(heuristic != NULL);
-    profile = packed(context, state->packed_profile, &query.profile, &profile_count);
-    FAIL_UNLESS(profile != NULL);
-    query.m = heuristic_count - 1;
-    query.alphabet = query.m > 0 ? profile_count / query.m : 0;
-    if (query.m < 0 || query.alphabet * query.m != profile_count) {
-        PyErr_SetString(PyExc_ValueError,
-                        "the packed profile is not one row of m scores per symbol");
-        goto error;
-    }
-    parent_cutoff = parent_max >= min_score ? parent_max : min_score - 1;
-
-    /* Scratch: the seed, then two columns of at most one cell per limit row
-     * (rows 0 to m + 1). */
-    seed_count = Py_SIZE(seed);
-    capacity = (Py_ssize_t)query.m + 2;
-    scratch = PyMem_New(i64, 2 * seed_count + 4 * capacity);
-    if (scratch == NULL) {
-        PyErr_NoMemory();
-        goto error;
-    }
-    seed_rows = scratch;
-    seed_scores = seed_rows + seed_count;
-    rows_a = seed_scores + seed_count;
-    scores_a = rows_a + capacity;
-    rows_b = scores_a + capacity;
-    scores_b = rows_b + capacity;
-    FAIL_UNLESS(read_seed(seed, seed_rows, seed_scores, seed_count) == 0);
-
-    floor = PRUNED;
-    if (view) {
-        if (seed_count == 0) {
-            PyErr_SetString(PyExc_ValueError, "max() arg is an empty sequence");
-            goto error;
-        }
-        floor = seed_scores[0];
-        for (k = 1; k < seed_count; k++)
-            if (seed_scores[k] > floor)
-                floor = seed_scores[k];
-        FAIL_UNLESS(add(floor, gap, &floor) == 0);
-    }
+    FAIL_UNLESS(open_expansion(state, args[0], context, view, &e) == 0);
 
     kept = PyList_New(0);
     FAIL_UNLESS(kept != NULL);
     for (index = 0; index < Py_SIZE(siblings); index++) {
-        i64 max_score = parent_max, best = floor, depth = parent_depth, cutoff = parent_cutoff;
-        const unsigned char *arc_codes;
-
         sibling = item_at(siblings, index, "siblings");
         FAIL_UNLESS(sibling != NULL);
         Py_INCREF(sibling);
@@ -433,200 +776,24 @@ expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                          Py_TYPE(arc)->tp_name);
             goto error;
         }
-
-        in_rows = seed_rows;
-        in_scores = seed_scores;
-        in_count = seed_count;
-        out_rows = seed_rows;
-        out_scores = seed_scores;
-        kept_count = seed_count;
-        arc_codes = (const unsigned char *)PyBytes_AS_STRING(arc);
-        symbols = PyBytes_GET_SIZE(arc);
-        for (j = 0; j < symbols; j++) {
-            i64 pending_row = -1, pending = 0, chain_row = -1, chain = 0;
-            i64 symbol = arc_codes[j];
-
-            depth++;
-            if (symbol >= query.alphabet) {
-                PyErr_SetString(PyExc_IndexError, "profile index out of range");
-                goto error;
-            }
-            out_rows = in_rows == rows_a ? rows_b : rows_a;
-            out_scores = in_rows == rows_a ? scores_b : scores_a;
-            kept_count = 0;
-            for (k = 0; k < in_count; k++) {
-                i64 row = in_rows[k], score = in_scores[k], value;
-
-                FAIL_UNLESS(add(score, gap, &value) == 0);
-                if (pending_row == row) {
-                    if (pending > value)
-                        value = pending;
-                }
-                else if (pending_row >= 0) {
-                    if (chain_row >= 0) {
-                        while (chain_row < pending_row) {
-                            LIMIT(chain_row, limit_value);
-                            if (chain <= limit_value)
-                                break;
-                            KEEP(chain_row, chain);
-                            FAIL_UNLESS(add(chain, gap, &chain) == 0);
-                            chain_row++;
-                        }
-                        if (chain_row == pending_row && chain > pending)
-                            pending = chain;
-                    }
-                    LIMIT(pending_row, limit_value);
-                    if (pending > limit_value) {
-                        KEEP(pending_row, pending);
-                        FAIL_UNLESS(add(pending, gap, &chain) == 0);
-                        chain_row = pending_row + 1;
-                    }
-                    else {
-                        chain_row = -1;
-                    }
-                }
-                if (chain_row >= 0) {
-                    while (chain_row < row) {
-                        LIMIT(chain_row, limit_value);
-                        if (chain <= limit_value)
-                            break;
-                        KEEP(chain_row, chain);
-                        FAIL_UNLESS(add(chain, gap, &chain) == 0);
-                        chain_row++;
-                    }
-                    if (chain_row == row && chain > value)
-                        value = chain;
-                }
-                LIMIT(row, limit_value);
-                if (value > limit_value) {
-                    KEEP(row, value);
-                    FAIL_UNLESS(add(value, gap, &chain) == 0);
-                    chain_row = row + 1;
-                }
-                else {
-                    chain_row = -1;
-                }
-                if (row >= query.m) {
-                    PyErr_SetString(PyExc_IndexError, "profile row index out of range");
-                    goto error;
-                }
-                FAIL_UNLESS(add(score, load(query.profile, symbol * query.m + row), &pending) == 0);
-                pending_row = row + 1;
-                if (pending > best)
-                    best = pending;
-            }
-            if (chain_row >= 0) {
-                while (chain_row < pending_row) {
-                    LIMIT(chain_row, limit_value);
-                    if (chain <= limit_value)
-                        break;
-                    KEEP(chain_row, chain);
-                    FAIL_UNLESS(add(chain, gap, &chain) == 0);
-                    chain_row++;
-                }
-                if (chain_row == pending_row && chain > pending)
-                    pending = chain;
-            }
-            /* An empty seed leaves no pending cell (Python's limit[-1] is
-             * the sentinel, which 0 never exceeds). */
-            if (pending_row >= 0) {
-                LIMIT(pending_row, limit_value);
-                if (pending > limit_value) {
-                    KEEP(pending_row, pending);
-                    FAIL_UNLESS(add(pending, gap, &chain) == 0);
-                    chain_row = pending_row + 1;
-                    for (;;) {
-                        LIMIT(chain_row, limit_value);
-                        if (chain <= limit_value)
-                            break;
-                        KEEP(chain_row, chain);
-                        FAIL_UNLESS(add(chain, gap, &chain) == 0);
-                        chain_row++;
-                    }
-                }
-            }
-
-            if (best > max_score) {
-                max_score = best;
-                if (best >= min_score) {
-                    /* The cutoff rose: the survivors face the new limit. */
-                    cutoff = best;
-                    in_count = kept_count;
-                    kept_count = 0;
-                    for (k = 0; k < in_count; k++) {
-                        LIMIT(out_rows[k], limit_value);
-                        if (out_scores[k] > limit_value) {
-                            out_rows[kept_count] = out_rows[k];
-                            out_scores[kept_count] = out_scores[k];
-                            kept_count++;
-                        }
-                    }
-                }
-            }
-            in_rows = out_rows;
-            in_scores = out_scores;
-            in_count = kept_count;
-            if (kept_count == 0)
-                break;
-        }
-        columns += depth - parent_depth;
+        FAIL_UNLESS(walk_arc(&e, (const unsigned char *)PyBytes_AS_STRING(arc),
+                             PyBytes_GET_SIZE(arc), &end) == 0);
+        columns += end.depth - e.parent_depth;
 
         /* Asked only of a child with live cells, as the Python walk does. */
         is_leaf = 1;
-        if (kept_count > 0) {
+        if (end.count > 0) {
             is_leaf = PyObject_IsTrue(item_at(sibling, 2, "sibling"));
             FAIL_UNLESS(is_leaf >= 0);
         }
-        entry = NULL;
-        if (!is_leaf) {
-            /* The arc is spelled out and cells are still alive. */
-            i64 bound = PRUNED, candidate;
-
-            for (k = 0; k < kept_count; k++) {
-                if (out_rows[k] > query.m) {
-                    PyErr_SetString(PyExc_IndexError, "heuristic index out of range");
-                    goto error;
-                }
-                FAIL_UNLESS(add(out_scores[k], load(query.heuristic, out_rows[k]), &candidate) == 0);
-                if (k == 0 || candidate > bound)
-                    bound = candidate;
-            }
-            if (symbols == 0) {
-                Py_INCREF(seed);
-                column = seed;
-            }
-            else {
-                column = column_list(out_rows, out_scores, kept_count);
-                FAIL_UNLESS(column != NULL);
-            }
-            counter++;
-            entry = frontier_entry(bound, VIABLE_AFTER, counter, tree_node, column, max_score, depth);
-            FAIL_UNLESS(entry != NULL);
-        }
-        else if (max_score >= min_score) {
-            counter++;
-            Py_INCREF(Py_None);
-            entry = frontier_entry(max_score, ACCEPTED_FIRST, counter, tree_node, Py_None,
-                                   max_score, depth);
-            FAIL_UNLESS(entry != NULL);
-        }
-        else if (view) {
-            /* UNVIABLE: never enqueued, so its number and flag mean nothing. */
-            Py_INCREF(Py_None);
-            entry = frontier_entry(max_score, VIABLE_AFTER, counter, tree_node, Py_None,
-                                   max_score, depth);
-            FAIL_UNLESS(entry != NULL);
-        }
-        else {
+        fate = fate_of(&e, &end, is_leaf, view);
+        if (fate == DROPPED)
             dropped++;
-        }
-        if (entry != NULL) {
-            status = PyList_Append(kept, entry);
-            Py_DECREF(entry);
-            FAIL_UNLESS(status == 0);
-        }
+        else
+            FAIL_UNLESS(append_entry(kept, child_entry(&e, &end, fate, PyBytes_GET_SIZE(arc),
+                                                       tree_node)) == 0);
         if (view) {
-            best_object = PyLong_FromLongLong(best);
+            best_object = PyLong_FromLongLong(end.best);
             FAIL_UNLESS(best_object != NULL);
             status = PyList_Append(arc_bests, best_object);
             Py_DECREF(best_object);
@@ -636,23 +803,12 @@ expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         Py_CLEAR(tree_node);
         Py_CLEAR(sibling);
     }
-
-    FAIL_UNLESS(add_to_attribute(context, state->columns_expanded, columns) == 0);
-    if (!view) {
-        FAIL_UNLESS(set_attribute(context, state->nodes_enqueued, counter) == 0);
-        FAIL_UNLESS(add_to_attribute(context, state->nodes_dropped, dropped) == 0);
-    }
-    PyMem_Free(scratch);
-    Py_DECREF(seed);
-    Py_DECREF(heuristic);
-    Py_DECREF(profile);
+    FAIL_UNLESS(commit(state, context, &e, columns, dropped, view) == 0);
+    close_expansion(&e);
     return kept;
 
 error:
-    PyMem_Free(scratch);
-    Py_DECREF(seed);
-    Py_XDECREF(heuristic);
-    Py_XDECREF(profile);
+    close_expansion(&e);
     Py_XDECREF(kept);
     Py_XDECREF(sibling);
     Py_XDECREF(tree_node);
@@ -660,10 +816,178 @@ error:
     return NULL;
 }
 
+static PyObject *
+expand_node(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    step_state *state = PyModule_GetState(module);
+    PyObject *records, *context, *codes, *tree_node = NULL, *kind, *handle, *kept = NULL;
+    Py_buffer internal_view = {0}, leaf_view = {0}, ends_view = {0};
+    const uint32_t *internal, *leaves, *ends;
+    const unsigned char *symbols;
+    expansion e;
+    arc_end end;
+    enum fate fate;
+    i64 columns = 0, dropped = 0, node, depth, child, leaf, word, start, arc_start, length;
+    Py_ssize_t node_count, leaf_count, end_count, symbol_count, low, high, middle;
+    int status;
+
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "expand_node(parent, records, context) takes 3 arguments");
+        return NULL;
+    }
+    records = args[1];
+    context = args[2];
+    if (require_sequence(args[0], "a frontier entry") < 0)
+        return NULL;
+    if (!PyTuple_Check(records) || PyTuple_GET_SIZE(records) != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "records must be the tuple (internal_records, leaf_records, codes, "
+                        "sequence_ends)");
+        return NULL;
+    }
+    codes = PyTuple_GET_ITEM(records, 2);
+    if (!PyBytes_Check(codes)) {
+        PyErr_Format(PyExc_TypeError, "the codes must be bytes, not %.100s",
+                     Py_TYPE(codes)->tp_name);
+        return NULL;
+    }
+    memset(&e, 0, sizeof(e));
+    FAIL_UNLESS(words_of(PyTuple_GET_ITEM(records, 0), "internal_records", &internal_view) == 0
+                && words_of(PyTuple_GET_ITEM(records, 1), "leaf_records", &leaf_view) == 0
+                && words_of(PyTuple_GET_ITEM(records, 3), "sequence_ends", &ends_view) == 0);
+    internal = internal_view.buf;
+    leaves = leaf_view.buf;
+    ends = ends_view.buf;
+    node_count = internal_view.len / (Py_ssize_t)(4 * sizeof(uint32_t));
+    leaf_count = leaf_view.len / (Py_ssize_t)sizeof(uint32_t);
+    end_count = ends_view.len / (Py_ssize_t)sizeof(uint32_t);
+    symbols = (const unsigned char *)PyBytes_AS_STRING(codes);
+    symbol_count = PyBytes_GET_SIZE(codes);
+
+    FAIL_UNLESS(open_expansion(state, args[0], context, 0, &e) == 0);
+    tree_node = item_at(args[0], 3, "frontier entry");
+    FAIL_UNLESS(tree_node != NULL);
+    Py_INCREF(tree_node);
+    FAIL_UNLESS(require_sequence(tree_node, "a node handle") == 0);
+    kind = item_at(tree_node, 0, "node handle");
+    FAIL_UNLESS(kind != NULL);
+    /* children() of anything but an internal handle is empty. */
+    child = leaf = NO_POINTER;
+    depth = 0;
+    if (PyUnicode_Check(kind) && PyUnicode_CompareWithASCIIString(kind, "I") == 0) {
+        FAIL_UNLESS(int_at(tree_node, 1, "node handle", &node) == 0);
+        if (node < 0 || node >= node_count) {
+            out_of_range("a node index past the internal records");
+            goto error;
+        }
+        depth = internal[4 * node] & VALUE_MASK;
+        child = internal[4 * node + 2];
+        leaf = internal[4 * node + 3];
+    }
+
+    kept = PyList_New(0);
+    FAIL_UNLESS(kept != NULL);
+    while (child != NO_POINTER) {
+        i64 child_depth;
+
+        if (child >= node_count) {
+            out_of_range("a child pointer past the internal records");
+            goto error;
+        }
+        word = internal[4 * child];
+        child_depth = word & VALUE_MASK;
+        arc_start = internal[4 * child + 1];
+        length = child_depth - depth;
+        if (length < 0 || arc_start + length > symbol_count) {
+            out_of_range("an arc past the symbol array");
+            goto error;
+        }
+        FAIL_UNLESS(walk_arc(&e, symbols + arc_start, (Py_ssize_t)length, &end) == 0);
+        columns += end.depth - e.parent_depth;
+        fate = fate_of(&e, &end, 0, 0);
+        if (fate == DROPPED) {
+            dropped++;
+        }
+        else {
+            handle = node_handle(state->internal_kind, child, arc_start, length, child_depth);
+            FAIL_UNLESS(handle != NULL);
+            status = append_entry(kept, child_entry(&e, &end, fate, (Py_ssize_t)length, handle));
+            Py_DECREF(handle);
+            FAIL_UNLESS(status == 0);
+        }
+        child = word & LAST_SIBLING_BIT ? NO_POINTER : child + 1;
+    }
+    while (leaf != NO_POINTER) {
+        if (leaf >= leaf_count) {
+            out_of_range("a leaf index past the leaf records");
+            goto error;
+        }
+        word = leaves[leaf];
+        start = word & VALUE_MASK;
+        /* bisect_right(sequence_ends, start): suffix ``start`` ends at the
+         * first end above it. */
+        low = 0;
+        high = end_count;
+        while (low < high) {
+            middle = low + (high - low) / 2;
+            if (start < (i64)ends[middle])
+                high = middle;
+            else
+                low = middle + 1;
+        }
+        if (low == end_count) {
+            out_of_range("a suffix past the last sequence end");
+            goto error;
+        }
+        length = (i64)ends[low] - start;
+        arc_start = start + depth;
+        if (length < depth || (i64)ends[low] > symbol_count) {
+            out_of_range("an arc past the symbol array");
+            goto error;
+        }
+        FAIL_UNLESS(walk_arc(&e, symbols + arc_start, (Py_ssize_t)(length - depth), &end) == 0);
+        columns += end.depth - e.parent_depth;
+        fate = fate_of(&e, &end, 1, 0);
+        if (fate == DROPPED) {
+            dropped++;
+        }
+        else {
+            handle = node_handle(state->leaf_kind, start, arc_start, length - depth, length);
+            FAIL_UNLESS(handle != NULL);
+            status = append_entry(kept, child_entry(&e, &end, fate, (Py_ssize_t)(length - depth),
+                                                    handle));
+            Py_DECREF(handle);
+            FAIL_UNLESS(status == 0);
+        }
+        leaf = word & LAST_SIBLING_BIT ? NO_POINTER : leaf + 1;
+    }
+    FAIL_UNLESS(commit(state, context, &e, columns, dropped, 0) == 0);
+    close_expansion(&e);
+    Py_DECREF(tree_node);
+    PyBuffer_Release(&internal_view);
+    PyBuffer_Release(&leaf_view);
+    PyBuffer_Release(&ends_view);
+    return kept;
+
+error:
+    close_expansion(&e);
+    Py_XDECREF(tree_node);
+    Py_XDECREF(kept);
+    PyBuffer_Release(&internal_view);
+    PyBuffer_Release(&leaf_view);
+    PyBuffer_Release(&ends_view);
+    return NULL;
+}
+
 static PyMethodDef step_methods[] = {
     {"expand", (PyCFunction)(void (*)(void))expand, METH_FASTCALL,
      "expand(parent, siblings, context, arc_bests=None) -> list of frontier entries\n\n"
      "The live-cell column step over one sibling list (kernels._expand_live)."},
+    {"expand_node", (PyCFunction)(void (*)(void))expand_node, METH_FASTCALL,
+     "expand_node(parent, records, context) -> list of frontier entries\n\n"
+     "expand(parent, tree.siblings(parent[3]), context), the children decoded\n"
+     "from tree.node_records and their arcs read in place."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -672,17 +996,19 @@ step_exec(PyObject *module)
 {
     step_state *state = PyModule_GetState(module);
 
-#define INTERN(field)                                       \
-    state->field = PyUnicode_InternFromString(#field);      \
-    if (state->field == NULL)                               \
+#define INTERN(field, text)                               \
+    state->field = PyUnicode_InternFromString(text);      \
+    if (state->field == NULL)                             \
         return -1;
-    INTERN(gap_penalty)
-    INTERN(min_score)
-    INTERN(packed_heuristic)
-    INTERN(packed_profile)
-    INTERN(nodes_enqueued)
-    INTERN(nodes_dropped)
-    INTERN(columns_expanded)
+    INTERN(gap_penalty, "gap_penalty")
+    INTERN(min_score, "min_score")
+    INTERN(packed_heuristic, "packed_heuristic")
+    INTERN(packed_profile, "packed_profile")
+    INTERN(nodes_enqueued, "nodes_enqueued")
+    INTERN(nodes_dropped, "nodes_dropped")
+    INTERN(columns_expanded, "columns_expanded")
+    INTERN(internal_kind, "I")
+    INTERN(leaf_kind, "L")
 #undef INTERN
     return 0;
 }
@@ -699,6 +1025,8 @@ step_clear(PyObject *module)
     Py_CLEAR(state->nodes_enqueued);
     Py_CLEAR(state->nodes_dropped);
     Py_CLEAR(state->columns_expanded);
+    Py_CLEAR(state->internal_kind);
+    Py_CLEAR(state->leaf_kind);
     return 0;
 }
 

@@ -62,7 +62,10 @@ class ExpansionContext:
     ``query_codes`` are the query's symbol codes (``bytes`` or any sequence
     of ints), ``score_rows`` the substitution table as one list of scores per
     code (:attr:`SubstitutionMatrix.rows
-    <repro.scoring.matrix.SubstitutionMatrix.rows>`).
+    <repro.scoring.matrix.SubstitutionMatrix.rows>`), and
+    ``packed_score_rows``, where given, the same rows as the matrix caches
+    them packed (:attr:`SubstitutionMatrix.packed_rows
+    <repro.scoring.matrix.SubstitutionMatrix.packed_rows>`).
     """
 
     def __init__(
@@ -76,6 +79,7 @@ class ExpansionContext:
         prune_dominated: bool = True,
         prune_threshold: bool = True,
         track_pruning: bool = False,
+        packed_score_rows: Optional[Sequence[bytes]] = None,
     ):
         if min_score < 1:
             raise ValueError("min_score must be at least 1")
@@ -83,6 +87,7 @@ class ExpansionContext:
             raise ValueError("the gap penalty must be negative")
         self.query_codes = query_codes
         self.score_rows = score_rows
+        self._packed_score_rows = packed_score_rows
         self.gap_penalty = int(gap_penalty)
         #: ``h`` of Section 3.1 as Python ints: non-increasing, ``h[m] == 0``
         #: (see :func:`~repro.core.heuristic.compute_heuristic_vector`).
@@ -139,9 +144,13 @@ class ExpansionContext:
 
     @cached_property
     def packed_profile(self) -> bytes:
-        """:attr:`profile_rows`, one row after another, as native ``int64``
-        bytes (the compiled step)."""
-        return array("q", [score for row in self.profile_rows for score in row]).tobytes()
+        """``S(q_i, t)`` as native ``int64`` bytes at ``(i - 1) * alphabet + t``
+        (the compiled step): the packed score row of each query code, joined,
+        so no per-query list is built."""
+        packed_rows = self._packed_score_rows
+        if packed_rows is None:
+            packed_rows = [array("q", row).tobytes() for row in self.score_rows]
+        return b"".join([packed_rows[code] for code in self.query_codes])
 
     @cached_property
     def profile(self) -> "np.ndarray":

@@ -64,6 +64,16 @@ kernel here never materialises the dead ones:
     ``live`` stays as the form of the step that runs everywhere, and the
     one the C source is read against.
 
+    It also has a node step, ``expand_node(parent, records, context)``: the
+    same walk over a node's children that C decodes itself from the
+    in-memory tree's record arrays (``cursor.node_records``), each arc read
+    where it lies in the symbol array, a handle built only for a child that
+    is kept.  The search expands every node of a
+    :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read, through
+    it (:meth:`ExpansionKernel.node_expander`); the disk cursor, the other
+    kernels, dense columns and a partition's root keep the sibling list.
+    Both steps share one C walk per arc.
+
     The C source is compiled on first use, once per user and machine: ``gcc
     -O2 -shared -fPIC -I<sysconfig include>`` into ``$XDG_CACHE_HOME/
     repro-oasis`` (``~/.cache/repro-oasis``), a directory created with mode
@@ -96,7 +106,9 @@ of the children to enqueue, in child order and numbered from
 pushes them as they are.  Four in five children come out UNVIABLE and are
 counted in ``context.nodes_dropped`` without ever becoming an entry.
 Kernels hold no per-query state -- one instance serves concurrent
-executions -- and never call the cursor.
+executions -- and never call the cursor.  The one exception is the compiled
+node step, which decodes the children itself: it reads the record arrays
+the in-memory tree hands over as ``node_records``, never a cursor method.
 
 Selection goes through :func:`get_kernel`: an explicit ``kernel=`` argument
 (``OasisEngine``, its ``build`` / ``open`` and the CLI all thread one
@@ -121,6 +133,7 @@ import os
 import shutil
 import stat
 from dataclasses import replace
+from types import ModuleType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.expand import ExpansionContext, expand_arc_reference
@@ -140,6 +153,10 @@ from repro.core.search_node import (
 # loop iterates plain Python ints.
 from repro.suffixtree.cursor import Sibling
 
+
+#: One node's expansion as the search loop calls it: ``expand(parent, context)``
+#: returns the entries of the children to enqueue.
+Expander = Callable[[FrontierEntry, ExpansionContext], List[FrontierEntry]]
 
 #: Environment variable selecting the default kernel.
 KERNEL_ENVIRONMENT_VARIABLE = "OASIS_KERNEL"
@@ -202,6 +219,14 @@ class ExpansionKernel:
                 kept.append(frontier_entry(child, counter))
         context.nodes_enqueued = counter
         return kept
+
+    def node_expander(self, records, context: ExpansionContext) -> Optional[Expander]:
+        """The step over a node's records (``cursor.node_records``), or ``None``.
+
+        Only the compiled kernel has one; the search then expands every node
+        through it instead of handing this kernel sibling lists.
+        """
+        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -434,10 +459,23 @@ class CompiledKernel(LiveCellKernel):
     name = "compiled"
 
     def __init__(self) -> None:
-        step = _compiled_step()
-        if isinstance(step, str):
-            raise KernelUnavailable(f"expansion kernel 'compiled' is unavailable: {step}")
-        self.step = step
+        module = _compiled_step()
+        if isinstance(module, str):
+            raise KernelUnavailable(f"expansion kernel 'compiled' is unavailable: {module}")
+        self.step = module.expand
+        #: ``expand_node(parent, records, context)``: :attr:`step` over the
+        #: children that ``records`` hold for ``parent``'s node, decoded in C.
+        self.node_step: Callable[..., List[FrontierEntry]] = module.expand_node
+
+    def node_expander(self, records, context: ExpansionContext) -> Optional[Expander]:
+        if not context.live_cells:
+            return None
+        node_step = self.node_step
+
+        def expand(parent: FrontierEntry, context: ExpansionContext) -> List[FrontierEntry]:
+            return node_step(parent, records, context)
+
+        return expand
 
 
 # --------------------------------------------------------------------- #
@@ -499,8 +537,8 @@ def _private_directory(path: str) -> Optional[str]:
 
 
 @functools.lru_cache(maxsize=None)
-def _compiled_step() -> Union[Callable[..., List[FrontierEntry]], str]:
-    """The compiled ``expand``, or why it cannot run here.
+def _compiled_step() -> Union[ModuleType, str]:
+    """The compiled module (``expand``, ``expand_node``), or why it cannot run here.
 
     The library is built once per source, interpreter ABI and compile
     command: ``gcc -O2 -shared -fPIC -I<Python include>`` into the user's
@@ -550,7 +588,7 @@ def _compiled_step() -> Union[Callable[..., List[FrontierEntry]], str]:
         loader.exec_module(module)
     except (ImportError, OSError) as error:
         return f"cannot load {library}: {error}"
-    return module.expand
+    return module
 
 
 def _build(

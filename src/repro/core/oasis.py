@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
-from repro.core.kernels import DEFAULT_KERNEL
+from repro.core.kernels import DEFAULT_KERNEL, Expander
 from repro.core.request import SearchRequest
 from repro.core.results import (
     Alignment,
@@ -41,7 +41,7 @@ from repro.core.results import (
     SearchResult,
     hit_order_key,
 )
-from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER
+from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER, FrontierEntry
 from repro.sequences.sequence import Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (the engine imports this module)
@@ -232,6 +232,7 @@ class QueryExecution:
             prune_dominated=engine.prune_dominated,
             prune_threshold=engine.prune_threshold,
             track_pruning=engine.track_pruning,
+            packed_score_rows=engine.matrix.packed_rows,
         )
 
     # ------------------------------------------------------------------ #
@@ -295,7 +296,6 @@ class QueryExecution:
         finalised even then.
         """
         cursor = self.engine.cursor
-        siblings = cursor.siblings
         database = cursor.database
         context = self.context
         kernel = self.engine.expansion_kernel
@@ -329,6 +329,7 @@ class QueryExecution:
             if root_bound < min_score:
                 # Even a perfect match cannot reach the threshold.
                 return
+            expand = self._expander()
 
             # A frontier entry is the flat tuple described in
             # ``repro.core.search_node``; the root is entry number 0.
@@ -341,7 +342,7 @@ class QueryExecution:
                     return
                 statistics.max_queue_size = statistics.nodes_expanded = 1
                 symbols = self.root_symbols
-                owned = [child for child in siblings(cursor.root) if child[1][0] in symbols]
+                owned = [child for child in cursor.siblings(cursor.root) if child[1][0] in symbols]
                 queue = kernel.expand_children(queue.pop(), owned, context)
                 heapq.heapify(queue)
             reported: Set[int] = set()
@@ -422,16 +423,13 @@ class QueryExecution:
                         break
                     continue
 
-                # VIABLE node: read its whole sibling list in one cursor call
-                # (the kernel never calls the cursor) and hand it to the
-                # expansion kernel with the entry itself as the parent.  The
-                # kernel returns the entries of the children to enqueue,
-                # already numbered in child order -- the heap tie-break
-                # depends on that -- and they are pushed as they are.
-                # UNVIABLE children never leave the kernel; it counts them in
-                # ``context.nodes_dropped``.
+                # VIABLE node: one expansion (see ``_expander``) returns the
+                # entries of the children to enqueue, already numbered in
+                # child order -- the heap tie-break depends on that -- and
+                # they are pushed as they are.  UNVIABLE children never leave
+                # the kernel; it counts them in ``context.nodes_dropped``.
                 statistics.nodes_expanded += 1
-                for child_entry in kernel.expand_children(entry, siblings(tree_node), context):
+                for child_entry in expand(entry, context):
                     heapq.heappush(queue, child_entry)
 
             # Exhausted queue or full coverage: whatever is buffered is final.
@@ -448,6 +446,31 @@ class QueryExecution:
             self._finish()
             if span is not None:
                 self._close_span(span)
+
+    def _expander(self) -> Expander:
+        """How this execution expands a VIABLE node, resolved once per execution.
+
+        On a cursor that holds its record arrays in memory (a
+        :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read; the
+        arrays are read here, by the first search) the compiled kernel
+        decodes each node's children and walks their arcs in one C call.
+        Every other kernel and cursor gets the node's whole sibling list
+        from one cursor call, so the kernel itself never calls the cursor.
+        """
+        cursor, kernel = self.engine.cursor, self.engine.expansion_kernel
+        records = cursor.node_records
+        if records is not None:
+            expand = kernel.node_expander(records, self.context)
+            if expand is not None:
+                return expand
+        siblings, expand_children = cursor.siblings, kernel.expand_children
+
+        def expand_siblings(
+            parent: FrontierEntry, context: ExpansionContext
+        ) -> List[FrontierEntry]:
+            return expand_children(parent, siblings(parent[3]), context)
+
+        return expand_siblings
 
     def _finish(self) -> None:
         context = self.context

@@ -13,6 +13,7 @@ the gap model as an independent parameter.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -99,6 +100,7 @@ class SubstitutionMatrix:
         # view: the worker rebuilds that on first use, if ever.
         state = dict(vars(self))
         state.pop("lookup", None)
+        state.pop("packed_rows", None)
         return state
 
     # ------------------------------------------------------------------ #
@@ -117,6 +119,13 @@ class SubstitutionMatrix:
         """The table as one list of ints per symbol code, terminal included
         (``rows[a][b]`` scores code ``a`` against code ``b``; do not mutate)."""
         return self._rows
+
+    @cached_property
+    def packed_rows(self) -> List[bytes]:
+        """:attr:`rows`, each as native ``int64`` bytes, built once per matrix:
+        a query's packed profile is the rows of its codes joined (the
+        compiled expansion step reads it)."""
+        return [array("q", row).tobytes() for row in self._rows]
 
     @cached_property
     def lookup(self) -> "np.ndarray":

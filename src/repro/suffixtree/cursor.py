@@ -22,7 +22,8 @@ pool.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterator, List, Tuple
+from array import array
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.sequences.database import SequenceDatabase
 
@@ -54,7 +55,21 @@ class SuffixTreeCursor(ABC):
     (or a proxy around one) that implements only those three works
     unchanged; both trees override it with one pass.  The three stay for
     tree walks and proxies outside the search.
+
+    The one exception is :attr:`node_records`: a cursor that holds the
+    Section 3.4 record arrays in memory (the in-memory tree) names them
+    there, and the compiled kernel then decodes each expanded node's
+    children from those arrays itself, with no cursor call.  Every other
+    cursor leaves it ``None`` and is searched through :meth:`siblings`.
     """
+
+    @property
+    def node_records(self) -> Optional[Tuple[array, array, bytes, array]]:
+        """``(internal_records, leaf_records, concatenated codes, sequence
+        ends)``, the arrays a node's children and arcs are decoded from (the
+        codes as ``bytes``, the other three as ``array('I')``), or ``None``
+        where the tree is not held as those arrays."""
+        return None
 
     @property
     @abstractmethod

@@ -18,7 +18,11 @@ node objects.  The arrays come from one of two places:
 
 The class implements :class:`repro.suffixtree.cursor.SuffixTreeCursor` with
 the disk cursor's node handles, so the OASIS search runs on it directly, and
-:func:`repro.storage.build_disk_image` writes its arrays as they are.
+:func:`repro.storage.build_disk_image` writes its arrays as they are.  It
+keeps nothing per node: the arrays are the whole tree, and a node's children
+are decoded from them on every call.  The compiled kernel does not even ask:
+it decodes each expanded node from :attr:`GeneralizedSuffixTree.node_records`
+itself, in C, and builds a handle only for a child it keeps.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import os
 from array import array
 from bisect import bisect_right
 from functools import cached_property
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.cursor import (
@@ -41,17 +45,6 @@ from repro.suffixtree.cursor import (
 
 PathLike = Union[str, os.PathLike]
 
-#: Internal nodes ``0 .. KEPT_NODES - 1`` of a built tree keep their decoded
-#: children (a tree read from an image keeps none, see ``from_image``); every
-#: deeper node is decoded from the records on each call.  Records are in level
-#: order, so these are the top of the tree, which every query expands.  At
-#: 1 123 722 protein residues, 60 distinct queries grew RSS by +29 MB with this
-#: value (4096: +18, 2048: +12, no table: +4.5; a memo of every expanded node:
-#: +234); on the benchmark's trees, on a 2-core x86 host, 4096 cost 4 % of
-#: queries per second and no table 4.6-14 %.
-KEPT_NODES = 1 << 13
-
-
 class GeneralizedSuffixTree(SuffixTreeCursor):
     """A generalized suffix tree over all sequences of a database.
 
@@ -64,22 +57,17 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
     11
 
     ``children()`` decodes an internal node's run of internal children, then
-    its run of leaves.  In a built tree the first :data:`KEPT_NODES` nodes in
-    level order keep that list in a fixed table, filled by whichever query or
-    thread asks first (two racing decodes store equal lists); every other
-    node is decoded on each call, so what a tree holds is set when it is
-    built, not by the queries that ran.  A tree read by :meth:`from_image`
-    keeps no table and decodes every node on each call.  ``siblings()``
-    slices the arcs from the symbol array on every call.
+    its run of leaves, from the record arrays on every call, built tree and
+    read tree alike, and ``siblings()`` slices their arcs from the symbol
+    array: what a tree holds is set when it is built or read, not by the
+    queries that ran.  The compiled kernel reads the same arrays through
+    :attr:`node_records` instead.
     """
 
     def __init__(self, database: SequenceDatabase, internal_records: array, leaf_records: array):
         self._attach(database)
         self.internal_records = internal_records
         self.leaf_records = leaf_records
-        self._kept: List[Optional[List[NodeHandle]]] = [None] * min(
-            KEPT_NODES, self.internal_node_count
-        )
 
     def _attach(self, database: SequenceDatabase) -> None:
         database.freeze()
@@ -107,8 +95,7 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         regions are read into ``array('I')``, one read each, when a search
         first needs them, after the same checks again.  So an engine whose
         shards search in worker processes holds no records of its own: only
-        the workers read them.  Unlike a built tree, a read tree keeps no
-        decoded-children table: its memory is the record arrays, which the
+        the workers read them.  Its memory is the record arrays, which the
         pool budget of :func:`repro.storage.open_image` bounds.
         """
         from repro.storage.layout import check_image
@@ -117,7 +104,6 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         tree = cls.__new__(cls)
         tree._attach(database)
         tree._image = os.fspath(path)
-        tree._kept = []
         return tree
 
     @cached_property
@@ -137,6 +123,17 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         from repro.storage.layout import Region
 
         return self._read_region(Region.LEAF_NODES)
+
+    @cached_property
+    def node_records(self) -> Tuple[array, array, bytes, array]:
+        """The arrays the compiled kernel decodes an expanded node from.
+
+        The internal and leaf records, the symbol array the arcs are slices
+        of, and the sequence ends a leaf's arc runs to (as ``array('I')``).
+        Asking for them reads a tree from an image, as a first search does.
+        """
+        ends = array("I", self._sequence_ends)
+        return (self.internal_records, self.leaf_records, self._codes, ends)
 
     def _read_region(self, region) -> array:
         from repro.storage.layout import check_image
@@ -160,15 +157,24 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         return node[0] == "L"
 
     def children(self, node: NodeHandle) -> List[NodeHandle]:
-        # The caller must not mutate the returned list: it may be the table's.
+        """The child handles of ``node``: its internal run, then its leaf run."""
         if node[0] != "I":
             return []
-        kept, index = self._kept, node[1]
-        if index >= len(kept):
-            return self._decode(node)
-        handles = kept[index]
-        if handles is None:
-            handles = kept[index] = self._decode(node)
+        records, leaves, ends = self.internal_records, self.leaf_records, self._sequence_ends
+        depth = node[4]
+        child, leaf = records[4 * node[1] + 2], records[4 * node[1] + 3]
+        handles: List[NodeHandle] = []
+        while child != NO_POINTER:
+            word = records[4 * child]
+            child_depth = word & VALUE_MASK
+            handles.append(("I", child, records[4 * child + 1], child_depth - depth, child_depth))
+            child = NO_POINTER if word & LAST_SIBLING_BIT else child + 1
+        while leaf != NO_POINTER:
+            word = leaves[leaf]
+            start = word & VALUE_MASK
+            length = ends[bisect_right(ends, start)] - start
+            handles.append(("L", start, start + depth, length - depth, length))
+            leaf = NO_POINTER if word & LAST_SIBLING_BIT else leaf + 1
         return handles
 
     def siblings(self, node: NodeHandle) -> List[Sibling]:
@@ -193,8 +199,8 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         return node[1]
 
     def leaf_positions(self, node: NodeHandle) -> Iterator[int]:
-        # Straight from the records, no handles and no table: a hit below a
-        # shallow node must not decode its whole subtree.
+        # Straight from the records, no handles: a hit below a shallow node
+        # must not decode its whole subtree.
         if node[0] == "L":
             yield node[1]
             return
@@ -215,25 +221,6 @@ class GeneralizedSuffixTree(SuffixTreeCursor):
         # Sequence i ends at the i-th entry: no locate() per leaf.
         ends = self._sequence_ends
         return list(dict.fromkeys(bisect_right(ends, start) for start in self.leaf_positions(node)))
-
-    def _decode(self, node: NodeHandle) -> List[NodeHandle]:
-        """The child handles of internal ``node``: its internal run, then its leaf run."""
-        records, leaves, ends = self.internal_records, self.leaf_records, self._sequence_ends
-        depth = node[4]
-        child, leaf = records[4 * node[1] + 2], records[4 * node[1] + 3]
-        handles: List[NodeHandle] = []
-        while child != NO_POINTER:
-            word = records[4 * child]
-            child_depth = word & VALUE_MASK
-            handles.append(("I", child, records[4 * child + 1], child_depth - depth, child_depth))
-            child = NO_POINTER if word & LAST_SIBLING_BIT else child + 1
-        while leaf != NO_POINTER:
-            word = leaves[leaf]
-            start = word & VALUE_MASK
-            length = ends[bisect_right(ends, start)] - start
-            handles.append(("L", start, start + depth, length - depth, length))
-            leaf = NO_POINTER if word & LAST_SIBLING_BIT else leaf + 1
-        return handles
 
     # ------------------------------------------------------------------ #
     # Statistics

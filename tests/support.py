@@ -15,6 +15,7 @@ from typing import Sequence
 from repro.core.kernels import available_kernels
 from repro.datagen.motifs import MotifQuery, MotifWorkload
 from repro.scoring.matrix import SubstitutionMatrix
+from repro.suffixtree.cursor import SuffixTreeCursor
 
 #: The sequence used throughout Section 2/3 of the paper.
 PAPER_TARGET = "AGTACGCCTAG"
@@ -99,3 +100,46 @@ def node_signature(node, length: int):
 def workload_from_texts(texts: Sequence[str], name: str = "adhoc") -> MotifWorkload:
     """Wrap plain query strings into a workload object."""
     return MotifWorkload(queries=[MotifQuery(text=t) for t in texts], name=name)
+
+
+class Delegating(SuffixTreeCursor):
+    """A cursor that only forwards, the shape of a timing proxy."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def database(self):
+        return self.inner.database
+
+    @property
+    def root(self):
+        return self.inner.root
+
+    @property
+    def pool(self):
+        return getattr(self.inner, "pool", None)
+
+    def is_leaf(self, node):
+        return self.inner.is_leaf(node)
+
+    def children(self, node):
+        return self.inner.children(node)
+
+    def arc_symbols(self, node):
+        return self.inner.arc_symbols(node)
+
+    def sequences_below(self, node):
+        return self.inner.sequences_below(node)
+
+    def arc(self, node):
+        return self.inner.arc(node)
+
+    def string_depth(self, node):
+        return self.inner.string_depth(node)
+
+    def suffix_start(self, node):
+        return self.inner.suffix_start(node)
+
+    def leaf_positions(self, node):
+        return self.inner.leaf_positions(node)

@@ -168,6 +168,29 @@ class TestAnEvalueWithoutAScoreIsAUsageError:
         assert main(arguments + ["--evalue", evalue]) == 2
         assert message in one_error_line(capsys, "search")
 
+    @pytest.mark.parametrize("source", ["--database", "--index"])
+    def test_a_batch_is_refused_once_before_it_runs(
+        self, tmp_path, generated_files, capsys, monkeypatch, source
+    ):
+        # No score for the shortest query means none for any: one error
+        # line and exit 2, not one failed row per query and exit 1.
+        fasta, queries = generated_files
+        assert len(set(map(len, queries.read_text().split()))) > 1
+        target = fasta
+        if source == "--index":
+            target = tmp_path / "index"
+            assert main(["index", "build", "--database", str(fasta), "--output", str(target)]) == 0
+        capsys.readouterr()
+        from repro.parallel import executor
+
+        monkeypatch.setattr(
+            executor, "search_many", lambda *a, **k: pytest.fail("the batch started")
+        )
+        arguments = ["search", source, str(target), "--queries", str(queries)]
+        assert main(arguments + ["--evalue", "1e-320"]) == 2
+        line = one_error_line(capsys, "search")
+        assert "E-value 1e-320 is too small: Equation 3 gives no finite score" in line
+
 
 class TestForeignSymbolsAreUsageErrors:
     """A query symbol outside the database's alphabet exits 2 in one line."""

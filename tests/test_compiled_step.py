@@ -105,7 +105,7 @@ class TestTheRulesOfTheWalk:
     def test_a_profile_of_another_query_length_is_a_value_error(self):
         context = make_context()
         context.packed_profile = make_context(QUERY + "A").packed_profile
-        with pytest.raises(ValueError, match="one row of m scores"):
+        with pytest.raises(ValueError, match="m rows of one score per symbol"):
             get_kernel("compiled").expand_children(root(context), [("n", ARC, False)], context)
 
     @pytest.mark.parametrize("kernel", PRODUCTION_KERNELS)

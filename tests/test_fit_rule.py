@@ -32,9 +32,8 @@ from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 from repro.storage.image import open_image
 from repro.storage.layout import ImageFormatError, Region
-from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from support import random_dna, random_protein
+from support import Delegating, random_dna, random_protein
 
 QUERY = "WKDDGNGYISAAE"
 
@@ -145,15 +144,26 @@ class TestTheReadTree:
             for node in nodes:
                 assert read.siblings(node) == built.siblings(node) == disk.siblings(node)
 
-    def test_a_read_tree_keeps_no_table(self, tmp_path, small_protein_database, pam30_matrix, gap8):
+    def test_a_read_tree_searches_as_the_built_tree_and_keeps_nothing(
+        self, tmp_path, small_protein_database, pam30_matrix, gap8
+    ):
         built = GeneralizedSuffixTree.build(small_protein_database)
         path = tmp_path / "image.oasis"
         build_disk_image(built, path)
         read = GeneralizedSuffixTree.from_image(path, small_protein_database)
+        outcomes = []
         for tree in (built, read):
-            assert len(OasisEngine(tree, pam30_matrix, gap8).search(QUERY, min_score=20)) > 0
-        assert read._kept == []
-        assert any(entry is not None for entry in built._kept)
+            result = OasisEngine(tree, pam30_matrix, gap8).search(QUERY, min_score=20)
+            assert len(result) > 0
+            counters = result.statistics.as_dict()
+            counters.pop("elapsed_seconds")
+            outcomes.append(([(hit.sequence_index, hit.score) for hit in result], counters))
+            # The search left the tree its arrays and nothing per node.
+            assert set(vars(tree)) <= {
+                "_database", "_codes", "_sequence_ends", "_image",
+                "internal_records", "leaf_records", "node_records",
+            }
+        assert outcomes[0] == outcomes[1]
 
     def test_a_big_endian_host_byteswaps_back(self, tmp_path, monkeypatch, paper_tree):
         """``read_records`` undoes ``storage.builder._little_endian`` on either host."""
@@ -220,49 +230,6 @@ class TestReadOnFirstUse:
             # The streaming path searches this process's tree: it reads then.
             assert list(engine.search_online(QUERY, evalue=1_000.0))
             assert "internal_records" in vars(cursor)
-
-
-class Delegating(SuffixTreeCursor):
-    """A cursor that only forwards, the shape of a timing proxy."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    @property
-    def database(self):
-        return self.inner.database
-
-    @property
-    def root(self):
-        return self.inner.root
-
-    @property
-    def pool(self):
-        return getattr(self.inner, "pool", None)
-
-    def is_leaf(self, node):
-        return self.inner.is_leaf(node)
-
-    def children(self, node):
-        return self.inner.children(node)
-
-    def arc_symbols(self, node):
-        return self.inner.arc_symbols(node)
-
-    def sequences_below(self, node):
-        return self.inner.sequences_below(node)
-
-    def arc(self, node):
-        return self.inner.arc(node)
-
-    def string_depth(self, node):
-        return self.inner.string_depth(node)
-
-    def suffix_start(self, node):
-        return self.inner.suffix_start(node)
-
-    def leaf_positions(self, node):
-        return self.inner.leaf_positions(node)
 
 
 @pytest.mark.parametrize("pool_bytes", [None, 512], ids=["fits", "tight"])

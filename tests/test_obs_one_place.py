@@ -274,6 +274,9 @@ class TestStopsAndFailures:
 
         tracer = Tracer()
         with OasisEngine.build(_database(), pam30(), FixedGapModel(-8)) as engine:
+            # No record arrays for the compiled kernel: every node is read
+            # through siblings(), which fails.
+            monkeypatch.setattr(engine.cursor, "node_records", None)
             monkeypatch.setattr(engine.cursor, "siblings", broken_siblings)
             report = engine.search_many(
                 QUERIES, workers=workers, min_score=MIN_SCORE, tracer=tracer
@@ -292,6 +295,7 @@ class TestStopsAndFailures:
 
         tracer = Tracer()
         with open_sharded(3) as engine:
+            monkeypatch.setattr(engine.tree_engine.cursor, "node_records", None)
             monkeypatch.setattr(engine.tree_engine.cursor, "siblings", broken_siblings)
             report = engine.search_many([CORE], workers=1, min_score=MIN_SCORE, tracer=tracer)
         assert report.statistics.failed == 1

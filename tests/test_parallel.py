@@ -496,6 +496,9 @@ class TestAnInterruptedBatch:
                 released.set()  # no abort came: let the batch finish (and fail below)
             return siblings(node)
 
+        # No record arrays for the compiled kernel: every node is read
+        # through siblings(), which holds.
+        monkeypatch.setattr(engine.cursor, "node_records", None)
         monkeypatch.setattr(engine.cursor, "siblings", held_siblings)
         execute = engine.execute
         aborted = []

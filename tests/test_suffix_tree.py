@@ -1,7 +1,6 @@
 """Unit tests for the generalized suffix tree (construction + queries)."""
 
 import random
-from unittest import mock
 
 import pytest
 
@@ -15,11 +14,10 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
-from repro.suffixtree import generalized
 from repro.suffixtree.cursor import SuffixTreeCursor
-from repro.suffixtree.generalized import KEPT_NODES, GeneralizedSuffixTree
+from repro.suffixtree.generalized import GeneralizedSuffixTree
 
-from support import PAPER_TARGET, random_dna, random_protein
+from support import PAPER_TARGET, Delegating, random_dna, random_protein
 
 
 def leaves(cursor):
@@ -233,60 +231,72 @@ class TestNodeHelpers:
         leaf = next(leaves(paper_tree))
         assert paper_tree.children(leaf) == [] and paper_tree.siblings(leaf) == []
 
-    def test_a_small_tree_has_a_slot_per_internal_node(self, paper_tree):
-        assert paper_tree.internal_node_count < KEPT_NODES
-        assert len(paper_tree._kept) == paper_tree.internal_node_count
+    def test_children_are_decoded_afresh_on_every_call(self, paper_tree):
+        # Nothing is kept per node: every call decodes an equal, new list,
+        # and walking the whole tree leaves its attributes as they were.
+        before = dict(vars(paper_tree))
+        pending = [paper_tree.root]
+        while pending:
+            node = pending.pop()
+            first = paper_tree.children(node)
+            assert paper_tree.children(node) == first
+            assert paper_tree.children(node) is not first
+            pending.extend(child for child in first if not paper_tree.is_leaf(child))
+        assert vars(paper_tree) == before
 
-    @pytest.mark.parametrize("kept_nodes", [0, 1, 2, 64])
-    def test_hits_and_counters_do_not_depend_on_the_table_size(self, kept_nodes):
-        # The bound only decides which decoded lists are kept: a table cut to
-        # any size must give the full table's hits and every counter.
+    @pytest.mark.parametrize("form", ["built", "read", "disk", "wrapped"])
+    def test_hits_and_counters_do_not_depend_on_the_cursor(self, tmp_path, form):
+        # The default kernel expands a tree held as record arrays (built or
+        # read from its image) from the records, and any other cursor (the
+        # disk cursor, or a plain cursor around the built tree) through its
+        # sibling lists: each must give the hits and every counter of the
+        # Python kernel on the built tree.
         generator = SwissProtLikeGenerator(seed=41, family_count=4, singleton_count=6)
         database = generator.generate()
         queries = [
             query.text
             for query in MotifWorkloadGenerator(generator, seed=42, query_count=6).generate()
         ]
+        built = GeneralizedSuffixTree.build(database)
+        path = tmp_path / "tree.oasis"
+        build_disk_image(built, path, block_size=256)
+        cursors = {
+            "built": lambda: built,
+            "read": lambda: GeneralizedSuffixTree.from_image(path, database),
+            "disk": lambda: DiskSuffixTree(path, database, buffer_pool_bytes=4 * 256),
+            "wrapped": lambda: Delegating(built),
+        }
 
-        def run():
-            engine = OasisEngine.build(database, pam30(), FixedGapModel(-8))
+        def run(cursor, kernel=None):
+            engine = OasisEngine(cursor, pam30(), FixedGapModel(-8), kernel=kernel)
             report = engine.search_many(queries, min_score=25)
+            engine.close()
             assert all(outcome.ok for outcome in report.outcomes)
-            return engine.cursor, [
+            return [
                 (
                     [(hit.sequence_index, hit.score) for hit in result],
                     {
                         name: value
                         for name, value in result.statistics.as_dict().items()
-                        if name != "elapsed_seconds"
+                        if name not in ("elapsed_seconds", "kernel")
+                        and not name.startswith("buffer_")
                     },
                 )
                 for result in report.results()
             ]
 
-        full_tree, full = run()
-        with mock.patch.object(generalized, "KEPT_NODES", kept_nodes):
-            cut_tree, cut = run()
-        assert len(full_tree._kept) == full_tree.internal_node_count > 64
-        assert len(cut_tree._kept) == kept_nodes
-        assert cut == full
-        assert any(hits for hits, _ in full)
+        expected = run(built, kernel="live")
+        assert run(cursors[form]()) == expected
+        assert any(hits for hits, _ in expected)
 
-    def test_only_the_top_nodes_keep_their_children(self):
-        # Distinct queries over a tree larger than the table expand nodes on
-        # both sides of the bound; only those below it keep a decoded list.
+    def test_a_search_keeps_nothing_per_node(self):
+        # Distinct queries over a tree expand thousands of distinct nodes;
+        # afterwards the tree holds what it held before they ran, plus the
+        # tuple of its own arrays that the compiled kernel reads.
         generator = SwissProtLikeGenerator(seed=5, family_count=20, singleton_count=20)
         engine = OasisEngine.build(generator.generate(), pam30(), FixedGapModel(-8))
         tree = engine.cursor
-        assert tree.internal_node_count > KEPT_NODES
-        decoded = {}
-        decode = tree._decode
-
-        def counting(node):
-            decoded[node[1]] = node
-            return decode(node)
-
-        tree._decode = counting
+        before = dict(vars(tree))
         queries = [
             query.text
             for query in MotifWorkloadGenerator(generator, seed=6, query_count=24).generate()
@@ -294,18 +304,16 @@ class TestNodeHelpers:
         assert len(set(queries)) == len(queries)
         report = engine.search_many(queries, min_score=18)
         assert all(outcome.ok for outcome in report.outcomes)
+        assert sum(result.statistics.nodes_expanded for result in report.results()) > 8192
 
-        expanded = dict(decoded)
-        assert len(expanded) > KEPT_NODES
-        assert sum(handles is not None for handles in tree._kept) <= KEPT_NODES
-        kept = {index for index, node in expanded.items() if tree.children(node) is tree.children(node)}
-        assert kept == {index for index in expanded if index < KEPT_NODES}
-        deep = next(node for index, node in expanded.items() if index >= KEPT_NODES)
-        first = tree.children(deep)
-        assert tree.children(deep) == first and tree.children(deep) is not first
+        after = dict(vars(tree))
+        after.pop("node_records", None)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
-        # Walking leaves for a hit decodes and keeps nothing.
-        filled = sum(handles is not None for handles in tree._kept)
-        decoded.clear()
+        # Walking leaves for a hit decodes no children.
+        decoded = []
+        children = tree.children
+        tree.children = lambda node: decoded.append(node) or children(node)
         assert sum(1 for _ in tree.leaf_positions(tree.root)) == tree.leaf_count
-        assert not decoded and sum(handles is not None for handles in tree._kept) == filled
+        assert not decoded

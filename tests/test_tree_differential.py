@@ -1,27 +1,23 @@
 """Differential on the in-memory tree: the disk cursor's siblings, Ukkonen's nodes, the image's bytes.
 
 The in-memory engine searches the record arrays ``build_disk_image`` writes,
-but decodes them with code of its own (array indexing, and a table that keeps
-the decoded children of the top ``KEPT_NODES`` nodes) where the disk cursor
+but decodes them with code of its own (array indexing) where the disk cursor
 decodes pages.  So on random protein and DNA databases -- 1 to 16 sequences,
 length-1 sequences, repeated sequences -- every internal node must give the
 same ``siblings()`` from both, at block sizes where sibling runs straddle
-pages (72) and where they never do (2048), once with the table as it is (it
-covers every node of these small trees) and once cut to two entries, so that
-both the kept and the decoded path are held to the disk cursor; the node
-count must be that of Ukkonen's construction, which shares no code with
-either; and the image written from a built tree must be the image written
-from its database.
+pages (72) and where they never do (2048), for the built tree and for the
+tree read back from each image; the node count must be that of Ukkonen's
+construction, which shares no code with either; and the image written from
+a built tree must be the image written from its database.
 
-The table is filled by whichever query expands a node first, with no lock:
-``TestColdTable`` races threads over a freshly built tree.
+``TestConcurrentSearches`` runs threads over one freshly built tree, whose
+nodes the compiled kernel decodes from the shared arrays in every thread.
 
 The example budget comes from the hypothesis profile (``tests/conftest.py``):
 bounded in tier-1, ``HYPOTHESIS_PROFILE=ci`` for the larger CI run.
 """
 
 import sys
-from unittest import mock
 
 from hypothesis import given, strategies as st
 
@@ -33,7 +29,6 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
-from repro.suffixtree import generalized
 from repro.suffixtree.build import construction_codes
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 from ukkonen_oracle import UkkonenSuffixTree
@@ -87,8 +82,6 @@ def test_memory_tree_is_the_image(tmp_path_factory, database):
     directory = tmp_path_factory.mktemp("tree")
     db = SequenceDatabase.from_texts(texts, alphabet=alphabet)
     tree = GeneralizedSuffixTree.build(db)
-    with mock.patch.object(generalized, "KEPT_NODES", 2):
-        cut = GeneralizedSuffixTree(db, tree.internal_records, tree.leaf_records)
 
     # Ukkonen over the construction codes (one distinct terminal per
     # sequence) has our nodes, plus a leaf per suffix that starts at a
@@ -105,26 +98,27 @@ def test_memory_tree_is_the_image(tmp_path_factory, database):
             SequenceDatabase.from_texts(texts, alphabet=alphabet), from_database, block_size=block_size
         )
         assert from_tree.read_bytes() == from_database.read_bytes(), (texts, block_size)
+        read = GeneralizedSuffixTree.from_image(from_tree, db)
         with DiskSuffixTree(from_tree, db) as disk:
             assert_siblings_match(tree, disk, (texts, block_size))
-            assert_siblings_match(cut, disk, (texts, block_size, "cut"))
+            assert_siblings_match(read, disk, (texts, block_size, "read"))
 
 
-class TestColdTable:
-    """Threads racing to fill the child table of a tree no query has touched."""
+class TestConcurrentSearches:
+    """Threads expanding the nodes of one tree at once."""
 
-    def test_threads_over_a_fresh_table_match_the_serial_run(self):
+    def test_threads_over_one_tree_match_the_serial_run(self):
         # Four workers expand the same nodes at once on a tree no query has
-        # touched; a short switch interval makes them interleave inside the
-        # decode.  Racing decodes store equal lists, so every hit and every
-        # counter must be the serial run's, whichever list the table kept.
+        # touched (the first reads its record tuple); a short switch interval
+        # makes them interleave between expansions.  Every hit and every
+        # counter must be the serial run's.
         generator = SwissProtLikeGenerator(seed=31, family_count=5, singleton_count=8)
         database = generator.generate()
         queries = [
             query.text
             for query in MotifWorkloadGenerator(generator, seed=32, query_count=12).generate()
         ]
-        queries += queries  # the second half finds the table warm
+        queries += queries  # each query twice, in flight together
 
         def run(workers):
             engine = OasisEngine.build(database, pam30(), FixedGapModel(-8))
