@@ -6,17 +6,33 @@
  * columns_expanded updates, and with arc_bests (a list) the expand_arc
  * view that returns every child and appends its b.
  *
- * expand_node(parent, records, context) is expand(parent,
- * tree.siblings(parent[3]), context) on a GeneralizedSuffixTree, with no
- * sibling list in between.  records is the tree's node_records,
- * (internal_records, leaf_records, concatenated codes, sequence ends):
- * the node's run of internal children, then its run of leaves, are decoded
- * from them one child at a time as GeneralizedSuffixTree.children decodes
- * them (a leaf's sequence end by bisection), each arc is walked where it
- * lies in the codes, and a child's handle tuple is built only if the child
- * is kept -- four children in five are dropped after a symbol or two.  A
- * record that points past its array, an arc past the codes and a suffix
- * past the last sequence end are IndexErrors.
+ * expand_node(records, parent, context) is expand(parent,
+ * tree.siblings(parent[3]), context) with no sibling list in between.
+ * records is the tree's node_records, of one of two shapes:
+ *
+ *   - a GeneralizedSuffixTree's (internal_records, leaf_records,
+ *     concatenated codes, sequence ends), each record region one page in
+ *     memory;
+ *   - a DiskSuffixTree's page source (block file, pool.table, pool.miss,
+ *     pool.add_hits, per region (first block, page bytes, record count),
+ *     sequence ends), whose pages are the image's blocks, asked of the
+ *     buffer pool exactly as DiskSuffixTree._read asks for them: the parent
+ *     record's page, the internal run's, the leaf run's, then every page of
+ *     every arc in child order.  A hit is table.get(block) and
+ *     frame.referenced = True, a miss is pool.miss(block, region), and the
+ *     call's hits are added once through pool.add_hits, on an error too.
+ *     Each page's bytes are held while they are read; page words are
+ *     little-endian (image format v2).  A closed block file is the
+ *     ValueError of a read from it, before any request.
+ *
+ * One decoder serves both: the node's run of internal children, then its
+ * run of leaves, are decoded one record at a time as
+ * GeneralizedSuffixTree.children decodes them (a leaf's sequence end by
+ * bisection), each arc is walked where it lies, page by page, and a child's
+ * handle tuple is built only if the child is kept -- four children in five
+ * are dropped after a symbol or two.  A record that points past its region,
+ * an arc past the symbols and a suffix past the last sequence end are
+ * IndexErrors, raised before any request past the region.
  *
  * Both steps run one per-arc walk, walk_arc; kernels.py documents the walk
  * and why it is exact, and the comments here cover only what C adds.
@@ -27,12 +43,15 @@
  * and packed_profile: S(q_row, symbol) at row * alphabet + symbol), and
  * limit[row] is computed from them as limit_for builds it: max(0, cutoff -
  * h[row]), and the stop sentinel in row m + 1.  Only the columns inside one
- * arc live in C arrays, scratch to one call (one PyMem allocation, freed
- * before it returns): an allocation can run a finaliser that switches
- * threads, and another call sharing the kernel must never see them.  No
+ * arc, and a node's decoded children, live in C arrays, scratch to one call
+ * (PyMem allocations freed before it returns): an allocation can run a
+ * finaliser that switches threads, and another call sharing the kernel must
+ * never see them.  No
  * pointer into a list is held across anything that can run Python code;
  * the record arrays are held through the buffer protocol for the whole
- * call, so they can be neither freed nor resized under it.
+ * call, so they can be neither freed nor resized under it, and a pool page
+ * through a strong reference to its bytes (a miss runs Python code, and
+ * another thread may evict the frame meanwhile).
  *
  * Integers: ints read from Python must lie within +-2**62, and a sum that
  * leaves that range raises OverflowError where Python ints would grow.  A
@@ -69,6 +88,9 @@ typedef struct {
     PyObject *columns_expanded;
     PyObject *internal_kind; /* "I", the first item of an internal handle */
     PyObject *leaf_kind;     /* "L" */
+    PyObject *referenced;    /* a pool frame's clock bit */
+    PyObject *data;          /* a pool frame's page */
+    PyObject *descriptor;    /* a block file's, None once closed */
 } step_state;
 
 /* A list or tuple, or TypeError naming what it should have been. */
@@ -377,13 +399,14 @@ typedef struct {
     Py_ssize_t seed_count, capacity;
 } expansion;
 
-/* Where one arc's walk ended: its last column's live cells, max_score, b
- * and depth. */
+/* One arc's walk so far: its last column's live cells, max_score, b, depth
+ * and the cutoff in force; ``finished`` once a column kept no cell. */
 typedef struct {
-    const i64 *rows, *scores;
+    i64 *rows, *scores;
     Py_ssize_t count;
-    i64 max_score, best, depth;
-} arc_end;
+    i64 max_score, best, depth, cutoff;
+    int finished;
+} arc_walk;
 
 /* What becomes of a child: enqueued VIABLE or ACCEPTED, returned UNVIABLE
  * by the expand_arc view only, or else dropped. */
@@ -494,18 +517,36 @@ open_expansion(step_state *state, PyObject *parent, PyObject *context, int view,
         kept_count++;                                      \
     } while (0)
 
-/* The live-cell walk down one arc of ``symbols`` codes from the seed: the
- * one loop behind both steps.  It runs no Python code. */
+/* An arc's walk before its first symbol: the seed column. */
+static void
+begin_arc(const expansion *e, arc_walk *walk)
+{
+    walk->rows = e->seed_rows;
+    walk->scores = e->seed_scores;
+    walk->count = e->seed_count;
+    walk->max_score = e->parent_max;
+    walk->best = e->floor;
+    walk->depth = e->parent_depth;
+    walk->cutoff = e->parent_cutoff;
+    walk->finished = 0;
+}
+
+/* The live-cell walk down the next ``symbols`` codes of an arc: the one
+ * loop behind both steps.  An arc split over pages is walked one piece at
+ * a time, and a finished walk reads no further piece.  It runs no Python
+ * code. */
 static int
-walk_arc(const expansion *e, const unsigned char *arc_codes, Py_ssize_t symbols, arc_end *end)
+walk_arc(const expansion *e, arc_walk *walk, const unsigned char *arc_codes, Py_ssize_t symbols)
 {
     const i64 gap = e->gap;
-    i64 *in_rows = e->seed_rows, *in_scores = e->seed_scores;
-    i64 *out_rows = e->seed_rows, *out_scores = e->seed_scores;
-    i64 max_score = e->parent_max, best = e->floor, depth = e->parent_depth;
-    i64 cutoff = e->parent_cutoff, limit_value;
-    Py_ssize_t in_count = e->seed_count, kept_count = e->seed_count, j, k;
+    i64 *in_rows = walk->rows, *in_scores = walk->scores;
+    i64 *out_rows, *out_scores;
+    i64 max_score = walk->max_score, best = walk->best, depth = walk->depth;
+    i64 cutoff = walk->cutoff, limit_value;
+    Py_ssize_t in_count = walk->count, kept_count, j, k;
 
+    if (walk->finished)
+        return 0;
     for (j = 0; j < symbols; j++) {
         i64 pending_row = -1, pending = 0, chain_row = -1, chain = 0;
         i64 symbol = arc_codes[j];
@@ -627,15 +668,18 @@ walk_arc(const expansion *e, const unsigned char *arc_codes, Py_ssize_t symbols,
         in_rows = out_rows;
         in_scores = out_scores;
         in_count = kept_count;
-        if (kept_count == 0)
+        if (kept_count == 0) {
+            walk->finished = 1;
             break;
+        }
     }
-    end->rows = out_rows;
-    end->scores = out_scores;
-    end->count = kept_count;
-    end->max_score = max_score;
-    end->best = best;
-    end->depth = depth;
+    walk->rows = in_rows;
+    walk->scores = in_scores;
+    walk->count = in_count;
+    walk->max_score = max_score;
+    walk->best = best;
+    walk->depth = depth;
+    walk->cutoff = cutoff;
     return 0;
 
 error:
@@ -646,7 +690,7 @@ error:
 #undef KEEP
 
 static enum fate
-fate_of(const expansion *e, const arc_end *end, int is_leaf, int view)
+fate_of(const expansion *e, const arc_walk *end, int is_leaf, int view)
 {
     if (end->count > 0 && !is_leaf)
         return VIABLE; /* the arc is spelled out and cells are still alive */
@@ -657,7 +701,7 @@ fate_of(const expansion *e, const arc_end *end, int is_leaf, int view)
 
 /* The entry of a child that is not dropped, numbered from e->counter. */
 static PyObject *
-child_entry(expansion *e, const arc_end *end, enum fate fate, Py_ssize_t symbols,
+child_entry(expansion *e, const arc_walk *end, enum fate fate, Py_ssize_t symbols,
             PyObject *tree_node)
 {
     PyObject *column;
@@ -731,7 +775,7 @@ expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *siblings, *context, *arc_bests = NULL, *kept = NULL;
     PyObject *sibling = NULL, *tree_node = NULL, *arc = NULL, *best_object;
     expansion e;
-    arc_end end;
+    arc_walk end;
     enum fate fate;
     i64 columns = 0, dropped = 0;
     Py_ssize_t index;
@@ -776,8 +820,9 @@ expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                          Py_TYPE(arc)->tp_name);
             goto error;
         }
-        FAIL_UNLESS(walk_arc(&e, (const unsigned char *)PyBytes_AS_STRING(arc),
-                             PyBytes_GET_SIZE(arc), &end) == 0);
+        begin_arc(&e, &end);
+        FAIL_UNLESS(walk_arc(&e, &end, (const unsigned char *)PyBytes_AS_STRING(arc),
+                             PyBytes_GET_SIZE(arc)) == 0);
         columns += end.depth - e.parent_depth;
 
         /* Asked only of a child with live cells, as the Python walk does. */
@@ -816,167 +861,476 @@ error:
     return NULL;
 }
 
+/* ------------------------------------------------------------------ */
+/* The node step's source: record arrays in memory, or pool pages       */
+/* ------------------------------------------------------------------ */
+
+/* The record decoder below is one text compiled once per source: each call
+ * site passes ``paged`` as a constant, so the in-memory step branches on no
+ * source kind per record or word. */
+#define PER_SOURCE static inline __attribute__((always_inline))
+
+/* The regions of repro.storage.layout.Region, in its order, and the bytes
+ * of one record in each. */
+enum { SYMBOLS, INTERNAL, LEAVES, REGIONS };
+static const i64 record_bytes[REGIONS] = {1, 4 * sizeof(uint32_t), sizeof(uint32_t)};
+
+/* The page of one region a call reads from, and the block it is. */
+typedef struct {
+    PyObject *owner; /* paged: a strong reference to the page's bytes */
+    const unsigned char *bytes;
+    i64 block;       /* -1 before the first request */
+} page;
+
+/* Where the node step reads a node's records and arcs.  In memory each
+ * region is one page: the whole record array (native words) or the codes.
+ * Paged, a page is one block of the image, asked of the buffer pool as
+ * DiskSuffixTree._read asks for it, and its words are little-endian. */
+typedef struct {
+    int paged;
+    i64 start[REGIONS];      /* paged: the region's first block in the file */
+    i64 page_bytes[REGIONS]; /* payload bytes of a page (whole records) */
+    i64 count[REGIONS];      /* symbols, internal records, leaf records */
+    page pages[REGIONS];
+    Py_buffer internal_view, leaf_view, ends_view;
+    const uint32_t *ends;
+    Py_ssize_t end_count;
+    PyObject *table, *miss, *add_hits; /* paged; borrowed from the records */
+    i64 hits[REGIONS];
+    step_state *state;
+} node_source;
+
+static int
+read_ends(node_source *s, PyObject *ends)
+{
+    if (words_of(ends, "sequence_ends", &s->ends_view) < 0)
+        return -1;
+    s->ends = s->ends_view.buf;
+    s->end_count = s->ends_view.len / (Py_ssize_t)sizeof(uint32_t);
+    return 0;
+}
+
+/* (internal_records, leaf_records, codes, sequence_ends): in memory. */
+static int
+open_arrays(node_source *s, PyObject *records)
+{
+    PyObject *codes = PyTuple_GET_ITEM(records, 2);
+    int region;
+
+    if (!PyBytes_Check(codes)) {
+        PyErr_Format(PyExc_TypeError, "the codes must be bytes, not %.100s",
+                     Py_TYPE(codes)->tp_name);
+        return -1;
+    }
+    if (words_of(PyTuple_GET_ITEM(records, 0), "internal_records", &s->internal_view) < 0
+        || words_of(PyTuple_GET_ITEM(records, 1), "leaf_records", &s->leaf_view) < 0
+        || read_ends(s, PyTuple_GET_ITEM(records, 3)) < 0)
+        return -1;
+    s->pages[SYMBOLS].bytes = (const unsigned char *)PyBytes_AS_STRING(codes);
+    s->page_bytes[SYMBOLS] = PyBytes_GET_SIZE(codes);
+    s->pages[INTERNAL].bytes = s->internal_view.buf;
+    s->page_bytes[INTERNAL] = s->internal_view.len;
+    s->pages[LEAVES].bytes = s->leaf_view.buf;
+    s->page_bytes[LEAVES] = s->leaf_view.len;
+    for (region = 0; region < REGIONS; region++)
+        s->count[region] = s->page_bytes[region] / record_bytes[region];
+    return 0;
+}
+
+/* (block_file, table, miss, add_hits, regions, sequence_ends), regions
+ * one (first block, page bytes, record count) per region: paged. */
+static int
+open_pages(node_source *s, PyObject *records)
+{
+    PyObject *regions = PyTuple_GET_ITEM(records, 4), *region_tuple, *descriptor;
+    int region;
+
+    s->table = PyTuple_GET_ITEM(records, 1);
+    s->miss = PyTuple_GET_ITEM(records, 2);
+    s->add_hits = PyTuple_GET_ITEM(records, 3);
+    if (!PyDict_Check(s->table) || !PyCallable_Check(s->miss) || !PyCallable_Check(s->add_hits)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a page source is (block_file, table dict, miss, add_hits, regions, "
+                        "sequence_ends)");
+        return -1;
+    }
+    if (require_sequence(regions, "the regions") < 0)
+        return -1;
+    for (region = 0; region < REGIONS; region++) {
+        region_tuple = item_at(regions, region, "regions");
+        if (region_tuple == NULL || require_sequence(region_tuple, "a region") < 0
+            || int_at(region_tuple, 0, "region", &s->start[region]) < 0
+            || int_at(region_tuple, 1, "region", &s->page_bytes[region]) < 0
+            || int_at(region_tuple, 2, "region", &s->count[region]) < 0)
+            return -1;
+        if (s->page_bytes[region] < record_bytes[region]
+            || s->page_bytes[region] % record_bytes[region] != 0) {
+            PyErr_SetString(PyExc_ValueError, "a page holds no whole number of records");
+            return -1;
+        }
+        s->pages[region].block = -1;
+    }
+    if (read_ends(s, PyTuple_GET_ITEM(records, 5)) < 0)
+        return -1;
+    s->paged = 1;
+    /* A closed cursor makes no request, resident page or not. */
+    descriptor = PyObject_GetAttr(PyTuple_GET_ITEM(records, 0), s->state->descriptor);
+    if (descriptor == NULL)
+        return -1;
+    Py_DECREF(descriptor);
+    if (descriptor == Py_None) {
+        PyErr_SetString(PyExc_ValueError, "read from a closed block file");
+        return -1;
+    }
+    return 0;
+}
+
+/* ``records`` as a source; close_source releases what it holds, whether
+ * this succeeded or not. */
+static int
+open_source(step_state *state, PyObject *records, node_source *s)
+{
+    memset(s, 0, sizeof(*s));
+    s->state = state;
+    if (PyTuple_Check(records) && PyTuple_GET_SIZE(records) == 4)
+        return open_arrays(s, records);
+    if (PyTuple_Check(records) && PyTuple_GET_SIZE(records) == 6)
+        return open_pages(s, records);
+    PyErr_SetString(PyExc_TypeError,
+                    "records must be a tree's node_records: (internal_records, leaf_records, "
+                    "codes, sequence_ends) or a page source");
+    return -1;
+}
+
+/* Add the call's hits to the pool, once, and drop its pages; a second
+ * call does nothing.  An error already set survives unless adding the hits
+ * raises, as a Python finally clause would have it. */
+static int
+close_source(node_source *s)
+{
+    PyObject *type, *value, *traceback, *added;
+    i64 hits[REGIONS];
+    int region;
+
+    for (region = 0; region < REGIONS; region++) {
+        Py_CLEAR(s->pages[region].owner);
+        hits[region] = s->hits[region];
+        s->hits[region] = 0;
+    }
+    PyBuffer_Release(&s->internal_view);
+    PyBuffer_Release(&s->leaf_view);
+    PyBuffer_Release(&s->ends_view);
+    if (hits[SYMBOLS] + hits[INTERNAL] + hits[LEAVES] == 0)
+        return 0;
+    PyErr_Fetch(&type, &value, &traceback);
+    added = PyObject_CallFunction(s->add_hits, "LLL", hits[SYMBOLS], hits[INTERNAL],
+                                  hits[LEAVES]);
+    if (added == NULL) {
+        Py_XDECREF(type);
+        Py_XDECREF(value);
+        Py_XDECREF(traceback);
+        return -1;
+    }
+    Py_DECREF(added);
+    PyErr_Restore(type, value, traceback);
+    return 0;
+}
+
+/* Block ``block`` of ``region`` into its page: one request of a paged
+ * source.  A hit is table.get(block) and frame.referenced = True, counted
+ * per region until close_source; a miss is pool.miss(block, region). */
+static int
+request(node_source *s, int region, i64 block)
+{
+    step_state *state = s->state;
+    page *p = &s->pages[region];
+    PyObject *key, *frame, *number, *data;
+
+    key = PyLong_FromLongLong(s->start[region] + block);
+    if (key == NULL)
+        return -1;
+    frame = PyDict_GetItemWithError(s->table, key);
+    if (frame != NULL) {
+        Py_INCREF(frame);
+        if (PyObject_SetAttr(frame, state->referenced, Py_True) < 0) {
+            Py_DECREF(frame);
+            Py_DECREF(key);
+            return -1;
+        }
+        s->hits[region]++;
+    }
+    else if (PyErr_Occurred()) {
+        Py_DECREF(key);
+        return -1;
+    }
+    else {
+        number = PyLong_FromLong(region);
+        frame = number == NULL ? NULL : PyObject_CallFunctionObjArgs(s->miss, key, number, NULL);
+        Py_XDECREF(number);
+        if (frame == NULL) {
+            Py_DECREF(key);
+            return -1;
+        }
+    }
+    Py_DECREF(key);
+    data = PyObject_GetAttr(frame, state->data);
+    Py_DECREF(frame);
+    if (data == NULL)
+        return -1;
+    if (!PyBytes_Check(data) || PyBytes_GET_SIZE(data) < s->page_bytes[region]) {
+        PyErr_SetString(PyExc_ValueError, "a buffer-pool page is not a whole block of bytes");
+        Py_DECREF(data);
+        return -1;
+    }
+    /* The page is held until the next request of its region replaces it. */
+    Py_XDECREF(p->owner);
+    p->owner = data;
+    p->bytes = (const unsigned char *)PyBytes_AS_STRING(data);
+    p->block = block;
+    return 0;
+}
+
+/* Record ``index`` of ``region``, from the page already held when it lies
+ * there, else from a request for its own; IndexError (``what``) past the
+ * region, before any request. */
+PER_SOURCE const unsigned char *
+record_at(node_source *s, const int paged, int region, i64 index, const char *what)
+{
+    i64 at, block;
+
+    if (index < 0 || index >= s->count[region]) {
+        out_of_range(what);
+        return NULL;
+    }
+    at = index * record_bytes[region];
+    if (!paged)
+        return s->pages[region].bytes + at; /* the region is one page */
+    block = at / s->page_bytes[region];
+    if (block != s->pages[region].block && request(s, region, block) < 0)
+        return NULL;
+    return s->pages[region].bytes + (at - block * s->page_bytes[region]);
+}
+
+/* Word ``word`` of the record at ``at``. */
+PER_SOURCE i64
+word_at(const int paged, const unsigned char *at, int word)
+{
+    const unsigned char *bytes = at + word * sizeof(uint32_t);
+    uint32_t value;
+
+    if (!paged) {
+        memcpy(&value, bytes, sizeof(value));
+        return value;
+    }
+    return (i64)((uint32_t)bytes[0] | (uint32_t)bytes[1] << 8 | (uint32_t)bytes[2] << 16
+                 | (uint32_t)bytes[3] << 24);
+}
+
+/* One decoded child: what its handle holds, and whether it is a leaf. */
+typedef struct {
+    i64 value, arc_start, length, depth;
+    int leaf;
+} child_record;
+
+/* The children of one node, in scratch local to the call. */
+typedef struct {
+    child_record *items;
+    Py_ssize_t count, capacity;
+    child_record local[64];
+} child_list;
+
+static int
+push_child(child_list *children, i64 value, i64 arc_start, i64 length, i64 depth, int leaf)
+{
+    child_record *grown;
+
+    if (children->count == children->capacity) {
+        if (children->items == children->local) {
+            grown = PyMem_New(child_record, 2 * children->capacity);
+            if (grown != NULL)
+                memcpy(grown, children->local, sizeof(children->local));
+        }
+        else {
+            grown = PyMem_Resize(children->items, child_record, 2 * children->capacity);
+        }
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        children->items = grown;
+        children->capacity *= 2;
+    }
+    children->items[children->count++] = (child_record){value, arc_start, length, depth, leaf};
+    return 0;
+}
+
+/* Internal ``node``'s run of internal children, then its run of leaves,
+ * decoded record by record as GeneralizedSuffixTree.children decodes them
+ * (a leaf's sequence end by bisection).  Paged, the requests are those of
+ * DiskSuffixTree._read: the parent's page, the internal run's pages (none
+ * new while the run stays on the parent's block), the leaf run's pages. */
+PER_SOURCE int
+decode_children(node_source *s, const int paged, i64 node, child_list *children)
+{
+    const unsigned char *at;
+    i64 depth, child, leaf, word, child_depth, arc_start, start, length;
+    Py_ssize_t low, high, middle;
+
+    at = record_at(s, paged, INTERNAL, node, "a node index past the internal records");
+    if (at == NULL)
+        return -1;
+    depth = word_at(paged, at, 0) & VALUE_MASK;
+    child = word_at(paged, at, 2);
+    leaf = word_at(paged, at, 3);
+    while (child != NO_POINTER) {
+        at = record_at(s, paged, INTERNAL, child, "a child pointer past the internal records");
+        if (at == NULL)
+            return -1;
+        word = word_at(paged, at, 0);
+        child_depth = word & VALUE_MASK;
+        arc_start = word_at(paged, at, 1);
+        if (child_depth < depth || arc_start + child_depth - depth > s->count[SYMBOLS])
+            return out_of_range("an arc past the symbol array");
+        if (push_child(children, child, arc_start, child_depth - depth, child_depth, 0) < 0)
+            return -1;
+        child = word & LAST_SIBLING_BIT ? NO_POINTER : child + 1;
+    }
+    while (leaf != NO_POINTER) {
+        at = record_at(s, paged, LEAVES, leaf, "a leaf index past the leaf records");
+        if (at == NULL)
+            return -1;
+        word = word_at(paged, at, 0);
+        start = word & VALUE_MASK;
+        /* bisect_right(sequence_ends, start): suffix ``start`` ends at the
+         * first end above it. */
+        low = 0;
+        high = s->end_count;
+        while (low < high) {
+            middle = low + (high - low) / 2;
+            if (start < (i64)s->ends[middle])
+                high = middle;
+            else
+                low = middle + 1;
+        }
+        if (low == s->end_count)
+            return out_of_range("a suffix past the last sequence end");
+        length = (i64)s->ends[low] - start;
+        if (length < depth || (i64)s->ends[low] > s->count[SYMBOLS])
+            return out_of_range("an arc past the symbol array");
+        if (push_child(children, start, start + depth, length - depth, length, 1) < 0)
+            return -1;
+        leaf = word & LAST_SIBLING_BIT ? NO_POINTER : leaf + 1;
+    }
+    return 0;
+}
+
+/* The walk down one child's arc, a page at a time.  Paged, every page of
+ * the arc is requested, as DiskSuffixTree._read slices it, even once the
+ * walk has finished; in memory the arc is one piece of the codes. */
+PER_SOURCE int
+walk_child(node_source *s, const int paged, const expansion *e, const child_record *child,
+           arc_walk *walk)
+{
+    i64 at = child->arc_start, remaining = child->length, block, offset, piece;
+    const i64 page_bytes = s->page_bytes[SYMBOLS];
+
+    begin_arc(e, walk);
+    if (!paged) /* the codes are one page */
+        return walk_arc(e, walk, s->pages[SYMBOLS].bytes + at, (Py_ssize_t)remaining);
+    while (remaining > 0) {
+        block = at / page_bytes;
+        offset = at - block * page_bytes;
+        piece = page_bytes - offset < remaining ? page_bytes - offset : remaining;
+        if (request(s, SYMBOLS, block) < 0
+            || walk_arc(e, walk, s->pages[SYMBOLS].bytes + offset, (Py_ssize_t)piece) < 0)
+            return -1;
+        at += piece;
+        remaining -= piece;
+    }
+    return 0;
+}
+
 static PyObject *
 expand_node(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     step_state *state = PyModule_GetState(module);
-    PyObject *records, *context, *codes, *tree_node = NULL, *kind, *handle, *kept = NULL;
-    Py_buffer internal_view = {0}, leaf_view = {0}, ends_view = {0};
-    const uint32_t *internal, *leaves, *ends;
-    const unsigned char *symbols;
+    PyObject *parent, *context, *tree_node = NULL, *kind, *handle, *kept = NULL;
+    node_source source;
+    child_list children;
     expansion e;
-    arc_end end;
+    arc_walk walk;
     enum fate fate;
-    i64 columns = 0, dropped = 0, node, depth, child, leaf, word, start, arc_start, length;
-    Py_ssize_t node_count, leaf_count, end_count, symbol_count, low, high, middle;
+    const child_record *child;
+    i64 columns = 0, dropped = 0, node;
+    Py_ssize_t index;
     int status;
 
     if (nargs != 3) {
         PyErr_SetString(PyExc_TypeError,
-                        "expand_node(parent, records, context) takes 3 arguments");
+                        "expand_node(records, parent, context) takes 3 arguments");
         return NULL;
     }
-    records = args[1];
+    parent = args[1];
     context = args[2];
-    if (require_sequence(args[0], "a frontier entry") < 0)
+    if (require_sequence(parent, "a frontier entry") < 0)
         return NULL;
-    if (!PyTuple_Check(records) || PyTuple_GET_SIZE(records) != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "records must be the tuple (internal_records, leaf_records, codes, "
-                        "sequence_ends)");
-        return NULL;
-    }
-    codes = PyTuple_GET_ITEM(records, 2);
-    if (!PyBytes_Check(codes)) {
-        PyErr_Format(PyExc_TypeError, "the codes must be bytes, not %.100s",
-                     Py_TYPE(codes)->tp_name);
-        return NULL;
-    }
     memset(&e, 0, sizeof(e));
-    FAIL_UNLESS(words_of(PyTuple_GET_ITEM(records, 0), "internal_records", &internal_view) == 0
-                && words_of(PyTuple_GET_ITEM(records, 1), "leaf_records", &leaf_view) == 0
-                && words_of(PyTuple_GET_ITEM(records, 3), "sequence_ends", &ends_view) == 0);
-    internal = internal_view.buf;
-    leaves = leaf_view.buf;
-    ends = ends_view.buf;
-    node_count = internal_view.len / (Py_ssize_t)(4 * sizeof(uint32_t));
-    leaf_count = leaf_view.len / (Py_ssize_t)sizeof(uint32_t);
-    end_count = ends_view.len / (Py_ssize_t)sizeof(uint32_t);
-    symbols = (const unsigned char *)PyBytes_AS_STRING(codes);
-    symbol_count = PyBytes_GET_SIZE(codes);
-
-    FAIL_UNLESS(open_expansion(state, args[0], context, 0, &e) == 0);
-    tree_node = item_at(args[0], 3, "frontier entry");
+    children.items = children.local;
+    children.count = 0;
+    children.capacity = sizeof(children.local) / sizeof(children.local[0]);
+    FAIL_UNLESS(open_source(state, args[0], &source) == 0);
+    FAIL_UNLESS(open_expansion(state, parent, context, 0, &e) == 0);
+    tree_node = item_at(parent, 3, "frontier entry");
     FAIL_UNLESS(tree_node != NULL);
     Py_INCREF(tree_node);
     FAIL_UNLESS(require_sequence(tree_node, "a node handle") == 0);
     kind = item_at(tree_node, 0, "node handle");
     FAIL_UNLESS(kind != NULL);
     /* children() of anything but an internal handle is empty. */
-    child = leaf = NO_POINTER;
-    depth = 0;
     if (PyUnicode_Check(kind) && PyUnicode_CompareWithASCIIString(kind, "I") == 0) {
         FAIL_UNLESS(int_at(tree_node, 1, "node handle", &node) == 0);
-        if (node < 0 || node >= node_count) {
-            out_of_range("a node index past the internal records");
-            goto error;
-        }
-        depth = internal[4 * node] & VALUE_MASK;
-        child = internal[4 * node + 2];
-        leaf = internal[4 * node + 3];
+        FAIL_UNLESS((source.paged ? decode_children(&source, 1, node, &children)
+                                  : decode_children(&source, 0, node, &children)) == 0);
     }
 
     kept = PyList_New(0);
     FAIL_UNLESS(kept != NULL);
-    while (child != NO_POINTER) {
-        i64 child_depth;
-
-        if (child >= node_count) {
-            out_of_range("a child pointer past the internal records");
-            goto error;
-        }
-        word = internal[4 * child];
-        child_depth = word & VALUE_MASK;
-        arc_start = internal[4 * child + 1];
-        length = child_depth - depth;
-        if (length < 0 || arc_start + length > symbol_count) {
-            out_of_range("an arc past the symbol array");
-            goto error;
-        }
-        FAIL_UNLESS(walk_arc(&e, symbols + arc_start, (Py_ssize_t)length, &end) == 0);
-        columns += end.depth - e.parent_depth;
-        fate = fate_of(&e, &end, 0, 0);
+    for (index = 0; index < children.count; index++) {
+        child = &children.items[index];
+        FAIL_UNLESS((source.paged ? walk_child(&source, 1, &e, child, &walk)
+                                  : walk_child(&source, 0, &e, child, &walk)) == 0);
+        columns += walk.depth - e.parent_depth;
+        fate = fate_of(&e, &walk, child->leaf, 0);
         if (fate == DROPPED) {
             dropped++;
+            continue;
         }
-        else {
-            handle = node_handle(state->internal_kind, child, arc_start, length, child_depth);
-            FAIL_UNLESS(handle != NULL);
-            status = append_entry(kept, child_entry(&e, &end, fate, (Py_ssize_t)length, handle));
-            Py_DECREF(handle);
-            FAIL_UNLESS(status == 0);
-        }
-        child = word & LAST_SIBLING_BIT ? NO_POINTER : child + 1;
+        /* Only a kept child gets its handle. */
+        handle = node_handle(child->leaf ? state->leaf_kind : state->internal_kind, child->value,
+                             child->arc_start, child->length, child->depth);
+        FAIL_UNLESS(handle != NULL);
+        status = append_entry(kept, child_entry(&e, &walk, fate, (Py_ssize_t)child->length,
+                                                handle));
+        Py_DECREF(handle);
+        FAIL_UNLESS(status == 0);
     }
-    while (leaf != NO_POINTER) {
-        if (leaf >= leaf_count) {
-            out_of_range("a leaf index past the leaf records");
-            goto error;
-        }
-        word = leaves[leaf];
-        start = word & VALUE_MASK;
-        /* bisect_right(sequence_ends, start): suffix ``start`` ends at the
-         * first end above it. */
-        low = 0;
-        high = end_count;
-        while (low < high) {
-            middle = low + (high - low) / 2;
-            if (start < (i64)ends[middle])
-                high = middle;
-            else
-                low = middle + 1;
-        }
-        if (low == end_count) {
-            out_of_range("a suffix past the last sequence end");
-            goto error;
-        }
-        length = (i64)ends[low] - start;
-        arc_start = start + depth;
-        if (length < depth || (i64)ends[low] > symbol_count) {
-            out_of_range("an arc past the symbol array");
-            goto error;
-        }
-        FAIL_UNLESS(walk_arc(&e, symbols + arc_start, (Py_ssize_t)(length - depth), &end) == 0);
-        columns += end.depth - e.parent_depth;
-        fate = fate_of(&e, &end, 1, 0);
-        if (fate == DROPPED) {
-            dropped++;
-        }
-        else {
-            handle = node_handle(state->leaf_kind, start, arc_start, length - depth, length);
-            FAIL_UNLESS(handle != NULL);
-            status = append_entry(kept, child_entry(&e, &end, fate, (Py_ssize_t)(length - depth),
-                                                    handle));
-            Py_DECREF(handle);
-            FAIL_UNLESS(status == 0);
-        }
-        leaf = word & LAST_SIBLING_BIT ? NO_POINTER : leaf + 1;
-    }
+    /* The pool's counters first, then the context's, as _read's hits are
+     * added before the sibling-list step runs. */
+    FAIL_UNLESS(close_source(&source) == 0);
     FAIL_UNLESS(commit(state, context, &e, columns, dropped, 0) == 0);
     close_expansion(&e);
     Py_DECREF(tree_node);
-    PyBuffer_Release(&internal_view);
-    PyBuffer_Release(&leaf_view);
-    PyBuffer_Release(&ends_view);
+    if (children.items != children.local)
+        PyMem_Free(children.items);
     return kept;
 
 error:
     close_expansion(&e);
     Py_XDECREF(tree_node);
     Py_XDECREF(kept);
-    PyBuffer_Release(&internal_view);
-    PyBuffer_Release(&leaf_view);
-    PyBuffer_Release(&ends_view);
+    if (children.items != children.local)
+        PyMem_Free(children.items);
+    close_source(&source);
     return NULL;
 }
 
@@ -985,9 +1339,10 @@ static PyMethodDef step_methods[] = {
      "expand(parent, siblings, context, arc_bests=None) -> list of frontier entries\n\n"
      "The live-cell column step over one sibling list (kernels._expand_live)."},
     {"expand_node", (PyCFunction)(void (*)(void))expand_node, METH_FASTCALL,
-     "expand_node(parent, records, context) -> list of frontier entries\n\n"
+     "expand_node(records, parent, context) -> list of frontier entries\n\n"
      "expand(parent, tree.siblings(parent[3]), context), the children decoded\n"
-     "from tree.node_records and their arcs read in place."},
+     "from tree.node_records -- record arrays, or buffer-pool pages -- and their\n"
+     "arcs read in place."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1009,6 +1364,9 @@ step_exec(PyObject *module)
     INTERN(columns_expanded, "columns_expanded")
     INTERN(internal_kind, "I")
     INTERN(leaf_kind, "L")
+    INTERN(referenced, "referenced")
+    INTERN(data, "data")
+    INTERN(descriptor, "descriptor")
 #undef INTERN
     return 0;
 }
@@ -1027,6 +1385,9 @@ step_clear(PyObject *module)
     Py_CLEAR(state->columns_expanded);
     Py_CLEAR(state->internal_kind);
     Py_CLEAR(state->leaf_kind);
+    Py_CLEAR(state->referenced);
+    Py_CLEAR(state->data);
+    Py_CLEAR(state->descriptor);
     return 0;
 }
 

@@ -64,15 +64,20 @@ kernel here never materialises the dead ones:
     ``live`` stays as the form of the step that runs everywhere, and the
     one the C source is read against.
 
-    It also has a node step, ``expand_node(parent, records, context)``: the
+    It also has a node step, ``expand_node(records, parent, context)``: the
     same walk over a node's children that C decodes itself from the
-    in-memory tree's record arrays (``cursor.node_records``), each arc read
-    where it lies in the symbol array, a handle built only for a child that
-    is kept.  The search expands every node of a
-    :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read, through
-    it (:meth:`ExpansionKernel.node_expander`); the disk cursor, the other
+    cursor's ``node_records`` -- the in-memory tree's record arrays, or the
+    disk cursor's page source, whose buffer-pool pages it asks for exactly
+    as ``DiskSuffixTree.siblings`` does (the pool, its clock and its
+    counters stay in Python) -- each arc read where it lies, a handle built
+    only for a child that is kept.  The search expands every node of a
+    :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read, and of
+    a :class:`~repro.storage.DiskSuffixTree` through it
+    (:meth:`ExpansionKernel.node_expander`, the step bound to the records
+    with ``functools.partial``: one C-level call per node); the other
     kernels, dense columns and a partition's root keep the sibling list.
-    Both steps share one C walk per arc.
+    Both sources share one C run decoder, and both steps one C walk per
+    arc.
 
     The C source is compiled on first use, once per user and machine: ``gcc
     -O2 -shared -fPIC -I<sysconfig include>`` into ``$XDG_CACHE_HOME/
@@ -107,8 +112,9 @@ pushes them as they are.  Four in five children come out UNVIABLE and are
 counted in ``context.nodes_dropped`` without ever becoming an entry.
 Kernels hold no per-query state -- one instance serves concurrent
 executions -- and never call the cursor.  The one exception is the compiled
-node step, which decodes the children itself: it reads the record arrays
-the in-memory tree hands over as ``node_records``, never a cursor method.
+node step, which decodes the children itself: it reads what the cursor
+hands over as ``node_records`` (record arrays, or a page source whose
+requests go to the buffer pool), never a cursor method.
 
 Selection goes through :func:`get_kernel`: an explicit ``kernel=`` argument
 (``OasisEngine``, its ``build`` / ``open`` and the CLI all thread one
@@ -223,8 +229,9 @@ class ExpansionKernel:
     def node_expander(self, records, context: ExpansionContext) -> Optional[Expander]:
         """The step over a node's records (``cursor.node_records``), or ``None``.
 
-        Only the compiled kernel has one; the search then expands every node
-        through it instead of handing this kernel sibling lists.
+        Only the compiled kernel has one, for record arrays and page sources
+        alike; the search then expands every node through it instead of
+        handing this kernel sibling lists.
         """
         return None
 
@@ -463,19 +470,15 @@ class CompiledKernel(LiveCellKernel):
         if isinstance(module, str):
             raise KernelUnavailable(f"expansion kernel 'compiled' is unavailable: {module}")
         self.step = module.expand
-        #: ``expand_node(parent, records, context)``: :attr:`step` over the
+        #: ``expand_node(records, parent, context)``: :attr:`step` over the
         #: children that ``records`` hold for ``parent``'s node, decoded in C.
         self.node_step: Callable[..., List[FrontierEntry]] = module.expand_node
 
     def node_expander(self, records, context: ExpansionContext) -> Optional[Expander]:
         if not context.live_cells:
             return None
-        node_step = self.node_step
-
-        def expand(parent: FrontierEntry, context: ExpansionContext) -> List[FrontierEntry]:
-            return node_step(parent, records, context)
-
-        return expand
+        # A C-level call per expanded node: no Python frame in between.
+        return functools.partial(self.node_step, records)
 
 
 # --------------------------------------------------------------------- #

@@ -450,12 +450,14 @@ class QueryExecution:
     def _expander(self) -> Expander:
         """How this execution expands a VIABLE node, resolved once per execution.
 
-        On a cursor that holds its record arrays in memory (a
-        :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read; the
-        arrays are read here, by the first search) the compiled kernel
-        decodes each node's children and walks their arcs in one C call.
-        Every other kernel and cursor gets the node's whole sibling list
-        from one cursor call, so the kernel itself never calls the cursor.
+        On a cursor that names its records (``node_records``: the arrays of a
+        :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read --
+        a read tree's are read here, by the first search -- or the page
+        source of a :class:`~repro.storage.DiskSuffixTree`) the compiled
+        kernel decodes each node's children and walks their arcs in one C
+        call.  Every other kernel and cursor gets the node's whole sibling
+        list from one cursor call, so the kernel itself never calls the
+        cursor.
         """
         cursor, kernel = self.engine.cursor, self.engine.expansion_kernel
         records = cursor.node_records

@@ -14,14 +14,27 @@ would first reach it, and decodes in place: the parent record, the
 contiguous internal- and leaf-sibling runs of image format v2 (re-fetching
 only where a run crosses a block; the paper's leaf chain is gone, see
 :mod:`repro.storage.layout`), then each arc, sliced as ``bytes`` from its
-symbol pages.  So ``siblings()`` -- the search's one call per expanded node
--- makes exactly the requests of ``children()`` followed by one
-``arc_symbols()`` per child.  A request (``hits + misses``) is one page
-touched by one decoder stage, not one record, while misses and evictions are
-exactly those of reading record by record: a repeated request for the page
-just requested changes nothing in a clock pool.  ``close()`` drops the
-frames, so every call on a closed cursor raises the ``ValueError`` of a read
-from a closed file.
+symbol pages.  So ``siblings()`` makes exactly the requests of
+``children()`` followed by one ``arc_symbols()`` per child.  A request
+(``hits + misses``) is one page touched by one decoder stage, not one
+record, while misses and evictions are exactly those of reading record by
+record: a repeated request for the page just requested changes nothing in a
+clock pool.  ``close()`` drops the frames, so every call on a closed cursor
+raises the ``ValueError`` of a read from a closed file.  A record that
+points past its region -- a child pointer past the internal records, a leaf
+index past the leaf records, an arc past the symbols, a suffix past the last
+sequence end -- is an ``IndexError``, raised before any request past the
+region, as the in-memory tree raises it.
+
+The search itself does not call ``siblings()`` under the compiled kernel.
+It takes :attr:`DiskSuffixTree.node_records`, a *page source* -- the block
+file, the pool's table, ``miss`` and ``add_hits``, each region's first block,
+page payload and record count, the sequence ends -- and the kernel's C node
+step decodes each expanded node from pool pages itself: the same requests,
+in the same order, as ``siblings()``, the same hits and misses and clock,
+but a handle built only for a child it keeps.  The pool stays here, in
+Python.  ``siblings()`` serves the ``live`` and ``reference`` kernels, dense
+columns, a partition's root and cursor proxies.
 
 An image is refused at open by the checks the in-memory tree runs too
 (:func:`~repro.storage.layout.check_image`): another format, a cut file
@@ -41,7 +54,9 @@ suffix's sequence.
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_right
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple, Union
 
 from repro.sequences.database import SequenceDatabase
@@ -123,6 +138,27 @@ class DiskSuffixTree(SuffixTreeCursor):
         self._internal_start = self.layout.internal_start_block
         self._leaves_start = self.layout.leaves_start_block
 
+    @cached_property
+    def node_records(self) -> Tuple[Any, ...]:
+        """The page source the compiled kernel decodes an expanded node from.
+
+        ``(block file, pool.table, pool.miss, pool.add_hits, regions,
+        sequence ends)``: ``regions`` is one ``(first block, page payload
+        bytes, record count)`` per :class:`~repro.storage.layout.Region`, in
+        its order, and the ends are an ``array('I')``.  The C step asks the
+        pool for the pages :meth:`siblings` asks for, in the same order, and
+        checks the file is open first; the pool does the rest.
+        """
+        layout = self.layout
+        pool = self.pool
+        regions = (
+            (self._symbols_start, layout.block_size, layout.symbol_count),
+            (self._internal_start, self._internal_page_bytes, layout.internal_count),
+            (self._leaves_start, self._leaf_page_bytes, layout.leaf_slots),
+        )
+        ends = array("I", self._sequence_ends)
+        return (self._file, pool.table, pool.miss, pool.add_hits, regions, ends)
+
     # ------------------------------------------------------------------ #
     # Cursor interface
     # ------------------------------------------------------------------ #
@@ -174,13 +210,15 @@ class DiskSuffixTree(SuffixTreeCursor):
 
         Reads the parent record, then its internal run and its leaf run, then
         the arcs of ``handles`` in order; a closed cursor raises before any
-        request, whether the page is resident or not.  A page request is
-        ``table.get(block)`` -- a hit sets the frame's reference bit and is
-        counted here -- or :meth:`BufferPool.miss`; the call's hits are added
-        to the pool's counters once, at its end.
+        request, whether the page is resident or not, and a record that
+        points past its region raises ``IndexError`` before any request past
+        it.  A page request is ``table.get(block)`` -- a hit sets the frame's
+        reference bit and is counted here -- or :meth:`BufferPool.miss`; the
+        call's hits are added to the pool's counters once, at its end.
         """
         if self._file.descriptor is None:
             raise ValueError("read from a closed block file")
+        layout = self.layout
         pool = self.pool
         get = pool.table.get
         miss = pool.miss
@@ -190,6 +228,9 @@ class DiskSuffixTree(SuffixTreeCursor):
                 depth = node[4]
                 page_bytes = self._internal_page_bytes
                 first_block = self._internal_start
+                internal_count = layout.internal_count
+                if not 0 <= node[1] < internal_count:
+                    raise IndexError("a node index past the internal records")
                 block, offset = divmod(node[1] * _INTERNAL_SIZE, page_bytes)
                 frame = get(first_block + block)
                 if frame is None:
@@ -204,10 +245,13 @@ class DiskSuffixTree(SuffixTreeCursor):
                 # by page up to the record that carries the last-sibling bit.
                 # ``page`` is None where the run needs its next page.
                 if child_index != NO_POINTER:
+                    symbol_count = layout.symbol_count
                     child_block, offset = divmod(child_index * _INTERNAL_SIZE, page_bytes)
                     if child_block != block:
                         block, page = child_block, None
                     while True:
+                        if child_index >= internal_count:
+                            raise IndexError("a child pointer past the internal records")
                         if page is None:
                             frame = get(first_block + block)
                             if frame is None:
@@ -218,6 +262,8 @@ class DiskSuffixTree(SuffixTreeCursor):
                             page = frame.data
                         word, symbol_ptr, _, _ = _unpack_internal(page, offset)
                         child_depth = word & VALUE_MASK
+                        if child_depth < depth or symbol_ptr + child_depth - depth > symbol_count:
+                            raise IndexError("an arc past the symbol array")
                         handles.append(("I", child_index, symbol_ptr, child_depth - depth, child_depth))
                         if word & LAST_SIBLING_BIT:
                             break
@@ -230,10 +276,13 @@ class DiskSuffixTree(SuffixTreeCursor):
                 if leaf_index != NO_POINTER:
                     page_bytes = self._leaf_page_bytes
                     first_block = self._leaves_start
+                    leaf_count = layout.leaf_slots
                     ends = self._sequence_ends
                     block, offset = divmod(leaf_index * _LEAF_SIZE, page_bytes)
                     page = None
                     while True:
+                        if leaf_index >= leaf_count:
+                            raise IndexError("a leaf index past the leaf records")
                         if page is None:
                             frame = get(first_block + block)
                             if frame is None:
@@ -244,10 +293,16 @@ class DiskSuffixTree(SuffixTreeCursor):
                             page = frame.data
                         (word,) = _unpack_leaf(page, offset)
                         start = word & VALUE_MASK
-                        length = ends[bisect_right(ends, start)] - start
+                        position = bisect_right(ends, start)
+                        if position == len(ends):
+                            raise IndexError("a suffix past the last sequence end")
+                        length = ends[position] - start
+                        if length < depth:
+                            raise IndexError("an arc past the symbol array")
                         handles.append(("L", start, start + depth, length - depth, length))
                         if word & LAST_SIBLING_BIT:
                             break
+                        leaf_index += 1
                         offset += _LEAF_SIZE
                         if offset == page_bytes:
                             block, offset, page = block + 1, 0, None

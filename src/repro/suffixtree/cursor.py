@@ -22,7 +22,6 @@ pool.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from array import array
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.sequences.database import SequenceDatabase
@@ -56,19 +55,25 @@ class SuffixTreeCursor(ABC):
     unchanged; both trees override it with one pass.  The three stay for
     tree walks and proxies outside the search.
 
-    The one exception is :attr:`node_records`: a cursor that holds the
-    Section 3.4 record arrays in memory (the in-memory tree) names them
-    there, and the compiled kernel then decodes each expanded node's
-    children from those arrays itself, with no cursor call.  Every other
-    cursor leaves it ``None`` and is searched through :meth:`siblings`.
+    The one exception is :attr:`node_records`: both trees name there what
+    the Section 3.4 records are read from, and the compiled kernel then
+    decodes each expanded node's children itself, with no cursor call.
+    Every other cursor (a proxy, a test cursor) leaves it ``None`` and is
+    searched through :meth:`siblings`.
     """
 
     @property
-    def node_records(self) -> Optional[Tuple[array, array, bytes, array]]:
-        """``(internal_records, leaf_records, concatenated codes, sequence
-        ends)``, the arrays a node's children and arcs are decoded from (the
-        codes as ``bytes``, the other three as ``array('I')``), or ``None``
-        where the tree is not held as those arrays."""
+    def node_records(self) -> Optional[Tuple[Any, ...]]:
+        """What a node's children and arcs are decoded from, or ``None``.
+
+        The in-memory tree holds the records: ``(internal_records,
+        leaf_records, concatenated codes, sequence ends)``, the codes as
+        ``bytes`` and the other three as ``array('I')``.  The disk cursor
+        holds a page source instead (:attr:`repro.storage.DiskSuffixTree.
+        node_records`): the buffer pool and where each region's pages lie,
+        so the records are read page by page through the pool, as
+        :meth:`siblings` reads them.
+        """
         return None
 
     @property

@@ -1,14 +1,19 @@
 """The compiled node step against the sibling-list steps it replaces.
 
-``expand_node(parent, records, context)`` (``core/_column_step.c``) decodes a
-node's children from the tree's record arrays and walks their arcs where
-they lie in the symbol array.  On random protein and DNA databases, for the
-built tree and for the tree read back from its image, every internal node a
-search expands must give the entries -- numbering included -- and the three
-context counters that the compiled ``expand`` and the Python
-``_expand_live`` give over ``tree.siblings(node)``.  Record arrays that point
-past their ends must raise ``IndexError``, never crash.  And a search must
-take the node step wherever it applies, and only there.
+``expand_node(records, parent, context)`` (``core/_column_step.c``) decodes a
+node's children from ``cursor.node_records`` and walks their arcs where they
+lie: the record arrays of the in-memory tree, or the disk cursor's page
+source, whose pages it asks of the buffer pool.  On random protein and DNA
+databases -- the built tree, the tree read back from its image, and the disk
+cursor at block sizes where runs and arcs straddle pages, over pools of one
+frame, two frames and the whole image -- every internal node a search
+expands must give the entries (numbering included) and the three context
+counters that the compiled ``expand`` and the Python ``_expand_live`` give
+over ``siblings(node)``; on the disk, after every call, the pool's counters
+must equal a twin cursor's that served ``siblings()``.  Records that point
+past their regions must raise ``IndexError``, never crash, from the page
+step and from ``DiskSuffixTree.siblings`` alike.  And a search must take the
+node step wherever it applies, and only there.
 
 The example budget comes from the hypothesis profile (``tests/conftest.py``):
 bounded in tier-1, ``HYPOTHESIS_PROFILE=ci`` for the larger CI run.
@@ -17,7 +22,9 @@ bounded in tier-1, ``HYPOTHESIS_PROFILE=ci`` for the larger CI run.
 from __future__ import annotations
 
 import copy
+import os
 import random
+import struct
 from array import array
 
 import pytest
@@ -33,6 +40,8 @@ from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
+from repro.storage.disk_tree import DiskSuffixTree
+from repro.storage.layout import DiskLayout, Region
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 from support import AMINO_ACIDS, BASES
 
@@ -45,21 +54,46 @@ def counters(context):
     return (context.nodes_enqueued, context.nodes_dropped, context.columns_expanded)
 
 
-class CheckedNodeStep:
-    """The compiled node step, run beside both sibling-list steps at every call."""
+def pool_counters(tree):
+    statistics = tree.pool.statistics
+    return (
+        statistics.hits,
+        statistics.misses,
+        statistics.evictions,
+        list(statistics.per_region_hits),
+        list(statistics.per_region_misses),
+    )
 
-    def __init__(self, kernel, tree):
-        self.step, self.node_step, self.tree = kernel.step, kernel.node_step, tree
+
+def pool_state(tree):
+    """What a pool holds: its counters, its frames in clock order, its hand."""
+    pool = tree.pool
+    return pool_counters(tree), [frame.block for frame in pool._frames], pool._clock_hand
+
+
+class CheckedNodeStep:
+    """The compiled node step, run beside both sibling-list steps at every call.
+
+    ``twin`` serves the sibling lists: the tree itself in memory, or on disk a
+    second cursor over the same image and pool size, whose pool must then
+    match the searched cursor's after every call.
+    """
+
+    def __init__(self, kernel, twin, disk=None):
+        self.step, self.node_step = kernel.step, kernel.node_step
+        self.twin, self.disk = twin, disk
         self.calls = 0
 
-    def __call__(self, parent, records, context):
-        siblings = self.tree.siblings(parent[3])
+    def __call__(self, records, parent, context):
+        siblings = self.twin.siblings(parent[3])
         compiled_context, python_context = copy.copy(context), copy.copy(context)
         via_compiled = self.step(parent, siblings, compiled_context)
         via_python = _expand_live(parent, siblings, python_context)
-        entries = self.node_step(parent, records, context)
+        entries = self.node_step(records, parent, context)
         assert entries == via_compiled == via_python, parent[3]
         assert counters(context) == counters(compiled_context) == counters(python_context)
+        if self.disk is not None:
+            assert pool_counters(self.disk) == pool_counters(self.twin), parent[3]
         self.calls += 1
         return entries
 
@@ -84,6 +118,54 @@ def checked_search(tree, matrix, gap, query, min_score):
     # Every node the search expanded went through the node step.
     assert checked.calls == result.statistics.nodes_expanded
     return result, checked.calls
+
+
+def no_siblings(node):
+    raise AssertionError("siblings() was called")
+
+
+def pool_bytes(path, block_size, frames):
+    return os.path.getsize(path) if frames == "whole" else frames * block_size
+
+
+def disk_pair(path, database, block_size, frames):
+    """Two cursors over one image, each with a pool of ``frames`` frames."""
+    budget = pool_bytes(path, block_size, frames)
+    return (
+        DiskSuffixTree(path, database, buffer_pool_bytes=budget),
+        DiskSuffixTree(path, database, buffer_pool_bytes=budget),
+    )
+
+
+def checked_disk_search(path, database, block_size, frames, matrix, gap, query, min_score):
+    """One search of the disk cursor, every expansion through the page step and
+    held to both sibling-list steps over a twin cursor, pool for pool."""
+    disk, twin = disk_pair(path, database, block_size, frames)
+    sequences_below = disk.sequences_below
+
+    def in_step(node):
+        # An accepted node's leaves are read through both pools, to keep
+        # them in step.
+        below = sequences_below(node)
+        assert twin.sequences_below(node) == below
+        return below
+
+    try:
+        disk.siblings = no_siblings
+        disk.sequences_below = in_step
+        kernel = get_kernel("compiled")
+        checked = CheckedNodeStep(kernel, twin, disk)
+        kernel.node_step = checked
+        result = OasisEngine(disk, matrix, FixedGapModel(gap), kernel=kernel).search(
+            query, min_score=min_score
+        )
+        assert checked.calls == result.statistics.nodes_expanded
+        assert pool_state(disk) == pool_state(twin)
+        assert sorted(disk.pool.table) == sorted(twin.pool.table)
+        return result, checked.calls
+    finally:
+        disk.close()
+        twin.close()
 
 
 @st.composite
@@ -118,6 +200,21 @@ def searches(draw):
 def test_every_expanded_node_matches_both_sibling_steps(tmp_path_factory, search, form):
     database, matrix, gap, query, min_score = search
     checked_search(tree_of(form, database, tmp_path_factory), matrix, gap, query, min_score)
+
+
+@needs_compiled
+@given(
+    search=searches(),
+    block_size=st.sampled_from([72, 256, 2048]),
+    frames=st.sampled_from([1, 2, "whole"]),
+)
+def test_every_node_the_page_step_expands_matches_both_sibling_steps(
+    tmp_path_factory, search, block_size, frames
+):
+    database, matrix, gap, query, min_score = search
+    path = tmp_path_factory.mktemp("image") / "tree.oasis"
+    build_disk_image(GeneralizedSuffixTree.build(database), path, block_size=block_size)
+    checked_disk_search(path, database, block_size, frames, matrix, gap, query, min_score)
 
 
 def planted(alphabet, symbols, core, seed):
@@ -172,6 +269,28 @@ def test_a_planted_search_matches_both_sibling_steps(tmp_path_factory, case, for
     ]
 
 
+@needs_compiled
+@pytest.mark.parametrize("frames", [1, 2, "whole"])
+@pytest.mark.parametrize("block_size", [72, 256, 2048])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_planted_disk_search_matches_both_sibling_steps(tmp_path, case, block_size, frames):
+    make_database, make_matrix, gap, query, min_score = CASES[case]
+    database = make_database()
+    path = tmp_path / "tree.oasis"
+    build_disk_image(GeneralizedSuffixTree.build(database), path, block_size=block_size)
+    result, calls = checked_disk_search(
+        path, database, block_size, frames, make_matrix(), gap, query, min_score
+    )
+    assert calls > 1 and len(result) >= 4
+    with DiskSuffixTree(path, database, pool_bytes(path, block_size, frames)) as tree:
+        expected = OasisEngine(tree, make_matrix(), FixedGapModel(gap), kernel="live").search(
+            query, min_score=min_score
+        )
+    assert [(hit.sequence_index, hit.score) for hit in result] == [
+        (hit.sequence_index, hit.score) for hit in expected
+    ]
+
+
 # --------------------------------------------------------------------- #
 # Which path a search takes
 # --------------------------------------------------------------------- #
@@ -180,25 +299,42 @@ def test_a_planted_search_matches_both_sibling_steps(tmp_path_factory, case, for
 def test_an_engine_over_record_arrays_takes_the_node_step(tmp_path_factory, monkeypatch, form):
     make_database, make_matrix, gap, query, min_score = CASES["protein"]
     tree = tree_of(form, make_database(), tmp_path_factory)
-
-    def no_siblings(node):
-        raise AssertionError("siblings() was called")
-
     monkeypatch.setattr(tree, "siblings", no_siblings)
     engine = OasisEngine(tree, make_matrix(), FixedGapModel(gap), kernel="compiled")
     assert len(engine.search(query, min_score=min_score)) >= 4
 
 
+@needs_compiled
+def test_a_disk_engine_takes_the_page_step(tmp_path, monkeypatch):
+    make_database, make_matrix, gap, query, min_score = CASES["protein"]
+    engine = OasisEngine.build_on_disk(
+        make_database(), make_matrix(), tmp_path / "tree.oasis", gap_model=FixedGapModel(gap),
+        block_size=256, buffer_pool_bytes=256, kernel="compiled",
+    )
+    with engine:
+        assert isinstance(engine.cursor, DiskSuffixTree)
+        monkeypatch.setattr(engine.cursor, "siblings", no_siblings)
+        result = engine.search(query, min_score=min_score)
+        assert len(result) >= 4
+        assert result.statistics.buffer_misses > 0
+        assert engine.cursor.pool.frame_count == 1
+
+
+@pytest.mark.parametrize("form", ["built", "disk"])
 @pytest.mark.parametrize(
     "kernel, switches",
     [("live", {}), ("reference", {}), ("compiled", {"prune_dominated": False})],
     ids=["live", "reference", "compiled-dense"],
 )
-def test_other_kernels_and_dense_columns_read_sibling_lists(kernel, switches):
+def test_other_kernels_and_dense_columns_read_sibling_lists(tmp_path, kernel, switches, form):
     if kernel not in available_kernels():
         pytest.skip("the compiled step does not build here")
     make_database, make_matrix, gap, query, min_score = CASES["protein"]
-    tree = GeneralizedSuffixTree.build(make_database())
+    database = make_database()
+    tree = GeneralizedSuffixTree.build(database)
+    if form == "disk":
+        build_disk_image(tree, tmp_path / "tree.oasis", block_size=256)
+        tree = DiskSuffixTree(tmp_path / "tree.oasis", database, buffer_pool_bytes=512)
     calls = []
     siblings = tree.siblings
     tree.siblings = lambda node: calls.append(node) or siblings(node)
@@ -301,7 +437,7 @@ def test_records_that_point_past_their_arrays_are_an_index_error(small_tree, nam
     context = context_for()
     before = counters(context)
     with pytest.raises(IndexError):
-        get_kernel("compiled").node_step(entry_at(small_tree, node, context), records, context)
+        get_kernel("compiled").node_step(records, entry_at(small_tree, node, context), context)
     assert counters(context) == before
 
 
@@ -311,7 +447,7 @@ def test_a_node_index_past_the_records_is_an_index_error(small_tree):
     node = ("I", small_tree.internal_node_count, 0, 0, 0)
     with pytest.raises(IndexError):
         get_kernel("compiled").node_step(
-            entry_at(small_tree, node, context), small_tree.node_records, context
+            small_tree.node_records, entry_at(small_tree, node, context), context
         )
 
 
@@ -320,7 +456,7 @@ def test_a_leaf_has_no_children(small_tree):
     context = context_for()
     leaf = next(child for child in small_tree.children(with_leaves(small_tree)) if child[0] == "L")
     entry = entry_at(small_tree, leaf, context)
-    assert get_kernel("compiled").node_step(entry, small_tree.node_records, context) == []
+    assert get_kernel("compiled").node_step(small_tree.node_records, entry, context) == []
     assert counters(context) == (0, 0, 0)
 
 
@@ -339,5 +475,186 @@ def test_records_of_the_wrong_shape_are_a_type_error(small_tree, records):
     context = context_for()
     entry = entry_at(small_tree, small_tree.root, context)
     with pytest.raises(TypeError):
-        get_kernel("compiled").node_step(entry, records(small_tree.node_records), context)
+        get_kernel("compiled").node_step(records(small_tree.node_records), entry, context)
     assert counters(context) == (0, 0, 0)
+
+
+# --------------------------------------------------------------------- #
+# The page step: a closed cursor, hostile images
+# --------------------------------------------------------------------- #
+#: The three-sequence protein database of the CI step that builds the kernel.
+PROTEIN_TEXTS = ["MKVLAADTGLAVWKDDGNGYISAAE", "GGWKDDGNGYISAAEKL", "MKVLAQDTGLA"]
+
+
+def protein_context(query="WKDDGNGYISAAE"):
+    matrix = pam30()
+    codes = PROTEIN_ALPHABET.encode(query)
+    return ExpansionContext(
+        query_codes=codes,
+        score_rows=matrix.rows,
+        gap_penalty=-8,
+        heuristic=compute_heuristic_vector(codes, matrix),
+        min_score=20,
+    )
+
+
+@pytest.fixture
+def protein_image(tmp_path):
+    """The database, its image at 256-byte blocks, and the built tree."""
+    database = SequenceDatabase.from_texts(PROTEIN_TEXTS, alphabet=PROTEIN_ALPHABET)
+    tree = GeneralizedSuffixTree.build(database)
+    path = tmp_path / "tree.oasis"
+    build_disk_image(tree, path, block_size=256)
+    return database, path, tree
+
+
+@needs_compiled
+@pytest.mark.parametrize("frames", [1, "whole"])
+def test_a_closed_cursor_makes_no_request(protein_image, frames):
+    database, path, tree = protein_image
+    disk = DiskSuffixTree(path, database, pool_bytes(path, 256, frames))
+    context = protein_context()
+    entry = entry_at(disk, disk.root, context)
+    records = disk.node_records
+    assert get_kernel("compiled").node_step(records, entry, context)
+    before, counted = pool_counters(disk), counters(context)
+    disk.close()
+    with pytest.raises(ValueError, match="closed"):
+        get_kernel("compiled").node_step(records, entry, context)
+    with pytest.raises(ValueError, match="closed"):
+        disk.siblings(disk.root)
+    assert pool_counters(disk) == before and counters(context) == counted
+
+
+def region_geometry(layout, region):
+    """A record region's (record bytes, records per block, first block)."""
+    if region is Region.INTERNAL_NODES:
+        return 16, layout.internal_records_per_block, layout.internal_start_block
+    return 4, layout.leaf_records_per_block, layout.leaves_start_block
+
+
+def patch_word(path, layout, region, index, word, change):
+    """Rewrite word ``word`` of record ``index`` of ``region`` in the image."""
+    size, per_block, first = region_geometry(layout, region)
+    offset = (first + index // per_block) * layout.block_size + (index % per_block) * size
+    offset += 4 * word
+    with open(path, "r+b") as image:
+        image.seek(offset)
+        (value,) = struct.unpack("<I", image.read(4))
+        image.seek(offset)
+        image.write(struct.pack("<I", change(value)))
+
+
+def hostile_image(path, layout, tree, name):
+    """Break the image at ``path`` one way; the node to expand."""
+    internal = Region.INTERNAL_NODES
+    if name == "child-pointer":
+        # The root's first internal child, one past the internal records.
+        patch_word(path, layout, internal, 0, 2, lambda _: layout.internal_count + 1)
+        return tree.root
+    if name == "child-at-the-count":
+        patch_word(path, layout, internal, 0, 2, lambda _: layout.internal_count)
+        return tree.root
+    if name == "child-run":
+        # The last internal record's run never ends: it runs off the region.
+        last = layout.internal_count - 1
+        patch_word(path, layout, internal, last, 0, lambda value: value & 0x7FFFFFFF)
+        return next(
+            node
+            for node in internal_nodes(tree)
+            if ("I", last) in {child[:2] for child in tree.children(node)}
+        )
+    node = with_leaves(tree)
+    if name == "leaf-index":
+        patch_word(path, layout, internal, node[1], 3, lambda _: layout.leaf_slots)
+    elif name == "arc-end":
+        child = next(c for c in tree.children(tree.root) if c[0] == "I")
+        patch_word(path, layout, internal, child[1], 1, lambda _: layout.symbol_count)
+        node = tree.root
+    elif name == "suffix-past-the-ends":
+        first_leaf = tree.internal_records[4 * node[1] + 3]
+        patch_word(
+            path, layout, Region.LEAF_NODES, first_leaf, 0,
+            lambda value: (value & 0x80000000) | layout.symbol_count,
+        )
+    return node
+
+
+def region_blocks(layout):
+    """Each region's range of absolute blocks."""
+    return {
+        Region.SYMBOLS: range(
+            layout.symbols_start_block, layout.symbols_start_block + layout.symbols_block_count
+        ),
+        Region.INTERNAL_NODES: range(
+            layout.internal_start_block, layout.internal_start_block + layout.internal_block_count
+        ),
+        Region.LEAF_NODES: range(
+            layout.leaves_start_block, layout.leaves_start_block + layout.leaves_block_count
+        ),
+    }
+
+
+def recording_misses(tree):
+    """Record each block the pool reads, with its region (before the page
+    source is taken, so the page step calls the recorder too)."""
+    requested = []
+    miss = tree.pool.miss
+
+    def recorded(block, region):
+        requested.append((block, region))
+        return miss(block, region)
+
+    tree.pool.miss = recorded
+    return requested
+
+
+HOSTILE_IMAGES = [
+    "child-pointer", "child-at-the-count", "child-run", "leaf-index", "arc-end",
+    "suffix-past-the-ends",
+]
+
+
+@needs_compiled
+@pytest.mark.parametrize("frames", [1, "whole"])
+@pytest.mark.parametrize("name", HOSTILE_IMAGES)
+def test_image_records_past_their_regions_are_an_index_error(protein_image, name, frames):
+    database, path, tree = protein_image
+    layout = DiskLayout.read_header(path)
+    node = hostile_image(path, layout, tree, name)
+    disk, twin = disk_pair(path, database, 256, frames)
+    blocks = region_blocks(layout)
+    try:
+        read_by_page_step, read_by_siblings = recording_misses(disk), recording_misses(twin)
+        # The parent's page is resident, so the failing call starts with a hit.
+        parent_block = node[1] // layout.internal_records_per_block
+        for tree in (disk, twin):
+            tree.pool.get_page(Region.INTERNAL_NODES, parent_block)
+        context = protein_context()
+        entry = entry_at(disk, node, context)
+        with pytest.raises(IndexError):
+            get_kernel("compiled").node_step(disk.node_records, entry, context)
+        with pytest.raises(IndexError):
+            twin.siblings(node)
+        assert counters(context) == (0, 0, 0)
+        # The same requests, none past a region, every hit counted.
+        assert read_by_page_step == read_by_siblings
+        assert all(block in blocks[Region(region)] for block, region in read_by_page_step)
+        assert pool_state(disk) == pool_state(twin)
+        assert disk.statistics.hits >= 1
+    finally:
+        disk.close()
+        twin.close()
+
+
+@needs_compiled
+def test_a_page_source_of_the_wrong_shape_is_a_type_error(protein_image):
+    database, path, _ = protein_image
+    with DiskSuffixTree(path, database) as disk:
+        records = disk.node_records
+        context = protein_context()
+        entry = entry_at(disk, disk.root, context)
+        for broken in (records[:5], (records[0], dict(disk.pool.table).items()) + records[2:]):
+            with pytest.raises(TypeError):
+                get_kernel("compiled").node_step(broken, entry, context)
+        assert disk.statistics.requests == 0
