@@ -166,15 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="after the run, log every query whose span exceeded this many "
         "seconds to stderr with its per-phase time breakdown "
-        "(expand/scatter/shard/merge/pool I/O)",
-    )
-    search.add_argument(
-        "--stackprof",
-        metavar="FILE",
-        help="run the sampling wall-clock profiler during the search and "
-        "write its collapsed stacks to FILE (one `frame;frame;... count` "
-        "line per stack, the flamegraph input format); samples are "
-        "attributed to span phases (expand/scatter/merge/pool_io)",
+        "(expand/scatter/shard/merge)",
     )
 
     index = subparsers.add_parser("index", help="manage persistent sharded indexes")
@@ -369,7 +361,7 @@ def _command_search(args: argparse.Namespace) -> int:
         return _fail("search", error)
 
     tracer = None
-    if args.trace or args.metrics or args.slow_log is not None or args.stackprof is not None:
+    if args.trace or args.metrics or args.slow_log is not None:
         from repro.obs import Tracer
 
         tracer = Tracer()
@@ -394,24 +386,14 @@ def _command_search(args: argparse.Namespace) -> int:
     if tracer is not None:
         engine.instrument(tracer)
 
-    profiler = None
-    if args.stackprof is not None:
-        from repro.obs import StackProfiler
-
-        profiler = StackProfiler(tracer)
-
     # Single and batch mode both run through search_many; a lone query is
     # simply a batch of one.
     status = 0
     try:
-        if profiler is not None:
-            profiler.start()
         report = engine.search_many(
             queries, workers=args.workers, tracer=tracer, template=template
         )
     finally:
-        if profiler is not None:
-            profiler.stop()
         engine.close()
         # Also on the way out of an interrupted run (Ctrl-C): every span
         # closes as the exception unwinds, so the trace is still one tree.
@@ -419,20 +401,6 @@ def _command_search(args: argparse.Namespace) -> int:
             status = _emit_telemetry(args, tracer)
     if status:
         return status
-
-    if profiler is not None:
-        try:
-            profiler.write_collapsed(args.stackprof)
-        except OSError as error:
-            return _fail("search", f"cannot write the --stackprof file: {error}")
-        shares = ", ".join(
-            f"{phase}={share:.0%}" for phase, share in profiler.phase_shares().items()
-        )
-        print(
-            f"wrote {profiler.sample_count} stack samples to {args.stackprof}"
-            f"{' -- ' + shares if shares else ''}",
-            file=sys.stderr,
-        )
 
     if len(queries) == 1:
         try:

@@ -12,7 +12,7 @@ quantity plotted in Figure 9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -194,12 +194,3 @@ class OnlineResultLog:
         """The raw (time, cumulative results) series for plotting/reporting."""
         return list(self.events)
 
-
-def merge_best_hits(hits: Sequence[SearchHit]) -> List[SearchHit]:
-    """Keep only the strongest hit per sequence, in canonical order."""
-    best: Dict[str, SearchHit] = {}
-    for hit in hits:
-        existing = best.get(hit.sequence_identifier)
-        if existing is None or hit.score > existing.score:
-            best[hit.sequence_identifier] = hit
-    return sorted(best.values(), key=hit_order_key)

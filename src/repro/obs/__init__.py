@@ -18,16 +18,12 @@ adding cost when unused:
   that ``search --trace`` writes when the run ends -- with its one
   ``write``, ``load``, ``validate`` and ``render``.
 
-On top of the emitters sit two tools:
-
-* **Trace analytics** (:mod:`repro.obs.analyze` + ``python -m repro.obs
-  {validate,report} FILE``): critical path, per-phase wall/CPU breakdown
-  (expand / scatter / shard / merge / pool I/O), per-pid attribution and
-  slowest-query lists over any recording.
-* **Sampling profiler** (:mod:`repro.obs.stackprof`): the one profiler, a
-  wall-clock :class:`StackProfiler` sampling ``sys._current_frames()`` and
-  joining samples against open spans for per-phase attribution;
-  collapsed-stack export (CLI ``search --stackprof``).
+On top of the emitters sits one tool, **trace analytics**
+(:mod:`repro.obs.analyze` + ``python -m repro.obs {validate,report} FILE``):
+critical path, per-phase wall/CPU breakdown (expand / scatter / shard /
+merge), per-pid attribution and slowest-query lists over any recording.
+Telemetry answers from spans and counters only: the buffer pool's I/O is
+its ``pool.*`` counters, one increment per page, never a span per page.
 
 Every instrumented call site takes ``tracer=None``; passing a
 :class:`Tracer` (which owns a :class:`MetricsRegistry` as ``tracer.metrics``)
@@ -58,7 +54,6 @@ if TYPE_CHECKING:
         MetricsRegistry,
     )
     from repro.obs.recording import Recording
-    from repro.obs.stackprof import StackProfiler
     from repro.obs.trace import Span, SpanRecord, TraceContext, Tracer
 else:
     __getattr__, __dir__ = lazy_exports(
@@ -81,7 +76,6 @@ else:
                 "MetricsRegistry",
             ),
             "repro.obs.recording": ("Recording",),
-            "repro.obs.stackprof": ("StackProfiler",),
             "repro.obs.trace": ("Span", "SpanRecord", "TraceContext", "Tracer"),
         },
     )
@@ -97,7 +91,6 @@ __all__ = [
     "Recording",
     "Span",
     "SpanRecord",
-    "StackProfiler",
     "TraceAnalysis",
     "TraceContext",
     "Tracer",

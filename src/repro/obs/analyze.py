@@ -7,7 +7,7 @@ answers:
 * the **critical path** -- the chain of spans, root to leaf, that bounded
   the run's wall clock (at each level, the child that finished last);
 * a **per-phase breakdown** -- wall time attributed to the engine's phases
-  (expand / scatter / shard / merge / pool I/O / batch) by a timeline sweep
+  (expand / scatter / shard / merge / batch) by a timeline sweep
   that charges every instant of the root interval to the *deepest* span
   covering it, so the phase totals sum exactly to the root span's wall time
   even when shards overlap in parallel (a naive per-span sum would double
@@ -39,7 +39,7 @@ PHASE_ATTRIBUTE = "phase"
 OTHER_PHASE = "other"
 
 #: Stable report order for the known phases (unknown ones sort after).
-PHASE_ORDER = ("batch", "scatter", "expand", "shard", "merge", "pool_io", OTHER_PHASE)
+PHASE_ORDER = ("batch", "scatter", "expand", "shard", "merge", OTHER_PHASE)
 
 
 def span_phase(record: SpanRecord) -> str:

@@ -26,9 +26,8 @@ Two properties matter for this codebase:
 The tracer also keeps a cross-thread view of the open-span stacks
 (:meth:`Tracer.active_spans`): ``_push``/``_pop`` maintain one shared
 ``{thread id: [open spans]}`` map (each thread mutates only its own entry;
-single dict/list ops, so the GIL keeps readers consistent), which is how
-the sampling profiler attributes a foreign thread's stack sample to the
-phase of the span it was inside.
+single dict/list ops, so the GIL keeps readers consistent), so any thread
+can check that every span another thread opened has closed.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ class Span:
 
     Spans are cheap but not free: the hot search loop never opens one per
     node -- spans wrap whole phases (a query, a shard, a merge, an index
-    build, a buffer-pool miss when I/O spans are enabled).
+    build).
     """
 
     __slots__ = (
@@ -206,18 +205,12 @@ class Tracer:
         The :class:`~repro.obs.metrics.MetricsRegistry` instrumented code
         records into; one is created by default so ``Tracer()`` is a complete
         telemetry hub.
-    io_spans:
-        When ``True``, per-miss buffer-pool spans are recorded.  Off by
-        default: a cold scan over a large image can miss tens of thousands
-        of times, and a span per miss would dwarf the tree it annotates --
-        the pool's metrics counters capture the same information cheaply.
     """
 
     def __init__(
         self,
         trace_id: Optional[str] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        io_spans: bool = False,
     ) -> None:
         if metrics is None:
             from repro.obs.metrics import MetricsRegistry
@@ -225,7 +218,6 @@ class Tracer:
             metrics = MetricsRegistry()
         self.trace_id = trace_id or _new_id(_TRACE_COUNTER)
         self.metrics = metrics
-        self.io_spans = bool(io_spans)
         self.finished: List[SpanRecord] = []
         self._lock = threading.Lock()
         #: Open-span stack per thread id.  Each thread appends/pops only its
@@ -280,8 +272,7 @@ class Tracer:
 
         Taken from any thread: the map and the stacks are mutated with
         single atomic operations, so a reader sees each stack either before
-        or after a push/pop, never mid-update.  The profiler joins stack
-        samples against this to label them with the active span's phase.
+        or after a push/pop, never mid-update.
         """
         return {ident: list(stack) for ident, stack in list(self._stacks.items())}
 
@@ -297,7 +288,6 @@ class Tracer:
         return TraceContext(
             trace_id=self.trace_id,
             parent_id=parent_id if parent_id is not None else self.current_span_id,
-            io_spans=self.io_spans,
         )
 
     def adopt(self, records: Sequence[object]) -> None:
@@ -335,8 +325,7 @@ class TraceContext:
 
     trace_id: str
     parent_id: Optional[str]
-    io_spans: bool = False
 
     def tracer(self, metrics: Optional["MetricsRegistry"] = None) -> Tracer:
         """Build the worker-side tracer continuing this trace."""
-        return Tracer(trace_id=self.trace_id, metrics=metrics, io_spans=self.io_spans)
+        return Tracer(trace_id=self.trace_id, metrics=metrics)

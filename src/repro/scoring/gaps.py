@@ -46,6 +46,13 @@ class GapModel(ABC):
             )
 
 
+#: The most negative fixed gap penalty accepted.  The compiled column step
+#: holds scores within +-2**62; a penalty of at least this bound keeps every
+#: score the search adds well inside that range, so the compiled and the
+#: Python kernels agree instead of the compiled one overflowing.
+MIN_GAP_PENALTY = -(2**31)
+
+
 @dataclass(frozen=True)
 class FixedGapModel(GapModel):
     """The paper's fixed gap model: each gapped symbol costs ``penalty``.
@@ -55,7 +62,7 @@ class FixedGapModel(GapModel):
     penalty:
         Per-symbol gap score contribution; must be negative (e.g. ``-1`` for
         the unit matrix of Table 1, ``-8`` is a conventional choice with
-        PAM30).
+        PAM30) and at least :data:`MIN_GAP_PENALTY`.
     """
 
     penalty: int = -1
@@ -63,6 +70,10 @@ class FixedGapModel(GapModel):
     def __post_init__(self) -> None:
         if self.penalty >= 0:
             raise ValueError("a fixed gap penalty must be negative")
+        if self.penalty < MIN_GAP_PENALTY:
+            raise ValueError(
+                f"a fixed gap penalty must be at least {MIN_GAP_PENALTY}, not {self.penalty}"
+            )
 
     @property
     def is_affine(self) -> bool:

@@ -154,7 +154,6 @@ class BufferPool:
         self.statistics = BufferPoolStatistics()
         # Telemetry is attached (not constructed here) so the pool stays
         # dependency-free; instruments are resolved once in instrument().
-        self._tracer: Optional["Tracer"] = None
         self._metric_hits: Optional["Counter"] = None
         self._metric_misses: Optional["Counter"] = None
         self._metric_evictions: Optional["Counter"] = None
@@ -171,12 +170,9 @@ class BufferPool:
 
         Hit/miss/eviction counters are recorded into ``tracer.metrics``
         (instruments resolved once here, so a cursor call pays one hit
-        counter increment, not a registry lookup per page).  When
-        ``tracer.io_spans`` is set, each physical read is additionally
-        wrapped in a ``pool.miss`` span -- useful for inspecting individual
-        stalls, too voluminous to leave on for whole workloads.
+        counter increment, not a registry lookup per page).  They are the
+        pool's whole I/O record: no page read opens a span.
         """
-        self._tracer = tracer
         if tracer is None:
             self._metric_hits = self._metric_misses = self._metric_evictions = None
             return
@@ -202,12 +198,7 @@ class BufferPool:
             self._metric_misses.inc()
         data: Optional[bytes] = None
         try:
-            tracer = self._tracer
-            if tracer is not None and tracer.io_spans:
-                with tracer.span("pool.miss", region=int(region), block=block, phase="pool_io"):
-                    data = self._read_physical(block)
-            else:
-                data = self._read_physical(block)
+            data = self._read_physical(block)
         finally:
             with self._lock:
                 statistics = self.statistics

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import EXPERIMENTS, main
 from repro.core.kernels import available_kernels
+from repro.scoring.gaps import MIN_GAP_PENALTY
 
 
 def one_error_line(capsys, command):
@@ -707,9 +708,8 @@ class TestTelemetryFlags:
         assert validate(recording) == []
         assert {record.name for record in recording.spans} >= {"batch", "query", "shard", "merge"}
 
-    @pytest.mark.parametrize("flag", ["--trace", "--stackprof"])
     def test_output_into_a_missing_directory_exits_2_in_one_line(
-        self, index_dir, tmp_path, capsys, flag
+        self, index_dir, tmp_path, capsys
     ):
         missing = tmp_path / "no-such-directory" / "out"
         code = main(
@@ -721,13 +721,13 @@ class TestTelemetryFlags:
                 "MKVLAADTGLAV",
                 "--min-score",
                 "15",
-                flag,
+                "--trace",
                 str(missing),
             ]
         )
         assert code == 2
         line = one_error_line(capsys, "search")
-        assert f"cannot write the {flag} file" in line and str(missing) in line
+        assert "cannot write the --trace file" in line and str(missing) in line
         assert not missing.parent.exists()
 
     def test_trace_file_is_overwritten_not_appended(self, generated_files, tmp_path):
@@ -846,6 +846,72 @@ class TestInputsAreUsageErrors:
         line = one_error_line(capsys, "index build")
         assert "block size 99999999999 " in line and "maximum of 4294967295 bytes" in line
         assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "command, arguments",
+        [
+            ("search", ["search", "--database", "{fasta}", "--query", "MKV"]),
+            ("index build", ["index", "build", "--database", "{fasta}", "--output", "{tmp}/index"]),
+        ],
+        ids=["search", "index-build"],
+    )
+    def test_a_gap_past_the_bound_is_one_line_before_any_directory(
+        self, tmp_path, generated_files, capsys, command, arguments
+    ):
+        """A penalty the compiled step cannot hold is refused up front, not
+        written into an index whose every search then overflows."""
+        fasta, _ = generated_files
+        arguments = [arg.format(tmp=tmp_path, fasta=fasta) for arg in arguments]
+        assert main(arguments + ["--gap", "-1000000000000000000000"]) == 2
+        line = one_error_line(capsys, command)
+        assert f"must be at least {MIN_GAP_PENALTY}" in line
+        assert not (tmp_path / "index").exists()
+
+    @pytest.mark.parametrize("source", ["database", "index"])
+    def test_the_most_negative_accepted_gap_searches_alike_on_every_kernel(
+        self, tmp_path, generated_files, capsys, source
+    ):
+        """At the bound itself the compiled step holds every score, so no
+        kernel overflows and all print the same hits."""
+        fasta, queries = generated_files
+        gap = ["--gap", str(MIN_GAP_PENALTY)]
+        target = ["--database", str(fasta), *gap]
+        if source == "index":
+            index = tmp_path / "index"
+            build = ["index", "build", "--database", str(fasta), "--output", str(index)]
+            assert main(build + gap) == 0
+            assert main(["index", "info", str(index)]) == 0
+            assert f"gap={MIN_GAP_PENALTY}," in capsys.readouterr().out
+            target = ["--index", str(index)]
+        query = queries.read_text().splitlines()[0]
+        outputs = []
+        for kernel in available_kernels():
+            arguments = ["search", *target, "--query", query, "--min-score", "20"]
+            assert main(arguments + ["--kernel", kernel]) == 0
+            outputs.append(re.sub(r"in [0-9.]+s", "in Xs", capsys.readouterr().out))
+        assert len(outputs) >= 3 and all(output == outputs[0] for output in outputs)
+        assert "DP columns expanded" in outputs[0]
+
+    def test_an_index_with_a_gap_past_the_bound_is_refused_on_open(
+        self, tmp_path, generated_files, capsys
+    ):
+        """A catalog written before the bound existed cannot reach the
+        compiled step: opening it is the same one-line error."""
+        from repro.sharding import ShardedEngine
+
+        fasta, _ = generated_files
+        index = tmp_path / "index"
+        assert main(["index", "build", "--database", str(fasta), "--output", str(index)]) == 0
+        path = index / "catalog.json"
+        catalog = json.loads(path.read_text())
+        catalog["fingerprint"]["gap_penalty"] = -(10**21)
+        path.write_text(json.dumps(catalog))
+        with pytest.raises(ValueError, match=f"at least {MIN_GAP_PENALTY}, not {-(10**21)}"):
+            ShardedEngine.open(index)
+        capsys.readouterr()
+        search = ["search", "--index", str(index), "--query", "MKVLAADTGLAV", "--min-score", "15"]
+        assert main(search) == 2
+        assert f"must be at least {MIN_GAP_PENALTY}" in one_error_line(capsys, "search")
 
     @pytest.mark.parametrize(
         "command, arguments",
@@ -1039,13 +1105,3 @@ class TestSlowLogAndMetrics:
         assert "spans to" in err and "--- metrics ---" in err and "slow queries" in err
         assert obs_main(["validate", str(trace)]) == 0
         assert "ok: " in capsys.readouterr().out
-
-    def test_stackprof_writes_collapsed_stacks(self, sharded_files, tmp_path, capsys):
-        index, queries = sharded_files
-        profile = tmp_path / "search.collapsed"
-        code = main(self._search(index, queries, "--stackprof", str(profile), "--metrics"))
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "stack samples" in err and "--- metrics ---" in err
-        lines = profile.read_text().splitlines()
-        assert all(line.rpartition(" ")[2].isdigit() for line in lines)

@@ -4,7 +4,12 @@ import inspect
 
 import pytest
 
-from repro.scoring.gaps import DEFAULT_GAP_MODEL, AffineGapModel, FixedGapModel
+from repro.scoring.gaps import (
+    DEFAULT_GAP_MODEL,
+    MIN_GAP_PENALTY,
+    AffineGapModel,
+    FixedGapModel,
+)
 
 
 class TestFixedGapModel:
@@ -25,6 +30,16 @@ class TestFixedGapModel:
             FixedGapModel(1)
         with pytest.raises(ValueError):
             FixedGapModel(0)
+
+    @pytest.mark.parametrize("penalty", [MIN_GAP_PENALTY - 1, -(10**21)])
+    def test_penalty_below_the_bound_rejected(self, penalty):
+        with pytest.raises(ValueError, match=f"at least {MIN_GAP_PENALTY}, not {penalty}"):
+            FixedGapModel(penalty)
+
+    def test_penalty_at_the_bound_accepted(self):
+        model = FixedGapModel(MIN_GAP_PENALTY)
+        assert model.per_symbol == MIN_GAP_PENALTY
+        assert model.cost(3) == 3 * MIN_GAP_PENALTY
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):

@@ -107,9 +107,7 @@ def test_import_cli_loads_no_optional_layer():
             "multiprocessing",
             "concurrent.futures.process",
             "subprocess",
-            "repro.obs.promexport",
             "repro.obs.analyze",
-            "repro.obs.stackprof",
             "repro.experiments",
             "repro.analysis",
             "repro.baselines",
@@ -219,8 +217,6 @@ def test_trace_flag_still_loads_obs_and_writes_a_valid_trace(corpus, tmp_path):
             "http.server",
             "cProfile",
             "repro.core",
-            "repro.obs.promexport",
-            "repro.obs.stackprof",
         ],
     )
     assert not found, f"`python -m repro.obs validate` loaded {found}"

@@ -35,7 +35,7 @@ from repro.core.kernels import (
 from repro.core.search_node import NodeState, SearchNode, VIABLE_AFTER, node_view
 from repro.datagen import GenomeGenerator, MotifWorkloadGenerator, SwissProtLikeGenerator
 from repro.scoring.data import nucleotide_matrix, pam30, unit_matrix
-from repro.scoring.gaps import FixedGapModel
+from repro.scoring.gaps import MIN_GAP_PENALTY, FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine
@@ -130,6 +130,18 @@ class TestFuzzedSearchParity:
         assert actual == expected
         assert any(hits for hits, _ in expected)
         assert all(counters["nodes_pruned"] > 0 for _, counters in expected)
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS[::3], ids=["protein", "dna"])
+    def test_the_most_negative_accepted_gap_matches_reference(self, configuration, kernel):
+        # No score the search adds at this gap leaves the compiled step's
+        # +-2**62, so every kernel gives the oracle's hits and counters.
+        _, dataset, matrix, _, min_score = configuration
+        database, queries = dataset(SEEDS[0])
+        tree = GeneralizedSuffixTree.build(database)
+        expected = run_searches(tree, queries, matrix(), MIN_GAP_PENALTY, "reference", min_score)
+        actual = run_searches(tree, queries, matrix(), MIN_GAP_PENALTY, kernel, min_score)
+        assert actual == expected
+        assert any(hits for hits, _ in expected)
 
     @pytest.mark.parametrize(
         "switches",

@@ -100,6 +100,28 @@ class TestSpans:
             thread.join()
         assert seen["parent"] is None
 
+    def test_active_spans_show_another_threads_open_span_until_it_closes(self):
+        tracer = Tracer()
+        opened, release = threading.Event(), threading.Event()
+
+        def worker():
+            with tracer.span("shard"):
+                opened.set()
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert opened.wait(timeout=10)
+            active = tracer.active_spans()
+            assert [[span.name for span in stack] for stack in active.values()] == [["shard"]]
+            assert list(active) == [thread.ident]
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert tracer.active_spans() == {}
+        assert [record.name for record in tracer.records()] == ["shard"]
+
     def test_span_record_round_trip(self):
         record = SpanRecord(
             name="n",

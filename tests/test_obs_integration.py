@@ -179,7 +179,7 @@ def test_batch_spans_nest_queries_under_batch(index_dir):
 def test_every_span_of_a_traced_search_carries_its_phase(index_dir, backend):
     """The report has no name-based fallback: a span site that forgot to
     stamp ``phase`` would show up as an ``other`` row."""
-    tracer = Tracer(io_spans=True)
+    tracer = Tracer()
     with ShardedEngine.open(
         index_dir, buffer_pool_bytes=TIGHT_POOL_BYTES, backend=backend
     ) as engine:
@@ -187,7 +187,47 @@ def test_every_span_of_a_traced_search_carries_its_phase(index_dir, backend):
         report = engine.search_many([QUERY], min_score=MIN_SCORE, tracer=tracer)
     assert not report.statistics.failed
     records = tracer.records()
-    assert {record.name for record in records} >= {"batch", "query", "shard", "merge", "pool.miss"}
+    assert {record.name for record in records} >= {"batch", "query", "shard", "merge"}
     missing = [record.name for record in records if not record.attributes.get("phase")]
     assert not missing, f"spans without a phase attribute: {missing}"
     assert OTHER_PHASE not in {entry.phase for entry in analyze(records).phases}
+
+
+@pytest.mark.parametrize("backend", ["serial", "processes:2"])
+def test_a_tight_pool_search_counts_its_pages_and_opens_no_span_per_page(index_dir, backend):
+    """Disk I/O is judged by the pool's counters: one increment per page,
+    equal to the result's own counts, and no span per page."""
+    tracer = Tracer()
+    with ShardedEngine.open(
+        index_dir, buffer_pool_bytes=TIGHT_POOL_BYTES, backend=backend
+    ) as engine:
+        engine.instrument(tracer)
+        report = engine.search_many([QUERY, SECOND_QUERY], min_score=MIN_SCORE, tracer=tracer)
+    assert not report.statistics.failed
+    statistics = [outcome.result.statistics for outcome in report.outcomes]
+    misses = sum(stats.buffer_misses for stats in statistics)
+    assert misses > 0
+    metrics = tracer.metrics
+    assert metrics.counter("pool.misses").value == misses
+    assert metrics.counter("pool.hits").value == sum(stats.buffer_hits for stats in statistics)
+    # One batch; per query a query span, its shard spans (one on the serial
+    # scatter, one per partition on processes) and a merge: the span count
+    # does not grow with the pages read.
+    names = [record.name for record in tracer.records()]
+    assert sorted(set(names)) == ["batch", "merge", "query", "shard"]
+    shard_spans = 1 if backend == "serial" else SHARDS
+    assert len(names) == 1 + 2 * (1 + shard_spans + 1)
+
+
+def test_a_pool_that_fits_reads_the_image_into_memory_and_counts_no_pages(index_dir):
+    """The default pool holds the whole image, which is then searched as the
+    in-memory tree: no page is requested, so no pool counter is made."""
+    tracer = Tracer()
+    with ShardedEngine.open(index_dir) as engine:
+        engine.instrument(tracer)
+        report = engine.search_many([QUERY], min_score=MIN_SCORE, tracer=tracer)
+    assert not report.statistics.failed
+    (outcome,) = report.outcomes
+    assert outcome.result.hits
+    assert outcome.result.statistics.buffer_misses == 0
+    assert not [name for name in tracer.metrics.names() if name.startswith("pool.")]

@@ -7,7 +7,7 @@ from repro.core.results import (
     OnlineResultLog,
     SearchHit,
     SearchResult,
-    merge_best_hits,
+    hit_order_key,
 )
 
 
@@ -117,17 +117,22 @@ class TestOnlineResultLog:
         assert log.last_result_seconds is None
 
 
-class TestMergeBestHits:
-    def test_keeps_strongest_per_sequence(self):
-        merged = merge_best_hits([make_hit(0, 5), make_hit(0, 9), make_hit(1, 2)])
-        assert [(h.sequence_index, h.score) for h in merged] == [(0, 9), (1, 2)]
+class TestHitOrderKey:
+    """The one canonical hit order every engine and the sharded merge sort by."""
 
-    def test_orders_by_score(self):
-        merged = merge_best_hits([make_hit(0, 2), make_hit(1, 8)])
-        assert [h.sequence_index for h in merged] == [1, 0]
+    def test_orders_by_decreasing_score(self):
+        hits = [make_hit(0, 2), make_hit(1, 8), make_hit(2, 5)]
+        assert [h.score for h in sorted(hits, key=hit_order_key)] == [8, 5, 2]
 
-    def test_equal_scores_order_by_identifier(self):
-        merged = merge_best_hits(
-            [make_hit(0, 5, identifier="zulu"), make_hit(1, 5, identifier="alpha")]
-        )
-        assert [h.sequence_identifier for h in merged] == ["alpha", "zulu"]
+    def test_equal_scores_order_by_identifier_not_index(self):
+        hits = [make_hit(0, 5, identifier="zulu"), make_hit(1, 5, identifier="alpha")]
+        assert [h.sequence_identifier for h in sorted(hits, key=hit_order_key)] == [
+            "alpha",
+            "zulu",
+        ]
+
+    def test_equal_identifiers_order_by_alignment_start(self):
+        late = SearchHit(0, "seq", 7, alignment=Alignment(7, 0, 3, 40, 43))
+        early = SearchHit(0, "seq", 7, alignment=Alignment(7, 0, 3, 12, 15))
+        untraced = make_hit(0, 7, identifier="seq")
+        assert sorted([late, early, untraced], key=hit_order_key) == [untraced, early, late]

@@ -115,7 +115,7 @@ class TestShardSearchTask:
 
     def test_trace_context_field_survives_embedded(self, spawn_backend):
         task = make_search_task(
-            trace=TraceContext(trace_id="t-1", parent_id="s-9", io_spans=True)
+            trace=TraceContext(trace_id="t-1", parent_id="s-9")
         )
         _, returned = roundtrip(spawn_backend, task)
         assert returned.trace == task.trace
@@ -124,7 +124,7 @@ class TestShardSearchTask:
 
 class TestTraceContext:
     def test_spawn_roundtrip(self, spawn_backend):
-        context = TraceContext(trace_id="t-42", parent_id=None, io_spans=False)
+        context = TraceContext(trace_id="t-42", parent_id=None)
         qualname, returned = roundtrip(spawn_backend, context)
         assert qualname == "repro.obs.trace.TraceContext"
         assert returned == context

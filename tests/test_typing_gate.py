@@ -31,7 +31,6 @@ GATE_FILES = (
     "repro/obs/metrics.py",
     "repro/obs/recording.py",
     "repro/obs/report.py",
-    "repro/obs/stackprof.py",
     "repro/obs/trace.py",
     "repro/sharding/remote.py",
     "repro/storage/__init__.py",
