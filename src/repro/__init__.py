@@ -30,12 +30,7 @@ if TYPE_CHECKING:
     from repro.core.oasis import OasisSearchStatistics, QueryExecution
     from repro.core.request import SearchRequest
     from repro.core.results import Alignment, SearchHit, SearchResult
-    from repro.obs import (
-        MetricsRegistry,
-        Tracer,
-        configure_logging,
-        get_logger,
-    )
+    from repro.obs import Tracer, configure_logging, get_logger
     from repro.parallel import BatchSearchReport
     from repro.sequences.database import SequenceDatabase
     from repro.sequences.sequence import Sequence, SequenceRecord
@@ -48,12 +43,7 @@ else:
             "repro.core.oasis": ("OasisSearchStatistics", "QueryExecution"),
             "repro.core.request": ("SearchRequest",),
             "repro.core.results": ("Alignment", "SearchHit", "SearchResult"),
-            "repro.obs": (
-                "MetricsRegistry",
-                "Tracer",
-                "configure_logging",
-                "get_logger",
-            ),
+            "repro.obs": ("Tracer", "configure_logging", "get_logger"),
             "repro.parallel": ("BatchSearchReport",),
             "repro.sequences.database": ("SequenceDatabase",),
             "repro.sequences.sequence": ("Sequence", "SequenceRecord"),
@@ -65,7 +55,6 @@ __version__ = "1.4.0"
 
 __all__ = [
     "Tracer",
-    "MetricsRegistry",
     "configure_logging",
     "get_logger",
     "OasisEngine",

@@ -25,7 +25,7 @@ Python constructs that erode it:
     a batch executor that is a data race dressed up as a default.
 
 :class:`TracerGuardRule`
-    In ``core/`` hot paths, every ``tracer.``/``metrics.`` call must sit
+    In ``core/`` hot paths, every ``tracer.``/``span.`` call must sit
     behind an ``is not None`` guard.  The telemetry contract is "one
     identity check when disabled"; an unguarded call either crashes the
     no-tracer path or quietly imposes tracer overhead on every search.
@@ -173,13 +173,13 @@ class TracerGuardRule(Rule):
 
     rule_id = "tracer-guard"
     description = (
-        "in core/, calls on tracer/metrics objects must be guarded by "
+        "in core/, calls on tracer/span objects must be guarded by "
         "`if <tracer> is not None:` (or an early `if <tracer> is None: "
         "return`): the disabled path pays one identity check, nothing more"
     )
 
     #: Receiver names treated as telemetry handles.
-    _TELEMETRY_NAMES = ("tracer", "metrics", "span")
+    _TELEMETRY_NAMES = ("tracer", "span")
 
     def check(self, module: ModuleInfo) -> Iterator[Violation]:
         if module.package not in TRACER_GUARDED_PACKAGES:
@@ -228,7 +228,7 @@ class TracerGuardRule(Rule):
 
         * ``if <x> is not None:`` -- the if-body lines are guarded when
           ``<x>`` is a telemetry name (``tracer``, ``self.tracer``,
-          ``metrics``, ``span``);
+          ``span``);
         * an early exit ``if <x> is None: return/raise/continue`` at
           function statement level -- every line after it is guarded.
         """

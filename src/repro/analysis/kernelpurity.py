@@ -8,7 +8,7 @@ ints against per-query lists; the dense form it replaced spent its time in
 the call overhead of a dozen NumPy operations on a 15-element array.  Two easy ways
 to quietly give that back are (1) reaching for NumPy inside a column loop --
 any ``np.``/``numpy.`` call there costs more than the whole live-cell step --
-and (2) calling into the tracer/metrics machinery from inside the loop (the
+and (2) calling into the tracer from inside the loop (the
 telemetry contract everywhere else is "nothing in the per-node loop").  The
 list forms come from the :class:`~repro.core.expand.ExpansionContext`,
 built once per query; telemetry stays at the driver level.
@@ -16,7 +16,7 @@ built once per query; telemetry stays at the driver level.
 This rule makes both properties mechanical: inside any ``for``/``while``
 loop of a function in ``repro.core.kernels``, a call rooted at ``np`` or
 ``numpy`` (``np.add``, ``np.maximum.accumulate``, ``numpy.empty_like``, ...)
-and ``tracer``/``metrics`` attribute access are violations.
+and ``tracer`` attribute access are violations.
 Outside loops NumPy is fine -- ``expand_arc`` turns the dense column of a
 reference-built node into live cells once, before the walk.  The dense
 reference form lives in ``repro.core.expand`` and is not held to this rule.
@@ -33,7 +33,7 @@ from repro.analysis.framework import ModuleInfo, Rule, Violation
 KERNEL_MODULES: Tuple[str, ...] = ("repro.core.kernels",)
 
 #: Attribute names whose presence inside a kernel loop means telemetry.
-TELEMETRY_ATTRIBUTES: Tuple[str, ...] = ("tracer", "metrics")
+TELEMETRY_ATTRIBUTES: Tuple[str, ...] = ("tracer",)
 
 
 class KernelPurityRule(Rule):
@@ -42,7 +42,7 @@ class KernelPurityRule(Rule):
     rule_id = "kernel-purity"
     description = (
         "expansion-kernel loops (repro.core.kernels) must not call NumPy "
-        "(any np./numpy. call) or touch tracer/metrics -- live cells are "
+        "(any np./numpy. call) or touch the tracer -- live cells are "
         "plain ints against per-query lists from ExpansionContext, "
         "telemetry stays in the driver"
     )

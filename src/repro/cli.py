@@ -156,9 +156,10 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--metrics",
         action="store_true",
-        help="print the metrics registry (nodes expanded, DP cells, pool "
-        "hit rates, backend latencies, p50/p99 latency quantiles) after "
-        "the run",
+        help="after the run, print the searches' own statistics to stderr: "
+        "their counters summed (columns and nodes expanded, buffer-pool "
+        "hits, misses and evictions), the query counts, exact p50/p90/p99 "
+        "query latency and the peak RSS",
     )
     search.add_argument(
         "--slow-log",
@@ -361,7 +362,7 @@ def _command_search(args: argparse.Namespace) -> int:
         return _fail("search", error)
 
     tracer = None
-    if args.trace or args.metrics or args.slow_log is not None:
+    if args.trace or args.slow_log is not None:
         from repro.obs import Tracer
 
         tracer = Tracer()
@@ -383,22 +384,27 @@ def _command_search(args: argparse.Namespace) -> int:
         except ValueError as error:
             engine.close()
             return _fail("search", error)
-    if tracer is not None:
-        engine.instrument(tracer)
 
     # Single and batch mode both run through search_many; a lone query is
     # simply a batch of one.
     status = 0
+    report = None
     try:
         report = engine.search_many(
             queries, workers=args.workers, tracer=tracer, template=template
         )
+    except BaseException as error:
+        # Ctrl-C: the queries that finished still have their numbers.
+        report = getattr(error, "batch_report", None)
+        raise
     finally:
         engine.close()
         # Also on the way out of an interrupted run (Ctrl-C): every span
         # closes as the exception unwinds, so the trace is still one tree.
         if tracer is not None:
             status = _emit_telemetry(args, tracer)
+        if args.metrics and not status and report is not None:
+            _emit_metrics(report)
     if status:
         return status
 
@@ -474,8 +480,17 @@ def _peak_rss_bytes() -> Optional[int]:
     return None
 
 
+def _emit_metrics(report) -> None:
+    """Print the batch's own statistics, then the peak RSS."""
+    print("--- metrics ---", file=sys.stderr)
+    print(report.format_metrics(), file=sys.stderr)
+    peak = _peak_rss_bytes()
+    if peak is not None:
+        print(f"peak_rss_mb = {peak / 2**20:.1f}", file=sys.stderr)
+
+
 def _emit_telemetry(args: argparse.Namespace, tracer) -> int:
-    """Write the trace file and/or print the metrics dump after a search.
+    """Write the trace file and/or log the slow queries after a search.
 
     Returns 0, or the exit code of the one error line printed when the trace
     file cannot be written (its directory does not exist, say).
@@ -491,16 +506,6 @@ def _emit_telemetry(args: argparse.Namespace, tracer) -> int:
         except OSError as error:
             return _fail("search", f"cannot write the --trace file: {error}")
         print(f"wrote {len(records)} spans to {args.trace}", file=sys.stderr)
-    if args.metrics:
-        peak = _peak_rss_bytes()
-        if peak is not None:
-            tracer.metrics.gauge(
-                "process.peak_rss_bytes", "peak resident set size of this process"
-            ).set(peak)
-        rendered = tracer.metrics.render()
-        if rendered:
-            print("--- metrics ---", file=sys.stderr)
-            print(rendered, file=sys.stderr)
     return 0
 
 

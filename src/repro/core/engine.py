@@ -37,8 +37,9 @@ from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.cursor import SuffixTreeCursor
 
-if TYPE_CHECKING:  # pragma: no cover - annotation only (sharding is a layer up)
+if TYPE_CHECKING:  # pragma: no cover - annotation only (sharding and storage are layers up)
     from repro.sharding.catalog import ShardCatalog
+    from repro.storage.buffer_pool import BufferPool
 
 PathLike = Union[str, os.PathLike]
 
@@ -234,6 +235,11 @@ class OasisEngine(SearchSurface):
         """The expansion kernel name this engine's searches run under."""
         return self.expansion_kernel.name
 
+    @property
+    def buffer_pool(self) -> Optional["BufferPool"]:
+        """The pool a disk cursor reads its pages through (``None`` in memory)."""
+        return getattr(self.cursor, "pool", None)
+
     def min_score_for(self, query: str, evalue: float) -> int:
         """The ``min_score`` equivalent to an E-value cutoff for this query."""
         return self.converter.min_score_for_evalue(evalue, len(query))
@@ -264,18 +270,6 @@ class OasisEngine(SearchSurface):
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def instrument(self, tracer) -> None:
-        """Attach a tracer to the index's buffer pool (``None`` detaches).
-
-        A disk-backed cursor routes every page request through one pool;
-        instrumenting it records pool hit/miss/eviction counters into
-        ``tracer.metrics`` (see :meth:`repro.storage.BufferPool.instrument`).
-        In-memory cursors have no pool and this is a no-op.
-        """
-        instrument = getattr(self.cursor, "instrument", None)
-        if instrument is not None:
-            instrument(tracer)
-
     def close(self) -> None:
         """Close a disk-resident cursor's image file (a no-op in memory)."""
         close = getattr(self.cursor, "close", None)

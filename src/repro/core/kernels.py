@@ -124,7 +124,7 @@ choice is made when the engine is built, so ``statistics.kernel`` names the
 kernel that ran.
 
 Purity contract, enforced by the ``kernel-purity`` analysis rule over this
-file: no NumPy call and no tracer/metrics access inside a kernel loop.  The
+file: no NumPy call and no tracer access inside a kernel loop.  The
 C step keeps the Python walk's rules: no buffer shared between calls, every
 conversion and allocation checked, a symbol or row out of range an
 ``IndexError``, and an argument of the wrong shape a ``TypeError``.

@@ -28,7 +28,7 @@ import heapq
 import logging
 import time
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
 from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
@@ -67,7 +67,11 @@ class OasisSearchStatistics:
     zero for in-memory cursors.  A shared pool serving concurrent queries
     attributes overlapping activity to every query that was in flight, so
     under concurrency they are an upper bound per query -- exact in the
-    serial and process-scatter regimes, where one query owns the pool.
+    serial and process-scatter regimes, where one query owns the pool.  A
+    batch's exact pool counts are the change in the pool's own
+    :class:`~repro.storage.BufferPoolStatistics` over the batch, whatever
+    its fan-out: ``search_many`` puts that change in its report's
+    ``statistics.search`` for an index searched in the calling process.
     """
 
     columns_expanded: int = 0
@@ -109,29 +113,6 @@ class OasisSearchStatistics:
             if isinstance(field.default, int) and field.name != "max_queue_size":
                 setattr(merged, field.name, sum(getattr(part, field.name) for part in parts))
         return merged
-
-
-#: ``(metric name, OasisSearchStatistics field, description)``: the ``search.*``
-#: instrument a finished execution feeds each field into
-#: (:meth:`QueryExecution._close_span` walks this; so does
-#: ``tests/test_stats_consistency.py``, where a field without a row fails).
-#: Counters all, except the two fields :meth:`OasisSearchStatistics.merged`
-#: does not sum either: the queue peak is a gauge, the latency a histogram.
-#: The ``buffer_*`` fields have no row: the pool counts ``pool.hits`` /
-#: ``pool.misses`` / ``pool.evictions`` itself, exactly once per page, where
-#: the per-query deltas overlap when queries share a pool.
-STATISTICS_METRICS: Tuple[Tuple[str, str, str], ...] = (
-    ("search.columns_expanded", "columns_expanded", "DP columns computed"),
-    ("search.nodes_expanded", "nodes_expanded", "suffix-tree nodes expanded"),
-    ("search.nodes_enqueued", "nodes_enqueued", "children pushed on the frontier"),
-    ("search.nodes_accepted", "nodes_accepted", "accepted nodes popped off the frontier"),
-    ("search.pruning_cutoffs", "nodes_pruned", "frontier nodes cut by the pruning rules"),
-    ("search.queue_peak", "max_queue_size", "peak priority-queue size"),
-    ("search.pruned_non_positive", "pruned_non_positive", "cells cut by the non-positive rule"),
-    ("search.pruned_dominated", "pruned_dominated", "cells cut by the domination rule"),
-    ("search.pruned_threshold", "pruned_threshold", "cells cut by the threshold rule"),
-    ("search.seconds", "elapsed_seconds", "per-query latency"),
-)
 
 
 def open_span(tracer, name: str, parent_id: Optional[str], attributes: Dict[str, object]):
@@ -185,10 +166,8 @@ class QueryExecution:
         A :class:`~repro.obs.Tracer`.  The whole run is wrapped in one span
         (named :attr:`trace_name`, parented under :attr:`trace_parent` when a
         coordinator such as the sharded engine sets one) whose attributes
-        carry the final work counters, and the search metrics (nodes
-        expanded, DP cells, pruning cutoffs, query latency) are recorded
-        into ``tracer.metrics`` when the execution finishes.  ``None`` costs
-        a single identity check per query -- nothing in the per-node loop.
+        carry the final work counters.  ``None`` costs a single identity
+        check per query -- nothing in the per-node loop.
     """
 
     def __init__(self, engine: "OasisEngine", request: SearchRequest, tracer=None):
@@ -318,7 +297,7 @@ class QueryExecution:
         if span is not None:
             span.set_attribute("query_length", len(query_codes))
             span.set_attribute("min_score", min_score)
-        pool = getattr(cursor, "pool", None)
+        pool = self.engine.buffer_pool
         if pool is not None:
             pool_stats = pool.statistics
             self._pool_start = (pool_stats.hits, pool_stats.misses, pool_stats.evictions)
@@ -500,7 +479,7 @@ class QueryExecution:
                 self.engine.gap_model.per_symbol,
             )
         if self._pool_start is not None:
-            pool_stats = self.engine.cursor.pool.statistics  # type: ignore[attr-defined]
+            pool_stats = self.engine.buffer_pool.statistics  # type: ignore[union-attr]
             start_hits, start_misses, start_evictions = self._pool_start
             statistics.buffer_hits = pool_stats.hits - start_hits
             statistics.buffer_misses = pool_stats.misses - start_misses
@@ -508,12 +487,12 @@ class QueryExecution:
             self._pool_start = None
 
     def _close_span(self, span) -> None:
-        """Stamp final counters on the query span and record the metrics."""
+        """Stamp final counters on the query span and close it."""
         tracer = self.tracer
         if tracer is None:
             # A live span implies a tracer (only _generate opens spans), but
-            # the hot-path telemetry contract is lexical: every tracer/metrics
-            # call sits behind an explicit None check.
+            # the hot-path telemetry contract is lexical: every tracer call
+            # sits behind an explicit None check.
             return
         statistics = self.statistics
         span.set_attribute("hits", len(self._hits))
@@ -528,26 +507,6 @@ class QueryExecution:
             span.set_attribute("aborted", True)
         tracer._pop(span)
         span.finish()
-        metrics = tracer.metrics
-        metrics.counter("search.queries", "queries executed").inc()
-        metrics.counter("search.hits", "hits emitted").inc(len(self._hits))
-        # One DP column holds query_length + 1 cells.
-        metrics.counter("search.dp_cells", "DP cells computed").inc(
-            statistics.columns_expanded * (len(self.query_sequence.codes) + 1)
-        )
-        for name, field_name, description in STATISTICS_METRICS:
-            value = getattr(statistics, field_name)
-            if field_name == "max_queue_size":
-                peak = metrics.gauge(name, description)
-                peak.set(max(peak.value, value))
-            elif field_name == "elapsed_seconds":
-                metrics.histogram(name, description=description).observe(value)
-            else:
-                metrics.counter(name, description).inc(value)
-        if self.timed_out:
-            metrics.counter("search.timeouts", "queries that hit their budget").inc()
-        if self.aborted:
-            metrics.counter("search.aborts", "queries stopped by abort/cancel").inc()
 
     # ------------------------------------------------------------------ #
     # Batch interface

@@ -37,10 +37,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only, avoids a module cycle
-    from repro.obs.metrics import MetricsRegistry
+from typing import Dict, List, Optional, Sequence
 
 #: Attribute value types that survive a JSON round trip unchanged.
 AttributeValue = object
@@ -194,30 +191,17 @@ _UNSET = object()
 
 
 class Tracer:
-    """Collects spans (and owns the metrics registry) for one telemetry scope.
+    """Collects spans for one telemetry scope.
 
     Parameters
     ----------
     trace_id:
         Inherit an existing trace (worker processes do, via
         :class:`TraceContext`); a fresh id is generated otherwise.
-    metrics:
-        The :class:`~repro.obs.metrics.MetricsRegistry` instrumented code
-        records into; one is created by default so ``Tracer()`` is a complete
-        telemetry hub.
     """
 
-    def __init__(
-        self,
-        trace_id: Optional[str] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-    ) -> None:
-        if metrics is None:
-            from repro.obs.metrics import MetricsRegistry
-
-            metrics = MetricsRegistry()
+    def __init__(self, trace_id: Optional[str] = None) -> None:
         self.trace_id = trace_id or _new_id(_TRACE_COUNTER)
-        self.metrics = metrics
         self.finished: List[SpanRecord] = []
         self._lock = threading.Lock()
         #: Open-span stack per thread id.  Each thread appends/pops only its
@@ -326,6 +310,6 @@ class TraceContext:
     trace_id: str
     parent_id: Optional[str]
 
-    def tracer(self, metrics: Optional["MetricsRegistry"] = None) -> Tracer:
+    def tracer(self) -> Tracer:
         """Build the worker-side tracer continuing this trace."""
-        return Tracer(trace_id=self.trace_id, metrics=metrics)
+        return Tracer(trace_id=self.trace_id)

@@ -102,10 +102,15 @@ class BatchStatistics:
     succeeded: int = 0
     failed: int = 0
     timed_out: int = 0
+    aborted: int = 0
     total_hits: int = 0
-    columns_expanded: int = 0
-    nodes_expanded: int = 0
-    nodes_enqueued: int = 0
+    #: The successful queries' ``SearchResult.statistics``, merged: every
+    #: counter summed, the queue peak the largest, ``elapsed_seconds`` the
+    #: batch's wall clock.  For an index searched in this process the
+    #: ``buffer_*`` counts are the pool's own change over the batch instead:
+    #: queries sharing the pool on threads see each other's pages, so their
+    #: deltas overlap, while the pool counts each page once.
+    search: OasisSearchStatistics = field(default_factory=OasisSearchStatistics)
     #: Sum of per-query elapsed times (the serial-equivalent work).
     query_seconds: float = 0.0
     #: Wall-clock time of the whole batch.
@@ -130,10 +135,9 @@ class BatchStatistics:
             "succeeded": self.succeeded,
             "failed": self.failed,
             "timed_out": self.timed_out,
+            "aborted": self.aborted,
             "total_hits": self.total_hits,
-            "columns_expanded": self.columns_expanded,
-            "nodes_expanded": self.nodes_expanded,
-            "nodes_enqueued": self.nodes_enqueued,
+            "search": self.search.as_dict(),
             "query_seconds": self.query_seconds,
             "wall_seconds": self.wall_seconds,
             "workers": self.workers,
@@ -185,6 +189,7 @@ class BatchSearchReport:
         workers: int,
     ) -> "BatchSearchReport":
         statistics = BatchStatistics(wall_seconds=wall_seconds, workers=workers)
+        searched: List[OasisSearchStatistics] = []
         for outcome in outcomes:
             statistics.queries += 1
             statistics.query_seconds += outcome.elapsed_seconds
@@ -197,11 +202,10 @@ class BatchSearchReport:
             result = outcome.result
             assert result is not None
             statistics.total_hits += len(result)
-            statistics.columns_expanded += result.columns_expanded
-            per_query = result.statistics
-            if isinstance(per_query, OasisSearchStatistics):
-                statistics.nodes_expanded += per_query.nodes_expanded
-                statistics.nodes_enqueued += per_query.nodes_enqueued
+            if result.parameters.get("aborted"):
+                statistics.aborted += 1
+            if isinstance(result.statistics, OasisSearchStatistics):
+                searched.append(result.statistics)
             # Sharded engines annotate each merged result with one row per
             # shard; fold them into per-shard batch aggregates.
             for row in result.parameters.get("shard_stats", ()):
@@ -214,6 +218,7 @@ class BatchSearchReport:
                 aggregate.columns_expanded += int(row.get("columns_expanded", 0))
                 aggregate.nodes_expanded += int(row.get("nodes_expanded", 0))
                 aggregate.query_seconds += float(row.get("elapsed_seconds", 0.0))
+        statistics.search = OasisSearchStatistics.merged(searched, wall_seconds)
         return cls(outcomes=outcomes, statistics=statistics)
 
     def format_summary(self) -> str:
@@ -222,7 +227,7 @@ class BatchSearchReport:
         parts = [
             f"{stats.queries} queries in {stats.wall_seconds:.3f}s "
             f"({stats.throughput:.2f} q/s, {stats.workers} workers, {stats.backend})",
-            f"{stats.total_hits} hits, {stats.columns_expanded} DP columns expanded",
+            f"{stats.total_hits} hits, {stats.search.columns_expanded} DP columns expanded",
         ]
         if stats.shards:
             per_shard = ", ".join(
@@ -236,6 +241,53 @@ class BatchSearchReport:
         if stats.failed:
             parts.append(f"{stats.failed} failed")
         return "; ".join(parts)
+
+    def format_metrics(self) -> str:
+        """The ``search --metrics`` dump: one ``name = value`` line each.
+
+        The merged ``SearchResult.statistics`` field by field (its
+        ``elapsed_seconds`` is the batch's, so it is named ``wall_seconds``;
+        the ``pruned_*`` counters only when they counted, which they do
+        under the engine's ``track_pruning`` alone), the batch's query
+        counts, then exact percentiles of the queries' ``elapsed_seconds``.
+        """
+        stats = self.statistics
+        values: Dict[str, object] = stats.search.as_dict()
+        values["wall_seconds"] = values.pop("elapsed_seconds")
+        if not any(values[name] for name in PRUNING_COUNTERS):
+            for name in PRUNING_COUNTERS:
+                del values[name]
+        values.update(
+            queries=stats.queries,
+            hits=stats.total_hits,
+            timed_out=stats.timed_out,
+            aborted=stats.aborted,
+            failed=stats.failed,
+        )
+        elapsed = sorted(outcome.elapsed_seconds for outcome in self.outcomes)
+        for percent in (50, 90, 99):
+            values[f"elapsed_seconds_p{percent}"] = percentile(elapsed, percent)
+        return "\n".join(
+            f"{name} = {value:.6f}" if isinstance(value, float) else f"{name} = {value}"
+            for name, value in values.items()
+        )
+
+
+#: The counters a search fills only under ``track_pruning``.
+PRUNING_COUNTERS = ("pruned_non_positive", "pruned_dominated", "pruned_threshold")
+
+
+def percentile(ordered: List[float], percent: float) -> float:
+    """The exact ``percent``-th percentile of sorted values (0.0 when empty).
+
+    Linear interpolation between the two closest ranks, as NumPy's default.
+    """
+    if not ordered:
+        return 0.0
+    position = (len(ordered) - 1) * percent / 100
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
 
 
 def search_many(
@@ -255,7 +307,9 @@ def search_many(
     passed as ``template`` stands in for both.  A query that raises is one
     failed outcome; the batch goes on.  With a ``tracer`` the batch is one
     ``batch`` span, every query span parented under it by explicit id (a
-    query may run on a pool thread).
+    query may run on a pool thread).  A batch left early (Ctrl-C) re-raises
+    with the report of the queries that finished as the exception's
+    ``batch_report``, so its numbers can still be printed on the way out.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -264,6 +318,8 @@ def search_many(
     elif options or timeout is not None:
         raise TypeError("options and timeout belong inside the template request")
     query_list = [str(query) for query in queries]
+    buffer_pool = getattr(engine, "buffer_pool", None)
+    pool_start = _pool_counts(buffer_pool)
     backend = _fan_out_spec(workers)
     logger.debug("batch of %d queries on %s", len(query_list), backend)
     span = None
@@ -303,34 +359,62 @@ def search_many(
 
     outcomes: List[BatchQueryOutcome] = []
     start = time.perf_counter()
-    pool = None
-    try:
-        if workers == 1:
-            for index, query in enumerate(query_list):
-                outcomes.append(run_one(index, query))
-        else:
-            # Imported here: a one-worker batch loads no thread pool.
-            from concurrent.futures import ThreadPoolExecutor
 
-            pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="oasis-batch")
-            futures = [
-                pool.submit(run_one, index, query) for index, query in enumerate(query_list)
-            ]
-            for future in futures:
-                outcomes.append(future.result())
-    finally:
-        if len(outcomes) < len(query_list):
-            abandoned = True
-            for execution in list(running):
-                execution.abort()
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        if span is not None:
-            span.set_attribute("completed", len(outcomes))
-            if abandoned:
-                span.set_attribute("abandoned", True)
-            tracer._pop(span)
-            span.finish()
-    return BatchSearchReport.build(
-        outcomes, wall_seconds=time.perf_counter() - start, workers=workers
-    )
+    def report() -> BatchSearchReport:
+        built = BatchSearchReport.build(
+            outcomes, wall_seconds=time.perf_counter() - start, workers=workers
+        )
+        if buffer_pool is not None:
+            # The pool's own change counts each page once, however many
+            # queries shared it.
+            search = built.statistics.search
+            end = _pool_counts(buffer_pool)
+            search.buffer_hits, search.buffer_misses, search.buffer_evictions = (
+                after - before for after, before in zip(end, pool_start)
+            )
+        return built
+
+    threads = None
+    try:
+        try:
+            if workers == 1:
+                for index, query in enumerate(query_list):
+                    outcomes.append(run_one(index, query))
+            else:
+                # Imported here: a one-worker batch loads no thread pool.
+                from concurrent.futures import ThreadPoolExecutor
+
+                threads = ThreadPoolExecutor(
+                    max_workers=workers, thread_name_prefix="oasis-batch"
+                )
+                futures = [
+                    threads.submit(run_one, index, query)
+                    for index, query in enumerate(query_list)
+                ]
+                for future in futures:
+                    outcomes.append(future.result())
+        finally:
+            if len(outcomes) < len(query_list):
+                abandoned = True
+                for execution in list(running):
+                    execution.abort()
+            if threads is not None:
+                threads.shutdown(wait=True, cancel_futures=True)
+            if span is not None:
+                span.set_attribute("completed", len(outcomes))
+                if abandoned:
+                    span.set_attribute("abandoned", True)
+                tracer._pop(span)
+                span.finish()
+    except BaseException as error:
+        setattr(error, "batch_report", report())
+        raise
+    return report()
+
+
+def _pool_counts(pool) -> Tuple[int, int, int]:
+    """A buffer pool's own hits, misses and evictions (zeros without one)."""
+    if pool is None:
+        return (0, 0, 0)
+    statistics = pool.statistics
+    return (statistics.hits, statistics.misses, statistics.evictions)

@@ -124,6 +124,9 @@ def estimate_karlin_altschul(
         Background symbol frequencies (e.g. from
         :meth:`repro.sequences.SequenceDatabase.residue_frequencies`).
         Uniform when omitted.
+    tolerance:
+        Relative width of the final bisection bracket around lambda, so a
+        matrix scaled by ``c`` gets ``lambda / c`` to the same precision.
     """
     freq = _background_vector(matrix, frequencies)
     n = len(matrix.alphabet)
@@ -144,7 +147,8 @@ def estimate_karlin_altschul(
             f"matrix {matrix.name!r} has non-negative expected score ({expected:.3f}); "
             "local alignment statistics are undefined"
         )
-    if max(by_score) <= 0:
+    top = max(score for score, probability in weights if probability > 0)
+    if top <= 0:
         raise KarlinAltschulError(
             f"matrix {matrix.name!r} has no positive score; no alignment can ever "
             "exceed a positive threshold"
@@ -155,12 +159,15 @@ def estimate_karlin_altschul(
         return math.fsum(terms) - 1.0
 
     # The characteristic function is -something at 0+ (negative expectation)
-    # and grows without bound, so a positive root exists.  Bracket it.
-    low = 1e-6
-    high = 0.5
+    # and grows without bound, so a positive root exists.  Bracket it in
+    # units of 1 / top: lambda * top is the same for a matrix and any
+    # multiple of it, so the search neither overflows exp for large scores
+    # nor starts above the root for them.  The root is below
+    # ln(1 / p_top) / top, p_top being the top score's probability.
+    low, high = 0.0, 1.0 / top
     while characteristic(high) < 0:
-        high *= 2.0
-        if high > 1e3:  # pragma: no cover - defensive
+        low, high = high, 2.0 * high
+        if high * top > 700.0:  # pragma: no cover - defensive: exp overflows past 709
             raise KarlinAltschulError("failed to bracket lambda")
     for _ in range(max_iterations):
         mid = 0.5 * (low + high)
@@ -168,7 +175,7 @@ def estimate_karlin_altschul(
             low = mid
         else:
             high = mid
-        if high - low < tolerance:
+        if high - low < tolerance * high:
             break
     lam = 0.5 * (low + high)
 

@@ -27,6 +27,23 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: every optimal alignment (a quarter of the ``int16`` minimum).
 TERMINAL_SCORE = -8192
 
+#: The largest magnitude a matrix score may have.  The compiled column step
+#: holds scores within +-2**62; with every pair score inside this bound (and
+#: every gap penalty inside :data:`~repro.scoring.gaps.MIN_GAP_PENALTY`) a
+#: cell would need a query of 2**31 symbols to leave that range, so the
+#: compiled and the Python kernels agree.  It also keeps :attr:`lookup` an
+#: exact ``int32`` table.
+MAX_SCORE_MAGNITUDE = 2**31 - 1
+
+
+def _checked_score(name: str, value: int) -> int:
+    value = int(value)
+    if abs(value) > MAX_SCORE_MAGNITUDE:
+        raise ValueError(
+            f"matrix {name!r}: a score must lie within +-{MAX_SCORE_MAGNITUDE}, not {value}"
+        )
+    return value
+
 
 class SubstitutionMatrix:
     """A symmetric pairwise scoring matrix over an :class:`Alphabet`.
@@ -44,6 +61,8 @@ class SubstitutionMatrix:
         must agree.
     default_mismatch:
         Score used for symbol pairs not present in ``scores``.
+
+    Every score lies within +-:data:`MAX_SCORE_MAGNITUDE`.
     """
 
     def __init__(
@@ -55,7 +74,7 @@ class SubstitutionMatrix:
     ):
         self.name = name
         self.alphabet = alphabet
-        self.default_mismatch = int(default_mismatch)
+        self.default_mismatch = _checked_score(name, default_mismatch)
 
         size = alphabet.size_with_terminal
         rows = [[self.default_mismatch] * size for _ in range(size)]
@@ -63,7 +82,7 @@ class SubstitutionMatrix:
         seen: Dict[Tuple[int, int], int] = {}
         for (a, b), value in scores.items():
             ca, cb = alphabet.code(a), alphabet.code(b)
-            value = int(value)
+            value = _checked_score(name, value)
             for key in ((ca, cb), (cb, ca)):
                 if key in seen and seen[key] != value:
                     raise ValueError(

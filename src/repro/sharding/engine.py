@@ -64,6 +64,8 @@ from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES
 if TYPE_CHECKING:  # pragma: no cover - annotation only; made on first scatter
     from concurrent.futures import ProcessPoolExecutor
 
+    from repro.storage.buffer_pool import BufferPool
+
 PathLike = Union[str, os.PathLike]
 
 logger = get_logger(__name__)
@@ -564,6 +566,12 @@ class ShardedEngine(SearchSurface):
         return [self.tree_engine]
 
     @property
+    def buffer_pool(self) -> Optional["BufferPool"]:
+        """The pool the serial scatter reads pages through in this process;
+        ``None`` on a process scatter, whose workers read through their own."""
+        return self.tree_engine.buffer_pool if self._workers is None else None
+
+    @property
     def shard_count(self) -> int:
         """How many shard results a query's ``result()`` gathers: 1 on the
         serial scatter, one per partition on a process scatter."""
@@ -586,15 +594,6 @@ class ShardedEngine(SearchSurface):
         if self._closed:
             raise RuntimeError("ShardedEngine is closed")
         return ShardedQueryExecution(self, request.resolved(self.converter), tracer=tracer)
-
-    def instrument(self, tracer) -> None:
-        """Attach a tracer to the tree's buffer pool (``None`` detaches).
-
-        Only this engine's own cursor is instrumented; process-backend
-        workers hold their own cursors and instrument them per task from the
-        :class:`~repro.obs.TraceContext` shipped inside it.
-        """
-        self.tree_engine.instrument(tracer)
 
     # ------------------------------------------------------------------ #
     # Scatter backend
@@ -693,13 +692,10 @@ class ShardedEngine(SearchSurface):
                 if future.cancelled():
                     results.append(unsearched(request, "aborted"))
                     continue
-                result, spans, metrics_snapshot = future.result()
+                result, spans = future.result()
                 if tracer is not None:
-                    # Stitch the worker's spans into the parent's trace and
-                    # fold its metric counters (search.*, pool.*) into the
-                    # parent's registry.
+                    # Stitch the worker's spans into the parent's trace.
                     tracer.adopt(spans)
-                    tracer.metrics.merge_snapshot(metrics_snapshot)
                 results.append(result)
         except BrokenExecutor:
             # A dead worker breaks the whole pool: replace it before

@@ -36,8 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only; workers import lazily
     from repro.obs.trace import TraceContext
 
 #: What one partition's search sends back: the result, plus the worker's span
-#: records and metrics snapshot (both empty unless the task was traced).
-ShardOutcome = Tuple[SearchResult, List[Dict[str, object]], Dict[str, Dict[str, object]]]
+#: records (empty unless the task was traced).
+ShardOutcome = Tuple[SearchResult, List[Dict[str, object]]]
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,9 @@ class ShardSearchTask:
     database_digest: str
     #: Telemetry seed: when set, the worker builds its own tracer continuing
     #: the parent's trace, records its shard span (parented under the
-    #: parent's query span) plus buffer-pool metrics, and returns both next
-    #: to the result for the parent to adopt/merge -- one coherent span tree
-    #: per query regardless of which processes produced its pieces.
+    #: parent's query span), and returns it next to the result for the
+    #: parent to adopt -- one coherent span tree per query regardless of
+    #: which processes produced its pieces.
     trace: Optional[TraceContext] = None
     #: Expansion-kernel name the parent engine runs under; the worker's
     #: cached :class:`OasisEngine` uses the same one (parity-gated, so this
@@ -207,30 +207,23 @@ def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
     # charged against the query's budget, not granted on top of it --
     # QueryExecution counts its budget from when the search starts).
     if _expired(task):
-        return unsearched(task.request, "timed_out"), [], {}
+        return unsearched(task.request, "timed_out"), []
     engine = _open_engine(task)
     request = task.request
     if task.deadline_epoch is not None:
         # Back from the epoch deadline to a relative budget (worker side).
         time_budget = task.deadline_epoch - time.time()  # repro: allow[monotonic-time]
         if time_budget <= 0:
-            return unsearched(task.request, "timed_out"), [], {}
+            return unsearched(task.request, "timed_out"), []
         request = replace(request, time_budget=time_budget)
     tracer = task.trace.tracer() if task.trace is not None else None
-    if tracer is not None:
-        engine.instrument(tracer)
-    try:
-        execution = engine.execute_request(request, tracer=tracer)
-        execution.root_symbols = task.root_symbols
-        if task.trace is not None:
-            # The ids the shard span is born with (pid-prefixed) stay valid
-            # when the parent adopts it.
-            label_shard_execution(execution, task.shard, task.trace.parent_id)
-        result = execution.result()
-    finally:
-        if tracer is not None:
-            engine.instrument(None)
+    execution = engine.execute_request(request, tracer=tracer)
+    execution.root_symbols = task.root_symbols
+    if task.trace is not None:
+        # The ids the shard span is born with (pid-prefixed) stay valid
+        # when the parent adopts it.
+        label_shard_execution(execution, task.shard, task.trace.parent_id)
+    result = execution.result()
     if tracer is None:
-        return result, [], {}
-    spans = [record.to_dict() for record in tracer.records()]
-    return result, spans, tracer.metrics.snapshot()
+        return result, []
+    return result, [record.to_dict() for record in tracer.records()]

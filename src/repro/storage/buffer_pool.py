@@ -33,11 +33,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only (storage sits below obs)
-    from repro.obs.metrics import Counter
-    from repro.obs.trace import Tracer
+from typing import Dict, List, Optional
 
 from repro.storage.blocks import BlockFile
 from repro.storage.layout import Region
@@ -152,36 +148,10 @@ class BufferPool:
         self.table: Dict[int, _Frame] = {}
         self._clock_hand = 0
         self.statistics = BufferPoolStatistics()
-        # Telemetry is attached (not constructed here) so the pool stays
-        # dependency-free; instruments are resolved once in instrument().
-        self._metric_hits: Optional["Counter"] = None
-        self._metric_misses: Optional["Counter"] = None
-        self._metric_evictions: Optional["Counter"] = None
         # Guards the clock, the table's writes and the counters against the
         # one other thread: a ``search_many(workers=N)`` batch thread on a
         # disk engine.  Never held across a read; nothing re-enters it.
         self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # Telemetry
-    # ------------------------------------------------------------------ #
-    def instrument(self, tracer: Optional["Tracer"]) -> None:
-        """Attach a :class:`~repro.obs.Tracer`; ``None`` detaches.
-
-        Hit/miss/eviction counters are recorded into ``tracer.metrics``
-        (instruments resolved once here, so a cursor call pays one hit
-        counter increment, not a registry lookup per page).  They are the
-        pool's whole I/O record: no page read opens a span.
-        """
-        if tracer is None:
-            self._metric_hits = self._metric_misses = self._metric_evictions = None
-            return
-        metrics = tracer.metrics
-        self._metric_hits = metrics.counter("pool.hits", "buffer-pool page hits")
-        self._metric_misses = metrics.counter("pool.misses", "buffer-pool page misses")
-        self._metric_evictions = metrics.counter(
-            "pool.evictions", "buffer-pool frames evicted by the clock hand"
-        )
 
     # ------------------------------------------------------------------ #
     # Page access
@@ -194,8 +164,6 @@ class BufferPool:
         frame; if another thread installed the block meanwhile, that frame
         is referenced and returned instead.
         """
-        if self._metric_misses is not None:
-            self._metric_misses.inc()
         data: Optional[bytes] = None
         try:
             data = self._read_physical(block)
@@ -221,8 +189,6 @@ class BufferPool:
             region_hits[REGION_SYMBOLS] += symbols
             region_hits[REGION_INTERNAL] += internal
             region_hits[REGION_LEAVES] += leaves
-        if self._metric_hits is not None:
-            self._metric_hits.inc(total)
 
     def get_page(self, region: Region, block_in_region: int) -> bytes:
         """Return one page of ``region``: a call of one request."""
@@ -270,8 +236,6 @@ class BufferPool:
                 victim = frames[hand]
             del self.table[victim.block]
             self.statistics.evictions += 1
-            if self._metric_evictions is not None:
-                self._metric_evictions.inc()
             frames[hand] = frame
             self._clock_hand = (hand + 1) % self.frame_count
         self.table[block] = frame

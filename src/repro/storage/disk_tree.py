@@ -57,7 +57,7 @@ import os
 from array import array
 from bisect import bisect_right
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple, Union
+from typing import Any, Iterator, List, Optional, Tuple, Union
 
 from repro.sequences.database import SequenceDatabase
 from repro.storage.blocks import BlockFile
@@ -78,9 +78,6 @@ from repro.storage.layout import (
     check_image,
 )
 from repro.suffixtree.cursor import Sibling, SuffixTreeCursor
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only (storage sits below obs)
-    from repro.obs.trace import Tracer
 
 PathLike = Union[str, os.PathLike]
 
@@ -357,10 +354,6 @@ class DiskSuffixTree(SuffixTreeCursor):
 
     def reset_statistics(self) -> None:
         self.pool.reset_statistics()
-
-    def instrument(self, tracer: Optional["Tracer"]) -> None:
-        """Attach a tracer to the buffer pool (see :meth:`BufferPool.instrument`)."""
-        self.pool.instrument(tracer)
 
     def close(self) -> None:
         self._file.close()

@@ -38,6 +38,13 @@ def random_dna(rng: random.Random, length: int) -> str:
     return "".join(rng.choice(BASES) for _ in range(length))
 
 
+def scaled_matrix(matrix: SubstitutionMatrix, scale: int) -> SubstitutionMatrix:
+    """``matrix`` with every score between real symbols times ``scale``."""
+    symbols = matrix.alphabet.symbols
+    scores = {(a, b): matrix.score(a, b) * scale for a in symbols for b in symbols}
+    return SubstitutionMatrix(f"{matrix.name}x{scale}", matrix.alphabet, scores)
+
+
 def brute_force_local_score(
     query: str, target: str, matrix: SubstitutionMatrix, gap_penalty: int
 ) -> int:

@@ -490,11 +490,11 @@ class TestDeterminismRules:
             tmp_path,
             "core/hot.py",
             """
-            def step(tracer, metrics, value):
+            def step(tracer, span, value):
                 if tracer is None:
                     return
                 tracer.record(value)
-                metrics.counter("steps").inc()
+                span.set_attribute("steps", value)
             """,
         )
         assert report.ok

@@ -754,7 +754,7 @@ class TestTelemetryFlags:
         assert len(second.spans) == len(first.spans)
         assert validate(second) == []
 
-    def test_metrics_flag_prints_registry(self, generated_files, capsys):
+    def test_metrics_flag_prints_the_search_statistics(self, generated_files, capsys):
         fasta, queries = generated_files
         code = main(
             [
@@ -769,10 +769,15 @@ class TestTelemetryFlags:
             ]
         )
         assert code == 0
-        err = capsys.readouterr().err
-        assert "--- metrics ---" in err
-        assert "search.queries" in err
-        assert "search.nodes_expanded" in err
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert "--- metrics ---" in lines
+        values = dict(line.split(" = ") for line in lines if " = " in line)
+        assert int(values["queries"]) == len(queries.read_text().split())
+        assert int(values["nodes_expanded"]) > 0
+        # The columns line is the number the summary prints.
+        assert f"{values['columns_expanded']} DP columns expanded" in captured.out
+        assert not [name for name in values if name.startswith(("search.", "pool."))]
 
     def test_verbose_flag_logs_to_stderr(self, generated_files, capsys):
         fasta, queries = generated_files
@@ -1046,13 +1051,15 @@ class TestSlowLogAndMetrics:
         assert main(self._search(index, queries, "--slow-log", "nan")) == 2
         assert "--slow-log must be non-negative, not nan" in one_error_line(capsys, "search")
 
-    def test_metrics_dump_includes_histogram_quantiles(self, sharded_files, capsys):
+    def test_metrics_dump_includes_latency_percentiles(self, sharded_files, capsys):
         index, queries = sharded_files
         code = main(self._search(index, queries, "--workers", "2", "--metrics"))
         assert code == 0
-        err = capsys.readouterr().err
-        assert "p50<=" in err
-        assert "p99<=" in err
+        values = dict(
+            line.split(" = ") for line in capsys.readouterr().err.splitlines() if " = " in line
+        )
+        p50, p90, p99 = (float(values[f"elapsed_seconds_p{p}"]) for p in (50, 90, 99))
+        assert 0 < p50 <= p90 <= p99
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux procfs")
     def test_metrics_dump_includes_the_peak_rss(self, sharded_files, capsys):
@@ -1061,9 +1068,9 @@ class TestSlowLogAndMetrics:
         (line,) = [
             line
             for line in capsys.readouterr().err.splitlines()
-            if line.startswith("process.peak_rss_bytes = ")
+            if line.startswith("peak_rss_mb = ")
         ]
-        assert float(line.split()[2]) > 1e6
+        assert float(line.split()[2]) > 1
 
     def test_an_interrupted_batch_still_writes_its_trace(
         self, generated_files, tmp_path, monkeypatch, capsys
@@ -1103,5 +1110,7 @@ class TestSlowLogAndMetrics:
             main(search)
         err = capsys.readouterr().err
         assert "spans to" in err and "--- metrics ---" in err and "slow queries" in err
+        # The one query that finished before Ctrl-C.
+        assert "queries = 1" in err.splitlines()
         assert obs_main(["validate", str(trace)]) == 0
         assert "ok: " in capsys.readouterr().out

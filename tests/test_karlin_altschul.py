@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.scoring.data import blosum62, pam30, unit_matrix
+from repro.scoring.data import blosum62, nucleotide_matrix, pam30, unit_matrix
 from repro.scoring.karlin_altschul import (
     KarlinAltschulError,
     bit_score,
@@ -14,6 +14,7 @@ from repro.scoring.karlin_altschul import (
 )
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.alphabet import DNA_ALPHABET
+from support import scaled_matrix
 
 
 class TestEstimation:
@@ -63,6 +64,27 @@ class TestEstimation:
             estimate_karlin_altschul(blosum62(), frequencies={"A": -1.0})
         with pytest.raises(ValueError):
             estimate_karlin_altschul(blosum62(), frequencies={"A": 0.0})
+
+    @pytest.mark.parametrize("scale", [1, 1000, 2**20])
+    @pytest.mark.parametrize("name", ["PAM30", "nucleotide(1,-3)"])
+    def test_a_scaled_matrix_scales_lambda_and_keeps_h(self, name, scale):
+        base = pam30() if name == "PAM30" else nucleotide_matrix(1, -3)
+        reference = estimate_karlin_altschul(base)
+        params = estimate_karlin_altschul(scaled_matrix(base, scale))
+        assert params.lambda_ * scale == pytest.approx(reference.lambda_, rel=1e-6)
+        assert params.h == pytest.approx(reference.h, rel=1e-6)
+
+    def test_a_matrix_of_large_scores_builds_an_engine(self):
+        """exp(0.5 * 2000) leaves the float range: the bracket must not start there."""
+        from repro.core.engine import OasisEngine
+        from repro.scoring.gaps import FixedGapModel
+        from repro.sequences.database import SequenceDatabase
+
+        matrix = SubstitutionMatrix.from_match_mismatch("h", DNA_ALPHABET, 2000, -2000)
+        database = SequenceDatabase.from_texts(["ACGTACGGT", "TTGACCA"], alphabet=DNA_ALPHABET)
+        engine = OasisEngine.build(database, matrix=matrix, gap_model=FixedGapModel(-3000))
+        (hit,) = engine.search("ACGTACG", min_score=10_000).hits
+        assert hit.score == 7 * 2000
 
     def test_score_granularity_is_the_gcd_of_the_nonzero_magnitudes(self):
         from repro.scoring.karlin_altschul import _score_granularity
@@ -148,16 +170,17 @@ def numpy_reference(matrix, frequencies=None, tolerance=1e-9, max_iterations=200
     def characteristic(lam):
         return float((pair_probability * np.exp(lam * scores)).sum()) - 1.0
 
-    low, high = 1e-6, 0.5
+    top = float(scores[pair_probability > 0].max())
+    low, high = 0.0, 1.0 / top
     while characteristic(high) < 0:
-        high *= 2.0
+        low, high = high, 2.0 * high
     for _ in range(max_iterations):
         mid = 0.5 * (low + high)
         if characteristic(mid) < 0:
             low = mid
         else:
             high = mid
-        if high - low < tolerance:
+        if high - low < tolerance * high:
             break
     lam = 0.5 * (low + high)
     q = pair_probability * np.exp(lam * scores)

@@ -36,11 +36,12 @@ from repro.core.search_node import NodeState, SearchNode, VIABLE_AFTER, node_vie
 from repro.datagen import GenomeGenerator, MotifWorkloadGenerator, SwissProtLikeGenerator
 from repro.scoring.data import nucleotide_matrix, pam30, unit_matrix
 from repro.scoring.gaps import MIN_GAP_PENALTY, FixedGapModel
+from repro.scoring.matrix import MAX_SCORE_MAGNITUDE
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from support import PRODUCTION_KERNELS, dense, node_signature
+from support import PRODUCTION_KERNELS, dense, node_signature, scaled_matrix
 
 SEEDS = [3, 11, 29]
 
@@ -142,6 +143,27 @@ class TestFuzzedSearchParity:
         actual = run_searches(tree, queries, matrix(), MIN_GAP_PENALTY, kernel, min_score)
         assert actual == expected
         assert any(hits for hits, _ in expected)
+
+    def test_the_largest_accepted_scores_match_reference(self, kernel):
+        # The DNA configuration with every score and the gap scaled until its
+        # largest magnitude (the mismatch, -3) meets the matrix bound: each
+        # kernel gives the oracle's hits and counters, which are the unscaled
+        # search's with every score times the scale.
+        database, queries = dna_dataset(SEEDS[0])
+        tree = GeneralizedSuffixTree.build(database)
+        base, gap, min_score = nucleotide_matrix(1, -3), -2, 16
+        scale = MAX_SCORE_MAGNITUDE // 3
+        matrix = scaled_matrix(base, scale)
+        assert -matrix.min_score > MAX_SCORE_MAGNITUDE - 3
+        expected = run_searches(tree, queries, matrix, gap * scale, "reference", min_score * scale)
+        actual = run_searches(tree, queries, matrix, gap * scale, kernel, min_score * scale)
+        assert actual == expected
+        unscaled = run_searches(tree, queries, base, gap, "reference", min_score)
+        assert [
+            ([(index, name, score // scale) for index, name, score in hits], counters)
+            for hits, counters in actual
+        ] == unscaled
+        assert any(hits for hits, _ in unscaled)
 
     @pytest.mark.parametrize(
         "switches",

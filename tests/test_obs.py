@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry layer: spans, metrics, logging.
+"""Unit tests for the telemetry layer: spans, recordings, logging.
 
 Integration with the search stack (sharded traces across processes, stats
 consistency under timeout/abort) lives in ``test_obs_integration.py`` and
@@ -15,7 +15,6 @@ import threading
 import pytest
 
 from repro.obs import (
-    MetricsRegistry,
     Recording,
     SpanRecord,
     TraceContext,
@@ -164,79 +163,6 @@ class TestSpans:
 
 
 # --------------------------------------------------------------------- #
-# Metrics
-# --------------------------------------------------------------------- #
-class TestMetrics:
-    def test_counter(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("events", description="things")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-        assert registry.counter("events") is counter
-
-    def test_gauge_tracks_high_water(self):
-        gauge = MetricsRegistry().gauge("depth")
-        gauge.inc(3)
-        gauge.dec(2)
-        gauge.set(1.5)
-        assert gauge.value == 1.5
-        assert gauge.max_value == 3.0
-
-    def test_histogram_buckets_and_quantiles(self):
-        histogram = MetricsRegistry().histogram("lat", boundaries=(0.1, 1.0))
-        for value in (0.05, 0.5, 0.5, 5.0):
-            histogram.observe(value)
-        assert histogram.count == 4
-        assert histogram.mean == pytest.approx(6.05 / 4)
-        counts = dict(histogram.bucket_counts())
-        assert counts[0.1] == 1 and counts[1.0] == 2 and counts[None] == 1
-        assert histogram.quantile(0.5) == 1.0
-
-    def test_histogram_boundaries_must_increase(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().histogram("bad", boundaries=(1.0, 1.0))
-
-    def test_type_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
-
-    def test_snapshot_merge_round_trip(self):
-        worker = MetricsRegistry()
-        worker.counter("n").inc(7)
-        worker.gauge("g").set(2.0)
-        worker.histogram("h", boundaries=(1.0,)).observe(0.5)
-
-        parent = MetricsRegistry()
-        parent.counter("n").inc(1)
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.counter("n").value == 8
-        assert parent.gauge("g").value == 2.0
-        assert parent.histogram("h", boundaries=(1.0,)).count == 1
-
-    def test_merge_rejects_mismatched_buckets(self):
-        a = MetricsRegistry().histogram("h", boundaries=(1.0,))
-        b = MetricsRegistry().histogram("h", boundaries=(2.0,))
-        with pytest.raises(ValueError):
-            a.merge(b.snapshot())
-
-    def test_render_lists_every_instrument(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2)
-        registry.gauge("g").set(4)
-        registry.histogram("h").observe(0.01)
-        rendered = registry.render()
-        assert "c = 2" in rendered
-        assert "g = 4" in rendered
-        assert "h: count=1" in rendered
-        assert len(registry) == 3
-
-
-# --------------------------------------------------------------------- #
 # Exporters, validation, rendering
 # --------------------------------------------------------------------- #
 def _sample_tracer() -> Tracer:
@@ -330,46 +256,8 @@ class TestProfileAndLogging:
 
 
 # --------------------------------------------------------------------- #
-# Histogram quantile edges, reader diagnostics, deterministic rendering
+# Reader diagnostics, deterministic rendering
 # --------------------------------------------------------------------- #
-class TestHistogramQuantileEdges:
-    def make(self, *values, boundaries=(0.1, 1.0)):
-        histogram = MetricsRegistry().histogram("h", boundaries=boundaries)
-        for value in values:
-            histogram.observe(value)
-        return histogram
-
-    def test_empty_histogram_is_zero_everywhere(self):
-        histogram = self.make()
-        assert histogram.quantile(0.0) == 0.0
-        assert histogram.quantile(0.5) == 0.0
-        assert histogram.quantile(1.0) == 0.0
-
-    def test_q_zero_reports_the_smallest_observations_bucket(self):
-        histogram = self.make(0.05, 0.5, 5.0)
-        # Never the edge of an empty leading bucket: rank floors at 1.
-        assert histogram.quantile(0.0) == 0.1
-
-    def test_q_one_reports_the_largest_observations_bucket(self):
-        assert self.make(0.05, 0.5).quantile(1.0) == 1.0
-
-    def test_single_observation_is_every_quantile(self):
-        histogram = self.make(0.5)
-        for q in (0.0, 0.25, 0.5, 0.99, 1.0):
-            assert histogram.quantile(q) == 1.0
-
-    def test_overflow_bucket_reports_the_mean(self):
-        histogram = self.make(5.0, 7.0)
-        assert histogram.quantile(1.0) == pytest.approx(6.0)
-
-    def test_out_of_range_q_rejected(self):
-        histogram = self.make(0.5)
-        with pytest.raises(ValueError):
-            histogram.quantile(-0.1)
-        with pytest.raises(ValueError):
-            histogram.quantile(1.1)
-
-
 class TestReaderDiagnostics:
     def _lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"

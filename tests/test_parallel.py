@@ -15,11 +15,14 @@ Covers the guarantees the serving layer depends on:
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.engine import OasisEngine
+from repro.core.oasis import OasisSearchStatistics
 from repro.core.request import SearchRequest
 from repro.parallel import BatchSearchReport
+from repro.parallel.executor import PRUNING_COUNTERS, percentile
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
@@ -251,7 +254,10 @@ class TestSearchMany:
         assert stats.wall_seconds > 0
         assert stats.throughput > 0
         assert stats.total_hits == sum(len(r) for r in report.results())
-        assert stats.columns_expanded == sum(r.columns_expanded for r in report.results())
+        assert stats.search.columns_expanded == sum(r.columns_expanded for r in report.results())
+        assert stats.search == OasisSearchStatistics.merged(
+            [r.statistics for r in report.results()], stats.wall_seconds
+        )
         assert stats.query_seconds > 0
         summary = report.format_summary()
         assert "6 queries" in summary
@@ -391,6 +397,75 @@ class FakeExecution:
 
     def result(self):
         return self.run(self.query)
+
+
+def counted_result(query):
+    """A result whose statistics count the query's length; queries starting
+    with ``A`` say they were aborted."""
+    from repro.core.results import SearchResult
+
+    statistics = OasisSearchStatistics(
+        columns_expanded=len(query), nodes_expanded=1, max_queue_size=len(query)
+    )
+    parameters = {"aborted": True} if query.startswith("A") else {}
+    return SearchResult(query=query, engine="fake", statistics=statistics, parameters=parameters)
+
+
+class TestTheBatchRecord:
+    def test_the_search_record_merges_the_results_statistics(self):
+        report = FakeEngine(counted_result).search_many(["AAAA", "CC", "DDD"], min_score=1)
+        statistics = report.statistics
+        search = statistics.search
+        assert (search.columns_expanded, search.nodes_expanded, search.max_queue_size) == (9, 3, 4)
+        assert search.elapsed_seconds == statistics.wall_seconds
+        assert (statistics.aborted, statistics.succeeded) == (1, 3)
+        assert statistics.as_dict()["search"] == search.as_dict()
+
+    def test_an_empty_batch_prints_zeros(self):
+        lines = BatchSearchReport.build([], wall_seconds=0.0, workers=1).format_metrics()
+        assert {"queries = 0", "columns_expanded = 0", "elapsed_seconds_p99 = 0.000000"} <= set(
+            lines.splitlines()
+        )
+
+    def test_the_dump_names_the_wall_clock_and_prints_pruning_only_when_counted(self):
+        report = FakeEngine(counted_result).search_many(["AAAA", "CC"], min_score=1)
+        lines = report.format_metrics().splitlines()
+        names = {line.split(" = ")[0] for line in lines}
+        assert "wall_seconds" in names and "elapsed_seconds" not in names
+        assert not names & set(PRUNING_COUNTERS)
+
+        def pruning_result(query):
+            result = counted_result(query)
+            result.statistics.pruned_threshold = 2
+            return result
+
+        lines = FakeEngine(pruning_result).search_many(["AAAA", "CC"], min_score=1)
+        lines = lines.format_metrics().splitlines()
+        assert {"pruned_non_positive = 0", "pruned_dominated = 0", "pruned_threshold = 4"} <= set(
+            lines
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_interrupted_batch_carries_the_report_of_the_queries_that_finished(
+        self, workers
+    ):
+        def run(query):
+            if query == "DDD":
+                raise KeyboardInterrupt
+            return counted_result(query)
+
+        with pytest.raises(KeyboardInterrupt) as raised:
+            FakeEngine(run).search_many(["AAAA", "CC", "DDD", "EE"], workers=workers, min_score=1)
+        report = raised.value.batch_report
+        assert [outcome.query for outcome in report.outcomes] == ["AAAA", "CC"]
+        assert report.statistics.search.columns_expanded == 6
+        assert "queries = 2" in report.format_metrics().splitlines()
+
+    @pytest.mark.parametrize("values", [[0.5], [3.0, 1.0], [0.1, 0.4, 0.2, 0.9, 0.3]])
+    @pytest.mark.parametrize("percent", [0, 50, 90, 99, 100])
+    def test_percentile_is_linear_interpolation_between_ranks(self, values, percent):
+        expected = float(np.percentile(values, percent))
+        assert percentile(sorted(values), percent) == pytest.approx(expected, rel=1e-12)
 
 
 class TestTheBatchPool:

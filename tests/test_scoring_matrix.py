@@ -12,7 +12,7 @@ from repro.scoring.data import (
     pam70,
     unit_matrix,
 )
-from repro.scoring.matrix import SubstitutionMatrix
+from repro.scoring.matrix import MAX_SCORE_MAGNITUDE, SubstitutionMatrix
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 
 
@@ -43,6 +43,17 @@ class TestSubstitutionMatrix:
     def test_conflicting_scores_rejected(self):
         with pytest.raises(ValueError):
             SubstitutionMatrix("bad", DNA_ALPHABET, {("A", "C"): 2, ("C", "A"): 3})
+
+    def test_a_score_past_the_bound_is_refused(self):
+        edge = SubstitutionMatrix.from_match_mismatch(
+            "edge", DNA_ALPHABET, MAX_SCORE_MAGNITUDE, -MAX_SCORE_MAGNITUDE
+        )
+        assert (edge.max_score, edge.min_score) == (MAX_SCORE_MAGNITUDE, -MAX_SCORE_MAGNITUDE)
+        for match, mismatch in ((MAX_SCORE_MAGNITUDE + 1, -1), (1, -MAX_SCORE_MAGNITUDE - 1)):
+            with pytest.raises(ValueError, match=f"within \\+-{MAX_SCORE_MAGNITUDE}"):
+                SubstitutionMatrix.from_match_mismatch("past", DNA_ALPHABET, match, mismatch)
+        with pytest.raises(ValueError, match="'wide'"):
+            SubstitutionMatrix("wide", DNA_ALPHABET, {("A", "C"): 2**62})
 
     def test_from_rows_validates_length(self):
         with pytest.raises(ValueError):

@@ -143,7 +143,7 @@ class TestShardedSearch:
             assert sum(a.hits for a in shards.values()) == report.statistics.total_hits
             assert (
                 sum(a.columns_expanded for a in shards.values())
-                == report.statistics.columns_expanded
+                == report.statistics.search.columns_expanded
             )
             assert "shards" in report.format_summary()
 

@@ -536,10 +536,10 @@ class TestProcessBackendFailurePaths:
             fingerprint={},
             database_digest="",
         )
-        result, spans, metrics = run_shard_search(task)
+        result, spans = run_shard_search(task)
         assert result.hits == [] and result.query == "WKDDGNGYISAAE"
         assert result.parameters == {"timed_out": True}
-        assert result.statistics is None and spans == [] and metrics == {}
+        assert result.statistics is None and spans == []
 
     def test_batch_timeout_flag_survives_process_scatter(self, index_directories):
         with ShardedEngine.open(index_directories[2], backend="processes:2") as sharded:

@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-from repro.obs import Tracer
 from repro.storage.blocks import BlockFile
 from repro.storage.buffer_pool import BufferPool, Region
 
@@ -255,63 +254,9 @@ class TestMissPath:
             pool.get_page(Region.SYMBOLS, 1)
         block_file.close()  # a second close is a no-op
 
-
-class TestPoolTelemetry:
-    """An instrumented pool's counters are its whole I/O record: one
-    increment per page, equal to its own statistics, and no span."""
-
-    def read(self, pool, blocks):
-        for block in blocks:
-            pool.get_page(Region.SYMBOLS, block)
-
-    def counters(self, tracer):
-        metrics = tracer.metrics
-        return tuple(
-            metrics.counter(name).value for name in ("pool.hits", "pool.misses", "pool.evictions")
-        )
-
-    def test_counters_equal_the_statistics(self, block_file):
-        tracer = Tracer()
+    def test_a_failed_read_is_counted_as_one_miss(self, block_file):
         pool = make_pool(block_file, 2)
-        pool.instrument(tracer)
-        self.read(pool, [0, 1, 0, 2, 3, 0, 3])
-        statistics = pool.statistics
-        assert statistics.evictions > 0 and statistics.hits > 0
-        assert self.counters(tracer) == (statistics.hits, statistics.misses, statistics.evictions)
-
-    def test_page_reads_open_no_span(self, block_file):
-        tracer = Tracer()
-        pool = make_pool(block_file, 1)
-        pool.instrument(tracer)
-        self.read(pool, [0, 1, 2, 3])
-        assert self.counters(tracer)[1] == 4
-        assert tracer.records() == [] and tracer.active_spans() == {}
-
-    def test_a_failed_read_is_counted_once_on_both(self, block_file):
-        tracer = Tracer()
-        pool = make_pool(block_file, 2)
-        pool.instrument(tracer)
         with pytest.raises(ValueError, match="cut short"):
             pool.get_page(Region.SYMBOLS, 40)
-        assert pool.statistics.misses == 1
-        assert self.counters(tracer) == (0, 1, 0)
-
-    def test_detaching_stops_the_counters_not_the_statistics(self, block_file):
-        tracer = Tracer()
-        pool = make_pool(block_file, 2)
-        pool.instrument(tracer)
-        self.read(pool, [0, 0])
-        pool.instrument(None)
-        self.read(pool, [0, 1, 2])
-        assert self.counters(tracer) == (1, 1, 0)
-        assert (pool.statistics.hits, pool.statistics.misses) == (2, 3)
-
-    def test_a_second_tracer_counts_from_zero(self, block_file):
-        first, second = Tracer(), Tracer()
-        pool = make_pool(block_file, 2)
-        pool.instrument(first)
-        self.read(pool, [0, 1])
-        pool.instrument(second)
-        self.read(pool, [1, 2])
-        assert self.counters(first) == (0, 2, 0)
-        assert self.counters(second) == (1, 1, 1)
+        statistics = pool.statistics
+        assert (statistics.hits, statistics.misses, statistics.evictions) == (0, 1, 0)

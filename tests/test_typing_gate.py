@@ -28,7 +28,6 @@ GATE_FILES = (
     "repro/obs/__main__.py",
     "repro/obs/analyze.py",
     "repro/obs/logsetup.py",
-    "repro/obs/metrics.py",
     "repro/obs/recording.py",
     "repro/obs/report.py",
     "repro/obs/trace.py",
