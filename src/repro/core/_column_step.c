@@ -13,17 +13,22 @@
  *   - a GeneralizedSuffixTree's (internal_records, leaf_records,
  *     concatenated codes, sequence ends), each record region one page in
  *     memory;
- *   - a DiskSuffixTree's page source (block file, pool.table, pool.miss,
- *     pool.add_hits, per region (first block, page bytes, record count),
- *     sequence ends), whose pages are the image's blocks, asked of the
- *     buffer pool exactly as DiskSuffixTree._read asks for them: the parent
- *     record's page, the internal run's, the leaf run's, then every page of
- *     every arc in child order.  A hit is table.get(block) and
- *     frame.referenced = True, a miss is pool.miss(block, region), and the
- *     call's hits are added once through pool.add_hits, on an error too.
- *     Each page's bytes are held while they are read; page words are
- *     little-endian (image format v2).  A closed block file is the
- *     ValueError of a read from it, before any request.
+ *   - a DiskSuffixTree's page source (pool.state, per region (first
+ *     block, page bytes, record count), sequence ends), whose pages are the
+ *     image's blocks, asked of the buffer pool exactly as
+ *     DiskSuffixTree._read asks for them: the parent record's page, the
+ *     internal run's, the leaf run's, then every page of every arc in child
+ *     order.  Each request is pool_request, the C body of BufferPool.page,
+ *     over the pool's flat buffers: a hit sets the frame's reference bit
+ *     and counts, a miss reads the block with the GIL released, then
+ *     counts, looks the block up again and runs the clock.  Each page's
+ *     bytes are held while they are read; page words are little-endian
+ *     (image format v2).  A closed block file is the ValueError of a read
+ *     from it, before any request.
+ *
+ * page(state, block, region) is that request alone: BufferPool.page, bound
+ * to a pool's state wherever this module builds, so DiskSuffixTree._read
+ * runs the same clock.
  *
  * One decoder serves both: the node's run of internal children, then its
  * run of leaves, are decoded one record at a time as
@@ -50,8 +55,9 @@
  * pointer into a list is held across anything that can run Python code;
  * the record arrays are held through the buffer protocol for the whole
  * call, so they can be neither freed nor resized under it, and a pool page
- * through a strong reference to its bytes (a miss runs Python code, and
- * another thread may evict the frame meanwhile).
+ * through a strong reference to its bytes (a miss releases the GIL, and
+ * another thread may evict the frame meanwhile).  The pool's buffers are
+ * written only while the GIL is held, so no lock guards them.
  *
  * Integers: ints read from Python must lie within +-2**62, and a sum that
  * leaves that range raises OverflowError where Python ints would grow.  A
@@ -60,8 +66,12 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <errno.h>
+#include <limits.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
+#include <unistd.h>
 
 typedef long long i64;
 
@@ -88,9 +98,8 @@ typedef struct {
     PyObject *columns_expanded;
     PyObject *internal_kind; /* "I", the first item of an internal handle */
     PyObject *leaf_kind;     /* "L" */
-    PyObject *referenced;    /* a pool frame's clock bit */
-    PyObject *data;          /* a pool frame's page */
     PyObject *descriptor;    /* a block file's, None once closed */
+    PyObject *path;          /* a block file's */
 } step_state;
 
 /* A list or tuple, or TypeError naming what it should have been. */
@@ -213,20 +222,33 @@ packed(PyObject *context, PyObject *name, const char **values, Py_ssize_t *count
     return bytes;
 }
 
-/* A record array, an array('I'), held as a buffer until PyBuffer_Release. */
+/* A buffer of ``format`` items, held until PyBuffer_Release. */
 static int
-words_of(PyObject *object, const char *what, Py_buffer *view)
+buffer_with(PyObject *object, const char *format, int flags, const char *what, Py_buffer *view)
 {
-    if (PyObject_GetBuffer(object, view, PyBUF_FORMAT) < 0)
+    if (PyObject_GetBuffer(object, view, flags) < 0)
         return -1;
-    if (view->itemsize != (Py_ssize_t)sizeof(uint32_t) || view->format == NULL
-        || strcmp(view->format, "I") != 0) {
+    if (view->format == NULL || strcmp(view->format, format) != 0) {
         PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError, "%s must be an array('I'), not %.100s", what,
+        PyErr_Format(PyExc_TypeError, "%s must be an array('%s'), not %.100s", what, format,
                      Py_TYPE(object)->tp_name);
         return -1;
     }
     return 0;
+}
+
+/* A writable buffer of ``format`` items: an array, or a bytearray for "B". */
+static int
+buffer_of(PyObject *object, const char *format, const char *what, Py_buffer *view)
+{
+    return buffer_with(object, format, PyBUF_FORMAT | PyBUF_WRITABLE, what, view);
+}
+
+/* A record array, an array('I'), read only. */
+static int
+words_of(PyObject *object, const char *what, Py_buffer *view)
+{
+    return buffer_with(object, "I", PyBUF_FORMAT, what, view);
 }
 
 static inline i64
@@ -875,12 +897,251 @@ error:
 enum { SYMBOLS, INTERNAL, LEAVES, REGIONS };
 static const i64 record_bytes[REGIONS] = {1, 4 * sizeof(uint32_t), sizeof(uint32_t)};
 
+/* The slots of BufferPool.counters (repro.storage.buffer_pool). */
+enum {
+    HAND, FILLED, HITS, MISSES, EVICTIONS,
+    REGION_HITS, REGION_MISSES = REGION_HITS + REGIONS,
+    READ_NANOSECONDS = REGION_MISSES + REGIONS, COUNTERS
+};
+
+/* A buffer pool, as BufferPool.state hands it over: (block file, block
+ * size, pages, blocks, referenced, slot_of, counters).  The buffers are held
+ * for a call, so they cannot be resized under it; pages is a list, read and
+ * written only by index, each index checked. */
+typedef struct {
+    PyObject *file, *pages; /* borrowed from the state */
+    i64 block_size;
+    Py_buffer blocks_view, referenced_view, slot_view, counters_view;
+    i64 *blocks, *counters;
+    unsigned char *referenced;
+    int32_t *slot_of;
+    i64 frames, block_count;
+} pool_view;
+
+static int
+open_pool(PyObject *state, pool_view *pool)
+{
+    memset(pool, 0, sizeof(*pool));
+    if (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) != 7
+        || !PyList_Check(PyTuple_GET_ITEM(state, 2))) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a pool state is (block_file, block_size, pages list, blocks, "
+                        "referenced, slot_of, counters)");
+        return -1;
+    }
+    pool->file = PyTuple_GET_ITEM(state, 0);
+    pool->pages = PyTuple_GET_ITEM(state, 2);
+    if (int_at(state, 1, "pool state", &pool->block_size) < 0
+        || buffer_of(PyTuple_GET_ITEM(state, 3), "q", "the blocks", &pool->blocks_view) < 0
+        || buffer_of(PyTuple_GET_ITEM(state, 4), "B", "the reference bits",
+                     &pool->referenced_view) < 0
+        || buffer_of(PyTuple_GET_ITEM(state, 5), "i", "slot_of", &pool->slot_view) < 0
+        || buffer_of(PyTuple_GET_ITEM(state, 6), "q", "the counters", &pool->counters_view) < 0)
+        return -1;
+    pool->blocks = pool->blocks_view.buf;
+    pool->referenced = pool->referenced_view.buf;
+    pool->slot_of = pool->slot_view.buf;
+    pool->counters = pool->counters_view.buf;
+    pool->frames = pool->blocks_view.len / (Py_ssize_t)sizeof(i64);
+    pool->block_count = pool->slot_view.len / (Py_ssize_t)sizeof(int32_t);
+    if (pool->block_size <= 0 || pool->frames <= 0
+        || pool->referenced_view.len != pool->frames
+        || PyList_GET_SIZE(pool->pages) != pool->frames
+        || pool->counters_view.len != COUNTERS * (Py_ssize_t)sizeof(i64)) {
+        PyErr_SetString(PyExc_ValueError, "a pool state whose buffers do not agree");
+        return -1;
+    }
+    return 0;
+}
+
+static void
+close_pool(pool_view *pool)
+{
+    PyBuffer_Release(&pool->blocks_view);
+    PyBuffer_Release(&pool->referenced_view);
+    PyBuffer_Release(&pool->slot_view);
+    PyBuffer_Release(&pool->counters_view);
+}
+
+static int
+broken_pool(void)
+{
+    PyErr_SetString(PyExc_ValueError, "a pool state with a frame or block out of range");
+    return -1;
+}
+
+/* Frame ``slot`` of the clock gets ``block`` and its page, a new frame
+ * while the pool fills, else the clock's victim: BufferPool._install. */
+static int
+install(pool_view *pool, i64 block, PyObject *data)
+{
+    i64 *counters = pool->counters, slot = counters[FILLED], victim;
+
+    if (slot < 0 || slot > pool->frames || counters[HAND] < 0 || counters[HAND] >= pool->frames
+        || PyList_GET_SIZE(pool->pages) != pool->frames)
+        return broken_pool();
+    if (slot < pool->frames) {
+        /* Still filling: the next frame is where the hand would stand. */
+        counters[FILLED] = slot + 1;
+    }
+    else {
+        slot = counters[HAND];
+        while (pool->referenced[slot]) {
+            /* Second chance: clear the bit and advance the hand. */
+            pool->referenced[slot] = 0;
+            slot = (slot + 1) % pool->frames;
+        }
+        victim = pool->blocks[slot];
+        if (victim < 0 || victim >= pool->block_count)
+            return broken_pool();
+        pool->slot_of[victim] = -1;
+        counters[EVICTIONS]++;
+    }
+    counters[HAND] = (slot + 1) % pool->frames;
+    pool->blocks[slot] = block;
+    pool->slot_of[block] = (int32_t)slot;
+    pool->referenced[slot] = 1;
+    Py_INCREF(data);
+    /* The page it replaces is bytes: freeing it runs no Python code. */
+    PyList_SetItem(pool->pages, slot, data);
+    return 0;
+}
+
+/* The frame holding ``block``, -1 if none. */
+static inline i64
+resident_slot(const pool_view *pool, i64 block)
+{
+    return block >= 0 && block < pool->block_count ? pool->slot_of[block] : -1;
+}
+
+/* Block ``block`` of ``region``: one request, BufferPool.page.  A hit sets
+ * the frame's reference bit.  A miss reads the block with the GIL released,
+ * then counts (a failed read too), looks the block up again -- another
+ * thread may have installed it meanwhile -- and installs it if not.  A new
+ * reference to the page's bytes. */
+static PyObject *
+pool_request(step_state *state, pool_view *pool, int region, i64 block)
+{
+    i64 *counters = pool->counters, slot = resident_slot(pool, block);
+    PyObject *data, *descriptor, *path;
+    struct timespec started, stopped;
+    Py_ssize_t got;
+    int fd;
+
+    if (slot >= 0) {
+        data = slot < pool->frames && slot < PyList_GET_SIZE(pool->pages)
+                   ? PyList_GET_ITEM(pool->pages, slot)
+                   : NULL;
+        if (data == NULL || !PyBytes_Check(data) || PyBytes_GET_SIZE(data) != pool->block_size) {
+            broken_pool();
+            return NULL;
+        }
+        pool->referenced[slot] = 1;
+        counters[HITS]++;
+        counters[REGION_HITS + region]++;
+        Py_INCREF(data);
+        return data;
+    }
+    counters[MISSES]++;
+    counters[REGION_MISSES + region]++;
+    descriptor = PyObject_GetAttr(pool->file, state->descriptor);
+    if (descriptor == NULL)
+        return NULL;
+    if (descriptor == Py_None) {
+        Py_DECREF(descriptor);
+        PyErr_SetString(PyExc_ValueError, "read from a closed block file");
+        return NULL;
+    }
+    fd = (int)PyLong_AsLong(descriptor);
+    Py_DECREF(descriptor);
+    if (fd == -1 && PyErr_Occurred())
+        return NULL;
+    if (block > LLONG_MAX / pool->block_size) {
+        PyErr_SetString(PyExc_OverflowError, "a block past any file offset");
+        return NULL;
+    }
+    data = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)pool->block_size);
+    if (data == NULL)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    clock_gettime(CLOCK_MONOTONIC, &started);
+    do
+        got = pread(fd, PyBytes_AS_STRING(data), (size_t)pool->block_size,
+                    (off_t)(block * pool->block_size));
+    while (got < 0 && errno == EINTR);
+    clock_gettime(CLOCK_MONOTONIC, &stopped);
+    Py_END_ALLOW_THREADS
+    counters[READ_NANOSECONDS] += (i64)(stopped.tv_sec - started.tv_sec) * 1000000000LL
+                                  + (stopped.tv_nsec - started.tv_nsec);
+    if (got < 0) {
+        PyErr_SetFromErrno(PyExc_OSError);
+        goto error;
+    }
+    if (got != pool->block_size || block >= pool->block_count) {
+        path = PyObject_GetAttr(pool->file, state->path);
+        if (path == NULL)
+            goto error;
+        if (got != pool->block_size)
+            PyErr_Format(PyExc_ValueError,
+                         "%S: block %lld reads %zd of %lld bytes -- the file is cut short", path,
+                         block, got, pool->block_size);
+        else
+            PyErr_Format(PyExc_ValueError,
+                         "%S: block %lld is past the %lld blocks the pool was built over", path,
+                         block, pool->block_count);
+        Py_DECREF(path);
+        goto error;
+    }
+    slot = resident_slot(pool, block);
+    if (slot >= pool->frames) {
+        broken_pool();
+        goto error;
+    }
+    if (slot >= 0)
+        pool->referenced[slot] = 1;
+    else if (install(pool, block, data) < 0)
+        goto error;
+    return data;
+
+error:
+    Py_DECREF(data);
+    return NULL;
+}
+
+/* page(state, block, region) -> bytes: BufferPool.page, bound to a pool's
+ * state with functools.partial. */
+static PyObject *
+pool_page(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    pool_view pool;
+    PyObject *data = NULL;
+    i64 block, region;
+
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "page(state, block, region) takes 3 arguments");
+        return NULL;
+    }
+    block = PyLong_AsLongLong(args[1]);
+    if (block == -1 && PyErr_Occurred())
+        return NULL;
+    if (as_score(args[2], &region) < 0)
+        return NULL;
+    if (region < 0 || region >= REGIONS) {
+        PyErr_SetString(PyExc_ValueError, "a region is 0, 1 or 2");
+        return NULL;
+    }
+    if (open_pool(args[0], &pool) == 0)
+        data = pool_request(PyModule_GetState(module), &pool, (int)region, block);
+    close_pool(&pool);
+    return data;
+}
+
 /* The page of one region a call reads from, and the block it is. */
 typedef struct {
     PyObject *owner; /* paged: a strong reference to the page's bytes */
     const unsigned char *bytes;
     i64 block;       /* -1 before the first request */
-} page;
+} page_held;
 
 /* Where the node step reads a node's records and arcs.  In memory each
  * region is one page: the whole record array (native words) or the codes.
@@ -891,12 +1152,11 @@ typedef struct {
     i64 start[REGIONS];      /* paged: the region's first block in the file */
     i64 page_bytes[REGIONS]; /* payload bytes of a page (whole records) */
     i64 count[REGIONS];      /* symbols, internal records, leaf records */
-    page pages[REGIONS];
+    page_held pages[REGIONS];
     Py_buffer internal_view, leaf_view, ends_view;
     const uint32_t *ends;
     Py_ssize_t end_count;
-    PyObject *table, *miss, *add_hits; /* paged; borrowed from the records */
-    i64 hits[REGIONS];
+    pool_view pool; /* paged */
     step_state *state;
 } node_source;
 
@@ -937,24 +1197,17 @@ open_arrays(node_source *s, PyObject *records)
     return 0;
 }
 
-/* (block_file, table, miss, add_hits, regions, sequence_ends), regions
- * one (first block, page bytes, record count) per region: paged. */
+/* (pool state, regions, sequence_ends), regions one (first block, page
+ * bytes, record count) per region: paged. */
 static int
 open_pages(node_source *s, PyObject *records)
 {
-    PyObject *regions = PyTuple_GET_ITEM(records, 4), *region_tuple, *descriptor;
+    PyObject *regions = PyTuple_GET_ITEM(records, 1), *region_tuple, *descriptor;
     int region;
 
-    s->table = PyTuple_GET_ITEM(records, 1);
-    s->miss = PyTuple_GET_ITEM(records, 2);
-    s->add_hits = PyTuple_GET_ITEM(records, 3);
-    if (!PyDict_Check(s->table) || !PyCallable_Check(s->miss) || !PyCallable_Check(s->add_hits)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "a page source is (block_file, table dict, miss, add_hits, regions, "
-                        "sequence_ends)");
-        return -1;
-    }
-    if (require_sequence(regions, "the regions") < 0)
+    s->paged = 1;
+    if (open_pool(PyTuple_GET_ITEM(records, 0), &s->pool) < 0
+        || require_sequence(regions, "the regions") < 0)
         return -1;
     for (region = 0; region < REGIONS; region++) {
         region_tuple = item_at(regions, region, "regions");
@@ -964,17 +1217,18 @@ open_pages(node_source *s, PyObject *records)
             || int_at(region_tuple, 2, "region", &s->count[region]) < 0)
             return -1;
         if (s->page_bytes[region] < record_bytes[region]
-            || s->page_bytes[region] % record_bytes[region] != 0) {
-            PyErr_SetString(PyExc_ValueError, "a page holds no whole number of records");
+            || s->page_bytes[region] % record_bytes[region] != 0
+            || s->page_bytes[region] > s->pool.block_size) {
+            PyErr_SetString(PyExc_ValueError,
+                            "a page holds no whole number of records, or more than a block");
             return -1;
         }
         s->pages[region].block = -1;
     }
-    if (read_ends(s, PyTuple_GET_ITEM(records, 5)) < 0)
+    if (read_ends(s, PyTuple_GET_ITEM(records, 2)) < 0)
         return -1;
-    s->paged = 1;
     /* A closed cursor makes no request, resident page or not. */
-    descriptor = PyObject_GetAttr(PyTuple_GET_ITEM(records, 0), s->state->descriptor);
+    descriptor = PyObject_GetAttr(s->pool.file, s->state->descriptor);
     if (descriptor == NULL)
         return -1;
     Py_DECREF(descriptor);
@@ -994,7 +1248,7 @@ open_source(step_state *state, PyObject *records, node_source *s)
     s->state = state;
     if (PyTuple_Check(records) && PyTuple_GET_SIZE(records) == 4)
         return open_arrays(s, records);
-    if (PyTuple_Check(records) && PyTuple_GET_SIZE(records) == 6)
+    if (PyTuple_Check(records) && PyTuple_GET_SIZE(records) == 3)
         return open_pages(s, records);
     PyErr_SetString(PyExc_TypeError,
                     "records must be a tree's node_records: (internal_records, leaf_records, "
@@ -1002,87 +1256,30 @@ open_source(step_state *state, PyObject *records, node_source *s)
     return -1;
 }
 
-/* Add the call's hits to the pool, once, and drop its pages; a second
- * call does nothing.  An error already set survives unless adding the hits
- * raises, as a Python finally clause would have it. */
-static int
+/* Drop the call's pages and buffers; a second call does nothing. */
+static void
 close_source(node_source *s)
 {
-    PyObject *type, *value, *traceback, *added;
-    i64 hits[REGIONS];
     int region;
 
-    for (region = 0; region < REGIONS; region++) {
+    for (region = 0; region < REGIONS; region++)
         Py_CLEAR(s->pages[region].owner);
-        hits[region] = s->hits[region];
-        s->hits[region] = 0;
-    }
     PyBuffer_Release(&s->internal_view);
     PyBuffer_Release(&s->leaf_view);
     PyBuffer_Release(&s->ends_view);
-    if (hits[SYMBOLS] + hits[INTERNAL] + hits[LEAVES] == 0)
-        return 0;
-    PyErr_Fetch(&type, &value, &traceback);
-    added = PyObject_CallFunction(s->add_hits, "LLL", hits[SYMBOLS], hits[INTERNAL],
-                                  hits[LEAVES]);
-    if (added == NULL) {
-        Py_XDECREF(type);
-        Py_XDECREF(value);
-        Py_XDECREF(traceback);
-        return -1;
-    }
-    Py_DECREF(added);
-    PyErr_Restore(type, value, traceback);
-    return 0;
+    close_pool(&s->pool);
 }
 
 /* Block ``block`` of ``region`` into its page: one request of a paged
- * source.  A hit is table.get(block) and frame.referenced = True, counted
- * per region until close_source; a miss is pool.miss(block, region). */
+ * source, held until the next request of its region replaces it. */
 static int
 request(node_source *s, int region, i64 block)
 {
-    step_state *state = s->state;
-    page *p = &s->pages[region];
-    PyObject *key, *frame, *number, *data;
+    page_held *p = &s->pages[region];
+    PyObject *data = pool_request(s->state, &s->pool, region, s->start[region] + block);
 
-    key = PyLong_FromLongLong(s->start[region] + block);
-    if (key == NULL)
-        return -1;
-    frame = PyDict_GetItemWithError(s->table, key);
-    if (frame != NULL) {
-        Py_INCREF(frame);
-        if (PyObject_SetAttr(frame, state->referenced, Py_True) < 0) {
-            Py_DECREF(frame);
-            Py_DECREF(key);
-            return -1;
-        }
-        s->hits[region]++;
-    }
-    else if (PyErr_Occurred()) {
-        Py_DECREF(key);
-        return -1;
-    }
-    else {
-        number = PyLong_FromLong(region);
-        frame = number == NULL ? NULL : PyObject_CallFunctionObjArgs(s->miss, key, number, NULL);
-        Py_XDECREF(number);
-        if (frame == NULL) {
-            Py_DECREF(key);
-            return -1;
-        }
-    }
-    Py_DECREF(key);
-    data = PyObject_GetAttr(frame, state->data);
-    Py_DECREF(frame);
     if (data == NULL)
         return -1;
-    if (!PyBytes_Check(data) || PyBytes_GET_SIZE(data) < s->page_bytes[region]) {
-        PyErr_SetString(PyExc_ValueError, "a buffer-pool page is not a whole block of bytes");
-        Py_DECREF(data);
-        return -1;
-    }
-    /* The page is held until the next request of its region replaces it. */
     Py_XDECREF(p->owner);
     p->owner = data;
     p->bytes = (const unsigned char *)PyBytes_AS_STRING(data);
@@ -1314,9 +1511,7 @@ expand_node(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         Py_DECREF(handle);
         FAIL_UNLESS(status == 0);
     }
-    /* The pool's counters first, then the context's, as _read's hits are
-     * added before the sibling-list step runs. */
-    FAIL_UNLESS(close_source(&source) == 0);
+    close_source(&source);
     FAIL_UNLESS(commit(state, context, &e, columns, dropped, 0) == 0);
     close_expansion(&e);
     Py_DECREF(tree_node);
@@ -1343,6 +1538,10 @@ static PyMethodDef step_methods[] = {
      "expand(parent, tree.siblings(parent[3]), context), the children decoded\n"
      "from tree.node_records -- record arrays, or buffer-pool pages -- and their\n"
      "arcs read in place."},
+    {"page", (PyCFunction)(void (*)(void))pool_page, METH_FASTCALL,
+     "page(state, block, region) -> bytes\n\n"
+     "BufferPool.page over the pool's state: one request, its hit or its miss\n"
+     "and the clock run in C."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1364,9 +1563,8 @@ step_exec(PyObject *module)
     INTERN(columns_expanded, "columns_expanded")
     INTERN(internal_kind, "I")
     INTERN(leaf_kind, "L")
-    INTERN(referenced, "referenced")
-    INTERN(data, "data")
     INTERN(descriptor, "descriptor")
+    INTERN(path, "path")
 #undef INTERN
     return 0;
 }
@@ -1385,9 +1583,8 @@ step_clear(PyObject *module)
     Py_CLEAR(state->columns_expanded);
     Py_CLEAR(state->internal_kind);
     Py_CLEAR(state->leaf_kind);
-    Py_CLEAR(state->referenced);
-    Py_CLEAR(state->data);
     Py_CLEAR(state->descriptor);
+    Py_CLEAR(state->path);
     return 0;
 }
 

@@ -68,9 +68,10 @@ kernel here never materialises the dead ones:
     same walk over a node's children that C decodes itself from the
     cursor's ``node_records`` -- the in-memory tree's record arrays, or the
     disk cursor's page source, whose buffer-pool pages it asks for exactly
-    as ``DiskSuffixTree.siblings`` does (the pool, its clock and its
-    counters stay in Python) -- each arc read where it lies, a handle built
-    only for a child that is kept.  The search expands every node of a
+    as ``DiskSuffixTree.siblings`` does (the pool's hits, misses and clock
+    run in C too, over its flat buffers: ``page``, which the pool's
+    ``page`` is bound to wherever the module builds) -- each arc read where
+    it lies, a handle built only for a child that is kept.  The search expands every node of a
     :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read, and of
     a :class:`~repro.storage.DiskSuffixTree` through it
     (:meth:`ExpansionKernel.node_expander`, the step bound to the records
@@ -541,7 +542,7 @@ def _private_directory(path: str) -> Optional[str]:
 
 @functools.lru_cache(maxsize=None)
 def _compiled_step() -> Union[ModuleType, str]:
-    """The compiled module (``expand``, ``expand_node``), or why it cannot run here.
+    """The compiled module (``expand``, ``expand_node``, ``page``), or why it cannot run here.
 
     The library is built once per source, interpreter ABI and compile
     command: ``gcc -O2 -shared -fPIC -I<Python include>`` into the user's

@@ -187,11 +187,13 @@ def estimate_karlin_altschul(
 
     # K approximation: the rigorous computation requires the full generating
     # function machinery; the standard practical approximation
-    # K ~= H / lambda * exp(-lambda * delta) with delta the score granularity
-    # is accurate to within a small constant factor, which is sufficient here
-    # because K enters the benchmarks identically for every engine.
+    # K ~= H / (lambda * delta) * exp(-lambda * delta) with delta the score
+    # granularity is accurate to within a small constant factor, which is
+    # sufficient here because K enters the benchmarks identically for every
+    # engine.  Like H it is scale-free: a matrix times c has lambda / c and
+    # delta * c, so the same K, and an alignment keeps its E-value.
     delta = _score_granularity(by_score)
-    k = max(1e-4, (h / lam) * math.exp(-lam * delta))
+    k = max(1e-4, (h / (lam * delta)) * math.exp(-lam * delta))
 
     return KarlinAltschulParameters(lambda_=lam, k=k, h=h)
 

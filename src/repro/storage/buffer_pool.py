@@ -10,17 +10,26 @@ module reproduces that component:
   leaves), so the regions share one pool but their hit ratios can be
   reported separately, exactly as in Figure 8;
 * replacement is the classic clock algorithm: a reference bit per frame, a
-  rotating hand, victims are frames whose bit is clear.  Frames are created
-  as pages arrive -- a pool larger than its file never holds more frames
-  than the file has blocks -- in the order the hand would walk an empty
-  pool, so the eviction sequence is that of a preallocated pool;
-* a frame is never changed once installed, but for its reference bit: an
-  install puts a *new* frame in the victim's clock slot.  So a hit is a
-  lock-free ``table.get(block)`` -- a frame taken from the table holds its
-  own block's bytes even if it is evicted a moment later -- and the lock is
-  taken only to install a page after its ``os.pread`` (:meth:`BufferPool.miss`,
-  the read itself runs outside it) and to add one cursor call's hits
-  (:meth:`BufferPool.add_hits`);
+  rotating hand, victims are frames whose bit is clear.  Frames fill as
+  pages arrive, in the order the hand would walk an empty pool, so the
+  eviction sequence is that of a preallocated pool; a pool larger than its
+  file never holds more frames than the file has blocks;
+* the pool's state is flat, so that C can read and write it in place:
+  ``pages`` (one ``bytes`` per frame, in clock order), ``blocks`` (the block
+  in each frame, or -1), ``referenced`` (the reference bits), ``slot_of``
+  (each block's frame, or -1) and ``counters`` (the hand, the filled count,
+  the statistics).  A request is :meth:`BufferPool.page`.  Where the
+  compiled step builds (``repro/core/_column_step.c``), ``pool.page`` is its
+  C body, which the disk cursor's node step runs too: a hit sets the bit and
+  counts; a miss releases the GIL around its ``pread``, then looks the
+  block up again -- another thread may have installed it meanwhile --
+  counts, runs the clock and installs.  All of it but the read holds the
+  GIL, so the C body takes no lock.  The Python body below is its twin,
+  for hosts where it does not build: the same steps under the pool's lock,
+  the read outside it;
+* an install puts the page's ``bytes`` in the victim's frame and never
+  writes into a page, so bytes already returned keep their block's content
+  after the frame is evicted;
 * a *request* is one page a cursor call asks for: ``hits`` (and the Figure 8
   hit ratios) count page requests, not records, while ``misses`` and
   ``evictions`` do not depend on how requests are grouped into calls;
@@ -30,10 +39,12 @@ module reproduces that component:
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import time
+from array import array
+from typing import Dict, List, Optional, Tuple
 
 from repro.storage.blocks import BlockFile
 from repro.storage.layout import Region
@@ -43,24 +54,51 @@ from repro.storage.layout import Region
 #: costs a call to its ``__index__``.
 REGION_SYMBOLS, REGION_INTERNAL, REGION_LEAVES = (int(region) for region in Region)
 
+#: The slots of :attr:`BufferPool.counters`, as ``_column_step.c`` numbers
+#: them: per-region hits and misses are ``REGION_HITS + region`` and
+#: ``REGION_MISSES + region``; the time inside ``pread`` is in nanoseconds.
+HAND, FILLED, HITS, MISSES, EVICTIONS, REGION_HITS = range(6)
+REGION_MISSES = REGION_HITS + len(Region)
+READ_NANOSECONDS = REGION_MISSES + len(Region)
+COUNTERS = READ_NANOSECONDS + 1
 
-def _per_region() -> List[int]:
-    return [0] * len(Region)
 
-
-@dataclass
 class BufferPoolStatistics:
-    """Hit/miss/eviction counters, overall and per region.
+    """Hit/miss/eviction counters, overall and per region: a live view of a
+    pool's :attr:`~BufferPool.counters`.
 
     ``per_region_hits`` and ``per_region_misses`` are indexed by
-    :class:`Region`.
+    :class:`Region`; ``read_seconds`` is the wall time spent inside ``pread``.
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    per_region_hits: List[int] = field(default_factory=_per_region)
-    per_region_misses: List[int] = field(default_factory=_per_region)
+    __slots__ = ("counters",)
+
+    def __init__(self, counters: Optional[array] = None) -> None:
+        self.counters = array("q", bytes(8 * COUNTERS)) if counters is None else counters
+
+    @property
+    def hits(self) -> int:
+        return self.counters[HITS]
+
+    @property
+    def misses(self) -> int:
+        return self.counters[MISSES]
+
+    @property
+    def evictions(self) -> int:
+        return self.counters[EVICTIONS]
+
+    @property
+    def per_region_hits(self) -> List[int]:
+        return self.counters[REGION_HITS:REGION_MISSES].tolist()
+
+    @property
+    def per_region_misses(self) -> List[int]:
+        return self.counters[REGION_MISSES:READ_NANOSECONDS].tolist()
+
+    @property
+    def read_seconds(self) -> float:
+        return self.counters[READ_NANOSECONDS] / 1e9
 
     @property
     def requests(self) -> int:
@@ -73,15 +111,14 @@ class BufferPoolStatistics:
 
     def region_hit_ratio(self, region: Region) -> float:
         """Hit ratio for one suffix-tree component (the Figure 8 quantity)."""
-        total = self.per_region_hits[region] + self.per_region_misses[region]
-        return self.per_region_hits[region] / total if total else 0.0
+        hits = self.counters[REGION_HITS + region]
+        total = hits + self.counters[REGION_MISSES + region]
+        return hits / total if total else 0.0
 
     def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.per_region_hits[:] = _per_region()
-        self.per_region_misses[:] = _per_region()
+        """Zero every statistic; the clock's hand and filled count stay."""
+        for slot in range(HITS, COUNTERS):
+            self.counters[slot] = 0
 
     def snapshot(self) -> Dict[str, float]:
         """A plain-dict summary convenient for reports."""
@@ -94,18 +131,8 @@ class BufferPoolStatistics:
             "symbols_hit_ratio": self.region_hit_ratio(Region.SYMBOLS),
             "internal_hit_ratio": self.region_hit_ratio(Region.INTERNAL_NODES),
             "leaf_hit_ratio": self.region_hit_ratio(Region.LEAF_NODES),
+            "read_seconds": self.read_seconds,
         }
-
-
-class _Frame:
-    """One installed page and its clock reference bit, the only field that changes."""
-
-    __slots__ = ("block", "data", "referenced")
-
-    def __init__(self, block: int, data: bytes) -> None:
-        self.block = block
-        self.data = data
-        self.referenced = True
 
 
 class BufferPool:
@@ -114,132 +141,116 @@ class BufferPool:
     Parameters
     ----------
     block_file:
-        The backing device.
+        The backing device; the pool serves the blocks it holds when the
+        pool is built.
     capacity_bytes:
         Total pool size in bytes; the pool holds at most
-        ``capacity_bytes // block_size`` frames (at least one), created on
-        demand.
-    region_offsets:
-        Maps each :class:`Region` to the block number at which it starts in
-        the file: :meth:`get_page` addresses a page as (region,
-        block-within-region).
+        ``capacity_bytes // block_size`` frames (at least one).
     """
 
-    def __init__(
-        self,
-        block_file: BlockFile,
-        capacity_bytes: int,
-        region_offsets: Dict[Region, int],
-    ) -> None:
+    def __init__(self, block_file: BlockFile, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         self.block_size = block_file.block_size
         self.frame_count = max(1, capacity_bytes // self.block_size)
         self.capacity_bytes = self.frame_count * self.block_size
-        # A miss is one positional read through the file's descriptor;
-        # blocks written so far are made visible.
-        block_file.flush()
         self._file = block_file
-        self._region_starts = dict(region_offsets)
-        # Frames in clock order, appended until frame_count is reached.
-        self._frames: List[_Frame] = []
-        #: Resident frames by absolute block.  Read without the lock: a hit
-        #: is ``table.get(block)``, then ``frame.referenced = True``.
-        self.table: Dict[int, _Frame] = {}
-        self._clock_hand = 0
-        self.statistics = BufferPoolStatistics()
-        # Guards the clock, the table's writes and the counters against the
-        # one other thread: a ``search_many(workers=N)`` batch thread on a
-        # disk engine.  Never held across a read; nothing re-enters it.
+        # Counting the blocks flushes the file: blocks written so far are
+        # visible to a miss, one positional read through its descriptor.
+        file_blocks = block_file.block_count
+        frames = max(1, min(self.frame_count, file_blocks))
+        self.pages: List[Optional[bytes]] = [None] * frames
+        self.blocks = array("q", [-1]) * frames
+        self.referenced = bytearray(frames)
+        self.slot_of = array("i", [-1]) * file_blocks
+        self.counters = array("q", bytes(8 * COUNTERS))
+        self.statistics = BufferPoolStatistics(self.counters)
+        #: What the C body reads and writes, in its order.
+        self.state: Tuple[object, ...] = (
+            block_file, self.block_size, self.pages, self.blocks, self.referenced,
+            self.slot_of, self.counters,
+        )
+        # Guards the Python body against the one other thread: a
+        # ``search_many(workers=N)`` batch thread on a disk engine.  Never
+        # held across a read; nothing re-enters it.
         self._lock = threading.Lock()
+        from repro.core.kernels import _compiled_step  # storage sits below core
 
-    # ------------------------------------------------------------------ #
-    # Page access
-    # ------------------------------------------------------------------ #
-    def miss(self, block: int, region: int) -> _Frame:
-        """Read absolute ``block`` of ``region`` and install it: one miss.
+        step = _compiled_step()
+        if not isinstance(step, str):
+            self.page = functools.partial(step.page, self.state)  # type: ignore[method-assign]
 
-        The ``os.pread`` runs outside the lock.  The lock hold after it
-        counts the miss (a failed read's too) and installs the page in a new
-        frame; if another thread installed the block meanwhile, that frame
-        is referenced and returned instead.
+    def page(self, block: int, region: int) -> bytes:
+        """Absolute ``block``, a page of ``region``: one request.
+
+        A hit sets the frame's reference bit.  A miss reads the block outside
+        the lock, then counts (a failed read too), and installs the page
+        unless another thread installed the block meanwhile.
         """
-        data: Optional[bytes] = None
+        counters = self.counters
+        with self._lock:
+            slot = self.slot_of[block] if 0 <= block < len(self.slot_of) else -1
+            if slot >= 0:
+                self.referenced[slot] = 1
+                counters[HITS] += 1
+                counters[REGION_HITS + region] += 1
+                return self.pages[slot]  # type: ignore[return-value]
+        data, nanoseconds = b"", 0
         try:
-            data = self._read_physical(block)
+            data, nanoseconds = self._read_physical(block)
         finally:
             with self._lock:
-                statistics = self.statistics
-                statistics.misses += 1
-                statistics.per_region_misses[region] += 1
-                if data is not None:
-                    frame = self.table.get(block) or self._install(block, data)
-                    frame.referenced = True
-        return frame
-
-    def add_hits(self, symbols: int, internal: int, leaves: int) -> None:
-        """Add one cursor call's hits, per region, to the counters."""
-        total = symbols + internal + leaves
-        if not total:
-            return
-        with self._lock:
-            statistics = self.statistics
-            statistics.hits += total
-            region_hits = statistics.per_region_hits
-            region_hits[REGION_SYMBOLS] += symbols
-            region_hits[REGION_INTERNAL] += internal
-            region_hits[REGION_LEAVES] += leaves
-
-    def get_page(self, region: Region, block_in_region: int) -> bytes:
-        """Return one page of ``region``: a call of one request."""
-        block = self._region_starts[region] + block_in_region
-        frame = self.table.get(block)
-        if frame is None:
-            return self.miss(block, region).data
-        frame.referenced = True
-        hits = _per_region()
-        hits[region] = 1
-        self.add_hits(*hits)
-        return frame.data
+                counters[READ_NANOSECONDS] += nanoseconds
+                counters[MISSES] += 1
+                counters[REGION_MISSES + region] += 1
+                if len(data) == self.block_size and block < len(self.slot_of):
+                    slot = self.slot_of[block]
+                    self.referenced[slot if slot >= 0 else self._install(block, data)] = 1
+        if len(data) != self.block_size:
+            raise ValueError(
+                f"{self._file.path}: block {block} reads {len(data)} of {self.block_size} "
+                "bytes -- the file is cut short"
+            )
+        if block >= len(self.slot_of):
+            raise ValueError(
+                f"{self._file.path}: block {block} is past the {len(self.slot_of)} blocks "
+                "the pool was built over"
+            )
+        return data
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _read_physical(self, block: int) -> bytes:
+    def _read_physical(self, block: int) -> Tuple[bytes, int]:
+        """One ``pread`` of ``block``, and the nanoseconds inside it."""
         descriptor = self._file.descriptor
         if descriptor is None:
             raise ValueError("read from a closed block file")
-        size = self.block_size
-        data = os.pread(descriptor, size, block * size)
-        if len(data) != size:
-            raise ValueError(
-                f"{self._file.path}: block {block} reads {len(data)} of {size} bytes "
-                "-- the file is cut short"
-            )
-        return data
+        started = time.perf_counter_ns()
+        data = os.pread(descriptor, self.block_size, block * self.block_size)
+        return data, time.perf_counter_ns() - started
 
-    def _install(self, block: int, data: bytes) -> _Frame:
-        """Put a new frame for ``block`` in the slot the clock picks; the caller holds the lock."""
-        frame = _Frame(block, data)
-        frames = self._frames
-        if len(frames) < self.frame_count:
+    def _install(self, block: int, data: bytes) -> int:
+        """Put ``block`` in the frame the clock picks, and return the frame; the caller holds the lock."""
+        counters, referenced, blocks = self.counters, self.referenced, self.blocks
+        frames = len(blocks)
+        slot = counters[FILLED]
+        if slot < frames:
             # Still filling: the next frame is where the hand would stand.
-            frames.append(frame)
-            self._clock_hand = len(frames) % self.frame_count
+            counters[FILLED] = slot + 1
         else:
-            hand = self._clock_hand
-            victim = frames[hand]
-            while victim.referenced:
+            slot = counters[HAND]
+            while referenced[slot]:
                 # Second chance: clear the bit and advance the hand.
-                victim.referenced = False
-                hand = (hand + 1) % self.frame_count
-                victim = frames[hand]
-            del self.table[victim.block]
-            self.statistics.evictions += 1
-            frames[hand] = frame
-            self._clock_hand = (hand + 1) % self.frame_count
-        self.table[block] = frame
-        return frame
+                referenced[slot] = 0
+                slot = (slot + 1) % frames
+            self.slot_of[blocks[slot]] = -1
+            counters[EVICTIONS] += 1
+        counters[HAND] = (slot + 1) % frames
+        blocks[slot] = block
+        self.pages[slot] = data
+        self.slot_of[block] = slot
+        return slot
 
     # ------------------------------------------------------------------ #
     # Management
@@ -247,14 +258,20 @@ class BufferPool:
     @property
     def resident_pages(self) -> int:
         """Number of pages currently cached."""
-        return len(self.table)
+        return self.counters[FILLED]
 
     def clear(self) -> None:
-        """Drop every cached page (statistics are left untouched)."""
+        """Drop every cached page (statistics are left untouched).
+
+        The buffers are emptied in place: the C body may hold them.
+        """
         with self._lock:
-            self._frames = []
-            self.table.clear()
-            self._clock_hand = 0
+            for slot in range(self.counters[FILLED]):
+                self.slot_of[self.blocks[slot]] = -1
+                self.blocks[slot] = -1
+                self.pages[slot] = None
+                self.referenced[slot] = 0
+            self.counters[HAND] = self.counters[FILLED] = 0
 
     def reset_statistics(self) -> None:
         with self._lock:

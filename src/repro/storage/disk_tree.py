@@ -27,14 +27,15 @@ sequence end -- is an ``IndexError``, raised before any request past the
 region, as the in-memory tree raises it.
 
 The search itself does not call ``siblings()`` under the compiled kernel.
-It takes :attr:`DiskSuffixTree.node_records`, a *page source* -- the block
-file, the pool's table, ``miss`` and ``add_hits``, each region's first block,
-page payload and record count, the sequence ends -- and the kernel's C node
-step decodes each expanded node from pool pages itself: the same requests,
-in the same order, as ``siblings()``, the same hits and misses and clock,
-but a handle built only for a child it keeps.  The pool stays here, in
-Python.  ``siblings()`` serves the ``live`` and ``reference`` kernels, dense
-columns, a partition's root and cursor proxies.
+It takes :attr:`DiskSuffixTree.node_records`, a *page source* -- the pool's
+flat state, each region's first block, page payload and record count, the
+sequence ends -- and the kernel's C node step decodes each expanded node
+from pool pages itself: the same requests, in the same order, as
+``siblings()``, but a handle built only for a child it keeps.  Both run one
+clock: the C step's requests and ``pool.page``, which ``_read`` calls, are
+the same C code over the same buffers wherever the step builds
+(:mod:`repro.storage.buffer_pool`).  ``siblings()`` serves the ``live`` and
+``reference`` kernels, dense columns, a partition's root and cursor proxies.
 
 An image is refused at open by the checks the in-memory tree runs too
 (:func:`~repro.storage.layout.check_image`): another format, a cut file
@@ -120,17 +121,13 @@ class DiskSuffixTree(SuffixTreeCursor):
         self._database = database
         self.layout = check_image(path, database)
         self._file = BlockFile(path, block_size=self.layout.block_size)
-        self.pool = BufferPool(
-            self._file,
-            capacity_bytes=buffer_pool_bytes,
-            region_offsets=self.layout.region_offsets(),
-        )
+        self.pool = BufferPool(self._file, capacity_bytes=buffer_pool_bytes)
         # One past each terminal, ascending: suffix p ends at the first entry > p.
         self._sequence_ends = database.sequence_starts[1:] + [self.layout.symbol_count]
         # Payload bytes of a record page (whole records; the rest is padding).
         self._internal_page_bytes = self.layout.internal_records_per_block * INTERNAL_STRUCT.size
         self._leaf_page_bytes = self.layout.leaf_records_per_block * LEAF_STRUCT.size
-        # The pool's table is keyed by absolute block: region start + block in region.
+        # The pool is keyed by absolute block: region start + block in region.
         self._symbols_start = self.layout.symbols_start_block
         self._internal_start = self.layout.internal_start_block
         self._leaves_start = self.layout.leaves_start_block
@@ -139,22 +136,20 @@ class DiskSuffixTree(SuffixTreeCursor):
     def node_records(self) -> Tuple[Any, ...]:
         """The page source the compiled kernel decodes an expanded node from.
 
-        ``(block file, pool.table, pool.miss, pool.add_hits, regions,
-        sequence ends)``: ``regions`` is one ``(first block, page payload
-        bytes, record count)`` per :class:`~repro.storage.layout.Region`, in
-        its order, and the ends are an ``array('I')``.  The C step asks the
-        pool for the pages :meth:`siblings` asks for, in the same order, and
-        checks the file is open first; the pool does the rest.
+        ``(pool.state, regions, sequence ends)``: ``regions`` is one ``(first
+        block, page payload bytes, record count)`` per
+        :class:`~repro.storage.layout.Region`, in its order, and the ends are
+        an ``array('I')``.  The C step checks the file is open, then asks
+        the pool for the pages :meth:`siblings` asks for, in the same order,
+        through the C body of :meth:`BufferPool.page`.
         """
         layout = self.layout
-        pool = self.pool
         regions = (
             (self._symbols_start, layout.block_size, layout.symbol_count),
             (self._internal_start, self._internal_page_bytes, layout.internal_count),
             (self._leaves_start, self._leaf_page_bytes, layout.leaf_slots),
         )
-        ends = array("I", self._sequence_ends)
-        return (self._file, pool.table, pool.miss, pool.add_hits, regions, ends)
+        return (self.pool.state, regions, array("I", self._sequence_ends))
 
     # ------------------------------------------------------------------ #
     # Cursor interface
@@ -206,133 +201,102 @@ class DiskSuffixTree(SuffixTreeCursor):
         """Internal ``node``'s children appended to ``handles``; ``with_arcs``, as siblings.
 
         Reads the parent record, then its internal run and its leaf run, then
-        the arcs of ``handles`` in order; a closed cursor raises before any
-        request, whether the page is resident or not, and a record that
-        points past its region raises ``IndexError`` before any request past
-        it.  A page request is ``table.get(block)`` -- a hit sets the frame's
-        reference bit and is counted here -- or :meth:`BufferPool.miss`; the
-        call's hits are added to the pool's counters once, at its end.
+        the arcs of ``handles`` in order, one :meth:`BufferPool.page` request
+        per page; a closed cursor raises before any request, whether the page
+        is resident or not, and a record that points past its region raises
+        ``IndexError`` before any request past it.
         """
         if self._file.descriptor is None:
             raise ValueError("read from a closed block file")
         layout = self.layout
-        pool = self.pool
-        get = pool.table.get
-        miss = pool.miss
-        symbol_hits = internal_hits = leaf_hits = 0
-        try:
-            if node is not None:
-                depth = node[4]
-                page_bytes = self._internal_page_bytes
-                first_block = self._internal_start
-                internal_count = layout.internal_count
-                if not 0 <= node[1] < internal_count:
-                    raise IndexError("a node index past the internal records")
-                block, offset = divmod(node[1] * _INTERNAL_SIZE, page_bytes)
-                frame = get(first_block + block)
-                if frame is None:
-                    frame = miss(first_block + block, REGION_INTERNAL)
-                else:
-                    frame.referenced = True
-                    internal_hits += 1
-                page: Optional[bytes] = frame.data
-                _, _, child_index, leaf_index = _unpack_internal(page, offset)
+        page = self.pool.page
+        if node is not None:
+            depth = node[4]
+            page_bytes = self._internal_page_bytes
+            first_block = self._internal_start
+            internal_count = layout.internal_count
+            if not 0 <= node[1] < internal_count:
+                raise IndexError("a node index past the internal records")
+            block, offset = divmod(node[1] * _INTERNAL_SIZE, page_bytes)
+            data: Optional[bytes] = page(first_block + block, REGION_INTERNAL)
+            _, _, child_index, leaf_index = _unpack_internal(data, offset)
 
-                # Internal children: one contiguous run of records, decoded page
-                # by page up to the record that carries the last-sibling bit.
-                # ``page`` is None where the run needs its next page.
-                if child_index != NO_POINTER:
-                    symbol_count = layout.symbol_count
-                    child_block, offset = divmod(child_index * _INTERNAL_SIZE, page_bytes)
-                    if child_block != block:
-                        block, page = child_block, None
-                    while True:
-                        if child_index >= internal_count:
-                            raise IndexError("a child pointer past the internal records")
-                        if page is None:
-                            frame = get(first_block + block)
-                            if frame is None:
-                                frame = miss(first_block + block, REGION_INTERNAL)
-                            else:
-                                frame.referenced = True
-                                internal_hits += 1
-                            page = frame.data
-                        word, symbol_ptr, _, _ = _unpack_internal(page, offset)
-                        child_depth = word & VALUE_MASK
-                        if child_depth < depth or symbol_ptr + child_depth - depth > symbol_count:
-                            raise IndexError("an arc past the symbol array")
-                        handles.append(("I", child_index, symbol_ptr, child_depth - depth, child_depth))
-                        if word & LAST_SIBLING_BIT:
-                            break
-                        child_index += 1
-                        offset += _INTERNAL_SIZE
-                        if offset == page_bytes:
-                            block, offset, page = block + 1, 0, None
+            # Internal children: one contiguous run of records, decoded page
+            # by page up to the record that carries the last-sibling bit.
+            # ``data`` is None where the run needs its next page.
+            if child_index != NO_POINTER:
+                symbol_count = layout.symbol_count
+                child_block, offset = divmod(child_index * _INTERNAL_SIZE, page_bytes)
+                if child_block != block:
+                    block, data = child_block, None
+                while True:
+                    if child_index >= internal_count:
+                        raise IndexError("a child pointer past the internal records")
+                    if data is None:
+                        data = page(first_block + block, REGION_INTERNAL)
+                    word, symbol_ptr, _, _ = _unpack_internal(data, offset)
+                    child_depth = word & VALUE_MASK
+                    if child_depth < depth or symbol_ptr + child_depth - depth > symbol_count:
+                        raise IndexError("an arc past the symbol array")
+                    handles.append(("I", child_index, symbol_ptr, child_depth - depth, child_depth))
+                    if word & LAST_SIBLING_BIT:
+                        break
+                    child_index += 1
+                    offset += _INTERNAL_SIZE
+                    if offset == page_bytes:
+                        block, offset, data = block + 1, 0, None
 
-                # Leaf children: one contiguous run of suffix starts, the same way.
-                if leaf_index != NO_POINTER:
-                    page_bytes = self._leaf_page_bytes
-                    first_block = self._leaves_start
-                    leaf_count = layout.leaf_slots
-                    ends = self._sequence_ends
-                    block, offset = divmod(leaf_index * _LEAF_SIZE, page_bytes)
-                    page = None
-                    while True:
-                        if leaf_index >= leaf_count:
-                            raise IndexError("a leaf index past the leaf records")
-                        if page is None:
-                            frame = get(first_block + block)
-                            if frame is None:
-                                frame = miss(first_block + block, REGION_LEAVES)
-                            else:
-                                frame.referenced = True
-                                leaf_hits += 1
-                            page = frame.data
-                        (word,) = _unpack_leaf(page, offset)
-                        start = word & VALUE_MASK
-                        position = bisect_right(ends, start)
-                        if position == len(ends):
-                            raise IndexError("a suffix past the last sequence end")
-                        length = ends[position] - start
-                        if length < depth:
-                            raise IndexError("an arc past the symbol array")
-                        handles.append(("L", start, start + depth, length - depth, length))
-                        if word & LAST_SIBLING_BIT:
-                            break
-                        leaf_index += 1
-                        offset += _LEAF_SIZE
-                        if offset == page_bytes:
-                            block, offset, page = block + 1, 0, None
-            if not with_arcs:
-                return handles
+            # Leaf children: one contiguous run of suffix starts, the same way.
+            if leaf_index != NO_POINTER:
+                page_bytes = self._leaf_page_bytes
+                first_block = self._leaves_start
+                leaf_count = layout.leaf_slots
+                ends = self._sequence_ends
+                block, offset = divmod(leaf_index * _LEAF_SIZE, page_bytes)
+                data = None
+                while True:
+                    if leaf_index >= leaf_count:
+                        raise IndexError("a leaf index past the leaf records")
+                    if data is None:
+                        data = page(first_block + block, REGION_LEAVES)
+                    (word,) = _unpack_leaf(data, offset)
+                    start = word & VALUE_MASK
+                    position = bisect_right(ends, start)
+                    if position == len(ends):
+                        raise IndexError("a suffix past the last sequence end")
+                    length = ends[position] - start
+                    if length < depth:
+                        raise IndexError("an arc past the symbol array")
+                    handles.append(("L", start, start + depth, length - depth, length))
+                    if word & LAST_SIBLING_BIT:
+                        break
+                    leaf_index += 1
+                    offset += _LEAF_SIZE
+                    if offset == page_bytes:
+                        block, offset, data = block + 1, 0, None
+        if not with_arcs:
+            return handles
 
-            # Arcs: each sliced as ``bytes`` from the symbol pages it covers.
-            block_size = self.layout.block_size
-            first_block = self._symbols_start
-            siblings: List[Sibling] = []
-            for handle in handles:
-                arc = b""
-                if handle[3] > 0:
-                    block, offset = divmod(handle[2], block_size)
-                    block += first_block
-                    end = offset + handle[3]
-                    while True:
-                        frame = get(block)
-                        if frame is None:
-                            frame = miss(block, REGION_SYMBOLS)
-                        else:
-                            frame.referenced = True
-                            symbol_hits += 1
-                        if end <= block_size:
-                            break
-                        arc += frame.data[offset:]
-                        block, offset, end = block + 1, 0, end - block_size
-                    # Most arcs lie in one page: they are one slice, not a concatenation.
-                    arc = arc + frame.data[offset:end] if arc else frame.data[offset:end]
-                siblings.append((handle, arc, handle[0] == "L"))
-            return siblings
-        finally:
-            pool.add_hits(symbol_hits, internal_hits, leaf_hits)
+        # Arcs: each sliced as ``bytes`` from the symbol pages it covers.
+        block_size = layout.block_size
+        first_block = self._symbols_start
+        siblings: List[Sibling] = []
+        for handle in handles:
+            arc = b""
+            if handle[3] > 0:
+                block, offset = divmod(handle[2], block_size)
+                block += first_block
+                end = offset + handle[3]
+                while True:
+                    data = page(block, REGION_SYMBOLS)
+                    if end <= block_size:
+                        break
+                    arc += data[offset:]
+                    block, offset, end = block + 1, 0, end - block_size
+                # Most arcs lie in one page: they are one slice, not a concatenation.
+                arc = arc + data[offset:end] if arc else data[offset:end]
+            siblings.append((handle, arc, handle[0] == "L"))
+        return siblings
 
     # ------------------------------------------------------------------ #
     # Statistics and lifecycle

@@ -40,7 +40,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Union
+from typing import BinaryIO, Union
 
 from repro.sequences.database import SequenceDatabase
 
@@ -159,14 +159,6 @@ class DiskLayout:
         if self.symbol_count == 0:
             return 0.0
         return self.index_size_bytes / self.symbol_count
-
-    def region_offsets(self) -> Dict[Region, int]:
-        """Start block of each region, for the buffer pool."""
-        return {
-            Region.SYMBOLS: self.symbols_start_block,
-            Region.INTERNAL_NODES: self.internal_start_block,
-            Region.LEAF_NODES: self.leaves_start_block,
-        }
 
     def read_records(self, handle: BinaryIO, region: Region) -> array:
         """A record region of the image open as ``handle``, as native ``array('I')`` words.

@@ -10,6 +10,7 @@ that collects both directories cannot shadow one with the other.
 from __future__ import annotations
 
 import random
+import time
 from typing import Sequence
 
 from repro.core.kernels import available_kernels
@@ -25,6 +26,10 @@ PAPER_QUERY = "TACG"
 #: The production kernels that run here, each held to the ``reference``
 #: oracle: ``live``, and ``compiled`` where its C step builds.
 PRODUCTION_KERNELS = tuple(name for name in available_kernels() if name != "reference")
+
+#: The bodies of ``BufferPool.page`` that run here: the Python one, and the
+#: C one where the compiled step builds.
+POOL_BODIES = ("python",) + (("compiled",) if "compiled" in available_kernels() else ())
 
 AMINO_ACIDS = "ARNDCQEGHILKMFPSTWYV"
 BASES = "ACGT"
@@ -150,3 +155,34 @@ class Delegating(SuffixTreeCursor):
 
     def leaf_positions(self, node):
         return self.inner.leaf_positions(node)
+
+
+def python_pool_body(pool):
+    """Serve ``pool``'s requests by the Python body of ``BufferPool.page``:
+    drop the C body bound on the instance, leaving the class's method."""
+    vars(pool).pop("page", None)
+    return pool
+
+
+def on_pool_body(monkeypatch, body, miss_sleep=0.0):
+    """Serve the pools built from here on by ``body`` of ``BufferPool.page``.
+
+    ``python`` is a host where the compiled step does not build: engines
+    default to the ``live`` kernel, every request takes the pool lock, and
+    each miss first sleeps ``miss_sleep`` seconds, outside the lock, so
+    threads interleave at every miss.  ``compiled`` changes nothing: its
+    misses release the GIL around their read.
+    """
+    if body != "python":
+        return
+    from repro.core import kernels
+    from repro.storage.buffer_pool import BufferPool
+
+    monkeypatch.setattr(kernels, "_compiled_step", lambda: "the Python pool body is forced")
+    read_physical = BufferPool._read_physical
+
+    def slow_read(pool, block):
+        time.sleep(miss_sleep)
+        return read_physical(pool, block)
+
+    monkeypatch.setattr(BufferPool, "_read_physical", slow_read)

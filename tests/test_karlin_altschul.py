@@ -74,6 +74,24 @@ class TestEstimation:
         assert params.lambda_ * scale == pytest.approx(reference.lambda_, rel=1e-6)
         assert params.h == pytest.approx(reference.h, rel=1e-6)
 
+    @pytest.mark.parametrize("scale", [1, 2, 1000, 2**20])
+    @pytest.mark.parametrize("name", ["PAM30", "nucleotide(1,-1)"])
+    def test_k_is_scale_free(self, name, scale):
+        """A matrix times c has lambda / c and the same K, so an alignment
+        scored c times higher keeps its E-value, and the score an E-value
+        asks for is c times the unscaled one, up to rounding."""
+        base = pam30() if name == "PAM30" else nucleotide_matrix(1, -1)
+        reference = estimate_karlin_altschul(base)
+        params = estimate_karlin_altschul(scaled_matrix(base, scale))
+        assert params.k == pytest.approx(reference.k, rel=1e-9)
+        for score in (5, 17, 40):
+            assert params.evalue(score * scale, 30, 10**6) == pytest.approx(
+                reference.evalue(score, 30, 10**6), rel=1e-9
+            )
+        for evalue in (1e-3, 1.0, 10.0):
+            unscaled = reference.min_score(evalue, 30, 10**6)
+            assert scale * (unscaled - 1) < params.min_score(evalue, 30, 10**6) <= scale * unscaled
+
     def test_a_matrix_of_large_scores_builds_an_engine(self):
         """exp(0.5 * 2000) leaves the float range: the bracket must not start there."""
         from repro.core.engine import OasisEngine
@@ -187,7 +205,7 @@ def numpy_reference(matrix, frequencies=None, tolerance=1e-9, max_iterations=200
     q = q / q.sum()
     h = float(lam * (q * scores).sum())
     delta = float(math.gcd(*np.abs(scores.astype(int)).ravel().tolist()) or 1)
-    k = max(1e-4, (h / lam) * math.exp(-lam * delta))
+    k = max(1e-4, (h / (lam * delta)) * math.exp(-lam * delta))
     return lam, k, h
 
 

@@ -11,8 +11,10 @@ always-in-process streaming path) under instrumented ``BufferPool`` and
 backend locks must come back cycle-free, with the instrumentation proven
 live by the monitor's acquisition counter -- and a deliberate ABBA on those
 same real locks must be reported.  A threaded batch over one disk pool of
-two frames, and of one, must also stay cycle-free, keep its hits and its
-request count, and never read a page while it holds the pool lock.
+two frames, and of one, must keep its hits and its request count; forced
+onto the Python body of the pool (the C body takes no Python lock), it
+must also stay cycle-free and never read a page while it holds the pool
+lock.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder
 from repro.testing import instrument_lock_order
-from support import random_protein
+from support import python_pool_body, random_protein
 
 QUERY = "WKDDGNGYISAAE"
 EVALUE = 1_000.0
@@ -165,9 +167,18 @@ def sharded_directory(tmp_path_factory, lockorder_database, pam30_matrix, gap8):
     return str(directory)
 
 
+def on_the_python_body(engine):
+    """Serve ``engine``'s pool by the Python body of ``BufferPool.page``, as
+    where the compiled step does not build: the ``live`` kernel reads every
+    node through ``siblings()``, and each request takes the pool lock."""
+    assert engine.kernel == "live"
+    return python_pool_body(engine.cursor.pool)
+
+
 class TestEngineIntegration:
+    @pytest.mark.parametrize("kernel", [None, "live"], ids=["default", "python-body"])
     def test_disk_engine_search_is_cycle_free(
-        self, sharded_directory, lockorder_database, pam30_matrix, gap8, tmp_path
+        self, lockorder_database, pam30_matrix, gap8, tmp_path, kernel
     ):
         monitor = LockOrderMonitor()
         engine = OasisEngine.build_on_disk(
@@ -177,17 +188,24 @@ class TestEngineIntegration:
             gap_model=gap8,
             block_size=BLOCK_SIZE,
             buffer_pool_bytes=TIGHT_POOL_BYTES,
+            kernel=kernel,
         )
         try:
+            if kernel == "live":
+                on_the_python_body(engine)
+            # The C body is bound on the instance; the Python body is the class's.
+            python_body = "page" not in vars(engine.cursor.pool)
             installed = instrument_lock_order(monitor, engine.cursor.pool)
             # The pool has exactly one lock: reads are positional (pread),
             # so there is no file-offset lock beside it.
             assert installed == ["BufferPool[0]._lock"]
-            hits = engine.search(QUERY, evalue=EVALUE).hits
+            result = engine.search(QUERY, evalue=EVALUE)
+            acquisitions = monitor.acquisition_count
         finally:
             engine.cursor.close()
-        assert hits
-        assert monitor.acquisition_count > 0
+        assert result.hits and result.statistics.buffer_misses > 0
+        # The C body holds no Python lock; the Python body takes it per request.
+        assert (acquisitions > 0) == python_body
         monitor.assert_acyclic()
 
     def test_threaded_batch_over_a_two_frame_pool(
@@ -195,10 +213,10 @@ class TestEngineIntegration:
     ):
         """Four threads share one pool that holds two pages.
 
-        A hit takes no lock and a miss reads outside it, so the threads
-        interleave inside one another's cursor calls.  The hits must not
-        move; the requests of each query are fixed, so only their split into
-        hits and misses may.
+        The C body releases the GIL around each read, and the Python body
+        reads outside its lock, so the threads interleave inside one
+        another's cursor calls.  The hits must not move; the requests of
+        each query are fixed, so only their split into hits and misses may.
         """
         self.check_threaded_batch(
             monkeypatch, lockorder_database, pam30_matrix, gap8, tmp_path, frames=2
@@ -215,17 +233,50 @@ class TestEngineIntegration:
 
     @staticmethod
     def check_threaded_batch(monkeypatch, database, matrix, gap_model, tmp_path, frames):
+        """The default engine (the compiled page step where it builds), then
+        one forced onto the Python body, whose lock and reads are watched."""
         queries = [QUERY] + [
             database[index].text[5:17] for index in range(0, len(database), 2)
         ]
-        engine = OasisEngine.build_on_disk(
-            database,
-            matrix,
-            str(tmp_path / f"{frames}-frame.oasis"),
-            gap_model=gap_model,
-            block_size=BLOCK_SIZE,
-            buffer_pool_bytes=frames * BLOCK_SIZE,
-        )
+
+        def threaded_batch(engine):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # switch threads inside cursor calls too
+            try:
+                return engine.search_many(queries, workers=4, timeout=60, evalue=EVALUE).results()
+            finally:
+                sys.setswitchinterval(interval)
+
+        def signature(results):
+            return [[(hit.sequence_index, hit.score) for hit in result] for result in results]
+
+        def open_engine(kernel):
+            return OasisEngine.build_on_disk(
+                database,
+                matrix,
+                str(tmp_path / f"{frames}-frame-{kernel}.oasis"),
+                gap_model=gap_model,
+                block_size=BLOCK_SIZE,
+                buffer_pool_bytes=frames * BLOCK_SIZE,
+                kernel=kernel,
+            )
+
+        engine = open_engine(None)
+        try:
+            pool = engine.cursor.pool
+            assert pool.frame_count == frames
+            serial = engine.search_many(queries, workers=1, evalue=EVALUE).results()
+            serial_requests = pool.statistics.requests
+            pool.clear()
+            pool.reset_statistics()
+            threaded = threaded_batch(engine)
+        finally:
+            engine.cursor.close()
+        assert any(signature(serial))
+        assert signature(threaded) == signature(serial)
+        assert pool.statistics.requests == serial_requests
+        assert pool.statistics.misses > 0
+
         monitor = LockOrderMonitor()
         reads, locked_reads = [], []
         pread = os.pread
@@ -238,30 +289,14 @@ class TestEngineIntegration:
                 locked_reads.append(args)
             return pread(*args)
 
+        engine = open_engine("live")
         try:
-            pool = engine.cursor.pool
-            assert pool.frame_count == frames
-            serial = engine.search_many(queries, workers=1, evalue=EVALUE).results()
-            serial_requests = pool.statistics.requests
-            pool.clear()
-            pool.reset_statistics()
+            pool = on_the_python_body(engine)
             assert instrument_lock_order(monitor, pool) == ["BufferPool[0]._lock"]
             monkeypatch.setattr(os, "pread", checked_pread)
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)  # switch threads inside cursor calls too
-            try:
-                threaded = engine.search_many(
-                    queries, workers=4, timeout=60, evalue=EVALUE
-                ).results()
-            finally:
-                sys.setswitchinterval(interval)
+            threaded = threaded_batch(engine)
         finally:
             engine.cursor.close()
-
-        def signature(results):
-            return [[(hit.sequence_index, hit.score) for hit in result] for result in results]
-
-        assert any(signature(serial))
         assert signature(threaded) == signature(serial)
         assert monitor.acquisition_count > 0
         monitor.assert_acyclic()

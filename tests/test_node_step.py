@@ -9,10 +9,11 @@ cursor at block sizes where runs and arcs straddle pages, over pools of one
 frame, two frames and the whole image -- every internal node a search
 expands must give the entries (numbering included) and the three context
 counters that the compiled ``expand`` and the Python ``_expand_live`` give
-over ``siblings(node)``; on the disk, after every call, the pool's counters
-must equal a twin cursor's that served ``siblings()``.  Records that point
-past their regions must raise ``IndexError``, never crash, from the page
-step and from ``DiskSuffixTree.siblings`` alike.  And a search must take the
+over ``siblings(node)``; on the disk, after every call, the pool's
+counters, frames, hand and reference bits must equal a twin cursor's that
+served ``siblings()`` through the Python body of ``BufferPool.page``.
+Records that point past their regions must raise ``IndexError``, never
+crash, from the page step and from ``DiskSuffixTree.siblings`` alike.  And a search must take the
 node step wherever it applies, and only there.
 
 The example budget comes from the hypothesis profile (``tests/conftest.py``):
@@ -39,11 +40,12 @@ from repro.scoring.data import nucleotide_matrix, pam30
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
+from repro.storage.buffer_pool import HAND
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 from repro.storage.layout import DiskLayout, Region
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from support import AMINO_ACIDS, BASES
+from support import AMINO_ACIDS, BASES, python_pool_body
 
 needs_compiled = pytest.mark.skipif(
     "compiled" not in available_kernels(), reason="the compiled step does not build here"
@@ -66,9 +68,10 @@ def pool_counters(tree):
 
 
 def pool_state(tree):
-    """What a pool holds: its counters, its frames in clock order, its hand."""
+    """What a pool holds: its counters, its frames in clock order, its hand,
+    its reference bits."""
     pool = tree.pool
-    return pool_counters(tree), [frame.block for frame in pool._frames], pool._clock_hand
+    return pool_counters(tree), list(pool.blocks), pool.counters[HAND], bytes(pool.referenced)
 
 
 class CheckedNodeStep:
@@ -76,7 +79,7 @@ class CheckedNodeStep:
 
     ``twin`` serves the sibling lists: the tree itself in memory, or on disk a
     second cursor over the same image and pool size, whose pool must then
-    match the searched cursor's after every call.
+    match the searched cursor's after every call, frame for frame.
     """
 
     def __init__(self, kernel, twin, disk=None):
@@ -93,7 +96,7 @@ class CheckedNodeStep:
         assert entries == via_compiled == via_python, parent[3]
         assert counters(context) == counters(compiled_context) == counters(python_context)
         if self.disk is not None:
-            assert pool_counters(self.disk) == pool_counters(self.twin), parent[3]
+            assert pool_state(self.disk) == pool_state(self.twin), parent[3]
         self.calls += 1
         return entries
 
@@ -129,12 +132,13 @@ def pool_bytes(path, block_size, frames):
 
 
 def disk_pair(path, database, block_size, frames):
-    """Two cursors over one image, each with a pool of ``frames`` frames."""
+    """Two cursors over one image, each with a pool of ``frames`` frames; the
+    twin's pool serves its requests by the Python body of ``BufferPool.page``."""
     budget = pool_bytes(path, block_size, frames)
-    return (
-        DiskSuffixTree(path, database, buffer_pool_bytes=budget),
-        DiskSuffixTree(path, database, buffer_pool_bytes=budget),
-    )
+    disk = DiskSuffixTree(path, database, buffer_pool_bytes=budget)
+    twin = DiskSuffixTree(path, database, buffer_pool_bytes=budget)
+    python_pool_body(twin.pool)
+    return disk, twin
 
 
 def checked_disk_search(path, database, block_size, frames, matrix, gap, query, min_score):
@@ -161,7 +165,7 @@ def checked_disk_search(path, database, block_size, frames, matrix, gap, query, 
         )
         assert checked.calls == result.statistics.nodes_expanded
         assert pool_state(disk) == pool_state(twin)
-        assert sorted(disk.pool.table) == sorted(twin.pool.table)
+        assert disk.pool.slot_of == twin.pool.slot_of
         return result, checked.calls
     finally:
         disk.close()
@@ -595,20 +599,6 @@ def region_blocks(layout):
     }
 
 
-def recording_misses(tree):
-    """Record each block the pool reads, with its region (before the page
-    source is taken, so the page step calls the recorder too)."""
-    requested = []
-    miss = tree.pool.miss
-
-    def recorded(block, region):
-        requested.append((block, region))
-        return miss(block, region)
-
-    tree.pool.miss = recorded
-    return requested
-
-
 HOSTILE_IMAGES = [
     "child-pointer", "child-at-the-count", "child-run", "leaf-index", "arc-end",
     "suffix-past-the-ends",
@@ -625,11 +615,10 @@ def test_image_records_past_their_regions_are_an_index_error(protein_image, name
     disk, twin = disk_pair(path, database, 256, frames)
     blocks = region_blocks(layout)
     try:
-        read_by_page_step, read_by_siblings = recording_misses(disk), recording_misses(twin)
         # The parent's page is resident, so the failing call starts with a hit.
-        parent_block = node[1] // layout.internal_records_per_block
+        parent_block = layout.internal_start_block + node[1] // layout.internal_records_per_block
         for tree in (disk, twin):
-            tree.pool.get_page(Region.INTERNAL_NODES, parent_block)
+            tree.pool.page(parent_block, Region.INTERNAL_NODES)
         context = protein_context()
         entry = entry_at(disk, node, context)
         with pytest.raises(IndexError):
@@ -637,11 +626,20 @@ def test_image_records_past_their_regions_are_an_index_error(protein_image, name
         with pytest.raises(IndexError):
             twin.siblings(node)
         assert counters(context) == (0, 0, 0)
-        # The same requests, none past a region, every hit counted.
-        assert read_by_page_step == read_by_siblings
-        assert all(block in blocks[Region(region)] for block, region in read_by_page_step)
+        # The same requests, every hit counted, frame for frame.
         assert pool_state(disk) == pool_state(twin)
         assert disk.statistics.hits >= 1
+        statistics = disk.statistics
+        if frames == "whole":
+            # Nothing was evicted: each region's misses are its blocks left
+            # resident, so none was read past the region.
+            resident = [block for block in disk.pool.blocks if block >= 0]
+            assert statistics.evictions == 0
+            assert statistics.per_region_misses == [
+                sum(block in blocks[region] for block in resident) for region in Region
+            ]
+        else:
+            assert statistics.per_region_misses == twin.statistics.per_region_misses
     finally:
         disk.close()
         twin.close()
@@ -654,7 +652,13 @@ def test_a_page_source_of_the_wrong_shape_is_a_type_error(protein_image):
         records = disk.node_records
         context = protein_context()
         entry = entry_at(disk, disk.root, context)
-        for broken in (records[:5], (records[0], dict(disk.pool.table).items()) + records[2:]):
+        state = records[0]
+        for broken in (
+            records[:2],
+            (state[:6],) + records[1:],
+            (state[:6] + (list(state[6]),),) + records[1:],
+            (state[:2] + (tuple(state[2]),) + state[3:],) + records[1:],
+        ):
             with pytest.raises(TypeError):
                 get_kernel("compiled").node_step(broken, entry, context)
         assert disk.statistics.requests == 0

@@ -23,9 +23,9 @@ from repro.core.oasis import OasisSearchStatistics
 from repro.core.request import SearchRequest
 from repro.parallel import BatchSearchReport
 from repro.parallel.executor import PRUNING_COUNTERS, percentile
-from repro.storage.buffer_pool import BufferPool
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
+from support import POOL_BODIES, on_pool_body
 
 QUERY = "WKDDGNGYISAAE"
 
@@ -204,6 +204,7 @@ class TestSearchMany:
         finally:
             disk_engine.cursor.close()
 
+    @pytest.mark.parametrize("body", POOL_BODIES)
     @pytest.mark.parametrize("buffer_pool_bytes", [512, 4096, 1 << 20])
     @pytest.mark.parametrize("workers", [2, 3, 4, 8])
     def test_disk_batch_matches_serial_loop_under_pool_pressure(
@@ -215,23 +216,20 @@ class TestSearchMany:
         gap8,
         workers,
         buffer_pool_bytes,
+        body,
     ):
         """E-value thresholds over one shared pool, from a single frame up.
 
-        Every miss sleeps before it reads (outside the pool lock, releasing
-        the GIL), so the workers really do interleave their page requests
-        (and evictions) on the one pool.
+        The workers interleave their page requests (and evictions) on the
+        one pool: the C body releases the GIL around each read, and on the
+        Python body every miss sleeps before it reads, outside the pool lock.
         """
-        read_physical = BufferPool._read_physical
-
-        def slow_read(pool, block):
-            time.sleep(1e-5)
-            return read_physical(pool, block)
-
-        monkeypatch.setattr(BufferPool, "_read_physical", slow_read)
+        on_pool_body(monkeypatch, body, miss_sleep=1e-5)
         image = tmp_path / "index.oasis"
         build_disk_image(small_protein_database, image, block_size=512)
         cursor = DiskSuffixTree(image, small_protein_database, buffer_pool_bytes=buffer_pool_bytes)
+        # The Python body is the class's method; the C body an instance attribute.
+        assert ("page" in vars(cursor.pool)) == (body == "compiled")
         with OasisEngine(cursor, pam30_matrix, gap8) as disk_engine:
             queries = standard_workload(small_protein_database, count=12)
             serial = [disk_engine.search(q, evalue=10.0) for q in queries]

@@ -36,9 +36,8 @@ from repro.sharding import (
 from repro.sharding import engine as engine_module
 from repro.sharding.engine import check_scatter_backend
 from repro.sharding.remote import ShardSearchTask, run_shard_search, spawn_pool
-from repro.storage.buffer_pool import BufferPool
 from repro.testing import proc_kill_worker
-from support import random_protein
+from support import POOL_BODIES, on_pool_body, random_protein
 
 QUERIES = ["WKDDGNGYISAAE", "MKVLAADT", "DKDGDGCITTKEL"]
 EVALUE = 1_000.0
@@ -123,24 +122,20 @@ class TestScatterBackendParity:
                     f"{backend} x{shard_count} diverged from monolithic on {query!r}"
                 )
 
+    @pytest.mark.parametrize("body", POOL_BODIES)
     @pytest.mark.parametrize("shard_count", [1, 2, 4])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_over_tight_pools_matches_monolithic(
-        self, monkeypatch, index_directories, expected_signatures, backend, shard_count
+        self, monkeypatch, index_directories, expected_signatures, backend, shard_count, body
     ):
-        """One frame per shard and sleeping misses: every page is fought over.
+        """One frame per shard: every page is fought over.
 
-        The sleep (outside the pool lock, as a disk read would be) lets the
-        batch threads of this process interleave at every miss; worker
-        processes read without it.
+        The batch threads of this process interleave at every miss: the C
+        body releases the GIL around each read, and on the Python body each
+        miss sleeps first, outside the pool lock.  Worker processes read
+        on the C body wherever it builds.
         """
-        read_physical = BufferPool._read_physical
-
-        def slow_read(pool, block):
-            time.sleep(1e-5)
-            return read_physical(pool, block)
-
-        monkeypatch.setattr(BufferPool, "_read_physical", slow_read)
+        on_pool_body(monkeypatch, body, miss_sleep=1e-5)
         with ShardedEngine.open(
             index_directories[shard_count],
             buffer_pool_bytes=shard_count * BLOCK_SIZE,

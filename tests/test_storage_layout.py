@@ -36,7 +36,7 @@ from repro.storage.layout import (
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 
-from support import PAPER_TARGET, random_dna, random_protein
+from support import PAPER_TARGET, python_pool_body, random_dna, random_protein
 
 
 class TestRecords:
@@ -139,12 +139,6 @@ class TestDiskLayout:
     def test_bytes_per_symbol(self):
         layout = self.make_layout()
         assert layout.bytes_per_symbol == pytest.approx(layout.index_size_bytes / 1000)
-
-    def test_region_offsets_mapping(self):
-        offsets = self.make_layout().region_offsets()
-        assert offsets[Region.SYMBOLS] == 1
-        assert offsets[Region.INTERNAL_NODES] == 3
-        assert offsets[Region.LEAF_NODES] == 24
 
 
 @pytest.fixture
@@ -299,8 +293,8 @@ class TestDiskSuffixTree:
         disk.pool.clear()
         disk.children(disk.root)
         per_block = layout.internal_records_per_block
-        assert layout.internal_start_block in disk.pool.table  # the root's record
-        assert layout.internal_start_block + deep[1] // per_block not in disk.pool.table
+        assert disk.pool.slot_of[layout.internal_start_block] >= 0  # the root's record
+        assert disk.pool.slot_of[layout.internal_start_block + deep[1] // per_block] == -1
         disk.close()
         assert disk.pool.resident_pages == 0
         for node in (disk.root, deep, leaf):
@@ -350,11 +344,12 @@ class RecordWalker(SuffixTreeCursor):
             header = struct.unpack("<8sHIQQQQQQQ", handle.read(70))
         assert header[1] == 2
         self.block_size = header[2]
+        self.starts = dict(zip(Region, header[7:10]))
         self.pool = BufferPool(
-            BlockFile(path, block_size=self.block_size),
-            capacity_bytes=pool_bytes,
-            region_offsets=dict(zip(Region, header[7:10])),
+            BlockFile(path, block_size=self.block_size), capacity_bytes=pool_bytes
         )
+        # The Python body of the pool, where the cursor's runs in C.
+        python_pool_body(self.pool)
         self._database = database
         self.suffix_end = {}
         for index, start in enumerate(database.sequence_starts):
@@ -367,7 +362,7 @@ class RecordWalker(SuffixTreeCursor):
     def _record(self, region, index, fmt):
         size = struct.calcsize(fmt)
         per_block = self.block_size // size
-        page = self.pool.get_page(region, index // per_block)
+        page = self.pool.page(self.starts[region] + index // per_block, region)
         return struct.unpack_from(fmt, page, (index % per_block) * size)
 
     def internal_record(self, index):
@@ -381,7 +376,9 @@ class RecordWalker(SuffixTreeCursor):
     def symbols(self, start, length):
         size = self.block_size
         return bytes(
-            self.pool.get_page(Region.SYMBOLS, position // size)[position % size]
+            self.pool.page(self.starts[Region.SYMBOLS] + position // size, Region.SYMBOLS)[
+                position % size
+            ]
             for position in range(start, start + length)
         )
 
