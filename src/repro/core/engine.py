@@ -11,10 +11,10 @@ Typical use::
         print(hit.sequence_identifier, hit.score, hit.evalue)
 
 The engine owns the suffix-tree cursor, the scoring configuration, the
-expansion kernel, the pruning switches and the E-value conversion.  It is
-built in memory (:meth:`OasisEngine.build`), written to an image and
-searched there (:meth:`OasisEngine.build_on_disk`), or opened from an index
-directory (:meth:`OasisEngine.open`, the one opener of one).  It defines
+expansion kernel and the E-value conversion.  It is built in memory
+(:meth:`OasisEngine.build`), written to an image and searched there
+(:meth:`OasisEngine.build_on_disk`), or opened from an index directory
+(:meth:`OasisEngine.open`, the one opener of one).  It defines
 ``execute_request``; ``execute`` / ``search`` / ``search_online`` /
 ``search_many`` are the shared :class:`~repro.core.surface.SearchSurface`
 over it, and ``close()`` / ``with`` release a disk-resident index.
@@ -66,12 +66,9 @@ class OasisEngine(SearchSurface):
         ``reference``), an :class:`ExpansionKernel` instance, or ``None`` to
         fall back to the ``OASIS_KERNEL`` environment variable and then the
         default (``compiled`` where it builds, ``live`` elsewhere).  All are
-        parity-gated -- the choice changes speed, never results.
-    prune_non_positive, prune_dominated, prune_threshold, track_pruning:
-        The pruning-rule switches of Section 3.2: disabling a rule never
-        changes the result set, only the amount of work (the ablation
-        experiment relies on this); ``track_pruning`` counts the cells each
-        rule cuts.
+        parity-gated -- the choice changes speed, never results.  The
+        pruning-rule switches of Section 3.2 belong to the dense oracle:
+        ``kernel=ReferenceKernel(prune_dominated=False)``.
     """
 
     #: The catalog of the index directory :meth:`open` read (``None`` for an
@@ -85,11 +82,6 @@ class OasisEngine(SearchSurface):
         gap_model: GapModel = DEFAULT_GAP_MODEL,
         converter: Optional[SelectivityConverter] = None,
         kernel: Union[str, ExpansionKernel, None] = None,
-        *,
-        prune_non_positive: bool = True,
-        prune_dominated: bool = True,
-        prune_threshold: bool = True,
-        track_pruning: bool = False,
     ):
         gap_model.validate()
         if gap_model.is_affine:
@@ -102,10 +94,6 @@ class OasisEngine(SearchSurface):
         self.gap_model = gap_model
         self.converter = converter or SelectivityConverter(matrix, cursor.database)
         self.expansion_kernel: ExpansionKernel = get_kernel(kernel)
-        self.prune_non_positive = prune_non_positive
-        self.prune_dominated = prune_dominated
-        self.prune_threshold = prune_threshold
-        self.track_pruning = track_pruning
 
     # ------------------------------------------------------------------ #
     # Construction helpers

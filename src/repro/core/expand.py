@@ -27,10 +27,10 @@ form of the algorithm, :func:`expand_arc_reference`: one NumPy column of
 ``m + 1`` cells per arc symbol, the vertical (insertion) dependency
 ``column[i] = max(candidate[i], column[i-1] + gap)`` resolved with a
 running-maximum transform.  It is the oracle the production kernel in
-:mod:`repro.core.kernels` is gated against cell for cell, and the path that
-runs whenever a pruning rule is switched off or per-rule counts are tracked
-(columns are dense by construction then).  The dense forms import NumPy
-where they run, so a search on the live-cell kernel never loads it.
+:mod:`repro.core.kernels` is gated against cell for cell, and the one form
+that can switch a pruning rule off (:class:`~repro.core.kernels.ReferenceKernel`
+passes its switches through).  The dense forms import NumPy where they run,
+so a search on the live-cell kernel never loads it.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class ExpansionContext:
         gap_penalty: int,
         heuristic: Sequence[int],
         min_score: int,
-        prune_non_positive: bool = True,
-        prune_dominated: bool = True,
-        prune_threshold: bool = True,
-        track_pruning: bool = False,
         packed_score_rows: Optional[Sequence[bytes]] = None,
     ):
         if min_score < 1:
@@ -94,20 +90,6 @@ class ExpansionContext:
         self.heuristic: List[int] = [int(bound) for bound in heuristic]
         self.min_score = int(min_score)
         self.query_length = len(self.query_codes)
-        #: Rule switches (all on by default; the ablation benchmark turns
-        #: individual rules off to measure their contribution).  Disabling a
-        #: rule never changes the result set, only the amount of work.
-        self.prune_non_positive = prune_non_positive
-        self.prune_dominated = prune_dominated
-        self.prune_threshold = prune_threshold
-        #: When True, per-rule cell counts are accumulated (slightly slower).
-        self.track_pruning = track_pruning
-        #: Whether columns are sparse: with every rule on and nothing to
-        #: tally per rule, a column is just its few surviving cells and the
-        #: live-cell kernel applies; otherwise the dense reference form runs.
-        self.live_cells = (
-            prune_non_positive and prune_dominated and prune_threshold and not track_pruning
-        )
         #: Number of matrix columns expanded (the Figure 4 metric).
         self.columns_expanded = 0
         #: Children handed back to the driver so far (``nodes_enqueued``).
@@ -117,11 +99,6 @@ class ExpansionContext:
         #: Children that came out UNVIABLE and were dropped by the kernel
         #: instead of being handed back to the driver (``nodes_pruned``).
         self.nodes_dropped = 0
-        #: Number of individual cells pruned by each rule (only meaningful
-        #: when ``track_pruning`` is enabled).
-        self.pruned_non_positive = 0
-        self.pruned_dominated = 0
-        self.pruned_threshold = 0
         self._limits: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------ #
@@ -218,6 +195,10 @@ def expand_arc_reference(
     arc_symbols: bytes,
     is_leaf: bool,
     context: ExpansionContext,
+    *,
+    prune_non_positive: bool = True,
+    prune_dominated: bool = True,
+    prune_threshold: bool = True,
 ) -> SearchNode:
     """Algorithm 3, reference form: expand one suffix-tree arc below ``parent``.
 
@@ -225,7 +206,7 @@ def expand_arc_reference(
     parity oracle for the live-cell kernel in :mod:`repro.core.kernels` (run
     it via ``OASIS_KERNEL=reference`` or ``kernel="reference"``).  It computes
     all ``m + 1`` cells of every column, pruned or not, and supports every
-    combination of rule switches and per-rule counting.
+    combination of rule switches.
 
     Parameters
     ----------
@@ -240,6 +221,10 @@ def expand_arc_reference(
         it, so a viable outcome is impossible).
     context:
         The per-query :class:`ExpansionContext`.
+    prune_non_positive, prune_dominated, prune_threshold:
+        The rules of Section 3.2, all on by default.  Switching one off
+        never changes the result set, only the amount of work (the
+        ablation experiment measures it).
 
     Returns
     -------
@@ -253,9 +238,7 @@ def expand_arc_reference(
     min_score = context.min_score
     profile = context.profile
     offsets = context.offsets
-    all_rules = (
-        context.prune_non_positive and context.prune_dominated and context.prune_threshold
-    )
+    all_rules = prune_non_positive and prune_dominated and prune_threshold
 
     column = parent.column
     if column is None:
@@ -289,24 +272,19 @@ def expand_arc_reference(
 
         # --- Alignment pruning (Section 3.2) --------------------------- #
         optimistic = new_column + heuristic
-        if all_rules and not context.track_pruning:
+        if all_rules:
             # Fast path: the three rules collapse into two comparisons.
             #   dominated-or-hopeless  <=>  optimistic <= max(max_score, min_score - 1)
             mask = (new_column <= 0) | (optimistic <= max(max_score, min_score - 1))
         else:
-            non_positive = new_column <= 0
-            dominated = optimistic <= max_score
-            hopeless = optimistic < min_score
-            if context.track_pruning:
-                context.pruned_non_positive += int(non_positive.sum())
-                context.pruned_dominated += int((~non_positive & dominated).sum())
-                context.pruned_threshold += int((~non_positive & ~dominated & hopeless).sum())
             mask = None
-            if context.prune_non_positive:
-                mask = non_positive
-            if context.prune_dominated:
+            if prune_non_positive:
+                mask = new_column <= 0
+            if prune_dominated:
+                dominated = optimistic <= max_score
                 mask = dominated if mask is None else (mask | dominated)
-            if context.prune_threshold:
+            if prune_threshold:
+                hopeless = optimistic < min_score
                 mask = hopeless if mask is None else (mask | hopeless)
         if mask is not None:
             new_column[mask] = PRUNED

@@ -76,7 +76,7 @@ kernel here never materialises the dead ones:
     a :class:`~repro.storage.DiskSuffixTree` through it
     (:meth:`ExpansionKernel.node_expander`, the step bound to the records
     with ``functools.partial``: one C-level call per node); the other
-    kernels, dense columns and a partition's root keep the sibling list.
+    kernels and a partition's root keep the sibling list.
     Both sources share one C run decoder, and both steps one C walk per
     arc.
 
@@ -98,10 +98,15 @@ kernel here never materialises the dead ones:
     The dense implementation, verbatim
     (:func:`~repro.core.expand.expand_arc_reference`): the parity oracle.
     It knows how to expand one arc; the base class's ``expand_children``
-    runs it over a sibling list.  The live-cell kernel hands over to the
-    same path when a pruning rule is off or per-rule counts are tracked
-    (``context.live_cells`` is false) -- columns are dense by construction
-    then.
+    runs it over a sibling list.  It alone holds the pruning-rule switches
+    of Section 3.2 (``ReferenceKernel(prune_dominated=False)``, as the
+    ablation experiment varies them): the live-cell walk is exact only with
+    every rule on, so it has none.
+
+Each kernel runs one path per cursor, so ``statistics.kernel`` names the
+code that ran: the dense NumPy form for ``reference``, :func:`_expand_live`
+for ``live``, and for ``compiled`` the C node step, or the C sibling step
+where a cursor has no ``node_records``.
 
 The driver and a kernel exchange frontier entries, the flat tuples of
 :mod:`repro.core.search_node`.  ``expand_children(parent, siblings,
@@ -139,7 +144,6 @@ import importlib
 import os
 import shutil
 import stat
-from dataclasses import replace
 from types import ModuleType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
@@ -227,7 +231,7 @@ class ExpansionKernel:
         context.nodes_enqueued = counter
         return kept
 
-    def node_expander(self, records, context: ExpansionContext) -> Optional[Expander]:
+    def node_expander(self, records) -> Optional[Expander]:
         """The step over a node's records (``cursor.node_records``), or ``None``.
 
         Only the compiled kernel has one, for record arrays and page sources
@@ -241,9 +245,26 @@ class ExpansionKernel:
 
 
 class ReferenceKernel(ExpansionKernel):
-    """The dense per-column implementation, unmodified (the parity oracle)."""
+    """The dense per-column implementation, unmodified (the parity oracle).
+
+    The three switches are the pruning rules of Section 3.2, all on by
+    default; each is passed to :func:`expand_arc_reference`.  Switching one
+    off never changes the result set, only the amount of work.
+    """
 
     name = "reference"
+
+    def __init__(
+        self,
+        prune_non_positive: bool = True,
+        prune_dominated: bool = True,
+        prune_threshold: bool = True,
+    ) -> None:
+        self.rules: Dict[str, bool] = {
+            "prune_non_positive": prune_non_positive,
+            "prune_dominated": prune_dominated,
+            "prune_threshold": prune_threshold,
+        }
 
     def expand_arc(
         self,
@@ -253,7 +274,9 @@ class ReferenceKernel(ExpansionKernel):
         is_leaf: bool,
         context: ExpansionContext,
     ) -> SearchNode:
-        return expand_arc_reference(parent, tree_node, arc_symbols, is_leaf, context)
+        return expand_arc_reference(
+            parent, tree_node, arc_symbols, is_leaf, context, **self.rules
+        )
 
 
 def _expand_live(
@@ -406,9 +429,9 @@ def _expand_live(
 class LiveCellKernel(ExpansionKernel):
     """Algorithm 3 over the live cells of each column only, in Python.
 
-    Applies when all three pruning rules are on and nothing is tallied per
-    rule (``context.live_cells``); otherwise columns are dense and the
-    reference form runs, through the base class's ``expand_children``.
+    Every pruning rule is on: a column is just its few surviving cells, the
+    ``(row, score)`` list :func:`_expand_live` walks.  ``expand_arc`` takes
+    a parent in that form too, as the driver and this kernel build it.
     """
 
     name = "live"
@@ -426,13 +449,6 @@ class LiveCellKernel(ExpansionKernel):
         is_leaf: bool,
         context: ExpansionContext,
     ) -> SearchNode:
-        if not context.live_cells:
-            return expand_arc_reference(parent, tree_node, arc_symbols, is_leaf, context)
-        column = parent.column
-        if column is not None and not isinstance(column, list):
-            # A dense column, as a reference-built node carries it.
-            cells = [(row, score) for row, score in enumerate(column.tolist()) if score != PRUNED]
-            parent = replace(parent, column=cells)
         arc_bests: List[int] = []
         (child,) = self.step(
             frontier_entry(parent, 0), ((tree_node, arc_symbols, is_leaf),), context, arc_bests
@@ -445,8 +461,6 @@ class LiveCellKernel(ExpansionKernel):
         siblings: Sequence[Sibling],
         context: ExpansionContext,
     ) -> List[FrontierEntry]:
-        if not context.live_cells:
-            return super().expand_children(parent, siblings, context)
         return self.step(parent, siblings, context)
 
 
@@ -475,9 +489,7 @@ class CompiledKernel(LiveCellKernel):
         #: children that ``records`` hold for ``parent``'s node, decoded in C.
         self.node_step: Callable[..., List[FrontierEntry]] = module.expand_node
 
-    def node_expander(self, records, context: ExpansionContext) -> Optional[Expander]:
-        if not context.live_cells:
-            return None
+    def node_expander(self, records) -> Optional[Expander]:
         # A C-level call per expanded node: no Python frame in between.
         return functools.partial(self.node_step, records)
 

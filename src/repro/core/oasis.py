@@ -80,9 +80,6 @@ class OasisSearchStatistics:
     nodes_accepted: int = 0
     nodes_pruned: int = 0
     max_queue_size: int = 0
-    pruned_non_positive: int = 0
-    pruned_dominated: int = 0
-    pruned_threshold: int = 0
     elapsed_seconds: float = 0.0
     buffer_hits: int = 0
     buffer_misses: int = 0
@@ -207,10 +204,6 @@ class QueryExecution:
             gap_penalty=engine.gap_model.per_symbol,
             heuristic=self.heuristic,
             min_score=request.min_score,
-            prune_non_positive=engine.prune_non_positive,
-            prune_dominated=engine.prune_dominated,
-            prune_threshold=engine.prune_threshold,
-            track_pruning=engine.track_pruning,
             packed_score_rows=engine.matrix.packed_rows,
         )
 
@@ -441,7 +434,7 @@ class QueryExecution:
         cursor, kernel = self.engine.cursor, self.engine.expansion_kernel
         records = cursor.node_records
         if records is not None:
-            expand = kernel.node_expander(records, self.context)
+            expand = kernel.node_expander(records)
             if expand is not None:
                 return expand
         siblings, expand_children = cursor.siblings, kernel.expand_children
@@ -459,9 +452,6 @@ class QueryExecution:
         statistics.columns_expanded = context.columns_expanded
         statistics.nodes_enqueued = context.nodes_enqueued
         statistics.nodes_pruned = context.nodes_dropped
-        statistics.pruned_non_positive = context.pruned_non_positive
-        statistics.pruned_dominated = context.pruned_dominated
-        statistics.pruned_threshold = context.pruned_threshold
         if self._start_time is not None:
             statistics.elapsed_seconds = time.perf_counter() - self._start_time
         residues = self.engine.database.total_symbols

@@ -19,8 +19,8 @@ On top of the emitters sits one tool, **trace analytics**
 critical path, per-phase wall/CPU breakdown (expand / scatter / shard /
 merge), per-pid attribution and slowest-query lists over any recording.
 The numbers live elsewhere, with the searches that count them: every
-``SearchResult.statistics`` (columns expanded, nodes, pruning cutoffs, the
-buffer pool's hits, misses and evictions) and the pool's own
+``SearchResult.statistics`` (columns expanded, nodes enqueued, accepted
+and pruned, the buffer pool's hits, misses and evictions) and the pool's own
 ``BufferPoolStatistics``; a span never opens per page.
 
 Every instrumented call site takes ``tracer=None``; passing a

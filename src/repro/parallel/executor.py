@@ -246,17 +246,13 @@ class BatchSearchReport:
         """The ``search --metrics`` dump: one ``name = value`` line each.
 
         The merged ``SearchResult.statistics`` field by field (its
-        ``elapsed_seconds`` is the batch's, so it is named ``wall_seconds``;
-        the ``pruned_*`` counters only when they counted, which they do
-        under the engine's ``track_pruning`` alone), the batch's query
-        counts, then exact percentiles of the queries' ``elapsed_seconds``.
+        ``elapsed_seconds`` is the batch's, so it is named ``wall_seconds``),
+        the batch's query counts, then exact percentiles of the queries'
+        ``elapsed_seconds``.
         """
         stats = self.statistics
         values: Dict[str, object] = stats.search.as_dict()
         values["wall_seconds"] = values.pop("elapsed_seconds")
-        if not any(values[name] for name in PRUNING_COUNTERS):
-            for name in PRUNING_COUNTERS:
-                del values[name]
         values.update(
             queries=stats.queries,
             hits=stats.total_hits,
@@ -271,10 +267,6 @@ class BatchSearchReport:
             f"{name} = {value:.6f}" if isinstance(value, float) else f"{name} = {value}"
             for name, value in values.items()
         )
-
-
-#: The counters a search fills only under ``track_pruning``.
-PRUNING_COUNTERS = ("pruned_non_positive", "pruned_dominated", "pruned_threshold")
 
 
 def percentile(ordered: List[float], percent: float) -> float:

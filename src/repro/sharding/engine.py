@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
 from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
+from repro.core.kernels import ReferenceKernel
 from repro.core.oasis import OasisSearchStatistics, QueryExecution, open_span
 from repro.core.request import SearchRequest
 from repro.core.results import SearchHit, SearchResult, hit_order_key
@@ -464,6 +465,13 @@ class ShardedEngine(SearchSurface):
         # "processes" spec gets one per partition that searches.
         self._workers: Optional[int] = None
         if kind == "processes":
+            kernel = self.tree_engine.expansion_kernel
+            if isinstance(kernel, ReferenceKernel) and not all(kernel.rules.values()):
+                # The workers get the kernel by name, and so every rule.
+                raise ValueError(
+                    "a process scatter backend runs every pruning rule: search a "
+                    "ReferenceKernel with a rule off on the serial backend"
+                )
             if not os.path.exists(catalog.database_path(directory)):
                 # Fail here, not on every query: the workers read the
                 # sequences from the bundled FASTA.

@@ -889,12 +889,13 @@ class TestInputsAreUsageErrors:
             assert f"gap={MIN_GAP_PENALTY}," in capsys.readouterr().out
             target = ["--index", str(index)]
         query = queries.read_text().splitlines()[0]
+        kernels = available_kernels()
         outputs = []
-        for kernel in available_kernels():
+        for kernel in kernels:
             arguments = ["search", *target, "--query", query, "--min-score", "20"]
             assert main(arguments + ["--kernel", kernel]) == 0
             outputs.append(re.sub(r"in [0-9.]+s", "in Xs", capsys.readouterr().out))
-        assert len(outputs) >= 3 and all(output == outputs[0] for output in outputs)
+        assert len(kernels) >= 2 and all(output == outputs[0] for output in outputs)
         assert "DP columns expanded" in outputs[0]
 
     def test_an_index_with_a_gap_past_the_bound_is_refused_on_open(

@@ -1,16 +1,16 @@
 """Unit tests for the arc expansion (Algorithm 3) and its pruning rules.
 
 Every case runs under every kernel that runs here: the live-cell production
-kernel (in Python, and compiled where it builds) and the dense reference
-(with a rule off or per-rule counting on, all take the dense path, chosen
-from the context).
+kernel (in Python, and compiled where it builds) and the dense reference,
+each on a root in the column form it expands.  A pruning rule switched off
+is a :class:`ReferenceKernel` of its own.
 """
 
 import pytest
 
 from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
-from repro.core.kernels import available_kernels, get_kernel
+from repro.core.kernels import ReferenceKernel, available_kernels, get_kernel
 from repro.core.search_node import NodeState, PRUNED, SearchNode
 from repro.scoring.data import unit_matrix
 from repro.sequences.alphabet import DNA_ALPHABET
@@ -36,10 +36,16 @@ def make_context(query_text, min_score=1, **kwargs):
     )
 
 
-def make_root(context):
+def make_root(context, expand_arc):
+    """The root in the column form ``expand_arc``'s kernel expands: the
+    reference's dense array, or a live-cell kernel's ``(row, score)`` list."""
+    if isinstance(expand_arc.__self__, ReferenceKernel):
+        column = context.make_root_column()
+    else:
+        column = context.make_root_cells()
     return SearchNode(
         tree_node=None,
-        column=context.make_root_column(),
+        column=column,
         max_score=0,
         f=max(context.heuristic),
         b=0,
@@ -74,7 +80,7 @@ class TestExpandArc:
     def test_expanding_node_1n(self, expand_arc):
         # Node 1N: arc "A" from the root, query TACG, minScore 1.
         context = make_context("TACG", min_score=1)
-        root = make_root(context)
+        root = make_root(context, expand_arc)
         node = expand_arc(root, "1N", DNA_ALPHABET.encode("A"), is_leaf=False, context=context)
         assert node.state is NodeState.VIABLE
         # Column from the paper: [-1 pruned, -1 pruned, 1, 0 pruned, -1 pruned]
@@ -87,7 +93,7 @@ class TestExpandArc:
     def test_expanding_node_4n(self, expand_arc):
         # Node 4N: arc "TA", paper reports f = 4, best alignment so far 2.
         context = make_context("TACG", min_score=1)
-        root = make_root(context)
+        root = make_root(context, expand_arc)
         node = expand_arc(root, "4N", DNA_ALPHABET.encode("TA"), is_leaf=False, context=context)
         assert node.state is NodeState.VIABLE
         assert node.f == 4
@@ -96,13 +102,13 @@ class TestExpandArc:
 
     def test_columns_expanded_counted(self, expand_arc):
         context = make_context("TACG")
-        root = make_root(context)
+        root = make_root(context, expand_arc)
         expand_arc(root, None, DNA_ALPHABET.encode("TA"), is_leaf=False, context=context)
         assert context.columns_expanded == 2
 
     def test_leaf_arc_returns_accepted_when_above_threshold(self, expand_arc):
         context = make_context("TACG", min_score=1)
-        root = make_root(context)
+        root = make_root(context, expand_arc)
         # Simulate leaf 2L: the arc continues ACGCCTAG$ after path TA.
         node_4n = expand_arc(root, "4N", DNA_ALPHABET.encode("TA"), is_leaf=False, context=context)
         leaf = expand_arc(
@@ -115,14 +121,14 @@ class TestExpandArc:
 
     def test_unviable_when_threshold_unreachable(self, expand_arc):
         context = make_context("TACG", min_score=4)
-        root = make_root(context)
+        root = make_root(context, expand_arc)
         # A path of mismatching symbols can never reach a score of 4.
         node = expand_arc(root, None, DNA_ALPHABET.encode("GGGGG"), is_leaf=False, context=context)
         assert node.state is NodeState.UNVIABLE
 
     def test_early_termination_stops_column_expansion(self, expand_arc):
         context = make_context("TACG", min_score=1)
-        root = make_root(context)
+        root = make_root(context, expand_arc)
         # After the query is fully matched, further symbols cannot improve the
         # alignment, so the expansion stops before consuming the whole arc.
         long_arc = DNA_ALPHABET.encode("TACG" + "T" * 50)
@@ -137,7 +143,7 @@ class TestExpandArc:
 
     def test_terminal_symbol_kills_alignments(self, expand_arc):
         context = make_context("TACG", min_score=1)
-        root = make_root(context)
+        root = make_root(context, expand_arc)
         node = expand_arc(
             root, None, bytes([DNA_ALPHABET.terminal_code]), is_leaf=True, context=context
         )
@@ -146,36 +152,28 @@ class TestExpandArc:
 
 
 class TestPruningRules:
-    def test_rule_counters_track_each_rule(self, expand_arc):
-        context = make_context("TACG", min_score=2, track_pruning=True)
-        root = make_root(context)
-        expand_arc(root, None, DNA_ALPHABET.encode("TAGG"), is_leaf=False, context=context)
-        assert context.pruned_non_positive > 0
-        # Threshold and dominated counters are non-negative and tracked.
-        assert context.pruned_threshold >= 0
-        assert context.pruned_dominated >= 0
-
     def test_disabling_rules_never_changes_scores(self, expand_arc):
         # With pruning rules individually disabled, the max_score reached on a
         # fully-expanded path must be identical.
         arc = DNA_ALPHABET.encode("TAACG")
         results = []
-        for flags in [
-            {},
-            {"prune_dominated": False},
-            {"prune_threshold": False},
-            {"prune_dominated": False, "prune_threshold": False},
+        for expand in [
+            expand_arc,
+            ReferenceKernel(prune_dominated=False).expand_arc,
+            ReferenceKernel(prune_threshold=False).expand_arc,
+            ReferenceKernel(prune_dominated=False, prune_threshold=False).expand_arc,
         ]:
-            context = make_context("TACG", min_score=1, **flags)
-            root = make_root(context)
-            node = expand_arc(root, None, arc, is_leaf=False, context=context)
+            context = make_context("TACG", min_score=1)
+            root = make_root(context, expand)
+            node = expand(root, None, arc, is_leaf=False, context=context)
             results.append(node.max_score)
         assert len(set(results)) == 1
 
     def test_disabled_pruning_expands_at_least_as_many_columns(self, expand_arc):
         arc = DNA_ALPHABET.encode("TAACGGTTACCAGT")
         full = make_context("TACG", min_score=3)
-        expand_arc(make_root(full), None, arc, is_leaf=False, context=full)
-        relaxed = make_context("TACG", min_score=3, prune_threshold=False, prune_dominated=False)
-        expand_arc(make_root(relaxed), None, arc, is_leaf=False, context=relaxed)
+        expand_arc(make_root(full, expand_arc), None, arc, is_leaf=False, context=full)
+        relaxed = make_context("TACG", min_score=3)
+        expand = ReferenceKernel(prune_threshold=False, prune_dominated=False).expand_arc
+        expand(make_root(relaxed, expand), None, arc, is_leaf=False, context=relaxed)
         assert relaxed.columns_expanded >= full.columns_expanded

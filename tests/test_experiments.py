@@ -14,6 +14,7 @@ import pytest
 
 from repro.baselines.smith_waterman import SmithWatermanAligner
 from repro.core.engine import OasisEngine
+from repro.core.kernels import ReferenceKernel
 from repro.core.results import SearchHit, SearchResult
 from repro.experiments import (
     available_scales,
@@ -21,6 +22,7 @@ from repro.experiments import (
     default_config,
 )
 from repro.experiments import (
+    ablation_pruning,
     figure3,
     figure4,
     figure5,
@@ -377,6 +379,32 @@ class TestFigure9:
 
     def test_format_table(self, result):
         assert "Figure 9" in result.format_table()
+
+
+class TestAblation:
+    def test_every_rule_subset_runs_on_the_reference_kernel(self, tiny_config, monkeypatch):
+        engines = []
+
+        class RecordedEngine(OasisEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(ablation_pruning, "OasisEngine", RecordedEngine)
+        result = ablation_pruning.run(tiny_config, query_limit=2)
+        assert len(engines) == len(result.rows) == len(ablation_pruning.VARIANTS)
+        assert all(isinstance(engine.expansion_kernel, ReferenceKernel) for engine in engines)
+        assert "reference kernel" in result.format_table().splitlines()[0]
+        assert result.results_identical
+        baseline, *others = result.rows
+        assert all(row.columns_expanded >= baseline.columns_expanded for row in others)
+        assert others[-1].variant == "no pruning at all"
+        assert others[-1].columns_expanded > baseline.columns_expanded
+        # The counts every kernel gives (parity-gated): at this scale the
+        # dominated and threshold rules cut no column the other rules keep.
+        assert [(row.columns_expanded, row.nodes_expanded) for row in result.rows] == [
+            (1193, 159)
+        ] * 4 + [(13685, 705)]
 
 
 class TestSpaceTable:

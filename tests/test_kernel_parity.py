@@ -18,7 +18,6 @@ import random
 import sys
 import threading
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,9 +99,9 @@ CONFIGURATIONS = [
 CONFIGURATION_IDS = [configuration[0] for configuration in CONFIGURATIONS]
 
 
-def run_searches(tree, queries, matrix, gap, kernel, min_score, **switches):
+def run_searches(tree, queries, matrix, gap, kernel, min_score):
     """Hit signatures + every work counter for one kernel over a shared tree."""
-    search = OasisEngine(tree, matrix, FixedGapModel(gap), kernel=kernel, **switches)
+    search = OasisEngine(tree, matrix, FixedGapModel(gap), kernel=kernel)
     outcomes = []
     for query in queries:
         result = search.search(query, min_score=min_score)
@@ -168,7 +167,6 @@ class TestFuzzedSearchParity:
     @pytest.mark.parametrize(
         "switches",
         [
-            {"track_pruning": True},
             {"prune_non_positive": False},
             {"prune_dominated": False},
             {"prune_threshold": False},
@@ -176,16 +174,23 @@ class TestFuzzedSearchParity:
         ],
         ids=lambda switches: "+".join(switches),
     )
-    def test_dense_configurations_take_the_reference_path(self, switches, kernel):
-        # A rule off, or per-rule counting on: columns are dense, and the
-        # production kernel hands over to the reference form by itself.
+    def test_every_rule_subset_on_the_reference_matches_the_kernel(self, switches, kernel):
+        # A rule off changes the oracle's work, never its hits.  With the
+        # non-positive rule on, the other two only cut cells that can raise
+        # neither a score nor ``f`` past the path's best, so every counter
+        # is the kernel's too; without it, each query expands more columns.
         database, queries = protein_dataset(7)
         tree = GeneralizedSuffixTree.build(database)
-        expected = run_searches(tree, queries, pam30(), -8, "reference", 35, **switches)
-        actual = run_searches(tree, queries, pam30(), -8, kernel, 35, **switches)
-        assert actual == expected
-        if switches.get("track_pruning"):
-            assert all(counters["pruned_non_positive"] > 0 for _, counters in actual)
+        expected = run_searches(tree, queries, pam30(), -8, kernel, 35)
+        actual = run_searches(tree, queries, pam30(), -8, ReferenceKernel(**switches), 35)
+        assert [hits for hits, _ in actual] == [hits for hits, _ in expected]
+        if switches.get("prune_non_positive", True):
+            assert actual == expected
+        else:
+            assert all(
+                counters["columns_expanded"] > expected_counters["columns_expanded"]
+                for (_, counters), (_, expected_counters) in zip(actual, expected)
+            )
 
 
 def entry_signature(entry, length: int):
@@ -283,32 +288,6 @@ class TestNodeLevelParity:
         assert reference_context.nodes_dropped > 0
         assert reference_context.nodes_enqueued > 0
         assert multi_cell_columns > 0
-
-    def test_a_dense_parent_column_is_converted(self, kernel):
-        # ``expand_arc`` takes whatever column a node carries: the live-cell
-        # kernel converts the dense one of a reference-built node.
-        database, queries = protein_dataset(5)
-        cursor = GeneralizedSuffixTree.build(database)
-        search = OasisEngine(cursor, pam30(), FixedGapModel(-8), kernel="reference")
-        context = search.execute(queries[0], min_score=30).context
-        root = (-99, VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)
-        viable = [
-            node_view(child, context.min_score)
-            for child in ReferenceKernel().expand_children(
-                root,
-                [(c, cursor.arc_symbols(c), cursor.is_leaf(c)) for c in cursor.children(cursor.root)],
-                context,
-            )
-            if child[1] == VIABLE_AFTER
-        ]
-        assert viable and isinstance(viable[0].column, np.ndarray)
-        length = len(queries[0]) + 1
-        for parent in viable:
-            for child in cursor.children(parent.tree_node):
-                sibling = (child, cursor.arc_symbols(child), cursor.is_leaf(child))
-                expected = ReferenceKernel().expand_arc(parent, *sibling, context)
-                actual = get_kernel(kernel).expand_arc(parent, *sibling, context)
-                assert node_signature(actual, length) == node_signature(expected, length)
 
 
 class TestEngineParity:

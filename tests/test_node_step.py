@@ -31,10 +31,11 @@ from array import array
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import kernels
 from repro.core.engine import OasisEngine
-from repro.core.expand import ExpansionContext
+from repro.core.expand import ExpansionContext, expand_arc_reference
 from repro.core.heuristic import compute_heuristic_vector
-from repro.core.kernels import _expand_live, available_kernels, get_kernel
+from repro.core.kernels import ReferenceKernel, _expand_live, available_kernels, get_kernel
 from repro.core.search_node import VIABLE_AFTER
 from repro.scoring.data import nucleotide_matrix, pam30
 from repro.scoring.gaps import FixedGapModel
@@ -324,27 +325,44 @@ def test_a_disk_engine_takes_the_page_step(tmp_path, monkeypatch):
         assert engine.cursor.pool.frame_count == 1
 
 
-@pytest.mark.parametrize("form", ["built", "disk"])
+@pytest.mark.parametrize("form", ["built", "read", "disk"])
 @pytest.mark.parametrize(
-    "kernel, switches",
-    [("live", {}), ("reference", {}), ("compiled", {"prune_dominated": False})],
-    ids=["live", "reference", "compiled-dense"],
+    "choice",
+    [
+        *available_kernels(),
+        pytest.param(ReferenceKernel(prune_dominated=False), id="reference-dominated-off"),
+    ],
 )
-def test_other_kernels_and_dense_columns_read_sibling_lists(tmp_path, kernel, switches, form):
-    if kernel not in available_kernels():
-        pytest.skip("the compiled step does not build here")
+def test_statistics_kernel_names_the_code_that_ran(tmp_path_factory, monkeypatch, choice, form):
+    """The dense oracle runs exactly when ``statistics.kernel`` says
+    ``reference``, a rule switched off included; ``compiled`` expands every
+    node of a records cursor in its node step, and the other kernels make
+    one ``siblings()`` call per expanded node."""
     make_database, make_matrix, gap, query, min_score = CASES["protein"]
     database = make_database()
-    tree = GeneralizedSuffixTree.build(database)
     if form == "disk":
-        build_disk_image(tree, tmp_path / "tree.oasis", block_size=256)
-        tree = DiskSuffixTree(tmp_path / "tree.oasis", database, buffer_pool_bytes=512)
+        path = tmp_path_factory.mktemp("image") / "tree.oasis"
+        build_disk_image(GeneralizedSuffixTree.build(database), path, block_size=256)
+        tree = DiskSuffixTree(path, database, buffer_pool_bytes=512)
+    else:
+        tree = tree_of(form, database, tmp_path_factory)
+    dense_arcs = []
+
+    def spied_reference(*args, **kwargs):
+        dense_arcs.append(args[2])
+        return expand_arc_reference(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "expand_arc_reference", spied_reference)
     calls = []
     siblings = tree.siblings
-    tree.siblings = lambda node: calls.append(node) or siblings(node)
-    engine = OasisEngine(tree, make_matrix(), FixedGapModel(gap), kernel=kernel, **switches)
+    monkeypatch.setattr(tree, "siblings", lambda node: calls.append(node) or siblings(node))
+    engine = OasisEngine(tree, make_matrix(), FixedGapModel(gap), kernel=choice)
     result = engine.search(query, min_score=min_score)
-    assert len(calls) == result.statistics.nodes_expanded > 1
+    ran = result.statistics.kernel
+    assert ran == get_kernel(choice).name
+    assert bool(dense_arcs) == (ran == "reference")
+    assert len(calls) == (0 if ran == "compiled" else result.statistics.nodes_expanded)
+    assert result.statistics.nodes_expanded > 1 and len(result) >= 4
 
 
 # --------------------------------------------------------------------- #

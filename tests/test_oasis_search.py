@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.smith_waterman import SmithWatermanAligner
 from repro.core.engine import OasisEngine
+from repro.core.kernels import ReferenceKernel
 from repro.scoring.data import pam30, unit_matrix
 from repro.scoring.gaps import AffineGapModel, FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
@@ -96,7 +97,8 @@ class TestExactness:
             {"prune_threshold": False},
             {"prune_non_positive": True, "prune_dominated": False, "prune_threshold": False},
         ):
-            relaxed = OasisEngine(tree, pam30_matrix, gap8, **flags).search(query, min_score=10)
+            engine = OasisEngine(tree, pam30_matrix, gap8, kernel=ReferenceKernel(**flags))
+            relaxed = engine.search(query, min_score=10)
             assert relaxed.scores_by_sequence() == reference.scores_by_sequence()
 
     def test_exactness_on_dna_with_unit_matrix(self, small_dna_database, unit_dna_matrix):

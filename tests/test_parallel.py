@@ -22,7 +22,7 @@ from repro.core.engine import OasisEngine
 from repro.core.oasis import OasisSearchStatistics
 from repro.core.request import SearchRequest
 from repro.parallel import BatchSearchReport
-from repro.parallel.executor import PRUNING_COUNTERS, percentile
+from repro.parallel.executor import percentile
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 from support import POOL_BODIES, on_pool_body
@@ -425,23 +425,11 @@ class TestTheBatchRecord:
             lines.splitlines()
         )
 
-    def test_the_dump_names_the_wall_clock_and_prints_pruning_only_when_counted(self):
+    def test_the_dump_names_the_wall_clock(self):
         report = FakeEngine(counted_result).search_many(["AAAA", "CC"], min_score=1)
         lines = report.format_metrics().splitlines()
         names = {line.split(" = ")[0] for line in lines}
         assert "wall_seconds" in names and "elapsed_seconds" not in names
-        assert not names & set(PRUNING_COUNTERS)
-
-        def pruning_result(query):
-            result = counted_result(query)
-            result.statistics.pruned_threshold = 2
-            return result
-
-        lines = FakeEngine(pruning_result).search_many(["AAAA", "CC"], min_score=1)
-        lines = lines.format_metrics().splitlines()
-        assert {"pruned_non_positive = 0", "pruned_dominated = 0", "pruned_threshold = 4"} <= set(
-            lines
-        )
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_interrupted_batch_carries_the_report_of_the_queries_that_finished(

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.core.engine import OasisEngine
+from repro.core.kernels import ReferenceKernel
 from repro.core.oasis import QueryExecution
 from repro.core.request import SearchRequest
 from repro.scoring.data import pam30
@@ -396,6 +397,23 @@ class TestProcessBackendFailurePaths:
         # The serial scatter keeps working: the parent has the database.
         with ShardedEngine.open(directory, database=backend_database) as sharded:
             assert sharded.search(QUERIES[0], evalue=EVALUE) is not None
+
+    def test_a_reference_kernel_with_a_rule_off_is_refused_on_processes(
+        self, tmp_path, backend_database, pam30_matrix, gap8
+    ):
+        """The workers get the kernel by name, so with every rule on: a rule
+        switched off is refused at open, before any worker starts, and the
+        serial scatter searches with it."""
+        directory = tmp_path / "index"
+        ShardedIndexBuilder(pam30_matrix, gap8, shard_count=2).build(
+            backend_database, directory
+        )
+        kernel = ReferenceKernel(prune_threshold=False)
+        with pytest.raises(ValueError, match="runs every pruning rule"):
+            ShardedEngine.open(directory, backend="processes:2", kernel=kernel)
+        with ShardedEngine.open(directory, kernel=kernel) as sharded:
+            result = sharded.search(QUERIES[0], evalue=EVALUE)
+        assert result.statistics.kernel == "reference" and len(result) > 0
 
     def test_worker_failure_is_a_per_query_error_not_a_hang(
         self, tmp_path, backend_database, pam30_matrix, gap8

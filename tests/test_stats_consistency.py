@@ -24,7 +24,6 @@ import pytest
 from repro import cli
 from repro.core.engine import OasisEngine
 from repro.core.oasis import OasisSearchStatistics
-from repro.parallel.executor import PRUNING_COUNTERS
 from repro.obs import Recording, Tracer
 from repro.obs.recording import validate
 from repro.scoring.data import pam30
@@ -50,13 +49,11 @@ QUERY = "WKDDGNGYISAAE"
 MIN_SCORE = 40
 #: A pool smaller than the image: the tree is searched through its pages.
 TIGHT_POOL_BYTES = 2048
-#: Integer counters of the statistics record; the pruning counters count
-#: only under ``track_pruning``, which no search here sets, and the dump
-#: leaves them out.
+#: Integer counters of the statistics record.
 COUNTERS = [
     field.name
     for field in dataclasses.fields(OasisSearchStatistics)
-    if isinstance(field.default, int) and field.name not in PRUNING_COUNTERS
+    if isinstance(field.default, int)
 ]
 
 
@@ -370,7 +367,6 @@ class TestTheMetricsDump:
         assert expected["buffer_misses"] > 0 and expected["failed"] == 1
         assert {name: int(dump[name]) for name in expected} == expected
         assert dump["kernel"] == engine.tree_engine.kernel
-        assert not set(PRUNING_COUNTERS) & set(dump)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_the_cli_prints_the_counts_a_library_batch_sums(
