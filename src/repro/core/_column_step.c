@@ -30,6 +30,20 @@
  * to a pool's state wherever this module builds, so DiskSuffixTree._read
  * runs the same clock.
  *
+ * frontier(records, context, entries[, popped]) is Algorithm 1's queue over
+ * the same records (repro.core.frontier): a binary heap of C entries on
+ * (-f, flag, counter), each column a slice of one cell arena, seeded with
+ * the Python entries given.  Its advance(bound_floor, budget) pops and
+ * expands -- each node as expand_node expands it, the pool's pages asked
+ * for anew per node, as a call of its own asks for them -- until an
+ * ACCEPTED entry surfaces, the top bound is below bound_floor, budget pops
+ * have passed or the queue is empty.  Only a hit's (score, handle) becomes
+ * a Python object; with popped (a list) every popped entry is appended to
+ * it as its tuple, the test view.  The query's constants are read from the
+ * context once; the counters are the frontier's, continuing from the
+ * context's.  The heap, the arena and the staged children of one expansion
+ * are the frontier's own, used by one advance at a time.
+ *
  * One decoder serves both: the node's run of internal children, then its
  * run of leaves, are decoded one record at a time as
  * GeneralizedSuffixTree.children decodes them (a leaf's sequence end by
@@ -47,11 +61,13 @@
  * come packed, as the context's immutable int64 bytes (packed_heuristic,
  * and packed_profile: S(q_row, symbol) at row * alphabet + symbol), and
  * limit[row] is computed from them as limit_for builds it: max(0, cutoff -
- * h[row]), and the stop sentinel in row m + 1.  Only the columns inside one
- * arc, and a node's decoded children, live in C arrays, scratch to one call
- * (PyMem allocations freed before it returns): an allocation can run a
- * finaliser that switches threads, and another call sharing the kernel must
- * never see them.  No
+ * h[row]), and the stop sentinel in row m + 1.  In expand and expand_node
+ * only the columns inside one arc, and a node's decoded children, live in C
+ * arrays, scratch to one call (PyMem allocations freed before it returns):
+ * an allocation can run a finaliser that switches threads, and another call
+ * sharing the kernel must never see them.  A frontier's arrays belong to
+ * its one search, and an advance entered while another is under way (a
+ * pool miss releases the GIL) is a RuntimeError.  No
  * pointer into a list is held across anything that can run Python code;
  * the record arrays are held through the buffer protocol for the whole
  * call, so they can be neither freed nor resized under it, and a pool page
@@ -66,6 +82,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <errno.h>
 #include <limits.h>
 #include <stdint.h>
@@ -100,6 +117,7 @@ typedef struct {
     PyObject *leaf_kind;     /* "L" */
     PyObject *descriptor;    /* a block file's, None once closed */
     PyObject *path;          /* a block file's */
+    PyObject *frontier_type;
 } step_state;
 
 /* A list or tuple, or TypeError naming what it should have been. */
@@ -409,16 +427,20 @@ read_seed(PyObject *seed, i64 *rows, i64 *scores, Py_ssize_t count)
     return 0;
 }
 
-/* What one call reads before its first arc -- the parent entry, the
- * query's constants, the seed column -- and the scratch its arcs' columns
- * live in.  ``counter`` numbers the entries it builds. */
+/* What an expansion reads before its first arc -- the query's constants,
+ * the parent's seed column, max_score and depth -- and the scratch its
+ * arcs' columns live in.  ``counter`` numbers the entries it builds. */
 typedef struct {
     query_view query;
-    i64 gap, min_score, parent_max, parent_depth, parent_cutoff, floor, counter;
-    PyObject *seed, *heuristic, *profile; /* owned */
-    i64 *scratch;
-    i64 *seed_rows, *seed_scores, *rows_a, *scores_a, *rows_b, *scores_b;
-    Py_ssize_t seed_count, capacity;
+    i64 gap, min_score, counter;
+    PyObject *heuristic, *profile; /* owned */
+    i64 *scratch;                  /* the two columns below, then what the caller asked for */
+    i64 *rows_a, *scores_a, *rows_b, *scores_b;
+    Py_ssize_t capacity;
+    i64 parent_max, parent_depth, parent_cutoff, floor;
+    i64 *seed_rows, *seed_scores;
+    Py_ssize_t seed_count;
+    PyObject *seed; /* owned: the parent column of one expand() call */
 } expansion;
 
 /* One arc's walk so far: its last column's live cells, max_score, b, depth
@@ -443,30 +465,15 @@ close_expansion(expansion *e)
     Py_XDECREF(e->profile);
 }
 
-/* Read the parent entry and the context into ``e``; close_expansion
- * releases what it holds, whether this succeeded or not. */
+/* The query's constants from the context, and scratch for two columns of
+ * at most one cell per limit row (rows 0 to m + 1) followed by ``extra``
+ * words.  A frontier reads them once; each expand() call reads them again. */
 static int
-open_expansion(step_state *state, PyObject *parent, PyObject *context, int view, expansion *e)
+open_query(step_state *state, PyObject *context, Py_ssize_t extra, expansion *e)
 {
-    PyObject *seed;
-    Py_ssize_t heuristic_count, profile_count, k;
+    Py_ssize_t heuristic_count, profile_count;
 
-    memset(e, 0, sizeof(*e));
-    seed = item_at(parent, 4, "frontier entry");
-    if (seed == NULL)
-        return -1;
-    if (seed == Py_None) {
-        PyErr_SetString(PyExc_ValueError,
-                        "cannot expand below a node whose column was discarded");
-        return -1;
-    }
-    if (require_sequence(seed, "a column") < 0)
-        return -1;
-    Py_INCREF(seed);
-    e->seed = seed;
-    if (int_at(parent, 5, "frontier entry", &e->parent_max) < 0
-        || int_at(parent, 6, "frontier entry", &e->parent_depth) < 0
-        || attribute_score(context, state->gap_penalty, &e->gap) < 0
+    if (attribute_score(context, state->gap_penalty, &e->gap) < 0
         || attribute_score(context, state->min_score, &e->min_score) < 0
         || attribute_score(context, state->nodes_enqueued, &e->counter) < 0)
         return -1;
@@ -483,23 +490,58 @@ open_expansion(step_state *state, PyObject *parent, PyObject *context, int view,
                         "the packed profile is not m rows of one score per symbol");
         return -1;
     }
-    e->parent_cutoff = e->parent_max >= e->min_score ? e->parent_max : e->min_score - 1;
-
-    /* Scratch: the seed, then two columns of at most one cell per limit row
-     * (rows 0 to m + 1). */
-    e->seed_count = Py_SIZE(seed);
     e->capacity = (Py_ssize_t)e->query.m + 2;
-    e->scratch = PyMem_New(i64, 2 * e->seed_count + 4 * e->capacity);
+    e->scratch = PyMem_New(i64, 4 * e->capacity + extra);
     if (e->scratch == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    e->seed_rows = e->scratch;
-    e->seed_scores = e->seed_rows + e->seed_count;
-    e->rows_a = e->seed_scores + e->seed_count;
+    e->rows_a = e->scratch;
     e->scores_a = e->rows_a + e->capacity;
     e->rows_b = e->scores_a + e->capacity;
     e->scores_b = e->rows_b + e->capacity;
+    return 0;
+}
+
+/* The parent's max_score and depth, and the cutoff they put in force. */
+static void
+set_parent(expansion *e, i64 max_score, i64 depth)
+{
+    e->parent_max = max_score;
+    e->parent_depth = depth;
+    e->parent_cutoff = max_score >= e->min_score ? max_score : e->min_score - 1;
+}
+
+/* Read the parent entry and the context into ``e``; close_expansion
+ * releases what it holds, whether this succeeded or not. */
+static int
+open_expansion(step_state *state, PyObject *parent, PyObject *context, int view, expansion *e)
+{
+    PyObject *seed;
+    i64 parent_max, parent_depth;
+    Py_ssize_t k;
+
+    memset(e, 0, sizeof(*e));
+    seed = item_at(parent, 4, "frontier entry");
+    if (seed == NULL)
+        return -1;
+    if (seed == Py_None) {
+        PyErr_SetString(PyExc_ValueError,
+                        "cannot expand below a node whose column was discarded");
+        return -1;
+    }
+    if (require_sequence(seed, "a column") < 0)
+        return -1;
+    Py_INCREF(seed);
+    e->seed = seed;
+    e->seed_count = Py_SIZE(seed);
+    if (int_at(parent, 5, "frontier entry", &parent_max) < 0
+        || int_at(parent, 6, "frontier entry", &parent_depth) < 0
+        || open_query(state, context, 2 * e->seed_count, e) < 0)
+        return -1;
+    set_parent(e, parent_max, parent_depth);
+    e->seed_rows = e->scores_b + e->capacity;
+    e->seed_scores = e->seed_rows + e->seed_count;
     if (read_seed(seed, e->seed_rows, e->seed_scores, e->seed_count) < 0)
         return -1;
 
@@ -721,26 +763,36 @@ fate_of(const expansion *e, const arc_walk *end, int is_leaf, int view)
     return view ? UNVIABLE : DROPPED;
 }
 
+/* f of a VIABLE child: the strongest of its live cells plus h of its row. */
+static int
+viable_bound(const expansion *e, const arc_walk *end, i64 *bound)
+{
+    i64 candidate;
+    Py_ssize_t k;
+
+    *bound = PRUNED;
+    for (k = 0; k < end->count; k++) {
+        if (end->rows[k] > e->query.m)
+            return out_of_range("heuristic index out of range");
+        if (add(end->scores[k], load(e->query.heuristic, end->rows[k]), &candidate) < 0)
+            return -1;
+        if (k == 0 || candidate > *bound)
+            *bound = candidate;
+    }
+    return 0;
+}
+
 /* The entry of a child that is not dropped, numbered from e->counter. */
 static PyObject *
 child_entry(expansion *e, const arc_walk *end, enum fate fate, Py_ssize_t symbols,
             PyObject *tree_node)
 {
     PyObject *column;
-    i64 bound = PRUNED, candidate;
-    Py_ssize_t k;
+    i64 bound;
 
     if (fate == VIABLE) {
-        for (k = 0; k < end->count; k++) {
-            if (end->rows[k] > e->query.m) {
-                out_of_range("heuristic index out of range");
-                return NULL;
-            }
-            if (add(end->scores[k], load(e->query.heuristic, end->rows[k]), &candidate) < 0)
-                return NULL;
-            if (k == 0 || candidate > bound)
-                bound = candidate;
-        }
+        if (viable_bound(e, end, &bound) < 0)
+            return NULL;
         if (symbols == 0) {
             Py_INCREF(e->seed);
             column = e->seed;
@@ -1256,14 +1308,24 @@ open_source(step_state *state, PyObject *records, node_source *s)
     return -1;
 }
 
+/* Forget the pages held, so that the next node's reads request them again,
+ * as a call of its own would. */
+static void
+drop_pages(node_source *s)
+{
+    int region;
+
+    for (region = 0; region < REGIONS; region++) {
+        Py_CLEAR(s->pages[region].owner);
+        s->pages[region].block = -1;
+    }
+}
+
 /* Drop the call's pages and buffers; a second call does nothing. */
 static void
 close_source(node_source *s)
 {
-    int region;
-
-    for (region = 0; region < REGIONS; region++)
-        Py_CLEAR(s->pages[region].owner);
+    drop_pages(s);
     PyBuffer_Release(&s->internal_view);
     PyBuffer_Release(&s->leaf_view);
     PyBuffer_Release(&s->ends_view);
@@ -1529,6 +1591,584 @@ error:
     return NULL;
 }
 
+/* ------------------------------------------------------------------ */
+/* The frontier: Algorithm 1's priority queue, and the loop around it   */
+/* ------------------------------------------------------------------ */
+
+/* What advance() returns when it stops short of a hit: repro.core.frontier's
+ * EMPTY, BELOW_FLOOR and PAUSED. */
+enum { EMPTY, BELOW_FLOOR, PAUSED };
+
+/* One frontier entry, the C form of (-f, flag, counter, tree_node, column,
+ * max_score, depth): the handle as its kind and four ints, the column as
+ * a slice of the frontier's cell arena. */
+typedef struct {
+    i64 key;          /* -f */
+    i64 counter;      /* the enqueue number */
+    i64 handle[4];
+    i64 max_score, depth;
+    Py_ssize_t cells; /* the column's rows from here in the arena, then its scores */
+    Py_ssize_t count; /* its live cells; -1 once the column is discarded */
+    int flag;         /* ACCEPTED_FIRST or VIABLE_AFTER */
+    int leaf;         /* the handle's kind: "L", else "I" */
+} c_entry;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *module, *records, *popped; /* popped: a list, or NULL */
+    expansion e;        /* the query's constants, read once; e.counter numbers entries */
+    c_entry *heap;      /* a binary min-heap on (key, flag, counter) */
+    Py_ssize_t size, heap_capacity;
+    c_entry *staged;    /* one expansion's kept children, before they are pushed */
+    Py_ssize_t staged_capacity;
+    i64 *arena;         /* the queued columns; a popped one's cells are garbage */
+    Py_ssize_t arena_used, arena_capacity, live_cells;
+    i64 *seed;          /* the column being expanded, copied out of the arena */
+    Py_ssize_t seed_capacity;
+    child_list children;
+    i64 columns_expanded, nodes_dropped, nodes_expanded, max_queue_size;
+    int busy;
+} frontier_object;
+
+static inline int
+entry_before(const c_entry *a, const c_entry *b)
+{
+    if (a->key != b->key)
+        return a->key < b->key;
+    if (a->flag != b->flag)
+        return a->flag < b->flag;
+    return a->counter < b->counter;
+}
+
+/* Room for ``more`` items in a PyMem array of ``size`` items. */
+static int
+reserve(void **items, Py_ssize_t *capacity, Py_ssize_t size, Py_ssize_t more, size_t item)
+{
+    Py_ssize_t wanted = *capacity > 0 ? *capacity : 64;
+    void *grown;
+
+    if (size + more <= *capacity)
+        return 0;
+    while (wanted < size + more)
+        wanted *= 2;
+    if ((size_t)wanted > PY_SSIZE_T_MAX / item || (grown = PyMem_Realloc(*items, wanted * item)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *items = grown;
+    *capacity = wanted;
+    return 0;
+}
+
+/* Push an entry whose room is reserved. */
+static void
+heap_push(frontier_object *self, const c_entry *entry)
+{
+    Py_ssize_t at = self->size++, parent;
+
+    while (at > 0) {
+        parent = (at - 1) / 2;
+        if (!entry_before(entry, &self->heap[parent]))
+            break;
+        self->heap[at] = self->heap[parent];
+        at = parent;
+    }
+    self->heap[at] = *entry;
+    if (entry->count > 0)
+        self->live_cells += entry->count;
+}
+
+/* Pop the least entry of a heap that holds one into ``top``. */
+static void
+heap_pop(frontier_object *self, c_entry *top)
+{
+    c_entry last;
+    Py_ssize_t at = 0, child, size;
+
+    *top = self->heap[0];
+    if (top->count > 0)
+        self->live_cells -= top->count;
+    size = --self->size;
+    if (size == 0)
+        return;
+    last = self->heap[size];
+    for (;;) {
+        child = 2 * at + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size && entry_before(&self->heap[child + 1], &self->heap[child]))
+            child++;
+        if (!entry_before(&self->heap[child], &last))
+            break;
+        self->heap[at] = self->heap[child];
+        at = child;
+    }
+    self->heap[at] = last;
+}
+
+/* The rows and scores of ``count`` cells appended to the arena. */
+static int
+arena_append(frontier_object *self, const i64 *rows, const i64 *scores, Py_ssize_t count,
+             Py_ssize_t *cells)
+{
+    if (reserve((void **)&self->arena, &self->arena_capacity, self->arena_used, 2 * count,
+                sizeof(i64)) < 0)
+        return -1;
+    *cells = self->arena_used;
+    memcpy(self->arena + *cells, rows, count * sizeof(i64));
+    memcpy(self->arena + *cells + count, scores, count * sizeof(i64));
+    self->arena_used += 2 * count;
+    return 0;
+}
+
+/* When popped columns hold most of the arena, the queued ones move to a
+ * fresh arena of twice their size: the arena stays within a small factor
+ * of what the queue holds, as the Python frontier's lists do. */
+static int
+arena_compact(frontier_object *self)
+{
+    Py_ssize_t capacity = 4 * self->live_cells, used = 0, k;
+    c_entry *entry;
+    i64 *fresh;
+
+    if (self->arena_used <= 4096 || self->arena_used <= capacity)
+        return 0;
+    if (capacity < 1024)
+        capacity = 1024;
+    fresh = PyMem_New(i64, capacity);
+    if (fresh == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (k = 0; k < self->size; k++) {
+        entry = &self->heap[k];
+        if (entry->count <= 0)
+            continue;
+        memcpy(fresh + used, self->arena + entry->cells, 2 * entry->count * sizeof(i64));
+        entry->cells = used;
+        used += 2 * entry->count;
+    }
+    PyMem_Free(self->arena);
+    self->arena = fresh;
+    self->arena_capacity = capacity;
+    self->arena_used = used;
+    return 0;
+}
+
+/* Expand ``parent``: decode its children, walk each arc, and push the kept
+ * children -- expand_node's walk, with each kept child put in C entries
+ * instead of Python tuples.  The children are pushed and the counters
+ * moved only once every child is walked, so an error leaves the queue as
+ * the Python frontier leaves it: without the parent and without its
+ * children. */
+PER_SOURCE int
+frontier_expand(frontier_object *self, node_source *s, const int paged, const c_entry *parent)
+{
+    expansion *e = &self->e;
+    arc_walk walk;
+    const child_record *child;
+    c_entry *entry;
+    i64 counter = e->counter, columns = 0, dropped = 0, bound;
+    Py_ssize_t index, staged = 0, mark, count = parent->count, k;
+    enum fate fate;
+
+    if (count < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "cannot expand below a node whose column was discarded");
+        return -1;
+    }
+    if (reserve((void **)&self->seed, &self->seed_capacity, 0, 2 * count + 1, sizeof(i64)) < 0)
+        return -1;
+    memcpy(self->seed, self->arena + parent->cells, 2 * count * sizeof(i64));
+    e->seed_rows = self->seed;
+    e->seed_scores = self->seed + count;
+    e->seed_count = count;
+    set_parent(e, parent->max_score, parent->depth);
+    e->floor = PRUNED;
+    if (arena_compact(self) < 0)
+        return -1;
+    mark = self->arena_used;
+
+    self->children.count = 0;
+    if (paged)
+        drop_pages(s);
+    if (!parent->leaf && decode_children(s, paged, parent->handle[0], &self->children) < 0)
+        goto error;
+    for (index = 0; index < self->children.count; index++) {
+        child = &self->children.items[index];
+        if (walk_child(s, paged, e, child, &walk) < 0)
+            goto error;
+        columns += walk.depth - e->parent_depth;
+        fate = fate_of(e, &walk, child->leaf, 0);
+        if (fate == DROPPED) {
+            dropped++;
+            continue;
+        }
+        if (reserve((void **)&self->staged, &self->staged_capacity, staged, 1, sizeof(c_entry)) < 0)
+            goto error;
+        entry = &self->staged[staged];
+        entry->count = -1;
+        entry->cells = 0;
+        if (fate == VIABLE) {
+            if (viable_bound(e, &walk, &bound) < 0
+                || arena_append(self, walk.rows, walk.scores, walk.count, &entry->cells) < 0)
+                goto error;
+            entry->key = -bound;
+            entry->flag = VIABLE_AFTER;
+            entry->count = walk.count;
+        }
+        else {
+            /* Finished: f collapses to max_score and the column is discarded. */
+            entry->key = -walk.max_score;
+            entry->flag = ACCEPTED_FIRST;
+        }
+        entry->counter = ++counter;
+        entry->handle[0] = child->value;
+        entry->handle[1] = child->arc_start;
+        entry->handle[2] = child->length;
+        entry->handle[3] = child->depth;
+        entry->leaf = child->leaf;
+        entry->max_score = walk.max_score;
+        entry->depth = walk.depth;
+        staged++;
+    }
+    if (reserve((void **)&self->heap, &self->heap_capacity, self->size, staged, sizeof(c_entry)) < 0)
+        goto error;
+    for (k = 0; k < staged; k++)
+        heap_push(self, &self->staged[k]);
+    e->counter = counter;
+    self->columns_expanded += columns;
+    self->nodes_dropped += dropped;
+    return 0;
+
+error:
+    self->arena_used = mark;
+    return -1;
+}
+
+/* A C entry's handle, as GeneralizedSuffixTree.children builds it. */
+static PyObject *
+entry_handle(step_state *state, const c_entry *entry)
+{
+    return node_handle(entry->leaf ? state->leaf_kind : state->internal_kind, entry->handle[0],
+                       entry->handle[1], entry->handle[2], entry->handle[3]);
+}
+
+/* The popped entry as the Python frontier's tuple, appended to ``popped``:
+ * the test view of the pop sequence. */
+static int
+record_pop(frontier_object *self, step_state *state, const c_entry *entry)
+{
+    PyObject *handle = entry_handle(state, entry), *column;
+    int status;
+
+    if (handle == NULL)
+        return -1;
+    if (entry->count < 0) {
+        Py_INCREF(Py_None);
+        column = Py_None;
+    }
+    else {
+        column = column_list(self->arena + entry->cells, self->arena + entry->cells + entry->count,
+                             entry->count);
+        if (column == NULL) {
+            Py_DECREF(handle);
+            return -1;
+        }
+    }
+    status = append_entry(self->popped, frontier_entry(-entry->key, entry->flag, entry->counter,
+                                                       handle, column, entry->max_score,
+                                                       entry->depth));
+    Py_DECREF(handle);
+    return status;
+}
+
+/* A Python frontier entry into the heap: the root, or a partition root's
+ * kept children. */
+static int
+seed_entry(frontier_object *self, PyObject *object)
+{
+    c_entry entry;
+    PyObject *handle, *kind, *column;
+    i64 flag;
+    Py_ssize_t count, slot;
+    int status = -1;
+
+    Py_INCREF(object);
+    memset(&entry, 0, sizeof(entry));
+    if (require_sequence(object, "a frontier entry") < 0)
+        goto done;
+    if (Py_SIZE(object) != 7) {
+        PyErr_SetString(PyExc_ValueError,
+                        "a frontier entry is (-f, flag, counter, tree_node, column, max_score, depth)");
+        goto done;
+    }
+    if (int_at(object, 0, "frontier entry", &entry.key) < 0
+        || int_at(object, 1, "frontier entry", &flag) < 0
+        || int_at(object, 2, "frontier entry", &entry.counter) < 0
+        || int_at(object, 5, "frontier entry", &entry.max_score) < 0
+        || int_at(object, 6, "frontier entry", &entry.depth) < 0)
+        goto done;
+    if (flag != ACCEPTED_FIRST && flag != VIABLE_AFTER) {
+        PyErr_SetString(PyExc_ValueError, "a frontier entry's flag is 0 or 1");
+        goto done;
+    }
+    entry.flag = (int)flag;
+    handle = item_at(object, 3, "frontier entry");
+    if (require_sequence(handle, "a node handle") < 0)
+        goto done;
+    kind = Py_SIZE(handle) == 5 ? item_at(handle, 0, "node handle") : NULL;
+    if (kind == NULL || !PyUnicode_Check(kind)
+        || (PyUnicode_CompareWithASCIIString(kind, "I") != 0
+            && PyUnicode_CompareWithASCIIString(kind, "L") != 0)) {
+        PyErr_Clear();
+        PyErr_SetString(PyExc_ValueError, "a node handle is ('I' or 'L', four ints)");
+        goto done;
+    }
+    entry.leaf = PyUnicode_CompareWithASCIIString(kind, "L") == 0;
+    for (slot = 0; slot < 4; slot++)
+        if (int_at(handle, slot + 1, "node handle", &entry.handle[slot]) < 0)
+            goto done;
+    column = item_at(object, 4, "frontier entry");
+    entry.count = -1;
+    if (column != Py_None) {
+        if (require_sequence(column, "a column") < 0)
+            goto done;
+        count = Py_SIZE(column);
+        if (reserve((void **)&self->arena, &self->arena_capacity, self->arena_used, 2 * count,
+                    sizeof(i64)) < 0)
+            goto done;
+        entry.cells = self->arena_used;
+        if (read_seed(column, self->arena + entry.cells, self->arena + entry.cells + count, count) < 0)
+            goto done;
+        self->arena_used += 2 * count;
+        entry.count = count;
+    }
+    if (reserve((void **)&self->heap, &self->heap_capacity, self->size, 1, sizeof(c_entry)) < 0)
+        goto done;
+    heap_push(self, &entry);
+    status = 0;
+
+done:
+    Py_DECREF(object);
+    return status;
+}
+
+static void
+frontier_dealloc(frontier_object *self)
+{
+    PyTypeObject *type = Py_TYPE(self);
+
+    close_expansion(&self->e);
+    PyMem_Free(self->heap);
+    PyMem_Free(self->staged);
+    PyMem_Free(self->arena);
+    PyMem_Free(self->seed);
+    if (self->children.items != self->children.local)
+        PyMem_Free(self->children.items);
+    Py_XDECREF(self->module);
+    Py_XDECREF(self->records);
+    Py_XDECREF(self->popped);
+    type->tp_free((PyObject *)self);
+    Py_DECREF(type);
+}
+
+static PyObject *
+frontier_refuse(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    PyErr_SetString(PyExc_TypeError, "a frontier is made by frontier(records, context, entries)");
+    return NULL;
+}
+
+static Py_ssize_t
+frontier_length(frontier_object *self)
+{
+    return self->size;
+}
+
+/* advance(bound_floor, budget): pop and expand until an ACCEPTED entry
+ * surfaces -- (score, handle) -- or the top bound is below bound_floor
+ * (None: no floor), ``budget`` pops have passed, or the queue is empty.
+ * The source is opened for the call: its buffers are held while it runs,
+ * and a closed block file fails it before any request. */
+static PyObject *
+frontier_advance(frontier_object *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    step_state *state;
+    node_source source;
+    c_entry top;
+    PyObject *result = NULL, *score, *handle;
+    i64 floor = 0, budget, pops;
+    int has_floor, code = PAUSED, failed = 0;
+
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "advance(bound_floor, budget) takes 2 arguments");
+        return NULL;
+    }
+    if (self->module == NULL) {
+        PyErr_SetString(PyExc_TypeError, "a frontier is made by frontier(records, context, entries)");
+        return NULL;
+    }
+    has_floor = args[0] != Py_None;
+    if ((has_floor && as_score(args[0], &floor) < 0) || as_score(args[1], &budget) < 0)
+        return NULL;
+    if (budget < 1) {
+        PyErr_SetString(PyExc_ValueError, "the budget is at least one pop");
+        return NULL;
+    }
+    if (self->busy) {
+        /* A pool miss releases the GIL in the middle of a call. */
+        PyErr_SetString(PyExc_RuntimeError, "the frontier is already advancing");
+        return NULL;
+    }
+    state = PyModule_GetState(self->module);
+    self->busy = 1;
+    if (open_source(state, self->records, &source) < 0) {
+        close_source(&source);
+        self->busy = 0;
+        return NULL;
+    }
+    for (pops = 0; pops < budget; pops++) {
+        if (self->size == 0) {
+            code = EMPTY;
+            break;
+        }
+        if (self->size > self->max_queue_size)
+            self->max_queue_size = self->size;
+        if (has_floor && -self->heap[0].key < floor) {
+            code = BELOW_FLOOR;
+            break;
+        }
+        heap_pop(self, &top);
+        if (self->popped != NULL && record_pop(self, state, &top) < 0) {
+            failed = 1;
+            break;
+        }
+        if (top.flag == ACCEPTED_FIRST) {
+            /* Only a hit's handle becomes a Python object. */
+            score = PyLong_FromLongLong(top.max_score);
+            handle = entry_handle(state, &top);
+            if (score != NULL && handle != NULL)
+                result = PyTuple_Pack(2, score, handle);
+            Py_XDECREF(score);
+            Py_XDECREF(handle);
+            failed = result == NULL;
+            break;
+        }
+        self->nodes_expanded++;
+        if ((source.paged ? frontier_expand(self, &source, 1, &top)
+                          : frontier_expand(self, &source, 0, &top)) < 0) {
+            failed = 1;
+            break;
+        }
+    }
+    self->busy = 0;
+    close_source(&source);
+    if (failed)
+        return NULL;
+    return result != NULL ? result : PyLong_FromLong(code);
+}
+
+/* frontier(records, context, entries[, popped]): the queue seeded with
+ * ``entries``, over a cursor's node_records. */
+static PyObject *
+make_frontier(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    step_state *state = PyModule_GetState(module);
+    PyObject *records, *context, *entries, *popped = NULL, *item;
+    frontier_object *self;
+    node_source source;
+    Py_ssize_t index;
+    int status;
+
+    if (nargs != 3 && nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "frontier(records, context, entries[, popped]) takes 3 or 4 arguments");
+        return NULL;
+    }
+    records = args[0];
+    context = args[1];
+    entries = args[2];
+    if (nargs == 4 && args[3] != Py_None)
+        popped = args[3];
+    if (popped != NULL && !PyList_Check(popped)) {
+        PyErr_SetString(PyExc_TypeError, "popped must be a list");
+        return NULL;
+    }
+    if (require_sequence(entries, "the entries") < 0)
+        return NULL;
+    /* The records' shape is checked here; each advance opens them again. */
+    status = open_source(state, records, &source);
+    close_source(&source);
+    if (status < 0)
+        return NULL;
+    self = (frontier_object *)PyType_GenericAlloc((PyTypeObject *)state->frontier_type, 0);
+    if (self == NULL)
+        return NULL;
+    Py_INCREF(module);
+    self->module = module;
+    Py_INCREF(records);
+    self->records = records;
+    Py_XINCREF(popped);
+    self->popped = popped;
+    self->children.items = self->children.local;
+    self->children.capacity = sizeof(self->children.local) / sizeof(self->children.local[0]);
+    if (open_query(state, context, 0, &self->e) < 0
+        || attribute_score(context, state->columns_expanded, &self->columns_expanded) < 0
+        || attribute_score(context, state->nodes_dropped, &self->nodes_dropped) < 0)
+        goto error;
+    for (index = 0; index < Py_SIZE(entries); index++) {
+        item = item_at(entries, index, "entries");
+        if (item == NULL || seed_entry(self, item) < 0)
+            goto error;
+    }
+    return (PyObject *)self;
+
+error:
+    Py_DECREF(self);
+    return NULL;
+}
+
+static PyMethodDef frontier_methods[] = {
+    {"advance", (PyCFunction)(void (*)(void))frontier_advance, METH_FASTCALL,
+     "advance(bound_floor, budget) -> (score, handle), or EMPTY / BELOW_FLOOR / PAUSED\n\n"
+     "Pop and expand until an ACCEPTED entry surfaces, the top bound is below\n"
+     "bound_floor (None: no floor), budget pops have passed, or the queue is empty."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef frontier_members[] = {
+    {"columns_expanded", T_LONGLONG, offsetof(frontier_object, columns_expanded), READONLY,
+     "DP columns expanded, from the context's count at creation"},
+    {"nodes_enqueued", T_LONGLONG, offsetof(frontier_object, e.counter), READONLY,
+     "entries numbered, from the context's count at creation"},
+    {"nodes_dropped", T_LONGLONG, offsetof(frontier_object, nodes_dropped), READONLY,
+     "UNVIABLE children dropped, from the context's count at creation"},
+    {"nodes_expanded", T_LONGLONG, offsetof(frontier_object, nodes_expanded), READONLY,
+     "entries this frontier popped and expanded"},
+    {"max_queue_size", T_LONGLONG, offsetof(frontier_object, max_queue_size), READONLY,
+     "the longest the queue was before a pop"},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyType_Slot frontier_slots[] = {
+    {Py_tp_dealloc, frontier_dealloc},
+    {Py_tp_new, frontier_refuse},
+    {Py_tp_methods, frontier_methods},
+    {Py_tp_members, frontier_members},
+    {Py_sq_length, frontier_length},
+    {Py_tp_doc, "The best-first queue of one search, in C: frontier(records, context, entries)."},
+    {0, NULL},
+};
+
+static PyType_Spec frontier_spec = {
+    "_column_step.Frontier",
+    sizeof(frontier_object),
+    0,
+    Py_TPFLAGS_DEFAULT,
+    frontier_slots,
+};
+
 static PyMethodDef step_methods[] = {
     {"expand", (PyCFunction)(void (*)(void))expand, METH_FASTCALL,
      "expand(parent, siblings, context, arc_bests=None) -> list of frontier entries\n\n"
@@ -1538,6 +2178,11 @@ static PyMethodDef step_methods[] = {
      "expand(parent, tree.siblings(parent[3]), context), the children decoded\n"
      "from tree.node_records -- record arrays, or buffer-pool pages -- and their\n"
      "arcs read in place."},
+    {"frontier", (PyCFunction)(void (*)(void))make_frontier, METH_FASTCALL,
+     "frontier(records, context, entries, popped=None) -> Frontier\n\n"
+     "Algorithm 1's queue seeded with entries, expanding each node as\n"
+     "expand_node(records, ...) does; with popped (a list), each popped entry\n"
+     "is appended to it as its tuple."},
     {"page", (PyCFunction)(void (*)(void))pool_page, METH_FASTCALL,
      "page(state, block, region) -> bytes\n\n"
      "BufferPool.page over the pool's state: one request, its hit or its miss\n"
@@ -1566,7 +2211,8 @@ step_exec(PyObject *module)
     INTERN(descriptor, "descriptor")
     INTERN(path, "path")
 #undef INTERN
-    return 0;
+    state->frontier_type = PyType_FromSpec(&frontier_spec);
+    return state->frontier_type == NULL ? -1 : 0;
 }
 
 static int
@@ -1585,6 +2231,7 @@ step_clear(PyObject *module)
     Py_CLEAR(state->leaf_kind);
     Py_CLEAR(state->descriptor);
     Py_CLEAR(state->path);
+    Py_CLEAR(state->frontier_type);
     return 0;
 }
 

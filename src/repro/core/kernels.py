@@ -71,14 +71,26 @@ kernel here never materialises the dead ones:
     as ``DiskSuffixTree.siblings`` does (the pool's hits, misses and clock
     run in C too, over its flat buffers: ``page``, which the pool's
     ``page`` is bound to wherever the module builds) -- each arc read where
-    it lies, a handle built only for a child that is kept.  The search expands every node of a
-    :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read, and of
-    a :class:`~repro.storage.DiskSuffixTree` through it
-    (:meth:`ExpansionKernel.node_expander`, the step bound to the records
-    with ``functools.partial``: one C-level call per node); the other
-    kernels and a partition's root keep the sibling list.
-    Both sources share one C run decoder, and both steps one C walk per
-    arc.
+    it lies, a handle built only for a child that is kept.  Both sources
+    share one C run decoder, and both steps one C walk per arc.
+
+    And it has a frontier, ``frontier(records, context, entries)``
+    (:attr:`CompiledKernel.node_frontier`; :mod:`repro.core.frontier`):
+    Algorithm 1's queue in C, a binary heap of C entries whose columns live
+    in one cell arena, with the query's constants read from the context
+    once.  Its ``advance(bound_floor, budget)`` pops and expands -- each
+    node through the node step's decoder and walk, the pool's pages asked
+    for as the node step asks for them -- until an ACCEPTED entry
+    surfaces, the held hits' score is passed, ``budget`` pops have been
+    made or the queue is empty, and only a hit's handle becomes a Python
+    object.  The search runs every
+    :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read, and
+    every :class:`~repro.storage.DiskSuffixTree` on it
+    (:meth:`ExpansionKernel.frontier` decides): one C call per hit, not
+    one Python round trip per node.  A partition's root is expanded over
+    its sibling list first, and its kept children seed the frontier.  The
+    node step itself serves the Python frontier, as the twin the C
+    frontier is tested against (``tests/test_frontier.py``).
 
     The C source is compiled on first use, once per user and machine: ``gcc
     -O2 -shared -fPIC -I<sysconfig include>`` into ``$XDG_CACHE_HOME/
@@ -105,22 +117,23 @@ kernel here never materialises the dead ones:
 
 Each kernel runs one path per cursor, so ``statistics.kernel`` names the
 code that ran: the dense NumPy form for ``reference``, :func:`_expand_live`
-for ``live``, and for ``compiled`` the C node step, or the C sibling step
-where a cursor has no ``node_records``.
+for ``live``, and for ``compiled`` the C frontier, or the C sibling step
+on the Python frontier where a cursor has no ``node_records``.
 
-The driver and a kernel exchange frontier entries, the flat tuples of
-:mod:`repro.core.search_node`.  ``expand_children(parent, siblings,
-context)`` receives the entry the driver popped and the node's children as a
-list of ``(handle, arc symbols, is_leaf)`` triples, and returns the entries
-of the children to enqueue, in child order and numbered from
-``context.nodes_enqueued`` (the heap tie-break depends on both); the driver
-pushes them as they are.  Four in five children come out UNVIABLE and are
-counted in ``context.nodes_dropped`` without ever becoming an entry.
-Kernels hold no per-query state -- one instance serves concurrent
-executions -- and never call the cursor.  The one exception is the compiled
-node step, which decodes the children itself: it reads what the cursor
-hands over as ``node_records`` (record arrays, or a page source whose
-requests go to the buffer pool), never a cursor method.
+The Python frontier and a kernel exchange frontier entries, the flat tuples
+of :mod:`repro.core.search_node`.  ``expand_children(parent, siblings,
+context)`` receives the entry the frontier popped and the node's children
+as a list of ``(handle, arc symbols, is_leaf)`` triples, and returns the
+entries of the children to enqueue, in child order and numbered from
+``context.nodes_enqueued`` (the heap tie-break depends on both); the
+frontier pushes them as they are.  Four in five children come out UNVIABLE
+and are counted in ``context.nodes_dropped`` without ever becoming an
+entry.  Kernels hold no per-query state -- one instance serves concurrent
+executions; the C frontier is made per search -- and never call the
+cursor.  The one exception is the compiled node step and frontier, which
+decode the children themselves: they read what the cursor hands over as
+``node_records`` (record arrays, or a page source whose requests go to the
+buffer pool), never a cursor method.
 
 Selection goes through :func:`get_kernel`: an explicit ``kernel=`` argument
 (``OasisEngine``, its ``build`` / ``open`` and the CLI all thread one
@@ -131,9 +144,12 @@ kernel that ran.
 
 Purity contract, enforced by the ``kernel-purity`` analysis rule over this
 file: no NumPy call and no tracer access inside a kernel loop.  The
-C step keeps the Python walk's rules: no buffer shared between calls, every
-conversion and allocation checked, a symbol or row out of range an
-``IndexError``, and an argument of the wrong shape a ``TypeError``.
+C step keeps the Python walk's rules: no buffer shared between calls (a
+frontier's heap and arena belong to its one search, and an ``advance``
+that another thread enters while a pool miss has released the GIL is a
+``RuntimeError``), every conversion and allocation checked, a symbol or row
+out of range an ``IndexError``, and an argument of the wrong shape a
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -148,6 +164,7 @@ from types import ModuleType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.expand import ExpansionContext, expand_arc_reference
+from repro.core.frontier import Frontier, PythonFrontier
 from repro.core.search_node import (
     ACCEPTED_FIRST,
     FrontierEntry,
@@ -162,12 +179,8 @@ from repro.core.search_node import (
 # One child of a VIABLE node as the driver hands it to a kernel, exactly what
 # ``SuffixTreeCursor.siblings`` returns: the arc is ``bytes``, so a kernel
 # loop iterates plain Python ints.
-from repro.suffixtree.cursor import Sibling
+from repro.suffixtree.cursor import Sibling, SuffixTreeCursor
 
-
-#: One node's expansion as the search loop calls it: ``expand(parent, context)``
-#: returns the entries of the children to enqueue.
-Expander = Callable[[FrontierEntry, ExpansionContext], List[FrontierEntry]]
 
 #: Environment variable selecting the default kernel.
 KERNEL_ENVIRONMENT_VARIABLE = "OASIS_KERNEL"
@@ -231,14 +244,21 @@ class ExpansionKernel:
         context.nodes_enqueued = counter
         return kept
 
-    def node_expander(self, records) -> Optional[Expander]:
-        """The step over a node's records (``cursor.node_records``), or ``None``.
+    def frontier(
+        self, cursor: SuffixTreeCursor, context: ExpansionContext, entries: List[FrontierEntry]
+    ) -> Frontier:
+        """The frontier a search of ``cursor`` runs on, seeded with ``entries``.
 
-        Only the compiled kernel has one, for record arrays and page sources
-        alike; the search then expands every node through it instead of
-        handing this kernel sibling lists.
+        Here the Python one: each expanded node costs one ``cursor.siblings``
+        call, handed to :meth:`expand_children`.  The compiled kernel runs
+        its C frontier over a cursor that names its ``node_records``.
         """
-        return None
+        siblings, expand_children = cursor.siblings, self.expand_children
+
+        def expand(parent: FrontierEntry, context: ExpansionContext) -> List[FrontierEntry]:
+            return expand_children(parent, siblings(parent[3]), context)
+
+        return PythonFrontier(expand, context, entries)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -473,7 +493,8 @@ class CompiledKernel(LiveCellKernel):
 
     ``_column_step.c`` is :func:`_expand_live` against the CPython C API:
     the same walk, entries, numbering and counter updates, the ``arc_bests``
-    view included, so ``expand_arc`` and ``expand_children`` both run it.
+    view included, so ``expand_arc`` and ``expand_children`` both run it;
+    over a cursor's ``node_records`` the search runs its C frontier.
     Constructing one builds the step on first use (:func:`_compiled_step`)
     and raises :class:`KernelUnavailable` where it cannot.
     """
@@ -488,10 +509,17 @@ class CompiledKernel(LiveCellKernel):
         #: ``expand_node(records, parent, context)``: :attr:`step` over the
         #: children that ``records`` hold for ``parent``'s node, decoded in C.
         self.node_step: Callable[..., List[FrontierEntry]] = module.expand_node
+        #: ``frontier(records, context, entries[, popped])``: the C frontier,
+        #: expanding each node as :attr:`node_step` does.
+        self.node_frontier: Callable[..., Frontier] = module.frontier
 
-    def node_expander(self, records) -> Optional[Expander]:
-        # A C-level call per expanded node: no Python frame in between.
-        return functools.partial(self.node_step, records)
+    def frontier(
+        self, cursor: SuffixTreeCursor, context: ExpansionContext, entries: List[FrontierEntry]
+    ) -> Frontier:
+        records = cursor.node_records
+        if records is None:
+            return super().frontier(cursor, context, entries)
+        return self.node_frontier(records, context, entries)
 
 
 # --------------------------------------------------------------------- #
@@ -552,16 +580,13 @@ def _private_directory(path: str) -> Optional[str]:
     return None
 
 
-@functools.lru_cache(maxsize=None)
-def _compiled_step() -> Union[ModuleType, str]:
-    """The compiled module (``expand``, ``expand_node``, ``page``), or why it cannot run here.
+def _library() -> Union[Tuple[List[str], str, str, str, str], str]:
+    """Where the compiled step's library lies, or why it cannot be built here.
 
-    The library is built once per source, interpreter ABI and compile
-    command: ``gcc -O2 -shared -fPIC -I<Python include>`` into the user's
-    cache directory, named by the sha256 of the three.  A failed compile
-    leaves a ``.failed`` marker under the same key, so later processes fall
-    back at once instead of paying the compiler again.  The outcome is
-    cached for the life of the process.
+    ``(compile command, library, failure marker, cache directory, suffix)``:
+    the command is ``gcc -O2 -shared -fPIC -I<Python include>``, and the
+    library is named in the user's cache directory by the sha256 of the
+    source, the interpreter's ABI and the command.
     """
     compiler = _compiler()
     if compiler is None:
@@ -586,12 +611,28 @@ def _compiled_step() -> Union[ModuleType, str]:
     digest.update(suffix.encode())
     digest.update("\0".join(command).encode())
     stem = os.path.join(directory, f"_column_step-{digest.hexdigest()}")
-    library = stem + suffix
-    marker = stem + ".failed"
+    return command, stem + suffix, stem + ".failed", directory, suffix
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled_step() -> Union[ModuleType, str]:
+    """The compiled module (``expand``, ``expand_node``, ``frontier``,
+    ``page``), or why it cannot run here.
+
+    The library (:func:`_library`) is built once per source, interpreter
+    ABI and compile command.  A failed compile leaves a ``.failed`` marker
+    under the same key, so later processes fall back at once instead of
+    paying the compiler again.  The outcome is cached for the life of the
+    process.
+    """
+    plan = _library()
+    if isinstance(plan, str):
+        return plan
+    library, marker = plan[1], plan[2]
     if os.path.exists(marker):
         return f"an earlier build failed (see {marker})"
     if not os.path.exists(library):
-        failure = _build(command, library, marker, directory, suffix)
+        failure = _build(*plan)
         if failure is not None:
             return failure
 

@@ -24,15 +24,15 @@ alignment per database sequence, for every sequence whose best score reaches
 
 from __future__ import annotations
 
-import heapq
 import logging
 import time
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Union
 
 from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
-from repro.core.kernels import DEFAULT_KERNEL, Expander
+from repro.core.frontier import BELOW_FLOOR, EMPTY, FRONTIER_BUDGET, Frontier
+from repro.core.kernels import DEFAULT_KERNEL
 from repro.core.request import SearchRequest
 from repro.core.results import (
     Alignment,
@@ -41,7 +41,7 @@ from repro.core.results import (
     SearchResult,
     hit_order_key,
 )
-from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER, FrontierEntry
+from repro.core.search_node import VIABLE_AFTER, FrontierEntry
 from repro.sequences.sequence import Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (the engine imports this module)
@@ -132,9 +132,15 @@ def open_span(tracer, name: str, parent_id: Optional[str], attributes: Dict[str,
 class QueryExecution:
     """One self-contained, reentrant run of Algorithms 1/2 for a single query.
 
-    The execution owns everything mutable about a search -- the priority
-    queue, the :class:`ExpansionContext`, the statistics and the timing -- so
-    concurrent executions over the same cursor never observe each other.  It
+    The execution owns everything mutable about a search -- the frontier
+    (the priority queue, :mod:`repro.core.frontier`), the
+    :class:`ExpansionContext`, the statistics and the timing -- so
+    concurrent executions over the same cursor never observe each other.
+    Its loop is one call of the frontier's ``advance`` per hit: the compiled
+    kernel's C frontier pops and expands nodes until an ACCEPTED one
+    surfaces, the held hits' score is passed or the pop budget is spent,
+    and the hit path -- the held equal-score run, ``max_results``, full
+    coverage -- stays here.  It
     is both iterable (streaming hits, strongest first) and collectable
     (:meth:`result`); the iterator can be abandoned at any point and
     :attr:`statistics` still reports the work actually done, because the
@@ -145,7 +151,10 @@ class QueryExecution:
     the hits' E-values, against the whole database wherever the execution
     runs (a process worker receives it resolved by the parent).
 
-    Cooperative interruption:
+    Cooperative interruption, checked between two ``advance`` calls: a stop
+    is honoured within :data:`~repro.core.frontier.FRONTIER_BUDGET` queue
+    pops, and the hits held back when it comes, proven already, are emitted
+    first.
 
     ``request.time_budget``
         Optional wall-clock budget in seconds; once exceeded, the execution
@@ -153,7 +162,7 @@ class QueryExecution:
         emitted stand (they are still correct and complete down to the score
         reached).
     ``abort()``
-        Thread-safe flag: the execution stops at the next queue pop and
+        Thread-safe flag: the execution stops within one ``advance`` and
         marks itself :attr:`aborted` (a batch left early aborts its
         executions in flight this way).
 
@@ -196,6 +205,7 @@ class QueryExecution:
         self._hits: List[SearchHit] = []
         self._online_log = OnlineResultLog()
         self._iterator: Optional[Iterator[SearchHit]] = None
+        self._frontier: Optional[Frontier] = None
 
         self.heuristic = compute_heuristic_vector(self.query_sequence.codes, engine.matrix)
         self.context = ExpansionContext(
@@ -211,7 +221,11 @@ class QueryExecution:
     # Cooperative interruption
     # ------------------------------------------------------------------ #
     def abort(self) -> None:
-        """Ask the execution to stop at the next queue pop (thread-safe)."""
+        """Ask the execution to stop (thread-safe).
+
+        The flag is read between two frontier advances: the search stops
+        within :data:`~repro.core.frontier.FRONTIER_BUDGET` queue pops.
+        """
         self._abort_requested = True
 
     @property
@@ -301,11 +315,10 @@ class QueryExecution:
             if root_bound < min_score:
                 # Even a perfect match cannot reach the threshold.
                 return
-            expand = self._expander()
-
             # A frontier entry is the flat tuple described in
             # ``repro.core.search_node``; the root is entry number 0.
-            queue = [(-root_bound, VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)]
+            root = (-root_bound, VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)
+            seeds: List[FrontierEntry] = [root]
             if self.root_symbols is not None:
                 # A partition pops and expands the root here, over the
                 # children whose first symbol it owns, so that no node below
@@ -315,8 +328,11 @@ class QueryExecution:
                 statistics.max_queue_size = statistics.nodes_expanded = 1
                 symbols = self.root_symbols
                 owned = [child for child in cursor.siblings(cursor.root) if child[1][0] in symbols]
-                queue = kernel.expand_children(queue.pop(), owned, context)
-                heapq.heapify(queue)
+                seeds = kernel.expand_children(root, owned, context)
+            # The kernel and the cursor decide which frontier runs: the C one
+            # over a cursor's ``node_records`` on the compiled kernel, the
+            # Python one everywhere else (``repro.core.frontier``).
+            frontier = self._frontier = kernel.frontier(cursor, context, seeds)
             reported: Set[int] = set()
             emitted = 0
             sequence_count = len(database)
@@ -344,27 +360,19 @@ class QueryExecution:
             def budget_spent() -> bool:
                 return max_results is not None and emitted >= max_results
 
-            while queue:
+            while True:
                 if self._should_stop():
                     # Stopping is cooperative, but the buffered hits are
                     # already proven optimal -- hand them over first.
                     yield from drain()
                     return
-                if len(queue) > statistics.max_queue_size:
-                    statistics.max_queue_size = len(queue)
-                entry = heapq.heappop(queue)
-
-                if pending and -entry[0] < pending[0].score:
-                    # The frontier can no longer produce a hit at the buffered
-                    # score: the equal-score run is complete, emit it.
-                    yield from drain()
-                    if budget_spent():
-                        return
-
-                tree_node = entry[3]
-                if entry[1] == ACCEPTED_FIRST:
+                # Pops and expansions until a hit, the drain point, the pop
+                # budget or the end of the queue: the search loop checks the
+                # abort flag and the deadline at least every budget pops.
+                step = frontier.advance(pending[0].score if pending else None, FRONTIER_BUDGET)
+                if isinstance(step, tuple):
                     statistics.nodes_accepted += 1
-                    score = entry[5]
+                    score, tree_node = step
                     for sequence_index in cursor.sequences_below(tree_node):
                         if sequence_index in reported:
                             continue
@@ -393,16 +401,14 @@ class QueryExecution:
                         # Every database sequence already has its strongest
                         # alignment reported; nothing left to find.
                         break
-                    continue
-
-                # VIABLE node: one expansion (see ``_expander``) returns the
-                # entries of the children to enqueue, already numbered in
-                # child order -- the heap tie-break depends on that -- and
-                # they are pushed as they are.  UNVIABLE children never leave
-                # the kernel; it counts them in ``context.nodes_dropped``.
-                statistics.nodes_expanded += 1
-                for child_entry in expand(entry, context):
-                    heapq.heappush(queue, child_entry)
+                elif step == BELOW_FLOOR:
+                    # The frontier can no longer produce a hit at the buffered
+                    # score: the equal-score run is complete, emit it.
+                    yield from drain()
+                    if budget_spent():
+                        return
+                elif step == EMPTY:
+                    break
 
             # Exhausted queue or full coverage: whatever is buffered is final.
             yield from drain()
@@ -419,39 +425,20 @@ class QueryExecution:
             if span is not None:
                 self._close_span(span)
 
-    def _expander(self) -> Expander:
-        """How this execution expands a VIABLE node, resolved once per execution.
-
-        On a cursor that names its records (``node_records``: the arrays of a
-        :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read --
-        a read tree's are read here, by the first search -- or the page
-        source of a :class:`~repro.storage.DiskSuffixTree`) the compiled
-        kernel decodes each node's children and walks their arcs in one C
-        call.  Every other kernel and cursor gets the node's whole sibling
-        list from one cursor call, so the kernel itself never calls the
-        cursor.
-        """
-        cursor, kernel = self.engine.cursor, self.engine.expansion_kernel
-        records = cursor.node_records
-        if records is not None:
-            expand = kernel.node_expander(records)
-            if expand is not None:
-                return expand
-        siblings, expand_children = cursor.siblings, kernel.expand_children
-
-        def expand_siblings(
-            parent: FrontierEntry, context: ExpansionContext
-        ) -> List[FrontierEntry]:
-            return expand_children(parent, siblings(parent[3]), context)
-
-        return expand_siblings
-
     def _finish(self) -> None:
-        context = self.context
         statistics = self.statistics
-        statistics.columns_expanded = context.columns_expanded
-        statistics.nodes_enqueued = context.nodes_enqueued
-        statistics.nodes_pruned = context.nodes_dropped
+        counts: Union[ExpansionContext, Frontier] = self.context
+        frontier = self._frontier
+        if frontier is not None:
+            # The frontier counts on from what the context held when it was
+            # made; its pops add to a partition root's.
+            counts = frontier
+            statistics.nodes_expanded += frontier.nodes_expanded
+            statistics.max_queue_size = max(statistics.max_queue_size, frontier.max_queue_size)
+            self._frontier = None
+        statistics.columns_expanded = counts.columns_expanded
+        statistics.nodes_enqueued = counts.nodes_enqueued
+        statistics.nodes_pruned = counts.nodes_dropped
         if self._start_time is not None:
             statistics.elapsed_seconds = time.perf_counter() - self._start_time
         residues = self.engine.database.total_symbols

@@ -16,23 +16,30 @@ by the path to that tree node.  The paper's fields are
 * ``b`` -- the best score ending exactly at this node;
 * ``state`` -- VIABLE / ACCEPTED / UNVIABLE.
 
-They exist in two forms.
+They exist in three forms.
 
-The **frontier entry** is what the search runs on: one flat tuple per node,
+The **frontier entry** is what the search runs on: one entry per node,
 
     ``(-f, accepted-first flag, counter, tree_node, column, max_score, depth)``
 
-built and numbered by the expansion kernel, pushed onto the heap by the
-driver exactly as received, read by index when it is popped and handed back
-to the kernel as the parent of the next expansion.  ``heapq`` is a min-heap,
-hence ``-f``.  The flag is 0 for an ACCEPTED node and 1 for a VIABLE one, so
-that among equal ``f`` a result that is already provably optimal is emitted
-before more speculative work is done -- this matches the behaviour described
-in the paper's example (Section 3.3) and keeps the online stream as early as
-possible.  The counter is the node's enqueue number, unique within a query
+On the compiled kernel over a cursor's ``node_records`` it is a C struct in
+the C frontier (``core/_column_step.c``, :mod:`repro.core.frontier`): the
+handle as its kind and four ints, the column as a slice of the frontier's
+cell arena, never a Python object until a hit's handle is returned.
+Everywhere else -- the Python frontier, with the ``live`` and ``reference``
+kernels, dense columns and cursors without ``node_records`` -- it is this
+flat tuple, built and numbered by the expansion kernel, pushed onto the
+heap exactly as received, read by index when it is popped and handed back
+to the kernel as the parent of the next expansion; and the tuple is the
+test view of the C frontier's pops (its ``popped`` list), slot for slot.
+The heap is a min-heap, hence ``-f``.  The flag is 0 for an ACCEPTED node
+and 1 for a VIABLE one, so that among equal ``f`` a result that is already
+provably optimal is emitted before more speculative work is done -- this
+matches the behaviour described in the paper's example (Section 3.3) and
+keeps the online stream as early as possible.  The counter is the node's enqueue number, unique within a query
 and assigned in child order; it breaks all remaining ties, so a comparison
 never goes past the third slot.  UNVIABLE nodes are never enqueued, and an
-entry carries no ``b``: the driver has no use for it.
+entry carries no ``b``: the frontier has no use for it.
 
 :class:`SearchNode` is the same node with every field named, ``b`` and the
 state included.  It is what a kernel's ``expand_arc`` takes and returns --

@@ -47,7 +47,7 @@ class SearchSurface:
 
         Iterate it for the online stream or call ``.result()`` for the batch
         result; any number can run concurrently against the engine's shared
-        read-only index.  ``.abort()`` stops it at the next queue pop;
+        read-only index.  ``.abort()`` stops it within one frontier advance;
         ``tracer`` (a :class:`~repro.obs.Tracer`) wraps the run in a span.
         """
         if not isinstance(query, SearchRequest):

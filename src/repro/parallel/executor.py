@@ -18,8 +18,8 @@ the sharded engine's per-partition scatter
 (``ShardedEngine.open(..., backend="processes:N")``).
 
 A batch the calling thread leaves early (an exception, or ``KeyboardInterrupt``
-on Ctrl-C) aborts every execution still in flight -- each stops at its next
-queue pop -- and cancels the queries that have not started.  On a process
+on Ctrl-C) aborts every execution still in flight -- each stops within one
+frontier advance -- and cancels the queries that have not started.  On a process
 scatter an in-flight partition search runs to completion; bound it with
 ``timeout`` if that latency matters.
 """

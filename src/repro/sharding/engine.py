@@ -160,7 +160,7 @@ class ShardedQueryExecution:
         return open_span(self.tracer, "query", self.trace_parent, attributes)
 
     def abort(self) -> None:
-        """Stop this process's execution at its next queue pop."""
+        """Stop this process's executions within one frontier advance each."""
         self._abort_requested = True
         for execution in self.executions:
             execution.abort()

@@ -9,14 +9,24 @@ that collects both directories cannot shadow one with the other.
 
 from __future__ import annotations
 
+import functools
+import os
 import random
 import time
 from typing import Sequence
 
+from hypothesis import strategies as st
+
+from repro.core.frontier import PythonFrontier
 from repro.core.kernels import available_kernels
 from repro.datagen.motifs import MotifQuery, MotifWorkload
+from repro.scoring.data import nucleotide_matrix, pam30
 from repro.scoring.matrix import SubstitutionMatrix
+from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
+from repro.sequences.database import SequenceDatabase
+from repro.storage.builder import build_disk_image
 from repro.suffixtree.cursor import SuffixTreeCursor
+from repro.suffixtree.generalized import GeneralizedSuffixTree
 
 #: The sequence used throughout Section 2/3 of the paper.
 PAPER_TARGET = "AGTACGCCTAG"
@@ -186,3 +196,103 @@ def on_pool_body(monkeypatch, body, miss_sleep=0.0):
         return read_physical(pool, block)
 
     monkeypatch.setattr(BufferPool, "_read_physical", slow_read)
+
+
+def on_python_frontier(kernel, node_step=None):
+    """Make the compiled ``kernel`` search a records cursor on the Python
+    frontier over ``partial(node_step, records)`` (its own node step by
+    default) instead of its C frontier; a cursor without ``node_records``
+    keeps the sibling-list path."""
+    step = kernel.node_step if node_step is None else node_step
+    fallback = kernel.frontier
+
+    def frontier(cursor, context, entries):
+        records = cursor.node_records
+        if records is None:
+            return fallback(cursor, context, entries)
+        return PythonFrontier(functools.partial(step, records), context, entries)
+
+    kernel.frontier = frontier
+    return kernel
+
+
+@st.composite
+def searches(draw):
+    """A database, a query that is often a mutated window of it, and scoring:
+    ``(database, matrix, gap, query, min_score)``."""
+    if draw(st.booleans()):
+        alphabet, symbols, matrix = PROTEIN_ALPHABET, AMINO_ACIDS, pam30()
+        gap = draw(st.sampled_from([-1, -2, -8]))
+        min_score = draw(st.integers(min_value=1, max_value=40))
+        sizes = (60, 20)
+    else:
+        match, mismatch, gap = draw(st.sampled_from([(1, -1, -1), (1, -3, -2), (5, -4, -1)]))
+        alphabet, symbols, matrix = DNA_ALPHABET, BASES, nucleotide_matrix(match, mismatch)
+        min_score = draw(st.integers(min_value=1, max_value=12))
+        sizes = (90, 40)
+    text = st.text(alphabet=symbols, min_size=1, max_size=sizes[0])
+    texts = draw(st.lists(text, min_size=1, max_size=12))
+    source = draw(st.sampled_from(texts))
+    start = draw(st.integers(min_value=0, max_value=len(source) - 1))
+    window = list(source[start : start + draw(st.integers(min_value=1, max_value=sizes[1]))])
+    for position in draw(st.lists(st.integers(0, len(window) - 1), max_size=3)):
+        window[position] = draw(st.sampled_from(symbols))
+    query = draw(
+        st.one_of(st.just("".join(window)), st.text(symbols, min_size=1, max_size=sizes[1]))
+    )
+    database = SequenceDatabase.from_texts(texts, alphabet=alphabet)
+    return database, matrix, gap, query, min_score
+
+
+def planted(alphabet, symbols, core, seed):
+    """Sequences that each hold a copy of ``core``, some with a substitution."""
+    rng = random.Random(seed)
+
+    def flank():
+        return "".join(rng.choice(symbols) for _ in range(rng.randint(5, 40)))
+
+    texts = []
+    for index in range(8):
+        planted_core = list(core)
+        if index % 2:
+            planted_core[rng.randrange(len(planted_core))] = rng.choice(symbols)
+        texts.append(flank() + "".join(planted_core) + flank())
+    return SequenceDatabase.from_texts(texts, alphabet=alphabet)
+
+
+#: Searches for a planted core, protein and DNA: name: (database, matrix,
+#: gap, query, min_score, an E-value that finds several copies).
+PLANTED_SEARCHES = {
+    "protein": (
+        lambda: planted(PROTEIN_ALPHABET, AMINO_ACIDS, "WKDDGNGYISAAE", 3),
+        pam30,
+        -8,
+        "WKDDGNGYISAAE",
+        25,
+        1_000.0,
+    ),
+    "dna": (
+        lambda: planted(DNA_ALPHABET, BASES, "ACGTTGCATGCAAGCT", 4),
+        lambda: nucleotide_matrix(5, -4),
+        -4,
+        "ACGTTGCATGCAAGCT",
+        30,
+        10.0,
+    ),
+}
+
+
+def tree_of(form, database, tmp_path_factory):
+    """The tree of ``database``: ``built``, or ``read`` back from its image
+    at 256-byte blocks."""
+    built = GeneralizedSuffixTree.build(database)
+    if form == "built":
+        return built
+    path = tmp_path_factory.mktemp("image") / "tree.oasis"
+    build_disk_image(built, path, block_size=256)
+    return GeneralizedSuffixTree.from_image(path, database)
+
+
+def pool_bytes(path, block_size, frames):
+    """A pool of ``frames`` blocks of the image at ``path``, or all of it (``whole``)."""
+    return os.path.getsize(path) if frames == "whole" else frames * block_size

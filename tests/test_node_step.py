@@ -7,14 +7,17 @@ source, whose pages it asks of the buffer pool.  On random protein and DNA
 databases -- the built tree, the tree read back from its image, and the disk
 cursor at block sizes where runs and arcs straddle pages, over pools of one
 frame, two frames and the whole image -- every internal node a search
-expands must give the entries (numbering included) and the three context
-counters that the compiled ``expand`` and the Python ``_expand_live`` give
-over ``siblings(node)``; on the disk, after every call, the pool's
-counters, frames, hand and reference bits must equal a twin cursor's that
-served ``siblings()`` through the Python body of ``BufferPool.page``.
+expands, driven through the Python frontier over the node step
+(``repro.core.frontier.PythonFrontier``; ``tests/test_frontier.py`` holds
+the C frontier to it), must give the entries (numbering included) and the
+three context counters that the compiled ``expand`` and the Python
+``_expand_live`` give over ``siblings(node)``; on the disk, after every
+call, the pool's counters, frames, hand and reference bits must equal a
+twin cursor's that served ``siblings()`` through the Python body of
+``BufferPool.page``.
 Records that point past their regions must raise ``IndexError``, never
-crash, from the page step and from ``DiskSuffixTree.siblings`` alike.  And a search must take the
-node step wherever it applies, and only there.
+crash, from the page step and from ``DiskSuffixTree.siblings`` alike.  And a
+search must take the compiled frontier wherever it applies, and only there.
 
 The example budget comes from the hypothesis profile (``tests/conftest.py``):
 bounded in tier-1, ``HYPOTHESIS_PROFILE=ci`` for the larger CI run.
@@ -23,8 +26,6 @@ bounded in tier-1, ``HYPOTHESIS_PROFILE=ci`` for the larger CI run.
 from __future__ import annotations
 
 import copy
-import os
-import random
 import struct
 from array import array
 
@@ -46,7 +47,14 @@ from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 from repro.storage.layout import DiskLayout, Region
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from support import AMINO_ACIDS, BASES, python_pool_body
+from support import (
+    PLANTED_SEARCHES,
+    on_python_frontier,
+    pool_bytes,
+    python_pool_body,
+    searches,
+    tree_of,
+)
 
 needs_compiled = pytest.mark.skipif(
     "compiled" not in available_kernels(), reason="the compiled step does not build here"
@@ -102,20 +110,12 @@ class CheckedNodeStep:
         return entries
 
 
-def tree_of(form, database, tmp_path_factory):
-    built = GeneralizedSuffixTree.build(database)
-    if form == "built":
-        return built
-    path = tmp_path_factory.mktemp("image") / "tree.oasis"
-    build_disk_image(built, path, block_size=256)
-    return GeneralizedSuffixTree.from_image(path, database)
-
-
 def checked_search(tree, matrix, gap, query, min_score):
-    """One search whose every expansion is held to both sibling-list steps."""
+    """One search on the Python frontier whose every expansion is held to
+    both sibling-list steps."""
     kernel = get_kernel("compiled")
     checked = CheckedNodeStep(kernel, tree)
-    kernel.node_step = checked
+    on_python_frontier(kernel, checked)
     result = OasisEngine(tree, matrix, FixedGapModel(gap), kernel=kernel).search(
         query, min_score=min_score
     )
@@ -126,10 +126,6 @@ def checked_search(tree, matrix, gap, query, min_score):
 
 def no_siblings(node):
     raise AssertionError("siblings() was called")
-
-
-def pool_bytes(path, block_size, frames):
-    return os.path.getsize(path) if frames == "whole" else frames * block_size
 
 
 def disk_pair(path, database, block_size, frames):
@@ -160,7 +156,7 @@ def checked_disk_search(path, database, block_size, frames, matrix, gap, query, 
         disk.sequences_below = in_step
         kernel = get_kernel("compiled")
         checked = CheckedNodeStep(kernel, twin, disk)
-        kernel.node_step = checked
+        on_python_frontier(kernel, checked)
         result = OasisEngine(disk, matrix, FixedGapModel(gap), kernel=kernel).search(
             query, min_score=min_score
         )
@@ -171,33 +167,6 @@ def checked_disk_search(path, database, block_size, frames, matrix, gap, query, 
     finally:
         disk.close()
         twin.close()
-
-
-@st.composite
-def searches(draw):
-    """A database, a query that is often a mutated window of it, and scoring."""
-    if draw(st.booleans()):
-        alphabet, symbols, matrix = PROTEIN_ALPHABET, AMINO_ACIDS, pam30()
-        gap = draw(st.sampled_from([-1, -2, -8]))
-        min_score = draw(st.integers(min_value=1, max_value=40))
-        sizes = (60, 20)
-    else:
-        match, mismatch, gap = draw(st.sampled_from([(1, -1, -1), (1, -3, -2), (5, -4, -1)]))
-        alphabet, symbols, matrix = DNA_ALPHABET, BASES, nucleotide_matrix(match, mismatch)
-        min_score = draw(st.integers(min_value=1, max_value=12))
-        sizes = (90, 40)
-    text = st.text(alphabet=symbols, min_size=1, max_size=sizes[0])
-    texts = draw(st.lists(text, min_size=1, max_size=12))
-    source = draw(st.sampled_from(texts))
-    start = draw(st.integers(min_value=0, max_value=len(source) - 1))
-    window = list(source[start : start + draw(st.integers(min_value=1, max_value=sizes[1]))])
-    for position in draw(st.lists(st.integers(0, len(window) - 1), max_size=3)):
-        window[position] = draw(st.sampled_from(symbols))
-    query = draw(
-        st.one_of(st.just("".join(window)), st.text(symbols, min_size=1, max_size=sizes[1]))
-    )
-    database = SequenceDatabase.from_texts(texts, alphabet=alphabet)
-    return database, matrix, gap, query, min_score
 
 
 @needs_compiled
@@ -222,39 +191,8 @@ def test_every_node_the_page_step_expands_matches_both_sibling_steps(
     checked_disk_search(path, database, block_size, frames, matrix, gap, query, min_score)
 
 
-def planted(alphabet, symbols, core, seed):
-    """Sequences that each hold a copy of ``core``, some with a substitution."""
-    rng = random.Random(seed)
-
-    def flank():
-        return "".join(rng.choice(symbols) for _ in range(rng.randint(5, 40)))
-
-    texts = []
-    for index in range(8):
-        planted_core = list(core)
-        if index % 2:
-            planted_core[rng.randrange(len(planted_core))] = rng.choice(symbols)
-        texts.append(flank() + "".join(planted_core) + flank())
-    return SequenceDatabase.from_texts(texts, alphabet=alphabet)
-
-
 #: name: (database, matrix, gap, query, min_score)
-CASES = {
-    "protein": (
-        lambda: planted(PROTEIN_ALPHABET, AMINO_ACIDS, "WKDDGNGYISAAE", 3),
-        pam30,
-        -8,
-        "WKDDGNGYISAAE",
-        25,
-    ),
-    "dna": (
-        lambda: planted(DNA_ALPHABET, BASES, "ACGTTGCATGCAAGCT", 4),
-        lambda: nucleotide_matrix(5, -4),
-        -4,
-        "ACGTTGCATGCAAGCT",
-        30,
-    ),
-}
+CASES = {name: search[:5] for name, search in PLANTED_SEARCHES.items()}
 
 
 @needs_compiled
@@ -336,7 +274,7 @@ def test_a_disk_engine_takes_the_page_step(tmp_path, monkeypatch):
 def test_statistics_kernel_names_the_code_that_ran(tmp_path_factory, monkeypatch, choice, form):
     """The dense oracle runs exactly when ``statistics.kernel`` says
     ``reference``, a rule switched off included; ``compiled`` expands every
-    node of a records cursor in its node step, and the other kernels make
+    node of a records cursor in its C frontier, and the other kernels make
     one ``siblings()`` call per expanded node."""
     make_database, make_matrix, gap, query, min_score = CASES["protein"]
     database = make_database()
