@@ -1,13 +1,24 @@
-/* The live-cell column step of repro.core.kernels, compiled.
+/* The search of repro.core.kernels' compiled kernel, and its buffer pool.
  *
- * expand(parent, siblings, context[, arc_bests]) is kernels._expand_live,
- * walk for walk: the same survivors, the same frontier entries numbered
- * from context.nodes_enqueued, the same nodes_enqueued / nodes_dropped /
- * columns_expanded updates, and with arc_bests (a list) the expand_arc
- * view that returns every child and appends its b.
+ * The module has two entry points, one per job:
  *
- * expand_node(records, parent, context) is expand(parent,
- * tree.siblings(parent[3]), context) with no sibling list in between.
+ * frontier(records, context, root, root_symbols[, popped]) is Algorithm 1's
+ * queue (repro.core.frontier): a binary heap of C entries on (-f, flag,
+ * counter), each column a slice of one cell arena, seeded with the root
+ * entry given.  Its advance(bound_floor, budget) pops and expands nodes
+ * until an ACCEPTED entry surfaces, the top bound is below bound_floor,
+ * budget pops have passed or the queue is empty.  Each expansion is
+ * kernels._expand_live over the node's children, walk for walk: the same
+ * survivors, entries numbered the same way, the same counters.  Only a
+ * hit's (score, handle) becomes a Python object; with popped (a list) every
+ * popped entry is appended to it as its tuple, the test view.  With
+ * root_symbols (bytes; None is the whole tree) the first expansion, the
+ * root's, walks only the children whose first arc symbol is among them: one
+ * partition of the tree.  The query's constants are read from the context
+ * once; the counters are the frontier's, continuing from the context's.
+ * The heap, the arena and the staged children of one expansion are the
+ * frontier's own, used by one advance at a time.
+ *
  * records is the tree's node_records, of one of two shapes:
  *
  *   - a GeneralizedSuffixTree's (internal_records, leaf_records,
@@ -16,61 +27,44 @@
  *   - a DiskSuffixTree's page source (pool.state, per region (first
  *     block, page bytes, record count), sequence ends), whose pages are the
  *     image's blocks, asked of the buffer pool exactly as
- *     DiskSuffixTree._read asks for them: the parent record's page, the
- *     internal run's, the leaf run's, then every page of every arc in child
- *     order.  Each request is pool_request, the C body of BufferPool.page,
- *     over the pool's flat buffers: a hit sets the frame's reference bit
- *     and counts, a miss reads the block with the GIL released, then
- *     counts, looks the block up again and runs the clock.  Each page's
- *     bytes are held while they are read; page words are little-endian
- *     (image format v2).  A closed block file is the ValueError of a read
- *     from it, before any request.
+ *     DiskSuffixTree.siblings asks for them, anew per node: the parent
+ *     record's page, the internal run's, the leaf run's, then every page of
+ *     every arc in child order -- a partition root's unowned children's
+ *     too, though no column is walked over them.  Each request is
+ *     pool_request, the C body of BufferPool.page, over the pool's flat
+ *     buffers: a hit sets the frame's reference bit and counts, a miss
+ *     reads the block with the GIL released, then counts, looks the block
+ *     up again and runs the clock.  Each page's bytes are held while they
+ *     are read; page words are little-endian (image format v2).  A closed
+ *     block file is the ValueError of a read from it, before any request.
  *
  * page(state, block, region) is that request alone: BufferPool.page, bound
  * to a pool's state wherever this module builds, so DiskSuffixTree._read
  * runs the same clock.
  *
- * frontier(records, context, entries[, popped]) is Algorithm 1's queue over
- * the same records (repro.core.frontier): a binary heap of C entries on
- * (-f, flag, counter), each column a slice of one cell arena, seeded with
- * the Python entries given.  Its advance(bound_floor, budget) pops and
- * expands -- each node as expand_node expands it, the pool's pages asked
- * for anew per node, as a call of its own asks for them -- until an
- * ACCEPTED entry surfaces, the top bound is below bound_floor, budget pops
- * have passed or the queue is empty.  Only a hit's (score, handle) becomes
- * a Python object; with popped (a list) every popped entry is appended to
- * it as its tuple, the test view.  The query's constants are read from the
- * context once; the counters are the frontier's, continuing from the
- * context's.  The heap, the arena and the staged children of one expansion
- * are the frontier's own, used by one advance at a time.
- *
- * One decoder serves both: the node's run of internal children, then its
- * run of leaves, are decoded one record at a time as
+ * One decoder serves both sources: the node's run of internal children,
+ * then its run of leaves, are decoded one record at a time as
  * GeneralizedSuffixTree.children decodes them (a leaf's sequence end by
- * bisection), each arc is walked where it lies, page by page, and a child's
- * handle tuple is built only if the child is kept -- four children in five
- * are dropped after a symbol or two.  A record that points past its region,
- * an arc past the symbols and a suffix past the last sequence end are
- * IndexErrors, raised before any request past the region.
+ * bisection), each arc is walked where it lies, page by page, and a child
+ * is staged only if it is kept -- four children in five are dropped after a
+ * symbol or two.  A record that points past its region, an arc past the
+ * symbols and a suffix past the last sequence end are IndexErrors, raised
+ * before any request past the region.
  *
- * Both steps run one per-arc walk, walk_arc; kernels.py documents the walk
- * and why it is exact, and the comments here cover only what C adds.
+ * Each arc is one walk_arc; kernels.py documents the walk and why it is
+ * exact, and the comments here cover only what C adds.
  *
- * The seed column, the siblings and the output entries are read and built
- * as Python objects directly.  The heuristic and the substitution profile
- * come packed, as the context's immutable int64 bytes (packed_heuristic,
- * and packed_profile: S(q_row, symbol) at row * alphabet + symbol), and
- * limit[row] is computed from them as limit_for builds it: max(0, cutoff -
- * h[row]), and the stop sentinel in row m + 1.  In expand and expand_node
- * only the columns inside one arc, and a node's decoded children, live in C
- * arrays, scratch to one call (PyMem allocations freed before it returns):
- * an allocation can run a finaliser that switches threads, and another call
- * sharing the kernel must never see them.  A frontier's arrays belong to
- * its one search, and an advance entered while another is under way (a
- * pool miss releases the GIL) is a RuntimeError.  No
- * pointer into a list is held across anything that can run Python code;
- * the record arrays are held through the buffer protocol for the whole
- * call, so they can be neither freed nor resized under it, and a pool page
+ * The root entry is read as the Python object it is.  The heuristic and the
+ * substitution profile come packed, as the context's immutable int64 bytes
+ * (packed_heuristic, and packed_profile: S(q_row, symbol) at row *
+ * alphabet + symbol), and limit[row] is computed from them as limit_for
+ * builds it: max(0, cutoff - h[row]), and the stop sentinel in row m + 1.
+ * A frontier's arrays belong to its one search, and an advance entered
+ * while another is under way (a pool miss releases the GIL) is a
+ * RuntimeError.  No pointer into a list is held across anything that can
+ * run Python code; the record arrays are held through the buffer protocol
+ * for a whole advance, so they can be neither freed nor resized under it,
+ * and a pool page
  * through a strong reference to its bytes (a miss releases the GIL, and
  * another thread may evict the frame meanwhile).  The pool's buffers are
  * written only while the GIL is held, so no lock guards them.
@@ -196,29 +190,6 @@ attribute_score(PyObject *object, PyObject *name, i64 *out)
     status = as_score(value, out);
     Py_DECREF(value);
     return status;
-}
-
-static int
-set_attribute(PyObject *object, PyObject *name, i64 value)
-{
-    PyObject *number = PyLong_FromLongLong(value);
-    int status;
-
-    if (number == NULL)
-        return -1;
-    status = PyObject_SetAttr(object, name, number);
-    Py_DECREF(number);
-    return status;
-}
-
-static int
-add_to_attribute(PyObject *object, PyObject *name, i64 amount)
-{
-    i64 value;
-
-    if (attribute_score(object, name, &value) < 0)
-        return -1;
-    return set_attribute(object, name, value + amount);
 }
 
 /* A packed int64 array attribute: a new reference to the bytes, their
@@ -434,13 +405,12 @@ typedef struct {
     query_view query;
     i64 gap, min_score, counter;
     PyObject *heuristic, *profile; /* owned */
-    i64 *scratch;                  /* the two columns below, then what the caller asked for */
+    i64 *scratch;                  /* the two columns below */
     i64 *rows_a, *scores_a, *rows_b, *scores_b;
     Py_ssize_t capacity;
-    i64 parent_max, parent_depth, parent_cutoff, floor;
+    i64 parent_max, parent_depth, parent_cutoff;
     i64 *seed_rows, *seed_scores;
     Py_ssize_t seed_count;
-    PyObject *seed; /* owned: the parent column of one expand() call */
 } expansion;
 
 /* One arc's walk so far: its last column's live cells, max_score, b, depth
@@ -452,24 +422,21 @@ typedef struct {
     int finished;
 } arc_walk;
 
-/* What becomes of a child: enqueued VIABLE or ACCEPTED, returned UNVIABLE
- * by the expand_arc view only, or else dropped. */
-enum fate { DROPPED, VIABLE, ACCEPTED, UNVIABLE };
+/* What becomes of a child: enqueued VIABLE or ACCEPTED, or else dropped. */
+enum fate { DROPPED, VIABLE, ACCEPTED };
 
 static void
 close_expansion(expansion *e)
 {
     PyMem_Free(e->scratch);
-    Py_XDECREF(e->seed);
     Py_XDECREF(e->heuristic);
     Py_XDECREF(e->profile);
 }
 
 /* The query's constants from the context, and scratch for two columns of
- * at most one cell per limit row (rows 0 to m + 1) followed by ``extra``
- * words.  A frontier reads them once; each expand() call reads them again. */
+ * at most one cell per limit row (rows 0 to m + 1), read once per frontier. */
 static int
-open_query(step_state *state, PyObject *context, Py_ssize_t extra, expansion *e)
+open_query(step_state *state, PyObject *context, expansion *e)
 {
     Py_ssize_t heuristic_count, profile_count;
 
@@ -491,7 +458,7 @@ open_query(step_state *state, PyObject *context, Py_ssize_t extra, expansion *e)
         return -1;
     }
     e->capacity = (Py_ssize_t)e->query.m + 2;
-    e->scratch = PyMem_New(i64, 4 * e->capacity + extra);
+    e->scratch = PyMem_New(i64, 4 * e->capacity);
     if (e->scratch == NULL) {
         PyErr_NoMemory();
         return -1;
@@ -510,55 +477,6 @@ set_parent(expansion *e, i64 max_score, i64 depth)
     e->parent_max = max_score;
     e->parent_depth = depth;
     e->parent_cutoff = max_score >= e->min_score ? max_score : e->min_score - 1;
-}
-
-/* Read the parent entry and the context into ``e``; close_expansion
- * releases what it holds, whether this succeeded or not. */
-static int
-open_expansion(step_state *state, PyObject *parent, PyObject *context, int view, expansion *e)
-{
-    PyObject *seed;
-    i64 parent_max, parent_depth;
-    Py_ssize_t k;
-
-    memset(e, 0, sizeof(*e));
-    seed = item_at(parent, 4, "frontier entry");
-    if (seed == NULL)
-        return -1;
-    if (seed == Py_None) {
-        PyErr_SetString(PyExc_ValueError,
-                        "cannot expand below a node whose column was discarded");
-        return -1;
-    }
-    if (require_sequence(seed, "a column") < 0)
-        return -1;
-    Py_INCREF(seed);
-    e->seed = seed;
-    e->seed_count = Py_SIZE(seed);
-    if (int_at(parent, 5, "frontier entry", &parent_max) < 0
-        || int_at(parent, 6, "frontier entry", &parent_depth) < 0
-        || open_query(state, context, 2 * e->seed_count, e) < 0)
-        return -1;
-    set_parent(e, parent_max, parent_depth);
-    e->seed_rows = e->scores_b + e->capacity;
-    e->seed_scores = e->seed_rows + e->seed_count;
-    if (read_seed(seed, e->seed_rows, e->seed_scores, e->seed_count) < 0)
-        return -1;
-
-    e->floor = PRUNED;
-    if (view) {
-        if (e->seed_count == 0) {
-            PyErr_SetString(PyExc_ValueError, "max() arg is an empty sequence");
-            return -1;
-        }
-        e->floor = e->seed_scores[0];
-        for (k = 1; k < e->seed_count; k++)
-            if (e->seed_scores[k] > e->floor)
-                e->floor = e->seed_scores[k];
-        if (add(e->floor, e->gap, &e->floor) < 0)
-            return -1;
-    }
-    return 0;
 }
 
 #define FAIL_UNLESS(condition) \
@@ -589,16 +507,15 @@ begin_arc(const expansion *e, arc_walk *walk)
     walk->scores = e->seed_scores;
     walk->count = e->seed_count;
     walk->max_score = e->parent_max;
-    walk->best = e->floor;
+    walk->best = PRUNED;
     walk->depth = e->parent_depth;
     walk->cutoff = e->parent_cutoff;
     walk->finished = 0;
 }
 
-/* The live-cell walk down the next ``symbols`` codes of an arc: the one
- * loop behind both steps.  An arc split over pages is walked one piece at
- * a time, and a finished walk reads no further piece.  It runs no Python
- * code. */
+/* The live-cell walk down the next ``symbols`` codes of an arc.  An arc
+ * split over pages is walked one piece at a time, and a finished walk reads
+ * no further piece.  It runs no Python code. */
 static int
 walk_arc(const expansion *e, arc_walk *walk, const unsigned char *arc_codes, Py_ssize_t symbols)
 {
@@ -754,13 +671,11 @@ error:
 #undef KEEP
 
 static enum fate
-fate_of(const expansion *e, const arc_walk *end, int is_leaf, int view)
+fate_of(const expansion *e, const arc_walk *end, int is_leaf)
 {
     if (end->count > 0 && !is_leaf)
         return VIABLE; /* the arc is spelled out and cells are still alive */
-    if (end->max_score >= e->min_score)
-        return ACCEPTED;
-    return view ? UNVIABLE : DROPPED;
+    return end->max_score >= e->min_score ? ACCEPTED : DROPPED;
 }
 
 /* f of a VIABLE child: the strongest of its live cells plus h of its row. */
@@ -782,54 +697,6 @@ viable_bound(const expansion *e, const arc_walk *end, i64 *bound)
     return 0;
 }
 
-/* The entry of a child that is not dropped, numbered from e->counter. */
-static PyObject *
-child_entry(expansion *e, const arc_walk *end, enum fate fate, Py_ssize_t symbols,
-            PyObject *tree_node)
-{
-    PyObject *column;
-    i64 bound;
-
-    if (fate == VIABLE) {
-        if (viable_bound(e, end, &bound) < 0)
-            return NULL;
-        if (symbols == 0) {
-            Py_INCREF(e->seed);
-            column = e->seed;
-        }
-        else {
-            column = column_list(end->rows, end->scores, end->count);
-            if (column == NULL)
-                return NULL;
-        }
-        e->counter++;
-        return frontier_entry(bound, VIABLE_AFTER, e->counter, tree_node, column,
-                              end->max_score, end->depth);
-    }
-    /* Finished: f collapses to max_score and the column is discarded.  An
-     * UNVIABLE child is never enqueued, so its number and flag mean
-     * nothing. */
-    if (fate == ACCEPTED)
-        e->counter++;
-    Py_INCREF(Py_None);
-    return frontier_entry(end->max_score, fate == ACCEPTED ? ACCEPTED_FIRST : VIABLE_AFTER,
-                          e->counter, tree_node, Py_None, end->max_score, end->depth);
-}
-
-/* The counters of a finished call, as the Python walk leaves them. */
-static int
-commit(step_state *state, PyObject *context, const expansion *e, i64 columns, i64 dropped,
-       int view)
-{
-    if (add_to_attribute(context, state->columns_expanded, columns) < 0)
-        return -1;
-    if (view)
-        return 0;
-    if (set_attribute(context, state->nodes_enqueued, e->counter) < 0)
-        return -1;
-    return add_to_attribute(context, state->nodes_dropped, dropped);
-}
-
 static int
 append_entry(PyObject *kept, PyObject *entry)
 {
@@ -842,106 +709,13 @@ append_entry(PyObject *kept, PyObject *entry)
     return status;
 }
 
-static PyObject *
-expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    step_state *state = PyModule_GetState(module);
-    PyObject *siblings, *context, *arc_bests = NULL, *kept = NULL;
-    PyObject *sibling = NULL, *tree_node = NULL, *arc = NULL, *best_object;
-    expansion e;
-    arc_walk end;
-    enum fate fate;
-    i64 columns = 0, dropped = 0;
-    Py_ssize_t index;
-    int view, is_leaf, status;
-
-    if (nargs != 3 && nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "expand(parent, siblings, context[, arc_bests]) takes 3 or 4 arguments");
-        return NULL;
-    }
-    siblings = args[1];
-    context = args[2];
-    if (nargs == 4 && args[3] != Py_None)
-        arc_bests = args[3];
-    view = arc_bests != NULL;
-    if (view && !PyList_Check(arc_bests)) {
-        PyErr_SetString(PyExc_TypeError, "arc_bests must be a list");
-        return NULL;
-    }
-    if (require_sequence(args[0], "a frontier entry") < 0
-        || require_sequence(siblings, "the siblings") < 0)
-        return NULL;
-    FAIL_UNLESS(open_expansion(state, args[0], context, view, &e) == 0);
-
-    kept = PyList_New(0);
-    FAIL_UNLESS(kept != NULL);
-    for (index = 0; index < Py_SIZE(siblings); index++) {
-        sibling = item_at(siblings, index, "siblings");
-        FAIL_UNLESS(sibling != NULL);
-        Py_INCREF(sibling);
-        FAIL_UNLESS(require_sequence(sibling, "a sibling") == 0);
-        if (Py_SIZE(sibling) != 3) {
-            PyErr_SetString(PyExc_ValueError, "a sibling is a (handle, arc, is_leaf) triple");
-            goto error;
-        }
-        tree_node = item_at(sibling, 0, "sibling");
-        arc = item_at(sibling, 1, "sibling");
-        Py_INCREF(tree_node);
-        Py_INCREF(arc);
-        if (!PyBytes_Check(arc)) {
-            PyErr_Format(PyExc_TypeError, "an arc must be bytes, not %.100s",
-                         Py_TYPE(arc)->tp_name);
-            goto error;
-        }
-        begin_arc(&e, &end);
-        FAIL_UNLESS(walk_arc(&e, &end, (const unsigned char *)PyBytes_AS_STRING(arc),
-                             PyBytes_GET_SIZE(arc)) == 0);
-        columns += end.depth - e.parent_depth;
-
-        /* Asked only of a child with live cells, as the Python walk does. */
-        is_leaf = 1;
-        if (end.count > 0) {
-            is_leaf = PyObject_IsTrue(item_at(sibling, 2, "sibling"));
-            FAIL_UNLESS(is_leaf >= 0);
-        }
-        fate = fate_of(&e, &end, is_leaf, view);
-        if (fate == DROPPED)
-            dropped++;
-        else
-            FAIL_UNLESS(append_entry(kept, child_entry(&e, &end, fate, PyBytes_GET_SIZE(arc),
-                                                       tree_node)) == 0);
-        if (view) {
-            best_object = PyLong_FromLongLong(end.best);
-            FAIL_UNLESS(best_object != NULL);
-            status = PyList_Append(arc_bests, best_object);
-            Py_DECREF(best_object);
-            FAIL_UNLESS(status == 0);
-        }
-        Py_CLEAR(arc);
-        Py_CLEAR(tree_node);
-        Py_CLEAR(sibling);
-    }
-    FAIL_UNLESS(commit(state, context, &e, columns, dropped, view) == 0);
-    close_expansion(&e);
-    return kept;
-
-error:
-    close_expansion(&e);
-    Py_XDECREF(kept);
-    Py_XDECREF(sibling);
-    Py_XDECREF(tree_node);
-    Py_XDECREF(arc);
-    return NULL;
-}
-
 /* ------------------------------------------------------------------ */
-/* The node step's source: record arrays in memory, or pool pages       */
+/* The frontier's source: record arrays in memory, or pool pages        */
 /* ------------------------------------------------------------------ */
 
 /* The record decoder below is one text compiled once per source: each call
- * site passes ``paged`` as a constant, so the in-memory step branches on no
- * source kind per record or word. */
+ * site passes ``paged`` as a constant, so the in-memory expansion branches
+ * on no source kind per record or word. */
 #define PER_SOURCE static inline __attribute__((always_inline))
 
 /* The regions of repro.storage.layout.Region, in its order, and the bytes
@@ -1195,7 +969,7 @@ typedef struct {
     i64 block;       /* -1 before the first request */
 } page_held;
 
-/* Where the node step reads a node's records and arcs.  In memory each
+/* Where the frontier reads a node's records and arcs.  In memory each
  * region is one page: the whole record array (native words) or the codes.
  * Paged, a page is one block of the image, asked of the buffer pool as
  * DiskSuffixTree._read asks for it, and its words are little-endian. */
@@ -1309,7 +1083,7 @@ open_source(step_state *state, PyObject *records, node_source *s)
 }
 
 /* Forget the pages held, so that the next node's reads request them again,
- * as a call of its own would. */
+ * as DiskSuffixTree.siblings does for each node. */
 static void
 drop_pages(node_source *s)
 {
@@ -1391,7 +1165,7 @@ typedef struct {
     int leaf;
 } child_record;
 
-/* The children of one node, in scratch local to the call. */
+/* The children of one node, in the frontier's scratch. */
 typedef struct {
     child_record *items;
     Py_ssize_t count, capacity;
@@ -1483,112 +1257,47 @@ decode_children(node_source *s, const int paged, i64 node, child_list *children)
     return 0;
 }
 
-/* The walk down one child's arc, a page at a time.  Paged, every page of
- * the arc is requested, as DiskSuffixTree._read slices it, even once the
- * walk has finished; in memory the arc is one piece of the codes. */
+/* The walk down one child's arc, a page at a time: 0, or 1 for a child
+ * whose first symbol ``owned`` (a partition root's symbols, NULL for all)
+ * leaves out, over which no column is walked.  Paged, every page of the
+ * arc is requested, as DiskSuffixTree._read slices it, even once the walk
+ * has finished or for a child left out; in memory the arc is one piece of
+ * the codes. */
 PER_SOURCE int
 walk_child(node_source *s, const int paged, const expansion *e, const child_record *child,
-           arc_walk *walk)
+           const unsigned char *owned, arc_walk *walk)
 {
     i64 at = child->arc_start, remaining = child->length, block, offset, piece;
     const i64 page_bytes = s->page_bytes[SYMBOLS];
+    const unsigned char *codes;
+    int left_out = 0;
 
     begin_arc(e, walk);
-    if (!paged) /* the codes are one page */
-        return walk_arc(e, walk, s->pages[SYMBOLS].bytes + at, (Py_ssize_t)remaining);
+    if (owned != NULL && remaining == 0)
+        return out_of_range("an empty arc below the root");
+    if (!paged) { /* the codes are one page */
+        codes = s->pages[SYMBOLS].bytes + at;
+        if (owned != NULL && !owned[codes[0]])
+            return 1;
+        return walk_arc(e, walk, codes, (Py_ssize_t)remaining);
+    }
     while (remaining > 0) {
         block = at / page_bytes;
         offset = at - block * page_bytes;
         piece = page_bytes - offset < remaining ? page_bytes - offset : remaining;
-        if (request(s, SYMBOLS, block) < 0
-            || walk_arc(e, walk, s->pages[SYMBOLS].bytes + offset, (Py_ssize_t)piece) < 0)
+        if (request(s, SYMBOLS, block) < 0)
+            return -1;
+        codes = s->pages[SYMBOLS].bytes + offset;
+        if (owned != NULL && at == child->arc_start && !owned[codes[0]]) {
+            left_out = 1;
+            walk->finished = 1; /* its pages are still requested */
+        }
+        if (walk_arc(e, walk, codes, (Py_ssize_t)piece) < 0)
             return -1;
         at += piece;
         remaining -= piece;
     }
-    return 0;
-}
-
-static PyObject *
-expand_node(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    step_state *state = PyModule_GetState(module);
-    PyObject *parent, *context, *tree_node = NULL, *kind, *handle, *kept = NULL;
-    node_source source;
-    child_list children;
-    expansion e;
-    arc_walk walk;
-    enum fate fate;
-    const child_record *child;
-    i64 columns = 0, dropped = 0, node;
-    Py_ssize_t index;
-    int status;
-
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "expand_node(records, parent, context) takes 3 arguments");
-        return NULL;
-    }
-    parent = args[1];
-    context = args[2];
-    if (require_sequence(parent, "a frontier entry") < 0)
-        return NULL;
-    memset(&e, 0, sizeof(e));
-    children.items = children.local;
-    children.count = 0;
-    children.capacity = sizeof(children.local) / sizeof(children.local[0]);
-    FAIL_UNLESS(open_source(state, args[0], &source) == 0);
-    FAIL_UNLESS(open_expansion(state, parent, context, 0, &e) == 0);
-    tree_node = item_at(parent, 3, "frontier entry");
-    FAIL_UNLESS(tree_node != NULL);
-    Py_INCREF(tree_node);
-    FAIL_UNLESS(require_sequence(tree_node, "a node handle") == 0);
-    kind = item_at(tree_node, 0, "node handle");
-    FAIL_UNLESS(kind != NULL);
-    /* children() of anything but an internal handle is empty. */
-    if (PyUnicode_Check(kind) && PyUnicode_CompareWithASCIIString(kind, "I") == 0) {
-        FAIL_UNLESS(int_at(tree_node, 1, "node handle", &node) == 0);
-        FAIL_UNLESS((source.paged ? decode_children(&source, 1, node, &children)
-                                  : decode_children(&source, 0, node, &children)) == 0);
-    }
-
-    kept = PyList_New(0);
-    FAIL_UNLESS(kept != NULL);
-    for (index = 0; index < children.count; index++) {
-        child = &children.items[index];
-        FAIL_UNLESS((source.paged ? walk_child(&source, 1, &e, child, &walk)
-                                  : walk_child(&source, 0, &e, child, &walk)) == 0);
-        columns += walk.depth - e.parent_depth;
-        fate = fate_of(&e, &walk, child->leaf, 0);
-        if (fate == DROPPED) {
-            dropped++;
-            continue;
-        }
-        /* Only a kept child gets its handle. */
-        handle = node_handle(child->leaf ? state->leaf_kind : state->internal_kind, child->value,
-                             child->arc_start, child->length, child->depth);
-        FAIL_UNLESS(handle != NULL);
-        status = append_entry(kept, child_entry(&e, &walk, fate, (Py_ssize_t)child->length,
-                                                handle));
-        Py_DECREF(handle);
-        FAIL_UNLESS(status == 0);
-    }
-    close_source(&source);
-    FAIL_UNLESS(commit(state, context, &e, columns, dropped, 0) == 0);
-    close_expansion(&e);
-    Py_DECREF(tree_node);
-    if (children.items != children.local)
-        PyMem_Free(children.items);
-    return kept;
-
-error:
-    close_expansion(&e);
-    Py_XDECREF(tree_node);
-    Py_XDECREF(kept);
-    if (children.items != children.local)
-        PyMem_Free(children.items);
-    close_source(&source);
-    return NULL;
+    return left_out;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1628,6 +1337,8 @@ typedef struct {
     child_list children;
     i64 columns_expanded, nodes_dropped, nodes_expanded, max_queue_size;
     int busy;
+    int partition;          /* the root, not yet expanded, is a partition's */
+    unsigned char owned[256]; /* the partition's first symbols */
 } frontier_object;
 
 static inline int
@@ -1755,14 +1466,15 @@ arena_compact(frontier_object *self)
     return 0;
 }
 
-/* Expand ``parent``: decode its children, walk each arc, and push the kept
- * children -- expand_node's walk, with each kept child put in C entries
- * instead of Python tuples.  The children are pushed and the counters
- * moved only once every child is walked, so an error leaves the queue as
- * the Python frontier leaves it: without the parent and without its
- * children. */
+/* Expand ``parent``: decode its children, walk each arc -- only those of
+ * the children whose first symbol ``owned`` holds, unless it is NULL -- and
+ * push the kept children, each put in a C entry where _expand_live builds a
+ * tuple.  The children are pushed and the counters moved only once every
+ * child is walked, so an error leaves the queue as the Python frontier
+ * leaves it: without the parent and without its children. */
 PER_SOURCE int
-frontier_expand(frontier_object *self, node_source *s, const int paged, const c_entry *parent)
+frontier_expand(frontier_object *self, node_source *s, const int paged, const c_entry *parent,
+                const unsigned char *owned)
 {
     expansion *e = &self->e;
     arc_walk walk;
@@ -1771,6 +1483,7 @@ frontier_expand(frontier_object *self, node_source *s, const int paged, const c_
     i64 counter = e->counter, columns = 0, dropped = 0, bound;
     Py_ssize_t index, staged = 0, mark, count = parent->count, k;
     enum fate fate;
+    int left_out;
 
     if (count < 0) {
         PyErr_SetString(PyExc_ValueError,
@@ -1784,7 +1497,6 @@ frontier_expand(frontier_object *self, node_source *s, const int paged, const c_
     e->seed_scores = self->seed + count;
     e->seed_count = count;
     set_parent(e, parent->max_score, parent->depth);
-    e->floor = PRUNED;
     if (arena_compact(self) < 0)
         return -1;
     mark = self->arena_used;
@@ -1796,10 +1508,13 @@ frontier_expand(frontier_object *self, node_source *s, const int paged, const c_
         goto error;
     for (index = 0; index < self->children.count; index++) {
         child = &self->children.items[index];
-        if (walk_child(s, paged, e, child, &walk) < 0)
+        left_out = walk_child(s, paged, e, child, owned, &walk);
+        if (left_out < 0)
             goto error;
+        if (left_out)
+            continue;
         columns += walk.depth - e->parent_depth;
-        fate = fate_of(e, &walk, child->leaf, 0);
+        fate = fate_of(e, &walk, child->leaf);
         if (fate == DROPPED) {
             dropped++;
             continue;
@@ -1883,8 +1598,7 @@ record_pop(frontier_object *self, step_state *state, const c_entry *entry)
     return status;
 }
 
-/* A Python frontier entry into the heap: the root, or a partition root's
- * kept children. */
+/* The root entry, a Python frontier entry, into the heap. */
 static int
 seed_entry(frontier_object *self, PyObject *object)
 {
@@ -1976,7 +1690,8 @@ frontier_dealloc(frontier_object *self)
 static PyObject *
 frontier_refuse(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
-    PyErr_SetString(PyExc_TypeError, "a frontier is made by frontier(records, context, entries)");
+    PyErr_SetString(PyExc_TypeError,
+                    "a frontier is made by frontier(records, context, root, root_symbols)");
     return NULL;
 }
 
@@ -1998,6 +1713,7 @@ frontier_advance(frontier_object *self, PyObject *const *args, Py_ssize_t nargs)
     node_source source;
     c_entry top;
     PyObject *result = NULL, *score, *handle;
+    const unsigned char *owned;
     i64 floor = 0, budget, pops;
     int has_floor, code = PAUSED, failed = 0;
 
@@ -2006,7 +1722,8 @@ frontier_advance(frontier_object *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     if (self->module == NULL) {
-        PyErr_SetString(PyExc_TypeError, "a frontier is made by frontier(records, context, entries)");
+        PyErr_SetString(PyExc_TypeError,
+                    "a frontier is made by frontier(records, context, root, root_symbols)");
         return NULL;
     }
     has_floor = args[0] != Py_None;
@@ -2056,8 +1773,12 @@ frontier_advance(frontier_object *self, PyObject *const *args, Py_ssize_t nargs)
             break;
         }
         self->nodes_expanded++;
-        if ((source.paged ? frontier_expand(self, &source, 1, &top)
-                          : frontier_expand(self, &source, 0, &top)) < 0) {
+        /* The first node expanded is the root: a partition's takes only its
+         * own children. */
+        owned = self->partition ? self->owned : NULL;
+        self->partition = 0;
+        if ((source.paged ? frontier_expand(self, &source, 1, &top, owned)
+                          : frontier_expand(self, &source, 0, &top, owned)) < 0) {
             failed = 1;
             break;
         }
@@ -2069,34 +1790,41 @@ frontier_advance(frontier_object *self, PyObject *const *args, Py_ssize_t nargs)
     return result != NULL ? result : PyLong_FromLong(code);
 }
 
-/* frontier(records, context, entries[, popped]): the queue seeded with
- * ``entries``, over a cursor's node_records. */
+/* frontier(records, context, root, root_symbols[, popped]): the queue
+ * seeded with ``root``, over a cursor's node_records; with root_symbols
+ * (bytes), the root's expansion keeps to the children whose first symbol
+ * it holds. */
 static PyObject *
 make_frontier(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     step_state *state = PyModule_GetState(module);
-    PyObject *records, *context, *entries, *popped = NULL, *item;
+    PyObject *records, *context, *root, *symbols, *popped = NULL;
     frontier_object *self;
     node_source source;
     Py_ssize_t index;
     int status;
 
-    if (nargs != 3 && nargs != 4) {
+    if (nargs != 4 && nargs != 5) {
         PyErr_SetString(PyExc_TypeError,
-                        "frontier(records, context, entries[, popped]) takes 3 or 4 arguments");
+                        "frontier(records, context, root, root_symbols[, popped]) takes 4 or 5 "
+                        "arguments");
         return NULL;
     }
     records = args[0];
     context = args[1];
-    entries = args[2];
-    if (nargs == 4 && args[3] != Py_None)
-        popped = args[3];
+    root = args[2];
+    symbols = args[3];
+    if (nargs == 5 && args[4] != Py_None)
+        popped = args[4];
     if (popped != NULL && !PyList_Check(popped)) {
         PyErr_SetString(PyExc_TypeError, "popped must be a list");
         return NULL;
     }
-    if (require_sequence(entries, "the entries") < 0)
+    if (symbols != Py_None && !PyBytes_Check(symbols)) {
+        PyErr_Format(PyExc_TypeError, "root_symbols must be bytes or None, not %.100s",
+                     Py_TYPE(symbols)->tp_name);
         return NULL;
+    }
     /* The records' shape is checked here; each advance opens them again. */
     status = open_source(state, records, &source);
     close_source(&source);
@@ -2113,20 +1841,19 @@ make_frontier(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     self->popped = popped;
     self->children.items = self->children.local;
     self->children.capacity = sizeof(self->children.local) / sizeof(self->children.local[0]);
-    if (open_query(state, context, 0, &self->e) < 0
+    if (symbols != Py_None) {
+        self->partition = 1;
+        for (index = 0; index < PyBytes_GET_SIZE(symbols); index++)
+            self->owned[(unsigned char)PyBytes_AS_STRING(symbols)[index]] = 1;
+    }
+    if (open_query(state, context, &self->e) < 0
         || attribute_score(context, state->columns_expanded, &self->columns_expanded) < 0
-        || attribute_score(context, state->nodes_dropped, &self->nodes_dropped) < 0)
-        goto error;
-    for (index = 0; index < Py_SIZE(entries); index++) {
-        item = item_at(entries, index, "entries");
-        if (item == NULL || seed_entry(self, item) < 0)
-            goto error;
+        || attribute_score(context, state->nodes_dropped, &self->nodes_dropped) < 0
+        || seed_entry(self, root) < 0) {
+        Py_DECREF(self);
+        return NULL;
     }
     return (PyObject *)self;
-
-error:
-    Py_DECREF(self);
-    return NULL;
 }
 
 static PyMethodDef frontier_methods[] = {
@@ -2157,7 +1884,8 @@ static PyType_Slot frontier_slots[] = {
     {Py_tp_methods, frontier_methods},
     {Py_tp_members, frontier_members},
     {Py_sq_length, frontier_length},
-    {Py_tp_doc, "The best-first queue of one search, in C: frontier(records, context, entries)."},
+    {Py_tp_doc,
+     "The best-first queue of one search, in C: frontier(records, context, root, root_symbols)."},
     {0, NULL},
 };
 
@@ -2170,19 +1898,12 @@ static PyType_Spec frontier_spec = {
 };
 
 static PyMethodDef step_methods[] = {
-    {"expand", (PyCFunction)(void (*)(void))expand, METH_FASTCALL,
-     "expand(parent, siblings, context, arc_bests=None) -> list of frontier entries\n\n"
-     "The live-cell column step over one sibling list (kernels._expand_live)."},
-    {"expand_node", (PyCFunction)(void (*)(void))expand_node, METH_FASTCALL,
-     "expand_node(records, parent, context) -> list of frontier entries\n\n"
-     "expand(parent, tree.siblings(parent[3]), context), the children decoded\n"
-     "from tree.node_records -- record arrays, or buffer-pool pages -- and their\n"
-     "arcs read in place."},
     {"frontier", (PyCFunction)(void (*)(void))make_frontier, METH_FASTCALL,
-     "frontier(records, context, entries, popped=None) -> Frontier\n\n"
-     "Algorithm 1's queue seeded with entries, expanding each node as\n"
-     "expand_node(records, ...) does; with popped (a list), each popped entry\n"
-     "is appended to it as its tuple."},
+     "frontier(records, context, root, root_symbols, popped=None) -> Frontier\n\n"
+     "Algorithm 1's queue over tree.node_records -- record arrays, or buffer-pool\n"
+     "pages --, seeded with the root entry; with root_symbols (bytes) the root's\n"
+     "expansion keeps only the children whose first arc symbol is among them.\n"
+     "With popped (a list), each popped entry is appended to it as its tuple."},
     {"page", (PyCFunction)(void (*)(void))pool_page, METH_FASTCALL,
      "page(state, block, region) -> bytes\n\n"
      "BufferPool.page over the pool's state: one request, its hit or its miss\n"
@@ -2249,7 +1970,7 @@ static PyModuleDef_Slot step_slots[] = {
 static struct PyModuleDef step_module = {
     PyModuleDef_HEAD_INIT,
     "_column_step",
-    "The live-cell column step of repro.core.kernels, compiled.",
+    "The compiled kernel's search and buffer pool: frontier and page.",
     sizeof(step_state),
     step_methods,
     step_slots,

@@ -1,8 +1,11 @@
 """The frontier: Algorithm 1's priority queue and the loop that drains it.
 
 A search is one loop over a frontier object (:class:`~repro.core.oasis.
-QueryExecution`).  The frontier holds the queue of search nodes, best bound
-first, and its ``advance(bound_floor, budget)`` pops and expands entries
+QueryExecution`).  The frontier is seeded with the root's entry and holds
+the queue of search nodes, best bound first.  A partition of the tree (a
+process scatter's task) gives it ``root_symbols`` as well: its first
+expansion, the root's, then keeps to the children whose first arc symbol is
+among them.  Its ``advance(bound_floor, budget)`` pops and expands entries
 until one of four things happens:
 
 * an ACCEPTED entry surfaces: it returns ``(score, handle)``, the path's
@@ -15,28 +18,28 @@ until one of four things happens:
 * the queue is empty: it returns :data:`EMPTY`.
 
 Before each pop it notes the queue's length in ``max_queue_size``.  Its
-other counters are ``nodes_expanded`` (the entries it popped and expanded)
-and the context's three: ``columns_expanded``, ``nodes_enqueued`` and
-``nodes_dropped``, which continue from what the context held when the
-frontier was made (a partition's root is expanded before it).
+other counters are ``nodes_expanded`` (the entries it popped and expanded,
+the root's included) and the context's three: ``columns_expanded``,
+``nodes_enqueued`` and ``nodes_dropped``.  They are the search's.
 
 There are two forms of it.  The compiled kernel's, over a cursor's
-``node_records``, is C (``frontier(records, context, entries)`` in
-``_column_step.c``): a binary heap of C entries whose columns live in one
-cell arena, each node decoded and walked as the node step does it, and
-only a hit's handle ever made a Python object.  :class:`PythonFrontier` is
-the same loop over ``heapq`` and the flat tuples of
-:mod:`repro.core.search_node`, expanding each node through a callable: it
-serves the ``live`` and ``reference`` kernels, dense columns and cursors
-without ``node_records``, and it is the twin the C frontier is tested
-against.  Heap keys ``(-f, flag, counter)`` are unique within a query, so
-both pop the same sequence.
+``node_records``, is C (``frontier(records, context, root, root_symbols)``
+in ``_column_step.c``): a binary heap of C entries whose columns live in
+one cell arena, each node's children decoded from the records and walked
+where they lie, and only a hit's handle ever made a Python object.
+:class:`PythonFrontier` is the same loop over ``heapq`` and the flat tuples
+of :mod:`repro.core.search_node`, expanding each node through a callable:
+it serves the ``live`` and ``reference`` kernels, dense columns and cursors
+without ``node_records``, and the ``live`` kernel's, over
+``cursor.siblings``, is the twin the C frontier is tested against.  Heap
+keys ``(-f, flag, counter)`` are unique within a query, so both pop the
+same sequence.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Protocol, Tuple, Union
 
 from repro.core.expand import ExpansionContext
 from repro.core.search_node import ACCEPTED_FIRST, FrontierEntry
@@ -85,30 +88,28 @@ class PythonFrontier:
     """The frontier over ``heapq`` and flat entries, expanding through ``expand``.
 
     ``expand(parent, context)`` returns the entries of the children to
-    enqueue, numbered from ``context.nodes_enqueued``.  ``popped``, a list,
-    receives every popped entry (the test view the C frontier's ``popped``
-    list matches).
+    enqueue, numbered from ``context.nodes_enqueued``; the queue starts with
+    ``root`` alone.  :attr:`popped`, a list, receives every popped entry
+    (the test view the C frontier's ``popped`` list matches).
     """
 
     def __init__(
         self,
         expand: Callable[[FrontierEntry, ExpansionContext], List[FrontierEntry]],
         context: ExpansionContext,
-        entries: Sequence[FrontierEntry],
-        popped: Optional[List[FrontierEntry]] = None,
+        root: FrontierEntry,
     ) -> None:
         self._expand = expand
         self._context = context
-        self._queue = list(entries)
-        heapq.heapify(self._queue)
-        self._popped = popped
+        self._queue = [root]
+        self.popped: Optional[List[FrontierEntry]] = None
         self.nodes_expanded = 0
         self.max_queue_size = 0
 
     def advance(self, bound_floor: Optional[int], budget: int) -> Step:
         if budget < 1:
             raise ValueError("the budget is at least one pop")
-        queue, expand, context, popped = self._queue, self._expand, self._context, self._popped
+        queue, expand, context, popped = self._queue, self._expand, self._context, self.popped
         # Looked up per call, so that a test can watch the heap.
         push, pop = heapq.heappush, heapq.heappop
         for _ in range(budget):

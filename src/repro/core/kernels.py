@@ -54,43 +54,35 @@ kernel here never materialises the dead ones:
 
 :class:`CompiledKernel` (``compiled``, the default where it builds)
     The same walk in C (``_column_step.c``, next to this file), written
-    against the CPython C API: one call takes the parent entry, the whole
-    sibling list and the context; it reads the seed column and the arcs as
-    the Python objects they are and the heuristic and profile as the
-    context's packed ``int64`` copies, computes each limit as
-    ``limit_for`` lists it, keeps the columns inside an arc in C arrays
-    scratch to that call, and builds the same entries, numbered the same
-    way, with the same counter updates -- the ``expand_arc`` view included.
-    ``live`` stays as the form of the step that runs everywhere, and the
-    one the C source is read against.
-
-    It also has a node step, ``expand_node(records, parent, context)``: the
-    same walk over a node's children that C decodes itself from the
-    cursor's ``node_records`` -- the in-memory tree's record arrays, or the
-    disk cursor's page source, whose buffer-pool pages it asks for exactly
-    as ``DiskSuffixTree.siblings`` does (the pool's hits, misses and clock
-    run in C too, over its flat buffers: ``page``, which the pool's
-    ``page`` is bound to wherever the module builds) -- each arc read where
-    it lies, a handle built only for a child that is kept.  Both sources
-    share one C run decoder, and both steps one C walk per arc.
-
-    And it has a frontier, ``frontier(records, context, entries)``
-    (:attr:`CompiledKernel.node_frontier`; :mod:`repro.core.frontier`):
-    Algorithm 1's queue in C, a binary heap of C entries whose columns live
-    in one cell arena, with the query's constants read from the context
-    once.  Its ``advance(bound_floor, budget)`` pops and expands -- each
-    node through the node step's decoder and walk, the pool's pages asked
-    for as the node step asks for them -- until an ACCEPTED entry
-    surfaces, the held hits' score is passed, ``budget`` pops have been
-    made or the queue is empty, and only a hit's handle becomes a Python
-    object.  The search runs every
+    against the CPython C API, inside Algorithm 1's queue: ``frontier(records,
+    context, root, root_symbols)`` (:attr:`CompiledKernel.node_frontier`;
+    :mod:`repro.core.frontier`), a binary heap of C entries whose columns
+    live in one cell arena.  It reads the query's constants from the context
+    once -- the heuristic and profile as the context's packed ``int64``
+    copies, each limit computed as ``limit_for`` lists it -- and decodes
+    each node's children itself from the cursor's ``node_records``: the
+    in-memory tree's record arrays, or the disk cursor's page source, whose
+    buffer-pool pages it asks for exactly as ``DiskSuffixTree.siblings``
+    does (the pool's hits, misses and clock run in C too, over its flat
+    buffers: ``page``, which the pool's ``page`` is bound to wherever the
+    module builds).  Each arc is walked where it lies, and each node's
+    children get the entries, numbering and counter updates
+    :func:`_expand_live` gives them.  Its ``advance(bound_floor, budget)``
+    pops and expands until an ACCEPTED entry surfaces, the held hits' score
+    is passed, ``budget`` pops have been made or the queue is empty, and
+    only a hit's handle becomes a Python object: one C call per hit, not one
+    Python round trip per node.  A partition's root is its first expansion,
+    over only the children whose first arc symbol is in ``root_symbols``.
+    The search runs it on every
     :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read, and
-    every :class:`~repro.storage.DiskSuffixTree` on it
-    (:meth:`ExpansionKernel.frontier` decides): one C call per hit, not
-    one Python round trip per node.  A partition's root is expanded over
-    its sibling list first, and its kept children seed the frontier.  The
-    node step itself serves the Python frontier, as the twin the C
-    frontier is tested against (``tests/test_frontier.py``).
+    every :class:`~repro.storage.DiskSuffixTree`
+    (:meth:`ExpansionKernel.frontier` decides).  Everywhere else --
+    ``expand_arc``, ``expand_children``, and a cursor without
+    ``node_records`` (a test double, or a timing proxy such as
+    ``bench_e2e``'s ``TimedCursor``) -- the compiled kernel runs ``live``'s
+    Python step on the Python frontier.  ``live`` stays as the form that
+    runs everywhere, the one the C source is read against, and the C
+    frontier's twin in the tests (``tests/test_frontier.py``).
 
     The C source is compiled on first use, once per user and machine: ``gcc
     -O2 -shared -fPIC -I<sysconfig include>`` into ``$XDG_CACHE_HOME/
@@ -117,7 +109,7 @@ kernel here never materialises the dead ones:
 
 Each kernel runs one path per cursor, so ``statistics.kernel`` names the
 code that ran: the dense NumPy form for ``reference``, :func:`_expand_live`
-for ``live``, and for ``compiled`` the C frontier, or the C sibling step
+for ``live``, and for ``compiled`` the C frontier, or :func:`_expand_live`
 on the Python frontier where a cursor has no ``node_records``.
 
 The Python frontier and a kernel exchange frontier entries, the flat tuples
@@ -130,10 +122,10 @@ frontier pushes them as they are.  Four in five children come out UNVIABLE
 and are counted in ``context.nodes_dropped`` without ever becoming an
 entry.  Kernels hold no per-query state -- one instance serves concurrent
 executions; the C frontier is made per search -- and never call the
-cursor.  The one exception is the compiled node step and frontier, which
-decode the children themselves: they read what the cursor hands over as
-``node_records`` (record arrays, or a page source whose requests go to the
-buffer pool), never a cursor method.
+cursor.  The one exception is the compiled frontier, which decodes the
+children itself: it reads what the cursor hands over as ``node_records``
+(record arrays, or a page source whose requests go to the buffer pool),
+never a cursor method.
 
 Selection goes through :func:`get_kernel`: an explicit ``kernel=`` argument
 (``OasisEngine``, its ``build`` / ``open`` and the CLI all thread one
@@ -144,7 +136,7 @@ kernel that ran.
 
 Purity contract, enforced by the ``kernel-purity`` analysis rule over this
 file: no NumPy call and no tracer access inside a kernel loop.  The
-C step keeps the Python walk's rules: no buffer shared between calls (a
+C frontier keeps the Python walk's rules: no buffer shared between searches (a
 frontier's heap and arena belong to its one search, and an ``advance``
 that another thread enters while a pool miss has released the GIL is a
 ``RuntimeError``), every conversion and allocation checked, a symbol or row
@@ -245,20 +237,30 @@ class ExpansionKernel:
         return kept
 
     def frontier(
-        self, cursor: SuffixTreeCursor, context: ExpansionContext, entries: List[FrontierEntry]
+        self,
+        cursor: SuffixTreeCursor,
+        context: ExpansionContext,
+        root: FrontierEntry,
+        root_symbols: Optional[bytes],
     ) -> Frontier:
-        """The frontier a search of ``cursor`` runs on, seeded with ``entries``.
+        """The frontier a search of ``cursor`` runs on, seeded with ``root``.
 
         Here the Python one: each expanded node costs one ``cursor.siblings``
-        call, handed to :meth:`expand_children`.  The compiled kernel runs
-        its C frontier over a cursor that names its ``node_records``.
+        call, handed to :meth:`expand_children`.  With ``root_symbols`` (a
+        partition of the tree; ``None`` for all of it) the root's expansion
+        gets only the children whose first arc symbol is among them.  The
+        compiled kernel runs its C frontier over a cursor that names its
+        ``node_records``.
         """
         siblings, expand_children = cursor.siblings, self.expand_children
 
         def expand(parent: FrontierEntry, context: ExpansionContext) -> List[FrontierEntry]:
-            return expand_children(parent, siblings(parent[3]), context)
+            children = siblings(parent[3])
+            if parent is root and root_symbols is not None:
+                children = [child for child in children if child[1][0] in root_symbols]
+            return expand_children(parent, children, context)
 
-        return PythonFrontier(expand, context, entries)
+        return PythonFrontier(expand, context, root)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -456,11 +458,6 @@ class LiveCellKernel(ExpansionKernel):
 
     name = "live"
 
-    def __init__(self) -> None:
-        #: The column step over one sibling list: :func:`_expand_live`, or
-        #: its compiled form in :class:`CompiledKernel`.
-        self.step: Callable[..., List[FrontierEntry]] = _expand_live
-
     def expand_arc(
         self,
         parent: SearchNode,
@@ -470,7 +467,7 @@ class LiveCellKernel(ExpansionKernel):
         context: ExpansionContext,
     ) -> SearchNode:
         arc_bests: List[int] = []
-        (child,) = self.step(
+        (child,) = _expand_live(
             frontier_entry(parent, 0), ((tree_node, arc_symbols, is_leaf),), context, arc_bests
         )
         return node_view(child, context.min_score, arc_bests[0])
@@ -481,7 +478,7 @@ class LiveCellKernel(ExpansionKernel):
         siblings: Sequence[Sibling],
         context: ExpansionContext,
     ) -> List[FrontierEntry]:
-        return self.step(parent, siblings, context)
+        return _expand_live(parent, siblings, context)
 
 
 class KernelUnavailable(ValueError):
@@ -489,14 +486,15 @@ class KernelUnavailable(ValueError):
 
 
 class CompiledKernel(LiveCellKernel):
-    """The live-cell kernel with its column step in C (the default where it builds).
+    """The live-cell kernel with its search in C (the default where it builds).
 
-    ``_column_step.c`` is :func:`_expand_live` against the CPython C API:
-    the same walk, entries, numbering and counter updates, the ``arc_bests``
-    view included, so ``expand_arc`` and ``expand_children`` both run it;
-    over a cursor's ``node_records`` the search runs its C frontier.
-    Constructing one builds the step on first use (:func:`_compiled_step`)
-    and raises :class:`KernelUnavailable` where it cannot.
+    Over a cursor's ``node_records`` the search runs the C frontier of
+    ``_column_step.c``, which expands each node as :func:`_expand_live`
+    does: the same walk, entries, numbering and counter updates.  Everything
+    else -- ``expand_arc``, ``expand_children``, a cursor without
+    ``node_records`` -- is the ``live`` kernel's Python.  Constructing one
+    builds the module on first use (:func:`_compiled_step`) and raises
+    :class:`KernelUnavailable` where it cannot.
     """
 
     name = "compiled"
@@ -505,21 +503,21 @@ class CompiledKernel(LiveCellKernel):
         module = _compiled_step()
         if isinstance(module, str):
             raise KernelUnavailable(f"expansion kernel 'compiled' is unavailable: {module}")
-        self.step = module.expand
-        #: ``expand_node(records, parent, context)``: :attr:`step` over the
-        #: children that ``records`` hold for ``parent``'s node, decoded in C.
-        self.node_step: Callable[..., List[FrontierEntry]] = module.expand_node
-        #: ``frontier(records, context, entries[, popped])``: the C frontier,
-        #: expanding each node as :attr:`node_step` does.
+        #: ``frontier(records, context, root, root_symbols[, popped])``: the
+        #: C frontier.
         self.node_frontier: Callable[..., Frontier] = module.frontier
 
     def frontier(
-        self, cursor: SuffixTreeCursor, context: ExpansionContext, entries: List[FrontierEntry]
+        self,
+        cursor: SuffixTreeCursor,
+        context: ExpansionContext,
+        root: FrontierEntry,
+        root_symbols: Optional[bytes],
     ) -> Frontier:
         records = cursor.node_records
         if records is None:
-            return super().frontier(cursor, context, entries)
-        return self.node_frontier(records, context, entries)
+            return super().frontier(cursor, context, root, root_symbols)
+        return self.node_frontier(records, context, root, root_symbols)
 
 
 # --------------------------------------------------------------------- #
@@ -616,8 +614,8 @@ def _library() -> Union[Tuple[List[str], str, str, str, str], str]:
 
 @functools.lru_cache(maxsize=None)
 def _compiled_step() -> Union[ModuleType, str]:
-    """The compiled module (``expand``, ``expand_node``, ``frontier``,
-    ``page``), or why it cannot run here.
+    """The compiled module (``frontier`` and ``page``), or why it cannot run
+    here.
 
     The library (:func:`_library`) is built once per source, interpreter
     ABI and compile command.  A failed compile leaves a ``.failed`` marker

@@ -41,7 +41,7 @@ from repro.core.results import (
     SearchResult,
     hit_order_key,
 )
-from repro.core.search_node import VIABLE_AFTER, FrontierEntry
+from repro.core.search_node import VIABLE_AFTER
 from repro.sequences.sequence import Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (the engine imports this module)
@@ -318,21 +318,12 @@ class QueryExecution:
             # A frontier entry is the flat tuple described in
             # ``repro.core.search_node``; the root is entry number 0.
             root = (-root_bound, VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)
-            seeds: List[FrontierEntry] = [root]
-            if self.root_symbols is not None:
-                # A partition pops and expands the root here, over the
-                # children whose first symbol it owns, so that no node below
-                # the root pays for the filter.
-                if self._should_stop():
-                    return
-                statistics.max_queue_size = statistics.nodes_expanded = 1
-                symbols = self.root_symbols
-                owned = [child for child in cursor.siblings(cursor.root) if child[1][0] in symbols]
-                seeds = kernel.expand_children(root, owned, context)
             # The kernel and the cursor decide which frontier runs: the C one
             # over a cursor's ``node_records`` on the compiled kernel, the
-            # Python one everywhere else (``repro.core.frontier``).
-            frontier = self._frontier = kernel.frontier(cursor, context, seeds)
+            # Python one everywhere else (``repro.core.frontier``).  A
+            # partition's frontier expands the root over the children whose
+            # first symbol it owns.
+            frontier = self._frontier = kernel.frontier(cursor, context, root, self.root_symbols)
             reported: Set[int] = set()
             emitted = 0
             sequence_count = len(database)
@@ -430,11 +421,9 @@ class QueryExecution:
         counts: Union[ExpansionContext, Frontier] = self.context
         frontier = self._frontier
         if frontier is not None:
-            # The frontier counts on from what the context held when it was
-            # made; its pops add to a partition root's.
             counts = frontier
-            statistics.nodes_expanded += frontier.nodes_expanded
-            statistics.max_queue_size = max(statistics.max_queue_size, frontier.max_queue_size)
+            statistics.nodes_expanded = frontier.nodes_expanded
+            statistics.max_queue_size = frontier.max_queue_size
             self._frontier = None
         statistics.columns_expanded = counts.columns_expanded
         statistics.nodes_enqueued = counts.nodes_enqueued

@@ -17,8 +17,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from repro.core.frontier import PythonFrontier
-from repro.core.kernels import available_kernels
+from repro.core.kernels import ExpansionKernel, available_kernels
 from repro.datagen.motifs import MotifQuery, MotifWorkload
 from repro.scoring.data import nucleotide_matrix, pam30
 from repro.scoring.matrix import SubstitutionMatrix
@@ -198,21 +197,11 @@ def on_pool_body(monkeypatch, body, miss_sleep=0.0):
     monkeypatch.setattr(BufferPool, "_read_physical", slow_read)
 
 
-def on_python_frontier(kernel, node_step=None):
-    """Make the compiled ``kernel`` search a records cursor on the Python
-    frontier over ``partial(node_step, records)`` (its own node step by
-    default) instead of its C frontier; a cursor without ``node_records``
-    keeps the sibling-list path."""
-    step = kernel.node_step if node_step is None else node_step
-    fallback = kernel.frontier
-
-    def frontier(cursor, context, entries):
-        records = cursor.node_records
-        if records is None:
-            return fallback(cursor, context, entries)
-        return PythonFrontier(functools.partial(step, records), context, entries)
-
-    kernel.frontier = frontier
+def on_python_frontier(kernel):
+    """Make ``kernel`` search every cursor on the Python frontier over
+    ``cursor.siblings``, as it does a cursor without ``node_records``: the
+    compiled kernel then runs ``live``'s step instead of its C frontier."""
+    kernel.frontier = functools.partial(ExpansionKernel.frontier, kernel)
     return kernel
 
 

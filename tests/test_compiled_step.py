@@ -1,12 +1,13 @@
-"""The compiled column step: the rules it shares with the Python walk, and
+"""The compiled frontier: the rules it shares with the Python walk, and
 how it is built, cached and given up on.
 
 Parity with the oracle lives with the other kernels'
-(``tests/test_kernel_parity.py``, ``tests/test_fused_step.py``, both
-parametrized over every kernel that runs here).  The cases here are what C
-adds: malformed arguments must raise, never crash the process, and a host
-that cannot build the step must fall back to ``live`` -- or, when
-``compiled`` is asked for by name, say why in one line.
+(``tests/test_kernel_parity.py``, parametrized over every kernel that runs
+here) and with its Python twin (``tests/test_frontier.py``).  The cases
+here are what C adds: malformed arguments must raise, never crash the
+process, and a host that cannot build the module must fall back to
+``live`` -- or, when ``compiled`` is asked for by name, say why in one
+line.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from repro.core.heuristic import compute_heuristic_vector
 from repro.core.kernels import LiveCellKernel, available_kernels, get_kernel
 from repro.core.search_node import VIABLE_AFTER
 from repro.scoring.data import nucleotide_matrix
-from repro.sequences.alphabet import DNA_ALPHABET
+from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
+from repro.sequences.database import SequenceDatabase
+from repro.suffixtree.generalized import GeneralizedSuffixTree
 from support import PRODUCTION_KERNELS
 
 needs_compiled = pytest.mark.skipif(
@@ -45,133 +48,98 @@ def make_context(query=QUERY, min_score=10):
     )
 
 
-def root(context, column=None):
+@pytest.fixture(scope="module")
+def tree():
+    database = SequenceDatabase.from_texts(
+        ["ACGTACGTTA", "GGACGTAC", "TTACG"], alphabet=DNA_ALPHABET
+    )
+    return GeneralizedSuffixTree.build(database)
+
+
+def root(context, tree, column=None):
     cells = context.make_root_cells() if column is None else column
-    return (-max(context.heuristic), VIABLE_AFTER, 0, "root", cells, 0, 0)
+    return (-max(context.heuristic), VIABLE_AFTER, 0, tree.root, cells, 0, 0)
 
 
-def counters(context):
-    return (context.nodes_enqueued, context.nodes_dropped, context.columns_expanded)
-
-
-ARC = DNA_ALPHABET.encode("ACG")
-
-
-class Truthless:
-    """An ``is_leaf`` whose truth value cannot be taken."""
-
-    def __bool__(self):
-        raise RuntimeError("no truth value")
+def frontier(tree, context, root_entry):
+    """The C frontier over ``tree``, seeded with ``root_entry``."""
+    return get_kernel("compiled").node_frontier(tree.node_records, context, root_entry, None)
 
 
 @needs_compiled
 class TestTheRulesOfTheWalk:
-    """Through ``get_kernel("compiled")``: what the C step does with bad input."""
+    """Through the C frontier, ``frontier(...)`` and its ``advance``: what it
+    does with bad input."""
 
     @pytest.mark.parametrize(
-        "arguments",
+        "entry",
         [
-            pytest.param(
-                lambda c: (root(c), iter([("n", ARC, False)]), c), id="siblings-iterator"
-            ),
-            pytest.param(
-                lambda c: ({4: c.make_root_cells()}, [("n", ARC, False)], c), id="parent-dict"
-            ),
-            pytest.param(lambda c: (root(c, {(0, 0)}), [("n", ARC, False)], c), id="column-set"),
-            pytest.param(lambda c: (root(c, [0, 1]), [("n", ARC, False)], c), id="cell-int"),
-            pytest.param(lambda c: (root(c, [(0, 0.5)]), [("n", ARC, False)], c), id="score-float"),
-            pytest.param(lambda c: (root(c), ["nAC"], c), id="sibling-str"),
-            pytest.param(lambda c: (root(c), [("n", list(ARC), False)], c), id="arc-list"),
-            pytest.param(lambda c: (root(c), [("n", ARC, False)], c, ()), id="arc-bests-tuple"),
+            pytest.param(lambda c, t: {4: c.make_root_cells()}, id="parent-dict"),
+            pytest.param(lambda c, t: root(c, t, {(0, 0)}), id="column-set"),
+            pytest.param(lambda c, t: root(c, t, [0, 1]), id="cell-int"),
+            pytest.param(lambda c, t: root(c, t, [(0, 0.5)]), id="score-float"),
         ],
     )
-    def test_a_non_list_or_tuple_argument_is_a_type_error(self, arguments):
+    def test_a_non_list_or_tuple_argument_is_a_type_error(self, tree, entry):
         context = make_context()
-        before = counters(context)
         with pytest.raises(TypeError):
-            get_kernel("compiled").step(*arguments(context))
-        assert counters(context) == before
+            frontier(tree, context, entry(context, tree))
 
     @pytest.mark.parametrize("packed", ["packed_heuristic", "packed_profile"])
-    def test_a_packed_table_that_is_not_int64_bytes_is_a_type_error(self, packed):
+    def test_a_packed_table_that_is_not_int64_bytes_is_a_type_error(self, tree, packed):
         context = make_context()
         setattr(context, packed, list(getattr(context, packed)))
         with pytest.raises(TypeError, match=packed):
-            get_kernel("compiled").expand_children(root(context), [("n", ARC, False)], context)
+            frontier(tree, context, root(context, tree))
         setattr(context, packed, getattr(make_context(), packed)[:-1])
         with pytest.raises(TypeError, match=packed):
-            get_kernel("compiled").expand_children(root(context), [("n", ARC, False)], context)
+            frontier(tree, context, root(context, tree))
 
-    def test_a_profile_of_another_query_length_is_a_value_error(self):
+    def test_a_profile_of_another_query_length_is_a_value_error(self, tree):
         context = make_context()
         context.packed_profile = make_context(QUERY + "A").packed_profile
         with pytest.raises(ValueError, match="m rows of one score per symbol"):
-            get_kernel("compiled").expand_children(root(context), [("n", ARC, False)], context)
+            frontier(tree, context, root(context, tree))
 
     @pytest.mark.parametrize("kernel", PRODUCTION_KERNELS)
     def test_a_symbol_past_the_alphabet_is_an_index_error(self, kernel):
+        # A protein tree under a DNA profile: W is past the DNA alphabet.
+        protein = GeneralizedSuffixTree.build(
+            SequenceDatabase.from_texts(["WWYW", "YWW"], alphabet=PROTEIN_ALPHABET)
+        )
         context = make_context()
-        arc = bytes([len(context.profile_rows)])
+        assert min(protein.node_records[2]) >= len(context.profile_rows)
+        searched = get_kernel(kernel).frontier(protein, context, root(context, protein), None)
         with pytest.raises(IndexError):
-            get_kernel(kernel).expand_children(root(context), [("n", arc, False)], context)
+            searched.advance(None, 1)
 
     @pytest.mark.parametrize("kernel", PRODUCTION_KERNELS)
-    def test_a_live_row_at_m_is_an_index_error(self, kernel):
+    def test_a_live_row_at_m_is_an_index_error(self, tree, kernel):
         # Row m has no substitution score: a finished column never holds it.
         context = make_context()
         column = [(len(QUERY), 40)]
+        searched = get_kernel(kernel).frontier(tree, context, root(context, tree, column), None)
         with pytest.raises(IndexError):
-            get_kernel(kernel).expand_children(root(context, column), [("n", ARC, False)], context)
+            searched.advance(None, 1)
 
-    def test_a_negative_row_is_an_index_error(self):
+    def test_a_negative_row_is_an_index_error(self, tree):
         context = make_context()
         with pytest.raises(IndexError):
-            get_kernel("compiled").step(root(context, [(-1, 40)]), [("n", ARC, False)], context)
+            frontier(tree, context, root(context, tree, [(-1, 40)]))
 
-    def test_rows_out_of_order_are_a_value_error(self):
+    def test_rows_out_of_order_are_a_value_error(self, tree):
         context = make_context()
         column = [(3, 20), (1, 20)]
         with pytest.raises(ValueError, match="ascend"):
-            get_kernel("compiled").step(root(context, column), [("n", ARC, False)], context)
+            frontier(tree, context, root(context, tree, column))
 
     @pytest.mark.parametrize("score", [2**62 + 1, 2**70, -(2**63)])
-    def test_a_score_past_two_to_the_62_is_an_overflow_error(self, score):
-        # Python ints never overflow; the C step refuses what an int64 sum
-        # could not hold rather than wrap.
+    def test_a_score_past_two_to_the_62_is_an_overflow_error(self, tree, score):
+        # Python ints never overflow; the C frontier refuses what an int64
+        # sum could not hold rather than wrap.
         context = make_context()
         with pytest.raises(OverflowError):
-            get_kernel("compiled").step(root(context, [(0, score)]), [("n", ARC, False)], context)
-
-    @pytest.mark.parametrize("kernel", PRODUCTION_KERNELS)
-    def test_an_error_from_is_leaf_propagates(self, kernel):
-        context = make_context()
-        with pytest.raises(RuntimeError, match="no truth value"):
-            get_kernel(kernel).expand_children(root(context), [("n", ARC, Truthless())], context)
-
-    def test_a_call_made_inside_a_call_keeps_its_own_scratch(self):
-        # An ``is_leaf`` that runs another expansion before it answers: with
-        # buffers shared between calls, the inner one would overwrite the
-        # outer one's seed and columns.
-        compiled = get_kernel("compiled")
-        python = LiveCellKernel()
-
-        def siblings(leaf):
-            return [(code, bytes([code]) + ARC, leaf) for code in range(4)]
-
-        def outcome(kernel):
-            outer, inner = make_context(), make_context("TTGACA", min_score=6)
-
-            class Reentrant:
-                def __bool__(self):
-                    kernel.expand_children(root(inner), siblings(False), inner)
-                    return False
-
-            entries = kernel.expand_children(root(outer), siblings(Reentrant()), outer)
-            return entries, counters(outer), counters(inner)
-
-        expected = outcome(python)
-        assert expected[0] and expected[2][2] > 0
-        assert outcome(compiled) == expected
+            frontier(tree, context, root(context, tree, [(0, score)]))
 
 
 @pytest.fixture

@@ -8,49 +8,72 @@ frontier pushes them unchanged and hands each popped one back as the parent
 of the next expansion.  The ``HeapWatch`` tests watch that heap from outside
 -- ``heapq``'s two functions wrapped for the duration of a search -- and pin
 the tie-break the first three slots implement, on every kernel (the
-compiled one through its node step).
+compiled one on the Python frontier, where it runs ``live``'s step).
 
-The compiled kernel's own frontier is C (``frontier(records, context,
-entries)`` in ``core/_column_step.c``).  The twin tests hold it to the
-Python frontier over ``partial(node_step, records)``, advance for advance:
-the same steps, the same popped entries (the C frontier's ``popped`` list
-is its test view), the same counters, ``max_queue_size`` included, and on
-a disk cursor the same pool -- frames, clock hand, reference bits and
-counters -- after every ``advance``; on built, read and disk trees, protein
-and DNA, with an E-value and with ``min_score``, seeded by the root or by
-a partition root's kept children.  Last, an abort or an expired deadline
-stops a search within one ``advance``'s budget of pops, and what was
-emitted is only proven hits.
+The compiled kernel's own frontier is C (``frontier(records, context, root,
+root_symbols)`` in ``core/_column_step.c``): it decodes each node's
+children from ``cursor.node_records`` and walks their arcs where they lie --
+the record arrays of the in-memory tree, or the disk cursor's page source,
+whose pages it asks of the buffer pool.  Its twin is the ``live`` kernel's
+Python frontier over ``siblings()``, the code that runs where the C source
+does not build.  The twin tests hold the two to each other advance for
+advance: the same steps, the same popped entries (each frontier's
+``popped`` list is its test view), the same counters, ``max_queue_size``
+included, and on a disk the same pool -- frames, clock hand, reference bits
+and every counter, per region too -- after every ``advance``, the twin's
+pool serving its requests by the Python body of ``BufferPool.page``.  They
+run on random protein and DNA databases and planted motifs, with an E-value
+and with ``min_score``, on the built tree, the tree read back from its
+image and the disk cursor at block sizes where runs and arcs straddle pages
+(72 / 256 / 2048), over pools of one frame, two frames and the whole image,
+on the whole tree and on 1, 2 and 4 partitions of its root.
+
+A search must take the C frontier wherever it applies, and only there; a
+partition's root is expanded there too, with no ``siblings()`` call.
+Records and images that point past their regions must raise ``IndexError``,
+never crash, records of the wrong shape ``TypeError``, and a closed cursor
+must make no request.  Last, an abort or an expired deadline stops a search
+within one ``advance``'s budget of pops, and what was emitted is only
+proven hits.
+
+The example budget comes from the hypothesis profile (``tests/conftest.py``):
+bounded in tier-1, ``HYPOTHESIS_PROFILE=ci`` for the larger CI run.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import heapq
 import random
+import struct
 import time
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import kernels
 from repro.core.engine import OasisEngine
-from repro.core.frontier import BELOW_FLOOR, EMPTY, FRONTIER_BUDGET, PAUSED, PythonFrontier
-from repro.core.kernels import ExpansionKernel, available_kernels, get_kernel
+from repro.core.expand import ExpansionContext, expand_arc_reference
+from repro.core.frontier import BELOW_FLOOR, EMPTY, FRONTIER_BUDGET, PAUSED
+from repro.core.heuristic import compute_heuristic_vector
+from repro.core.kernels import ExpansionKernel, ReferenceKernel, available_kernels, get_kernel
 from repro.core.results import hit_order_key
 from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER, SearchNode
-from repro.scoring.data import unit_matrix
+from repro.scoring.data import nucleotide_matrix, pam30, unit_matrix
 from repro.scoring.gaps import FixedGapModel
-from repro.sequences.alphabet import DNA_ALPHABET
+from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.buffer_pool import HAND, READ_NANOSECONDS
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
+from repro.storage.layout import DiskLayout, Region
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 from support import (
     PLANTED_SEARCHES,
     on_python_frontier,
     pool_bytes,
+    python_pool_body,
     random_dna,
     searches,
     tree_of,
@@ -148,7 +171,7 @@ def count_search_nodes(monkeypatch):
 
 def python_frontier_kernel(name):
     """Kernel ``name``, searching on the Python frontier: the compiled one
-    over its node step, which it would otherwise run in its C frontier."""
+    with ``live``'s step, where it would otherwise run its C frontier."""
     kernel = get_kernel(name)
     return on_python_frontier(kernel) if kernel.name == "compiled" else kernel
 
@@ -215,8 +238,8 @@ def recording_c_frontier(popped):
     """The compiled kernel, its C frontier appending each popped entry to ``popped``."""
     kernel = get_kernel("compiled")
 
-    def frontier(cursor, context, entries):
-        return kernel.node_frontier(cursor.node_records, context, entries, popped)
+    def frontier(cursor, context, root, root_symbols):
+        return kernel.node_frontier(cursor.node_records, context, root, root_symbols, popped)
 
     kernel.frontier = frontier
     return kernel
@@ -256,8 +279,9 @@ def frontier_counts(frontier):
 
 
 def pool_state(tree):
-    """What a pool holds: counters (the time its reads took aside), frames
-    in clock order, hand, reference bits."""
+    """What a pool holds: counters (the time its reads took aside; the
+    per-region counts included), frames in clock order, hand, reference
+    bits."""
     pool = tree.pool
     return (
         list(pool.counters[:READ_NANOSECONDS]),
@@ -268,9 +292,13 @@ def pool_state(tree):
     )
 
 
+def c_frontier(records, context, root, root_symbols=None, popped=None):
+    return get_kernel("compiled").node_frontier(records, context, root, root_symbols, popped)
+
+
 class TwinFrontier:
-    """The C frontier over ``cursor``'s records and the Python frontier over
-    ``partial(node_step, twin's records)``, advanced in lock step.
+    """The C frontier over ``cursor``'s records and the ``live`` kernel's
+    Python frontier over ``twin.siblings()``, advanced in lock step.
 
     After every ``advance`` both must have returned the same step, popped the
     same entries, kept the same counters and, on a disk, left their pools in
@@ -278,23 +306,19 @@ class TwinFrontier:
     too.
     """
 
-    def __init__(self, kernel, cursor, twin, context, entries, budget):
+    def __init__(self, cursor, twin, context, root, root_symbols, budget):
         self.cursor, self.twin, self.budget = cursor, twin, budget
-        self.compiled_popped, self.python_popped = [], []
-        self.compiled = kernel.node_frontier(
-            cursor.node_records, context, entries, self.compiled_popped
+        self.compiled_popped = []
+        self.compiled = c_frontier(
+            cursor.node_records, context, root, root_symbols, self.compiled_popped
         )
-        self.python = PythonFrontier(
-            functools.partial(kernel.node_step, twin.node_records),
-            copy.copy(context),
-            entries,
-            self.python_popped,
-        )
+        self.python = get_kernel("live").frontier(twin, copy.copy(context), root, root_symbols)
+        self.python.popped = []
         self.steps = []
         self.check()
 
     def check(self):
-        assert self.compiled_popped == self.python_popped
+        assert self.compiled_popped == self.python.popped
         assert frontier_counts(self.compiled) == frontier_counts(self.python)
         if isinstance(self.cursor, DiskSuffixTree):
             assert pool_state(self.cursor) == pool_state(self.twin)
@@ -325,8 +349,9 @@ def partitions(tree, count):
 
 
 def outcome(result):
+    """Hits and every counter of a search but its time and kernel name."""
     counters = result.statistics.as_dict()
-    for name in ("elapsed_seconds", "buffer_hits", "buffer_misses", "buffer_evictions", "kernel"):
+    for name in ("elapsed_seconds", "kernel"):
         del counters[name]
     return [(hit.sequence_index, hit.score, hit.evalue) for hit in result.hits], counters
 
@@ -334,13 +359,13 @@ def outcome(result):
 def twin_search(cursor, twin, database, matrix, gap, query, threshold, parts, budget):
     """Each partition's search on ``cursor`` through a :class:`TwinFrontier`,
     held to the ``live`` kernel's search of the built tree, hit for hit and
-    counter for counter; the twins made."""
+    counter for counter (the pool's aside); the twins made."""
     kernel = get_kernel("compiled")
     made = []
 
-    def frontier(searched, context, entries):
+    def frontier(searched, context, root, root_symbols):
         assert searched is cursor
-        made.append(TwinFrontier(kernel, cursor, twin, context, entries, budget))
+        made.append(TwinFrontier(cursor, twin, context, root, root_symbols, budget))
         return made[-1]
 
     kernel.frontier = frontier
@@ -352,25 +377,41 @@ def twin_search(cursor, twin, database, matrix, gap, query, threshold, parts, bu
         execution.root_symbols = symbols
         expected = expected_engine.execute(query, **threshold)
         expected.root_symbols = symbols
-        assert outcome(execution.result()) == outcome(expected.result())
+        found, counters = outcome(execution.result())
+        expected_found, expected_counters = outcome(expected.result())
+        for name in ("buffer_hits", "buffer_misses", "buffer_evictions"):
+            del counters[name], expected_counters[name]
+        assert (found, counters) == (expected_found, expected_counters)
     return made
 
 
-def disk_twins(path, database, budget):
-    """Two cursors over one image, each with a pool of ``budget`` bytes, kept
-    in step: the search loop's own cursor calls (a partition's root, a hit's
-    leaves) are made on both."""
+def no_siblings(node):
+    raise AssertionError("siblings() was called")
+
+
+def disk_pair(path, database, budget):
+    """Two cursors over one image, each with a pool of ``budget`` bytes; the
+    twin's pool serves its requests by the Python body of ``BufferPool.page``."""
     disk = DiskSuffixTree(path, database, buffer_pool_bytes=budget)
     twin = DiskSuffixTree(path, database, buffer_pool_bytes=budget)
-    for name in ("siblings", "sequences_below"):
-        own, other = getattr(disk, name), getattr(twin, name)
+    python_pool_body(twin.pool)
+    return disk, twin
 
-        def both(node, own=own, other=other):
-            found = own(node)
-            assert other(node) == found
-            return found
 
-        setattr(disk, name, both)
+def disk_twins(path, database, budget):
+    """A :func:`disk_pair` kept in step: the search loop's own cursor call, a
+    hit's leaves, is made on both, and the searched cursor has no
+    ``siblings()``."""
+    disk, twin = disk_pair(path, database, budget)
+    own, other = disk.sequences_below, twin.sequences_below
+
+    def both(node):
+        found = own(node)
+        assert other(node) == found
+        return found
+
+    disk.sequences_below = both
+    disk.siblings = no_siblings
     return disk, twin
 
 
@@ -409,10 +450,14 @@ def test_the_c_frontier_on_a_disk_keeps_the_pool_of_its_python_twin(
         twin.close()
 
 
-#: The trees a planted case is searched on: built, read, and on disk at a
-#: block size where runs and arcs straddle pages, with one frame, two, or
+#: The trees a planted case is searched on: built, read, and on disk at the
+#: block sizes where runs and arcs straddle pages, with one frame, two, or
 #: the whole image.
-FORMS = ["built", "read", "disk-72-1", "disk-256-2", "disk-2048-whole"]
+FORMS = ["built", "read"] + [
+    f"disk-{block_size}-{frames}"
+    for block_size in (72, 256, 2048)
+    for frames in (1, 2, "whole")
+]
 
 
 @needs_compiled
@@ -447,6 +492,147 @@ def test_a_planted_search_advances_the_twins_alike(
 
 
 # --------------------------------------------------------------------- #
+# Which path a search takes
+# --------------------------------------------------------------------- #
+@needs_compiled
+@pytest.mark.parametrize("form", ["built", "read"])
+def test_an_engine_over_record_arrays_takes_the_c_frontier(tmp_path_factory, monkeypatch, form):
+    make_database, make_matrix, gap, query, min_score, _ = PLANTED_SEARCHES["protein"]
+    tree = tree_of(form, make_database(), tmp_path_factory)
+    monkeypatch.setattr(tree, "siblings", no_siblings)
+    engine = OasisEngine(tree, make_matrix(), FixedGapModel(gap), kernel="compiled")
+    assert len(engine.search(query, min_score=min_score)) >= 4
+
+
+@needs_compiled
+def test_a_disk_engine_takes_the_c_frontier(tmp_path, monkeypatch):
+    make_database, make_matrix, gap, query, min_score, _ = PLANTED_SEARCHES["protein"]
+    engine = OasisEngine.build_on_disk(
+        make_database(), make_matrix(), tmp_path / "tree.oasis", gap_model=FixedGapModel(gap),
+        block_size=256, buffer_pool_bytes=256, kernel="compiled",
+    )
+    with engine:
+        assert isinstance(engine.cursor, DiskSuffixTree)
+        monkeypatch.setattr(engine.cursor, "siblings", no_siblings)
+        result = engine.search(query, min_score=min_score)
+        assert len(result) >= 4
+        assert result.statistics.buffer_misses > 0
+        assert engine.cursor.pool.frame_count == 1
+
+
+@needs_compiled
+@pytest.mark.parametrize("parts", [1, 2, 4])
+@pytest.mark.parametrize("form", ["built", "read", "disk"])
+def test_a_partition_root_is_expanded_in_the_c_frontier(tmp_path_factory, form, parts):
+    """A partition's search, set up as a process scatter's worker sets it up
+    (``execution.root_symbols``), makes no ``siblings()`` call on the
+    compiled kernel, and its hits and every counter, the pool's included,
+    are the ``live`` kernel's."""
+    make_database, make_matrix, gap, query, min_score, _ = PLANTED_SEARCHES["protein"]
+    database = make_database()
+    built = GeneralizedSuffixTree.build(database)
+    if form == "disk":
+        path = tmp_path_factory.mktemp("image") / "tree.oasis"
+        build_disk_image(built, path, block_size=256)
+        # One frame: nearly every request of either search is a miss.
+        searched, expected_tree = disk_pair(path, database, 256)
+    else:
+        searched = tree_of(form, database, tmp_path_factory)
+        expected_tree = tree_of(form, database, tmp_path_factory)
+    searched.siblings = no_siblings
+    compiled = OasisEngine(searched, make_matrix(), FixedGapModel(gap), kernel="compiled")
+    live = OasisEngine(expected_tree, make_matrix(), FixedGapModel(gap), kernel="live")
+    found = 0
+    try:
+        for symbols in partitions(built, parts):
+            results = []
+            for engine in (compiled, live):
+                execution = engine.execute(query, min_score=min_score)
+                execution.root_symbols = symbols
+                results.append(execution.result())
+            assert [result.statistics.kernel for result in results] == ["compiled", "live"]
+            assert outcome(results[0]) == outcome(results[1])
+            assert results[0].statistics.nodes_expanded >= 1
+            found += len(results[0])
+        if form == "disk":
+            assert pool_state(searched) == pool_state(expected_tree)
+            assert searched.statistics.misses > 0
+    finally:
+        if form == "disk":
+            searched.close()
+            expected_tree.close()
+    assert found >= 4
+
+
+@needs_compiled
+@pytest.mark.parametrize("frames", [1, 2])
+@pytest.mark.parametrize("parts", [2, 4])
+def test_a_partition_root_asks_for_the_arcs_it_leaves_out(tmp_path, parts, frames):
+    """W occurs once, so the root's W child is one leaf whose arc spans many
+    72-byte pages.  A partition that leaves it out walks no column over it
+    but asks for each of its pages, as ``siblings()`` of the root does."""
+    rng = random.Random(7)
+    texts = ["".join(rng.choice("ACDEFGHIK") for _ in range(60)) for _ in range(6)]
+    texts.append("W" + "".join(rng.choice("ACDEFGHIK") for _ in range(300)))
+    database = SequenceDatabase.from_texts(texts, alphabet=PROTEIN_ALPHABET)
+    path = tmp_path / "tree.oasis"
+    tree = GeneralizedSuffixTree.build(database)
+    build_disk_image(tree, path, block_size=72)
+    (w_child,) = [node for node, arc, _ in tree.siblings(tree.root) if arc[:1] == b"\x11"]
+    assert tree.is_leaf(w_child) and w_child[3] > 3 * 72
+    disk, twin = disk_twins(path, database, pool_bytes(path, 72, frames))
+    try:
+        made = twin_search(
+            disk, twin, database, pam30(), -8, texts[0][10:25], {"min_score": 30}, parts,
+            FRONTIER_BUDGET,
+        )
+    finally:
+        disk.close()
+        twin.close()
+    assert len(made) == parts
+
+
+@pytest.mark.parametrize("form", ["built", "read", "disk"])
+@pytest.mark.parametrize(
+    "choice",
+    [
+        *available_kernels(),
+        pytest.param(ReferenceKernel(prune_dominated=False), id="reference-dominated-off"),
+    ],
+)
+def test_statistics_kernel_names_the_code_that_ran(tmp_path_factory, monkeypatch, choice, form):
+    """The dense oracle runs exactly when ``statistics.kernel`` says
+    ``reference``, a rule switched off included; ``compiled`` expands every
+    node of a records cursor in its C frontier, and the other kernels make
+    one ``siblings()`` call per expanded node."""
+    make_database, make_matrix, gap, query, min_score, _ = PLANTED_SEARCHES["protein"]
+    database = make_database()
+    if form == "disk":
+        path = tmp_path_factory.mktemp("image") / "tree.oasis"
+        build_disk_image(GeneralizedSuffixTree.build(database), path, block_size=256)
+        tree = DiskSuffixTree(path, database, buffer_pool_bytes=512)
+    else:
+        tree = tree_of(form, database, tmp_path_factory)
+    dense_arcs = []
+
+    def spied_reference(*args, **kwargs):
+        dense_arcs.append(args[2])
+        return expand_arc_reference(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "expand_arc_reference", spied_reference)
+    calls = []
+    siblings = tree.siblings
+    monkeypatch.setattr(tree, "siblings", lambda node: calls.append(node) or siblings(node))
+    engine = OasisEngine(tree, make_matrix(), FixedGapModel(gap), kernel=choice)
+    result = engine.search(query, min_score=min_score)
+    ran = result.statistics.kernel
+    assert ran == get_kernel(choice).name
+    assert bool(dense_arcs) == (ran == "reference")
+    assert len(calls) == (0 if ran == "compiled" else result.statistics.nodes_expanded)
+    assert result.statistics.nodes_expanded > 1 and len(result) >= 4
+
+
+# --------------------------------------------------------------------- #
 # advance(), one call at a time
 # --------------------------------------------------------------------- #
 def large_search():
@@ -466,10 +652,10 @@ def frontier_kinds():
     return kinds
 
 
-def frontier_of(kind, tree, context, entries):
+def frontier_of(kind, tree, context, root, root_symbols=None):
     if kind == "compiled":
-        return get_kernel("compiled").node_frontier(tree.node_records, context, entries)
-    return get_kernel("live").frontier(tree, context, entries)
+        return c_frontier(tree.node_records, context, root, root_symbols)
+    return get_kernel("live").frontier(tree, context, root, root_symbols)
 
 
 def root_frontier(kind, engine, query, min_score):
@@ -477,7 +663,7 @@ def root_frontier(kind, engine, query, min_score):
     context = execution.context
     root = (-max(context.heuristic), VIABLE_AFTER, 0, engine.cursor.root,
             context.make_root_cells(), 0, 0)
-    return frontier_of(kind, engine.cursor, context, [root])
+    return frontier_of(kind, engine.cursor, context, root)
 
 
 @pytest.mark.parametrize("kind", frontier_kinds())
@@ -527,9 +713,13 @@ def test_a_seed_of_the_wrong_shape_is_refused(cursor, entry):
     context = engine.execute(QUERY, min_score=MIN_SCORE).context
     root = (-max(context.heuristic), VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)
     with pytest.raises((TypeError, ValueError)):
-        frontier_of("compiled", cursor, context, [entry(root)])
+        frontier_of("compiled", cursor, context, entry(root))
     with pytest.raises(TypeError):
-        frontier_of("compiled", cursor, context, iter([root]))
+        frontier_of("compiled", cursor, context, iter(root))
+    # A partition is bytes of first symbols, or None for the whole tree.
+    for symbols in ("AC", [0, 1], bytearray(b"\x00")):
+        with pytest.raises(TypeError):
+            frontier_of("compiled", cursor, context, root, symbols)
 
 
 @needs_compiled
@@ -546,6 +736,335 @@ def test_a_closed_disk_cursor_fails_the_next_advance(tmp_path):
     with pytest.raises(ValueError, match="closed"):
         frontier.advance(None, 3)
     assert disk.statistics.requests == requests
+
+
+# --------------------------------------------------------------------- #
+# Hostile records
+# --------------------------------------------------------------------- #
+HOSTILE_QUERY = "ACGTACGT"
+HOSTILE_MATRIX = nucleotide_matrix(5, -4)
+
+
+def context_for(query=HOSTILE_QUERY):
+    codes = DNA_ALPHABET.encode(query)
+    return ExpansionContext(
+        query_codes=codes,
+        score_rows=HOSTILE_MATRIX.rows,
+        gap_penalty=-1,
+        heuristic=compute_heuristic_vector(codes, HOSTILE_MATRIX),
+        min_score=5,
+    )
+
+
+@pytest.fixture
+def small_tree():
+    database = SequenceDatabase.from_texts(
+        ["ACGTACGTTA", "GGACGTAC", "TTACG"], alphabet=DNA_ALPHABET
+    )
+    return GeneralizedSuffixTree.build(database)
+
+
+def entry_at(node, context):
+    """A frontier entry for ``node`` seeded with the root column."""
+    return (-max(context.heuristic), VIABLE_AFTER, 0, node, context.make_root_cells(), 0, node[4])
+
+
+def with_leaves(tree):
+    """An internal node with a run of leaves."""
+    pending = [tree.root]
+    while pending:
+        node = pending.pop()
+        children = tree.children(node)
+        if any(tree.is_leaf(child) for child in children):
+            return node
+        pending.extend(child for child in children if not tree.is_leaf(child))
+    raise AssertionError("no internal node has a leaf")
+
+
+def internal_nodes(tree):
+    pending, found = [tree.root], []
+    while pending:
+        node = pending.pop()
+        found.append(node)
+        pending.extend(child for child in tree.children(node) if not tree.is_leaf(child))
+    return found
+
+
+def hostile(tree, name):
+    """``tree.node_records`` broken one way, and the node to expand."""
+    internal, leaves, codes, ends = tree.node_records
+    internal, leaves = array("I", internal), array("I", leaves)
+    root = tree.root
+    if name == "child-pointer":
+        internal[2] = len(internal) // 4
+        return (internal, leaves, codes, ends), root
+    if name == "child-run":
+        # The last internal record's run never ends: it runs off the array.
+        last = len(internal) // 4 - 1
+        internal[4 * last] &= 0x7FFFFFFF
+        parent = next(
+            node
+            for node in internal_nodes(tree)
+            if ("I", last) in {child[:2] for child in tree.children(node)}
+        )
+        return (internal, leaves, codes, ends), parent
+    node = with_leaves(tree)
+    if name == "leaf-index":
+        internal[4 * node[1] + 3] = len(leaves)
+    elif name == "arc-end":
+        child = next(c for c in tree.children(tree.root) if c[0] == "I")
+        internal[4 * child[1] + 1] = len(codes)
+        node = root
+    elif name == "short-codes":
+        codes = codes[:1]
+    elif name == "suffix-past-the-ends":
+        ends = array("I", [0])
+    return (internal, leaves, codes, ends), node
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "name",
+    ["child-pointer", "child-run", "leaf-index", "arc-end", "short-codes", "suffix-past-the-ends"],
+)
+def test_records_that_point_past_their_arrays_are_an_index_error(small_tree, name):
+    records, node = hostile(small_tree, name)
+    context = context_for()
+    frontier = c_frontier(records, context, entry_at(node, context))
+    with pytest.raises(IndexError):
+        frontier.advance(None, 1)
+    assert frontier_counts(frontier)[:3] == (0, 0, 0)
+
+
+@needs_compiled
+def test_a_node_index_past_the_records_is_an_index_error(small_tree):
+    context = context_for()
+    node = ("I", small_tree.internal_node_count, 0, 0, 0)
+    frontier = c_frontier(small_tree.node_records, context, entry_at(node, context))
+    with pytest.raises(IndexError):
+        frontier.advance(None, 1)
+
+
+@needs_compiled
+def test_a_leaf_has_no_children(small_tree):
+    context = context_for()
+    leaf = next(child for child in small_tree.children(with_leaves(small_tree)) if child[0] == "L")
+    frontier = c_frontier(small_tree.node_records, context, entry_at(leaf, context))
+    assert frontier.advance(None, 2) == EMPTY
+    assert frontier_counts(frontier)[:4] == (0, 0, 0, 1)
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "records",
+    [
+        pytest.param(lambda r: list(r), id="list"),
+        pytest.param(lambda r: r[:3], id="three"),
+        pytest.param(lambda r: (array("q", r[0]),) + r[1:], id="int64-records"),
+        pytest.param(lambda r: (r[0], r[1], list(r[2]), r[3]), id="codes-list"),
+        pytest.param(lambda r: r[:3] + (list(r[3]),), id="ends-list"),
+    ],
+)
+def test_records_of_the_wrong_shape_are_a_type_error(small_tree, records):
+    context = context_for()
+    with pytest.raises(TypeError):
+        c_frontier(records(small_tree.node_records), context, entry_at(small_tree.root, context))
+
+
+# --------------------------------------------------------------------- #
+# A closed cursor, hostile images
+# --------------------------------------------------------------------- #
+#: The three-sequence protein database of the CI step that builds the kernel.
+PROTEIN_TEXTS = ["MKVLAADTGLAVWKDDGNGYISAAE", "GGWKDDGNGYISAAEKL", "MKVLAQDTGLA"]
+
+
+def protein_context(query="WKDDGNGYISAAE"):
+    matrix = pam30()
+    codes = PROTEIN_ALPHABET.encode(query)
+    return ExpansionContext(
+        query_codes=codes,
+        score_rows=matrix.rows,
+        gap_penalty=-8,
+        heuristic=compute_heuristic_vector(codes, matrix),
+        min_score=20,
+    )
+
+
+@pytest.fixture
+def protein_image(tmp_path):
+    """The database, its image at 256-byte blocks, and the built tree."""
+    database = SequenceDatabase.from_texts(PROTEIN_TEXTS, alphabet=PROTEIN_ALPHABET)
+    tree = GeneralizedSuffixTree.build(database)
+    path = tmp_path / "tree.oasis"
+    build_disk_image(tree, path, block_size=256)
+    return database, path, tree
+
+
+def pool_counters(tree):
+    statistics = tree.pool.statistics
+    return (
+        statistics.hits,
+        statistics.misses,
+        statistics.evictions,
+        list(statistics.per_region_hits),
+        list(statistics.per_region_misses),
+    )
+
+
+@needs_compiled
+@pytest.mark.parametrize("frames", [1, "whole"])
+def test_a_closed_cursor_makes_no_request(protein_image, frames):
+    database, path, tree = protein_image
+    disk = DiskSuffixTree(path, database, pool_bytes(path, 256, frames))
+    context = protein_context()
+    entry = entry_at(disk.root, context)
+    records = disk.node_records
+    frontier = c_frontier(records, context, entry)
+    assert frontier.advance(None, 1) == PAUSED and len(frontier) > 0
+    before, counted = pool_counters(disk), frontier_counts(frontier)
+    disk.close()
+    with pytest.raises(ValueError, match="closed"):
+        c_frontier(records, context, entry)
+    with pytest.raises(ValueError, match="closed"):
+        frontier.advance(None, 1)
+    with pytest.raises(ValueError, match="closed"):
+        disk.siblings(disk.root)
+    assert pool_counters(disk) == before and frontier_counts(frontier) == counted
+
+
+def region_geometry(layout, region):
+    """A record region's (record bytes, records per block, first block)."""
+    if region is Region.INTERNAL_NODES:
+        return 16, layout.internal_records_per_block, layout.internal_start_block
+    return 4, layout.leaf_records_per_block, layout.leaves_start_block
+
+
+def patch_word(path, layout, region, index, word, change):
+    """Rewrite word ``word`` of record ``index`` of ``region`` in the image."""
+    size, per_block, first = region_geometry(layout, region)
+    offset = (first + index // per_block) * layout.block_size + (index % per_block) * size
+    offset += 4 * word
+    with open(path, "r+b") as image:
+        image.seek(offset)
+        (value,) = struct.unpack("<I", image.read(4))
+        image.seek(offset)
+        image.write(struct.pack("<I", change(value)))
+
+
+def hostile_image(path, layout, tree, name):
+    """Break the image at ``path`` one way; the node to expand."""
+    internal = Region.INTERNAL_NODES
+    if name == "child-pointer":
+        # The root's first internal child, one past the internal records.
+        patch_word(path, layout, internal, 0, 2, lambda _: layout.internal_count + 1)
+        return tree.root
+    if name == "child-at-the-count":
+        patch_word(path, layout, internal, 0, 2, lambda _: layout.internal_count)
+        return tree.root
+    if name == "child-run":
+        # The last internal record's run never ends: it runs off the region.
+        last = layout.internal_count - 1
+        patch_word(path, layout, internal, last, 0, lambda value: value & 0x7FFFFFFF)
+        return next(
+            node
+            for node in internal_nodes(tree)
+            if ("I", last) in {child[:2] for child in tree.children(node)}
+        )
+    node = with_leaves(tree)
+    if name == "leaf-index":
+        patch_word(path, layout, internal, node[1], 3, lambda _: layout.leaf_slots)
+    elif name == "arc-end":
+        child = next(c for c in tree.children(tree.root) if c[0] == "I")
+        patch_word(path, layout, internal, child[1], 1, lambda _: layout.symbol_count)
+        node = tree.root
+    elif name == "suffix-past-the-ends":
+        first_leaf = tree.internal_records[4 * node[1] + 3]
+        patch_word(
+            path, layout, Region.LEAF_NODES, first_leaf, 0,
+            lambda value: (value & 0x80000000) | layout.symbol_count,
+        )
+    return node
+
+
+def region_blocks(layout):
+    """Each region's range of absolute blocks."""
+    return {
+        Region.SYMBOLS: range(
+            layout.symbols_start_block, layout.symbols_start_block + layout.symbols_block_count
+        ),
+        Region.INTERNAL_NODES: range(
+            layout.internal_start_block, layout.internal_start_block + layout.internal_block_count
+        ),
+        Region.LEAF_NODES: range(
+            layout.leaves_start_block, layout.leaves_start_block + layout.leaves_block_count
+        ),
+    }
+
+
+HOSTILE_IMAGES = [
+    "child-pointer", "child-at-the-count", "child-run", "leaf-index", "arc-end",
+    "suffix-past-the-ends",
+]
+
+
+@needs_compiled
+@pytest.mark.parametrize("frames", [1, "whole"])
+@pytest.mark.parametrize("name", HOSTILE_IMAGES)
+def test_image_records_past_their_regions_are_an_index_error(protein_image, name, frames):
+    database, path, tree = protein_image
+    layout = DiskLayout.read_header(path)
+    node = hostile_image(path, layout, tree, name)
+    disk, twin = disk_pair(path, database, pool_bytes(path, 256, frames))
+    blocks = region_blocks(layout)
+    try:
+        # The parent's page is resident, so the failing expansion starts
+        # with a hit.
+        parent_block = layout.internal_start_block + node[1] // layout.internal_records_per_block
+        for tree in (disk, twin):
+            tree.pool.page(parent_block, Region.INTERNAL_NODES)
+        context = protein_context()
+        frontier = c_frontier(disk.node_records, context, entry_at(node, context))
+        with pytest.raises(IndexError):
+            frontier.advance(None, 1)
+        with pytest.raises(IndexError):
+            twin.siblings(node)
+        assert frontier_counts(frontier)[:3] == (0, 0, 0)
+        # The same requests, every hit counted, frame for frame.
+        assert pool_state(disk) == pool_state(twin)
+        assert disk.statistics.hits >= 1
+        statistics = disk.statistics
+        if frames == "whole":
+            # Nothing was evicted: each region's misses are its blocks left
+            # resident, so none was read past the region.
+            resident = [block for block in disk.pool.blocks if block >= 0]
+            assert statistics.evictions == 0
+            assert statistics.per_region_misses == [
+                sum(block in blocks[region] for block in resident) for region in Region
+            ]
+        else:
+            assert statistics.per_region_misses == twin.statistics.per_region_misses
+    finally:
+        disk.close()
+        twin.close()
+
+
+@needs_compiled
+def test_a_page_source_of_the_wrong_shape_is_a_type_error(protein_image):
+    database, path, _ = protein_image
+    with DiskSuffixTree(path, database) as disk:
+        records = disk.node_records
+        context = protein_context()
+        entry = entry_at(disk.root, context)
+        state = records[0]
+        for broken in (
+            records[:2],
+            (state[:6],) + records[1:],
+            (state[:6] + (list(state[6]),),) + records[1:],
+            (state[:2] + (tuple(state[2]),) + state[3:],) + records[1:],
+        ):
+            with pytest.raises(TypeError):
+                c_frontier(broken, context, entry)
+        assert disk.statistics.requests == 0
 
 
 # --------------------------------------------------------------------- #
@@ -595,8 +1114,9 @@ def test_a_stop_is_honoured_within_the_budget_and_emits_only_proven_hits(kind, h
         else:
             execution.set_deadline(time.perf_counter() - 1.0)
 
-    def frontier(cursor, context, entries):
-        watches.append(AdvanceWatch(frontier_of(kind, cursor, context, entries), 3, stop))
+    def frontier(cursor, context, root, root_symbols):
+        inner = frontier_of(kind, cursor, context, root, root_symbols)
+        watches.append(AdvanceWatch(inner, 3, stop))
         return watches[-1]
 
     kernel.frontier = frontier

@@ -30,9 +30,11 @@ LIVE = LiveCellKernel()
 REFERENCE = ReferenceKernel()
 
 
-@pytest.fixture(params=PRODUCTION_KERNELS, scope="module")
+@pytest.fixture(params=["live"], scope="module")
 def kernel(request):
-    """Each production kernel that runs here, held to the reference."""
+    """The live-cell kernel, held to the reference: the compiled kernel
+    expands an arc with the same Python, and searches with its C frontier
+    (``TestVerbatimQuery`` runs both)."""
     return get_kernel(request.param)
 
 
@@ -92,15 +94,12 @@ class TestCutoffRisesMidColumn:
         assert live.column == [(5, 24)]
         assert (live.state, live.max_score, live.f, live.b) == (NodeState.VIABLE, 35, 39, 35)
         assert node_signature(live, 9) == node_signature(reference, 9)
-        if kernel.name == "live":
-            # The compiled step computes the same limits from the packed
-            # heuristic instead of asking for the lists.
-            assert requested == [30, 35]
+        assert requested == [30, 35]
 
     def test_the_walk_needs_the_sentinel_row(self):
         # (8, 35) is admitted under the earlier limit and its chain looks at
         # row 9: the limit lists close with a row that stops it.  (The
-        # compiled step has the same row, computed, not listed.)
+        # C frontier has the same row, computed, not listed.)
         context = self.context()
         limit_for = context.limit_for
         assert len(limit_for(30)) == 8 + 2
@@ -117,6 +116,7 @@ class TestCutoffRisesMidColumn:
         assert node_signature(live, 9) == node_signature(reference, 9)
 
 
+@pytest.mark.parametrize("kernel", PRODUCTION_KERNELS, indirect=True)
 class TestVerbatimQuery:
     """A query that occurs in the database: the full match is a new path
     maximum that arrives in row ``m``."""
