@@ -4,20 +4,35 @@
  *
  * frontier(records, context, root, root_symbols[, popped]) is Algorithm 1's
  * queue (repro.core.frontier): a binary heap of C entries on (-f, flag,
- * counter), each column a slice of one cell arena, seeded with the root
- * entry given.  Its advance(bound_floor, budget) pops and expands nodes
- * until an ACCEPTED entry surfaces, the top bound is below bound_floor,
- * budget pops have passed or the queue is empty.  Each expansion is
- * kernels._expand_live over the node's children, walk for walk: the same
- * survivors, entries numbered the same way, the same counters.  Only a
- * hit's (score, handle) becomes a Python object; with popped (a list) every
- * popped entry is appended to it as its tuple, the test view.  With
- * root_symbols (bytes; None is the whole tree) the first expansion, the
- * root's, walks only the children whose first arc symbol is among them: one
- * partition of the tree.  The query's constants are read from the context
- * once; the counters are the frontier's, continuing from the context's.
- * The heap, the arena and the staged children of one expansion are the
- * frontier's own, used by one advance at a time.
+ * counter), each column a slice of one cell arena, seeded with node root (a
+ * handle) as Algorithm 2 seeds it.  Its advance(bound_floor, budget) pops
+ * and expands nodes until an ACCEPTED entry with a sequence not reported
+ * before surfaces, the top bound is below bound_floor, budget pops have
+ * passed or the queue is empty.  Each expansion is kernels._expand_live
+ * over the node's children, walk for walk: the same survivors, entries
+ * numbered the same way, the same counters.  Each ACCEPTED pop is counted
+ * in nodes_accepted and its leaves are walked (walk_leaves): the sequences
+ * they lie in that the frontier's bitmap has not seen are the hit, returned
+ * as (score, ascending sequence indices) -- the only Python objects a
+ * search makes -- and a pop whose sequences were all reported before is
+ * passed over within the same budget.  With popped (a list) every popped
+ * entry is appended to it as its tuple, the test view.  With root_symbols
+ * (bytes; None is the whole tree) the first expansion, the root's, walks
+ * only the children whose first arc symbol is among them: one partition of
+ * the tree.  The counters are the frontier's, continuing from the
+ * context's.  The heap, the arena, the staged children of one expansion,
+ * the leaf walk's stack and the bitmap are the frontier's own, used by one
+ * advance at a time.
+ *
+ * The query's constants are built here, once per frontier, from the
+ * context's query_codes (bytes), gains (SubstitutionMatrix.gains: the
+ * clamped best score of each code) and packed_score_rows (each code's
+ * scores as int64 bytes): the heuristic h[i], the sum of the gains of
+ * q_{i+1} .. q_m; the profile, S(q_row, symbol) at row * alphabet +
+ * symbol, the query codes' rows one after the other; and the root column,
+ * a zero in every row whose h reaches min_score (no root entry at all when
+ * h[0] does not).  limit[row] is computed from h as limit_for builds it:
+ * max(0, cutoff - h[row]), and the stop sentinel in row m + 1.
  *
  * records is the tree's node_records, of one of two shapes:
  *
@@ -30,7 +45,9 @@
  *     DiskSuffixTree.siblings asks for them, anew per node: the parent
  *     record's page, the internal run's, the leaf run's, then every page of
  *     every arc in child order -- a partition root's unowned children's
- *     too, though no column is walked over them.  Each request is
+ *     too, though no column is walked over them.  A hit's leaf walk asks
+ *     for the pages DiskSuffixTree.leaf_positions asks for: children()'s
+ *     for each internal node below the hit, in pre-order.  Each request is
  *     pool_request, the C body of BufferPool.page, over the pool's flat
  *     buffers: a hit sets the frame's reference bit and counts, a miss
  *     reads the block with the GIL released, then counts, looks the block
@@ -42,23 +59,18 @@
  * to a pool's state wherever this module builds, so DiskSuffixTree._read
  * runs the same clock.
  *
- * One decoder serves both sources: the node's run of internal children,
- * then its run of leaves, are decoded one record at a time as
- * GeneralizedSuffixTree.children decodes them (a leaf's sequence end by
- * bisection), each arc is walked where it lies, page by page, and a child
- * is staged only if it is kept -- four children in five are dropped after a
- * symbol or two.  A record that points past its region, an arc past the
- * symbols and a suffix past the last sequence end are IndexErrors, raised
- * before any request past the region.
+ * One decoder serves both sources and both walks: the node's run of
+ * internal children, then its run of leaves, are decoded one record at a
+ * time as GeneralizedSuffixTree.children decodes them (a leaf's sequence by
+ * bisection); an expansion walks each arc where it lies, page by page, and
+ * stages a child only if it is kept -- four children in five are dropped
+ * after a symbol or two.  A record that points past its region, an arc past
+ * the symbols and a suffix past the last sequence end are IndexErrors,
+ * raised before any request past the region.
  *
  * Each arc is one walk_arc; kernels.py documents the walk and why it is
  * exact, and the comments here cover only what C adds.
  *
- * The root entry is read as the Python object it is.  The heuristic and the
- * substitution profile come packed, as the context's immutable int64 bytes
- * (packed_heuristic, and packed_profile: S(q_row, symbol) at row *
- * alphabet + symbol), and limit[row] is computed from them as limit_for
- * builds it: max(0, cutoff - h[row]), and the stop sentinel in row m + 1.
  * A frontier's arrays belong to its one search, and an advance entered
  * while another is under way (a pool miss releases the GIL) is a
  * RuntimeError.  No pointer into a list is held across anything that can
@@ -102,8 +114,9 @@ typedef long long i64;
 typedef struct {
     PyObject *gap_penalty;
     PyObject *min_score;
-    PyObject *packed_heuristic;
-    PyObject *packed_profile;
+    PyObject *query_codes;
+    PyObject *gains;
+    PyObject *packed_score_rows;
     PyObject *nodes_enqueued;
     PyObject *nodes_dropped;
     PyObject *columns_expanded;
@@ -192,25 +205,6 @@ attribute_score(PyObject *object, PyObject *name, i64 *out)
     return status;
 }
 
-/* A packed int64 array attribute: a new reference to the bytes, their
- * values and how many there are. */
-static PyObject *
-packed(PyObject *context, PyObject *name, const char **values, Py_ssize_t *count)
-{
-    PyObject *bytes = PyObject_GetAttr(context, name);
-
-    if (bytes == NULL)
-        return NULL;
-    if (!PyBytes_Check(bytes) || PyBytes_GET_SIZE(bytes) % sizeof(i64) != 0) {
-        PyErr_Format(PyExc_TypeError, "%U must be bytes of int64", name);
-        Py_DECREF(bytes);
-        return NULL;
-    }
-    *values = PyBytes_AS_STRING(bytes);
-    *count = PyBytes_GET_SIZE(bytes) / (Py_ssize_t)sizeof(i64);
-    return bytes;
-}
-
 /* A buffer of ``format`` items, held until PyBuffer_Release. */
 static int
 buffer_with(PyObject *object, const char *format, int flags, const char *what, Py_buffer *view)
@@ -240,15 +234,6 @@ words_of(PyObject *object, const char *what, Py_buffer *view)
     return buffer_with(object, "I", PyBUF_FORMAT, what, view);
 }
 
-static inline i64
-load(const char *values, i64 index)
-{
-    i64 value;
-
-    memcpy(&value, values + index * (i64)sizeof(i64), sizeof(i64));
-    return value;
-}
-
 /* a + b, or OverflowError when it leaves +-2**62. */
 static inline int
 add(i64 a, i64 b, i64 *out)
@@ -260,8 +245,8 @@ add(i64 a, i64 b, i64 *out)
 
 /* One query's constants, as the walk reads them. */
 typedef struct {
-    const char *heuristic; /* h[0..m] */
-    const char *profile;   /* S(q_row, symbol) at row * alphabet + symbol */
+    const i64 *heuristic; /* h[0..m] */
+    const i64 *profile;   /* S(q_row, symbol) at row * alphabet + symbol */
     i64 m;
     i64 alphabet;
 } query_view;
@@ -274,7 +259,7 @@ limit_at(const query_view *query, i64 cutoff, i64 row, i64 *out)
     i64 bound;
 
     if (row <= query->m) {
-        bound = load(query->heuristic, row);
+        bound = query->heuristic[row];
         if (bound >= cutoff)
             *out = 0;
         else if (__builtin_sub_overflow(cutoff, bound, out))
@@ -371,41 +356,13 @@ column_list(const i64 *rows, const i64 *scores, Py_ssize_t count)
     return column;
 }
 
-/* The seed column into rows / scores: ascending rows from 0, int scores. */
-static int
-read_seed(PyObject *seed, i64 *rows, i64 *scores, Py_ssize_t count)
-{
-    PyObject *cell;
-    Py_ssize_t k;
-
-    for (k = 0; k < count; k++) {
-        cell = item_at(seed, k, "column");
-        if (cell == NULL || require_sequence(cell, "a column cell") < 0)
-            return -1;
-        if (Py_SIZE(cell) != 2) {
-            PyErr_SetString(PyExc_ValueError, "a column cell is a (row, score) pair");
-            return -1;
-        }
-        if (int_at(cell, 0, "cell", &rows[k]) < 0 || int_at(cell, 1, "cell", &scores[k]) < 0)
-            return -1;
-        if (rows[k] < 0)
-            return out_of_range("a column row is negative");
-        if (k > 0 && rows[k] <= rows[k - 1]) {
-            PyErr_SetString(PyExc_ValueError, "a column's rows must ascend");
-            return -1;
-        }
-    }
-    return 0;
-}
-
 /* What an expansion reads before its first arc -- the query's constants,
  * the parent's seed column, max_score and depth -- and the scratch its
  * arcs' columns live in.  ``counter`` numbers the entries it builds. */
 typedef struct {
     query_view query;
     i64 gap, min_score, counter;
-    PyObject *heuristic, *profile; /* owned */
-    i64 *scratch;                  /* the two columns below */
+    i64 *memory; /* owned: h, the profile, then the two columns below */
     i64 *rows_a, *scores_a, *rows_b, *scores_b;
     Py_ssize_t capacity;
     i64 parent_max, parent_depth, parent_cutoff;
@@ -425,49 +382,99 @@ typedef struct {
 /* What becomes of a child: enqueued VIABLE or ACCEPTED, or else dropped. */
 enum fate { DROPPED, VIABLE, ACCEPTED };
 
-static void
-close_expansion(expansion *e)
+/* The query's heuristic and profile from its codes, the matrix's gains and
+ * its packed score rows, into ``memory``: h[i] = h[i + 1] + gains[q_{i+1}]
+ * with h[m] = 0 (heuristic.heuristic_vector), and profile row i the packed
+ * score row of q_{i+1}.  A code past the gains or the rows is an IndexError,
+ * a row that is not bytes a TypeError, and one that is not one int64 per
+ * symbol a ValueError. */
+static int
+build_query(expansion *e, PyObject *codes, PyObject *gains, PyObject *rows)
 {
-    PyMem_Free(e->scratch);
-    Py_XDECREF(e->heuristic);
-    Py_XDECREF(e->profile);
+    const unsigned char *query = (const unsigned char *)PyBytes_AS_STRING(codes);
+    const Py_ssize_t m = PyBytes_GET_SIZE(codes), alphabet = Py_SIZE(rows);
+    i64 *heuristic, *profile, gain;
+    PyObject *row;
+    Py_ssize_t i;
+
+    e->capacity = m + 2;
+    if (alphabet > 0
+        && m > (PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(i64) - 5 * e->capacity) / alphabet) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    e->memory = PyMem_New(i64, m + 1 + m * alphabet + 4 * e->capacity);
+    if (e->memory == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    heuristic = e->memory;
+    profile = heuristic + m + 1;
+    e->rows_a = profile + m * alphabet;
+    e->scores_a = e->rows_a + e->capacity;
+    e->rows_b = e->scores_a + e->capacity;
+    e->scores_b = e->rows_b + e->capacity;
+    e->query.heuristic = heuristic;
+    e->query.profile = profile;
+    e->query.m = m;
+    e->query.alphabet = alphabet;
+    heuristic[m] = 0;
+    for (i = m - 1; i >= 0; i--) {
+        if (int_at(gains, query[i], "gains", &gain) < 0
+            || add(heuristic[i + 1], gain, &heuristic[i]) < 0)
+            return -1;
+        row = item_at(rows, query[i], "packed score rows");
+        if (row == NULL)
+            return -1;
+        if (!PyBytes_Check(row)) {
+            PyErr_Format(PyExc_TypeError, "a packed score row must be bytes, not %.100s",
+                         Py_TYPE(row)->tp_name);
+            return -1;
+        }
+        if (PyBytes_GET_SIZE(row) != alphabet * (Py_ssize_t)sizeof(i64)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "a packed score row is not one int64 per symbol of the matrix");
+            return -1;
+        }
+        memcpy(profile + i * alphabet, PyBytes_AS_STRING(row), alphabet * sizeof(i64));
+    }
+    return 0;
 }
 
-/* The query's constants from the context, and scratch for two columns of
- * at most one cell per limit row (rows 0 to m + 1), read once per frontier. */
+/* The query's constants from the context, built once per frontier, and
+ * scratch for two columns of at most one cell per limit row (rows 0 to
+ * m + 1). */
 static int
 open_query(step_state *state, PyObject *context, expansion *e)
 {
-    Py_ssize_t heuristic_count, profile_count;
+    PyObject *codes = NULL, *gains = NULL, *rows = NULL;
+    int status = -1;
 
     if (attribute_score(context, state->gap_penalty, &e->gap) < 0
         || attribute_score(context, state->min_score, &e->min_score) < 0
         || attribute_score(context, state->nodes_enqueued, &e->counter) < 0)
         return -1;
-    e->heuristic = packed(context, state->packed_heuristic, &e->query.heuristic, &heuristic_count);
-    if (e->heuristic == NULL)
-        return -1;
-    e->profile = packed(context, state->packed_profile, &e->query.profile, &profile_count);
-    if (e->profile == NULL)
-        return -1;
-    e->query.m = heuristic_count - 1;
-    e->query.alphabet = e->query.m > 0 ? profile_count / e->query.m : 0;
-    if (e->query.m < 0 || e->query.alphabet * e->query.m != profile_count) {
-        PyErr_SetString(PyExc_ValueError,
-                        "the packed profile is not m rows of one score per symbol");
-        return -1;
+    codes = PyObject_GetAttr(context, state->query_codes);
+    if (codes == NULL)
+        goto done;
+    if (!PyBytes_Check(codes)) {
+        PyErr_Format(PyExc_TypeError, "the query codes must be bytes, not %.100s",
+                     Py_TYPE(codes)->tp_name);
+        goto done;
     }
-    e->capacity = (Py_ssize_t)e->query.m + 2;
-    e->scratch = PyMem_New(i64, 4 * e->capacity);
-    if (e->scratch == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    e->rows_a = e->scratch;
-    e->scores_a = e->rows_a + e->capacity;
-    e->rows_b = e->scores_a + e->capacity;
-    e->scores_b = e->rows_b + e->capacity;
-    return 0;
+    gains = PyObject_GetAttr(context, state->gains);
+    if (gains == NULL || require_sequence(gains, "the gains") < 0)
+        goto done;
+    rows = PyObject_GetAttr(context, state->packed_score_rows);
+    if (rows == NULL || require_sequence(rows, "the packed score rows") < 0)
+        goto done;
+    status = build_query(e, codes, gains, rows);
+
+done:
+    Py_XDECREF(codes);
+    Py_XDECREF(gains);
+    Py_XDECREF(rows);
+    return status;
 }
 
 /* The parent's max_score and depth, and the cutoff they put in force. */
@@ -592,8 +599,8 @@ walk_arc(const expansion *e, arc_walk *walk, const unsigned char *arc_codes, Py_
             }
             if (row >= e->query.m)
                 return out_of_range("profile row index out of range");
-            FAIL_UNLESS(add(score, load(e->query.profile, row * e->query.alphabet + symbol),
-                            &pending) == 0);
+            FAIL_UNLESS(add(score, e->query.profile[row * e->query.alphabet + symbol], &pending)
+                        == 0);
             pending_row = row + 1;
             if (pending > best)
                 best = pending;
@@ -689,7 +696,7 @@ viable_bound(const expansion *e, const arc_walk *end, i64 *bound)
     for (k = 0; k < end->count; k++) {
         if (end->rows[k] > e->query.m)
             return out_of_range("heuristic index out of range");
-        if (add(end->scores[k], load(e->query.heuristic, end->rows[k]), &candidate) < 0)
+        if (add(end->scores[k], e->query.heuristic[end->rows[k]], &candidate) < 0)
             return -1;
         if (k == 0 || candidate > *bound)
             *bound = candidate;
@@ -1159,9 +1166,11 @@ word_at(const int paged, const unsigned char *at, int word)
                  | (uint32_t)bytes[3] << 24);
 }
 
-/* One decoded child: what its handle holds, and whether it is a leaf. */
+/* One decoded child: what its handle holds, whether it is a leaf, and a
+ * leaf's sequence. */
 typedef struct {
     i64 value, arc_start, length, depth;
+    Py_ssize_t sequence;
     int leaf;
 } child_record;
 
@@ -1173,7 +1182,8 @@ typedef struct {
 } child_list;
 
 static int
-push_child(child_list *children, i64 value, i64 arc_start, i64 length, i64 depth, int leaf)
+push_child(child_list *children, i64 value, i64 arc_start, i64 length, i64 depth,
+           Py_ssize_t sequence, int leaf)
 {
     child_record *grown;
 
@@ -1193,7 +1203,28 @@ push_child(child_list *children, i64 value, i64 arc_start, i64 length, i64 depth
         children->items = grown;
         children->capacity *= 2;
     }
-    children->items[children->count++] = (child_record){value, arc_start, length, depth, leaf};
+    children->items[children->count++] =
+        (child_record){value, arc_start, length, depth, sequence, leaf};
+    return 0;
+}
+
+/* bisect_right(sequence_ends, start): suffix ``start`` lies in the first
+ * sequence whose end is above it.  IndexError past the last end. */
+static int
+sequence_of(const node_source *s, i64 start, Py_ssize_t *sequence)
+{
+    Py_ssize_t low = 0, high = s->end_count, middle;
+
+    while (low < high) {
+        middle = low + (high - low) / 2;
+        if (start < (i64)s->ends[middle])
+            high = middle;
+        else
+            low = middle + 1;
+    }
+    if (low == s->end_count)
+        return out_of_range("a suffix past the last sequence end");
+    *sequence = low;
     return 0;
 }
 
@@ -1207,7 +1238,7 @@ decode_children(node_source *s, const int paged, i64 node, child_list *children)
 {
     const unsigned char *at;
     i64 depth, child, leaf, word, child_depth, arc_start, start, length;
-    Py_ssize_t low, high, middle;
+    Py_ssize_t sequence;
 
     at = record_at(s, paged, INTERNAL, node, "a node index past the internal records");
     if (at == NULL)
@@ -1224,7 +1255,7 @@ decode_children(node_source *s, const int paged, i64 node, child_list *children)
         arc_start = word_at(paged, at, 1);
         if (child_depth < depth || arc_start + child_depth - depth > s->count[SYMBOLS])
             return out_of_range("an arc past the symbol array");
-        if (push_child(children, child, arc_start, child_depth - depth, child_depth, 0) < 0)
+        if (push_child(children, child, arc_start, child_depth - depth, child_depth, -1, 0) < 0)
             return -1;
         child = word & LAST_SIBLING_BIT ? NO_POINTER : child + 1;
     }
@@ -1234,23 +1265,12 @@ decode_children(node_source *s, const int paged, i64 node, child_list *children)
             return -1;
         word = word_at(paged, at, 0);
         start = word & VALUE_MASK;
-        /* bisect_right(sequence_ends, start): suffix ``start`` ends at the
-         * first end above it. */
-        low = 0;
-        high = s->end_count;
-        while (low < high) {
-            middle = low + (high - low) / 2;
-            if (start < (i64)s->ends[middle])
-                high = middle;
-            else
-                low = middle + 1;
-        }
-        if (low == s->end_count)
-            return out_of_range("a suffix past the last sequence end");
-        length = (i64)s->ends[low] - start;
-        if (length < depth || (i64)s->ends[low] > s->count[SYMBOLS])
+        if (sequence_of(s, start, &sequence) < 0)
+            return -1;
+        length = (i64)s->ends[sequence] - start;
+        if (length < depth || (i64)s->ends[sequence] > s->count[SYMBOLS])
             return out_of_range("an arc past the symbol array");
-        if (push_child(children, start, start + depth, length - depth, length, 1) < 0)
+        if (push_child(children, start, start + depth, length - depth, length, sequence, 1) < 0)
             return -1;
         leaf = word & LAST_SIBLING_BIT ? NO_POINTER : leaf + 1;
     }
@@ -1325,7 +1345,7 @@ typedef struct {
 typedef struct {
     PyObject_HEAD
     PyObject *module, *records, *popped; /* popped: a list, or NULL */
-    expansion e;        /* the query's constants, read once; e.counter numbers entries */
+    expansion e;        /* the query's constants, built once; e.counter numbers entries */
     c_entry *heap;      /* a binary min-heap on (key, flag, counter) */
     Py_ssize_t size, heap_capacity;
     c_entry *staged;    /* one expansion's kept children, before they are pushed */
@@ -1334,8 +1354,14 @@ typedef struct {
     Py_ssize_t arena_used, arena_capacity, live_cells;
     i64 *seed;          /* the column being expanded, copied out of the arena */
     Py_ssize_t seed_capacity;
-    child_list children;
-    i64 columns_expanded, nodes_dropped, nodes_expanded, max_queue_size;
+    child_list children; /* one node's, decoded for an expansion or a leaf walk */
+    i64 *pending;       /* the leaf walk's internal nodes still to decode */
+    Py_ssize_t pending_capacity;
+    unsigned char *reported; /* per sequence: reported by an earlier hit */
+    Py_ssize_t sequence_count;
+    Py_ssize_t *found;  /* one hit's sequences not reported before */
+    Py_ssize_t found_count, found_capacity;
+    i64 columns_expanded, nodes_dropped, nodes_expanded, nodes_accepted, max_queue_size;
     int busy;
     int partition;          /* the root, not yet expanded, is a partition's */
     unsigned char owned[256]; /* the partition's first symbols */
@@ -1485,11 +1511,6 @@ frontier_expand(frontier_object *self, node_source *s, const int paged, const c_
     enum fate fate;
     int left_out;
 
-    if (count < 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "cannot expand below a node whose column was discarded");
-        return -1;
-    }
     if (reserve((void **)&self->seed, &self->seed_capacity, 0, 2 * count + 1, sizeof(i64)) < 0)
         return -1;
     memcpy(self->seed, self->arena + parent->cells, 2 * count * sizeof(i64));
@@ -1561,6 +1582,122 @@ error:
     return -1;
 }
 
+/* Sequence ``sequence`` into the hit being gathered, unless an earlier hit
+ * reported it. */
+static int
+note_sequence(frontier_object *self, Py_ssize_t sequence)
+{
+    if (sequence >= self->sequence_count)
+        return out_of_range("a sequence past the ends the frontier was made over");
+    if (self->reported[sequence])
+        return 0;
+    if (reserve((void **)&self->found, &self->found_capacity, self->found_count, 1,
+                sizeof(Py_ssize_t)) < 0)
+        return -1;
+    self->reported[sequence] = 1;
+    self->found[self->found_count++] = sequence;
+    return 0;
+}
+
+/* Forget the hit being gathered: its sequences are not reported. */
+static void
+drop_found(frontier_object *self)
+{
+    Py_ssize_t k;
+
+    for (k = 0; k < self->found_count; k++)
+        self->reported[self->found[k]] = 0;
+    self->found_count = 0;
+}
+
+static int
+ascending(const void *a, const void *b)
+{
+    Py_ssize_t x = *(const Py_ssize_t *)a, y = *(const Py_ssize_t *)b;
+
+    return (x > y) - (x < y);
+}
+
+/* The sequences below ACCEPTED ``entry`` that no earlier hit reported,
+ * marked reported and left ascending in self->found: cursor.sequences_below
+ * less the reported ones.  A leaf is its own sequence.  Below an internal
+ * node the walk is DiskSuffixTree.leaf_positions': each internal node in
+ * pre-order decoded anew as children() decodes it, so a paged source makes
+ * the same requests in the same order, and every leaf of every run is read
+ * whether or not its sequence is new.  An error leaves nothing marked. */
+PER_SOURCE int
+walk_leaves(frontier_object *self, node_source *s, const int paged, const c_entry *entry)
+{
+    child_list *children = &self->children;
+    const child_record *child;
+    Py_ssize_t sequence, waiting = 0, k;
+
+    self->found_count = 0;
+    if (entry->leaf) {
+        if (sequence_of(s, entry->handle[0], &sequence) < 0 || note_sequence(self, sequence) < 0)
+            goto error;
+        return 0;
+    }
+    if (reserve((void **)&self->pending, &self->pending_capacity, 0, 1, sizeof(i64)) < 0)
+        goto error;
+    self->pending[waiting++] = entry->handle[0];
+    while (waiting > 0) {
+        if (paged)
+            drop_pages(s);
+        children->count = 0;
+        if (decode_children(s, paged, self->pending[--waiting], children) < 0)
+            goto error;
+        /* Last child first onto the stack, so that the first is decoded next. */
+        for (k = children->count - 1; k >= 0; k--) {
+            child = &children->items[k];
+            if (child->leaf) {
+                if (note_sequence(self, child->sequence) < 0)
+                    goto error;
+            }
+            else {
+                if (reserve((void **)&self->pending, &self->pending_capacity, waiting, 1,
+                            sizeof(i64)) < 0)
+                    goto error;
+                self->pending[waiting++] = child->value;
+            }
+        }
+    }
+    qsort(self->found, self->found_count, sizeof(Py_ssize_t), ascending);
+    return 0;
+
+error:
+    drop_found(self);
+    return -1;
+}
+
+/* (score, [sequence, ...]) of the hit in self->found; on failure its
+ * sequences are not reported. */
+static PyObject *
+hit_step(frontier_object *self, i64 score)
+{
+    PyObject *sequences = PyList_New(self->found_count), *value, *step = NULL;
+    Py_ssize_t k;
+
+    if (sequences != NULL) {
+        for (k = 0; k < self->found_count; k++) {
+            value = PyLong_FromSsize_t(self->found[k]);
+            if (value == NULL) {
+                Py_CLEAR(sequences);
+                break;
+            }
+            PyList_SET_ITEM(sequences, k, value);
+        }
+    }
+    value = sequences == NULL ? NULL : PyLong_FromLongLong(score);
+    if (value != NULL)
+        step = PyTuple_Pack(2, value, sequences);
+    Py_XDECREF(value);
+    Py_XDECREF(sequences);
+    if (step == NULL)
+        drop_found(self);
+    return step;
+}
+
 /* A C entry's handle, as GeneralizedSuffixTree.children builds it. */
 static PyObject *
 entry_handle(step_state *state, const c_entry *entry)
@@ -1598,74 +1735,56 @@ record_pop(frontier_object *self, step_state *state, const c_entry *entry)
     return status;
 }
 
-/* The root entry, a Python frontier entry, into the heap. */
+/* Algorithm 2's seed: node ``root`` (a handle) under the bound h[0] with
+ * the root column -- a zero in every row whose h reaches min_score -- as
+ * entry number 0, the path's max_score 0; no entry where h[0] is below
+ * min_score, since then nothing can reach it. */
 static int
-seed_entry(frontier_object *self, PyObject *object)
+seed_root(frontier_object *self, PyObject *root)
 {
+    const expansion *e = &self->e;
     c_entry entry;
-    PyObject *handle, *kind, *column;
-    i64 flag;
-    Py_ssize_t count, slot;
-    int status = -1;
+    PyObject *kind;
+    Py_ssize_t slot, row, count = 0;
 
-    Py_INCREF(object);
     memset(&entry, 0, sizeof(entry));
-    if (require_sequence(object, "a frontier entry") < 0)
-        goto done;
-    if (Py_SIZE(object) != 7) {
-        PyErr_SetString(PyExc_ValueError,
-                        "a frontier entry is (-f, flag, counter, tree_node, column, max_score, depth)");
-        goto done;
-    }
-    if (int_at(object, 0, "frontier entry", &entry.key) < 0
-        || int_at(object, 1, "frontier entry", &flag) < 0
-        || int_at(object, 2, "frontier entry", &entry.counter) < 0
-        || int_at(object, 5, "frontier entry", &entry.max_score) < 0
-        || int_at(object, 6, "frontier entry", &entry.depth) < 0)
-        goto done;
-    if (flag != ACCEPTED_FIRST && flag != VIABLE_AFTER) {
-        PyErr_SetString(PyExc_ValueError, "a frontier entry's flag is 0 or 1");
-        goto done;
-    }
-    entry.flag = (int)flag;
-    handle = item_at(object, 3, "frontier entry");
-    if (require_sequence(handle, "a node handle") < 0)
-        goto done;
-    kind = Py_SIZE(handle) == 5 ? item_at(handle, 0, "node handle") : NULL;
+    if (require_sequence(root, "a node handle") < 0)
+        return -1;
+    kind = Py_SIZE(root) == 5 ? item_at(root, 0, "node handle") : NULL;
     if (kind == NULL || !PyUnicode_Check(kind)
         || (PyUnicode_CompareWithASCIIString(kind, "I") != 0
             && PyUnicode_CompareWithASCIIString(kind, "L") != 0)) {
         PyErr_Clear();
         PyErr_SetString(PyExc_ValueError, "a node handle is ('I' or 'L', four ints)");
-        goto done;
+        return -1;
     }
     entry.leaf = PyUnicode_CompareWithASCIIString(kind, "L") == 0;
     for (slot = 0; slot < 4; slot++)
-        if (int_at(handle, slot + 1, "node handle", &entry.handle[slot]) < 0)
-            goto done;
-    column = item_at(object, 4, "frontier entry");
-    entry.count = -1;
-    if (column != Py_None) {
-        if (require_sequence(column, "a column") < 0)
-            goto done;
-        count = Py_SIZE(column);
-        if (reserve((void **)&self->arena, &self->arena_capacity, self->arena_used, 2 * count,
-                    sizeof(i64)) < 0)
-            goto done;
-        entry.cells = self->arena_used;
-        if (read_seed(column, self->arena + entry.cells, self->arena + entry.cells + count, count) < 0)
-            goto done;
-        self->arena_used += 2 * count;
-        entry.count = count;
+        if (int_at(root, slot + 1, "node handle", &entry.handle[slot]) < 0)
+            return -1;
+    if (e->query.heuristic[0] < e->min_score)
+        return 0;
+    for (row = 0; row <= e->query.m; row++)
+        count += e->query.heuristic[row] >= e->min_score;
+    if (reserve((void **)&self->arena, &self->arena_capacity, self->arena_used, 2 * count,
+                sizeof(i64)) < 0
+        || reserve((void **)&self->heap, &self->heap_capacity, self->size, 1, sizeof(c_entry)) < 0)
+        return -1;
+    entry.cells = self->arena_used;
+    for (row = 0; row <= e->query.m; row++) {
+        if (e->query.heuristic[row] >= e->min_score) {
+            self->arena[self->arena_used] = row;
+            self->arena[self->arena_used + count] = 0;
+            self->arena_used++;
+        }
     }
-    if (reserve((void **)&self->heap, &self->heap_capacity, self->size, 1, sizeof(c_entry)) < 0)
-        goto done;
+    self->arena_used += count;
+    entry.count = count;
+    entry.key = -e->query.heuristic[0];
+    entry.flag = VIABLE_AFTER;
+    entry.depth = entry.handle[3];
     heap_push(self, &entry);
-    status = 0;
-
-done:
-    Py_DECREF(object);
-    return status;
+    return 0;
 }
 
 static void
@@ -1673,11 +1792,14 @@ frontier_dealloc(frontier_object *self)
 {
     PyTypeObject *type = Py_TYPE(self);
 
-    close_expansion(&self->e);
+    PyMem_Free(self->e.memory);
     PyMem_Free(self->heap);
     PyMem_Free(self->staged);
     PyMem_Free(self->arena);
     PyMem_Free(self->seed);
+    PyMem_Free(self->pending);
+    PyMem_Free(self->reported);
+    PyMem_Free(self->found);
     if (self->children.items != self->children.local)
         PyMem_Free(self->children.items);
     Py_XDECREF(self->module);
@@ -1702,17 +1824,19 @@ frontier_length(frontier_object *self)
 }
 
 /* advance(bound_floor, budget): pop and expand until an ACCEPTED entry
- * surfaces -- (score, handle) -- or the top bound is below bound_floor
- * (None: no floor), ``budget`` pops have passed, or the queue is empty.
- * The source is opened for the call: its buffers are held while it runs,
- * and a closed block file fails it before any request. */
+ * with a sequence no earlier hit reported surfaces -- (score, ascending
+ * sequence indices) -- or the top bound is below bound_floor (None: no
+ * floor), ``budget`` pops have passed, or the queue is empty.  An ACCEPTED
+ * pop whose sequences were all reported counts against the budget like any
+ * other.  The source is opened for the call: its buffers are held while it
+ * runs, and a closed block file fails it before any request. */
 static PyObject *
 frontier_advance(frontier_object *self, PyObject *const *args, Py_ssize_t nargs)
 {
     step_state *state;
     node_source source;
     c_entry top;
-    PyObject *result = NULL, *score, *handle;
+    PyObject *result = NULL;
     const unsigned char *owned;
     i64 floor = 0, budget, pops;
     int has_floor, code = PAUSED, failed = 0;
@@ -1762,13 +1886,16 @@ frontier_advance(frontier_object *self, PyObject *const *args, Py_ssize_t nargs)
             break;
         }
         if (top.flag == ACCEPTED_FIRST) {
-            /* Only a hit's handle becomes a Python object. */
-            score = PyLong_FromLongLong(top.max_score);
-            handle = entry_handle(state, &top);
-            if (score != NULL && handle != NULL)
-                result = PyTuple_Pack(2, score, handle);
-            Py_XDECREF(score);
-            Py_XDECREF(handle);
+            self->nodes_accepted++;
+            if ((source.paged ? walk_leaves(self, &source, 1, &top)
+                              : walk_leaves(self, &source, 0, &top)) < 0) {
+                failed = 1;
+                break;
+            }
+            if (self->found_count == 0)
+                continue; /* every sequence below was reported before */
+            /* Only a hit becomes Python objects. */
+            result = hit_step(self, top.max_score);
             failed = result == NULL;
             break;
         }
@@ -1791,9 +1918,10 @@ frontier_advance(frontier_object *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* frontier(records, context, root, root_symbols[, popped]): the queue
- * seeded with ``root``, over a cursor's node_records; with root_symbols
- * (bytes), the root's expansion keeps to the children whose first symbol
- * it holds. */
+ * over a cursor's node_records, seeded with node ``root`` (seed_root) from
+ * the query's constants, built here; with root_symbols (bytes), the root's
+ * expansion keeps to the children whose first symbol it holds.  No sequence
+ * of the records' is reported yet. */
 static PyObject *
 make_frontier(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1801,7 +1929,7 @@ make_frontier(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *records, *context, *root, *symbols, *popped = NULL;
     frontier_object *self;
     node_source source;
-    Py_ssize_t index;
+    Py_ssize_t index, sequences;
     int status;
 
     if (nargs != 4 && nargs != 5) {
@@ -1827,6 +1955,7 @@ make_frontier(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     /* The records' shape is checked here; each advance opens them again. */
     status = open_source(state, records, &source);
+    sequences = source.end_count;
     close_source(&source);
     if (status < 0)
         return NULL;
@@ -1846,10 +1975,16 @@ make_frontier(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         for (index = 0; index < PyBytes_GET_SIZE(symbols); index++)
             self->owned[(unsigned char)PyBytes_AS_STRING(symbols)[index]] = 1;
     }
+    self->sequence_count = sequences;
+    self->reported = PyMem_Calloc(sequences > 0 ? sequences : 1, 1);
+    if (self->reported == NULL) {
+        Py_DECREF(self);
+        return PyErr_NoMemory();
+    }
     if (open_query(state, context, &self->e) < 0
         || attribute_score(context, state->columns_expanded, &self->columns_expanded) < 0
         || attribute_score(context, state->nodes_dropped, &self->nodes_dropped) < 0
-        || seed_entry(self, root) < 0) {
+        || seed_root(self, root) < 0) {
         Py_DECREF(self);
         return NULL;
     }
@@ -1858,9 +1993,12 @@ make_frontier(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef frontier_methods[] = {
     {"advance", (PyCFunction)(void (*)(void))frontier_advance, METH_FASTCALL,
-     "advance(bound_floor, budget) -> (score, handle), or EMPTY / BELOW_FLOOR / PAUSED\n\n"
-     "Pop and expand until an ACCEPTED entry surfaces, the top bound is below\n"
-     "bound_floor (None: no floor), budget pops have passed, or the queue is empty."},
+     "advance(bound_floor, budget) -> (score, sequences), or EMPTY / BELOW_FLOOR / PAUSED\n\n"
+     "Pop and expand until an ACCEPTED entry surfaces below which some sequence\n"
+     "was not reported before -- its score and those sequences, ascending --, the\n"
+     "top bound is below bound_floor (None: no floor), budget pops have passed,\n"
+     "or the queue is empty.  An ACCEPTED pop with no new sequence counts in\n"
+     "nodes_accepted and against the budget, and the search goes on."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1873,6 +2011,8 @@ static PyMemberDef frontier_members[] = {
      "UNVIABLE children dropped, from the context's count at creation"},
     {"nodes_expanded", T_LONGLONG, offsetof(frontier_object, nodes_expanded), READONLY,
      "entries this frontier popped and expanded"},
+    {"nodes_accepted", T_LONGLONG, offsetof(frontier_object, nodes_accepted), READONLY,
+     "ACCEPTED entries this frontier popped, a hit or not"},
     {"max_queue_size", T_LONGLONG, offsetof(frontier_object, max_queue_size), READONLY,
      "the longest the queue was before a pop"},
     {NULL, 0, 0, 0, NULL},
@@ -1901,9 +2041,11 @@ static PyMethodDef step_methods[] = {
     {"frontier", (PyCFunction)(void (*)(void))make_frontier, METH_FASTCALL,
      "frontier(records, context, root, root_symbols, popped=None) -> Frontier\n\n"
      "Algorithm 1's queue over tree.node_records -- record arrays, or buffer-pool\n"
-     "pages --, seeded with the root entry; with root_symbols (bytes) the root's\n"
-     "expansion keeps only the children whose first arc symbol is among them.\n"
-     "With popped (a list), each popped entry is appended to it as its tuple."},
+     "pages --, seeded with node root and the root column, built with the\n"
+     "heuristic and profile from the context's query_codes, gains and\n"
+     "packed_score_rows; with root_symbols (bytes) the root's expansion keeps\n"
+     "only the children whose first arc symbol is among them.  With popped (a\n"
+     "list), each popped entry is appended to it as its tuple."},
     {"page", (PyCFunction)(void (*)(void))pool_page, METH_FASTCALL,
      "page(state, block, region) -> bytes\n\n"
      "BufferPool.page over the pool's state: one request, its hit or its miss\n"
@@ -1922,8 +2064,9 @@ step_exec(PyObject *module)
         return -1;
     INTERN(gap_penalty, "gap_penalty")
     INTERN(min_score, "min_score")
-    INTERN(packed_heuristic, "packed_heuristic")
-    INTERN(packed_profile, "packed_profile")
+    INTERN(query_codes, "query_codes")
+    INTERN(gains, "gains")
+    INTERN(packed_score_rows, "packed_score_rows")
     INTERN(nodes_enqueued, "nodes_enqueued")
     INTERN(nodes_dropped, "nodes_dropped")
     INTERN(columns_expanded, "columns_expanded")
@@ -1943,8 +2086,9 @@ step_clear(PyObject *module)
 
     Py_CLEAR(state->gap_penalty);
     Py_CLEAR(state->min_score);
-    Py_CLEAR(state->packed_heuristic);
-    Py_CLEAR(state->packed_profile);
+    Py_CLEAR(state->query_codes);
+    Py_CLEAR(state->gains);
+    Py_CLEAR(state->packed_score_rows);
     Py_CLEAR(state->nodes_enqueued);
     Py_CLEAR(state->nodes_dropped);
     Py_CLEAR(state->columns_expanded);

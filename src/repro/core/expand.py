@@ -39,6 +39,7 @@ from array import array
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.heuristic import heuristic_vector
 from repro.core.search_node import NodeState, PRUNED, SearchNode
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -62,10 +63,15 @@ class ExpansionContext:
     ``query_codes`` are the query's symbol codes (``bytes`` or any sequence
     of ints), ``score_rows`` the substitution table as one list of scores per
     code (:attr:`SubstitutionMatrix.rows
-    <repro.scoring.matrix.SubstitutionMatrix.rows>`), and
-    ``packed_score_rows``, where given, the same rows as the matrix caches
-    them packed (:attr:`SubstitutionMatrix.packed_rows
-    <repro.scoring.matrix.SubstitutionMatrix.packed_rows>`).
+    <repro.scoring.matrix.SubstitutionMatrix.rows>`), ``gains`` the
+    matrix's clamped gain per code (:attr:`SubstitutionMatrix.gains
+    <repro.scoring.matrix.SubstitutionMatrix.gains>`), the table Section
+    3.1's heuristic sums, and ``packed_score_rows``, where given, the rows
+    as the matrix caches them packed (:attr:`SubstitutionMatrix.packed_rows
+    <repro.scoring.matrix.SubstitutionMatrix.packed_rows>`).  The C
+    frontier builds the heuristic, the profile and the root column from
+    ``query_codes``, ``gains`` and :attr:`packed_score_rows` itself; the
+    list forms here serve the Python frontier.
     """
 
     def __init__(
@@ -73,7 +79,7 @@ class ExpansionContext:
         query_codes: Sequence[int],
         score_rows: Sequence[Sequence[int]],
         gap_penalty: int,
-        heuristic: Sequence[int],
+        gains: Sequence[int],
         min_score: int,
         packed_score_rows: Optional[Sequence[bytes]] = None,
     ):
@@ -83,11 +89,9 @@ class ExpansionContext:
             raise ValueError("the gap penalty must be negative")
         self.query_codes = query_codes
         self.score_rows = score_rows
+        self.gains = gains
         self._packed_score_rows = packed_score_rows
         self.gap_penalty = int(gap_penalty)
-        #: ``h`` of Section 3.1 as Python ints: non-increasing, ``h[m] == 0``
-        #: (see :func:`~repro.core.heuristic.compute_heuristic_vector`).
-        self.heuristic: List[int] = [int(bound) for bound in heuristic]
         self.min_score = int(min_score)
         self.query_length = len(self.query_codes)
         #: Number of matrix columns expanded (the Figure 4 metric).
@@ -115,19 +119,18 @@ class ExpansionContext:
         return [[row[symbol] for row in query_rows] for symbol in range(len(self.score_rows))]
 
     @cached_property
-    def packed_heuristic(self) -> bytes:
-        """:attr:`heuristic` as native ``int64`` bytes (the compiled step)."""
-        return array("q", self.heuristic).tobytes()
+    def heuristic(self) -> List[int]:
+        """``h`` of Section 3.1 as Python ints: non-increasing, ``h[m] == 0``
+        (:func:`~repro.core.heuristic.heuristic_vector` over :attr:`gains`)."""
+        return heuristic_vector(self.query_codes, self.gains)
 
     @cached_property
-    def packed_profile(self) -> bytes:
-        """``S(q_i, t)`` as native ``int64`` bytes at ``(i - 1) * alphabet + t``
-        (the compiled step): the packed score row of each query code, joined,
-        so no per-query list is built."""
-        packed_rows = self._packed_score_rows
-        if packed_rows is None:
-            packed_rows = [array("q", row).tobytes() for row in self.score_rows]
-        return b"".join([packed_rows[code] for code in self.query_codes])
+    def packed_score_rows(self) -> Sequence[bytes]:
+        """The score rows as native ``int64`` bytes, one per code (the C
+        frontier joins a query's into its profile): as given, or packed here."""
+        if self._packed_score_rows is not None:
+            return self._packed_score_rows
+        return [array("q", row).tobytes() for row in self.score_rows]
 
     @cached_property
     def profile(self) -> "np.ndarray":

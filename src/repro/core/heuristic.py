@@ -10,15 +10,29 @@ order and that nothing above the threshold is missed).
 With non-positive insertion/deletion penalties the bound is simply the sum of
 each remaining symbol's best possible substitution score; symbols whose best
 score is negative contribute nothing (the alignment is free to stop before
-them), hence the clamp at zero.
+them), hence the clamp at zero.  That clamped gain per symbol code is a
+property of the matrix, cached once on it
+(:attr:`~repro.scoring.matrix.SubstitutionMatrix.gains`); a query's ``h`` is
+a running sum of its codes' gains, which the compiled frontier builds in C
+and :func:`heuristic_vector` builds for the Python one.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, List
+from typing import Iterable, List, Sequence
 
 from repro.scoring.matrix import SubstitutionMatrix
+
+
+def heuristic_vector(query_codes: Iterable[int], gains: Sequence[int]) -> List[int]:
+    """``h`` of length ``m + 1`` from a per-code gain table
+    (:attr:`SubstitutionMatrix.gains <repro.scoring.matrix.SubstitutionMatrix.gains>`):
+    ``h[i]`` is the sum of the gains of ``q_{i+1} .. q_m``."""
+    # h[i] = h[i + 1] + gain of q_{i+1}; a reversed running sum.
+    heuristic = list(accumulate(reversed([gains[code] for code in query_codes]), initial=0))
+    heuristic.reverse()
+    return heuristic
 
 
 def compute_heuristic_vector(query_codes: Iterable[int], matrix: SubstitutionMatrix) -> List[int]:
@@ -27,14 +41,4 @@ def compute_heuristic_vector(query_codes: Iterable[int], matrix: SubstitutionMat
     ``h[m]`` is 0 (nothing of the query remains); ``h[0]`` bounds the score of
     any alignment of the full query.
     """
-    best_per_symbol = matrix.max_row_scores()
-    gains = [max(best_per_symbol[code], 0) for code in query_codes]
-    # h[i] = h[i + 1] + gain of q_{i+1}; a reversed running sum.
-    heuristic = list(accumulate(reversed(gains), initial=0))
-    heuristic.reverse()
-    return heuristic
-
-
-def maximum_possible_score(query_codes: Iterable[int], matrix: SubstitutionMatrix) -> int:
-    """The largest score any alignment of this query can achieve (``h[0]``)."""
-    return compute_heuristic_vector(query_codes, matrix)[0]
+    return heuristic_vector(query_codes, matrix.gains)

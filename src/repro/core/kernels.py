@@ -57,9 +57,10 @@ kernel here never materialises the dead ones:
     against the CPython C API, inside Algorithm 1's queue: ``frontier(records,
     context, root, root_symbols)`` (:attr:`CompiledKernel.node_frontier`;
     :mod:`repro.core.frontier`), a binary heap of C entries whose columns
-    live in one cell arena.  It reads the query's constants from the context
-    once -- the heuristic and profile as the context's packed ``int64``
-    copies, each limit computed as ``limit_for`` lists it -- and decodes
+    live in one cell arena.  It builds the query's constants once, when it
+    is made -- the heuristic from the matrix's clamped gains, the profile
+    from its packed rows, the root column, each limit computed as
+    ``limit_for`` lists it -- and decodes
     each node's children itself from the cursor's ``node_records``: the
     in-memory tree's record arrays, or the disk cursor's page source, whose
     buffer-pool pages it asks for exactly as ``DiskSuffixTree.siblings``
@@ -68,10 +69,13 @@ kernel here never materialises the dead ones:
     module builds).  Each arc is walked where it lies, and each node's
     children get the entries, numbering and counter updates
     :func:`_expand_live` gives them.  Its ``advance(bound_floor, budget)``
-    pops and expands until an ACCEPTED entry surfaces, the held hits' score
-    is passed, ``budget`` pops have been made or the queue is empty, and
-    only a hit's handle becomes a Python object: one C call per hit, not one
-    Python round trip per node.  A partition's root is its first expansion,
+    pops and expands until an ACCEPTED entry surfaces whose leaves -- walked
+    from the same records, on a disk with the requests of
+    ``DiskSuffixTree.leaf_positions`` -- hold a sequence not reported
+    before, the held hits' score is passed, ``budget`` pops have been made
+    or the queue is empty, and only a hit's score and sequences become
+    Python objects: one C call per hit, not one Python round trip per node.
+    A partition's root is its first expansion,
     over only the children whose first arc symbol is in ``root_symbols``.
     The search runs it on every
     :class:`~repro.suffixtree.GeneralizedSuffixTree`, built or read, and
@@ -171,7 +175,7 @@ from repro.core.search_node import (
 # One child of a VIABLE node as the driver hands it to a kernel, exactly what
 # ``SuffixTreeCursor.siblings`` returns: the arc is ``bytes``, so a kernel
 # loop iterates plain Python ints.
-from repro.suffixtree.cursor import Sibling, SuffixTreeCursor
+from repro.suffixtree.cursor import NodeHandle, Sibling, SuffixTreeCursor
 
 
 #: Environment variable selecting the default kernel.
@@ -240,27 +244,29 @@ class ExpansionKernel:
         self,
         cursor: SuffixTreeCursor,
         context: ExpansionContext,
-        root: FrontierEntry,
+        root: NodeHandle,
         root_symbols: Optional[bytes],
     ) -> Frontier:
-        """The frontier a search of ``cursor`` runs on, seeded with ``root``.
+        """The frontier a search of ``cursor`` runs on, seeded with node ``root``.
 
         Here the Python one: each expanded node costs one ``cursor.siblings``
-        call, handed to :meth:`expand_children`.  With ``root_symbols`` (a
-        partition of the tree; ``None`` for all of it) the root's expansion
-        gets only the children whose first arc symbol is among them.  The
-        compiled kernel runs its C frontier over a cursor that names its
+        call, handed to :meth:`expand_children`, and each ACCEPTED one a
+        ``cursor.sequences_below`` call.  With ``root_symbols`` (a partition
+        of the tree; ``None`` for all of it) the root's expansion gets only
+        the children whose first arc symbol is among them.  The compiled
+        kernel runs its C frontier over a cursor that names its
         ``node_records``.
         """
         siblings, expand_children = cursor.siblings, self.expand_children
 
         def expand(parent: FrontierEntry, context: ExpansionContext) -> List[FrontierEntry]:
             children = siblings(parent[3])
-            if parent is root and root_symbols is not None:
+            if root_symbols is not None and parent[2] == 0:
+                # Entry number 0 is the root: a partition keeps its own children.
                 children = [child for child in children if child[1][0] in root_symbols]
             return expand_children(parent, children, context)
 
-        return PythonFrontier(expand, context, root)
+        return PythonFrontier(expand, context, root, cursor.sequences_below)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -511,7 +517,7 @@ class CompiledKernel(LiveCellKernel):
         self,
         cursor: SuffixTreeCursor,
         context: ExpansionContext,
-        root: FrontierEntry,
+        root: NodeHandle,
         root_symbols: Optional[bytes],
     ) -> Frontier:
         records = cursor.node_records

@@ -27,10 +27,9 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Union
 
 from repro.core.expand import ExpansionContext
-from repro.core.heuristic import compute_heuristic_vector
 from repro.core.frontier import BELOW_FLOOR, EMPTY, FRONTIER_BUDGET, Frontier
 from repro.core.kernels import DEFAULT_KERNEL
 from repro.core.request import SearchRequest
@@ -41,7 +40,6 @@ from repro.core.results import (
     SearchResult,
     hit_order_key,
 )
-from repro.core.search_node import VIABLE_AFTER
 from repro.sequences.sequence import Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (the engine imports this module)
@@ -67,8 +65,11 @@ class OasisSearchStatistics:
     zero for in-memory cursors.  A shared pool serving concurrent queries
     attributes overlapping activity to every query that was in flight, so
     under concurrency they are an upper bound per query -- exact in the
-    serial and process-scatter regimes, where one query owns the pool.  A
-    batch's exact pool counts are the change in the pool's own
+    serial regime, where one query owns the pool.  A process scatter's are
+    exact for what each worker's pool did, but not comparable from run to
+    run: each worker's pool stays warm across its tasks, so the counts
+    depend on which worker took which partition after which.  A batch's
+    exact pool counts are the change in the pool's own
     :class:`~repro.storage.BufferPoolStatistics` over the batch, whatever
     its fan-out: ``search_many`` puts that change in its report's
     ``statistics.search`` for an index searched in the calling process.
@@ -136,15 +137,20 @@ class QueryExecution:
     (the priority queue, :mod:`repro.core.frontier`), the
     :class:`ExpansionContext`, the statistics and the timing -- so
     concurrent executions over the same cursor never observe each other.
-    Its loop is one call of the frontier's ``advance`` per hit: the compiled
-    kernel's C frontier pops and expands nodes until an ACCEPTED one
-    surfaces, the held hits' score is passed or the pop budget is spent,
-    and the hit path -- the held equal-score run, ``max_results``, full
-    coverage -- stays here.  It
-    is both iterable (streaming hits, strongest first) and collectable
-    (:meth:`result`); the iterator can be abandoned at any point and
-    :attr:`statistics` still reports the work actually done, because the
-    bookkeeping runs in a ``finally`` block when the generator is closed.
+    Its loop is one call of the frontier's ``advance`` per hit: the
+    frontier, made with the tree's root, builds the query's constants and
+    pops and expands nodes until an ACCEPTED one surfaces below which some
+    sequence was not reported before, the held hits' score is passed or the
+    pop budget is spent.  The frontier owns the reported sequences and
+    counts ``nodes_accepted``, so a hit arrives as its score and its new
+    sequences (the compiled kernel's C frontier walks the leaves itself; the
+    Python one asks ``cursor.sequences_below``), and what is left of the hit
+    path -- the hit objects, the held equal-score run, ``max_results``,
+    full coverage -- stays here.  It is both iterable (streaming hits,
+    strongest first) and collectable (:meth:`result`); the iterator can be
+    abandoned at any point and :attr:`statistics` still reports the work
+    actually done, because the bookkeeping runs in a ``finally`` block when
+    the generator is closed.
 
     ``request`` is the :class:`~repro.core.request.SearchRequest` the engine
     resolved: a ``min_score``, not an E-value, and Equation 2's inputs for
@@ -207,12 +213,11 @@ class QueryExecution:
         self._iterator: Optional[Iterator[SearchHit]] = None
         self._frontier: Optional[Frontier] = None
 
-        self.heuristic = compute_heuristic_vector(self.query_sequence.codes, engine.matrix)
         self.context = ExpansionContext(
             query_codes=self.query_sequence.codes,
             score_rows=engine.matrix.rows,
             gap_penalty=engine.gap_model.per_symbol,
-            heuristic=self.heuristic,
+            gains=engine.matrix.gains,
             min_score=request.min_score,
             packed_score_rows=engine.matrix.packed_rows,
         )
@@ -310,21 +315,18 @@ class QueryExecution:
             self._pool_start = (pool_stats.hits, pool_stats.misses, pool_stats.evictions)
 
         try:
-            # Algorithm 2: seed the queue with the root of the suffix tree.
-            root_bound = max(self.heuristic)
-            if root_bound < min_score:
-                # Even a perfect match cannot reach the threshold.
-                return
-            # A frontier entry is the flat tuple described in
-            # ``repro.core.search_node``; the root is entry number 0.
-            root = (-root_bound, VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)
-            # The kernel and the cursor decide which frontier runs: the C one
-            # over a cursor's ``node_records`` on the compiled kernel, the
-            # Python one everywhere else (``repro.core.frontier``).  A
-            # partition's frontier expands the root over the children whose
-            # first symbol it owns.
-            frontier = self._frontier = kernel.frontier(cursor, context, root, self.root_symbols)
-            reported: Set[int] = set()
+            # Algorithm 2: the frontier seeds its queue with the root of the
+            # suffix tree -- or with nothing, where even a perfect match
+            # cannot reach the threshold.  The kernel and the cursor decide
+            # which frontier runs: the C one over a cursor's
+            # ``node_records`` on the compiled kernel, the Python one
+            # everywhere else (``repro.core.frontier``).  A partition's
+            # frontier expands the root over the children whose first
+            # symbol it owns.  Either reports each database sequence once.
+            frontier = self._frontier = kernel.frontier(
+                cursor, context, cursor.root, self.root_symbols
+            )
+            reported = 0
             emitted = 0
             sequence_count = len(database)
             # Hits whose score is proven optimal but whose *rank among equal
@@ -362,12 +364,10 @@ class QueryExecution:
                 # abort flag and the deadline at least every budget pops.
                 step = frontier.advance(pending[0].score if pending else None, FRONTIER_BUDGET)
                 if isinstance(step, tuple):
-                    statistics.nodes_accepted += 1
-                    score, tree_node = step
-                    for sequence_index in cursor.sequences_below(tree_node):
-                        if sequence_index in reported:
-                            continue
-                        reported.add(sequence_index)
+                    # An ACCEPTED node with sequences not reported before:
+                    # its score is each one's best (Section 3.1).
+                    score, sequence_indices = step
+                    for sequence_index in sequence_indices:
                         record = database[sequence_index]
                         alignment: Optional[Alignment] = None
                         if request.compute_alignments:
@@ -388,7 +388,8 @@ class QueryExecution:
                                 alignment=alignment,
                             )
                         )
-                    if len(reported) >= sequence_count:
+                    reported += len(sequence_indices)
+                    if reported >= sequence_count:
                         # Every database sequence already has its strongest
                         # alignment reported; nothing left to find.
                         break
@@ -423,6 +424,7 @@ class QueryExecution:
         if frontier is not None:
             counts = frontier
             statistics.nodes_expanded = frontier.nodes_expanded
+            statistics.nodes_accepted = frontier.nodes_accepted
             statistics.max_queue_size = frontier.max_queue_size
             self._frontier = None
         statistics.columns_expanded = counts.columns_expanded

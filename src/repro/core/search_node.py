@@ -25,7 +25,8 @@ The **frontier entry** is what the search runs on: one entry per node,
 On the compiled kernel over a cursor's ``node_records`` it is a C struct in
 the C frontier (``core/_column_step.c``, :mod:`repro.core.frontier`): the
 handle as its kind and four ints, the column as a slice of the frontier's
-cell arena, never a Python object until a hit's handle is returned.
+cell arena, never a Python object (a hit is returned as its score and
+sequences).
 Everywhere else -- the Python frontier, with the ``live`` and ``reference``
 kernels, dense columns and cursors without ``node_records`` -- it is this
 flat tuple, built and numbered by the expansion kernel, pushed onto the

@@ -120,6 +120,7 @@ class SubstitutionMatrix:
         state = dict(vars(self))
         state.pop("lookup", None)
         state.pop("packed_rows", None)
+        state.pop("gains", None)
         return state
 
     # ------------------------------------------------------------------ #
@@ -145,6 +146,15 @@ class SubstitutionMatrix:
         a query's packed profile is the rows of its codes joined (the
         compiled expansion step reads it)."""
         return [array("q", row).tobytes() for row in self._rows]
+
+    @cached_property
+    def gains(self) -> List[int]:
+        """Per symbol code, the most one query symbol can add to an alignment:
+        its best score against any real symbol, clamped at zero (a symbol that
+        scores below zero against everything is left out of the alignment).
+        Built once per matrix; Section 3.1's heuristic is a running sum of
+        these over the query (do not mutate)."""
+        return [max(best, 0) for best in self.max_row_scores()]
 
     @cached_property
     def lookup(self) -> "np.ndarray":

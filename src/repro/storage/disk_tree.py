@@ -26,16 +26,18 @@ index past the leaf records, an arc past the symbols, a suffix past the last
 sequence end -- is an ``IndexError``, raised before any request past the
 region, as the in-memory tree raises it.
 
-The search itself does not call ``siblings()`` under the compiled kernel.
-It takes :attr:`DiskSuffixTree.node_records`, a *page source* -- the pool's
-flat state, each region's first block, page payload and record count, the
-sequence ends -- and the kernel's C node step decodes each expanded node
-from pool pages itself: the same requests, in the same order, as
-``siblings()``, but a handle built only for a child it keeps.  Both run one
-clock: the C step's requests and ``pool.page``, which ``_read`` calls, are
-the same C code over the same buffers wherever the step builds
-(:mod:`repro.storage.buffer_pool`).  ``siblings()`` serves the ``live`` and
-``reference`` kernels, dense columns, a partition's root and cursor proxies.
+The search itself calls neither ``siblings()`` nor ``sequences_below()``
+under the compiled kernel.  It takes :attr:`DiskSuffixTree.node_records`, a
+*page source* -- the pool's flat state, each region's first block, page
+payload and record count, the sequence ends -- and the kernel's C frontier
+decodes each expanded node from pool pages itself: the same requests, in
+the same order, as ``siblings()``, but a handle built only for a child it
+keeps; and walks each hit's leaves with the requests of
+``leaf_positions()``, in its order.  Both run one clock: the C frontier's
+requests and ``pool.page``, which ``_read`` calls, are the same C code over
+the same buffers wherever it builds (:mod:`repro.storage.buffer_pool`).
+``siblings()`` and ``sequences_below()`` serve the ``live`` and
+``reference`` kernels, dense columns and cursor proxies.
 
 An image is refused at open by the checks the in-memory tree runs too
 (:func:`~repro.storage.layout.check_image`): another format, a cut file

@@ -20,7 +20,6 @@ import pytest
 from repro.cli import main
 from repro.core import kernels
 from repro.core.expand import ExpansionContext
-from repro.core.heuristic import compute_heuristic_vector
 from repro.core.kernels import LiveCellKernel, available_kernels, get_kernel
 from repro.core.search_node import VIABLE_AFTER
 from repro.scoring.data import nucleotide_matrix
@@ -43,7 +42,7 @@ def make_context(query=QUERY, min_score=10):
         query_codes=codes,
         score_rows=MATRIX.rows,
         gap_penalty=-1,
-        heuristic=compute_heuristic_vector(codes, MATRIX),
+        gains=MATRIX.gains,
         min_score=min_score,
     )
 
@@ -56,50 +55,57 @@ def tree():
     return GeneralizedSuffixTree.build(database)
 
 
-def root(context, tree, column=None):
-    cells = context.make_root_cells() if column is None else column
-    return (-max(context.heuristic), VIABLE_AFTER, 0, tree.root, cells, 0, 0)
-
-
-def frontier(tree, context, root_entry):
-    """The C frontier over ``tree``, seeded with ``root_entry``."""
-    return get_kernel("compiled").node_frontier(tree.node_records, context, root_entry, None)
+def frontier(tree, context):
+    """The C frontier over ``tree``, seeded with its root."""
+    return get_kernel("compiled").node_frontier(tree.node_records, context, tree.root, None)
 
 
 @needs_compiled
 class TestTheRulesOfTheWalk:
     """Through the C frontier, ``frontier(...)`` and its ``advance``: what it
-    does with bad input."""
+    does with bad input.  It builds the query's heuristic, profile and root
+    column itself, from the context's ``query_codes``, ``gains`` and
+    ``packed_score_rows``."""
 
     @pytest.mark.parametrize(
-        "entry",
+        "spoil",
         [
-            pytest.param(lambda c, t: {4: c.make_root_cells()}, id="parent-dict"),
-            pytest.param(lambda c, t: root(c, t, {(0, 0)}), id="column-set"),
-            pytest.param(lambda c, t: root(c, t, [0, 1]), id="cell-int"),
-            pytest.param(lambda c, t: root(c, t, [(0, 0.5)]), id="score-float"),
+            pytest.param(
+                lambda c: setattr(c, "query_codes", list(c.query_codes)), id="codes-list"
+            ),
+            pytest.param(lambda c: setattr(c, "gains", set(c.gains)), id="gains-set"),
+            pytest.param(lambda c: setattr(c, "gains", dict(enumerate(c.gains))), id="gains-dict"),
+            pytest.param(
+                lambda c: setattr(c, "packed_score_rows", {0: c.packed_score_rows[0]}),
+                id="rows-dict",
+            ),
+            pytest.param(
+                lambda c: setattr(c, "packed_score_rows", [list(r) for r in c.packed_score_rows]),
+                id="rows-of-lists",
+            ),
+            pytest.param(lambda c: setattr(c, "gains", [0.5] * len(c.gains)), id="gain-float"),
         ],
     )
-    def test_a_non_list_or_tuple_argument_is_a_type_error(self, tree, entry):
+    def test_a_non_list_or_tuple_argument_is_a_type_error(self, tree, spoil):
         context = make_context()
+        spoil(context)
         with pytest.raises(TypeError):
-            frontier(tree, context, entry(context, tree))
+            frontier(tree, context)
 
-    @pytest.mark.parametrize("packed", ["packed_heuristic", "packed_profile"])
-    def test_a_packed_table_that_is_not_int64_bytes_is_a_type_error(self, tree, packed):
+    def test_a_packed_score_row_that_is_not_one_int64_per_symbol_is_a_value_error(self, tree):
         context = make_context()
-        setattr(context, packed, list(getattr(context, packed)))
-        with pytest.raises(TypeError, match=packed):
-            frontier(tree, context, root(context, tree))
-        setattr(context, packed, getattr(make_context(), packed)[:-1])
-        with pytest.raises(TypeError, match=packed):
-            frontier(tree, context, root(context, tree))
+        context.packed_score_rows = [row[:-1] for row in MATRIX.packed_rows]
+        with pytest.raises(ValueError, match="one int64 per symbol"):
+            frontier(tree, context)
 
-    def test_a_profile_of_another_query_length_is_a_value_error(self, tree):
+    @pytest.mark.parametrize("table", ["gains", "packed_score_rows"])
+    def test_a_query_code_past_the_matrix_is_an_index_error(self, tree, table):
+        # T, the query's largest code, is past a table cut before it.
         context = make_context()
-        context.packed_profile = make_context(QUERY + "A").packed_profile
-        with pytest.raises(ValueError, match="m rows of one score per symbol"):
-            frontier(tree, context, root(context, tree))
+        cut = max(context.query_codes)
+        setattr(context, table, list(getattr(context, table))[:cut])
+        with pytest.raises(IndexError):
+            frontier(tree, context)
 
     @pytest.mark.parametrize("kernel", PRODUCTION_KERNELS)
     def test_a_symbol_past_the_alphabet_is_an_index_error(self, kernel):
@@ -109,37 +115,29 @@ class TestTheRulesOfTheWalk:
         )
         context = make_context()
         assert min(protein.node_records[2]) >= len(context.profile_rows)
-        searched = get_kernel(kernel).frontier(protein, context, root(context, protein), None)
+        searched = get_kernel(kernel).frontier(protein, context, protein.root, None)
         with pytest.raises(IndexError):
             searched.advance(None, 1)
 
     @pytest.mark.parametrize("kernel", PRODUCTION_KERNELS)
     def test_a_live_row_at_m_is_an_index_error(self, tree, kernel):
-        # Row m has no substitution score: a finished column never holds it.
+        # Row m has no substitution score: a finished column never holds it,
+        # and neither does a root column, whose row m has h = 0.
         context = make_context()
-        column = [(len(QUERY), 40)]
-        searched = get_kernel(kernel).frontier(tree, context, root(context, tree, column), None)
+        assert (len(QUERY), 0) not in context.make_root_cells()
+        parent = (-40, VIABLE_AFTER, 0, tree.root, [(len(QUERY), 40)], 0, 0)
         with pytest.raises(IndexError):
-            searched.advance(None, 1)
+            get_kernel(kernel).expand_children(parent, tree.siblings(tree.root), context)
 
-    def test_a_negative_row_is_an_index_error(self, tree):
-        context = make_context()
-        with pytest.raises(IndexError):
-            frontier(tree, context, root(context, tree, [(-1, 40)]))
-
-    def test_rows_out_of_order_are_a_value_error(self, tree):
-        context = make_context()
-        column = [(3, 20), (1, 20)]
-        with pytest.raises(ValueError, match="ascend"):
-            frontier(tree, context, root(context, tree, column))
-
-    @pytest.mark.parametrize("score", [2**62 + 1, 2**70, -(2**63)])
+    @pytest.mark.parametrize("score", [2**62 + 1, 2**70, -(2**63), 2**61])
     def test_a_score_past_two_to_the_62_is_an_overflow_error(self, tree, score):
         # Python ints never overflow; the C frontier refuses what an int64
-        # sum could not hold rather than wrap.
+        # sum could not hold rather than wrap: a gain past 2**62, or a
+        # heuristic that sums past it.
         context = make_context()
+        context.gains = [score] * len(context.gains)
         with pytest.raises(OverflowError):
-            frontier(tree, context, root(context, tree, [(0, score)]))
+            frontier(tree, context)
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ pruning rule switched off is a :class:`ReferenceKernel` of its own.
 import pytest
 
 from repro.core.expand import ExpansionContext
-from repro.core.heuristic import compute_heuristic_vector
 from repro.core.kernels import ReferenceKernel, get_kernel
 from repro.core.search_node import NodeState, PRUNED, SearchNode
 from repro.scoring.data import unit_matrix
@@ -30,7 +29,7 @@ def make_context(query_text, min_score=1, **kwargs):
         query_codes=codes,
         score_rows=MATRIX.rows,
         gap_penalty=-1,
-        heuristic=compute_heuristic_vector(codes, MATRIX),
+        gains=MATRIX.gains,
         min_score=min_score,
         **kwargs,
     )
@@ -71,7 +70,7 @@ class TestExpansionContext:
     def test_invalid_gap(self):
         codes = DNA_ALPHABET.encode("TA")
         with pytest.raises(ValueError):
-            ExpansionContext(codes, MATRIX.rows, 0, compute_heuristic_vector(codes, MATRIX), 1)
+            ExpansionContext(codes, MATRIX.rows, 0, MATRIX.gains, 1)
 
 
 class TestExpandArc:

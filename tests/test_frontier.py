@@ -14,14 +14,17 @@ The compiled kernel's own frontier is C (``frontier(records, context, root,
 root_symbols)`` in ``core/_column_step.c``): it decodes each node's
 children from ``cursor.node_records`` and walks their arcs where they lie --
 the record arrays of the in-memory tree, or the disk cursor's page source,
-whose pages it asks of the buffer pool.  Its twin is the ``live`` kernel's
-Python frontier over ``siblings()``, the code that runs where the C source
-does not build.  The twin tests hold the two to each other advance for
-advance: the same steps, the same popped entries (each frontier's
-``popped`` list is its test view), the same counters, ``max_queue_size``
-included, and on a disk the same pool -- frames, clock hand, reference bits
-and every counter, per region too -- after every ``advance``, the twin's
-pool serving its requests by the Python body of ``BufferPool.page``.  They
+whose pages it asks of the buffer pool -- and walks each ACCEPTED node's
+leaves the same way, returning a hit as its score and the sequences no
+earlier hit reported.  Its twin is the ``live`` kernel's Python frontier
+over ``siblings()`` and ``sequences_below()``, the code that runs where the
+C source does not build.  The twin tests hold the two to each other
+advance for advance: the same steps, the same popped entries (each
+frontier's ``popped`` list is its test view), the same counters,
+``nodes_accepted`` and ``max_queue_size`` included, and on a disk the same
+pool -- frames, clock hand, reference bits, ``slot_of`` and every counter,
+per region too -- after every ``advance``, the twin's pool serving its
+requests by the Python body of ``BufferPool.page``.  They
 run on random protein and DNA databases and planted motifs, with an E-value
 and with ``min_score``, on the built tree, the tree read back from its
 image and the disk cursor at block sizes where runs and arcs straddle pages
@@ -29,7 +32,11 @@ image and the disk cursor at block sizes where runs and arcs straddle pages
 on the whole tree and on 1, 2 and 4 partitions of its root.
 
 A search must take the C frontier wherever it applies, and only there; a
-partition's root is expanded there too, with no ``siblings()`` call.
+partition's root is expanded there too, with no ``siblings()`` call, and a
+hit's leaves are walked there, with no ``sequences_below()`` or
+``leaf_positions()`` call -- on a disk with every request
+``leaf_positions()`` makes, in its order, below a deep node whose leaves
+span several leaf pages.
 Records and images that point past their regions must raise ``IndexError``,
 never crash, records of the wrong shape ``TypeError``, and a closed cursor
 must make no request.  Last, an abort or an expired deadline stops a search
@@ -56,7 +63,6 @@ from repro.core import kernels
 from repro.core.engine import OasisEngine
 from repro.core.expand import ExpansionContext, expand_arc_reference
 from repro.core.frontier import BELOW_FLOOR, EMPTY, FRONTIER_BUDGET, PAUSED
-from repro.core.heuristic import compute_heuristic_vector
 from repro.core.kernels import ExpansionKernel, ReferenceKernel, available_kernels, get_kernel
 from repro.core.results import hit_order_key
 from repro.core.search_node import ACCEPTED_FIRST, VIABLE_AFTER, SearchNode
@@ -67,7 +73,7 @@ from repro.sequences.database import SequenceDatabase
 from repro.storage.buffer_pool import HAND, READ_NANOSECONDS
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
-from repro.storage.layout import DiskLayout, Region
+from repro.storage.layout import LAST_SIBLING_BIT, NO_POINTER, DiskLayout, Region
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 from support import (
     PLANTED_SEARCHES,
@@ -273,6 +279,7 @@ def frontier_counts(frontier):
         frontier.nodes_enqueued,
         frontier.nodes_dropped,
         frontier.nodes_expanded,
+        frontier.nodes_accepted,
         frontier.max_queue_size,
         len(frontier),
     )
@@ -300,10 +307,12 @@ class TwinFrontier:
     """The C frontier over ``cursor``'s records and the ``live`` kernel's
     Python frontier over ``twin.siblings()``, advanced in lock step.
 
-    After every ``advance`` both must have returned the same step, popped the
-    same entries, kept the same counters and, on a disk, left their pools in
-    the same state.  ``budget`` caps the search loop's, so that small trees pause
-    too.
+    After every ``advance`` both must have returned the same step -- a hit's
+    score and its new sequences, ascending --, popped the same entries, kept
+    the same counters, ``nodes_accepted`` included, and, on a disk, left their
+    pools in the same state: frames, hand, reference bits, ``slot_of`` and
+    every counter, per region too.  ``budget`` caps the search loop's, so
+    that small trees pause too.
     """
 
     def __init__(self, cursor, twin, context, root, root_symbols, budget):
@@ -389,6 +398,19 @@ def no_siblings(node):
     raise AssertionError("siblings() was called")
 
 
+def no_leaves(node):
+    raise AssertionError("the search asked the cursor for a hit's leaves")
+
+
+def c_frontier_only(cursor):
+    """``cursor`` with every method the C frontier must not need raising:
+    ``siblings()``, ``sequences_below()`` and ``leaf_positions()``."""
+    cursor.siblings = no_siblings
+    cursor.sequences_below = no_leaves
+    cursor.leaf_positions = no_leaves
+    return cursor
+
+
 def disk_pair(path, database, budget):
     """Two cursors over one image, each with a pool of ``budget`` bytes; the
     twin's pool serves its requests by the Python body of ``BufferPool.page``."""
@@ -399,20 +421,10 @@ def disk_pair(path, database, budget):
 
 
 def disk_twins(path, database, budget):
-    """A :func:`disk_pair` kept in step: the search loop's own cursor call, a
-    hit's leaves, is made on both, and the searched cursor has no
-    ``siblings()``."""
+    """A :func:`disk_pair` whose searched cursor is asked for no sibling list
+    and no hit's leaves: the C frontier reads both from pool pages."""
     disk, twin = disk_pair(path, database, budget)
-    own, other = disk.sequences_below, twin.sequences_below
-
-    def both(node):
-        found = own(node)
-        assert other(node) == found
-        return found
-
-    disk.sequences_below = both
-    disk.siblings = no_siblings
-    return disk, twin
+    return c_frontier_only(disk), twin
 
 
 @needs_compiled
@@ -498,8 +510,7 @@ def test_a_planted_search_advances_the_twins_alike(
 @pytest.mark.parametrize("form", ["built", "read"])
 def test_an_engine_over_record_arrays_takes_the_c_frontier(tmp_path_factory, monkeypatch, form):
     make_database, make_matrix, gap, query, min_score, _ = PLANTED_SEARCHES["protein"]
-    tree = tree_of(form, make_database(), tmp_path_factory)
-    monkeypatch.setattr(tree, "siblings", no_siblings)
+    tree = c_frontier_only(tree_of(form, make_database(), tmp_path_factory))
     engine = OasisEngine(tree, make_matrix(), FixedGapModel(gap), kernel="compiled")
     assert len(engine.search(query, min_score=min_score)) >= 4
 
@@ -513,7 +524,7 @@ def test_a_disk_engine_takes_the_c_frontier(tmp_path, monkeypatch):
     )
     with engine:
         assert isinstance(engine.cursor, DiskSuffixTree)
-        monkeypatch.setattr(engine.cursor, "siblings", no_siblings)
+        c_frontier_only(engine.cursor)
         result = engine.search(query, min_score=min_score)
         assert len(result) >= 4
         assert result.statistics.buffer_misses > 0
@@ -539,7 +550,7 @@ def test_a_partition_root_is_expanded_in_the_c_frontier(tmp_path_factory, form, 
     else:
         searched = tree_of(form, database, tmp_path_factory)
         expected_tree = tree_of(form, database, tmp_path_factory)
-    searched.siblings = no_siblings
+    c_frontier_only(searched)
     compiled = OasisEngine(searched, make_matrix(), FixedGapModel(gap), kernel="compiled")
     live = OasisEngine(expected_tree, make_matrix(), FixedGapModel(gap), kernel="live")
     found = 0
@@ -590,6 +601,123 @@ def test_a_partition_root_asks_for_the_arcs_it_leaves_out(tmp_path, parts, frame
         disk.close()
         twin.close()
     assert len(made) == parts
+
+
+#: A motif planted in 30 of 40 protein sequences, each copy between random
+#: flanks of other residues: its node is internal, with the 30 leaves of its
+#: subtree spread over several leaf pages of a 72-byte block.
+DEEP_MOTIF = "WKDDGNGYISAAE"
+
+
+def deep_motif_database():
+    rng = random.Random(3)
+
+    def flank(length):
+        return "".join(rng.choice("ACDEFGHIKLMNPQRSTV") for _ in range(length))
+
+    texts = [flank(rng.randint(0, 20)) + DEEP_MOTIF + flank(rng.randint(3, 12)) for _ in range(30)]
+    texts += [flank(40) for _ in range(10)]
+    return SequenceDatabase.from_texts(texts, alphabet=PROTEIN_ALPHABET)
+
+
+def subtree_leaf_records(tree, node):
+    """The leaf-record indices below internal ``node``, in pre-order."""
+    records, leaves = tree.internal_records, tree.leaf_records
+    pending, found = [node[1]], []
+    while pending:
+        index = pending.pop()
+        child, leaf = records[4 * index + 2], records[4 * index + 3]
+        while leaf != NO_POINTER:
+            found.append(leaf)
+            leaf = NO_POINTER if leaves[leaf] & LAST_SIBLING_BIT else leaf + 1
+        children = []
+        while child != NO_POINTER:
+            children.append(child)
+            child = NO_POINTER if records[4 * child] & LAST_SIBLING_BIT else child + 1
+        pending.extend(reversed(children))
+    return found
+
+
+@needs_compiled
+@pytest.mark.parametrize("budget", [1, FRONTIER_BUDGET])
+def test_a_hit_below_a_deep_node_asks_for_every_leaf_page(tmp_path, budget):
+    """The motif's node is ACCEPTED with all 30 of its sequences new; then
+    the nodes of the motif's suffixes are, each an internal node whose 30
+    leaves lie on four or five leaf pages, every sequence already reported.
+    On a pool of one frame the C frontier's hit walk must still make every
+    request ``leaf_positions`` makes for each of them, in its order."""
+    database = deep_motif_database()
+    tree = GeneralizedSuffixTree.build(database)
+    path = tmp_path / "tree.oasis"
+    build_disk_image(tree, path, block_size=72)
+    per_page = DiskLayout.read_header(path).leaf_records_per_block
+    disk, twin = disk_twins(path, database, pool_bytes(path, 72, 1))
+    try:
+        (twins,) = twin_search(
+            disk, twin, database, pam30(), -8, DEEP_MOTIF, {"min_score": 30}, None, budget
+        )
+        assert disk.statistics.per_region_misses[Region.LEAF_NODES] > 0
+    finally:
+        disk.close()
+        twin.close()
+    accepted = [entry for entry in twins.compiled_popped if entry[1] == ACCEPTED_FIRST]
+    hits = [step for step in twins.steps if isinstance(step, tuple)]
+    assert len(hits) == 1 and len(hits[0][1]) == 30
+    deep = [
+        entry for entry in accepted[1:]
+        if entry[3][0] == "I"
+        and len({record // per_page for record in subtree_leaf_records(tree, entry[3])}) > 2
+    ]
+    # Past the hit, deep ACCEPTED nodes whose sequences were all reported.
+    assert len(deep) >= 4 and twins.compiled.nodes_accepted == len(accepted)
+
+
+@needs_compiled
+@pytest.mark.parametrize("frames", [1, "whole"])
+def test_a_suffix_past_the_ends_met_by_the_hit_walk_is_an_index_error(tmp_path, frames):
+    """The motif's node is expanded by no search: a leaf record below it
+    that points past the last sequence end is first read by the hit walk,
+    which must raise the ``IndexError`` the Python frontier's
+    ``sequences_below`` raises, after the same requests and none past the
+    leaf region."""
+    database = deep_motif_database()
+    tree = GeneralizedSuffixTree.build(database)
+    path = tmp_path / "tree.oasis"
+    build_disk_image(tree, path, block_size=72)
+    layout = DiskLayout.read_header(path)
+    popped = []
+    OasisEngine(tree, pam30(), FixedGapModel(-8), kernel=recording_c_frontier(popped)).search(
+        DEEP_MOTIF, min_score=30
+    )
+    node = next(entry[3] for entry in popped if entry[1] == ACCEPTED_FIRST)
+    assert node[0] == "I"
+    first_leaf = subtree_leaf_records(tree, node)[0]
+    patch_word(
+        path, layout, Region.LEAF_NODES, first_leaf, 0,
+        lambda value: (value & LAST_SIBLING_BIT) | layout.symbol_count,
+    )
+    disk, twin = disk_pair(path, database, pool_bytes(path, 72, frames))
+    c_frontier_only(disk)
+    try:
+        for cursor, kernel in ((disk, "compiled"), (twin, "live")):
+            engine = OasisEngine(cursor, pam30(), FixedGapModel(-8), kernel=kernel)
+            with pytest.raises(IndexError, match="past the last sequence end"):
+                engine.search(DEEP_MOTIF, min_score=30)
+        assert pool_state(disk) == pool_state(twin)
+        statistics = disk.statistics
+        assert statistics.per_region_misses[Region.LEAF_NODES] > 0
+        if frames == "whole":
+            # Nothing was evicted: each region's misses are its blocks left
+            # resident, so none was read past the region.
+            blocks = region_blocks(layout)
+            resident = [block for block in disk.pool.blocks if block >= 0]
+            assert statistics.evictions == 0
+            assert statistics.per_region_misses == [
+                sum(block in blocks[region] for block in resident) for region in Region
+            ]
+    finally:
+        disk.close()
+        twin.close()
 
 
 @pytest.mark.parametrize("form", ["built", "read", "disk"])
@@ -659,11 +787,13 @@ def frontier_of(kind, tree, context, root, root_symbols=None):
 
 
 def root_frontier(kind, engine, query, min_score):
-    execution = engine.execute(query, min_score=min_score)
-    context = execution.context
-    root = (-max(context.heuristic), VIABLE_AFTER, 0, engine.cursor.root,
-            context.make_root_cells(), 0, 0)
-    return frontier_of(kind, engine.cursor, context, root)
+    context = engine.execute(query, min_score=min_score).context
+    return frontier_of(kind, engine.cursor, context, engine.cursor.root)
+
+
+def popped_count(frontier):
+    """The entries ``frontier`` has popped: expanded or ACCEPTED."""
+    return frontier.nodes_expanded + frontier.nodes_accepted
 
 
 @pytest.mark.parametrize("kind", frontier_kinds())
@@ -673,9 +803,9 @@ def test_advance_stops_at_its_budget_and_at_the_floor(kind):
     frontier = root_frontier(kind, engine, query, min_score)
     pops, paused, hits = 0, 0, []
     while True:
-        before = frontier.nodes_expanded
+        before = popped_count(frontier)
         step = frontier.advance(None, 5)
-        made = frontier.nodes_expanded - before + isinstance(step, tuple)
+        made = popped_count(frontier) - before
         assert made <= 5
         pops += made
         if step == EMPTY:
@@ -699,27 +829,25 @@ def test_advance_stops_at_its_budget_and_at_the_floor(kind):
 
 @needs_compiled
 @pytest.mark.parametrize(
-    "entry",
+    "root",
     [
-        pytest.param(lambda root: root[:6], id="six-slots"),
-        pytest.param(lambda root: root[:1] + (2,) + root[2:], id="flag-2"),
-        pytest.param(lambda root: root[:3] + (("X", 0, 0, 0, 0),) + root[4:], id="kind-X"),
-        pytest.param(lambda root: root[:3] + (("I", 0, 0),) + root[4:], id="short-handle"),
-        pytest.param(lambda root: root[:4] + ([(1, 0), (0, 0)],) + root[5:], id="rows-descend"),
+        pytest.param(lambda root: root[:4], id="four-slots"),
+        pytest.param(lambda root: ("X",) + root[1:], id="kind-X"),
+        pytest.param(lambda root: root[:3], id="short-handle"),
+        pytest.param(lambda root: root[:4] + (0.5,), id="depth-float"),
+        pytest.param(lambda root: {0: root}, id="handle-dict"),
+        pytest.param(iter, id="handle-iterator"),
     ],
 )
-def test_a_seed_of_the_wrong_shape_is_refused(cursor, entry):
+def test_a_root_of_the_wrong_shape_is_refused(cursor, root):
     engine = OasisEngine(cursor, unit_matrix(DNA_ALPHABET), FixedGapModel(-1))
     context = engine.execute(QUERY, min_score=MIN_SCORE).context
-    root = (-max(context.heuristic), VIABLE_AFTER, 0, cursor.root, context.make_root_cells(), 0, 0)
     with pytest.raises((TypeError, ValueError)):
-        frontier_of("compiled", cursor, context, entry(root))
-    with pytest.raises(TypeError):
-        frontier_of("compiled", cursor, context, iter(root))
+        frontier_of("compiled", cursor, context, root(cursor.root))
     # A partition is bytes of first symbols, or None for the whole tree.
     for symbols in ("AC", [0, 1], bytearray(b"\x00")):
         with pytest.raises(TypeError):
-            frontier_of("compiled", cursor, context, root, symbols)
+            frontier_of("compiled", cursor, context, cursor.root, symbols)
 
 
 @needs_compiled
@@ -751,7 +879,7 @@ def context_for(query=HOSTILE_QUERY):
         query_codes=codes,
         score_rows=HOSTILE_MATRIX.rows,
         gap_penalty=-1,
-        heuristic=compute_heuristic_vector(codes, HOSTILE_MATRIX),
+        gains=HOSTILE_MATRIX.gains,
         min_score=5,
     )
 
@@ -762,11 +890,6 @@ def small_tree():
         ["ACGTACGTTA", "GGACGTAC", "TTACG"], alphabet=DNA_ALPHABET
     )
     return GeneralizedSuffixTree.build(database)
-
-
-def entry_at(node, context):
-    """A frontier entry for ``node`` seeded with the root column."""
-    return (-max(context.heuristic), VIABLE_AFTER, 0, node, context.make_root_cells(), 0, node[4])
 
 
 def with_leaves(tree):
@@ -830,7 +953,7 @@ def hostile(tree, name):
 def test_records_that_point_past_their_arrays_are_an_index_error(small_tree, name):
     records, node = hostile(small_tree, name)
     context = context_for()
-    frontier = c_frontier(records, context, entry_at(node, context))
+    frontier = c_frontier(records, context, node)
     with pytest.raises(IndexError):
         frontier.advance(None, 1)
     assert frontier_counts(frontier)[:3] == (0, 0, 0)
@@ -840,7 +963,7 @@ def test_records_that_point_past_their_arrays_are_an_index_error(small_tree, nam
 def test_a_node_index_past_the_records_is_an_index_error(small_tree):
     context = context_for()
     node = ("I", small_tree.internal_node_count, 0, 0, 0)
-    frontier = c_frontier(small_tree.node_records, context, entry_at(node, context))
+    frontier = c_frontier(small_tree.node_records, context, node)
     with pytest.raises(IndexError):
         frontier.advance(None, 1)
 
@@ -849,7 +972,7 @@ def test_a_node_index_past_the_records_is_an_index_error(small_tree):
 def test_a_leaf_has_no_children(small_tree):
     context = context_for()
     leaf = next(child for child in small_tree.children(with_leaves(small_tree)) if child[0] == "L")
-    frontier = c_frontier(small_tree.node_records, context, entry_at(leaf, context))
+    frontier = c_frontier(small_tree.node_records, context, leaf)
     assert frontier.advance(None, 2) == EMPTY
     assert frontier_counts(frontier)[:4] == (0, 0, 0, 1)
 
@@ -868,7 +991,7 @@ def test_a_leaf_has_no_children(small_tree):
 def test_records_of_the_wrong_shape_are_a_type_error(small_tree, records):
     context = context_for()
     with pytest.raises(TypeError):
-        c_frontier(records(small_tree.node_records), context, entry_at(small_tree.root, context))
+        c_frontier(records(small_tree.node_records), context, small_tree.root)
 
 
 # --------------------------------------------------------------------- #
@@ -885,7 +1008,7 @@ def protein_context(query="WKDDGNGYISAAE"):
         query_codes=codes,
         score_rows=matrix.rows,
         gap_penalty=-8,
-        heuristic=compute_heuristic_vector(codes, matrix),
+        gains=matrix.gains,
         min_score=20,
     )
 
@@ -917,7 +1040,7 @@ def test_a_closed_cursor_makes_no_request(protein_image, frames):
     database, path, tree = protein_image
     disk = DiskSuffixTree(path, database, pool_bytes(path, 256, frames))
     context = protein_context()
-    entry = entry_at(disk.root, context)
+    entry = disk.root
     records = disk.node_records
     frontier = c_frontier(records, context, entry)
     assert frontier.advance(None, 1) == PAUSED and len(frontier) > 0
@@ -1023,7 +1146,7 @@ def test_image_records_past_their_regions_are_an_index_error(protein_image, name
         for tree in (disk, twin):
             tree.pool.page(parent_block, Region.INTERNAL_NODES)
         context = protein_context()
-        frontier = c_frontier(disk.node_records, context, entry_at(node, context))
+        frontier = c_frontier(disk.node_records, context, node)
         with pytest.raises(IndexError):
             frontier.advance(None, 1)
         with pytest.raises(IndexError):
@@ -1054,7 +1177,7 @@ def test_a_page_source_of_the_wrong_shape_is_a_type_error(protein_image):
     with DiskSuffixTree(path, database) as disk:
         records = disk.node_records
         context = protein_context()
-        entry = entry_at(disk.root, context)
+        entry = disk.root
         state = records[0]
         for broken in (
             records[:2],
@@ -1081,9 +1204,9 @@ class AdvanceWatch:
 
     def advance(self, bound_floor, budget):
         assert budget == FRONTIER_BUDGET
-        before = self.inner.nodes_expanded
+        before = popped_count(self.inner)
         step = self.inner.advance(bound_floor, budget)
-        self.calls.append(self.inner.nodes_expanded - before + isinstance(step, tuple))
+        self.calls.append(popped_count(self.inner) - before)
         if len(self.calls) == self.stop_after:
             self.stop()
         return step

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.engine import OasisEngine
 from repro.core.expand import ExpansionContext
-from repro.core.heuristic import compute_heuristic_vector
 from repro.core.kernels import LiveCellKernel, ReferenceKernel, get_kernel
 from repro.core.search_node import NodeState, SearchNode
 from repro.scoring.data import nucleotide_matrix, pam30, unit_matrix
@@ -44,7 +43,7 @@ def make_context(alphabet, matrix, query, gap, min_score):
         query_codes=codes,
         score_rows=matrix.rows,
         gap_penalty=gap,
-        heuristic=compute_heuristic_vector(codes, matrix),
+        gains=matrix.gains,
         min_score=min_score,
     )
 

@@ -1,8 +1,16 @@
 """Unit tests for the heuristic vector of Section 3.1."""
 
-from repro.core.heuristic import compute_heuristic_vector, maximum_possible_score
-from repro.scoring.data import pam30, unit_matrix
+import pytest
+
+from repro.core.expand import ExpansionContext
+from repro.core.frontier import EMPTY
+from repro.core.heuristic import compute_heuristic_vector
+from repro.core.kernels import available_kernels, get_kernel
+from repro.core.search_node import VIABLE_AFTER
+from repro.scoring.data import nucleotide_matrix, pam30, unit_matrix
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
+from repro.sequences.database import SequenceDatabase
+from repro.suffixtree.generalized import GeneralizedSuffixTree
 
 
 class TestHeuristicVector:
@@ -37,10 +45,42 @@ class TestHeuristicVector:
         for target in ["WKDDGNGYISAAE", "WKDDGNGYISAAEWKDDGNGYISAAE", "MKVLAADTG"]:
             assert heuristic[0] >= brute_force(query, target, pam30_matrix, -8)
 
-    def test_maximum_possible_score_matches_first_entry(self):
-        query = PROTEIN_ALPHABET.encode("MKVLA")
-        heuristic = compute_heuristic_vector(query, pam30())
-        assert maximum_possible_score(query, pam30()) == heuristic[0]
+    @pytest.mark.skipif(
+        "compiled" not in available_kernels(), reason="the compiled step does not build here"
+    )
+    @pytest.mark.parametrize(
+        "matrix, alphabet, texts, query",
+        [
+            (pam30(), PROTEIN_ALPHABET, ["MKVLAADTGLA", "GGWKDDGNGY"], "WKDDGNGYMKVLA"),
+            (nucleotide_matrix(1, -3), DNA_ALPHABET, ["ACGTTGCA", "TTACG"], "ACGTACGTTTGCAN"),
+        ],
+        ids=["pam30", "nucleotide-1-3"],
+    )
+    @pytest.mark.parametrize("min_score", [1, 5, 12, 40])
+    def test_the_c_frontier_seeds_the_root_from_the_same_heuristic(
+        self, matrix, alphabet, texts, query, min_score
+    ):
+        # The C frontier builds h and the root column itself, from the
+        # matrix's gains: its first pop is the root entry, bound h[0].
+        tree = GeneralizedSuffixTree.build(SequenceDatabase.from_texts(texts, alphabet=alphabet))
+        codes = alphabet.encode(query)
+        context = ExpansionContext(codes, matrix.rows, -4, matrix.gains, min_score)
+        heuristic = compute_heuristic_vector(codes, matrix)
+        assert context.heuristic == heuristic
+        popped = []
+        frontier = get_kernel("compiled").node_frontier(
+            tree.node_records, context, tree.root, None, popped
+        )
+        step = frontier.advance(None, 1)
+        if heuristic[0] < min_score:
+            # Nothing can reach the threshold: no root entry at all.
+            assert (step, popped, len(frontier)) == (EMPTY, [], 0)
+            return
+        (root,) = popped
+        assert root == (-heuristic[0], VIABLE_AFTER, 0, tree.root, context.make_root_cells(), 0, 0)
+        assert context.make_root_cells() == [
+            (row, 0) for row, bound in enumerate(heuristic) if bound >= min_score
+        ]
 
     def test_empty_query(self):
         heuristic = compute_heuristic_vector(b"", pam30())

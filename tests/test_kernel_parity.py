@@ -516,7 +516,7 @@ class TestKernelSelection:
             query_codes=bytes([0, 1, 2]),
             score_rows=pam30().rows,
             gap_penalty=-8,
-            heuristic=[0, 0, 0, 0],
+            gains=[0] * len(pam30().rows),
             min_score=10,
         )
         dead = SearchNode(
