@@ -1,6 +1,7 @@
-/* The search of repro.core.kernels' compiled kernel, and its buffer pool.
+/* The search of repro.core.kernels' compiled kernel, its buffer pool, and
+ * the suffix-tree build's stack pass.
  *
- * The module has two entry points, one per job:
+ * The module has three entry points, one per job:
  *
  * frontier(records, context, root, root_symbols[, popped]) is Algorithm 1's
  * queue (repro.core.frontier): a binary heap of C entries on (-f, flag,
@@ -58,6 +59,17 @@
  * page(state, block, region) is that request alone: BufferPool.page, bound
  * to a pool's state wherever this module builds, so DiskSuffixTree._read
  * runs the same clock.
+ *
+ * flat_tree(lcps[, leaf_parent, node_depth, node_leftmost, node_parent]) is
+ * repro.suffixtree.build._flat_tree's rightmost-path stack pass, the
+ * bottom-up lcp-interval walk of Abouelhoda, Kurtz and Ohlebusch (2004),
+ * over the LCPs of the sorted suffixes (int32 or int64 items, read through
+ * the buffer protocol).  Called with the LCPs alone it returns the node
+ * count, root included; _flat_tree then sizes the four int32 outputs to
+ * what they hold (one item per leaf, one per node) and calls it again to
+ * fill them, nodes numbered in creation order as the Python loop numbers
+ * them.  Its one allocation is the stack, which grows on demand to at most
+ * the longest LCP + 1 entries.
  *
  * One decoder serves both sources and both walks: the node's run of
  * internal children, then its run of leaves, are decoded one record at a
@@ -2037,6 +2049,180 @@ static PyType_Spec frontier_spec = {
     frontier_slots,
 };
 
+/* The build's stack pass: one rightmost-path entry. */
+typedef struct {
+    int32_t node;
+    int32_t depth;
+} path_entry;
+
+/* flat_tree's four outputs, as _flat_tree returns them after the
+ * positions, and the room in each. */
+#define FLAT_OUTPUTS 4
+static const char *const flat_names[FLAT_OUTPUTS] = {
+    "leaf_parent", "node_depth", "node_leftmost", "node_parent"};
+
+typedef struct {
+    int32_t *leaf_parent, *node_depth, *node_leftmost, *node_parent;
+    Py_ssize_t leaves, nodes;
+} flat_outputs;
+
+/* A C-contiguous buffer of ints held until PyBuffer_Release: ``wide`` is
+ * NULL for an output, which must be a writable array('i'); for the LCPs it
+ * is set to whether items are 8 bytes ('l' or 'q') rather than 4 ('i'). */
+static int
+int_buffer(PyObject *object, const char *what, int *wide, Py_buffer *view)
+{
+    const char *format;
+    int four, eight;
+
+    if (PyObject_GetBuffer(object, view, PyBUF_FORMAT | PyBUF_STRIDES) < 0)
+        return -1;
+    format = view->format != NULL ? view->format : "B";
+    four = strcmp(format, "i") == 0 && view->itemsize == 4;
+    eight = (strcmp(format, "l") == 0 || strcmp(format, "q") == 0) && view->itemsize == 8;
+    if (!four && (wide == NULL || !eight))
+        PyErr_Format(PyExc_TypeError, "%s must hold %s ints, not '%s' items", what,
+                     wide == NULL ? "4-byte ('i')" : "4- or 8-byte ('i', 'l', 'q')", format);
+    else if (!PyBuffer_IsContiguous(view, 'C'))
+        PyErr_Format(PyExc_ValueError, "%s must be contiguous", what);
+    else if (wide == NULL && view->readonly)
+        PyErr_Format(PyExc_TypeError, "%s must be writable", what);
+    else {
+        if (wide != NULL)
+            *wide = eight;
+        return 0;
+    }
+    PyBuffer_Release(view);
+    return -1;
+}
+
+/* The bottom-up lcp-interval pass of _flat_tree over the LCPs of the n
+ * sorted suffixes, with ``out`` NULL to count the nodes only.  The stack
+ * is the rightmost path of the tree built so far; its depths rise strictly
+ * from the root's 0, so it holds at most the longest LCP + 1 entries, and
+ * it grows on demand.  A leaf's parent is final once the next suffix has
+ * been seen, a node's once it has left the path but for the last popped,
+ * whose arc a later suffix may split. */
+static inline int
+stack_pass(const void *lcps, const int wide, Py_ssize_t n, flat_outputs *out,
+           Py_ssize_t *nodes)
+{
+    path_entry *path = NULL;
+    Py_ssize_t size = 1, capacity = 0, created = 1, k;
+    int32_t popped, top;
+    i64 common;
+    int status = -1;
+
+    if (reserve((void **)&path, &capacity, 0, 1, sizeof(path_entry)) < 0)
+        return -1;
+    path[0].node = path[0].depth = 0;
+    if (out != NULL)
+        out->node_depth[0] = out->node_leftmost[0] = out->node_parent[0] = 0;
+    for (k = 0; k < n; k++) {
+        common = wide ? ((const int64_t *)lcps)[k] : ((const int32_t *)lcps)[k];
+        if (common < 0 || (k == 0 && common != 0)) {
+            PyErr_Format(PyExc_ValueError,
+                         common < 0 ? "LCP %lld of suffix %zd is negative"
+                                    : "the first suffix of all must have LCP 0, not %lld",
+                         common, k);
+            goto done;
+        }
+        if (common > INT32_MAX) {
+            PyErr_Format(PyExc_OverflowError, "LCP %lld of suffix %zd is past 2**31 - 1",
+                         common, k);
+            goto done;
+        }
+        popped = -1;
+        while (path[size - 1].depth > common)
+            popped = path[--size].node;
+        top = path[size - 1].node;
+        if (path[size - 1].depth < common) {
+            /* The split point falls inside the arc of what was popped last
+             * (the previous leaf when no node was): a new node takes over
+             * that child and its leftmost leaf. */
+            if (out != NULL) {
+                if (created >= out->nodes) {
+                    PyErr_Format(PyExc_ValueError,
+                                 "the node arrays hold %zd nodes; the tree has more",
+                                 out->nodes);
+                    goto done;
+                }
+                out->node_depth[created] = (int32_t)common;
+                out->node_parent[created] = top;
+                if (popped < 0) {
+                    out->node_leftmost[created] = (int32_t)(k - 1);
+                    out->leaf_parent[k - 1] = (int32_t)created;
+                } else {
+                    out->node_leftmost[created] = out->node_leftmost[popped];
+                    out->node_parent[popped] = (int32_t)created;
+                }
+            }
+            if (reserve((void **)&path, &capacity, size, 1, sizeof(path_entry)) < 0)
+                goto done;
+            top = (int32_t)created++;
+            path[size].node = top;
+            path[size++].depth = (int32_t)common;
+        }
+        if (out != NULL)
+            out->leaf_parent[k] = top;
+    }
+    *nodes = created;
+    status = 0;
+done:
+    PyMem_Free(path);
+    return status;
+}
+
+/* flat_tree(lcps[, leaf_parent, node_depth, node_leftmost, node_parent])
+ * -> the node count, root included: with the four outputs, the pass also
+ * fills them. */
+static PyObject *
+flat_tree(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer lcps, views[FLAT_OUTPUTS];
+    flat_outputs out, *filled = NULL;
+    Py_ssize_t n, nodes = 0;
+    int wide, held = 0, status = -1;
+
+    if (nargs != 1 && nargs != 1 + FLAT_OUTPUTS) {
+        PyErr_SetString(PyExc_TypeError,
+                        "flat_tree(lcps[, leaf_parent, node_depth, node_leftmost, node_parent]) "
+                        "takes 1 or 5 arguments");
+        return NULL;
+    }
+    if (int_buffer(args[0], "lcps", &wide, &lcps) < 0)
+        return NULL;
+    n = lcps.len / lcps.itemsize;
+    if (n > INT32_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "more than 2**31 - 1 suffixes");
+        goto done;
+    }
+    if (nargs > 1) {
+        for (; held < FLAT_OUTPUTS; held++)
+            if (int_buffer(args[1 + held], flat_names[held], NULL, &views[held]) < 0)
+                goto done;
+        out.leaf_parent = views[0].buf;
+        out.node_depth = views[1].buf;
+        out.node_leftmost = views[2].buf;
+        out.node_parent = views[3].buf;
+        out.leaves = views[0].len / 4;
+        out.nodes = Py_MIN(views[1].len, Py_MIN(views[2].len, views[3].len)) / 4;
+        if (out.leaves < n || out.nodes < 1) {
+            PyErr_Format(PyExc_ValueError, "%s is too short",
+                         out.leaves < n ? "leaf_parent" : "a node array");
+            goto done;
+        }
+        filled = &out;
+    }
+    status = wide ? stack_pass(lcps.buf, 1, n, filled, &nodes)
+                  : stack_pass(lcps.buf, 0, n, filled, &nodes);
+done:
+    while (held > 0)
+        PyBuffer_Release(&views[--held]);
+    PyBuffer_Release(&lcps);
+    return status < 0 ? NULL : PyLong_FromSsize_t(nodes);
+}
+
 static PyMethodDef step_methods[] = {
     {"frontier", (PyCFunction)(void (*)(void))make_frontier, METH_FASTCALL,
      "frontier(records, context, root, root_symbols, popped=None) -> Frontier\n\n"
@@ -2050,6 +2236,13 @@ static PyMethodDef step_methods[] = {
      "page(state, block, region) -> bytes\n\n"
      "BufferPool.page over the pool's state: one request, its hit or its miss\n"
      "and the clock run in C."},
+    {"flat_tree", (PyCFunction)(void (*)(void))flat_tree, METH_FASTCALL,
+     "flat_tree(lcps[, leaf_parent, node_depth, node_leftmost, node_parent]) -> node count\n\n"
+     "The suffix-tree build's stack pass over the LCPs of the sorted suffixes\n"
+     "(repro.suffixtree.build._flat_tree): the number of nodes, root included;\n"
+     "with the four outputs (writable 'i' buffers, such as array('i'), one item\n"
+     "per leaf, then one per node) it also writes each leaf's parent and each node's depth,\n"
+     "leftmost leaf and parent, nodes numbered in creation order."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2114,7 +2307,7 @@ static PyModuleDef_Slot step_slots[] = {
 static struct PyModuleDef step_module = {
     PyModuleDef_HEAD_INIT,
     "_column_step",
-    "The compiled kernel's search and buffer pool: frontier and page.",
+    "The compiled kernel's search and buffer pool, and the build's stack pass: frontier, page and flat_tree.",
     sizeof(step_state),
     step_methods,
     step_slots,

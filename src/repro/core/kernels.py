@@ -102,6 +102,13 @@ kernel here never materialises the dead ones:
     compile or a failed load: the default is then ``live``, and ``compiled``
     asked for by name is a :class:`KernelUnavailable` naming the reason.
 
+    The suffix-tree build loads the same module (:func:`_compiled_step`,
+    imported at function scope by :mod:`repro.suffixtree.build`, as the
+    buffer pool imports it) for its third entry point, ``flat_tree``: the
+    rightmost-path stack pass over the sorted suffixes' LCPs.  It is still
+    one library per source, ABI and command, built or refused once per
+    process; where it is refused the build runs the same pass in Python.
+
 :class:`ReferenceKernel` (``reference``)
     The dense implementation, verbatim
     (:func:`~repro.core.expand.expand_arc_reference`): the parity oracle.
@@ -620,8 +627,8 @@ def _library() -> Union[Tuple[List[str], str, str, str, str], str]:
 
 @functools.lru_cache(maxsize=None)
 def _compiled_step() -> Union[ModuleType, str]:
-    """The compiled module (``frontier`` and ``page``), or why it cannot run
-    here.
+    """The compiled module (``frontier``, ``page`` and ``flat_tree``), or why
+    it cannot run here.
 
     The library (:func:`_library`) is built once per source, interpreter
     ABI and compile command.  A failed compile leaves a ``.failed`` marker

@@ -1,4 +1,4 @@
-"""Building the Section 3.4 record arrays of a database, on NumPy.
+"""Building the Section 3.4 record arrays of a database, on NumPy and one C pass.
 
 :meth:`repro.suffixtree.generalized.GeneralizedSuffixTree.build` imports this
 module when it is called, so a tree read from a disk image (and a cold
@@ -9,20 +9,25 @@ are built straight from sorted suffixes and their LCPs, never as node objects:
   positions and their LCPs as two flat arrays (the paper's Section 3.4.1 sorts
   one lexical partition at a time; why this does not,
   :mod:`repro.suffixtree.suffix_array` says);
-* one rightmost-path stack pass over plain ints (:func:`_flat_tree`) appends,
+* one rightmost-path stack pass over the LCPs (:func:`_flat_tree`) writes,
   per internal node, its string depth, its leftmost leaf and its parent, and
-  per leaf its parent, to flat 4-byte arrays; the LCPs are then let go;
+  per leaf its parent, to flat 4-byte arrays; the LCPs are then let go.  The
+  pass runs in C, ``flat_tree`` of the compiled step that the search kernel
+  loads (``core/_column_step.c``), and as a Python loop only where that
+  step does not build;
 * NumPy does the rest on those arrays (:func:`_level_order_records`): tree
   level from the parents, level order as one ``lexsort``, leaf records as a
   stable sort by parent, first-child pointers and last-sibling bits from the
   run boundaries -- so that the internal children of a node and its leaf
   children each end up as one contiguous run.
 
-Counted with ``tracemalloc`` at 960 108 residues, the sort peaks at 44 bytes
-per residue (text included), the LCPs at 53, and the last step, which holds
-the record arrays and their sort permutations, at 58; in between, the flat
-arrays are about 13 bytes per residue (4 per leaf for its position, 4 for its
-parent, 12 per internal node).  ``tests/image_oracle.py`` keeps the object
+Counted with ``tracemalloc`` on 1 000 042 residues of random protein (100 to
+600 per sequence), the sort and the LCPs peak at 53 bytes per residue (text
+included) and the last step, which holds the record arrays and their sort
+permutations, at 53 as well.  The stack pass peaks at 16 in between: 8 for
+the positions and LCPs it is handed, 8 for what it writes (4 per leaf, 12
+per internal node, a third of a node per residue), and a stack of at most
+the longest LCP + 1 entries.  ``tests/image_oracle.py`` keeps the object
 tree and the level-order walk over it that this replaced, and the test-suite
 holds the two to the same bytes.
 """
@@ -94,8 +99,18 @@ def _flat_tree(
     parent is final once the node has left the path -- except that a later
     suffix may still split the arc above the node popped last, which then
     hangs below the new node.
+
+    The pass runs in C wherever the compiled step builds (``flat_tree`` in
+    ``core/_column_step.c``): it reads the LCPs in place, counts the nodes
+    first so that each output is sized to what it holds, and keeps nothing
+    else but a stack of at most the longest LCP + 1 entries.  Elsewhere
+    :func:`_python_stack_pass` runs the same pass over ``lcps.tolist()``.
+    The refusals are NumPy's, before either.
     """
-    lengths = sequence_ends[np.searchsorted(sequence_ends, positions, side="right")] - positions
+    # The end of the sequence each text position lies in, then each suffix's length.
+    end_at = np.repeat(sequence_ends.astype(positions.dtype), np.diff(sequence_ends, prepend=0))
+    lengths = end_at[positions] - positions
+    del end_at
     if (lcps >= lengths).any():
         raise ValueError(
             "a suffix is a prefix of its predecessor; terminal symbols "
@@ -104,6 +119,25 @@ def _flat_tree(
     del lengths
     if len(lcps) and lcps[0] != 0:
         raise ValueError("the first suffix of all must have LCP 0")
+    from repro.core.kernels import _compiled_step  # suffixtree sits below core
+
+    step = _compiled_step()
+    if isinstance(step, str):
+        return (positions, *_python_stack_pass(lcps))
+    nodes = step.flat_tree(lcps)
+    leaf_parent = np.empty(len(lcps), dtype=np.intc)
+    node_depth, node_leftmost, node_parent = (np.empty(nodes, dtype=np.intc) for _ in range(3))
+    step.flat_tree(lcps, leaf_parent, node_depth, node_leftmost, node_parent)
+    return positions, leaf_parent, node_depth, node_leftmost, node_parent
+
+
+def _python_stack_pass(
+    lcps: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_flat_tree`'s stack pass where the compiled step does not build.
+
+    The twin of ``flat_tree`` in ``core/_column_step.c``, array for array.
+    """
     leaf_parent = array("i")
     node_depth, node_leftmost, node_parent = array("i", [0]), array("i", [0]), array("i", [0])
     path_nodes, path_depths = [0], [0]
@@ -133,7 +167,6 @@ def _flat_tree(
         leaf_parent.append(top)
 
     return (
-        positions,
         np.frombuffer(leaf_parent, dtype=np.intc),
         np.frombuffer(node_depth, dtype=np.intc),
         np.frombuffer(node_leftmost, dtype=np.intc),
