@@ -177,7 +177,7 @@ class QueryExecution:
     ``tracer``
         A :class:`~repro.obs.Tracer`.  The whole run is wrapped in one span
         (named :attr:`trace_name`, parented under :attr:`trace_parent` when a
-        coordinator such as the sharded engine sets one) whose attributes
+        coordinator such as a batch sets one) whose attributes
         carry the final work counters.  ``None`` costs a single identity
         check per query -- nothing in the per-node loop.
     """
@@ -191,8 +191,8 @@ class QueryExecution:
         self.aborted = False
 
         #: Telemetry: the span name/parent/attributes are plain fields so a
-        #: coordinator (sharded engine, batch, process worker) can
-        #: re-label its shard executions before iteration starts.
+        #: coordinator (batch, process worker) can re-label its
+        #: executions before iteration starts.
         self.tracer = tracer
         self.trace_name = "query"
         self.trace_parent: Optional[str] = None
@@ -243,10 +243,10 @@ class QueryExecution:
 
         ``time_budget`` is relative to when the execution *starts running*,
         which over-grants time to executions that wait in a pool queue.  A
-        coordinator fanning one query across several executions (the sharded
-        engine) pins one shared absolute deadline instead, so the query's
-        budget covers queueing and all shards together.  Must be called
-        before iteration starts; overrides ``time_budget``.
+        coordinator fanning one query across several executions (a process
+        scatter of an index) pins one shared absolute deadline instead, so
+        the query's budget covers queueing and all partitions together.
+        Must be called before the search starts; overrides ``time_budget``.
         """
         self._deadline = deadline
 
@@ -309,10 +309,13 @@ class QueryExecution:
         if span is not None:
             span.set_attribute("query_length", len(query_codes))
             span.set_attribute("min_score", min_score)
-        pool = self.engine.buffer_pool
+        # The cursor's pool, not the engine's ``buffer_pool``: a process
+        # scatter's engine names none (its results read in the workers), but
+        # a stream it runs reads here.
+        pool = getattr(cursor, "pool", None)
         if pool is not None:
             pool_stats = pool.statistics
-            self._pool_start = (pool_stats.hits, pool_stats.misses, pool_stats.evictions)
+            self._pool_start = (pool, pool_stats.hits, pool_stats.misses, pool_stats.evictions)
 
         try:
             # Algorithm 2: the frontier seeds its queue with the root of the
@@ -447,8 +450,8 @@ class QueryExecution:
                 self.engine.gap_model.per_symbol,
             )
         if self._pool_start is not None:
-            pool_stats = self.engine.buffer_pool.statistics  # type: ignore[union-attr]
-            start_hits, start_misses, start_evictions = self._pool_start
+            pool, start_hits, start_misses, start_evictions = self._pool_start
+            pool_stats = pool.statistics
             statistics.buffer_hits = pool_stats.hits - start_hits
             statistics.buffer_misses = pool_stats.misses - start_misses
             statistics.buffer_evictions = pool_stats.evictions - start_evictions

@@ -30,7 +30,7 @@ class SearchSurface:
 
     Inherited by :class:`~repro.core.engine.OasisEngine` (built, or opened
     from an index directory by :meth:`~repro.core.engine.OasisEngine.open`)
-    and :class:`~repro.sharding.ShardedEngine`.  ``query`` below is the query
+    and its subclass :class:`~repro.sharding.ShardedEngine`.  ``query`` below is the query
     text, with the :class:`SearchRequest` fields as keyword ``options``
     (``min_score`` / ``evalue``, ``max_results``, ``compute_alignments``,
     ``time_budget``), or a ready request.
@@ -80,9 +80,10 @@ class SearchSurface:
 
         A batch is a loop of :meth:`execute` ``.result()`` calls
         (:func:`repro.parallel.executor.search_many`): on the calling thread
-        for one worker, on a pool of ``workers`` threads otherwise.  The
-        column step holds the interpreter lock, so the threads overlap
-        nothing and one worker is the fastest.
+        for one worker, on a pool of ``workers`` threads otherwise.  Where
+        the search runs in this process the column step holds the
+        interpreter lock, so the threads overlap nothing; on a process
+        scatter they overlap the workers' partition tasks.
         ``timeout`` is a per-query wall-clock budget in seconds; a query
         exceeding it stops early with the hits found so far and is flagged
         ``timed_out``.  ``options`` are the request fields every query of the

@@ -12,11 +12,11 @@ one tree.  The pieces, bottom-up:
   the sequence and residue counts and the scoring-configuration fingerprint,
   with loud :class:`CatalogMismatchError` / :class:`CatalogFormatError`
   failures instead of silently wrong results;
-* :class:`ShardedEngine` is :meth:`OasisEngine.open
-  <repro.core.engine.OasisEngine.open>` (the one opener of a directory) plus
-  a scatter: one search of the whole tree (``serial``) or one task per
-  partition (``processes[:N]``), hit-for-hit identical to a monolithic
-  :class:`~repro.core.engine.OasisEngine` over the same database.
+* :class:`ShardedEngine` is the :class:`~repro.core.engine.OasisEngine`
+  that :meth:`OasisEngine.open <repro.core.engine.OasisEngine.open>` (the
+  one opener of a directory) makes, plus a scatter: its own search of the
+  whole tree (``serial``) or one task per partition (``processes[:N]``),
+  hit-for-hit identical to a monolithic engine over the same database.
 
 :class:`ShardSpec` and :func:`shard_pool_budgets` stay until ROADMAP item 1
 moves ``bench_e2e``'s ``traced_engine`` onto the engine's own cursors.

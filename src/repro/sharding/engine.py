@@ -1,19 +1,22 @@
-"""ShardedEngine: one suffix tree of the whole database, searched whole or by root partitions.
+"""ShardedEngine: the OasisEngine of an index directory, searched whole or by root partitions.
 
 An index (built by :class:`~repro.sharding.ShardedIndexBuilder`) holds one
 disk image of the whole database, which :meth:`ShardedEngine.open` opens
 with :meth:`OasisEngine.open <repro.core.engine.OasisEngine.open>`.  The
-engine's scatter backend decides how a query runs:
+engine is that :class:`~repro.core.engine.OasisEngine`, and its scatter
+backend decides how a query's ``result()`` runs:
 
-* ``serial`` (the default), and every streaming search (iterating an
-  execution, ``search_online``), run one execution over the whole tree --
-  exactly what a monolithic :class:`~repro.core.engine.OasisEngine` over the
-  same database runs, hit for hit and column for column;
+* ``serial`` (the default), and every streaming search on either backend
+  (iterating an execution, ``search_online``), run the inherited
+  :class:`~repro.core.oasis.QueryExecution` over the whole tree -- the
+  search ``OasisEngine.open``'s engine runs, with one execution, one
+  frontier and one ``query`` span;
 * ``processes[:N]`` splits the tree as the paper's Section 3.4.1 does: a
   *shard* is a set of the root's children (:func:`root_partitions`, one per
   partition the catalog records).  Each worker searches the whole image, but
   only below the root children whose first symbol its partition owns, and
-  returns its :class:`~repro.core.results.SearchResult`.
+  returns its :class:`~repro.core.results.SearchResult`; this process
+  merges them.
 
 Correctness of the process merge rests on two facts:
 
@@ -38,15 +41,14 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import wait as futures_wait
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
 from repro.core.kernels import ReferenceKernel
 from repro.core.oasis import OasisSearchStatistics, QueryExecution, open_span
 from repro.core.request import SearchRequest
-from repro.core.results import SearchHit, SearchResult, hit_order_key
-from repro.core.surface import SearchSurface
+from repro.core.results import SearchResult, hit_order_key
 from repro.obs.logsetup import get_logger
 from repro.scoring.gaps import DEFAULT_GAP_MODEL, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
@@ -54,7 +56,6 @@ from repro.sequences.database import SequenceDatabase
 from repro.sharding.catalog import ShardCatalog
 from repro.sharding.remote import (
     ShardSearchTask,
-    label_shard_execution,
     run_shard_search,
     spawn_pool,
     unsearched,
@@ -97,250 +98,122 @@ def root_partitions(database: SequenceDatabase, count: int) -> List[bytes]:
     return [bytes(sorted(symbols)) for symbols in owned]
 
 
-class ShardedQueryExecution:
-    """One query over the index's tree: whole, or scattered by root partition.
+class ShardedQueryExecution(QueryExecution):
+    """One query over an index's tree: the inherited search, or a process scatter.
 
-    Mirrors the :class:`~repro.core.oasis.QueryExecution` surface a batch
-    relies on: iterate it for the online stream (the one execution
-    over the whole tree, on the calling thread) or call :meth:`result` to
-    run the query on the engine's scatter backend and collect the result.
-    Either way the query ends in :attr:`shard_results` -- one
-    :class:`~repro.core.results.SearchResult` for the serial search, or one
-    per partition of a process scatter -- and the statistics, the
-    ``timed_out`` / ``aborted`` flags and the per-shard rows are read from
-    those.
+    Iterating it, and :meth:`result` on the serial backend, are
+    :class:`~repro.core.oasis.QueryExecution`'s own run over the whole tree.
+    On a ``processes[:N]`` engine, :meth:`result` of a query that has not
+    started ships one task per partition to the engine's workers and merges
+    their results: this process runs no frontier, and the merge sets
+    :attr:`statistics`, :attr:`timed_out`, :attr:`aborted` and
+    :attr:`hit_count`.  Either way the result is ``engine="oasis-sharded"``
+    with one ``shard_stats`` row per searched tree or partition, and
+    repeated calls return the same object.
     """
 
-    def __init__(self, engine: "ShardedEngine", request: SearchRequest, tracer=None):
-        self.engine = engine
-        #: Resolved against the whole database.
-        self.request = request
-        self.tracer = tracer
-        #: Explicit parent for the query span (``search_many`` sets it so
-        #: queries running on pool threads still nest under the batch span).
-        self.trace_parent: Optional[str] = None
-        #: The execution of this process, built when the query starts to run
-        #: here (a process scatter builds none).
-        self.executions: List[QueryExecution] = []
-        self.shard_results: List[SearchResult] = []
-        #: The query's one absolute deadline (``time.perf_counter`` timebase).
-        self.deadline: Optional[float] = None
-        self._abort_requested = False
-        self._iterator: Optional[Iterator[SearchHit]] = None
-        self._wall_seconds = 0.0
-        self._result: Optional[SearchResult] = None
+    engine: "ShardedEngine"
+    _result: Optional[SearchResult] = None
 
-    # ------------------------------------------------------------------ #
-    # Flags and statistics
-    # ------------------------------------------------------------------ #
-    @property
-    def timed_out(self) -> bool:
-        return any(result.parameters.get("timed_out") for result in self.shard_results)
-
-    @property
-    def aborted(self) -> bool:
-        return any(result.parameters.get("aborted") for result in self.shard_results)
-
-    def _shard_statistics(self) -> List[OasisSearchStatistics]:
-        # (A task that expired, was cancelled or owned no root child has no counters.)
-        kernel = self.engine.tree_engine.kernel
-        return [
-            result.statistics or OasisSearchStatistics(kernel=kernel)
-            for result in self.shard_results
-        ]
-
-    @property
-    def statistics(self) -> OasisSearchStatistics:
-        """Work counters summed over the shard results (queue peak is the max)."""
-        return OasisSearchStatistics.merged(self._shard_statistics(), self._wall_seconds)
-
-    def _open_query_span(self, **attributes):
-        """Open the ``query`` span (``None`` untraced); shard spans name it by id."""
-        attributes.update(shards=self.engine.shard_count, phase="scatter")
-        return open_span(self.tracer, "query", self.trace_parent, attributes)
-
-    def abort(self) -> None:
-        """Stop this process's executions within one frontier advance each."""
-        self._abort_requested = True
-        for execution in self.executions:
-            execution.abort()
-
-    def _pin_deadline(self) -> None:
-        """Fix one absolute deadline for the whole query.
-
-        A relative budget would restart whenever a partition's task leaves a
-        worker pool's queue, granting up to ``partitions x budget`` per
-        query; pinning ``now + budget`` before anything runs keeps the budget
-        a true per-query wall clock.
-        """
-        if self.request.time_budget is not None:
-            self.deadline = time.perf_counter() + self.request.time_budget
-
-    def start(self, span) -> QueryExecution:
-        """Build this process's execution over the whole tree, ready to run.
-
-        It gets the pinned deadline and finds the query span by explicit id,
-        not by thread-local nesting.
-        """
-        execution = self.engine.tree_engine.execute_request(self.request, tracer=self.tracer)
-        execution.set_deadline(self.deadline)
-        if span is not None:
-            label_shard_execution(execution, 0, span.span_id)
-        if self._abort_requested:
-            execution.abort()
-        self.executions.append(execution)
-        return execution
-
-    # ------------------------------------------------------------------ #
-    # Streaming (online) interface
-    # ------------------------------------------------------------------ #
-    def __iter__(self) -> Iterator[SearchHit]:
+    def result(self) -> SearchResult:
+        if self._result is not None:
+            return self._result
+        scattered = None
         if self._iterator is None:
-            self._iterator = self._generate()
-        return self._iterator
+            if self.engine._closed:
+                # A closed engine must not search a closed cursor (or
+                # silently resurrect a pool it already shut).
+                raise RuntimeError("ShardedEngine is closed")
+            if self.engine._workers is not None:
+                scattered = self._scatter_and_merge()
+        result = super().result()
+        if scattered:
+            # No hit was emitted online in this process.
+            del result.parameters["online_log"]
+        partitions, survived = scattered or ([result], [len(result.hits)])
+        rows = []
+        for shard, (partition, hits) in enumerate(zip(partitions, survived)):
+            # (A task that expired, was cancelled or owned no root child has no counters.)
+            statistics = partition.statistics or OasisSearchStatistics()
+            rows.append(
+                {
+                    "shard": shard,
+                    "hits": hits,
+                    "columns_expanded": statistics.columns_expanded,
+                    "nodes_expanded": statistics.nodes_expanded,
+                    "elapsed_seconds": statistics.elapsed_seconds,
+                    "timed_out": bool(partition.parameters.get("timed_out")),
+                    "aborted": bool(partition.parameters.get("aborted")),
+                }
+            )
+        result.engine = "oasis-sharded"
+        result.parameters.update(shards=len(rows), shard_stats=rows)
+        self._result = result
+        return result
 
-    def __next__(self) -> SearchHit:
-        return next(iter(self))
+    def _scatter_and_merge(self) -> Tuple[List[SearchResult], List[int]]:
+        """Search every partition on the engine's workers and merge the hits.
 
-    def _generate(self) -> Iterator[SearchHit]:
-        """The whole tree's stream, strongest first, on the calling thread.
-
-        Only :meth:`result` uses the scatter backend: the paper's online
-        consumption model is one search emitting as it proves each hit.
+        Returns the partition results, and how many of the merged hits each
+        gave (so the rows sum to the hits).  The query's one absolute
+        deadline is pinned before any task runs: a relative budget would
+        restart whenever a task leaves the pool's queue, granting up to
+        ``partitions x budget`` per query.
         """
         start = time.perf_counter()
-        self._pin_deadline()
-        span = self._open_query_span(streaming=True)
-        execution = self.start(span)
+        if self._deadline is None and self.request.time_budget is not None:
+            self._deadline = start + self.request.time_budget
+        tracer = self.tracer
+        span = open_span(
+            tracer,
+            "query",
+            self.trace_parent,
+            {"shards": self.engine.shard_count, "phase": "scatter"},
+        )
         try:
-            yield from execution
+            partitions = self.engine._scatter(self, span)
+            # The workers ran the query: no stream may start it here.
+            self.close()
+            kernel = self.engine.kernel
+            self.statistics = OasisSearchStatistics.merged(
+                [p.statistics or OasisSearchStatistics(kernel=kernel) for p in partitions],
+                time.perf_counter() - start,
+            )
+            self.timed_out = any(p.parameters.get("timed_out") for p in partitions)
+            self.aborted = any(p.parameters.get("aborted") for p in partitions)
+            if span is None:
+                survived = self._merge(partitions)
+            else:
+                with tracer.span("merge", parent_id=span.span_id, phase="merge") as merge_span:
+                    survived = self._merge(partitions)
+                    merge_span.set_attribute("hits", len(self._hits))
         finally:
-            self._wall_seconds = time.perf_counter() - start
-            # Finalise the statistics, and make sure an abandoned stream
-            # cannot silently resume work later.
-            execution.close()
-            self.shard_results = [execution.result()]
             if span is not None:
-                span.set_attribute("hits", execution.hit_count)
-                self.tracer._pop(span)
+                span.set_attribute("timed_out", self.timed_out)
+                span.set_attribute("aborted", self.aborted)
+                tracer._pop(span)
                 span.finish()
+        return partitions, survived
 
-    def close(self) -> None:
-        """Abandon the stream."""
-        if self._iterator is not None:
-            self._iterator.close()
-
-    def _merge_hits(self) -> Tuple[List[SearchHit], List[int]]:
-        """Each sequence once, at its best score, in canonical order, cut at
-        ``max_results``; and how many of those hits each shard result gave."""
+    def _merge(self, partitions: List[SearchResult]) -> List[int]:
+        """Keep each sequence once, at its best score, in canonical order, cut
+        at ``max_results``; return how many of those hits each partition gave."""
         candidates = sorted(
-            (
-                (hit, shard)
-                for shard, result in enumerate(self.shard_results)
-                for hit in result.hits
-            ),
+            ((hit, shard) for shard, partition in enumerate(partitions) for hit in partition.hits),
             key=lambda pair: hit_order_key(pair[0]),
         )
         limit = self.request.max_results
-        hits: List[SearchHit] = []
-        survived = [0] * len(self.shard_results)
+        survived = [0] * len(partitions)
         seen = set()
         for hit, shard in candidates:
             if hit.sequence_index in seen:
                 continue
             seen.add(hit.sequence_index)
-            hits.append(hit)
+            self._hits.append(hit)
             survived[shard] += 1
-            if len(hits) == limit:
+            if len(self._hits) == limit:
                 break
-        return hits, survived
-
-    # ------------------------------------------------------------------ #
-    # Batch interface
-    # ------------------------------------------------------------------ #
-    def result(self) -> SearchResult:
-        """Run the query on the scatter backend (unless streaming) and merge.
-
-        Memoised: repeated calls return the same object, as
-        :meth:`QueryExecution.result` effectively does.
-        """
-        if self._result is not None:
-            return self._result
-        start = time.perf_counter()
-        if self._iterator is not None:
-            # The consumer started streaming: finish draining that stream
-            # rather than running the query again.
-            for _ in self._iterator:
-                pass
-            hits, survived = self._merge_hits()
-        else:
-            tracer = self.tracer
-            span = self._open_query_span()
-            try:
-                self._pin_deadline()
-                self.shard_results = self.engine._scatter(self, span)
-                self._wall_seconds = time.perf_counter() - start
-                if span is None:
-                    hits, survived = self._merge_hits()
-                else:
-                    with tracer.span(
-                        "merge", parent_id=span.span_id, phase="merge"
-                    ) as merge_span:
-                        hits, survived = self._merge_hits()
-                        merge_span.set_attribute("hits", len(hits))
-            finally:
-                if span is not None:
-                    span.set_attribute("timed_out", self.timed_out)
-                    span.set_attribute("aborted", self.aborted)
-                    tracer._pop(span)
-                    span.finish()
-
-        shard_statistics = self._shard_statistics()
-        # A row's hits are those that survived the merge, so the rows sum to
-        # len(hits).
-        shard_stats = [
-            {
-                "shard": shard,
-                "hits": survived[shard],
-                "columns_expanded": statistics.columns_expanded,
-                "nodes_expanded": statistics.nodes_expanded,
-                "elapsed_seconds": statistics.elapsed_seconds,
-                "timed_out": bool(result.parameters.get("timed_out")),
-                "aborted": bool(result.parameters.get("aborted")),
-            }
-            for shard, (result, statistics) in enumerate(
-                zip(self.shard_results, shard_statistics)
-            )
-        ]
-
-        merged = SearchResult(
-            query=self.request.query.upper(),
-            engine="oasis-sharded",
-            hits=hits,
-            elapsed_seconds=self._wall_seconds,
-            columns_expanded=sum(row["columns_expanded"] for row in shard_stats),
-            parameters={
-                "min_score": self.request.min_score,
-                "matrix": self.engine.matrix.name,
-                "gap": self.engine.gap_model.per_symbol,
-                "max_results": self.request.max_results,
-                "shards": len(shard_stats),
-                "shard_stats": shard_stats,
-            },
-            statistics=OasisSearchStatistics.merged(shard_statistics, self._wall_seconds),
-        )
-        if self.timed_out:
-            merged.parameters["timed_out"] = True
-        if self.aborted:
-            merged.parameters["aborted"] = True
-        self._result = merged
-        return merged
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedQueryExecution(query={self.request.query!r}, "
-            f"shards={self.engine.shard_count})"
-        )
+        return survived
 
 
 def check_scatter_backend(backend: Optional[str]) -> Tuple[str, Optional[int]]:
@@ -404,32 +277,33 @@ def shard_pool_budgets(
     ]
 
 
-class ShardedEngine(SearchSurface):
-    """OASIS search over the one tree of a catalog directory, on a scatter backend.
+class ShardedEngine(OasisEngine):
+    """The :class:`~repro.core.engine.OasisEngine` of an index directory, on a scatter backend.
 
     :meth:`open` is :meth:`OasisEngine.open
-    <repro.core.engine.OasisEngine.open>` (its :attr:`tree_engine`) plus a
-    scatter; :meth:`build_on_disk` builds the directory first.  The engine
-    inherits the searching surface every engine shares.
+    <repro.core.engine.OasisEngine.open>` plus a scatter; :meth:`build_on_disk`
+    builds the directory first.  The engine searches the index's one tree
+    through the opened engine's cursor, scoring and kernel, so every search
+    it runs in this process is :class:`~repro.core.oasis.QueryExecution`'s.
 
-    ``backend`` selects how ``search`` /
-    :meth:`ShardedQueryExecution.result` run a query: ``"serial"`` (the
-    default: one search of the whole tree on the calling thread) or
-    ``"processes[:N]"`` (one task per root partition the catalog records,
-    on a pool of ``N`` spawned worker processes -- by default one per
-    partition that owns a root child).  The engine owns that pool: it is
+    ``backend`` selects how ``search`` / :meth:`ShardedQueryExecution.result`
+    run a query: ``"serial"`` (the default: that search, on the calling
+    thread) or ``"processes[:N]"`` (one task per root partition the catalog
+    records, on a pool of ``N`` spawned worker processes -- by default one
+    per partition that owns a root child).  The engine owns that pool: it is
     made on the first scatter, replaced when a worker dies, and shut by
     :meth:`close`.  There is no thread scatter: the search is CPU-bound
     under the interpreter lock, and ``threads:4`` took 2.33 s to the serial
     loop's 1.79 s (benchmark protein inputs, 2 cores, medians of 10 pairs).
     Each worker opens the index once, with the same opener and pool budget
     as this process, and serves every partition from it.  The streaming
-    path (``search_online``) always runs the serial search.
+    path (``search_online``) always runs the search in this process.
 
     The constructor takes a list of exactly one engine over the index's
-    image, and ``shard_buffer_bytes`` a list of its one pool budget: both
-    lists stay until ROADMAP item 1 moves ``bench_e2e``'s ``traced_engine``
-    onto the engine's own cursors.
+    image, whose cursor, kernel and (unless given) converter it adopts, and
+    ``shard_buffer_bytes`` a list of its one pool budget: both lists stay
+    until ROADMAP item 1 moves ``bench_e2e``'s ``traced_engine`` onto the
+    engine's own cursors.
     """
 
     def __init__(
@@ -449,13 +323,9 @@ class ShardedEngine(SearchSurface):
             raise ValueError(
                 f"a ShardedEngine searches one tree: pass one engine, not {len(shards)}"
             )
-        #: The engine over the index's one image.
-        self.tree_engine = shards[0]
-        #: The database the index's tree holds.
-        self.database = database
-        self.matrix = matrix
-        self.gap_model = gap_model
-        self.converter = converter or SelectivityConverter(matrix, database)
+        (tree,) = shards
+        converter = converter or tree.converter
+        super().__init__(tree.cursor, matrix, gap_model, converter, kernel=tree.expansion_kernel)
         self.catalog = catalog
         self.directory = directory
         kind, workers = check_scatter_backend(backend)
@@ -465,7 +335,7 @@ class ShardedEngine(SearchSurface):
         # "processes" spec gets one per partition that searches.
         self._workers: Optional[int] = None
         if kind == "processes":
-            kernel = self.tree_engine.expansion_kernel
+            kernel = self.expansion_kernel
             if isinstance(kernel, ReferenceKernel) and not all(kernel.rules.values()):
                 # The workers get the kernel by name, and so every rule.
                 raise ValueError(
@@ -542,7 +412,6 @@ class ShardedEngine(SearchSurface):
         workers search, this process reads none.
         """
         check_scatter_backend(backend)  # before any file is opened
-        directory = str(directory)
         tree = OasisEngine.open(
             directory, database, matrix, gap_model, buffer_pool_bytes, kernel=kernel
         )
@@ -554,9 +423,8 @@ class ShardedEngine(SearchSurface):
                 tree.database,
                 tree.matrix,
                 tree.gap_model,
-                converter=tree.converter,
                 catalog=catalog,
-                directory=directory,
+                directory=str(directory),
                 shard_buffer_bytes=[max(catalog.block_size, buffer_pool_bytes)],
                 backend=backend,
             )
@@ -568,16 +436,22 @@ class ShardedEngine(SearchSurface):
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def shards(self) -> List[OasisEngine]:
-        """``[tree_engine]``: stays until ROADMAP item 1 moves ``bench_e2e``'s
+    def tree_engine(self) -> "ShardedEngine":
+        """The engine itself: stays until ROADMAP item 1 moves ``bench_e2e``'s
         ``traced_engine`` onto the engine's own cursors."""
-        return [self.tree_engine]
+        return self
+
+    @property
+    def shards(self) -> List["ShardedEngine"]:
+        """``[self]``: stays until ROADMAP item 1 moves ``bench_e2e``'s
+        ``traced_engine`` onto the engine's own cursors."""
+        return [self]
 
     @property
     def buffer_pool(self) -> Optional["BufferPool"]:
-        """The pool the serial scatter reads pages through in this process;
+        """The pool a ``result()`` reads pages through in this process;
         ``None`` on a process scatter, whose workers read through their own."""
-        return self.tree_engine.buffer_pool if self._workers is None else None
+        return super().buffer_pool if self._workers is None else None
 
     @property
     def shard_count(self) -> int:
@@ -585,9 +459,10 @@ class ShardedEngine(SearchSurface):
         serial scatter, one per partition on a process scatter."""
         return 1 if self._workers is None else len(self.partitions)
 
-    def min_score_for(self, query: str, evalue: float) -> int:
-        """Equation 3 against the whole database."""
-        return self.converter.min_score_for_evalue(evalue, len(query))
+    @property
+    def backend_spec(self) -> str:
+        """Declarative spec of the scatter backend (``"serial"`` / ``"processes:N"``)."""
+        return "serial" if self._workers is None else f"processes:{self._workers}"
 
     # ------------------------------------------------------------------ #
     # Searching
@@ -595,42 +470,21 @@ class ShardedEngine(SearchSurface):
     def execute_request(self, request: SearchRequest, tracer=None) -> ShardedQueryExecution:
         """Resolve the request once, here, and create its (unstarted) execution.
 
-        Every partition runs the same resolved request, so an ``evalue``
-        maps to one ``min_score`` and every hit gets the E-value the
-        monolithic engine gives it.
+        Every partition of a process scatter runs the same resolved request,
+        so an ``evalue`` maps to one ``min_score`` and every hit gets the
+        E-value the monolithic engine gives it.
         """
         if self._closed:
             raise RuntimeError("ShardedEngine is closed")
         return ShardedQueryExecution(self, request.resolved(self.converter), tracer=tracer)
 
-    # ------------------------------------------------------------------ #
-    # Scatter backend
-    # ------------------------------------------------------------------ #
-    @property
-    def backend_spec(self) -> str:
-        """Declarative spec of the scatter backend (``"serial"`` / ``"processes:N"``)."""
-        return "serial" if self._workers is None else f"processes:{self._workers}"
-
     def _scatter(self, scattered: ShardedQueryExecution, span) -> List[SearchResult]:
-        """Run one query on the scatter backend: its shard results."""
-        if self._closed:
-            # A closed engine must not search a closed cursor (or silently
-            # resurrect a pool it already shut).
-            raise RuntimeError("ShardedEngine is closed")
-        if self._workers is not None:
-            # Always take the remote path, even for one partition, so a
-            # process engine exercises exactly one code path (and its parity
-            # is testable at every partition count).
-            return self._scatter_processes(scattered, span)
-        return [scattered.start(span).result()]
-
-    def _scatter_processes(self, scattered: ShardedQueryExecution, span) -> List[SearchResult]:
-        """Ship each partition's share of the query to a worker process.
+        """Ship each partition's share of a query to a worker process.
 
         Workers receive only the catalog directory, the partition and the
         resolved request, and return the partition's :class:`SearchResult`;
-        no execution is built in this process.  A partition that owns no
-        root child gets an empty result without a task.
+        no frontier runs in this process.  A partition that owns no root
+        child gets an empty result without a task.
 
         The query's pinned monotonic deadline is translated into one
         absolute wall-clock (``time.time()``) deadline shared by every task:
@@ -644,10 +498,10 @@ class ShardedEngine(SearchSurface):
         """
         request, tracer = scattered.request, scattered.tracer
         deadline_epoch: Optional[float] = None
-        if scattered.deadline is not None:
+        if scattered._deadline is not None:
             # Epoch translation for cross-process deadlines, not a duration.
             deadline_epoch = time.time() + (  # repro: allow[monotonic-time]
-                scattered.deadline - time.perf_counter()
+                scattered._deadline - time.perf_counter()
             )
         trace_context = None
         if tracer is not None:
@@ -676,7 +530,7 @@ class ShardedEngine(SearchSurface):
                         fingerprint=self.catalog.fingerprint,
                         database_digest=self.catalog.database_digest,
                         trace=trace_context,
-                        kernel=self.tree_engine.kernel,
+                        kernel=self.kernel,
                     ),
                 )
                 if symbols
@@ -749,7 +603,7 @@ class ShardedEngine(SearchSurface):
         if pool is not None:
             # Joins every worker: far too slow to hold the lock across.
             pool.shutdown(wait=True)
-        self.tree_engine.close()
+        super().close()
 
     def __repr__(self) -> str:
         return (

@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only; workers import lazily
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.core.engine import OasisEngine
-    from repro.core.oasis import QueryExecution
     from repro.obs.trace import TraceContext
 
 #: What one partition's search sends back: the result, plus the worker's span
@@ -171,21 +170,6 @@ def _expired(task: ShardSearchTask) -> bool:
     return task.deadline_epoch is not None and task.deadline_epoch <= time.time()  # repro: allow[monotonic-time]
 
 
-def label_shard_execution(
-    execution: "QueryExecution", shard: int, parent_id: Optional[str]
-) -> None:
-    """Make an execution's span the ``shard`` child of a query span.
-
-    Called before the execution starts, by whoever runs it: the sharded
-    engine for its in-process search, the worker for its own.  The parent is
-    named by id because a shard may run in another process, where
-    thread-local nesting cannot find it.
-    """
-    execution.trace_name = "shard"
-    execution.trace_parent = parent_id
-    execution.trace_attributes = {"shard": shard, "phase": "shard"}
-
-
 def unsearched(request: SearchRequest, flag: Optional[str] = None) -> SearchResult:
     """A shard's (empty) result when its task ``timed_out`` / was ``aborted``
     unsearched, or (no flag) when its partition owns no root child."""
@@ -220,9 +204,13 @@ def run_shard_search(task: ShardSearchTask) -> ShardOutcome:
     execution = engine.execute_request(request, tracer=tracer)
     execution.root_symbols = task.root_symbols
     if task.trace is not None:
-        # The ids the shard span is born with (pid-prefixed) stay valid
-        # when the parent adopts it.
-        label_shard_execution(execution, task.shard, task.trace.parent_id)
+        # The execution's span is the ``shard`` child of the parent's query
+        # span, named by id: thread-local nesting cannot find it from here.
+        # The ids it is born with (pid-prefixed) stay valid when the parent
+        # adopts it.
+        execution.trace_name = "shard"
+        execution.trace_parent = task.trace.parent_id
+        execution.trace_attributes = {"shard": task.shard, "phase": "shard"}
     result = execution.result()
     if tracer is None:
         return result, []

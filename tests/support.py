@@ -205,6 +205,19 @@ def on_python_frontier(kernel):
     return kernel
 
 
+def record_frontiers(monkeypatch, engine):
+    """The frontiers ``engine``'s kernel builds in this process, as a list."""
+    built = []
+    frontier = engine.expansion_kernel.frontier
+
+    def recording(*args):
+        built.append(args)
+        return frontier(*args)
+
+    monkeypatch.setattr(engine.expansion_kernel, "frontier", recording)
+    return built
+
+
 @st.composite
 def searches(draw):
     """A database, a query that is often a mutated window of it, and scoring:

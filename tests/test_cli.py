@@ -1023,16 +1023,22 @@ class TestSlowLogAndMetrics:
             *extra,
         ]
 
-    def test_slow_log_prints_phase_breakdown(self, sharded_files, capsys):
+    @pytest.mark.parametrize("backend", ["serial", "processes:2"])
+    def test_slow_log_prints_phase_breakdown(self, sharded_files, capsys, backend):
         index, queries = sharded_files
-        code = main(self._search(index, queries, "--slow-log", "0"))
+        code = main(self._search(index, queries, "--slow-log", "0", "--backend", backend))
         assert code == 0
         err = capsys.readouterr().err
         assert "--- slow queries (>= 0s) ---" in err
         assert "query span" in err
-        # Sharded queries decompose into scatter/shard/merge phases.
-        assert "shard" in err
-        assert "scatter" in err
+        if backend == "serial":
+            # The index's one search is one query span, all DP expansion.
+            assert "phase=expand" in err
+            assert "shard" not in err and "scatter" not in err
+        else:
+            # A process scatter decomposes into scatter/shard/merge phases.
+            assert "shard" in err
+            assert "scatter" in err
 
     def test_unreachable_threshold_logs_nothing(self, sharded_files, capsys):
         index, queries = sharded_files

@@ -1,16 +1,18 @@
 """Tests for the OasisEngine facade and the selectivity converter."""
 
 import os
+import time
 
 import pytest
 
 from repro.core.engine import OasisEngine
 from repro.core.evalue import SelectivityConverter
+from repro.core.oasis import QueryExecution
 from repro.core.request import SearchRequest
 from repro.obs import Tracer
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
-from repro.sharding import ShardedEngine, ShardedIndexBuilder
+from repro.sharding import ShardedEngine, ShardedIndexBuilder, ShardedQueryExecution
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 from repro.suffixtree.generalized import GeneralizedSuffixTree
@@ -68,36 +70,84 @@ def hit_rows(hits):
     ]
 
 
+#: The five engines every way of searching is held to.
+ENGINES = ["memory", "disk", "index-open", "sharded-build-on-disk", "sharded-open"]
+
+
+def make_engine(kind, directory, database, matrix, gap_model):
+    """An engine of ``kind`` over ``database``, its files under ``directory``."""
+    if kind == "memory":
+        return OasisEngine.build(database, matrix=matrix, gap_model=gap_model)
+    if kind == "disk":
+        return OasisEngine.build_on_disk(
+            database, matrix, directory / "index.oasis", gap_model=gap_model, block_size=512
+        )
+    if kind == "index-open":
+        ShardedIndexBuilder(matrix, gap_model, shard_count=2, block_size=512).build(
+            database, directory / "index"
+        )
+        # A pool below the image (11 blocks): the search reads through it.
+        return OasisEngine.open(directory / "index", buffer_pool_bytes=2048)
+    built = ShardedEngine.build_on_disk(
+        database, directory / "index", matrix, gap_model, shard_count=2, block_size=512
+    )
+    if kind == "sharded-build-on-disk":
+        return built
+    built.close()
+    if kind == "sharded-processes":
+        return ShardedEngine.open(directory / "index", backend="processes:2")
+    return ShardedEngine.open(directory / "index")
+
+
 class TestOneSearchSurface:
     """Every engine answers every way of searching, with the same keywords."""
 
     QUERY = "WKDDGNGYISAAE"
     OPTIONS = dict(min_score=20, max_results=5, compute_alignments=True)
 
-    @pytest.fixture(
-        params=["memory", "disk", "index-open", "sharded-build-on-disk", "sharded-open"]
-    )
+    @pytest.fixture(params=ENGINES)
     def engine(self, request, tmp_path, small_protein_database, pam30_matrix, gap8):
-        database = small_protein_database
-        if request.param == "memory":
-            return OasisEngine.build(database, matrix=pam30_matrix, gap_model=gap8)
-        if request.param == "disk":
-            return OasisEngine.build_on_disk(
-                database, pam30_matrix, tmp_path / "index.oasis", gap_model=gap8, block_size=512
-            )
-        if request.param == "index-open":
-            ShardedIndexBuilder(pam30_matrix, gap8, shard_count=2, block_size=512).build(
-                database, tmp_path / "index"
-            )
-            # A pool below the image (11 blocks): the search reads through it.
-            return OasisEngine.open(tmp_path / "index", buffer_pool_bytes=2048)
-        built = ShardedEngine.build_on_disk(
-            database, tmp_path / "index", pam30_matrix, gap8, shard_count=2, block_size=512
-        )
-        if request.param == "sharded-build-on-disk":
-            return built
-        built.close()
-        return ShardedEngine.open(tmp_path / "index")
+        return make_engine(request.param, tmp_path, small_protein_database, pam30_matrix, gap8)
+
+    @pytest.fixture(params=ENGINES + ["sharded-processes"])
+    def any_engine(self, request, tmp_path, small_protein_database, pam30_matrix, gap8):
+        """The five engines, and an index on a process scatter."""
+        engine = make_engine(request.param, tmp_path, small_protein_database, pam30_matrix, gap8)
+        yield engine
+        engine.close()
+
+    def test_a_closed_execution_searches_nothing(self, any_engine):
+        execution = any_engine.execute(self.QUERY, **self.OPTIONS)
+        execution.close()
+        result = execution.result()
+        assert result.hits == [] and execution.hit_count == 0
+        assert result.columns_expanded == result.statistics.columns_expanded == 0
+
+    def test_an_abort_before_the_start_gives_an_aborted_empty_result(self, engine):
+        # (A process scatter's abort cancels only the partition tasks not yet
+        # started: test_sharding_backends.py.)
+        with engine:
+            execution = engine.execute(self.QUERY, **self.OPTIONS)
+            execution.abort()
+            result = execution.result()
+        assert result.hits == [] and result.columns_expanded == 0
+        assert result.parameters["aborted"] is True and execution.aborted
+
+    def test_hit_count_and_set_deadline_mean_the_same(self, any_engine):
+        execution = any_engine.execute(self.QUERY, **self.OPTIONS)
+        execution.set_deadline(time.perf_counter() + 60.0)
+        result = execution.result()
+        assert execution.hit_count == len(result) == 5 and not execution.timed_out
+        expired = any_engine.execute(self.QUERY, **self.OPTIONS)
+        expired.set_deadline(time.perf_counter() - 1.0)
+        result = expired.result()
+        assert result.hits == [] and expired.hit_count == 0
+        assert result.parameters["timed_out"] is True and expired.timed_out
+
+    def test_two_results_give_equal_hits(self, any_engine):
+        execution = any_engine.execute(self.QUERY, **self.OPTIONS)
+        first = hit_rows(execution.result())
+        assert len(first) == 5 and hit_rows(execution.result()) == first
 
     def test_every_entry_point_returns_the_same_hits(
         self, engine, small_protein_database, pam30_matrix, gap8
@@ -172,6 +222,12 @@ class TestTheOneOpener:
         assert all(
             (counters["buffer_misses"] > 0) == (pool == "eighth") for _, counters in expected
         )
+
+
+def test_an_index_engine_is_an_oasis_engine():
+    """One engine class, one execution class: the index adds only a scatter."""
+    assert issubclass(ShardedEngine, OasisEngine)
+    assert issubclass(ShardedQueryExecution, QueryExecution)
 
 
 class TestThresholdResolution:

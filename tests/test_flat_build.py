@@ -118,14 +118,20 @@ def test_build_memory_per_residue(tmp_path):
     database.freeze()  # the database is the input, not part of the build
     residues = database.total_symbols
     assert residues > 100_000
+    # One tiny build first: the modules a build imports on first use (NumPy
+    # among them, ~55 B per residue here) are not the build's memory, and
+    # without it the peak would depend on which test ran before this one.
+    tiny = SequenceDatabase.from_texts(["MKVLAADTG"], alphabet=PROTEIN_ALPHABET)
+    build_disk_image(tiny, tmp_path / "warm.oasis")
     tracemalloc.start()
     try:
         build_disk_image(database, tmp_path / "image.oasis")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The object-tree build this replaced peaked at 354 B per residue.
-    assert peak / residues <= 256, f"{peak / residues:.0f} B per residue"
+    # The object-tree build this replaced peaked at 354 B per residue; this
+    # one peaks at ~60 on either stack pass (in the sort and the level-order step).
+    assert peak / residues <= 90, f"{peak / residues:.0f} B per residue"
 
 
 @pytest.mark.usefixtures("path")

@@ -3,9 +3,10 @@
 The acceptance scenario for the telemetry layer: a 4-shard search scattered
 over a ``processes:2`` backend, traced end to end, written to JSON lines and
 round-trip parsed -- one tree, query root, one shard child per shard
-(recorded inside the worker processes), one merge span.  The in-process
-backends must produce the same shape with local pids, and the batch
-executor must nest its per-query spans under the batch span.
+(recorded inside the worker processes), one merge span.  The serial backend
+runs the index's one search, whose trace is one ``query`` span (phase
+``expand``) with a local pid, and the batch executor must nest its
+per-query spans under the batch span.
 """
 
 from __future__ import annotations
@@ -115,18 +116,21 @@ def test_process_scatter_emits_one_coherent_tree(index_dir, tmp_path):
     assert rendered.count("  shard") == SHARDS
 
 
-def test_in_process_scatter_same_tree_shape(index_dir):
+def _one_search_span(records, hits):
+    """The single ``query`` span of the serial backend's one search."""
+    assert validate_trace(records) == []
+    (root,) = records
+    assert root.name == "query" and root.attributes["phase"] == "expand"
+    assert root.pid == os.getpid()
+    assert root.attributes["hits"] == hits > 0
+
+
+def test_a_serial_search_is_one_query_span(index_dir):
     tracer = Tracer()
     with ShardedEngine.open(index_dir) as engine:
         result = engine.search(QUERY, min_score=MIN_SCORE, tracer=tracer)
-    records = tracer.records()
-    assert validate_trace(records) == []
-    root, shards, merges = _tree_parts(records)
-    assert root.name == "query"
-    # The serial scatter is one search of the whole tree: one shard span.
-    assert len(shards) == 1 and len(merges) == 1
-    assert all(span.pid == os.getpid() for span in records)
-    assert merges[0].attributes["hits"] == len(result)
+    _one_search_span(tracer.records(), len(result))
+    assert tracer.records()[0].attributes["nodes_expanded"] == result.statistics.nodes_expanded
 
 
 def test_streaming_search_traces_under_one_query_span(index_dir):
@@ -135,12 +139,7 @@ def test_streaming_search_traces_under_one_query_span(index_dir):
         hits = list(
             engine.search_online(QUERY, min_score=MIN_SCORE, tracer=tracer)
         )
-    assert hits
-    records = tracer.records()
-    assert validate_trace(records) == []
-    root, shards, _merges = _tree_parts(records)
-    assert root.attributes.get("streaming") is True
-    assert len(shards) == 1
+    _one_search_span(tracer.records(), len(hits))
 
 
 def test_batch_spans_nest_queries_under_batch(index_dir):
@@ -157,13 +156,13 @@ def test_batch_spans_nest_queries_under_batch(index_dir):
     assert [root.name for root in roots] == ["batch"]
     batch = roots[0]
     queries = [record for record in records if record.name == "query"]
-    assert len(queries) == 2
+    assert len(queries) == 2 == len(records) - 1
     assert all(query.parent_id == batch.span_id for query in queries)
-    shards = [record for record in records if record.name == "shard"]
-    assert len(shards) == 2
-    assert {shard.parent_id for shard in shards} == {
-        query.span_id for query in queries
-    }
+    assert {query.attributes["phase"] for query in queries} == {"expand"}
+
+
+#: The spans a traced batch of one query records, by backend.
+SPAN_NAMES = {"serial": ["batch", "query"], "processes:2": ["batch", "merge", "query", "shard"]}
 
 
 @pytest.mark.parametrize("backend", ["serial", "processes:2"])
@@ -177,7 +176,7 @@ def test_every_span_of_a_traced_search_carries_its_phase(index_dir, backend):
         report = engine.search_many([QUERY], min_score=MIN_SCORE, tracer=tracer)
     assert not report.statistics.failed
     records = tracer.records()
-    assert {record.name for record in records} >= {"batch", "query", "shard", "merge"}
+    assert sorted({record.name for record in records}) == SPAN_NAMES[backend]
     missing = [record.name for record in records if not record.attributes.get("phase")]
     assert not missing, f"spans without a phase attribute: {missing}"
     assert OTHER_PHASE not in {entry.phase for entry in analyze(records).phases}
@@ -229,13 +228,12 @@ def test_a_tight_pool_search_counts_its_pages_and_opens_no_span_per_page(
             assert all(total >= exact for total, exact in zip(summed, change))
     else:
         assert pool is None and printed == summed
-    # One batch; per query a query span, its shard spans (one on the serial
-    # scatter, one per partition on processes) and a merge: the span count
-    # does not grow with the pages read.
+    # One batch; per query a query span, and on processes one shard span per
+    # partition and a merge: the span count does not grow with the pages read.
     names = [record.name for record in tracer.records()]
-    assert sorted(set(names)) == ["batch", "merge", "query", "shard"]
-    shard_spans = 1 if backend == "serial" else SHARDS
-    assert len(names) == 1 + 2 * (1 + shard_spans + 1)
+    assert sorted(set(names)) == SPAN_NAMES[backend]
+    per_query = 1 if backend == "serial" else 1 + SHARDS + 1
+    assert len(names) == 1 + 2 * per_query
 
 
 def test_a_pool_that_fits_reads_the_image_into_memory_and_counts_no_pages(index_dir):

@@ -3,8 +3,9 @@
 There is no live instrument beside the two end-of-run outputs, so each thing
 an operator asks about a run is pinned here to where it is read:
 
-* each query, and its dispatch to each shard -> ``query`` / ``shard`` /
-  ``merge`` spans under one ``batch`` root;
+* each query -> a ``query`` span under one ``batch`` root, and a process
+  scatter's dispatch to each partition -> ``shard`` / ``merge`` spans under
+  that;
 * timeouts, aborts and errors -> span attributes and statuses (and the
   batch's ``timed_out`` / ``aborted`` counts that ``--metrics`` prints);
 * buffer-pool eviction bursts -> the pool's own ``evictions`` count, which
@@ -128,15 +129,32 @@ class TestDispatchSpans:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_each_query_and_each_shard_dispatch_is_a_span(self, open_sharded, shards, workers):
+    def test_each_query_of_a_serial_index_batch_is_one_span(self, open_sharded, shards, workers):
+        """The serial scatter searches the whole tree once, whatever the
+        partitions: one ``query`` span per query, and no dispatch."""
         tracer = Tracer()
         with open_sharded(shards) as engine:
             report = engine.search_many(
                 QUERIES, workers=workers, min_score=MIN_SCORE, tracer=tracer
             )
         assert not report.statistics.failed
-        # The serial scatter searches the whole tree once, whatever the partitions.
-        self._assert_one_batch_of_scattered_queries(_valid_recording(tracer), 1, report)
+        recording = _valid_recording(tracer)
+        spans = _by_name(recording)
+        assert sorted(spans) == ["batch", "query"]
+        (batch,) = spans["batch"]
+        assert batch.attributes["completed"] == len(QUERIES)
+        assert "abandoned" not in batch.attributes
+        queries = spans["query"]
+        assert [query.parent_id for query in queries] == [batch.span_id] * len(QUERIES)
+        assert {query.attributes["phase"] for query in queries} == {"expand"}
+        assert not any(
+            query.attributes.get("timed_out") or query.attributes.get("aborted")
+            for query in queries
+        )
+        assert {record.status for record in recording.spans} == {"ok"}
+        assert sorted(query.attributes["hits"] for query in queries) == sorted(
+            len(outcome.result) for outcome in report.outcomes
+        )
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_a_process_scatter_dispatches_are_adopted_spans(self, shards, tmp_path):
@@ -154,15 +172,15 @@ class TestDispatchSpans:
         assert {record.pid for record in _by_name(recording)["shard"]} != {os.getpid()}
 
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_a_streamed_query_is_one_span_over_its_shards(self, open_sharded, shards):
+    def test_a_streamed_query_is_one_span(self, open_sharded, shards):
         tracer = Tracer()
         with open_sharded(shards) as engine:
             hits = list(engine.search_online(CORE, min_score=MIN_SCORE, tracer=tracer))
         spans = _by_name(_valid_recording(tracer))
         (query,) = spans["query"]
-        assert query.parent_id is None and query.attributes["streaming"] is True
+        assert query.parent_id is None and query.attributes["phase"] == "expand"
         assert query.attributes["hits"] == len(hits) > 0
-        assert [record.attributes["shard"] for record in _children(spans["shard"], query)] == [0]
+        assert sorted(spans) == ["query"]
 
     @pytest.mark.parametrize("engine_kind", ["memory", "disk", "sharded"])
     def test_a_recording_of_a_real_search_round_trips_through_its_file(
@@ -194,7 +212,7 @@ class TestDispatchSpans:
 # --------------------------------------------------------------------- #
 class TestStopsAndFailures:
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_an_expired_deadline_marks_every_query_and_shard_span(self, open_sharded, shards):
+    def test_an_expired_deadline_marks_every_query_span_of_an_index(self, open_sharded, shards):
         tracer = Tracer()
         with open_sharded(shards) as engine:
             report = engine.search_many(
@@ -203,9 +221,8 @@ class TestStopsAndFailures:
         assert report.statistics.timed_out == len(QUERIES)
         spans = _by_name(_valid_recording(tracer))
         assert [query.attributes["timed_out"] for query in spans["query"]] == [True] * len(QUERIES)
-        assert all(shard.attributes.get("timed_out") is True for shard in spans["shard"])
-        # One shard span per query: the serial scatter searches the whole tree once.
-        assert len(spans["shard"]) == len(QUERIES)
+        # The serial scatter searches the whole tree once: the query span is the search's.
+        assert sorted(spans) == ["batch", "query"]
 
     @pytest.mark.parametrize("engine_kind", ["memory", "disk"])
     def test_an_expired_deadline_on_one_index_marks_the_query_span(self, engine_kind, tmp_path):
@@ -287,21 +304,24 @@ class TestStopsAndFailures:
             assert query.attributes["error"] == "RuntimeError: unreadable node"
         assert len(spans["query"]) == len(QUERIES)
 
-    def test_a_failing_shard_is_the_error_span_under_its_query(self, open_sharded, monkeypatch):
+    def test_a_failing_index_search_is_the_error_span_under_its_batch(
+        self, open_sharded, monkeypatch
+    ):
         def broken_siblings(_node):
             raise RuntimeError("unreadable node")
 
         tracer = Tracer()
         with open_sharded(3) as engine:
-            monkeypatch.setattr(engine.tree_engine.cursor, "node_records", None)
-            monkeypatch.setattr(engine.tree_engine.cursor, "siblings", broken_siblings)
+            monkeypatch.setattr(engine.cursor, "node_records", None)
+            monkeypatch.setattr(engine.cursor, "siblings", broken_siblings)
             report = engine.search_many([CORE], workers=1, min_score=MIN_SCORE, tracer=tracer)
         assert report.statistics.failed == 1
         spans = _by_name(_valid_recording(tracer))
-        failed = [shard for shard in spans["shard"] if shard.status == "error"]
-        assert [shard.attributes["shard"] for shard in failed] == [0]
+        assert sorted(spans) == ["batch", "query"]
         (query,) = spans["query"]
-        assert failed[0].parent_id == query.span_id
+        assert query.status == "error"
+        assert query.attributes["error"] == "RuntimeError: unreadable node"
+        assert query.parent_id == spans["batch"][0].span_id
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_query_rejected_before_it_runs_leaves_the_tree_whole(self, workers):
@@ -436,11 +456,12 @@ def _search(workload, *extra):
 
 
 #: run -> (extra flags, shard spans per query): the serial scatter searches
-#: the whole tree once, a process scatter each of the index's 2 partitions.
+#: the whole tree once, under the query span itself, a process scatter each
+#: of the index's 2 partitions.
 CLI_RUNS = {
-    "database": ((), 1),
-    "index, serial scatter": (("--backend", "serial"), 1),
-    "index, default scatter, 2 workers": (("--index", "--workers", "2"), 1),
+    "database": ((), 0),
+    "index, serial scatter": (("--backend", "serial"), 0),
+    "index, default scatter, 2 workers": (("--index", "--workers", "2"), 0),
     "index, process scatter": (("--backend", "processes:2"), 2),
 }
 
@@ -456,10 +477,7 @@ def test_a_cli_trace_holds_a_span_per_query_and_dispatch(run, workload, tmp_path
     spans = _by_name(recording)
     (batch,) = spans["batch"]
     assert len(spans["query"]) == batch.attributes["completed"] == 3
-    if extra:
-        assert len(spans["shard"]) == 3 * shards
-    else:
-        assert "shard" not in spans
+    assert len(spans.get("shard", ())) == 3 * shards
 
 
 @pytest.mark.parametrize("sharded", [False, True], ids=["database", "2 shards"])

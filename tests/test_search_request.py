@@ -22,6 +22,7 @@ from repro.core.engine import OasisEngine
 from repro.core.oasis import QueryExecution
 from repro.core.request import SearchRequest
 from repro.sharding import ShardedEngine
+from support import record_frontiers
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src", "repro")
@@ -213,13 +214,15 @@ def test_any_option_set_gets_one_answer_from_every_engine(in_process_engines, qu
 
 
 # --------------------------------------------------------------------- #
-# No execution is built that will not run
+# No search runs here that a worker runs
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "name, built, rows",
     [("shards3-serial", 1, 1), ("shards3-disk", 1, 1), ("shards3-processes", 0, 3)],
 )
 def test_a_scatter_builds_only_the_executions_it_runs(all_engines, monkeypatch, name, built, rows):
+    """One execution per query on every backend; a frontier in this process
+    only where the search runs here."""
     constructed = []
     construct = QueryExecution.__init__
 
@@ -227,9 +230,11 @@ def test_a_scatter_builds_only_the_executions_it_runs(all_engines, monkeypatch, 
         constructed.append(execution)
         construct(execution, *args, **kwargs)
 
+    engine = all_engines[name]
     monkeypatch.setattr(QueryExecution, "__init__", counting)
-    result = all_engines[name].search(QUERY, min_score=20)
-    assert len(constructed) == built
+    frontiers = record_frontiers(monkeypatch, engine)
+    result = engine.search(QUERY, min_score=20)
+    assert len(constructed) == 1 and len(frontiers) == built
     shard_stats = result.parameters["shard_stats"]
     assert len(shard_stats) == rows and sum(row["hits"] for row in shard_stats) == len(result) > 0
     columns = sum(row["columns_expanded"] for row in shard_stats)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import random
+import threading
+import time
 
 import pytest
 
@@ -179,22 +181,26 @@ class TestShardedSearch:
             assert sum(row["hits"] for row in rows) == len(result) == 3
 
     def test_time_budget_is_pinned_before_the_search_runs(self, index_directories, monkeypatch):
-        """One absolute deadline is pinned on the execution before it runs."""
-        pinned = []
-        set_deadline = QueryExecution.set_deadline
+        """One absolute deadline is fixed as the search starts and holds for
+        every stop check of the run, on the calling thread."""
+        checked = []
+        should_stop = QueryExecution._should_stop
 
-        def recording(shard_execution, deadline):
-            pinned.append(deadline)
-            set_deadline(shard_execution, deadline)
+        def recording(execution):
+            checked.append((threading.current_thread(), execution, execution._deadline))
+            return should_stop(execution)
 
-        monkeypatch.setattr(QueryExecution, "set_deadline", recording)
+        monkeypatch.setattr(QueryExecution, "_should_stop", recording)
         with ShardedEngine.open(index_directories[4]) as sharded:
             execution = sharded.execute(QUERIES[0], evalue=EVALUE, time_budget=60.0)
-            assert execution.executions == [] and pinned == []
+            assert execution._deadline is None
+            before = time.perf_counter()
             next(iter(execution))
+            after = time.perf_counter()
             execution.close()
-            assert len(execution.executions) == len(pinned) == 1
-            assert set(pinned) == {execution.deadline} and execution.deadline is not None
+        pinned = (threading.current_thread(), execution, execution._deadline)
+        assert checked and set(checked) == {pinned}
+        assert before + 60.0 <= execution._deadline <= after + 60.0
 
     def test_expired_budget_flags_timed_out(self, index_directories):
         with ShardedEngine.open(index_directories[2]) as sharded:
@@ -595,12 +601,16 @@ class TestPerSequenceMerge:
         query = "WWWWWCCCCC"
         expected = OasisEngine.build(database, pam30_matrix, gap8).search(query, min_score=30)
         with ShardedEngine.open(directory, backend=process_pool) as sharded:
-            execution = sharded.execute(query, min_score=30)
-            merged = execution.result()
-            both = [
-                [hit.score for hit in result.hits if hit.sequence_index == 0]
-                for result in execution.shard_results
-            ]
+            merged = sharded.search(query, min_score=30)
+        # What each partition finds: its search in this process, which the
+        # worker's equals (test_sharding_backends.py).
+        both = []
+        with OasisEngine.open(directory) as tree:
+            for symbols in (first, second):
+                execution = tree.execute(query, min_score=30)
+                execution.root_symbols = symbols
+                hits = execution.result().hits
+                both.append([hit.score for hit in hits if hit.sequence_index == 0])
         # The first sequence scored below its W run and below its C run.
         assert len(both[0]) == len(both[1]) == 1 and both[0] != both[1]
         assert [hit.sequence_index for hit in merged.hits].count(0) == 1

@@ -38,7 +38,7 @@ from repro.sharding import engine as engine_module
 from repro.sharding.engine import check_scatter_backend
 from repro.sharding.remote import ShardSearchTask, run_shard_search, spawn_pool
 from repro.testing import proc_kill_worker
-from support import POOL_BODIES, on_pool_body, random_protein
+from support import POOL_BODIES, on_pool_body, random_protein, record_frontiers
 
 QUERIES = ["WKDDGNGYISAAE", "MKVLAADT", "DKDGDGCITTKEL"]
 EVALUE = 1_000.0
@@ -182,7 +182,9 @@ class TestScatterBackendParity:
             hit.alignment for hit in expected.hits
         ]
 
-    def test_worker_outcome_equals_the_in_process_partition_result(self, index_directories):
+    def test_worker_outcome_equals_the_in_process_partition_result(
+        self, monkeypatch, index_directories
+    ):
         """What a worker sends back is what ``execution.result()`` builds here.
 
         Same image, same query, same root children, same (cold) pool budget:
@@ -192,11 +194,16 @@ class TestScatterBackendParity:
         query = QUERIES[0]
         options = dict(evalue=EVALUE, compute_alignments=True)
         with ShardedEngine.open(index_directories[2], backend="processes:2") as sharded:
+            frontiers = record_frontiers(monkeypatch, sharded)
             scattered = sharded.execute(query, **options)
             remote = sharded._scatter(scattered, None)
-            local = []
-            for symbols in sharded.partitions:
-                execution = sharded.tree_engine.execute(query, **options)
+            # The workers' results are the partition results: no frontier ran here.
+            assert frontiers == []
+            partitions = sharded.partitions
+        local = []
+        with OasisEngine.open(index_directories[2]) as tree:
+            for symbols in partitions:
+                execution = tree.execute(query, **options)
                 execution.root_symbols = symbols
                 local.append(execution.result())
         assert sum(len(result) for result in remote) > 0
@@ -211,8 +218,6 @@ class TestScatterBackendParity:
             counters, reference = got.statistics.as_dict(), expected.statistics.as_dict()
             assert counters.pop("elapsed_seconds") > 0 and reference.pop("elapsed_seconds") > 0
             assert counters == reference, f"partition {shard}"
-        # The worker's results are the shard results: nothing was built here.
-        assert scattered.executions == []
 
     def test_process_scatter_reports_per_shard_statistics(self, index_directories):
         with ShardedEngine.open(index_directories[4], backend="processes:2") as sharded:
@@ -257,12 +262,13 @@ class TestSerialScatter:
 
         monkeypatch.setattr(QueryExecution, "result", recording)
         with ShardedEngine.open(index_directories[shard_count]) as sharded:
+            frontiers = record_frontiers(monkeypatch, sharded)
             scattered = sharded.execute(QUERIES[0], evalue=EVALUE)
             got = scattered.result()
         assert hit_signature(got.hits) == expected_signatures[QUERIES[0]]
-        assert [thread for thread, _ in ran] == [threading.current_thread()]
-        assert [execution for _, execution in ran] == scattered.executions
-        assert scattered.executions[0].root_symbols is None
+        # The query's own execution ran the search: no inner one, one frontier.
+        assert ran == [(threading.current_thread(), scattered)]
+        assert len(frontiers) == 1 and scattered.root_symbols is None
 
     def test_the_engine_build_on_disk_returns_scatters_serially(
         self, monkeypatch, tmp_path, backend_database, pam30_matrix, gap8, expected_signatures

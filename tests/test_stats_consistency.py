@@ -42,9 +42,12 @@ def validate_trace(records):
 
 SHARDS = 4
 BACKENDS = ("serial", "processes:2")
-#: Executions (and shard spans) per query: the serial scatter searches the
-#: whole tree once, a process scatter each partition of the index.
+#: Searches per query: the serial scatter searches the whole tree once, a
+#: process scatter each partition of the index.
 EXECUTIONS = {"serial": 1, "processes:2": SHARDS}
+#: The span each search records: the serial search is the query's own
+#: ``query`` span, a partition's is a ``shard`` span under it.
+SEARCH_SPAN = {"serial": "query", "processes:2": "shard"}
 QUERY = "WKDDGNGYISAAE"
 MIN_SCORE = 40
 #: A pool smaller than the image: the tree is searched through its pages.
@@ -96,37 +99,43 @@ def _span_sum(spans, attribute):
     return sum(span.attributes[attribute] for span in spans)
 
 
+def _searches(tracer, backend):
+    """The spans of the searches that ran, one per search."""
+    return _spans(tracer, SEARCH_SPAN[backend])
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_spans_and_rows_agree_with_statistics(index_dir, backend):
     result, tracer, execution = _traced_search(index_dir, backend, min_score=MIN_SCORE)
     statistics = result.statistics
 
-    # The query's statistics are its shard results', merged once.
+    # The execution holds the result's statistics: its own search's, or
+    # the partition results' merged once.
     executions = EXECUTIONS[backend]
-    parts = [shard.statistics for shard in execution.shard_results]
-    assert len(parts) == executions
-    assert statistics == OasisSearchStatistics.merged(parts, statistics.elapsed_seconds)
+    assert execution.statistics == statistics
+    assert execution.hit_count == len(result)
 
-    # Exactly one span per execution, carrying that execution's counters,
-    # and the trace is coherent.
+    # Exactly one span per search, carrying that search's counters, and the
+    # trace is coherent.
     assert validate_trace(tracer.records()) == []
-    shard_spans = _spans(tracer, "shard")
-    assert len(shard_spans) == executions
+    search_spans = _searches(tracer, backend)
+    assert len(search_spans) == executions
     for name in ("nodes_expanded", "columns_expanded"):
-        assert _span_sum(shard_spans, name) == getattr(statistics, name), name
+        assert _span_sum(search_spans, name) == getattr(statistics, name), name
     # Without max_results every hit the serial search emits is in the
     # result; a sequence may score in several partitions of a process
     # scatter, whose merge keeps one hit of each.
-    emitted = _span_sum(shard_spans, "hits")
+    emitted = _span_sum(search_spans, "hits")
     assert emitted == len(result) if backend == "serial" else emitted > len(result)
     assert not any(
-        span.attributes.get("timed_out") or span.attributes.get("aborted") for span in shard_spans
+        span.attributes.get("timed_out") or span.attributes.get("aborted") for span in search_spans
     )
 
     # The per-shard rows sum to the merged statistics (and none is flagged).
     rows = result.parameters["shard_stats"]
     assert len(rows) == executions
     assert sum(row["nodes_expanded"] for row in rows) == statistics.nodes_expanded
+    assert sum(row["columns_expanded"] for row in rows) == statistics.columns_expanded
     assert sum(row["hits"] for row in rows) == len(result)
     assert not any(row["timed_out"] or row["aborted"] for row in rows)
 
@@ -177,9 +186,9 @@ def test_work_counters_identical_across_backends(index_dir):
     for backend in BACKENDS:
         result, tracer, _execution = _traced_search(index_dir, backend, min_score=MIN_SCORE)
         statistics = result.statistics
-        shard_spans = _spans(tracer, "shard")
-        assert len(shard_spans) == EXECUTIONS[backend]
-        assert _span_sum(shard_spans, "nodes_expanded") == statistics.nodes_expanded
+        search_spans = _searches(tracer, backend)
+        assert len(search_spans) == EXECUTIONS[backend]
+        assert _span_sum(search_spans, "nodes_expanded") == statistics.nodes_expanded
         totals[backend] = {
             "hits": len(result),
             "nodes_expanded_below_the_root": statistics.nodes_expanded - EXECUTIONS[backend],
@@ -203,10 +212,10 @@ def test_timeout_flags_shards_without_double_counts(index_dir, backend):
     rows = result.parameters["shard_stats"]
     assert all(row["timed_out"] for row in rows)
 
-    # Every execution that ran was timed out, and each was counted once.
-    # (A process worker whose task expired in the queue never starts the
+    # Every search that ran was timed out, and each was counted once.  (A
+    # process worker whose task expired in the queue never starts the
     # execution; it then leaves neither a span nor a count.)
-    ran = _spans(tracer, "shard")
+    ran = _searches(tracer, backend)
     assert len(ran) <= EXECUTIONS[backend]
     assert all(span.attributes.get("timed_out") for span in ran)
     assert _span_sum(ran, "nodes_expanded") == result.statistics.nodes_expanded
@@ -236,15 +245,14 @@ def test_batch_abort_skips_cleanly(index_dir, backend, monkeypatch):
     assert len(calls) == 2
 
     # Only the query that ran left any trace: one query span, one span per
-    # execution holding one search's counts, nothing from the two skipped
-    # queries.
+    # search holding its counts, nothing from the two skipped queries.
     records = tracer.records()
     assert validate_trace(records) == []
     assert len([r for r in records if r.name == "query"]) == 1
-    shard_spans = _spans(tracer, "shard")
-    assert len(shard_spans) == EXECUTIONS[backend]
-    assert _span_sum(shard_spans, "nodes_expanded") == once.nodes_expanded
-    assert not any(span.attributes.get("aborted") for span in shard_spans)
+    search_spans = _searches(tracer, backend)
+    assert len(search_spans) == EXECUTIONS[backend]
+    assert _span_sum(search_spans, "nodes_expanded") == once.nodes_expanded
+    assert not any(span.attributes.get("aborted") for span in search_spans)
     (batch,) = [r for r in records if r.name == "batch"]
     assert batch.attributes["completed"] == 1 and batch.attributes["abandoned"] is True
 
@@ -312,9 +320,9 @@ def test_repeated_traced_sharded_passes_count_every_shard_search_once(index_dir,
     records = tracer.records()
     assert validate_trace(records) == []
     assert sum(record.name == "query" for record in records) == searches
-    shard_spans = _spans(tracer, "shard")
-    assert len(shard_spans) == searches * EXECUTIONS[backend]
-    assert _span_sum(shard_spans, "nodes_expanded") == nodes_expanded
+    search_spans = _searches(tracer, backend)
+    assert len(search_spans) == searches * EXECUTIONS[backend]
+    assert _span_sum(search_spans, "nodes_expanded") == nodes_expanded
 
 
 # --------------------------------------------------------------------- #
@@ -366,7 +374,7 @@ class TestTheMetricsDump:
         expected = _summed(report)
         assert expected["buffer_misses"] > 0 and expected["failed"] == 1
         assert {name: int(dump[name]) for name in expected} == expected
-        assert dump["kernel"] == engine.tree_engine.kernel
+        assert dump["kernel"] == engine.kernel
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_the_cli_prints_the_counts_a_library_batch_sums(
@@ -396,7 +404,7 @@ class TestTheMetricsDump:
 
         def open_tight(args):
             engine = ShardedEngine.open(args.index, buffer_pool_bytes=TIGHT_POOL_BYTES)
-            statistics = engine.tree_engine.cursor.pool.statistics
+            statistics = engine.cursor.pool.statistics
             opened.append((statistics, (statistics.hits, statistics.misses, statistics.evictions)))
             return engine
 
