@@ -17,10 +17,11 @@ Process parallelism lives one layer down, in the sharded engine's
 per-partition scatter (``ShardedEngine.open(..., backend="processes:N")``),
 and there the threads do overlap: each waits on its query's partition tasks
 without the lock.  On a 1 M-residue protein index (random SWISS-PROT
-composition, 2 partitions, 24 queries of 12-28 residues, 2 cores, 2 rounds)
-a batch took 0.60 / 0.60 s with ``workers=1`` on ``serial`` and 0.45 / 0.38 s
-with ``workers=2`` on ``processes:2``, with equal hits.  The pool stays while the benchmark reports
-``parallel.threads2_speedup``.
+composition, 2 partitions, 24 queries of 12-28 residues, 2 cores, medians
+of 8 alternating rounds) a batch on ``processes:2`` took 0.435 s with
+``workers=1`` and 0.31 s with ``workers=2``, two workers faster in 8 of 8
+rounds, with equal hits (``serial``, ``workers=1``: 0.55-0.65 s).  The
+pool stays while the benchmark reports ``parallel.threads2_speedup``.
 
 A batch the calling thread leaves early (an exception, or ``KeyboardInterrupt``
 on Ctrl-C) aborts every execution still in flight -- each stops within one

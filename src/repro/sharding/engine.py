@@ -366,6 +366,14 @@ class ShardedEngine(OasisEngine):
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
+    def build(cls, *args, **kwargs) -> "ShardedEngine":
+        """Refused: an index engine comes from a catalog directory."""
+        raise TypeError(
+            "an index engine comes from a catalog directory: use "
+            "ShardedEngine.open or ShardedEngine.build_on_disk"
+        )
+
+    @classmethod
     def build_on_disk(
         cls,
         database: SequenceDatabase,
@@ -379,7 +387,10 @@ class ShardedEngine(OasisEngine):
         """Build a persistent index directory of ``shard_count`` partitions and open it.
 
         ``backend`` in ``open_kwargs`` selects the scatter strategy of the
-        returned engine.
+        returned engine.  The positional order differs from
+        :meth:`OasisEngine.build_on_disk
+        <repro.core.engine.OasisEngine.build_on_disk>`: here the directory
+        comes before ``matrix``, there the image path after it.
         """
         from repro.sharding.builder import ShardedIndexBuilder
 
@@ -436,18 +447,6 @@ class ShardedEngine(OasisEngine):
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def tree_engine(self) -> "ShardedEngine":
-        """The engine itself: stays until ROADMAP item 1 moves ``bench_e2e``'s
-        ``traced_engine`` onto the engine's own cursors."""
-        return self
-
-    @property
-    def shards(self) -> List["ShardedEngine"]:
-        """``[self]``: stays until ROADMAP item 1 moves ``bench_e2e``'s
-        ``traced_engine`` onto the engine's own cursors."""
-        return [self]
-
-    @property
     def buffer_pool(self) -> Optional["BufferPool"]:
         """The pool a ``result()`` reads pages through in this process;
         ``None`` on a process scatter, whose workers read through their own."""
@@ -491,12 +490,19 @@ class ShardedEngine(OasisEngine):
         the wall clock crosses process boundaries, so a task that queued
         behind others sees only the time actually left -- the budget stays
         a true per-query wall clock, exactly as on the in-process path.
-        An :meth:`~ShardedQueryExecution.abort` cancels the tasks that have
-        not started (the flag is polled while the tasks run); an in-flight
-        remote search cannot be interrupted cooperatively and runs to
-        completion (bound it with a time budget).
+        An :meth:`~ShardedQueryExecution.abort` before the scatter submits
+        no task, as an abort before the start runs no search on every other
+        engine; one during it cancels the tasks that have not started (the
+        flag is polled while the tasks run).  An in-flight remote search
+        cannot be interrupted cooperatively and runs to completion (bound it
+        with a time budget).
         """
         request, tracer = scattered.request, scattered.tracer
+        if scattered._abort_requested:
+            return [
+                unsearched(request, "aborted") if symbols else unsearched(request)
+                for symbols in self.partitions
+            ]
         deadline_epoch: Optional[float] = None
         if scattered._deadline is not None:
             # Epoch translation for cross-process deadlines, not a duration.

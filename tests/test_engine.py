@@ -123,13 +123,10 @@ class TestOneSearchSurface:
         assert result.hits == [] and execution.hit_count == 0
         assert result.columns_expanded == result.statistics.columns_expanded == 0
 
-    def test_an_abort_before_the_start_gives_an_aborted_empty_result(self, engine):
-        # (A process scatter's abort cancels only the partition tasks not yet
-        # started: test_sharding_backends.py.)
-        with engine:
-            execution = engine.execute(self.QUERY, **self.OPTIONS)
-            execution.abort()
-            result = execution.result()
+    def test_an_abort_before_the_start_gives_an_aborted_empty_result(self, any_engine):
+        execution = any_engine.execute(self.QUERY, **self.OPTIONS)
+        execution.abort()
+        result = execution.result()
         assert result.hits == [] and result.columns_expanded == 0
         assert result.parameters["aborted"] is True and execution.aborted
 
@@ -217,7 +214,7 @@ class TestTheOneOpener:
         plain = OasisEngine.open(directory, **options)
         sharded = ShardedEngine.open(directory, backend="serial", **options)
         expected = outcomes(plain, plain.cursor)
-        assert outcomes(sharded, sharded.tree_engine.cursor) == expected
+        assert outcomes(sharded, sharded.cursor) == expected
         assert all(hits for hits, _ in expected)
         assert all(
             (counters["buffer_misses"] > 0) == (pool == "eighth") for _, counters in expected
@@ -228,6 +225,12 @@ def test_an_index_engine_is_an_oasis_engine():
     """One engine class, one execution class: the index adds only a scatter."""
     assert issubclass(ShardedEngine, OasisEngine)
     assert issubclass(ShardedQueryExecution, QueryExecution)
+
+
+def test_an_index_engine_is_not_built_in_memory(small_protein_database, pam30_matrix):
+    """The inherited in-memory ``build`` is refused with the two openers named."""
+    with pytest.raises(TypeError, match="ShardedEngine.open or ShardedEngine.build_on_disk"):
+        ShardedEngine.build(small_protein_database, pam30_matrix)
 
 
 class TestThresholdResolution:

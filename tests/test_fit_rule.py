@@ -94,7 +94,7 @@ class TestTheBoundary:
         for budget, expected in ((size, GeneralizedSuffixTree), (size - 1, DiskSuffixTree)):
             with ShardedEngine.open(directory, buffer_pool_bytes=budget) as engine:
                 assert engine.buffer_pool_bytes == budget
-                assert type(engine.tree_engine.cursor) is expected
+                assert type(engine.cursor) is expected
 
     def test_the_worker_opens_what_the_parent_opens(self, shard_index):
         directory, catalog, size = shard_index
@@ -182,7 +182,7 @@ def test_serial_and_process_scatters_agree(shard_index, pool_bytes):
     results = []
     for backend in ("serial", "processes:2"):
         with ShardedEngine.open(directory, backend=backend, **pool) as engine:
-            kind = type(engine.tree_engine.cursor)
+            kind = type(engine.cursor)
             assert kind is (GeneralizedSuffixTree if pool_bytes is None else DiskSuffixTree)
             result = engine.search(QUERY, evalue=1_000.0)
             results.append((hit_list(result), result.statistics.columns_expanded))
@@ -224,7 +224,7 @@ class TestReadOnFirstUse:
         directory, _, _ = shard_index
         with ShardedEngine.open(directory, backend="processes:2") as engine:
             assert len(engine.search(QUERY, evalue=1_000.0)) > 0
-            cursor = engine.tree_engine.cursor
+            cursor = engine.cursor
             assert type(cursor) is GeneralizedSuffixTree
             assert "internal_records" not in vars(cursor)
             # The streaming path searches this process's tree: it reads then.
@@ -251,7 +251,7 @@ def test_an_engine_rebuilt_around_the_opened_cursors_counts_the_same(shard_index
         rebuilt = ShardedEngine(
             [
                 OasisEngine(
-                    Delegating(plain.tree_engine.cursor),
+                    Delegating(plain.cursor),
                     plain.matrix,
                     plain.gap_model,
                     converter=converter,

@@ -318,7 +318,7 @@ class TestEngineIntegration:
         with ShardedEngine.open(
             sharded_directory, buffer_pool_bytes=TIGHT_POOL_BYTES, backend="processes:2"
         ) as engine:
-            pools = [shard.cursor.pool for shard in engine.shards]
+            pools = [engine.cursor.pool]
             installed = instrument_lock_order(monitor, engine, *pools)
             assert any("_pool_lock" in name for name in installed)
             scattered = engine.search(QUERY, evalue=EVALUE).hits
@@ -333,7 +333,7 @@ class TestEngineIntegration:
         with ShardedEngine.open(
             sharded_directory, buffer_pool_bytes=TIGHT_POOL_BYTES, backend="processes:2"
         ) as engine:
-            pool = engine.shards[0].cursor.pool
+            pool = engine.cursor.pool
             instrument_lock_order(monitor, engine, pool)
             with engine._pool_lock:
                 with pool._lock:

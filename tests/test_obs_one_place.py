@@ -384,7 +384,7 @@ class TestEvictionCounter:
             buffer_pool_bytes=2048,
         ) as engine:
             report = engine.search_many(QUERIES, workers=1, min_score=MIN_SCORE, tracer=tracer)
-            pools = [shard.cursor.pool for shard in engine.shards]
+            pools = [engine.cursor.pool]
         assert not report.statistics.failed
         evictions = report.statistics.search.buffer_evictions
         assert evictions == sum(pool.statistics.evictions for pool in pools) > 0

@@ -362,7 +362,7 @@ class TestScatterBackendForms:
         with ShardedEngine.open(index_directories[1]) as opened:
             with pytest.raises(ValueError, match="serial"):
                 ShardedEngine(
-                    opened.shards,
+                    [opened],
                     opened.database,
                     opened.matrix,
                     opened.gap_model,
@@ -376,7 +376,7 @@ class TestScatterBackendForms:
         with ShardedEngine.open(index_directories[1]) as opened:
             with pytest.raises(ValueError, match="one tree: pass one engine, not 2"):
                 ShardedEngine(
-                    opened.shards * 2,
+                    [opened] * 2,
                     opened.database,
                     opened.matrix,
                     opened.gap_model,
@@ -567,12 +567,21 @@ class TestProcessBackendFailurePaths:
             )
             assert report.statistics.timed_out == len(QUERIES)
 
-    def test_an_abort_cancels_the_partition_tasks_not_yet_started(self, index_directories):
-        """One worker, four partitions: the tasks still queued when the
-        scatter polls the execution's abort flag never run."""
+    def test_an_abort_cancels_the_partition_tasks_not_yet_started(
+        self, index_directories, monkeypatch
+    ):
+        """One worker, four partitions: an abort once the tasks are
+        submitted cancels those still queued when the scatter polls the
+        execution's abort flag, and they never run."""
+        wait = engine_module.futures_wait
         with ShardedEngine.open(index_directories[4], backend="processes:1") as sharded:
             execution = sharded.execute(QUERIES[0], evalue=EVALUE)
-            execution.abort()
+
+            def abort_then_wait(pending, timeout):
+                execution.abort()
+                return wait(pending, timeout=timeout)
+
+            monkeypatch.setattr(engine_module, "futures_wait", abort_then_wait)
             result = execution.result()
         rows = result.parameters["shard_stats"]
         assert len(rows) == 4
@@ -766,5 +775,5 @@ class TestBufferBudgeting:
     ):
         with ShardedEngine.open(index_directories[4], buffer_pool_bytes=budget) as sharded:
             assert sharded.buffer_pool_bytes == expected
-            assert sharded.tree_engine.cursor.pool.frame_count == expected // BLOCK_SIZE
+            assert sharded.cursor.pool.frame_count == expected // BLOCK_SIZE
             assert len(sharded.search(QUERIES[0], evalue=EVALUE)) > 0

@@ -105,13 +105,29 @@ def _searches(tracer, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_spans_and_rows_agree_with_statistics(index_dir, backend):
+def test_spans_and_rows_agree_with_statistics(index_dir, backend, monkeypatch):
+    scattered = []
+    scatter = ShardedEngine._scatter
+
+    def recording_scatter(engine, execution, span):
+        partitions = scatter(engine, execution, span)
+        scattered.extend(partitions)
+        return partitions
+
+    monkeypatch.setattr(ShardedEngine, "_scatter", recording_scatter)
     result, tracer, execution = _traced_search(index_dir, backend, min_score=MIN_SCORE)
     statistics = result.statistics
 
-    # The execution holds the result's statistics: its own search's, or
-    # the partition results' merged once.
+    # The query's statistics are its search results', merged once: the
+    # partition results of a process scatter, or the serial search's own
+    # (which scatters nothing).  The execution holds the same statistics.
     executions = EXECUTIONS[backend]
+    if backend == "serial":
+        assert scattered == []
+        scattered = [result]
+    parts = [part.statistics for part in scattered]
+    assert len(parts) == executions
+    assert statistics == OasisSearchStatistics.merged(parts, statistics.elapsed_seconds)
     assert execution.statistics == statistics
     assert execution.hit_count == len(result)
 
