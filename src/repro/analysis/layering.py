@@ -21,7 +21,7 @@ Two escape hatches are deliberate, and both are visible in the source:
   engine facade uses one for ``BatchSearchReport`` annotations.
 * Function-local (deferred) imports are the sanctioned way for a facade in
   a lower layer to *construct* upper-layer machinery on demand
-  (``SearchSurface.search_many`` imports ``repro.parallel`` inside the
+  (``OasisEngine.search_many`` imports ``repro.parallel`` inside the
   method).  They execute only when called, long after import time, so the
   module graph stays a DAG.
 

@@ -560,7 +560,7 @@ def _command_index_info(args: argparse.Namespace) -> int:
         f"block_size={catalog.block_size}"
     )
     print(f"partitions: {catalog.partitions}")
-    print(f"image: {catalog.shards[0].path}")
+    print(f"image: {os.path.relpath(image_path, args.directory)}")
     try:
         image_bytes = os.path.getsize(image_path)
     except OSError:

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.core.results import Alignment, SearchHit, SearchResult, OnlineResultLog
+    from repro.core.results import Alignment, SearchHit, SearchResult
     from repro.core.heuristic import compute_heuristic_vector
     from repro.core.search_node import NodeState, SearchNode
     from repro.core.oasis import OasisSearchStatistics
@@ -28,7 +28,6 @@ else:
                 "Alignment",
                 "SearchHit",
                 "SearchResult",
-                "OnlineResultLog",
             ),
             "repro.core.heuristic": ("compute_heuristic_vector",),
             "repro.core.search_node": ("NodeState", "SearchNode"),
@@ -43,7 +42,6 @@ __all__ = [
     "Alignment",
     "SearchHit",
     "SearchResult",
-    "OnlineResultLog",
     "compute_heuristic_vector",
     "NodeState",
     "SearchNode",

@@ -12,36 +12,38 @@ Typical use::
 
 The engine owns the suffix-tree cursor, the scoring configuration, the
 expansion kernel and the E-value conversion.  It is built in memory
-(:meth:`OasisEngine.build`), written to an image and searched there
-(:meth:`OasisEngine.build_on_disk`), or opened from an index directory
-(:meth:`OasisEngine.open`, the one opener of one).  It defines
-``execute_request``; ``execute`` / ``search`` / ``search_online`` /
-``search_many`` are the shared :class:`~repro.core.surface.SearchSurface`
-over it, and ``close()`` / ``with`` release a disk-resident index.
+(:meth:`OasisEngine.build`), opened from an index directory
+(:meth:`OasisEngine.open`, the one opener of one) or made around a cursor
+(a bare image's: :func:`repro.storage.open_image`).  It is the one searching
+surface: ``execute`` / ``search`` / ``search_online`` / ``search_many`` run
+its ``execute_request``, and ``close()`` / ``with`` release a disk-resident
+index; :class:`~repro.sharding.ShardedEngine` redefines only those two.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TypeVar, Union
 
 from repro.core.evalue import SelectivityConverter
 from repro.core.kernels import ExpansionKernel, get_kernel
 from repro.core.oasis import QueryExecution
 from repro.core.request import SearchRequest
-from repro.core.results import Alignment
-from repro.core.surface import SearchSurface
+from repro.core.results import Alignment, SearchHit, SearchResult
 from repro.scoring.gaps import DEFAULT_GAP_MODEL, FixedGapModel, GapModel
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.cursor import SuffixTreeCursor
 
-if TYPE_CHECKING:  # pragma: no cover - annotation only (sharding and storage are layers up)
+if TYPE_CHECKING:  # pragma: no cover - annotation only (the layers above core)
+    from repro.parallel.executor import BatchSearchReport
     from repro.sharding.catalog import ShardCatalog
     from repro.storage.buffer_pool import BufferPool
 
 PathLike = Union[str, os.PathLike]
+Query = Union[str, SearchRequest]
+_Engine = TypeVar("_Engine", bound="OasisEngine")
 
 # Plain stdlib logging, not repro.obs.logsetup: core sits *below* obs in the
 # layering DAG, and __name__ already lives in the "repro." hierarchy that
@@ -49,7 +51,7 @@ PathLike = Union[str, os.PathLike]
 logger = logging.getLogger(__name__)
 
 
-class OasisEngine(SearchSurface):
+class OasisEngine:
     """Best-first local-alignment search over one suffix tree (Algorithms 1-2).
 
     Creates one :class:`~repro.core.oasis.QueryExecution` per query and is
@@ -57,7 +59,10 @@ class OasisEngine(SearchSurface):
     ``cursor`` is any :class:`~repro.suffixtree.cursor.SuffixTreeCursor`;
     the gap model must be the paper's fixed (linear) one; ``converter`` (the
     E-value conversion, Equations 2-3) defaults to one over the cursor's
-    database.
+    database.  The ``query`` of ``execute`` / ``search`` / ``search_online``
+    is the query text, with the :class:`SearchRequest` fields as keyword
+    ``options`` (``min_score`` / ``evalue``, ``max_results``,
+    ``compute_alignments``, ``time_budget``), or a ready request.
 
     Parameters
     ----------
@@ -74,6 +79,8 @@ class OasisEngine(SearchSurface):
     #: The catalog of the index directory :meth:`open` read (``None`` for an
     #: engine built here).
     catalog: Optional["ShardCatalog"] = None
+    #: The pool budget :meth:`open` resolved for the image (``None`` if built here).
+    buffer_pool_bytes: Optional[int] = None
 
     def __init__(
         self,
@@ -117,43 +124,6 @@ class OasisEngine(SearchSurface):
             "building in-memory index for %s (%d sequences)", database.name, len(database)
         )
         return cls(GeneralizedSuffixTree.build(database), matrix, gap_model, kernel=kernel)
-
-    @classmethod
-    def build_on_disk(
-        cls,
-        database: SequenceDatabase,
-        matrix: SubstitutionMatrix,
-        image_path: PathLike,
-        gap_model: GapModel = DEFAULT_GAP_MODEL,
-        block_size: int = 2048,
-        buffer_pool_bytes: Optional[int] = None,
-        kernel=None,
-    ) -> "OasisEngine":
-        """Write the Section-3.4 disk image of the database, search through it.
-
-        The image is opened by the fit rule of
-        :func:`repro.storage.open_image` (``buffer_pool_bytes=None`` takes
-        :data:`repro.storage.image.DEFAULT_BUFFER_POOL_BYTES`): an image no
-        larger than the pool is read back into the in-memory tree, and only a
-        smaller pool puts every node and symbol access through the buffer
-        pool of a :class:`~repro.storage.DiskSuffixTree` -- the configuration
-        of the paper's buffer-pool experiments (Figures 7-8).  The storage
-        layer is imported here, so an in-memory engine never loads it.
-        """
-        from repro.storage.builder import build_disk_image
-        from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES, open_image
-
-        if buffer_pool_bytes is None:
-            buffer_pool_bytes = DEFAULT_BUFFER_POOL_BYTES
-        logger.info(
-            "building disk image at %s (block_size=%d, pool=%d bytes)",
-            image_path,
-            block_size,
-            buffer_pool_bytes,
-        )
-        build_disk_image(database, image_path, block_size=block_size)
-        cursor = open_image(image_path, database, buffer_pool_bytes)
-        return cls(cursor, matrix, gap_model, kernel=kernel)
 
     @classmethod
     def open(
@@ -209,6 +179,7 @@ class OasisEngine(SearchSurface):
         cursor = open_image(catalog.image_path(directory), database, pool_bytes)
         engine = cls(cursor, matrix, gap_model, kernel=kernel)
         engine.catalog = catalog
+        engine.buffer_pool_bytes = pool_bytes
         return engine
 
     # ------------------------------------------------------------------ #
@@ -241,6 +212,62 @@ class OasisEngine(SearchSurface):
         """
         return QueryExecution(self, request.resolved(self.converter), tracer=tracer)
 
+    def execute(self, query: Query, tracer=None, **options):
+        """Create the self-contained, reentrant execution of one query.
+
+        Iterate it for the online stream or call ``.result()`` for the batch
+        result; any number can run concurrently against the engine's shared
+        read-only index.  ``.abort()`` stops it within one frontier advance;
+        ``tracer`` (a :class:`~repro.obs.Tracer`) wraps the run in a span.
+        """
+        if not isinstance(query, SearchRequest):
+            query = SearchRequest(query, **options)
+        elif options:
+            raise TypeError("options belong inside the SearchRequest, not beside it")
+        return self.execute_request(query, tracer=tracer)
+
+    def search(self, query: Query, **options) -> SearchResult:
+        """Find the strongest alignment per sequence scoring above a threshold.
+
+        Results are ordered by decreasing score and, when the engine has a
+        statistics model, annotated with E-values.
+        """
+        return self.execute(query, **options).result()
+
+    def search_online(self, query: Query, **options) -> Iterator[SearchHit]:
+        """Stream hits in decreasing score order (abort whenever satisfied)."""
+        return iter(self.execute(query, **options))
+
+    def search_many(
+        self,
+        queries: Iterable[str],
+        workers: int = 1,
+        timeout: Optional[float] = None,
+        tracer=None,
+        **options,
+    ) -> "BatchSearchReport":
+        """Run a batch of queries over the shared index, results in input order.
+
+        A batch is a loop of :meth:`execute` ``.result()`` calls
+        (:func:`repro.parallel.executor.search_many`): on the calling thread
+        for one worker, on a pool of ``workers`` threads otherwise.  Where
+        the search runs in this process the column step holds the
+        interpreter lock, so the threads overlap nothing; on a process
+        scatter they overlap the workers' partition tasks.
+        ``timeout`` is a per-query wall-clock budget in seconds; a query
+        exceeding it stops early with the hits found so far and is flagged
+        ``timed_out``.  ``options`` are the request fields every query of the
+        batch shares (or ``template=`` a ready request, whose ``time_budget``
+        is then the timeout).  On a sharded engine each query in turn
+        scatters on the engine's own backend and the report carries
+        per-shard aggregates.
+        """
+        from repro.parallel.executor import search_many
+
+        return search_many(
+            self, queries, workers=workers, timeout=timeout, tracer=tracer, **options
+        )
+
     def _trace_alignment(self, query_text: str, target_text: str) -> Alignment:
         """Recover the concrete best alignment for a reported sequence.
 
@@ -263,6 +290,12 @@ class OasisEngine(SearchSurface):
         close = getattr(self.cursor, "close", None)
         if close is not None:
             close()
+
+    def __enter__(self: _Engine) -> _Engine:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def __repr__(self) -> str:
         return (

@@ -13,9 +13,9 @@ Each execution is a *self-contained* object owning its own priority queue,
 number of executions can run concurrently (interleaved generators on one
 thread, or the threads of a batch) over the same shared read-only cursor.
 :class:`~repro.core.engine.OasisEngine` holds the per-database configuration
-and creates one execution per query; ``search`` / ``search_online`` /
-``search_many`` come from the shared :class:`~repro.core.surface.SearchSurface`
-over its ``execute``.
+and creates one execution per query; its ``search`` / ``search_online`` /
+``search_many`` all run one.  Each hit records when it was emitted
+(``emitted_at``, seconds since the query started: the Figure 9 quantity).
 
 Results follow the paper's reporting convention: the single strongest
 alignment per database sequence, for every sequence whose best score reaches
@@ -33,13 +33,7 @@ from repro.core.expand import ExpansionContext
 from repro.core.frontier import BELOW_FLOOR, EMPTY, FRONTIER_BUDGET, Frontier
 from repro.core.kernels import DEFAULT_KERNEL
 from repro.core.request import SearchRequest
-from repro.core.results import (
-    Alignment,
-    OnlineResultLog,
-    SearchHit,
-    SearchResult,
-    hit_order_key,
-)
+from repro.core.results import Alignment, SearchHit, SearchResult, hit_order_key
 from repro.sequences.sequence import Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (the engine imports this module)
@@ -209,7 +203,6 @@ class QueryExecution:
         self._deadline: Optional[float] = None
         self._start_time: Optional[float] = None
         self._hits: List[SearchHit] = []
-        self._online_log = OnlineResultLog()
         self._iterator: Optional[Iterator[SearchHit]] = None
         self._frontier: Optional[Frontier] = None
 
@@ -348,7 +341,6 @@ class QueryExecution:
                     hit.emitted_at = time.perf_counter() - start_time
                     emitted += 1
                     self._hits.append(hit)
-                    self._online_log.record(hit.emitted_at)
                     yield hit
                     if max_results is not None and emitted >= max_results:
                         return
@@ -507,7 +499,6 @@ class QueryExecution:
             },
             statistics=self.statistics,
         )
-        result.parameters["online_log"] = self._online_log
         if self.timed_out:
             result.parameters["timed_out"] = True
         if self.aborted:

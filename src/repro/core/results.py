@@ -5,8 +5,8 @@ their results as :class:`SearchResult` objects containing one
 :class:`SearchHit` per matching database sequence -- mirroring the paper's
 reporting convention of "the single strongest alignment for each sequence in
 the database".  OASIS additionally records *when* each hit was emitted
-relative to the start of the query (:class:`OnlineResultLog`), which is the
-quantity plotted in Figure 9.
+relative to the start of the query (:attr:`SearchHit.emitted_at`), which is
+the quantity plotted in Figure 9.
 """
 
 from __future__ import annotations
@@ -159,38 +159,4 @@ class SearchResult:
     def is_sorted_by_score(self) -> bool:
         scores = [hit.score for hit in self.hits]
         return all(a >= b for a, b in zip(scores, scores[1:]))
-
-
-@dataclass
-class OnlineResultLog:
-    """Emission timeline of an online search (the Figure 9 quantity).
-
-    Each entry is ``(seconds since query start, cumulative results emitted)``.
-    """
-
-    events: List[Tuple[float, int]] = field(default_factory=list)
-
-    def record(self, elapsed_seconds: float) -> None:
-        self.events.append((elapsed_seconds, len(self.events) + 1))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @property
-    def first_result_seconds(self) -> Optional[float]:
-        return self.events[0][0] if self.events else None
-
-    @property
-    def last_result_seconds(self) -> Optional[float]:
-        return self.events[-1][0] if self.events else None
-
-    def time_for_first(self, count: int) -> Optional[float]:
-        """Seconds needed to emit the first ``count`` results."""
-        if len(self.events) < count:
-            return None
-        return self.events[count - 1][0]
-
-    def series(self) -> List[Tuple[float, int]]:
-        """The raw (time, cumulative results) series for plotting/reporting."""
-        return list(self.events)
 

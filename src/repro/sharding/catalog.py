@@ -70,11 +70,11 @@ def check_partitions(partitions: int) -> int:
 
 
 def _integer(value: Any, name: str) -> int:
-    """``value`` as an int, or a :class:`CatalogError` naming its catalog field."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise CatalogError(f"catalog field {name!r} is not an integer: {value!r}") from None
+    """``value`` if it is a JSON integer, or a :class:`CatalogError` naming its
+    catalog field: ``2.5``, ``"2"`` and ``true`` are refused, not converted."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise CatalogError(f"catalog field {name!r} is not an integer: {value!r}")
 
 
 def database_digest(database: SequenceDatabase) -> str:

@@ -60,8 +60,6 @@ from repro.sharding.remote import (
     spawn_pool,
     unsearched,
 )
-from repro.storage.blocks import BLOCK_SIZE_DEFAULT
-from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only; made on first scatter
     from concurrent.futures import ProcessPoolExecutor
@@ -127,9 +125,6 @@ class ShardedQueryExecution(QueryExecution):
             if self.engine._workers is not None:
                 scattered = self._scatter_and_merge()
         result = super().result()
-        if scattered:
-            # No hit was emitted online in this process.
-            del result.parameters["online_log"]
         partitions, survived = scattered or ([result], [len(result.hits)])
         rows = []
         for shard, (partition, hits) in enumerate(zip(partitions, survived)):
@@ -281,10 +276,10 @@ class ShardedEngine(OasisEngine):
     """The :class:`~repro.core.engine.OasisEngine` of an index directory, on a scatter backend.
 
     :meth:`open` is :meth:`OasisEngine.open
-    <repro.core.engine.OasisEngine.open>` plus a scatter; :meth:`build_on_disk`
-    builds the directory first.  The engine searches the index's one tree
-    through the opened engine's cursor, scoring and kernel, so every search
-    it runs in this process is :class:`~repro.core.oasis.QueryExecution`'s.
+    <repro.core.engine.OasisEngine.open>` plus a scatter, over a directory
+    :class:`~repro.sharding.ShardedIndexBuilder` built.  It searches the
+    index's one tree through the opened engine's cursor, scoring and kernel,
+    so every search it runs here is :class:`~repro.core.oasis.QueryExecution`'s.
 
     ``backend`` selects how ``search`` / :meth:`ShardedQueryExecution.result`
     run a query: ``"serial"`` (the default: that search, on the calling
@@ -366,51 +361,13 @@ class ShardedEngine(OasisEngine):
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def build(cls, *args, **kwargs) -> "ShardedEngine":
-        """Refused: an index engine comes from a catalog directory."""
-        raise TypeError(
-            "an index engine comes from a catalog directory: use "
-            "ShardedEngine.open or ShardedEngine.build_on_disk"
-        )
-
-    @classmethod
-    def build_on_disk(
-        cls,
-        database: SequenceDatabase,
-        directory: PathLike,
-        matrix: SubstitutionMatrix,
-        gap_model: GapModel = DEFAULT_GAP_MODEL,
-        shard_count: int = 2,
-        block_size: int = BLOCK_SIZE_DEFAULT,
-        **open_kwargs,
-    ) -> "ShardedEngine":
-        """Build a persistent index directory of ``shard_count`` partitions and open it.
-
-        ``backend`` in ``open_kwargs`` selects the scatter strategy of the
-        returned engine.  The positional order differs from
-        :meth:`OasisEngine.build_on_disk
-        <repro.core.engine.OasisEngine.build_on_disk>`: here the directory
-        comes before ``matrix``, there the image path after it.
-        """
-        from repro.sharding.builder import ShardedIndexBuilder
-
-        # Refuse a scatter backend before the build, not after it.
-        check_scatter_backend(open_kwargs.get("backend"))
-        ShardedIndexBuilder(
-            matrix, gap_model, shard_count=shard_count, block_size=block_size
-        ).build(database, directory)
-        return cls.open(
-            directory, database=database, matrix=matrix, gap_model=gap_model, **open_kwargs
-        )
-
-    @classmethod
     def open(
         cls,
         directory: PathLike,
         database: Optional[SequenceDatabase] = None,
         matrix: Optional[SubstitutionMatrix] = None,
         gap_model: Optional[GapModel] = None,
-        buffer_pool_bytes: int = DEFAULT_BUFFER_POOL_BYTES,
+        buffer_pool_bytes: Optional[int] = None,
         backend: Optional[str] = None,
         kernel=None,
     ) -> "ShardedEngine":
@@ -426,8 +383,8 @@ class ShardedEngine(OasisEngine):
         tree = OasisEngine.open(
             directory, database, matrix, gap_model, buffer_pool_bytes, kernel=kernel
         )
-        catalog = tree.catalog
-        assert catalog is not None  # OasisEngine.open records the one it read
+        catalog, pool_bytes = tree.catalog, tree.buffer_pool_bytes
+        assert catalog is not None and pool_bytes is not None  # OasisEngine.open records both
         try:
             return cls(
                 [tree],
@@ -436,7 +393,7 @@ class ShardedEngine(OasisEngine):
                 tree.gap_model,
                 catalog=catalog,
                 directory=str(directory),
-                shard_buffer_bytes=[max(catalog.block_size, buffer_pool_bytes)],
+                shard_buffer_bytes=[pool_bytes],
                 backend=backend,
             )
         except Exception:

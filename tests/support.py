@@ -17,13 +17,16 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
+from repro.core.engine import OasisEngine
 from repro.core.kernels import ExpansionKernel, available_kernels
 from repro.datagen.motifs import MotifQuery, MotifWorkload
 from repro.scoring.data import nucleotide_matrix, pam30
+from repro.scoring.gaps import DEFAULT_GAP_MODEL
 from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.storage.builder import build_disk_image
+from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES, open_image
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 
@@ -298,3 +301,30 @@ def tree_of(form, database, tmp_path_factory):
 def pool_bytes(path, block_size, frames):
     """A pool of ``frames`` blocks of the image at ``path``, or all of it (``whole``)."""
     return os.path.getsize(path) if frames == "whole" else frames * block_size
+
+
+def disk_engine(
+    database, matrix, image_path, gap_model=DEFAULT_GAP_MODEL, block_size=2048,
+    buffer_pool_bytes=DEFAULT_BUFFER_POOL_BYTES, kernel=None,
+) -> OasisEngine:
+    """An engine over a bare image of ``database`` written at ``image_path``,
+    opened by the fit rule of ``open_image`` with ``buffer_pool_bytes``."""
+    build_disk_image(database, image_path, block_size=block_size)
+    cursor = open_image(image_path, database, buffer_pool_bytes)
+    return OasisEngine(cursor, matrix, gap_model, kernel=kernel)
+
+
+def index_engine(
+    database, directory, matrix, gap_model=DEFAULT_GAP_MODEL, shard_count=2,
+    block_size=2048, **open_options,
+):
+    """A ``ShardedEngine`` over an index of ``database`` built in ``directory``
+    (``ShardedIndexBuilder(...).build``, then ``ShardedEngine.open``)."""
+    from repro.sharding import ShardedEngine, ShardedIndexBuilder
+
+    ShardedIndexBuilder(matrix, gap_model, shard_count=shard_count, block_size=block_size).build(
+        database, directory
+    )
+    return ShardedEngine.open(
+        directory, database=database, matrix=matrix, gap_model=gap_model, **open_options
+    )

@@ -542,6 +542,37 @@ class TestIndexCommands:
         assert f"'{field}'" in line and message in line
 
     @pytest.mark.parametrize(
+        "field, spoil",
+        [
+            ("partitions", lambda count: count - 0.5),
+            ("sequence_count", lambda count: count + 0.5),
+            ("partitions", lambda count: True),
+            ("partitions", str),
+            ("partitions", lambda count: count - 1),
+        ],
+        ids=["float", "float-sequence-count", "bool", "string", "integer"],
+    )
+    def test_a_catalog_integer_is_a_json_integer(self, index_dir, capsys, field, spoil):
+        """``2.5``, ``true`` and ``"2"`` are refused, not truncated or converted."""
+        from repro.sharding import CatalogError, ShardCatalog
+
+        path = index_dir / "catalog.json"
+        catalog = json.loads(path.read_text())
+        value = catalog[field] = spoil(catalog[field])
+        path.write_text(json.dumps(catalog))
+        capsys.readouterr()
+        arguments = ["--query", "MKVLAADTGLAV", "--min-score", "15", "--index", str(index_dir)]
+        code = main(["search", *arguments])
+        if type(value) is int:
+            assert code == 0 and ShardCatalog.load(index_dir).partitions == value
+            return
+        assert code == 2
+        line = one_error_line(capsys, "search")
+        assert f"catalog field '{field}' is not an integer: {value!r}" in line
+        with pytest.raises(CatalogError, match=f"catalog field '{field}'"):
+            ShardCatalog.load(index_dir)
+
+    @pytest.mark.parametrize(
         "name, arguments",
         [
             ("search", ["search", "--query", "MKVLAADTGLAV", "--min-score", "15", "--index"]),

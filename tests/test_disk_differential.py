@@ -3,7 +3,7 @@
 The image is a second encoding of the tree, and a read-path bug (a dropped
 sibling, a run read from the wrong page) shows as a missing or weaker hit,
 not as an exception.  So random databases go through
-``OasisEngine.build_on_disk`` at block sizes where sibling runs straddle
+``build_disk_image`` at block sizes where sibling runs straddle
 pages all the time (72: four internal records, 18 leaf records) and never
 (2048), on pools of one frame, an eighth of the image and all of it, and the
 answer is held to ``baselines.smith_waterman`` (hit set, scores, order) and
@@ -23,6 +23,7 @@ from repro.scoring.data import blosum62, nucleotide_matrix, pam30
 from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
+from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
 
 protein_text = st.text(alphabet="ARNDCQEGHILKMFPSTWYV", min_size=1, max_size=60)
@@ -43,10 +44,7 @@ def check(tmp_path_factory, database, matrix, gap, query, min_score, block_size,
         query, min_score=min_score
     )
     path = tmp_path_factory.mktemp("differential") / "image.oasis"
-    with OasisEngine.build_on_disk(
-        database, matrix, path, gap_model=gap_model, block_size=block_size
-    ):
-        pass
+    build_disk_image(database, path, block_size=block_size)
     image_bytes = os.path.getsize(path)
     pool_bytes = max(1, int(image_bytes * pool_share))
     with DiskSuffixTree(path, database, buffer_pool_bytes=pool_bytes) as disk:

@@ -15,7 +15,9 @@ from repro.scoring.gaps import FixedGapModel
 from repro.sharding import ShardedEngine, ShardedIndexBuilder, ShardedQueryExecution
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
+from repro.storage.image import DEFAULT_BUFFER_POOL_BYTES
 from repro.suffixtree.generalized import GeneralizedSuffixTree
+from support import disk_engine, index_engine
 
 
 class TestEngineConstruction:
@@ -39,29 +41,6 @@ class TestEngineConstruction:
                 == on_disk.search(query, min_score=20).scores_by_sequence()
             )
 
-    def test_build_on_disk(self, tmp_path, small_protein_database, pam30_matrix, gap8):
-        image = tmp_path / "index.oasis"
-        engine = OasisEngine.build_on_disk(
-            small_protein_database,
-            matrix=pam30_matrix,
-            image_path=image,
-            gap_model=gap8,
-            block_size=512,
-            # Below the image (11 blocks): the engine searches through the pool.
-            buffer_pool_bytes=2048,
-        )
-        assert isinstance(engine.cursor, DiskSuffixTree)
-        memory_engine = OasisEngine.build(
-            small_protein_database, matrix=pam30_matrix, gap_model=gap8
-        )
-        query = "WKDDGNGYISAAE"
-        assert (
-            engine.search(query, min_score=20).scores_by_sequence()
-            == memory_engine.search(query, min_score=20).scores_by_sequence()
-        )
-        assert engine.cursor.statistics.requests > 0
-        engine.cursor.close()
-
 
 def hit_rows(hits):
     return [
@@ -71,7 +50,7 @@ def hit_rows(hits):
 
 
 #: The five engines every way of searching is held to.
-ENGINES = ["memory", "disk", "index-open", "sharded-build-on-disk", "sharded-open"]
+ENGINES = ["memory", "disk", "index-open", "sharded-open-given", "sharded-open"]
 
 
 def make_engine(kind, directory, database, matrix, gap_model):
@@ -79,7 +58,7 @@ def make_engine(kind, directory, database, matrix, gap_model):
     if kind == "memory":
         return OasisEngine.build(database, matrix=matrix, gap_model=gap_model)
     if kind == "disk":
-        return OasisEngine.build_on_disk(
+        return disk_engine(
             database, matrix, directory / "index.oasis", gap_model=gap_model, block_size=512
         )
     if kind == "index-open":
@@ -88,19 +67,26 @@ def make_engine(kind, directory, database, matrix, gap_model):
         )
         # A pool below the image (11 blocks): the search reads through it.
         return OasisEngine.open(directory / "index", buffer_pool_bytes=2048)
-    built = ShardedEngine.build_on_disk(
-        database, directory / "index", matrix, gap_model, shard_count=2, block_size=512
-    )
-    if kind == "sharded-build-on-disk":
-        return built
-    built.close()
+    # Opened with the caller's database and scoring, or from the catalog alone.
+    given = index_engine(database, directory / "index", matrix, gap_model, block_size=512)
+    if kind == "sharded-open-given":
+        return given
+    given.close()
     if kind == "sharded-processes":
         return ShardedEngine.open(directory / "index", backend="processes:2")
     return ShardedEngine.open(directory / "index")
 
 
+#: The searching surface, defined once on ``OasisEngine``.
+SURFACE = ("execute", "search", "search_online", "search_many", "__enter__", "__exit__")
+
+
 class TestOneSearchSurface:
     """Every engine answers every way of searching, with the same keywords."""
+
+    def test_the_surface_is_defined_once(self):
+        assert all(name in OasisEngine.__dict__ for name in SURFACE)
+        assert not [name for name in SURFACE if name in ShardedEngine.__dict__]
 
     QUERY = "WKDDGNGYISAAE"
     OPTIONS = dict(min_score=20, max_results=5, compute_alignments=True)
@@ -220,17 +206,22 @@ class TestTheOneOpener:
             (counters["buffer_misses"] > 0) == (pool == "eighth") for _, counters in expected
         )
 
+    def test_a_budget_of_none_is_the_default(self, tmp_path, small_protein_database):
+        """``buffer_pool_bytes=None`` is the 256 MB default on both openers."""
+        index_engine(small_protein_database, tmp_path / "index", pam30(), block_size=512).close()
+        opened = {}
+        for name, options in (("default", {}), ("none", {"buffer_pool_bytes": None})):
+            with ShardedEngine.open(tmp_path / "index", **options) as engine:
+                result = engine.search(self.QUERIES[0], min_score=20)
+                opened[name] = (engine.buffer_pool_bytes, hit_rows(result))
+        assert opened["none"] == opened["default"]
+        assert opened["default"][0] == DEFAULT_BUFFER_POOL_BYTES and opened["default"][1]
+
 
 def test_an_index_engine_is_an_oasis_engine():
     """One engine class, one execution class: the index adds only a scatter."""
     assert issubclass(ShardedEngine, OasisEngine)
     assert issubclass(ShardedQueryExecution, QueryExecution)
-
-
-def test_an_index_engine_is_not_built_in_memory(small_protein_database, pam30_matrix):
-    """The inherited in-memory ``build`` is refused with the two openers named."""
-    with pytest.raises(TypeError, match="ShardedEngine.open or ShardedEngine.build_on_disk"):
-        ShardedEngine.build(small_protein_database, pam30_matrix)
 
 
 class TestThresholdResolution:

@@ -3,9 +3,8 @@
 ``repro.storage.open_image`` is the one place the choice is made, and every
 engine opens its images through it: ``OasisEngine.open`` (under
 ``ShardedEngine.open`` with the whole budget, and in a process worker with
-the budget the parent sent) and ``OasisEngine.build_on_disk``.  A pool of
-exactly the image's size reads the tree; one byte less searches through the
-clock pool.
+the budget the parent sent).  A pool of exactly the image's size reads the
+tree; one byte less searches through the clock pool.
 The read tree must be the built tree, record for record, at block sizes with
 and without padding, and must keep no decoded-children table.  It reads its
 records when a search first needs them, so an engine whose partitions search
@@ -73,19 +72,11 @@ class TestTheBoundary:
             # One frame short of the image: the pool must evict to serve it.
             assert disk.pool.frame_count == layout.total_blocks - 1
 
-    def test_build_on_disk(self, tmp_path, small_protein_database, pam30_matrix, gap8):
-        size = build_disk_image(
-            small_protein_database, tmp_path / "probe.oasis", block_size=512
-        ).index_size_bytes
-        for pool_bytes, expected in ((size, GeneralizedSuffixTree), (size - 1, DiskSuffixTree)):
-            with OasisEngine.build_on_disk(
-                small_protein_database,
-                pam30_matrix,
-                tmp_path / f"pool-{pool_bytes}.oasis",
-                gap_model=gap8,
-                block_size=512,
-                buffer_pool_bytes=pool_bytes,
-            ) as engine:
+    def test_oasis_engine_open_gives_the_image_the_whole_budget(self, shard_index):
+        directory, catalog, size = shard_index
+        for budget, expected in ((size, GeneralizedSuffixTree), (size - 1, DiskSuffixTree)):
+            with OasisEngine.open(directory, buffer_pool_bytes=budget) as engine:
+                assert engine.buffer_pool_bytes == max(catalog.block_size, budget)
                 assert type(engine.cursor) is expected
                 assert len(engine.search(QUERY, min_score=20)) > 0
 

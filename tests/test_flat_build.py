@@ -1,7 +1,7 @@
 """The disk build path: one sort per image, bounded memory, the builder's refusals.
 
-Every way to a disk image -- ``ShardedIndexBuilder``, ``OasisEngine.build_on_disk``
-and the CLI's ``index build`` -- goes through ``build_disk_image``, which
+Every way to a disk image -- ``ShardedIndexBuilder`` and the CLI's
+``index build`` -- goes through ``build_disk_image``, which
 writes the record arrays of ``GeneralizedSuffixTree.build``: the suffixes of
 each database are sorted once, and a tree handed in is written without
 sorting again.  The peak of what one build allocates is held to a number of
@@ -27,7 +27,6 @@ from hypothesis import given, strategies as st
 import repro.suffixtree.build as build_module
 from repro.cli import main
 from repro.core import kernels
-from repro.core.engine import OasisEngine
 from repro.datagen import SwissProtLikeGenerator
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
@@ -94,13 +93,6 @@ class TestNoNodeOnTheDiskPath:
         # One tree whatever the partition count: one sort.
         assert len(sorts) == 1
         with ShardedEngine.open(tmp_path / "index", backend="serial") as engine:
-            assert len(engine.search("WKDDGNGYISAAE", min_score=20)) > 0
-
-    def test_build_on_disk(self, sorts, small_protein_database, tmp_path):
-        with OasisEngine.build_on_disk(
-            small_protein_database, pam30(), tmp_path / "image.oasis", gap_model=FixedGapModel(-8)
-        ) as engine:
-            assert len(sorts) == 1
             assert len(engine.search("WKDDGNGYISAAE", min_score=20)) > 0
 
     def test_cli_index_build(self, sorts, small_protein_database, tmp_path, capsys):

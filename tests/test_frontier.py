@@ -77,6 +77,7 @@ from repro.storage.layout import LAST_SIBLING_BIT, NO_POINTER, DiskLayout, Regio
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 from support import (
     PLANTED_SEARCHES,
+    disk_engine,
     on_python_frontier,
     pool_bytes,
     python_pool_body,
@@ -518,7 +519,7 @@ def test_an_engine_over_record_arrays_takes_the_c_frontier(tmp_path_factory, mon
 @needs_compiled
 def test_a_disk_engine_takes_the_c_frontier(tmp_path, monkeypatch):
     make_database, make_matrix, gap, query, min_score, _ = PLANTED_SEARCHES["protein"]
-    engine = OasisEngine.build_on_disk(
+    engine = disk_engine(
         make_database(), make_matrix(), tmp_path / "tree.oasis", gap_model=FixedGapModel(gap),
         block_size=256, buffer_pool_bytes=256, kernel="compiled",
     )

@@ -96,10 +96,8 @@ def _callables_with_a_default_gap():
     return {
         "OasisEngine": OasisEngine.__init__,
         "OasisEngine.build": OasisEngine.build,
-        "OasisEngine.build_on_disk": OasisEngine.build_on_disk,
         "ShardedIndexBuilder": ShardedIndexBuilder.__init__,
         "ShardedEngine": ShardedEngine.__init__,
-        "ShardedEngine.build_on_disk": ShardedEngine.build_on_disk,
         "SmithWatermanAligner": SmithWatermanAligner.__init__,
         "BlastLikeSearch": BlastLikeSearch.__init__,
     }

@@ -38,9 +38,15 @@ from repro.scoring.gaps import MIN_GAP_PENALTY, FixedGapModel
 from repro.scoring.matrix import MAX_SCORE_MAGNITUDE
 from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
-from repro.sharding import ShardedEngine
 from repro.suffixtree.generalized import GeneralizedSuffixTree
-from support import PRODUCTION_KERNELS, dense, node_signature, scaled_matrix
+from support import (
+    PRODUCTION_KERNELS,
+    dense,
+    disk_engine,
+    index_engine,
+    node_signature,
+    scaled_matrix,
+)
 
 SEEDS = [3, 11, 29]
 
@@ -300,10 +306,10 @@ class TestEngineParity:
         memory = OasisEngine.build(
             database, matrix=matrix, gap_model=gap_model, kernel="reference"
         )
-        disk = OasisEngine.build_on_disk(
+        disk = disk_engine(
             database, matrix, tmp_path / "image.oasis", gap_model=gap_model
         )
-        sharded = ShardedEngine.build_on_disk(
+        sharded = index_engine(
             database, tmp_path / "index", matrix, gap_model, shard_count=3
         )
         try:

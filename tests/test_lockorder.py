@@ -27,12 +27,11 @@ import threading
 import pytest
 
 from repro.analysis.lockorder import LockOrderError, LockOrderMonitor, OrderedLock
-from repro.core.engine import OasisEngine
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder
 from repro.testing import instrument_lock_order
-from support import python_pool_body, random_protein
+from support import disk_engine, python_pool_body, random_protein
 
 QUERY = "WKDDGNGYISAAE"
 EVALUE = 1_000.0
@@ -181,7 +180,7 @@ class TestEngineIntegration:
         self, lockorder_database, pam30_matrix, gap8, tmp_path, kernel
     ):
         monitor = LockOrderMonitor()
-        engine = OasisEngine.build_on_disk(
+        engine = disk_engine(
             lockorder_database,
             pam30_matrix,
             str(tmp_path / "mono.oasis"),
@@ -251,7 +250,7 @@ class TestEngineIntegration:
             return [[(hit.sequence_index, hit.score) for hit in result] for result in results]
 
         def open_engine(kernel):
-            return OasisEngine.build_on_disk(
+            return disk_engine(
                 database,
                 matrix,
                 str(tmp_path / f"{frames}-frame-{kernel}.oasis"),

@@ -13,7 +13,7 @@ from repro.sequences.alphabet import DNA_ALPHABET, PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 
-from support import PAPER_QUERY, PAPER_TARGET, random_protein
+from support import PAPER_QUERY, PAPER_TARGET, index_engine, random_protein
 
 
 class TestPaperExample:
@@ -161,12 +161,6 @@ class TestOnlineBehaviour:
         identifiers = result.sequence_identifiers()
         assert len(identifiers) == len(set(identifiers))
 
-    def test_online_log_recorded(self, engine):
-        result = engine.search("WKDDGNGYISAAE", min_score=10)
-        log = result.parameters["online_log"]
-        assert len(log) == len(result)
-        assert log.first_result_seconds <= log.last_result_seconds
-
 
 class TestMoreColumnsThanResiduesWarning:
     """A query that expands several times more DP columns than the database
@@ -220,7 +214,6 @@ class TestMoreColumnsThanResiduesWarning:
         from bench_e2e import data
         from repro.scoring.data import nucleotide_matrix
         from repro.sequences.fasta import parse_fasta_text
-        from repro.sharding import ShardedEngine
 
         protein = data.protein_inputs(7)
         dna = data.dna_inputs(7)
@@ -228,9 +221,7 @@ class TestMoreColumnsThanResiduesWarning:
         dna_db = parse_fasta_text(dna.fasta, alphabet=DNA_ALPHABET)
         evalue = 20_000.0 * protein.residues / 40_000_000
         protein_gap, dna_gap = FixedGapModel(-8), FixedGapModel(-4)
-        sharded = ShardedEngine.build_on_disk(
-            protein_db, tmp_path / "index", pam30(), protein_gap, shard_count=4
-        )
+        sharded = index_engine(protein_db, tmp_path / "index", pam30(), protein_gap, shard_count=4)
         cases = [
             (OasisEngine.build(protein_db, pam30(), protein_gap), protein.queries, None),
             (sharded, protein.queries, None),

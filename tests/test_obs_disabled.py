@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.engine import OasisEngine
 from repro.obs import Tracer
-from repro.sharding import ShardedEngine
+from support import disk_engine, index_engine
 
 QUERY = "WKDDGNGYISAAE"
 OBS = os.sep + os.path.join("repro", "obs") + os.sep
@@ -45,7 +45,7 @@ def _memory(database, matrix, gap, _directory):
 
 
 def _disk(database, matrix, gap, directory):
-    return OasisEngine.build_on_disk(
+    return disk_engine(
         database,
         matrix,
         str(directory / "image.oasis"),
@@ -56,9 +56,7 @@ def _disk(database, matrix, gap, directory):
 
 
 def _sharded(database, matrix, gap, directory):
-    return ShardedEngine.build_on_disk(
-        database, directory / "index", matrix, gap, shard_count=2
-    )
+    return index_engine(database, directory / "index", matrix, gap, shard_count=2)
 
 
 @pytest.mark.parametrize("build", [_memory, _disk, _sharded], ids=["memory", "disk", "shard2"])

@@ -40,8 +40,9 @@ from repro.scoring.gaps import FixedGapModel
 from repro.sequences.alphabet import PROTEIN_ALPHABET
 from repro.sequences.database import SequenceDatabase
 from repro.sharding import ShardedEngine, ShardedIndexBuilder
+from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
-from support import AMINO_ACIDS, random_protein
+from support import AMINO_ACIDS, disk_engine, index_engine, random_protein
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -159,10 +160,9 @@ class TestDispatchSpans:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_a_process_scatter_dispatches_are_adopted_spans(self, shards, tmp_path):
         """Shard spans recorded in worker processes come back into the tree."""
-        with ShardedEngine.build_on_disk(
-            _database(), tmp_path / "index", pam30(), FixedGapModel(-8), shard_count=shards
-        ):
-            pass
+        ShardedIndexBuilder(pam30(), FixedGapModel(-8), shard_count=shards).build(
+            _database(), tmp_path / "index"
+        )
         tracer = Tracer()
         with ShardedEngine.open(tmp_path / "index", backend="processes:2") as engine:
             report = engine.search_many(QUERIES, workers=1, min_score=MIN_SCORE, tracer=tracer)
@@ -190,7 +190,7 @@ class TestDispatchSpans:
         if engine_kind == "memory":
             engine = OasisEngine.build(database, pam30(), FixedGapModel(-8))
         elif engine_kind == "disk":
-            engine = OasisEngine.build_on_disk(
+            engine = disk_engine(
                 database, pam30(), tmp_path / "image.oasis", FixedGapModel(-8), block_size=512
             )
         else:
@@ -229,7 +229,7 @@ class TestStopsAndFailures:
         if engine_kind == "memory":
             engine = OasisEngine.build(_database(), pam30(), FixedGapModel(-8))
         else:
-            engine = OasisEngine.build_on_disk(
+            engine = disk_engine(
                 _database(), pam30(), tmp_path / "image.oasis", FixedGapModel(-8), block_size=512
             )
         tracer = Tracer()
@@ -348,10 +348,7 @@ class TestEvictionCounter:
         block_size = 512
         image = tmp_path / "image.oasis"
         database = _database()
-        with OasisEngine.build_on_disk(
-            database, pam30(), image, FixedGapModel(-8), block_size=block_size
-        ):
-            pass
+        build_disk_image(database, image, block_size=block_size)
         pool_bytes = (frames or os.path.getsize(image) // block_size + 1) * block_size
         tracer = Tracer()
         # The pool itself, at every size: an engine reads an image that fits
@@ -374,7 +371,7 @@ class TestEvictionCounter:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_a_sharded_index_counts_the_evictions_of_every_shard_pool(self, shards, tmp_path):
         tracer = Tracer()
-        with ShardedEngine.build_on_disk(
+        with index_engine(
             _database(),
             tmp_path / "index",
             pam30(),

@@ -25,7 +25,7 @@ from repro.parallel import BatchSearchReport
 from repro.parallel.executor import percentile
 from repro.storage.builder import build_disk_image
 from repro.storage.disk_tree import DiskSuffixTree
-from support import POOL_BODIES, on_pool_body
+from support import POOL_BODIES, disk_engine, on_pool_body
 
 QUERY = "WKDDGNGYISAAE"
 
@@ -187,7 +187,7 @@ class TestSearchMany:
     def test_matches_serial_loop_on_disk(
         self, tmp_path, small_protein_database, pam30_matrix, gap8
     ):
-        disk_engine = OasisEngine.build_on_disk(
+        on_disk = disk_engine(
             small_protein_database,
             matrix=pam30_matrix,
             image_path=tmp_path / "index.oasis",
@@ -197,12 +197,12 @@ class TestSearchMany:
         )
         try:
             queries = standard_workload(small_protein_database, count=24)
-            serial = [disk_engine.search(q, min_score=8) for q in queries]
-            report = disk_engine.search_many(queries, workers=4, min_score=8)
+            serial = [on_disk.search(q, min_score=8) for q in queries]
+            report = on_disk.search_many(queries, workers=4, min_score=8)
             parallel = report.results()
             assert [hit_tuples(r) for r in parallel] == [hit_tuples(r) for r in serial]
         finally:
-            disk_engine.cursor.close()
+            on_disk.cursor.close()
 
     @pytest.mark.parametrize("body", POOL_BODIES)
     @pytest.mark.parametrize("buffer_pool_bytes", [512, 4096, 1 << 20])

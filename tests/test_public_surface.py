@@ -232,3 +232,18 @@ def test_the_version_has_one_source():
         pyproject,
         re.MULTILINE,
     )
+
+
+def test_the_removed_engine_names_are_gone():
+    """One searching surface, ``OasisEngine``; one way to a disk engine, an
+    opened index; one emission timeline, each hit's ``emitted_at``."""
+    import importlib.util
+
+    from repro.core.engine import OasisEngine
+    from repro.sharding import ShardedEngine
+
+    assert importlib.util.find_spec("repro.core.surface") is None
+    core = importlib.import_module("repro.core")
+    assert not hasattr(core, "SearchSurface") and not hasattr(core, "OnlineResultLog")
+    assert not hasattr(OasisEngine, "build_on_disk")
+    assert not hasattr(ShardedEngine, "build_on_disk") and "build" not in ShardedEngine.__dict__

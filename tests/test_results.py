@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.results import (
-    Alignment,
-    OnlineResultLog,
-    SearchHit,
-    SearchResult,
-    hit_order_key,
-)
+from repro.core.results import Alignment, SearchHit, SearchResult, hit_order_key
 
 
 def make_hit(index, score, identifier=None):
@@ -96,25 +90,6 @@ class TestSearchResult:
         result = SearchResult("Q", "oasis", hits=[late, early])
         result.sort_by_score()
         assert [h.alignment.target_start for h in result] == [2, 9]
-
-
-class TestOnlineResultLog:
-    def test_record_accumulates(self):
-        log = OnlineResultLog()
-        log.record(0.1)
-        log.record(0.2)
-        log.record(0.5)
-        assert len(log) == 3
-        assert log.first_result_seconds == pytest.approx(0.1)
-        assert log.last_result_seconds == pytest.approx(0.5)
-        assert log.time_for_first(2) == pytest.approx(0.2)
-        assert log.time_for_first(10) is None
-        assert log.series() == [(0.1, 1), (0.2, 2), (0.5, 3)]
-
-    def test_empty_log(self):
-        log = OnlineResultLog()
-        assert log.first_result_seconds is None
-        assert log.last_result_seconds is None
 
 
 class TestHitOrderKey:

@@ -22,7 +22,7 @@ from repro.core.engine import OasisEngine
 from repro.core.oasis import QueryExecution
 from repro.core.request import SearchRequest
 from repro.sharding import ShardedEngine
-from support import record_frontiers
+from support import disk_engine, index_engine, record_frontiers
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src", "repro")
@@ -135,7 +135,7 @@ def in_process_engines(tmp_path, small_protein_database, pam30_matrix, gap8):
     engines = {
         "memory": OasisEngine.build(database, matrix=pam30_matrix, gap_model=gap8),
         # One frame: every page request but a repeat of the last one misses.
-        "disk": OasisEngine.build_on_disk(
+        "disk": disk_engine(
             database,
             pam30_matrix,
             tmp_path / "index.oasis",
@@ -143,7 +143,7 @@ def in_process_engines(tmp_path, small_protein_database, pam30_matrix, gap8):
             block_size=512,
             buffer_pool_bytes=512,
         ),
-        "shards3-serial": ShardedEngine.build_on_disk(
+        "shards3-serial": index_engine(
             database, tmp_path / "index3", pam30_matrix, gap8, shard_count=3, block_size=512
         ),
     }

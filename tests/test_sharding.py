@@ -33,7 +33,7 @@ from repro.sharding import (
     ShardedIndexBuilder,
     root_partitions,
 )
-from support import random_dna, random_protein
+from support import index_engine, random_dna, random_protein
 
 QUERIES = ["WKDDGNGYISAAE", "MKVLAADT", "DKDGDGCITTKEL"]
 EVALUE = 1_000.0
@@ -221,7 +221,7 @@ class TestShardedParityOnDisk:
         self, tmp_path, shard_database, monolithic, pam30_matrix, gap8, shard_count
     ):
         directory = tmp_path / f"index-{shard_count}"
-        with ShardedEngine.build_on_disk(
+        with index_engine(
             shard_database,
             directory,
             pam30_matrix,
@@ -398,7 +398,7 @@ class TestDeterministicTieOrdering:
         for identifier in ["zulu", "quebec", "alpha", "bravo"]:
             database.add_sequence(identifier, body)
         monolithic = OasisEngine.build(database, matrix=pam30_matrix, gap_model=gap8)
-        with ShardedEngine.build_on_disk(
+        with index_engine(
             database, tmp_path / "ties", pam30_matrix, gap8, shard_count=2, backend=backend
         ) as sharded:
             expected = monolithic.search("WKDDGNGYISAAE", min_score=20)

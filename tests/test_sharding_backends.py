@@ -270,25 +270,6 @@ class TestSerialScatter:
         assert ran == [(threading.current_thread(), scattered)]
         assert len(frontiers) == 1 and scattered.root_symbols is None
 
-    def test_the_engine_build_on_disk_returns_scatters_serially(
-        self, monkeypatch, tmp_path, backend_database, pam30_matrix, gap8, expected_signatures
-    ):
-        ran = []
-        result = QueryExecution.result
-
-        def recording(execution):
-            ran.append(threading.current_thread())
-            return result(execution)
-
-        monkeypatch.setattr(QueryExecution, "result", recording)
-        with ShardedEngine.build_on_disk(
-            backend_database, tmp_path / "index", pam30_matrix, gap8, shard_count=2
-        ) as sharded:
-            assert sharded.backend_spec == "serial"
-            got = sharded.search(QUERIES[0], evalue=EVALUE)
-        assert hit_signature(got.hits) == expected_signatures[QUERIES[0]]
-        assert ran == [threading.current_thread()]
-
 
 #: A thread scatter's refusal names the two forms a scatter accepts.
 BOTH_FORMS = r"'serial' or 'processes\[:N\]'"
@@ -347,16 +328,6 @@ class TestScatterBackendForms:
     def test_open_refuses_threads_naming_the_two_forms(self, index_directories, backend):
         with pytest.raises(ValueError, match=BOTH_FORMS):
             ShardedEngine.open(index_directories[2], backend=backend)
-
-    def test_build_on_disk_refuses_threads_before_building(
-        self, tmp_path, backend_database, pam30_matrix, gap8
-    ):
-        directory = tmp_path / "never-built"
-        with pytest.raises(ValueError, match="processes"):
-            ShardedEngine.build_on_disk(
-                backend_database, directory, pam30_matrix, gap8, backend="threads:2"
-            )
-        assert not directory.exists()
 
     def test_the_constructor_refuses_threads(self, index_directories, monolithic):
         with ShardedEngine.open(index_directories[1]) as opened:

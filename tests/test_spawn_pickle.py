@@ -28,7 +28,7 @@ import repro
 from repro.core.engine import OasisEngine
 from repro.core.oasis import OasisSearchStatistics
 from repro.core.request import SearchRequest
-from repro.core.results import Alignment, OnlineResultLog, SearchResult
+from repro.core.results import Alignment, SearchResult
 from repro.obs.trace import TraceContext
 from repro.scoring.karlin_altschul import KarlinAltschulParameters
 from repro.scoring.data import nucleotide_matrix
@@ -155,10 +155,6 @@ class TestSearchResultOutcome:
             assert got.alignment == sent.alignment
             assert got.evalue == sent.evalue and isinstance(got.evalue, float)
             assert got.emitted_at == sent.emitted_at
-        log = returned.parameters["online_log"]
-        assert isinstance(log, OnlineResultLog)
-        assert log.events == result.parameters["online_log"].events
-        assert len(log) == len(result)
         assert isinstance(returned.statistics, OasisSearchStatistics)
         assert returned.statistics.as_dict() == result.statistics.as_dict()
         assert returned.statistics.nodes_expanded > 0

@@ -36,7 +36,7 @@ from repro.storage.layout import (
 from repro.suffixtree.cursor import SuffixTreeCursor
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 
-from support import PAPER_TARGET, python_pool_body, random_dna, random_protein
+from support import PAPER_TARGET, disk_engine, python_pool_body, random_dna, random_protein
 
 
 class TestRecords:
@@ -607,7 +607,7 @@ class TestPageAtATimeReadPath:
         database = SequenceDatabase.from_texts(texts, alphabet=DNA_ALPHABET, name="lcg")
         query = texts[2][40:58]
         path = tmp_path / "counts.oasis"
-        engine = OasisEngine.build_on_disk(
+        engine = disk_engine(
             database,
             unit_dna_matrix,
             path,
