@@ -91,7 +91,10 @@
  * and a pool page
  * through a strong reference to its bytes (a miss releases the GIL, and
  * another thread may evict the frame meanwhile).  The pool's buffers are
- * written only while the GIL is held, so no lock guards them.
+ * written only while the GIL is held, so no lock guards them.  A page's
+ * bytes are written into only after the pool evicted it and nothing but
+ * the pool holds it: the eviction keeps it as the pool's one spare, and the
+ * next miss reads into it, so a page anyone holds keeps its block's content.
  *
  * Integers: ints read from Python must lie within +-2**62, and a sum that
  * leaves that range raises OverflowError where Python ints would grow.  A
@@ -750,11 +753,12 @@ enum {
 };
 
 /* A buffer pool, as BufferPool.state hands it over: (block file, block
- * size, pages, blocks, referenced, slot_of, counters).  The buffers are held
- * for a call, so they cannot be resized under it; pages is a list, read and
- * written only by index, each index checked. */
+ * size, pages, blocks, referenced, slot_of, counters, spare).  The buffers
+ * are held for a call, so they cannot be resized under it; pages and spare
+ * (a list of one item: the page the last eviction freed, or None) are
+ * lists, read and written only by index, each index checked. */
 typedef struct {
-    PyObject *file, *pages; /* borrowed from the state */
+    PyObject *file, *pages, *spare; /* borrowed from the state */
     i64 block_size;
     Py_buffer blocks_view, referenced_view, slot_view, counters_view;
     i64 *blocks, *counters;
@@ -767,15 +771,17 @@ static int
 open_pool(PyObject *state, pool_view *pool)
 {
     memset(pool, 0, sizeof(*pool));
-    if (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) != 7
-        || !PyList_Check(PyTuple_GET_ITEM(state, 2))) {
+    if (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) != 8
+        || !PyList_Check(PyTuple_GET_ITEM(state, 2)) || !PyList_Check(PyTuple_GET_ITEM(state, 7))
+        || PyList_GET_SIZE(PyTuple_GET_ITEM(state, 7)) != 1) {
         PyErr_SetString(PyExc_TypeError,
                         "a pool state is (block_file, block_size, pages list, blocks, "
-                        "referenced, slot_of, counters)");
+                        "referenced, slot_of, counters, spare list of one item)");
         return -1;
     }
     pool->file = PyTuple_GET_ITEM(state, 0);
     pool->pages = PyTuple_GET_ITEM(state, 2);
+    pool->spare = PyTuple_GET_ITEM(state, 7);
     if (int_at(state, 1, "pool state", &pool->block_size) < 0
         || buffer_of(PyTuple_GET_ITEM(state, 3), "q", "the blocks", &pool->blocks_view) < 0
         || buffer_of(PyTuple_GET_ITEM(state, 4), "B", "the reference bits",
@@ -815,12 +821,31 @@ broken_pool(void)
     return -1;
 }
 
+/* Whether ``page`` can be written into: exact bytes of a block, and no
+ * reference to it but the one its caller took from the pool.  Never with
+ * the GIL disabled, where another thread may take a reference meanwhile. */
+static inline int
+reusable(const pool_view *pool, PyObject *page)
+{
+#ifdef Py_GIL_DISABLED
+    (void)pool;
+    (void)page;
+    return 0;
+#else
+    return PyBytes_CheckExact(page) && Py_REFCNT(page) == 1
+           && PyBytes_GET_SIZE(page) == pool->block_size;
+#endif
+}
+
 /* Frame ``slot`` of the clock gets ``block`` and its page, a new frame
- * while the pool fills, else the clock's victim: BufferPool._install. */
+ * while the pool fills, else the clock's victim: BufferPool._install.  The
+ * victim's page becomes the spare when the frame held the only reference
+ * to it; else the frame's reference is dropped, as the Python body drops it. */
 static int
 install(pool_view *pool, i64 block, PyObject *data)
 {
     i64 *counters = pool->counters, slot = counters[FILLED], victim;
+    PyObject *evicted;
 
     if (slot < 0 || slot > pool->frames || counters[HAND] < 0 || counters[HAND] >= pool->frames
         || PyList_GET_SIZE(pool->pages) != pool->frames)
@@ -847,9 +872,36 @@ install(pool_view *pool, i64 block, PyObject *data)
     pool->slot_of[block] = (int32_t)slot;
     pool->referenced[slot] = 1;
     Py_INCREF(data);
-    /* The page it replaces is bytes: freeing it runs no Python code. */
-    PyList_SetItem(pool->pages, slot, data);
+    evicted = PyList_GET_ITEM(pool->pages, slot);
+    PyList_SET_ITEM(pool->pages, slot, data);
+    /* Pages and spares are bytes or None: freeing one runs no Python code. */
+    if (PyList_GET_SIZE(pool->spare) == 1 && reusable(pool, evicted))
+        PyList_SetItem(pool->spare, 0, evicted);
+    else
+        Py_XDECREF(evicted);
     return 0;
+}
+
+/* The spare page, taken from the pool, if nothing else holds it: a new
+ * reference whose cached hash is forgotten, since its bytes are about to
+ * change.  NULL, and no error, when there is none to take. */
+static PyObject *
+take_spare(pool_view *pool)
+{
+    PyObject *spare;
+
+    if (PyList_GET_SIZE(pool->spare) != 1)
+        return NULL;
+    spare = PyList_GET_ITEM(pool->spare, 0);
+    if (!reusable(pool, spare))
+        return NULL;
+    Py_INCREF(Py_None);
+    PyList_SET_ITEM(pool->spare, 0, Py_None);
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+    ((PyBytesObject *)spare)->ob_shash = -1;
+#pragma GCC diagnostic pop
+    return spare;
 }
 
 /* The frame holding ``block``, -1 if none. */
@@ -860,10 +912,11 @@ resident_slot(const pool_view *pool, i64 block)
 }
 
 /* Block ``block`` of ``region``: one request, BufferPool.page.  A hit sets
- * the frame's reference bit.  A miss reads the block with the GIL released,
- * then counts (a failed read too), looks the block up again -- another
- * thread may have installed it meanwhile -- and installs it if not.  A new
- * reference to the page's bytes. */
+ * the frame's reference bit.  A miss counts (a failed read too) and reads
+ * the block with the GIL released, into the spare page if nothing else
+ * holds it, else into new bytes; then it looks the block up again --
+ * another thread may have installed it meanwhile -- and installs it if
+ * not.  A new reference to the page's bytes. */
 static PyObject *
 pool_request(step_state *state, pool_view *pool, int region, i64 block)
 {
@@ -905,7 +958,9 @@ pool_request(step_state *state, pool_view *pool, int region, i64 block)
         PyErr_SetString(PyExc_OverflowError, "a block past any file offset");
         return NULL;
     }
-    data = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)pool->block_size);
+    data = take_spare(pool);
+    if (data == NULL)
+        data = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)pool->block_size);
     if (data == NULL)
         return NULL;
     Py_BEGIN_ALLOW_THREADS

@@ -180,7 +180,8 @@ class ShardCatalog:
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
         """Check internal consistency: one image, a partition count in range,
-        an integer gap penalty and block size."""
+        an integer gap penalty and block size, and an image row of integers
+        spanning the whole database whose file lies in the index directory."""
         if len(self.shards) != 1:
             raise CatalogError(f"catalog lists {len(self.shards)} images, not one")
         for name in ("gap_penalty", "block_size"):
@@ -189,6 +190,27 @@ class ShardCatalog:
             check_partitions(self.partitions)
         except ValueError as error:
             raise CatalogError(str(error)) from None
+        (entry,) = self.shards
+        for name in ("index", "start_sequence", "sequence_count", "residues"):
+            _integer(getattr(entry, name), f"shards[0].{name}")
+        for name, expected in (
+            ("start_sequence", 0),
+            ("sequence_count", self.sequence_count),
+            ("residues", self.total_residues),
+        ):
+            if getattr(entry, name) != expected:
+                raise CatalogError(
+                    f"catalog field 'shards[0].{name}' is {getattr(entry, name)}, not "
+                    f"{expected}: the one image spans the whole database"
+                )
+        path = entry.path
+        # A plain name, with no directory part: the image lies beside the catalog.
+        plain = isinstance(path, str) and path not in ("", os.curdir, os.pardir)
+        if not plain or os.path.basename(path) != path:
+            raise CatalogError(
+                f"catalog field 'shards[0].path' is not a file name in the index "
+                f"directory: {path!r}"
+            )
 
     def check_fingerprint(self, expected: Dict[str, object]) -> None:
         """Raise :class:`CatalogMismatchError` unless configurations agree."""

@@ -17,19 +17,24 @@ module reproduces that component:
 * the pool's state is flat, so that C can read and write it in place:
   ``pages`` (one ``bytes`` per frame, in clock order), ``blocks`` (the block
   in each frame, or -1), ``referenced`` (the reference bits), ``slot_of``
-  (each block's frame, or -1) and ``counters`` (the hand, the filled count,
-  the statistics).  A request is :meth:`BufferPool.page`.  Where the
+  (each block's frame, or -1), ``counters`` (the hand, the filled count,
+  the statistics) and ``spare`` (one item: the page the last eviction
+  freed, or None).  A request is :meth:`BufferPool.page`.  Where the
   compiled step builds (``repro/core/_column_step.c``), ``pool.page`` is its
   C body, which the disk cursor's node step runs too: a hit sets the bit and
-  counts; a miss releases the GIL around its ``pread``, then looks the
-  block up again -- another thread may have installed it meanwhile --
-  counts, runs the clock and installs.  All of it but the read holds the
-  GIL, so the C body takes no lock.  The Python body below is its twin,
-  for hosts where it does not build: the same steps under the pool's lock,
-  the read outside it;
-* an install puts the page's ``bytes`` in the victim's frame and never
-  writes into a page, so bytes already returned keep their block's content
-  after the frame is evicted;
+  counts; a miss counts, releases the GIL around its ``pread``, then looks
+  the block up again -- another thread may have installed it meanwhile --,
+  runs the clock and installs.  All of it but the read holds the GIL, so
+  the C body takes no lock.  The Python body below is its twin, for hosts
+  where it does not build: the same steps under the pool's lock, the read
+  outside it;
+* an install puts the page's ``bytes`` in the victim's frame.  A page is
+  written into only after the pool evicted it and nothing but the pool
+  holds it: the C body keeps such a victim as the spare and reads the next
+  miss into it instead of allocating, so bytes a caller holds keep their
+  block's content after the frame is evicted.  The Python body cannot write
+  into ``bytes`` and leaves the spare empty; reuse changes no frame, bit,
+  hand, counter or returned content, so the two bodies stay twins;
 * a *request* is one page a cursor call asks for: ``hits`` (and the Figure 8
   hit ratios) count page requests, not records, while ``misses`` and
   ``evictions`` do not depend on how requests are grouped into calls;
@@ -164,11 +169,13 @@ class BufferPool:
         self.referenced = bytearray(frames)
         self.slot_of = array("i", [-1]) * file_blocks
         self.counters = array("q", bytes(8 * COUNTERS))
+        #: The C body's spare page, read into by its next miss.
+        self.spare: List[Optional[bytes]] = [None]
         self.statistics = BufferPoolStatistics(self.counters)
         #: What the C body reads and writes, in its order.
         self.state: Tuple[object, ...] = (
             block_file, self.block_size, self.pages, self.blocks, self.referenced,
-            self.slot_of, self.counters,
+            self.slot_of, self.counters, self.spare,
         )
         # Guards the Python body against the one other thread: a
         # ``search_many(workers=N)`` batch thread on a disk engine.  Never
@@ -271,6 +278,7 @@ class BufferPool:
                 self.blocks[slot] = -1
                 self.pages[slot] = None
                 self.referenced[slot] = 0
+            self.spare[0] = None
             self.counters[HAND] = self.counters[FILLED] = 0
 
     def reset_statistics(self) -> None:

@@ -3,6 +3,7 @@
 import importlib
 import json
 import re
+import shutil
 import sys
 
 import pytest
@@ -571,6 +572,43 @@ class TestIndexCommands:
         assert f"catalog field '{field}' is not an integer: {value!r}" in line
         with pytest.raises(CatalogError, match=f"catalog field '{field}'"):
             ShardCatalog.load(index_dir)
+
+    @pytest.mark.parametrize(
+        "field, spoil, message",
+        [
+            ("residues", lambda value: "abc", "is not an integer: 'abc'"),
+            ("residues", lambda value: value + 1, "not {value}: the one image spans"),
+            ("sequence_count", lambda value: 2.5, "is not an integer: 2.5"),
+            ("start_sequence", lambda value: 7, "is 7, not 0: the one image spans"),
+            ("path", lambda value: f"../outside/{value}", "is not a file name in the index"),
+        ],
+        ids=["residues-string", "residues-count", "sequence-count-float", "start", "path"],
+    )
+    @pytest.mark.parametrize(
+        "name, arguments",
+        [
+            ("search", ["search", "--query", "MKVLAADTGLAV", "--min-score", "15", "--index"]),
+            ("index info", ["index", "info"]),
+        ],
+        ids=["search", "info"],
+    )
+    def test_a_spoiled_image_row_exits_2_naming_its_field(
+        self, index_dir, capsys, field, spoil, message, name, arguments
+    ):
+        """The catalog's one image row is integers spanning the whole
+        database, and its path a file name beside the catalog: a copy of the
+        index next to it, which a path may point into, is not read."""
+        shutil.copytree(index_dir, index_dir.parent / "outside")
+        path = index_dir / "catalog.json"
+        catalog = json.loads(path.read_text())
+        value = catalog["shards"][0][field]
+        catalog["shards"][0][field] = spoil(value)
+        path.write_text(json.dumps(catalog))
+        capsys.readouterr()
+        assert main(arguments + [str(index_dir)]) == 2
+        line = one_error_line(capsys, name)
+        assert f"catalog field 'shards[0].{field}'" in line
+        assert message.format(value=value) in line
 
     @pytest.mark.parametrize(
         "name, arguments",

@@ -21,9 +21,13 @@ from repro.sequences.database import SequenceDatabase
 from repro.storage.blocks import BlockFile
 from repro.storage.buffer_pool import (
     COUNTERS,
+    EVICTIONS,
     FILLED,
     HAND,
+    HITS,
+    MISSES,
     READ_NANOSECONDS,
+    REGION_MISSES,
     BufferPool,
     Region,
 )
@@ -362,14 +366,19 @@ def region_of(layout, block):
     return Region.SYMBOLS
 
 
-def twin_pools(path, block_size, frames):
-    """A pool on each body over the image at ``path``."""
+def compiled_pool(path, block_size, frames):
+    """A pool of ``frames`` frames (or the whole image) over the image at
+    ``path``: where the compiled step builds, its requests are the C body."""
     capacity = os.path.getsize(path) if frames == "whole" else frames * block_size
-    python = BufferPool(BlockFile(path, block_size=block_size), capacity_bytes=capacity)
-    compiled = BufferPool(BlockFile(path, block_size=block_size), capacity_bytes=capacity)
-    # Where the compiled step builds, every pool's requests are its C body.
-    assert compiled.page.func is kernels._compiled_step().page
-    return python, compiled
+    pool = BufferPool(BlockFile(path, block_size=block_size), capacity_bytes=capacity)
+    assert pool.page.func is kernels._compiled_step().page
+    return pool
+
+
+def twin_pools(path, block_size, frames):
+    """A pool for each body over the image at ``path``: the test serves the
+    first by the Python body, ``BufferPool.page`` called on it."""
+    return compiled_pool(path, block_size, frames), compiled_pool(path, block_size, frames)
 
 
 def pool_state(pool):
@@ -471,3 +480,131 @@ def test_a_closed_file_is_a_value_error_before_any_request_on_both_bodies(images
     assert request_both(python.pool, compiled.pool, 1, Region.SYMBOLS) == (
         "read from a closed block file"
     )
+
+
+# --------------------------------------------------------------------------- #
+# The spare: the C body reads a miss into the page the last eviction freed
+# --------------------------------------------------------------------------- #
+FRAMES = [1, 2, "whole"]
+
+
+def request_block(pool, layout, block):
+    return pool.page(block, region_of(layout, block))
+
+
+@needs_compiled
+@pytest.mark.parametrize("frames", FRAMES)
+def test_a_held_page_keeps_its_block_after_its_frame_is_evicted(images, frames):
+    _, built = images
+    path, layout = built[72]
+    pool = compiled_pool(path, 72, frames)
+    try:
+        held = {block: request_block(pool, layout, block) for block in (0, 1)}
+        for block in list(range(2, layout.total_blocks)) * 2:
+            request_block(pool, layout, block)
+        if frames == "whole":
+            assert pool.statistics.evictions == 0  # a pool that holds the image never evicts
+        else:
+            assert pool.statistics.misses > len(pool.blocks)
+            assert pool.slot_of[0] == pool.slot_of[1] == -1
+        for block, page in held.items():
+            assert page == pool._file.read_block(block)
+    finally:
+        pool._file.close()
+
+
+@needs_compiled
+@pytest.mark.parametrize("frames", FRAMES)
+def test_a_hashed_and_dropped_page_is_reused_with_its_hash_forgotten(images, frames):
+    _, built = images
+    path, layout = built[72]
+    pool = compiled_pool(path, 72, frames)
+    try:
+        page = request_block(pool, layout, 0)
+        hash(page)
+        dropped = id(page)
+        del page
+        block = 1
+        while pool.slot_of[0] >= 0 and block < layout.total_blocks:
+            request_block(pool, layout, block)
+            block += 1
+        if frames == "whole":
+            # A pool that holds the image evicts nothing and keeps no spare.
+            assert pool.statistics.evictions == 0 and pool.spare == [None]
+            return
+        assert id(pool.spare[0]) == dropped
+        page = request_block(pool, layout, block)
+        fresh = pool._file.read_block(block)
+        assert id(page) == dropped and page == fresh != pool._file.read_block(0)
+        assert hash(page) == hash(fresh)
+    finally:
+        pool._file.close()
+
+
+@needs_compiled
+@pytest.mark.parametrize("frames", FRAMES)
+def test_a_full_pool_installs_its_spare(images, frames):
+    """Once the pool is full and nobody holds a page, each miss evicts a page
+    only the pool held, and the next miss installs that very page."""
+    _, built = images
+    path, layout = built[72]
+    pool = compiled_pool(path, 72, frames)
+    try:
+        block = 0
+        while pool.resident_pages < len(pool.blocks):
+            request_block(pool, layout, block)
+            block += 1
+        assert pool.spare == [None]
+        installed = 0
+        for block in range(block, layout.total_blocks):
+            spare = id(pool.spare[0]) if pool.spare[0] is not None else None
+            page = request_block(pool, layout, block)
+            assert spare is None or id(page) == spare
+            assert pool.pages[pool.slot_of[block]] is page
+            installed += spare is not None
+            del page
+        assert installed == max(0, layout.total_blocks - len(pool.blocks) - 1)
+    finally:
+        pool._file.close()
+
+
+@needs_compiled
+@pytest.mark.parametrize("frames", FRAMES)
+@pytest.mark.parametrize("failure", ["short read", "read error"])
+def test_a_failed_read_into_the_spare_is_one_miss(images, tmp_path, frames, failure):
+    """A read that fails with the spare taken counts what the cut-image test
+    counts: one miss of its region, no eviction, nothing installed."""
+    _, built = images
+    path, layout = built[256]
+    cut = tmp_path / "cut.oasis"
+    shutil.copyfile(path, cut)
+    os.truncate(cut, os.path.getsize(cut) - 100)
+    pool = compiled_pool(cut, 256, frames)
+    last = layout.total_blocks - 1
+    directory = os.open(tmp_path, os.O_RDONLY)
+    try:
+        for block in (0, 1, 2, 0, 1, 2):
+            request_block(pool, layout, block)
+        assert (pool.spare[0] is None) == (frames == "whole")
+        before = list(pool.counters)
+        if failure == "read error":
+            descriptor = pool._file.descriptor
+            pool._file.descriptor = directory  # pread on a directory: EISDIR
+            with pytest.raises(OSError):
+                request_block(pool, layout, last)
+            pool._file.descriptor = descriptor
+        else:
+            with pytest.raises(ValueError, match="reads 156 of 256 bytes -- the file is cut short"):
+                request_block(pool, layout, last)
+        after = pool.statistics
+        assert after.misses == before[MISSES] + 1
+        assert after.per_region_misses == [
+            before[REGION_MISSES + region] + (region == Region.LEAF_NODES) for region in Region
+        ]
+        assert (after.hits, after.evictions) == (before[HITS], before[EVICTIONS])
+        assert pool.slot_of[last] == -1 and pool.spare == [None]
+        # The pool still serves its blocks.
+        assert request_block(pool, layout, 3) == pool._file.read_block(3)
+    finally:
+        os.close(directory)
+        pool._file.close()
